@@ -2,7 +2,7 @@
 //! quantified versions of its qualitative claims). See EXPERIMENTS.md for
 //! the experiment index.
 //!
-//! Usage: `experiments [table1|fig2|load|query|shredding|roundtrip|modes|schemagen|drawbacks|fastpath|analyze|faults|all]`
+//! Usage: `experiments [table1|fig2|load|query|shredding|roundtrip|modes|schemagen|drawbacks|fastpath|analyze|maplint|faults|trace|all]`
 //!
 //! `fastpath` writes JSON to stdout (narration goes to stderr), so
 //! `experiments fastpath > BENCH_PR1.json` captures the counter deltas.
@@ -19,36 +19,6 @@
 //! `trace` writes JSON to stdout (`experiments trace > BENCH_PR4.json`): the
 //! per-phase wall-time breakdown of a store + retrieve captured through the
 //! structured tracing layer, plus the measured cost of tracing itself.
-//!
-//! `bulk` writes JSON to stdout (`experiments bulk > BENCH_PR5.json`): the
-//! bulk-ingest comparison — per-statement SQL text vs prepared statements
-//! vs batched inserts at the engine tier, and 1/2/4-worker parallel
-//! shredding at the pipeline tier, with byte-identical state verified
-//! across every delivery.
-//!
-//! `planner` writes JSON to stdout (`experiments planner > BENCH_PR6.json`):
-//! the §4.1 paper query on the edge strategy, swept from 100 students to
-//! ~10⁶ edge/value rows, with secondary indexes + ANALYZE statistics and
-//! the cost-based planner against the planner-disabled baseline on the
-//! same database. Results are asserted identical at every scale and the
-//! process exits non-zero unless the largest scale clears a 5× speedup.
-//!
-//! `concurrency` writes JSON to stdout (`experiments concurrency >
-//! BENCH_PR9.json`): aggregate snapshot-read throughput at 1/2/4/8 reader
-//! threads over one writer, the lock-profile split of reader work, and a
-//! differential gate under writer churn — every concurrent read must be
-//! byte-identical to a serial replay at its pinned committed epoch. On a
-//! multi-core host the process exits non-zero unless 4 readers clear 2×
-//! aggregate throughput; on fewer cores the gate falls back to the
-//! measured parallel fraction (the Amdahl bound for that speedup).
-//!
-//! `retrieve` writes JSON to stdout (`experiments retrieve >
-//! BENCH_PR10.json`): set-oriented bulk document reconstruction against
-//! the naive per-node walker on the same loaded database — the or8
-//! inverted mapping swept 100→20 000 students and the edge mapping on a
-//! capped sweep (its naive walker is O(nodes × rows)). Byte-identity is
-//! asserted at every scale; the process exits non-zero unless at least
-//! one mapping's top scale clears a 5× speedup.
 
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -61,7 +31,7 @@ use xml2ordb::roundtrip::{compare, Loss};
 use xml2ordb::schemagen::{generate_schema, IdrefTargets};
 use xmlord_bench::{measure_load, setup, university_doc, Strategy};
 use xmlord_dtd::parse_dtd;
-use xmlord_ordb::{Analyzer, Database, DbMode, RecoveryPolicy, Severity};
+use xmlord_ordb::{Analyzer, DbMode, RecoveryPolicy, Severity};
 use xmlord_workload::catalog::{catalog_xml, CatalogConfig, CATALOG_DTD};
 use xmlord_workload::dtdgen::{generate_dtd, DtdConfig};
 
@@ -80,11 +50,6 @@ const EXPERIMENTS: &[&str] = &[
     "maplint",
     "faults",
     "trace",
-    "bulk",
-    "planner",
-    "durability",
-    "concurrency",
-    "retrieve",
 ];
 
 fn main() {
@@ -130,21 +95,6 @@ fn main() {
     }
     if all || which == "trace" {
         trace_experiment();
-    }
-    if all || which == "bulk" {
-        bulk();
-    }
-    if all || which == "planner" {
-        planner();
-    }
-    if all || which == "durability" {
-        durability();
-    }
-    if all || which == "concurrency" {
-        concurrency();
-    }
-    if all || which == "retrieve" {
-        retrieve_experiment();
     }
     if all || which == "analyze" {
         let mode_filter = std::env::args().nth(2).unwrap_or_else(|| "both".to_string());
@@ -991,1048 +941,4 @@ fn trace_experiment() {
     }
     out.push_str("  ]\n}\n");
     print!("{out}");
-}
-
-/// E18 — the bulk-ingest engine: one corpus, four deliveries.
-///
-/// Engine tier: the same generated load, executed as per-statement SQL
-/// text, as prepared statements (template bound per row), and as
-/// consecutive-run batches — the three paths must leave byte-identical
-/// state. Pipeline tier: `store_documents` with 1/2/4 shredding workers,
-/// which must also agree byte-for-byte. JSON on stdout.
-fn bulk() {
-    use std::collections::HashMap;
-    use xml2ordb::loader::{load_ops, plan_batches, LoadOp, LoadUnit};
-    use xmlord_ordb::sql::param::{parameterize, Lit};
-    use xmlord_ordb::{Database, PreparedStmt, Value};
-
-    eprintln!("E18 — bulk ingest: text vs prepared vs batched vs parallel (JSON on stdout)");
-
-    // A flat corpus — `db (rec*)` — stored under Oracle 8 rules, where
-    // every set-valued complex child is table-rooted: each record is its
-    // own INSERT carrying the same parent-REF subquery, the workload §4.2
-    // calls "a large number of relational insert operations".
-    const FLAT_DTD: &str = "<!ELEMENT db (rec*)>\n\
-        <!ELEMENT rec (name, qty, note)>\n\
-        <!ELEMENT name (#PCDATA)>\n\
-        <!ELEMENT qty (#PCDATA)>\n\
-        <!ELEMENT note (#PCDATA)>";
-    let documents = 48;
-    let records = 128;
-    let repeats = 5;
-    let corpus: Vec<(String, String)> = (0..documents)
-        .map(|d| {
-            let mut xml = String::with_capacity(records * 96);
-            xml.push_str("<db>");
-            for r in 0..records {
-                xml.push_str(&format!(
-                    "<rec><name>item-{d}-{r}</name><qty>{}</qty>\
-                     <note>record {r} of document {d}, batch-ingest corpus</note></rec>",
-                    (r * 7 + d) % 100
-                ));
-            }
-            xml.push_str("</db>");
-            (format!("doc{d}"), xml)
-        })
-        .collect();
-
-    fn median(mut xs: Vec<u128>) -> f64 {
-        xs.sort_unstable();
-        let n = xs.len();
-        if n % 2 == 1 {
-            xs[n / 2] as f64
-        } else {
-            (xs[n / 2 - 1] + xs[n / 2]) as f64 / 2.0
-        }
-    }
-
-    // Shared front half for the engine tier: parse + shred once, keep the
-    // ops (for batching) and their printed SQL (for text/prepared).
-    let dtd = parse_dtd(FLAT_DTD).unwrap();
-    let schema = generate_schema(
-        &dtd,
-        "db",
-        DbMode::Oracle8,
-        MappingOptions::default(),
-        &IdrefTargets::new(),
-    )
-    .unwrap();
-    let ddl = create_script(&schema).unwrap();
-    let per_doc_ops: Vec<Vec<LoadOp>> = corpus
-        .iter()
-        .enumerate()
-        .map(|(i, (_, xml))| {
-            let doc = xmlord_xml::parse(xml).unwrap();
-            load_ops(&schema, &dtd, &doc, &format!("bulk-{}", i + 1)).unwrap()
-        })
-        .collect();
-    let per_doc_sql: Vec<Vec<String>> =
-        per_doc_ops.iter().map(|ops| ops.iter().map(LoadOp::to_sql).collect()).collect();
-    let per_doc_units: Vec<Vec<LoadUnit>> =
-        per_doc_ops.into_iter().map(plan_batches).collect();
-    let total_rows: usize = per_doc_sql.iter().map(Vec::len).sum();
-
-    let fresh = |ddl: &str| -> Database {
-        let mut db = Database::new(DbMode::Oracle8);
-        db.execute_script(ddl).unwrap();
-        db.commit().unwrap();
-        db
-    };
-
-    let run_text = || -> (Database, u128) {
-        let mut db = fresh(&ddl);
-        let start = Instant::now();
-        for doc in &per_doc_sql {
-            for sql in doc {
-                db.execute(sql).unwrap();
-            }
-        }
-        (db, start.elapsed().as_micros())
-    };
-    let run_prepared = || -> (Database, u128) {
-        let mut db = fresh(&ddl);
-        let start = Instant::now();
-        let mut cache: HashMap<String, PreparedStmt> = HashMap::new();
-        for doc in &per_doc_sql {
-            for sql in doc {
-                let Some((key, lits)) = parameterize(sql) else {
-                    db.execute(sql).unwrap();
-                    continue;
-                };
-                if !cache.contains_key(&key) {
-                    cache.insert(key.clone(), db.prepare(sql).unwrap());
-                }
-                let prep = &cache[&key];
-                if prep.param_count() == lits.len() {
-                    let params: Vec<Value> = lits
-                        .iter()
-                        .map(|l| match l {
-                            Lit::Str(s) => Value::Str(s.clone()),
-                            Lit::Num(n) => Value::Num(*n),
-                        })
-                        .collect();
-                    db.execute_prepared(prep, &params).unwrap();
-                } else {
-                    let solo = db.prepare(sql).unwrap();
-                    db.execute_prepared(&solo, &[]).unwrap();
-                }
-            }
-        }
-        (db, start.elapsed().as_micros())
-    };
-    let run_batched = || -> (Database, u128) {
-        let mut db = fresh(&ddl);
-        let start = Instant::now();
-        for units in &per_doc_units {
-            for unit in units {
-                match unit {
-                    LoadUnit::Batch(b) => {
-                        db.execute_batch(b).unwrap();
-                    }
-                    LoadUnit::Stmt(s) => {
-                        db.execute_stmt(s).unwrap();
-                    }
-                }
-            }
-        }
-        (db, start.elapsed().as_micros())
-    };
-
-    let time_engine = |run: &dyn Fn() -> (Database, u128)| -> (Database, f64) {
-        run(); // warm-up
-        let mut times = Vec::new();
-        let mut last = None;
-        for _ in 0..repeats {
-            let (db, us) = run();
-            times.push(us);
-            last = Some(db);
-        }
-        (last.unwrap(), median(times))
-    };
-
-    let (text_db, text_us) = time_engine(&run_text);
-    let (prep_db, prep_us) = time_engine(&run_prepared);
-    let (batch_db, batch_us) = time_engine(&run_batched);
-    let text_dump = text_db.state_dump();
-    let engine_identical =
-        text_dump == prep_db.state_dump() && text_dump == batch_db.state_dump();
-    assert!(engine_identical, "engine deliveries diverged");
-
-    // Pipeline tier: full store (parse + validate + shred + bind + apply +
-    // meta-tables) through `store_documents` with 1, 2 and 4 workers.
-    let docs_ref: Vec<(&str, &str)> =
-        corpus.iter().map(|(n, x)| (n.as_str(), x.as_str())).collect();
-    let run_pipeline = |workers: usize| -> (String, u128) {
-        let mut sys = Xml2OrDb::new(DbMode::Oracle8);
-        sys.register_dtd("bulk", FLAT_DTD, "db").unwrap();
-        sys.set_load_workers(workers);
-        let start = Instant::now();
-        let ids = sys.store_documents("bulk", &docs_ref).unwrap();
-        let us = start.elapsed().as_micros();
-        assert_eq!(ids.len(), corpus.len());
-        (sys.database().state_dump(), us)
-    };
-    let mut pipeline_ms = Vec::new();
-    let mut pipeline_dumps = Vec::new();
-    for workers in [1usize, 2, 4] {
-        run_pipeline(workers); // warm-up
-        let mut times = Vec::new();
-        let mut dump = String::new();
-        for _ in 0..repeats {
-            let (d, us) = run_pipeline(workers);
-            times.push(us);
-            dump = d;
-        }
-        pipeline_ms.push((workers, median(times) / 1000.0));
-        pipeline_dumps.push(dump);
-    }
-    let pipeline_identical = pipeline_dumps.windows(2).all(|w| w[0] == w[1]);
-    assert!(pipeline_identical, "worker counts diverged");
-
-    // Phase split: how much of a sequential store is parallelizable
-    // shredding (parse + validate + bind — what the workers do) versus the
-    // serial single-writer apply. The overlap bound is the best any worker
-    // count can do; on a single-CPU host the measured wall-clock speedup
-    // is overhead-bound regardless of this split.
-    let shred_phase = || -> u128 {
-        let start = Instant::now();
-        for (i, (_, xml)) in corpus.iter().enumerate() {
-            let doc = xmlord_xml::parse(xml).unwrap();
-            assert!(xmlord_dtd::validate(&doc, &dtd).is_valid());
-            let ops = load_ops(&schema, &dtd, &doc, &format!("split-{}", i + 1)).unwrap();
-            std::hint::black_box(plan_batches(ops));
-        }
-        start.elapsed().as_micros()
-    };
-    shred_phase(); // warm-up
-    let shred_ms = median((0..repeats).map(|_| shred_phase()).collect()) / 1000.0;
-    let seq_ms = pipeline_ms[0].1;
-    let apply_ms = (seq_ms - shred_ms).max(0.0);
-    let parallel_fraction = shred_ms / seq_ms;
-    let overlap_bound =
-        |workers: f64| -> f64 { seq_ms / apply_ms.max(shred_ms / workers).max(f64::EPSILON) };
-    let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-
-    let stats = batch_db.stats();
-    let (intern_hits, intern_misses) = xmlord_ordb::ident::intern_counters();
-    let text_ms = text_us / 1000.0;
-    let prep_ms = prep_us / 1000.0;
-    let batch_ms = batch_us / 1000.0;
-    let rate = |ms: f64| -> (f64, f64) {
-        (documents as f64 / (ms / 1000.0), total_rows as f64 / (ms / 1000.0))
-    };
-
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(
-        "  \"experiment\": \"PR5 bulk ingest: prepared statements, batched inserts, \
-         parallel shredding\",\n",
-    );
-    out.push_str(&format!(
-        "  \"corpus\": {{\"documents\": {documents}, \"records_per_doc\": {records}, \
-         \"rows\": {total_rows}, \"mode\": \"Oracle8\", \"repeats\": {repeats}}},\n"
-    ));
-    out.push_str("  \"engine_tier\": [\n");
-    for (i, (name, ms)) in
-        [("text", text_ms), ("prepared", prep_ms), ("batched", batch_ms)].iter().enumerate()
-    {
-        let (dps, rps) = rate(*ms);
-        out.push_str(&format!(
-            "    {{\"delivery\": \"{name}\", \"ms\": {ms:.2}, \"docs_per_sec\": {dps:.0}, \
-             \"rows_per_sec\": {rps:.0}}}{}\n",
-            if i == 2 { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"engine_speedup\": {{\"prepared_vs_text\": {:.2}, \"batched_vs_text\": {:.2}}},\n",
-        text_ms / prep_ms,
-        text_ms / batch_ms
-    ));
-    out.push_str(&format!(
-        "  \"engine_counters\": {{\"batched_rows\": {}, \"batch_subquery_hits\": {}, \
-         \"prepared_execs\": {}, \"ident_intern_hits\": {intern_hits}, \
-         \"ident_intern_misses\": {intern_misses}}},\n",
-        stats.batched_rows,
-        stats.batch_subquery_hits,
-        prep_db.stats().prepared_execs
-    ));
-    out.push_str(&format!("  \"engine_state_identical\": {engine_identical},\n"));
-    out.push_str("  \"pipeline_tier\": [\n");
-    for (i, (workers, ms)) in pipeline_ms.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workers\": {workers}, \"ms\": {ms:.2}, \"docs_per_sec\": {:.0}}}{}\n",
-            documents as f64 / (ms / 1000.0),
-            if i + 1 == pipeline_ms.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"parallel_speedup\": {{\"two_workers\": {:.2}, \"four_workers\": {:.2}}},\n",
-        pipeline_ms[0].1 / pipeline_ms[1].1,
-        pipeline_ms[0].1 / pipeline_ms[2].1
-    ));
-    out.push_str(&format!(
-        "  \"phase_split\": {{\"shred_ms\": {shred_ms:.2}, \"apply_ms\": {apply_ms:.2}, \
-         \"parallel_fraction\": {parallel_fraction:.2}, \
-         \"overlap_bound\": {{\"two_workers\": {:.2}, \"four_workers\": {:.2}}}}},\n",
-        overlap_bound(2.0),
-        overlap_bound(4.0)
-    ));
-    out.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    out.push_str(&format!("  \"pipeline_state_identical\": {pipeline_identical}\n"));
-    out.push_str("}\n");
-    print!("{out}");
-}
-
-/// E19 — secondary indexes + cost-based join planning on the edge
-/// strategy's 7-way self-join, measured against the planner-disabled
-/// baseline on the *same* loaded, indexed, analyzed database.
-fn planner() {
-    eprintln!("E19 — cost-based planner vs full-scan baseline (JSON on stdout)");
-
-    const INDEX_DDL: &str = "CREATE INDEX IxEdgeSrcName ON TabEdge (Source, Name);
-         CREATE INDEX IxValueVID ON TabValue (VID);";
-    const ANALYZE_DDL: &str = "ANALYZE TABLE TabEdge COMPUTE STATISTICS;
-         ANALYZE TABLE TabValue COMPUTE STATISTICS;";
-    let scales: &[usize] = &[100, 1_000, 5_000, 20_000];
-    let repeats = 3;
-
-    fn median(mut xs: Vec<u128>) -> f64 {
-        xs.sort_unstable();
-        let n = xs.len();
-        if n % 2 == 1 {
-            xs[n / 2] as f64
-        } else {
-            (xs[n / 2 - 1] + xs[n / 2]) as f64 / 2.0
-        }
-    }
-    fn json_str(s: &str) -> String {
-        format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
-    }
-
-    let mut sweep = Vec::new();
-    let mut plan_lines: Vec<String> = Vec::new();
-    let mut counters = None;
-    for &students in scales {
-        // Indexes go in *before* the load, so every INSERT pays (and the
-        // counters record) live index maintenance; statistics after.
-        let mut instance = setup(Strategy::Edge);
-        instance.db.execute_script(INDEX_DDL).unwrap();
-        let before = instance.db.stats();
-        let (_, doc) = university_doc(students);
-        let load = instance.load(&doc);
-        instance.db.execute_script(ANALYZE_DDL).unwrap();
-        let sql = instance.paper_query();
-
-        let mut planner_times = Vec::new();
-        let mut planner_rows = None;
-        for _ in 0..repeats {
-            let start = Instant::now();
-            let result = instance.db.query(&sql).unwrap();
-            planner_times.push(start.elapsed().as_micros());
-            planner_rows = Some(result);
-        }
-        let delta = instance.db.stats().since(&before);
-
-        // Baseline: same database, same indexes on disk, planner off — the
-        // engine exactly as it stood before this change. One measurement:
-        // at the larger scales it is tens of seconds, and the comparison
-        // is algorithmic, not noise-bound.
-        instance.db.set_cost_planner(false);
-        let start = Instant::now();
-        let baseline_rows = instance.db.query(&sql).unwrap();
-        let baseline_us = start.elapsed().as_micros() as f64;
-        instance.db.set_cost_planner(true);
-
-        let planner_rows = planner_rows.unwrap();
-        assert_eq!(planner_rows, baseline_rows, "planner changed the answer at {students}");
-        let planner_us = median(planner_times);
-        let speedup = baseline_us / planner_us.max(1.0);
-        eprintln!(
-            "  students={students} rows={} planner={:.1}ms baseline={:.1}ms speedup={speedup:.1}x",
-            load.rows,
-            planner_us / 1000.0,
-            baseline_us / 1000.0
-        );
-        sweep.push((students, load.rows, planner_us, baseline_us, speedup));
-
-        if students == *scales.last().unwrap() {
-            let explain = instance.db.query(&format!("EXPLAIN {sql}")).unwrap();
-            plan_lines = explain
-                .rows
-                .iter()
-                .map(|r| r[0].as_str().unwrap().to_string())
-                .filter(|l| {
-                    l.contains("join order")
-                        || l.contains("index probe")
-                        || l.contains("hash join")
-                        || l.contains("scan table")
-                })
-                .collect();
-            counters = Some(delta);
-        }
-    }
-
-    let plan_text = plan_lines.join("\n");
-    assert!(plan_text.contains("index probe"), "largest-scale plan has no index probe");
-    assert!(plan_text.contains("cost-based"), "largest-scale plan is not cost-ordered");
-    let (_, largest_rows, _, _, largest_speedup) = *sweep.last().unwrap();
-    let counters = counters.unwrap();
-
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(
-        "  \"experiment\": \"PR6 secondary indexes + cost-based join planning on the \
-         edge 7-way self-join\",\n",
-    );
-    out.push_str(
-        "  \"query\": \"paper §4.1: family names of students subscribed to a course of \
-         Professor Jaeger (edge strategy)\",\n",
-    );
-    out.push_str(&format!(
-        "  \"setup\": {{\"indexes\": [\"IxEdgeSrcName(Source, Name)\", \"IxValueVID(VID)\"], \
-         \"analyze\": true, \"repeats\": {repeats}}},\n"
-    ));
-    out.push_str("  \"sweep\": [\n");
-    for (i, (students, rows, on_us, off_us, speedup)) in sweep.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"students\": {students}, \"rows\": {rows}, \"planner_ms\": {:.2}, \
-             \"baseline_ms\": {:.2}, \"speedup\": {speedup:.1}, \"identical\": true}}{}\n",
-            on_us / 1000.0,
-            off_us / 1000.0,
-            if i + 1 == sweep.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"largest_scale\": {{\"rows\": {largest_rows}, \"speedup\": {largest_speedup:.1}, \
-         \"meets_5x\": {}}},\n",
-        largest_speedup >= 5.0
-    ));
-    out.push_str(&format!(
-        "  \"largest_scale_counters\": {{\"index_scans\": {}, \"planner_plans_costed\": {}, \
-         \"index_maintenance_ops\": {}, \"analyze_runs\": {}}},\n",
-        counters.index_scans,
-        counters.planner_plans_costed,
-        counters.index_maintenance_ops,
-        counters.analyze_runs
-    ));
-    out.push_str("  \"largest_scale_plan\": [\n");
-    for (i, line) in plan_lines.iter().enumerate() {
-        out.push_str(&format!(
-            "    {}{}\n",
-            json_str(line.trim()),
-            if i + 1 == plan_lines.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    print!("{out}");
-
-    if largest_speedup < 5.0 {
-        eprintln!("planner: largest scale speedup {largest_speedup:.1}x is below the 5x bar");
-        std::process::exit(1);
-    }
-}
-
-/// E21 — durability: WAL ingest overhead against the in-memory engine, and
-/// snapshot+log recovery time against re-ingesting the documents, on the
-/// edge strategy at the E19 scales. Gates: durable ingest ≤ 2× in-memory,
-/// recovery faster than re-ingest at every scale, recovered state
-/// byte-identical to the live one.
-fn durability() {
-    eprintln!("E21 — WAL ingest overhead + snapshot recovery vs re-ingest (JSON on stdout)");
-    let scales: &[usize] = &[100, 1_000, 5_000, 20_000];
-    const COMMIT_EVERY: usize = 10_000;
-
-    fn temp_store(tag: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("xmlord-e21-{tag}-{}", std::process::id()))
-    }
-    // Shared ingest loop: the transaction discipline (COMMIT every 10k
-    // statements) is identical in both runs, so the comparison prices the
-    // log, not a different commit pattern.
-    fn ingest(db: &mut Database, statements: &[String]) -> u128 {
-        let start = Instant::now();
-        for (i, stmt) in statements.iter().enumerate() {
-            db.execute(stmt).unwrap();
-            if (i + 1) % COMMIT_EVERY == 0 {
-                db.commit().unwrap();
-            }
-        }
-        db.commit().unwrap();
-        start.elapsed().as_micros()
-    }
-
-    let mut sweep = Vec::new();
-    for &students in scales {
-        let instance = setup(Strategy::Edge);
-        let ddl = instance.ddl.clone();
-        let (_, doc) = university_doc(students);
-        let statements = instance.load_statements(&doc);
-
-        // In-memory run — the engine exactly as it stood before this
-        // change. Dropped before the durable run so both ingests see the
-        // same heap (a resident million-row database would tax the second
-        // run's allocator and caches, not its WAL).
-        let (mem_us, mem_dump) = {
-            let mut mem = Database::new(DbMode::Oracle9);
-            mem.execute_script(&ddl).unwrap();
-            mem.commit().unwrap();
-            let us = ingest(&mut mem, &statements);
-            (us, mem.state_dump())
-        };
-
-        // Durable run: same DDL and statement stream, WAL on.
-        let dir = temp_store(&format!("s{students}"));
-        std::fs::remove_dir_all(&dir).ok();
-        let mut durable = Database::open(&dir, DbMode::Oracle9).unwrap();
-        durable.execute_script(&ddl).unwrap();
-        durable.commit().unwrap();
-        let durable_us = ingest(&mut durable, &statements);
-        assert_eq!(
-            durable.state_dump(),
-            mem_dump,
-            "students={students}: the WAL changed engine state"
-        );
-
-        // Snapshot, then recover from a cold start.
-        let snap_start = Instant::now();
-        durable.snapshot().unwrap();
-        let snapshot_us = snap_start.elapsed().as_micros();
-        let live_dump = durable.state_dump();
-        drop(durable);
-        let rec_start = Instant::now();
-        let recovered = Database::open(&dir, DbMode::Oracle9).unwrap();
-        let recovery_us = rec_start.elapsed().as_micros();
-        assert_eq!(
-            recovered.state_dump(),
-            live_dump,
-            "students={students}: recovery diverged from the live state"
-        );
-        assert!(
-            recovered.recovery_report().unwrap().snapshot_loaded,
-            "students={students}: recovery did not use the snapshot"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-
-        let overhead = durable_us as f64 / mem_us.max(1) as f64;
-        // Re-ingest cost = re-running the in-memory load.
-        let recovery_speedup = mem_us as f64 / recovery_us.max(1) as f64;
-        eprintln!(
-            "  students={students} stmts={} mem={:.1}ms wal={:.1}ms ({overhead:.2}x) \
-             snapshot={:.1}ms recovery={:.1}ms ({recovery_speedup:.1}x faster than re-ingest)",
-            statements.len(),
-            mem_us as f64 / 1000.0,
-            durable_us as f64 / 1000.0,
-            snapshot_us as f64 / 1000.0,
-            recovery_us as f64 / 1000.0,
-        );
-        sweep.push((students, statements.len(), mem_us, durable_us, snapshot_us, recovery_us));
-    }
-
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(
-        "  \"experiment\": \"PR8 durability: WAL ingest overhead and snapshot recovery vs \
-         re-ingest (edge strategy)\",\n",
-    );
-    out.push_str(&format!(
-        "  \"setup\": {{\"strategy\": \"edge\", \"commit_every\": {COMMIT_EVERY}, \
-         \"recovery\": \"snapshot + WAL tail\"}},\n"
-    ));
-    out.push_str("  \"sweep\": [\n");
-    let mut worst_overhead = 0.0f64;
-    let mut worst_speedup = f64::INFINITY;
-    for (i, &(students, stmts, mem_us, durable_us, snapshot_us, recovery_us)) in
-        sweep.iter().enumerate()
-    {
-        let overhead = durable_us as f64 / mem_us.max(1) as f64;
-        let speedup = mem_us as f64 / recovery_us.max(1) as f64;
-        worst_overhead = worst_overhead.max(overhead);
-        worst_speedup = worst_speedup.min(speedup);
-        out.push_str(&format!(
-            "    {{\"students\": {students}, \"statements\": {stmts}, \
-             \"memory_ms\": {:.2}, \"wal_ms\": {:.2}, \"wal_overhead\": {overhead:.2}, \
-             \"snapshot_ms\": {:.2}, \"recovery_ms\": {:.2}, \
-             \"recovery_vs_reingest\": {speedup:.1}, \"identical\": true}}{}\n",
-            mem_us as f64 / 1000.0,
-            durable_us as f64 / 1000.0,
-            snapshot_us as f64 / 1000.0,
-            recovery_us as f64 / 1000.0,
-            if i + 1 == sweep.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"gates\": {{\"wal_overhead_max\": {worst_overhead:.2}, \"overhead_below_2x\": {}, \
-         \"recovery_vs_reingest_min\": {worst_speedup:.1}, \"recovery_beats_reingest\": {}}}\n",
-        worst_overhead <= 2.0,
-        worst_speedup > 1.0
-    ));
-    out.push_str("}\n");
-    print!("{out}");
-
-    if worst_overhead > 2.0 {
-        eprintln!("durability: WAL ingest overhead {worst_overhead:.2}x exceeds the 2x bar");
-        std::process::exit(1);
-    }
-    if worst_speedup <= 1.0 {
-        eprintln!(
-            "durability: recovery is not faster than re-ingest ({worst_speedup:.1}x at worst)"
-        );
-        std::process::exit(1);
-    }
-}
-
-/// E22 — concurrent snapshot readers over a single writer.
-///
-/// Three measurements on the E19 workload (edge strategy, secondary
-/// indexes, ANALYZE statistics):
-///
-/// 1. *Read scaling*: 1/2/4/8 reader threads, each with its own
-///    [`xmlord_ordb::ReadSession`], hammering the E14/E19 query mix over a
-///    static committed database. Every result is compared byte-for-byte
-///    against the writer's own serial answer before it counts.
-/// 2. *Lock profile*: the per-iteration split between `refresh()` (the
-///    only step that touches the shared engine lock) and query execution
-///    (runs entirely on the session's private snapshot). The parallel
-///    fraction bounds achievable scaling via Amdahl's law — the honest
-///    number to report from a single-CPU host.
-/// 3. *Churn differential*: a writer replays seeded commit units while
-///    reader threads record `(pinned epoch, query, result)`; every
-///    observation must equal a serial replay of exactly that many units.
-///
-/// Gates: the churn differential must hold everywhere; with ≥4 CPUs the
-/// 4-reader aggregate throughput must clear 2× the single-session
-/// baseline, otherwise the parallel fraction must clear 2/3 (the Amdahl
-/// threshold for that same 2×). JSON on stdout.
-fn concurrency() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use xmlord_prng::Prng;
-
-    eprintln!("E22 — concurrent snapshot readers vs single-session baseline (JSON on stdout)");
-    let students = 300;
-    let iters = 40; // per reader thread, round-robin over the query mix
-    let thread_counts = [1usize, 2, 4, 8];
-    let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-
-    // The E19 setup: edge strategy with its secondary indexes and
-    // statistics, one committed document corpus.
-    let mut instance = setup(Strategy::Edge);
-    instance
-        .db
-        .execute_script(
-            "CREATE INDEX IxEdgeSrcName ON TabEdge (Source, Name);
-             CREATE INDEX IxValueVID ON TabValue (VID);",
-        )
-        .unwrap();
-    let (_, doc) = university_doc(students);
-    let load = instance.load(&doc);
-    instance
-        .db
-        .execute_script(
-            "ANALYZE TABLE TabEdge COMPUTE STATISTICS;
-             ANALYZE TABLE TabValue COMPUTE STATISTICS;",
-        )
-        .unwrap();
-    instance.db.commit().unwrap();
-
-    // The query mix: the §4.1 paper query, two path probes, an EXPLAIN.
-    let queries: Arc<Vec<String>> = Arc::new(vec![
-        instance.paper_query(),
-        instance.path_query(&["Student", "LName"], None),
-        instance.path_query(&["StudyCourse"], None),
-        format!("EXPLAIN {}", instance.paper_query()),
-    ]);
-    // The writer's serial answers are the truth every concurrent read is
-    // held to (the database is static during the sweep, so "serial at the
-    // pinned version" is simply this).
-    let expected: Arc<Vec<xmlord_ordb::QueryResult>> =
-        Arc::new(queries.iter().map(|q| instance.db.query(q).unwrap()).collect());
-
-    let sweep: Vec<(usize, f64, usize)> = thread_counts
-        .iter()
-        .map(|&threads| {
-            // Warm-up pass, then one timed pass (the workload is long
-            // enough — thousands of queries — to swamp spawn cost).
-            for pass in 0..2 {
-                let start = Instant::now();
-                let handles: Vec<_> = (0..threads)
-                    .map(|t| {
-                        let mut session = instance.db.read_session();
-                        let queries = Arc::clone(&queries);
-                        let expected = Arc::clone(&expected);
-                        std::thread::spawn(move || {
-                            for i in 0..iters {
-                                let q = (t + i) % queries.len();
-                                let result = session.query(&queries[q]).unwrap();
-                                assert_eq!(
-                                    result, expected[q],
-                                    "reader diverged from the serial answer on {:?}",
-                                    queries[q]
-                                );
-                            }
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    h.join().unwrap();
-                }
-                if pass == 1 {
-                    let wall = start.elapsed().as_micros() as f64 / 1000.0;
-                    let total = threads * iters;
-                    eprintln!(
-                        "  readers={threads} queries={total} wall={wall:.1}ms \
-                         agg={:.0} q/s",
-                        total as f64 / (wall / 1000.0)
-                    );
-                    return (threads, wall, total);
-                }
-            }
-            unreachable!()
-        })
-        .collect();
-    let qps = |&(_, wall, total): &(usize, f64, usize)| total as f64 / (wall / 1000.0);
-    let base_qps = qps(&sweep[0]);
-    let speedup_at_4 = qps(&sweep[2]) / base_qps;
-
-    // Lock profile: how much of one reader iteration holds the shared
-    // lock (refresh) versus runs on the private snapshot (execution).
-    let mut session = instance.db.read_session();
-    session.refresh();
-    let mut refresh_ns = 0u128;
-    let mut exec_ns = 0u128;
-    let profile_iters = 200usize;
-    for i in 0..profile_iters {
-        let t = Instant::now();
-        session.refresh();
-        refresh_ns += t.elapsed().as_nanos();
-        let t = Instant::now();
-        session.query(&queries[i % queries.len()]).unwrap();
-        exec_ns += t.elapsed().as_nanos();
-    }
-    let parallel_fraction = exec_ns as f64 / (exec_ns + refresh_ns) as f64;
-    let amdahl_at_4 = 1.0 / ((1.0 - parallel_fraction) + parallel_fraction / 4.0);
-
-    // Churn differential: seeded commit units against a compact Emp/Dept
-    // schema; every unit leads with an INSERT, so the storage committed
-    // epoch counts units and "serial at the pinned version" is a replay of
-    // exactly `epoch - base` units (same protocol as tests/mvcc_prop.rs).
-    const CHURN_SETUP: &str =
-        "CREATE TYPE Type_Dept AS OBJECT(dname VARCHAR(30), budget NUMBER);
-         CREATE TABLE TabDept OF Type_Dept;
-         CREATE TYPE Type_Emp AS OBJECT(ename VARCHAR(30), dname VARCHAR(30), sal NUMBER);
-         CREATE TABLE TabEmp OF Type_Emp;
-         INSERT INTO TabDept VALUES (Type_Dept('d0', 100));
-         INSERT INTO TabDept VALUES (Type_Dept('d1', 350));
-         INSERT INTO TabEmp VALUES (Type_Emp('seed', 'd0', 400));
-         COMMIT;";
-    const CHURN_QUERIES: &[&str] = &[
-        "SELECT COUNT(*) FROM TabEmp",
-        "SELECT e.ename, e.sal FROM TabEmp e WHERE e.sal > 500",
-        "SELECT e.ename, d.budget FROM TabEmp e, TabDept d WHERE e.dname = d.dname",
-    ];
-    let churn_units = 60usize;
-    let churn_readers = 4usize;
-    let mut rng = Prng::seed_from_u64(0xE22);
-    let units: Vec<Vec<String>> = (0..churn_units)
-        .map(|n| {
-            let mut unit = vec![format!(
-                "INSERT INTO TabEmp VALUES (Type_Emp('e{n}', 'd{}', {}))",
-                rng.gen_range(0u32..2),
-                rng.gen_range(100u32..1000)
-            )];
-            if rng.gen_bool(0.4) {
-                unit.push(format!(
-                    "UPDATE TabEmp SET sal = {} WHERE ename = 'e{}'",
-                    rng.gen_range(100u32..1000),
-                    rng.gen_range(0..(n as u32 + 1))
-                ));
-            }
-            unit
-        })
-        .collect();
-    let setup_churn = || -> Database {
-        let mut db = Database::new(DbMode::Oracle9);
-        db.execute_script(CHURN_SETUP).unwrap();
-        db
-    };
-    // Serial oracle: answers after each prefix of units.
-    let oracle: Vec<Vec<xmlord_ordb::QueryResult>> = {
-        let mut db = setup_churn();
-        let mut table = Vec::with_capacity(churn_units + 1);
-        let answers = |db: &mut Database| -> Vec<xmlord_ordb::QueryResult> {
-            CHURN_QUERIES.iter().map(|q| db.query(q).unwrap()).collect()
-        };
-        table.push(answers(&mut db));
-        for unit in &units {
-            for stmt in unit {
-                db.execute(stmt).unwrap();
-            }
-            db.commit().unwrap();
-            table.push(answers(&mut db));
-        }
-        table
-    };
-    let mut writer = setup_churn();
-    let base_epoch = writer.read_session().refresh().0;
-    let done = Arc::new(AtomicBool::new(false));
-    let handles: Vec<_> = (0..churn_readers)
-        .map(|r| {
-            let mut session = writer.read_session();
-            let done = Arc::clone(&done);
-            std::thread::spawn(move || {
-                let mut observations = Vec::new();
-                let mut spin = true;
-                while spin {
-                    spin = !done.load(Ordering::Acquire);
-                    let q = (observations.len() + r) % CHURN_QUERIES.len();
-                    let result = session.query(CHURN_QUERIES[q]).unwrap();
-                    observations.push((session.pinned_epochs().0, q, result));
-                }
-                observations
-            })
-        })
-        .collect();
-    for unit in &units {
-        for stmt in unit {
-            writer.execute(stmt).unwrap();
-        }
-        writer.commit().unwrap();
-    }
-    done.store(true, Ordering::Release);
-    let mut churn_observations = 0usize;
-    let mut distinct_epochs = BTreeSet::new();
-    for h in handles {
-        for (epoch, q, result) in h.join().unwrap() {
-            let k = (epoch - base_epoch) as usize;
-            assert!(k < oracle.len(), "pinned epoch {epoch} beyond the committed units");
-            assert_eq!(
-                result, oracle[k][q],
-                "concurrent read at epoch {epoch} diverged from the serial replay"
-            );
-            distinct_epochs.insert(epoch);
-            churn_observations += 1;
-        }
-    }
-
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(
-        "  \"experiment\": \"PR9 concurrency: MVCC snapshot readers over a single \
-         writer\",\n",
-    );
-    out.push_str(&format!(
-        "  \"workload\": {{\"strategy\": \"edge\", \"students\": {students}, \
-         \"rows\": {}, \"queries_per_thread\": {iters}, \"mix\": {}}},\n",
-        load.rows,
-        queries.len()
-    ));
-    out.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    out.push_str("  \"sweep\": [\n");
-    for (i, entry) in sweep.iter().enumerate() {
-        let (threads, wall, total) = *entry;
-        out.push_str(&format!(
-            "    {{\"readers\": {threads}, \"queries\": {total}, \"wall_ms\": {wall:.1}, \
-             \"aggregate_qps\": {:.0}, \"speedup_vs_1\": {:.2}, \"identical\": true}}{}\n",
-            qps(entry),
-            qps(entry) / base_qps,
-            if i + 1 == sweep.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"lock_profile\": {{\"iterations\": {profile_iters}, \
-         \"refresh_ms_total\": {:.3}, \"exec_ms_total\": {:.2}, \
-         \"parallel_fraction\": {parallel_fraction:.4}, \
-         \"amdahl_bound_at_4\": {amdahl_at_4:.2}}},\n",
-        refresh_ns as f64 / 1e6,
-        exec_ns as f64 / 1e6
-    ));
-    out.push_str(&format!(
-        "  \"churn\": {{\"units\": {churn_units}, \"readers\": {churn_readers}, \
-         \"observations\": {churn_observations}, \"distinct_epochs\": {}, \
-         \"identical\": true}},\n",
-        distinct_epochs.len()
-    ));
-    let multi_core = host_cpus >= 4;
-    let gate_ok =
-        if multi_core { speedup_at_4 >= 2.0 } else { parallel_fraction >= 2.0 / 3.0 };
-    out.push_str(&format!(
-        "  \"gates\": {{\"multi_core\": {multi_core}, \"speedup_at_4\": {speedup_at_4:.2}, \
-         \"parallel_fraction\": {parallel_fraction:.4}, \"amdahl_threshold\": 0.667, \
-         \"throughput_gate\": \"{}\", \"pass\": {gate_ok}}}\n",
-        if multi_core { "speedup_at_4 >= 2.0" } else { "parallel_fraction >= 2/3 (1-CPU host)" }
-    ));
-    out.push_str("}\n");
-    print!("{out}");
-
-    if !gate_ok {
-        if multi_core {
-            eprintln!(
-                "concurrency: 4-reader aggregate throughput {speedup_at_4:.2}x is below the \
-                 2x bar on a {host_cpus}-CPU host"
-            );
-        } else {
-            eprintln!(
-                "concurrency: parallel fraction {parallel_fraction:.4} is below the 2/3 \
-                 Amdahl threshold for 2x at 4 readers"
-            );
-        }
-        std::process::exit(1);
-    }
-}
-
-/// E23 — set-oriented bulk document reconstruction vs the naive per-node
-/// walker, on the same loaded database (JSON on stdout → BENCH_PR10.json).
-///
-/// Two mappings exercise the two bulk access paths: or8 (inverted
-/// ParentRef children — the hash-build multimap) swept to 20 000 students,
-/// and edge (one KeyedRows map over TabEdge/TabValue) on a capped sweep,
-/// because the *naive* edge walker re-scans both tables per node —
-/// O(nodes × rows) — and becomes minutes-slow past a few thousand
-/// students. Byte-identity is asserted at every scale; at least one
-/// mapping's top scale must clear a 5× speedup or the process exits
-/// non-zero.
-fn retrieve_experiment() {
-    use xmlord_shred::retrieve::reconstruct_edge;
-    use xmlord_workload::university::university_dtd;
-    use xmlord_xml::serializer::{serialize, SerializeOptions};
-
-    eprintln!("E23 — bulk vs naive document reconstruction (JSON on stdout)");
-
-    fn median(mut xs: Vec<u128>) -> f64 {
-        xs.sort_unstable();
-        let n = xs.len();
-        if n % 2 == 1 {
-            xs[n / 2] as f64
-        } else {
-            (xs[n / 2 - 1] + xs[n / 2]) as f64 / 2.0
-        }
-    }
-
-    let or8_scales: &[usize] = &[100, 1_000, 5_000, 20_000];
-    let edge_scales: &[usize] = &[100, 500, 2_500];
-    let repeats = 3;
-    let opts = SerializeOptions::compact();
-
-    let mut or8_sweep = Vec::new();
-    for &students in or8_scales {
-        // Load through the pipeline's batched path (PR 5) with load
-        // indexes on the synthetic-id columns — without them the inverted
-        // mapping's parent-wiring subqueries make ingest quadratic and
-        // the 20 000-student setup alone would dwarf the measurement.
-        let mut sys = Xml2OrDb::with_options(
-            DbMode::Oracle8,
-            MappingOptions { varray_max: 100_000, ..Default::default() },
-        );
-        sys.register_dtd("uni", university_dtd(), "University").unwrap();
-        sys.create_load_indexes("uni").unwrap();
-        let (xml, _) = university_doc(students);
-        let id = sys.store_document("uni", &xml).unwrap();
-        let rows = sys.database().storage().total_rows();
-
-        sys.database().set_bulk_retrieval(true);
-        let mut bulk_times = Vec::new();
-        let mut bulk_text = String::new();
-        for _ in 0..repeats {
-            let start = Instant::now();
-            bulk_text = sys.retrieve_document(&id).unwrap();
-            bulk_times.push(start.elapsed().as_micros());
-        }
-        // Baseline: same database, same rows, valve off — the recursive
-        // per-node walker exactly as it stood before this change. One
-        // measurement; the comparison is algorithmic, not noise-bound.
-        sys.database().set_bulk_retrieval(false);
-        let start = Instant::now();
-        let naive_text = sys.retrieve_document(&id).unwrap();
-        let naive_us = start.elapsed().as_micros() as f64;
-
-        assert_eq!(bulk_text, naive_text, "or8 walkers diverged at {students}");
-        let bulk_us = median(bulk_times);
-        let speedup = naive_us / bulk_us.max(1.0);
-        eprintln!(
-            "  or8  students={students} rows={rows} bulk={:.1}ms naive={:.1}ms speedup={speedup:.1}x",
-            bulk_us / 1000.0,
-            naive_us / 1000.0
-        );
-        or8_sweep.push((students, rows, bulk_us, naive_us, speedup));
-    }
-
-    let mut edge_sweep = Vec::new();
-    for &students in edge_scales {
-        let mut instance = setup(Strategy::Edge);
-        let (_, doc) = university_doc(students);
-        let load = instance.load(&doc);
-        let storage = instance.db.storage();
-
-        let mut bulk_times = Vec::new();
-        let mut bulk_doc = None;
-        for _ in 0..repeats {
-            let start = Instant::now();
-            let d = reconstruct_edge(&storage, true).unwrap();
-            bulk_times.push(start.elapsed().as_micros());
-            bulk_doc = Some(d);
-        }
-        let start = Instant::now();
-        let naive_doc = reconstruct_edge(&storage, false).unwrap();
-        let naive_us = start.elapsed().as_micros() as f64;
-
-        let bulk_text = serialize(&bulk_doc.unwrap(), &opts);
-        assert_eq!(bulk_text, serialize(&naive_doc, &opts), "edge walkers diverged at {students}");
-        let bulk_us = median(bulk_times);
-        let speedup = naive_us / bulk_us.max(1.0);
-        eprintln!(
-            "  edge students={students} rows={} bulk={:.1}ms naive={:.1}ms speedup={speedup:.1}x",
-            load.rows,
-            bulk_us / 1000.0,
-            naive_us / 1000.0
-        );
-        edge_sweep.push((students, load.rows, bulk_us, naive_us, speedup));
-    }
-
-    let or8_top = or8_sweep.last().unwrap().4;
-    let edge_top = edge_sweep.last().unwrap().4;
-    let gate_ok = or8_top >= 5.0 || edge_top >= 5.0;
-
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(
-        "  \"experiment\": \"PR10 set-oriented bulk document reconstruction vs the naive \
-         per-node walker\",\n",
-    );
-    out.push_str(&format!(
-        "  \"setup\": {{\"workload\": \"university\", \"repeats\": {repeats}, \
-         \"baseline\": \"set_bulk_retrieval(false) on the same loaded database\", \
-         \"edge_cap\": \"edge sweep capped at 2500 students: the naive edge walker is \
-         O(nodes x rows)\"}},\n"
-    ));
-    for (key, sweep) in [("or8_sweep", &or8_sweep), ("edge_sweep", &edge_sweep)] {
-        out.push_str(&format!("  \"{key}\": [\n"));
-        for (i, (students, rows, bulk_us, naive_us, speedup)) in sweep.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"students\": {students}, \"rows\": {rows}, \"bulk_ms\": {:.2}, \
-                 \"naive_ms\": {:.2}, \"speedup\": {speedup:.1}, \"identical\": true}}{}\n",
-                bulk_us / 1000.0,
-                naive_us / 1000.0,
-                if i + 1 == sweep.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ],\n");
-    }
-    out.push_str(&format!(
-        "  \"gates\": {{\"or8_top_speedup\": {or8_top:.1}, \"edge_top_speedup\": {edge_top:.1}, \
-         \"threshold\": 5.0, \"rule\": \"top scale of edge OR or8 >= 5x\", \"pass\": {gate_ok}}}\n"
-    ));
-    out.push_str("}\n");
-    print!("{out}");
-
-    if !gate_ok {
-        eprintln!(
-            "retrieve: no mapping cleared the 5x gate (or8 {or8_top:.1}x, edge {edge_top:.1}x)"
-        );
-        std::process::exit(1);
-    }
 }

@@ -25,7 +25,7 @@ use crate::metadata::{
     DocMetadata, SchemaRegistryRow,
 };
 use crate::model::{MappedSchema, MappingOptions};
-use crate::retriever::{retrieve_snapshot, retrieve_with_stats, RetrievalStats};
+use crate::retriever::{retrieve_snapshot, retrieve_with_stats};
 use crate::schemagen::{generate_schema, IdrefTargets};
 
 /// How generated load operations reach the engine.
@@ -440,7 +440,9 @@ impl Xml2OrDb {
         self.store_document_named(schema_name, xml_text, "", "")
     }
 
-    /// [`Self::store_document`] with explicit DocName/URL meta-data.
+    /// [`Self::store_document`] with explicit DocName/URL meta-data: the
+    /// one-document case of [`Self::store_documents`] — the same pieces in
+    /// the same bracket — run on this thread with a span per phase.
     pub fn store_document_named(
         &mut self,
         schema_name: &str,
@@ -456,59 +458,23 @@ impl Xml2OrDb {
             })?
             .clone();
         let span = self.db.trace_begin("shred", format!("{schema_name}: parse + validate"));
-        let parsed = xmlord_xml::parse_with_catalog(xml_text, registered.dtd.entity_catalog())
-            .map_err(MappingError::Xml);
-        let checked = parsed.and_then(|mut doc| {
-            let report = validate(&doc, &registered.dtd);
-            if !report.is_valid() {
-                return Err(MappingError::Invalid(report.errors));
-            }
-            apply_attribute_defaults(&mut doc, &registered.dtd);
-            Ok(doc)
-        });
+        let checked = parse_checked(&registered, xml_text);
         self.db.trace_end(span);
         let doc = checked?;
 
-        let counter = self.doc_counters.entry(schema_name.to_string()).or_insert(0);
-        *counter += 1;
-        let doc_id = format!("{schema_name}-{counter}");
+        let doc_id = self.next_doc_ids(schema_name, 1).remove(0);
         let span = self.db.trace_begin("generate", format!("{doc_id}: INSERT script"));
-        let generated = load_ops(&registered.schema, &registered.dtd, &doc, &doc_id)
-            .map(|ops| prepare_load(ops, self.load_strategy));
+        let generated =
+            generate_load(&registered, self.load_strategy, &doc, &doc_id, doc_name, url);
         self.db.trace_end(span);
-        let load = generated?;
-        let meta = metadata_insert(
-            &registered.schema,
-            &registered.dtd,
-            &doc,
-            &doc_id,
-            doc_name,
-            url,
-            "2002-03-25", // the workshop's date — deterministic by design
-        );
+        let (load, meta) = generated?;
 
-        // The whole load — content rows plus the meta-table row — is one
-        // transaction: a failure mid-script rolls everything back, so a
-        // document is either fully stored or absent (never a torn load
-        // with content rows but no XML_DOCUMENTS entry, or vice versa).
         let span = self.db.trace_begin("load", doc_id.clone());
-        let mark = self.db.txn_mark();
-        // The commit is part of the load: if the WAL append (fsync) fails,
-        // nothing was acknowledged, so roll back with the rest.
-        let result = apply_load(&mut self.db, &load, &meta)
-            .and_then(|()| self.db.commit().map_err(MappingError::Db));
-        if let Err(e) = result {
-            self.db.rollback_to_mark(mark);
-            self.db.trace_end(span);
-            // The DocID is not consumed by a failed load.
-            if let Some(c) = self.doc_counters.get_mut(schema_name) {
-                *c -= 1;
-            }
-            return Err(e);
-        }
+        let result = self.load_atomically(schema_name, std::slice::from_ref(&doc_id), |db| {
+            apply_load(db, &load, &meta)
+        });
         self.db.trace_end(span);
-        self.documents.insert(doc_id.clone(), schema_name.to_string());
-        Ok(doc_id)
+        result.map(|()| doc_id)
     }
 
     /// Store many documents under one schema in a single transaction.
@@ -536,104 +502,65 @@ impl Xml2OrDb {
             .ok_or_else(|| {
                 MappingError::Unsupported(format!("schema '{schema_name}' is not registered"))
             })?;
-        let base = self.doc_counters.get(schema_name).copied().unwrap_or(0);
-        let doc_ids: Vec<String> = (0..docs.len())
-            .map(|i| format!("{schema_name}-{}", base + i as u64 + 1))
-            .collect();
+        let doc_ids = self.next_doc_ids(schema_name, docs.len());
         let strategy = self.load_strategy;
         let workers = self.load_workers.min(docs.len());
         let span = self.db.trace_begin(
             "bulk",
             format!("{schema_name}: {} documents, {workers} workers", docs.len()),
         );
-        let mark = self.db.txn_mark();
-        let result = if workers <= 1 {
-            let db = &mut self.db;
-            docs.iter().zip(&doc_ids).try_for_each(|((name, xml), doc_id)| {
-                let (load, meta) = shred_one(&registered, strategy, xml, doc_id, name)?;
-                apply_load(db, &load, &meta)
-            })
-        } else {
-            self.store_documents_parallel(&registered, strategy, docs, &doc_ids, workers)
-        };
-        let result = result.and_then(|()| self.db.commit().map_err(MappingError::Db));
-        match result {
-            Ok(()) => {
-                self.db.trace_end(span);
-                self.doc_counters
-                    .insert(schema_name.to_string(), base + docs.len() as u64);
-                for doc_id in &doc_ids {
-                    self.documents.insert(doc_id.clone(), schema_name.to_string());
-                }
-                Ok(doc_ids)
-            }
-            Err(e) => {
-                self.db.rollback_to_mark(mark);
-                self.db.trace_end(span);
-                Err(e)
-            }
-        }
+        let result = self.load_atomically(schema_name, &doc_ids, |db| {
+            ordered_fan(
+                docs.len(),
+                workers,
+                || {
+                    |i: usize| {
+                        let (name, xml) = docs[i];
+                        let doc = parse_checked(&registered, xml)?;
+                        generate_load(&registered, strategy, &doc, &doc_ids[i], name, "")
+                    }
+                },
+                |(load, meta)| apply_load(db, &load, &meta),
+            )
+        });
+        self.db.trace_end(span);
+        result.map(|()| doc_ids)
     }
 
-    fn store_documents_parallel(
-        &mut self,
-        registered: &RegisteredSchema,
-        strategy: LoadStrategy,
-        docs: &[(&str, &str)],
-        doc_ids: &[String],
-        workers: usize,
-    ) -> Result<(), MappingError> {
-        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-        use std::sync::mpsc;
+    /// The DocIDs (`<schema>-<n>`) the next `count` documents stored under
+    /// `schema_name` get. Nothing is consumed until
+    /// [`Self::load_atomically`] succeeds.
+    fn next_doc_ids(&self, schema_name: &str, count: usize) -> Vec<String> {
+        let base = self.doc_counters.get(schema_name).copied().unwrap_or(0);
+        (1..=count as u64).map(|n| format!("{schema_name}-{}", base + n)).collect()
+    }
 
-        let next = AtomicUsize::new(0);
-        let cancelled = AtomicBool::new(false);
-        let (tx, rx) = mpsc::channel();
-        let db = &mut self.db;
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let (next, cancelled) = (&next, &cancelled);
-                s.spawn(move || loop {
-                    if cancelled.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= docs.len() {
-                        break;
-                    }
-                    let (name, xml) = docs[i];
-                    let out = shred_one(registered, strategy, xml, &doc_ids[i], name);
-                    if tx.send((i, out)).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-            // Single writer: workers finish in any order, but documents are
-            // applied strictly in submission order, so the database state is
-            // independent of scheduling.
-            let mut pending = BTreeMap::new();
-            let mut next_apply = 0usize;
-            let result = (|| {
-                while next_apply < docs.len() {
-                    let (i, out) = rx.recv().expect("every document sends one result");
-                    pending.insert(i, out);
-                    while let Some(out) = pending.remove(&next_apply) {
-                        let (load, meta) = out?;
-                        apply_load(db, &load, &meta)?;
-                        next_apply += 1;
-                    }
-                }
-                Ok(())
-            })();
-            if result.is_err() {
-                // Stop claiming new documents; in-flight ones drain into the
-                // (unbounded) channel, which drops with `rx`.
-                cancelled.store(true, Ordering::Relaxed);
-            }
-            result
-        })
+    /// The one load bracket. Everything `apply` writes — content rows plus
+    /// meta-table rows — and the commit are one transaction: a failure
+    /// anywhere rolls all of it back, so a document is either fully stored
+    /// or absent (never a torn load with content rows but no
+    /// XML_DOCUMENTS entry, or vice versa). The commit is part of the
+    /// load: if the WAL append (fsync) fails, nothing was acknowledged, so
+    /// it rolls back with the rest. Only a successful load consumes
+    /// `doc_ids`.
+    fn load_atomically(
+        &mut self,
+        schema_name: &str,
+        doc_ids: &[String],
+        apply: impl FnOnce(&mut Database) -> Result<(), MappingError>,
+    ) -> Result<(), MappingError> {
+        let mark = self.db.txn_mark();
+        let result =
+            apply(&mut self.db).and_then(|()| self.db.commit().map_err(MappingError::Db));
+        if let Err(e) = result {
+            self.db.rollback_to_mark(mark);
+            return Err(e);
+        }
+        *self.doc_counters.entry(schema_name.to_string()).or_insert(0) += doc_ids.len() as u64;
+        for doc_id in doc_ids {
+            self.documents.insert(doc_id.clone(), schema_name.to_string());
+        }
+        Ok(())
     }
 
     /// Reconstruct a stored document as a DOM.
@@ -691,9 +618,6 @@ impl Xml2OrDb {
     /// are byte-identical to serial [`Self::retrieve_document`] calls; the
     /// retrieval counters fold into this handle's [`ExecStats`] afterwards.
     pub fn retrieve_documents(&mut self, doc_ids: &[&str]) -> Result<Vec<String>, MappingError> {
-        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-        use std::sync::mpsc;
-
         if doc_ids.is_empty() {
             return Ok(Vec::new());
         }
@@ -724,63 +648,33 @@ impl Xml2OrDb {
             "bulk-retrieve",
             format!("{} documents, {workers} workers", doc_ids.len()),
         );
-        let next = AtomicUsize::new(0);
-        let cancelled = AtomicBool::new(false);
-        let (tx, rx) = mpsc::channel();
         let db = &self.db;
-        let result: Result<(Vec<String>, Vec<RetrievalStats>), MappingError> =
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    let tx = tx.clone();
-                    let (next, cancelled, jobs) = (&next, &cancelled, &jobs);
-                    s.spawn(move || {
-                        // Each worker reads through its own MVCC snapshot
-                        // reader; the sessions all pin the same committed
-                        // state, so worker count cannot change the bytes.
-                        let mut session = db.read_session();
-                        loop {
-                            if cancelled.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= jobs.len() {
-                                break;
-                            }
-                            let (doc_id, registered) = jobs[i];
-                            let out = retrieve_snapshot(&mut session, &registered.schema, doc_id)
-                                .map(|(doc, meta, stats)| {
-                                    let opts = retrieval_serialize_options(&meta);
-                                    (serialize(&doc, &opts), stats)
-                                });
-                            if tx.send((i, out)).is_err() {
-                                break;
-                            }
-                        }
-                    });
+        let mut texts = Vec::with_capacity(jobs.len());
+        let mut all_stats = Vec::with_capacity(jobs.len());
+        let result = ordered_fan(
+            jobs.len(),
+            workers,
+            || {
+                // Each worker reads through its own MVCC snapshot reader;
+                // the sessions all pin the same committed state, so worker
+                // count cannot change the bytes.
+                let mut session = db.read_session();
+                let jobs = &jobs;
+                move |i: usize| {
+                    let (doc_id, registered) = jobs[i];
+                    let (doc, meta, stats) =
+                        retrieve_snapshot(&mut session, &registered.schema, doc_id)?;
+                    Ok((serialize(&doc, &retrieval_serialize_options(&meta)), stats))
                 }
-                drop(tx);
-                let mut pending = BTreeMap::new();
-                let mut texts = Vec::with_capacity(jobs.len());
-                let mut stats = Vec::with_capacity(jobs.len());
-                let result = (|| {
-                    while texts.len() < jobs.len() {
-                        let (i, out) = rx.recv().expect("every document sends one result");
-                        pending.insert(i, out);
-                        while let Some(out) = pending.remove(&texts.len()) {
-                            let (text, s) = out?;
-                            texts.push(text);
-                            stats.push(s);
-                        }
-                    }
-                    Ok((texts, stats))
-                })();
-                if result.is_err() {
-                    cancelled.store(true, Ordering::Relaxed);
-                }
-                result
-            });
+            },
+            |(text, stats)| {
+                texts.push(text);
+                all_stats.push(stats);
+                Ok(())
+            },
+        );
         self.db.trace_end(span);
-        let (texts, all_stats) = result?;
+        result?;
         let bulk = self.db.bulk_retrieval();
         for s in all_stats {
             self.db.record_retrieval(s.table_scans, s.index_probes, bulk);
@@ -1036,15 +930,10 @@ fn prepare_load(ops: Vec<LoadOp>, strategy: LoadStrategy) -> PreparedLoad {
     }
 }
 
-/// Parse, validate, shred and bind one document — no database access, so
-/// this runs off the engine thread.
-fn shred_one(
-    registered: &RegisteredSchema,
-    strategy: LoadStrategy,
-    xml_text: &str,
-    doc_id: &str,
-    doc_name: &str,
-) -> Result<(PreparedLoad, String), MappingError> {
+/// Well-formedness check, validity check and attribute-default injection
+/// for one document — no database access, so this runs off the engine
+/// thread.
+fn parse_checked(registered: &RegisteredSchema, xml_text: &str) -> Result<Document, MappingError> {
     let mut doc = xmlord_xml::parse_with_catalog(xml_text, registered.dtd.entity_catalog())
         .map_err(MappingError::Xml)?;
     let report = validate(&doc, &registered.dtd);
@@ -1052,15 +941,28 @@ fn shred_one(
         return Err(MappingError::Invalid(report.errors));
     }
     apply_attribute_defaults(&mut doc, &registered.dtd);
-    let ops = load_ops(&registered.schema, &registered.dtd, &doc, doc_id)?;
+    Ok(doc)
+}
+
+/// Shred a checked document into its bound content load plus its §5
+/// meta-table INSERT — no database access either.
+fn generate_load(
+    registered: &RegisteredSchema,
+    strategy: LoadStrategy,
+    doc: &Document,
+    doc_id: &str,
+    doc_name: &str,
+    url: &str,
+) -> Result<(PreparedLoad, String), MappingError> {
+    let ops = load_ops(&registered.schema, &registered.dtd, doc, doc_id)?;
     let meta = metadata_insert(
         &registered.schema,
         &registered.dtd,
-        &doc,
+        doc,
         doc_id,
         doc_name,
-        "",
-        "2002-03-25",
+        url,
+        "2002-03-25", // the workshop's date — deterministic by design
     );
     Ok((prepare_load(ops, strategy), meta))
 }
@@ -1088,6 +990,73 @@ fn apply_load(db: &mut Database, load: &PreparedLoad, meta: &str) -> Result<(), 
     }
     db.execute(meta).map_err(MappingError::Db)?;
     Ok(())
+}
+
+/// The ordered worker fan both bulk directions run on: up to `workers`
+/// threads claim the job indices `0..jobs` in order and run their worker on
+/// each, and the calling thread hands the outcomes to `apply` strictly in
+/// submission order — so what `apply` builds is independent of scheduling.
+/// The first error, a job's or `apply`'s, is returned and stops the workers
+/// claiming further jobs. With one worker no thread is spawned.
+///
+/// `make_worker` runs once on each worker thread, so a worker may own
+/// per-thread state (a snapshot reader) that never crosses threads.
+fn ordered_fan<T, W>(
+    jobs: usize,
+    workers: usize,
+    make_worker: impl Fn() -> W + Sync,
+    mut apply: impl FnMut(T) -> Result<(), MappingError>,
+) -> Result<(), MappingError>
+where
+    T: Send,
+    W: FnMut(usize) -> Result<T, MappingError>,
+{
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::mpsc;
+
+    if workers <= 1 {
+        let mut work = make_worker();
+        return (0..jobs).try_for_each(|i| apply(work(i)?));
+    }
+    let next = AtomicUsize::new(0);
+    let cancelled = AtomicBool::new(false);
+    let (tx, rx) = mpsc::channel();
+    std::thread::scope(|s| {
+        for _ in 0..workers {
+            let tx = tx.clone();
+            let (next, cancelled, make_worker) = (&next, &cancelled, &make_worker);
+            s.spawn(move || {
+                let mut work = make_worker();
+                while !cancelled.load(Ordering::Relaxed) {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= jobs || tx.send((i, work(i))).is_err() {
+                        break;
+                    }
+                }
+            });
+        }
+        drop(tx);
+        // Workers finish in any order; outcomes wait here for their turn.
+        let mut pending = BTreeMap::new();
+        let mut next_apply = 0usize;
+        let result = (|| {
+            while next_apply < jobs {
+                let (i, out) = rx.recv().expect("every job sends one result");
+                pending.insert(i, out);
+                while let Some(out) = pending.remove(&next_apply) {
+                    apply(out?)?;
+                    next_apply += 1;
+                }
+            }
+            Ok(())
+        })();
+        if result.is_err() {
+            // Stop claiming new jobs; in-flight ones drain into the
+            // (unbounded) channel, which drops with `rx`.
+            cancelled.store(true, Ordering::Relaxed);
+        }
+        result
+    })
 }
 
 /// Inject DTD attribute defaults (`#FIXED "v"`, `attr CDATA "v"`) into a
@@ -1309,6 +1278,45 @@ mod tests {
             assert_eq!(doc_id, "uni-1", "{mode:?}");
             assert!(sys.retrieve_document(&doc_id).unwrap().contains("Conrad"));
         }
+    }
+
+    /// Regression: a store that fails after its DocID is worked out but
+    /// before the load bracket (here `load_ops` on a root mismatch — the
+    /// document is valid for the DTD, which declares `StudyCourse`) must not
+    /// consume the DocID, on either entry point, live or after a reopen.
+    #[test]
+    fn store_failing_before_the_load_consumes_no_doc_id() {
+        const WRONG_ROOT: &str = "<StudyCourse>x</StudyCourse>";
+        let mut sys = Xml2OrDb::new(DbMode::Oracle9);
+        sys.register_dtd("uni", UNIVERSITY_DTD, "University").unwrap();
+        let err = sys.store_document("uni", WRONG_ROOT).unwrap_err();
+        assert!(!matches!(err, MappingError::Invalid(_) | MappingError::Db(_)), "{err}");
+        assert_eq!(sys.store_document("uni", UNIVERSITY_XML).unwrap(), "uni-1");
+
+        let mut bulk = Xml2OrDb::new(DbMode::Oracle9);
+        bulk.register_dtd("uni", UNIVERSITY_DTD, "University").unwrap();
+        bulk.store_documents("uni", &[("bad", WRONG_ROOT)]).unwrap_err();
+        assert_eq!(bulk.store_documents("uni", &[("good", UNIVERSITY_XML)]).unwrap(), ["uni-1"]);
+
+        // Durable: reopen re-counts DocIDs from TabMetadata, so a handle
+        // reopened after the failure and one that lived through it must
+        // hand out the same next DocID.
+        let next_after_failure = |reopen: bool| {
+            let dir = temp_store_dir("docid");
+            let mut sys = Xml2OrDb::open(&dir, DbMode::Oracle9).unwrap();
+            sys.register_dtd("uni", UNIVERSITY_DTD, "University").unwrap();
+            sys.store_document("uni", UNIVERSITY_XML).unwrap();
+            sys.store_document("uni", WRONG_ROOT).unwrap_err();
+            if reopen {
+                drop(sys);
+                sys = Xml2OrDb::open(&dir, DbMode::Oracle9).unwrap();
+            }
+            let next = sys.store_document("uni", UNIVERSITY_XML).unwrap();
+            std::fs::remove_dir_all(&dir).ok();
+            next
+        };
+        assert_eq!(next_after_failure(false), "uni-2");
+        assert_eq!(next_after_failure(true), "uni-2");
     }
 
     #[test]

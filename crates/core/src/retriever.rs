@@ -11,28 +11,26 @@
 //!
 //! # Set-oriented reconstruction
 //!
-//! Two access strategies share one DOM assembly, switched by the
-//! `bulk` flag ([`xmlord_ordb::Database::set_bulk_retrieval`]):
+//! One DOM assembly runs over [`KeyedReader`] lookups — the root row by
+//! document id, each Oracle 8 inverted relationship by ParentRef — and the
+//! `bulk` flag ([`xmlord_ordb::Database::set_bulk_retrieval`]) only picks
+//! how the reader answers them:
 //!
-//! - **Naive walker** (the differential baseline): the root row is found
-//!   by a linear scan of the root table, and every Oracle 8 inverted
-//!   relationship re-scans the whole child table per parent row —
-//!   O(parents × child_rows).
-//! - **Bulk path** (the default): the root row comes from a doc-id
-//!   secondary-index probe when a fresh index exists; each inverted
-//!   relationship either probes a fresh `SecondaryIndex` on its ParentRef
-//!   column per parent, or makes *one* hash-build pass over the child
-//!   table to assemble a parent-OID → child-slots multimap; and IDREF
-//!   targets resolve through the OID directory with a per-table field
-//!   plan and a per-OID memo instead of a mapping scan per attribute.
+//! - **Naive walker** (the differential baseline): every lookup scans the
+//!   table, so an inverted relationship costs O(parents × child_rows).
+//! - **Bulk path** (the default): a fresh `SecondaryIndex` on the key
+//!   column is probed per lookup; without one, *one* hash-build pass per
+//!   table serves every parent. IDREF targets resolve through the OID
+//!   directory with a per-table field plan and a per-OID memo instead of
+//!   a mapping scan per attribute.
 //!
-//! Both strategies enumerate children in heap-slot order (index buckets
-//! keep slots ascending by construction), so the reconstructed documents
-//! are byte-identical — the property `retrieve_prop` pins.
+//! The reader enumerates children in heap-slot order on every path, so the
+//! reconstructed documents are byte-identical — the property
+//! `retrieve_prop` pins.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
-use xmlord_ordb::storage::{key_hash, Storage, TableData};
+use xmlord_ordb::storage::{KeyedReader, Storage};
 use xmlord_ordb::{Database, Oid, Value};
 use xmlord_xml::{Document, NodeId, QName};
 
@@ -103,8 +101,7 @@ pub fn reconstruct(
         doc.set_attribute(root_node, QName::local("xmlns"), ns);
     }
     doc.set_root(root_node);
-    let stats = ctx.stats;
-    Ok((doc, stats))
+    Ok((doc, ctx.stats()))
 }
 
 /// Reconstruct a document through an MVCC read session: metadata via the
@@ -142,6 +139,8 @@ struct Retriever<'a> {
     storage: &'a Storage,
     schema: &'a MappedSchema,
     bulk: bool,
+    /// Accesses of readers already closed (the root lookup); the child
+    /// readers carry their own until [`Retriever::stats`] sums them.
     stats: RetrievalStats,
     /// Per parent element: the child mappings stored inverted under it
     /// (child table holds a ParentRef and the parent has no field for the
@@ -155,10 +154,9 @@ struct Retriever<'a> {
     /// Raw element/child name → sanitized element QName, built on first
     /// use — one `sanitize` + parse per distinct name instead of per node.
     qnames: HashMap<&'a str, QName>,
-    /// Bulk: per inverted child table, parent OID → child row slots in
-    /// heap order (the single hash-build pass). Built lazily on the first
-    /// parent that needs the relationship, when no fresh index serves it.
-    child_maps: HashMap<Ident, HashMap<Oid, Vec<usize>>>,
+    /// Per inverted child table: its rows keyed on the ParentRef column,
+    /// opened on the first parent that needs the relationship.
+    child_readers: HashMap<Ident, KeyedReader<'a>>,
     /// Bulk: memoized document-ID values per target row (IDREF batches
     /// resolve each target once, however many attributes point at it).
     id_memo: HashMap<Oid, Option<String>>,
@@ -199,7 +197,7 @@ impl<'a> Retriever<'a> {
             inverted,
             table_elements,
             qnames: HashMap::new(),
-            child_maps: HashMap::new(),
+            child_readers: HashMap::new(),
             id_memo: HashMap::new(),
         }
     }
@@ -218,65 +216,43 @@ impl<'a> Retriever<'a> {
             .ok_or_else(|| MappingError::UndeclaredElement(element.to_string()))
     }
 
-    /// Locate the root row: by document id column when present (index
-    /// probe on the bulk path, linear scan otherwise), else the single row
-    /// of the table.
+    /// Every access the reconstruction made so far.
+    fn stats(&self) -> RetrievalStats {
+        self.child_readers.values().fold(self.stats, |sum, reader| RetrievalStats {
+            table_scans: sum.table_scans + reader.table_scans,
+            index_probes: sum.index_probes + reader.index_probes,
+        })
+    }
+
+    /// Locate the root row: the first whose document id column matches,
+    /// else (no such column) the single row of the table.
     fn find_root_row(
         &mut self,
         meta: &DocMetadata,
     ) -> Result<(&'a [Value], Option<Oid>), MappingError> {
-        let root_mapping = self
-            .schema
-            .mapping(&self.schema.root_element)
-            .ok_or_else(|| MappingError::UndeclaredElement(self.schema.root_element.clone()))?;
+        let root_mapping = self.mapping_of(&self.schema.root_element)?;
         let table = Ident::internal(&self.schema.root_table);
-        let data = self
-            .storage
-            .table(&table)
-            .ok_or_else(|| MappingError::NoSuchDocument(meta.doc_id.clone()))?;
+        let no_such_document = || MappingError::NoSuchDocument(meta.doc_id.clone());
         let row = match &self.schema.doc_id_column {
             Some(col) => {
                 let idx = field_index(root_mapping, col).ok_or_else(|| {
                     MappingError::Unsupported(format!("root mapping lacks id column {col}"))
                 })?;
-                let indexed = self
-                    .bulk
-                    .then(|| self.storage.find_fresh_index(&table, &[idx]))
-                    .flatten();
-                match indexed {
-                    Some(index) => {
-                        // Hash prefilter: candidates still verify the
-                        // predicate (the buckets keep slots ascending, so
-                        // the first verified candidate is the scan's).
-                        self.stats.index_probes += 1;
-                        let key = Value::str(&meta.doc_id);
-                        let slots = key_hash(&[&key])
-                            .and_then(|h| self.storage.index_probe(index, h))
-                            .unwrap_or(&[]);
-                        slots
-                            .iter()
-                            .map(|&slot| &data.rows[slot])
-                            .find(|r| {
-                                r.values.get(idx).and_then(|v| v.as_str())
-                                    == Some(meta.doc_id.as_str())
-                            })
-                    }
-                    None => {
-                        self.stats.table_scans += 1;
-                        data.rows.iter().find(|r| {
-                            r.values.get(idx).and_then(|v| v.as_str())
-                                == Some(meta.doc_id.as_str())
-                        })
-                    }
-                }
+                let mut reader = self
+                    .storage
+                    .keyed_reader(&table, idx, self.bulk)
+                    .ok_or_else(no_such_document)?;
+                let slots = reader.slots(&Value::str(&meta.doc_id));
+                self.stats.table_scans += reader.table_scans;
+                self.stats.index_probes += reader.index_probes;
+                slots.first().map(|&slot| &reader.rows()[slot])
             }
             None => {
                 self.stats.table_scans += 1;
-                data.rows.first()
+                self.storage.table(&table).ok_or_else(no_such_document)?.rows.first()
             }
         };
-        row.map(|r| (r.values.as_slice(), r.oid))
-            .ok_or_else(|| MappingError::NoSuchDocument(meta.doc_id.clone()))
+        row.map(|r| (r.values.as_slice(), r.oid)).ok_or_else(no_such_document)
     }
 
     /// Build the DOM subtree for one element instance from its attribute
@@ -449,55 +425,6 @@ impl<'a> Retriever<'a> {
         self.build_element(doc, child_name, values, Some(oid))
     }
 
-    /// Child row slots of `my_oid` in one inverted relationship, in heap
-    /// order. Bulk: a fresh ParentRef index answers with a probe; otherwise
-    /// one hash-build pass over the child table serves every parent.
-    /// Naive: a fresh scan per parent — the quadratic baseline.
-    fn inverted_child_slots(
-        &mut self,
-        table: Ident,
-        data: &'a TableData,
-        ref_idx: usize,
-        my_oid: Oid,
-    ) -> Vec<usize> {
-        if !self.bulk {
-            self.stats.table_scans += 1;
-            return data
-                .rows
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.values.get(ref_idx) == Some(&Value::Ref(my_oid)))
-                .map(|(slot, _)| slot)
-                .collect();
-        }
-        if let Some(index) = self.storage.find_fresh_index(&table, &[ref_idx]) {
-            self.stats.index_probes += 1;
-            let key = Value::Ref(my_oid);
-            let slots = key_hash(&[&key])
-                .and_then(|h| self.storage.index_probe(index, h))
-                .unwrap_or(&[]);
-            // Hash prefilter: re-verify each candidate slot.
-            return slots
-                .iter()
-                .copied()
-                .filter(|&slot| data.rows[slot].values.get(ref_idx) == Some(&key))
-                .collect();
-        }
-        if !self.child_maps.contains_key(&table) {
-            self.stats.table_scans += 1;
-            let mut map: HashMap<Oid, Vec<usize>> = HashMap::new();
-            for (slot, row) in data.rows.iter().enumerate() {
-                if let Some(Value::Ref(parent)) = row.values.get(ref_idx) {
-                    // Slots arrive ascending, so plain pushes keep each
-                    // bucket in heap order — same enumeration as a scan.
-                    map.entry(*parent).or_default().push(slot);
-                }
-            }
-            self.child_maps.insert(table.clone(), map);
-        }
-        self.child_maps[&table].get(&my_oid).cloned().unwrap_or_default()
-    }
-
     /// Returns `true` if any inverted child was attached.
     fn attach_inverted_children(
         &mut self,
@@ -515,9 +442,19 @@ impl<'a> Retriever<'a> {
         for (child_mapping, ref_idx) in relationships {
             let Some(child_table) = &child_mapping.table else { continue };
             let table = Ident::internal(child_table);
-            let Some(data) = self.storage.table(&table) else { continue };
-            for slot in self.inverted_child_slots(table, data, ref_idx, my_oid) {
-                let row = &data.rows[slot];
+            let reader = match self.child_readers.entry(table) {
+                Entry::Occupied(open) => open.into_mut(),
+                Entry::Vacant(slot) => {
+                    let Some(reader) = self.storage.keyed_reader(slot.key(), ref_idx, self.bulk)
+                    else {
+                        continue;
+                    };
+                    slot.insert(reader)
+                }
+            };
+            let rows = reader.rows();
+            for slot in reader.slots(&Value::Ref(my_oid)) {
+                let row = &rows[slot];
                 let values: &'a [Value] = &row.values;
                 let child =
                     self.build_element(doc, &child_mapping.element, values, row.oid)?;

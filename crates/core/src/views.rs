@@ -19,10 +19,10 @@
 //! 3. [`object_view_script`] — the `CREATE VIEW OView_… AS SELECT Type_…(…)`
 //!    statement with nested constructors and `CAST(MULTISET(…))`.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use xmlord_ordb::ident::Ident;
-use xmlord_ordb::storage::{key_hash, Storage, TableData};
+use xmlord_ordb::storage::{KeyedReader, Storage};
 use xmlord_ordb::Value;
 use xmlord_xml::{Document, NodeId, QName};
 
@@ -385,10 +385,9 @@ impl<'a> ViewGen<'a> {
 
 /// Rebuild the document stored by [`relational_load_script`]. Like the
 /// object-relational retriever and the `xmlord-shred` reconstructors, one
-/// shared assembly sits on two access paths: naive (`bulk = false`) rescans
-/// each child table per parent row, bulk probes a fresh `IDParent` index or
-/// builds one hash multimap per table. The loader assigns row IDs in a
-/// pre-order walk, so ascending ID within one parent is document order;
+/// assembly runs over [`KeyedReader`] lookups (`IDParent = parent`), and
+/// `bulk` only picks how the reader answers them. The loader assigns row IDs
+/// in a pre-order walk, so ascending ID within one parent is document order;
 /// content-model order across different child names is restored with the
 /// retriever's reorder pass.
 pub fn reconstruct_relational(
@@ -404,8 +403,7 @@ pub fn reconstruct_relational(
     let root_row: &[Value] = {
         let reader = ctx.reader(root_table)?;
         let row = reader
-            .data
-            .rows
+            .rows()
             .first()
             .ok_or_else(|| MappingError::NoSuchDocument(schema.root_element.clone()))?;
         &row.values
@@ -416,84 +414,31 @@ pub fn reconstruct_relational(
     Ok(doc)
 }
 
-/// Rows of one `Rel*` table addressed by their `IDParent` column.
-struct RelReader<'a> {
-    storage: &'a Storage,
-    table: Ident,
-    data: &'a TableData,
-    bulk: bool,
-    map: Option<HashMap<u64, Vec<usize>>>,
-}
-
 const REL_ID: usize = 0;
 const REL_PARENT: usize = 1;
-
-fn rel_id(v: &Value) -> Option<u64> {
-    v.as_num().map(|n| n as u64)
-}
-
-impl<'a> RelReader<'a> {
-    fn open(storage: &'a Storage, name: &str, bulk: bool) -> Result<RelReader<'a>, MappingError> {
-        let table = Ident::internal(name);
-        let data = storage.table(&table).ok_or_else(|| {
-            MappingError::InconsistentMapping(format!("relational table {name} is missing"))
-        })?;
-        Ok(RelReader { storage, table, data, bulk, map: None })
-    }
-
-    /// Row slots with `IDParent = parent`, in heap order (= ascending ID,
-    /// the loader's pre-order).
-    fn child_slots(&mut self, parent: u64) -> Vec<usize> {
-        if !self.bulk {
-            return self
-                .data
-                .rows
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.values.get(REL_PARENT).and_then(rel_id) == Some(parent))
-                .map(|(slot, _)| slot)
-                .collect();
-        }
-        if let Some(index) = self.storage.find_fresh_index(&self.table, &[REL_PARENT]) {
-            let key = Value::Num(parent as f64);
-            let slots = key_hash(&[&key])
-                .and_then(|h| self.storage.index_probe(index, h))
-                .unwrap_or(&[]);
-            // Hash prefilter: re-verify each candidate slot.
-            return slots
-                .iter()
-                .copied()
-                .filter(|&slot| {
-                    self.data.rows[slot].values.get(REL_PARENT).and_then(rel_id) == Some(parent)
-                })
-                .collect();
-        }
-        let data = self.data;
-        let map = self.map.get_or_insert_with(|| {
-            let mut map: HashMap<u64, Vec<usize>> = HashMap::new();
-            for (slot, row) in data.rows.iter().enumerate() {
-                if let Some(p) = row.values.get(REL_PARENT).and_then(rel_id) {
-                    map.entry(p).or_default().push(slot);
-                }
-            }
-            map
-        });
-        map.get(&parent).cloned().unwrap_or_default()
-    }
-}
 
 struct RelRetriever<'a> {
     schema: &'a MappedSchema,
     rel: &'a RelationalSchema,
     storage: &'a Storage,
     bulk: bool,
-    readers: BTreeMap<String, RelReader<'a>>,
+    /// Per `Rel*` table: its rows keyed on `IDParent`. Heap order within
+    /// one parent is ascending ID, the loader's pre-order.
+    readers: BTreeMap<String, KeyedReader<'a>>,
 }
 
 impl<'a> RelRetriever<'a> {
-    fn reader(&mut self, table: &RelTable) -> Result<&mut RelReader<'a>, MappingError> {
+    fn reader(&mut self, table: &RelTable) -> Result<&mut KeyedReader<'a>, MappingError> {
         if !self.readers.contains_key(&table.name) {
-            let reader = RelReader::open(self.storage, &table.name, self.bulk)?;
+            let reader = self
+                .storage
+                .keyed_reader(&Ident::internal(&table.name), REL_PARENT, self.bulk)
+                .ok_or_else(|| {
+                    MappingError::InconsistentMapping(format!(
+                        "relational table {} is missing",
+                        table.name
+                    ))
+                })?;
             self.readers.insert(table.name.clone(), reader);
         }
         Ok(self.readers.get_mut(&table.name).expect("just inserted"))
@@ -515,7 +460,7 @@ impl<'a> RelRetriever<'a> {
         let table = self.rel.table_for(element).ok_or_else(|| {
             MappingError::Unsupported(format!("no relational table for <{element}>"))
         })?;
-        let my_id = row.get(REL_ID).and_then(rel_id).ok_or_else(|| {
+        let my_key = row.get(REL_ID).and_then(Value::as_num).map(Value::Num).ok_or_else(|| {
             MappingError::InconsistentMapping(format!("{} row without an ID", table.name))
         })?;
         let node = doc.create_element(QName::local(&crate::naming::sanitize(element)));
@@ -554,13 +499,13 @@ impl<'a> RelRetriever<'a> {
                         MappingError::Unsupported(format!("no list table for <{child_name}>"))
                     })?;
                     let list = list.clone();
-                    let (slots, data) = {
+                    let (slots, rows) = {
                         let reader = self.reader(&list)?;
-                        (reader.child_slots(my_id), reader.data)
+                        (reader.slots(&my_key), reader.rows())
                     };
                     for slot in slots {
                         let text =
-                            data.rows[slot].values.get(REL_PARENT + 1).and_then(|v| v.as_str());
+                            rows[slot].values.get(REL_PARENT + 1).and_then(|v| v.as_str());
                         let child = doc.create_element(QName::local(
                             &crate::naming::sanitize(child_name),
                         ));
@@ -582,13 +527,13 @@ impl<'a> RelRetriever<'a> {
                         ))
                     })?;
                     let child_table = child_table.clone();
-                    let (slots, data) = {
+                    let (slots, rows) = {
                         let reader = self.reader(&child_table)?;
-                        (reader.child_slots(my_id), reader.data)
+                        (reader.slots(&my_key), reader.rows())
                     };
                     let child_name = child_name.clone();
                     for slot in slots {
-                        let values: &'a [Value] = &data.rows[slot].values;
+                        let values: &'a [Value] = &rows[slot].values;
                         let child = self.build(doc, &child_name, values)?;
                         doc.append_child(node, child);
                     }

@@ -17,7 +17,7 @@ use crate::analyze::StmtCx;
 use crate::catalog::{Catalog, TypeDef};
 use crate::ident::Ident;
 use crate::sql::ast::{BinOp, Expr};
-use crate::sql::span::Span;
+use xmlord_diag::Span;
 use crate::types::SqlType;
 use crate::value::Value;
 

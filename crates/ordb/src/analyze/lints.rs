@@ -6,7 +6,7 @@ use crate::analyze::StmtCx;
 use crate::catalog::Constraint;
 use crate::ident::Ident;
 use crate::sql::ast::{ColumnSpec, Expr, Stmt};
-use crate::sql::span::Span;
+use xmlord_diag::Span;
 use crate::types::SqlType;
 
 /// Lint one DDL statement against the *pre-statement* shadow catalog and

@@ -40,12 +40,12 @@
 //! unconditionally.
 
 mod dataflow;
-pub mod diag;
 mod expr;
 mod lints;
 mod select;
 
-pub use diag::{Diagnostic, Severity};
+pub use xmlord_diag::{Diagnostic, Severity};
+use xmlord_diag::Span;
 
 use crate::catalog::{Catalog, TableDef};
 use crate::error::DbError;
@@ -55,7 +55,7 @@ use crate::mode::DbMode;
 use crate::sql::ast::{Expr, Stmt};
 use crate::sql::lexer::{tokenize, Token};
 use crate::sql::parser::parse_script_spanned;
-use crate::sql::span::{Span, SpannedStmt};
+use crate::sql::span::SpannedStmt;
 use crate::value::Value;
 
 use expr::{analyze_expr, static_coerce_error, STy, Scopes};

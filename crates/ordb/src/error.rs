@@ -2,7 +2,7 @@
 //! paper's failure scenarios (identifier too long, collection nesting in
 //! Oracle 8, constraint violations, …) surface as distinct variants.
 
-use crate::sql::span::Span;
+use xmlord_diag::Span;
 use std::fmt;
 
 /// Any failure raised by the engine: syntax, catalog, typing, constraint or

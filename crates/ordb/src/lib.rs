@@ -86,13 +86,9 @@
 //!
 //! A generated load script is thousands of near-identical single-row
 //! INSERTs; executing them as SQL text pays the parser, catalog resolution
-//! and a full-table constraint scan per row. Three escalating fast paths
-//! remove that cost (PR 5; experiment E18 prices them):
+//! and a full-table constraint scan per row. Two fast paths remove that
+//! cost (PR 5):
 //!
-//! * **Prepared statements** — [`Database::prepare`] parses and
-//!   shape-normalizes once, returning a [`PreparedStmt`];
-//!   [`Database::execute_prepared`] re-binds it with a `&[Value]` parameter
-//!   slice, skipping the lexer entirely. Counter: `prepared_execs`.
 //! * **Batched inserts** — [`Database::execute_batch`] takes an
 //!   [`InsertBatch`] (one table, many rows): the catalog is resolved once,
 //!   OIDs are reserved in one block, repeated scalar subqueries inside the
@@ -109,7 +105,7 @@
 //!   a single writer in submission order, so any worker count produces a
 //!   byte-identical database.
 //!
-//! All three deliveries are differentially tested against plain SQL text
+//! The batched delivery is differentially tested against plain SQL text
 //! (`tests/bulk_prop.rs`): same rows, same state dump, same errors.
 //!
 //! ## Static analysis (`sqlcheck`)
@@ -164,7 +160,7 @@ pub use ident::Ident;
 pub use mode::DbMode;
 pub use mvcc::ReadSession;
 pub use session::{
-    CatalogRef, Database, PreparedStmt, QueryResult, RecoveryPolicy, RecoveryReport, ResultMode,
+    CatalogRef, Database, QueryResult, RecoveryPolicy, RecoveryReport, ResultMode,
     ScriptError, ScriptOutcome, SpanToken, StorageRef, TxnMark,
 };
 pub use stats::ExecStats;

@@ -14,7 +14,7 @@ use crate::ident::Ident;
 use crate::mode::DbMode;
 use crate::sql::ast::Stmt;
 use crate::snapshot;
-use crate::sql::param::{bind_values, parameterize, rebind, slots_match};
+use crate::sql::param::{parameterize, rebind, slots_match};
 use crate::sql::parser::{parse_script, parse_statement};
 use crate::stats::ExecStats;
 use crate::storage::Storage;
@@ -175,34 +175,6 @@ pub enum ResultMode {
     /// Drop every result. Bulk loads use this: nothing is materialized, so
     /// memory stays flat regardless of script length.
     Discard,
-}
-
-/// A statement compiled once for repeated bound execution
-/// ([`Database::prepare`]). The template is the parsed AST with its
-/// literal positions acting as parameter slots (in lexical order), so an
-/// execution is template-clone → bind → execute — no lexer, parser or
-/// analyzer on the hot path. Independent of the database it was prepared
-/// on: any [`Database`] can execute it (names resolve at execution time,
-/// exactly like the plan cache's templates).
-#[derive(Debug, Clone)]
-pub struct PreparedStmt {
-    /// The literal-normalized shape key (or the verbatim text when the
-    /// statement is not parameterizable) — diagnostics only.
-    key: String,
-    template: Vec<Stmt>,
-    slots: usize,
-}
-
-impl PreparedStmt {
-    /// Number of parameters [`Database::execute_prepared`] expects.
-    pub fn param_count(&self) -> usize {
-        self.slots
-    }
-
-    /// The normalized shape this statement was compiled from.
-    pub fn shape(&self) -> &str {
-        &self.key
-    }
 }
 
 /// Result of [`Database::execute_script_with`].
@@ -777,7 +749,6 @@ impl Database {
             ("txn_rollbacks", s.txn_rollbacks),
             ("undo_records", s.undo_records),
             ("savepoints", s.savepoints),
-            ("prepared_execs", s.prepared_execs),
             ("batched_rows", s.batched_rows),
             ("batch_subquery_hits", s.batch_subquery_hits),
             ("index_scans", s.index_scans),
@@ -1220,69 +1191,6 @@ impl Database {
     }
 
     // -- bulk ingest ----------------------------------------------------------
-
-    /// Compile one statement for repeated bound execution. For an INSERT
-    /// whose shape passes slot verification (the same check the plan cache
-    /// runs), every string/number literal becomes a parameter slot in
-    /// lexical order; other statements prepare with zero slots (still
-    /// skipping the parse on each execution).
-    pub fn prepare(&mut self, sql: &str) -> Result<PreparedStmt, DbError> {
-        let mut parsed = parse_script(sql)?;
-        if parsed.len() != 1 {
-            return Err(DbError::Execution(format!(
-                "prepare expects exactly one statement, got {}",
-                parsed.len()
-            )));
-        }
-        Ok(match parameterize(sql) {
-            Some((key, lits)) if slots_match(&mut parsed, &lits) => {
-                PreparedStmt { key, template: parsed, slots: lits.len() }
-            }
-            _ => PreparedStmt { key: sql.to_string(), template: parsed, slots: 0 },
-        })
-    }
-
-    /// Execute a prepared statement with `params` bound to its literal
-    /// slots in order — template → bound AST → executor, with no lexing or
-    /// parsing. Parameters replace slots wholesale, so NULLs and dates
-    /// bind fine into what was lexed as a string slot. Counts one
-    /// [`ExecStats::prepared_execs`]; emits a `prepared` trace span.
-    pub fn execute_prepared(
-        &mut self,
-        prep: &PreparedStmt,
-        params: &[Value],
-    ) -> Result<Option<QueryResult>, DbError> {
-        let span = self.trace_begin("prepared", format!("{} params", params.len()));
-        let result = self.execute_prepared_inner(prep, params);
-        self.trace_end(span);
-        result
-    }
-
-    fn execute_prepared_inner(
-        &mut self,
-        prep: &PreparedStmt,
-        params: &[Value],
-    ) -> Result<Option<QueryResult>, DbError> {
-        if params.len() != prep.slots {
-            return Err(DbError::Execution(format!(
-                "prepared statement has {} parameter slots but {} values were bound",
-                prep.slots,
-                params.len()
-            )));
-        }
-        self.stats.prepared_execs += 1;
-        if prep.slots == 0 {
-            return self.execute_stmt(&prep.template[0]);
-        }
-        let mut stmts = prep.template.clone();
-        if !bind_values(&mut stmts, params) {
-            return Err(DbError::Execution(
-                "prepared parameter binding failed (slot/value mismatch)".into(),
-            ));
-        }
-        let stmt = stmts.remove(0);
-        self.execute_stmt(&stmt)
-    }
 
     /// Execute an [`InsertBatch`] as one unit: the catalog is resolved
     /// once, every row is validated against the pre-batch snapshot, rows
@@ -2374,7 +2282,6 @@ mod tests {
         fn assert_send<T: Send>() {}
         assert_send::<Database>();
         assert_send::<crate::mvcc::ReadSession>();
-        assert_send::<PreparedStmt>();
     }
 
     /// Clone semantics under the shared-state split: a clone deep-copies

@@ -40,7 +40,7 @@ impl Token {
 
 /// A token plus its character offsets in the source (`offset..end`, half
 /// open). Offsets are char indices — the lexer walks `char`s, and
-/// [`crate::sql::span`] converts them to line/column the same way.
+/// [`xmlord_diag::Span`] converts them to line/column the same way.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpannedToken {
     pub token: Token,
@@ -50,8 +50,8 @@ pub struct SpannedToken {
 }
 
 impl SpannedToken {
-    pub fn span(&self) -> crate::sql::span::Span {
-        crate::sql::span::Span::new(self.offset, self.end)
+    pub fn span(&self) -> xmlord_diag::Span {
+        xmlord_diag::Span::new(self.offset, self.end)
     }
 }
 

@@ -13,4 +13,5 @@ pub mod span;
 pub use ast::{Expr, FromItem, SelectItem, SelectStmt, Stmt};
 pub use parser::{parse_script, parse_script_spanned, parse_statement};
 pub use printer::{print_expr, print_select, print_stmt};
-pub use span::{Span, SpannedStmt};
+pub use span::SpannedStmt;
+pub use xmlord_diag::Span;

@@ -140,84 +140,6 @@ pub fn rebind(stmts: &mut [Stmt], lits: &[Lit]) -> bool {
     ok && next == lits.len()
 }
 
-/// Replace the literal slots of a cloned template with arbitrary values —
-/// the prepared-statement variant of [`rebind`]
-/// ([`crate::Database::execute_prepared`]). Unlike `rebind`, a slot is
-/// replaced wholesale rather than edited in place, so a string slot may be
-/// bound to NULL, a number, or a date. `LIKE` patterns are the one
-/// exception (the AST stores them as plain strings): they only accept
-/// string parameters. Returns `false` on an arity mismatch, a non-string
-/// pattern binding, or an untemplatable statement kind.
-pub fn bind_values(stmts: &mut [Stmt], params: &[Value]) -> bool {
-    let mut next = 0usize;
-    let ok = stmts.iter_mut().all(|stmt| {
-        walk_stmt_values(stmt, &mut |slot| {
-            let param = params.get(next);
-            next += 1;
-            match (slot, param) {
-                (ValueSlot::Whole(v), Some(p)) => {
-                    *v = p.clone();
-                    true
-                }
-                (ValueSlot::Pattern(s), Some(Value::Str(p))) => {
-                    *s = p.clone();
-                    true
-                }
-                _ => false,
-            }
-        })
-    });
-    ok && next == params.len()
-}
-
-/// A mutable parameter slot for [`bind_values`].
-enum ValueSlot<'a> {
-    /// An `Expr::Literal` whose whole value is replaced.
-    Whole(&'a mut Value),
-    /// A `LIKE` pattern (stored as a plain string in the AST).
-    Pattern(&'a mut String),
-}
-
-/// [`walk_stmt`] with whole-value slots; visits exactly the same positions
-/// in the same order, so a [`slots_match`]-verified template binds soundly
-/// through either walker.
-fn walk_stmt_values(stmt: &mut Stmt, f: &mut impl FnMut(ValueSlot) -> bool) -> bool {
-    match stmt {
-        Stmt::Insert { values, .. } => values.iter_mut().all(|v| walk_expr_values(v, f)),
-        _ => false,
-    }
-}
-
-fn walk_expr_values(expr: &mut Expr, f: &mut impl FnMut(ValueSlot) -> bool) -> bool {
-    match expr {
-        Expr::Literal(value) => match value {
-            Value::Str(_) | Value::Num(_) => f(ValueSlot::Whole(value)),
-            // NULL comes from the keyword, not a literal token — not a slot.
-            _ => true,
-        },
-        Expr::Path(_) | Expr::CountStar | Expr::RefOf(_) => true,
-        Expr::Call { args, .. } => args.iter_mut().all(|a| walk_expr_values(a, f)),
-        Expr::Binary { lhs, rhs, .. } => walk_expr_values(lhs, f) && walk_expr_values(rhs, f),
-        Expr::Not(inner) | Expr::Deref(inner) => walk_expr_values(inner, f),
-        Expr::IsNull { expr, .. } => walk_expr_values(expr, f),
-        Expr::Like { expr, pattern, .. } => {
-            walk_expr_values(expr, f) && f(ValueSlot::Pattern(pattern))
-        }
-        Expr::Subquery(q) | Expr::Exists(q) => walk_select_values(q, f),
-        Expr::CastMultiset { query, .. } => walk_select_values(query, f),
-    }
-}
-
-fn walk_select_values(select: &mut SelectStmt, f: &mut impl FnMut(ValueSlot) -> bool) -> bool {
-    select.items.iter_mut().all(|item| walk_expr_values(&mut item.expr, f))
-        && select.from.iter_mut().all(|item| match item {
-            FromItem::Table { .. } => true,
-            FromItem::CollectionTable { expr, .. } => walk_expr_values(expr, f),
-        })
-        && select.where_clause.as_mut().is_none_or(|w| walk_expr_values(w, f))
-        && select.order_by.iter_mut().all(|(e, _)| walk_expr_values(e, f))
-}
-
 /// Walk one statement's literal slots in source order. Only INSERT is
 /// templated; any other statement kind aborts the walk, which marks the
 /// whole shape untemplatable.
@@ -321,23 +243,6 @@ mod tests {
         let (_, new_lits) = parameterize(second).unwrap();
         assert!(rebind(&mut template, &new_lits));
         assert_eq!(template, parse_script(second).unwrap());
-    }
-
-    #[test]
-    fn bind_values_replaces_slots_wholesale() {
-        let sql = "INSERT INTO T VALUES (Ty('a', 1), 'b')";
-        let (_, lits) = parameterize(sql).unwrap();
-        let mut template = parse_script(sql).unwrap();
-        assert!(slots_match(&mut template, &lits));
-
-        let params = [Value::Null, Value::Num(9.0), Value::str("y")];
-        assert!(bind_values(&mut template, &params));
-        assert_eq!(
-            template,
-            parse_script("INSERT INTO T VALUES (Ty(NULL, 9), 'y')").unwrap()
-        );
-        // Arity mismatches are rejected.
-        assert!(!bind_values(&mut template, &[Value::Num(1.0)]));
     }
 
     #[test]

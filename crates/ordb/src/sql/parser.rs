@@ -12,9 +12,10 @@ use crate::sql::ast::{
     BinOp, ColumnSpec, Expr, FromItem, SelectItem, SelectStmt, Stmt,
 };
 use crate::sql::lexer::{tokenize, SpannedToken, Token};
-use crate::sql::span::{Span, SpannedStmt};
+use crate::sql::span::SpannedStmt;
 use crate::types::SqlType;
 use crate::value::Value;
+use xmlord_diag::Span;
 
 /// Parse a script of one or more `;`-separated statements.
 pub fn parse_script(input: &str) -> Result<Vec<Stmt>, DbError> {
@@ -1120,7 +1121,7 @@ mod tests {
         let src = "CREATE TABLE T OF A;\n  INSERT INTO T VALUES (1);";
         let spanned = parse_script_spanned(src).unwrap();
         assert_eq!(spanned.len(), 2);
-        let text = |s: &crate::sql::span::Span| -> String {
+        let text = |s: &Span| -> String {
             src.chars().skip(s.start).take(s.len()).collect()
         };
         assert_eq!(text(&spanned[0].span), "CREATE TABLE T OF A");

@@ -1,15 +1,12 @@
-//! Source spans and line/column arithmetic for diagnostics.
-//!
-//! The span vocabulary lives in the shared `xmlord-diag` crate so the DTD
-//! and mapping linters report over the same types; this module re-exports
-//! it (preserving the historical `ordb::sql::span` paths) and adds the
-//! SQL-specific [`SpannedStmt`].
+//! The SQL-specific span carrier: a parsed statement plus where it sits in
+//! its script. The span vocabulary itself ([`Span`], line/column
+//! arithmetic) is `xmlord-diag`'s, shared with the DTD and mapping linters.
 //!
 //! Offsets are **character** indices into the SQL text (the lexer iterates
 //! `char`s, not bytes), so line/column conversion counts characters too —
 //! a multi-byte character advances the column by one, like an editor does.
 
-pub use xmlord_diag::{line_col, source_line, Span};
+use xmlord_diag::Span;
 
 /// A statement plus the span it occupies in the script it was parsed from.
 #[derive(Debug, Clone, PartialEq)]

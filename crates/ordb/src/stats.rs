@@ -56,9 +56,6 @@ pub struct ExecStats {
     pub undo_records: u64,
     /// Explicit `SAVEPOINT name` statements executed.
     pub savepoints: u64,
-    /// Bound executions through the prepared-statement fast path
-    /// ([`crate::Database::execute_prepared`]) — no lexer/parser/analyzer.
-    pub prepared_execs: u64,
     /// Rows inserted through the batched path
     /// ([`crate::Database::execute_batch`]).
     pub batched_rows: u64,
@@ -113,7 +110,6 @@ impl ExecStats {
             txn_rollbacks: self.txn_rollbacks - earlier.txn_rollbacks,
             undo_records: self.undo_records - earlier.undo_records,
             savepoints: self.savepoints - earlier.savepoints,
-            prepared_execs: self.prepared_execs - earlier.prepared_execs,
             batched_rows: self.batched_rows - earlier.batched_rows,
             batch_subquery_hits: self.batch_subquery_hits - earlier.batch_subquery_hits,
             index_scans: self.index_scans - earlier.index_scans,

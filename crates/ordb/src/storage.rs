@@ -106,6 +106,81 @@ pub fn key_hash(key: &[&Value]) -> Option<u64> {
     Some(h.finish())
 }
 
+/// One table opened for equality lookups on one key column — the access
+/// path every document reconstructor runs on ([`Storage::keyed_reader`]).
+///
+/// How [`KeyedReader::slots`] answers is decided once, at open (the storage
+/// borrow pins the table, so the decision cannot go stale):
+///
+/// 1. a fresh [`SecondaryIndex`] on exactly the key column is probed;
+/// 2. otherwise one pass over the heap, on the first lookup, builds a
+///    key-hash → slots multimap that serves every later lookup;
+/// 3. with `bulk == false` every lookup scans the heap — the quadratic
+///    reference the differential suites diff the other two against.
+///
+/// All three enumerate slots ascending. Index buckets and the multimap are
+/// [`key_hash`] prefilters, so every candidate is re-verified with
+/// [`Value::sql_eq`]; a NULL key (stored or asked for) never matches.
+#[derive(Debug)]
+pub struct KeyedReader<'a> {
+    rows: &'a [Row],
+    key_col: usize,
+    access: KeyedAccess<'a>,
+    /// Full passes over the heap: one per lookup when scanning, one for
+    /// the multimap build.
+    pub table_scans: u64,
+    /// Lookups answered by the secondary index.
+    pub index_probes: u64,
+}
+
+#[derive(Debug)]
+enum KeyedAccess<'a> {
+    Index(&'a SecondaryIndex),
+    Multimap(Option<HashMap<u64, Vec<usize>>>),
+    Scan,
+}
+
+impl<'a> KeyedReader<'a> {
+    /// The table's rows; the slots [`KeyedReader::slots`] returns index
+    /// into this.
+    pub fn rows(&self) -> &'a [Row] {
+        self.rows
+    }
+
+    /// Slots of the rows whose key column equals `key`, in heap order.
+    pub fn slots(&mut self, key: &Value) -> Vec<usize> {
+        let (rows, key_col) = (self.rows, self.key_col);
+        let matches =
+            |slot: &usize| rows[*slot].values.get(key_col).and_then(|v| v.sql_eq(key)) == Some(true);
+        let candidates = match &mut self.access {
+            KeyedAccess::Scan => {
+                self.table_scans += 1;
+                return (0..rows.len()).filter(matches).collect();
+            }
+            KeyedAccess::Index(index) => {
+                self.index_probes += 1;
+                &index.buckets
+            }
+            KeyedAccess::Multimap(map) => &*map.get_or_insert_with(|| {
+                self.table_scans += 1;
+                let mut map: HashMap<u64, Vec<usize>> = HashMap::new();
+                for (slot, row) in rows.iter().enumerate() {
+                    if let Some(h) = row.values.get(key_col).and_then(|v| key_hash(&[v])) {
+                        // Slots arrive ascending, so plain pushes keep each
+                        // bucket in heap order — same enumeration as a scan.
+                        map.entry(h).or_default().push(slot);
+                    }
+                }
+                map
+            }),
+        };
+        key_hash(&[key])
+            .and_then(|h| candidates.get(&h))
+            .map(|bucket| bucket.iter().copied().filter(matches).collect())
+            .unwrap_or_default()
+    }
+}
+
 /// The storage layer: table heaps plus the OID directory.
 #[derive(Debug, Clone, Default)]
 pub struct Storage {
@@ -857,6 +932,23 @@ impl Storage {
         self.indexes.iter().find_map(|(name, idx)| {
             (idx.table == *table && idx.cols == cols && idx.version == version).then_some(name)
         })
+    }
+
+    /// Open `table` for equality lookups on column position `key_col` —
+    /// see [`KeyedReader`] for how lookups are answered. `None` when the
+    /// table does not exist.
+    pub fn keyed_reader(&self, table: &Ident, key_col: usize, bulk: bool) -> Option<KeyedReader<'_>> {
+        let data = self.tables.get(table)?;
+        let access = if !bulk {
+            KeyedAccess::Scan
+        } else {
+            let fresh = self.find_fresh_index(table, &[key_col]);
+            match fresh.and_then(|name| self.indexes.get(name)) {
+                Some(index) => KeyedAccess::Index(index),
+                None => KeyedAccess::Multimap(None),
+            }
+        };
+        Some(KeyedReader { rows: &data.rows, key_col, access, table_scans: 0, index_probes: 0 })
     }
 
     /// Drain the maintenance-operation counter (key insertions/removals and

@@ -2,22 +2,17 @@
 //!
 //! One seeded generator produces a random load (two tables, constructor
 //! INSERTs, quoted strings, NULLs, scalar subqueries); the load is then
-//! delivered three ways:
+//! delivered two ways:
 //!
 //! 1. **text** — each statement executed as SQL text,
-//! 2. **prepared** — each statement bound through [`Database::prepare`] /
-//!    [`Database::execute_prepared`] with its literals as parameters,
-//! 3. **batched** — consecutive same-table statements grouped into
+//! 2. **batched** — consecutive same-table statements grouped into
 //!    [`InsertBatch`]es for [`Database::execute_batch`].
 //!
-//! All three must leave a byte-identical [`Database::state_dump`]: the fast
-//! paths may only change *how fast* rows land, never *which* rows. A second
+//! Both must leave a byte-identical [`Database::state_dump`]: the fast
+//! path may only change *how fast* rows land, never *which* rows. A second
 //! property injects a constraint violation mid-batch and checks the batch
 //! (and the equivalent atomic script) leaves the initial state untouched.
 
-use std::collections::HashMap;
-
-use xmlord_ordb::sql::param::{parameterize, Lit};
 use xmlord_ordb::sql::{parse_statement, Stmt};
 use xmlord_ordb::{Database, DbMode, InsertBatch, RecoveryPolicy, ResultMode, Value};
 use xmlord_prng::Prng;
@@ -100,7 +95,7 @@ fn to_batches(stmts: &[String]) -> Vec<InsertBatch> {
 }
 
 #[test]
-fn text_prepared_and_batched_deliveries_are_byte_identical() {
+fn text_and_batched_deliveries_are_byte_identical() {
     for seed in [1u64, 0xBEEF, 0x2002_0325] {
         let load = generate_load(seed);
 
@@ -108,36 +103,6 @@ fn text_prepared_and_batched_deliveries_are_byte_identical() {
         for sql in &load {
             text_db.execute(sql).unwrap();
         }
-
-        let mut prep_db = fresh_db();
-        let mut cache: HashMap<String, xmlord_ordb::PreparedStmt> = HashMap::new();
-        for sql in &load {
-            let (key, lits) = parameterize(sql).expect("INSERT texts parameterize");
-            if !cache.contains_key(&key) {
-                cache.insert(key.clone(), prep_db.prepare(sql).unwrap());
-            }
-            let prep = &cache[&key];
-            if prep.param_count() == lits.len() {
-                let params: Vec<Value> = lits
-                    .iter()
-                    .map(|l| match l {
-                        Lit::Str(s) => Value::Str(s.clone()),
-                        Lit::Num(n) => Value::Num(*n),
-                    })
-                    .collect();
-                prep_db.execute_prepared(prep, &params).unwrap();
-            } else {
-                // Unbindable shape (e.g. a folded negative literal makes
-                // the template verbatim): prepare this exact text instead
-                // of replaying the shape's first statement.
-                let solo = prep_db.prepare(sql).unwrap();
-                prep_db.execute_prepared(&solo, &[]).unwrap();
-            }
-        }
-        assert!(
-            prep_db.stats().prepared_execs >= load.len() as u64,
-            "seed {seed:#x}: prepared path not exercised"
-        );
 
         let mut batch_db = fresh_db();
         let batches = to_batches(&load);
@@ -148,7 +113,6 @@ fn text_prepared_and_batched_deliveries_are_byte_identical() {
         assert_eq!(batch_db.stats().batched_rows, load.len() as u64);
 
         let reference = text_db.state_dump();
-        assert_eq!(reference, prep_db.state_dump(), "seed {seed:#x}: prepared diverged");
         assert_eq!(reference, batch_db.state_dump(), "seed {seed:#x}: batched diverged");
     }
 }

@@ -2,18 +2,14 @@
 //!
 //! Inverts the edge-table ([`crate::edge`]), attribute-table
 //! ([`crate::attrtab`]) and hybrid-inlining ([`crate::inline`]) shredders:
-//! given the stored rows, rebuild the DOM. Like the object-relational
-//! retriever, each strategy has two access paths behind one shared assembly:
-//!
-//! - **naive** (`bulk = false`): every child lookup re-scans the table that
-//!   holds the relationship — O(nodes × rows) on the edge mapping, the
-//!   baseline the set-oriented path is measured against;
-//! - **bulk** (`bulk = true`): a fresh secondary index on the key column is
-//!   probed when one exists, otherwise *one* hash-build pass per table
-//!   assembles a key → row-slots multimap that serves every lookup.
-//!
-//! Both enumerate candidate rows in heap-slot order (index buckets keep
-//! slots ascending), so the two paths produce byte-identical documents.
+//! given the stored rows, rebuild the DOM. Each strategy is one assembly
+//! over [`KeyedReader`] lookups — the same keyed access the
+//! object-relational retriever runs on — so `bulk` only picks how the reader
+//! answers: `false` re-scans the table per lookup (O(nodes × rows) on the
+//! edge mapping, the reference the set-oriented path is diffed against),
+//! `true` probes a fresh secondary index on the key column or builds one
+//! hash multimap per table. Either way candidate rows come back in
+//! heap-slot order, so both produce byte-identical documents.
 //!
 //! The generic mappings drop comments, processing instructions and the XML
 //! declaration at *load* time; the attribute-table and inlining mappings
@@ -24,11 +20,11 @@
 //! generated corpora); a name reachable through two different inlined
 //! intermediates of one parent would alias its `ParentID` rows.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use xmlord_dtd::ast::Dtd;
 use xmlord_ordb::ident::Ident;
-use xmlord_ordb::storage::{key_hash, Storage, TableData};
+use xmlord_ordb::storage::{KeyedReader, Storage};
 use xmlord_ordb::{DbError, Value};
 use xmlord_xml::{Document, NodeId, QName};
 
@@ -38,89 +34,39 @@ fn node_id(v: &Value) -> Option<u64> {
     v.as_num().map(|n| n as u64)
 }
 
-/// Rows of one table addressed by an equality key on a NUMBER column:
-/// the shared access primitive of all three reconstructors.
-struct KeyedRows<'a> {
+/// Open one of a mapping's tables on its lookup column — the keyed access
+/// all three reconstructors share is [`Storage::keyed_reader`].
+fn open<'a>(
     storage: &'a Storage,
-    table: Ident,
-    data: &'a TableData,
+    name: &str,
     key_col: usize,
     bulk: bool,
-    /// Bulk fallback: key → row slots (ascending), built in one pass on
-    /// first use when no fresh index serves the column.
-    map: Option<HashMap<u64, Vec<usize>>>,
+) -> Result<KeyedReader<'a>, DbError> {
+    storage
+        .keyed_reader(&Ident::internal(name), key_col, bulk)
+        .ok_or_else(|| DbError::UnknownTable(name.to_string()))
 }
 
-impl<'a> KeyedRows<'a> {
-    fn open(
-        storage: &'a Storage,
-        name: &str,
-        key_col: usize,
-        bulk: bool,
-    ) -> Result<KeyedRows<'a>, DbError> {
-        let table = Ident::internal(name);
-        let data = storage
-            .table(&table)
-            .ok_or_else(|| DbError::UnknownTable(name.to_string()))?;
-        Ok(KeyedRows { storage, table, data, key_col, bulk, map: None })
-    }
-
-    /// Row slots whose key column equals `id`, in heap order.
-    fn slots_for(&mut self, id: u64) -> Vec<usize> {
-        if !self.bulk {
-            return self
-                .data
-                .rows
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.values.get(self.key_col).and_then(node_id) == Some(id))
-                .map(|(slot, _)| slot)
-                .collect();
-        }
-        if let Some(index) = self.storage.find_fresh_index(&self.table, &[self.key_col]) {
-            // Hash prefilter: candidates re-verify the key equality.
-            let key = Value::Num(id as f64);
-            let slots = key_hash(&[&key])
-                .and_then(|h| self.storage.index_probe(index, h))
-                .unwrap_or(&[]);
-            return slots
-                .iter()
-                .copied()
-                .filter(|&slot| {
-                    self.data.rows[slot].values.get(self.key_col).and_then(node_id) == Some(id)
-                })
-                .collect();
-        }
-        let key_col = self.key_col;
-        let data = self.data;
-        let map = self.map.get_or_insert_with(|| {
-            let mut map: HashMap<u64, Vec<usize>> = HashMap::new();
-            for (slot, row) in data.rows.iter().enumerate() {
-                if let Some(k) = row.values.get(key_col).and_then(node_id) {
-                    map.entry(k).or_default().push(slot);
-                }
-            }
-            map
-        });
-        map.get(&id).cloned().unwrap_or_default()
-    }
+/// The lookup key for a node / row ID (the loaders store them as NUMBERs).
+fn id_key(id: u64) -> Value {
+    Value::Num(id as f64)
 }
 
 // ---------------------------------------------------------------- edge --
 
 /// Rebuild the document stored in `TabEdge`/`TabValue` by [`crate::edge`].
 pub fn reconstruct_edge(storage: &Storage, bulk: bool) -> Result<Document, DbError> {
-    let mut edges = KeyedRows::open(storage, "TabEdge", 0, bulk)?;
-    let mut values = KeyedRows::open(storage, "TabValue", 0, bulk)?;
+    let mut edges = open(storage, "TabEdge", 0, bulk)?;
+    let mut values = open(storage, "TabValue", 0, bulk)?;
     let mut doc = Document::new();
     // The virtual document root (node 0) has exactly one element edge.
-    let data = edges.data;
+    let rows = edges.rows();
     let root_slot = edges
-        .slots_for(0)
+        .slots(&id_key(0))
         .into_iter()
-        .find(|&slot| data.rows[slot].values.get(3).and_then(Value::as_str) == Some("ref"))
+        .find(|&slot| rows[slot].values.get(3).and_then(Value::as_str) == Some("ref"))
         .ok_or_else(|| DbError::Execution("edge store holds no document".into()))?;
-    let root_row = &data.rows[root_slot];
+    let root_row = &rows[root_slot];
     let name = root_row.values.get(2).and_then(Value::as_str).unwrap_or_default();
     let target = root_row.values.get(4).and_then(node_id).unwrap_or(0);
     let root = build_edge_element(&mut doc, &mut edges, &mut values, name, target)?;
@@ -128,32 +74,32 @@ pub fn reconstruct_edge(storage: &Storage, bulk: bool) -> Result<Document, DbErr
     Ok(doc)
 }
 
-fn edge_value(values: &mut KeyedRows, vid: u64) -> Result<String, DbError> {
-    let data = values.data;
+fn edge_value(values: &mut KeyedReader, vid: u64) -> Result<String, DbError> {
+    let rows = values.rows();
     let slot = values
-        .slots_for(vid)
+        .slots(&id_key(vid))
         .into_iter()
         .next()
         .ok_or_else(|| DbError::Execution(format!("TabValue has no row VID={vid}")))?;
-    Ok(data.rows[slot].values.get(1).and_then(Value::as_str).unwrap_or_default().to_string())
+    Ok(rows[slot].values.get(1).and_then(Value::as_str).unwrap_or_default().to_string())
 }
 
 fn build_edge_element(
     doc: &mut Document,
-    edges: &mut KeyedRows,
-    values: &mut KeyedRows,
+    edges: &mut KeyedReader,
+    values: &mut KeyedReader,
     name: &str,
     id: u64,
 ) -> Result<NodeId, DbError> {
     let node = doc.create_element(QName::local(name));
-    let data = edges.data;
+    let rows = edges.rows();
     // Attribute edges (`@name`) order among themselves; element and text
     // edges share the loader's child ordinal sequence, so interleaved
     // mixed content comes back in document order.
     let mut attrs: Vec<(u64, &str, u64)> = Vec::new();
     let mut children: Vec<(u64, &str, u64)> = Vec::new();
-    for slot in edges.slots_for(id) {
-        let row = &data.rows[slot];
+    for slot in edges.slots(&id_key(id)) {
+        let row = &rows[slot];
         let ordinal = row.values.get(1).and_then(node_id).unwrap_or(0);
         let edge_name = row.values.get(2).and_then(Value::as_str).unwrap_or_default();
         let target = row.values.get(4).and_then(node_id).unwrap_or(0);
@@ -194,15 +140,15 @@ pub fn reconstruct_attrtab(
     bulk: bool,
 ) -> Result<Document, DbError> {
     let reachable = crate::attrtab::reachable_elements(dtd, root);
-    let mut element_tables: BTreeMap<String, KeyedRows> = BTreeMap::new();
-    let mut attr_tables: BTreeMap<String, KeyedRows> = BTreeMap::new();
+    let mut element_tables: BTreeMap<String, KeyedReader> = BTreeMap::new();
+    let mut attr_tables: BTreeMap<String, KeyedReader> = BTreeMap::new();
     for element in &reachable {
         let table = crate::attrtab::element_table(element);
-        element_tables.insert(element.clone(), KeyedRows::open(storage, &table, 0, bulk)?);
+        element_tables.insert(element.clone(), open(storage, &table, 0, bulk)?);
         for def in dtd.attributes_of(element) {
             if !attr_tables.contains_key(&def.name) {
                 let table = crate::attrtab::attribute_table(&def.name);
-                attr_tables.insert(def.name.clone(), KeyedRows::open(storage, &table, 0, bulk)?);
+                attr_tables.insert(def.name.clone(), open(storage, &table, 0, bulk)?);
             }
         }
     }
@@ -213,11 +159,11 @@ pub fn reconstruct_attrtab(
             .element_tables
             .get_mut(root)
             .ok_or_else(|| DbError::Execution(format!("<{root}> has no element table")))?;
-        let data = reader.data;
+        let rows = reader.rows();
         reader
-            .slots_for(0)
+            .slots(&id_key(0))
             .into_iter()
-            .find_map(|slot| data.rows[slot].values.get(2).and_then(node_id))
+            .find_map(|slot| rows[slot].values.get(2).and_then(node_id))
             .ok_or_else(|| DbError::Execution("attribute-table store holds no document".into()))?
     };
     let mut doc = Document::new();
@@ -227,8 +173,8 @@ pub fn reconstruct_attrtab(
 }
 
 struct AttrTabRetriever<'a> {
-    element_tables: BTreeMap<String, KeyedRows<'a>>,
-    attr_tables: BTreeMap<String, KeyedRows<'a>>,
+    element_tables: BTreeMap<String, KeyedReader<'a>>,
+    attr_tables: BTreeMap<String, KeyedReader<'a>>,
 }
 
 impl<'a> AttrTabRetriever<'a> {
@@ -238,9 +184,9 @@ impl<'a> AttrTabRetriever<'a> {
         // the stored ordinal is the original attribute position.
         let mut attrs: Vec<(u64, String, &'a str)> = Vec::new();
         for (attr_name, reader) in self.attr_tables.iter_mut() {
-            let data = reader.data;
-            for slot in reader.slots_for(id) {
-                let row = &data.rows[slot];
+            let rows = reader.rows();
+            for slot in reader.slots(&id_key(id)) {
+                let row = &rows[slot];
                 let ordinal = row.values.get(1).and_then(node_id).unwrap_or(0);
                 let value = row.values.get(2).and_then(Value::as_str).unwrap_or_default();
                 attrs.push((ordinal, attr_name.clone(), value));
@@ -257,9 +203,9 @@ impl<'a> AttrTabRetriever<'a> {
         let mut text: Option<&'a str> = None;
         let mut children: Vec<(u64, String, u64)> = Vec::new();
         for (child_element, reader) in self.element_tables.iter_mut() {
-            let data = reader.data;
-            for slot in reader.slots_for(id) {
-                let row = &data.rows[slot];
+            let rows = reader.rows();
+            for slot in reader.slots(&id_key(id)) {
+                let row = &rows[slot];
                 match row.values.get(2).and_then(node_id) {
                     Some(target) => {
                         let ordinal = row.values.get(1).and_then(node_id).unwrap_or(0);
@@ -300,21 +246,17 @@ pub fn reconstruct_inline(
     dtd: &Dtd,
     bulk: bool,
 ) -> Result<Document, DbError> {
-    let mut readers: BTreeMap<String, KeyedRows> = BTreeMap::new();
+    let mut readers: BTreeMap<String, KeyedReader> = BTreeMap::new();
     for relation in schema.relations.values() {
         // Keyed on ParentID — the column every child lookup probes.
-        readers.insert(
-            relation.element.clone(),
-            KeyedRows::open(storage, &relation.table, 1, bulk)?,
-        );
+        readers.insert(relation.element.clone(), open(storage, &relation.table, 1, bulk)?);
     }
     let root_slot = {
         let reader = readers.get(&schema.root).ok_or_else(|| {
             DbError::Execution(format!("<{}> has no inlined relation", schema.root))
         })?;
         reader
-            .data
-            .rows
+            .rows()
             .iter()
             .position(|r| r.values.get(1).is_none_or(Value::is_null))
             .ok_or_else(|| DbError::Execution("inline store holds no document".into()))?
@@ -329,7 +271,7 @@ pub fn reconstruct_inline(
 struct InlineRetriever<'a> {
     schema: &'a InlineSchema,
     dtd: &'a Dtd,
-    readers: BTreeMap<String, KeyedRows<'a>>,
+    readers: BTreeMap<String, KeyedReader<'a>>,
 }
 
 impl<'a> InlineRetriever<'a> {
@@ -343,8 +285,8 @@ impl<'a> InlineRetriever<'a> {
         let relation = self.schema.relations.get(element).ok_or_else(|| {
             DbError::Execution(format!("<{element}> has no inlined relation"))
         })?;
-        let data: &'a TableData = self.readers.get(element).expect("readers cover schema").data;
-        let row: &'a [Value] = &data.rows[slot].values;
+        let rows = self.readers.get(element).expect("readers cover schema").rows();
+        let row: &'a [Value] = &rows[slot].values;
         let row_id = row
             .first()
             .and_then(node_id)
@@ -389,10 +331,10 @@ impl<'a> InlineRetriever<'a> {
             if self.schema.relations.contains_key(&child) {
                 let slots = {
                     let reader = self.readers.get_mut(&child).expect("readers cover schema");
-                    let data = reader.data;
-                    let mut slots = reader.slots_for(row_id);
+                    let rows = reader.rows();
+                    let mut slots = reader.slots(&id_key(row_id));
                     slots.sort_by_key(|&s| {
-                        data.rows[s].values.first().and_then(node_id).unwrap_or(0)
+                        rows[s].values.first().and_then(node_id).unwrap_or(0)
                     });
                     slots
                 };

@@ -315,8 +315,8 @@ fn ddl_error_span(source: &str, stmt_span: Span, err: &DbError) -> Span {
     .unwrap_or(stmt_span)
 }
 
-/// Static INSERT analysis, mirroring `exec::dml::execute_insert`'s order:
-/// table lookup (eager), VALUES evaluation against the empty environment
+/// Static INSERT analysis, mirroring the per-row order of
+/// `exec::dml::execute_insert_batch`: table lookup (eager), VALUES evaluation against the empty environment
 /// (eager), the object-table single-constructor "explode" carve-out, then
 /// arity, per-column coercion and data-independent constraint checks.
 fn analyze_insert(cx: &mut StmtCx, table: &Ident, columns: &Option<Vec<Ident>>, values: &[Expr]) {

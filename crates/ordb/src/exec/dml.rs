@@ -1,9 +1,14 @@
-//! INSERT and DELETE execution, including constraint enforcement.
+//! INSERT, UPDATE and DELETE execution, including constraint enforcement.
 //!
 //! Constraint semantics follow §4.3 of the paper exactly: NOT NULL and
 //! CHECK constraints live on *tables* (never on type definitions), and a
 //! CHECK over an inner attribute of a NULL object attribute evaluates to
 //! FALSE and rejects the row — the paper's "non-desired error message".
+//!
+//! Uniqueness has one mechanism: a key — a PRIMARY KEY / UNIQUE constraint
+//! or a `CREATE UNIQUE INDEX` — is a maintained storage index
+//! ([`crate::storage::key_index_name`]), and INSERT, batch and UPDATE all
+//! ask `StoredKey::collides`.
 
 use std::collections::HashMap;
 
@@ -15,36 +20,19 @@ use crate::ident::Ident;
 use crate::mode::DbMode;
 use crate::sql::ast::{Expr, SelectStmt};
 use crate::stats::ExecStats;
-use crate::storage::Storage;
+use crate::storage::{key_hash, Row, Storage};
+use crate::types::SqlType;
 use crate::value::Value;
 
-/// Execute `INSERT INTO table [cols] VALUES (exprs)`.
-pub fn execute_insert(
-    catalog: &Catalog,
-    storage: &mut Storage,
-    stats: &mut ExecStats,
-    mode: DbMode,
-    table_name: &Ident,
-    columns: &Option<Vec<Ident>>,
-    value_exprs: &[Expr],
-) -> Result<(), DbError> {
-    let table = catalog
-        .get_table(table_name)
-        .ok_or_else(|| DbError::UnknownTable(table_name.as_str().to_string()))?
-        .clone();
-    let table_columns = catalog.table_columns(&table);
-
-    // Evaluate the VALUES expressions (read-only phase: subqueries may scan).
-    let mut provided = Vec::with_capacity(value_exprs.len());
-    {
-        let mut ctx = ExecCtx { catalog, storage, stats, mode, hash_joins: true, cost_planner: true };
-        for expr in value_exprs {
-            provided.push(eval_expr(&mut ctx, &Env::EMPTY, expr)?);
-        }
-    }
-
-    let row_values = shape_row(table_name, &table, &table_columns, columns, provided)?;
-    finish_insert(catalog, storage, stats, table_name, &table, &table_columns, row_values, mode)
+/// Position of column `name` in a table's column list.
+pub(crate) fn col_position(
+    table_columns: &[(Ident, SqlType)],
+    name: &Ident,
+) -> Result<usize, DbError> {
+    table_columns
+        .iter()
+        .position(|(c, _)| c == name)
+        .ok_or_else(|| DbError::UnknownColumn(name.as_str().to_string()))
 }
 
 /// Map the evaluated VALUES onto the table's full column list. Object
@@ -55,7 +43,7 @@ pub fn execute_insert(
 fn shape_row(
     table_name: &Ident,
     table: &TableDef,
-    table_columns: &[(Ident, crate::types::SqlType)],
+    table_columns: &[(Ident, SqlType)],
     columns: &Option<Vec<Ident>>,
     provided: Vec<Value>,
 ) -> Result<Vec<Value>, DbError> {
@@ -80,11 +68,7 @@ fn shape_row(
                 )));
             }
             for (col, value) in cols.iter().zip(provided) {
-                let idx = table_columns
-                    .iter()
-                    .position(|(name, _)| name == col)
-                    .ok_or_else(|| DbError::UnknownColumn(col.as_str().to_string()))?;
-                row_values[idx] = value;
+                row_values[col_position(table_columns, col)?] = value;
             }
         }
         None => {
@@ -102,37 +86,6 @@ fn shape_row(
     Ok(row_values)
 }
 
-/// Shared tail of INSERT: coercion, constraint checks, materialization.
-#[allow(clippy::too_many_arguments)]
-fn finish_insert(
-    catalog: &Catalog,
-    storage: &mut Storage,
-    stats: &mut ExecStats,
-    table_name: &Ident,
-    table: &TableDef,
-    table_columns: &[(Ident, crate::types::SqlType)],
-    mut row_values: Vec<Value>,
-    mode: DbMode,
-) -> Result<(), DbError> {
-    // Coerce to the declared column types.
-    {
-        let mut ctx = ExecCtx { catalog, storage, stats, mode, hash_joins: true, cost_planner: true };
-        for (value, (col_name, col_type)) in row_values.iter_mut().zip(table_columns) {
-            let taken = std::mem::replace(value, Value::Null);
-            *value = coerce(&mut ctx, taken, col_type, col_name.as_str())?;
-        }
-    }
-
-    // Enforce constraints.
-    enforce_constraints(catalog, storage, stats, mode, table, table_columns, &row_values, None)?;
-
-    // Materialize. Rows of object tables receive OIDs.
-    let with_oid = table.is_object_table();
-    storage.insert_row(table_name, row_values, with_oid)?;
-    stats.rows_inserted += 1;
-    Ok(())
-}
-
 /// A batch of bound single-row INSERTs targeting one table: the per-row
 /// VALUES expressions of statements that all read
 /// `INSERT INTO table [cols] VALUES (…)`. Built by the bulk loader
@@ -147,144 +100,23 @@ pub struct InsertBatch {
     pub rows: Vec<Vec<Expr>>,
 }
 
-/// Uniqueness accelerator for batched inserts: one hash prefilter per
-/// PRIMARY KEY / UNIQUE constraint, covering the stored rows and extended
-/// with every validated batch row, so checking n batch rows costs
-/// O(stored + n) probes instead of n full-table scans. Buckets are keyed
-/// by a hash of the row's [`Value::join_key`] identity (computed without
-/// materializing the key), whose contract has no false negatives
-/// (`sql_eq == Some(true)` implies equal keys), so an empty bucket proves
-/// uniqueness; probe hits are re-verified with the real [`Value::sql_eq`].
+/// Execute single-row INSERTs into one table — the `rows` of an
+/// [`InsertBatch`], or the one VALUES list of an `INSERT` statement
+/// (`std::slice::from_ref`): resolve the catalog once, evaluate and
+/// validate every row against the pre-statement storage, then append all
+/// rows in one [`Storage::insert_rows`] call (one undo record, block OID
+/// reservation). Returns the number of rows inserted.
 ///
-/// After a successful batch the index is promoted into the session's
-/// [`UniqueIndexCache`], tagged with the table's
-/// [`Storage::table_version`]; the next batch against an untouched table
-/// reuses it and only hashes its own rows, making a multi-batch bulk load
-/// O(total rows) instead of O(batches × stored rows).
-#[derive(Debug, Clone)]
-struct UniqueIndex {
-    /// [`Storage::table_version`] at which `rows_covered` was valid.
-    version: u64,
-    /// Prefix of the table's row heap covered by `Stored` refs.
-    rows_covered: usize,
-    /// One entry per PK/UNIQUE constraint, in `table.constraints()` order.
-    constraints: Vec<ConstraintIndex>,
-}
-
-/// Where a bucket entry's key values live.
-#[derive(Debug, Copy, Clone)]
-enum KeyRef {
-    /// Row slot in the table heap.
-    Stored(usize),
-    /// Index into [`ConstraintIndex::pending`] (a not-yet-inserted batch
-    /// row).
-    Batch(usize),
-}
-
-/// A validated batch row's key, held until the batch lands and the entry
-/// can be re-pointed at the row's final heap slot.
-#[derive(Debug, Clone)]
-struct PendingKey {
-    hash: u64,
-    bucket_pos: usize,
-    /// Position of the owning row within the batch's validated rows.
-    ordinal: usize,
-    key: Vec<Value>,
-}
-
-#[derive(Debug, Clone)]
-struct ConstraintIndex {
-    /// join-key hash → entries sharing it (collisions are re-verified).
-    buckets: HashMap<u64, Vec<KeyRef>>,
-    pending: Vec<PendingKey>,
-    /// Validated batch keys without a join key (object-valued key
-    /// columns); scanned on every probe and practically always empty. A
-    /// batch that produces any of these is not promoted into the cache.
-    slow: Vec<Vec<Value>>,
-}
-
-/// Session-lived cache of promoted `UniqueIndex`es, keyed by table. An
-/// entry is only reused while the table's version still matches — any
-/// intervening mutation (single-row insert, update, delete, rollback)
-/// invalidates it and the next batch rebuilds from the heap.
-#[derive(Debug, Clone, Default)]
-pub struct UniqueIndexCache {
-    entries: HashMap<Ident, UniqueIndex>,
-}
-
-/// Hash a candidate key's join-key identity; `None` when any component is
-/// NULL or has no join key. Shared with the secondary-index machinery so
-/// constraint probes and index probes agree on key identity.
-use crate::storage::key_hash;
-
-/// Build the uniqueness index over the rows already in storage. Returns
-/// `None` — meaning "fall back to per-row scans" — when a stored non-NULL
-/// key value has no join key (object/collection-typed key columns) or a
-/// constraint names an unknown column (the per-row path then raises the
-/// proper error).
-fn build_unique_index(
-    table: &TableDef,
-    table_columns: &[(Ident, crate::types::SqlType)],
-    storage: &Storage,
-) -> Option<UniqueIndex> {
-    use std::hash::Hasher;
-    let version = storage.table_version(table.name());
-    let data = storage.table(table.name());
-    let rows_covered = data.map_or(0, |d| d.rows.len());
-    let mut constraints = Vec::new();
-    for constraint in table.constraints() {
-        let (Constraint::PrimaryKey(cols) | Constraint::Unique(cols)) = constraint else {
-            continue;
-        };
-        let indices: Vec<usize> = cols
-            .iter()
-            .map(|col| table_columns.iter().position(|(name, _)| name == col))
-            .collect::<Option<_>>()?;
-        let mut buckets: HashMap<u64, Vec<KeyRef>> = HashMap::new();
-        if let Some(data) = data {
-            'rows: for (slot, row) in data.rows.iter().enumerate() {
-                let mut h = std::collections::hash_map::DefaultHasher::new();
-                for &i in &indices {
-                    let v = &row.values[i];
-                    // NULLs never collide for UNIQUE — leave the row out.
-                    if v.is_null() {
-                        continue 'rows;
-                    }
-                    if !v.hash_join_key(&mut h) {
-                        return None;
-                    }
-                }
-                buckets.entry(h.finish()).or_default().push(KeyRef::Stored(slot));
-            }
-        }
-        constraints.push(ConstraintIndex { buckets, pending: Vec::new(), slow: Vec::new() });
-    }
-    Some(UniqueIndex { version, rows_covered, constraints })
-}
-
-/// One row's view into the batch uniqueness index: which index to probe
-/// and the row's ordinal within the batch (its eventual heap slot offset).
-struct BatchProbe<'a> {
-    index: &'a mut UniqueIndex,
-    ordinal: usize,
-}
-
-/// Execute a whole [`InsertBatch`]: resolve the catalog once, evaluate and
-/// validate every row against the pre-batch storage snapshot, then append
-/// all rows in one [`Storage::insert_rows`] call (one undo record, block
-/// OID reservation). Returns the number of rows inserted.
-///
-/// Semantics vs. running the statements one at a time:
+/// Semantics vs. running a batch's statements one at a time:
 ///
 /// * Storage is frozen during evaluation, so scalar subqueries see the
 ///   *pre-batch* state. Callers must not batch a row together with rows it
 ///   reads (the loader's batcher splits batches on such dependencies); in
 ///   exchange, identical subqueries within a batch are evaluated once and
 ///   memoized (`batch_subquery_hits`).
-/// * PRIMARY KEY / UNIQUE checks run against stored rows *and* the earlier
-///   rows of the same batch, so duplicates inside one batch are still
-///   rejected — through a hash index built once per batch (`UniqueIndex`),
-///   not a per-row table scan.
+/// * Keys are checked against the stored rows — through the key's index —
+///   *and* the earlier rows of the same batch, so duplicates inside one
+///   batch are still rejected.
 /// * Any row failing evaluation or a constraint fails the whole batch
 ///   before anything is written — the batch is all-or-nothing even without
 ///   an enclosing transaction bracket.
@@ -293,89 +125,54 @@ pub fn execute_insert_batch(
     storage: &mut Storage,
     stats: &mut ExecStats,
     mode: DbMode,
-    batch: &InsertBatch,
-    cache: &mut UniqueIndexCache,
+    table_name: &Ident,
+    columns: &Option<Vec<Ident>>,
+    rows: &[Vec<Expr>],
 ) -> Result<usize, DbError> {
     let table = catalog
-        .get_table(&batch.table)
-        .ok_or_else(|| DbError::UnknownTable(batch.table.as_str().to_string()))?
-        .clone();
-    let table_columns = catalog.table_columns(&table);
-    // Reuse the cached index if the table is untouched since it was built;
-    // otherwise build it fresh from the heap. (A failed batch never puts
-    // its index back, so an entry found here has no pending state.)
-    let mut unique_index: Option<UniqueIndex> = match cache.entries.remove(&batch.table) {
-        Some(ix) if ix.version == storage.table_version(&batch.table) => {
-            debug_assert_eq!(
-                ix.rows_covered,
-                storage.table(&batch.table).map_or(0, |d| d.rows.len()),
-                "unchanged version implies unchanged heap"
-            );
-            Some(ix)
-        }
-        _ => build_unique_index(&table, &table_columns, storage),
-    };
+        .get_table(table_name)
+        .ok_or_else(|| DbError::UnknownTable(table_name.as_str().to_string()))?;
+    let table_columns = catalog.table_columns(table);
 
-    let mut memo: Vec<(SelectStmt, Value)> = Vec::new();
-    let mut validated: Vec<Vec<Value>> = Vec::with_capacity(batch.rows.len());
-    for value_exprs in &batch.rows {
-        let mut provided = Vec::with_capacity(value_exprs.len());
-        {
-            let mut ctx = ExecCtx { catalog, storage, stats, mode, hash_joins: true, cost_planner: true };
+    // Read-only phase: subqueries may scan, nothing is written.
+    let mut validated: Vec<Vec<Value>> = Vec::with_capacity(rows.len());
+    {
+        let mut ctx = ExecCtx::new(catalog, storage, stats, mode);
+        let mut keys = table_keys(&ctx, table, &table_columns)?;
+        // A lone row has no neighbour to share a subquery with.
+        let share_subqueries = rows.len() > 1;
+        let mut memo: Vec<(SelectStmt, Value)> = Vec::new();
+        for value_exprs in rows {
+            // Exact capacity: these values become the stored row.
+            let mut provided = Vec::with_capacity(value_exprs.len());
             for expr in value_exprs {
-                provided.push(eval_batch_expr(&mut ctx, expr, &mut memo)?);
+                provided.push(if share_subqueries {
+                    eval_batch_expr(&mut ctx, expr, &mut memo)?
+                } else {
+                    eval_expr(&mut ctx, &Env::EMPTY, expr)?
+                });
             }
-        }
-        let mut row_values =
-            shape_row(&batch.table, &table, &table_columns, &batch.columns, provided)?;
-        {
-            let mut ctx = ExecCtx { catalog, storage, stats, mode, hash_joins: true, cost_planner: true };
+            let mut row_values = shape_row(table_name, table, &table_columns, columns, provided)?;
             for (value, (col_name, col_type)) in row_values.iter_mut().zip(&table_columns) {
                 let taken = std::mem::replace(value, Value::Null);
                 *value = coerce(&mut ctx, taken, col_type, col_name.as_str())?;
             }
+            enforce_constraints(
+                &mut ctx,
+                table,
+                &table_columns,
+                &mut keys,
+                &[],
+                &validated,
+                &row_values,
+            )?;
+            validated.push(row_values);
         }
-        // The index absorbs each validated row, so this also rejects key
-        // collisions with the earlier rows of this same batch.
-        let probe = unique_index
-            .as_mut()
-            .map(|index| BatchProbe { index, ordinal: validated.len() });
-        enforce_constraints(
-            catalog,
-            storage,
-            stats,
-            mode,
-            &table,
-            &table_columns,
-            &row_values,
-            probe,
-        )?;
-        validated.push(row_values);
     }
 
-    let with_oid = table.is_object_table();
-    let base_slot = unique_index.as_ref().map_or(0, |ix| ix.rows_covered);
-    let count = storage.insert_rows(&batch.table, validated, with_oid)?;
+    // Materialize. Rows of object tables receive OIDs.
+    let count = storage.insert_rows(table_name, validated, table.is_object_table())?;
     stats.rows_inserted += count as u64;
-    stats.batched_rows += count as u64;
-
-    // Promote the index for the next batch: re-point the batch rows' bucket
-    // entries at their now-final heap slots and tag with the post-insert
-    // version. Keys without a join key (`slow`) cannot be found by later
-    // hash probes, so such an index is discarded instead of promoted.
-    if let Some(mut ix) = unique_index {
-        if ix.constraints.iter().all(|ci| ci.slow.is_empty()) {
-            for ci in &mut ix.constraints {
-                for p in std::mem::take(&mut ci.pending) {
-                    let bucket = ci.buckets.get_mut(&p.hash).expect("pending entry has bucket");
-                    bucket[p.bucket_pos] = KeyRef::Stored(base_slot + p.ordinal);
-                }
-            }
-            ix.rows_covered = base_slot + count;
-            ix.version = storage.table_version(&batch.table);
-            cache.entries.insert(batch.table.clone(), ix);
-        }
-    }
     Ok(count)
 }
 
@@ -452,146 +249,221 @@ fn resolve_subqueries(
     })
 }
 
-/// Check every table constraint against a candidate row. With
-/// `unique_probe: None` (single-row INSERT), PRIMARY KEY / UNIQUE scan the
-/// stored rows directly; with a probe (batch path) the scan becomes a hash
-/// probe, and the validated key is added to the index so later rows of the
-/// same batch see it.
-#[allow(clippy::too_many_arguments)]
-fn enforce_constraints(
-    catalog: &Catalog,
-    storage: &Storage,
-    stats: &mut ExecStats,
-    mode: DbMode,
-    table: &TableDef,
-    table_columns: &[(Ident, crate::types::SqlType)],
-    row_values: &[Value],
-    mut unique_probe: Option<BatchProbe<'_>>,
-) -> Result<(), DbError> {
-    let mut uc_idx = 0usize;
-    let col_index = |name: &Ident| -> Result<usize, DbError> {
-        table_columns
-            .iter()
-            .position(|(c, _)| c == name)
-            .ok_or_else(|| DbError::UnknownColumn(name.as_str().to_string()))
-    };
+/// The values a row holds on a key's columns, with their join hash.
+struct KeyValue<'a> {
+    parts: Vec<&'a Value>,
+    /// `None`: a part has no join key (an object-valued key column), so no
+    /// hash bucket can stand in for comparing against every row.
+    hash: Option<u64>,
+}
 
+impl<'a> KeyValue<'a> {
+    /// The key `row` holds on `cols`; `None` when a part is NULL — NULLs
+    /// never collide.
+    fn of(cols: &[usize], row: &'a [Value]) -> Option<KeyValue<'a>> {
+        let parts: Vec<&Value> =
+            cols.iter().map(|&c| row.get(c).unwrap_or(&Value::Null)).collect();
+        if parts.iter().any(|v| v.is_null()) {
+            return None;
+        }
+        let hash = key_hash(&parts);
+        Some(KeyValue { parts, hash })
+    }
+
+    fn held_by(&self, cols: &[usize], row: &[Value]) -> bool {
+        cols.iter()
+            .zip(&self.parts)
+            .all(|(&c, part)| row.get(c).and_then(|v| part.sql_eq(v)) == Some(true))
+    }
+}
+
+/// The stored side of one uniqueness key: a table's rows, the key's column
+/// positions and — when storage holds a fresh index over exactly those
+/// columns — the index that finds collision candidates.
+pub(crate) struct StoredKey<'a> {
+    storage: &'a Storage,
+    rows: &'a [Row],
+    cols: Vec<usize>,
+    index: Option<&'a Ident>,
+}
+
+impl<'a> StoredKey<'a> {
+    pub(crate) fn open(storage: &'a Storage, table: &Ident, cols: Vec<usize>) -> StoredKey<'a> {
+        let rows = storage.table(table).map_or(&[][..], |data| &data.rows);
+        let index = storage.find_fresh_index(table, &cols);
+        StoredKey { storage, rows, cols, index }
+    }
+
+    /// The one uniqueness test: does a stored row that `partner` admits
+    /// hold `key`? Candidates are the index bucket of the key's hash — or
+    /// every slot when the key has no join hash, no index covers the
+    /// columns, or the index trails the table version (the storage safety
+    /// valve) — each re-verified with [`Value::sql_eq`].
+    fn collides(&self, key: &KeyValue, partner: impl Fn(usize) -> bool) -> bool {
+        let holds = |slot: usize| {
+            partner(slot)
+                && self.rows.get(slot).is_some_and(|row| key.held_by(&self.cols, &row.values))
+        };
+        match key.hash.and_then(|h| self.storage.index_probe(self.index?, h)) {
+            Some(candidates) => candidates.iter().any(|&slot| holds(slot)),
+            None => (0..self.rows.len()).any(holds),
+        }
+    }
+
+    /// Do two stored rows hold the same key? What `CREATE UNIQUE INDEX`
+    /// asks of the rows it finds.
+    pub(crate) fn holds_duplicates(&self) -> bool {
+        self.rows.iter().enumerate().any(|(slot, row)| {
+            KeyValue::of(&self.cols, &row.values)
+                .is_some_and(|key| self.collides(&key, |earlier| earlier < slot))
+        })
+    }
+}
+
+/// The PRIMARY KEY / UNIQUE constraints of `table` in declaration order:
+/// each one's columns and whether it is the PRIMARY KEY.
+pub(crate) fn key_constraints(table: &TableDef) -> impl Iterator<Item = (&Vec<Ident>, bool)> {
+    table.constraints().iter().filter_map(|constraint| match constraint {
+        Constraint::PrimaryKey(cols) => Some((cols, true)),
+        Constraint::Unique(cols) => Some((cols, false)),
+        Constraint::NotNull(_) | Constraint::Check(_) => None,
+    })
+}
+
+/// One uniqueness key of the table a statement writes, resolved once per
+/// statement: the stored side plus the keys of the statement's own rows
+/// validated so far.
+struct TableKey<'a> {
+    stored: StoredKey<'a>,
+    /// The key's columns as its constraint or index spells them.
+    columns: &'a [Ident],
+    /// PRIMARY KEY: the columns are NOT NULL as well.
+    primary: bool,
+    /// The unique index a violation names; `None` for a declared
+    /// constraint, which is named `T(columns)`.
+    unique_index: Option<&'a Ident>,
+    /// Whether the statement can change the key at all (an UPDATE whose SET
+    /// paths start at none of its columns cannot, and does no key work).
+    active: bool,
+    /// The statement's earlier rows by key hash (positions in `earlier`),
+    /// and those whose key has no join hash.
+    hashed: HashMap<u64, Vec<usize>>,
+    unhashed: Vec<usize>,
+}
+
+/// The keys of `table`: its PRIMARY KEY / UNIQUE constraints in declaration
+/// order, then its unique indexes.
+fn table_keys<'a>(
+    ctx: &ExecCtx<'a>,
+    table: &'a TableDef,
+    table_columns: &[(Ident, SqlType)],
+) -> Result<Vec<TableKey<'a>>, DbError> {
+    let constraints = key_constraints(table).map(|(cols, primary)| (cols, primary, None));
+    let unique_indexes = ctx
+        .catalog
+        .indexes_on(table.name())
+        .filter(|index| index.unique)
+        .map(|index| (&index.columns, false, Some(&index.name)));
+    constraints
+        .chain(unique_indexes)
+        .map(|(columns, primary, unique_index)| {
+            let cols = columns
+                .iter()
+                .map(|c| col_position(table_columns, c))
+                .collect::<Result<Vec<_>, _>>()?;
+            Ok(TableKey {
+                stored: StoredKey::open(ctx.storage, table.name(), cols),
+                columns,
+                primary,
+                unique_index,
+                active: true,
+                hashed: HashMap::new(),
+                unhashed: Vec::new(),
+            })
+        })
+        .collect()
+}
+
+impl TableKey<'_> {
+    /// Admit `row` under this key or say which rule it breaks: PRIMARY KEY
+    /// columns are NOT NULL, and no stored row outside `replaced` and no
+    /// row of `earlier` may hold the same key.
+    fn admit(
+        &mut self,
+        table: &Ident,
+        replaced: &[usize],
+        earlier: &[Vec<Value>],
+        row: &[Value],
+    ) -> Result<(), DbError> {
+        if !self.active {
+            return Ok(());
+        }
+        let cols = &self.stored.cols;
+        if self.primary {
+            let null = cols.iter().zip(self.columns).find(|(&c, _)| row[c].is_null());
+            if let Some((_, column)) = null {
+                return Err(DbError::NotNullViolation { column: format!("{table}.{column}") });
+            }
+        }
+        let Some(key) = KeyValue::of(cols, row) else { return Ok(()) };
+        let among_earlier = match key.hash {
+            Some(h) => self
+                .hashed
+                .get(&h)
+                .into_iter()
+                .flatten()
+                .chain(&self.unhashed)
+                .any(|&i| key.held_by(cols, &earlier[i])),
+            None => earlier.iter().any(|other| key.held_by(cols, other)),
+        };
+        if among_earlier || self.stored.collides(&key, |slot| replaced.binary_search(&slot).is_err())
+        {
+            let constraint = match self.unique_index {
+                Some(index) => index.to_string(),
+                None => format!(
+                    "{table}({})",
+                    self.columns.iter().map(|c| c.as_str()).collect::<Vec<_>>().join(",")
+                ),
+            };
+            return Err(DbError::UniqueViolation { constraint });
+        }
+        match key.hash {
+            Some(h) => self.hashed.entry(h).or_default().push(earlier.len()),
+            None => self.unhashed.push(earlier.len()),
+        }
+        Ok(())
+    }
+}
+
+/// Check every table constraint against a candidate row — the one gate the
+/// rows of INSERT, batch and UPDATE all pass before anything is written.
+/// Declared constraints are checked in declaration order (`keys` lists the
+/// key constraints in that order, then the unique indexes), so the first
+/// one violated is the one reported. `earlier` are the statement's rows
+/// already through the gate; `replaced` the stored slots it overwrites
+/// (ascending; empty for INSERT), which are no collision partners.
+fn enforce_constraints(
+    ctx: &mut ExecCtx,
+    table: &TableDef,
+    table_columns: &[(Ident, SqlType)],
+    keys: &mut [TableKey],
+    replaced: &[usize],
+    earlier: &[Vec<Value>],
+    row_values: &[Value],
+) -> Result<(), DbError> {
+    let mut next_key = 0;
     for constraint in table.constraints() {
         match constraint {
             Constraint::NotNull(col) => {
-                let idx = col_index(col)?;
-                if row_values[idx].is_null() {
+                if row_values[col_position(table_columns, col)?].is_null() {
                     return Err(DbError::NotNullViolation {
                         column: format!("{}.{}", table.name().as_str(), col.as_str()),
                     });
                 }
             }
-            Constraint::PrimaryKey(cols) | Constraint::Unique(cols) => {
-                let is_pk = matches!(constraint, Constraint::PrimaryKey(_));
-                let indices: Vec<usize> =
-                    cols.iter().map(&col_index).collect::<Result<_, _>>()?;
-                if is_pk {
-                    for &idx in &indices {
-                        if row_values[idx].is_null() {
-                            return Err(DbError::NotNullViolation {
-                                column: format!(
-                                    "{}.{}",
-                                    table.name().as_str(),
-                                    table_columns[idx].0.as_str()
-                                ),
-                            });
-                        }
-                    }
-                }
-                let key: Vec<&Value> = indices.iter().map(|&i| &row_values[i]).collect();
-                let violation = || DbError::UniqueViolation {
-                    constraint: format!(
-                        "{}({})",
-                        table.name().as_str(),
-                        cols.iter().map(|c| c.as_str()).collect::<Vec<_>>().join(",")
-                    ),
-                };
-                // NULLs never collide for UNIQUE.
-                if key.iter().any(|v| v.is_null()) {
-                    uc_idx += 1;
-                    continue;
-                }
-                match unique_probe.as_mut() {
-                    Some(probe) => {
-                        let ordinal = probe.ordinal;
-                        let ci = &mut probe.index.constraints[uc_idx];
-                        let stored = storage.table(table.name());
-                        let collides_with = |kr: KeyRef, pending: &[PendingKey]| -> bool {
-                            match kr {
-                                KeyRef::Stored(slot) => stored.is_some_and(|data| {
-                                    let row = &data.rows[slot];
-                                    key.iter()
-                                        .zip(&indices)
-                                        .all(|(a, &i)| a.sql_eq(&row.values[i]) == Some(true))
-                                }),
-                                KeyRef::Batch(p) => key
-                                    .iter()
-                                    .zip(&pending[p].key)
-                                    .all(|(a, b)| a.sql_eq(b) == Some(true)),
-                            }
-                        };
-                        if ci.slow.iter().any(|existing| {
-                            key.iter().zip(existing).all(|(a, b)| a.sql_eq(b) == Some(true))
-                        }) {
-                            return Err(violation());
-                        }
-                        let owned = || key.iter().map(|&v| v.clone()).collect::<Vec<Value>>();
-                        match key_hash(&key) {
-                            Some(hash) => {
-                                if let Some(bucket) = ci.buckets.get(&hash) {
-                                    if bucket.iter().any(|&kr| collides_with(kr, &ci.pending))
-                                    {
-                                        return Err(violation());
-                                    }
-                                }
-                                let pending_idx = ci.pending.len();
-                                let bucket = ci.buckets.entry(hash).or_default();
-                                let bucket_pos = bucket.len();
-                                bucket.push(KeyRef::Batch(pending_idx));
-                                ci.pending.push(PendingKey {
-                                    hash,
-                                    bucket_pos,
-                                    ordinal,
-                                    key: owned(),
-                                });
-                            }
-                            None => {
-                                // No join key (object-valued column): linear
-                                // check against everything seen so far.
-                                if ci
-                                    .buckets
-                                    .values()
-                                    .flatten()
-                                    .any(|&kr| collides_with(kr, &ci.pending))
-                                {
-                                    return Err(violation());
-                                }
-                                ci.slow.push(owned());
-                            }
-                        }
-                    }
-                    None => {
-                        if let Some(data) = storage.table(table.name()) {
-                            for row in &data.rows {
-                                let existing: Vec<&Value> =
-                                    indices.iter().map(|&i| &row.values[i]).collect();
-                                let all_equal = key
-                                    .iter()
-                                    .zip(&existing)
-                                    .all(|(a, b)| a.sql_eq(b) == Some(true));
-                                if all_equal {
-                                    return Err(violation());
-                                }
-                            }
-                        }
-                    }
-                }
-                uc_idx += 1;
+            Constraint::PrimaryKey(_) | Constraint::Unique(_) => {
+                keys[next_key].admit(table.name(), replaced, earlier, row_values)?;
+                next_key += 1;
             }
             Constraint::Check(expr) => {
                 // The candidate row is visible both under the table name and
@@ -608,16 +480,18 @@ fn enforce_constraints(
                 };
                 let frames = [std::rc::Rc::new(frame)];
                 let env = Env::new(&frames);
-                let mut ctx = ExecCtx { catalog, storage, stats, mode, hash_joins: true, cost_planner: true };
                 // Oracle semantics: the row is rejected only when the
                 // condition is definitely FALSE (UNKNOWN passes).
-                if eval_bool(&mut ctx, &env, expr)? == Some(false) {
+                if eval_bool(ctx, &env, expr)? == Some(false) {
                     return Err(DbError::CheckViolation {
                         constraint: format!("CHECK on {}", table.name().as_str()),
                     });
                 }
             }
         }
+    }
+    for key in &mut keys[next_key..] {
+        key.admit(table.name(), replaced, earlier, row_values)?;
     }
     Ok(())
 }
@@ -638,11 +512,10 @@ pub fn execute_update(
 ) -> Result<usize, DbError> {
     let table = catalog
         .get_table(table_name)
-        .ok_or_else(|| DbError::UnknownTable(table_name.as_str().to_string()))?
-        .clone();
-    let table_columns = catalog.table_columns(&table);
+        .ok_or_else(|| DbError::UnknownTable(table_name.as_str().to_string()))?;
+    let table_columns = catalog.table_columns(table);
     let columns: Vec<Ident> = table_columns.iter().map(|(c, _)| c.clone()).collect();
-    let object_type = match &table {
+    let object_type = match table {
         TableDef::Object { of_type, .. } => Some(of_type.clone()),
         _ => None,
     };
@@ -651,13 +524,13 @@ pub fn execute_update(
     // The table is read in place — no up-front clone of every row; each
     // row's values are copied once into the evaluation frame, and only
     // matching rows pay for a second, writable copy.
-    let mut updated: Vec<(usize, Vec<Value>)> = Vec::new();
+    let mut slots: Vec<usize> = Vec::new();
+    let mut new_rows: Vec<Vec<Value>> = Vec::new();
     {
         let data = storage
             .table(table_name)
             .ok_or_else(|| DbError::UnknownTable(table_name.as_str().to_string()))?;
-        let mut ctx =
-            ExecCtx { catalog, storage: &*storage, stats: &mut *stats, mode, hash_joins: true, cost_planner: true };
+        let mut ctx = ExecCtx::new(catalog, storage, stats, mode);
         for (idx, row) in data.rows.iter().enumerate() {
             let frame = Frame {
                 binding: table_name.clone(),
@@ -680,22 +553,34 @@ pub fn execute_update(
                 let value = eval_expr(&mut ctx, &env, rhs)?;
                 set_path(&mut ctx, &table_columns, &mut new_values, path, value)?;
             }
-            updated.push((idx, new_values));
+            slots.push(idx);
+            new_rows.push(new_values);
         }
-        // Constraint re-check on the new rows (NOT NULL + CHECK; key
-        // constraints are validated against the untouched rows only — a
-        // simplification documented by the tests).
-        for (_, new_values) in &updated {
-            enforce_non_key_constraints(
-                catalog, storage, stats, mode, &table, &table_columns, new_values,
+        // Constraint re-check on the new rows. NOT NULL and CHECK always; a
+        // key only when a SET path starts at one of its columns — then
+        // against the rows this statement leaves alone and among the new
+        // rows themselves, so `SET A = A + 1` over {1, 2} passes as a whole.
+        let mut keys = table_keys(&ctx, table, &table_columns)?;
+        for key in &mut keys {
+            key.active = sets.iter().any(|(path, _)| key.columns.contains(&path[0]));
+        }
+        for (i, new_values) in new_rows.iter().enumerate() {
+            enforce_constraints(
+                &mut ctx,
+                table,
+                &table_columns,
+                &mut keys,
+                &slots,
+                &new_rows[..i],
+                new_values,
             )?;
         }
     }
 
     // Phase 2: write (undo-logged, so a rollback restores the old values).
-    let count = updated.len();
-    for (idx, new_values) in updated {
-        storage.write_row_values(table_name, idx, new_values)?;
+    let count = slots.len();
+    for (slot, new_values) in slots.into_iter().zip(new_rows) {
+        storage.write_row_values(table_name, slot, new_values)?;
     }
     Ok(count)
 }
@@ -704,15 +589,12 @@ pub fn execute_update(
 /// parts navigate into embedded object attributes.
 fn set_path(
     ctx: &mut ExecCtx,
-    table_columns: &[(Ident, crate::types::SqlType)],
+    table_columns: &[(Ident, SqlType)],
     row_values: &mut [Value],
     path: &[Ident],
     value: Value,
 ) -> Result<(), DbError> {
-    let col_idx = table_columns
-        .iter()
-        .position(|(c, _)| c == &path[0])
-        .ok_or_else(|| DbError::UnknownColumn(path[0].as_str().to_string()))?;
+    let col_idx = col_position(table_columns, &path[0])?;
     if path.len() == 1 {
         let coerced = coerce(ctx, value, &table_columns[col_idx].1, path[0].as_str())?;
         row_values[col_idx] = coerced;
@@ -765,56 +647,6 @@ fn set_path(
     )))
 }
 
-/// NOT NULL and CHECK constraints only (used by UPDATE, which does not
-/// re-validate keys).
-fn enforce_non_key_constraints(
-    catalog: &Catalog,
-    storage: &Storage,
-    stats: &mut ExecStats,
-    mode: DbMode,
-    table: &TableDef,
-    table_columns: &[(Ident, crate::types::SqlType)],
-    row_values: &[Value],
-) -> Result<(), DbError> {
-    for constraint in table.constraints() {
-        match constraint {
-            Constraint::NotNull(col) => {
-                let idx = table_columns
-                    .iter()
-                    .position(|(c, _)| c == col)
-                    .ok_or_else(|| DbError::UnknownColumn(col.as_str().to_string()))?;
-                if row_values[idx].is_null() {
-                    return Err(DbError::NotNullViolation {
-                        column: format!("{}.{}", table.name().as_str(), col.as_str()),
-                    });
-                }
-            }
-            Constraint::Check(expr) => {
-                let frame = Frame {
-                    binding: table.name().clone(),
-                    columns: table_columns.iter().map(|(c, _)| c.clone()).collect(),
-                    values: row_values.to_vec(),
-                    oid: None,
-                    object_type: match table {
-                        TableDef::Object { of_type, .. } => Some(of_type.clone()),
-                        _ => None,
-                    },
-                };
-                let frames = [std::rc::Rc::new(frame)];
-                let env = Env::new(&frames);
-                let mut ctx = ExecCtx { catalog, storage, stats, mode, hash_joins: true, cost_planner: true };
-                if eval_bool(&mut ctx, &env, expr)? == Some(false) {
-                    return Err(DbError::CheckViolation {
-                        constraint: format!("CHECK on {}", table.name().as_str()),
-                    });
-                }
-            }
-            Constraint::PrimaryKey(_) | Constraint::Unique(_) => {}
-        }
-    }
-    Ok(())
-}
-
 /// Execute `DELETE FROM table [WHERE pred]`; returns the number of rows
 /// deleted.
 pub fn execute_delete(
@@ -827,11 +659,10 @@ pub fn execute_delete(
 ) -> Result<usize, DbError> {
     let table = catalog
         .get_table(table_name)
-        .ok_or_else(|| DbError::UnknownTable(table_name.as_str().to_string()))?
-        .clone();
-    let table_columns = catalog.table_columns(&table);
+        .ok_or_else(|| DbError::UnknownTable(table_name.as_str().to_string()))?;
+    let table_columns = catalog.table_columns(table);
     let columns: Vec<Ident> = table_columns.iter().map(|(c, _)| c.clone()).collect();
-    let object_type = match &table {
+    let object_type = match table {
         TableDef::Object { of_type, .. } => Some(of_type.clone()),
         _ => None,
     };
@@ -842,7 +673,7 @@ pub fn execute_delete(
         let data = storage
             .table(table_name)
             .ok_or_else(|| DbError::UnknownTable(table_name.as_str().to_string()))?;
-        let mut ctx = ExecCtx { catalog, storage, stats, mode, hash_joins: true, cost_planner: true };
+        let mut ctx = ExecCtx::new(catalog, storage, stats, mode);
         for (idx, row) in data.rows.iter().enumerate() {
             let keep = match where_clause {
                 None => false,

@@ -29,6 +29,20 @@ pub struct ExecCtx<'a> {
     pub cost_planner: bool,
 }
 
+impl<'a> ExecCtx<'a> {
+    /// The context DML evaluates in: both planner switches at their
+    /// defaults (on) — only SELECT and EXPLAIN honour a session's ablation
+    /// switches.
+    pub fn new(
+        catalog: &'a Catalog,
+        storage: &'a Storage,
+        stats: &'a mut ExecStats,
+        mode: DbMode,
+    ) -> ExecCtx<'a> {
+        ExecCtx { catalog, storage, stats, mode, hash_joins: true, cost_planner: true }
+    }
+}
+
 /// Evaluate an expression to a value.
 pub fn eval_expr(ctx: &mut ExecCtx, env: &Env, expr: &Expr) -> Result<Value, DbError> {
     match expr {

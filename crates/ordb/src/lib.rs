@@ -85,21 +85,16 @@
 //! ## Bulk loading
 //!
 //! A generated load script is thousands of near-identical single-row
-//! INSERTs; executing them as SQL text pays the parser, catalog resolution
-//! and a full-table constraint scan per row. Two fast paths remove that
-//! cost (PR 5):
+//! INSERTs; executing them as SQL text pays the parser and catalog
+//! resolution per row. Two fast paths remove that cost (PR 5):
 //!
 //! * **Batched inserts** — [`Database::execute_batch`] takes an
 //!   [`InsertBatch`] (one table, many rows): the catalog is resolved once,
 //!   OIDs are reserved in one block, repeated scalar subqueries inside the
 //!   batch are memoized (`batch_subquery_hits`), rows are appended in a
 //!   single storage call under one undo bracket (all-or-nothing, same
-//!   semantics as `RecoveryPolicy::Atomic`), and PRIMARY KEY / UNIQUE
-//!   checks probe an incremental hash index instead of scanning the heap
-//!   per row. The index is promoted into a per-table cache validated by a
-//!   storage version counter, so consecutive batches skip the rebuild;
-//!   any out-of-band mutation (single-row DML, UPDATE, rollback) bumps
-//!   the version and invalidates it. Counter: `batched_rows`.
+//!   semantics as `RecoveryPolicy::Atomic`). A single-row INSERT is the
+//!   one-row case of the same function. Counter: `batched_rows`.
 //! * **Deterministic parallel front end** — the `xml2ordb` pipeline
 //!   shreds documents on a worker pool and feeds the resulting batches to
 //!   a single writer in submission order, so any worker count produces a
@@ -107,6 +102,12 @@
 //!
 //! The batched delivery is differentially tested against plain SQL text
 //! (`tests/bulk_prop.rs`): same rows, same state dump, same errors.
+//!
+//! On every delivery a key — a PRIMARY KEY / UNIQUE constraint or a
+//! `CREATE UNIQUE INDEX` — is enforced through a maintained storage index
+//! ([`storage::key_index_name`]) that INSERT, batch and UPDATE probe
+//! alike: nothing scans the heap per row and nothing is cached per
+//! connection (`tests/key_prop.rs` checks all of them against a model).
 //!
 //! ## Static analysis (`sqlcheck`)
 //!

@@ -3,9 +3,9 @@
 use crate::analyze::{Analyzer, Diagnostic, Severity};
 use crate::catalog::Catalog;
 use crate::error::DbError;
-use crate::exec::ddl::execute_ddl;
+use crate::exec::ddl::{execute_ddl, key_indexes};
 use crate::exec::dml::{
-    execute_delete, execute_insert, execute_insert_batch, InsertBatch, UniqueIndexCache,
+    col_position, execute_delete, execute_insert_batch, execute_update, InsertBatch,
 };
 use crate::exec::eval::ExecCtx;
 use crate::exec::select::execute_select;
@@ -169,9 +169,6 @@ pub enum ResultMode {
     /// behaviour; what [`Database::execute_script_with`] does).
     #[default]
     Collect,
-    /// Keep only the most recent SELECT's result — earlier results are
-    /// dropped as soon as they are superseded.
-    LastOnly,
     /// Drop every result. Bulk loads use this: nothing is materialized, so
     /// memory stays flat regardless of script length.
     Discard,
@@ -280,9 +277,6 @@ pub struct Database {
     /// Structured tracing ([`crate::trace`]): `None` (the default) costs a
     /// single check per phase — no clocks, no events, no counter changes.
     trace: Option<Tracer>,
-    /// Promoted per-table uniqueness indexes for [`Self::execute_batch`],
-    /// validated against [`Storage::table_version`] before reuse.
-    unique_cache: UniqueIndexCache,
     /// `Some` when the database persists to a directory ([`Self::open`]);
     /// `None` for in-memory databases — every durable hook then costs one
     /// `Option` check.
@@ -318,7 +312,6 @@ impl Clone for Database {
             analyze: self.analyze,
             savepoints: self.savepoints.clone(),
             trace: self.trace.clone(),
-            unique_cache: self.unique_cache.clone(),
             durability: None,
             recovery: None,
         }
@@ -351,15 +344,9 @@ impl Database {
             analyze: false,
             savepoints: Vec::new(),
             trace: None,
-            unique_cache: UniqueIndexCache::default(),
             durability: None,
             recovery: None,
         }
-    }
-
-    /// Alias of [`new`](Self::new), named to contrast with [`open`](Self::open).
-    pub fn open_in_memory(mode: DbMode) -> Database {
-        Database::new(mode)
     }
 
     /// Open (or create) a durable database in directory `dir`.
@@ -832,10 +819,6 @@ impl Database {
                 Ok(Some(result)) => {
                     match results {
                         ResultMode::Collect => outcome.results.push(result),
-                        ResultMode::LastOnly => {
-                            outcome.results.clear();
-                            outcome.results.push(result);
-                        }
                         ResultMode::Discard => {}
                     }
                     outcome.executed += 1;
@@ -1071,20 +1054,35 @@ impl Database {
             }
             _ => {}
         }
+        self.bracket(
+            engine,
+            |db, engine| db.dispatch_stmt(engine, stmt),
+            || RedoOp::Stmt(stmt.clone()),
+        )
+    }
+
+    /// The statement bracket — the one place an effect is made atomic and
+    /// durable: mark, `run`, count the undo it produced, roll back to the
+    /// mark on error, otherwise buffer `redo()` for the next COMMIT's log
+    /// entry (durable databases only; SELECT / EXPLAIN and no-op DML
+    /// produce no undo and are never logged), and fold index upkeep into
+    /// the counters.
+    fn bracket<T>(
+        &mut self,
+        engine: &mut Engine,
+        run: impl FnOnce(&mut Database, &mut Engine) -> Result<T, DbError>,
+        redo: impl FnOnce() -> RedoOp,
+    ) -> Result<T, DbError> {
         let mark = self.mark_of(engine);
-        let result = self.dispatch_stmt(engine, stmt);
+        let result = run(self, engine);
         let produced = (engine.storage.undo_len() - mark.storage)
             + (engine.catalog.undo_len() - mark.catalog);
         self.stats.undo_records += produced as u64;
         if result.is_err() {
             self.rollback_to_mark_locked(engine, mark);
         } else if produced > 0 {
-            // Effect-producing statement under a durable database: buffer
-            // its redo op; COMMIT writes the buffered ops as one log entry.
-            // SELECT / EXPLAIN and no-op DML produce no undo and are never
-            // logged.
             if let Some(d) = self.durability.as_mut() {
-                d.pending.push((mark, RedoOp::Stmt(stmt.clone())));
+                d.pending.push((mark, redo()));
             }
         }
         self.drain_index_maintenance(engine);
@@ -1109,19 +1107,20 @@ impl Database {
         match stmt {
             Stmt::Insert { table, columns, values } => {
                 self.stats.inserts += 1;
-                execute_insert(
+                // An INSERT is a batch of one.
+                execute_insert_batch(
                     &engine.catalog,
                     &mut engine.storage,
                     &mut self.stats,
                     self.mode,
                     table,
                     columns,
-                    values,
+                    std::slice::from_ref(values),
                 )?;
                 Ok(None)
             }
             Stmt::Update { table, sets, where_clause } => {
-                crate::exec::dml::execute_update(
+                execute_update(
                     &engine.catalog,
                     &mut engine.storage,
                     &mut self.stats,
@@ -1222,58 +1221,59 @@ impl Database {
     ) -> Result<usize, DbError> {
         self.stats.statements += 1;
         self.stats.inserts += batch.rows.len() as u64;
-        let mark = self.mark_of(engine);
-        let result = execute_insert_batch(
-            &engine.catalog,
-            &mut engine.storage,
-            &mut self.stats,
-            self.mode,
-            batch,
-            &mut self.unique_cache,
-        );
-        let produced = (engine.storage.undo_len() - mark.storage)
-            + (engine.catalog.undo_len() - mark.catalog);
-        self.stats.undo_records += produced as u64;
-        if result.is_err() {
-            self.rollback_to_mark_locked(engine, mark);
-        } else if produced > 0 {
-            if let Some(d) = self.durability.as_mut() {
-                d.pending.push((mark, RedoOp::Batch(batch.clone())));
-            }
-        }
-        self.drain_index_maintenance(engine);
-        result
+        self.bracket(
+            engine,
+            |db, engine| {
+                let count = execute_insert_batch(
+                    &engine.catalog,
+                    &mut engine.storage,
+                    &mut db.stats,
+                    db.mode,
+                    &batch.table,
+                    &batch.columns,
+                    &batch.rows,
+                )?;
+                db.stats.batched_rows += count as u64;
+                Ok(count)
+            },
+            || RedoOp::Batch(batch.clone()),
+        )
     }
 }
 
-/// Re-register every secondary index recorded in a snapshot's catalog with
-/// the freshly restored storage (index payloads are not serialized — they
-/// are derived state, rebuilt lazily from the heaps on first probe).
+/// Re-register with the freshly restored storage every index a snapshot's
+/// catalog implies — the key indexes of its table definitions, exactly as
+/// CREATE TABLE registered them, and its recorded `CREATE INDEX`es (index
+/// payloads are not serialized — they are derived state, rebuilt from the
+/// heaps).
 fn rebuild_secondary_indexes(engine: &mut Engine) -> Result<(), DbError> {
-    let defs: Vec<(Ident, Ident, Vec<Ident>)> = engine
-        .catalog
-        .snapshot_parts()
-        .3
-        .values()
-        .map(|d| (d.name.clone(), d.table.clone(), d.columns.clone()))
-        .collect();
-    for (name, table, columns) in defs {
-        let Some(table_def) = engine.catalog.get_table(&table) else {
+    let Engine { catalog, storage } = engine;
+    let (_, tables, _, indexes, _) = catalog.snapshot_parts();
+    for table_def in tables.values() {
+        for (name, positions) in key_indexes(catalog, table_def) {
+            storage.register_index_unlogged(name, table_def.name().clone(), positions);
+        }
+    }
+    for def in indexes.values() {
+        let Some(table_def) = catalog.get_table(&def.table) else {
             return Err(DbError::CorruptDurableState(format!(
-                "snapshot index {name} references missing table {table}"
+                "snapshot index {} references missing table {}",
+                def.name, def.table
             )));
         };
-        let table_cols = engine.catalog.table_columns(table_def);
-        let mut positions = Vec::with_capacity(columns.len());
-        for c in &columns {
-            let Some(p) = table_cols.iter().position(|(n, _)| n == c) else {
-                return Err(DbError::CorruptDurableState(format!(
-                    "snapshot index {name} references missing column {c} of table {table}"
-                )));
-            };
-            positions.push(p);
-        }
-        engine.storage.register_index_unlogged(name, table, positions);
+        let table_cols = catalog.table_columns(table_def);
+        let positions = def
+            .columns
+            .iter()
+            .map(|c| col_position(&table_cols, c))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| {
+                DbError::CorruptDurableState(format!(
+                    "snapshot index {} on table {}: {e}",
+                    def.name, def.table
+                ))
+            })?;
+        storage.register_index_unlogged(def.name.clone(), def.table.clone(), positions);
     }
     Ok(())
 }

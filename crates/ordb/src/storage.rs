@@ -92,8 +92,8 @@ impl SecondaryIndex {
 }
 
 /// Hash the join-key identity of a candidate key; `None` when any component
-/// is NULL or has no join key (objects, collections). Shared by the
-/// secondary indexes and the DML constraint caches so a planner-computed
+/// is NULL or has no join key (objects, collections). Shared by index
+/// maintenance, the planner's probes and the DML uniqueness check, so a
 /// probe key always lands in the bucket maintenance filed it under.
 pub fn key_hash(key: &[&Value]) -> Option<u64> {
     use std::hash::Hasher;
@@ -104,6 +104,18 @@ pub fn key_hash(key: &[&Value]) -> Option<u64> {
         }
     }
     Some(h.finish())
+}
+
+/// The storage name of the index that enforces the `ordinal`-th PRIMARY KEY
+/// / UNIQUE constraint of `table`. A key *is* a maintained index: CREATE
+/// TABLE registers one per constraint, DROP TABLE retires them with the
+/// table's other indexes, recovery re-derives them from the table
+/// definitions. The name contains a double quote, which no SQL identifier —
+/// bare or quoted — can spell, so `CREATE INDEX` / `DROP INDEX` can neither
+/// collide with nor drop it; it never reaches the catalog, the planner, a
+/// dump, a snapshot or the log.
+pub fn key_index_name(table: &Ident, ordinal: usize) -> Ident {
+    Ident::internal(&format!("\"{}\"#{ordinal}", table.key()))
 }
 
 /// One table opened for equality lookups on one key column — the access
@@ -196,10 +208,9 @@ pub struct Storage {
     /// Monotonic per-table mutation counters. Every path that can change a
     /// table's rows or existence bumps its counter (including undo replay
     /// and `table_mut` handouts), so "version unchanged" proves the table's
-    /// rows are bit-identical — the batch unique-index cache relies on
-    /// this. Entries are never removed: a dropped-and-recreated table
-    /// continues its old counter rather than restarting at a value a stale
-    /// reader might still hold.
+    /// rows are bit-identical. Entries are never removed: a
+    /// dropped-and-recreated table continues its old counter rather than
+    /// restarting at a value a stale reader might still hold.
     versions: HashMap<Ident, u64>,
     /// Secondary indexes by index name, maintained eagerly on every
     /// mutation path (including undo replay). Excluded from
@@ -803,6 +814,28 @@ impl Storage {
                 live_rows,
                 self.oid_directory.len()
             ));
+        }
+        Ok(())
+    }
+
+    /// Check every secondary index against the heap it covers: its table
+    /// must exist (no index outlives its table) and buckets that claim to
+    /// be current must equal a rebuild from the heap. Used by invariant
+    /// tests; O(indexes × rows).
+    pub fn check_indexes(&self) -> Result<(), String> {
+        for (name, idx) in &self.indexes {
+            let data = self
+                .tables
+                .get(&idx.table)
+                .ok_or_else(|| format!("index {name} outlived its table {}", idx.table))?;
+            if idx.version != self.table_version(&idx.table) {
+                continue;
+            }
+            let mut rebuilt = idx.clone();
+            Self::rebuild_one(&mut rebuilt, Some(data), idx.version);
+            if rebuilt.buckets != idx.buckets {
+                return Err(format!("index {name} disagrees with the heap of {}", idx.table));
+            }
         }
         Ok(())
     }

@@ -136,12 +136,12 @@ fn repeated_batch_subqueries_are_memoized() {
     assert_eq!(db.stats().batch_subquery_hits, 5);
 }
 
-/// The batch path promotes its uniqueness index into a per-table cache
-/// keyed by a storage version counter. Every mutation that bypasses the
-/// batch path — single-row INSERT, UPDATE, rollback — must invalidate it,
-/// or a later batch would miss (or phantom-detect) collisions.
+/// A batch checks its keys through the table's maintained key index, the
+/// same one every other write path keeps current. Whatever moved a key
+/// since the last batch — single-row INSERT, UPDATE, rollback, DELETE — the
+/// next batch must see it, or it would miss (or phantom-detect) collisions.
 #[test]
-fn interleaved_mutations_invalidate_the_cached_unique_index() {
+fn interleaved_mutations_are_visible_to_the_next_batch() {
     let batch_of = |sqls: &[&str]| {
         let owned: Vec<String> = sqls.iter().map(|s| s.to_string()).collect();
         to_batches(&owned)
@@ -155,8 +155,8 @@ fn interleaved_mutations_invalidate_the_cached_unique_index() {
     )
     .unwrap();
 
-    // A single-row INSERT bypasses the batch path; its key must still be
-    // visible to the next batch's uniqueness check.
+    // A single-row INSERT's key must be visible to the next batch's
+    // uniqueness check.
     db.execute("INSERT INTO TabA VALUES (Type_A('c', 1))").unwrap();
     let err = db
         .execute_batch(&batch_of(&["INSERT INTO TabA VALUES (Type_A('c', 2))"])[0])

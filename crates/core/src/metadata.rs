@@ -14,27 +14,47 @@
 //! entity references.
 
 use xmlord_dtd::ast::{Dtd, EntityDecl};
+use xmlord_ordb::ident::Ident;
+use xmlord_ordb::storage::Storage;
 use xmlord_ordb::{Database, DbError, QueryResult, ReadSession, Value};
 use xmlord_xml::{Document, EntityCatalog};
 
 use crate::error::MappingError;
 use crate::model::{FieldSource, MappedSchema};
+use crate::retriever::RetrievalStats;
 
-/// A source the metadata readers can query: the writer handle, or an MVCC
+/// A source the metadata readers can read: the writer handle, or an MVCC
 /// [`ReadSession`] (which answers from its pinned committed snapshot).
 pub trait MetaSource {
     fn meta_query(&mut self, sql: &str) -> Result<QueryResult, DbError>;
+
+    /// [`metadata_row`] on the source's storage, the access recorded in
+    /// the source's own statistics.
+    fn metadata_row(&mut self, doc_id: &str) -> Result<DocMetadata, MappingError>;
 }
 
 impl MetaSource for Database {
     fn meta_query(&mut self, sql: &str) -> Result<QueryResult, DbError> {
         self.query(sql)
     }
+
+    fn metadata_row(&mut self, doc_id: &str) -> Result<DocMetadata, MappingError> {
+        let (meta, stats) = metadata_row(&self.storage(), doc_id, self.bulk_retrieval())?;
+        self.record_retrieval(stats.table_scans, stats.index_probes, false);
+        Ok(meta)
+    }
 }
 
 impl MetaSource for ReadSession {
     fn meta_query(&mut self, sql: &str) -> Result<QueryResult, DbError> {
         self.query(sql)
+    }
+
+    fn metadata_row(&mut self, doc_id: &str) -> Result<DocMetadata, MappingError> {
+        let bulk = self.bulk_retrieval();
+        let (meta, stats) = metadata_row(self.snapshot().1, doc_id, bulk)?;
+        self.record_retrieval(stats.table_scans, stats.index_probes, false);
+        Ok(meta)
     }
 }
 
@@ -214,68 +234,82 @@ pub fn metadata_insert(
     )
 }
 
-/// Read a document's metadata back from the database.
+/// The meta-table, and the position of its `DocID` PRIMARY KEY column —
+/// fixed by [`metadata_ddl`], which [`DocMetadata::from_row`] reads by
+/// position.
+const METADATA_TABLE: &str = "TabMetadata";
+const METADATA_DOC_ID_COL: usize = 0;
+
+impl DocMetadata {
+    /// Decode one `TabMetadata` row (values in [`metadata_ddl`]'s column
+    /// order).
+    pub fn from_row(row: &[Value]) -> DocMetadata {
+        let opt_text = |i: usize| row.get(i).and_then(Value::as_str).map(str::to_string);
+        let text = |i: usize| opt_text(i).unwrap_or_default();
+        // The attribute lists of the objects in the collection at column `i`.
+        let entries = |i: usize| {
+            let elements = match row.get(i) {
+                Some(Value::Coll { elements, .. }) => elements.as_slice(),
+                _ => &[],
+            };
+            elements.iter().filter_map(|entry| match entry {
+                Value::Obj { attrs, .. } => Some(attrs.as_slice()),
+                _ => None,
+            })
+        };
+        let attr = |attrs: &[Value], i: usize| {
+            attrs.get(i).and_then(Value::as_str).unwrap_or("").to_string()
+        };
+        DocMetadata {
+            doc_id: text(METADATA_DOC_ID_COL),
+            doc_name: text(1),
+            url: text(2),
+            schema_id: text(3),
+            namespace: opt_text(4),
+            xml_version: opt_text(5).filter(|s| !s.is_empty()),
+            character_set: opt_text(6).filter(|s| !s.is_empty()),
+            standalone: match row.get(7) {
+                Some(Value::Str(s)) if s == "Y" => Some(true),
+                Some(Value::Str(s)) if s == "N" => Some(false),
+                _ => None,
+            },
+            doc_data: entries(8)
+                .map(|a| (attr(a, 0), attr(a, 1), attr(a, 2), attr(a, 3)))
+                .collect(),
+            entities: entries(9).map(|a| (attr(a, 0), attr(a, 1))).collect(),
+            date: text(10),
+        }
+    }
+}
+
+/// Read a document's metadata row from a storage snapshot: one keyed
+/// lookup on `TabMetadata`'s PRIMARY KEY — a maintained storage index, so
+/// one probe however many documents are stored (with `bulk` off, the
+/// reference scan). Returns the accesses made beside the row.
+pub fn metadata_row(
+    storage: &Storage,
+    doc_id: &str,
+    bulk: bool,
+) -> Result<(DocMetadata, RetrievalStats), MappingError> {
+    let mut reader = storage
+        .keyed_reader(&Ident::internal(METADATA_TABLE), METADATA_DOC_ID_COL, bulk)
+        .ok_or_else(|| map_meta_err(DbError::UnknownTable(METADATA_TABLE.to_string())))?;
+    let slot = reader
+        .first_slot(&Value::str(doc_id))
+        .ok_or_else(|| MappingError::NoSuchDocument(doc_id.to_string()))?;
+    let meta = DocMetadata::from_row(&reader.rows()[slot].values);
+    let stats =
+        RetrievalStats { table_scans: reader.table_scans, index_probes: reader.index_probes };
+    Ok((meta, stats))
+}
+
+/// Read a document's metadata back from the database ([`metadata_row`] on
+/// the source's current state).
 pub fn read_metadata<S: MetaSource + ?Sized>(
     db: &mut S,
     doc_id: &str,
 ) -> Result<DocMetadata, MappingError> {
-    let q = doc_id.replace('\'', "''");
-    let result = db
-        .meta_query(&format!("SELECT * FROM TabMetadata m WHERE m.DocID = '{q}'"))
-        .map_err(map_meta_err)?;
-    let row = result
-        .rows
-        .first()
-        .ok_or_else(|| MappingError::NoSuchDocument(doc_id.to_string()))?;
-    let get = |name: &str| -> Value {
-        result
-            .column_index(name)
-            .map(|i| row[i].clone())
-            .unwrap_or(Value::Null)
-    };
-    let text = |v: Value| v.as_str().unwrap_or("").to_string();
-    let opt_text = |v: Value| match v {
-        Value::Null => None,
-        other => other.as_str().map(str::to_string),
-    };
-    let mut meta = DocMetadata {
-        doc_id: text(get("DocID")),
-        doc_name: text(get("DocName")),
-        url: text(get("URL")),
-        schema_id: text(get("SchemaID")),
-        namespace: opt_text(get("NameSpace")),
-        xml_version: opt_text(get("XMLVersion")).filter(|s| !s.is_empty()),
-        character_set: opt_text(get("CharacterSet")).filter(|s| !s.is_empty()),
-        standalone: match get("Standalone") {
-            Value::Str(s) if s == "Y" => Some(true),
-            Value::Str(s) if s == "N" => Some(false),
-            _ => None,
-        },
-        doc_data: Vec::new(),
-        entities: Vec::new(),
-        date: text(get("DocDate")),
-    };
-    if let Value::Coll { elements, .. } = get("DocData") {
-        for entry in elements {
-            if let Value::Obj { attrs, .. } = entry {
-                let s = |i: usize| -> String {
-                    attrs.get(i).and_then(|v| v.as_str()).unwrap_or("").to_string()
-                };
-                meta.doc_data.push((s(0), s(1), s(2), s(3)));
-            }
-        }
-    }
-    if let Value::Coll { elements, .. } = get("Entities") {
-        for entry in elements {
-            if let Value::Obj { attrs, .. } = entry {
-                let s = |i: usize| -> String {
-                    attrs.get(i).and_then(|v| v.as_str()).unwrap_or("").to_string()
-                };
-                meta.entities.push((s(0), s(1)));
-            }
-        }
-    }
-    Ok(meta)
+    db.metadata_row(doc_id)
 }
 
 fn map_meta_err(e: DbError) -> MappingError {

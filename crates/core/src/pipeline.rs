@@ -21,11 +21,11 @@ use crate::error::MappingError;
 use crate::loader::{load_ops, plan_batches, LoadOp, LoadUnit};
 use crate::maplint::MapLintReport;
 use crate::metadata::{
-    metadata_ddl, metadata_insert, read_metadata, read_schema_registry, schema_registry_insert,
+    metadata_ddl, metadata_insert, read_schema_registry, schema_registry_insert,
     DocMetadata, SchemaRegistryRow,
 };
 use crate::model::{MappedSchema, MappingOptions};
-use crate::retriever::{retrieve_snapshot, retrieve_with_stats};
+use crate::retriever::{retrieve_from, retrieve_snapshot};
 use crate::schemagen::{generate_schema, IdrefTargets};
 
 /// How generated load operations reach the engine.
@@ -570,25 +570,19 @@ impl Xml2OrDb {
             .get(doc_id)
             .cloned()
             .ok_or_else(|| MappingError::NoSuchDocument(doc_id.to_string()))?;
-        let registered = self
-            .schemas
-            .get(&schema_name)
-            .ok_or_else(|| {
-                MappingError::InconsistentMapping(format!(
-                    "document '{doc_id}' references schema '{schema_name}' which is no longer registered"
-                ))
-            })?
-            .clone();
+        let registered = self.schemas.get(&schema_name).ok_or_else(|| {
+            MappingError::InconsistentMapping(format!(
+                "document '{doc_id}' references schema '{schema_name}' which is no longer registered"
+            ))
+        })?;
         let span = self.db.trace_begin("retrieve", doc_id.to_string());
-        let result = (|| {
-            let meta = read_metadata(&mut self.db, doc_id)?;
-            let (doc, stats) = retrieve_with_stats(&self.db, &registered.schema, &meta)?;
-            let bulk = self.db.bulk_retrieval();
-            self.db.record_retrieval(stats.table_scans, stats.index_probes, bulk);
-            Ok((doc, meta))
-        })();
+        let bulk = self.db.bulk_retrieval();
+        // One storage guard for metadata row and document rows alike.
+        let result = retrieve_from(&self.db.storage(), &registered.schema, doc_id, bulk);
         self.db.trace_end(span);
-        result
+        let (doc, meta, stats) = result?;
+        self.db.record_retrieval(stats.table_scans, stats.index_probes, bulk);
+        Ok((doc, meta))
     }
 
     /// Reconstruct a stored document as XML text, re-substituting the
@@ -1596,6 +1590,48 @@ mod tests {
             assert_eq!(delta.bulk_retrieves, 0, "{mode:?}: {delta:?}");
             assert!(delta.retrieve_table_scans > 0, "{mode:?}: {delta:?}");
             assert_eq!(naive, with_index, "{mode:?}: valve changed the bytes");
+        }
+    }
+
+    /// A reader beside an ingest pays for the document just stored, not for
+    /// the store: its refresh after one more `store_document` copies that
+    /// document's rows (and its meta-table row) — the same count at either
+    /// store size, in either mode — and never replaces a heap.
+    #[test]
+    fn a_readers_refresh_after_a_store_copies_that_documents_rows_only() {
+        for mode in [DbMode::Oracle8, DbMode::Oracle9] {
+            let mut sys = Xml2OrDb::new(mode);
+            sys.register_dtd("uni", UNIVERSITY_DTD, "University").unwrap();
+            sys.create_load_indexes("uni").unwrap();
+            sys.create_retrieval_indexes("uni").unwrap();
+            let document = |i: usize| {
+                format!(
+                    "<University><StudyCourse>C{i}</StudyCourse>\
+                     <Student StudNr=\"{i:05}\"><LName>L{i}</LName><FName>F{i}</FName>\
+                     <Course><Name>N{i}</Name></Course></Student></University>"
+                )
+            };
+            let mut reader = sys.database().read_session();
+            let mut stored = 0;
+            let mut copied_per_document = Vec::new();
+            for store_size in [20, 80] {
+                while stored < store_size {
+                    sys.store_document("uni", &document(stored)).unwrap();
+                    stored += 1;
+                }
+                reader.refresh();
+                let rows_before = sys.database().storage().total_rows();
+                let copied_before = reader.rows_copied();
+                sys.store_document("uni", &document(stored)).unwrap();
+                stored += 1;
+                reader.refresh();
+                let rows_of_document = sys.database().storage().total_rows() - rows_before;
+                let copied = reader.rows_copied() - copied_before;
+                assert_eq!(copied, rows_of_document as u64, "{mode:?} at {store_size}");
+                copied_per_document.push(copied);
+            }
+            assert_eq!(copied_per_document[0], copied_per_document[1], "{mode:?}");
+            assert_eq!(reader.splice_counts().1, 0, "{mode:?}: a load replaced a heap");
         }
     }
 

@@ -35,7 +35,7 @@ use xmlord_ordb::{Database, Oid, Value};
 use xmlord_xml::{Document, NodeId, QName};
 
 use crate::error::MappingError;
-use crate::metadata::DocMetadata;
+use crate::metadata::{metadata_row, DocMetadata};
 use crate::model::{ElementMapping, FieldKind, FieldSource, MappedSchema};
 use xmlord_ordb::ident::Ident;
 
@@ -104,22 +104,35 @@ pub fn reconstruct(
     Ok((doc, ctx.stats()))
 }
 
-/// Reconstruct a document through an MVCC read session: metadata via the
-/// session's SQL surface, rows via its pinned committed snapshot. Returns
-/// the access stats without recording them anywhere — callers that own a
-/// stats sink fold them in.
+/// Retrieve document `doc_id` from one storage snapshot: its §5 meta-table
+/// row ([`metadata_row`] — one keyed lookup), then its rows. Both reads see
+/// the same commit, and neither goes through SQL.
+pub fn retrieve_from(
+    storage: &Storage,
+    schema: &MappedSchema,
+    doc_id: &str,
+    bulk: bool,
+) -> Result<(Document, DocMetadata, RetrievalStats), MappingError> {
+    let (meta, lookup) = metadata_row(storage, doc_id, bulk)?;
+    let (doc, walk) = reconstruct(storage, schema, &meta, bulk)?;
+    let stats = RetrievalStats {
+        table_scans: lookup.table_scans + walk.table_scans,
+        index_probes: lookup.index_probes + walk.index_probes,
+    };
+    Ok((doc, meta, stats))
+}
+
+/// [`retrieve_from`] on an MVCC read session's committed snapshot, pinned
+/// once for the whole retrieval. Returns the access stats without
+/// recording them anywhere — callers that own a stats sink fold them in.
 pub fn retrieve_snapshot(
     session: &mut xmlord_ordb::ReadSession,
     schema: &MappedSchema,
     doc_id: &str,
 ) -> Result<(Document, DocMetadata, RetrievalStats), MappingError> {
-    let meta = crate::metadata::read_metadata(session, doc_id)?;
     let bulk = session.bulk_retrieval();
-    let (doc, stats) = {
-        let (_, storage) = session.snapshot();
-        reconstruct(storage, schema, &meta, bulk)?
-    };
-    Ok((doc, meta, stats))
+    let (_, storage) = session.snapshot();
+    retrieve_from(storage, schema, doc_id, bulk)
 }
 
 /// [`retrieve_snapshot`] folding the access stats into the session's own
@@ -242,10 +255,10 @@ impl<'a> Retriever<'a> {
                     .storage
                     .keyed_reader(&table, idx, self.bulk)
                     .ok_or_else(no_such_document)?;
-                let slots = reader.slots(&Value::str(&meta.doc_id));
+                let slot = reader.first_slot(&Value::str(&meta.doc_id));
                 self.stats.table_scans += reader.table_scans;
                 self.stats.index_probes += reader.index_probes;
-                slots.first().map(|&slot| &reader.rows()[slot])
+                slot.map(|slot| &reader.rows()[slot])
             }
             None => {
                 self.stats.table_scans += 1;

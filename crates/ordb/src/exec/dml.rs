@@ -11,6 +11,7 @@
 //! ask `StoredKey::collides`.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::catalog::{Catalog, Constraint, TableDef};
 use crate::error::DbError;
@@ -471,7 +472,7 @@ fn enforce_constraints(
                 let frame = Frame {
                     binding: table.name().clone(),
                     columns: table_columns.iter().map(|(c, _)| c.clone()).collect(),
-                    values: row_values.to_vec(),
+                    values: Arc::new(row_values.to_vec()),
                     oid: None,
                     object_type: match table {
                         TableDef::Object { of_type, .. } => Some(of_type.clone()),
@@ -514,16 +515,16 @@ pub fn execute_update(
         .get_table(table_name)
         .ok_or_else(|| DbError::UnknownTable(table_name.as_str().to_string()))?;
     let table_columns = catalog.table_columns(table);
-    let columns: Vec<Ident> = table_columns.iter().map(|(c, _)| c.clone()).collect();
+    let columns: Arc<[Ident]> = table_columns.iter().map(|(c, _)| c.clone()).collect();
     let object_type = match table {
         TableDef::Object { of_type, .. } => Some(of_type.clone()),
         _ => None,
     };
 
     // Phase 1 (read-only): compute the new values of every affected row.
-    // The table is read in place — no up-front clone of every row; each
-    // row's values are copied once into the evaluation frame, and only
-    // matching rows pay for a second, writable copy.
+    // The table is read in place: the evaluation frame shares each row's
+    // block, and only matching rows pay for a writable copy — the new block
+    // phase 2 installs in place of the old one (copy-on-write per row).
     let mut slots: Vec<usize> = Vec::new();
     let mut new_rows: Vec<Vec<Value>> = Vec::new();
     {
@@ -535,7 +536,7 @@ pub fn execute_update(
             let frame = Frame {
                 binding: table_name.clone(),
                 columns: columns.clone(),
-                values: row.values.clone(),
+                values: Arc::clone(&row.values),
                 oid: row.oid,
                 object_type: object_type.clone(),
             };
@@ -548,7 +549,7 @@ pub fn execute_update(
             if !hit {
                 continue;
             }
-            let mut new_values = row.values.clone();
+            let mut new_values = row.values.to_vec();
             for (path, rhs) in sets {
                 let value = eval_expr(&mut ctx, &env, rhs)?;
                 set_path(&mut ctx, &table_columns, &mut new_values, path, value)?;
@@ -661,7 +662,7 @@ pub fn execute_delete(
         .get_table(table_name)
         .ok_or_else(|| DbError::UnknownTable(table_name.as_str().to_string()))?;
     let table_columns = catalog.table_columns(table);
-    let columns: Vec<Ident> = table_columns.iter().map(|(c, _)| c.clone()).collect();
+    let columns: Arc<[Ident]> = table_columns.iter().map(|(c, _)| c.clone()).collect();
     let object_type = match table {
         TableDef::Object { of_type, .. } => Some(of_type.clone()),
         _ => None,
@@ -681,7 +682,7 @@ pub fn execute_delete(
                     let frame = Frame {
                         binding: table_name.clone(),
                         columns: columns.clone(),
-                        values: row.values.clone(),
+                        values: Arc::clone(&row.values),
                         oid: row.oid,
                         object_type: object_type.clone(),
                     };

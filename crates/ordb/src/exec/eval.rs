@@ -283,7 +283,7 @@ pub fn deref_oid(ctx: &mut ExecCtx, oid: Oid) -> Result<Value, DbError> {
     match table {
         TableDef::Object { of_type, .. } => Ok(Value::Obj {
             type_name: of_type.clone(),
-            attrs: row.values.clone(),
+            attrs: row.values.to_vec(),
         }),
         TableDef::Relational { .. } => Err(DbError::Execution(
             "REF target is not an object table".into(),
@@ -300,7 +300,7 @@ pub fn resolve_path(ctx: &mut ExecCtx, env: &Env, parts: &[Ident]) -> Result<Val
             return match &frame.object_type {
                 Some(type_name) => Ok(Value::Obj {
                     type_name: type_name.clone(),
-                    attrs: frame.values.clone(),
+                    attrs: frame.values.to_vec(),
                 }),
                 None if frame.columns.len() == 1 => Ok(frame.values[0].clone()),
                 None => Err(DbError::Execution(format!(

@@ -11,6 +11,7 @@ pub mod explain;
 pub mod select;
 
 use std::rc::Rc;
+use std::sync::Arc;
 
 use crate::ident::Ident;
 use crate::value::{Oid, Value};
@@ -18,11 +19,16 @@ use crate::value::{Oid, Value};
 /// One row binding visible during evaluation: `binding.column` paths resolve
 /// against `columns`/`values`; `oid` is set for rows of object tables so
 /// `REF(binding)` works.
+///
+/// Both lists are shared: `columns` is one list per FROM item (or per
+/// object type of an un-nested collection), and `values` of a table row is
+/// the stored row's own block ([`crate::storage::Row::values`]) — a scan
+/// frame copies two pointers, never a value.
 #[derive(Debug, Clone)]
 pub struct Frame {
     pub binding: Ident,
-    pub columns: Vec<Ident>,
-    pub values: Vec<Value>,
+    pub columns: Arc<[Ident]>,
+    pub values: Arc<Vec<Value>>,
     pub oid: Option<Oid>,
     /// Set when the row is an instance of an object type (object-table rows
     /// and object-valued collection elements): a bare `binding` reference in
@@ -92,7 +98,7 @@ mod tests {
         Rc::new(Frame {
             binding: id(binding),
             columns: cols.iter().map(|(c, _)| id(c)).collect(),
-            values: cols.iter().map(|(_, v)| v.clone()).collect(),
+            values: Arc::new(cols.iter().map(|(_, v)| v.clone()).collect()),
             oid: None,
             object_type: None,
         })

@@ -34,6 +34,7 @@ use crate::storage::key_hash;
 use crate::value::{JoinKey, Value};
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// A query result: column names and rows.
 #[derive(Debug, Clone, PartialEq)]
@@ -295,7 +296,7 @@ pub fn execute_select(
         let mut row = Vec::new();
         if stmt.star {
             for frame in combo {
-                for (col, val) in frame.columns.iter().zip(&frame.values) {
+                for (col, val) in frame.columns.iter().zip(frame.values.iter()) {
                     if row_idx == 0 {
                         columns.push(col.as_str().to_string());
                     }
@@ -396,7 +397,7 @@ fn probe_index_item(
         .get_table(name)
         .cloned()
         .ok_or_else(|| DbError::UnknownTable(name.as_str().to_string()))?;
-    let columns: Vec<Ident> =
+    let columns: Arc<[Ident]> =
         ctx.catalog.table_columns(&table).into_iter().map(|(c, _)| c).collect();
     let object_type = match &table {
         TableDef::Object { of_type, .. } => Some(of_type.clone()),
@@ -445,7 +446,7 @@ fn probe_index_item(
                     let frame = Rc::new(Frame {
                         binding: binding.clone(),
                         columns: columns.clone(),
-                        values: row.values.clone(),
+                        values: Arc::clone(&row.values),
                         oid: row.oid,
                         object_type: object_type.clone(),
                     });
@@ -909,7 +910,7 @@ fn expand_from_item(
             let binding = alias.clone().unwrap_or_else(|| name.clone());
             // A real table?
             if let Some(table) = ctx.catalog.get_table(name).cloned() {
-                let columns: Vec<Ident> =
+                let columns: Arc<[Ident]> =
                     ctx.catalog.table_columns(&table).into_iter().map(|(c, _)| c).collect();
                 let object_type = match &table {
                     TableDef::Object { of_type, .. } => Some(of_type.clone()),
@@ -925,7 +926,7 @@ fn expand_from_item(
                     .map(|row| Frame {
                         binding: binding.clone(),
                         columns: columns.clone(),
-                        values: row.values.clone(),
+                        values: Arc::clone(&row.values),
                         oid: row.oid,
                         object_type: object_type.clone(),
                     })
@@ -935,7 +936,7 @@ fn expand_from_item(
             // self-contained).
             if let Some(view) = ctx.catalog.get_view(name).cloned() {
                 let result = execute_select(ctx, &view.query, None)?;
-                let columns: Vec<Ident> =
+                let columns: Arc<[Ident]> =
                     result.columns.iter().map(|c| Ident::internal(c)).collect();
                 return Ok(result
                     .rows
@@ -943,7 +944,7 @@ fn expand_from_item(
                     .map(|values| Frame {
                         binding: binding.clone(),
                         columns: columns.clone(),
-                        values,
+                        values: Arc::new(values),
                         oid: None,
                         object_type: None,
                     })
@@ -965,45 +966,46 @@ fn expand_from_item(
                     })
                 }
             };
+            // One column list per object type, not per element: the elements
+            // of one collection share a type, so consecutive elements reuse
+            // the list built for the first.
+            let mut object_columns: Option<(Ident, Arc<[Ident]>)> = None;
+            let mut scalar_columns: Option<Arc<[Ident]>> = None;
             let mut frames = Vec::with_capacity(elements.len());
             for element in elements {
-                frames.push(collection_element_frame(ctx, &binding, element)?);
+                let (columns, values, object_type) = match element {
+                    Value::Obj { type_name, attrs } => {
+                        let columns = match &object_columns {
+                            Some((cached, columns)) if *cached == type_name => columns.clone(),
+                            _ => {
+                                let def = ctx.catalog.get_type(&type_name).ok_or_else(|| {
+                                    DbError::UnknownType(type_name.as_str().to_string())
+                                })?;
+                                let columns: Arc<[Ident]> =
+                                    def.object_attrs().iter().map(|(n, _)| n.clone()).collect();
+                                object_columns = Some((type_name.clone(), columns.clone()));
+                                columns
+                            }
+                        };
+                        (columns, attrs, Some(type_name))
+                    }
+                    // Scalar elements appear as Oracle's `COLUMN_VALUE`
+                    // pseudo-column.
+                    scalar => {
+                        let columns = scalar_columns
+                            .get_or_insert_with(|| Arc::from([Ident::internal("COLUMN_VALUE")]));
+                        (columns.clone(), vec![scalar], None)
+                    }
+                };
+                frames.push(Frame {
+                    binding: binding.clone(),
+                    columns,
+                    values: Arc::new(values),
+                    oid: None,
+                    object_type,
+                });
             }
             Ok(frames)
         }
-    }
-}
-
-/// Build the frame for one un-nested collection element: object elements
-/// expose their attributes; scalar elements appear as Oracle's
-/// `COLUMN_VALUE` pseudo-column.
-fn collection_element_frame(
-    ctx: &ExecCtx,
-    binding: &Ident,
-    element: Value,
-) -> Result<Frame, DbError> {
-    match element {
-        Value::Obj { type_name, attrs } => {
-            let def = ctx
-                .catalog
-                .get_type(&type_name)
-                .ok_or_else(|| DbError::UnknownType(type_name.as_str().to_string()))?;
-            let columns: Vec<Ident> =
-                def.object_attrs().iter().map(|(n, _)| n.clone()).collect();
-            Ok(Frame {
-                binding: binding.clone(),
-                columns,
-                values: attrs,
-                oid: None,
-                object_type: Some(type_name),
-            })
-        }
-        scalar => Ok(Frame {
-            binding: binding.clone(),
-            columns: vec![Ident::internal("COLUMN_VALUE")],
-            values: vec![scalar],
-            oid: None,
-            object_type: None,
-        }),
     }
 }

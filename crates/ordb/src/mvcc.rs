@@ -2,11 +2,27 @@
 //! readers).
 //!
 //! A [`ReadSession`] serves SELECT / EXPLAIN from a **private snapshot
-//! cache** — its own [`Catalog`] + [`Storage`] clone holding exactly the
-//! writer's last-committed state. The shared engine lock is taken *shared*
-//! and only long enough to refresh that cache; query execution itself runs
-//! entirely on the private clone with no lock held, so readers never block
-//! the writer's ingest and the writer never blocks a reader mid-query.
+//! cache** — its own [`Catalog`] + [`Storage`] holding exactly the writer's
+//! last-committed state. The shared engine lock is taken *shared* and only
+//! long enough to refresh that cache; query execution itself runs entirely
+//! on the cache with no lock held, so readers never block the writer's
+//! ingest and the writer never blocks a reader mid-query.
+//!
+//! # What the cache holds
+//!
+//! *Shared:* every row's values. A stored row's values are one immutable
+//! block behind an `Arc` ([`crate::storage::Row::values`]); the cache's rows
+//! point at the writer's own blocks. Nothing writes through a block —
+//! UPDATE installs a new block in the row and keeps the old one in its undo
+//! record, DELETE moves the row (block and all) into its undo record — so a
+//! block a reader holds can never change under it, and a reader that still
+//! holds a replaced or deleted row's block simply keeps it alive. That is
+//! copy-on-write at row granularity, and it is why no refresh path below
+//! ever copies a value.
+//!
+//! *Private:* the row handles (OID + block pointer) in each table's heap,
+//! the OID directory and the secondary indexes — all keyed by heap slot,
+//! which is the reader's own — plus the catalog.
 //!
 //! # Freshness protocol
 //!
@@ -22,10 +38,23 @@
 //!    cache: clone the live engine and roll its uncommitted undo tail
 //!    back to zero. The undo log is precisely the delta between live and
 //!    committed state, so the rolled-back clone *is* the committed state.
-//! 3. **Only the storage epoch changed** (committed DML) — incremental:
-//!    for each table whose committed version differs from the pinned one,
-//!    reconstruct just that table's committed heap from the writer's undo
-//!    records ([`Storage::committed_heap`]) and splice it into the cache.
+//!    Copies every row handle, the directory and the indexes.
+//! 3. **Only the storage epoch changed** (committed DML) — incremental,
+//!    table by table, for each table whose committed version differs from
+//!    the pinned one:
+//!    - *append splice*: if nothing but appends touched the table since
+//!      the pinned version (the writer's storage remembers the version of
+//!      each table's last other mutation, so this is one comparison —
+//!      [`Storage::committed_appends`]), the cache's heap is a prefix of
+//!      the committed one: copy just the new rows' handles and file them
+//!      in the directory and the indexes, as an insert would. Cost: the
+//!      rows the commits appended, whatever the table holds. Every load
+//!      path of the mapping layer is INSERT-only, so this is the path a
+//!      reader beside an ingest takes.
+//!    - *replace splice*: otherwise (update, delete, rollback, drop and
+//!      re-create) reconstruct the table's committed heap from the
+//!      writer's undo records ([`Storage::committed_heap`]), install it,
+//!      re-file its OIDs and rebuild its indexes. Cost: the table's rows.
 //!
 //! Because committed state only moves at COMMIT, uncommitted churn and
 //! rollbacks on the writer never invalidate a reader cache — the session
@@ -65,7 +94,7 @@ pub struct ReadSession {
     /// writer handle at session creation (the retrieval layer consults it
     /// via [`Self::bulk_retrieval`]).
     bulk_retrieval: bool,
-    /// The private committed-state clone queries execute against.
+    /// The private committed-state cache queries execute against.
     cache: Option<CacheState>,
     plan_cache: PlanCache,
     stats: ExecStats,
@@ -75,6 +104,12 @@ pub struct ReadSession {
     incremental_refreshes: u64,
     /// Refreshes that found both epochs unchanged and copied nothing.
     fresh_hits: u64,
+    /// Tables an incremental refresh brought up to date by appending the
+    /// newly committed rows / by replacing the whole heap.
+    append_splices: u64,
+    replace_splices: u64,
+    /// Row handles copied into the cache by all refreshes so far.
+    rows_copied: u64,
 }
 
 #[derive(Debug)]
@@ -108,6 +143,9 @@ impl ReadSession {
             full_refreshes: 0,
             incremental_refreshes: 0,
             fresh_hits: 0,
+            append_splices: 0,
+            replace_splices: 0,
+            rows_copied: 0,
         }
     }
 
@@ -129,16 +167,33 @@ impl ReadSession {
                 self.fresh_hits += 1;
             }
             Some(cache) if cache.catalog_epoch == catalog_epoch => {
-                // Committed DML only: splice the changed tables' committed
-                // heaps into the cache, drop committed-dropped tables.
+                // Committed DML only: bring each changed table up to date
+                // (append the new rows, or replace the heap), drop
+                // committed-dropped tables.
                 self.incremental_refreshes += 1;
                 let committed = engine.storage.committed_tables();
                 for (table, version) in &committed {
-                    if cache.pinned.get(table) != Some(version) {
-                        let heap = engine.storage.committed_heap(table);
-                        cache.storage.install_table_snapshot(table, heap);
-                        cache.pinned.insert(table.clone(), *version);
+                    let pinned = cache.pinned.get(table).copied();
+                    if pinned == Some(*version) {
+                        continue;
                     }
+                    let held = cache.storage.row_count(table);
+                    let appended = pinned
+                        .and_then(|pinned| engine.storage.committed_appends(table, pinned, held));
+                    match appended {
+                        Some(rows) => {
+                            self.append_splices += 1;
+                            self.rows_copied += rows.len() as u64;
+                            cache.storage.append_table_snapshot(table, rows);
+                        }
+                        None => {
+                            let heap = engine.storage.committed_heap(table);
+                            self.replace_splices += 1;
+                            self.rows_copied += heap.as_ref().map_or(0, |h| h.rows.len()) as u64;
+                            cache.storage.install_table_snapshot(table, heap);
+                        }
+                    }
+                    cache.pinned.insert(table.clone(), *version);
                 }
                 let live: std::collections::HashSet<&Ident> =
                     committed.iter().map(|(t, _)| t).collect();
@@ -160,6 +215,7 @@ impl ReadSession {
                 catalog.rollback_to(0);
                 let mut storage = engine.storage.clone();
                 storage.rollback_to(0);
+                self.rows_copied += storage.total_rows() as u64;
                 let pinned = engine.storage.committed_tables().into_iter().collect();
                 self.cache = Some(CacheState {
                     catalog,
@@ -272,8 +328,8 @@ impl ReadSession {
     }
 
     /// Refresh, then expose the pinned committed snapshot: the private
-    /// `(catalog, storage)` clone queries execute against. The borrows are
-    /// lock-free — the snapshot is this session's own copy — and stay
+    /// `(catalog, storage)` cache queries execute against. The borrows are
+    /// lock-free — the snapshot is this session's own — and stay
     /// valid until the next `&mut self` call. This is the read surface the
     /// document retriever walks directly (OID directory, table heaps,
     /// secondary indexes) without going through SQL.
@@ -305,11 +361,30 @@ impl ReadSession {
     pub fn refresh_counts(&self) -> (u64, u64, u64) {
         (self.fresh_hits, self.incremental_refreshes, self.full_refreshes)
     }
+
+    /// `(appended, replaced)`: tables an incremental refresh brought up to
+    /// date by appending just the newly committed rows, and tables whose
+    /// heap it replaced whole (anything but appends had touched them).
+    pub fn splice_counts(&self) -> (u64, u64) {
+        (self.append_splices, self.replace_splices)
+    }
+
+    /// Rows copied into the cache by every refresh so far — each a row
+    /// handle (OID plus a pointer to the writer's value block), never the
+    /// values. What a refresh costs in proportion to: the rows the commit
+    /// appended, the rows of each replaced table, or every row on a full
+    /// re-derive.
+    pub fn rows_copied(&self) -> u64 {
+        self.rows_copied
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::ReadSession;
+    use crate::ident::Ident;
     use crate::{Database, DbError, DbMode, Value};
+    use std::sync::Arc;
 
     fn db() -> Database {
         let mut d = Database::new(DbMode::Oracle9);
@@ -418,5 +493,72 @@ mod tests {
         writer.commit().unwrap();
         let err = reader.query("SELECT name FROM TabP").unwrap_err();
         assert!(matches!(err, DbError::UnknownTable(_)), "{err}");
+    }
+
+    /// The value blocks of `table`'s rows, by pointer.
+    fn blocks(storage: &crate::storage::Storage, table: &str) -> Vec<Arc<Vec<Value>>> {
+        let data = storage.table(&Ident::internal(table)).unwrap();
+        data.rows.iter().map(|row| Arc::clone(&row.values)).collect()
+    }
+
+    #[test]
+    fn a_refresh_shares_the_writers_row_blocks() {
+        let mut writer = db();
+        let mut reader = writer.read_session();
+        // Full re-derive, append splice and heap replacement alike end with
+        // the reader holding the writer's own blocks.
+        let shares = |reader: &mut ReadSession, writer: &Database| {
+            let (ours, theirs) =
+                (blocks(reader.snapshot().1, "TabP"), blocks(&writer.storage(), "TabP"));
+            assert_eq!(ours.len(), theirs.len());
+            assert!(ours.iter().zip(&theirs).all(|(a, b)| Arc::ptr_eq(a, b)));
+        };
+        shares(&mut reader, &writer);
+        writer.execute("INSERT INTO TabP VALUES (Type_P('Jaeger', 'CAD'))").unwrap();
+        writer.commit().unwrap();
+        shares(&mut reader, &writer);
+        assert_eq!(reader.splice_counts(), (1, 0));
+        writer.execute("UPDATE TabP SET dept = 'CAD' WHERE name = 'Conrad'").unwrap();
+        writer.commit().unwrap();
+        shares(&mut reader, &writer);
+        assert_eq!(reader.splice_counts(), (1, 1));
+        // 2 rows re-derived, 1 appended, 3 re-filed.
+        assert_eq!(reader.rows_copied(), 6);
+    }
+
+    #[test]
+    fn a_pinned_snapshot_keeps_its_values_across_writer_changes() {
+        let mut writer = db();
+        let mut reader = writer.read_session();
+        let (_, pinned) = reader.snapshot();
+        let before = pinned.state_dump();
+        let pinned_blocks = blocks(pinned, "TabP");
+
+        // Rolled back: the undo record hands the writer the old block back.
+        writer.execute("UPDATE TabP SET dept = 'X' WHERE name = 'Kudrass'").unwrap();
+        assert!(!Arc::ptr_eq(&blocks(&writer.storage(), "TabP")[0], &pinned_blocks[0]));
+        writer.rollback();
+        assert!(Arc::ptr_eq(&blocks(&writer.storage(), "TabP")[0], &pinned_blocks[0]));
+        assert_eq!(pinned.state_dump(), before);
+
+        // Committed UPDATE: copy-on-write at row granularity — the written
+        // row gets a new block, its neighbour is still the shared one.
+        writer.execute("UPDATE TabP SET dept = 'X' WHERE name = 'Kudrass'").unwrap();
+        writer.commit().unwrap();
+        let written = blocks(&writer.storage(), "TabP");
+        assert!(!Arc::ptr_eq(&written[0], &pinned_blocks[0]));
+        assert!(Arc::ptr_eq(&written[1], &pinned_blocks[1]));
+        assert_eq!(pinned_blocks[0][1], Value::str("DB"));
+        assert_eq!(written[0][1], Value::str("X"));
+        assert_eq!(pinned.state_dump(), before);
+
+        // Committed DELETE: the pinned snapshot still holds both rows.
+        writer.execute("DELETE FROM TabP WHERE name = 'Conrad'").unwrap();
+        writer.commit().unwrap();
+        assert_eq!(pinned.state_dump(), before);
+        assert_eq!(blocks(pinned, "TabP").len(), 2);
+
+        // The next refresh moves the pin.
+        assert_eq!(blocks(reader.snapshot().1, "TabP").len(), 1);
     }
 }

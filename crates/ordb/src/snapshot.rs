@@ -307,7 +307,7 @@ pub fn encode_snapshot(
                 }
             }
             e.u32(row.values.len() as u32);
-            for v in &row.values {
+            for v in row.values.iter() {
                 wal::encode_value(&mut e, v);
             }
         }
@@ -399,7 +399,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotData, DbError> {
             for _ in 0..n {
                 values.push(wal::decode_value(&mut d, 0)?);
             }
-            data.rows.push(Row { oid, values });
+            data.rows.push(Row { oid, values: values.into() });
         }
         heaps.insert(name, data);
     }
@@ -546,8 +546,8 @@ mod tests {
     fn hostile_duplicate_oids_are_rejected() {
         let mut heaps = BTreeMap::new();
         let mut data = TableData::default();
-        data.rows.push(Row { oid: Some(Oid(1)), values: vec![] });
-        data.rows.push(Row { oid: Some(Oid(1)), values: vec![] });
+        data.rows.push(Row { oid: Some(Oid(1)), values: Vec::new().into() });
+        data.rows.push(Row { oid: Some(Oid(1)), values: Vec::new().into() });
         heaps.insert(id("T"), data);
         assert!(matches!(
             Storage::from_parts(heaps, 5),
@@ -556,7 +556,7 @@ mod tests {
         // And OIDs beyond the allocator position.
         let mut heaps = BTreeMap::new();
         let mut data = TableData::default();
-        data.rows.push(Row { oid: Some(Oid(9)), values: vec![] });
+        data.rows.push(Row { oid: Some(Oid(9)), values: Vec::new().into() });
         heaps.insert(id("T"), data);
         assert!(matches!(
             Storage::from_parts(heaps, 5),

@@ -1,6 +1,8 @@
 //! In-memory row storage with an indexed OID directory for row objects.
 
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 use crate::error::DbError;
 use crate::ident::Ident;
@@ -8,10 +10,15 @@ use crate::value::{Oid, Value};
 
 /// One stored row. `values` parallels the table's column list; rows of
 /// object tables additionally carry the OID that REFs target (§2.3).
+///
+/// The values are one immutable shared block: nothing mutates a block in
+/// place ([`Storage::write_row_values`] replaces the whole block), so a
+/// snapshot reader, an undo record and a scan frame each hold the writer's
+/// block by pointer, and cloning a `Row` never copies a value.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Row {
     pub oid: Option<Oid>,
-    pub values: Vec<Value>,
+    pub values: Arc<Vec<Value>>,
 }
 
 /// All rows of one table.
@@ -47,7 +54,7 @@ enum StorageUndo {
     /// their original slots (ascending order), then re-slot the directory.
     Deleted { table: Ident, removed: Vec<(usize, Row)> },
     /// Inverse of [`Storage::write_row_values`]: restore the old values.
-    Wrote { table: Ident, slot: usize, values: Vec<Value> },
+    Wrote { table: Ident, slot: usize, values: Arc<Vec<Value>> },
     /// Inverse of [`Storage::create_table`]: remove the (empty) heap.
     Created { table: Ident },
     /// Inverse of [`Storage::drop_table`]: restore the heap and re-register
@@ -61,6 +68,34 @@ enum StorageUndo {
     DroppedIndex { name: Ident, table: Ident, cols: Vec<usize> },
 }
 
+/// Pass-through hasher for maps keyed by a [`key_hash`]: the key is already
+/// a SipHash of the indexed values, so hashing it a second time buys
+/// nothing. (What an outside party controls is the *values*; the key their
+/// hash lands on is as hard to steer here as in the default map.)
+#[derive(Debug, Clone, Copy, Default)]
+struct KeyHashPassThrough(u64);
+
+impl Hasher for KeyHashPassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `u64` keys are ever hashed (`write_u64`); fold anything else
+        // so a misuse is slow, not wrong.
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
+
+/// [`key_hash`] → ascending row slots.
+type SlotBuckets = HashMap<u64, Vec<usize>, BuildHasherDefault<KeyHashPassThrough>>;
+
 /// A persistent secondary index: hashed key → ascending row slots. Keys
 /// hash the indexed columns' join-key identity ([`key_hash`]), so the
 /// buckets are a *prefilter* exactly like the executor's hash joins —
@@ -73,7 +108,7 @@ pub struct SecondaryIndex {
     cols: Vec<usize>,
     /// Key hash → row slots, each bucket sorted ascending so index-driven
     /// scans enumerate rows in heap order.
-    buckets: HashMap<u64, Vec<usize>>,
+    buckets: SlotBuckets,
     /// The table version the buckets correspond to. Probes refuse to answer
     /// when this trails [`Storage::table_version`] — the safety valve that
     /// turns any missed maintenance path into a full scan instead of a
@@ -96,7 +131,6 @@ impl SecondaryIndex {
 /// maintenance, the planner's probes and the DML uniqueness check, so a
 /// probe key always lands in the bucket maintenance filed it under.
 pub fn key_hash(key: &[&Value]) -> Option<u64> {
-    use std::hash::Hasher;
     let mut h = std::collections::hash_map::DefaultHasher::new();
     for v in key {
         if v.is_null() || !v.hash_join_key(&mut h) {
@@ -133,6 +167,8 @@ pub fn key_index_name(table: &Ident, ordinal: usize) -> Ident {
 /// All three enumerate slots ascending. Index buckets and the multimap are
 /// [`key_hash`] prefilters, so every candidate is re-verified with
 /// [`Value::sql_eq`]; a NULL key (stored or asked for) never matches.
+/// [`KeyedReader::first_slot`] is the same lookup for a reader that will
+/// ask once: it never builds the multimap.
 #[derive(Debug)]
 pub struct KeyedReader<'a> {
     rows: &'a [Row],
@@ -148,7 +184,7 @@ pub struct KeyedReader<'a> {
 #[derive(Debug)]
 enum KeyedAccess<'a> {
     Index(&'a SecondaryIndex),
-    Multimap(Option<HashMap<u64, Vec<usize>>>),
+    Multimap(Option<SlotBuckets>),
     Scan,
 }
 
@@ -161,35 +197,62 @@ impl<'a> KeyedReader<'a> {
 
     /// Slots of the rows whose key column equals `key`, in heap order.
     pub fn slots(&mut self, key: &Value) -> Vec<usize> {
+        self.matching(key, true).collect()
+    }
+
+    /// The first of [`KeyedReader::slots`] — for a reader opened to answer
+    /// one lookup (a document's root row, its metadata row). Without an
+    /// index or an already-built multimap this is one pass that stops at
+    /// the first match, instead of a multimap built for a single probe.
+    pub fn first_slot(&mut self, key: &Value) -> Option<usize> {
+        self.matching(key, false).next()
+    }
+
+    /// The matching slots, lazily and ascending: the candidates — one
+    /// bucket of the prefilter, or without one the whole heap — re-verified
+    /// with [`Value::sql_eq`].
+    fn matching<'k>(&'k mut self, key: &'k Value, build: bool) -> impl Iterator<Item = usize> + 'k {
         let (rows, key_col) = (self.rows, self.key_col);
-        let matches =
-            |slot: &usize| rows[*slot].values.get(key_col).and_then(|v| v.sql_eq(key)) == Some(true);
-        let candidates = match &mut self.access {
-            KeyedAccess::Scan => {
-                self.table_scans += 1;
-                return (0..rows.len()).filter(matches).collect();
+        let (heap, bucket): (_, &[usize]) = match self.buckets(build) {
+            None => (0..rows.len(), &[]),
+            Some(buckets) => {
+                (0..0, key_hash(&[key]).and_then(|h| buckets.get(&h)).map_or(&[], Vec::as_slice))
             }
+        };
+        heap.chain(bucket.iter().copied()).filter(move |&slot| {
+            rows[slot].values.get(key_col).and_then(|v| v.sql_eq(key)) == Some(true)
+        })
+    }
+
+    /// The prefilter a lookup goes through, counting the access: the
+    /// index's buckets, or the multimap — built on first use when `build`.
+    /// `None` means the caller passes over the heap itself.
+    fn buckets(&mut self, build: bool) -> Option<&SlotBuckets> {
+        let (rows, key_col) = (self.rows, self.key_col);
+        match &mut self.access {
             KeyedAccess::Index(index) => {
                 self.index_probes += 1;
-                &index.buckets
+                Some(&index.buckets)
             }
-            KeyedAccess::Multimap(map) => &*map.get_or_insert_with(|| {
-                self.table_scans += 1;
-                let mut map: HashMap<u64, Vec<usize>> = HashMap::new();
-                for (slot, row) in rows.iter().enumerate() {
-                    if let Some(h) = row.values.get(key_col).and_then(|v| key_hash(&[v])) {
-                        // Slots arrive ascending, so plain pushes keep each
-                        // bucket in heap order — same enumeration as a scan.
-                        map.entry(h).or_default().push(slot);
+            KeyedAccess::Multimap(map) if build || map.is_some() => {
+                Some(&*map.get_or_insert_with(|| {
+                    self.table_scans += 1;
+                    let mut map = SlotBuckets::default();
+                    for (slot, row) in rows.iter().enumerate() {
+                        if let Some(h) = row.values.get(key_col).and_then(|v| key_hash(&[v])) {
+                            // Slots arrive ascending, so plain pushes keep each
+                            // bucket in heap order — same enumeration as a scan.
+                            map.entry(h).or_default().push(slot);
+                        }
                     }
-                }
-                map
-            }),
-        };
-        key_hash(&[key])
-            .and_then(|h| candidates.get(&h))
-            .map(|bucket| bucket.iter().copied().filter(matches).collect())
-            .unwrap_or_default()
+                    map
+                }))
+            }
+            KeyedAccess::Multimap(_) | KeyedAccess::Scan => {
+                self.table_scans += 1;
+                None
+            }
+        }
     }
 }
 
@@ -231,6 +294,13 @@ pub struct Storage {
     /// recent committed change. A reader whose pinned version matches
     /// holds that table's committed rows bit-identically.
     committed_versions: HashMap<Ident, u64>,
+    /// Per-table [`Storage::table_version`] of the most recent mutation
+    /// that was *not* a plain append: delete, rewrite, create/drop,
+    /// `table_mut` handout, any undo replay. Appends do not move it, so
+    /// "not past the version a reader pinned" proves the reader's heap is
+    /// a prefix of this one ([`Storage::committed_appends`]). Like
+    /// `versions`, entries are never removed.
+    reshaped_versions: HashMap<Ident, u64>,
 }
 
 impl Storage {
@@ -238,8 +308,17 @@ impl Storage {
         Self::default()
     }
 
+    /// Advance `table`'s mutation counter for an append.
+    fn touch_appended(&mut self, table: &Ident) -> u64 {
+        let version = self.versions.entry(table.clone()).or_insert(0);
+        *version += 1;
+        *version
+    }
+
+    /// Advance `table`'s mutation counter for anything but an append.
     fn touch(&mut self, table: &Ident) {
-        *self.versions.entry(table.clone()).or_insert(0) += 1;
+        let version = self.touch_appended(table);
+        self.reshaped_versions.insert(table.clone(), version);
     }
 
     /// Mutation counter for one table — see the `versions` field.
@@ -295,12 +374,13 @@ impl Storage {
         self.tables.get(name)
     }
 
-    /// Mutable access to a table's rows, for in-place value updates.
+    /// Mutable access to a table's rows.
     ///
     /// Callers must not add or remove rows through this handle — row
     /// *slots* back the OID directory; structural changes go through
     /// [`Storage::insert_row`] / [`Storage::delete_rows`], which keep the
-    /// directory consistent.
+    /// directory consistent. A row's values are a shared block
+    /// ([`Row::values`]): replace the block, never write through it.
     pub fn table_mut(&mut self, name: &Ident) -> Option<&mut TableData> {
         if self.tables.contains_key(name) {
             // The handle may be used to rewrite values; assume it will be.
@@ -331,9 +411,9 @@ impl Storage {
             None
         };
         let base_slot = data.rows.len();
-        data.rows.push(Row { oid, values });
+        data.rows.push(Row { oid, values: Arc::new(values) });
         let prev_version = self.table_version(table);
-        self.touch(table);
+        self.touch_appended(table);
         self.undo.push(StorageUndo::Inserted { table: table.clone(), prev_next_oid });
         self.index_appended(table, base_slot, prev_version);
         Ok(oid)
@@ -370,10 +450,10 @@ impl Storage {
             } else {
                 None
             };
-            data.rows.push(Row { oid, values });
+            data.rows.push(Row { oid, values: Arc::new(values) });
         }
         let prev_version = self.table_version(table);
-        self.touch(table);
+        self.touch_appended(table);
         self.undo.push(StorageUndo::BulkInserted {
             table: table.clone(),
             count,
@@ -399,7 +479,7 @@ impl Storage {
         let row = data.rows.get_mut(slot).ok_or_else(|| {
             DbError::Execution(format!("row slot {slot} out of range for table {table}"))
         })?;
-        let old = std::mem::replace(&mut row.values, values);
+        let old = std::mem::replace(&mut row.values, Arc::new(values));
         let prev_version = self.table_version(table);
         self.touch(table);
         self.index_rewrote(table, slot, &old, prev_version);
@@ -566,7 +646,7 @@ impl Storage {
                 }
                 StorageUndo::Wrote { table: t, slot, values } if t == table => {
                     if let Some(row) = heap.as_mut().and_then(|d| d.rows.get_mut(*slot)) {
-                        row.values = values.clone();
+                        row.values = Arc::clone(values);
                     }
                 }
                 StorageUndo::Created { table: t } if t == table => {
@@ -579,6 +659,30 @@ impl Storage {
             }
         }
         heap
+    }
+
+    /// The committed rows a snapshot reader is missing, when appending them
+    /// is all its copy of `table` needs: the reader holds the committed
+    /// heap as of committed version `pinned` (`held` rows), and nothing but
+    /// appends touched the table since — so this heap is the reader's plus
+    /// appended rows, the last of them possibly uncommitted. `None` when
+    /// anything else happened (or the table is gone): the reader falls back
+    /// to [`Storage::committed_heap`].
+    pub fn committed_appends(&self, table: &Ident, pinned: u64, held: usize) -> Option<&[Row]> {
+        if self.reshaped_versions.get(table).copied().unwrap_or(0) > pinned {
+            return None;
+        }
+        let uncommitted: usize = self
+            .undo
+            .iter()
+            .map(|op| match op {
+                StorageUndo::Inserted { table: t, .. } if t == table => 1,
+                StorageUndo::BulkInserted { table: t, count, .. } if t == table => *count,
+                _ => 0,
+            })
+            .sum();
+        let rows = &self.tables.get(table)?.rows;
+        rows.get(held..rows.len().checked_sub(uncommitted)?)
     }
 
     /// The OID allocator position as of the last commit: the oldest
@@ -620,8 +724,30 @@ impl Storage {
         self.rebuild_stale_indexes(table);
     }
 
+    /// Append committed rows to one table of a *reader cache* storage — the
+    /// counterpart of [`Storage::install_table_snapshot`] for a table that
+    /// only grew ([`Storage::committed_appends`]). The rows keep the
+    /// writer's OIDs and share its value blocks; the directory and the
+    /// table's indexes extend by exactly these rows, through the same
+    /// incremental maintenance an insert uses. Not undo-logged.
+    pub fn append_table_snapshot(&mut self, table: &Ident, rows: &[Row]) {
+        let Some(data) = self.tables.get_mut(table) else { return };
+        let base_slot = data.rows.len();
+        for (i, row) in rows.iter().enumerate() {
+            if let Some(oid) = row.oid {
+                self.oid_directory
+                    .insert(oid, OidEntry { table: table.clone(), slot: base_slot + i });
+            }
+        }
+        data.rows.extend_from_slice(rows);
+        let prev_version = self.table_version(table);
+        self.touch_appended(table);
+        self.index_appended(table, base_slot, prev_version);
+    }
+
     /// Set the OID allocator position on a reader cache (paired with
-    /// [`Storage::install_table_snapshot`]).
+    /// [`Storage::install_table_snapshot`] /
+    /// [`Storage::append_table_snapshot`]).
     pub fn set_next_oid(&mut self, next_oid: u64) {
         self.next_oid = next_oid;
     }
@@ -745,7 +871,7 @@ impl Storage {
                 // check) makes it usable again.
                 self.indexes.insert(
                     name,
-                    SecondaryIndex { table, cols, buckets: HashMap::new(), version: u64::MAX },
+                    SecondaryIndex { table, cols, buckets: SlotBuckets::default(), version: u64::MAX },
                 );
             }
         }
@@ -893,6 +1019,7 @@ impl Storage {
             maintenance_ops: 0,
             committed_epoch: 0,
             committed_versions: HashMap::new(),
+            reshaped_versions: HashMap::new(),
         })
     }
 
@@ -903,7 +1030,7 @@ impl Storage {
     pub fn register_index_unlogged(&mut self, name: Ident, table: Ident, cols: Vec<usize>) {
         self.indexes.insert(
             name,
-            SecondaryIndex { table: table.clone(), cols, buckets: HashMap::new(), version: u64::MAX },
+            SecondaryIndex { table: table.clone(), cols, buckets: SlotBuckets::default(), version: u64::MAX },
         );
         self.rebuild_stale_indexes(&table);
     }
@@ -916,7 +1043,7 @@ impl Storage {
         self.undo.push(StorageUndo::CreatedIndex { name: name.clone() });
         self.indexes.insert(
             name,
-            SecondaryIndex { table: table.clone(), cols, buckets: HashMap::new(), version: u64::MAX },
+            SecondaryIndex { table: table.clone(), cols, buckets: SlotBuckets::default(), version: u64::MAX },
         );
         self.rebuild_stale_indexes(&table);
     }

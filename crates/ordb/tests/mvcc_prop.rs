@@ -4,13 +4,19 @@
 //! (a few DML statements followed by COMMIT). The writer thread replays
 //! the stream while N reader threads hammer a fixed query mix through
 //! [`ReadSession`]s, each recording `(pinned storage epoch, query index,
-//! result)` triples. The property:
+//! result)` triples. The properties:
 //!
 //! * **Serial equivalence at the pinned epoch** — every concurrent read
 //!   is byte-identical (`QueryResult` equality: column names, row values,
 //!   row order) to the same query run serially on a fresh database that
 //!   replayed exactly the units committed up to that epoch. Readers never
 //!   observe uncommitted, torn, or otherwise intermediate state.
+//! * **The snapshot itself is sound after every refresh** — whichever path
+//!   brought it up to date (nothing to do, rows appended, heaps replaced,
+//!   everything re-derived), its OID directory and secondary indexes agree
+//!   with its heaps and its `state_dump` is the serial replay's at the
+//!   pinned epoch. A reader stepping in lockstep with the writer (one
+//!   refresh per commit) makes sure both incremental paths are exercised.
 //!
 //! Epoch → unit-count mapping: every unit contains at least one INSERT,
 //! so every COMMIT moves data and bumps the storage committed epoch by
@@ -24,7 +30,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use xmlord_ordb::{Database, DbMode, QueryResult};
+use xmlord_ordb::{Database, DbMode, QueryResult, ReadSession};
 use xmlord_prng::Prng;
 
 /// Schema plus seed rows; committed once by `setup` (one storage epoch).
@@ -97,28 +103,49 @@ fn gen_unit(rng: &mut Prng, n: usize) -> Vec<String> {
 }
 
 /// Serial oracle: replay `units[..k]` on a fresh database and answer
-/// every query — the expected result table, indexed `[k][query]`.
-fn oracle_table(mode: DbMode, units: &[Vec<String>]) -> Vec<Vec<QueryResult>> {
+/// every query — the expected result table, indexed `[k][query]` — and
+/// dump the state, indexed `[k]`.
+fn oracle_table(mode: DbMode, units: &[Vec<String>]) -> (Vec<Vec<QueryResult>>, Vec<String>) {
     let mut db = setup(mode);
     let mut table = Vec::with_capacity(units.len() + 1);
+    let mut dumps = Vec::with_capacity(units.len() + 1);
     let answers = |db: &mut Database| -> Vec<QueryResult> {
         QUERIES.iter().map(|q| db.query(q).unwrap()).collect()
     };
     table.push(answers(&mut db));
+    dumps.push(db.state_dump());
     for unit in units {
         for stmt in unit {
             db.execute(stmt).unwrap();
         }
         db.commit().unwrap();
         table.push(answers(&mut db));
+        dumps.push(db.state_dump());
     }
-    table
+    (table, dumps)
+}
+
+/// Refresh `session` and check the snapshot it now holds: directory and
+/// indexes consistent with the heaps, state equal to the serial replay's
+/// at the pinned epoch (`dumps[k]`, `k` units past `base_epoch`).
+fn check_snapshot(session: &mut ReadSession, base_epoch: u64, dumps: &[String]) {
+    let (catalog, storage) = session.snapshot();
+    storage.check_oid_directory().unwrap();
+    storage.check_indexes().unwrap();
+    let dump = format!("{}\n{}", catalog.state_dump(), storage.state_dump());
+    let epoch = session.pinned_epochs().0;
+    assert_eq!(
+        dump,
+        dumps[(epoch - base_epoch) as usize],
+        "snapshot at epoch {epoch} is not the serial replay's state"
+    );
 }
 
 fn run_concurrent(mode: DbMode, seed: u64, readers: usize, units_n: usize) {
     let mut rng = Prng::seed_from_u64(seed);
     let units: Vec<Vec<String>> = (0..units_n).map(|n| gen_unit(&mut rng, n)).collect();
-    let expected = oracle_table(mode, &units);
+    let (expected, dumps) = oracle_table(mode, &units);
+    let dumps = Arc::new(dumps);
 
     let mut writer = setup(mode);
     // Setup commits exactly once (its script ends in COMMIT); whatever
@@ -130,6 +157,7 @@ fn run_concurrent(mode: DbMode, seed: u64, readers: usize, units_n: usize) {
     for r in 0..readers {
         let mut session = writer.read_session();
         let done = Arc::clone(&done);
+        let dumps = Arc::clone(&dumps);
         let reader_seed = seed ^ (r as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15);
         handles.push(std::thread::spawn(move || {
             let mut rng = Prng::seed_from_u64(reader_seed);
@@ -140,6 +168,7 @@ fn run_concurrent(mode: DbMode, seed: u64, readers: usize, units_n: usize) {
                 // reader also validates the final state.
                 spin = !done.load(Ordering::Acquire);
                 let q = rng.gen_range(0u32..QUERIES.len() as u32) as usize;
+                check_snapshot(&mut session, base_epoch, &dumps);
                 let (epoch, _) = session.refresh();
                 let result = session.query(QUERIES[q]).unwrap();
                 // The query ran on the cache pinned at `epoch`: refresh()
@@ -155,14 +184,24 @@ fn run_concurrent(mode: DbMode, seed: u64, readers: usize, units_n: usize) {
 
     // The writer replays the units, committing one unit at a time, while
     // the readers run. No artificial delays: the interleaving is whatever
-    // the scheduler produces.
+    // the scheduler produces — except for one more session that steps with
+    // the writer, one refresh per commit, so that every unit's splice is
+    // checked on its own whatever the scheduler does.
+    let mut stepper = writer.read_session();
+    check_snapshot(&mut stepper, base_epoch, &dumps);
     for unit in &units {
         for stmt in unit {
             writer.execute(stmt).unwrap();
         }
         writer.commit().unwrap();
+        check_snapshot(&mut stepper, base_epoch, &dumps);
     }
     done.store(true, Ordering::Release);
+    let (appended, replaced) = stepper.splice_counts();
+    assert!(
+        appended > 0 && replaced > 0,
+        "seed {seed:#x} must exercise both splices: {appended} appended, {replaced} replaced"
+    );
 
     let mut total = 0usize;
     for handle in handles {
@@ -215,7 +254,8 @@ fn concurrent_reads_survive_committed_ddl() {
         }
         units.push(unit);
     }
-    let expected = oracle_table(mode, &units);
+    let (expected, dumps) = oracle_table(mode, &units);
+    let dumps = Arc::new(dumps);
 
     let mut writer = setup(mode);
     let base_epoch = writer.read_session().refresh().0;
@@ -224,6 +264,7 @@ fn concurrent_reads_survive_committed_ddl() {
     for r in 0..3usize {
         let mut session = writer.read_session();
         let done = Arc::clone(&done);
+        let dumps = Arc::clone(&dumps);
         handles.push(std::thread::spawn(move || {
             let mut rng = Prng::seed_from_u64(0x5EED ^ r as u64);
             let mut observations = Vec::new();
@@ -231,6 +272,7 @@ fn concurrent_reads_survive_committed_ddl() {
             while spin {
                 spin = !done.load(Ordering::Acquire);
                 let q = rng.gen_range(0u32..QUERIES.len() as u32) as usize;
+                check_snapshot(&mut session, base_epoch, &dumps);
                 let result = session.query(QUERIES[q]).unwrap();
                 observations.push((session.pinned_epochs().0, q, result));
             }
@@ -280,4 +322,45 @@ fn repeatable_reads_within_a_pin() {
     let after = late.query("SELECT COUNT(*) FROM TabEmp").unwrap();
     assert_ne!(before, after, "the committed insert must be visible to a fresh session");
     assert!(late.pinned_epochs().0 > pinned.0);
+}
+
+/// A refresh costs what the commit changed, not what the table holds: one
+/// row committed into a 10 000-row indexed table copies exactly one row
+/// handle into a reader that had the other 10 000, and files exactly one
+/// key in its copy of the index.
+#[test]
+fn refresh_after_an_append_copies_the_appended_rows_only() {
+    let mut writer = Database::new(DbMode::Oracle9);
+    writer
+        .execute_script(
+            "CREATE TABLE TabBig (id NUMBER PRIMARY KEY, name VARCHAR(30));
+             CREATE INDEX IxBigName ON TabBig (name);",
+        )
+        .unwrap();
+    for i in 0..10_000 {
+        writer.execute(&format!("INSERT INTO TabBig VALUES ({i}, 'n{}')", i % 100)).unwrap();
+    }
+    writer.commit().unwrap();
+
+    let mut reader = writer.read_session();
+    reader.refresh();
+    let before = reader.rows_copied();
+    assert_eq!(before, 10_000, "the first refresh re-derives everything");
+
+    writer.execute("INSERT INTO TabBig VALUES (10000, 'n0')").unwrap();
+    writer.commit().unwrap();
+    let by_name = reader.query("SELECT b.id FROM TabBig b WHERE b.name = 'n0'").unwrap();
+    assert_eq!(by_name.rows.len(), 101);
+    assert_eq!(reader.rows_copied() - before, 1);
+    assert_eq!(reader.splice_counts(), (1, 0));
+    let (_, storage) = reader.snapshot();
+    storage.check_oid_directory().unwrap();
+    storage.check_indexes().unwrap();
+
+    // Anything but an append sends the table down the replacing path.
+    writer.execute("DELETE FROM TabBig WHERE id = 0").unwrap();
+    writer.commit().unwrap();
+    reader.refresh();
+    assert_eq!(reader.splice_counts(), (1, 1));
+    assert_eq!(reader.rows_copied() - before, 1 + 10_000);
 }

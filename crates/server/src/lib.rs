@@ -20,16 +20,34 @@
 //! # ...                 informational lines (greeting, .stats output)
 //! ```
 //!
+//! A result cell never contains a raw control character that frames the
+//! protocol: inside a cell, backslash, newline, tab and carriage return
+//! are written as the two characters `\\`, `\n`, `\t`, `\r`. So a line
+//! that starts with `OK ` or `ERR ` is always the server's status line,
+//! never a stored string, and a tab always separates two cells. Cells
+//! without those four characters — every other value — are sent verbatim.
+//!
 //! Dot-commands: `.help`, `.stats` (the connection's reader statistics and
 //! the writer's report), `.epoch` (the reader's pinned committed epochs),
 //! `.get <doc-id>` (reconstruct a stored XML document on this connection's
-//! snapshot reader and stream it down the wire), `.quit`.
+//! snapshot reader and send it down the wire), `.quit`. A command is the
+//! whole word: `.get` takes its argument after whitespace.
 //!
 //! Transaction semantics are the engine's: writes become visible to the
 //! read sessions of *all* connections at `COMMIT;`, not before.
+//!
+//! # Flush discipline
+//!
+//! Everything a connection sends goes through one [`BufWriter`] sized for
+//! a typical document (64 KiB) and is flushed exactly once
+//! per response: after the greeting, and after each response's `OK`/`ERR`
+//! line — never in the middle of one. With `TCP_NODELAY` set on accept, a
+//! reply that fits the buffer leaves in one write and one segment train,
+//! instead of one small segment per line (or per serializer fragment of a
+//! `.get`) with the last of them waiting out the peer's delayed ACK.
 
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
@@ -82,7 +100,7 @@ impl Server {
                     let writer = Arc::clone(&self.writer);
                     thread::spawn(move || {
                         let peer = stream.peer_addr().map(|a| a.to_string());
-                        if let Err(e) = serve_connection(stream, writer) {
+                        if let Err(e) = serve_stream(stream, writer) {
                             eprintln!(
                                 "connection {} ended: {e}",
                                 peer.as_deref().unwrap_or("?")
@@ -108,10 +126,28 @@ impl Server {
     }
 }
 
+/// Capacity of a connection's reply buffer: a typical stored document
+/// (and any ordinary result set) fits, so its reply is one write.
+const REPLY_BUFFER_BYTES: usize = 64 * 1024;
+
+/// Serve one accepted socket: Nagle off, requests read through a
+/// [`BufReader`], replies written only through the connection's
+/// [`BufWriter`].
+fn serve_stream(stream: TcpStream, writer: SharedWriter) -> io::Result<()> {
+    stream.set_nodelay(true)?;
+    let out = BufWriter::with_capacity(REPLY_BUFFER_BYTES, stream.try_clone()?);
+    serve_connection(BufReader::new(stream), out, writer)
+}
+
 /// Serve one connection to completion: greeting, then a
-/// statement/dot-command loop until `.quit` or EOF.
-fn serve_connection(stream: TcpStream, writer: SharedWriter) -> io::Result<()> {
-    let mut out = stream.try_clone()?;
+/// statement/dot-command loop until `.quit` or EOF. `out` is flushed once
+/// per response (see the module docs) — generic over both ends so a test
+/// can drive a script through in-memory buffers and count the flushes.
+pub fn serve_connection(
+    input: impl BufRead,
+    mut out: impl Write,
+    writer: SharedWriter,
+) -> io::Result<()> {
     let mut reader =
         writer.lock().unwrap_or_else(PoisonError::into_inner).read_session();
     // Per-connection schema cache for `.get`: document-type schemas are
@@ -119,14 +155,16 @@ fn serve_connection(stream: TcpStream, writer: SharedWriter) -> io::Result<()> {
     // use, then reused for the connection's lifetime.
     let mut schemas: HashMap<String, MappedSchema> = HashMap::new();
     writeln!(out, "# xmlord server ready (statements end with ';', .help for commands)")?;
+    out.flush()?;
 
-    let lines = BufReader::new(stream).lines();
     let mut pending = String::new();
-    for line in lines {
+    for line in input.lines() {
         let line = line?;
         let trimmed = line.trim();
         if pending.is_empty() && trimmed.starts_with('.') {
-            match run_dot_command(trimmed, &mut out, &mut reader, &writer, &mut schemas)? {
+            let flow = run_dot_command(trimmed, &mut out, &mut reader, &writer, &mut schemas)?;
+            out.flush()?;
+            match flow {
                 ControlFlow::Continue => continue,
                 ControlFlow::Quit => break,
             }
@@ -143,9 +181,10 @@ fn serve_connection(stream: TcpStream, writer: SharedWriter) -> io::Result<()> {
         pending.clear();
         if statement.is_empty() {
             writeln!(out, "OK 0")?;
-            continue;
+        } else {
+            respond(&mut out, &statement, &mut reader, &writer)?;
         }
-        respond(&mut out, &statement, &mut reader, &writer)?;
+        out.flush()?;
     }
     Ok(())
 }
@@ -157,12 +196,16 @@ enum ControlFlow {
 
 fn run_dot_command(
     cmd: &str,
-    out: &mut TcpStream,
+    out: &mut impl Write,
     reader: &mut ReadSession,
     writer: &SharedWriter,
     schemas: &mut HashMap<String, MappedSchema>,
 ) -> io::Result<ControlFlow> {
-    if let Some(arg) = cmd.strip_prefix(".get") {
+    // `.get` alone or followed by whitespace; `.getfoo` is not `.get foo`.
+    let get_arg = cmd
+        .strip_prefix(".get")
+        .filter(|rest| rest.is_empty() || rest.starts_with(char::is_whitespace));
+    if let Some(arg) = get_arg {
         let doc_id = arg.trim();
         if doc_id.is_empty() {
             writeln!(out, "ERR usage: .get <doc-id>")?;
@@ -211,13 +254,13 @@ fn run_dot_command(
 }
 
 /// `.get <doc-id>`: reconstruct a stored XML document on this
-/// connection's snapshot reader and stream it straight into the socket —
-/// the set-oriented bulk walker feeding [`serialize_to`], no intermediate
-/// `String` and no writer lock. The reader refreshes first, so the
-/// response reflects the latest *committed* state, like any SELECT.
+/// connection's snapshot reader and serialize it straight into the reply
+/// buffer — the set-oriented bulk walker feeding [`serialize_to`], no
+/// intermediate `String` and no writer lock. The reader refreshes first,
+/// so the response reflects the latest *committed* state, like any SELECT.
 fn get_document(
     doc_id: &str,
-    out: &mut TcpStream,
+    out: &mut impl Write,
     reader: &mut ReadSession,
     schemas: &mut HashMap<String, MappedSchema>,
 ) -> io::Result<()> {
@@ -248,7 +291,7 @@ fn get_document(
 /// snapshot reader; everything else locks the writer for the duration of
 /// the single statement.
 fn respond(
-    out: &mut TcpStream,
+    out: &mut impl Write,
     statement: &str,
     reader: &mut ReadSession,
     writer: &SharedWriter,
@@ -277,14 +320,225 @@ fn is_read_only(statement: &str) -> bool {
     first.eq_ignore_ascii_case("SELECT") || first.eq_ignore_ascii_case("EXPLAIN")
 }
 
-fn write_result(out: &mut TcpStream, result: &QueryResult) -> io::Result<()> {
+fn write_result(out: &mut impl Write, result: &QueryResult) -> io::Result<()> {
     for row in &result.rows {
-        let cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();
+        let cells: Vec<String> = row.iter().map(|v| escape_cell(v.to_string())).collect();
         writeln!(out, "| {}", cells.join("\t"))?;
     }
     writeln!(out, "OK {}", result.rows.len())
 }
 
-fn write_err(out: &mut TcpStream, message: &str) -> io::Result<()> {
+/// Escape the characters that frame the protocol (module docs): a cell
+/// holding none of them — nearly every cell — passes through untouched.
+fn escape_cell(cell: String) -> String {
+    if !cell.contains(['\\', '\n', '\t', '\r']) {
+        return cell;
+    }
+    let mut escaped = String::with_capacity(cell.len() + 2);
+    for c in cell.chars() {
+        match c {
+            '\\' => escaped.push_str("\\\\"),
+            '\n' => escaped.push_str("\\n"),
+            '\t' => escaped.push_str("\\t"),
+            '\r' => escaped.push_str("\\r"),
+            c => escaped.push(c),
+        }
+    }
+    escaped
+}
+
+fn write_err(out: &mut impl Write, message: &str) -> io::Result<()> {
     writeln!(out, "ERR {}", message.replace('\n', " "))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use xml2ordb::pipeline::Xml2OrDb;
+    use xmlord_ordb::DbMode;
+
+    /// A writer that remembers what arrived between flushes.
+    #[derive(Default)]
+    struct FlushLog {
+        flushed: Vec<String>,
+        unflushed: Vec<u8>,
+    }
+
+    impl Write for &mut FlushLog {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.unflushed.extend_from_slice(bytes);
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            let chunk = String::from_utf8(std::mem::take(&mut self.unflushed)).unwrap();
+            self.flushed.push(chunk);
+            Ok(())
+        }
+    }
+
+    /// Serve `script` on a connection over in-memory buffers; returns what
+    /// was sent, one entry per flush.
+    fn serve(db: Database, script: &str) -> Vec<String> {
+        let mut log = FlushLog::default();
+        serve_connection(script.as_bytes(), &mut log, Arc::new(Mutex::new(db))).unwrap();
+        assert!(log.unflushed.is_empty(), "bytes left unflushed: {:?}", log.unflushed);
+        log.flushed
+    }
+
+    /// The smoke test's conversation on one connection: DDL, DML, COMMIT
+    /// visibility, a multi-line statement, EXPLAIN, errors, every
+    /// dot-command with a deterministic reply, `.get` of a stored document.
+    const SMOKE_SCRIPT: &str = "\
+CREATE TYPE Type_P AS OBJECT(name VARCHAR(20), dept VARCHAR(20));
+CREATE TABLE TabP OF Type_P;
+COMMIT;
+INSERT INTO TabP VALUES (Type_P('Kudrass', 'DB'));
+SELECT name FROM TabP;
+COMMIT;
+SELECT name FROM TabP;
+INSERT INTO TabP VALUES (Type_P('Conrad', 'DB'));
+COMMIT;
+SELECT name, dept FROM TabP
+ORDER BY name;
+EXPLAIN SELECT name FROM TabP;
+SELECT nope FROM TabMissing;
+SELECT COUNT(*) FROM TabP;
+;
+DELETE FROM TabP WHERE name = 'Conrad';
+COMMIT;
+SELECT COUNT(*) FROM TabP;
+.epoch
+.help
+.nonsense
+.get
+.get nonsense
+.get uni-1
+.get uni-100
+.quit
+SELECT 'never reached' FROM TabP;
+";
+
+    /// Every byte the server sent for [`SMOKE_SCRIPT`] over TCP before
+    /// replies were buffered (captured from a build of that commit).
+    const SMOKE_TRANSCRIPT: &str = "\
+# xmlord server ready (statements end with ';', .help for commands)
+OK 0
+OK 0
+OK 0
+OK 0
+OK 0
+OK 0
+| Kudrass
+OK 1
+OK 0
+OK 0
+| Conrad\tDB
+| Kudrass\tDB
+OK 2
+| EXPLAIN (Oracle9)
+| SELECT
+|   from[0] TabP: scan object table TabP OF Type_P
+|   project name
+|   read-only: no undo-log records
+OK 5
+ERR table or view 'TabMissing' does not exist
+| 2
+OK 1
+OK 0
+OK 0
+OK 0
+| 1
+OK 1
+# pinned storage epoch 6, catalog epoch 2
+OK 0
+# statements: any engine SQL terminated by ';'
+# SELECT/EXPLAIN run on this connection's snapshot reader;
+# other statements go to the shared writer (COMMIT publishes)
+# dot-commands: .help .stats .epoch .get <doc-id> .quit
+OK 0
+ERR unknown command .nonsense (try .help)
+ERR usage: .get <doc-id>
+ERR malformed document id 'nonsense' (want <schema>-<n>)
+<?xml version=\"1.0\"?>
+<University><Student StudNr=\"4711\"><Name>Ada</Name></Student><Student StudNr=\"4712\"><Name>Grace</Name></Student></University>
+OK 1
+ERR no document with id 'uni-100'
+OK 0
+";
+
+    fn uni_database() -> Database {
+        let mut sys = Xml2OrDb::new(DbMode::Oracle9);
+        sys.register_dtd(
+            "uni",
+            "<!ELEMENT University (Student*)>\n\
+             <!ELEMENT Student (Name)>\n\
+             <!ATTLIST Student StudNr CDATA #REQUIRED>\n\
+             <!ELEMENT Name (#PCDATA)>",
+            "University",
+        )
+        .unwrap();
+        let doc_id = sys
+            .store_document(
+                "uni",
+                "<?xml version=\"1.0\"?>\
+                 <University><Student StudNr=\"4711\"><Name>Ada</Name></Student>\
+                 <Student StudNr=\"4712\"><Name>Grace</Name></Student></University>",
+            )
+            .unwrap();
+        assert_eq!(doc_id, "uni-1");
+        sys.into_database()
+    }
+
+    #[test]
+    fn a_response_is_flushed_once_and_the_smoke_transcript_is_unchanged() {
+        let responses = serve(uni_database(), SMOKE_SCRIPT);
+        // Greeting plus one response per request up to and including
+        // `.quit`; nothing after it is served.
+        let requests = SMOKE_SCRIPT.lines().filter(|l| l.ends_with(';') || l.starts_with('.'));
+        assert_eq!(responses.len(), 1 + requests.count() - 1);
+        for response in &responses[1..] {
+            // One flush per response and none mid-response: every flushed
+            // chunk is whole lines ending in its only status line.
+            let status = |l: &str| l.starts_with("OK ") || l.starts_with("ERR ");
+            assert!(response.ends_with('\n'), "{response:?}");
+            assert_eq!(response.lines().filter(|l| status(l)).count(), 1, "{response:?}");
+            assert!(response.lines().last().is_some_and(status), "{response:?}");
+        }
+        assert_eq!(responses.concat(), SMOKE_TRANSCRIPT);
+    }
+
+    /// A stored string holding a newline and `OK 0` used to arrive as a
+    /// status line of its own, leaving the client one reply out of step.
+    #[test]
+    fn a_stored_string_cannot_forge_a_status_line() {
+        let responses = serve(
+            Database::new(DbMode::Oracle9),
+            "CREATE TABLE T (a VARCHAR(40), b VARCHAR(40));\n\
+             INSERT INTO T VALUES ('x\nOK 0', 'tab\there \\ cr\rend');\n\
+             COMMIT;\n\
+             SELECT a, b FROM T;\n\
+             SELECT COUNT(*) FROM T;\n",
+        );
+        assert_eq!(
+            responses[1..],
+            [
+                "OK 0\n",
+                "OK 0\n",
+                "OK 0\n",
+                "| x\\nOK 0\ttab\\there \\\\ cr\\rend\nOK 1\n",
+                "| 1\nOK 1\n",
+            ]
+        );
+    }
+
+    /// `.get` is a whole word: `.getuni-1` is an unknown command, not
+    /// `.get uni-1`.
+    #[test]
+    fn get_requires_a_separator_before_its_argument() {
+        let responses = serve(uni_database(), ".getuni-1\n.get\tuni-1\n.get\n");
+        assert_eq!(responses[1], "ERR unknown command .getuni-1 (try .help)\n");
+        assert!(responses[2].ends_with("</University>\nOK 1\n"), "{:?}", responses[2]);
+        assert_eq!(responses[3], "ERR usage: .get <doc-id>\n");
+    }
 }

@@ -304,7 +304,7 @@ impl<'a> Retriever<'a> {
                                  mapping declares no attribute list"
                             )));
                         };
-                        for (f, v) in attr_list.fields.iter().zip(attrs) {
+                        for (f, v) in attr_list.fields.iter().zip(attrs.iter()) {
                             match v {
                                 Value::Null => {}
                                 Value::Ref(target_oid) => {
@@ -380,7 +380,7 @@ impl<'a> Retriever<'a> {
                 Ok(())
             }
             (FieldKind::ScalarCollection(_), Value::Coll { elements, .. }) => {
-                for element in elements {
+                for element in elements.iter() {
                     let child = doc.create_element(self.element_qname(child_name));
                     if let Some(text) = scalar_text(element) {
                         if !text.is_empty() {
@@ -393,7 +393,7 @@ impl<'a> Retriever<'a> {
                 Ok(())
             }
             (FieldKind::ObjectCollection { .. }, Value::Coll { elements, .. }) => {
-                for element in elements {
+                for element in elements.iter() {
                     if let Value::Obj { attrs, .. } = element {
                         let child = self.build_element(doc, child_name, attrs, None)?;
                         doc.append_child(parent, child);
@@ -407,7 +407,7 @@ impl<'a> Retriever<'a> {
                 Ok(())
             }
             (FieldKind::RefCollection { .. }, Value::Coll { elements, .. }) => {
-                for element in elements {
+                for element in elements.iter() {
                     if let Value::Ref(oid) = element {
                         let child = self.build_ref_child(doc, child_name, *oid)?;
                         doc.append_child(parent, child);
@@ -506,7 +506,7 @@ impl<'a> Retriever<'a> {
                 mapping.fields.iter().position(|f| f.source == FieldSource::AttrList)
             {
                 if let Some(Value::Obj { attrs, .. }) = row.values.get(list_idx) {
-                    for (f, v) in attr_list.fields.iter().zip(attrs) {
+                    for (f, v) in attr_list.fields.iter().zip(attrs.iter()) {
                         if f.idref_target.is_none() {
                             if let Some(s) = v.as_str() {
                                 return Some(s.to_string());

@@ -52,7 +52,8 @@ fn shape_row(
         if let TableDef::Object { of_type, .. } = table {
             if let Value::Obj { type_name, attrs } = &provided[0] {
                 if type_name == of_type {
-                    return Ok(attrs.clone());
+                    // One level: nested composites stay handles.
+                    return Ok(Vec::clone(attrs));
                 }
             }
         }
@@ -552,7 +553,7 @@ pub fn execute_update(
             let mut new_values = row.values.to_vec();
             for (path, rhs) in sets {
                 let value = eval_expr(&mut ctx, &env, rhs)?;
-                set_path(&mut ctx, &table_columns, &mut new_values, path, value)?;
+                assign_path(&mut ctx, &table_columns, &mut new_values, path, value)?;
             }
             slots.push(idx);
             new_rows.push(new_values);
@@ -586,9 +587,13 @@ pub fn execute_update(
     Ok(count)
 }
 
-/// Assign `value` at `path` within a row: `path[0]` names a column, further
-/// parts navigate into embedded object attributes.
-fn set_path(
+/// Assign `value` at `path` within a row's new image: `path[0]` names a
+/// column, further parts navigate into embedded object attributes. Each
+/// level is entered through `Arc::make_mut` — the one place a value block is
+/// written — so exactly the blocks along the path are copied (each one level
+/// deep: its other members stay handles); sibling attributes keep sharing
+/// their blocks with the old image in the undo log and in pinned readers.
+fn assign_path(
     ctx: &mut ExecCtx,
     table_columns: &[(Ident, SqlType)],
     row_values: &mut [Value],
@@ -634,10 +639,10 @@ fn set_path(
         if is_leaf {
             let attr_type = def.object_attrs()[attr_idx].1.clone();
             let coerced = coerce(ctx, value, &attr_type, part.as_str())?;
-            attrs[attr_idx] = coerced;
+            Arc::make_mut(attrs)[attr_idx] = coerced;
             return Ok(());
         }
-        slot = &mut attrs[attr_idx];
+        slot = &mut Arc::make_mut(attrs)[attr_idx];
     }
     // The caller splits off a non-empty path, so the loop always reaches
     // `is_leaf` and returns; surface a typed error rather than panicking

@@ -1,6 +1,9 @@
 //! Expression evaluation: literals, dot-notation paths (with implicit REF
 //! dereference), constructors, built-ins, subqueries, three-valued logic.
 
+use std::borrow::Cow;
+use std::sync::Arc;
+
 use crate::catalog::{Catalog, TableDef, TypeDef};
 use crate::error::DbError;
 use crate::exec::select::execute_select;
@@ -47,7 +50,7 @@ impl<'a> ExecCtx<'a> {
 pub fn eval_expr(ctx: &mut ExecCtx, env: &Env, expr: &Expr) -> Result<Value, DbError> {
     match expr {
         Expr::Literal(v) => Ok(v.clone()),
-        Expr::Path(parts) => resolve_path(ctx, env, parts),
+        Expr::Path(parts) => resolve_path(ctx, env, parts).map(Cow::into_owned),
         Expr::Call { name, args } => eval_call(ctx, env, name, args),
         Expr::CountStar => Err(DbError::Execution(
             "COUNT(*) is only valid as a top-level select item".into(),
@@ -143,8 +146,25 @@ pub fn eval_expr(ctx: &mut ExecCtx, env: &Env, expr: &Expr) -> Result<Value, DbE
                     });
                 }
             }
-            Ok(Value::Coll { type_name: target.clone(), elements })
+            Ok(Value::Coll { type_name: target.clone(), elements: Arc::new(elements) })
         }
+    }
+}
+
+/// Evaluate an operand that is only looked at — compared, tested for NULL,
+/// matched against a pattern: a literal is borrowed from the statement and a
+/// path that stays inside objects from the frame's own block, so
+/// `t.attrPName = 'Jaeger'` clones neither string. REF navigation, calls and
+/// subqueries materialise as in [`eval_expr`].
+pub fn eval_ref<'e>(
+    ctx: &mut ExecCtx,
+    env: &'e Env,
+    expr: &'e Expr,
+) -> Result<Cow<'e, Value>, DbError> {
+    match expr {
+        Expr::Literal(v) => Ok(Cow::Borrowed(v)),
+        Expr::Path(parts) => resolve_path(ctx, env, parts),
+        other => eval_expr(ctx, env, other).map(Cow::Owned),
     }
 }
 
@@ -178,37 +198,31 @@ pub fn eval_bool(ctx: &mut ExecCtx, env: &Env, expr: &Expr) -> Result<Option<boo
         }
         Expr::Not(inner) => Ok(eval_bool(ctx, env, inner)?.map(|b| !b)),
         Expr::IsNull { expr, negated } => {
-            let v = eval_expr(ctx, env, expr)?;
-            let is_null = v.is_null();
+            let is_null = eval_ref(ctx, env, expr)?.is_null();
             Ok(Some(if *negated { !is_null } else { is_null }))
         }
         Expr::Like { expr, pattern, negated } => {
-            let v = eval_expr(ctx, env, expr)?;
-            match v {
-                Value::Null => Ok(None),
-                other => {
-                    let text = match other {
-                        Value::Str(s) | Value::Date(s) => s,
-                        Value::Num(n) => Value::Num(n).to_string(),
-                        _ => {
-                            return Err(DbError::TypeMismatch {
-                                expected: "string".into(),
-                                found: "object/collection".into(),
-                            })
-                        }
-                    };
-                    let matched = like_match(pattern, &text);
-                    Ok(Some(if *negated { !matched } else { matched }))
+            let v = eval_ref(ctx, env, expr)?;
+            let matched = match v.as_ref() {
+                Value::Null => return Ok(None),
+                Value::Str(s) | Value::Date(s) => like_match(pattern, s),
+                num @ Value::Num(_) => like_match(pattern, &num.to_string()),
+                _ => {
+                    return Err(DbError::TypeMismatch {
+                        expected: "string".into(),
+                        found: "object/collection".into(),
+                    })
                 }
-            }
+            };
+            Ok(Some(if *negated { !matched } else { matched }))
         }
         Expr::Exists(query) => {
             let result = execute_select(ctx, query, Some(env))?;
             Ok(Some(!result.rows.is_empty()))
         }
         Expr::Binary { op, lhs, rhs } => {
-            let l = eval_expr(ctx, env, lhs)?;
-            let r = eval_expr(ctx, env, rhs)?;
+            let l = eval_ref(ctx, env, lhs)?;
+            let r = eval_ref(ctx, env, rhs)?;
             Ok(match op {
                 BinOp::Eq => l.sql_eq(&r),
                 BinOp::Ne => l.sql_eq(&r).map(|b| !b),
@@ -251,21 +265,37 @@ fn null_to_empty(v: &Value) -> String {
 }
 
 /// `%`/`_` pattern matching (no escape support — the generated scripts never
-/// need it).
+/// need it), one `char` at a time. Two cursors and one resume point: on a
+/// mismatch the most recent `%` absorbs one more character and matching
+/// resumes just past it — O(|pattern|·|text|), no recursion, no allocation.
+/// (Earlier `%`s never need revisiting: each segment between two `%`s is
+/// placed at its leftmost fit, which leaves the most text for the rest.)
 pub fn like_match(pattern: &str, text: &str) -> bool {
-    fn rec(p: &[char], t: &[char]) -> bool {
-        match p.split_first() {
-            None => t.is_empty(),
-            Some(('%', rest)) => {
-                (0..=t.len()).any(|i| rec(rest, &t[i..]))
+    let (mut p, mut t) = (pattern.chars(), text.chars());
+    // Pattern just past the most recent `%`, and the text it has not absorbed.
+    let mut resume: Option<(std::str::Chars, std::str::Chars)> = None;
+    while let Some(tc) = t.clone().next() {
+        let mut p_rest = p.clone();
+        match p_rest.next() {
+            Some('%') => {
+                p = p_rest;
+                resume = Some((p.clone(), t.clone()));
             }
-            Some(('_', rest)) => !t.is_empty() && rec(rest, &t[1..]),
-            Some((ch, rest)) => t.first() == Some(ch) && rec(rest, &t[1..]),
+            Some(pc) if pc == '_' || pc == tc => {
+                p = p_rest;
+                t.next();
+            }
+            _ => match &mut resume {
+                Some((after_percent, unabsorbed)) => {
+                    unabsorbed.next();
+                    p = after_percent.clone();
+                    t = unabsorbed.clone();
+                }
+                None => return false,
+            },
         }
     }
-    let p: Vec<char> = pattern.chars().collect();
-    let t: Vec<char> = text.chars().collect();
-    rec(&p, &t)
+    p.all(|pc| pc == '%')
 }
 
 /// Follow an OID to the full row object value. Resolution goes through the
@@ -283,7 +313,7 @@ pub fn deref_oid(ctx: &mut ExecCtx, oid: Oid) -> Result<Value, DbError> {
     match table {
         TableDef::Object { of_type, .. } => Ok(Value::Obj {
             type_name: of_type.clone(),
-            attrs: row.values.to_vec(),
+            attrs: Arc::clone(&row.values),
         }),
         TableDef::Relational { .. } => Err(DbError::Execution(
             "REF target is not an object table".into(),
@@ -291,54 +321,76 @@ pub fn deref_oid(ctx: &mut ExecCtx, oid: Oid) -> Result<Value, DbError> {
     }
 }
 
-/// Resolve a dot path against the environment.
-pub fn resolve_path(ctx: &mut ExecCtx, env: &Env, parts: &[Ident]) -> Result<Value, DbError> {
+/// Resolve a dot path against the environment. The result borrows from the
+/// frame's block for as long as the path stays inside objects; a whole-row
+/// reference shares the row block itself, and a step through a REF
+/// materialises (a handle when what it reaches is a composite).
+pub fn resolve_path<'e>(
+    ctx: &mut ExecCtx,
+    env: &'e Env,
+    parts: &[Ident],
+) -> Result<Cow<'e, Value>, DbError> {
     let full = || parts.iter().map(|p| p.as_str()).collect::<Vec<_>>().join(".");
     // Qualified: binding.column....
     if let Some(frame) = env.frame(&parts[0]) {
         if parts.len() == 1 {
             return match &frame.object_type {
-                Some(type_name) => Ok(Value::Obj {
+                Some(type_name) => Ok(Cow::Owned(Value::Obj {
                     type_name: type_name.clone(),
-                    attrs: frame.values.to_vec(),
-                }),
-                None if frame.columns.len() == 1 => Ok(frame.values[0].clone()),
+                    attrs: Arc::clone(&frame.values),
+                })),
+                None if frame.columns.len() == 1 => Ok(Cow::Borrowed(&frame.values[0])),
                 None => Err(DbError::Execution(format!(
                     "'{}' denotes a whole row, not a value",
                     parts[0]
                 ))),
             };
         }
-        let mut value = frame
-            .column_value(&parts[1])
-            .cloned()
-            .ok_or_else(|| DbError::UnknownColumn(full()))?;
-        for part in &parts[2..] {
-            value = navigate(ctx, value, part)?;
-        }
-        return Ok(value);
+        let column =
+            frame.column_value(&parts[1]).ok_or_else(|| DbError::UnknownColumn(full()))?;
+        return navigate_all(ctx, column, &parts[2..]);
     }
     // Unqualified: column....
     if let Some(frame) = env.frame_with_column(&parts[0]) {
         // invariant: frame_with_column only returns frames containing the column.
-        let mut value = frame.column_value(&parts[0]).cloned().unwrap();
-        for part in &parts[1..] {
-            value = navigate(ctx, value, part)?;
-        }
-        return Ok(value);
+        let column = frame.column_value(&parts[0]).unwrap();
+        return navigate_all(ctx, column, &parts[1..]);
     }
     Err(DbError::UnknownColumn(full()))
 }
 
-/// Navigate one step into an object value; REFs dereference implicitly, and
-/// navigation through NULL yields NULL (the §4.3 CHECK quirk builds on this).
-pub fn navigate(ctx: &mut ExecCtx, value: Value, part: &Ident) -> Result<Value, DbError> {
+/// Follow `parts` from `value`, one [`navigate`] step each. Once a step has
+/// materialised (it went through a REF), the rest walk the owned value.
+fn navigate_all<'v>(
+    ctx: &mut ExecCtx,
+    value: &'v Value,
+    parts: &[Ident],
+) -> Result<Cow<'v, Value>, DbError> {
+    let mut value = Cow::Borrowed(value);
+    for part in parts {
+        value = match value {
+            Cow::Borrowed(v) => navigate(ctx, v, part)?,
+            Cow::Owned(v) => Cow::Owned(navigate(ctx, &v, part)?.into_owned()),
+        };
+    }
+    Ok(value)
+}
+
+/// Navigate one step into an object value, borrowing the attribute from the
+/// object's block; REFs dereference implicitly (the attribute then comes
+/// out of a block this call holds, so it is returned owned), and navigation
+/// through NULL yields NULL (the §4.3 CHECK quirk builds on this).
+pub fn navigate<'v>(
+    ctx: &mut ExecCtx,
+    value: &'v Value,
+    part: &Ident,
+) -> Result<Cow<'v, Value>, DbError> {
     match value {
-        Value::Null => Ok(Value::Null),
+        Value::Null => Ok(Cow::Owned(Value::Null)),
         Value::Obj { type_name, attrs } => {
             let def = ctx
                 .catalog
-                .get_type(&type_name)
+                .get_type(type_name)
                 .ok_or_else(|| DbError::UnknownType(type_name.as_str().to_string()))?;
             let idx = def
                 .object_attrs()
@@ -347,11 +399,11 @@ pub fn navigate(ctx: &mut ExecCtx, value: Value, part: &Ident) -> Result<Value, 
                 .ok_or_else(|| {
                     DbError::UnknownColumn(format!("{}.{}", type_name.as_str(), part.as_str()))
                 })?;
-            Ok(attrs.get(idx).cloned().unwrap_or(Value::Null))
+            Ok(attrs.get(idx).map_or(Cow::Owned(Value::Null), Cow::Borrowed))
         }
         Value::Ref(oid) => {
-            let obj = deref_oid(ctx, oid)?;
-            navigate(ctx, obj, part)
+            let obj = deref_oid(ctx, *oid)?;
+            Ok(Cow::Owned(navigate(ctx, &obj, part)?.into_owned()))
         }
         other => Err(DbError::UnknownColumn(format!(
             "cannot navigate '{}' into {}",
@@ -448,7 +500,7 @@ pub fn construct(ctx: &mut ExecCtx, type_name: &Ident, args: Vec<Value>) -> Resu
             for (value, (attr_name, attr_type)) in args.into_iter().zip(&attrs) {
                 coerced.push(coerce(ctx, value, attr_type, attr_name.as_str())?);
             }
-            Ok(Value::Obj { type_name: name, attrs: coerced })
+            Ok(Value::Obj { type_name: name, attrs: Arc::new(coerced) })
         }
         TypeDef::Varray { name, elem, max } => {
             if args.len() > max as usize {
@@ -462,14 +514,14 @@ pub fn construct(ctx: &mut ExecCtx, type_name: &Ident, args: Vec<Value>) -> Resu
             for value in args {
                 coerced.push(coerce(ctx, value, &elem, name.as_str())?);
             }
-            Ok(Value::Coll { type_name: name, elements: coerced })
+            Ok(Value::Coll { type_name: name, elements: Arc::new(coerced) })
         }
         TypeDef::NestedTable { name, elem } => {
             let mut coerced = Vec::with_capacity(args.len());
             for value in args {
                 coerced.push(coerce(ctx, value, &elem, name.as_str())?);
             }
-            Ok(Value::Coll { type_name: name, elements: coerced })
+            Ok(Value::Coll { type_name: name, elements: Arc::new(coerced) })
         }
     }
 }
@@ -593,5 +645,57 @@ mod tests {
     fn like_with_multiple_wildcards() {
         assert!(like_match("%a%b%", "xxaxxbxx"));
         assert!(!like_match("%a%b%", "ba")); // 'b' precedes the only 'a'
+    }
+
+    /// The definition `like_match` replaced: try every split at each `%`.
+    /// Exponential in the number of `%`, so only for short inputs.
+    fn like_by_definition(p: &[char], t: &[char]) -> bool {
+        match p.split_first() {
+            None => t.is_empty(),
+            Some(('%', rest)) => (0..=t.len()).any(|i| like_by_definition(rest, &t[i..])),
+            Some(('_', rest)) => !t.is_empty() && like_by_definition(rest, &t[1..]),
+            Some((ch, rest)) => t.first() == Some(ch) && like_by_definition(rest, &t[1..]),
+        }
+    }
+
+    #[test]
+    fn like_agrees_with_its_definition_on_seeded_inputs() {
+        let mut rng = xmlord_prng::Prng::seed_from_u64(2002);
+        // A small alphabet so patterns hit; 'é' and '€' are multi-byte.
+        let draw = |rng: &mut xmlord_prng::Prng, alphabet: &[char], max: usize| -> String {
+            (0..rng.gen_range(0..max + 1)).map(|_| *rng.choose(alphabet)).collect()
+        };
+        let mut matched = 0;
+        for _ in 0..20_000 {
+            let pattern = draw(&mut rng, &['a', 'b', 'é', '%', '%', '_'], 6);
+            let text = draw(&mut rng, &['a', 'b', 'é', '€'], 7);
+            let p: Vec<char> = pattern.chars().collect();
+            let t: Vec<char> = text.chars().collect();
+            let expected = like_by_definition(&p, &t);
+            assert_eq!(like_match(&pattern, &text), expected, "{text:?} LIKE {pattern:?}");
+            matched += expected as u32;
+        }
+        // Both outcomes are exercised.
+        assert!((2_000..18_000).contains(&matched), "{matched} of 20000 matched");
+    }
+
+    /// `'aaaa…' LIKE '%a%a…%a%b'` fails only after every `%` has been tried:
+    /// 16.96 s at ten `%a` with one split per `%` per suffix, and no end in
+    /// sight at twelve. Linear backtracking answers in microseconds; the
+    /// bound is a time, so the fastest of a few tries is what is held to it.
+    #[test]
+    fn like_with_many_percents_is_not_exponential() {
+        let text = "a".repeat(40);
+        let pattern = format!("{}%b", "%a".repeat(12));
+        let fastest = (0..5)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                assert!(!like_match(&pattern, &text));
+                start.elapsed()
+            })
+            .min()
+            .unwrap();
+        assert!(fastest < std::time::Duration::from_millis(10), "took {fastest:?}");
+        assert!(like_match(&pattern, &format!("{text}b")));
     }
 }

@@ -20,10 +20,11 @@ use crate::value::{Oid, Value};
 /// against `columns`/`values`; `oid` is set for rows of object tables so
 /// `REF(binding)` works.
 ///
-/// Both lists are shared: `columns` is one list per FROM item (or per
-/// object type of an un-nested collection), and `values` of a table row is
-/// the stored row's own block ([`crate::storage::Row::values`]) — a scan
-/// frame copies two pointers, never a value.
+/// Both lists are shared: `columns` is one list per FROM item, and `values`
+/// is a block the heap holds — a table row's own
+/// ([`crate::storage::Row::values`]) or, for `TABLE(t.coll)`, the `attrs` of
+/// the collection element the frame un-nests — so a frame copies two
+/// pointers, never a value.
 #[derive(Debug, Clone)]
 pub struct Frame {
     pub binding: Ident,

@@ -23,16 +23,35 @@
 //! Non-lateral items are expanded exactly once and their frames shared via
 //! `Rc` across all combinations, so a table joined against a thousand
 //! combos no longer clones its rows a thousand times.
+//!
+//! ## What a lateral expansion copies: handles
+//!
+//! `TABLE(t.coll)` reads the collection where it is stored. The operand is
+//! borrowed from the parent frame's block ([`eval_ref`]), each object
+//! element's frame holds `Arc::clone` of the element's own `attrs` block —
+//! the block the heap holds (see [`crate::value`]) — and the column list of
+//! the element type is built once per FROM item (`UnnestColumns`), not
+//! once per expansion. So `TabUniversity t0, TABLE(t0.attrStudent) t1,
+//! TABLE(t1.attrCourse) t2, …` allocates one frame per element and one
+//! combination per *surviving* element at every level and copies no stored
+//! value, however much hangs below the element. (A scalar element has no
+//! block of its own and is wrapped in a one-value block: the only value an
+//! expansion copies.)
+//!
+//! Every join path tries a candidate against the conjuncts scheduled at its
+//! item *in place* — pushed onto the parent combination and popped again
+//! (`extend_combo`) — so a rejected candidate allocates nothing.
 
 use crate::catalog::{Catalog, TableDef};
 use crate::error::DbError;
-use crate::exec::eval::{eval_bool, eval_expr, ExecCtx};
+use crate::exec::eval::{eval_bool, eval_expr, eval_ref, ExecCtx};
 use crate::exec::{Env, Frame};
 use crate::ident::Ident;
 use crate::sql::ast::{BinOp, Expr, FromItem, SelectStmt};
 use crate::storage::key_hash;
 use crate::value::{JoinKey, Value};
 use std::collections::HashMap;
+use std::hash::{DefaultHasher, Hasher};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -103,22 +122,30 @@ pub fn execute_select(
         // Lateral items depend on the current combination and must be
         // re-expanded per combo; everything else (tables, views) expands
         // once and shares its frames across combos via Rc.
-        if matches!(item, FromItem::CollectionTable { .. }) {
-            let mut next: Vec<Vec<Rc<Frame>>> = Vec::new();
-            for combo in &combos {
-                let frames = expand_from_item(ctx, item, combo, outer)?;
-                ctx.stats.rows_scanned += frames.len() as u64;
-                if item_idx > 0 {
-                    ctx.stats.join_pairs += frames.len() as u64;
+        let binding = &bindings[item_idx];
+        let name = match item {
+            FromItem::CollectionTable { expr, .. } => {
+                let mut columns = UnnestColumns::default();
+                // Filled per combination and drained into it: one buffer.
+                let mut frames: Vec<Rc<Frame>> = Vec::new();
+                let mut next: Vec<Vec<Rc<Frame>>> = Vec::new();
+                for mut combo in combos {
+                    let env = make_env(&combo, outer);
+                    expand_collection(ctx, expr, binding, &env, &mut columns, &mut frames)?;
+                    ctx.stats.rows_scanned += frames.len() as u64;
+                    if item_idx > 0 {
+                        ctx.stats.join_pairs += frames.len() as u64;
+                    }
+                    for frame in frames.drain(..) {
+                        extend_combo(ctx, &mut combo, frame, &applicable, outer, &mut next)?;
+                    }
                 }
-                for frame in frames {
-                    extend_combo(ctx, combo, Rc::new(frame), &applicable, outer, &mut next)?;
-                }
+                combos = next;
+                slot_maps.push(slot_map);
+                continue;
             }
-            combos = next;
-            slot_maps.push(slot_map);
-            continue;
-        }
+            FromItem::Table { name, .. } => name,
+        };
 
         // Index probe: no expansion at all — per combination, hash the key
         // and fetch candidate slots. The freshness check is the safety
@@ -132,17 +159,15 @@ pub fn execute_select(
         };
         if let Some((index_name, key_exprs)) = index_path {
             combos = probe_index_item(
-                ctx, item, index_name, key_exprs, &combos, &applicable, outer, item_idx,
+                ctx, name, binding, index_name, key_exprs, combos, &applicable, outer, item_idx,
                 &mut slot_map,
             )?;
             slot_maps.push(slot_map);
             continue;
         }
 
-        let frames: Vec<Rc<Frame>> = expand_from_item(ctx, item, &[], outer)?
-            .into_iter()
-            .map(Rc::new)
-            .collect();
+        let frames: Vec<Rc<Frame>> =
+            expand_table(ctx, name, binding)?.into_iter().map(Rc::new).collect();
         ctx.stats.rows_scanned += frames.len() as u64;
         if plan.reordered {
             // Plain-table frames expand in heap-slot order.
@@ -186,9 +211,9 @@ pub fn execute_select(
             }
             // Probe: one lookup per combination; candidates re-verified
             // with the full conjunct list (hash equality is a prefilter).
-            for combo in &combos {
+            for mut combo in combos {
                 ctx.stats.hash_join_probes += 1;
-                let env = make_env(combo, outer);
+                let env = make_env(&combo, outer);
                 let probe = eval_expr(ctx, &env, probe_expr)?;
                 if probe.is_null() {
                     continue;
@@ -201,16 +226,17 @@ pub fn execute_select(
                 };
                 ctx.stats.join_pairs += candidates.len() as u64;
                 for &i in candidates {
-                    extend_combo(ctx, combo, frames[i].clone(), &applicable, outer, &mut next)?;
+                    let frame = frames[i].clone();
+                    extend_combo(ctx, &mut combo, frame, &applicable, outer, &mut next)?;
                 }
             }
         } else {
-            for combo in &combos {
+            for mut combo in combos {
                 if item_idx > 0 {
                     ctx.stats.join_pairs += frames.len() as u64;
                 }
                 for frame in &frames {
-                    extend_combo(ctx, combo, frame.clone(), &applicable, outer, &mut next)?;
+                    extend_combo(ctx, &mut combo, frame.clone(), &applicable, outer, &mut next)?;
                 }
             }
         }
@@ -355,18 +381,36 @@ pub fn execute_select(
 
     // 6. DISTINCT.
     if stmt.distinct {
-        let mut seen: Vec<Vec<Value>> = Vec::new();
-        rows.retain(|row| {
-            if seen.contains(row) {
-                false
-            } else {
-                seen.push(row.clone());
-                true
-            }
-        });
+        rows = distinct_rows(rows);
     }
 
     Ok(QueryResult { columns, rows })
+}
+
+/// Keep the first occurrence of every row, in order. Two rows are the same
+/// when they are `==`; kept rows are bucketed by a hash of their cells'
+/// join-key identity ([`Value::hash_join_key`] — `==` cells hash alike, and
+/// cells that merely coerce alike, `4` / `'4'` / `'04'`, share a bucket and
+/// are told apart by the `==`), so a row is compared with its bucket, not
+/// with every row kept so far. A row with a NULL or composite cell has no
+/// such hash and is compared with the other such rows.
+fn distinct_rows(rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
+    let mut kept: Vec<Vec<Value>> = Vec::new();
+    let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
+    let mut unhashed: Vec<usize> = Vec::new();
+    for row in rows {
+        let mut h = DefaultHasher::new();
+        let bucket = if row.iter().all(|cell| cell.hash_join_key(&mut h)) {
+            buckets.entry(h.finish()).or_default()
+        } else {
+            &mut unhashed
+        };
+        if !bucket.iter().any(|&i| kept[i] == row) {
+            bucket.push(kept.len());
+            kept.push(row);
+        }
+    }
+    kept
 }
 
 /// Join one FROM item to the accumulated combinations through a secondary
@@ -378,19 +422,16 @@ pub fn execute_select(
 #[allow(clippy::too_many_arguments)]
 fn probe_index_item(
     ctx: &mut ExecCtx,
-    item: &FromItem,
+    name: &Ident,
+    binding: &Ident,
     index_name: &Ident,
     key_exprs: &[Expr],
-    combos: &[Vec<Rc<Frame>>],
+    combos: Vec<Vec<Rc<Frame>>>,
     applicable: &[&Expr],
     outer: Option<&Env>,
     item_idx: usize,
     slot_map: &mut HashMap<usize, usize>,
 ) -> Result<Vec<Vec<Rc<Frame>>>, DbError> {
-    let FromItem::Table { name, alias } = item else {
-        return Err(DbError::Execution("index probe planned for a non-table FROM item".into()));
-    };
-    let binding = alias.clone().unwrap_or_else(|| name.clone());
     // The planner only picks an index probe for a cataloged plain table.
     let table = ctx
         .catalog
@@ -414,8 +455,8 @@ fn probe_index_item(
 
     let mut cache: HashMap<usize, Rc<Frame>> = HashMap::new();
     let mut next: Vec<Vec<Rc<Frame>>> = Vec::new();
-    for combo in combos {
-        let env = make_env(combo, outer);
+    for mut combo in combos {
+        let env = make_env(&combo, outer);
         let mut key_values = Vec::with_capacity(key_exprs.len());
         for expr in key_exprs {
             key_values.push(eval_expr(ctx, &env, expr)?);
@@ -454,7 +495,7 @@ fn probe_index_item(
                     frame
                 })
                 .clone();
-            extend_combo(ctx, combo, frame, applicable, outer, &mut next)?;
+            extend_combo(ctx, &mut combo, frame, applicable, outer, &mut next)?;
         }
     }
     Ok(next)
@@ -723,26 +764,33 @@ fn plan_item_path(
     (AccessPath::Scan, est)
 }
 
-/// Append `frame` to `combo` and keep the result in `next` iff every
-/// applicable conjunct evaluates to TRUE. Shared by the nested-loop and
-/// hash-probe paths so filtering (and error surfacing) is identical.
+/// Try `frame` as the next member of `combo` and keep the extended
+/// combination in `next` iff every applicable conjunct evaluates to TRUE.
+/// The candidate is pushed onto `combo` itself for the test and popped
+/// again, so a rejected one allocates nothing and a surviving one is copied
+/// once, at its exact size. Shared by the nested-loop, hash-probe, index
+/// and lateral paths so filtering (and error surfacing) is identical.
 fn extend_combo(
     ctx: &mut ExecCtx,
-    combo: &[Rc<Frame>],
+    combo: &mut Vec<Rc<Frame>>,
     frame: Rc<Frame>,
     applicable: &[&Expr],
     outer: Option<&Env>,
     next: &mut Vec<Vec<Rc<Frame>>>,
 ) -> Result<(), DbError> {
-    let mut extended = combo.to_vec();
-    extended.push(frame);
+    combo.push(frame);
+    let mut keep = true;
     for conjunct in applicable {
-        let env = make_env(&extended, outer);
+        let env = make_env(combo, outer);
         if eval_bool(ctx, &env, conjunct)? != Some(true) {
-            return Ok(());
+            keep = false;
+            break;
         }
     }
-    next.push(extended);
+    if keep {
+        next.push(combo.clone());
+    }
+    combo.pop();
     Ok(())
 }
 
@@ -898,114 +946,229 @@ fn star_columns(ctx: &ExecCtx, stmt: &SelectStmt) -> Result<Vec<String>, DbError
     Ok(out)
 }
 
-/// Produce the frames of one FROM item given the already-bound combo.
-fn expand_from_item(
+/// The frames of a plain table (one per stored row, sharing the row's
+/// block) or of a view (its stored query's result rows).
+fn expand_table(
     ctx: &mut ExecCtx,
-    item: &FromItem,
-    combo: &[Rc<Frame>],
-    outer: Option<&Env>,
+    name: &Ident,
+    binding: &Ident,
 ) -> Result<Vec<Frame>, DbError> {
-    match item {
-        FromItem::Table { name, alias } => {
-            let binding = alias.clone().unwrap_or_else(|| name.clone());
-            // A real table?
-            if let Some(table) = ctx.catalog.get_table(name).cloned() {
-                let columns: Arc<[Ident]> =
-                    ctx.catalog.table_columns(&table).into_iter().map(|(c, _)| c).collect();
-                let object_type = match &table {
-                    TableDef::Object { of_type, .. } => Some(of_type.clone()),
-                    _ => None,
-                };
-                let data = ctx
-                    .storage
-                    .table(name)
-                    .ok_or_else(|| DbError::UnknownTable(name.as_str().to_string()))?;
-                return Ok(data
-                    .rows
-                    .iter()
-                    .map(|row| Frame {
-                        binding: binding.clone(),
-                        columns: columns.clone(),
-                        values: Arc::clone(&row.values),
-                        oid: row.oid,
-                        object_type: object_type.clone(),
-                    })
-                    .collect());
-            }
-            // A view? Execute its stored query (no outer env: views are
-            // self-contained).
-            if let Some(view) = ctx.catalog.get_view(name).cloned() {
-                let result = execute_select(ctx, &view.query, None)?;
-                let columns: Arc<[Ident]> =
-                    result.columns.iter().map(|c| Ident::internal(c)).collect();
-                return Ok(result
-                    .rows
-                    .into_iter()
-                    .map(|values| Frame {
-                        binding: binding.clone(),
-                        columns: columns.clone(),
-                        values: Arc::new(values),
-                        oid: None,
-                        object_type: None,
-                    })
-                    .collect());
-            }
-            Err(DbError::UnknownTable(name.as_str().to_string()))
+    // A real table?
+    if let Some(table) = ctx.catalog.get_table(name).cloned() {
+        let columns: Arc<[Ident]> =
+            ctx.catalog.table_columns(&table).into_iter().map(|(c, _)| c).collect();
+        let object_type = match &table {
+            TableDef::Object { of_type, .. } => Some(of_type.clone()),
+            _ => None,
+        };
+        let data = ctx
+            .storage
+            .table(name)
+            .ok_or_else(|| DbError::UnknownTable(name.as_str().to_string()))?;
+        return Ok(data
+            .rows
+            .iter()
+            .map(|row| Frame {
+                binding: binding.clone(),
+                columns: columns.clone(),
+                values: Arc::clone(&row.values),
+                oid: row.oid,
+                object_type: object_type.clone(),
+            })
+            .collect());
+    }
+    // A view? Execute its stored query (no outer env: views are
+    // self-contained).
+    if let Some(view) = ctx.catalog.get_view(name).cloned() {
+        let result = execute_select(ctx, &view.query, None)?;
+        let columns: Arc<[Ident]> = result.columns.iter().map(|c| Ident::internal(c)).collect();
+        return Ok(result
+            .rows
+            .into_iter()
+            .map(|values| Frame {
+                binding: binding.clone(),
+                columns: columns.clone(),
+                values: Arc::new(values),
+                oid: None,
+                object_type: None,
+            })
+            .collect());
+    }
+    Err(DbError::UnknownTable(name.as_str().to_string()))
+}
+
+/// The column lists the frames of one `TABLE(expr)` FROM item share, built
+/// on first need and kept for every expansion of the item: the attribute
+/// names of the element object type (the elements of a collection share a
+/// type, so one entry serves), and Oracle's `COLUMN_VALUE` pseudo-column for
+/// scalar elements.
+#[derive(Default)]
+struct UnnestColumns {
+    object: Option<(Ident, Arc<[Ident]>)>,
+    scalar: Option<Arc<[Ident]>>,
+}
+
+/// Un-nest `TABLE(expr)` under the combination `env` holds: one frame per
+/// element, appended to `frames`. The collection is read where it lives —
+/// an object element's frame shares the element's `attrs` block.
+fn expand_collection(
+    ctx: &mut ExecCtx,
+    expr: &Expr,
+    binding: &Ident,
+    env: &Env,
+    columns: &mut UnnestColumns,
+    frames: &mut Vec<Rc<Frame>>,
+) -> Result<(), DbError> {
+    let value = eval_ref(ctx, env, expr)?;
+    let elements = match value.as_ref() {
+        Value::Null => return Ok(()),
+        Value::Coll { elements, .. } => elements,
+        other => {
+            return Err(DbError::TypeMismatch {
+                expected: "collection".into(),
+                found: other.to_sql_literal(),
+            })
         }
-        FromItem::CollectionTable { expr, alias } => {
-            let binding = alias.clone().unwrap_or_else(|| Ident::internal("COLLECTION"));
-            let env = make_env(combo, outer);
-            let value = eval_expr(ctx, &env, expr)?;
-            let elements = match value {
-                Value::Null => Vec::new(),
-                Value::Coll { elements, .. } => elements,
-                other => {
-                    return Err(DbError::TypeMismatch {
-                        expected: "collection".into(),
-                        found: other.to_sql_literal(),
-                    })
-                }
-            };
-            // One column list per object type, not per element: the elements
-            // of one collection share a type, so consecutive elements reuse
-            // the list built for the first.
-            let mut object_columns: Option<(Ident, Arc<[Ident]>)> = None;
-            let mut scalar_columns: Option<Arc<[Ident]>> = None;
-            let mut frames = Vec::with_capacity(elements.len());
-            for element in elements {
-                let (columns, values, object_type) = match element {
-                    Value::Obj { type_name, attrs } => {
-                        let columns = match &object_columns {
-                            Some((cached, columns)) if *cached == type_name => columns.clone(),
-                            _ => {
-                                let def = ctx.catalog.get_type(&type_name).ok_or_else(|| {
-                                    DbError::UnknownType(type_name.as_str().to_string())
-                                })?;
-                                let columns: Arc<[Ident]> =
-                                    def.object_attrs().iter().map(|(n, _)| n.clone()).collect();
-                                object_columns = Some((type_name.clone(), columns.clone()));
-                                columns
-                            }
-                        };
-                        (columns, attrs, Some(type_name))
-                    }
-                    // Scalar elements appear as Oracle's `COLUMN_VALUE`
-                    // pseudo-column.
-                    scalar => {
-                        let columns = scalar_columns
-                            .get_or_insert_with(|| Arc::from([Ident::internal("COLUMN_VALUE")]));
-                        (columns.clone(), vec![scalar], None)
+    };
+    frames.reserve(elements.len());
+    for element in elements.iter() {
+        let (columns, values, object_type) = match element {
+            Value::Obj { type_name, attrs } => {
+                let columns = match &columns.object {
+                    Some((cached, columns)) if cached == type_name => columns.clone(),
+                    _ => {
+                        let def = ctx.catalog.get_type(type_name).ok_or_else(|| {
+                            DbError::UnknownType(type_name.as_str().to_string())
+                        })?;
+                        let built: Arc<[Ident]> =
+                            def.object_attrs().iter().map(|(n, _)| n.clone()).collect();
+                        columns.object = Some((type_name.clone(), built.clone()));
+                        built
                     }
                 };
-                frames.push(Frame {
-                    binding: binding.clone(),
-                    columns,
-                    values: Arc::new(values),
-                    oid: None,
-                    object_type,
-                });
+                (columns, Arc::clone(attrs), Some(type_name.clone()))
             }
-            Ok(frames)
+            scalar => {
+                let columns = columns
+                    .scalar
+                    .get_or_insert_with(|| Arc::from([Ident::internal("COLUMN_VALUE")]));
+                (columns.clone(), Arc::new(vec![scalar.clone()]), None)
+            }
+        };
+        frames.push(Rc::new(Frame {
+            binding: binding.clone(),
+            columns,
+            values,
+            oid: None,
+            object_type,
+        }));
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::value::Oid;
+    use crate::{Database, DbMode};
+    use std::time::{Duration, Instant};
+
+    #[test]
+    fn a_query_hands_out_the_stored_blocks() {
+        let mut db = Database::new(DbMode::Oracle9);
+        db.execute_script(
+            "CREATE TYPE Type_Course AS OBJECT(title VARCHAR(20), credits NUMBER);
+             CREATE TYPE Type_Courses AS TABLE OF Type_Course;
+             CREATE TABLE T (name VARCHAR(20), coll Type_Courses);
+             INSERT INTO T VALUES ('Conrad',
+                 Type_Courses(Type_Course('DB', 4), Type_Course('CAD', 2)));",
+        )
+        .unwrap();
+        // A handle on the stored collection: cloning it copies no block.
+        let stored = db.storage().table(&Ident::internal("T")).unwrap().rows[0].values[1].clone();
+
+        // Selecting the collection returns the heap's own block …
+        let selected = db.query("SELECT t.coll FROM T t").unwrap();
+        assert!(Arc::ptr_eq(selected.rows[0][0].block(), stored.block()));
+
+        // … and a frame un-nested from it holds each element's own `attrs`
+        // (a bare binding denotes the frame's whole block).
+        let unnested = db.query("SELECT c FROM T t, TABLE(t.coll) c").unwrap();
+        assert_eq!(unnested.rows.len(), 2);
+        for (row, element) in unnested.rows.iter().zip(stored.block().iter()) {
+            assert!(Arc::ptr_eq(row[0].block(), element.block()));
         }
+    }
+
+    /// DISTINCT as it was: compare each row with every row kept so far.
+    fn distinct_by_scan(rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
+        let mut seen: Vec<Vec<Value>> = Vec::new();
+        for row in rows {
+            if !seen.contains(&row) {
+                seen.push(row);
+            }
+        }
+        seen
+    }
+
+    #[test]
+    fn distinct_agrees_with_the_linear_scan_on_seeded_rows() {
+        let composite = |n: f64| Value::Coll {
+            type_name: Ident::internal("C"),
+            elements: Arc::new(vec![Value::Num(n)]),
+        };
+        // Cells that coerce alike without being `==`, that are `==` with
+        // different bits, and that have no join key at all.
+        let pool = [
+            Value::Num(4.0),
+            Value::str("4"),
+            Value::str("04"),
+            Value::str(" 4 "),
+            Value::Num(0.0),
+            Value::Num(-0.0),
+            Value::Num(f64::NAN),
+            Value::str("x"),
+            Value::Date("4".into()),
+            Value::Null,
+            Value::Ref(Oid(4)),
+            Value::Ref(Oid(5)),
+            composite(4.0),
+            composite(5.0),
+        ];
+        let mut rng = xmlord_prng::Prng::seed_from_u64(2002);
+        for _ in 0..300 {
+            let width = rng.gen_range(1usize..4);
+            let rows: Vec<Vec<Value>> = (0..rng.gen_range(0usize..40))
+                .map(|_| (0..width).map(|_| rng.choose(&pool).clone()).collect())
+                .collect();
+            // Compared by rendering: NaN cells are kept by both, and are
+            // not `==` to themselves.
+            let expected = format!("{:?}", distinct_by_scan(rows.clone()));
+            assert_eq!(format!("{:?}", distinct_rows(rows)), expected);
+        }
+    }
+
+    /// 4 000 distinct rows cost 19 × the plain SELECT when every row was
+    /// compared with every kept row. Timed, so fastest of three each.
+    #[test]
+    fn distinct_over_distinct_rows_is_not_quadratic() {
+        let mut db = Database::new(DbMode::Oracle9);
+        db.execute("CREATE TABLE N (a NUMBER)").unwrap();
+        for i in 0..4_000 {
+            db.execute(&format!("INSERT INTO N VALUES ({i})")).unwrap();
+        }
+        let mut fastest = |sql: &str| -> Duration {
+            (0..3)
+                .map(|_| {
+                    let start = Instant::now();
+                    assert_eq!(db.query(sql).unwrap().rows.len(), 4_000);
+                    start.elapsed()
+                })
+                .min()
+                .unwrap()
+        };
+        let plain = fastest("SELECT n.a FROM N n");
+        let distinct = fastest("SELECT DISTINCT n.a FROM N n");
+        assert!(distinct < plain * 8, "DISTINCT {distinct:?} against {plain:?} without");
     }
 }

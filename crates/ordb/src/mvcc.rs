@@ -561,4 +561,51 @@ mod tests {
         // The next refresh moves the pin.
         assert_eq!(blocks(reader.snapshot().1, "TabP").len(), 1);
     }
+
+    #[test]
+    fn a_nested_update_copies_only_the_blocks_along_its_path() {
+        let mut writer = Database::new(DbMode::Oracle9);
+        writer
+            .execute_script(
+                "CREATE TYPE Type_Part AS OBJECT(leaf VARCHAR(20), other VARCHAR(20));
+                 CREATE TYPE Type_Obj AS OBJECT(part Type_Part, note VARCHAR(20));
+                 CREATE TYPE Type_Tags AS VARRAY(4) OF VARCHAR(20);
+                 CREATE TABLE TabN (name VARCHAR(20), obj Type_Obj, tags Type_Tags);
+                 INSERT INTO TabN VALUES
+                     ('a', Type_Obj(Type_Part('old', 'o'), 'n'), Type_Tags('x', 'y'));
+                 INSERT INTO TabN VALUES
+                     ('b', Type_Obj(Type_Part('old', 'o'), 'n'), Type_Tags('z'));",
+            )
+            .unwrap();
+        writer.commit().unwrap();
+        let mut reader = writer.read_session();
+        let (_, pinned) = reader.snapshot();
+        let before = pinned.state_dump();
+        let pinned_rows = blocks(pinned, "TabN");
+        // Column 1 is `obj`, whose attribute 0 is `part`; column 2 is `tags`.
+        let obj = |row: &[Value]| row[1].block().clone();
+        let tags = |row: &[Value]| row[2].block().clone();
+        let part = |row: &[Value]| row[1].block()[0].block().clone();
+        let update = "UPDATE TabN SET obj.part.leaf = 'new' WHERE name = 'a'";
+
+        // Rolled back: the undo record hands the original blocks back.
+        writer.execute(update).unwrap();
+        assert!(!Arc::ptr_eq(&blocks(&writer.storage(), "TabN")[0], &pinned_rows[0]));
+        writer.rollback();
+        assert!(Arc::ptr_eq(&blocks(&writer.storage(), "TabN")[0], &pinned_rows[0]));
+
+        // Committed: new blocks for the row, `obj` and `obj.part` — the path
+        // — while the sibling `tags` and the neighbouring row stay shared.
+        writer.execute(update).unwrap();
+        writer.commit().unwrap();
+        let written = blocks(&writer.storage(), "TabN");
+        assert!(!Arc::ptr_eq(&written[0], &pinned_rows[0]));
+        assert!(!Arc::ptr_eq(&obj(&written[0]), &obj(&pinned_rows[0])));
+        assert!(!Arc::ptr_eq(&part(&written[0]), &part(&pinned_rows[0])));
+        assert!(Arc::ptr_eq(&tags(&written[0]), &tags(&pinned_rows[0])));
+        assert!(Arc::ptr_eq(&written[1], &pinned_rows[1]));
+        assert_eq!(part(&written[0])[0], Value::str("new"));
+        assert_eq!(part(&pinned_rows[0])[0], Value::str("old"));
+        assert_eq!(pinned.state_dump(), before);
+    }
 }

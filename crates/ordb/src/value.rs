@@ -1,6 +1,32 @@
 //! Runtime values: scalars, object instances, collections and REFs.
+//!
+//! ## A composite is an immutable shared block
+//!
+//! The attributes of a [`Value::Obj`] and the elements of a [`Value::Coll`]
+//! are an `Arc<Vec<Value>>` — the same block type a stored row
+//! ([`crate::storage::Row::values`]) and an evaluation frame
+//! ([`crate::exec::Frame::values`]) hold — so cloning a composite, at any
+//! depth, bumps one reference count and copies no value. Holders of a block:
+//!
+//! * the **heap** (a row's columns, and every object or collection nested
+//!   below them);
+//! * the **undo log** (the row image a rollback puts back);
+//! * a **reader snapshot** ([`crate::mvcc::ReadSession`]) pinned at an
+//!   earlier commit;
+//! * a **frame** — a table row's block, or, for `TABLE(t.coll)`, the `attrs`
+//!   block of the collection element it un-nests;
+//! * a **query result** (`SELECT t.coll` hands out the stored block itself).
+//!
+//! Nothing mutates a block another holder can see. The one writer is
+//! `UPDATE`'s nested `SET` (`assign_path` in `exec/dml.rs`), which calls
+//! `Arc::make_mut` level by level on the row's *new* image: only the blocks
+//! along the assigned path are copied, sibling attributes and neighbouring
+//! rows stay shared with the undo log and with pinned readers. `Debug`,
+//! `PartialEq` and the WAL/snapshot encoders see through the `Arc`, so no
+//! dumped, logged or stored byte depends on who shares what.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::ident::Ident;
 
@@ -26,10 +52,10 @@ pub enum Value {
     /// meta-table `Date` column).
     Date(String),
     /// An instance of an object type: type name + attribute values in
-    /// declaration order.
-    Obj { type_name: Ident, attrs: Vec<Value> },
+    /// declaration order (a shared block — see the module doc).
+    Obj { type_name: Ident, attrs: Arc<Vec<Value>> },
     /// An instance of a collection type (VARRAY or nested table).
-    Coll { type_name: Ident, elements: Vec<Value> },
+    Coll { type_name: Ident, elements: Arc<Vec<Value>> },
     /// Reference to a row object.
     Ref(Oid),
 }
@@ -71,6 +97,17 @@ impl Value {
         match self {
             Value::Coll { type_name, elements } => Some((type_name, elements)),
             _ => None,
+        }
+    }
+
+    /// The shared block of a composite value, for tests that compare
+    /// blocks by pointer.
+    #[cfg(test)]
+    pub(crate) fn block(&self) -> &Arc<Vec<Value>> {
+        match self {
+            Value::Obj { attrs, .. } => attrs,
+            Value::Coll { elements, .. } => elements,
+            other => panic!("not a composite: {other:?}"),
         }
     }
 
@@ -288,7 +325,7 @@ mod tests {
     fn object_literal_renders_constructor_syntax() {
         let v = Value::Obj {
             type_name: id("Type_Professor"),
-            attrs: vec![Value::str("Jaeger"), Value::str("CAD")],
+            attrs: Arc::new(vec![Value::str("Jaeger"), Value::str("CAD")]),
         };
         assert_eq!(v.to_sql_literal(), "Type_Professor('Jaeger', 'CAD')");
     }
@@ -327,9 +364,9 @@ mod tests {
     #[test]
     fn null_and_composites_have_no_join_key() {
         assert_eq!(Value::Null.join_key(), None);
-        let obj = Value::Obj { type_name: id("T"), attrs: vec![] };
+        let obj = Value::Obj { type_name: id("T"), attrs: Arc::default() };
         assert_eq!(obj.join_key(), None);
-        let coll = Value::Coll { type_name: id("T"), elements: vec![] };
+        let coll = Value::Coll { type_name: id("T"), elements: Arc::default() };
         assert_eq!(coll.join_key(), None);
     }
 }

@@ -44,6 +44,7 @@
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 use crate::catalog::Constraint;
 use crate::error::DbError;
@@ -264,7 +265,7 @@ pub(crate) fn encode_value(e: &mut Enc, v: &Value) {
             e.u8(4);
             e.ident(type_name);
             e.u32(attrs.len() as u32);
-            for a in attrs {
+            for a in attrs.iter() {
                 encode_value(e, a);
             }
         }
@@ -272,7 +273,7 @@ pub(crate) fn encode_value(e: &mut Enc, v: &Value) {
             e.u8(5);
             e.ident(type_name);
             e.u32(elements.len() as u32);
-            for el in elements {
+            for el in elements.iter() {
                 encode_value(e, el);
             }
         }
@@ -297,7 +298,7 @@ pub(crate) fn decode_value(d: &mut Dec, depth: u32) -> Result<Value, DbError> {
             for _ in 0..n {
                 attrs.push(decode_value(d, depth)?);
             }
-            Ok(Value::Obj { type_name, attrs })
+            Ok(Value::Obj { type_name, attrs: Arc::new(attrs) })
         }
         5 => {
             let type_name = d.ident()?;
@@ -306,7 +307,7 @@ pub(crate) fn decode_value(d: &mut Dec, depth: u32) -> Result<Value, DbError> {
             for _ in 0..n {
                 elements.push(decode_value(d, depth)?);
             }
-            Ok(Value::Coll { type_name, elements })
+            Ok(Value::Coll { type_name, elements: Arc::new(elements) })
         }
         6 => Ok(Value::Ref(Oid(d.u64()?))),
         t => Err(corrupt(format!("invalid Value tag {t}"))),
@@ -1306,10 +1307,10 @@ mod tests {
             Value::Ref(Oid(u64::MAX)),
             Value::Obj {
                 type_name: id("T"),
-                attrs: vec![Value::Str("O'Hara".into()), Value::Coll {
+                attrs: Arc::new(vec![Value::Str("O'Hara".into()), Value::Coll {
                     type_name: id("C"),
-                    elements: vec![Value::Num(1.0)],
-                }],
+                    elements: Arc::new(vec![Value::Num(1.0)]),
+                }]),
             },
         ];
         for v in &values {

@@ -22,7 +22,7 @@ use xmlord_ordb::{Ident, InsertBatch, Value};
 use xmlord_xml::{Document, NodeId, NodeKind};
 
 use crate::error::MappingError;
-use crate::model::{ElementMapping, FieldKind, FieldSource, MappedSchema};
+use crate::model::{ElementMapping, FieldKind, FieldMapping, FieldSource, MappedSchema};
 
 /// One bound operation of a document load, in execution order.
 #[derive(Debug, Clone)]
@@ -155,6 +155,12 @@ fn null() -> Expr {
     Expr::Literal(Value::Null)
 }
 
+/// The direct text of `node` as a string literal (the text is moved, not
+/// copied, into the expression).
+fn text_lit(doc: &Document, node: NodeId) -> Expr {
+    Expr::Literal(Value::Str(direct_text(doc, node)))
+}
+
 /// Constructor call `Type(args…)`.
 fn constructor(type_name: &str, args: Vec<Expr>) -> Expr {
     Expr::Call { name: Ident::internal(type_name), args }
@@ -176,11 +182,10 @@ fn ref_select(table: &Ident, path: &[&str], value: &str) -> Expr {
 }
 
 /// Identity of the row being built, for deferred IDREF updates.
-#[derive(Clone)]
-struct RowCtx {
-    table: String,
-    id_column: String,
-    id: String,
+struct RowCtx<'r> {
+    table: &'r str,
+    id_column: &'r str,
+    id: &'r str,
 }
 
 struct Loader<'a> {
@@ -231,27 +236,28 @@ impl<'a> Loader<'a> {
         node: NodeId,
         parent: Option<(&str, &str)>,
     ) -> Result<String, MappingError> {
-        let element = self.doc.name(node).as_raw();
-        let mapping = self.mapping_of(&element)?;
+        let doc = self.doc;
+        let element = doc.name(node).as_raw();
+        let mapping = self.mapping_of(element)?;
         let table = mapping
             .table
-            .clone()
+            .as_deref()
             .ok_or_else(|| MappingError::Unsupported(format!("<{element}> is not table-rooted")))?;
-        let type_name = mapping.object_type.clone().ok_or_else(|| {
+        let type_name = mapping.object_type.as_deref().ok_or_else(|| {
             MappingError::MalformedMapping(format!(
                 "<{element}> is table-rooted ({table}) but has no object type"
             ))
         })?;
         let my_id = if mapping.synthetic_id.is_some() { self.fresh_id(node) } else { String::new() };
-        let row_ctx = mapping.synthetic_id.as_ref().map(|id_column| RowCtx {
-            table: table.clone(),
-            id_column: id_column.clone(),
-            id: my_id.clone(),
+        let row_ctx = mapping.synthetic_id.as_deref().map(|id_column| RowCtx {
+            table,
+            id_column,
+            id: &my_id,
         });
 
         self.ref_frames.push(Vec::new());
         let mut args = Vec::with_capacity(mapping.fields.len());
-        for field in mapping.fields.clone() {
+        for field in &mapping.fields {
             let arg = match &field.source {
                 FieldSource::SyntheticId => Expr::str_lit(&my_id),
                 FieldSource::ParentRef(parent_element) => match parent {
@@ -260,30 +266,29 @@ impl<'a> Loader<'a> {
                     }
                     _ => null(),
                 },
-                _ => self.field_expr(node, &element, &field, row_ctx.as_ref())?,
+                _ => self.field_expr(node, mapping, field, row_ctx.as_ref())?,
             };
             args.push(arg);
         }
         let ref_tables = self.ref_frames.pop().expect("frame pushed above");
         self.ops.push(LoadOp::Insert {
-            table: Ident::internal(&table),
-            values: vec![constructor(&type_name, args)],
+            table: Ident::internal(table),
+            values: vec![constructor(type_name, args)],
             ref_tables,
         });
 
         // Oracle 8 inverted children: their rows point back at us and are
         // inserted after us.
-        let mapping = self.mapping_of(&element)?.clone();
-        for child_node in self.doc.child_elements(node) {
-            let child_name = self.doc.name(child_node).as_raw();
-            let child_mapping = self.mapping_of(&child_name)?;
+        for child_node in doc.children(node).iter().copied().filter(|c| doc.element(*c).is_some()) {
+            let child_name = doc.name(child_node).as_raw();
+            let child_mapping = self.mapping_of(child_name)?;
             let inverted = child_mapping
                 .fields
                 .iter()
-                .any(|f| matches!(&f.source, FieldSource::ParentRef(p) if *p == element));
+                .any(|f| matches!(&f.source, FieldSource::ParentRef(p) if p == element));
             // Only children we do NOT hold a field for are inverted.
-            if inverted && mapping.field_for_child(&child_name).is_none() {
-                self.emit_rooted(child_node, Some((&element, &my_id)))?;
+            if inverted && mapping.field_for_child(child_name).is_none() {
+                self.emit_rooted(child_node, Some((element, &my_id)))?;
             }
         }
         Ok(my_id)
@@ -296,37 +301,22 @@ impl<'a> Loader<'a> {
     fn field_expr(
         &mut self,
         node: NodeId,
-        element: &str,
-        field: &crate::model::FieldMapping,
-        row: Option<&RowCtx>,
+        mapping: &ElementMapping,
+        field: &FieldMapping,
+        row: Option<&RowCtx<'_>>,
     ) -> Result<Expr, MappingError> {
+        let element = mapping.element.as_str();
+        let doc = self.doc;
         match &field.source {
-            FieldSource::Text => Ok(Expr::str_lit(&direct_text(self.doc, node))),
-            FieldSource::XmlAttribute(attr) => match self.doc.attribute(node, attr) {
-                Some(value) => match (&field.kind, row) {
-                    (FieldKind::Ref(_), Some(row)) => {
-                        let value = value.to_string();
-                        let subquery = self.idref_subquery(element, attr, &value)?;
-                        self.pending_updates.push(LoadOp::Update(Stmt::Update {
-                            table: Ident::internal(&row.table),
-                            sets: vec![(vec![Ident::internal(&field.db_name)], subquery)],
-                            where_clause: Some(Expr::eq(
-                                Expr::Path(vec![Ident::internal(&row.id_column)]),
-                                Expr::str_lit(&row.id),
-                            )),
-                        }));
-                        Ok(null())
-                    }
-                    (FieldKind::Ref(_), None) => {
-                        let value = value.to_string();
-                        self.idref_subquery(element, attr, &value)
-                    }
-                    _ => Ok(Expr::str_lit(value)),
-                },
+            FieldSource::Text => Ok(text_lit(doc, node)),
+            FieldSource::XmlAttribute(attr) => match doc.attribute(node, attr) {
+                Some(value) if matches!(field.kind, FieldKind::Ref(_)) => {
+                    self.idref_expr(element, attr, value, row, &[&field.db_name])
+                }
+                Some(value) => Ok(Expr::str_lit(value)),
                 None => Ok(null()),
             },
             FieldSource::AttrList => {
-                let mapping = self.mapping_of(element)?.clone();
                 let attr_list = mapping.attr_list.as_ref().ok_or_else(|| {
                     MappingError::MalformedMapping(format!(
                         "<{element}> has an attrList field but no attribute-list mapping"
@@ -335,48 +325,28 @@ impl<'a> Loader<'a> {
                 let any_present = attr_list
                     .fields
                     .iter()
-                    .any(|f| self.doc.attribute(node, &f.xml_attribute).is_some());
+                    .any(|f| doc.attribute(node, &f.xml_attribute).is_some());
                 if !any_present {
                     return Ok(null());
                 }
-                let mut args = Vec::new();
+                let mut args = Vec::with_capacity(attr_list.fields.len());
                 for f in &attr_list.fields {
-                    let arg = match self.doc.attribute(node, &f.xml_attribute) {
-                        Some(value) if f.idref_target.is_some() => match row {
-                            Some(row) => {
-                                let value = value.to_string();
-                                let subquery =
-                                    self.idref_subquery(element, &f.xml_attribute, &value)?;
-                                self.pending_updates.push(LoadOp::Update(Stmt::Update {
-                                    table: Ident::internal(&row.table),
-                                    sets: vec![(
-                                        vec![
-                                            Ident::internal(&field.db_name),
-                                            Ident::internal(&f.db_name),
-                                        ],
-                                        subquery,
-                                    )],
-                                    where_clause: Some(Expr::eq(
-                                        Expr::Path(vec![Ident::internal(&row.id_column)]),
-                                        Expr::str_lit(&row.id),
-                                    )),
-                                }));
-                                null()
-                            }
-                            None => {
-                                let value = value.to_string();
-                                self.idref_subquery(element, &f.xml_attribute, &value)?
-                            }
-                        },
+                    args.push(match doc.attribute(node, &f.xml_attribute) {
+                        Some(value) if f.idref_target.is_some() => self.idref_expr(
+                            element,
+                            &f.xml_attribute,
+                            value,
+                            row,
+                            &[&field.db_name, &f.db_name],
+                        )?,
                         Some(value) => Expr::str_lit(value),
                         None => null(),
-                    };
-                    args.push(arg);
+                    });
                 }
                 Ok(constructor(&attr_list.type_name, args))
             }
             FieldSource::ChildElement(child_name) => {
-                let children = self.doc.child_elements_named(node, child_name);
+                let children = doc.child_elements_named(node, child_name);
                 self.child_field_expr(&children, field)
             }
             FieldSource::SyntheticId | FieldSource::ParentRef(_) => {
@@ -385,14 +355,39 @@ impl<'a> Loader<'a> {
         }
     }
 
+    /// The value of the IDREF attribute `element/@attribute`, stored at
+    /// `column` (a path of attribute names below the row): the REF subquery
+    /// itself inside an embedded element; inside a table row `NULL`, with an
+    /// `UPDATE … SET column = (subquery)` deferred until every row exists.
+    fn idref_expr(
+        &mut self,
+        element: &str,
+        attribute: &str,
+        value: &str,
+        row: Option<&RowCtx<'_>>,
+        column: &[&str],
+    ) -> Result<Expr, MappingError> {
+        let subquery = self.idref_subquery(element, attribute, value)?;
+        let Some(row) = row else { return Ok(subquery) };
+        self.pending_updates.push(LoadOp::Update(Stmt::Update {
+            table: Ident::internal(row.table),
+            sets: vec![(column.iter().map(|part| Ident::internal(part)).collect(), subquery)],
+            where_clause: Some(Expr::eq(
+                Expr::Path(vec![Ident::internal(row.id_column)]),
+                Expr::str_lit(row.id),
+            )),
+        }));
+        Ok(null())
+    }
+
     fn child_field_expr(
         &mut self,
         children: &[NodeId],
-        field: &crate::model::FieldMapping,
+        field: &FieldMapping,
     ) -> Result<Expr, MappingError> {
         match &field.kind {
             FieldKind::Scalar(_) => match children.first() {
-                Some(child) => Ok(Expr::str_lit(&direct_text(self.doc, *child))),
+                Some(child) => Ok(text_lit(self.doc, *child)),
                 None => Ok(null()),
             },
             FieldKind::Object(_) => match children.first() {
@@ -402,7 +397,7 @@ impl<'a> Loader<'a> {
             FieldKind::ScalarCollection(collection) => {
                 let args: Vec<Expr> = children
                     .iter()
-                    .map(|c| Expr::str_lit(&direct_text(self.doc, *c)))
+                    .map(|c| text_lit(self.doc, *c))
                     .collect();
                 Ok(constructor(collection, args))
             }
@@ -416,8 +411,7 @@ impl<'a> Loader<'a> {
             FieldKind::Ref(_) => match children.first() {
                 Some(child) => {
                     let child_id = self.emit_rooted(*child, None)?;
-                    let child_element = self.doc.name(*child).as_raw();
-                    self.ref_subquery_by_id(&child_element, &child_id)
+                    self.ref_subquery_by_id(self.doc.name(*child).as_raw(), &child_id)
                 }
                 None => Ok(null()),
             },
@@ -425,8 +419,7 @@ impl<'a> Loader<'a> {
                 let mut args = Vec::with_capacity(children.len());
                 for child in children {
                     let child_id = self.emit_rooted(*child, None)?;
-                    let child_element = self.doc.name(*child).as_raw();
-                    args.push(self.ref_subquery_by_id(&child_element, &child_id)?);
+                    args.push(self.ref_subquery_by_id(self.doc.name(*child).as_raw(), &child_id)?);
                 }
                 Ok(constructor(collection, args))
             }
@@ -436,31 +429,28 @@ impl<'a> Loader<'a> {
     /// Constructor expression for an embedded (non-table-rooted) element.
     fn embedded_expr(&mut self, node: NodeId) -> Result<Expr, MappingError> {
         let element = self.doc.name(node).as_raw();
-        let mapping = self.mapping_of(&element)?.clone();
-        let type_name = mapping.object_type.clone().ok_or_else(|| {
+        let mapping = self.mapping_of(element)?;
+        let type_name = mapping.object_type.as_deref().ok_or_else(|| {
             MappingError::Unsupported(format!("<{element}> has no object type to construct"))
         })?;
         let mut args = Vec::with_capacity(mapping.fields.len());
         for field in &mapping.fields {
-            args.push(self.field_expr(node, &element, field, None)?);
+            args.push(self.field_expr(node, mapping, field, None)?);
         }
-        Ok(constructor(&type_name, args))
+        Ok(constructor(type_name, args))
     }
 
     /// `(SELECT REF(x) FROM Tab x WHERE x.ID… = 'id')` for synthetic ids.
     fn ref_subquery_by_id(&mut self, element: &str, id: &str) -> Result<Expr, MappingError> {
-        let (table, id_col) = {
-            let mapping = self.mapping_of(element)?;
-            let table = mapping.table.clone().ok_or_else(|| {
-                MappingError::Unsupported(format!("<{element}> has no object table for REFs"))
-            })?;
-            let id_col = mapping.synthetic_id.clone().ok_or_else(|| {
-                MappingError::Unsupported(format!("<{element}> has no synthetic id"))
-            })?;
-            (table, id_col)
-        };
-        let table = Ident::internal(&table);
-        let expr = ref_select(&table, &[&id_col], id);
+        let mapping = self.mapping_of(element)?;
+        let table = mapping.table.as_deref().ok_or_else(|| {
+            MappingError::Unsupported(format!("<{element}> has no object table for REFs"))
+        })?;
+        let id_col = mapping.synthetic_id.as_deref().ok_or_else(|| {
+            MappingError::Unsupported(format!("<{element}> has no synthetic id"))
+        })?;
+        let table = Ident::internal(table);
+        let expr = ref_select(&table, &[id_col], id);
         self.note_ref(table);
         Ok(expr)
     }

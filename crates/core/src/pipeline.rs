@@ -272,8 +272,8 @@ impl Xml2OrDb {
         for (node, attr, id) in &report.idrefs {
             if let Some(target_node) = report.ids.get(id) {
                 targets.insert(
-                    (doc.name(*node).as_raw(), attr.clone()),
-                    doc.name(*target_node).as_raw(),
+                    (doc.name(*node).as_raw().to_string(), attr.clone()),
+                    doc.name(*target_node).as_raw().to_string(),
                 );
             }
         }
@@ -1056,23 +1056,21 @@ where
 /// Inject DTD attribute defaults (`#FIXED "v"`, `attr CDATA "v"`) into a
 /// document, as a validating parser would.
 pub fn apply_attribute_defaults(doc: &mut Document, dtd: &Dtd) {
+    let declares_a_default = dtd
+        .attlists
+        .values()
+        .any(|list| list.attributes.iter().any(|def| def.default.default_value().is_some()));
+    if !declares_a_default {
+        return;
+    }
     let Some(root) = doc.root_element() else { return };
-    let nodes = doc.descendants(root);
-    for node in nodes {
+    for node in doc.descendants(root) {
         let Some(el) = doc.element(node) else { continue };
-        let name = el.name.as_raw();
-        let defaults: Vec<(String, String)> = dtd
-            .attributes_of(&name)
-            .iter()
-            .filter_map(|def| {
-                def.default
-                    .default_value()
-                    .map(|v| (def.name.clone(), v.to_string()))
-            })
-            .collect();
-        for (attr, value) in defaults {
-            if doc.attribute(node, &attr).is_none() {
-                doc.set_attribute(node, QName::local(&attr), &value);
+        for def in dtd.attributes_of(el.name.as_raw()) {
+            if let Some(value) = def.default.default_value() {
+                if doc.attribute(node, &def.name).is_none() {
+                    doc.set_attribute(node, QName::local(&def.name), value);
+                }
             }
         }
     }

@@ -539,7 +539,7 @@ pub(crate) fn reorder_children(doc: &mut Document, node: NodeId, child_order: &[
     let mut children: Vec<NodeId> = doc.children(node).to_vec();
     let order_of = |doc: &Document, c: NodeId| match doc.kind(c) {
         xmlord_xml::NodeKind::Element(el) => {
-            child_order.iter().position(|n| *n == el.name.local)
+            child_order.iter().position(|n| n == el.name.local_part())
         }
         _ => None,
     };
@@ -882,7 +882,7 @@ mod tests {
             .children(root)
             .iter()
             .map(|&n| match doc.kind(n) {
-                xmlord_xml::NodeKind::Element(el) => format!("<{}>", el.name.local),
+                xmlord_xml::NodeKind::Element(el) => format!("<{}>", el.name.local_part()),
                 _ => "text".to_string(),
             })
             .collect();

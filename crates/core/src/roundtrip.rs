@@ -112,7 +112,7 @@ fn compare_elements(
     let b_name = b_doc.name(b).as_raw();
     let saved_len = path.len();
     path.push('/');
-    path.push_str(&a_name);
+    path.push_str(a_name);
     if a_name != b_name {
         report.losses.push(Loss::ElementChanged {
             path: path.clone(),
@@ -124,19 +124,19 @@ fn compare_elements(
 
     // Attributes as sets (XML attribute order is not significant).
     for attr in a_doc.attributes(a) {
-        match b_doc.attribute(b, &attr.name.as_raw()) {
+        match b_doc.attribute(b, attr.name.as_raw()) {
             Some(v) if v == attr.value => {}
             _ => report.losses.push(Loss::AttributeChanged {
                 path: path.clone(),
-                attribute: attr.name.as_raw(),
+                attribute: attr.name.as_raw().to_string(),
             }),
         }
     }
     for attr in b_doc.attributes(b) {
-        if a_doc.attribute(a, &attr.name.as_raw()).is_none() {
+        if a_doc.attribute(a, attr.name.as_raw()).is_none() {
             report.losses.push(Loss::AttributeChanged {
                 path: path.clone(),
-                attribute: attr.name.as_raw(),
+                attribute: attr.name.as_raw().to_string(),
             });
         }
     }
@@ -188,8 +188,8 @@ fn compare_elements(
     // Element children.
     let a_children = a_doc.child_elements(a);
     let b_children = b_doc.child_elements(b);
-    let a_names: Vec<String> = a_children.iter().map(|c| a_doc.name(*c).as_raw()).collect();
-    let b_names: Vec<String> = b_children.iter().map(|c| b_doc.name(*c).as_raw()).collect();
+    let a_names: Vec<&str> = a_children.iter().map(|c| a_doc.name(*c).as_raw()).collect();
+    let b_names: Vec<&str> = b_children.iter().map(|c| b_doc.name(*c).as_raw()).collect();
     if a_names != b_names {
         let mut a_sorted = a_names.clone();
         let mut b_sorted = b_names.clone();

@@ -189,12 +189,12 @@ fn shred(
 ) -> Result<(), MappingError> {
     let element = doc.name(node).as_raw();
     let mapping = schema
-        .mapping(&element)
-        .ok_or_else(|| MappingError::UndeclaredElement(element.clone()))?;
+        .mapping(element)
+        .ok_or_else(|| MappingError::UndeclaredElement(element.to_string()))?;
     let q = |s: &str| format!("'{}'", s.replace('\'', "''"));
 
     if mapping.object_type.is_some() {
-        let table = rel.table_for(&element).ok_or_else(|| {
+        let table = rel.table_for(element).ok_or_else(|| {
             MappingError::Unsupported(format!("no relational table for <{element}>"))
         })?;
         *next_id += 1;
@@ -218,9 +218,9 @@ fn shred(
         for child in doc.child_elements(node) {
             let child_name = doc.name(child).as_raw();
             let child_mapping = schema
-                .mapping(&child_name)
-                .ok_or_else(|| MappingError::UndeclaredElement(child_name.clone()))?;
-            let field = mapping.field_for_child(&child_name);
+                .mapping(child_name)
+                .ok_or_else(|| MappingError::UndeclaredElement(child_name.to_string()))?;
+            let field = mapping.field_for_child(child_name);
             let as_column =
                 matches!(field.map(|f| &f.kind), Some(FieldKind::Scalar(_)))
                     && child_mapping.object_type.is_none();
@@ -231,7 +231,7 @@ fn shred(
                 shred(schema, rel, doc, child, Some(my_id), next_id, out)?;
             } else {
                 // Set-valued simple child → leaf list table.
-                let list = rel.leaf_list_for(&child_name).ok_or_else(|| {
+                let list = rel.leaf_list_for(child_name).ok_or_else(|| {
                     MappingError::Unsupported(format!("no list table for <{child_name}>"))
                 })?;
                 *next_id += 1;

@@ -1,0 +1,109 @@
+//! What the front end allocates to store one document, stage by stage,
+//! counted by this file's own global allocator: the parser allocates for the
+//! nodes and values it builds (a name once per document, a text run once), the
+//! validator for nothing a valid document does not report, the attribute
+//! defaults for nothing when the DTD declares none, and the loader for the
+//! expressions it emits — not for bookkeeping. Counts, not timings: the same
+//! on every machine. The bounds sit between the counts this front end makes
+//! and the ones its predecessor made (8.3 / 7.6 / 1.0 / 7.7 / 17.0 per
+//! element), so a per-element copy that creeps back fails here.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+use xml2ordb::loader::load_ops;
+use xml2ordb::pipeline::apply_attribute_defaults;
+use xml2ordb::Xml2OrDb;
+use xmlord_dtd::validate;
+use xmlord_ordb::DbMode;
+use xmlord_workload::university::{university_dtd, university_xml, UniversityConfig};
+
+/// Counts the allocations (and reallocations) of the thread that asked.
+struct Counting;
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+// SAFETY: every request is passed to `System` unchanged; the bookkeeping
+// touches only an atomic and a const-initialised thread-local without a
+// destructor, neither of which allocates. `realloc` is the default one, which
+// calls `alloc`, so a growing buffer counts each time it moves.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if COUNTED.with(Cell::get) {
+            ALLOCATIONS.fetch_add(1, Relaxed);
+        }
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Run `stage` and return its result with the allocations it made.
+fn counted<T>(stage: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCATIONS.load(Relaxed);
+    COUNTED.with(|c| c.set(true));
+    let result = stage();
+    COUNTED.with(|c| c.set(false));
+    (result, ALLOCATIONS.load(Relaxed) - before)
+}
+
+#[test]
+fn storing_a_document_allocates_for_values_not_for_bookkeeping() {
+    let config = UniversityConfig { students: 50, ..Default::default() };
+    let xml = university_xml(&config);
+    let elements = config.element_count();
+    assert_eq!(elements, 952);
+    let per_element = |allocations: usize| allocations as f64 / elements as f64;
+
+    for (mode, load_bound) in [(DbMode::Oracle9, 4.0), (DbMode::Oracle8, 10.0)] {
+        let mut sys = Xml2OrDb::new(mode);
+        sys.register_dtd("uni", university_dtd(), "University").unwrap();
+        let reg = sys.schema("uni").unwrap();
+        // Handed over before the count starts: the benchmark's `xml.parse`
+        // span builds the catalog too, but it is the DTD's, not the parser's.
+        let catalog = reg.dtd.entity_catalog();
+
+        let (doc, parse) = counted(|| xmlord_xml::parse_with_catalog(&xml, catalog));
+        let mut doc = doc.unwrap();
+        assert!(
+            per_element(parse) <= 2.5,
+            "{mode:?}: parse made {parse} allocations for {elements} elements"
+        );
+
+        let (report, validation) = counted(|| validate(&doc, &reg.dtd));
+        assert!(report.is_valid(), "{:?}", report.errors);
+        assert!(
+            per_element(validation) <= 0.25,
+            "{mode:?}: validate made {validation} allocations for {elements} elements"
+        );
+
+        let ((), defaults) = counted(|| apply_attribute_defaults(&mut doc, &reg.dtd));
+        assert_eq!(defaults, 0, "{mode:?}: the university DTD declares no default");
+
+        let (ops, load) = counted(|| load_ops(&reg.schema, &reg.dtd, &doc, "uni-1"));
+        assert!(!ops.unwrap().is_empty());
+        assert!(
+            per_element(load) <= load_bound,
+            "{mode:?}: load_ops made {load} allocations for {elements} elements"
+        );
+        eprintln!(
+            "{mode:?}: parse {:.2}, validate {:.2}, defaults {defaults}, load_ops {:.2} \
+             allocations per element",
+            per_element(parse),
+            per_element(validation),
+            per_element(load),
+        );
+    }
+}

@@ -8,6 +8,12 @@
 //! simulated with a set of active positions. This is linear in
 //! `input × positions` and — unlike naive backtracking — has no exponential
 //! blow-up on nested `*` groups.
+//!
+//! A model of at most 64 positions — every model a DTD is likely to hold —
+//! also carries its sets as `u64` masks, and [`ContentMatcher::matches_names`]
+//! simulates on those over an iterator of borrowed names without allocating.
+//! The `BTreeSet` simulation ([`ContentMatcher::matches`]) is what runs for a
+//! larger model, and what `tests/proptests.rs` checks the masks against.
 
 use std::collections::BTreeSet;
 
@@ -23,6 +29,21 @@ pub struct ContentMatcher {
     last: BTreeSet<usize>,
     /// `follow[p]` = positions that may come directly after p.
     follow: Vec<BTreeSet<usize>>,
+    /// The same sets as bit masks, when the positions fit in one word.
+    masks: Option<Masks>,
+}
+
+/// `first`, `last` and `follow` of a [`ContentMatcher`] with bit `p` standing
+/// for position `p`.
+#[derive(Debug, Clone)]
+struct Masks {
+    first: u64,
+    last: u64,
+    follow: Vec<u64>,
+}
+
+fn mask_of(set: &BTreeSet<usize>) -> u64 {
+    set.iter().fold(0, |mask, p| mask | 1u64 << p)
 }
 
 impl ContentMatcher {
@@ -44,13 +65,65 @@ impl ContentMatcher {
         collect_symbols(cp, &mut symbols);
         let mut follow = vec![BTreeSet::new(); symbols.len()];
         let info = build_glushkov(cp, &mut PositionCounter::default(), &mut follow);
+        let masks = (symbols.len() <= u64::BITS as usize).then(|| Masks {
+            first: mask_of(&info.first),
+            last: mask_of(&info.last),
+            follow: follow.iter().map(mask_of).collect(),
+        });
         ContentMatcher {
             symbols,
             nullable: info.nullable,
             first: info.first,
             last: info.last,
             follow,
+            masks,
         }
+    }
+
+    /// Does the sequence `children` match? Decides what [`Self::matches`]
+    /// decides; allocates only for a model of more than 64 positions.
+    pub fn matches_names<'n>(&self, children: impl Iterator<Item = &'n str>) -> bool {
+        let Some(masks) = &self.masks else {
+            return self.matches(&children.collect::<Vec<_>>());
+        };
+        // `None` until the first child: the start state is no position.
+        let mut active: Option<u64> = None;
+        for name in children {
+            let mut candidates = match active {
+                None => masks.first,
+                Some(active) => {
+                    let mut reachable = 0;
+                    let mut rest = active;
+                    while rest != 0 {
+                        reachable |= masks.follow[rest.trailing_zeros() as usize];
+                        rest &= rest - 1;
+                    }
+                    reachable
+                }
+            };
+            let mut next = 0;
+            while candidates != 0 {
+                let q = candidates.trailing_zeros() as usize;
+                if self.symbols[q] == name {
+                    next |= 1u64 << q;
+                }
+                candidates &= candidates - 1;
+            }
+            if next == 0 {
+                return false;
+            }
+            active = Some(next);
+        }
+        match active {
+            None => self.nullable,
+            Some(active) => active & masks.last != 0,
+        }
+    }
+
+    /// Whether [`Self::matches_names`] runs on bit masks (at most 64
+    /// positions) rather than on the position sets.
+    pub fn uses_masks(&self) -> bool {
+        self.masks.is_some()
     }
 
     /// Does `children` (names of child elements, in order) match?
@@ -104,14 +177,16 @@ pub enum ContentModel {
 impl ContentModel {
     /// Check a child-element name sequence (text handled separately).
     pub fn matches_children(&self, children: &[&str]) -> bool {
+        self.matches_names(children.iter().copied())
+    }
+
+    /// [`Self::matches_children`] over an iterator of borrowed names.
+    pub fn matches_names<'n>(&self, mut children: impl Iterator<Item = &'n str>) -> bool {
         match self {
-            ContentModel::Empty => children.is_empty(),
+            ContentModel::Empty | ContentModel::PcDataOnly => children.next().is_none(),
             ContentModel::Any => true,
-            ContentModel::PcDataOnly => children.is_empty(),
-            ContentModel::Mixed(allowed) => {
-                children.iter().all(|c| allowed.contains(*c))
-            }
-            ContentModel::Children(m) => m.matches(children),
+            ContentModel::Mixed(allowed) => children.all(|c| allowed.contains(c)),
+            ContentModel::Children(m) => m.matches_names(children),
         }
     }
 

@@ -15,13 +15,22 @@
 //! "which ID attribute is referenced by an IDREF value — this kind of
 //! information cannot be captured from the DTD, rather from the XML
 //! document".
+//!
+//! A valid document is the common case and the one that is timed, so the
+//! success path allocates only for what it reports — the `ids` and `idrefs`
+//! of the [`ValidationReport`] — plus one compiled content model per
+//! distinct element name per call. Names are borrowed from the document,
+//! content models are matched over an iterator of them, and the walk is a
+//! loop over a stack of open elements. Errors are rendered *lazily*: a
+//! [`ValidationError`]'s `path` is joined from that stack, and its owned
+//! strings are made, only when an error is pushed.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use xmlord_xml::{Document, NodeId, NodeKind};
 
-use crate::ast::{AttType, DefaultDecl, Dtd};
+use crate::ast::{AttType, ContentSpec, DefaultDecl, Dtd};
 use crate::matcher::{ContentMatcher, ContentModel};
 
 /// What went wrong, where.
@@ -115,35 +124,32 @@ pub fn validate(doc: &Document, dtd: &Dtd) -> ValidationReport {
         dtd,
         report: ValidationReport::default(),
         models: BTreeMap::new(),
+        open: Vec::new(),
     };
     if let Some(root) = doc.root_element() {
         if let Some(doctype) = &doc.doctype {
-            let actual = doc.name(root).as_raw();
+            let actual = ctx.name(root);
             if doctype.name != actual {
                 ctx.report.errors.push(ValidationError {
-                    path: actual.clone(),
+                    path: actual.to_string(),
                     kind: ValidationErrorKind::RootMismatch {
                         declared: doctype.name.clone(),
-                        actual,
+                        actual: actual.to_string(),
                     },
                 });
             }
         }
-        ctx.validate_element(root, String::new());
+        ctx.validate_tree(root);
     }
     // Resolve IDREFs after the whole document is indexed.
-    let ids: BTreeSet<&str> = ctx.report.ids.keys().map(String::as_str).collect();
-    let mut unresolved = Vec::new();
-    for (_, _, target) in &ctx.report.idrefs {
-        if !ids.contains(target.as_str()) {
-            unresolved.push(target.clone());
+    let ValidationReport { errors, ids, idrefs } = &mut ctx.report;
+    for (_, _, target) in idrefs.iter() {
+        if !ids.contains_key(target) {
+            errors.push(ValidationError {
+                path: String::new(),
+                kind: ValidationErrorKind::UnresolvedIdref(target.clone()),
+            });
         }
-    }
-    for target in unresolved {
-        ctx.report.errors.push(ValidationError {
-            path: String::new(),
-            kind: ValidationErrorKind::UnresolvedIdref(target),
-        });
     }
     ctx.report
 }
@@ -152,105 +158,104 @@ struct Validator<'a> {
     doc: &'a Document,
     dtd: &'a Dtd,
     report: ValidationReport,
-    /// Cache of compiled content models per element name.
-    models: BTreeMap<String, ContentModel>,
+    /// Content models compiled so far, by element name (the DTD's own).
+    models: BTreeMap<&'a str, ContentModel>,
+    /// The elements open around the one being checked, root first, each
+    /// with the index of its next unvisited child: the walk's stack, and
+    /// what an error's `path` is rendered from.
+    open: Vec<(NodeId, usize)>,
 }
 
 impl<'a> Validator<'a> {
-    fn validate_element(&mut self, id: NodeId, parent_path: String) {
-        let name = self.doc.name(id).as_raw();
-        let path =
-            if parent_path.is_empty() { name.clone() } else { format!("{parent_path}/{name}") };
+    fn name(&self, id: NodeId) -> &'a str {
+        self.doc.name(id).as_raw()
+    }
 
-        let declared = self.dtd.element(&name).is_some();
-        if !declared {
-            self.report.errors.push(ValidationError {
-                path: path.clone(),
-                kind: ValidationErrorKind::UndeclaredElement(name.clone()),
-            });
-        } else {
-            self.check_content(id, &name, &path);
-        }
-        self.check_attributes(id, &name, &path);
-
-        for child in self.doc.child_elements(id) {
-            self.validate_element(child, path.clone());
+    /// Check every element of the tree under `root`, parents before
+    /// children, siblings in document order.
+    fn validate_tree(&mut self, root: NodeId) {
+        self.enter(root);
+        while let Some((parent, next)) = self.open.last_mut() {
+            let children = self.doc.children(*parent);
+            let Some(&child) = children.get(*next) else {
+                self.open.pop();
+                continue;
+            };
+            *next += 1;
+            if self.doc.element(child).is_some() {
+                self.enter(child);
+            }
         }
     }
 
-    fn check_content(&mut self, id: NodeId, name: &str, path: &str) {
-        if !self.models.contains_key(name) {
-            let spec = &self.dtd.element(name).unwrap().content;
-            self.models.insert(name.to_string(), ContentMatcher::compile(spec));
+    /// Open element `id` and check what it declares about itself.
+    fn enter(&mut self, id: NodeId) {
+        self.open.push((id, 0));
+        let name = self.name(id);
+        match self.dtd.elements.get_key_value(name) {
+            Some((declared_name, decl)) => self.check_content(id, declared_name, &decl.content),
+            None => self.error(ValidationErrorKind::UndeclaredElement(name.to_string())),
         }
-        let model = &self.models[name];
+        self.check_attributes(id, name);
+    }
 
-        let child_names: Vec<String> = self
-            .doc
-            .child_elements(id)
-            .iter()
-            .map(|c| self.doc.name(*c).as_raw())
-            .collect();
-        let child_refs: Vec<&str> = child_names.iter().map(String::as_str).collect();
-        if !model.matches_children(&child_refs) {
-            let spec = &self.dtd.element(name).unwrap().content;
-            self.report.errors.push(ValidationError {
-                path: path.to_string(),
-                kind: ValidationErrorKind::ContentModelViolation {
-                    element: name.to_string(),
-                    model: spec.to_string(),
-                    found: child_names.clone(),
-                },
+    /// Record `kind` against the innermost open element.
+    fn error(&mut self, kind: ValidationErrorKind) {
+        let names: Vec<&str> = self.open.iter().map(|(id, _)| self.name(*id)).collect();
+        self.report.errors.push(ValidationError { path: names.join("/"), kind });
+    }
+
+    fn check_content(&mut self, id: NodeId, name: &'a str, spec: &ContentSpec) {
+        let doc = self.doc;
+        let model = self.models.entry(name).or_insert_with(|| ContentMatcher::compile(spec));
+        let child_names = || {
+            doc.children(id).iter().filter_map(|c| doc.element(*c)).map(|el| el.name.as_raw())
+        };
+        let matches = model.matches_names(child_names());
+        let allows_text = model.allows_text();
+        if !matches {
+            self.error(ValidationErrorKind::ContentModelViolation {
+                element: name.to_string(),
+                model: spec.to_string(),
+                found: child_names().map(str::to_string).collect(),
             });
         }
-        if !model.allows_text() {
-            let has_text = self.doc.children(id).iter().any(|c| match self.doc.kind(*c) {
+        if !allows_text {
+            let has_text = doc.children(id).iter().any(|c| match doc.kind(*c) {
                 NodeKind::Text(t) => !t.trim().is_empty(),
                 NodeKind::CData(_) => true,
                 _ => false,
             });
             if has_text {
-                self.report.errors.push(ValidationError {
-                    path: path.to_string(),
-                    kind: ValidationErrorKind::TextNotAllowed { element: name.to_string() },
-                });
+                self.error(ValidationErrorKind::TextNotAllowed { element: name.to_string() });
             }
         }
     }
 
-    fn check_attributes(&mut self, id: NodeId, name: &str, path: &str) {
+    fn check_attributes(&mut self, id: NodeId, name: &str) {
         let defs = self.dtd.attributes_of(name);
         // Declared attributes: presence, defaults, value constraints.
         for def in defs {
             let value = self.doc.attribute(id, &def.name);
             match (&def.default, value) {
                 (DefaultDecl::Required, None) => {
-                    self.report.errors.push(ValidationError {
-                        path: path.to_string(),
-                        kind: ValidationErrorKind::RequiredAttributeMissing {
-                            element: name.to_string(),
-                            attribute: def.name.clone(),
-                        },
+                    self.error(ValidationErrorKind::RequiredAttributeMissing {
+                        element: name.to_string(),
+                        attribute: def.name.clone(),
                     });
                 }
                 (DefaultDecl::Fixed(expected), Some(found)) if found != expected => {
-                    self.report.errors.push(ValidationError {
-                        path: path.to_string(),
-                        kind: ValidationErrorKind::FixedAttributeMismatch {
-                            element: name.to_string(),
-                            attribute: def.name.clone(),
-                            expected: expected.clone(),
-                            found: found.to_string(),
-                        },
+                    self.error(ValidationErrorKind::FixedAttributeMismatch {
+                        element: name.to_string(),
+                        attribute: def.name.clone(),
+                        expected: expected.clone(),
+                        found: found.to_string(),
                     });
                 }
                 _ => {}
             }
-            let effective: Option<String> = value
-                .map(str::to_string)
-                .or_else(|| def.default.default_value().map(str::to_string));
-            let Some(val) = effective else { continue };
-            self.check_attribute_value(id, name, path, &def.name, &def.att_type, &val);
+            let Some(effective) = value.or(def.default.default_value()) else { continue };
+            self.check_attribute_value(id, name, &def.name, &def.att_type, effective);
         }
         // Undeclared attributes (namespace declarations are exempt — they
         // are infrastructure, stored by the §5 meta-table instead).
@@ -260,12 +265,9 @@ impl<'a> Validator<'a> {
                 continue;
             }
             if !defs.iter().any(|d| d.name == raw) {
-                self.report.errors.push(ValidationError {
-                    path: path.to_string(),
-                    kind: ValidationErrorKind::UndeclaredAttribute {
-                        element: name.to_string(),
-                        attribute: raw,
-                    },
+                self.error(ValidationErrorKind::UndeclaredAttribute {
+                    element: name.to_string(),
+                    attribute: raw.to_string(),
                 });
             }
         }
@@ -275,21 +277,17 @@ impl<'a> Validator<'a> {
         &mut self,
         id: NodeId,
         element: &str,
-        path: &str,
         attribute: &str,
         att_type: &AttType,
         value: &str,
     ) {
         use xmlord_xml::name::{is_valid_ncname, is_valid_nmtoken};
         let invalid = |expected: &str, this: &mut Self| {
-            this.report.errors.push(ValidationError {
-                path: path.to_string(),
-                kind: ValidationErrorKind::InvalidAttributeValue {
-                    element: element.to_string(),
-                    attribute: attribute.to_string(),
-                    value: value.to_string(),
-                    expected: expected.to_string(),
-                },
+            this.error(ValidationErrorKind::InvalidAttributeValue {
+                element: element.to_string(),
+                attribute: attribute.to_string(),
+                value: value.to_string(),
+                expected: expected.to_string(),
             });
         };
         match att_type {
@@ -298,10 +296,7 @@ impl<'a> Validator<'a> {
                 if !is_valid_ncname(value) {
                     invalid("an XML name", self);
                 } else if self.report.ids.contains_key(value) {
-                    self.report.errors.push(ValidationError {
-                        path: path.to_string(),
-                        kind: ValidationErrorKind::DuplicateId(value.to_string()),
-                    });
+                    self.error(ValidationErrorKind::DuplicateId(value.to_string()));
                 } else {
                     self.report.ids.insert(value.to_string(), id);
                 }
@@ -549,5 +544,46 @@ mod tests {
         let all: String = report.errors.iter().map(|e| e.to_string()).collect();
         assert!(all.contains("Bogus"), "{all}");
         assert!(all.contains("University"), "{all}");
+    }
+
+    /// Every kind of error at once, at several depths: the kinds, their
+    /// order and their lazily rendered `path`s, recorded from the validator
+    /// that rendered a path per element.
+    #[test]
+    fn errors_keep_their_kinds_paths_and_order() {
+        let dtd_text = UNIVERSITY.to_string()
+            + r#"<!ATTLIST Student kind (full|part) "full" ref IDREF #IMPLIED
+                   id ID #IMPLIED v CDATA #FIXED "1">"#;
+        let report = check(
+            &dtd_text,
+            r#"<!DOCTYPE Uni><University>stray<StudyCourse>CS<b/></StudyCourse>
+<Student kind="odd" id="s1" v="2" rogue="x"><FName>M</FName><LName>C</LName>
+  <Course><Name>DB</Name><Professor><PName>K</PName><Dept>CS</Dept><Bogus><Deeper a="1"/></Bogus></Professor></Course>
+</Student>
+<Student StudNr="2" id="s1" ref="nowhere" xmlns:x="urn:x"><LName>a</LName><FName>b</FName></Student>
+</University>"#,
+        );
+        let got: Vec<String> =
+            report.errors.iter().map(|e| format!("{:?}", (e.path.as_str(), &e.kind))).collect();
+        let expected = [
+            r#"("University", RootMismatch { declared: "Uni", actual: "University" })"#,
+            r#"("University", TextNotAllowed { element: "University" })"#,
+            r#"("University/StudyCourse", ContentModelViolation { element: "StudyCourse", model: "(#PCDATA)", found: ["b"] })"#,
+            r#"("University/StudyCourse/b", UndeclaredElement("b"))"#,
+            r#"("University/Student", ContentModelViolation { element: "Student", model: "(LName,FName,Course*)", found: ["FName", "LName", "Course"] })"#,
+            r#"("University/Student", RequiredAttributeMissing { element: "Student", attribute: "StudNr" })"#,
+            r#"("University/Student", InvalidAttributeValue { element: "Student", attribute: "kind", value: "odd", expected: "one of (full|part)" })"#,
+            r#"("University/Student", FixedAttributeMismatch { element: "Student", attribute: "v", expected: "1", found: "2" })"#,
+            r#"("University/Student", UndeclaredAttribute { element: "Student", attribute: "rogue" })"#,
+            r#"("University/Student/Course/Professor", ContentModelViolation { element: "Professor", model: "(PName,Subject+,Dept)", found: ["PName", "Dept", "Bogus"] })"#,
+            r#"("University/Student/Course/Professor/Bogus", UndeclaredElement("Bogus"))"#,
+            r#"("University/Student/Course/Professor/Bogus/Deeper", UndeclaredElement("Deeper"))"#,
+            r#"("University/Student/Course/Professor/Bogus/Deeper", UndeclaredAttribute { element: "Deeper", attribute: "a" })"#,
+            r#"("University/Student", DuplicateId("s1"))"#,
+            r#"("", UnresolvedIdref("nowhere"))"#,
+        ];
+        assert_eq!(got, expected, "{got:#?}");
+        assert_eq!(report.ids.len(), 1);
+        assert_eq!(report.idrefs.len(), 1);
     }
 }

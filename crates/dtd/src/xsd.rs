@@ -90,7 +90,7 @@ impl std::error::Error for XsdError {}
 pub fn parse_xsd(text: &str) -> Result<XsdSchema, XsdError> {
     let doc = xmlord_xml::parse(text).map_err(XsdError::Xml)?;
     let root = doc.root_element().ok_or(XsdError::NotASchema)?;
-    if doc.name(root).local != "schema" {
+    if doc.name(root).local_part() != "schema" {
         return Err(XsdError::NotASchema);
     }
     let mut analyzer = Analyzer {
@@ -126,7 +126,7 @@ struct Analyzer<'a> {
 
 impl<'a> Analyzer<'a> {
     fn local(&self, node: NodeId) -> String {
-        self.doc.name(node).local.clone()
+        self.doc.name(node).local_part().to_string()
     }
 
     fn collect_globals(&mut self, schema: NodeId) {

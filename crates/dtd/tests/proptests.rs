@@ -137,6 +137,58 @@ fn glushkov_matches_oracle() {
     }
 }
 
+/// The bit-mask simulation `validate` runs decides what the position-set
+/// simulation decides — on random models, on longer inputs than the oracle
+/// above can afford, and on models of 64 positions (the widest mask) and 65
+/// (the first that must fall back to the sets).
+#[test]
+fn mask_matcher_matches_the_set_matcher() {
+    for case in 0..2048u64 {
+        let mut rng = Prng::seed_from_u64(0x3A5C + case);
+        let cp = arb_particle(&mut rng, 4);
+        let matcher = ContentMatcher::from_particle(&cp);
+        assert!(matcher.uses_masks(), "case {case}: {cp}");
+        let input: Vec<&str> =
+            (0..rng.gen_range(0usize..12)).map(|_| *rng.choose(&NAMES)).collect();
+        assert_eq!(
+            matcher.matches_names(input.iter().copied()),
+            matcher.matches(&input),
+            "case {case} model: {cp} input: {input:?}"
+        );
+    }
+    for positions in [64usize, 65] {
+        // (a, b?, c*, a, b?, c*, …)+ — `positions` leaves.
+        let leaves: Vec<ContentParticle> = (0..positions)
+            .map(|p| {
+                let occurrence =
+                    [Occurrence::One, Occurrence::Optional, Occurrence::ZeroOrMore][p % 3];
+                ContentParticle::Name(NAMES[p % 3].to_string(), occurrence)
+            })
+            .collect();
+        let cp = ContentParticle::Seq(leaves, Occurrence::OneOrMore);
+        let matcher = ContentMatcher::from_particle(&cp);
+        assert_eq!(matcher.uses_masks(), positions <= 64, "{positions} positions");
+        for case in 0..256u64 {
+            let mut rng = Prng::seed_from_u64(0x6465 + case);
+            // Mostly inputs that walk the sequence, so that many are accepted.
+            let mut input = Vec::new();
+            for p in 0..rng.gen_range(0usize..3 * positions) {
+                if rng.gen_bool(0.8) {
+                    input.push(if rng.gen_bool(0.95) { NAMES[p % 3] } else { *rng.choose(&NAMES) });
+                }
+            }
+            assert_eq!(
+                matcher.matches_names(input.iter().copied()),
+                matcher.matches(&input),
+                "{positions} positions, case {case}, input: {input:?}"
+            );
+        }
+        let whole: Vec<&str> = (0..positions).map(|p| NAMES[p % 3]).collect();
+        assert!(matcher.matches_names(whole.iter().copied()), "{positions} positions");
+        assert!(!matcher.matches_names(whole[1..].iter().copied()), "{positions} positions");
+    }
+}
+
 #[test]
 fn parsed_model_display_reparses_identically() {
     for case in 0..256u64 {

@@ -102,7 +102,7 @@ fn shred(
     // Element edge row.
     out.push(format!(
         "INSERT INTO {} VALUES ({parent}, {ordinal}, {my_id}, NULL)",
-        crate::intern::element_table(&name)
+        crate::intern::element_table(name)
     ));
     // Text content row (NULL Target).
     let text: String = doc
@@ -116,7 +116,7 @@ fn shred(
     if !text.trim().is_empty() {
         out.push(format!(
             "INSERT INTO {} VALUES ({my_id}, 0, NULL, {})",
-            crate::intern::element_table(&name),
+            crate::intern::element_table(name),
             sql_str(&text)
         ));
     }
@@ -124,7 +124,7 @@ fn shred(
     for (i, attr) in doc.attributes(node).iter().enumerate() {
         out.push(format!(
             "INSERT INTO {} VALUES ({my_id}, {i}, {})",
-            crate::intern::attribute_table(&attr.name.as_raw()),
+            crate::intern::attribute_table(attr.name.as_raw()),
             sql_str(&attr.value)
         ));
     }

@@ -61,7 +61,7 @@ impl<'a> EdgeLoader<'a> {
         let name = self.doc.name(node).as_raw();
         self.out.push(format!(
             "INSERT INTO TabEdge VALUES ({parent}, {ordinal}, {}, 'ref', {my_id})",
-            crate::intern::name_literal(&name)
+            crate::intern::name_literal(name)
         ));
         // Attributes.
         for (i, attr) in self.doc.attributes(node).iter().enumerate() {

@@ -139,7 +139,7 @@ impl InlineSchema {
         out: &mut Vec<String>,
     ) -> Result<(), DbError> {
         let element = doc.name(node).as_raw();
-        let relation = self.relations.get(&element).ok_or_else(|| {
+        let relation = self.relations.get(element).ok_or_else(|| {
             DbError::Execution(format!("<{element}> has no inlined relation"))
         })?;
         *next += 1;
@@ -168,7 +168,7 @@ impl InlineSchema {
     ) -> Result<(), DbError> {
         for child in doc.child_elements(node) {
             let child_name = doc.name(child).as_raw();
-            if self.relations.contains_key(&child_name) {
+            if self.relations.contains_key(child_name) {
                 self.load_relation(doc, child, Some(parent_row), next, out)?;
             } else {
                 self.descend_for_relations(doc, child, parent_row, next, out)?;

@@ -1,40 +1,88 @@
-//! A character cursor over the input with line/column tracking.
+//! A cursor over the input that knows where it is.
 //!
-//! Both the XML parser and the DTD parser (in `xmlord-dtd`) consume input
-//! through this cursor so error positions are consistent across the two
-//! parsers of the paper's Fig. 1 architecture.
+//! The XML reader ([`crate::events`]), the entity expander and the DTD
+//! parser (in `xmlord-dtd`) consume input through this cursor so error
+//! positions are consistent across the two parsers of the paper's Fig. 1
+//! architecture.
+//!
+//! The cursor advances by byte offset only — a whole slice at a time where
+//! the caller has one (`eat`, `take_until`, `advance`). Line and column are
+//! *derived* when somebody asks ([`Cursor::position`], normally to build an
+//! error): the text between the last position handed out and the current
+//! offset is scanned once, so asking repeatedly stays linear in the input
+//! and not asking costs nothing.
+
+use std::cell::Cell;
 
 use crate::error::{Position, XmlError, XmlErrorKind};
 
-/// A peekable cursor over `&str` that tracks the current [`Position`].
+/// A peekable cursor over `&str` that can report its [`Position`].
 #[derive(Debug, Clone)]
 pub struct Cursor<'a> {
     input: &'a str,
-    pos: Position,
+    offset: usize,
+    /// The last position derived; never past `offset`.
+    mark: Cell<Position>,
 }
 
 impl<'a> Cursor<'a> {
     pub fn new(input: &'a str) -> Self {
-        Cursor { input, pos: Position::start() }
+        Cursor { input, offset: 0, mark: Cell::new(Position::start()) }
     }
 
     /// Current position (of the next unread character).
     pub fn position(&self) -> Position {
-        self.pos
+        self.position_at(self.offset)
+    }
+
+    /// Position of the character at byte `offset` of the input, which must
+    /// lie on a character boundary. Cheapest for offsets at or after the
+    /// last position asked for.
+    pub fn position_at(&self, offset: usize) -> Position {
+        let mut pos = self.mark.get();
+        if offset < pos.offset {
+            pos = Position::start();
+        }
+        let skipped = &self.input[pos.offset..offset];
+        let line_tail = match skipped.rfind('\n') {
+            Some(last_newline) => {
+                let newlines = skipped.as_bytes().iter().filter(|b| **b == b'\n').count();
+                pos.line += newlines as u32;
+                pos.column = 1;
+                &skipped[last_newline + 1..]
+            }
+            None => skipped,
+        };
+        pos.column += line_tail.chars().count() as u32;
+        pos.offset = offset;
+        if offset <= self.offset {
+            self.mark.set(pos);
+        }
+        pos
+    }
+
+    /// Byte offset of the next unread character.
+    pub fn offset(&self) -> usize {
+        self.offset
     }
 
     /// The unread remainder of the input.
     pub fn rest(&self) -> &'a str {
-        &self.input[self.pos.offset..]
+        &self.input[self.offset..]
     }
 
     pub fn is_eof(&self) -> bool {
-        self.pos.offset >= self.input.len()
+        self.offset >= self.input.len()
     }
 
     /// Peek at the next character without consuming it.
     pub fn peek(&self) -> Option<char> {
         self.rest().chars().next()
+    }
+
+    /// Peek at the next byte without consuming it.
+    pub fn peek_byte(&self) -> Option<u8> {
+        self.input.as_bytes().get(self.offset).copied()
     }
 
     /// Peek at the character `n` characters ahead (0 == `peek`).
@@ -50,26 +98,23 @@ impl<'a> Cursor<'a> {
     /// Consume and return the next character.
     pub fn bump(&mut self) -> Option<char> {
         let ch = self.peek()?;
-        self.pos.offset += ch.len_utf8();
-        if ch == '\n' {
-            self.pos.line += 1;
-            self.pos.column = 1;
-        } else {
-            self.pos.column += 1;
-        }
+        self.offset += ch.len_utf8();
         Some(ch)
+    }
+
+    /// Consume `bytes` bytes, which must end on a character boundary.
+    pub fn advance(&mut self, bytes: usize) {
+        self.offset += bytes;
+        debug_assert!(self.input.is_char_boundary(self.offset), "advance() split a character");
     }
 
     /// Consume `s` if the input starts with it; return whether it did.
     pub fn eat(&mut self, s: &str) -> bool {
-        if self.starts_with(s) {
-            for _ in s.chars() {
-                self.bump();
-            }
-            true
-        } else {
-            false
+        let found = self.starts_with(s);
+        if found {
+            self.offset += s.len();
         }
+        found
     }
 
     /// Consume `s` or fail with an `Unexpected` error mentioning `what`.
@@ -77,34 +122,29 @@ impl<'a> Cursor<'a> {
         if self.eat(s) {
             Ok(())
         } else if self.is_eof() {
-            Err(XmlError::new(XmlErrorKind::UnexpectedEof, self.pos))
+            Err(self.error(XmlErrorKind::UnexpectedEof))
         } else {
-            Err(XmlError::new(
-                XmlErrorKind::Unexpected(format!(
-                    "input at '{}' (expected {what})",
-                    preview(self.rest())
-                )),
-                self.pos,
-            ))
+            Err(self.error(XmlErrorKind::Unexpected(format!(
+                "input at '{}' (expected {what})",
+                preview(self.rest())
+            ))))
         }
     }
 
     /// Consume characters while `pred` holds; return the consumed slice.
     pub fn take_while(&mut self, mut pred: impl FnMut(char) -> bool) -> &'a str {
-        let start = self.pos.offset;
-        while let Some(ch) = self.peek() {
-            if pred(ch) {
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        &self.input[start..self.pos.offset]
+        let rest = self.rest();
+        let len = rest.char_indices().find(|(_, ch)| !pred(*ch)).map_or(rest.len(), |(at, _)| at);
+        self.offset += len;
+        &rest[..len]
     }
 
     /// Consume XML whitespace (space, tab, CR, LF); return whether any was consumed.
     pub fn skip_ws(&mut self) -> bool {
-        !self.take_while(is_xml_ws).is_empty()
+        let rest = self.rest().as_bytes();
+        let len = rest.iter().position(|b| !matches!(b, b' ' | b'\t' | b'\r' | b'\n')).unwrap_or(rest.len());
+        self.offset += len;
+        len > 0
     }
 
     /// Consume up to (but not including) the first occurrence of `delim`.
@@ -113,19 +153,15 @@ impl<'a> Cursor<'a> {
         let rest = self.rest();
         match rest.find(delim) {
             Some(idx) => {
-                let start = self.pos.offset;
-                // Advance char by char to keep line/column tracking correct.
-                while self.pos.offset < start + idx {
-                    self.bump();
-                }
-                Ok(&self.input[start..start + idx])
+                self.offset += idx;
+                Ok(&rest[..idx])
             }
-            None => Err(XmlError::new(XmlErrorKind::UnexpectedEof, self.pos)),
+            None => Err(self.error(XmlErrorKind::UnexpectedEof)),
         }
     }
 
     pub fn error(&self, kind: XmlErrorKind) -> XmlError {
-        XmlError::new(kind, self.pos)
+        XmlError::new(kind, self.position())
     }
 }
 
@@ -158,6 +194,21 @@ mod tests {
         assert_eq!(c.position().column, 1);
         assert_eq!(c.bump(), Some('c'));
         assert_eq!(c.position().column, 2);
+    }
+
+    #[test]
+    fn positions_are_derived_for_any_offset_in_any_order() {
+        let mut c = Cursor::new("a\nbä\n\ncd");
+        assert_eq!(c.take_until("d").unwrap(), "a\nbä\n\nc");
+        let end = c.position();
+        assert_eq!((end.line, end.column, end.offset), (4, 2, 8));
+        // An earlier offset after a later one, and the later one again.
+        let earlier = c.position_at(5);
+        assert_eq!((earlier.line, earlier.column, earlier.offset), (2, 3, 5));
+        assert_eq!(c.position(), end);
+        c.advance(1);
+        assert!(c.is_eof());
+        assert_eq!(c.position().column, 3);
     }
 
     #[test]

@@ -209,15 +209,22 @@ impl Document {
 
     /// Child elements with the given (unprefixed) local name.
     pub fn child_elements_named(&self, id: NodeId, local: &str) -> Vec<NodeId> {
-        self.child_elements(id)
-            .into_iter()
-            .filter(|c| self.name(*c).local == local)
-            .collect()
+        self.children_named(id, local).collect()
     }
 
     /// First child element with the given local name.
     pub fn first_child_named(&self, id: NodeId, local: &str) -> Option<NodeId> {
-        self.child_elements_named(id, local).into_iter().next()
+        self.children_named(id, local).next()
+    }
+
+    fn children_named<'d>(
+        &'d self,
+        id: NodeId,
+        local: &'d str,
+    ) -> impl Iterator<Item = NodeId> + 'd {
+        self.children(id).iter().copied().filter(move |c| {
+            self.element(*c).is_some_and(|el| el.name.local_part() == local)
+        })
     }
 
     /// Attribute value by raw name (`prefix:local` or plain local name).
@@ -320,7 +327,7 @@ mod tests {
         doc.append_child(name, text);
 
         assert_eq!(doc.root_element(), Some(root));
-        assert_eq!(doc.name(root).local, "University");
+        assert_eq!(doc.name(root).local_part(), "University");
         assert_eq!(doc.attribute(student, "StudNr"), Some("23374"));
         assert_eq!(doc.text_content(student), "Conrad");
         assert_eq!(doc.parent(text), Some(name));

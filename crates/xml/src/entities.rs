@@ -22,6 +22,26 @@ pub struct EntityCatalog {
     entities: BTreeMap<String, String>,
 }
 
+/// What the references of one document (or one [`EntityCatalog::expand_text`]
+/// call) have expanded to so far: every declared entity's replacement text is
+/// expanded at most once, and every byte an expansion writes is charged
+/// against [`crate::MAX_ENTITY_EXPANSION_BYTES`] before it is written.
+#[derive(Debug, Default)]
+pub(crate) struct Expansion {
+    /// Entity name → its fully expanded replacement text.
+    memo: BTreeMap<String, String>,
+    spent: usize,
+}
+
+/// Put `bytes` more on the account `spent`, or refuse them.
+fn charge(spent: &mut usize, bytes: usize, cur: &Cursor<'_>) -> Result<(), XmlError> {
+    *spent = spent.saturating_add(bytes);
+    if *spent > crate::MAX_ENTITY_EXPANSION_BYTES {
+        return Err(cur.error(XmlErrorKind::EntityExpansionLimit));
+    }
+    Ok(())
+}
+
 impl EntityCatalog {
     pub fn new() -> Self {
         Self::default()
@@ -57,22 +77,44 @@ impl EntityCatalog {
     /// This is used for entity *replacement text*, which may itself contain
     /// references (XML 1.0 §4.4: "included" entities are recursively
     /// processed). Recursion through the same entity is a well-formedness
-    /// error (`RecursiveEntity`).
+    /// error (`RecursiveEntity`); an expansion past
+    /// [`crate::MAX_ENTITY_EXPANSION_BYTES`] is an `EntityExpansionLimit`.
     pub fn expand_text(&self, text: &str) -> Result<String, XmlError> {
-        let mut active: Vec<String> = Vec::new();
-        self.expand_inner(text, &mut active)
+        let mut out = String::with_capacity(text.len());
+        self.expand_into(text, &mut Expansion::default(), &mut Vec::new(), &mut out)?;
+        Ok(out)
     }
 
-    fn expand_inner(&self, text: &str, active: &mut Vec<String>) -> Result<String, XmlError> {
+    /// Append the expansion of the reference `&name;` to `out`, on the
+    /// account of `expansion`. Errors carry positions inside the replacement
+    /// texts; the caller knows where the reference stands.
+    pub(crate) fn expand_reference(
+        &self,
+        name: &str,
+        expansion: &mut Expansion,
+        out: &mut String,
+    ) -> Result<(), XmlError> {
+        // A reference is a one-reference text: the catalog's own cursor gives
+        // the nested errors the positions `expand_text` always gave them.
+        let cur = Cursor::new("");
+        self.expand_named(name, &cur, expansion, &mut Vec::new(), out)
+    }
+
+    fn expand_into<'c>(
+        &'c self,
+        text: &'c str,
+        expansion: &mut Expansion,
+        active: &mut Vec<&'c str>,
+        out: &mut String,
+    ) -> Result<(), XmlError> {
         let mut cur = Cursor::new(text);
-        let mut out = String::with_capacity(text.len());
-        while let Some(ch) = cur.peek() {
-            if ch != '&' {
-                out.push(ch);
-                cur.bump();
-                continue;
+        while !cur.is_eof() {
+            let literal = cur.take_while(|ch| ch != '&');
+            charge(&mut expansion.spent, literal.len(), &cur)?;
+            out.push_str(literal);
+            if !cur.eat("&") {
+                break;
             }
-            cur.bump(); // '&'
             if cur.eat("#") {
                 let body = cur.take_until(";").map_err(|e| {
                     XmlError::new(XmlErrorKind::InvalidCharRef("&#".into()), e.position)
@@ -81,32 +123,52 @@ impl EntityCatalog {
                 let decoded = decode_char_ref(body).ok_or_else(|| {
                     cur.error(XmlErrorKind::InvalidCharRef(format!("&#{body};")))
                 })?;
+                charge(&mut expansion.spent, decoded.len_utf8(), &cur)?;
                 out.push(decoded);
             } else {
                 let name = cur.take_until(";").map_err(|e| {
                     XmlError::new(XmlErrorKind::UnknownEntity("&".into()), e.position)
                 })?;
                 cur.eat(";");
-                if active.iter().any(|n| n == name) {
-                    return Err(cur.error(XmlErrorKind::RecursiveEntity(name.to_string())));
-                }
-                let replacement = self
-                    .lookup(name)
-                    .ok_or_else(|| cur.error(XmlErrorKind::UnknownEntity(name.to_string())))?
-                    .to_string();
-                if predefined_entity(name).is_some() {
-                    // Predefined entities expand to literal markup characters
-                    // and are NOT reprocessed.
-                    out.push_str(&replacement);
-                } else {
-                    active.push(name.to_string());
-                    let expanded = self.expand_inner(&replacement, active)?;
-                    active.pop();
-                    out.push_str(&expanded);
-                }
+                self.expand_named(name, &cur, expansion, active, out)?;
             }
         }
-        Ok(out)
+        Ok(())
+    }
+
+    /// The reference `&name;`, just read by `cur`, appended to `out`.
+    fn expand_named<'c>(
+        &'c self,
+        name: &'c str,
+        cur: &Cursor<'_>,
+        expansion: &mut Expansion,
+        active: &mut Vec<&'c str>,
+        out: &mut String,
+    ) -> Result<(), XmlError> {
+        if active.contains(&name) {
+            return Err(cur.error(XmlErrorKind::RecursiveEntity(name.to_string())));
+        }
+        if let Some(literal) = predefined_entity(name) {
+            // Predefined entities expand to literal markup characters
+            // and are NOT reprocessed.
+            out.push_str(literal);
+            return Ok(());
+        }
+        if !expansion.memo.contains_key(name) {
+            let replacement = self
+                .entities
+                .get(name)
+                .ok_or_else(|| cur.error(XmlErrorKind::UnknownEntity(name.to_string())))?;
+            let mut expanded = String::new();
+            active.push(name);
+            self.expand_into(replacement, expansion, active, &mut expanded)?;
+            active.pop();
+            expansion.memo.insert(name.to_string(), expanded);
+        }
+        let expanded = &expansion.memo[name];
+        charge(&mut expansion.spent, expanded.len(), cur)?;
+        out.push_str(expanded);
+        Ok(())
     }
 
     /// Re-substitute declared entity references into serialized text — the
@@ -193,6 +255,33 @@ mod tests {
         let cat = EntityCatalog::new();
         let err = cat.expand_text("&nosuch;").unwrap_err();
         assert!(matches!(err.kind, XmlErrorKind::UnknownEntity(ref n) if n == "nosuch"));
+    }
+
+    #[test]
+    fn an_entity_is_expanded_once_and_charged_per_use() {
+        let mut cat = EntityCatalog::new();
+        cat.declare("city", "Leipzig");
+        cat.declare("uni", "HTWK &city;");
+        let mut expansion = Expansion::default();
+        let mut out = String::new();
+        cat.expand_reference("uni", &mut expansion, &mut out).unwrap();
+        cat.expand_reference("uni", &mut expansion, &mut out).unwrap();
+        assert_eq!(out, "HTWK LeipzigHTWK Leipzig");
+        assert_eq!(expansion.memo.len(), 2);
+        // "Leipzig" built and copied, "HTWK " and the whole built, the whole
+        // copied twice.
+        assert_eq!(expansion.spent, 7 + 7 + 5 + 12 + 12);
+    }
+
+    #[test]
+    fn expansion_past_the_budget_is_refused_before_it_is_built() {
+        let mut cat = EntityCatalog::new();
+        cat.declare("k", &"x".repeat(1 << 10));
+        cat.declare("m", &"&k;".repeat(1 << 10));
+        cat.declare("g", &"&m;".repeat(1 << 10));
+        assert_eq!(cat.expand_text("&m;").unwrap().len(), 1 << 20);
+        let err = cat.expand_text("&g;").unwrap_err();
+        assert_eq!(err.kind, XmlErrorKind::EntityExpansionLimit);
     }
 
     #[test]

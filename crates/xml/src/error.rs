@@ -46,6 +46,15 @@ pub enum XmlErrorKind {
     StructureViolation(String),
     /// `--` inside a comment, `]]>` in character data, and similar.
     IllegalConstruct(String),
+    /// A start tag that would open more than [`crate::MAX_ELEMENT_DEPTH`]
+    /// nested elements.
+    DepthLimitExceeded,
+    /// The references of one document expand to more than
+    /// [`crate::MAX_ENTITY_EXPANSION_BYTES`].
+    EntityExpansionLimit,
+    /// A literal character outside the XML 1.0 `Char` production (a C0
+    /// control other than tab, LF, CR; U+FFFE; U+FFFF).
+    InvalidChar(char),
 }
 
 impl fmt::Display for XmlErrorKind {
@@ -67,6 +76,19 @@ impl fmt::Display for XmlErrorKind {
             XmlErrorKind::InvalidCharRef(raw) => write!(f, "invalid character reference '{raw}'"),
             XmlErrorKind::StructureViolation(msg) => write!(f, "{msg}"),
             XmlErrorKind::IllegalConstruct(msg) => write!(f, "{msg}"),
+            XmlErrorKind::DepthLimitExceeded => write!(
+                f,
+                "elements nested more than {} deep",
+                crate::MAX_ELEMENT_DEPTH
+            ),
+            XmlErrorKind::EntityExpansionLimit => write!(
+                f,
+                "entity references expand to more than {} bytes",
+                crate::MAX_ENTITY_EXPANSION_BYTES
+            ),
+            XmlErrorKind::InvalidChar(ch) => {
+                write!(f, "character U+{:04X} is not allowed in XML", *ch as u32)
+            }
         }
     }
 }

@@ -22,6 +22,24 @@
 //!   expanded entities are stored in the database"),
 //! * namespace-aware qualified names (`prefix:local`).
 //!
+//! ## Layers
+//!
+//! * [`cursor`] — a byte-offset cursor over the input that derives line and
+//!   column only when a position is asked for; shared with the DTD parser.
+//! * [`events`] — the **pull reader**: one pass over the text, no recursion,
+//!   borrowed [`events::Event`]s out. All well-formedness checking, reference
+//!   expansion and the three hostile-input defences live here: nesting past
+//!   [`MAX_ELEMENT_DEPTH`], references expanding past
+//!   [`MAX_ENTITY_EXPANSION_BYTES`], and literal characters XML forbids each
+//!   fail with their own [`XmlErrorKind`].
+//! * [`parser`] — [`parse`]/[`parse_with_catalog`]: the reader drained into
+//!   a [`Document`]. The DOM is one consumer of the event stream; a
+//!   streaming ingest that never builds one is the intended second.
+//! * [`dom`], [`name`] — the arena tree and its shared, interned [`QName`]s.
+//! * [`entities`] — the §6.1 entity catalog, budgeted expansion, and the
+//!   re-substitution used on retrieval.
+//! * [`serializer`], [`escape`], [`prolog`] — the way back to text.
+//!
 //! ## Quick example
 //!
 //! ```
@@ -29,7 +47,7 @@
 //!
 //! let doc = parse("<a x='1'><b>hi</b><!--c--></a>").unwrap();
 //! let root = doc.root_element().unwrap();
-//! assert_eq!(doc.name(root).local, "a");
+//! assert_eq!(doc.name(root).local_part(), "a");
 //! assert_eq!(doc.attribute(root, "x"), Some("1"));
 //! let text = serialize(&doc, &SerializeOptions::compact());
 //! assert_eq!(text, "<a x=\"1\"><b>hi</b><!--c--></a>");
@@ -40,10 +58,22 @@ pub mod dom;
 pub mod entities;
 pub mod error;
 pub mod escape;
+pub mod events;
 pub mod name;
 pub mod parser;
 pub mod prolog;
 pub mod serializer;
+
+/// The deepest element nesting the reader accepts; a start tag that would
+/// open one more is [`XmlErrorKind::DepthLimitExceeded`]. A constant, not a
+/// setting: the walkers behind the parser (validator, loader, serializer,
+/// reconstructors) recurse on document depth on 2 MiB thread stacks, and a
+/// document this deep is measured to pass through all of them there.
+pub const MAX_ELEMENT_DEPTH: usize = 1024;
+
+/// The most bytes the entity references of one document may expand to
+/// before the parse fails with [`XmlErrorKind::EntityExpansionLimit`].
+pub const MAX_ENTITY_EXPANSION_BYTES: usize = 8 << 20;
 
 pub use dom::{Attribute, Document, ElementData, NodeId, NodeKind};
 pub use entities::EntityCatalog;

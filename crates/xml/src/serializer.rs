@@ -151,10 +151,10 @@ fn write_node<S: Sink>(
     match doc.kind(id) {
         NodeKind::Element(el) => {
             out.put_char('<')?;
-            out.put_str(&el.name.as_raw())?;
+            out.put_str(el.name.as_raw())?;
             for attr in &el.attributes {
                 out.put_char(' ')?;
-                out.put_str(&attr.name.as_raw())?;
+                out.put_str(attr.name.as_raw())?;
                 out.put_str("=\"")?;
                 out.put_str(&escape_attr(&attr.value))?;
                 out.put_char('"')?;
@@ -187,7 +187,7 @@ fn write_node<S: Sink>(
                 push_indent(opts, depth, out)?;
             }
             out.put_str("</")?;
-            out.put_str(&el.name.as_raw())?;
+            out.put_str(el.name.as_raw())?;
             out.put_char('>')?;
         }
         NodeKind::Text(text) => {

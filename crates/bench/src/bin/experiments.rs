@@ -2,10 +2,11 @@
 //! quantified versions of its qualitative claims). See EXPERIMENTS.md for
 //! the experiment index.
 //!
-//! Usage: `experiments [table1|fig2|load|query|shredding|roundtrip|modes|schemagen|drawbacks|fastpath|analyze|maplint|faults|trace|all]`
+//! Usage: `experiments [table1|fig2|load|query|shredding|roundtrip|modes|schemagen|drawbacks|analyze|maplint|all]`
 //!
-//! `fastpath` writes JSON to stdout (narration goes to stderr), so
-//! `experiments fastpath > BENCH_PR1.json` captures the counter deltas.
+//! Performance is not measured here: the standing benchmark (`benchmark/`,
+//! `BENCHMARK.json`) is the one place timings and engine counters are
+//! reported.
 //!
 //! `analyze [oracle8|oracle9|both]` runs the `sqlcheck` static analyzer over
 //! every strategy's generated DDL + load scripts and exits non-zero if any
@@ -15,10 +16,6 @@
 //! strategy, mapping lints, catalog-drift check) over the `dtdgen` corpus
 //! and exits non-zero if any loadable DTD draws an Error-severity finding
 //! — the differential guarantee reserves Errors for real failures.
-//!
-//! `trace` writes JSON to stdout (`experiments trace > BENCH_PR4.json`): the
-//! per-phase wall-time breakdown of a store + retrieve captured through the
-//! structured tracing layer, plus the measured cost of tracing itself.
 
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -31,7 +28,7 @@ use xml2ordb::roundtrip::{compare, Loss};
 use xml2ordb::schemagen::{generate_schema, IdrefTargets};
 use xmlord_bench::{measure_load, setup, university_doc, Strategy};
 use xmlord_dtd::parse_dtd;
-use xmlord_ordb::{Analyzer, DbMode, RecoveryPolicy, Severity};
+use xmlord_ordb::{Analyzer, DbMode, Severity};
 use xmlord_workload::catalog::{catalog_xml, CatalogConfig, CATALOG_DTD};
 use xmlord_workload::dtdgen::{generate_dtd, DtdConfig};
 
@@ -45,11 +42,8 @@ const EXPERIMENTS: &[&str] = &[
     "modes",
     "schemagen",
     "drawbacks",
-    "fastpath",
     "analyze",
     "maplint",
-    "faults",
-    "trace",
 ];
 
 fn main() {
@@ -86,15 +80,6 @@ fn main() {
     }
     if all || which == "drawbacks" {
         drawbacks();
-    }
-    if all || which == "fastpath" {
-        fastpath();
-    }
-    if all || which == "faults" {
-        faults();
-    }
-    if all || which == "trace" {
-        trace_experiment();
     }
     if all || which == "analyze" {
         let mode_filter = std::env::args().nth(2).unwrap_or_else(|| "both".to_string());
@@ -410,158 +395,6 @@ fn schemagen_scaling() {
     }
 }
 
-/// E14 — PR-1 fast-path counter deltas: plan-cache hit ratio on the bulk
-/// load, hash-join work on the multi-way baselines (with a nested-loop
-/// ablation), and OID-index hits on REF-chain navigation. JSON on stdout.
-fn fastpath() {
-    eprintln!("E14 — fast-path counter deltas (JSON on stdout)");
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(
-        "  \"experiment\": \"PR1 fast path: OID index, hash equi-joins, plan cache\",\n",
-    );
-
-    // Plan cache across the full bulk load of a 100-student document. The
-    // shredded strategies emit thousands of INSERTs that differ only in
-    // literals; the parameterized cache turns all but the first of each
-    // shape into hits.
-    let students = 100;
-    out.push_str(&format!("  \"bulk_load_students\": {students},\n"));
-    out.push_str("  \"bulk_load\": [\n");
-    let (_, doc) = xmlord_bench::university_doc(students);
-    for (i, strategy) in Strategy::ALL.iter().enumerate() {
-        let mut instance = setup(*strategy);
-        let before = instance.db.stats();
-        let m = instance.load(&doc);
-        let d = instance.db.stats().since(&before);
-        let lookups = d.plan_cache_hits + d.plan_cache_misses;
-        let ratio =
-            if lookups == 0 { 0.0 } else { d.plan_cache_hits as f64 / lookups as f64 };
-        out.push_str(&format!(
-            "    {{\"strategy\": \"{}\", \"statements\": {}, \"plan_cache_hits\": {}, \
-             \"plan_cache_misses\": {}, \"hit_ratio\": {:.3}, \"load_ms\": {:.2}}}{}\n",
-            strategy.name(),
-            m.statements,
-            d.plan_cache_hits,
-            d.plan_cache_misses,
-            ratio,
-            m.micros as f64 / 1000.0,
-            if i + 1 == Strategy::ALL.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-
-    // The paper query on the generic-shredding baselines: hash equi-joins
-    // on, then the same SQL with nested loops forced.
-    let q_students = 25;
-    out.push_str(&format!("  \"paper_query_students\": {q_students},\n"));
-    out.push_str("  \"paper_query\": [\n");
-    let (_, qdoc) = xmlord_bench::university_doc(q_students);
-    let baselines =
-        [Strategy::Edge, Strategy::AttributeTables, Strategy::Relational, Strategy::Inline];
-    for (i, strategy) in baselines.iter().enumerate() {
-        let mut instance = setup(*strategy);
-        instance.load(&qdoc);
-        let sql = instance.paper_query();
-        let before = instance.db.stats();
-        let (rows, hash_pairs, hash_micros) = instance.run_query(&sql);
-        let d = instance.db.stats().since(&before);
-        instance.db.set_hash_joins(false);
-        let (_, nested_pairs, nested_micros) = instance.run_query(&sql);
-        instance.db.set_hash_joins(true);
-        out.push_str(&format!(
-            "    {{\"strategy\": \"{}\", \"rows\": {rows}, \"hash_join_builds\": {}, \
-             \"hash_join_probes\": {}, \"join_pairs_hash\": {hash_pairs}, \
-             \"join_pairs_nested\": {nested_pairs}, \"hash_ms\": {:.2}, \
-             \"nested_loop_ms\": {:.2}}}{}\n",
-            strategy.name(),
-            d.hash_join_builds,
-            d.hash_join_probes,
-            hash_micros as f64 / 1000.0,
-            nested_micros as f64 / 1000.0,
-            if i + 1 == baselines.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-
-    // REF-chain navigation: 500 derefs answered by the OID directory while
-    // the scan counter stays at the driving table's row count.
-    let chain = 500;
-    let mut db = xmlord_bench::ref_chain_db(chain);
-    let before = db.stats();
-    let start = Instant::now();
-    let result = db.query("SELECT c.prof.subject FROM TabCourse c").unwrap();
-    let micros = start.elapsed().as_micros();
-    let d = db.stats().since(&before);
-    out.push_str(&format!(
-        "  \"ref_chain\": {{\"courses\": {chain}, \"rows\": {}, \"rows_scanned\": {}, \
-         \"derefs\": {}, \"oid_index_hits\": {}, \"query_ms\": {:.2}}}\n",
-        result.rows.len(),
-        d.rows_scanned,
-        d.derefs,
-        d.oid_index_hits,
-        micros as f64 / 1000.0
-    ));
-    out.push_str("}\n");
-    print!("{out}");
-}
-
-/// E16 — fault injection: what recovery costs. A document load is executed
-/// cleanly and then fully rolled back (measuring the undo log's replay
-/// cost), and the same load runs under the `Atomic` policy with a failing
-/// statement injected at the end (measuring the worst-case script unwind).
-fn faults() {
-    heading("E16 — Fault injection: rollback cost vs script size");
-    println!(
-        "{:<8} {:>9} {:>8} {:>10} {:>10} {:>13} {:>12}",
-        "strategy", "students", "stmts", "undo-recs", "load(ms)", "rollback(ms)", "atomic(ms)"
-    );
-    for students in [5, 25, 100] {
-        let (_, doc) = university_doc(students);
-        for strategy in [Strategy::Or9, Strategy::Or8, Strategy::Edge] {
-            // Clean load, then a full ROLLBACK of everything it wrote.
-            let mut instance = setup(strategy);
-            instance.db.commit().unwrap(); // seal the DDL; only the load rolls back
-            let statements = instance.load_statements(&doc);
-            let before = instance.db.stats();
-            let start = Instant::now();
-            for stmt in &statements {
-                instance.db.execute(stmt).unwrap();
-            }
-            let load_micros = start.elapsed().as_micros();
-            let d = instance.db.stats().since(&before);
-            let start = Instant::now();
-            instance.db.rollback();
-            let rollback_micros = start.elapsed().as_micros();
-
-            // The same load under the Atomic policy with a failure injected
-            // after the last statement: the engine unwinds the whole script.
-            let mut atomic = setup(strategy);
-            atomic.db.commit().unwrap();
-            let mut script = statements.join(";\n");
-            script.push_str(";\nINSERT INTO ZZ_Missing VALUES (1)");
-            let start = Instant::now();
-            let outcome =
-                atomic.db.execute_script_with(&script, RecoveryPolicy::Atomic).unwrap();
-            let atomic_micros = start.elapsed().as_micros();
-            assert!(outcome.rolled_back, "injected failure must trigger the rollback");
-            println!(
-                "{:<8} {:>9} {:>8} {:>10} {:>10.2} {:>13.2} {:>12.2}",
-                strategy.name(),
-                students,
-                statements.len(),
-                d.undo_records,
-                load_micros as f64 / 1000.0,
-                rollback_micros as f64 / 1000.0,
-                atomic_micros as f64 / 1000.0
-            );
-        }
-        println!();
-    }
-    println!("Recovery cost is linear in the undo records the load wrote, independent");
-    println!("of database size: a failed script never leaves half-applied state.");
-}
-
 /// E12 — the §7 drawbacks, demonstrated mechanically.
 fn drawbacks() {
     heading("E12 — §7 drawback checklist (each demonstrated by execution)");
@@ -781,164 +614,4 @@ CREATE TABLE TabCourse OF Type_Course (CHECK (attrAddress.attrCity = 'Leipzig'))
     for d in diags.iter().filter(|d| d.code == "check-null-object") {
         println!("{}", d.render(script, "quirk.sql"));
     }
-}
-
-/// E17 — the observability layer measuring itself: a full register + store +
-/// retrieve pass over the university workload, traced through a ring-buffer
-/// sink, broken down per pipeline phase and per statement kind. The same
-/// pass runs with tracing disabled to price the instrumentation; the
-/// state dumps and counters of both runs are compared to show tracing is
-/// observation-only. JSON on stdout.
-fn trace_experiment() {
-    use xmlord_ordb::{TraceEvent, TraceHandle};
-    use xmlord_workload::university::UNIVERSITY_DTD;
-
-    eprintln!("E17 — per-phase trace breakdown and tracing overhead (JSON on stdout)");
-    let students = 100;
-    let repeats = 15;
-    let (xml, _) = xmlord_bench::university_doc(students);
-
-    // One full pipeline pass; returns wall micros, state dump, counters
-    // (as their Debug rendering, for equality checks) and drained events.
-    let run = |traced: bool| -> (u128, String, String, Vec<TraceEvent>, u64) {
-        let mut sys = Xml2OrDb::new(DbMode::Oracle9);
-        let ring = if traced {
-            let (handle, ring) = TraceHandle::ring(1 << 16);
-            sys.database().set_trace_sink(Some(handle));
-            Some(ring)
-        } else {
-            None
-        };
-        let start = Instant::now();
-        sys.register_dtd("uni", UNIVERSITY_DTD, "University").unwrap();
-        let doc_id = sys.store_document("uni", &xml).unwrap();
-        let restored = sys.retrieve_document(&doc_id).unwrap();
-        let micros = start.elapsed().as_micros();
-        assert!(restored.contains("University"));
-        let dump = sys.database().state_dump();
-        let stats = format!("{:?}", sys.stats());
-        let (events, dropped) = match ring {
-            Some(r) => {
-                let mut r = r.lock().unwrap();
-                let dropped = r.dropped();
-                (r.drain(), dropped)
-            }
-            None => (Vec::new(), 0),
-        };
-        (micros, dump, stats, events, dropped)
-    };
-
-    fn median(mut xs: Vec<u128>) -> f64 {
-        xs.sort_unstable();
-        let n = xs.len();
-        if n % 2 == 1 {
-            xs[n / 2] as f64
-        } else {
-            (xs[n / 2 - 1] + xs[n / 2]) as f64 / 2.0
-        }
-    }
-
-    // Warm up both configurations, then interleave the timed repeats so
-    // drift hits every series equally. Two independent disabled series act
-    // as the noise floor: the disabled path *is* the product path (tracing
-    // off = one Option check per statement), so the spread between two
-    // disabled medians bounds what the instrumentation can possibly cost
-    // when no sink is installed.
-    run(false);
-    run(true);
-    let mut disabled_a_us = Vec::new();
-    let mut disabled_b_us = Vec::new();
-    let mut traced_us = Vec::new();
-    let mut last_disabled = None;
-    let mut last_traced = None;
-    for _ in 0..repeats {
-        disabled_a_us.push(run(false).0);
-        let t = run(true);
-        traced_us.push(t.0);
-        last_traced = Some(t);
-        let d = run(false);
-        disabled_b_us.push(d.0);
-        last_disabled = Some(d);
-    }
-    let (_, d_dump, d_stats, _, _) = last_disabled.unwrap();
-    let (_, t_dump, t_stats, events, dropped) = last_traced.unwrap();
-
-    let disabled_a_ms = median(disabled_a_us) / 1000.0;
-    let disabled_b_ms = median(disabled_b_us) / 1000.0;
-    let disabled_ms = disabled_a_ms.min(disabled_b_ms);
-    let traced_ms = median(traced_us) / 1000.0;
-    let disabled_noise_pct = (disabled_a_ms - disabled_b_ms).abs() / disabled_ms * 100.0;
-    let overhead_pct = (traced_ms - disabled_ms) / disabled_ms * 100.0;
-
-    // Aggregate the event stream: wall time per phase, and per statement
-    // kind within the execute phase.
-    let mut phases: std::collections::BTreeMap<&str, (u64, u64)> = Default::default();
-    let mut kinds: std::collections::BTreeMap<String, (u64, u64, u64)> = Default::default();
-    for e in &events {
-        let p = phases.entry(e.phase).or_default();
-        p.0 += 1;
-        p.1 += e.nanos;
-        if e.phase == "execute" {
-            let k = kinds.entry(e.detail.clone()).or_default();
-            k.0 += 1;
-            k.1 += e.nanos;
-            k.2 = k.2.max(e.nanos);
-        }
-    }
-
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(
-        "  \"experiment\": \"PR4 observability: EXPLAIN, structured tracing, \
-         per-statement timing\",\n",
-    );
-    out.push_str(&format!(
-        "  \"workload\": {{\"students\": {students}, \"mode\": \"Oracle9\", \
-         \"repeats\": {repeats}, \"pass\": \"register_dtd + store_document + \
-         retrieve_document\"}},\n"
-    ));
-    out.push_str(&format!(
-        "  \"wall_ms\": {{\"tracing_disabled_a\": {disabled_a_ms:.2}, \
-         \"tracing_disabled_b\": {disabled_b_ms:.2}, \"ring_sink\": {traced_ms:.2}}},\n"
-    ));
-    out.push_str(&format!(
-        "  \"overhead_when_disabled_pct\": {disabled_noise_pct:.2},\n  \
-         \"overhead_ring_sink_pct\": {overhead_pct:.2},\n  \
-         \"overhead_budget_pct\": 5.0,\n"
-    ));
-    out.push_str(&format!(
-        "  \"state_dump_identical\": {},\n  \"exec_counters_identical\": {},\n",
-        d_dump == t_dump,
-        d_stats == t_stats
-    ));
-    out.push_str(&format!(
-        "  \"trace_events\": {},\n  \"ring_dropped\": {dropped},\n",
-        events.len()
-    ));
-
-    out.push_str("  \"phases\": [\n");
-    let order = ["shred", "generate", "load", "retrieve", "parse", "analyze", "execute"];
-    let named: Vec<&str> = order.iter().copied().filter(|p| phases.contains_key(p)).collect();
-    for (i, name) in named.iter().enumerate() {
-        let (count, nanos) = phases[name];
-        out.push_str(&format!(
-            "    {{\"phase\": \"{name}\", \"events\": {count}, \"total_ms\": {:.2}}}{}\n",
-            nanos as f64 / 1e6,
-            if i + 1 == named.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-
-    out.push_str("  \"statement_kinds\": [\n");
-    for (i, (kind, (n, total, max))) in kinds.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"kind\": \"{kind}\", \"n\": {n}, \"mean_us\": {:.1}, \
-             \"max_us\": {:.1}}}{}\n",
-            *total as f64 / *n as f64 / 1000.0,
-            *max as f64 / 1000.0,
-            if i + 1 == kinds.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    print!("{out}");
 }

@@ -153,3 +153,66 @@ fn nested_loop_ablation_changes_the_plan() {
     assert!(!nested.contains("hash join"), "{nested}");
     assert!(nested.contains("nested-loop join"), "{nested}");
 }
+
+/// The Oracle 8 parent-wiring subquery, as `load_script` spells it: an
+/// equality on a PRIMARY KEY column probes the key's own index — no
+/// `CREATE INDEX` anywhere — and EXPLAIN names the key, not the reserved
+/// storage name.
+const OR8_WIRING_QUERY: &str = "SELECT REF(x) FROM TabCourse x WHERE (x.IDCourse = 'doc1#4')";
+
+#[test]
+fn key_probe_plan_oracle8() {
+    let mut instance = setup(Strategy::Or8);
+    let plan = plan_text(&mut instance.db, OR8_WIRING_QUERY);
+    assert!(plan.contains("index probe TabCourse(IDCourse) PRIMARY KEY"), "{plan}");
+    check("keyprobe_oracle8.txt", &plan);
+}
+
+/// The key-based relational baseline walked *up*, child to parent: the
+/// parent is found by its `ID… NUMBER PRIMARY KEY` instead of a hash build
+/// over its whole table. A declared index on the same column is legal and
+/// redundant — the key wins the tie and the plan does not change.
+const REL_UPWARD_QUERY: &str = "SELECT s.attrLName FROM RelCourse c, RelStudent s \
+                                WHERE s.IDStudent = c.IDParent AND c.attrName = 'Databases'";
+
+#[test]
+fn key_probe_plan_oracle9() {
+    let mut instance = setup(Strategy::Relational);
+    let plan = plan_text(&mut instance.db, REL_UPWARD_QUERY);
+    assert!(plan.contains("index probe RelStudent(IDStudent) PRIMARY KEY"), "{plan}");
+    check("keyprobe_oracle9.txt", &plan);
+    instance.db.execute("CREATE INDEX IxStudentID ON RelStudent (IDStudent)").unwrap();
+    assert_eq!(plan_text(&mut instance.db, REL_UPWARD_QUERY), plan);
+    // DROP INDEX reaches the declared index only.
+    instance.db.execute("DROP INDEX IxStudentID").unwrap();
+    assert_eq!(plan_text(&mut instance.db, REL_UPWARD_QUERY), plan);
+}
+
+/// Key definitions are derived from the table definitions, never stored:
+/// a directory that was snapshotted and reopened plans exactly as the
+/// database that wrote it, and its keys still answer.
+#[test]
+fn key_probe_plan_survives_snapshot_and_reopen() {
+    let dir = std::env::temp_dir().join(format!("xmlord-explain-golden-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let fixture = setup(Strategy::Or8);
+    let (_, doc) = university_doc(3);
+    let mut db = Database::open(&dir, DbMode::Oracle8).unwrap();
+    db.execute_script(&fixture.ddl).unwrap();
+    for statement in fixture.load_statements(&doc) {
+        db.execute(&statement).unwrap();
+    }
+    db.commit().unwrap();
+    let before = plan_text(&mut db, OR8_WIRING_QUERY);
+    let rows = db.query(OR8_WIRING_QUERY).unwrap();
+    assert_eq!(rows.rows.len(), 1);
+    db.close().unwrap();
+
+    let mut reopened = Database::open(&dir, DbMode::Oracle8).unwrap();
+    assert_eq!(plan_text(&mut reopened, OR8_WIRING_QUERY), before);
+    let stats = reopened.stats();
+    assert_eq!(reopened.query(OR8_WIRING_QUERY).unwrap(), rows);
+    assert_eq!(reopened.stats().since(&stats).index_scans, 1);
+    reopened.storage().check_indexes().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -59,6 +59,6 @@ pub mod views;
 pub use error::MappingError;
 pub use loader::{load_ops, load_script, plan_batches, LoadOp, LoadUnit};
 pub use maplint::{check_catalog_drift, lint_schema, MapLintReport};
-pub use pipeline::{LoadStrategy, Xml2OrDb};
+pub use pipeline::Xml2OrDb;
 pub use model::{MappedSchema, MappingOptions};
 pub use schemagen::generate_schema;

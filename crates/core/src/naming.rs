@@ -11,6 +11,7 @@
 //! | `TypeAttrL_Elementname`| Object type generated for an attribute list           |
 //! | `TypeVA_Elementname`   | Name of an array                                      |
 //! | `OView_Elementname`    | Name of an object view                                |
+//! | `IdxElementname`       | Secondary index on a table (ours; Table 1 names none) |
 //!
 //! §5 adds three constraints this module enforces: generated names must not
 //! collide with SQL keywords, must be unique (across documents, via the
@@ -32,6 +33,7 @@ pub enum NameKind {
     AttrListType,
     VarrayType,
     ObjectView,
+    Index,
 }
 
 impl NameKind {
@@ -45,6 +47,7 @@ impl NameKind {
             NameKind::AttrListType => "TypeAttrL_",
             NameKind::VarrayType => "TypeVA_",
             NameKind::ObjectView => "OView_",
+            NameKind::Index => "Idx",
         }
     }
 }

@@ -14,6 +14,7 @@
 
 use crate::error::MappingError;
 use crate::model::{FieldKind, FieldSource, MappedSchema};
+use crate::naming::{NameGenerator, NameKind};
 
 /// A parsed path query, e.g.
 /// `University/Student/Course/Professor/PName[.= 'Jaeger']` is
@@ -111,29 +112,68 @@ pub fn translate(schema: &MappedSchema, query: &PathQuery) -> Result<TranslatedQ
     })
 }
 
-/// DDL that accelerates translated path queries: one secondary index per
-/// back-pointing REF column (the join keys every Oracle 8 inverted
-/// relationship probes) plus an `ANALYZE` per object table so the
-/// cost-based planner can order joins by cardinality. Run it *after*
-/// loading documents — ANALYZE snapshots the current row counts.
-pub fn index_script(schema: &MappedSchema) -> Vec<String> {
+/// One secondary index a mapping wants beside its keys.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IndexTarget {
+    pub name: String,
+    pub table: String,
+    pub column: String,
+}
+
+impl IndexTarget {
+    pub fn create_statement(&self) -> String {
+        format!("CREATE INDEX {} ON {} ({})", self.name, self.table, self.column)
+    }
+}
+
+/// The columns of a mapping worth a secondary index: every back-pointing
+/// REF column (the join key each Oracle 8 inverted relationship probes, in
+/// translated path queries and in reconstruction alike). The synthetic IDs
+/// — parent wiring, IDREF resolution, the root table's document id — are
+/// PRIMARY KEYs, and a key is its own index.
+///
+/// Names come from the schema's own [`NameGenerator`] rule, so they keep the
+/// SchemaID suffix inside the 30-character limit and are unique in the
+/// catalog exactly as the table names are — not per call.
+pub fn index_targets(schema: &MappedSchema) -> Vec<IndexTarget> {
+    let mut names = match &schema.options.schema_id {
+        Some(id) => NameGenerator::with_schema_id(id),
+        None => NameGenerator::new(),
+    };
     let mut out = Vec::new();
-    let mut n = 0usize;
     for mapping in schema.elements.values() {
         let Some(table) = &mapping.table else { continue };
-        for field in &mapping.fields {
-            if matches!(field.source, FieldSource::ParentRef(_)) {
-                n += 1;
-                // Oracle's 30-character identifier limit; the counter keeps
-                // truncated names unique.
-                let mut name = format!("Idx{n:02}{table}");
-                name.truncate(30);
-                out.push(format!("CREATE INDEX {name} ON {table} ({})", field.db_name));
-            }
+        let parent_refs =
+            mapping.fields.iter().filter(|f| matches!(f.source, FieldSource::ParentRef(_)));
+        for (nth, field) in parent_refs.enumerate() {
+            // A table with several parents numbers its indexes before the
+            // SchemaID, where no other schema's suffix can read the same.
+            let stem = match nth {
+                0 => mapping.element.clone(),
+                _ => format!("{}{}", mapping.element, nth + 1),
+            };
+            out.push(IndexTarget {
+                name: names.global(NameKind::Index, &stem),
+                table: table.clone(),
+                column: field.db_name.clone(),
+            });
         }
-        out.push(format!("ANALYZE TABLE {table} COMPUTE STATISTICS"));
     }
     out
+}
+
+/// DDL that accelerates translated path queries: the [`index_targets`]
+/// plus an `ANALYZE` per object table so the cost-based planner can order
+/// joins by cardinality. Run it *after* loading documents — ANALYZE
+/// snapshots the current row counts.
+pub fn index_script(schema: &MappedSchema) -> Vec<String> {
+    let indexes = index_targets(schema).into_iter().map(|t| t.create_statement());
+    let analyzes = schema
+        .elements
+        .values()
+        .filter_map(|m| m.table.as_ref())
+        .map(|table| format!("ANALYZE TABLE {table} COMPUTE STATISTICS"));
+    indexes.chain(analyzes).collect()
 }
 
 /// Position while translating: a SQL expression plus the element it denotes.

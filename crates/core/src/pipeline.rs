@@ -18,7 +18,7 @@ use xmlord_xml::{Document, QName};
 
 use crate::ddlgen::create_script;
 use crate::error::MappingError;
-use crate::loader::{load_ops, plan_batches, LoadOp, LoadUnit};
+use crate::loader::{load_ops, plan_batches, LoadUnit};
 use crate::maplint::MapLintReport;
 use crate::metadata::{
     metadata_ddl, metadata_insert, read_schema_registry, schema_registry_insert,
@@ -27,28 +27,6 @@ use crate::metadata::{
 use crate::model::{MappedSchema, MappingOptions};
 use crate::retriever::{retrieve_from, retrieve_snapshot};
 use crate::schemagen::{generate_schema, IdrefTargets};
-
-/// How generated load operations reach the engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LoadStrategy {
-    /// Group consecutive same-table INSERTs and run them through the
-    /// engine's bulk API ([`Database::execute_batch`]): one catalog
-    /// resolution, a block OID reservation and a single undo bracket per
-    /// run. The default.
-    #[default]
-    Batched,
-    /// Print every operation to SQL text and execute it statement by
-    /// statement — the paper's "script executed without any modification"
-    /// path, kept as the compatibility baseline the differential tests
-    /// compare against.
-    SqlText,
-}
-
-/// A document shredded and bound off the engine thread, ready to apply.
-enum PreparedLoad {
-    Units(Vec<LoadUnit>),
-    Sql(Vec<String>),
-}
 
 /// One registered document type (DTD + generated schema).
 #[derive(Debug, Clone)]
@@ -74,7 +52,6 @@ pub struct Xml2OrDb {
     doc_counters: BTreeMap<String, u64>,
     schema_counter: u64,
     meta_ready: bool,
-    load_strategy: LoadStrategy,
     /// Shredding workers for [`Self::store_documents`].
     load_workers: usize,
 }
@@ -126,7 +103,6 @@ impl Xml2OrDb {
             doc_counters: BTreeMap::new(),
             schema_counter: 0,
             meta_ready: false,
-            load_strategy: LoadStrategy::default(),
             load_workers: 1,
         }
     }
@@ -183,16 +159,6 @@ impl Xml2OrDb {
             *counter = (*counter).max(n);
         }
         Ok(())
-    }
-
-    /// Select how generated load operations reach the engine (default:
-    /// [`LoadStrategy::Batched`]).
-    pub fn set_load_strategy(&mut self, strategy: LoadStrategy) {
-        self.load_strategy = strategy;
-    }
-
-    pub fn load_strategy(&self) -> LoadStrategy {
-        self.load_strategy
     }
 
     /// Number of shredding workers [`Self::store_documents`] may use
@@ -464,8 +430,7 @@ impl Xml2OrDb {
 
         let doc_id = self.next_doc_ids(schema_name, 1).remove(0);
         let span = self.db.trace_begin("generate", format!("{doc_id}: INSERT script"));
-        let generated =
-            generate_load(&registered, self.load_strategy, &doc, &doc_id, doc_name, url);
+        let generated = generate_load(&registered, &doc, &doc_id, doc_name, url);
         self.db.trace_end(span);
         let (load, meta) = generated?;
 
@@ -503,7 +468,6 @@ impl Xml2OrDb {
                 MappingError::Unsupported(format!("schema '{schema_name}' is not registered"))
             })?;
         let doc_ids = self.next_doc_ids(schema_name, docs.len());
-        let strategy = self.load_strategy;
         let workers = self.load_workers.min(docs.len());
         let span = self.db.trace_begin(
             "bulk",
@@ -517,7 +481,7 @@ impl Xml2OrDb {
                     |i: usize| {
                         let (name, xml) = docs[i];
                         let doc = parse_checked(&registered, xml)?;
-                        generate_load(&registered, strategy, &doc, &doc_ids[i], name, "")
+                        generate_load(&registered, &doc, &doc_ids[i], name, "")
                     }
                 },
                 |(load, meta)| apply_load(db, &load, &meta),
@@ -685,90 +649,48 @@ impl Xml2OrDb {
         Ok(ids.into_iter().zip(texts).collect())
     }
 
-    /// Create the secondary indexes the bulk retriever probes for one
-    /// registered schema: a doc-id index on the root table plus one index
-    /// per ParentRef column (reusing [`crate::pathquery::index_script`]'s
-    /// column choices). Columns that already carry an index are skipped;
-    /// returns how many indexes were created.
+    /// Create the secondary indexes of one registered schema that are not
+    /// keys already: one per ParentRef column
+    /// ([`crate::pathquery::index_targets`]), which the Oracle 8 inverted
+    /// mapping's reconstruction and translated path queries probe. The
+    /// root table's document-id column needs none — it is a PRIMARY KEY,
+    /// and a key is its own index. Columns that already carry an index are
+    /// skipped; returns how many indexes were created.
     pub fn create_retrieval_indexes(&mut self, schema_name: &str) -> Result<usize, MappingError> {
-        let registered = self.schemas.get(schema_name).cloned().ok_or_else(|| {
+        let registered = self.schemas.get(schema_name).ok_or_else(|| {
             MappingError::Unsupported(format!("schema '{schema_name}' is not registered"))
         })?;
-        let schema = &registered.schema;
         let mut created = 0usize;
-        let mut want: Vec<(String, String)> = Vec::new();
-        if let Some(col) = &schema.doc_id_column {
-            want.push((schema.root_table.clone(), col.clone()));
-        }
-        for mapping in schema.elements.values() {
-            let Some(table) = &mapping.table else { continue };
-            for field in &mapping.fields {
-                if matches!(field.source, crate::model::FieldSource::ParentRef(_)) {
-                    want.push((table.clone(), field.db_name.clone()));
-                }
-            }
-        }
-        for (n, (table, col)) in want.into_iter().enumerate() {
-            let table_id = Ident::internal(&table);
-            let col_id = Ident::internal(&col);
+        for target in crate::pathquery::index_targets(&registered.schema) {
+            let table = Ident::internal(&target.table);
+            let column = Ident::internal(&target.column);
             let covered = self
                 .db
                 .catalog()
-                .indexes_on(&table_id)
-                .any(|ix| ix.columns.len() == 1 && ix.columns[0] == col_id);
+                .indexes_on(&table)
+                .any(|ix| ix.columns.len() == 1 && ix.columns[0] == column);
             if covered {
                 continue;
             }
-            // Oracle's 30-character identifier limit; the counter keeps
-            // truncated names unique per schema.
-            let mut name = format!("IxRtr{n:02}{table}");
-            name.truncate(30);
-            self.db
-                .execute(&format!("CREATE INDEX {name} ON {table} ({col})"))
-                .map_err(MappingError::Db)?;
+            self.db.execute(&target.create_statement()).map_err(MappingError::Db)?;
             created += 1;
         }
         Ok(created)
     }
 
-    /// Create the secondary indexes the *load* path probes: one per
-    /// synthetic-id column. The Oracle 8 inverted mapping wires each child
-    /// row to its parent with a `(SELECT REF(p) … WHERE p.<id> = …)`
-    /// subquery — without an index every such subquery scans the parent
-    /// table, making bulk ingest quadratic in document size. IDREF
-    /// attributes resolve through the same id columns in both modes.
-    /// Columns that already carry an index are skipped; returns how many
-    /// indexes were created.
+    /// Nothing is left to create: every column this indexed — the synthetic
+    /// IDs the Oracle 8 parent wiring and IDREF resolution look up — is a
+    /// PRIMARY KEY, and the planner probes a key's own index. Kept, as the
+    /// schema check it always began with, only because
+    /// `benchmark/src/lifecycle.rs` calls it and may not be edited beside
+    /// this crate (ROADMAP item 9); call and function go together.
     pub fn create_load_indexes(&mut self, schema_name: &str) -> Result<usize, MappingError> {
-        let registered = self.schemas.get(schema_name).cloned().ok_or_else(|| {
-            MappingError::Unsupported(format!("schema '{schema_name}' is not registered"))
-        })?;
-        let mut created = 0usize;
-        let want: Vec<(String, String)> = registered
-            .schema
-            .elements
-            .values()
-            .filter_map(|m| Some((m.table.clone()?, m.synthetic_id.clone()?)))
-            .collect();
-        for (n, (table, col)) in want.into_iter().enumerate() {
-            let table_id = Ident::internal(&table);
-            let col_id = Ident::internal(&col);
-            let covered = self
-                .db
-                .catalog()
-                .indexes_on(&table_id)
-                .any(|ix| ix.columns.len() == 1 && ix.columns[0] == col_id);
-            if covered {
-                continue;
-            }
-            let mut name = format!("IxLd{n:02}{table}");
-            name.truncate(30);
-            self.db
-                .execute(&format!("CREATE INDEX {name} ON {table} ({col})"))
-                .map_err(MappingError::Db)?;
-            created += 1;
+        if !self.schemas.contains_key(schema_name) {
+            return Err(MappingError::Unsupported(format!(
+                "schema '{schema_name}' is not registered"
+            )));
         }
-        Ok(created)
+        Ok(0)
     }
 
     /// Tear down the façade and hand back the engine — e.g. to move a
@@ -916,14 +838,6 @@ pub fn schema_via_session(
     Ok(schema)
 }
 
-/// Bind generated load operations to the chosen delivery form.
-fn prepare_load(ops: Vec<LoadOp>, strategy: LoadStrategy) -> PreparedLoad {
-    match strategy {
-        LoadStrategy::Batched => PreparedLoad::Units(plan_batches(ops)),
-        LoadStrategy::SqlText => PreparedLoad::Sql(ops.iter().map(LoadOp::to_sql).collect()),
-    }
-}
-
 /// Well-formedness check, validity check and attribute-default injection
 /// for one document — no database access, so this runs off the engine
 /// thread.
@@ -938,16 +852,15 @@ fn parse_checked(registered: &RegisteredSchema, xml_text: &str) -> Result<Docume
     Ok(doc)
 }
 
-/// Shred a checked document into its bound content load plus its §5
+/// Shred a checked document into its planned content load plus its §5
 /// meta-table INSERT — no database access either.
 fn generate_load(
     registered: &RegisteredSchema,
-    strategy: LoadStrategy,
     doc: &Document,
     doc_id: &str,
     doc_name: &str,
     url: &str,
-) -> Result<(PreparedLoad, String), MappingError> {
+) -> Result<(Vec<LoadUnit>, String), MappingError> {
     let ops = load_ops(&registered.schema, &registered.dtd, doc, doc_id)?;
     let meta = metadata_insert(
         &registered.schema,
@@ -958,29 +871,17 @@ fn generate_load(
         url,
         "2002-03-25", // the workshop's date — deterministic by design
     );
-    Ok((prepare_load(ops, strategy), meta))
+    Ok((plan_batches(ops), meta))
 }
 
 /// Apply one document's content operations plus its meta-table row.
-fn apply_load(db: &mut Database, load: &PreparedLoad, meta: &str) -> Result<(), MappingError> {
-    match load {
-        PreparedLoad::Units(units) => {
-            for unit in units {
-                match unit {
-                    LoadUnit::Batch(batch) => {
-                        db.execute_batch(batch).map_err(MappingError::Db)?;
-                    }
-                    LoadUnit::Stmt(stmt) => {
-                        db.execute_stmt(stmt).map_err(MappingError::Db)?;
-                    }
-                }
-            }
+fn apply_load(db: &mut Database, load: &[LoadUnit], meta: &str) -> Result<(), MappingError> {
+    for unit in load {
+        match unit {
+            LoadUnit::Batch(batch) => db.execute_batch(batch).map(|_| ()),
+            LoadUnit::Stmt(stmt) => db.execute_stmt(stmt).map(|_| ()),
         }
-        PreparedLoad::Sql(stmts) => {
-            for sql in stmts {
-                db.execute(sql).map_err(MappingError::Db)?;
-            }
-        }
+        .map_err(MappingError::Db)?;
     }
     db.execute(meta).map_err(MappingError::Db)?;
     Ok(())
@@ -1348,25 +1249,46 @@ mod tests {
 
     #[test]
     fn batched_and_text_loads_produce_identical_state() {
-        // The bulk path must be invisible in the data: same documents,
-        // byte-identical state dump, whichever strategy delivered them.
+        // The bulk path must be invisible in the data: the façade's planned
+        // batches and the same documents sent as the public `load_script`
+        // + `metadata_insert` text, statement by statement (what a wire
+        // client sends), leave byte-identical state dumps.
+        let documents =
+            [UNIVERSITY_XML, "<University><StudyCourse>Math</StudyCourse></University>"];
         for mode in [DbMode::Oracle8, DbMode::Oracle9] {
-            let build = |strategy: LoadStrategy| {
-                let mut sys = Xml2OrDb::new(mode);
-                sys.set_load_strategy(strategy);
-                sys.register_dtd("uni", UNIVERSITY_DTD, "University").unwrap();
-                sys.store_document("uni", UNIVERSITY_XML).unwrap();
-                sys.store_document(
-                    "uni",
-                    "<University><StudyCourse>Math</StudyCourse></University>",
-                )
-                .unwrap();
-                sys.database().state_dump()
-            };
+            let mut batched = Xml2OrDb::new(mode);
+            batched.register_dtd("uni", UNIVERSITY_DTD, "University").unwrap();
+            for xml in documents {
+                batched.store_document("uni", xml).unwrap();
+            }
+
+            let mut text = Xml2OrDb::new(mode);
+            text.register_dtd("uni", UNIVERSITY_DTD, "University").unwrap();
+            let registered = text.schema("uni").unwrap().clone();
+            for (n, xml) in documents.iter().enumerate() {
+                let doc_id = format!("uni-{}", n + 1);
+                let doc = parse_checked(&registered, xml).unwrap();
+                let mut statements =
+                    crate::loader::load_script(&registered.schema, &registered.dtd, &doc, &doc_id)
+                        .unwrap();
+                statements.push(metadata_insert(
+                    &registered.schema,
+                    &registered.dtd,
+                    &doc,
+                    &doc_id,
+                    "",
+                    "",
+                    "2002-03-25",
+                ));
+                for statement in &statements {
+                    text.database().execute(statement).unwrap();
+                }
+                text.database().commit().unwrap();
+            }
             assert_eq!(
-                build(LoadStrategy::Batched),
-                build(LoadStrategy::SqlText),
-                "{mode:?}: strategies diverged"
+                batched.database().state_dump(),
+                text.database().state_dump(),
+                "{mode:?}: deliveries diverged"
             );
         }
     }
@@ -1561,23 +1483,37 @@ mod tests {
         assert_eq!(String::from_utf8(bytes).unwrap(), text);
     }
 
-    /// Regression for the satellite: once the retrieval indexes exist, the
-    /// root-row lookup (and Oracle 8's inverted-child lookups) go through
-    /// index probes, visible in the engine's `index_scans` counter.
+    /// Retrieval goes through index probes, visible in the engine's
+    /// `index_scans` counter: the root-row lookup probes the document-id
+    /// key with no index call at all, and Oracle 8's inverted-child lookups
+    /// probe the ParentRef indexes once `create_retrieval_indexes` made
+    /// them.
     #[test]
     fn retrieval_indexes_route_lookups_through_index_probes() {
         for mode in [DbMode::Oracle8, DbMode::Oracle9] {
             let (mut sys, ids) = loaded_corpus(mode);
-            let created = sys.create_retrieval_indexes("uni").unwrap();
-            assert!(created > 0, "{mode:?}: no retrieval indexes created");
+            let before = sys.stats();
+            let plain = sys.retrieve_document(&ids[0]).unwrap();
+            let root_probes = sys.stats().since(&before).retrieve_index_probes;
+            assert!(root_probes > 0, "{mode:?}: the document-id key was not probed");
+
+            let parent_refs = crate::pathquery::index_targets(&sys.schema("uni").unwrap().schema);
+            assert_eq!(parent_refs.is_empty(), mode == DbMode::Oracle9);
+            assert_eq!(sys.create_retrieval_indexes("uni").unwrap(), parent_refs.len(), "{mode:?}");
             // Idempotent: a second call finds every column covered.
             assert_eq!(sys.create_retrieval_indexes("uni").unwrap(), 0);
             let before = sys.stats();
             let with_index = sys.retrieve_document(&ids[0]).unwrap();
             let delta = sys.stats().since(&before);
             assert!(delta.index_scans > 0, "{mode:?}: {delta:?}");
-            assert!(delta.retrieve_index_probes > 0, "{mode:?}: {delta:?}");
+            assert_eq!(
+                delta.retrieve_index_probes > root_probes,
+                mode == DbMode::Oracle8,
+                "{mode:?}: {delta:?}"
+            );
+            assert_eq!(delta.retrieve_table_scans, 0, "{mode:?}: {delta:?}");
             assert_eq!(delta.bulk_retrieves, 1, "{mode:?}: {delta:?}");
+            assert_eq!(with_index, plain, "{mode:?}: the indexes changed the bytes");
 
             // The naive valve reconstructs the same bytes without probing.
             sys.database().set_bulk_retrieval(false);
@@ -1591,6 +1527,74 @@ mod tests {
         }
     }
 
+    /// Index names are unique in the catalog, not per call: two auto-id
+    /// schemas of one DTD whose table names only differ in the SchemaID
+    /// suffix — which a name cut at 30 characters used to lose — both get
+    /// their indexes, through the façade and through `index_script`, and
+    /// the planner probes every one of them.
+    #[test]
+    fn index_names_of_long_elements_do_not_collide_across_schemas() {
+        const LONG_DTD: &str = "\
+<!ELEMENT InternationalUniversityRegistry (StudentOfTheInternationalUniversity*)>
+<!ELEMENT StudentOfTheInternationalUniversity (LName,CourseOfTheInternationalUniversity*)>
+<!ELEMENT CourseOfTheInternationalUniversity (Name)>
+<!ELEMENT LName (#PCDATA)> <!ELEMENT Name (#PCDATA)>";
+        let register = |mode: DbMode| {
+            let mut sys = Xml2OrDb::new(mode).with_auto_schema_ids();
+            for name in ["a", "b"] {
+                sys.register_dtd(name, LONG_DTD, "InternationalUniversityRegistry").unwrap();
+            }
+            sys
+        };
+        let assert_probed = |sys: &mut Xml2OrDb, schema_name: &str| {
+            let schema = sys.schema(schema_name).unwrap().schema.clone();
+            let targets = crate::pathquery::index_targets(&schema);
+            for target in &targets {
+                assert!(target.name.len() <= 30, "{target:?}");
+                let child = schema.elements.values().find(|m| m.table.as_ref() == Some(&target.table));
+                let parent = child
+                    .and_then(|m| m.fields.iter().find(|f| f.db_name == target.column))
+                    .and_then(|f| match &f.source {
+                        crate::model::FieldSource::ParentRef(parent) => schema.mapping(parent),
+                        _ => None,
+                    })
+                    .and_then(|m| m.table.clone())
+                    .unwrap();
+                let plan = sys
+                    .database()
+                    .query(&format!(
+                        "EXPLAIN SELECT REF(c) FROM {parent} p, {} c WHERE c.{} = REF(p)",
+                        target.table, target.column
+                    ))
+                    .unwrap();
+                let probe = format!("index probe {} ", target.name);
+                assert!(
+                    plan.rows.iter().any(|r| r[0].as_str().unwrap().contains(&probe)),
+                    "{target:?}: {plan:?}"
+                );
+            }
+            targets.len()
+        };
+        for mode in [DbMode::Oracle8, DbMode::Oracle9] {
+            let expected = if mode == DbMode::Oracle8 { 2 } else { 0 };
+            let mut sys = register(mode);
+            for name in ["a", "b"] {
+                assert_eq!(sys.create_retrieval_indexes(name).unwrap(), expected, "{mode:?} {name}");
+                assert_eq!(assert_probed(&mut sys, name), expected);
+            }
+            let mut scripted = register(mode);
+            for name in ["a", "b"] {
+                let schema = scripted.schema(name).unwrap().schema.clone();
+                for statement in crate::pathquery::index_script(&schema) {
+                    scripted.database().execute(&statement).unwrap_or_else(|e| {
+                        panic!("{mode:?} {name}: {statement}: {e}")
+                    });
+                }
+                assert_eq!(assert_probed(&mut scripted, name), expected);
+            }
+        }
+    }
+
     /// A reader beside an ingest pays for the document just stored, not for
     /// the store: its refresh after one more `store_document` copies that
     /// document's rows (and its meta-table row) — the same count at either
@@ -1600,7 +1604,6 @@ mod tests {
         for mode in [DbMode::Oracle8, DbMode::Oracle9] {
             let mut sys = Xml2OrDb::new(mode);
             sys.register_dtd("uni", UNIVERSITY_DTD, "University").unwrap();
-            sys.create_load_indexes("uni").unwrap();
             sys.create_retrieval_indexes("uni").unwrap();
             let document = |i: usize| {
                 format!(
@@ -1633,30 +1636,44 @@ mod tests {
         }
     }
 
-    /// The load-index helper turns the Oracle 8 parent-wiring subqueries
-    /// into index probes (the un-indexed path re-scans the parent table per
-    /// child row) without changing what gets stored.
+    /// PR 10's regression minus its set-up line. The Oracle 8 inverted
+    /// mapping wires each child row to its parent with a `(SELECT REF(p) …
+    /// WHERE p.<id> = …)` subquery on a PRIMARY KEY column; the planner
+    /// probes the key's own index, so a fresh system ingests linearly with
+    /// no index call. A failure means a key lookup is scanning again.
     #[test]
-    fn load_indexes_route_parent_wiring_through_index_probes() {
-        let build = |with_indexes: bool| {
+    fn oracle8_ingest_is_linear_with_no_index_call() {
+        use xmlord_workload::university::{university_dtd, university_xml, UniversityConfig};
+        let documents: Vec<String> = (0..40u64)
+            .map(|seed| university_xml(&UniversityConfig { students: 6, seed, ..Default::default() }))
+            .collect();
+        // (rows scanned and index probes while storing each document,
+        // every stored document's bytes)
+        let ingest = |with_helpers: bool| {
             let mut sys = Xml2OrDb::new(DbMode::Oracle8);
-            sys.register_dtd("uni", UNIVERSITY_DTD, "University").unwrap();
-            if with_indexes {
-                let created = sys.create_load_indexes("uni").unwrap();
-                assert!(created > 0, "no load indexes created");
-                // Idempotent: a second call finds every column covered.
+            sys.register_dtd("uni", university_dtd(), "University").unwrap();
+            if with_helpers {
                 assert_eq!(sys.create_load_indexes("uni").unwrap(), 0);
+                assert!(sys.create_retrieval_indexes("uni").unwrap() > 0);
             }
-            let before = sys.stats();
-            let id = sys.store_document("uni", UNIVERSITY_XML).unwrap();
-            let delta = sys.stats().since(&before);
-            let text = sys.retrieve_document(&id).unwrap();
-            (delta.index_scans, text)
+            let mut per_document = Vec::new();
+            for xml in &documents {
+                let before = sys.stats();
+                sys.store_document("uni", xml).unwrap();
+                let delta = sys.stats().since(&before);
+                per_document.push((delta.rows_scanned, delta.index_scans));
+            }
+            (per_document, sys.retrieve_all().unwrap())
         };
-        let (probes, indexed_text) = build(true);
-        assert!(probes > 0, "load ran without index probes: {probes}");
-        let (no_probes, plain_text) = build(false);
-        assert_eq!(no_probes, 0);
-        assert_eq!(indexed_text, plain_text, "load indexes changed the stored bytes");
+        let (plain, plain_texts) = ingest(false);
+        assert!(plain.iter().all(|&(_, probes)| probes > 0), "{plain:?}");
+        // What storing a document scans does not grow with the store: the
+        // 40th costs what the 2nd cost, give or take the documents' own
+        // sizes (a scanning lookup reads 39 documents' rows per child row).
+        let (second, last) = (plain[1].0, plain[39].0);
+        assert!(last.abs_diff(second) <= 8, "rows scanned grew with the store: {plain:?}");
+        let (helped, helped_texts) = ingest(true);
+        assert_eq!(plain, helped, "the index helpers changed what an ingest reads");
+        assert_eq!(plain_texts, helped_texts, "the index helpers changed the stored bytes");
     }
 }

@@ -7,6 +7,7 @@ use crate::error::DbError;
 use crate::ident::Ident;
 use crate::mode::DbMode;
 use crate::sql::ast::{Expr, SelectStmt};
+use crate::storage::key_index_name;
 use crate::types::SqlType;
 
 /// A user-defined type.
@@ -124,6 +125,16 @@ impl TableDef {
     pub fn is_object_table(&self) -> bool {
         matches!(self, TableDef::Object { .. })
     }
+
+    /// The PRIMARY KEY / UNIQUE constraints in declaration order: each
+    /// one's columns and which of the two it is.
+    pub fn key_constraints(&self) -> impl Iterator<Item = (&Vec<Ident>, KeyKind)> {
+        self.constraints().iter().filter_map(|constraint| match constraint {
+            Constraint::PrimaryKey(cols) => Some((cols, KeyKind::PrimaryKey)),
+            Constraint::Unique(cols) => Some((cols, KeyKind::Unique)),
+            Constraint::NotNull(_) | Constraint::Check(_) => None,
+        })
+    }
 }
 
 /// `CREATE VIEW name AS select` — object views included (§6.3).
@@ -133,19 +144,51 @@ pub struct ViewDef {
     pub query: SelectStmt,
 }
 
-/// `CREATE [UNIQUE] INDEX name ON table (columns)` — metadata for a
-/// persistent secondary index. The key→slot structure itself lives in
-/// [`crate::storage::Storage`]; the catalog owns the definition so the
-/// analyzer's shadow catalog and the planner see the same inventory.
+/// The constraint a key index stands behind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KeyKind {
+    PrimaryKey,
+    Unique,
+}
+
+/// One index of a table, as [`Catalog::indexes_on`] lists it: the index
+/// behind a PRIMARY KEY / UNIQUE constraint, or one a `CREATE [UNIQUE]
+/// INDEX` declared. The key→slot structure itself lives in
+/// [`crate::storage::Storage`] under `name`; the catalog owns the
+/// definition so the planner, `EXPLAIN`, the analyzer's shadow catalog, the
+/// key check and recovery all read the same inventory.
+///
+/// Only declared indexes are stored (snapshot, WAL, undo log). A key's
+/// definition is derived from its [`TableDef`] when the table enters the
+/// catalog and leaves with it, so it exists exactly as long as the
+/// constraint does.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexDef {
+    /// A declared index's SQL name; for a key, the reserved
+    /// [`crate::storage::key_index_name`] no statement can spell.
     pub name: Ident,
     pub table: Ident,
     pub columns: Vec<Ident>,
-    /// Declared UNIQUE — a planner cardinality hint (an equality probe on
-    /// all key columns yields at most one row); not enforced as a
-    /// constraint, so index presence can never change statement outcomes.
+    /// An equality probe on all key columns yields at most one row. True
+    /// for keys and for `CREATE UNIQUE INDEX`, which both enforce it.
     pub unique: bool,
+    /// The constraint this index enforces; `None` for a declared index.
+    pub key: Option<KeyKind>,
+}
+
+impl IndexDef {
+    /// What `EXPLAIN` calls the index: a declared index by its name, a key
+    /// as the constraint it is — `TabStudent(IDStudent) PRIMARY KEY` — the
+    /// way a key violation names it.
+    pub fn label(&self) -> String {
+        let Some(key) = self.key else { return self.name.to_string() };
+        let columns: Vec<&str> = self.columns.iter().map(Ident::as_str).collect();
+        let kind = match key {
+            KeyKind::PrimaryKey => "PRIMARY KEY",
+            KeyKind::Unique => "UNIQUE",
+        };
+        format!("{}({}) {kind}", self.table, columns.join(","))
+    }
 }
 
 /// Cardinality statistics collected by `ANALYZE TABLE … COMPUTE STATISTICS`.
@@ -193,8 +236,14 @@ enum CatalogUndo {
 pub struct Catalog {
     types: BTreeMap<Ident, TypeDef>,
     tables: BTreeMap<Ident, TableDef>,
+    /// The index definition behind each key constraint of each table in
+    /// `tables` — derived from the [`TableDef`] whenever one enters or
+    /// leaves that map (`file_table` / `unfile_table`), so listing a
+    /// table's indexes, which every plan does, builds nothing. Derived
+    /// state: in no dump, snapshot, log record or undo entry.
+    key_indexes: BTreeMap<Ident, Vec<IndexDef>>,
     views: BTreeMap<Ident, ViewDef>,
-    /// Secondary-index definitions by index name. Excluded from
+    /// Declared (`CREATE INDEX`) definitions by index name. Excluded from
     /// [`Catalog::state_dump`]: index presence must never change what a
     /// rollback-equivalence check observes.
     indexes: BTreeMap<Ident, IndexDef>,
@@ -300,10 +349,10 @@ impl Catalog {
                     self.types.insert(def.name().clone(), def);
                 }
                 CatalogUndo::CreatedTable { name } => {
-                    self.tables.remove(&name);
+                    self.unfile_table(&name);
                 }
                 CatalogUndo::DroppedTable { def } => {
-                    self.tables.insert(def.name().clone(), def);
+                    self.file_table(def);
                 }
                 CatalogUndo::CreatedView { name } => {
                     self.views.remove(&name);
@@ -512,9 +561,38 @@ impl Catalog {
             }
             object => object,
         };
-        self.tables.insert(name.clone(), def);
+        self.file_table(def);
         self.undo.push(CatalogUndo::CreatedTable { name });
         Ok(())
+    }
+
+    /// Enter `def` into the catalog together with the definitions of the
+    /// indexes behind its PRIMARY KEY / UNIQUE constraints, each under the
+    /// name CREATE TABLE registers its storage index with. A constraint
+    /// naming a column the table lacks gets none: every INSERT into such a
+    /// table fails on that constraint anyway.
+    fn file_table(&mut self, def: TableDef) {
+        let table = def.name().clone();
+        let columns = self.table_columns(&def);
+        let keys: Vec<IndexDef> = def
+            .key_constraints()
+            .enumerate()
+            .filter(|(_, (cols, _))| cols.iter().all(|c| columns.iter().any(|(name, _)| name == c)))
+            .map(|(ordinal, (cols, kind))| IndexDef {
+                name: key_index_name(&table, ordinal),
+                table: table.clone(),
+                columns: cols.clone(),
+                unique: true,
+                key: Some(kind),
+            })
+            .collect();
+        self.key_indexes.insert(table.clone(), keys);
+        self.tables.insert(table, def);
+    }
+
+    fn unfile_table(&mut self, name: &Ident) -> Option<TableDef> {
+        self.key_indexes.remove(name);
+        self.tables.remove(name)
     }
 
     pub fn get_table(&self, name: &Ident) -> Option<&TableDef> {
@@ -530,16 +608,12 @@ impl Catalog {
     }
 
     pub fn drop_table(&mut self, name: &Ident) -> Result<(), DbError> {
-        match self.tables.remove(name) {
+        match self.unfile_table(name) {
             Some(def) => {
                 // Cascade: indexes and statistics die with their table (undo
                 // replays newest-first, so they are restored after the table).
-                let doomed: Vec<Ident> = self
-                    .indexes
-                    .values()
-                    .filter(|idx| &idx.table == name)
-                    .map(|idx| idx.name.clone())
-                    .collect();
+                let doomed: Vec<Ident> =
+                    self.declared_indexes_on(name).map(|idx| idx.name.clone()).collect();
                 self.undo.push(CatalogUndo::DroppedTable { def });
                 for index_name in doomed {
                     // Collected from `indexes` just above with no intervening
@@ -674,8 +748,21 @@ impl Catalog {
         self.indexes.get(name)
     }
 
-    /// All indexes defined on `table`, in name order.
+    /// Every index on `table`: the one behind each PRIMARY KEY / UNIQUE
+    /// constraint, in declaration order, then the declared ones in name
+    /// order — so where a key and a declared index cover the same columns,
+    /// a reader that keeps the first match keeps the key.
     pub fn indexes_on<'a>(&'a self, table: &'a Ident) -> impl Iterator<Item = &'a IndexDef> {
+        self.key_indexes.get(table).into_iter().flatten().chain(self.declared_indexes_on(table))
+    }
+
+    /// The stored half of [`Catalog::indexes_on`]: what `CREATE INDEX`
+    /// declared on `table`, in name order. The key check reads this beside
+    /// the constraints themselves, which it walks in declaration order.
+    pub(crate) fn declared_indexes_on<'a>(
+        &'a self,
+        table: &'a Ident,
+    ) -> impl Iterator<Item = &'a IndexDef> {
         self.indexes.values().filter(move |idx| &idx.table == table)
     }
 
@@ -727,7 +814,11 @@ impl Catalog {
         indexes: BTreeMap<Ident, IndexDef>,
         stats: BTreeMap<Ident, TableStats>,
     ) -> Catalog {
-        Catalog { types, tables, views, indexes, stats, undo: Vec::new(), committed_epoch: 0 }
+        let mut catalog = Catalog { types, views, indexes, stats, ..Catalog::default() };
+        for def in tables.into_values() {
+            catalog.file_table(def);
+        }
+        catalog
     }
 }
 
@@ -978,7 +1069,63 @@ mod tests {
             table: id(table),
             columns: cols.iter().map(|c| id(c)).collect(),
             unique: false,
+            key: None,
         }
+    }
+
+    #[test]
+    fn a_key_constraint_is_listed_as_an_index_before_the_declared_ones() {
+        let mut cat = Catalog::new();
+        let mut table = rel_table("T", &["a", "b", "c"]);
+        if let TableDef::Relational { constraints, .. } = &mut table {
+            *constraints = vec![
+                Constraint::PrimaryKey(vec![id("a")]),
+                Constraint::NotNull(id("b")),
+                Constraint::Unique(vec![id("nope")]),
+                Constraint::Unique(vec![id("b"), id("c")]),
+            ];
+        }
+        cat.create_table(table).unwrap();
+        cat.create_index(index("IxA", "T", &["a"])).unwrap();
+        let t = id("T");
+        let listed: Vec<(String, bool, String)> = cat
+            .indexes_on(&t)
+            .map(|idx| (idx.name.to_string(), idx.unique, idx.label()))
+            .collect();
+        // The ordinal counts every key constraint, also the one that gets
+        // no index because it names a column the table lacks.
+        assert_eq!(
+            listed,
+            vec![
+                (key_index_name(&t, 0).to_string(), true, "T(a) PRIMARY KEY".to_string()),
+                (key_index_name(&t, 2).to_string(), true, "T(b,c) UNIQUE".to_string()),
+                ("IxA".to_string(), false, "IxA".to_string()),
+            ]
+        );
+        // Derived, not stored: DROP INDEX cannot reach a key, and the
+        // declared-index count, snapshot parts and undo log never see one.
+        assert_eq!(cat.index_count(), 1);
+        assert!(matches!(cat.drop_index(&key_index_name(&t, 0)), Err(DbError::UnknownIndex(_))));
+        // Key definitions enter and leave with their table, through DDL,
+        // its rollback and a snapshot restore alike.
+        cat.commit();
+        cat.drop_table(&t).unwrap();
+        assert_eq!(cat.indexes_on(&t).count(), 0);
+        cat.rollback_to(0);
+        assert_eq!(cat.indexes_on(&t).count(), 3);
+        let (types, tables, views, indexes, stats) = cat.snapshot_parts();
+        let restored = Catalog::from_parts(
+            types.clone(),
+            tables.clone(),
+            views.clone(),
+            indexes.clone(),
+            stats.clone(),
+        );
+        assert!(restored.indexes_on(&t).eq(cat.indexes_on(&t)));
+        let mut scratch = Catalog::new();
+        scratch.create_table(tables[&t].clone()).unwrap();
+        scratch.rollback_to(0);
+        assert_eq!(scratch.indexes_on(&t).count(), 0);
     }
 
     #[test]

@@ -7,12 +7,12 @@
 
 use crate::catalog::{Catalog, ColumnDef, Constraint, IndexDef, TableDef, TableStats, TypeDef, ViewDef};
 use crate::error::DbError;
-use crate::exec::dml::{col_position, key_constraints, StoredKey};
+use crate::exec::dml::{col_position, StoredKey};
 use crate::ident::Ident;
 use crate::mode::DbMode;
 use crate::sql::ast::{ColumnSpec, SelectStmt, Stmt};
 use crate::stats::ExecStats;
-use crate::storage::{key_index_name, Storage};
+use crate::storage::Storage;
 use crate::types::SqlType;
 
 /// Apply one DDL statement's catalog effects (no storage, no stats).
@@ -96,6 +96,7 @@ pub fn apply_ddl_catalog(
                 table: table.clone(),
                 columns: columns.clone(),
                 unique: *unique,
+                key: None,
             })?;
             Ok(true)
         }
@@ -136,24 +137,20 @@ pub fn execute_ddl(
         }
         Stmt::CreateObjectTable { name, .. } | Stmt::CreateRelationalTable { name, .. } => {
             storage.create_table(name.clone());
-            let table_def = catalog.get_table(name).expect("created by apply_ddl_catalog");
-            for (index, cols) in key_indexes(catalog, table_def) {
-                storage.create_index(index, name.clone(), cols);
+            // A key is an index: one per PRIMARY KEY / UNIQUE constraint,
+            // the only indexes a table is born with.
+            for def in catalog.indexes_on(name) {
+                let positions = index_positions(catalog, def)?;
+                storage.create_index(def.name.clone(), name.clone(), positions);
             }
             stats.tables_created += 1;
         }
         Stmt::DropTable { name } => {
             storage.drop_table(name);
         }
-        Stmt::CreateIndex { name, table, columns, unique } => {
-            // Resolve key columns to row positions (validated by the
-            // catalog half above) and build the storage structure.
-            let table_def = catalog.get_table(table).expect("validated by apply_ddl_catalog");
-            let table_cols = catalog.table_columns(table_def);
-            let positions: Vec<usize> = columns
-                .iter()
-                .map(|c| col_position(&table_cols, c).expect("validated by catalog"))
-                .collect();
+        Stmt::CreateIndex { name, table, unique, .. } => {
+            let def = catalog.get_index(name).expect("created by apply_ddl_catalog");
+            let positions = index_positions(catalog, def)?;
             storage.create_index(name.clone(), table.clone(), positions.clone());
             // A unique index is a key: rows that already collide refuse it
             // (the statement bracket then rolls both halves back).
@@ -176,22 +173,16 @@ pub fn execute_ddl(
     Ok(true)
 }
 
-/// The storage indexes a table's PRIMARY KEY / UNIQUE constraints are
-/// enforced through — `(reserved name, column positions)` per constraint, in
-/// declaration order. CREATE TABLE registers them and recovery re-derives
-/// them from the restored definitions, so both agree by construction. A
-/// constraint naming a column the table lacks gets none: every INSERT into
-/// such a table fails on that constraint anyway.
-pub(crate) fn key_indexes(catalog: &Catalog, table: &TableDef) -> Vec<(Ident, Vec<usize>)> {
+/// The row positions of an index's key columns — how a definition from
+/// [`Catalog::indexes_on`] becomes the storage index of the same name.
+/// CREATE TABLE, CREATE INDEX and recovery all register through here, so
+/// they agree by construction.
+pub(crate) fn index_positions(catalog: &Catalog, def: &IndexDef) -> Result<Vec<usize>, DbError> {
+    let table = catalog
+        .get_table(&def.table)
+        .ok_or_else(|| DbError::UnknownTable(def.table.as_str().to_string()))?;
     let table_cols = catalog.table_columns(table);
-    key_constraints(table)
-        .enumerate()
-        .filter_map(|(ordinal, (cols, _))| {
-            let positions: Option<Vec<usize>> =
-                cols.iter().map(|c| col_position(&table_cols, c).ok()).collect();
-            Some((key_index_name(table.name(), ordinal), positions?))
-        })
-        .collect()
+    def.columns.iter().map(|c| col_position(&table_cols, c)).collect()
 }
 
 /// Scan a table heap once, counting rows and per-column distinct values

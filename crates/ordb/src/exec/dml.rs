@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::catalog::{Catalog, Constraint, TableDef};
+use crate::catalog::{Catalog, Constraint, KeyKind, TableDef};
 use crate::error::DbError;
 use crate::exec::eval::{coerce, eval_bool, eval_expr, ExecCtx};
 use crate::exec::{Env, Frame};
@@ -322,16 +322,6 @@ impl<'a> StoredKey<'a> {
     }
 }
 
-/// The PRIMARY KEY / UNIQUE constraints of `table` in declaration order:
-/// each one's columns and whether it is the PRIMARY KEY.
-pub(crate) fn key_constraints(table: &TableDef) -> impl Iterator<Item = (&Vec<Ident>, bool)> {
-    table.constraints().iter().filter_map(|constraint| match constraint {
-        Constraint::PrimaryKey(cols) => Some((cols, true)),
-        Constraint::Unique(cols) => Some((cols, false)),
-        Constraint::NotNull(_) | Constraint::Check(_) => None,
-    })
-}
-
 /// One uniqueness key of the table a statement writes, resolved once per
 /// statement: the stored side plus the keys of the statement's own rows
 /// validated so far.
@@ -360,10 +350,12 @@ fn table_keys<'a>(
     table: &'a TableDef,
     table_columns: &[(Ident, SqlType)],
 ) -> Result<Vec<TableKey<'a>>, DbError> {
-    let constraints = key_constraints(table).map(|(cols, primary)| (cols, primary, None));
+    let constraints = table
+        .key_constraints()
+        .map(|(cols, kind)| (cols, kind == KeyKind::PrimaryKey, None));
     let unique_indexes = ctx
         .catalog
-        .indexes_on(table.name())
+        .declared_indexes_on(table.name())
         .filter(|index| index.unique)
         .map(|index| (&index.columns, false, Some(&index.name)));
     constraints

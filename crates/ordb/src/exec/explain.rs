@@ -223,13 +223,13 @@ impl Plan<'_> {
                             }
                             TableDef::Relational { .. } => format!("scan table {name}"),
                         };
-                        let join = self.access_note(&plan, pos);
+                        let join = self.access_note(&plan, pos, name);
                         self.line(ind + 1, format!("from[{idx}] {binding}: {access}{join}"));
                         self.est_note(ind + 2, &plan, pos);
                         self.filters(ind + 2, &applicable);
                         scopes.push((binding, Some(catalog.table_columns(table))));
                     } else if let Some(view) = catalog.get_view(name) {
-                        let join = self.access_note(&plan, pos);
+                        let join = self.access_note(&plan, pos, name);
                         self.line(ind + 1, format!("from[{idx}] {binding}: expand view {name}{join}"));
                         if depth < MAX_VIEW_DEPTH {
                             self.select(ind + 2, &view.query, depth + 1)?;
@@ -292,12 +292,19 @@ impl Plan<'_> {
     }
 
     /// How the item at execution position `pos` joins the accumulated
-    /// combinations — rendered from the executor's own [`AccessPath`].
-    fn access_note(&self, plan: &SelectPlan, pos: usize) -> String {
+    /// combinations — rendered from the executor's own [`AccessPath`]. An
+    /// index is printed as the inventory labels it: a declared one by name,
+    /// a key as the constraint it is.
+    fn access_note(&self, plan: &SelectPlan, pos: usize, table: &Ident) -> String {
         match &plan.paths[pos] {
             AccessPath::IndexProbe { index, keys } => {
                 let keys: Vec<String> = keys.iter().map(print_expr).collect();
-                format!(" — index probe {index} (key: {})", keys.join(", "))
+                let label = self
+                    .catalog
+                    .indexes_on(table)
+                    .find(|def| &def.name == index)
+                    .map_or_else(|| index.to_string(), |def| def.label());
+                format!(" — index probe {label} (key: {})", keys.join(", "))
             }
             AccessPath::HashJoin { probe, build } => format!(
                 " — hash join (build: {}, probe: {})",

@@ -42,7 +42,7 @@
 //! item *in place* — pushed onto the parent combination and popped again
 //! (`extend_combo`) — so a rejected candidate allocates nothing.
 
-use crate::catalog::{Catalog, TableDef};
+use crate::catalog::{Catalog, IndexDef, TableDef};
 use crate::error::DbError;
 use crate::exec::eval::{eval_bool, eval_expr, eval_ref, ExecCtx};
 use crate::exec::{Env, Frame};
@@ -720,9 +720,9 @@ fn plan_item_path(
         if let Some(table) = table_name {
             let keyed: Vec<(Ident, &Expr)> =
                 applicable.iter().filter_map(|c| equality_key(c, bindings, pos)).collect();
-            // Widest covered index wins (name order breaks ties — the
-            // iterator is name-ordered and `>` keeps the first).
-            let mut best: Option<(&crate::catalog::IndexDef, Vec<Expr>)> = None;
+            // Widest covered index wins; `>` keeps the first of a tie, and
+            // the inventory lists key indexes before declared ones.
+            let mut best: Option<(&IndexDef, Vec<Expr>)> = None;
             for idx in catalog.indexes_on(table) {
                 let covered = idx
                     .columns

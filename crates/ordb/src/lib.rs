@@ -31,8 +31,9 @@
 //!
 //! ## Engine internals & performance counters
 //!
-//! Three fast paths keep the execution substrate from dominating the
-//! storage-strategy comparisons (experiment E14 reports their counters):
+//! Four fast paths keep the execution substrate from dominating the
+//! storage-strategy comparisons (the standing benchmark reports their
+//! counters):
 //!
 //! * **OID directory** — [`storage::Storage`] maintains a hash index
 //!   `Oid → (table, row slot)` incrementally across inserts, deletes (the
@@ -53,6 +54,19 @@
 //!   switches strategies for the differential tests. Counters:
 //!   `hash_join_builds`, `hash_join_probes`, and `join_pairs` counts only
 //!   the pairings actually formed.
+//! * **Indexes** — a table's indexes are one inventory,
+//!   [`catalog::Catalog::indexes_on`]: the index behind each PRIMARY KEY /
+//!   UNIQUE constraint (its [`catalog::IndexDef`] derived from the table
+//!   definition as it enters the catalog, never stored; its buckets
+//!   registered by CREATE TABLE under
+//!   [`storage::key_index_name`]) and the ones `CREATE INDEX` declared
+//!   (stored). The planner ([`exec::select`]), `EXPLAIN`, the analyzer's
+//!   shadow catalog and recovery read that list; an equality on all of an
+//!   index's columns is a probe instead of a scan or hash build, costed
+//!   at one row for a key. Buckets are a [`storage::key_hash`] prefilter,
+//!   re-verified like join keys, maintained on every mutation and undo
+//!   path, and refused when they trail the table's version. Counters:
+//!   `index_scans`, `index_maintenance_ops`.
 //! * **Plan cache** — [`Database`] parses through a small LRU statement
 //!   cache. Non-INSERT texts hit on the verbatim string; INSERT texts hit
 //!   on a literal-normalized *shape* whose cached template is re-bound with
@@ -104,10 +118,10 @@
 //! (`tests/bulk_prop.rs`): same rows, same state dump, same errors.
 //!
 //! On every delivery a key — a PRIMARY KEY / UNIQUE constraint or a
-//! `CREATE UNIQUE INDEX` — is enforced through a maintained storage index
-//! ([`storage::key_index_name`]) that INSERT, batch and UPDATE probe
-//! alike: nothing scans the heap per row and nothing is cached per
-//! connection (`tests/key_prop.rs` checks all of them against a model).
+//! `CREATE UNIQUE INDEX` — is enforced through its index of the inventory
+//! above, which INSERT, batch and UPDATE probe alike: nothing scans the
+//! heap per row and nothing is cached per connection (`tests/key_prop.rs`
+//! checks all of them against a model).
 //!
 //! ## Static analysis (`sqlcheck`)
 //!

@@ -3,9 +3,9 @@
 use crate::analyze::{Analyzer, Diagnostic, Severity};
 use crate::catalog::Catalog;
 use crate::error::DbError;
-use crate::exec::ddl::{execute_ddl, key_indexes};
+use crate::exec::ddl::{execute_ddl, index_positions};
 use crate::exec::dml::{
-    col_position, execute_delete, execute_insert_batch, execute_update, InsertBatch,
+    execute_delete, execute_insert_batch, execute_update, InsertBatch,
 };
 use crate::exec::eval::ExecCtx;
 use crate::exec::select::execute_select;
@@ -1242,38 +1242,28 @@ impl Database {
 }
 
 /// Re-register with the freshly restored storage every index a snapshot's
-/// catalog implies — the key indexes of its table definitions, exactly as
-/// CREATE TABLE registered them, and its recorded `CREATE INDEX`es (index
-/// payloads are not serialized — they are derived state, rebuilt from the
-/// heaps).
+/// catalog lists ([`crate::catalog::Catalog::indexes_on`]: each table's key
+/// indexes, exactly as CREATE TABLE registered them, and its recorded
+/// `CREATE INDEX`es). Index payloads are not serialized — they are derived
+/// state, rebuilt from the heaps.
 fn rebuild_secondary_indexes(engine: &mut Engine) -> Result<(), DbError> {
     let Engine { catalog, storage } = engine;
-    let (_, tables, _, indexes, _) = catalog.snapshot_parts();
-    for table_def in tables.values() {
-        for (name, positions) in key_indexes(catalog, table_def) {
-            storage.register_index_unlogged(name, table_def.name().clone(), positions);
-        }
+    let corrupt = |def: &crate::catalog::IndexDef, why: String| {
+        DbError::CorruptDurableState(format!(
+            "snapshot index {} on table {}: {why}",
+            def.name, def.table
+        ))
+    };
+    let (_, _, _, declared, _) = catalog.snapshot_parts();
+    if let Some(orphan) = declared.values().find(|def| catalog.get_table(&def.table).is_none()) {
+        return Err(corrupt(orphan, "the table is missing".into()));
     }
-    for def in indexes.values() {
-        let Some(table_def) = catalog.get_table(&def.table) else {
-            return Err(DbError::CorruptDurableState(format!(
-                "snapshot index {} references missing table {}",
-                def.name, def.table
-            )));
-        };
-        let table_cols = catalog.table_columns(table_def);
-        let positions = def
-            .columns
-            .iter()
-            .map(|c| col_position(&table_cols, c))
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(|e| {
-                DbError::CorruptDurableState(format!(
-                    "snapshot index {} on table {}: {e}",
-                    def.name, def.table
-                ))
-            })?;
-        storage.register_index_unlogged(def.name.clone(), def.table.clone(), positions);
+    for table in catalog.table_names() {
+        for def in catalog.indexes_on(table) {
+            let positions =
+                index_positions(catalog, def).map_err(|e| corrupt(def, e.to_string()))?;
+            storage.register_index_unlogged(def.name.clone(), table.clone(), positions);
+        }
     }
     Ok(())
 }

@@ -367,7 +367,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotData, DbError> {
         let table = d.ident()?;
         let columns = decode_ident_list(&mut d)?;
         let unique = d.bool()?;
-        indexes.insert(name.clone(), IndexDef { name, table, columns, unique });
+        indexes.insert(name.clone(), IndexDef { name, table, columns, unique, key: None });
     }
     let mut stats = BTreeMap::new();
     for _ in 0..d.len()? {
@@ -485,6 +485,7 @@ mod tests {
             table: id("Tab"),
             columns: vec![id("A")],
             unique: true,
+            key: None,
         })
         .unwrap();
         cat.set_table_stats(

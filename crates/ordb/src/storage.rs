@@ -140,14 +140,18 @@ pub fn key_hash(key: &[&Value]) -> Option<u64> {
     Some(h.finish())
 }
 
-/// The storage name of the index that enforces the `ordinal`-th PRIMARY KEY
-/// / UNIQUE constraint of `table`. A key *is* a maintained index: CREATE
-/// TABLE registers one per constraint, DROP TABLE retires them with the
-/// table's other indexes, recovery re-derives them from the table
-/// definitions. The name contains a double quote, which no SQL identifier —
-/// bare or quoted — can spell, so `CREATE INDEX` / `DROP INDEX` can neither
-/// collide with nor drop it; it never reaches the catalog, the planner, a
-/// dump, a snapshot or the log.
+/// The name of the index behind the `ordinal`-th PRIMARY KEY / UNIQUE
+/// constraint of `table` — in storage and, derived from the table
+/// definition, in [`crate::catalog::Catalog::indexes_on`], which is how the
+/// planner, `EXPLAIN` (as `T(cols) PRIMARY KEY`) and recovery find it. A
+/// key *is* a maintained index: CREATE TABLE registers one per constraint,
+/// DROP TABLE retires them with the table's other indexes. The name
+/// contains a double quote, which no SQL identifier — bare or quoted — can
+/// spell, so `CREATE INDEX` / `DROP INDEX` can neither collide with nor drop
+/// it, and since the definition is derived rather than stored it appears in
+/// no dump, snapshot or log record. It sorts before every declared name, so
+/// [`Storage::find_fresh_index`] prefers a key to a declared index on the
+/// same columns, as the planner does.
 pub fn key_index_name(table: &Ident, ordinal: usize) -> Ident {
     Ident::internal(&format!("\"{}\"#{ordinal}", table.key()))
 }

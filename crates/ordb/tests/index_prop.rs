@@ -22,6 +22,12 @@
 //!
 //! The indexed databases additionally churn CREATE INDEX / DROP INDEX
 //! mid-transaction so undo replay also covers index DDL.
+//!
+//! A second, *key-only* family runs the same streams over tables whose only
+//! indexes are the ones behind their PRIMARY KEY / multi-column UNIQUE
+//! constraints — no `CREATE INDEX` anywhere — with the planner on and off:
+//! same accept/reject per statement, same results row for row, the planner
+//! probing the keys, and `Storage::check_indexes` clean.
 
 use xmlord_ordb::{Database, DbMode};
 use xmlord_prng::Prng;
@@ -203,6 +209,118 @@ fn index_backed_execution_is_differentially_identical() {
             indexed.storage().check_oid_directory().unwrap();
         }
     }
+}
+
+const KEYED_SCHEMA: &str =
+    "CREATE TABLE Tab (k NUMBER PRIMARY KEY, grp NUMBER, v VARCHAR(20), UNIQUE (grp, v));
+CREATE TABLE Lnk (k NUMBER, tag VARCHAR(10), UNIQUE (k, tag));";
+
+/// Point lookups on each key, a join that reaches `Tab` through its
+/// PRIMARY KEY, and one that covers only half of `Lnk`'s two-column key
+/// (which no key index may answer).
+fn keyed_queries(rng: &mut Prng, n: usize) -> Vec<String> {
+    let k = rng.gen_range(0i64..25);
+    let g = rng.gen_range(0i64..5);
+    let step = rng.gen_range(0i64..n.max(1) as i64);
+    vec![
+        format!("SELECT t.k, t.v FROM Tab t WHERE t.k = {k}"),
+        format!("SELECT t.k FROM Tab t WHERE t.grp = {g} AND t.v = 'v{step}'"),
+        format!("SELECT l.tag FROM Lnk l WHERE l.tag = 't{}' AND l.k = {k}", k % 7),
+        format!("SELECT l.tag, t.v FROM Lnk l, Tab t WHERE t.k = l.k AND l.tag = 't{}'", k % 7),
+        format!("SELECT t.k, t.v, l.tag FROM Tab t, Lnk l WHERE t.k = l.k AND t.grp = {g}"),
+    ]
+}
+
+/// The key-only family: a key's index is the planner's index. Tables with
+/// a PRIMARY KEY and multi-column UNIQUE constraints and no `CREATE INDEX`
+/// run the seeded streams with the planner on and off. Keys reject rows,
+/// so a statement may fail — identically on both. A failure here means a
+/// key lookup is scanning again, or a key probe returns other rows than
+/// the scan it replaces.
+#[test]
+fn key_indexes_are_the_planners_indexes() {
+    for mode in [DbMode::Oracle8, DbMode::Oracle9] {
+        for case in 0..40u64 {
+            let mut rng = Prng::seed_from_u64(0x4B45_5900 + case);
+            let mut keyed = Database::new(mode);
+            let mut planner_off = Database::new(mode);
+            for db in [&mut keyed, &mut planner_off] {
+                db.execute_script(KEYED_SCHEMA).unwrap();
+                db.commit().unwrap();
+            }
+            planner_off.set_cost_planner(false);
+
+            let mut model = Model::default();
+            let total = rng.gen_range(20usize..60);
+            for n in 0..=total {
+                let ctx = format!("mode {mode:?} case {case} step {n}");
+                // The last step is the final sweep and undo replay.
+                let step = if n < total { gen_step(&mut rng, &mut model, n) } else { Step::Rollback };
+                match step {
+                    Step::All(sql) => {
+                        let a = keyed.execute(&sql).map_err(|e| e.to_string());
+                        let b = planner_off.execute(&sql).map_err(|e| e.to_string());
+                        assert_eq!(a, b, "{ctx}: outcome diverged for {sql}");
+                    }
+                    // Key-only: the family declares no index.
+                    Step::IndexDdl(_) => {}
+                    Step::Commit => {
+                        keyed.commit().unwrap();
+                        planner_off.commit().unwrap();
+                    }
+                    Step::Rollback => {
+                        if n == total {
+                            for sql in keyed_queries(&mut rng, n) {
+                                assert_identical(&mut [&mut keyed, &mut planner_off], &sql, &ctx);
+                            }
+                        }
+                        keyed.execute("ROLLBACK").unwrap();
+                        planner_off.execute("ROLLBACK").unwrap();
+                        assert_eq!(keyed.state_dump(), planner_off.state_dump(), "{ctx}");
+                        keyed.storage().check_indexes().unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                    }
+                    Step::Compare => {
+                        for sql in keyed_queries(&mut rng, n) {
+                            assert_identical(&mut [&mut keyed, &mut planner_off], &sql, &ctx);
+                        }
+                    }
+                }
+            }
+            let ctx = format!("mode {mode:?} case {case}");
+            assert!(keyed.stats().index_scans > 0, "{ctx}: no key was probed");
+            assert_eq!(planner_off.stats().index_scans, 0, "{ctx}");
+            keyed.storage().check_oid_directory().unwrap();
+        }
+    }
+}
+
+/// EXPLAIN names each key as the constraint it is, and only an equality on
+/// *all* of a key's columns probes it.
+#[test]
+fn explain_pins_key_probes() {
+    let mut db = Database::new(DbMode::Oracle9);
+    db.execute_script(KEYED_SCHEMA).unwrap();
+    let plan = |db: &mut Database, sql: &str| -> String {
+        let rows = db.query(&format!("EXPLAIN {sql}")).unwrap().rows;
+        rows.iter().map(|r| r[0].as_str().unwrap().to_string()).collect::<Vec<_>>().join("\n")
+    };
+    let pk = plan(&mut db, "SELECT t.v FROM Tab t WHERE t.k = 7");
+    assert!(pk.contains("index probe Tab(k) PRIMARY KEY (key: 7)"), "{pk}");
+    let unique = plan(&mut db, "SELECT t.k FROM Tab t WHERE t.v = 'x' AND t.grp = 1");
+    assert!(unique.contains("index probe Tab(grp,v) UNIQUE (key: 1, 'x')"), "{unique}");
+    let half = plan(&mut db, "SELECT l.tag FROM Lnk l WHERE l.k = 3");
+    assert!(!half.contains("index probe"), "{half}");
+    // One row per probe: with statistics, the key side of a join is costed
+    // at a single row whatever the table holds.
+    for k in 0..20 {
+        db.execute(&format!("INSERT INTO Tab VALUES ({k}, {}, 'v{k}')", k % 4)).unwrap();
+    }
+    db.execute("ANALYZE TABLE Tab COMPUTE STATISTICS").unwrap();
+    let costed = plan(&mut db, "SELECT t.v FROM Tab t WHERE t.k = 7");
+    assert!(costed.contains("est: ~1 row(s)"), "{costed}");
+    // The reserved name stays unspeakable: no statement can drop a key.
+    assert!(db.execute("DROP INDEX \"Tab\"").is_err());
+    assert!(db.execute("CREATE INDEX IxTabK ON Tab (k)").is_ok());
 }
 
 /// The indexed database must actually take the index path: EXPLAIN pins

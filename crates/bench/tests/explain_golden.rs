@@ -142,16 +142,32 @@ fn paper_query_edge_join_plan_indexed() {
     check("paperq_edge_indexed.txt", &plan);
 }
 
+/// The edge query with every join equality (`eK.Source = eJ.Target`,
+/// `vK.VID = eJ.Target`) turned into `<>`: with nothing to hash, the
+/// planner itself chooses a nested loop for every join.
 #[test]
-fn nested_loop_ablation_changes_the_plan() {
+fn non_equi_edge_joins_plan_nested_loops() {
     let mut instance = setup(Strategy::Edge);
-    let sql = instance.paper_query();
-    let hash = plan_text(&mut instance.db, &sql);
-    instance.db.set_hash_joins(false);
+    let equi = instance.paper_query();
+    let sql = equi.replace(" = e", " <> e");
+    assert_eq!(sql.matches(" <> e").count(), 9, "{sql}");
+    assert!(plan_text(&mut instance.db, &equi).contains("hash join"));
     let nested = plan_text(&mut instance.db, &sql);
-    assert!(hash.contains("hash join"), "{hash}");
     assert!(!nested.contains("hash join"), "{nested}");
-    assert!(nested.contains("nested-loop join"), "{nested}");
+    let joins = nested.lines().filter(|l| l.ends_with(" — nested-loop join")).count();
+    assert_eq!(joins, 9, "{nested}");
+
+    // Executed: the root edge is the one combination `from[0]` leaves, it
+    // is tried against every edge, and none survives — every student hangs
+    // below the root, which `e1.Source <> e0.Target` excludes.
+    let (_, doc) = university_doc(2);
+    instance.load(&doc);
+    let before = instance.db.stats();
+    let rows = instance.db.query(&sql).unwrap().rows;
+    let delta = instance.db.stats().since(&before);
+    assert_eq!(delta.hash_join_builds, 0);
+    assert_eq!(delta.join_pairs, instance.db.row_count("TabEdge") as u64);
+    assert!(rows.is_empty(), "{rows:?}");
 }
 
 /// The Oracle 8 parent-wiring subquery, as `load_script` spells it: an

@@ -22,27 +22,18 @@ pub struct ExecCtx<'a> {
     pub storage: &'a Storage,
     pub stats: &'a mut ExecStats,
     pub mode: DbMode,
-    /// Whether equi-join FROM items may use the hash path. On by default;
-    /// [`crate::Database::set_hash_joins`] turns it off so differential
-    /// tests can compare both join strategies on identical queries.
-    pub hash_joins: bool,
-    /// Whether the cost-based planner may choose secondary-index access
-    /// paths and reorder joins by estimated cardinality. Off pins the
-    /// naive plan ([`crate::Database::set_cost_planner`]).
-    pub cost_planner: bool,
 }
 
 impl<'a> ExecCtx<'a> {
-    /// The context DML evaluates in: both planner switches at their
-    /// defaults (on) — only SELECT and EXPLAIN honour a session's ablation
-    /// switches.
+    /// The context every statement evaluates in — SELECT, EXPLAIN and the
+    /// expressions and subqueries inside DML alike.
     pub fn new(
         catalog: &'a Catalog,
         storage: &'a Storage,
         stats: &'a mut ExecStats,
         mode: DbMode,
     ) -> ExecCtx<'a> {
-        ExecCtx { catalog, storage, stats, mode, hash_joins: true, cost_planner: true }
+        ExecCtx { catalog, storage, stats, mode }
     }
 }
 

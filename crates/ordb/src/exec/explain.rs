@@ -26,14 +26,8 @@ use crate::value::Value;
 const MAX_VIEW_DEPTH: usize = 4;
 
 /// Render the plan of `stmt` (the statement *inside* the EXPLAIN).
-pub fn explain_stmt(
-    catalog: &Catalog,
-    mode: DbMode,
-    hash_joins: bool,
-    cost_planner: bool,
-    stmt: &Stmt,
-) -> Result<QueryResult, DbError> {
-    let mut plan = Plan { catalog, hash_joins, cost_planner, lines: Vec::new() };
+pub fn explain_stmt(catalog: &Catalog, mode: DbMode, stmt: &Stmt) -> Result<QueryResult, DbError> {
+    let mut plan = Plan { catalog, lines: Vec::new() };
     plan.line(0, format!("EXPLAIN ({mode})"));
     plan.stmt(0, stmt)?;
     Ok(QueryResult {
@@ -48,8 +42,6 @@ type Scope = (Ident, Option<Vec<(Ident, SqlType)>>);
 
 struct Plan<'a> {
     catalog: &'a Catalog,
-    hash_joins: bool,
-    cost_planner: bool,
     lines: Vec<String>,
 }
 
@@ -193,7 +185,7 @@ impl Plan<'_> {
         // The exact plan the executor computes: conjunct scheduling, join
         // order and per-item access paths all come from the shared
         // `plan_select`, so this rendering can never drift from execution.
-        let plan = plan_select(self.catalog, self.hash_joins, self.cost_planner, query);
+        let plan = plan_select(self.catalog, query);
         let scheduled = &plan.scheduled;
         if plan.costed {
             let exec_order: Vec<String> = plan
@@ -466,7 +458,7 @@ mod tests {
             Stmt::Explain(inner) => *inner,
             other => other,
         };
-        explain_stmt(&db.catalog(), db.mode(), true, true, &inner)
+        explain_stmt(&db.catalog(), db.mode(), &inner)
             .unwrap()
             .rows
             .into_iter()
@@ -503,27 +495,42 @@ mod tests {
 
     #[test]
     fn hash_join_and_nested_loop_render_differently() {
-        let db = ref_schema();
+        let mut db = ref_schema();
         let hash = plan_of(&db, "SELECT p.PName FROM TabP p, TabC c WHERE c.CName = p.PName");
         assert!(hash.iter().any(|l| l.contains("hash join (build: c.CName, probe: p.PName)")), "{hash:#?}");
 
-        // Same statement with the hash path disabled.
-        let stmt = parse_statement("SELECT p.PName FROM TabP p, TabC c WHERE c.CName = p.PName").unwrap();
-        let plan = explain_stmt(&db.catalog(), db.mode(), false, true, &stmt).unwrap();
-        let lines: Vec<String> = plan
-            .rows
-            .iter()
-            .map(|r| r[0].as_str().unwrap().to_string())
-            .collect();
-        assert!(lines.iter().any(|l| l.contains("nested-loop join")), "{lines:#?}");
-        assert!(!lines.iter().any(|l| l.contains("hash join")), "{lines:#?}");
+        // The same statement with a non-equi join conjunct: there is nothing
+        // to hash, so the planner itself chooses the nested loop.
+        let sql = "SELECT p.PName FROM TabP p, TabC c WHERE c.CName <> p.PName";
+        let nested = plan_of(&db, sql);
+        let join = "from[1] c: scan object table TabC OF T_C — nested-loop join";
+        assert!(nested.iter().any(|l| l.ends_with(join)), "{nested:#?}");
+        assert!(!nested.iter().any(|l| l.contains("hash join")), "{nested:#?}");
+
+        db.execute_script(
+            "INSERT INTO TabP VALUES (T_P('A', 'x'));
+             INSERT INTO TabP VALUES (T_P('B', 'y'));
+             INSERT INTO TabC VALUES (T_C('A', NULL));
+             INSERT INTO TabC VALUES (T_C('C', NULL));
+             INSERT INTO TabC VALUES (T_C(NULL, NULL));",
+        )
+        .unwrap();
+        let before = db.stats();
+        let rows = db.query(sql).unwrap().rows;
+        let delta = db.stats().since(&before);
+        assert_eq!(delta.hash_join_builds, 0);
+        assert_eq!(delta.join_pairs, 2 * 3, "every pair of the two tables is tried");
+        // Pairs in FROM order whose names differ; a NULL name differs from
+        // nothing.
+        let p = |name: &str| vec![Value::str(name)];
+        assert_eq!(rows, vec![p("A"), p("B"), p("B")]);
     }
 
     #[test]
     fn unknown_table_is_rejected_like_execution_would() {
         let db = ref_schema();
         let stmt = parse_statement("SELECT x.a FROM Nowhere x").unwrap();
-        let err = explain_stmt(&db.catalog(), db.mode(), true, true, &stmt).unwrap_err();
+        let err = explain_stmt(&db.catalog(), db.mode(), &stmt).unwrap_err();
         assert!(matches!(err, DbError::UnknownTable(_)));
     }
 

@@ -13,8 +13,24 @@ pub mod select;
 use std::rc::Rc;
 use std::sync::Arc;
 
+use crate::error::DbError;
+use crate::exec::eval::ExecCtx;
+use crate::exec::select::{execute_select, QueryResult};
 use crate::ident::Ident;
+use crate::sql::ast::Stmt;
 use crate::value::{Oid, Value};
+
+/// Run a read-only statement — SELECT or EXPLAIN — in `ctx`. The writer
+/// ([`crate::Database`]) and every snapshot reader
+/// ([`crate::mvcc::ReadSession`]) answer queries through this one function;
+/// any other statement is [`DbError::ReadOnly`].
+pub fn execute_read(ctx: &mut ExecCtx, stmt: &Stmt) -> Result<QueryResult, DbError> {
+    match stmt {
+        Stmt::Select(select) => execute_select(ctx, select, None),
+        Stmt::Explain(inner) => explain::explain_stmt(ctx.catalog, ctx.mode, inner),
+        other => Err(DbError::ReadOnly(other.kind())),
+    }
+}
 
 /// One row binding visible during evaluation: `binding.column` paths resolve
 /// against `columns`/`values`; `oid` is set for rows of object tables so

@@ -87,7 +87,7 @@ pub fn execute_select(
     // 0. Plan: split + schedule WHERE conjuncts, choose the join order and
     //    one access path per FROM item — from the catalog alone, so the
     //    plan is exactly what EXPLAIN predicts.
-    let plan = plan_select(ctx.catalog, ctx.hash_joins, ctx.cost_planner, stmt);
+    let plan = plan_select(ctx.catalog, stmt);
     let bindings: Vec<Ident> =
         plan.order.iter().map(|&i| FromItem::binding(&stmt.from[i])).collect();
     let scheduled = &plan.scheduled;
@@ -99,7 +99,7 @@ pub fn execute_select(
     //    earlier bindings (needed by TABLE(t.attr) un-nesting), and
     //    conjuncts filter as soon as their inputs are bound. When the
     //    planner reordered, each frame's heap slot is recorded so step 1b
-    //    can restore the naive enumeration order.
+    //    can restore the FROM-order enumeration.
     let mut combos: Vec<Vec<Rc<Frame>>> = vec![Vec::new()];
     if stmt.from.len() > 1 {
         ctx.stats.join_queries += 1;
@@ -183,7 +183,7 @@ pub fn execute_select(
         // lands here via `AccessPath::Scan`-equivalent replanning.)
         let hash_plan = match &plan.paths[item_idx] {
             AccessPath::HashJoin { probe, build } => Some((probe, build)),
-            AccessPath::IndexProbe { .. } if ctx.hash_joins && item_idx > 0 => {
+            AccessPath::IndexProbe { .. } if item_idx > 0 => {
                 applicable.first().and_then(|c| plan_hash_join(c, &bindings, item_idx))
             }
             _ => None,
@@ -244,11 +244,11 @@ pub fn execute_select(
         slot_maps.push(slot_map);
     }
 
-    // 1b. Restore the naive enumeration: the original plan visits plain
-    //     tables in FROM order, which enumerates combinations in
-    //     lexicographic heap-slot order — so after a reorder, sorting by
-    //     the original-order slot tuple and un-permuting each combination's
-    //     frames makes output byte-identical to the unplanned execution.
+    // 1b. Restore the FROM-order enumeration: a nested loop in FROM order
+    //     enumerates combinations in lexicographic heap-slot order — so
+    //     after a reorder, sorting by the original-order slot tuple and
+    //     un-permuting each combination's frames makes output
+    //     byte-identical to that nested loop.
     if plan.reordered && !combos.is_empty() {
         let n = stmt.from.len();
         let mut exec_pos_of = vec![0usize; n];
@@ -365,9 +365,7 @@ pub fn execute_select(
         let mut indexed: Vec<usize> = (0..rows.len()).collect();
         indexed.sort_by(|&a, &b| {
             for (k, (_, asc)) in stmt.order_by.iter().enumerate() {
-                let ord = order_keys[a][k]
-                    .sql_cmp(&order_keys[b][k])
-                    .unwrap_or(std::cmp::Ordering::Equal);
+                let ord = order_key_cmp(&order_keys[a][k], &order_keys[b][k]);
                 let ord = if *asc { ord } else { ord.reverse() };
                 if ord != std::cmp::Ordering::Equal {
                     return ord;
@@ -385,6 +383,20 @@ pub fn execute_select(
     }
 
     Ok(QueryResult { columns, rows })
+}
+
+/// How ORDER BY compares two keys: NULL after every value — so NULLs come
+/// last ascending and first `DESC`, as in Oracle — and otherwise
+/// [`Value::sql_cmp`], with incomparable values tied. NULL must not tie
+/// with everything: `1 < 3` but `NULL = 1` and `NULL = 3` is no order, and
+/// the standard library's sort may panic on such a comparator.
+fn order_key_cmp(a: &Value, b: &Value) -> std::cmp::Ordering {
+    match (a.is_null(), b.is_null()) {
+        (true, true) => std::cmp::Ordering::Equal,
+        (true, false) => std::cmp::Ordering::Greater,
+        (false, true) => std::cmp::Ordering::Less,
+        (false, false) => a.sql_cmp(b).unwrap_or(std::cmp::Ordering::Equal),
+    }
 }
 
 /// Keep the first occurrence of every row, in order. Two rows are the same
@@ -525,7 +537,7 @@ pub(crate) struct SelectPlan {
     pub order: Vec<usize>,
     /// True when `order` differs from FROM-clause order. The executor then
     /// restores the original combination enumeration order afterwards, so
-    /// results stay byte-identical to the naive plan.
+    /// results stay byte-identical to a nested loop in FROM order.
     pub reordered: bool,
     /// True when the planner priced the join order from ANALYZE statistics.
     pub costed: bool,
@@ -542,12 +554,7 @@ pub(crate) struct SelectPlan {
 /// Plan a SELECT from the catalog alone — no storage access, so plans are
 /// data-independent (EXPLAIN's contract) and identical between EXPLAIN and
 /// execution.
-pub(crate) fn plan_select(
-    catalog: &Catalog,
-    hash_joins: bool,
-    cost_planner: bool,
-    stmt: &SelectStmt,
-) -> SelectPlan {
+pub(crate) fn plan_select(catalog: &Catalog, stmt: &SelectStmt) -> SelectPlan {
     let n = stmt.from.len();
     let orig_bindings: Vec<Ident> = stmt.from.iter().map(FromItem::binding).collect();
     let mut conjuncts: Vec<Expr> = Vec::new();
@@ -565,7 +572,7 @@ pub(crate) fn plan_select(
     // there is nothing to cost).
     let mut order: Vec<usize> = (0..n).collect();
     let mut costed = false;
-    if cost_planner && n > 1 && reorderable(catalog, stmt, &orig_bindings) {
+    if n > 1 && reorderable(catalog, stmt, &orig_bindings) {
         let est: Vec<u64> = (0..n)
             .map(|i| local_estimate(catalog, stmt, &orig_bindings, i, &conjuncts))
             .collect();
@@ -614,8 +621,7 @@ pub(crate) fn plan_select(
         let item = &stmt.from[orig];
         let applicable: Vec<&Expr> =
             scheduled.iter().filter(|(p, _)| *p == pos).map(|(_, e)| e).collect();
-        let (path, est) =
-            plan_item_path(catalog, hash_joins, cost_planner, &bindings, pos, item, &applicable);
+        let (path, est) = plan_item_path(catalog, &bindings, pos, item, &applicable);
         paths.push(path);
         est_rows.push(est);
     }
@@ -703,8 +709,6 @@ fn equality_key<'a>(
 /// equi-join, else a scan.
 fn plan_item_path(
     catalog: &Catalog,
-    hash_joins: bool,
-    cost_planner: bool,
     bindings: &[Ident],
     pos: usize,
     item: &FromItem,
@@ -716,45 +720,40 @@ fn plan_item_path(
     };
     let stats = table_name.and_then(|t| catalog.table_stats(t));
     let mut est = stats.map(|s| s.rows);
-    if cost_planner {
-        if let Some(table) = table_name {
-            let keyed: Vec<(Ident, &Expr)> =
-                applicable.iter().filter_map(|c| equality_key(c, bindings, pos)).collect();
-            // Widest covered index wins; `>` keeps the first of a tie, and
-            // the inventory lists key indexes before declared ones.
-            let mut best: Option<(&IndexDef, Vec<Expr>)> = None;
-            for idx in catalog.indexes_on(table) {
-                let covered = idx
+    if let Some(table) = table_name {
+        let keyed: Vec<(Ident, &Expr)> =
+            applicable.iter().filter_map(|c| equality_key(c, bindings, pos)).collect();
+        // Widest covered index wins; `>` keeps the first of a tie, and the
+        // inventory lists key indexes before declared ones.
+        let mut best: Option<(&IndexDef, Vec<Expr>)> = None;
+        for idx in catalog.indexes_on(table) {
+            let covered = idx.columns.iter().all(|ic| keyed.iter().any(|(col, _)| col == ic));
+            if !covered {
+                continue;
+            }
+            let wider = best.as_ref().is_none_or(|(b, _)| idx.columns.len() > b.columns.len());
+            if wider {
+                let keys = idx
                     .columns
                     .iter()
-                    .all(|ic| keyed.iter().any(|(col, _)| col == ic));
-                if !covered {
-                    continue;
-                }
-                let wider = best.as_ref().is_none_or(|(b, _)| idx.columns.len() > b.columns.len());
-                if wider {
-                    let keys = idx
-                        .columns
-                        .iter()
-                        .map(|ic| keyed.iter().find(|(col, _)| col == ic).unwrap().1.clone())
-                        .collect();
-                    best = Some((idx, keys));
-                }
-            }
-            if let Some((idx, keys)) = best {
-                if let Some(s) = stats {
-                    est = Some(if idx.unique {
-                        1
-                    } else {
-                        let ndv = idx.columns.iter().map(|c| s.ndv(c)).max().unwrap_or(1).max(1);
-                        (s.rows / ndv).max(1)
-                    });
-                }
-                return (AccessPath::IndexProbe { index: idx.name.clone(), keys }, est);
+                    .map(|ic| keyed.iter().find(|(col, _)| col == ic).unwrap().1.clone())
+                    .collect();
+                best = Some((idx, keys));
             }
         }
+        if let Some((idx, keys)) = best {
+            if let Some(s) = stats {
+                est = Some(if idx.unique {
+                    1
+                } else {
+                    let ndv = idx.columns.iter().map(|c| s.ndv(c)).max().unwrap_or(1).max(1);
+                    (s.rows / ndv).max(1)
+                });
+            }
+            return (AccessPath::IndexProbe { index: idx.name.clone(), keys }, est);
+        }
     }
-    if hash_joins && pos > 0 {
+    if pos > 0 {
         if let Some((probe, build)) =
             applicable.first().and_then(|c| plan_hash_join(c, bindings, pos))
         {
@@ -1098,6 +1097,36 @@ mod tests {
         for (row, element) in unnested.rows.iter().zip(stored.block().iter()) {
             assert!(Arc::ptr_eq(row[0].block(), element.block()));
         }
+    }
+
+    /// NULL keys sort after every value, so the sort sees a total order.
+    /// When a NULL tied with every value, this query panicked inside the
+    /// standard library's sort ("does not correctly implement a total
+    /// order").
+    #[test]
+    fn order_by_puts_nulls_last_ascending_and_first_descending() {
+        let mut db = Database::new(DbMode::Oracle9);
+        db.execute("CREATE TABLE N (a NUMBER)").unwrap();
+        for i in 0..60 {
+            let a = if i % 3 == 0 { "NULL".to_string() } else { ((i * 7) % 13).to_string() };
+            db.execute(&format!("INSERT INTO N VALUES ({a})")).unwrap();
+        }
+        let column = |db: &mut Database, sql: &str| -> Vec<Value> {
+            db.query(sql).unwrap().rows.into_iter().map(|mut r| r.remove(0)).collect()
+        };
+        let numbers = |values: &[Value]| -> Vec<f64> {
+            values.iter().map(|v| v.as_num().unwrap()).collect::<Vec<_>>()
+        };
+
+        let asc = column(&mut db, "SELECT n.a FROM N n ORDER BY n.a");
+        let (values, nulls) = asc.split_at(40);
+        assert!(nulls.iter().all(Value::is_null), "{asc:?}");
+        assert!(numbers(values).is_sorted(), "{asc:?}");
+
+        let desc = column(&mut db, "SELECT n.a FROM N n ORDER BY n.a DESC");
+        let (nulls, values) = desc.split_at(20);
+        assert!(nulls.iter().all(Value::is_null), "{desc:?}");
+        assert!(numbers(values).is_sorted_by(|a, b| a >= b), "{desc:?}");
     }
 
     /// DISTINCT as it was: compare each row with every row kept so far.

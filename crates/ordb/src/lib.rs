@@ -49,9 +49,10 @@
 //!   non-equi conjuncts and `TABLE(…)` lateral un-nesting keep the nested
 //!   loop. Join keys are a conservative prefilter (SQL equality coerces
 //!   numeric strings, so candidates are re-verified with the full
-//!   predicate), which makes the hash and nested-loop paths return
-//!   identical rows in identical order — [`Database::set_hash_joins`]
-//!   switches strategies for the differential tests. Counters:
+//!   predicate), which makes a hash join return the rows a nested loop
+//!   would, in the same order — `tests/hashjoin_prop.rs` diffs it against
+//!   the plain nested-loop evaluator in `tests/support/nested_loop.rs`.
+//!   Counters:
 //!   `hash_join_builds`, `hash_join_probes`, and `join_pairs` counts only
 //!   the pairings actually formed.
 //! * **Indexes** — a table's indexes are one inventory,
@@ -77,8 +78,7 @@
 //!
 //! None of this changes Oracle 8 vs Oracle 9 semantics: [`DbMode`] gates
 //! DDL validation and value construction, while the fast paths only change
-//! how rows are located, paired, and parsed texts reused — the mode test
-//! suites run identically with the fast paths on or off.
+//! how rows are located, paired, and parsed texts reused.
 //!
 //! ## Transactions & recovery
 //!

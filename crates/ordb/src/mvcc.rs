@@ -69,7 +69,8 @@
 use crate::catalog::Catalog;
 use crate::error::DbError;
 use crate::exec::eval::ExecCtx;
-use crate::exec::select::{execute_select, QueryResult};
+use crate::exec::execute_read;
+use crate::exec::select::QueryResult;
 use crate::ident::Ident;
 use crate::mode::DbMode;
 use crate::session::{cached_parse_with, PlanCache, SharedState};
@@ -88,8 +89,6 @@ use std::sync::Arc;
 pub struct ReadSession {
     shared: Arc<SharedState>,
     mode: DbMode,
-    hash_joins: bool,
-    cost_planner: bool,
     /// Set-oriented bulk document reconstruction, inherited from the
     /// writer handle at session creation (the retrieval layer consults it
     /// via [`Self::bulk_retrieval`]).
@@ -124,18 +123,10 @@ struct CacheState {
 }
 
 impl ReadSession {
-    pub(crate) fn new(
-        shared: Arc<SharedState>,
-        mode: DbMode,
-        hash_joins: bool,
-        cost_planner: bool,
-        bulk_retrieval: bool,
-    ) -> ReadSession {
+    pub(crate) fn new(shared: Arc<SharedState>, mode: DbMode, bulk_retrieval: bool) -> ReadSession {
         ReadSession {
             shared,
             mode,
-            hash_joins,
-            cost_planner,
             bulk_retrieval,
             cache: None,
             plan_cache: PlanCache::default(),
@@ -269,27 +260,8 @@ impl ReadSession {
             return Err(DbError::Execution("read session has no snapshot cache".into()));
         };
         self.stats.statements += 1;
-        match stmt {
-            Stmt::Select(select) => {
-                let mut ctx = ExecCtx {
-                    catalog: &cache.catalog,
-                    storage: &cache.storage,
-                    stats: &mut self.stats,
-                    mode: self.mode,
-                    hash_joins: self.hash_joins,
-                    cost_planner: self.cost_planner,
-                };
-                execute_select(&mut ctx, select, None)
-            }
-            Stmt::Explain(inner) => crate::exec::explain::explain_stmt(
-                &cache.catalog,
-                self.mode,
-                self.hash_joins,
-                self.cost_planner,
-                inner,
-            ),
-            other => Err(DbError::ReadOnly(other.kind())),
-        }
+        let mut ctx = ExecCtx::new(&cache.catalog, &cache.storage, &mut self.stats, self.mode);
+        execute_read(&mut ctx, stmt)
     }
 
     /// The `(storage, catalog)` committed epochs the cache is pinned to —

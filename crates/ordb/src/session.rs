@@ -8,7 +8,7 @@ use crate::exec::dml::{
     execute_delete, execute_insert_batch, execute_update, InsertBatch,
 };
 use crate::exec::eval::ExecCtx;
-use crate::exec::select::execute_select;
+use crate::exec::execute_read;
 pub use crate::exec::select::QueryResult;
 use crate::ident::Ident;
 use crate::mode::DbMode;
@@ -257,12 +257,6 @@ pub struct Database {
     stats: ExecStats,
     mode: DbMode,
     plan_cache: PlanCache,
-    hash_joins: bool,
-    /// Cost-based planning (on by default): secondary-index access paths
-    /// and statistics-driven join ordering. Turning it off pins the naive
-    /// plan — full scans, FROM-clause order — for differential tests and
-    /// ablation benchmarks ([`Self::set_cost_planner`]).
-    cost_planner: bool,
     /// Set-oriented bulk document reconstruction (on by default); the
     /// retrieval layer consults it through [`Self::bulk_retrieval`].
     /// Turning it off pins the naive per-node recursive walker — the
@@ -306,8 +300,6 @@ impl Clone for Database {
             stats: self.stats,
             mode: self.mode,
             plan_cache: self.plan_cache.clone(),
-            hash_joins: self.hash_joins,
-            cost_planner: self.cost_planner,
             bulk_retrieval: self.bulk_retrieval,
             analyze: self.analyze,
             savepoints: self.savepoints.clone(),
@@ -338,8 +330,6 @@ impl Database {
             stats: ExecStats::default(),
             mode,
             plan_cache: PlanCache::default(),
-            hash_joins: true,
-            cost_planner: true,
             bulk_retrieval: true,
             analyze: false,
             savepoints: Vec::new(),
@@ -598,30 +588,13 @@ impl Database {
         self.trace_end(span);
     }
 
-    /// Enable or disable the hash equi-join fast path (on by default).
-    /// Turning it off forces nested loops everywhere — used by the
-    /// differential tests that check both strategies agree.
-    pub fn set_hash_joins(&mut self, enabled: bool) {
-        self.hash_joins = enabled;
-    }
-
-    /// Enable or disable the cost-based planner (on by default). Turning it
-    /// off forces full scans and FROM-clause join order everywhere — the
-    /// ablation baseline for the planner benchmarks, and the oracle side of
-    /// the differential tests that check index-backed plans return exactly
-    /// the same rows as naive evaluation.
-    pub fn set_cost_planner(&mut self, enabled: bool) {
-        self.cost_planner = enabled;
-    }
-
     /// Enable or disable set-oriented bulk document reconstruction (on by
     /// default). Turning it off pins the naive per-node recursive walker —
     /// the ablation baseline for the retrieval benchmarks, and the oracle
     /// side of the differential tests that check the bulk path reconstructs
     /// byte-identical documents. The engine does not consult this flag
     /// itself; the retrieval layer reads it via
-    /// [`bulk_retrieval`](Self::bulk_retrieval), exactly like the
-    /// hash-join and planner valves.
+    /// [`bulk_retrieval`](Self::bulk_retrieval).
     pub fn set_bulk_retrieval(&mut self, enabled: bool) {
         self.bulk_retrieval = enabled;
     }
@@ -696,13 +669,7 @@ impl Database {
     /// statistics, and serves SELECT / EXPLAIN from a committed-state
     /// snapshot cache — see [`crate::mvcc`] for the protocol.
     pub fn read_session(&self) -> crate::mvcc::ReadSession {
-        crate::mvcc::ReadSession::new(
-            Arc::clone(&self.shared),
-            self.mode,
-            self.hash_joins,
-            self.cost_planner,
-            self.bulk_retrieval,
-        )
+        crate::mvcc::ReadSession::new(Arc::clone(&self.shared), self.mode, self.bulk_retrieval)
     }
 
     pub fn stats(&self) -> ExecStats {
@@ -1142,27 +1109,10 @@ impl Database {
                 )?;
                 Ok(None)
             }
-            Stmt::Select(select) => {
-                let mut ctx = ExecCtx {
-                    catalog: &engine.catalog,
-                    storage: &engine.storage,
-                    stats: &mut self.stats,
-                    mode: self.mode,
-                    hash_joins: self.hash_joins,
-                    cost_planner: self.cost_planner,
-                };
-                let result = execute_select(&mut ctx, select, None)?;
-                Ok(Some(result))
-            }
-            Stmt::Explain(inner) => {
-                let result = crate::exec::explain::explain_stmt(
-                    &engine.catalog,
-                    self.mode,
-                    self.hash_joins,
-                    self.cost_planner,
-                    inner,
-                )?;
-                Ok(Some(result))
+            Stmt::Select(_) | Stmt::Explain(_) => {
+                let mut ctx =
+                    ExecCtx::new(&engine.catalog, &engine.storage, &mut self.stats, self.mode);
+                execute_read(&mut ctx, stmt).map(Some)
             }
             // Every other variant is DDL, which `execute_ddl` handles and
             // returns `true` for; reaching here would mean a new Stmt

@@ -1,11 +1,20 @@
-//! Differential property test for the hash equi-join fast path: every
-//! randomized equi-join query must return exactly the same rows with hash
-//! joins enabled (the default) and disabled (pure nested loops).
+//! Differential property tests for the join paths: every randomized join
+//! query must return exactly the rows, in exactly the order, that a plain
+//! nested loop in FROM order returns — the reference in
+//! `tests/support/nested_loop.rs`, which shares no code with the planner.
 //!
 //! The value pool is built to stress the prefilter's weak spot — SQL's
 //! numeric string coercion. `'04' = 4` is TRUE but `'04' = '4'` is FALSE,
 //! so equal hash keys must never be trusted without re-running the real
 //! predicate, and NULLs must never match anything.
+//!
+//! The first family joins un-analyzed tables, so every plan keeps FROM
+//! order and the hash join is the only fast path. The second analyzes its
+//! tables, with and without secondary indexes, so hash joins, index probes
+//! and cost-based reordering meet in one plan.
+
+#[path = "support/nested_loop.rs"]
+mod nested_loop;
 
 use xmlord_ordb::{Database, DbMode};
 use xmlord_prng::Prng;
@@ -39,8 +48,13 @@ fn col(rng: &mut Prng) -> &'static str {
     }
 }
 
-fn setup(rng: &mut Prng) -> Database {
-    let mut db = Database::new(DbMode::Oracle9);
+fn insert_row(db: &mut Database, rng: &mut Prng, table: &str) {
+    db.execute(&format!("INSERT INTO {table} VALUES ({}, {})", str_lit(rng), num_lit(rng)))
+        .unwrap();
+}
+
+fn setup(mode: DbMode, rng: &mut Prng) -> Database {
+    let mut db = Database::new(mode);
     db.execute_script(
         "CREATE TABLE A (s VARCHAR(10), n NUMBER);
          CREATE TABLE B (s VARCHAR(10), n NUMBER);
@@ -49,12 +63,7 @@ fn setup(rng: &mut Prng) -> Database {
     .unwrap();
     for table in ["A", "B", "C"] {
         for _ in 0..rng.gen_range(0usize..10) {
-            db.execute(&format!(
-                "INSERT INTO {table} VALUES ({}, {})",
-                str_lit(rng),
-                num_lit(rng)
-            ))
-            .unwrap();
+            insert_row(&mut db, rng, table);
         }
     }
     db
@@ -102,41 +111,213 @@ fn hash_join_agrees_with_nested_loop() {
     let mut total_builds = 0u64;
     for case in 0..200u64 {
         let mut rng = Prng::seed_from_u64(0x4A5B + case);
-        let mut hashed = setup(&mut rng);
-        let mut looped = hashed.clone();
-        looped.set_hash_joins(false);
+        let mut db = setup(DbMode::Oracle9, &mut rng);
 
         for _ in 0..4 {
             let sql = random_query(&mut rng);
-            let before = hashed.stats();
-            let via_hash = hashed.query(&sql).unwrap();
-            total_builds += hashed.stats().since(&before).hash_join_builds;
-            let via_loop = looped.query(&sql).unwrap();
-            // Bucket candidates keep the build side's row order, so the two
-            // strategies agree on the exact row sequence, not just the
-            // multiset.
-            assert_eq!(via_hash, via_loop, "case {case}: {sql}");
+            let before = db.stats();
+            let rows = db.query(&sql).unwrap().rows;
+            total_builds += db.stats().since(&before).hash_join_builds;
+            // Bucket candidates keep the build side's row order, so the
+            // engine agrees with the reference on the exact row sequence,
+            // not just the multiset.
+            assert_eq!(rows, nested_loop::select(&db, &sql), "case {case}: {sql}");
         }
     }
     // The generator must actually have exercised the fast path.
     assert!(total_builds > 0, "no query ever took the hash path");
 }
 
-/// The nested-loop toggle itself: the same query flips the counters.
+/// The nested loop needs no switch: an equality join builds one hash
+/// table, and the same statement with a non-equi join conjunct — nothing
+/// to hash — makes the planner choose the nested loop, which tries every
+/// pair of the two tables.
 #[test]
-fn set_hash_joins_controls_the_strategy() {
+fn non_equi_join_takes_the_nested_loop() {
     let mut rng = Prng::seed_from_u64(9);
-    let mut db = setup(&mut rng);
+    let mut db = setup(DbMode::Oracle9, &mut rng);
     let before = db.stats();
     db.query("SELECT a.s FROM A a, B b WHERE a.n = b.n").unwrap();
     let delta = db.stats().since(&before);
     assert_eq!(delta.hash_join_builds, 1);
     assert!(delta.hash_join_probes > 0);
+    assert!(db.row_count("A") > 1 && db.row_count("B") > 1);
 
-    db.set_hash_joins(false);
-    let before = db.stats();
-    db.query("SELECT a.s FROM A a, B b WHERE a.n = b.n").unwrap();
-    let delta = db.stats().since(&before);
-    assert_eq!(delta.hash_join_builds, 0);
-    assert_eq!(delta.hash_join_probes, 0);
+    for op in ["<", "<>"] {
+        let sql = &format!("SELECT a.s FROM A a, B b WHERE a.n {op} b.n");
+        let plan = db.query(&format!("EXPLAIN {sql}")).unwrap().rows;
+        let plan: Vec<&str> = plan.iter().map(|r| r[0].as_str().unwrap()).collect();
+        assert!(plan.contains(&"  from[1] b: scan table B — nested-loop join"), "{plan:#?}");
+        assert!(!plan.iter().any(|l| l.contains("hash join")), "{plan:#?}");
+
+        let before = db.stats();
+        let rows = db.query(sql).unwrap().rows;
+        let delta = db.stats().since(&before);
+        assert_eq!(delta.hash_join_builds, 0, "{sql}");
+        assert_eq!(delta.hash_join_probes, 0, "{sql}");
+        assert_eq!(delta.join_pairs, (db.row_count("A") * db.row_count("B")) as u64, "{sql}");
+        assert_eq!(rows, nested_loop::select(&db, sql), "{sql}");
+    }
+}
+
+/// Secondary indexes for the planned family: one per table, on the column
+/// the coercion pool makes hardest for a key hash.
+const INDEXES: &str = "CREATE INDEX IxAN ON A (n);
+CREATE INDEX IxBS ON B (s);
+CREATE INDEX IxCS ON C (s);
+CREATE INDEX IxCN ON C (n);";
+
+/// Shuffle in place (Fisher–Yates).
+fn shuffle<T>(rng: &mut Prng, items: &mut [T]) {
+    for i in (1..items.len()).rev() {
+        let j = rng.gen_range(0usize..i + 1);
+        items.swap(i, j);
+    }
+}
+
+/// Literal of either column type, or a coercion edge case.
+fn any_lit(rng: &mut Prng) -> String {
+    if rng.gen_bool(0.5) {
+        str_lit(rng)
+    } else {
+        num_lit(rng)
+    }
+}
+
+/// A join conjunct between two bindings: mostly an equality the planner
+/// can hash or probe, sometimes `<`, `<>` or an `OR` of two equalities,
+/// which only a nested loop can evaluate.
+fn join_conjunct(rng: &mut Prng, x: &str, y: &str) -> String {
+    let (cx, cy) = (col(rng), col(rng));
+    match rng.gen_range(0u32..8) {
+        0 => format!("{x}.{cx} < {y}.{cy}"),
+        1 => format!("{x}.{cx} <> {y}.{cy}"),
+        2 => format!("({x}.{cx} = {y}.{cy} OR {x}.{} = {y}.{})", col(rng), col(rng)),
+        // Either side first: the planner must find the build side itself.
+        3 => format!("{y}.{cy} = {x}.{cx}"),
+        _ => format!("{x}.{cx} = {y}.{cy}"),
+    }
+}
+
+/// A conjunct over one binding or none: the local predicates that feed
+/// index probes and join-order estimates, and the ones that feed neither.
+fn local_conjunct(rng: &mut Prng, x: &str) -> String {
+    match rng.gen_range(0u32..7) {
+        0 | 1 => format!("{x}.{} = {}", col(rng), any_lit(rng)),
+        2 => format!("{x}.{} IS NOT NULL", col(rng)),
+        3 => format!("{x}.{} < {}", col(rng), any_lit(rng)),
+        4 => format!("{x}.{} <> {}", col(rng), any_lit(rng)),
+        // Constant-only: TRUE, FALSE or UNKNOWN for every combination.
+        5 => format!("{} = {}", any_lit(rng), any_lit(rng)),
+        _ => format!("({x}.{} = {} OR {x}.{} IS NULL)", col(rng), any_lit(rng), col(rng)),
+    }
+}
+
+/// Two- and three-way joins over A, B and C in a random FROM order — a
+/// chain or, for three items, a triangle — with local and constant-only
+/// conjuncts in random order, projected plainly, `DISTINCT` or as
+/// `COUNT(*)`, and sometimes ordered. Returns the SQL and its FROM bindings
+/// in FROM order.
+fn planned_query(rng: &mut Prng) -> (String, Vec<&'static str>) {
+    let mut bindings = vec!["a", "b", "c"];
+    shuffle(rng, &mut bindings);
+    let width = if rng.gen_bool(0.3) { 2 } else { 3 };
+    bindings.truncate(width);
+    let from: Vec<String> =
+        bindings.iter().map(|b| format!("{} {b}", b.to_uppercase())).collect();
+
+    // The chain joins in an order of its own, so FROM order is often not a
+    // join order; a triangle closes the chain.
+    let mut chain = bindings.clone();
+    shuffle(rng, &mut chain);
+    let mut conjuncts: Vec<String> =
+        chain.windows(2).map(|pair| join_conjunct(rng, pair[0], pair[1])).collect();
+    if width == 3 && rng.gen_bool(0.3) {
+        conjuncts.push(join_conjunct(rng, chain[2], chain[0]));
+    }
+    for _ in 0..rng.gen_range(0usize..3) {
+        let x = *rng.choose(&bindings);
+        conjuncts.push(local_conjunct(rng, x));
+    }
+    shuffle(rng, &mut conjuncts);
+
+    let column = |rng: &mut Prng| format!("{}.{}", rng.choose(&bindings), col(rng));
+    let (head, order_by) = match rng.gen_range(0u32..5) {
+        0 => ("COUNT(*)".to_string(), false),
+        1 => (format!("DISTINCT {}", column(rng)), rng.gen_bool(0.5)),
+        2 => (format!("DISTINCT {}, {}", column(rng), column(rng)), rng.gen_bool(0.5)),
+        _ => {
+            let items: Vec<String> = (0..rng.gen_range(1usize..4)).map(|_| column(rng)).collect();
+            (items.join(", "), rng.gen_bool(0.4))
+        }
+    };
+    let mut sql =
+        format!("SELECT {head} FROM {} WHERE {}", from.join(", "), conjuncts.join(" AND "));
+    if order_by {
+        let keys: Vec<String> = (0..rng.gen_range(1usize..3))
+            .map(|_| format!("{}{}", column(rng), if rng.gen_bool(0.5) { " DESC" } else { "" }))
+            .collect();
+        sql.push_str(&format!(" ORDER BY {}", keys.join(", ")));
+    }
+    (sql, bindings)
+}
+
+/// Hash joins, index probes and cost-based reordering, together, against
+/// the reference: analyzed tables in both modes, with and without secondary
+/// indexes, some rows added after ANALYZE so statistics can be stale. A
+/// failure means one of those paths — or the restoration of FROM-order
+/// enumeration after a reorder — returned other rows than a plain nested
+/// loop.
+#[test]
+fn planned_joins_agree_with_the_reference() {
+    let (mut builds, mut probes, mut costed, mut cost_based, mut reordered) =
+        (0u64, 0u64, 0u64, 0u64, 0u64);
+    for mode in [DbMode::Oracle8, DbMode::Oracle9] {
+        for indexed in [false, true] {
+            for case in 0..300u64 {
+                let mut rng = Prng::seed_from_u64(0x9A7E_0000 + case);
+                let mut db = setup(mode, &mut rng);
+                if indexed {
+                    db.execute_script(INDEXES).unwrap();
+                }
+                for table in ["A", "B", "C"] {
+                    if rng.gen_bool(0.9) {
+                        db.execute(&format!("ANALYZE TABLE {table} COMPUTE STATISTICS")).unwrap();
+                    }
+                    if rng.gen_bool(0.2) {
+                        insert_row(&mut db, &mut rng, table);
+                    }
+                }
+                for _ in 0..6 {
+                    let (sql, bindings) = planned_query(&mut rng);
+                    let ctx = format!("{mode:?} indexed={indexed} case {case}: {sql}");
+                    let before = db.stats();
+                    let rows = db.query(&sql).unwrap_or_else(|e| panic!("{ctx}: {e}")).rows;
+                    let delta = db.stats().since(&before);
+                    assert_eq!(rows, nested_loop::select(&db, &sql), "{ctx}");
+                    builds += delta.hash_join_builds;
+                    probes += delta.index_scans;
+                    costed += delta.planner_plans_costed;
+
+                    let from_order = format!(
+                        "join order: cost-based ({}) — ANALYZE statistics",
+                        bindings.join(", ")
+                    );
+                    for row in db.query(&format!("EXPLAIN {sql}")).unwrap().rows {
+                        let line = row[0].as_str().unwrap().trim_start();
+                        if line.starts_with("join order: cost-based") {
+                            cost_based += 1;
+                            reordered += u64::from(line != from_order);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // The family must have exercised every path it claims to check.
+    assert!(builds > 0, "no hash join was built");
+    assert!(probes > 0, "no index was probed");
+    assert!(costed > 0, "no plan was costed");
+    assert!(cost_based > 0, "no EXPLAIN showed a cost-based join order");
+    assert!(reordered > 0, "no plan was reordered");
 }

@@ -1,33 +1,37 @@
 //! Differential property tests for secondary indexes and the cost-based
 //! planner.
 //!
-//! Three databases execute the same seeded stream of DML, transaction
+//! Two databases execute the same seeded stream of DML, transaction
 //! control, and ANALYZE statements:
 //!
-//! * `indexed`     — secondary indexes installed, cost planner on,
-//! * `planner_off` — the same indexes, `set_cost_planner(false)`,
-//! * `bare`        — no indexes at all.
+//! * `indexed` — secondary indexes installed,
+//! * `bare`    — no indexes at all.
 //!
 //! The properties:
 //!
-//! * every SELECT (point lookups and an equi-join) returns byte-identical
-//!   results on all three databases — index probes and join reordering
-//!   are pure access-path changes;
+//! * every SELECT (point lookups and an equi-join) returns, on both
+//!   databases, exactly the rows in exactly the order that the plain
+//!   nested-loop reference (`tests/support/nested_loop.rs`) computes from
+//!   `indexed`'s heap — index probes and join reordering are pure
+//!   access-path changes;
 //! * after every ROLLBACK / ROLLBACK TO SAVEPOINT, `state_dump()` is
-//!   byte-identical across all three — index maintenance rides the undo
-//!   log without perturbing replay (indexes and statistics are access
+//!   byte-identical across both — index maintenance rides the undo log
+//!   without perturbing replay (indexes and statistics are access
 //!   structures, deliberately outside the dump);
 //! * the indexed database actually *uses* the indexes: EXPLAIN pins an
 //!   `index probe` access path for the point query.
 //!
-//! The indexed databases additionally churn CREATE INDEX / DROP INDEX
+//! The indexed database additionally churns CREATE INDEX / DROP INDEX
 //! mid-transaction so undo replay also covers index DDL.
 //!
 //! A second, *key-only* family runs the same streams over tables whose only
 //! indexes are the ones behind their PRIMARY KEY / multi-column UNIQUE
-//! constraints — no `CREATE INDEX` anywhere — with the planner on and off:
-//! same accept/reject per statement, same results row for row, the planner
-//! probing the keys, and `Storage::check_indexes` clean.
+//! constraints — no `CREATE INDEX` anywhere: results row for row equal to
+//! the reference, the planner probing the keys, and
+//! `Storage::check_indexes` clean.
+
+#[path = "support/nested_loop.rs"]
+mod nested_loop;
 
 use xmlord_ordb::{Database, DbMode};
 use xmlord_prng::Prng;
@@ -48,11 +52,10 @@ struct Model {
 }
 
 enum Step {
-    /// Applied to all three databases; must succeed.
+    /// Applied to every database; must succeed.
     All(String),
-    /// Index DDL, applied only to the two index-bearing databases; may
-    /// fail (e.g. DROP of an index a rollback already retired) — both
-    /// receivers are in identical states, so they fail identically.
+    /// Index DDL, applied only to the index-bearing database; may fail
+    /// (e.g. DROP of an index a rollback already retired).
     IndexDdl(String),
     Commit,
     Rollback,
@@ -128,17 +131,14 @@ fn queries(rng: &mut Prng) -> Vec<String> {
     ]
 }
 
-fn assert_identical(dbs: &mut [&mut Database], sql: &str, ctx: &str) {
-    let expect = dbs[0].query(sql).unwrap();
-    for db in dbs[1..].iter_mut() {
-        assert_eq!(db.query(sql).unwrap(), expect, "{ctx}: divergent results for {sql}");
+/// Every database returns, in order, the rows the nested-loop reference
+/// computes from the first one's heap — so a database whose state drifted
+/// from the first fails here too, not only at the next dump comparison.
+fn assert_matches_reference(dbs: &mut [&mut Database], sql: &str, ctx: &str) {
+    let expect = nested_loop::select(dbs[0], sql);
+    for db in dbs.iter_mut() {
+        assert_eq!(db.query(sql).unwrap().rows, expect, "{ctx}: {sql} diverged from the reference");
     }
-}
-
-fn assert_same_dump(indexed: &Database, planner_off: &Database, bare: &Database, ctx: &str) {
-    let dump = indexed.state_dump();
-    assert_eq!(planner_off.state_dump(), dump, "{ctx}: planner-off dump diverged");
-    assert_eq!(bare.state_dump(), dump, "{ctx}: bare dump diverged");
 }
 
 #[test]
@@ -147,16 +147,12 @@ fn index_backed_execution_is_differentially_identical() {
         for case in 0..40u64 {
             let mut rng = Prng::seed_from_u64(0x1DE7 + case);
             let mut indexed = Database::new(mode);
-            let mut planner_off = Database::new(mode);
             let mut bare = Database::new(mode);
-            for db in [&mut indexed, &mut planner_off, &mut bare] {
+            for db in [&mut indexed, &mut bare] {
                 db.execute_script(SCHEMA).unwrap();
                 db.commit().unwrap();
             }
-            for db in [&mut indexed, &mut planner_off] {
-                db.execute_script(INDEXES).unwrap();
-            }
-            planner_off.set_cost_planner(false);
+            indexed.execute_script(INDEXES).unwrap();
 
             let mut model = Model::default();
             let total = rng.gen_range(20usize..60);
@@ -164,33 +160,27 @@ fn index_backed_execution_is_differentially_identical() {
                 let ctx = format!("mode {mode:?} case {case} step {n}");
                 match gen_step(&mut rng, &mut model, n) {
                     Step::All(sql) => {
-                        for db in [&mut indexed, &mut planner_off, &mut bare] {
+                        for db in [&mut indexed, &mut bare] {
                             db.execute(&sql).unwrap_or_else(|e| panic!("{ctx}: {sql}: {e}"));
                         }
                     }
                     Step::IndexDdl(sql) => {
-                        let a = indexed.execute(&sql).is_ok();
-                        let b = planner_off.execute(&sql).is_ok();
-                        assert_eq!(a, b, "{ctx}: index DDL outcome diverged for {sql}");
+                        let _ = indexed.execute(&sql);
                     }
                     Step::Commit => {
-                        for db in [&mut indexed, &mut planner_off, &mut bare] {
+                        for db in [&mut indexed, &mut bare] {
                             db.commit().unwrap();
                         }
                     }
                     Step::Rollback => {
-                        for db in [&mut indexed, &mut planner_off, &mut bare] {
+                        for db in [&mut indexed, &mut bare] {
                             db.execute("ROLLBACK").unwrap();
                         }
-                        assert_same_dump(&indexed, &planner_off, &bare, &ctx);
+                        assert_eq!(bare.state_dump(), indexed.state_dump(), "{ctx}: dump diverged");
                     }
                     Step::Compare => {
                         for sql in queries(&mut rng) {
-                            assert_identical(
-                                &mut [&mut indexed, &mut planner_off, &mut bare],
-                                &sql,
-                                &ctx,
-                            );
+                            assert_matches_reference(&mut [&mut indexed, &mut bare], &sql, &ctx);
                         }
                     }
                 }
@@ -200,12 +190,12 @@ fn index_backed_execution_is_differentially_identical() {
             // uncommitted.
             let ctx = format!("mode {mode:?} case {case} final");
             for sql in queries(&mut rng) {
-                assert_identical(&mut [&mut indexed, &mut planner_off, &mut bare], &sql, &ctx);
+                assert_matches_reference(&mut [&mut indexed, &mut bare], &sql, &ctx);
             }
-            for db in [&mut indexed, &mut planner_off, &mut bare] {
+            for db in [&mut indexed, &mut bare] {
                 db.execute("ROLLBACK").unwrap();
             }
-            assert_same_dump(&indexed, &planner_off, &bare, &ctx);
+            assert_eq!(bare.state_dump(), indexed.state_dump(), "{ctx}: dump diverged");
             indexed.storage().check_oid_directory().unwrap();
         }
     }
@@ -233,22 +223,17 @@ fn keyed_queries(rng: &mut Prng, n: usize) -> Vec<String> {
 
 /// The key-only family: a key's index is the planner's index. Tables with
 /// a PRIMARY KEY and multi-column UNIQUE constraints and no `CREATE INDEX`
-/// run the seeded streams with the planner on and off. Keys reject rows,
-/// so a statement may fail — identically on both. A failure here means a
-/// key lookup is scanning again, or a key probe returns other rows than
-/// the scan it replaces.
+/// run the seeded streams; keys reject rows, so a statement may fail. A
+/// failure here means a key lookup is scanning again, or a key probe
+/// returns other rows than the nested-loop reference.
 #[test]
 fn key_indexes_are_the_planners_indexes() {
     for mode in [DbMode::Oracle8, DbMode::Oracle9] {
         for case in 0..40u64 {
             let mut rng = Prng::seed_from_u64(0x4B45_5900 + case);
             let mut keyed = Database::new(mode);
-            let mut planner_off = Database::new(mode);
-            for db in [&mut keyed, &mut planner_off] {
-                db.execute_script(KEYED_SCHEMA).unwrap();
-                db.commit().unwrap();
-            }
-            planner_off.set_cost_planner(false);
+            keyed.execute_script(KEYED_SCHEMA).unwrap();
+            keyed.commit().unwrap();
 
             let mut model = Model::default();
             let total = rng.gen_range(20usize..60);
@@ -258,37 +243,29 @@ fn key_indexes_are_the_planners_indexes() {
                 let step = if n < total { gen_step(&mut rng, &mut model, n) } else { Step::Rollback };
                 match step {
                     Step::All(sql) => {
-                        let a = keyed.execute(&sql).map_err(|e| e.to_string());
-                        let b = planner_off.execute(&sql).map_err(|e| e.to_string());
-                        assert_eq!(a, b, "{ctx}: outcome diverged for {sql}");
+                        let _ = keyed.execute(&sql);
                     }
                     // Key-only: the family declares no index.
                     Step::IndexDdl(_) => {}
-                    Step::Commit => {
-                        keyed.commit().unwrap();
-                        planner_off.commit().unwrap();
-                    }
+                    Step::Commit => keyed.commit().unwrap(),
                     Step::Rollback => {
                         if n == total {
                             for sql in keyed_queries(&mut rng, n) {
-                                assert_identical(&mut [&mut keyed, &mut planner_off], &sql, &ctx);
+                                assert_matches_reference(&mut [&mut keyed], &sql, &ctx);
                             }
                         }
                         keyed.execute("ROLLBACK").unwrap();
-                        planner_off.execute("ROLLBACK").unwrap();
-                        assert_eq!(keyed.state_dump(), planner_off.state_dump(), "{ctx}");
                         keyed.storage().check_indexes().unwrap_or_else(|e| panic!("{ctx}: {e}"));
                     }
                     Step::Compare => {
                         for sql in keyed_queries(&mut rng, n) {
-                            assert_identical(&mut [&mut keyed, &mut planner_off], &sql, &ctx);
+                            assert_matches_reference(&mut [&mut keyed], &sql, &ctx);
                         }
                     }
                 }
             }
             let ctx = format!("mode {mode:?} case {case}");
             assert!(keyed.stats().index_scans > 0, "{ctx}: no key was probed");
-            assert_eq!(planner_off.stats().index_scans, 0, "{ctx}");
             keyed.storage().check_oid_directory().unwrap();
         }
     }

@@ -18,7 +18,6 @@
 //! — the differential guarantee reserves Errors for real failures.
 
 use std::collections::BTreeSet;
-use std::time::Instant;
 
 use xml2ordb::ddlgen::create_script;
 use xml2ordb::model::MappingOptions;
@@ -26,8 +25,9 @@ use xml2ordb::naming::{NameGenerator, NameKind};
 use xml2ordb::pipeline::Xml2OrDb;
 use xml2ordb::roundtrip::{compare, Loss};
 use xml2ordb::schemagen::{generate_schema, IdrefTargets};
-use xmlord_bench::{measure_load, setup, university_doc, Strategy};
-use xmlord_dtd::parse_dtd;
+use xml2ordb::strategy::{Handle, LoadCounts};
+use xmlord_bench::{paper_query, university, university_doc};
+use xmlord_dtd::{parse_dtd, MappingStrategy};
 use xmlord_ordb::{Analyzer, DbMode, Severity};
 use xmlord_workload::catalog::{catalog_xml, CatalogConfig, CATALOG_DTD};
 use xmlord_workload::dtdgen::{generate_dtd, DtdConfig};
@@ -194,26 +194,41 @@ fn fig2() {
     }
 }
 
-/// E6 — §1/§4.1 claim: statement counts and load time per strategy.
+/// Load `doc` into a fresh university instance of `strategy`.
+fn loaded(strategy: MappingStrategy, doc: &xmlord_xml::Document) -> (Handle, LoadCounts) {
+    let mut handle = university(strategy);
+    let counts =
+        handle.load(doc).unwrap_or_else(|e| panic!("{}: {e}", strategy.label()));
+    (handle, counts)
+}
+
+/// Run `sql`, returning (row count, join pairs formed).
+fn run_query(handle: &mut Handle, sql: &str) -> (usize, u64) {
+    let db = handle.database();
+    let before = db.stats();
+    let rows = db.query(sql).unwrap_or_else(|e| panic!("{e}\n{sql}")).rows.len();
+    (rows, db.stats().since(&before).join_pairs)
+}
+
+/// E6 — §1/§4.1 claim: statement counts per strategy.
 fn load() {
-    heading("E6 — Document load: INSERT statements and wall time per strategy");
+    heading("E6 — Document load: INSERT statements and rows per strategy");
     println!(
-        "{:<8} {:>9} {:>12} {:>10} {:>10} {:>12}",
-        "strategy", "students", "elements", "INSERTs", "rows", "load(ms)"
+        "{:<8} {:>9} {:>12} {:>10} {:>10}",
+        "strategy", "students", "elements", "INSERTs", "rows"
     );
     for students in [10, 100, 1000] {
-        let (xml, _) = university_doc(students);
+        let (xml, doc) = university_doc(students);
         let elements = xml.matches("</").count();
-        for strategy in Strategy::ALL {
-            let m = measure_load(strategy, students);
+        for strategy in MappingStrategy::ALL {
+            let (_, m) = loaded(strategy, &doc);
             println!(
-                "{:<8} {:>9} {:>12} {:>10} {:>10} {:>12.2}",
-                strategy.name(),
+                "{:<8} {:>9} {:>12} {:>10} {:>10}",
+                strategy.label(),
                 students,
                 elements,
                 m.statements,
-                m.rows,
-                m.micros as f64 / 1000.0
+                m.rows
             );
         }
         println!();
@@ -223,9 +238,9 @@ fn load() {
     println!("relational insert operations'.");
 }
 
-/// E7 — §4.1 claim: query latency and join work vs path depth.
+/// E7 — §4.1 claim: join work vs path depth.
 fn query() {
-    heading("E7 — Path queries: latency and join work per strategy");
+    heading("E7 — Path queries: join work per strategy");
     let paths: Vec<(&str, Vec<&str>)> = vec![
         ("depth 1", vec!["StudyCourse"]),
         ("depth 2", vec!["Student", "LName"]),
@@ -233,37 +248,20 @@ fn query() {
         ("depth 5", vec!["Student", "Course", "Professor", "PName"]),
     ];
     let students = 50;
-    println!(
-        "{:<8} {:<10} {:>8} {:>12} {:>12}",
-        "strategy", "path", "rows", "join-pairs", "time(ms)"
-    );
-    for strategy in Strategy::ALL {
-        let mut instance = setup(strategy);
-        let (_, doc) = university_doc(students);
-        instance.load(&doc);
-        for (label, steps) in &paths {
-            let sql = instance.path_query(steps, None);
-            let (rows, join_pairs, micros) = instance.run_query(&sql);
-            println!(
-                "{:<8} {:<10} {:>8} {:>12} {:>12.2}",
-                instance.strategy.name(),
-                label,
-                rows,
-                join_pairs,
-                micros as f64 / 1000.0
-            );
+    println!("{:<8} {:<10} {:>8} {:>12}", "strategy", "path", "rows", "join-pairs");
+    let (_, doc) = university_doc(students);
+    for strategy in MappingStrategy::ALL {
+        let (mut handle, _) = loaded(strategy, &doc);
+        let queries = paths
+            .iter()
+            .map(|(label, steps)| (*label, handle.path_query(steps, None).expect("translates")))
+            // The paper's predicate query.
+            .chain([("paper-q", paper_query(&handle))])
+            .collect::<Vec<_>>();
+        for (label, sql) in queries {
+            let (rows, join_pairs) = run_query(&mut handle, &sql);
+            println!("{:<8} {:<10} {:>8} {:>12}", strategy.label(), label, rows, join_pairs);
         }
-        // The paper's predicate query.
-        let sql = instance.paper_query();
-        let (rows, join_pairs, micros) = instance.run_query(&sql);
-        println!(
-            "{:<8} {:<10} {:>8} {:>12} {:>12.2}",
-            instance.strategy.name(),
-            "paper-q",
-            rows,
-            join_pairs,
-            micros as f64 / 1000.0
-        );
         println!();
     }
     println!("Paper claim (§4.1): dot notation traverses the object structure 'without");
@@ -273,18 +271,13 @@ fn query() {
 /// E8 — §1 claim: degree of decomposition.
 fn shredding() {
     heading("E8 — Fragmentation: tables and rows per stored document");
-    let students = 100;
-    let (_, doc) = university_doc(students);
-    println!(
-        "{:<8} {:>8} {:>8}   description",
-        "strategy", "tables", "rows"
-    );
-    for strategy in Strategy::ALL {
-        let mut instance = setup(strategy);
-        let m = instance.load(&doc);
+    let (_, doc) = university_doc(100);
+    println!("{:<8} {:>8} {:>8}   description", "strategy", "tables", "rows");
+    for strategy in MappingStrategy::ALL {
+        let (_, m) = loaded(strategy, &doc);
         println!(
             "{:<8} {:>8} {:>8}   {}",
-            strategy.name(),
+            strategy.label(),
             m.tables,
             m.rows,
             strategy.describe()
@@ -337,25 +330,17 @@ fn roundtrip() {
 /// E10 — §4.2: Oracle 8 vs Oracle 9 ablation.
 fn modes() {
     heading("E10 — Oracle 8 (REF workaround) vs Oracle 9 (nested collections)");
-    println!(
-        "{:<8} {:>9} {:>10} {:>10} {:>12} {:>12}",
-        "mode", "students", "INSERTs", "tables", "load(ms)", "query(ms)"
-    );
+    println!("{:<8} {:>9} {:>10} {:>10}", "mode", "students", "INSERTs", "tables");
     for students in [10, 100, 500] {
-        for strategy in [Strategy::Or9, Strategy::Or8] {
-            let mut instance = setup(strategy);
-            let (_, doc) = university_doc(students);
-            let m = instance.load(&doc);
-            let sql = instance.paper_query();
-            let (_, _, q_micros) = instance.run_query(&sql);
+        let (_, doc) = university_doc(students);
+        for strategy in [MappingStrategy::Or9, MappingStrategy::Or8] {
+            let (_, m) = loaded(strategy, &doc);
             println!(
-                "{:<8} {:>9} {:>10} {:>10} {:>12.2} {:>12.2}",
-                instance.strategy.name(),
+                "{:<8} {:>9} {:>10} {:>10}",
+                strategy.label(),
                 students,
                 m.statements,
-                m.tables,
-                m.micros as f64 / 1000.0,
-                q_micros as f64 / 1000.0
+                m.tables
             );
         }
     }
@@ -367,13 +352,12 @@ fn modes() {
 fn schemagen_scaling() {
     heading("E13 — Schema generation scaling with DTD size");
     println!(
-        "{:<20} {:>10} {:>12} {:>12} {:>12}",
-        "DTD shape", "elements", "gen(ms)", "types", "DDL bytes"
+        "{:<20} {:>10} {:>12} {:>12}",
+        "DTD shape", "elements", "types", "DDL bytes"
     );
     for (depth, fanout) in [(2usize, 2usize), (3, 2), (3, 3), (4, 3), (5, 3)] {
         let generated = generate_dtd(&DtdConfig { depth, fanout, ..Default::default() });
         let dtd = parse_dtd(&generated.dtd_text).unwrap();
-        let start = Instant::now();
         let schema = generate_schema(
             &dtd,
             &generated.root,
@@ -383,12 +367,10 @@ fn schemagen_scaling() {
         )
         .unwrap();
         let script = create_script(&schema).unwrap();
-        let elapsed = start.elapsed().as_micros() as f64 / 1000.0;
         println!(
-            "{:<20} {:>10} {:>12.2} {:>12} {:>12}",
+            "{:<20} {:>10} {:>12} {:>12}",
             format!("depth {depth} fanout {fanout}"),
             generated.element_count(),
-            elapsed,
             schema.generated_type_count(),
             script.len()
         );
@@ -461,8 +443,9 @@ fn analyze(mode_filter: &str) -> bool {
     heading("E15 — sqlcheck: static analysis of generated mapping scripts");
     let mut ok = true;
     let (_, doc) = university_doc(2);
-    for strategy in Strategy::ALL {
-        let mode = strategy.analyze_mode();
+    for strategy in MappingStrategy::ALL {
+        let mut handle = university(strategy);
+        let mode = handle.database().mode();
         let wanted = match mode_filter {
             "oracle8" => mode == DbMode::Oracle8,
             "oracle9" => mode == DbMode::Oracle9,
@@ -471,10 +454,9 @@ fn analyze(mode_filter: &str) -> bool {
         if !wanted {
             continue;
         }
-        let instance = setup(strategy);
-        let load = instance.load_statements(&doc).join(";\n");
-        let script = format!("{}\n{load}", instance.ddl);
-        let file = format!("{}.sql", strategy.name());
+        let load = handle.load_statements(&doc).expect("load generates").join(";\n");
+        let script = format!("{}\n{load}", handle.ddl());
+        let file = format!("{}.sql", strategy.label());
         let diags = Analyzer::new(mode)
             .analyze_script(&script)
             .unwrap_or_else(|e| panic!("{file} failed to parse: {e}"));
@@ -586,9 +568,9 @@ fn maplint_experiment() -> bool {
 /// Oracle 9 DDL (nested collections) linted under Oracle 8 rules.
 fn cross_mode_demo() {
     println!("\n--- cross-mode demo (expected errors; not counted in the verdict)");
-    let or9 = setup(Strategy::Or9);
+    let or9 = university(MappingStrategy::Or9);
     let diags = Analyzer::new(DbMode::Oracle8)
-        .analyze_script(&or9.ddl)
+        .analyze_script(or9.ddl())
         .expect("or9 DDL parses");
     let nested: Vec<_> = diags
         .iter()
@@ -599,7 +581,7 @@ fn cross_mode_demo() {
         nested.len()
     );
     if let Some(d) = nested.first() {
-        println!("{}", d.render(&or9.ddl, "or9-under-oracle8.sql"));
+        println!("{}", d.render(or9.ddl(), "or9-under-oracle8.sql"));
     }
 }
 

@@ -7,7 +7,8 @@
 //! deliberately: `UPDATE_GOLDEN=1 cargo test -p xmlord-bench --test
 //! explain_golden`.
 
-use xmlord_bench::{ref_chain_db, setup, university_doc, Strategy};
+use xmlord_bench::{paper_query, ref_chain_db, university, university_doc};
+use xmlord_dtd::MappingStrategy;
 use xmlord_ordb::{Database, DbMode};
 
 /// Render `EXPLAIN <sql>` to one newline-joined string.
@@ -73,18 +74,18 @@ fn plans_match_with_and_without_rows() {
 
 #[test]
 fn paper_query_edge_join_plan_oracle9() {
-    let mut instance = setup(Strategy::Edge);
-    let sql = instance.paper_query();
-    check("paperq_edge_oracle9.txt", &plan_text(&mut instance.db, &sql));
+    let mut edge = university(MappingStrategy::Edge);
+    let sql = paper_query(&edge);
+    check("paperq_edge_oracle9.txt", &plan_text(edge.database(), &sql));
 }
 
 #[test]
 fn paper_query_edge_join_plan_oracle8() {
     // Same edge-table DDL and query text under Oracle 8 rules.
-    let instance = setup(Strategy::Edge);
+    let edge = university(MappingStrategy::Edge);
     let mut db = Database::new(DbMode::Oracle8);
-    db.execute_script(&instance.ddl).unwrap();
-    let sql = instance.paper_query();
+    db.execute_script(edge.ddl()).unwrap();
+    let sql = paper_query(&edge);
     check("paperq_edge_oracle8.txt", &plan_text(&mut db, &sql));
 }
 
@@ -122,11 +123,10 @@ fn ref_chain_join_plan_with_indexes() {
 /// deterministic.)
 #[test]
 fn paper_query_edge_join_plan_indexed() {
-    let mut instance = setup(Strategy::Edge);
+    let mut edge = university(MappingStrategy::Edge);
     let (_, doc) = university_doc(10);
-    instance.load(&doc);
-    instance
-        .db
+    edge.load(&doc).unwrap();
+    edge.database()
         .execute_script(
             "CREATE INDEX IxEdgeSource ON TabEdge (Source);
              CREATE INDEX IxEdgeName ON TabEdge (Name);
@@ -135,8 +135,8 @@ fn paper_query_edge_join_plan_indexed() {
              ANALYZE TABLE TabValue COMPUTE STATISTICS;",
         )
         .unwrap();
-    let sql = instance.paper_query();
-    let plan = plan_text(&mut instance.db, &sql);
+    let sql = paper_query(&edge);
+    let plan = plan_text(edge.database(), &sql);
     assert!(plan.contains("index probe"), "{plan}");
     assert!(plan.contains("cost-based"), "{plan}");
     check("paperq_edge_indexed.txt", &plan);
@@ -147,12 +147,12 @@ fn paper_query_edge_join_plan_indexed() {
 /// planner itself chooses a nested loop for every join.
 #[test]
 fn non_equi_edge_joins_plan_nested_loops() {
-    let mut instance = setup(Strategy::Edge);
-    let equi = instance.paper_query();
+    let mut edge = university(MappingStrategy::Edge);
+    let equi = paper_query(&edge);
     let sql = equi.replace(" = e", " <> e");
     assert_eq!(sql.matches(" <> e").count(), 9, "{sql}");
-    assert!(plan_text(&mut instance.db, &equi).contains("hash join"));
-    let nested = plan_text(&mut instance.db, &sql);
+    assert!(plan_text(edge.database(), &equi).contains("hash join"));
+    let nested = plan_text(edge.database(), &sql);
     assert!(!nested.contains("hash join"), "{nested}");
     let joins = nested.lines().filter(|l| l.ends_with(" — nested-loop join")).count();
     assert_eq!(joins, 9, "{nested}");
@@ -161,12 +161,13 @@ fn non_equi_edge_joins_plan_nested_loops() {
     // is tried against every edge, and none survives — every student hangs
     // below the root, which `e1.Source <> e0.Target` excludes.
     let (_, doc) = university_doc(2);
-    instance.load(&doc);
-    let before = instance.db.stats();
-    let rows = instance.db.query(&sql).unwrap().rows;
-    let delta = instance.db.stats().since(&before);
+    edge.load(&doc).unwrap();
+    let db = edge.database();
+    let before = db.stats();
+    let rows = db.query(&sql).unwrap().rows;
+    let delta = db.stats().since(&before);
     assert_eq!(delta.hash_join_builds, 0);
-    assert_eq!(delta.join_pairs, instance.db.row_count("TabEdge") as u64);
+    assert_eq!(delta.join_pairs, db.row_count("TabEdge") as u64);
     assert!(rows.is_empty(), "{rows:?}");
 }
 
@@ -178,8 +179,8 @@ const OR8_WIRING_QUERY: &str = "SELECT REF(x) FROM TabCourse x WHERE (x.IDCourse
 
 #[test]
 fn key_probe_plan_oracle8() {
-    let mut instance = setup(Strategy::Or8);
-    let plan = plan_text(&mut instance.db, OR8_WIRING_QUERY);
+    let mut or8 = university(MappingStrategy::Or8);
+    let plan = plan_text(or8.database(), OR8_WIRING_QUERY);
     assert!(plan.contains("index probe TabCourse(IDCourse) PRIMARY KEY"), "{plan}");
     check("keyprobe_oracle8.txt", &plan);
 }
@@ -193,15 +194,16 @@ const REL_UPWARD_QUERY: &str = "SELECT s.attrLName FROM RelCourse c, RelStudent 
 
 #[test]
 fn key_probe_plan_oracle9() {
-    let mut instance = setup(Strategy::Relational);
-    let plan = plan_text(&mut instance.db, REL_UPWARD_QUERY);
+    let mut rel = university(MappingStrategy::Relational);
+    let db = rel.database();
+    let plan = plan_text(db, REL_UPWARD_QUERY);
     assert!(plan.contains("index probe RelStudent(IDStudent) PRIMARY KEY"), "{plan}");
     check("keyprobe_oracle9.txt", &plan);
-    instance.db.execute("CREATE INDEX IxStudentID ON RelStudent (IDStudent)").unwrap();
-    assert_eq!(plan_text(&mut instance.db, REL_UPWARD_QUERY), plan);
+    db.execute("CREATE INDEX IxStudentID ON RelStudent (IDStudent)").unwrap();
+    assert_eq!(plan_text(db, REL_UPWARD_QUERY), plan);
     // DROP INDEX reaches the declared index only.
-    instance.db.execute("DROP INDEX IxStudentID").unwrap();
-    assert_eq!(plan_text(&mut instance.db, REL_UPWARD_QUERY), plan);
+    db.execute("DROP INDEX IxStudentID").unwrap();
+    assert_eq!(plan_text(db, REL_UPWARD_QUERY), plan);
 }
 
 /// Key definitions are derived from the table definitions, never stored:
@@ -211,11 +213,11 @@ fn key_probe_plan_oracle9() {
 fn key_probe_plan_survives_snapshot_and_reopen() {
     let dir = std::env::temp_dir().join(format!("xmlord-explain-golden-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let fixture = setup(Strategy::Or8);
+    let fixture = university(MappingStrategy::Or8);
     let (_, doc) = university_doc(3);
     let mut db = Database::open(&dir, DbMode::Oracle8).unwrap();
-    db.execute_script(&fixture.ddl).unwrap();
-    for statement in fixture.load_statements(&doc) {
+    db.execute_script(fixture.ddl()).unwrap();
+    for statement in fixture.load_statements(&doc).unwrap() {
         db.execute(&statement).unwrap();
     }
     db.commit().unwrap();

@@ -26,6 +26,10 @@
 //!    §4.1, and [`views`] builds the §6.3 object views over a shredded
 //!    relational schema.
 //!
+//! [`strategy`] drives any of the six storage strategies the paper
+//! compares — the two object-relational modes and the relational
+//! baselines of `xmlord-shred` — through one handle.
+//!
 //! [`pipeline::Xml2OrDb`] ties all of it together:
 //!
 //! ```
@@ -54,6 +58,7 @@ pub mod pipeline;
 pub mod retriever;
 pub mod roundtrip;
 pub mod schemagen;
+pub mod strategy;
 pub mod views;
 
 pub use error::MappingError;

@@ -8,7 +8,7 @@
 //! physical tables." Set-valued simple elements are folded in with
 //! `CAST(MULTISET(…))`, exactly as the paper's closing example shows.
 //!
-//! The module therefore contains three pieces:
+//! The module therefore contains four pieces:
 //! 1. [`relational_schema`] — the referenced "known mapping algorithm": a
 //!    key-based relational shredding (one table per complex element, with
 //!    `ID…` primary keys and an `IDParent` foreign key, §6.3's
@@ -16,7 +16,9 @@
 //!    coexist with the object-relational tables),
 //! 2. [`relational_load_script`] — the multi-INSERT loader for it (also the
 //!    measured baseline for experiment E6's statement counts),
-//! 3. [`object_view_script`] — the `CREATE VIEW OView_… AS SELECT Type_…(…)`
+//! 3. [`relational_path_query`] — path queries over it, one join per table
+//!    step,
+//! 4. [`object_view_script`] — the `CREATE VIEW OView_… AS SELECT Type_…(…)`
 //!    statement with nested constructors and `CAST(MULTISET(…))`.
 
 use std::collections::BTreeMap;
@@ -249,6 +251,108 @@ fn shred(
         Err(MappingError::Unsupported(format!(
             "<{element}> cannot be shredded as a row (simple element)"
         )))
+    }
+}
+
+/// Translate a path query against the relational schema, as \[2\]-style
+/// systems do: one join per table step along the parent keys. The result
+/// and predicate paths share their common prefix, so the predicate
+/// constrains the same rows the result is read from.
+pub fn relational_path_query(
+    rel: &RelationalSchema,
+    steps: &[&str],
+    predicate: Option<(&[&str], &str)>,
+) -> String {
+    let mut b = RelQueryBuilder { rel, from: Vec::new(), wheres: Vec::new(), next: 0 };
+    let root_cursor = (b.join(&rel.root, None), rel.root.clone());
+    let expr = match predicate {
+        None => b.descend(root_cursor, steps),
+        Some((path, value)) => {
+            let shared = steps
+                .iter()
+                .zip(path.iter())
+                .take_while(|(a, b)| a == b)
+                .count()
+                .min(steps.len().saturating_sub(1))
+                .min(path.len().saturating_sub(1));
+            let mut cursor = root_cursor;
+            for step in &steps[..shared] {
+                cursor = b.advance(cursor, step);
+            }
+            let expr = b.descend(cursor.clone(), &steps[shared..]);
+            let pred_expr = b.descend(cursor, &path[shared..]);
+            b.wheres.push(format!("{pred_expr} = '{}'", value.replace('\'', "''")));
+            expr
+        }
+    };
+    let mut sql = format!("SELECT DISTINCT {expr} FROM {}", b.from.join(", "));
+    if !b.wheres.is_empty() {
+        sql.push_str(" WHERE ");
+        sql.push_str(&b.wheres.join(" AND "));
+    }
+    sql
+}
+
+/// FROM items and join conditions of one [`relational_path_query`]; a
+/// cursor is (alias, element) of the row the walk stands on.
+struct RelQueryBuilder<'a> {
+    rel: &'a RelationalSchema,
+    from: Vec<String>,
+    wheres: Vec<String>,
+    next: usize,
+}
+
+impl RelQueryBuilder<'_> {
+    fn alias(&mut self, table: &str) -> String {
+        let alias = format!("r{}", self.next);
+        self.next += 1;
+        self.from.push(format!("{table} {alias}"));
+        alias
+    }
+
+    /// Join the table of `element` (which has one) below `parent`.
+    fn join(&mut self, element: &str, parent: Option<&(String, String)>) -> String {
+        let table = self.rel.table_for(element).expect("element has a table").name.clone();
+        let alias = self.alias(&table);
+        if let Some(parent) = parent {
+            self.join_parent(&alias, parent);
+        }
+        alias
+    }
+
+    fn join_parent(&mut self, alias: &str, (parent_alias, parent_element): &(String, String)) {
+        let parent_table = self.rel.table_for(parent_element).expect("cursor has a table");
+        self.wheres.push(format!("{alias}.IDParent = {parent_alias}.{}", parent_table.id_column));
+    }
+
+    /// Advance one element step: a table step joins, an inlined step stays
+    /// on the current row (its columns carry the name).
+    fn advance(&mut self, cursor: (String, String), step: &str) -> (String, String) {
+        if self.rel.table_for(step).is_some() {
+            (self.join(step, Some(&cursor)), step.to_string())
+        } else {
+            cursor
+        }
+    }
+
+    fn descend(&mut self, mut cursor: (String, String), steps: &[&str]) -> String {
+        for step in steps {
+            if let Some(attr) = step.strip_prefix('@') {
+                return format!("{}.attr{attr}", cursor.0);
+            }
+            if self.rel.table_for(step).is_some() {
+                cursor = self.advance(cursor, step);
+            } else if let Some(list) = self.rel.leaf_list_for(step) {
+                let (table, column) = (list.name.clone(), list.columns[0].0.clone());
+                let alias = self.alias(&table);
+                self.join_parent(&alias, &cursor);
+                return format!("{alias}.{column}");
+            } else {
+                // Inlined simple child: a column on the current table.
+                return format!("{}.attr{step}", cursor.0);
+            }
+        }
+        cursor.0
     }
 }
 

@@ -13,16 +13,10 @@
 use xml2ordb::model::MappingOptions;
 use xml2ordb::pipeline::Xml2OrDb;
 use xml2ordb::retriever::retrieve_snapshot;
-use xml2ordb::schemagen::{generate_schema, IdrefTargets};
-use xml2ordb::views::{
-    reconstruct_relational, relational_ddl, relational_load_script, relational_schema,
-};
-use xmlord_dtd::parse_dtd;
-use xmlord_ordb::{Database, DbMode};
+use xml2ordb::strategy::setup;
+use xmlord_dtd::{parse_dtd, MappingStrategy};
+use xmlord_ordb::DbMode;
 use xmlord_prng::Prng;
-use xmlord_shred::inline::InlineSchema;
-use xmlord_shred::retrieve::{reconstruct_attrtab, reconstruct_edge, reconstruct_inline};
-use xmlord_shred::{attrtab, edge};
 use xmlord_workload::dtdgen::{generate_dtd, DtdConfig};
 use xmlord_xml::serializer::{serialize, SerializeOptions};
 
@@ -66,11 +60,17 @@ fn or_strategies_bulk_naive_and_original_agree() {
     }
 }
 
-/// rel / edge / attr / inline through the strategy-specific reconstructors:
-/// shred into a fresh database, rebuild with both access paths, compare
-/// against the canonical original.
+/// rel / edge / attr / inline through the strategy handle: shred into a
+/// fresh database, rebuild with both access paths, compare against the
+/// canonical original.
 #[test]
 fn generic_strategies_bulk_naive_and_original_agree() {
+    let generic = [
+        MappingStrategy::Relational,
+        MappingStrategy::Edge,
+        MappingStrategy::AttributeTables,
+        MappingStrategy::Inline,
+    ];
     for case in 0..6u64 {
         let config = corpus(case);
         let generated = generate_dtd(&config);
@@ -78,83 +78,19 @@ fn generic_strategies_bulk_naive_and_original_agree() {
         let expect = canonical(&xml);
         let dtd = parse_dtd(&generated.dtd_text).unwrap();
         let doc = xmlord_xml::parse(&xml).unwrap();
-        let root = generated.root.as_str();
-
-        // §6.3 key-based relational shredding.
-        let schema = generate_schema(
-            &dtd,
-            root,
-            DbMode::Oracle9,
-            MappingOptions { with_doc_id: false, ..Default::default() },
-            &IdrefTargets::new(),
-        )
-        .unwrap();
-        let rel = relational_schema(&schema);
-        let mut db = Database::new(DbMode::Oracle9);
-        db.execute_script(&relational_ddl(&rel, 4000)).unwrap();
-        for stmt in relational_load_script(&schema, &rel, &doc).unwrap() {
-            db.execute(&stmt).unwrap();
-        }
-        let storage = db.storage();
-        for bulk in [false, true] {
-            let restored = reconstruct_relational(&schema, &rel, &storage, bulk).unwrap();
-            assert_eq!(
-                serialize(&restored, &SerializeOptions::compact()),
-                expect,
-                "case {case} rel bulk={bulk}"
-            );
-        }
-        drop(storage);
-
-        // Edge table.
-        let mut db = Database::new(DbMode::Oracle9);
-        db.execute_script(edge::ddl()).unwrap();
-        for stmt in edge::load(&doc) {
-            db.execute(&stmt).unwrap();
-        }
-        let storage = db.storage();
-        for bulk in [false, true] {
-            let restored = reconstruct_edge(&storage, bulk).unwrap();
-            assert_eq!(
-                serialize(&restored, &SerializeOptions::compact()),
-                expect,
-                "case {case} edge bulk={bulk}"
-            );
-        }
-        drop(storage);
-
-        // Attribute tables.
-        let mut db = Database::new(DbMode::Oracle9);
-        db.execute_script(&attrtab::ddl(&dtd, root)).unwrap();
-        for stmt in attrtab::load(&doc) {
-            db.execute(&stmt).unwrap();
-        }
-        let storage = db.storage();
-        for bulk in [false, true] {
-            let restored = reconstruct_attrtab(&storage, &dtd, root, bulk).unwrap();
-            assert_eq!(
-                serialize(&restored, &SerializeOptions::compact()),
-                expect,
-                "case {case} attr bulk={bulk}"
-            );
-        }
-        drop(storage);
-
-        // Hybrid inlining.
-        let inline_schema = InlineSchema::build(&dtd, root);
-        let mut db = Database::new(DbMode::Oracle9);
-        db.execute_script(&inline_schema.ddl()).unwrap();
-        for stmt in inline_schema.load(&doc).unwrap() {
-            db.execute(&stmt).unwrap();
-        }
-        let storage = db.storage();
-        for bulk in [false, true] {
-            let restored = reconstruct_inline(&storage, &inline_schema, &dtd, bulk).unwrap();
-            assert_eq!(
-                serialize(&restored, &SerializeOptions::compact()),
-                expect,
-                "case {case} inline bulk={bulk}"
-            );
+        for strategy in generic {
+            let mut handle =
+                setup(strategy, &dtd, &generated.root, &MappingOptions::default()).unwrap();
+            handle.load(&doc).unwrap();
+            for bulk in [false, true] {
+                let restored = handle.reconstruct(bulk).unwrap();
+                assert_eq!(
+                    serialize(&restored, &SerializeOptions::compact()),
+                    expect,
+                    "case {case} {} bulk={bulk}",
+                    strategy.label()
+                );
+            }
         }
     }
 }

@@ -75,8 +75,20 @@ impl MappingStrategy {
         )
     }
 
+    /// One line on what the strategy is and where it comes from.
+    pub fn describe(self) -> &'static str {
+        match self {
+            MappingStrategy::Or9 => "object-relational (Oracle 9, nested collections)",
+            MappingStrategy::Or8 => "object-relational (Oracle 8, REF workaround)",
+            MappingStrategy::Relational => "key-based relational shredding [2]",
+            MappingStrategy::Edge => "edge table [5]",
+            MappingStrategy::AttributeTables => "attribute tables [5]",
+            MappingStrategy::Inline => "hybrid inlining [9]",
+        }
+    }
+
     /// Strategies that store set-valued children in bounded VARRAYs.
-    fn uses_varrays(self) -> bool {
+    pub fn uses_varrays(self) -> bool {
         matches!(self, MappingStrategy::Or9 | MappingStrategy::Or8)
     }
 }

@@ -134,8 +134,8 @@
 //! character spans and render rustc-style ([`analyze::Diagnostic::render`]).
 //! [`Severity::Error`](analyze::Severity) findings are guaranteed to match
 //! an executor rejection (see the module docs for the differential
-//! contract); [`Database::set_analyze`] runs the analyzer inline on every
-//! executed script and counts findings in [`stats::ExecStats`].
+//! contract); [`Database::check`] runs it against the live catalog without
+//! executing anything.
 //!
 //! ```
 //! use xmlord_ordb::{Database, DbMode, Value};

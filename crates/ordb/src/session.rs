@@ -1,6 +1,6 @@
 //! The [`Database`] façade: parse → execute, statistics, introspection.
 
-use crate::analyze::{Analyzer, Diagnostic, Severity};
+use crate::analyze::{Analyzer, Diagnostic};
 use crate::catalog::Catalog;
 use crate::error::DbError;
 use crate::exec::ddl::{execute_ddl, index_positions};
@@ -263,7 +263,6 @@ pub struct Database {
     /// differential baseline for the retrieval benchmarks
     /// ([`Self::set_bulk_retrieval`]).
     bulk_retrieval: bool,
-    analyze: bool,
     /// Explicit `SAVEPOINT name` marks, oldest first. COMMIT and full
     /// ROLLBACK discard them; `ROLLBACK TO name` discards only the ones
     /// established after `name` (Oracle semantics — the target survives).
@@ -301,7 +300,6 @@ impl Clone for Database {
             mode: self.mode,
             plan_cache: self.plan_cache.clone(),
             bulk_retrieval: self.bulk_retrieval,
-            analyze: self.analyze,
             savepoints: self.savepoints.clone(),
             trace: self.trace.clone(),
             durability: None,
@@ -331,7 +329,6 @@ impl Database {
             mode,
             plan_cache: PlanCache::default(),
             bulk_retrieval: true,
-            analyze: false,
             savepoints: Vec::new(),
             trace: None,
             durability: None,
@@ -550,42 +547,11 @@ impl Database {
         tracer.time(token.phase, nanos);
     }
 
-    /// Enable or disable the inline static analyzer (off by default). When
-    /// on, every SQL text handed to [`execute`](Self::execute) /
-    /// [`execute_script`](Self::execute_script) is first checked by
-    /// [`crate::analyze::Analyzer`] against a clone of the live catalog, and
-    /// findings are counted into [`ExecStats::analyzer_errors`] /
-    /// [`ExecStats::analyzer_warnings`]. Analysis is advisory: execution
-    /// proceeds regardless — the differential guarantee means every
-    /// `Error`-severity finding is rejected by the executor anyway, and
-    /// counting both lets tests assert the two agree.
-    pub fn set_analyze(&mut self, enabled: bool) {
-        self.analyze = enabled;
-    }
-
     /// Statically check a script against the current catalog without
     /// executing anything (the analyzer works on a clone).
     pub fn check(&self, sql: &str) -> Result<Vec<Diagnostic>, DbError> {
         let catalog = self.shared.read().catalog.clone();
         Analyzer::with_catalog(catalog, self.mode).analyze_script(sql)
-    }
-
-    /// Inline analysis for [`set_analyze`](Self::set_analyze). Parse errors
-    /// are ignored here — execution surfaces them to the caller.
-    fn analyze_inline(&mut self, sql: &str) {
-        if !self.analyze {
-            return;
-        }
-        let span = self.trace_begin("analyze", "inline script check");
-        if let Ok(diags) = self.check(sql) {
-            for d in &diags {
-                match d.severity {
-                    Severity::Error => self.stats.analyzer_errors += 1,
-                    Severity::Warning => self.stats.analyzer_warnings += 1,
-                }
-            }
-        }
-        self.trace_end(span);
     }
 
     /// Enable or disable set-oriented bulk document reconstruction (on by
@@ -698,8 +664,6 @@ impl Database {
             ("hash_join_probes", s.hash_join_probes),
             ("plan_cache_hits", s.plan_cache_hits),
             ("plan_cache_misses", s.plan_cache_misses),
-            ("analyzer_errors", s.analyzer_errors),
-            ("analyzer_warnings", s.analyzer_warnings),
             ("txn_rollbacks", s.txn_rollbacks),
             ("undo_records", s.undo_records),
             ("savepoints", s.savepoints),
@@ -777,7 +741,6 @@ impl Database {
         policy: RecoveryPolicy,
         results: ResultMode,
     ) -> Result<ScriptOutcome, DbError> {
-        self.analyze_inline(sql);
         let stmts = self.cached_parse(sql)?;
         let script_mark = self.txn_mark();
         let mut outcome = ScriptOutcome::default();
@@ -944,7 +907,6 @@ impl Database {
 
     /// Execute a single statement.
     pub fn execute(&mut self, sql: &str) -> Result<Option<QueryResult>, DbError> {
-        self.analyze_inline(sql);
         let stmts = self.cached_parse(sql)?;
         if stmts.len() == 1 {
             return self.execute_stmt(&stmts[0]);
@@ -1890,25 +1852,26 @@ mod tests {
     }
 
     #[test]
-    fn inline_analyzer_counts_findings_without_blocking_execution() {
+    fn check_beside_execute_agrees_with_the_executor() {
+        let errors = |diags: &[Diagnostic]| {
+            diags.iter().filter(|x| x.severity == crate::Severity::Error).count()
+        };
         let mut d = db();
-        d.set_analyze(true);
-        d.execute_script(
-            "CREATE TYPE Type_P AS OBJECT(name VARCHAR(10), boss REF Type_P);
+        let script = "CREATE TYPE Type_P AS OBJECT(name VARCHAR(10), boss REF Type_P);
              CREATE TABLE TabP OF Type_P;
-             INSERT INTO TabP VALUES (Type_P('x', NULL));",
-        )
-        .unwrap();
+             INSERT INTO TabP VALUES (Type_P('x', NULL));";
         // The REF column draws an unscoped-ref warning; nothing is an error,
-        // and execution went through untouched.
-        assert_eq!(d.stats().analyzer_errors, 0);
-        assert!(d.stats().analyzer_warnings >= 1);
+        // and execution goes through untouched.
+        let diags = d.check(script).unwrap();
+        assert_eq!(errors(&diags), 0);
+        assert!(!diags.is_empty());
+        d.execute_script(script).unwrap();
         assert_eq!(d.row_count("TabP"), 1);
-        // A statement the executor rejects is also an analyzer error, and
-        // the rejection still reaches the caller.
-        let err = d.execute("INSERT INTO Nope VALUES (1)").unwrap_err();
+        // A statement the executor rejects is also an analyzer error.
+        let bad = "INSERT INTO Nope VALUES (1)";
+        assert_eq!(errors(&d.check(bad).unwrap()), 1);
+        let err = d.execute(bad).unwrap_err();
         assert!(matches!(err, DbError::UnknownTable(_)));
-        assert_eq!(d.stats().analyzer_errors, 1);
     }
 
     #[test]

@@ -42,11 +42,6 @@ pub struct ExecStats {
     pub plan_cache_hits: u64,
     /// Statements that had to be parsed and were then cached.
     pub plan_cache_misses: u64,
-    /// Error-severity findings from the inline static analyzer
-    /// ([`crate::Database::set_analyze`]).
-    pub analyzer_errors: u64,
-    /// Warning-severity findings from the inline static analyzer.
-    pub analyzer_warnings: u64,
     /// Rollbacks performed: explicit `ROLLBACK [TO name]`, the implicit
     /// per-statement rollback of a failing statement, and `Atomic`-policy
     /// script rollbacks.
@@ -105,8 +100,6 @@ impl ExecStats {
             hash_join_probes: self.hash_join_probes - earlier.hash_join_probes,
             plan_cache_hits: self.plan_cache_hits - earlier.plan_cache_hits,
             plan_cache_misses: self.plan_cache_misses - earlier.plan_cache_misses,
-            analyzer_errors: self.analyzer_errors - earlier.analyzer_errors,
-            analyzer_warnings: self.analyzer_warnings - earlier.analyzer_warnings,
             txn_rollbacks: self.txn_rollbacks - earlier.txn_rollbacks,
             undo_records: self.undo_records - earlier.undo_records,
             savepoints: self.savepoints - earlier.savepoints,

@@ -26,7 +26,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 pub struct TraceEvent {
     /// Monotonic per-tracer sequence number (0-based).
     pub seq: u64,
-    /// Phase tag: `"parse"`, `"analyze"`, `"execute"`, or a pipeline-level
+    /// Phase tag: `"parse"`, `"execute"`, or a pipeline-level
     /// span such as `"shred"` / `"generate"` / `"load"` / `"retrieve"`.
     pub phase: &'static str,
     /// Human-readable context — the statement kind, the plan-cache outcome,

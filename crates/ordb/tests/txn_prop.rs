@@ -13,9 +13,9 @@
 //! * The OID directory invariant (`check_oid_directory`) holds after
 //!   every rollback.
 //!
-//! Both `DbMode`s run with the inline analyzer enabled (`set_analyze`), so
-//! every generated script also exercises the analyzer's handling of the
-//! transaction statements.
+//! Both `DbMode`s run every generated script through the static analyzer
+//! (`Database::check`) before executing it, so the analyzer's handling of
+//! the transaction statements is exercised too.
 
 use xmlord_ordb::{Database, DbMode, RecoveryPolicy};
 use xmlord_prng::Prng;
@@ -122,10 +122,10 @@ fn gen_failing_stmt(rng: &mut Prng, m: &Model) -> String {
     }
 }
 
-fn fresh(mode: DbMode) -> Database {
-    let mut db = Database::new(mode);
-    db.set_analyze(true);
-    db
+/// Analyze `sql` against `db`'s live catalog and hand it back to execute.
+fn checked<'a>(db: &Database, sql: &'a str) -> &'a str {
+    db.check(sql).unwrap_or_else(|e| panic!("{e}\n{sql}"));
+    sql
 }
 
 #[test]
@@ -143,9 +143,10 @@ fn failure_at_statement_k_equals_clean_prefix_run() {
             // Faulty run: the k-statement prefix, then the failing statement.
             let mut script: Vec<String> = stmts[..k].to_vec();
             script.push(failing);
-            let mut faulty = fresh(mode);
+            let mut faulty = Database::new(mode);
+            let script = script.join(";\n");
             let outcome = faulty
-                .execute_script_with(&script.join(";\n"), RecoveryPolicy::AbortOnError)
+                .execute_script_with(checked(&faulty, &script), RecoveryPolicy::AbortOnError)
                 .unwrap();
             assert_eq!(outcome.errors.len(), 1, "mode {mode:?} case {case}: {outcome:?}");
             assert_eq!(
@@ -153,13 +154,14 @@ fn failure_at_statement_k_equals_clean_prefix_run() {
                 k,
                 "mode {mode:?} case {case}: {:?}\nscript:\n{}",
                 outcome.errors[0],
-                script.join(";\n")
+                script
             );
             assert_eq!(outcome.executed, k);
 
             // Clean run of exactly the prefix.
-            let mut clean = fresh(mode);
-            clean.execute_script(&stmts[..k].join(";\n")).unwrap();
+            let mut clean = Database::new(mode);
+            let prefix = stmts[..k].join(";\n");
+            clean.execute_script(checked(&clean, &prefix)).unwrap();
 
             assert_eq!(
                 faulty.state_dump(),
@@ -177,14 +179,15 @@ fn atomic_failure_restores_initial_state_byte_identically() {
     for mode in [DbMode::Oracle8, DbMode::Oracle9] {
         for case in 0..60u64 {
             let mut rng = Prng::seed_from_u64(0xA70 + case);
-            let mut db = fresh(mode);
+            let mut db = Database::new(mode);
 
             // Committed base state the rollback must not disturb.
             let mut base_model = Model::default();
             let base: Vec<String> =
                 (0..rng.gen_range(0usize..6)).map(|n| gen_stmt(&mut rng, &mut base_model, case + 1000, n)).collect();
             if !base.is_empty() {
-                db.execute_script(&base.join(";\n")).unwrap();
+                let base = base.join(";\n");
+                db.execute_script(checked(&db, &base)).unwrap();
             }
             db.commit().unwrap();
             let initial = db.state_dump();
@@ -198,9 +201,9 @@ fn atomic_failure_restores_initial_state_byte_identically() {
             script.truncate(k);
             script.push(gen_failing_stmt(&mut rng, &model));
 
-            let outcome = db
-                .execute_script_with(&script.join(";\n"), RecoveryPolicy::Atomic)
-                .unwrap();
+            let failing = script.join(";\n");
+            let outcome =
+                db.execute_script_with(checked(&db, &failing), RecoveryPolicy::Atomic).unwrap();
             assert!(outcome.rolled_back, "mode {mode:?} case {case}");
             assert_eq!(outcome.errors.len(), 1);
             assert_eq!(
@@ -211,7 +214,8 @@ fn atomic_failure_restores_initial_state_byte_identically() {
             db.storage().check_oid_directory().unwrap();
 
             // The database stays fully usable after the rollback.
-            db.execute_script(&script[..k].join(";\n")).unwrap();
+            let prefix = script[..k].join(";\n");
+            db.execute_script(checked(&db, &prefix)).unwrap();
             db.storage().check_oid_directory().unwrap();
         }
     }
@@ -223,7 +227,7 @@ fn atomic_failure_restores_initial_state_byte_identically() {
 #[test]
 fn rollback_revives_dangling_refs() {
     for mode in [DbMode::Oracle8, DbMode::Oracle9] {
-        let mut db = fresh(mode);
+        let mut db = Database::new(mode);
         db.execute_script(
             "CREATE TYPE T_P AS OBJECT (pname VARCHAR(20));
              CREATE TABLE TabP OF T_P;

@@ -17,145 +17,14 @@
 //!   \[9\]: single-valued content inlined into its ancestor's relation,
 //!   set-valued and recursive elements in their own relations.
 //!
-//! All three generate plain SQL executed by `xmlord-ordb`, mirror the core
-//! crate's loader interface (statement lists in, fragmentation metrics out)
-//! and translate the same path queries, so the comparison with the
-//! object-relational mapping is apples-to-apples.
+//! All three generate plain SQL executed by `xmlord-ordb` and translate the
+//! same path queries as the object-relational mapping, and [`retrieve`]
+//! rebuilds their documents, so the comparison is apples-to-apples. The
+//! core crate's `xml2ordb::strategy` handle drives them beside the
+//! object-relational strategies.
 
 pub mod attrtab;
 pub mod edge;
 pub mod inline;
 pub mod intern;
 pub mod retrieve;
-
-use xmlord_dtd::ast::Dtd;
-use xmlord_xml::Document;
-
-use xmlord_ordb::DbError;
-
-/// A uniform handle over the three baselines for the benchmark harness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Baseline {
-    Edge,
-    AttributeTables,
-    Inline,
-}
-
-impl Baseline {
-    pub const ALL: [Baseline; 3] = [Baseline::Edge, Baseline::AttributeTables, Baseline::Inline];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            Baseline::Edge => "edge",
-            Baseline::AttributeTables => "attribute-tables",
-            Baseline::Inline => "inlining",
-        }
-    }
-
-    /// Schema DDL for documents of `dtd` rooted at `root`.
-    pub fn ddl(self, dtd: &Dtd, root: &str) -> Result<String, DbError> {
-        match self {
-            Baseline::Edge => Ok(edge::ddl().to_string()),
-            Baseline::AttributeTables => Ok(attrtab::ddl(dtd, root)),
-            Baseline::Inline => Ok(inline::InlineSchema::build(dtd, root).ddl()),
-        }
-    }
-
-    /// Shred a document into INSERT statements.
-    pub fn load(self, dtd: &Dtd, root: &str, doc: &Document) -> Result<Vec<String>, DbError> {
-        match self {
-            Baseline::Edge => Ok(edge::load(doc)),
-            Baseline::AttributeTables => Ok(attrtab::load(doc)),
-            Baseline::Inline => inline::InlineSchema::build(dtd, root).load(doc),
-        }
-    }
-
-    /// Translate a path query with an optional equality predicate.
-    pub fn path_query(
-        self,
-        dtd: &Dtd,
-        root: &str,
-        steps: &[&str],
-        predicate: Option<(&[&str], &str)>,
-    ) -> Result<String, DbError> {
-        match self {
-            Baseline::Edge => Ok(edge::path_query(root, steps, predicate)),
-            Baseline::AttributeTables => Ok(attrtab::path_query(root, steps, predicate)),
-            Baseline::Inline => inline::InlineSchema::build(dtd, root).path_query(steps, predicate),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use xmlord_dtd::parse_dtd;
-    use xmlord_ordb::{Database, DbMode, Value};
-
-    pub const UNIVERSITY_DTD: &str = r#"
-<!ELEMENT University (StudyCourse,Student*)>
-<!ELEMENT Student (LName,FName,Course*)>
-<!ATTLIST Student StudNr CDATA #REQUIRED>
-<!ELEMENT Course (Name,Professor*,CreditPts?)>
-<!ELEMENT Professor (PName,Subject+,Dept)>
-<!ELEMENT LName (#PCDATA)> <!ELEMENT FName (#PCDATA)>
-<!ELEMENT Name (#PCDATA)> <!ELEMENT PName (#PCDATA)>
-<!ELEMENT Subject (#PCDATA)> <!ELEMENT Dept (#PCDATA)>
-<!ELEMENT StudyCourse (#PCDATA)> <!ELEMENT CreditPts (#PCDATA)>
-"#;
-
-    pub const XML: &str = "<University><StudyCourse>CS</StudyCourse>\
-<Student StudNr=\"1\"><LName>Conrad</LName><FName>M</FName>\
-<Course><Name>DBS</Name><Professor><PName>Jaeger</PName><Subject>CAD</Subject>\
-<Dept>CS</Dept></Professor></Course></Student>\
-<Student StudNr=\"2\"><LName>Meier</LName><FName>R</FName></Student></University>";
-
-    #[test]
-    fn all_baselines_load_and_answer_the_paper_query() {
-        let dtd = parse_dtd(UNIVERSITY_DTD).unwrap();
-        let doc = xmlord_xml::parse(XML).unwrap();
-        for baseline in Baseline::ALL {
-            let mut db = Database::new(DbMode::Oracle9);
-            db.execute_script(&baseline.ddl(&dtd, "University").unwrap())
-                .unwrap_or_else(|e| panic!("{}: {e}", baseline.name()));
-            let stmts = baseline.load(&dtd, "University", &doc).unwrap();
-            assert!(stmts.len() > 1, "{}: shredding must fan out", baseline.name());
-            for stmt in &stmts {
-                db.execute(stmt)
-                    .unwrap_or_else(|e| panic!("{}: {e}\n{stmt}", baseline.name()));
-            }
-            let sql = baseline
-                .path_query(
-                    &dtd,
-                    "University",
-                    &["Student", "LName"],
-                    Some((&["Student", "Course", "Professor", "PName"], "Jaeger")),
-                )
-                .unwrap();
-            let rows = db.query(&sql).unwrap_or_else(|e| panic!("{}: {e}\n{sql}", baseline.name()));
-            assert_eq!(
-                rows.rows,
-                vec![vec![Value::str("Conrad")]],
-                "{}: {sql}",
-                baseline.name()
-            );
-        }
-    }
-
-    #[test]
-    fn shredding_statement_counts_exceed_the_or_mapping() {
-        // §1's criticism, quantified: every baseline needs many INSERTs
-        // where Oracle 9 OR mapping needs exactly one.
-        let dtd = parse_dtd(UNIVERSITY_DTD).unwrap();
-        let doc = xmlord_xml::parse(XML).unwrap();
-        for baseline in Baseline::ALL {
-            let stmts = baseline.load(&dtd, "University", &doc).unwrap();
-            assert!(
-                stmts.len() >= 4,
-                "{} produced only {} statements",
-                baseline.name(),
-                stmts.len()
-            );
-        }
-    }
-}

@@ -7,14 +7,9 @@
 //! cargo run --release --example shredding_comparison [students]
 //! ```
 
-use xml_ordb::dtd::parse_dtd;
-use xml_ordb::mapping::ddlgen::create_script;
-use xml_ordb::mapping::loader::load_script;
+use xml_ordb::dtd::{parse_dtd, MappingStrategy};
 use xml_ordb::mapping::model::MappingOptions;
-use xml_ordb::mapping::pathquery::{translate, PathQuery};
-use xml_ordb::mapping::schemagen::{generate_schema, IdrefTargets};
-use xml_ordb::ordb::{Database, DbMode};
-use xml_ordb::shred::Baseline;
+use xml_ordb::mapping::strategy;
 use xml_ordb::workload::university::{university_dtd, university_xml, UniversityConfig};
 
 fn main() {
@@ -32,65 +27,32 @@ fn main() {
         xml.len()
     );
     println!(
-        "{:<22} {:>9} {:>8} {:>8} {:>12}",
+        "{:<50} {:>9} {:>8} {:>8} {:>12}",
         "strategy", "INSERTs", "tables", "rows", "join-pairs*"
     );
 
-    // Object-relational (the paper's contribution).
-    let schema = generate_schema(
-        &dtd,
-        "University",
-        DbMode::Oracle9,
-        MappingOptions { varray_max: 10_000, ..Default::default() },
-        &IdrefTargets::new(),
-    )
-    .expect("schema generates");
-    let mut db = Database::new(DbMode::Oracle9);
-    db.execute_script(&create_script(&schema).expect("DDL renders")).expect("DDL");
-    let statements = load_script(&schema, &dtd, &doc, "d").expect("load");
-    for stmt in &statements {
-        db.execute(stmt).expect("insert");
-    }
-    let query = PathQuery::parse("Student/LName")
-        .with_predicate("Student/Course/Professor/PName", "Jaeger");
-    let translated = translate(&schema, &query).expect("translate");
-    let before = db.stats();
-    db.query(&translated.sql).expect("query");
-    let join_pairs = db.stats().since(&before).join_pairs;
-    println!(
-        "{:<22} {:>9} {:>8} {:>8} {:>12}",
-        "object-relational",
-        statements.len(),
-        db.catalog().table_count(),
-        db.storage().total_rows(),
-        join_pairs
-    );
-
-    // The generic baselines.
-    for baseline in Baseline::ALL {
-        let mut db = Database::new(DbMode::Oracle9);
-        db.execute_script(&baseline.ddl(&dtd, "University").unwrap()).expect("DDL");
-        let statements = baseline.load(&dtd, "University", &doc).expect("load");
-        for stmt in &statements {
-            db.execute(stmt).expect("insert");
-        }
-        let sql = baseline
+    // Room in the VARRAYs for any document size given on the command line.
+    let options = MappingOptions { varray_max: 10_000, ..Default::default() };
+    for strategy in MappingStrategy::ALL {
+        let mut handle =
+            strategy::setup(strategy, &dtd, "University", &options).expect("schema sets up");
+        let counts = handle.load(&doc).expect("document loads");
+        let sql = handle
             .path_query(
-                &dtd,
-                "University",
                 &["Student", "LName"],
                 Some((&["Student", "Course", "Professor", "PName"], "Jaeger")),
             )
             .expect("query translates");
+        let db = handle.database();
         let before = db.stats();
         db.query(&sql).expect("query");
         let join_pairs = db.stats().since(&before).join_pairs;
         println!(
-            "{:<22} {:>9} {:>8} {:>8} {:>12}",
-            baseline.name(),
-            statements.len(),
-            db.catalog().table_count(),
-            db.storage().total_rows(),
+            "{:<50} {:>9} {:>8} {:>8} {:>12}",
+            strategy.describe(),
+            counts.statements,
+            counts.tables,
+            counts.rows,
             join_pairs
         );
     }

@@ -4,25 +4,21 @@
 
 use std::collections::BTreeSet;
 
-use xml_ordb::dtd::parse_dtd;
-use xml_ordb::mapping::ddlgen::create_script;
-use xml_ordb::mapping::loader::load_script;
+use xml_ordb::dtd::{parse_dtd, MappingStrategy};
 use xml_ordb::mapping::model::MappingOptions;
-use xml_ordb::mapping::pathquery::{translate, PathQuery};
-use xml_ordb::mapping::schemagen::{generate_schema, IdrefTargets};
-use xml_ordb::ordb::{Database, DbMode};
-use xml_ordb::shred::Baseline;
+use xml_ordb::mapping::strategy::{self, Handle};
 use xml_ordb::workload::university::{university_dtd, university_xml, UniversityConfig};
 
 /// A path query: steps plus an optional (path, value) predicate.
 type QuerySpec<'a> = (Vec<&'a str>, Option<(Vec<&'a str>, &'a str)>);
 
-/// Answer set of a (steps, predicate) query under one strategy.
-fn answers(
-    db: &mut Database,
-    sql: &str,
-) -> BTreeSet<String> {
-    db.query(sql)
+/// Answer set of one query under one strategy.
+fn answers(handle: &mut Handle, (steps, predicate): &QuerySpec) -> BTreeSet<String> {
+    let predicate = predicate.as_ref().map(|(path, value)| (path.as_slice(), *value));
+    let sql = handle.path_query(steps, predicate).unwrap();
+    handle
+        .database()
+        .query(&sql)
         .unwrap_or_else(|e| panic!("{e}\n{sql}"))
         .rows
         .into_iter()
@@ -54,84 +50,27 @@ fn all_strategies_agree_on_all_queries() {
         ),
     ];
 
-    // Reference: the Oracle 9 object-relational store.
-    let schema = generate_schema(
-        &dtd,
-        "University",
-        DbMode::Oracle9,
-        MappingOptions::default(),
-        &IdrefTargets::new(),
-    )
-    .unwrap();
-    let mut or_db = Database::new(DbMode::Oracle9);
-    or_db.execute_script(&create_script(&schema).unwrap()).unwrap();
-    for stmt in load_script(&schema, &dtd, &doc, "d").unwrap() {
-        or_db.execute(&stmt).unwrap();
-    }
+    // Reference: the Oracle 9 object-relational store, which runs first;
+    // every other strategy must agree with it.
     let mut reference: Vec<BTreeSet<String>> = Vec::new();
-    for (steps, predicate) in &queries {
-        let mut q = PathQuery {
-            steps: steps.iter().map(|s| s.to_string()).collect(),
-            predicate: None,
-        };
-        if let Some((path, value)) = predicate {
-            q = q.with_predicate(&path.join("/"), value);
-        }
-        let sql = translate(&schema, &q).unwrap().sql;
-        reference.push(answers(&mut or_db, &sql));
-    }
-
-    // Each baseline must agree.
-    for baseline in Baseline::ALL {
-        let mut db = Database::new(DbMode::Oracle9);
-        db.execute_script(&baseline.ddl(&dtd, "University").unwrap()).unwrap();
-        for stmt in baseline.load(&dtd, "University", &doc).unwrap() {
-            db.execute(&stmt).unwrap();
-        }
-        for ((steps, predicate), expected) in queries.iter().zip(&reference) {
-            let sql = baseline
-                .path_query(
-                    &dtd,
-                    "University",
-                    steps,
-                    predicate.as_ref().map(|(p, v)| (p.as_slice(), *v)),
-                )
-                .unwrap();
-            let got = answers(&mut db, &sql);
+    for strategy in MappingStrategy::ALL {
+        let mut handle =
+            strategy::setup(strategy, &dtd, "University", &MappingOptions::default()).unwrap();
+        handle.load(&doc).unwrap();
+        for (index, query) in queries.iter().enumerate() {
+            let got = answers(&mut handle, query);
+            if strategy == MappingStrategy::Or9 {
+                reference.push(got);
+                continue;
+            }
             assert_eq!(
-                &got, expected,
-                "{} disagrees on {:?} [{:?}]\nSQL: {sql}",
-                baseline.name(),
-                steps,
-                predicate
+                got,
+                reference[index],
+                "{} disagrees on {:?} [{:?}]",
+                strategy.label(),
+                query.0,
+                query.1
             );
         }
-    }
-
-    // And the Oracle 8 variant of the contribution too.
-    let schema8 = generate_schema(
-        &dtd,
-        "University",
-        DbMode::Oracle8,
-        MappingOptions::default(),
-        &IdrefTargets::new(),
-    )
-    .unwrap();
-    let mut db8 = Database::new(DbMode::Oracle8);
-    db8.execute_script(&create_script(&schema8).unwrap()).unwrap();
-    for stmt in load_script(&schema8, &dtd, &doc, "d").unwrap() {
-        db8.execute(&stmt).unwrap();
-    }
-    for ((steps, predicate), expected) in queries.iter().zip(&reference) {
-        let mut q = PathQuery {
-            steps: steps.iter().map(|s| s.to_string()).collect(),
-            predicate: None,
-        };
-        if let Some((path, value)) = predicate {
-            q = q.with_predicate(&path.join("/"), value);
-        }
-        let sql = translate(&schema8, &q).unwrap().sql;
-        let got = answers(&mut db8, &sql);
-        assert_eq!(&got, expected, "or8 disagrees on {steps:?}\nSQL: {sql}");
     }
 }

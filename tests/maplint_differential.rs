@@ -11,15 +11,12 @@
 //!   the check is bypassed.
 
 use xml_ordb::dtd::{lint_dtd, parse_dtd, parse_dtd_spanned, ElementGraph, MappingStrategy};
-use xml_ordb::mapping::ddlgen::{create_script, types_script};
-use xml_ordb::mapping::loader::load_script;
 use xml_ordb::mapping::maplint::{check_catalog_drift, lint_schema};
 use xml_ordb::mapping::model::MappingOptions;
 use xml_ordb::mapping::schemagen::{generate_schema, IdrefTargets};
-use xml_ordb::mapping::views::{relational_ddl, relational_load_script, relational_schema};
+use xml_ordb::mapping::strategy;
 use xml_ordb::mapping::Xml2OrDb;
-use xml_ordb::ordb::{Database, DbMode, Severity};
-use xml_ordb::shred::Baseline;
+use xml_ordb::ordb::{DbMode, Severity};
 use xml_ordb::workload::dtdgen::{generate_dtd, DtdConfig};
 use xmlord_prng::Prng;
 
@@ -34,56 +31,9 @@ fn attempt(
 ) -> Result<(), String> {
     let dtd = parse_dtd(dtd_text).map_err(|e| e.to_string())?;
     let doc = xml_ordb::xml::parse(xml).map_err(|e| e.to_string())?;
-    let run = |db: &mut Database, ddl: &str, load: &[String]| -> Result<(), String> {
-        db.execute_script(ddl).map_err(|e| e.to_string())?;
-        for stmt in load {
-            db.execute(stmt).map_err(|e| format!("{e}\n{stmt}"))?;
-        }
-        Ok(())
-    };
-    match strategy {
-        MappingStrategy::Or9 | MappingStrategy::Or8 => {
-            let mode = if strategy == MappingStrategy::Or8 {
-                DbMode::Oracle8
-            } else {
-                DbMode::Oracle9
-            };
-            let schema =
-                generate_schema(&dtd, root, mode, MappingOptions::default(), &IdrefTargets::new())
-                    .map_err(|e| e.to_string())?;
-            let ddl = create_script(&schema).map_err(|e| e.to_string())?;
-            let load = load_script(&schema, &dtd, &doc, "d").map_err(|e| e.to_string())?;
-            run(&mut Database::new(mode), &ddl, &load)
-        }
-        MappingStrategy::Relational => {
-            let schema = generate_schema(
-                &dtd,
-                root,
-                DbMode::Oracle9,
-                MappingOptions { with_doc_id: false, ..Default::default() },
-                &IdrefTargets::new(),
-            )
-            .map_err(|e| e.to_string())?;
-            let rel = relational_schema(&schema);
-            let ddl = format!(
-                "{}\n{}",
-                types_script(&schema).map_err(|e| e.to_string())?,
-                relational_ddl(&rel, 4000)
-            );
-            let load = relational_load_script(&schema, &rel, &doc).map_err(|e| e.to_string())?;
-            run(&mut Database::new(DbMode::Oracle9), &ddl, &load)
-        }
-        MappingStrategy::Edge | MappingStrategy::AttributeTables | MappingStrategy::Inline => {
-            let baseline = match strategy {
-                MappingStrategy::Edge => Baseline::Edge,
-                MappingStrategy::AttributeTables => Baseline::AttributeTables,
-                _ => Baseline::Inline,
-            };
-            let ddl = baseline.ddl(&dtd, root).map_err(|e| e.to_string())?;
-            let load = baseline.load(&dtd, root, &doc).map_err(|e| e.to_string())?;
-            run(&mut Database::new(DbMode::Oracle9), &ddl, &load)
-        }
-    }
+    let mut handle = strategy::setup(strategy, &dtd, root, &MappingOptions::default())
+        .map_err(|e| e.to_string())?;
+    handle.load(&doc).map(drop).map_err(|e| e.to_string())
 }
 
 fn corpus(case: u64) -> DtdConfig {

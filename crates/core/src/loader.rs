@@ -15,6 +15,8 @@
 //! [`InsertBatch`]es for the engine's bulk path — same rows, same order,
 //! same database state, a fraction of the per-statement overhead.
 
+use std::collections::HashMap;
+
 use xmlord_dtd::ast::{AttType, Dtd};
 use xmlord_ordb::sql::ast::{Expr, FromItem, SelectItem, SelectStmt, Stmt};
 use xmlord_ordb::sql::printer::print_stmt;
@@ -90,6 +92,8 @@ pub fn load_ops(
         pending_updates: Vec::new(),
         ref_frames: Vec::new(),
         next_id: 0,
+        alias: Ident::internal("x"),
+        idents: HashMap::new(),
     };
     loader.emit_rooted(root_node, None)?;
     // IDREF wiring runs after every row exists, so forward references
@@ -161,30 +165,26 @@ fn text_lit(doc: &Document, node: NodeId) -> Expr {
     Expr::Literal(Value::Str(direct_text(doc, node)))
 }
 
-/// Constructor call `Type(args…)`.
-fn constructor(type_name: &str, args: Vec<Expr>) -> Expr {
-    Expr::Call { name: Ident::internal(type_name), args }
-}
-
-/// `(SELECT REF(x) FROM table x WHERE x.<path> = 'value')`.
-fn ref_select(table: &Ident, path: &[&str], value: &str) -> Expr {
-    let alias = Ident::internal("x");
-    let mut parts = vec![alias.clone()];
-    parts.extend(path.iter().map(|p| Ident::internal(p)));
+/// `(SELECT REF(alias) FROM table alias WHERE alias.<path> = 'value')`.
+fn ref_select(alias: &Ident, table: Ident, path: &[Ident], value: &str) -> Expr {
+    let mut parts = Vec::with_capacity(1 + path.len());
+    parts.push(alias.clone());
+    parts.extend_from_slice(path);
     Expr::Subquery(Box::new(SelectStmt {
         distinct: false,
         items: vec![SelectItem { expr: Expr::RefOf(alias.clone()), alias: None }],
         star: false,
-        from: vec![FromItem::Table { name: table.clone(), alias: Some(alias) }],
+        from: vec![FromItem::Table { name: table, alias: Some(alias.clone()) }],
         where_clause: Some(Expr::eq(Expr::Path(parts), Expr::str_lit(value))),
         order_by: Vec::new(),
     }))
 }
 
-/// Identity of the row being built, for deferred IDREF updates.
-struct RowCtx<'r> {
-    table: &'r str,
-    id_column: &'r str,
+/// Identity of the row being built, for deferred IDREF updates: names of
+/// the schema `'s`, and the row's synthetic id.
+struct RowCtx<'s, 'r> {
+    table: &'s str,
+    id_column: &'s str,
     id: &'r str,
 }
 
@@ -201,9 +201,24 @@ struct Loader<'a> {
     /// are emitted while the parent row's values are still being built.
     ref_frames: Vec<Vec<Ident>>,
     next_id: u64,
+    /// The alias `x` of every REF subquery.
+    alias: Ident,
+    /// Table, type and column names of the schema, each built once per
+    /// load and handed out as handles ([`Loader::ident`]).
+    idents: HashMap<&'a str, Ident>,
 }
 
 impl<'a> Loader<'a> {
+    /// The identifier spelled `name`, a name of the schema.
+    fn ident(&mut self, name: &'a str) -> Ident {
+        self.idents.entry(name).or_insert_with(|| Ident::internal(name)).clone()
+    }
+
+    /// Constructor call `Type(args…)`.
+    fn constructor(&mut self, type_name: &'a str, args: Vec<Expr>) -> Expr {
+        Expr::Call { name: self.ident(type_name), args }
+    }
+
     fn mapping_of(&self, element: &str) -> Result<&'a ElementMapping, MappingError> {
         self.schema
             .mapping(element)
@@ -271,11 +286,9 @@ impl<'a> Loader<'a> {
             args.push(arg);
         }
         let ref_tables = self.ref_frames.pop().expect("frame pushed above");
-        self.ops.push(LoadOp::Insert {
-            table: Ident::internal(table),
-            values: vec![constructor(type_name, args)],
-            ref_tables,
-        });
+        let table = self.ident(table);
+        let row = self.constructor(type_name, args);
+        self.ops.push(LoadOp::Insert { table, values: vec![row], ref_tables });
 
         // Oracle 8 inverted children: their rows point back at us and are
         // inserted after us.
@@ -301,9 +314,9 @@ impl<'a> Loader<'a> {
     fn field_expr(
         &mut self,
         node: NodeId,
-        mapping: &ElementMapping,
-        field: &FieldMapping,
-        row: Option<&RowCtx<'_>>,
+        mapping: &'a ElementMapping,
+        field: &'a FieldMapping,
+        row: Option<&RowCtx<'a, '_>>,
     ) -> Result<Expr, MappingError> {
         let element = mapping.element.as_str();
         let doc = self.doc;
@@ -343,7 +356,7 @@ impl<'a> Loader<'a> {
                         None => null(),
                     });
                 }
-                Ok(constructor(&attr_list.type_name, args))
+                Ok(self.constructor(&attr_list.type_name, args))
             }
             FieldSource::ChildElement(child_name) => {
                 let children = doc.child_elements_named(node, child_name);
@@ -364,26 +377,28 @@ impl<'a> Loader<'a> {
         element: &str,
         attribute: &str,
         value: &str,
-        row: Option<&RowCtx<'_>>,
-        column: &[&str],
+        row: Option<&RowCtx<'a, '_>>,
+        column: &[&'a str],
     ) -> Result<Expr, MappingError> {
         let subquery = self.idref_subquery(element, attribute, value)?;
         let Some(row) = row else { return Ok(subquery) };
-        self.pending_updates.push(LoadOp::Update(Stmt::Update {
-            table: Ident::internal(row.table),
-            sets: vec![(column.iter().map(|part| Ident::internal(part)).collect(), subquery)],
+        let path = column.iter().map(|part| self.ident(part)).collect();
+        let update = Stmt::Update {
+            table: self.ident(row.table),
+            sets: vec![(path, subquery)],
             where_clause: Some(Expr::eq(
-                Expr::Path(vec![Ident::internal(row.id_column)]),
+                Expr::Path(vec![self.ident(row.id_column)]),
                 Expr::str_lit(row.id),
             )),
-        }));
+        };
+        self.pending_updates.push(LoadOp::Update(update));
         Ok(null())
     }
 
     fn child_field_expr(
         &mut self,
         children: &[NodeId],
-        field: &FieldMapping,
+        field: &'a FieldMapping,
     ) -> Result<Expr, MappingError> {
         match &field.kind {
             FieldKind::Scalar(_) => match children.first() {
@@ -399,14 +414,14 @@ impl<'a> Loader<'a> {
                     .iter()
                     .map(|c| text_lit(self.doc, *c))
                     .collect();
-                Ok(constructor(collection, args))
+                Ok(self.constructor(collection, args))
             }
             FieldKind::ObjectCollection { collection, .. } => {
                 let mut args = Vec::with_capacity(children.len());
                 for child in children {
                     args.push(self.embedded_expr(*child)?);
                 }
-                Ok(constructor(collection, args))
+                Ok(self.constructor(collection, args))
             }
             FieldKind::Ref(_) => match children.first() {
                 Some(child) => {
@@ -421,7 +436,7 @@ impl<'a> Loader<'a> {
                     let child_id = self.emit_rooted(*child, None)?;
                     args.push(self.ref_subquery_by_id(self.doc.name(*child).as_raw(), &child_id)?);
                 }
-                Ok(constructor(collection, args))
+                Ok(self.constructor(collection, args))
             }
         }
     }
@@ -437,7 +452,7 @@ impl<'a> Loader<'a> {
         for field in &mapping.fields {
             args.push(self.field_expr(node, mapping, field, None)?);
         }
-        Ok(constructor(type_name, args))
+        Ok(self.constructor(type_name, args))
     }
 
     /// `(SELECT REF(x) FROM Tab x WHERE x.ID… = 'id')` for synthetic ids.
@@ -449,8 +464,9 @@ impl<'a> Loader<'a> {
         let id_col = mapping.synthetic_id.as_deref().ok_or_else(|| {
             MappingError::Unsupported(format!("<{element}> has no synthetic id"))
         })?;
-        let table = Ident::internal(table);
-        let expr = ref_select(&table, &[id_col], id);
+        let table = self.ident(table);
+        let id_col = self.ident(id_col);
+        let expr = ref_select(&self.alias, table.clone(), &[id_col], id);
         self.note_ref(table);
         Ok(expr)
     }
@@ -503,15 +519,15 @@ impl<'a> Loader<'a> {
             .ok_or_else(|| {
                 MappingError::Unsupported(format!("<{target}> has no ID attribute"))
             })?;
-        let (table, path_parts) = {
+        let (table, path_parts): (&'a str, Vec<&'a str>) = {
             let target_mapping = self.mapping_of(&target)?;
-            let table = target_mapping.table.clone().ok_or_else(|| {
+            let table = target_mapping.table.as_deref().ok_or_else(|| {
                 MappingError::Unsupported(format!("IDREF target <{target}> has no object table"))
             })?;
             // Path to the stored ID value: inlined or inside the attrList
             // object.
             let path_parts = if let Some(f) = target_mapping.field_for_attribute(&id_attr) {
-                vec![f.db_name.clone()]
+                vec![f.db_name.as_str()]
             } else if let Some(al) = &target_mapping.attr_list {
                 let list_field = target_mapping
                     .fields
@@ -531,7 +547,7 @@ impl<'a> Loader<'a> {
                             "ID attribute '{id_attr}' of <{target}> is missing from its attribute-list mapping"
                         ))
                     })?;
-                vec![list_field.db_name.clone(), inner.db_name.clone()]
+                vec![list_field.db_name.as_str(), inner.db_name.as_str()]
             } else {
                 return Err(MappingError::Unsupported(format!(
                     "cannot locate the stored ID attribute of <{target}>"
@@ -539,9 +555,9 @@ impl<'a> Loader<'a> {
             };
             (table, path_parts)
         };
-        let table = Ident::internal(&table);
-        let parts: Vec<&str> = path_parts.iter().map(String::as_str).collect();
-        let expr = ref_select(&table, &parts, value);
+        let table = self.ident(table);
+        let parts: Vec<Ident> = path_parts.into_iter().map(|part| self.ident(part)).collect();
+        let expr = ref_select(&self.alias, table.clone(), &parts, value);
         self.note_ref(table);
         Ok(expr)
     }

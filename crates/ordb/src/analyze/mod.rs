@@ -356,7 +356,7 @@ fn analyze_insert(cx: &mut StmtCx, table: &Ident, columns: &Option<Vec<Ident>>, 
                                 _ => STy::Unknown,
                             })
                             .collect();
-                        check_constraints(cx, &table_def, &table_columns, &row);
+                        check_constraints(cx, &table_def, table_columns, &row);
                     }
                     return;
                 }
@@ -415,12 +415,12 @@ fn analyze_insert(cx: &mut StmtCx, table: &Ident, columns: &Option<Vec<Ident>>, 
             row = stys;
         }
     }
-    for (sty, (col_name, col_type)) in row.iter().zip(&table_columns) {
+    for (sty, (col_name, col_type)) in row.iter().zip(table_columns) {
         if let Some(msg) = static_coerce_error(sty, col_type) {
             cx.error("type-mismatch", format!("column '{col_name}': {msg}"), cx.span);
         }
     }
-    check_constraints(cx, &table_def, &table_columns, &row);
+    check_constraints(cx, &table_def, table_columns, &row);
 }
 
 /// Data-independent constraint checks: unknown constraint columns are

@@ -119,14 +119,10 @@ pub(crate) fn analyze_select(
 
 /// Scope frame for a catalog table, mirroring `expand_from_item`.
 pub(crate) fn table_scope(catalog: &Catalog, table: &TableDef, binding: Ident) -> ScopeFrame {
-    let object_type = match table {
-        TableDef::Object { of_type, .. } => Some(of_type.clone()),
-        TableDef::Relational { .. } => None,
-    };
     ScopeFrame {
         binding,
-        columns: Some(catalog.table_columns(table)),
-        object_type,
+        columns: Some(catalog.table_columns(table).to_vec()),
+        object_type: table.of_type().cloned(),
         has_oid: table.is_object_table(),
     }
 }

@@ -2,6 +2,7 @@
 //! the dependency bookkeeping behind `DROP TYPE … FORCE` (§6.2).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::error::DbError;
 use crate::ident::Ident;
@@ -126,6 +127,20 @@ impl TableDef {
         matches!(self, TableDef::Object { .. })
     }
 
+    /// The object type an object table's rows are instances of.
+    pub fn of_type(&self) -> Option<&Ident> {
+        match self {
+            TableDef::Object { of_type, .. } => Some(of_type),
+            TableDef::Relational { .. } => None,
+        }
+    }
+
+    /// Whose column list the rows are laid out by: an object table's type,
+    /// or the relational table itself (types and tables share a namespace).
+    fn layout_owner(&self) -> &Ident {
+        self.of_type().unwrap_or_else(|| self.name())
+    }
+
     /// The PRIMARY KEY / UNIQUE constraints in declaration order: each
     /// one's columns and which of the two it is.
     pub fn key_constraints(&self) -> impl Iterator<Item = (&Vec<Ident>, KeyKind)> {
@@ -231,6 +246,20 @@ enum CatalogUndo {
     SetStats { table: Ident, prev: Option<TableStats> },
 }
 
+/// The column layout of one row owner — an object type, which every object
+/// table of it lays rows out by, or a relational table. Derived state, like
+/// `key_indexes`: built when the owner enters the catalog, gone when it
+/// leaves, in no dump, snapshot, log record or undo entry.
+#[derive(Debug, Clone, Default)]
+struct Layout {
+    /// A relational table's `(name, type)` pairs, built at CREATE; empty for
+    /// an object type, which lends its attribute list instead.
+    columns: Vec<(Ident, SqlType)>,
+    /// The column names alone: the one list every frame over such a row
+    /// shares.
+    names: Arc<[Ident]>,
+}
+
 /// The complete schema catalog.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
@@ -242,6 +271,8 @@ pub struct Catalog {
     /// table's indexes, which every plan does, builds nothing. Derived
     /// state: in no dump, snapshot, log record or undo entry.
     key_indexes: BTreeMap<Ident, Vec<IndexDef>>,
+    /// [`Layout`] by owner name: every object type and relational table.
+    layouts: BTreeMap<Ident, Layout>,
     views: BTreeMap<Ident, ViewDef>,
     /// Declared (`CREATE INDEX`) definitions by index name. Excluded from
     /// [`Catalog::state_dump`]: index presence must never change what a
@@ -301,7 +332,7 @@ impl Catalog {
                 return Err(DbError::UnknownType(dep.as_str().to_string()));
             }
         }
-        let prev = self.types.insert(name.clone(), def);
+        let prev = self.file_type(def);
         self.undo.push(CatalogUndo::CreatedType { name, prev });
         Ok(())
     }
@@ -339,14 +370,14 @@ impl Catalog {
             match op {
                 CatalogUndo::CreatedType { name, prev } => match prev {
                     Some(decl) => {
-                        self.types.insert(name, decl);
+                        self.file_type(decl);
                     }
                     None => {
-                        self.types.remove(&name);
+                        self.unfile_type(&name);
                     }
                 },
                 CatalogUndo::DroppedType { def } => {
-                    self.types.insert(def.name().clone(), def);
+                    self.file_type(def);
                 }
                 CatalogUndo::CreatedTable { name } => {
                     self.unfile_table(&name);
@@ -449,6 +480,19 @@ impl Catalog {
         }
     }
 
+    /// Enter `def` into the catalog with its [`Layout`]; returns the
+    /// definition it replaced (a forward declaration).
+    fn file_type(&mut self, def: TypeDef) -> Option<TypeDef> {
+        let names = def.object_attrs().iter().map(|(name, _)| name.clone()).collect();
+        self.layouts.insert(def.name().clone(), Layout { columns: Vec::new(), names });
+        self.types.insert(def.name().clone(), def)
+    }
+
+    fn unfile_type(&mut self, name: &Ident) -> Option<TypeDef> {
+        self.layouts.remove(name);
+        self.types.remove(name)
+    }
+
     pub fn get_type(&self, name: &Ident) -> Option<&TypeDef> {
         self.types.get(name)
     }
@@ -481,7 +525,7 @@ impl Catalog {
         // Existence was checked at the top of the function and nothing in
         // between mutates `types`, so remove cannot miss — but return the
         // typed error rather than panicking if that invariant ever breaks.
-        let Some(def) = self.types.remove(name) else {
+        let Some(def) = self.unfile_type(name) else {
             debug_assert!(false, "type {name} vanished between check and remove");
             return Err(DbError::UnknownType(name.as_str().to_string()));
         };
@@ -573,6 +617,12 @@ impl Catalog {
     /// table fails on that constraint anyway.
     fn file_table(&mut self, def: TableDef) {
         let table = def.name().clone();
+        if let TableDef::Relational { columns, .. } = &def {
+            let columns: Vec<(Ident, SqlType)> =
+                columns.iter().map(|c| (c.name.clone(), c.sql_type.clone())).collect();
+            let names = columns.iter().map(|(name, _)| name.clone()).collect();
+            self.layouts.insert(table.clone(), Layout { columns, names });
+        }
         let columns = self.table_columns(&def);
         let keys: Vec<IndexDef> = def
             .key_constraints()
@@ -592,7 +642,11 @@ impl Catalog {
 
     fn unfile_table(&mut self, name: &Ident) -> Option<TableDef> {
         self.key_indexes.remove(name);
-        self.tables.remove(name)
+        let def = self.tables.remove(name)?;
+        if !def.is_object_table() {
+            self.layouts.remove(name);
+        }
+        Some(def)
     }
 
     pub fn get_table(&self, name: &Ident) -> Option<&TableDef> {
@@ -635,18 +689,24 @@ impl Catalog {
     }
 
     /// Columns of a table as (name, type) pairs — for object tables, the
-    /// attributes of the underlying object type.
-    pub fn table_columns(&self, def: &TableDef) -> Vec<(Ident, SqlType)> {
+    /// attributes of the underlying object type. Borrowed: nothing is built.
+    pub fn table_columns(&self, def: &TableDef) -> &[(Ident, SqlType)] {
         match def {
-            TableDef::Object { of_type, .. } => self
-                .types
-                .get(of_type)
-                .map(|t| t.object_attrs().to_vec())
-                .unwrap_or_default(),
-            TableDef::Relational { columns, .. } => {
-                columns.iter().map(|c| (c.name.clone(), c.sql_type.clone())).collect()
+            TableDef::Object { of_type, .. } => {
+                self.types.get(of_type).map_or(&[], TypeDef::object_attrs)
+            }
+            TableDef::Relational { name, .. } => {
+                self.layouts.get(name).map_or(&[], |layout| &layout.columns)
             }
         }
+    }
+
+    /// The names of [`Catalog::table_columns`], as the handle every frame
+    /// over the table's rows shares.
+    pub fn column_names(&self, def: &TableDef) -> Arc<[Ident]> {
+        self.layouts
+            .get(def.layout_owner())
+            .map_or_else(|| Arc::from([]), |layout| Arc::clone(&layout.names))
     }
 
     // -- views ----------------------------------------------------------------
@@ -814,7 +874,10 @@ impl Catalog {
         indexes: BTreeMap<Ident, IndexDef>,
         stats: BTreeMap<Ident, TableStats>,
     ) -> Catalog {
-        let mut catalog = Catalog { types, views, indexes, stats, ..Catalog::default() };
+        let mut catalog = Catalog { views, indexes, stats, ..Catalog::default() };
+        for def in types.into_values() {
+            catalog.file_type(def);
+        }
         for def in tables.into_values() {
             catalog.file_table(def);
         }
@@ -992,10 +1055,11 @@ mod tests {
             constraints: vec![],
         })
         .unwrap();
-        let table = cat.get_table(&id("TabP")).unwrap().clone();
-        let cols = cat.table_columns(&table);
+        let table = cat.get_table(&id("TabP")).unwrap();
+        let cols = cat.table_columns(table);
         assert_eq!(cols.len(), 2);
         assert_eq!(cols[0].0.as_str(), "a");
+        assert_eq!(&*cat.column_names(table), [id("a"), id("b")]);
     }
 
     #[test]

@@ -164,7 +164,7 @@ pub fn execute_ddl(
         Stmt::AnalyzeTable { table } => {
             let table_def = catalog.get_table(table).expect("validated by apply_ddl_catalog");
             let columns = catalog.table_columns(table_def);
-            let snapshot = compute_table_stats(storage, table, &columns);
+            let snapshot = compute_table_stats(storage, table, columns);
             catalog.set_table_stats(table.clone(), snapshot);
             stats.analyze_runs += 1;
         }
@@ -182,7 +182,7 @@ pub(crate) fn index_positions(catalog: &Catalog, def: &IndexDef) -> Result<Vec<u
         .get_table(&def.table)
         .ok_or_else(|| DbError::UnknownTable(def.table.as_str().to_string()))?;
     let table_cols = catalog.table_columns(table);
-    def.columns.iter().map(|c| col_position(&table_cols, c)).collect()
+    def.columns.iter().map(|c| col_position(table_cols, c)).collect()
 }
 
 /// Scan a table heap once, counting rows and per-column distinct values
@@ -202,7 +202,7 @@ fn compute_table_stats(
         if let Some(data) = data {
             for row in &data.rows {
                 let v = row.values.get(ci).unwrap_or(&crate::value::Value::Null);
-                seen.insert(crate::storage::key_hash(&[v]));
+                seen.insert(crate::storage::key_hash([v]));
             }
         }
         distinct.insert(col_name.clone(), seen.len() as u64);

@@ -36,29 +36,14 @@ pub(crate) fn col_position(
         .ok_or_else(|| DbError::UnknownColumn(name.as_str().to_string()))
 }
 
-/// Map the evaluated VALUES onto the table's full column list. Object
-/// tables accept `VALUES (Type_T(...))` — one constructor for the whole row
-/// object (the form §2.1's examples use) — which is exploded into the
-/// attribute values; otherwise values are matched positionally or through
-/// the explicit column list.
+/// Map the evaluated VALUES onto the table's full column list: matched
+/// positionally or through the explicit column list.
 fn shape_row(
     table_name: &Ident,
-    table: &TableDef,
     table_columns: &[(Ident, SqlType)],
     columns: &Option<Vec<Ident>>,
     provided: Vec<Value>,
 ) -> Result<Vec<Value>, DbError> {
-    if columns.is_none() && provided.len() == 1 {
-        if let TableDef::Object { of_type, .. } = table {
-            if let Value::Obj { type_name, attrs } = &provided[0] {
-                if type_name == of_type {
-                    // One level: nested composites stay handles.
-                    return Ok(Vec::clone(attrs));
-                }
-            }
-        }
-    }
-
     let mut row_values: Vec<Value> = vec![Value::Null; table_columns.len()];
     match columns {
         Some(cols) => {
@@ -115,7 +100,9 @@ pub struct InsertBatch {
 ///   *pre-batch* state. Callers must not batch a row together with rows it
 ///   reads (the loader's batcher splits batches on such dependencies); in
 ///   exchange, identical subqueries within a batch are evaluated once and
-///   memoized (`batch_subquery_hits`).
+///   memoized (`batch_subquery_hits`). That needs consecutive same-table
+///   rows sharing a subquery: a one-row batch — every batch of the Oracle 8
+///   university load — has no memo at all.
 /// * Keys are checked against the stored rows — through the key's index —
 ///   *and* the earlier rows of the same batch, so duplicates inside one
 ///   batch are still rejected.
@@ -140,29 +127,43 @@ pub fn execute_insert_batch(
     let mut validated: Vec<Vec<Value>> = Vec::with_capacity(rows.len());
     {
         let mut ctx = ExecCtx::new(catalog, storage, stats, mode);
-        let mut keys = table_keys(&ctx, table, &table_columns)?;
+        let mut keys = table_keys(&ctx, table, table_columns)?;
         // A lone row has no neighbour to share a subquery with.
-        let share_subqueries = rows.len() > 1;
-        let mut memo: Vec<(SelectStmt, Value)> = Vec::new();
+        let mut memo = (rows.len() > 1).then(Vec::new);
         for value_exprs in rows {
-            // Exact capacity: these values become the stored row.
-            let mut provided = Vec::with_capacity(value_exprs.len());
-            for expr in value_exprs {
-                provided.push(if share_subqueries {
-                    eval_batch_expr(&mut ctx, expr, &mut memo)?
-                } else {
-                    eval_expr(&mut ctx, &Env::EMPTY, expr)?
-                });
-            }
-            let mut row_values = shape_row(table_name, table, &table_columns, columns, provided)?;
-            for (value, (col_name, col_type)) in row_values.iter_mut().zip(&table_columns) {
-                let taken = std::mem::replace(value, Value::Null);
-                *value = coerce(&mut ctx, taken, col_type, col_name.as_str())?;
+            let (mut row_values, coerced) = match value_exprs.as_slice() {
+                // `VALUES (Type_T(…))` into an object table of `Type_T` (the
+                // form §2.1's examples use): the constructor's attribute
+                // block is the row, its values already coerced to the
+                // attribute — that is, the column — types.
+                [only] if columns.is_none() && table.is_object_table() => {
+                    match eval_batch_expr(&mut ctx, only, memo.as_mut())? {
+                        Value::Obj { type_name, attrs } if Some(&type_name) == table.of_type() => {
+                            // One level: nested composites stay handles.
+                            (Arc::try_unwrap(attrs).unwrap_or_else(|shared| Vec::clone(&shared)), true)
+                        }
+                        other => (shape_row(table_name, table_columns, columns, vec![other])?, false),
+                    }
+                }
+                exprs => {
+                    // Exact capacity: these values become the stored row.
+                    let mut provided = Vec::with_capacity(exprs.len());
+                    for expr in exprs {
+                        provided.push(eval_batch_expr(&mut ctx, expr, memo.as_mut())?);
+                    }
+                    (shape_row(table_name, table_columns, columns, provided)?, false)
+                }
+            };
+            if !coerced {
+                for (value, (col_name, col_type)) in row_values.iter_mut().zip(table_columns) {
+                    let taken = std::mem::replace(value, Value::Null);
+                    *value = coerce(&mut ctx, taken, col_type, col_name.as_str())?;
+                }
             }
             enforce_constraints(
                 &mut ctx,
                 table,
-                &table_columns,
+                table_columns,
                 &mut keys,
                 &[],
                 &validated,
@@ -178,17 +179,18 @@ pub fn execute_insert_batch(
     Ok(count)
 }
 
-/// Evaluate one VALUES expression during batch execution, answering scalar
-/// subqueries from `memo` when the identical subquery was already run in
-/// this batch (sound because storage does not change mid-batch).
+/// Evaluate one VALUES expression during batch execution. With a `memo` —
+/// a batch of more than one row — scalar subqueries are answered from it
+/// when the identical subquery was already run in this batch (sound because
+/// storage does not change mid-batch).
 fn eval_batch_expr(
     ctx: &mut ExecCtx,
     expr: &Expr,
-    memo: &mut Vec<(SelectStmt, Value)>,
+    memo: Option<&mut Vec<(SelectStmt, Value)>>,
 ) -> Result<Value, DbError> {
-    if !contains_subquery(expr) {
+    let Some(memo) = memo.filter(|_| contains_subquery(expr)) else {
         return eval_expr(ctx, &Env::EMPTY, expr);
-    }
+    };
     let resolved = resolve_subqueries(ctx, expr, memo)?;
     eval_expr(ctx, &Env::EMPTY, &resolved)
 }
@@ -253,7 +255,8 @@ fn resolve_subqueries(
 
 /// The values a row holds on a key's columns, with their join hash.
 struct KeyValue<'a> {
-    parts: Vec<&'a Value>,
+    cols: &'a [usize],
+    row: &'a [Value],
     /// `None`: a part has no join key (an object-valued key column), so no
     /// hash bucket can stand in for comparing against every row.
     hash: Option<u64>,
@@ -262,19 +265,24 @@ struct KeyValue<'a> {
 impl<'a> KeyValue<'a> {
     /// The key `row` holds on `cols`; `None` when a part is NULL — NULLs
     /// never collide.
-    fn of(cols: &[usize], row: &'a [Value]) -> Option<KeyValue<'a>> {
-        let parts: Vec<&Value> =
-            cols.iter().map(|&c| row.get(c).unwrap_or(&Value::Null)).collect();
-        if parts.iter().any(|v| v.is_null()) {
+    fn of(cols: &'a [usize], row: &'a [Value]) -> Option<KeyValue<'a>> {
+        let key = KeyValue { cols, row, hash: None };
+        if key.parts().any(Value::is_null) {
             return None;
         }
-        let hash = key_hash(&parts);
-        Some(KeyValue { parts, hash })
+        Some(KeyValue { hash: key_hash(key.parts()), ..key })
     }
 
-    fn held_by(&self, cols: &[usize], row: &[Value]) -> bool {
-        cols.iter()
-            .zip(&self.parts)
+    fn parts(&self) -> impl Iterator<Item = &'a Value> + 'a {
+        let row = self.row;
+        self.cols.iter().map(move |&c| row.get(c).unwrap_or(&Value::Null))
+    }
+
+    /// Does `row` hold this key on the same columns?
+    fn held_by(&self, row: &[Value]) -> bool {
+        self.cols
+            .iter()
+            .zip(self.parts())
             .all(|(&c, part)| row.get(c).and_then(|v| part.sql_eq(v)) == Some(true))
     }
 }
@@ -304,7 +312,7 @@ impl<'a> StoredKey<'a> {
     fn collides(&self, key: &KeyValue, partner: impl Fn(usize) -> bool) -> bool {
         let holds = |slot: usize| {
             partner(slot)
-                && self.rows.get(slot).is_some_and(|row| key.held_by(&self.cols, &row.values))
+                && self.rows.get(slot).is_some_and(|row| key.held_by(&row.values))
         };
         match key.hash.and_then(|h| self.storage.index_probe(self.index?, h)) {
             Some(candidates) => candidates.iter().any(|&slot| holds(slot)),
@@ -338,9 +346,12 @@ struct TableKey<'a> {
     /// paths start at none of its columns cannot, and does no key work).
     active: bool,
     /// The statement's earlier rows by key hash (positions in `earlier`),
-    /// and those whose key has no join hash.
+    /// and those whose key has no join hash — the first `filed` of them,
+    /// filed when a later row is checked against them, so a statement's last
+    /// row (a lone INSERT's only one) is never filed.
     hashed: HashMap<u64, Vec<usize>>,
     unhashed: Vec<usize>,
+    filed: usize,
 }
 
 /// The keys of `table`: its PRIMARY KEY / UNIQUE constraints in declaration
@@ -373,6 +384,7 @@ fn table_keys<'a>(
                 active: true,
                 hashed: HashMap::new(),
                 unhashed: Vec::new(),
+                filed: 0,
             })
         })
         .collect()
@@ -400,6 +412,14 @@ impl TableKey<'_> {
             }
         }
         let Some(key) = KeyValue::of(cols, row) else { return Ok(()) };
+        for (i, other) in earlier.iter().enumerate().skip(self.filed) {
+            match KeyValue::of(cols, other).map(|other| other.hash) {
+                Some(Some(h)) => self.hashed.entry(h).or_default().push(i),
+                Some(None) => self.unhashed.push(i),
+                None => {}
+            }
+        }
+        self.filed = earlier.len();
         let among_earlier = match key.hash {
             Some(h) => self
                 .hashed
@@ -407,8 +427,8 @@ impl TableKey<'_> {
                 .into_iter()
                 .flatten()
                 .chain(&self.unhashed)
-                .any(|&i| key.held_by(cols, &earlier[i])),
-            None => earlier.iter().any(|other| key.held_by(cols, other)),
+                .any(|&i| key.held_by(&earlier[i])),
+            None => earlier.iter().any(|other| key.held_by(other)),
         };
         if among_earlier || self.stored.collides(&key, |slot| replaced.binary_search(&slot).is_err())
         {
@@ -420,10 +440,6 @@ impl TableKey<'_> {
                 ),
             };
             return Err(DbError::UniqueViolation { constraint });
-        }
-        match key.hash {
-            Some(h) => self.hashed.entry(h).or_default().push(earlier.len()),
-            None => self.unhashed.push(earlier.len()),
         }
         Ok(())
     }
@@ -464,13 +480,10 @@ fn enforce_constraints(
                 // unqualified (Oracle exposes columns directly in CHECK).
                 let frame = Frame {
                     binding: table.name().clone(),
-                    columns: table_columns.iter().map(|(c, _)| c.clone()).collect(),
+                    columns: ctx.catalog.column_names(table),
                     values: Arc::new(row_values.to_vec()),
                     oid: None,
-                    object_type: match table {
-                        TableDef::Object { of_type, .. } => Some(of_type.clone()),
-                        _ => None,
-                    },
+                    object_type: table.of_type().cloned(),
                 };
                 let frames = [std::rc::Rc::new(frame)];
                 let env = Env::new(&frames);
@@ -508,11 +521,7 @@ pub fn execute_update(
         .get_table(table_name)
         .ok_or_else(|| DbError::UnknownTable(table_name.as_str().to_string()))?;
     let table_columns = catalog.table_columns(table);
-    let columns: Arc<[Ident]> = table_columns.iter().map(|(c, _)| c.clone()).collect();
-    let object_type = match table {
-        TableDef::Object { of_type, .. } => Some(of_type.clone()),
-        _ => None,
-    };
+    let columns = catalog.column_names(table);
 
     // Phase 1 (read-only): compute the new values of every affected row.
     // The table is read in place: the evaluation frame shares each row's
@@ -531,7 +540,7 @@ pub fn execute_update(
                 columns: columns.clone(),
                 values: Arc::clone(&row.values),
                 oid: row.oid,
-                object_type: object_type.clone(),
+                object_type: table.of_type().cloned(),
             };
             let frames = [std::rc::Rc::new(frame)];
             let env = Env::new(&frames);
@@ -545,7 +554,7 @@ pub fn execute_update(
             let mut new_values = row.values.to_vec();
             for (path, rhs) in sets {
                 let value = eval_expr(&mut ctx, &env, rhs)?;
-                assign_path(&mut ctx, &table_columns, &mut new_values, path, value)?;
+                assign_path(&mut ctx, table_columns, &mut new_values, path, value)?;
             }
             slots.push(idx);
             new_rows.push(new_values);
@@ -554,7 +563,7 @@ pub fn execute_update(
         // key only when a SET path starts at one of its columns — then
         // against the rows this statement leaves alone and among the new
         // rows themselves, so `SET A = A + 1` over {1, 2} passes as a whole.
-        let mut keys = table_keys(&ctx, table, &table_columns)?;
+        let mut keys = table_keys(&ctx, table, table_columns)?;
         for key in &mut keys {
             key.active = sets.iter().any(|(path, _)| key.columns.contains(&path[0]));
         }
@@ -562,7 +571,7 @@ pub fn execute_update(
             enforce_constraints(
                 &mut ctx,
                 table,
-                &table_columns,
+                table_columns,
                 &mut keys,
                 &slots,
                 &new_rows[..i],
@@ -658,12 +667,7 @@ pub fn execute_delete(
     let table = catalog
         .get_table(table_name)
         .ok_or_else(|| DbError::UnknownTable(table_name.as_str().to_string()))?;
-    let table_columns = catalog.table_columns(table);
-    let columns: Arc<[Ident]> = table_columns.iter().map(|(c, _)| c.clone()).collect();
-    let object_type = match table {
-        TableDef::Object { of_type, .. } => Some(of_type.clone()),
-        _ => None,
-    };
+    let columns = catalog.column_names(table);
 
     // Decide which rows go (read-only phase), then delete by position.
     let mut doomed: Vec<usize> = Vec::new();
@@ -681,7 +685,7 @@ pub fn execute_delete(
                         columns: columns.clone(),
                         values: Arc::clone(&row.values),
                         oid: row.oid,
-                        object_type: object_type.clone(),
+                        object_type: table.of_type().cloned(),
                     };
                     let frames = [std::rc::Rc::new(frame)];
                     let env = Env::new(&frames);

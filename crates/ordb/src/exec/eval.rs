@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use crate::catalog::{Catalog, TableDef, TypeDef};
 use crate::error::DbError;
-use crate::exec::select::execute_select;
+use crate::exec::select::select_rows;
 use crate::exec::Env;
 use crate::ident::Ident;
 use crate::mode::DbMode;
@@ -85,17 +85,15 @@ pub fn eval_expr(ctx: &mut ExecCtx, env: &Env, expr: &Expr) -> Result<Value, DbE
             }
         }
         Expr::Subquery(query) => {
-            let result = execute_select(ctx, query, Some(env))?;
-            match result.rows.len() {
+            let mut rows = select_rows(ctx, query, Some(env), None)?;
+            match rows.len() {
                 0 => Ok(Value::Null),
-                1 => {
-                    if result.rows[0].len() != 1 {
-                        return Err(DbError::Execution(
-                            "scalar subquery must select exactly one column".into(),
-                        ));
-                    }
-                    Ok(result.rows[0][0].clone())
-                }
+                1 => match rows.pop().as_deref_mut() {
+                    Some([value]) => Ok(std::mem::replace(value, Value::Null)),
+                    _ => Err(DbError::Execution(
+                        "scalar subquery must select exactly one column".into(),
+                    )),
+                },
                 n => Err(DbError::Execution(format!(
                     "scalar subquery returned {n} rows"
                 ))),
@@ -117,9 +115,9 @@ pub fn eval_expr(ctx: &mut ExecCtx, env: &Env, expr: &Expr) -> Result<Value, DbE
                 TypeDef::Varray { max, .. } => Some(*max),
                 _ => None,
             };
-            let result = execute_select(ctx, query, Some(env))?;
-            let mut elements = Vec::with_capacity(result.rows.len());
-            for row in result.rows {
+            let rows = select_rows(ctx, query, Some(env), None)?;
+            let mut elements = Vec::with_capacity(rows.len());
+            for row in rows {
                 if row.len() != 1 {
                     return Err(DbError::Execution(
                         "MULTISET subquery must select exactly one column".into(),
@@ -207,10 +205,7 @@ pub fn eval_bool(ctx: &mut ExecCtx, env: &Env, expr: &Expr) -> Result<Option<boo
             };
             Ok(Some(if *negated { !matched } else { matched }))
         }
-        Expr::Exists(query) => {
-            let result = execute_select(ctx, query, Some(env))?;
-            Ok(Some(!result.rows.is_empty()))
-        }
+        Expr::Exists(query) => Ok(Some(!select_rows(ctx, query, Some(env), None)?.is_empty())),
         Expr::Binary { op, lhs, rhs } => {
             let l = eval_ref(ctx, env, lhs)?;
             let r = eval_ref(ctx, env, rhs)?;
@@ -466,16 +461,22 @@ fn eval_call(
 }
 
 /// Build an object or collection value via its type constructor, coercing
-/// the arguments to the declared attribute/element types.
-pub fn construct(ctx: &mut ExecCtx, type_name: &Ident, args: Vec<Value>) -> Result<Value, DbError> {
-    let def = ctx
-        .catalog
+/// the arguments in place to the declared attribute/element types.
+pub fn construct(
+    ctx: &mut ExecCtx,
+    type_name: &Ident,
+    mut args: Vec<Value>,
+) -> Result<Value, DbError> {
+    // The catalog reference is copied out so the definition stays borrowed
+    // while `ctx` is lent to `coerce`.
+    let catalog = ctx.catalog;
+    let def = catalog
         .get_type(type_name)
-        .ok_or_else(|| DbError::UnknownType(type_name.as_str().to_string()))?
-        .clone();
+        .ok_or_else(|| DbError::UnknownType(type_name.as_str().to_string()))?;
+    let name = def.name().clone();
     match def {
-        TypeDef::Object { name, attrs, incomplete } => {
-            if incomplete {
+        TypeDef::Object { attrs, incomplete, .. } => {
+            if *incomplete {
                 return Err(DbError::ConstructorMismatch {
                     type_name: name.as_str().to_string(),
                     message: "type is an incomplete forward declaration".into(),
@@ -487,34 +488,39 @@ pub fn construct(ctx: &mut ExecCtx, type_name: &Ident, args: Vec<Value>) -> Resu
                     message: format!("expected {} arguments, got {}", attrs.len(), args.len()),
                 });
             }
-            let mut coerced = Vec::with_capacity(args.len());
-            for (value, (attr_name, attr_type)) in args.into_iter().zip(&attrs) {
-                coerced.push(coerce(ctx, value, attr_type, attr_name.as_str())?);
+            for (value, (attr_name, attr_type)) in args.iter_mut().zip(attrs) {
+                *value = coerce(ctx, std::mem::replace(value, Value::Null), attr_type, attr_name.as_str())?;
             }
-            Ok(Value::Obj { type_name: name, attrs: Arc::new(coerced) })
+            Ok(Value::Obj { type_name: name, attrs: Arc::new(args) })
         }
-        TypeDef::Varray { name, elem, max } => {
-            if args.len() > max as usize {
+        TypeDef::Varray { elem, max, .. } => {
+            if args.len() > *max as usize {
                 return Err(DbError::VarrayLimitExceeded {
                     type_name: name.as_str().to_string(),
-                    max,
+                    max: *max,
                     actual: args.len(),
                 });
             }
-            let mut coerced = Vec::with_capacity(args.len());
-            for value in args {
-                coerced.push(coerce(ctx, value, &elem, name.as_str())?);
-            }
-            Ok(Value::Coll { type_name: name, elements: Arc::new(coerced) })
+            coerce_elements(ctx, &mut args, elem, &name)?;
+            Ok(Value::Coll { type_name: name, elements: Arc::new(args) })
         }
-        TypeDef::NestedTable { name, elem } => {
-            let mut coerced = Vec::with_capacity(args.len());
-            for value in args {
-                coerced.push(coerce(ctx, value, &elem, name.as_str())?);
-            }
-            Ok(Value::Coll { type_name: name, elements: Arc::new(coerced) })
+        TypeDef::NestedTable { elem, .. } => {
+            coerce_elements(ctx, &mut args, elem, &name)?;
+            Ok(Value::Coll { type_name: name, elements: Arc::new(args) })
         }
     }
+}
+
+fn coerce_elements(
+    ctx: &mut ExecCtx,
+    elements: &mut [Value],
+    elem: &SqlType,
+    collection: &Ident,
+) -> Result<(), DbError> {
+    for value in elements {
+        *value = coerce(ctx, std::mem::replace(value, Value::Null), elem, collection.as_str())?;
+    }
+    Ok(())
 }
 
 /// Coerce a value to a declared SQL type, enforcing VARCHAR length bounds

@@ -186,7 +186,6 @@ impl Plan<'_> {
         // order and per-item access paths all come from the shared
         // `plan_select`, so this rendering can never drift from execution.
         let plan = plan_select(self.catalog, query);
-        let scheduled = &plan.scheduled;
         if plan.costed {
             let exec_order: Vec<String> = plan
                 .order
@@ -203,8 +202,7 @@ impl Plan<'_> {
         let mut scopes: Vec<Scope> = Vec::new();
         for (pos, &idx) in plan.order.iter().enumerate() {
             let item = &query.from[idx];
-            let applicable: Vec<&Expr> =
-                scheduled.iter().filter(|(p, _)| *p == pos).map(|(_, e)| e).collect();
+            let applicable = plan.applicable(pos);
             let binding = item.binding();
             match item {
                 FromItem::Table { name, .. } => {
@@ -218,8 +216,8 @@ impl Plan<'_> {
                         let join = self.access_note(&plan, pos, name);
                         self.line(ind + 1, format!("from[{idx}] {binding}: {access}{join}"));
                         self.est_note(ind + 2, &plan, pos);
-                        self.filters(ind + 2, &applicable);
-                        scopes.push((binding, Some(catalog.table_columns(table))));
+                        self.filters(ind + 2, applicable);
+                        scopes.push((binding, Some(catalog.table_columns(table).to_vec())));
                     } else if let Some(view) = catalog.get_view(name) {
                         let join = self.access_note(&plan, pos, name);
                         self.line(ind + 1, format!("from[{idx}] {binding}: expand view {name}{join}"));
@@ -228,7 +226,7 @@ impl Plan<'_> {
                         } else {
                             self.line(ind + 2, "… (view nesting truncated)");
                         }
-                        self.filters(ind + 2, &applicable);
+                        self.filters(ind + 2, applicable);
                         scopes.push((binding, None));
                     } else {
                         return Err(DbError::UnknownTable(name.as_str().to_string()));
@@ -245,7 +243,7 @@ impl Plan<'_> {
                     for note in self.path_notes(expr, &scopes) {
                         self.line(ind + 2, note);
                     }
-                    self.filters(ind + 2, &applicable);
+                    self.filters(ind + 2, applicable);
                     let elem_scope = self.collection_scope(&scopes, expr);
                     scopes.push((binding, elem_scope));
                 }
@@ -254,11 +252,8 @@ impl Plan<'_> {
 
         // Conjuncts the executor defers past the last item (subqueries,
         // unresolvable references).
-        let final_pos = query.from.len().saturating_sub(1);
-        for (pos, conjunct) in scheduled {
-            if *pos > final_pos {
-                self.line(ind + 1, format!("residual filter: {}", print_expr(conjunct)));
-            }
+        for (_, conjunct) in plan.residual(query.from.len()) {
+            self.line(ind + 1, format!("residual filter: {}", print_expr(conjunct)));
         }
 
         if query.star {
@@ -288,9 +283,9 @@ impl Plan<'_> {
     /// index is printed as the inventory labels it: a declared one by name,
     /// a key as the constraint it is.
     fn access_note(&self, plan: &SelectPlan, pos: usize, table: &Ident) -> String {
-        match &plan.paths[pos] {
+        match &plan.paths[pos].0 {
             AccessPath::IndexProbe { index, keys } => {
-                let keys: Vec<String> = keys.iter().map(print_expr).collect();
+                let keys: Vec<String> = keys.iter().map(|key| print_expr(key)).collect();
                 let label = self
                     .catalog
                     .indexes_on(table)
@@ -311,13 +306,13 @@ impl Plan<'_> {
     /// Cardinality annotation from ANALYZE statistics, when the table has
     /// been analyzed (catalog state, so still data-independent).
     fn est_note(&mut self, ind: usize, plan: &SelectPlan, pos: usize) {
-        if let Some(est) = plan.est_rows[pos] {
+        if let Some(est) = plan.paths[pos].1 {
             self.line(ind, format!("est: ~{est} row(s) from ANALYZE statistics"));
         }
     }
 
-    fn filters(&mut self, ind: usize, applicable: &[&Expr]) {
-        for conjunct in applicable {
+    fn filters(&mut self, ind: usize, applicable: &[(usize, &Expr)]) {
+        for (_, conjunct) in applicable {
             self.line(ind, format!("filter: {}", print_expr(conjunct)));
         }
     }

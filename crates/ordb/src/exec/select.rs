@@ -42,7 +42,7 @@
 //! item *in place* — pushed onto the parent combination and popped again
 //! (`extend_combo`) — so a rejected candidate allocates nothing.
 
-use crate::catalog::{Catalog, IndexDef, TableDef};
+use crate::catalog::{Catalog, IndexDef};
 use crate::error::DbError;
 use crate::exec::eval::{eval_bool, eval_expr, eval_ref, ExecCtx};
 use crate::exec::{Env, Frame};
@@ -84,14 +84,25 @@ pub fn execute_select(
     stmt: &SelectStmt,
     outer: Option<&Env>,
 ) -> Result<QueryResult, DbError> {
+    let mut columns = Vec::new();
+    let rows = select_rows(ctx, stmt, outer, Some(&mut columns))?;
+    Ok(QueryResult { columns, rows })
+}
+
+/// The rows of a SELECT. `names`, when given, receives the result's column
+/// names; a subquery — scalar, `EXISTS`, `MULTISET` — reads the rows alone
+/// and names nothing.
+pub(crate) fn select_rows(
+    ctx: &mut ExecCtx,
+    stmt: &SelectStmt,
+    outer: Option<&Env>,
+    names: Option<&mut Vec<String>>,
+) -> Result<Vec<Vec<Value>>, DbError> {
     // 0. Plan: split + schedule WHERE conjuncts, choose the join order and
     //    one access path per FROM item — from the catalog alone, so the
     //    plan is exactly what EXPLAIN predicts.
     let plan = plan_select(ctx.catalog, stmt);
-    let bindings: Vec<Ident> =
-        plan.order.iter().map(|&i| FromItem::binding(&stmt.from[i])).collect();
-    let scheduled = &plan.scheduled;
-    if plan.costed || plan.paths.iter().any(|p| matches!(p, AccessPath::IndexProbe { .. })) {
+    if plan.costed || plan.paths.iter().any(|(p, _)| matches!(p, AccessPath::IndexProbe { .. })) {
         ctx.stats.planner_plans_costed += 1;
     }
 
@@ -105,143 +116,39 @@ pub fn execute_select(
         ctx.stats.join_queries += 1;
     }
     let mut slot_maps: Vec<HashMap<usize, usize>> = Vec::new();
-    for (item_idx, &orig_idx) in plan.order.iter().enumerate() {
-        let item = &stmt.from[orig_idx];
-        let mut slot_map: HashMap<usize, usize> = HashMap::new();
+    for (pos, &orig) in plan.order.iter().enumerate() {
         if combos.is_empty() {
             // An earlier item produced no combinations; nothing to extend
             // (and nothing further should be scanned).
             break;
         }
-        let applicable: Vec<&Expr> = scheduled
-            .iter()
-            .filter(|(pos, _)| *pos == item_idx)
-            .map(|(_, e)| e)
-            .collect();
-
-        // Lateral items depend on the current combination and must be
-        // re-expanded per combo; everything else (tables, views) expands
-        // once and shares its frames across combos via Rc.
-        let binding = &bindings[item_idx];
-        let name = match item {
+        let binding = &plan.bindings[pos];
+        let applicable = plan.applicable(pos);
+        let mut slot_map = plan.reordered.then(HashMap::new);
+        combos = match &stmt.from[orig] {
+            // Lateral items depend on the current combination and are
+            // re-expanded per combo.
             FromItem::CollectionTable { expr, .. } => {
-                let mut columns = UnnestColumns::default();
-                // Filled per combination and drained into it: one buffer.
-                let mut frames: Vec<Rc<Frame>> = Vec::new();
-                let mut next: Vec<Vec<Rc<Frame>>> = Vec::new();
-                for mut combo in combos {
-                    let env = make_env(&combo, outer);
-                    expand_collection(ctx, expr, binding, &env, &mut columns, &mut frames)?;
-                    ctx.stats.rows_scanned += frames.len() as u64;
-                    if item_idx > 0 {
-                        ctx.stats.join_pairs += frames.len() as u64;
-                    }
-                    for frame in frames.drain(..) {
-                        extend_combo(ctx, &mut combo, frame, &applicable, outer, &mut next)?;
-                    }
-                }
-                combos = next;
-                slot_maps.push(slot_map);
-                continue;
+                join_lateral(ctx, expr, binding, combos, applicable, outer, pos)?
             }
-            FromItem::Table { name, .. } => name,
+            FromItem::Table { name, .. } => match &plan.paths[pos].0 {
+                // Index probe: no expansion at all. The freshness check is
+                // the safety valve: a stale index (impossible under eager
+                // maintenance, but never trusted) silently degrades to the
+                // scan/hash path.
+                AccessPath::IndexProbe { index, keys } if ctx.storage.index_is_fresh(index) => {
+                    probe_index_item(
+                        ctx, name, binding, index, keys, combos, applicable, outer, pos,
+                        slot_map.as_mut(),
+                    )?
+                }
+                path => join_expanded(
+                    ctx, name, &plan.bindings, path, combos, applicable, outer, pos,
+                    slot_map.as_mut(),
+                )?,
+            },
         };
-
-        // Index probe: no expansion at all — per combination, hash the key
-        // and fetch candidate slots. The freshness check is the safety
-        // valve: a stale index (impossible under eager maintenance, but
-        // never trusted) silently degrades to the scan/hash path below.
-        let index_path = match &plan.paths[item_idx] {
-            AccessPath::IndexProbe { index, keys } if ctx.storage.index_is_fresh(index) => {
-                Some((index, keys))
-            }
-            _ => None,
-        };
-        if let Some((index_name, key_exprs)) = index_path {
-            combos = probe_index_item(
-                ctx, name, binding, index_name, key_exprs, combos, &applicable, outer, item_idx,
-                &mut slot_map,
-            )?;
-            slot_maps.push(slot_map);
-            continue;
-        }
-
-        let frames: Vec<Rc<Frame>> =
-            expand_table(ctx, name, binding)?.into_iter().map(Rc::new).collect();
-        ctx.stats.rows_scanned += frames.len() as u64;
-        if plan.reordered {
-            // Plain-table frames expand in heap-slot order.
-            for (slot, frame) in frames.iter().enumerate() {
-                slot_map.insert(Rc::as_ptr(frame) as usize, slot);
-            }
-        }
-
-        // Hash path only for the *first* applicable conjunct: the nested
-        // loop evaluates conjuncts in scheduled order, so hashing the first
-        // one preserves which expression gets evaluated against every row.
-        // (A planned hash join whose index-probe sibling went stale also
-        // lands here via `AccessPath::Scan`-equivalent replanning.)
-        let hash_plan = match &plan.paths[item_idx] {
-            AccessPath::HashJoin { probe, build } => Some((probe, build)),
-            AccessPath::IndexProbe { .. } if item_idx > 0 => {
-                applicable.first().and_then(|c| plan_hash_join(c, &bindings, item_idx))
-            }
-            _ => None,
-        };
-
-        let mut next: Vec<Vec<Rc<Frame>>> = Vec::new();
-        if let Some((probe_expr, build_expr)) = hash_plan {
-            // Build: hash the new item's frames on the join key. NULL keys
-            // can never satisfy the equality and are dropped; values
-            // without a hashable key (objects, collections) fall into a
-            // linear bucket probed only by composite probe values.
-            ctx.stats.hash_join_builds += 1;
-            let mut table: HashMap<JoinKey, Vec<usize>> = HashMap::new();
-            let mut composites: Vec<usize> = Vec::new();
-            for (i, frame) in frames.iter().enumerate() {
-                let env = make_env(std::slice::from_ref(frame), outer);
-                let value = eval_expr(ctx, &env, build_expr)?;
-                if value.is_null() {
-                    continue;
-                }
-                match value.join_key() {
-                    Some(key) => table.entry(key).or_default().push(i),
-                    None => composites.push(i),
-                }
-            }
-            // Probe: one lookup per combination; candidates re-verified
-            // with the full conjunct list (hash equality is a prefilter).
-            for mut combo in combos {
-                ctx.stats.hash_join_probes += 1;
-                let env = make_env(&combo, outer);
-                let probe = eval_expr(ctx, &env, probe_expr)?;
-                if probe.is_null() {
-                    continue;
-                }
-                let candidates: &[usize] = match probe.join_key() {
-                    Some(key) => table.get(&key).map(Vec::as_slice).unwrap_or(&[]),
-                    // A composite probe value can only equal composite
-                    // build values (scalars compare false against them).
-                    None => &composites,
-                };
-                ctx.stats.join_pairs += candidates.len() as u64;
-                for &i in candidates {
-                    let frame = frames[i].clone();
-                    extend_combo(ctx, &mut combo, frame, &applicable, outer, &mut next)?;
-                }
-            }
-        } else {
-            for mut combo in combos {
-                if item_idx > 0 {
-                    ctx.stats.join_pairs += frames.len() as u64;
-                }
-                for frame in &frames {
-                    extend_combo(ctx, &mut combo, frame.clone(), &applicable, outer, &mut next)?;
-                }
-            }
-        }
-        combos = next;
-        slot_maps.push(slot_map);
+        slot_maps.extend(slot_map);
     }
 
     // 1b. Restore the FROM-order enumeration: a nested loop in FROM order
@@ -274,25 +181,15 @@ pub fn execute_select(
     }
 
     // 2. Residual WHERE conjuncts (those deferred to the end).
-    let final_pos = stmt.from.len().saturating_sub(1);
-    let residual: Vec<&Expr> = scheduled
-        .iter()
-        .filter(|(pos, _)| *pos > final_pos)
-        .map(|(_, e)| e)
-        .collect();
-    let mut surviving: Vec<Vec<Rc<Frame>>> = Vec::new();
-    for combo in combos {
-        let mut keep = true;
-        for conjunct in &residual {
-            let env = make_env(&combo, outer);
-            if eval_bool(ctx, &env, conjunct)? != Some(true) {
-                keep = false;
-                break;
+    let residual = plan.residual(stmt.from.len());
+    if !residual.is_empty() {
+        let mut surviving = Vec::new();
+        for combo in combos {
+            if passes(ctx, &combo, residual, outer)? {
+                surviving.push(combo);
             }
         }
-        if keep {
-            surviving.push(combo);
-        }
+        combos = surviving;
     }
 
     // 3. Aggregate shortcut: COUNT(*) queries.
@@ -302,62 +199,48 @@ pub fn execute_select(
                 "COUNT(*) cannot be combined with other select items".into(),
             ));
         }
-        let name = stmt.items[0]
-            .alias
-            .as_ref()
-            .map(|a| a.as_str().to_string())
-            .unwrap_or_else(|| "COUNT(*)".to_string());
-        return Ok(QueryResult {
-            columns: vec![name],
-            rows: vec![vec![Value::Num(surviving.len() as f64)]],
-        });
+        if let Some(names) = names {
+            let name = stmt.items[0].alias.as_ref().map_or("COUNT(*)", Ident::as_str);
+            *names = vec![name.to_string()];
+        }
+        return Ok(vec![vec![Value::Num(combos.len() as f64)]]);
     }
 
     // 4. Projection.
-    let mut columns: Vec<String> = Vec::new();
-    let mut rows: Vec<Vec<Value>> = Vec::new();
-    let mut order_keys: Vec<Vec<Value>> = Vec::new();
-    for (row_idx, combo) in surviving.iter().enumerate() {
-        let env = make_env(combo, outer);
-        let mut row = Vec::new();
-        if stmt.star {
-            for frame in combo {
-                for (col, val) in frame.columns.iter().zip(frame.values.iter()) {
-                    if row_idx == 0 {
-                        columns.push(col.as_str().to_string());
-                    }
-                    row.push(val.clone());
-                }
+    if let Some(names) = names {
+        *names = match combos.first() {
+            _ if !stmt.star => {
+                stmt.items.iter().enumerate().map(|(i, item)| item_column_name(item, i)).collect()
             }
+            Some(combo) => combo
+                .iter()
+                .flat_map(|frame| frame.columns.iter().map(|c| c.as_str().to_string()))
+                .collect(),
+            // No rows: still report column names.
+            None => star_columns(ctx, stmt),
+        };
+    }
+    let mut rows: Vec<Vec<Value>> = Vec::with_capacity(combos.len());
+    let mut order_keys: Vec<Vec<Value>> = Vec::new();
+    for combo in &combos {
+        let env = make_env(combo, outer);
+        let row = if stmt.star {
+            combo.iter().flat_map(|frame| frame.values.iter().cloned()).collect()
         } else {
-            for (i, item) in stmt.items.iter().enumerate() {
-                if row_idx == 0 {
-                    columns.push(item_column_name(item, i));
-                }
+            let mut row = Vec::with_capacity(stmt.items.len());
+            for item in &stmt.items {
                 row.push(eval_expr(ctx, &env, &item.expr)?);
             }
-        }
+            row
+        };
         if !stmt.order_by.is_empty() {
-            let mut keys = Vec::new();
+            let mut keys = Vec::with_capacity(stmt.order_by.len());
             for (expr, _) in &stmt.order_by {
                 keys.push(eval_expr(ctx, &env, expr)?);
             }
             order_keys.push(keys);
         }
         rows.push(row);
-    }
-    if columns.is_empty() {
-        // No rows: still report column names.
-        if stmt.star {
-            columns = star_columns(ctx, stmt)?;
-        } else {
-            columns = stmt
-                .items
-                .iter()
-                .enumerate()
-                .map(|(i, item)| item_column_name(item, i))
-                .collect();
-        }
     }
 
     // 5. ORDER BY (stable sort on the precomputed keys).
@@ -382,7 +265,126 @@ pub fn execute_select(
         rows = distinct_rows(rows);
     }
 
-    Ok(QueryResult { columns, rows })
+    Ok(rows)
+}
+
+/// Join a lateral `TABLE(expr)` item: re-expanded under every combination
+/// (its rows depend on it), each element frame tried in place.
+fn join_lateral(
+    ctx: &mut ExecCtx,
+    expr: &Expr,
+    binding: &Ident,
+    combos: Vec<Vec<Rc<Frame>>>,
+    applicable: &[(usize, &Expr)],
+    outer: Option<&Env>,
+    pos: usize,
+) -> Result<Vec<Vec<Rc<Frame>>>, DbError> {
+    let mut columns = UnnestColumns::default();
+    // Filled per combination and drained into it: one buffer.
+    let mut frames: Vec<Rc<Frame>> = Vec::new();
+    let mut next: Vec<Vec<Rc<Frame>>> = Vec::new();
+    for mut combo in combos {
+        let env = make_env(&combo, outer);
+        expand_collection(ctx, expr, binding, &env, &mut columns, &mut frames)?;
+        ctx.stats.rows_scanned += frames.len() as u64;
+        if pos > 0 {
+            ctx.stats.join_pairs += frames.len() as u64;
+        }
+        for frame in frames.drain(..) {
+            extend_combo(ctx, &mut combo, frame, applicable, outer, &mut next)?;
+        }
+    }
+    Ok(next)
+}
+
+/// Join a table or view item by expanding it once and sharing its frames
+/// via `Rc` across all combinations: hashed on the join key when `path` (or,
+/// for an index probe whose index went stale, the first applicable
+/// conjunct) is an equi-join, else a nested loop.
+#[allow(clippy::too_many_arguments)]
+fn join_expanded(
+    ctx: &mut ExecCtx,
+    name: &Ident,
+    bindings: &[Ident],
+    path: &AccessPath,
+    combos: Vec<Vec<Rc<Frame>>>,
+    applicable: &[(usize, &Expr)],
+    outer: Option<&Env>,
+    pos: usize,
+    slot_map: Option<&mut HashMap<usize, usize>>,
+) -> Result<Vec<Vec<Rc<Frame>>>, DbError> {
+    let frames = expand_table(ctx, name, &bindings[pos])?;
+    ctx.stats.rows_scanned += frames.len() as u64;
+    if let Some(slot_map) = slot_map {
+        // Plain-table frames expand in heap-slot order.
+        for (slot, frame) in frames.iter().enumerate() {
+            slot_map.insert(Rc::as_ptr(frame) as usize, slot);
+        }
+    }
+
+    // Hash path only for the *first* applicable conjunct: the nested loop
+    // evaluates conjuncts in scheduled order, so hashing the first one
+    // preserves which expression gets evaluated against every row.
+    let hash_plan = match path {
+        AccessPath::HashJoin { probe, build } => Some((*probe, *build)),
+        AccessPath::IndexProbe { .. } if pos > 0 => {
+            applicable.first().and_then(|(_, c)| plan_hash_join(c, bindings, pos))
+        }
+        _ => None,
+    };
+
+    let mut next: Vec<Vec<Rc<Frame>>> = Vec::new();
+    if let Some((probe_expr, build_expr)) = hash_plan {
+        // Build: hash the new item's frames on the join key. NULL keys can
+        // never satisfy the equality and are dropped; values without a
+        // hashable key (objects, collections) fall into a linear bucket
+        // probed only by composite probe values.
+        ctx.stats.hash_join_builds += 1;
+        let mut table: HashMap<JoinKey, Vec<usize>> = HashMap::new();
+        let mut composites: Vec<usize> = Vec::new();
+        for (i, frame) in frames.iter().enumerate() {
+            let env = make_env(std::slice::from_ref(frame), outer);
+            let value = eval_expr(ctx, &env, build_expr)?;
+            if value.is_null() {
+                continue;
+            }
+            match value.join_key() {
+                Some(key) => table.entry(key).or_default().push(i),
+                None => composites.push(i),
+            }
+        }
+        // Probe: one lookup per combination; candidates re-verified with
+        // the full conjunct list (hash equality is a prefilter).
+        for mut combo in combos {
+            ctx.stats.hash_join_probes += 1;
+            let env = make_env(&combo, outer);
+            let probe = eval_expr(ctx, &env, probe_expr)?;
+            if probe.is_null() {
+                continue;
+            }
+            let candidates: &[usize] = match probe.join_key() {
+                Some(key) => table.get(&key).map(Vec::as_slice).unwrap_or(&[]),
+                // A composite probe value can only equal composite build
+                // values (scalars compare false against them).
+                None => &composites,
+            };
+            ctx.stats.join_pairs += candidates.len() as u64;
+            for &i in candidates {
+                let frame = frames[i].clone();
+                extend_combo(ctx, &mut combo, frame, applicable, outer, &mut next)?;
+            }
+        }
+    } else {
+        for mut combo in combos {
+            if pos > 0 {
+                ctx.stats.join_pairs += frames.len() as u64;
+            }
+            for frame in &frames {
+                extend_combo(ctx, &mut combo, frame.clone(), applicable, outer, &mut next)?;
+            }
+        }
+    }
+    Ok(next)
 }
 
 /// How ORDER BY compares two keys: NULL after every value — so NULLs come
@@ -428,56 +430,64 @@ fn distinct_rows(rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
 /// Join one FROM item to the accumulated combinations through a secondary
 /// index: per combination, evaluate the key expressions, hash, fetch
 /// candidate slots, and materialize frames only for candidates (cached per
-/// slot, shared via `Rc`). Candidates are re-verified against every
-/// applicable conjunct in [`extend_combo`], so a hash collision or SQL's
-/// non-transitive numeric-string equality can never leak a wrong row.
+/// slot and shared via `Rc` when more than one combination probes).
+/// Candidates are re-verified against every applicable conjunct in
+/// [`extend_combo`], so a hash collision or SQL's non-transitive
+/// numeric-string equality can never leak a wrong row.
 #[allow(clippy::too_many_arguments)]
 fn probe_index_item(
     ctx: &mut ExecCtx,
     name: &Ident,
     binding: &Ident,
     index_name: &Ident,
-    key_exprs: &[Expr],
+    key_exprs: &[&Expr],
     combos: Vec<Vec<Rc<Frame>>>,
-    applicable: &[&Expr],
+    applicable: &[(usize, &Expr)],
     outer: Option<&Env>,
-    item_idx: usize,
-    slot_map: &mut HashMap<usize, usize>,
+    pos: usize,
+    mut slot_map: Option<&mut HashMap<usize, usize>>,
 ) -> Result<Vec<Vec<Rc<Frame>>>, DbError> {
-    // The planner only picks an index probe for a cataloged plain table.
-    let table = ctx
-        .catalog
-        .get_table(name)
-        .cloned()
-        .ok_or_else(|| DbError::UnknownTable(name.as_str().to_string()))?;
-    let columns: Arc<[Ident]> =
-        ctx.catalog.table_columns(&table).into_iter().map(|(c, _)| c).collect();
-    let object_type = match &table {
-        TableDef::Object { of_type, .. } => Some(of_type.clone()),
-        _ => None,
-    };
-    // Copy the shared storage reference out of the context so probe results
-    // (borrowed from storage) stay usable while `ctx` is mutably borrowed
-    // for expression evaluation.
-    let storage = ctx.storage;
+    // Copy the shared catalog and storage references out of the context so
+    // the table's shape and the probe results (borrowed from them) stay
+    // usable while `ctx` is mutably borrowed for expression evaluation. The
+    // planner only picks an index probe for a cataloged plain table.
+    let (catalog, storage) = (ctx.catalog, ctx.storage);
+    let table =
+        catalog.get_table(name).ok_or_else(|| DbError::UnknownTable(name.as_str().to_string()))?;
+    let columns = catalog.column_names(table);
     let data = storage
         .table(name)
         .ok_or_else(|| DbError::UnknownTable(name.as_str().to_string()))?;
     ctx.stats.index_scans += 1;
+    let frame_of = |slot: usize| {
+        let row = &data.rows[slot];
+        Rc::new(Frame {
+            binding: binding.clone(),
+            columns: columns.clone(),
+            values: Arc::clone(&row.values),
+            oid: row.oid,
+            object_type: table.of_type().cloned(),
+        })
+    };
 
-    let mut cache: HashMap<usize, Rc<Frame>> = HashMap::new();
+    let mut cache: Option<HashMap<usize, Rc<Frame>>> = (combos.len() > 1).then(HashMap::new);
     let mut next: Vec<Vec<Rc<Frame>>> = Vec::new();
     for mut combo in combos {
         let env = make_env(&combo, outer);
-        let mut key_values = Vec::with_capacity(key_exprs.len());
-        for expr in key_exprs {
-            key_values.push(eval_expr(ctx, &env, expr)?);
-        }
         // A NULL key component can never satisfy the equality; a composite
         // (object/collection) probe value can never equal the scalar/REF
         // values an index is allowed to hold. Either way: no matches.
-        let key_refs: Vec<&Value> = key_values.iter().collect();
-        let Some(hash) = key_hash(&key_refs) else {
+        let hash = match key_exprs {
+            [key] => key_hash([eval_ref(ctx, &env, key)?.as_ref()]),
+            keys => {
+                let mut values = Vec::with_capacity(keys.len());
+                for key in keys {
+                    values.push(eval_expr(ctx, &env, key)?);
+                }
+                key_hash(&values)
+            }
+        };
+        let Some(hash) = hash else {
             continue;
         };
         let Some(slots) = storage.index_probe(index_name, hash) else {
@@ -488,25 +498,17 @@ fn probe_index_item(
             )));
         };
         ctx.stats.rows_scanned += slots.len() as u64;
-        if item_idx > 0 {
+        if pos > 0 {
             ctx.stats.join_pairs += slots.len() as u64;
         }
         for &slot in slots {
-            let frame = cache
-                .entry(slot)
-                .or_insert_with(|| {
-                    let row = &data.rows[slot];
-                    let frame = Rc::new(Frame {
-                        binding: binding.clone(),
-                        columns: columns.clone(),
-                        values: Arc::clone(&row.values),
-                        oid: row.oid,
-                        object_type: object_type.clone(),
-                    });
-                    slot_map.insert(Rc::as_ptr(&frame) as usize, slot);
-                    frame
-                })
-                .clone();
+            let frame = match &mut cache {
+                Some(cache) => cache.entry(slot).or_insert_with(|| frame_of(slot)).clone(),
+                None => frame_of(slot),
+            };
+            if let Some(slot_map) = slot_map.as_deref_mut() {
+                slot_map.insert(Rc::as_ptr(&frame) as usize, slot);
+            }
             extend_combo(ctx, &mut combo, frame, applicable, outer, &mut next)?;
         }
     }
@@ -515,26 +517,30 @@ fn probe_index_item(
 
 /// How one FROM item is matched against the accumulated combinations.
 /// Chosen by [`plan_select`] from the catalog alone (indexes + ANALYZE
-/// statistics), so EXPLAIN and execution agree on every plan.
+/// statistics), so EXPLAIN and execution agree on every plan. Expressions
+/// are borrowed from the statement planned.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum AccessPath {
+pub(crate) enum AccessPath<'s> {
     /// Expand every row; nested-loop against the combinations.
     Scan,
     /// Expand every row, hash on `build`, probe once per combination.
-    HashJoin { probe: Expr, build: Expr },
+    HashJoin { probe: &'s Expr, build: &'s Expr },
     /// Skip expansion entirely: per combination, evaluate `keys` (in the
     /// index's column order), hash, and fetch candidate slots from the
     /// named secondary index. Candidates are re-verified against the real
     /// conjuncts — the index is a prefilter, exactly like the hash join.
-    IndexProbe { index: Ident, keys: Vec<Expr> },
+    IndexProbe { index: Ident, keys: Vec<&'s Expr> },
 }
 
 /// The cost-based plan for one SELECT: join order, per-item access paths,
-/// scheduled conjuncts — everything both the executor and EXPLAIN need.
-pub(crate) struct SelectPlan {
+/// scheduled conjuncts — everything both the executor and EXPLAIN need,
+/// borrowing every expression from the statement `'s`.
+pub(crate) struct SelectPlan<'s> {
     /// Execution order as original FROM indices (`order[pos]` = which
     /// original item runs at position `pos`).
     pub order: Vec<usize>,
+    /// The binding of the item at each execution position.
+    pub bindings: Vec<Ident>,
     /// True when `order` differs from FROM-clause order. The executor then
     /// restores the original combination enumeration order afterwards, so
     /// results stay byte-identical to a nested loop in FROM order.
@@ -542,24 +548,39 @@ pub(crate) struct SelectPlan {
     /// True when the planner priced the join order from ANALYZE statistics.
     pub costed: bool,
     /// WHERE conjuncts with the execution position each is scheduled at
-    /// (`usize::MAX` = deferred to the residual filter).
-    pub scheduled: Vec<(usize, Expr)>,
-    /// Access path per execution position.
-    pub paths: Vec<AccessPath>,
-    /// Estimated rows this item contributes per execution position, from
-    /// ANALYZE statistics (`None` when the table was never analyzed).
-    pub est_rows: Vec<Option<u64>>,
+    /// (`usize::MAX` = deferred to the residual filter), sorted by position;
+    /// conjuncts of one position keep their WHERE order.
+    pub scheduled: Vec<(usize, &'s Expr)>,
+    /// Per execution position: the access path, and the rows the item is
+    /// estimated to contribute from ANALYZE statistics (`None` when the
+    /// table was never analyzed).
+    pub paths: Vec<(AccessPath<'s>, Option<u64>)>,
+}
+
+impl<'s> SelectPlan<'s> {
+    /// The conjuncts scheduled at execution position `pos`.
+    pub fn applicable(&self, pos: usize) -> &[(usize, &'s Expr)] {
+        scheduled_at(&self.scheduled, pos)
+    }
+
+    /// The conjuncts deferred past the last of `items` FROM items
+    /// (subqueries, unresolvable references).
+    pub fn residual(&self, items: usize) -> &[(usize, &'s Expr)] {
+        let final_pos = items.saturating_sub(1);
+        &self.scheduled[self.scheduled.partition_point(|(p, _)| *p <= final_pos)..]
+    }
 }
 
 /// Plan a SELECT from the catalog alone — no storage access, so plans are
 /// data-independent (EXPLAIN's contract) and identical between EXPLAIN and
 /// execution.
-pub(crate) fn plan_select(catalog: &Catalog, stmt: &SelectStmt) -> SelectPlan {
+pub(crate) fn plan_select<'s>(catalog: &Catalog, stmt: &'s SelectStmt) -> SelectPlan<'s> {
     let n = stmt.from.len();
     let orig_bindings: Vec<Ident> = stmt.from.iter().map(FromItem::binding).collect();
-    let mut conjuncts: Vec<Expr> = Vec::new();
+    // The WHERE conjuncts, each with the position it is scheduled at below.
+    let mut scheduled: Vec<(usize, &'s Expr)> = Vec::new();
     if let Some(pred) = &stmt.where_clause {
-        split_and(pred, &mut conjuncts);
+        split_and(pred, &mut scheduled);
     }
 
     // Join order: System-R-style greedy — ascending local-cardinality
@@ -574,11 +595,11 @@ pub(crate) fn plan_select(catalog: &Catalog, stmt: &SelectStmt) -> SelectPlan {
     let mut costed = false;
     if n > 1 && reorderable(catalog, stmt, &orig_bindings) {
         let est: Vec<u64> = (0..n)
-            .map(|i| local_estimate(catalog, stmt, &orig_bindings, i, &conjuncts))
+            .map(|i| local_estimate(catalog, stmt, &orig_bindings, i, &scheduled))
             .collect();
         // Join graph: i ~ j when some conjunct references both bindings.
         let mut adjacent = vec![vec![false; n]; n];
-        for conjunct in &conjuncts {
+        for (_, conjunct) in &scheduled {
             if let Some(positions) = side_positions(conjunct, &orig_bindings) {
                 for &i in &positions {
                     for &j in &positions {
@@ -605,27 +626,36 @@ pub(crate) fn plan_select(catalog: &Catalog, stmt: &SelectStmt) -> SelectPlan {
         costed = true;
     }
     let reordered = order.iter().enumerate().any(|(pos, &i)| pos != i);
+    let bindings = if reordered {
+        order.iter().map(|&i| orig_bindings[i].clone()).collect()
+    } else {
+        orig_bindings
+    };
 
     // Schedule conjuncts at the earliest *execution* position where all
-    // their bindings are bound.
-    let bindings: Vec<Ident> = order.iter().map(|&i| orig_bindings[i].clone()).collect();
-    let mut scheduled: Vec<(usize, Expr)> = Vec::new();
-    for conjunct in conjuncts {
-        let position = conjunct_position(&conjunct, &bindings);
-        scheduled.push((position, conjunct));
+    // their bindings are bound. A stable sort: one position's conjuncts
+    // stay in WHERE order, the order they are evaluated in.
+    for (pos, conjunct) in &mut scheduled {
+        *pos = conjunct_position(conjunct, &bindings);
     }
+    scheduled.sort_by_key(|(pos, _)| *pos);
 
-    let mut paths = Vec::with_capacity(n);
-    let mut est_rows = Vec::with_capacity(n);
-    for (pos, &orig) in order.iter().enumerate() {
-        let item = &stmt.from[orig];
-        let applicable: Vec<&Expr> =
-            scheduled.iter().filter(|(p, _)| *p == pos).map(|(_, e)| e).collect();
-        let (path, est) = plan_item_path(catalog, &bindings, pos, item, &applicable);
-        paths.push(path);
-        est_rows.push(est);
-    }
-    SelectPlan { order, reordered, costed, scheduled, paths, est_rows }
+    let paths = order
+        .iter()
+        .enumerate()
+        .map(|(pos, &orig)| {
+            let applicable = scheduled_at(&scheduled, pos);
+            plan_item_path(catalog, &bindings, pos, &stmt.from[orig], applicable)
+        })
+        .collect();
+    SelectPlan { order, bindings, reordered, costed, scheduled, paths }
+}
+
+/// The run of position-sorted `scheduled` conjuncts at position `pos`.
+fn scheduled_at<'p, 's>(scheduled: &'p [(usize, &'s Expr)], pos: usize) -> &'p [(usize, &'s Expr)] {
+    let start = scheduled.partition_point(|(p, _)| *p < pos);
+    let end = scheduled.partition_point(|(p, _)| *p <= pos);
+    &scheduled[start..end]
 }
 
 /// Can this FROM clause be reordered? Requires all plain analyzed tables
@@ -650,7 +680,7 @@ fn local_estimate(
     stmt: &SelectStmt,
     bindings: &[Ident],
     item: usize,
-    conjuncts: &[Expr],
+    conjuncts: &[(usize, &Expr)],
 ) -> u64 {
     let FromItem::Table { name, .. } = &stmt.from[item] else {
         return u64::MAX;
@@ -659,7 +689,7 @@ fn local_estimate(
         return u64::MAX;
     };
     let mut est = stats.rows;
-    for conjunct in conjuncts {
+    for (_, conjunct) in conjuncts {
         let Some((col, other)) = equality_key(conjunct, bindings, item) else {
             continue;
         };
@@ -669,8 +699,8 @@ fn local_estimate(
         }
         let unique = catalog
             .indexes_on(name)
-            .any(|idx| idx.unique && idx.columns.len() == 1 && idx.columns[0] == col);
-        let sel = if unique { 1 } else { (stats.rows / stats.ndv(&col)).max(1) };
+            .any(|idx| idx.unique && idx.columns.len() == 1 && &idx.columns[0] == col);
+        let sel = if unique { 1 } else { (stats.rows / stats.ndv(col)).max(1) };
         est = est.min(sel);
     }
     est
@@ -683,11 +713,11 @@ fn equality_key<'a>(
     conjunct: &'a Expr,
     bindings: &[Ident],
     item_idx: usize,
-) -> Option<(Ident, &'a Expr)> {
+) -> Option<(&'a Ident, &'a Expr)> {
     let Expr::Binary { op: BinOp::Eq, lhs, rhs } = conjunct else {
         return None;
     };
-    let as_key = |side: &'a Expr, other: &'a Expr| -> Option<(Ident, &'a Expr)> {
+    let as_key = |side: &'a Expr, other: &'a Expr| -> Option<(&'a Ident, &'a Expr)> {
         let Expr::Path(parts) = side else { return None };
         let [binding, col] = parts.as_slice() else { return None };
         if binding != &bindings[item_idx] {
@@ -695,7 +725,7 @@ fn equality_key<'a>(
         }
         let other_pos = side_positions(other, bindings)?;
         if other_pos.iter().all(|&p| p < item_idx) {
-            Some((col.clone(), other))
+            Some((col, other))
         } else {
             None
         }
@@ -707,13 +737,13 @@ fn equality_key<'a>(
 /// a secondary-index probe when one covers the available equality keys
 /// (cost: `rows/ndv` candidates per probe, always ≤ a scan), else the hash
 /// equi-join, else a scan.
-fn plan_item_path(
+fn plan_item_path<'s>(
     catalog: &Catalog,
     bindings: &[Ident],
     pos: usize,
     item: &FromItem,
-    applicable: &[&Expr],
-) -> (AccessPath, Option<u64>) {
+    applicable: &[(usize, &'s Expr)],
+) -> (AccessPath<'s>, Option<u64>) {
     let table_name = match item {
         FromItem::Table { name, .. } if catalog.get_table(name).is_some() => Some(name),
         _ => None,
@@ -721,27 +751,22 @@ fn plan_item_path(
     let stats = table_name.and_then(|t| catalog.table_stats(t));
     let mut est = stats.map(|s| s.rows);
     if let Some(table) = table_name {
-        let keyed: Vec<(Ident, &Expr)> =
-            applicable.iter().filter_map(|c| equality_key(c, bindings, pos)).collect();
+        // The probe-side expression of the first conjunct keying `column`.
+        let key_of = |column: &Ident| {
+            applicable.iter().find_map(|(_, c)| {
+                equality_key(c, bindings, pos).filter(|(col, _)| *col == column).map(|(_, e)| e)
+            })
+        };
         // Widest covered index wins; `>` keeps the first of a tie, and the
         // inventory lists key indexes before declared ones.
-        let mut best: Option<(&IndexDef, Vec<Expr>)> = None;
+        let mut best: Option<&IndexDef> = None;
         for idx in catalog.indexes_on(table) {
-            let covered = idx.columns.iter().all(|ic| keyed.iter().any(|(col, _)| col == ic));
-            if !covered {
-                continue;
-            }
-            let wider = best.as_ref().is_none_or(|(b, _)| idx.columns.len() > b.columns.len());
-            if wider {
-                let keys = idx
-                    .columns
-                    .iter()
-                    .map(|ic| keyed.iter().find(|(col, _)| col == ic).unwrap().1.clone())
-                    .collect();
-                best = Some((idx, keys));
+            let covered = idx.columns.iter().all(|ic| key_of(ic).is_some());
+            if covered && best.is_none_or(|b| idx.columns.len() > b.columns.len()) {
+                best = Some(idx);
             }
         }
-        if let Some((idx, keys)) = best {
+        if let Some(idx) = best {
             if let Some(s) = stats {
                 est = Some(if idx.unique {
                     1
@@ -750,14 +775,15 @@ fn plan_item_path(
                     (s.rows / ndv).max(1)
                 });
             }
+            let keys = idx.columns.iter().filter_map(key_of).collect();
             return (AccessPath::IndexProbe { index: idx.name.clone(), keys }, est);
         }
     }
     if pos > 0 {
         if let Some((probe, build)) =
-            applicable.first().and_then(|c| plan_hash_join(c, bindings, pos))
+            applicable.first().and_then(|(_, c)| plan_hash_join(c, bindings, pos))
         {
-            return (AccessPath::HashJoin { probe: probe.clone(), build: build.clone() }, est);
+            return (AccessPath::HashJoin { probe, build }, est);
         }
     }
     (AccessPath::Scan, est)
@@ -773,24 +799,40 @@ fn extend_combo(
     ctx: &mut ExecCtx,
     combo: &mut Vec<Rc<Frame>>,
     frame: Rc<Frame>,
-    applicable: &[&Expr],
+    applicable: &[(usize, &Expr)],
     outer: Option<&Env>,
     next: &mut Vec<Vec<Rc<Frame>>>,
 ) -> Result<(), DbError> {
-    combo.push(frame);
-    let mut keep = true;
-    for conjunct in applicable {
-        let env = make_env(combo, outer);
-        if eval_bool(ctx, &env, conjunct)? != Some(true) {
-            keep = false;
-            break;
+    if combo.is_empty() {
+        // The first item's frame starts a combination of its own.
+        if passes(ctx, std::slice::from_ref(&frame), applicable, outer)? {
+            next.push(vec![frame]);
         }
+        return Ok(());
     }
-    if keep {
+    combo.push(frame);
+    let keep = passes(ctx, combo, applicable, outer);
+    if let Ok(true) = keep {
         next.push(combo.clone());
     }
     combo.pop();
-    Ok(())
+    keep.map(|_| ())
+}
+
+/// Does every one of `conjuncts` evaluate to TRUE on `combo`?
+fn passes(
+    ctx: &mut ExecCtx,
+    combo: &[Rc<Frame>],
+    conjuncts: &[(usize, &Expr)],
+    outer: Option<&Env>,
+) -> Result<bool, DbError> {
+    let env = make_env(combo, outer);
+    for (_, conjunct) in conjuncts {
+        if eval_bool(ctx, &env, conjunct)? != Some(true) {
+            return Ok(false);
+        }
+    }
+    Ok(true)
 }
 
 /// If `conjunct` is an equality between an expression bound solely by the
@@ -842,14 +884,15 @@ fn side_positions(expr: &Expr, bindings: &[Ident]) -> Option<Vec<usize>> {
     }
 }
 
-/// Flatten nested ANDs into a conjunct list.
-pub(crate) fn split_and(expr: &Expr, out: &mut Vec<Expr>) {
+/// Flatten nested ANDs into a conjunct list, each at position 0 until
+/// scheduled.
+fn split_and<'s>(expr: &'s Expr, out: &mut Vec<(usize, &'s Expr)>) {
     match expr {
-        Expr::Binary { op: crate::sql::ast::BinOp::And, lhs, rhs } => {
+        Expr::Binary { op: BinOp::And, lhs, rhs } => {
             split_and(lhs, out);
             split_and(rhs, out);
         }
-        other => out.push(other.clone()),
+        other => out.push((0, other)),
     }
 }
 
@@ -931,7 +974,7 @@ fn item_column_name(item: &crate::sql::ast::SelectItem, index: usize) -> String 
 }
 
 /// Column names a `SELECT *` would produce when there are no rows.
-fn star_columns(ctx: &ExecCtx, stmt: &SelectStmt) -> Result<Vec<String>, DbError> {
+fn star_columns(ctx: &ExecCtx, stmt: &SelectStmt) -> Vec<String> {
     let mut out = Vec::new();
     for item in &stmt.from {
         if let FromItem::Table { name, .. } = item {
@@ -942,7 +985,7 @@ fn star_columns(ctx: &ExecCtx, stmt: &SelectStmt) -> Result<Vec<String>, DbError
             }
         }
     }
-    Ok(out)
+    out
 }
 
 /// The frames of a plain table (one per stored row, sharing the row's
@@ -951,15 +994,10 @@ fn expand_table(
     ctx: &mut ExecCtx,
     name: &Ident,
     binding: &Ident,
-) -> Result<Vec<Frame>, DbError> {
+) -> Result<Vec<Rc<Frame>>, DbError> {
     // A real table?
-    if let Some(table) = ctx.catalog.get_table(name).cloned() {
-        let columns: Arc<[Ident]> =
-            ctx.catalog.table_columns(&table).into_iter().map(|(c, _)| c).collect();
-        let object_type = match &table {
-            TableDef::Object { of_type, .. } => Some(of_type.clone()),
-            _ => None,
-        };
+    if let Some(table) = ctx.catalog.get_table(name) {
+        let columns = ctx.catalog.column_names(table);
         let data = ctx
             .storage
             .table(name)
@@ -967,12 +1005,14 @@ fn expand_table(
         return Ok(data
             .rows
             .iter()
-            .map(|row| Frame {
-                binding: binding.clone(),
-                columns: columns.clone(),
-                values: Arc::clone(&row.values),
-                oid: row.oid,
-                object_type: object_type.clone(),
+            .map(|row| {
+                Rc::new(Frame {
+                    binding: binding.clone(),
+                    columns: columns.clone(),
+                    values: Arc::clone(&row.values),
+                    oid: row.oid,
+                    object_type: table.of_type().cloned(),
+                })
             })
             .collect());
     }
@@ -984,12 +1024,14 @@ fn expand_table(
         return Ok(result
             .rows
             .into_iter()
-            .map(|values| Frame {
-                binding: binding.clone(),
-                columns: columns.clone(),
-                values: Arc::new(values),
-                oid: None,
-                object_type: None,
+            .map(|values| {
+                Rc::new(Frame {
+                    binding: binding.clone(),
+                    columns: columns.clone(),
+                    values: Arc::new(values),
+                    oid: None,
+                    object_type: None,
+                })
             })
             .collect());
     }

@@ -1113,8 +1113,10 @@ impl Database {
     /// [`execute_insert_batch`] for the subquery-visibility contract.
     /// Returns the number of rows inserted; emits a `batch` trace span.
     pub fn execute_batch(&mut self, batch: &InsertBatch) -> Result<usize, DbError> {
-        let span = self
-            .trace_begin("batch", format!("{} rows into {}", batch.rows.len(), batch.table));
+        // The detail is formatted only when tracing: most batches are one row.
+        let span = self.trace.as_ref().and_then(|_| {
+            self.trace_begin("batch", format!("{} rows into {}", batch.rows.len(), batch.table))
+        });
         let result = self.execute_batch_inner(batch);
         self.trace_end(span);
         result

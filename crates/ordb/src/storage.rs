@@ -130,7 +130,7 @@ impl SecondaryIndex {
 /// is NULL or has no join key (objects, collections). Shared by index
 /// maintenance, the planner's probes and the DML uniqueness check, so a
 /// probe key always lands in the bucket maintenance filed it under.
-pub fn key_hash(key: &[&Value]) -> Option<u64> {
+pub fn key_hash<'v>(key: impl IntoIterator<Item = &'v Value>) -> Option<u64> {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     for v in key {
         if v.is_null() || !v.hash_join_key(&mut h) {
@@ -220,7 +220,7 @@ impl<'a> KeyedReader<'a> {
         let (heap, bucket): (_, &[usize]) = match self.buckets(build) {
             None => (0..rows.len(), &[]),
             Some(buckets) => {
-                (0..0, key_hash(&[key]).and_then(|h| buckets.get(&h)).map_or(&[], Vec::as_slice))
+                (0..0, key_hash([key]).and_then(|h| buckets.get(&h)).map_or(&[], Vec::as_slice))
             }
         };
         heap.chain(bucket.iter().copied()).filter(move |&slot| {
@@ -243,7 +243,7 @@ impl<'a> KeyedReader<'a> {
                     self.table_scans += 1;
                     let mut map = SlotBuckets::default();
                     for (slot, row) in rows.iter().enumerate() {
-                        if let Some(h) = row.values.get(key_col).and_then(|v| key_hash(&[v])) {
+                        if let Some(h) = row.values.get(key_col).and_then(|v| key_hash([v])) {
                             // Slots arrive ascending, so plain pushes keep each
                             // bucket in heap order — same enumeration as a scan.
                             map.entry(h).or_default().push(slot);
@@ -1125,8 +1125,7 @@ impl Storage {
     /// key component is NULL or unhashable (such rows are unindexed — an
     /// equality predicate can never select them).
     fn values_key(cols: &[usize], values: &[Value]) -> Option<u64> {
-        let key: Vec<&Value> = cols.iter().map(|&c| values.get(c).unwrap_or(&Value::Null)).collect();
-        key_hash(&key)
+        key_hash(cols.iter().map(|&c| values.get(c).unwrap_or(&Value::Null)))
     }
 
     /// Index maintenance after rows were appended at `base_slot..`: fresh
@@ -1412,7 +1411,7 @@ mod tests {
     }
 
     fn probe_values(st: &Storage, index: &str, key: &[&Value]) -> Option<Vec<usize>> {
-        st.index_probe(&id(index), key_hash(key).unwrap()).map(|s| s.to_vec())
+        st.index_probe(&id(index), key_hash(key.iter().copied()).unwrap()).map(|s| s.to_vec())
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub fn select(db: &Database, sql: &str) -> Vec<Vec<Value>> {
             .iter()
             .map(|(_, name)| {
                 let def = catalog.get_table(name).unwrap_or_else(|| panic!("no table {name}"));
-                catalog.table_columns(def).into_iter().map(|(column, _)| column).collect()
+                catalog.table_columns(def).iter().map(|(column, _)| column.clone()).collect()
             })
             .collect()
     };

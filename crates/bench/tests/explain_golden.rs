@@ -1,9 +1,10 @@
 //! Golden-file snapshots of EXPLAIN output.
 //!
 //! The plan renderer promises a *stable*, data-independent plan tree; these
-//! snapshots pin the concrete text for the two headline query shapes — the
-//! E14 REF-chain navigation and the edge-table 7-way self-join — in both
-//! engine modes. Any change to plan rendering must update the goldens
+//! snapshots pin the concrete text for the headline query shapes — the E14
+//! REF-chain navigation, the edge-table 7-way self-join in both engine
+//! modes, and the §4.1 query seeded at its constant filter on or8, rel and
+//! inline. Any change to plan rendering must update the goldens
 //! deliberately: `UPDATE_GOLDEN=1 cargo test -p xmlord-bench --test
 //! explain_golden`.
 
@@ -87,6 +88,30 @@ fn paper_query_edge_join_plan_oracle8() {
     db.execute_script(edge.ddl()).unwrap();
     let sql = paper_query(&edge);
     check("paperq_edge_oracle8.txt", &plan_text(&mut db, &sql));
+}
+
+/// The §4.1 query where it is a chain of joins — or8's back-pointing REFs,
+/// rel's and inline's foreign keys — with no index but the keys and no
+/// statistics: the plan starts at the constant filter on the professor's
+/// name and walks up to the student by one-row probes (OID probes on or8,
+/// PRIMARY KEY probes on rel and inline). The plan is the catalog's: the
+/// same once documents are stored.
+#[test]
+fn paper_query_seeded_plans() {
+    let (_, doc) = university_doc(5);
+    for (strategy, golden) in [
+        (MappingStrategy::Or8, "paperq_or8.txt"),
+        (MappingStrategy::Relational, "paperq_rel.txt"),
+        (MappingStrategy::Inline, "paperq_inline.txt"),
+    ] {
+        let mut handle = university(strategy);
+        let sql = paper_query(&handle);
+        let plan = plan_text(handle.database(), &sql);
+        assert!(plan.contains("join order: seeded at "), "{plan}");
+        check(golden, &plan);
+        handle.load(&doc).unwrap();
+        assert_eq!(plan_text(handle.database(), &sql), plan, "{strategy:?} loaded");
+    }
 }
 
 /// The REF-chain navigation rewritten as its explicit relational join —

@@ -485,15 +485,21 @@ mod tests {
         for stmt in index_script(&schema) {
             db.execute(&stmt).unwrap();
         }
-        // The generated back-ref equalities are planner-matchable: the
-        // plan now probes the REF indexes instead of scanning.
+        // The generated back-ref equalities are planner-matchable: the plan
+        // starts at the professor's name and walks *up* the back-pointing
+        // REFs, each parent found by its OID in one directory lookup — no
+        // REF index, hash table or scan above the professor table.
         let plan = db.query(&format!("EXPLAIN {}", t.sql)).unwrap();
         let lines: Vec<String> =
             plan.rows.iter().map(|r| r[0].as_str().unwrap().to_string()).collect();
-        assert!(lines.iter().any(|l| l.contains("index probe")), "{lines:#?}");
-        // Index-backed execution returns exactly the rows it returned
-        // before the indexes existed.
+        let seeded = "join order: seeded at t3 (t3, t2, t1, t0) — constant filter, one-row probes";
+        assert!(lines.iter().any(|l| l.trim() == seeded), "{lines:#?}");
+        assert_eq!(lines.iter().filter(|l| l.contains("— OID probe (key: ")).count(), 3, "{lines:#?}");
+        // Execution returns exactly the rows, in the order, it returned
+        // before the indexes and statistics existed.
+        let before = db.stats();
         assert_eq!(db.query(&t.sql).unwrap(), naive);
+        assert_eq!(db.stats().since(&before).oid_index_hits, 3);
     }
 
     #[test]

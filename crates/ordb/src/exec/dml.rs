@@ -484,6 +484,7 @@ fn enforce_constraints(
                     values: Arc::new(row_values.to_vec()),
                     oid: None,
                     object_type: table.of_type().cloned(),
+                    slot: 0,
                 };
                 let frames = [std::rc::Rc::new(frame)];
                 let env = Env::new(&frames);
@@ -535,14 +536,7 @@ pub fn execute_update(
             .ok_or_else(|| DbError::UnknownTable(table_name.as_str().to_string()))?;
         let mut ctx = ExecCtx::new(catalog, storage, stats, mode);
         for (idx, row) in data.rows.iter().enumerate() {
-            let frame = Frame {
-                binding: table_name.clone(),
-                columns: columns.clone(),
-                values: Arc::clone(&row.values),
-                oid: row.oid,
-                object_type: table.of_type().cloned(),
-            };
-            let frames = [std::rc::Rc::new(frame)];
+            let frames = [std::rc::Rc::new(Frame::of_row(table_name, &columns, table, row, idx))];
             let env = Env::new(&frames);
             let hit = match where_clause {
                 None => true,
@@ -680,14 +674,8 @@ pub fn execute_delete(
             let keep = match where_clause {
                 None => false,
                 Some(pred) => {
-                    let frame = Frame {
-                        binding: table_name.clone(),
-                        columns: columns.clone(),
-                        values: Arc::clone(&row.values),
-                        oid: row.oid,
-                        object_type: table.of_type().cloned(),
-                    };
-                    let frames = [std::rc::Rc::new(frame)];
+                    let frames =
+                        [std::rc::Rc::new(Frame::of_row(table_name, &columns, table, row, idx))];
                     let env = Env::new(&frames);
                     eval_bool(&mut ctx, &env, pred)? != Some(true)
                 }

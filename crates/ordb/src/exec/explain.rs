@@ -13,7 +13,7 @@
 
 use crate::catalog::{Catalog, TableDef};
 use crate::error::DbError;
-use crate::exec::select::{plan_select, AccessPath, QueryResult, SelectPlan};
+use crate::exec::select::{plan_select, AccessPath, JoinOrder, QueryResult, SelectPlan};
 use crate::ident::Ident;
 use crate::mode::DbMode;
 use crate::sql::ast::{Expr, FromItem, SelectStmt, Stmt};
@@ -186,16 +186,21 @@ impl Plan<'_> {
         // order and per-item access paths all come from the shared
         // `plan_select`, so this rendering can never drift from execution.
         let plan = plan_select(self.catalog, query);
-        if plan.costed {
-            let exec_order: Vec<String> = plan
-                .order
-                .iter()
-                .map(|&i| query.from[i].binding().as_str().to_string())
-                .collect();
-            self.line(
+        let exec_order = || plan.bindings.iter().map(Ident::as_str).collect::<Vec<_>>().join(", ");
+        match plan.join_order {
+            JoinOrder::FromClause => {}
+            JoinOrder::CostBased => self.line(
                 ind + 1,
-                format!("join order: cost-based ({}) — ANALYZE statistics", exec_order.join(", ")),
-            );
+                format!("join order: cost-based ({}) — ANALYZE statistics", exec_order()),
+            ),
+            JoinOrder::Seeded => self.line(
+                ind + 1,
+                format!(
+                    "join order: seeded at {} ({}) — constant filter, one-row probes",
+                    plan.bindings[0],
+                    exec_order()
+                ),
+            ),
         }
 
         let catalog = self.catalog;
@@ -293,6 +298,7 @@ impl Plan<'_> {
                     .map_or_else(|| index.to_string(), |def| def.label());
                 format!(" — index probe {label} (key: {})", keys.join(", "))
             }
+            AccessPath::OidProbe { key } => format!(" — OID probe (key: {})", print_expr(key)),
             AccessPath::HashJoin { probe, build } => format!(
                 " — hash join (build: {}, probe: {})",
                 print_expr(build),

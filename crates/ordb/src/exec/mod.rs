@@ -13,11 +13,13 @@ pub mod select;
 use std::rc::Rc;
 use std::sync::Arc;
 
+use crate::catalog::TableDef;
 use crate::error::DbError;
 use crate::exec::eval::ExecCtx;
 use crate::exec::select::{execute_select, QueryResult};
 use crate::ident::Ident;
 use crate::sql::ast::Stmt;
+use crate::storage::Row;
 use crate::value::{Oid, Value};
 
 /// Run a read-only statement — SELECT or EXPLAIN — in `ctx`. The writer
@@ -51,9 +53,33 @@ pub struct Frame {
     /// and object-valued collection elements): a bare `binding` reference in
     /// an expression then denotes the whole object.
     pub object_type: Option<Ident>,
+    /// The row's heap slot for a table row (its position for a view row,
+    /// 0 for a collection element): after a reorder, combinations are
+    /// sorted by their frames' slots in FROM order to restore the nested
+    /// loop's enumeration.
+    pub slot: usize,
 }
 
 impl Frame {
+    /// The frame of `row`, stored at heap `slot` of `table`, visible as
+    /// `binding`: it shares the row's block.
+    pub(crate) fn of_row(
+        binding: &Ident,
+        columns: &Arc<[Ident]>,
+        table: &TableDef,
+        row: &Row,
+        slot: usize,
+    ) -> Frame {
+        Frame {
+            binding: binding.clone(),
+            columns: Arc::clone(columns),
+            values: Arc::clone(&row.values),
+            oid: row.oid,
+            object_type: table.of_type().cloned(),
+            slot,
+        }
+    }
+
     pub fn column_value(&self, name: &Ident) -> Option<&Value> {
         self.columns.iter().position(|c| c == name).map(|i| &self.values[i])
     }
@@ -118,6 +144,7 @@ mod tests {
             values: Arc::new(cols.iter().map(|(_, v)| v.clone()).collect()),
             oid: None,
             object_type: None,
+            slot: 0,
         })
     }
 

@@ -6,7 +6,10 @@
 //! ## Join strategy selection
 //!
 //! Each FROM item beyond the first is joined to the accumulated row
-//! combinations one of two ways:
+//! combinations by a probe when the catalog offers one — an **OID probe**
+//! for `REF(item) = …` (one OID-directory lookup per combination) or an
+//! **index probe** on an index covered by equality keys — and otherwise one
+//! of two ways:
 //!
 //! * **Hash equi-join** — when the first WHERE conjunct scheduled at this
 //!   item is an equality whose one side references only this item's binding
@@ -42,14 +45,15 @@
 //! item *in place* — pushed onto the parent combination and popped again
 //! (`extend_combo`) — so a rejected candidate allocates nothing.
 
-use crate::catalog::{Catalog, IndexDef};
+use crate::catalog::{Catalog, IndexDef, TableDef, TableStats};
 use crate::error::DbError;
 use crate::exec::eval::{eval_bool, eval_expr, eval_ref, ExecCtx};
 use crate::exec::{Env, Frame};
 use crate::ident::Ident;
 use crate::sql::ast::{BinOp, Expr, FromItem, SelectStmt};
-use crate::storage::key_hash;
+use crate::storage::{key_hash, Row};
 use crate::value::{JoinKey, Value};
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hasher};
 use std::rc::Rc;
@@ -102,20 +106,20 @@ pub(crate) fn select_rows(
     //    one access path per FROM item — from the catalog alone, so the
     //    plan is exactly what EXPLAIN predicts.
     let plan = plan_select(ctx.catalog, stmt);
-    if plan.costed || plan.paths.iter().any(|(p, _)| matches!(p, AccessPath::IndexProbe { .. })) {
+    if plan.join_order == JoinOrder::CostBased
+        || plan.paths.iter().any(|(p, _)| matches!(p, AccessPath::IndexProbe { .. }))
+    {
         ctx.stats.planner_plans_costed += 1;
     }
 
     // 1. FROM: build row combinations in execution order. Later items see
     //    earlier bindings (needed by TABLE(t.attr) un-nesting), and
-    //    conjuncts filter as soon as their inputs are bound. When the
-    //    planner reordered, each frame's heap slot is recorded so step 1b
-    //    can restore the FROM-order enumeration.
+    //    conjuncts filter as soon as their inputs are bound. Every table
+    //    frame carries its heap slot, which step 1b sorts by.
     let mut combos: Vec<Vec<Rc<Frame>>> = vec![Vec::new()];
     if stmt.from.len() > 1 {
         ctx.stats.join_queries += 1;
     }
-    let mut slot_maps: Vec<HashMap<usize, usize>> = Vec::new();
     for (pos, &orig) in plan.order.iter().enumerate() {
         if combos.is_empty() {
             // An earlier item produced no combinations; nothing to extend
@@ -124,7 +128,6 @@ pub(crate) fn select_rows(
         }
         let binding = &plan.bindings[pos];
         let applicable = plan.applicable(pos);
-        let mut slot_map = plan.reordered.then(HashMap::new);
         combos = match &stmt.from[orig] {
             // Lateral items depend on the current combination and are
             // re-expanded per combo.
@@ -132,6 +135,9 @@ pub(crate) fn select_rows(
                 join_lateral(ctx, expr, binding, combos, applicable, outer, pos)?
             }
             FromItem::Table { name, .. } => match &plan.paths[pos].0 {
+                AccessPath::OidProbe { key } => {
+                    probe_oid_item(ctx, name, binding, key, combos, applicable, outer, pos)?
+                }
                 // Index probe: no expansion at all. The freshness check is
                 // the safety valve: a stale index (impossible under eager
                 // maintenance, but never trusted) silently degrades to the
@@ -139,45 +145,30 @@ pub(crate) fn select_rows(
                 AccessPath::IndexProbe { index, keys } if ctx.storage.index_is_fresh(index) => {
                     probe_index_item(
                         ctx, name, binding, index, keys, combos, applicable, outer, pos,
-                        slot_map.as_mut(),
                     )?
                 }
                 path => join_expanded(
                     ctx, name, &plan.bindings, path, combos, applicable, outer, pos,
-                    slot_map.as_mut(),
                 )?,
             },
         };
-        slot_maps.extend(slot_map);
     }
 
     // 1b. Restore the FROM-order enumeration: a nested loop in FROM order
     //     enumerates combinations in lexicographic heap-slot order — so
-    //     after a reorder, sorting by the original-order slot tuple and
-    //     un-permuting each combination's frames makes output
-    //     byte-identical to that nested loop.
+    //     after a reorder, un-permuting each combination's frames and
+    //     sorting by their slots makes output byte-identical to that
+    //     nested loop.
     if plan.reordered && !combos.is_empty() {
         let n = stmt.from.len();
         let mut exec_pos_of = vec![0usize; n];
         for (pos, &orig) in plan.order.iter().enumerate() {
             exec_pos_of[orig] = pos;
         }
-        let mut keyed: Vec<(Vec<usize>, Vec<Rc<Frame>>)> = combos
-            .into_iter()
-            .map(|combo| {
-                let key: Vec<usize> = (0..n)
-                    .map(|i| {
-                        let pos = exec_pos_of[i];
-                        slot_maps[pos][&(Rc::as_ptr(&combo[pos]) as usize)]
-                    })
-                    .collect();
-                let restored: Vec<Rc<Frame>> =
-                    (0..n).map(|i| combo[exec_pos_of[i]].clone()).collect();
-                (key, restored)
-            })
-            .collect();
-        keyed.sort_by(|a, b| a.0.cmp(&b.0));
-        combos = keyed.into_iter().map(|(_, combo)| combo).collect();
+        for combo in &mut combos {
+            *combo = exec_pos_of.iter().map(|&pos| combo[pos].clone()).collect();
+        }
+        combos.sort_by(|a, b| a.iter().map(|f| f.slot).cmp(b.iter().map(|f| f.slot)));
     }
 
     // 2. Residual WHERE conjuncts (those deferred to the end).
@@ -311,16 +302,14 @@ fn join_expanded(
     applicable: &[(usize, &Expr)],
     outer: Option<&Env>,
     pos: usize,
-    slot_map: Option<&mut HashMap<usize, usize>>,
 ) -> Result<Vec<Vec<Rc<Frame>>>, DbError> {
-    let frames = expand_table(ctx, name, &bindings[pos])?;
-    ctx.stats.rows_scanned += frames.len() as u64;
-    if let Some(slot_map) = slot_map {
-        // Plain-table frames expand in heap-slot order.
-        for (slot, frame) in frames.iter().enumerate() {
-            slot_map.insert(Rc::as_ptr(frame) as usize, slot);
+    if pos == 0 {
+        if let Some(table) = ctx.catalog.get_table(name) {
+            return scan_first_item(ctx, name, table, &bindings[0], applicable, outer);
         }
     }
+    let frames = expand_table(ctx, name, &bindings[pos])?;
+    ctx.stats.rows_scanned += frames.len() as u64;
 
     // Hash path only for the *first* applicable conjunct: the nested loop
     // evaluates conjuncts in scheduled order, so hashing the first one
@@ -387,6 +376,46 @@ fn join_expanded(
     Ok(next)
 }
 
+/// Scan the plain table that runs first: each row is tried as a one-frame
+/// combination as it is read. Nothing else holds a rejected row's frame, so
+/// it is refilled with the next row — a selective filter allocates frames
+/// for the rows it keeps only, as the §4.1 query's seed scan does.
+fn scan_first_item(
+    ctx: &mut ExecCtx,
+    name: &Ident,
+    table: &TableDef,
+    binding: &Ident,
+    applicable: &[(usize, &Expr)],
+    outer: Option<&Env>,
+) -> Result<Vec<Vec<Rc<Frame>>>, DbError> {
+    let (catalog, storage) = (ctx.catalog, ctx.storage);
+    let columns = catalog.column_names(table);
+    let data = storage
+        .table(name)
+        .ok_or_else(|| DbError::UnknownTable(name.as_str().to_string()))?;
+    ctx.stats.rows_scanned += data.rows.len() as u64;
+    let refill = |spare: Option<Rc<Frame>>, row: &Row, slot: usize| {
+        let mut frame = spare?;
+        let reused = Rc::get_mut(&mut frame)?;
+        reused.values = Arc::clone(&row.values);
+        reused.oid = row.oid;
+        reused.slot = slot;
+        Some(frame)
+    };
+    let mut next: Vec<Vec<Rc<Frame>>> = Vec::new();
+    let mut spare = None;
+    for (slot, row) in data.rows.iter().enumerate() {
+        let frame = refill(spare.take(), row, slot)
+            .unwrap_or_else(|| Rc::new(Frame::of_row(binding, &columns, table, row, slot)));
+        if passes(ctx, std::slice::from_ref(&frame), applicable, outer)? {
+            next.push(vec![frame]);
+        } else {
+            spare = Some(frame);
+        }
+    }
+    Ok(next)
+}
+
 /// How ORDER BY compares two keys: NULL after every value — so NULLs come
 /// last ascending and first `DESC`, as in Oracle — and otherwise
 /// [`Value::sql_cmp`], with incomparable values tied. NULL must not tie
@@ -445,7 +474,6 @@ fn probe_index_item(
     applicable: &[(usize, &Expr)],
     outer: Option<&Env>,
     pos: usize,
-    mut slot_map: Option<&mut HashMap<usize, usize>>,
 ) -> Result<Vec<Vec<Rc<Frame>>>, DbError> {
     // Copy the shared catalog and storage references out of the context so
     // the table's shape and the probe results (borrowed from them) stay
@@ -459,16 +487,8 @@ fn probe_index_item(
         .table(name)
         .ok_or_else(|| DbError::UnknownTable(name.as_str().to_string()))?;
     ctx.stats.index_scans += 1;
-    let frame_of = |slot: usize| {
-        let row = &data.rows[slot];
-        Rc::new(Frame {
-            binding: binding.clone(),
-            columns: columns.clone(),
-            values: Arc::clone(&row.values),
-            oid: row.oid,
-            object_type: table.of_type().cloned(),
-        })
-    };
+    let frame_of =
+        |slot: usize| Rc::new(Frame::of_row(binding, &columns, table, &data.rows[slot], slot));
 
     let mut cache: Option<HashMap<usize, Rc<Frame>>> = (combos.len() > 1).then(HashMap::new);
     let mut next: Vec<Vec<Rc<Frame>>> = Vec::new();
@@ -506,11 +526,55 @@ fn probe_index_item(
                 Some(cache) => cache.entry(slot).or_insert_with(|| frame_of(slot)).clone(),
                 None => frame_of(slot),
             };
-            if let Some(slot_map) = slot_map.as_deref_mut() {
-                slot_map.insert(Rc::as_ptr(&frame) as usize, slot);
-            }
             extend_combo(ctx, &mut combo, frame, applicable, outer, &mut next)?;
         }
+    }
+    Ok(next)
+}
+
+/// Join one FROM item to the accumulated combinations by OID: per
+/// combination, evaluate `key` and, when it is a REF, look its row up in the
+/// OID directory — kept only if it lives in `name`, so at most one candidate,
+/// with no scan, hash table or index. The candidate is re-verified against
+/// every applicable conjunct in [`extend_combo`], the `REF(binding) = key`
+/// conjunct the probe came from included.
+#[allow(clippy::too_many_arguments)]
+fn probe_oid_item(
+    ctx: &mut ExecCtx,
+    name: &Ident,
+    binding: &Ident,
+    key: &Expr,
+    combos: Vec<Vec<Rc<Frame>>>,
+    applicable: &[(usize, &Expr)],
+    outer: Option<&Env>,
+    pos: usize,
+) -> Result<Vec<Vec<Rc<Frame>>>, DbError> {
+    let (catalog, storage) = (ctx.catalog, ctx.storage);
+    let table =
+        catalog.get_table(name).ok_or_else(|| DbError::UnknownTable(name.as_str().to_string()))?;
+    let columns = catalog.column_names(table);
+    let mut next: Vec<Vec<Rc<Frame>>> = Vec::new();
+    for mut combo in combos {
+        let env = make_env(&combo, outer);
+        // Only a REF equals a REF: NULL is UNKNOWN, anything else FALSE.
+        let oid = match eval_ref(ctx, &env, key)?.as_ref() {
+            Value::Ref(oid) => *oid,
+            _ => continue,
+        };
+        // A dangling REF resolves to nothing.
+        let Some((owner, slot, row)) = storage.resolve_oid_slot(oid) else {
+            continue;
+        };
+        ctx.stats.oid_index_hits += 1;
+        if owner != name {
+            continue;
+        }
+        ctx.stats.rows_scanned += 1;
+        if pos > 0 {
+            ctx.stats.join_pairs += 1;
+        }
+        let frame = Rc::new(Frame::of_row(binding, &columns, table, row, slot));
+        extend_combo(ctx, &mut combo, frame, applicable, outer, &mut next)?;
     }
     Ok(next)
 }
@@ -530,11 +594,29 @@ pub(crate) enum AccessPath<'s> {
     /// named secondary index. Candidates are re-verified against the real
     /// conjuncts — the index is a prefilter, exactly like the hash join.
     IndexProbe { index: Ident, keys: Vec<&'s Expr> },
+    /// `REF(binding) = key` with `key` bound by earlier items: per
+    /// combination, resolve `key` through the OID directory and keep the
+    /// row if it lives in this item's table — at most one candidate, with
+    /// no expansion, hash table or index.
+    OidProbe { key: &'s Expr },
 }
 
-/// The cost-based plan for one SELECT: join order, per-item access paths,
-/// scheduled conjuncts — everything both the executor and EXPLAIN need,
-/// borrowing every expression from the statement `'s`.
+/// How [`plan_select`] chose the join order — what EXPLAIN's `join order:`
+/// line reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum JoinOrder {
+    /// FROM-clause order (EXPLAIN prints no line).
+    FromClause,
+    /// Greedy by ANALYZE estimates.
+    CostBased,
+    /// Started at the item with the best constant-key access, every later
+    /// item attached by a one-row probe (see [`seeded_order`]).
+    Seeded,
+}
+
+/// The plan for one SELECT: join order, per-item access paths, scheduled
+/// conjuncts — everything both the executor and EXPLAIN need, borrowing
+/// every expression from the statement `'s`.
 pub(crate) struct SelectPlan<'s> {
     /// Execution order as original FROM indices (`order[pos]` = which
     /// original item runs at position `pos`).
@@ -545,8 +627,8 @@ pub(crate) struct SelectPlan<'s> {
     /// restores the original combination enumeration order afterwards, so
     /// results stay byte-identical to a nested loop in FROM order.
     pub reordered: bool,
-    /// True when the planner priced the join order from ANALYZE statistics.
-    pub costed: bool,
+    /// How `order` was chosen.
+    pub join_order: JoinOrder,
     /// WHERE conjuncts with the execution position each is scheduled at
     /// (`usize::MAX` = deferred to the residual filter), sorted by position;
     /// conjuncts of one position keep their WHERE order.
@@ -583,47 +665,24 @@ pub(crate) fn plan_select<'s>(catalog: &Catalog, stmt: &'s SelectStmt) -> Select
         split_and(pred, &mut scheduled);
     }
 
-    // Join order: System-R-style greedy — ascending local-cardinality
-    // estimate, but never introducing a cross product: after the seed item,
-    // each pick must share a join conjunct with the chosen prefix (a
-    // disconnected low-estimate item placed early multiplies every prefix
-    // combo by its full row count). Only when every FROM item is a
-    // distinct-binding plain table with ANALYZE statistics (lateral
-    // TABLE(...) items and views pin FROM order, and without statistics
-    // there is nothing to cost).
+    // Join order. Only a FROM clause of distinct-binding plain tables can
+    // be reordered: step 1b restores FROM-order enumeration by heap slot,
+    // which lateral TABLE(...) items and views do not have. The seeded
+    // order comes first and needs no statistics; a seeded walk that is
+    // FROM order already keeps it. Otherwise, with ANALYZE statistics for
+    // every item, the cost-based greedy order.
     let mut order: Vec<usize> = (0..n).collect();
-    let mut costed = false;
+    let mut join_order = JoinOrder::FromClause;
     if n > 1 && reorderable(catalog, stmt, &orig_bindings) {
-        let est: Vec<u64> = (0..n)
-            .map(|i| local_estimate(catalog, stmt, &orig_bindings, i, &scheduled))
-            .collect();
-        // Join graph: i ~ j when some conjunct references both bindings.
-        let mut adjacent = vec![vec![false; n]; n];
-        for (_, conjunct) in &scheduled {
-            if let Some(positions) = side_positions(conjunct, &orig_bindings) {
-                for &i in &positions {
-                    for &j in &positions {
-                        adjacent[i][j] = true;
-                    }
-                }
+        match seeded_order(catalog, stmt, &orig_bindings, &scheduled) {
+            Some(seeded) if seeded == order => {}
+            Some(seeded) => (order, join_order) = (seeded, JoinOrder::Seeded),
+            None if stmt.from.iter().all(|item| analyzed(catalog, item)) => {
+                order = cost_based_order(catalog, stmt, &orig_bindings, &scheduled);
+                join_order = JoinOrder::CostBased;
             }
+            None => {}
         }
-        let mut chosen = vec![false; n];
-        order.clear();
-        while order.len() < n {
-            let connected = |i: usize| order.iter().any(|&j| adjacent[i][j]);
-            let pick = (0..n)
-                .filter(|&i| !chosen[i] && (order.is_empty() || connected(i)))
-                .min_by_key(|&i| (est[i], i))
-                // Disconnected remainder (a genuine cross product in the
-                // query): fall back to the cheapest item.
-                .unwrap_or_else(|| {
-                    (0..n).filter(|&i| !chosen[i]).min_by_key(|&i| (est[i], i)).unwrap()
-                });
-            chosen[pick] = true;
-            order.push(pick);
-        }
-        costed = true;
     }
     let reordered = order.iter().enumerate().any(|(pos, &i)| pos != i);
     let bindings = if reordered {
@@ -648,7 +707,7 @@ pub(crate) fn plan_select<'s>(catalog: &Catalog, stmt: &'s SelectStmt) -> Select
             plan_item_path(catalog, &bindings, pos, &stmt.from[orig], applicable)
         })
         .collect();
-    SelectPlan { order, bindings, reordered, costed, scheduled, paths }
+    SelectPlan { order, bindings, reordered, join_order, scheduled, paths }
 }
 
 /// The run of position-sorted `scheduled` conjuncts at position `pos`.
@@ -658,18 +717,162 @@ fn scheduled_at<'p, 's>(scheduled: &'p [(usize, &'s Expr)], pos: usize) -> &'p [
     &scheduled[start..end]
 }
 
-/// Can this FROM clause be reordered? Requires all plain analyzed tables
-/// with pairwise-distinct bindings (enumeration-order restoration maps each
-/// frame back to its heap slot, which only plain tables make possible).
+/// Can this FROM clause be reordered? Requires cataloged plain tables with
+/// pairwise-distinct bindings (enumeration-order restoration sorts by each
+/// frame's heap slot, which only plain tables have).
 fn reorderable(catalog: &Catalog, stmt: &SelectStmt, bindings: &[Ident]) -> bool {
-    let all_plain = stmt.from.iter().all(|item| match item {
-        FromItem::Table { name, .. } => {
-            catalog.get_table(name).is_some() && catalog.table_stats(name).is_some()
-        }
-        FromItem::CollectionTable { .. } => false,
-    });
+    let all_plain = stmt.from.iter().all(
+        |item| matches!(item, FromItem::Table { name, .. } if catalog.get_table(name).is_some()),
+    );
     let distinct = bindings.iter().all(|b| bindings.iter().filter(|o| *o == b).count() == 1);
     all_plain && distinct
+}
+
+/// Does this FROM item have ANALYZE statistics?
+fn analyzed(catalog: &Catalog, item: &FromItem) -> bool {
+    matches!(item, FromItem::Table { name, .. } if catalog.table_stats(name).is_some())
+}
+
+/// System-R-style greedy order: ascending local-cardinality estimate, but
+/// never introducing a cross product — after the first item, each pick must
+/// share a join conjunct with the chosen prefix (a disconnected
+/// low-estimate item placed early multiplies every prefix combo by its full
+/// row count).
+fn cost_based_order(
+    catalog: &Catalog,
+    stmt: &SelectStmt,
+    bindings: &[Ident],
+    conjuncts: &[(usize, &Expr)],
+) -> Vec<usize> {
+    let n = stmt.from.len();
+    let est: Vec<u64> =
+        (0..n).map(|i| local_estimate(catalog, stmt, bindings, i, conjuncts)).collect();
+    // Join graph: i ~ j when some conjunct references both bindings.
+    let mut adjacent = vec![vec![false; n]; n];
+    for (_, conjunct) in conjuncts {
+        if let Some(positions) = side_positions(conjunct, bindings) {
+            for &i in &positions {
+                for &j in &positions {
+                    adjacent[i][j] = true;
+                }
+            }
+        }
+    }
+    let mut chosen = vec![false; n];
+    let mut order = Vec::with_capacity(n);
+    while order.len() < n {
+        let connected = |i: usize| order.iter().any(|&j| adjacent[i][j]);
+        let pick = (0..n)
+            .filter(|&i| !chosen[i] && (order.is_empty() || connected(i)))
+            .min_by_key(|&i| (est[i], i))
+            // Disconnected remainder (a genuine cross product in the
+            // query): fall back to the cheapest item.
+            .unwrap_or_else(|| {
+                (0..n).filter(|&i| !chosen[i]).min_by_key(|&i| (est[i], i)).unwrap()
+            });
+        chosen[pick] = true;
+        order.push(pick);
+    }
+    order
+}
+
+/// How well an item can be reached through its constant equality filters
+/// (`col = literal`) alone, best first — the seeded order's rank guard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum ConstantAccess {
+    /// A PRIMARY KEY / UNIQUE index fully keyed by constants.
+    UniqueKey,
+    /// Another index fully keyed by constants.
+    Index,
+    /// A constant filter no index covers.
+    Filter,
+    /// No constant equality at all.
+    None,
+}
+
+/// The seeded join order: when some item has a constant equality filter
+/// and every other item can be attached, one at a time, by a one-row probe
+/// — an OID probe, or a PRIMARY KEY / UNIQUE index fully keyed by the items
+/// already placed — run outward from that item, each step taking the first
+/// attachable item in FROM order. The seed's [`ConstantAccess`] must be at
+/// least as good as every other item's, so a key lookup elsewhere in the
+/// query keeps today's plan; seeds of that best rank are tried in FROM
+/// order. What is one row is known from the catalog, so no statistics are
+/// needed.
+fn seeded_order(
+    catalog: &Catalog,
+    stmt: &SelectStmt,
+    bindings: &[Ident],
+    conjuncts: &[(usize, &Expr)],
+) -> Option<Vec<usize>> {
+    let n = stmt.from.len();
+    let ranks: Vec<ConstantAccess> =
+        (0..n).map(|i| constant_access(catalog, stmt, bindings, i, conjuncts)).collect();
+    let best = *ranks.iter().min()?;
+    if best == ConstantAccess::None {
+        return None;
+    }
+    (0..n).filter(|&seed| ranks[seed] == best).find_map(|seed| {
+        let mut order = vec![seed];
+        while order.len() < n {
+            let next = (0..n).find(|&i| {
+                !order.contains(&i) && one_row_probe(catalog, stmt, bindings, &order, i, conjuncts)
+            })?;
+            order.push(next);
+        }
+        Some(order)
+    })
+}
+
+/// The [`ConstantAccess`] of the FROM item at `item`.
+fn constant_access(
+    catalog: &Catalog,
+    stmt: &SelectStmt,
+    bindings: &[Ident],
+    item: usize,
+    conjuncts: &[(usize, &Expr)],
+) -> ConstantAccess {
+    let FromItem::Table { name, .. } = &stmt.from[item] else {
+        return ConstantAccess::None;
+    };
+    let keyed: Vec<&Ident> =
+        conjuncts.iter().filter_map(|(_, c)| constant_key(c, bindings, item)).collect();
+    if keyed.is_empty() {
+        return ConstantAccess::None;
+    }
+    catalog
+        .indexes_on(name)
+        .filter(|idx| idx.columns.iter().all(|c| keyed.contains(&c)))
+        .map(|idx| if idx.unique { ConstantAccess::UniqueKey } else { ConstantAccess::Index })
+        .min()
+        .unwrap_or(ConstantAccess::Filter)
+}
+
+/// Placed right after the FROM items `placed`, is the item at `item` joined
+/// by at most one row per combination? Decided by planning its access path
+/// exactly as [`plan_select`] will at that position.
+fn one_row_probe(
+    catalog: &Catalog,
+    stmt: &SelectStmt,
+    bindings: &[Ident],
+    placed: &[usize],
+    item: usize,
+    conjuncts: &[(usize, &Expr)],
+) -> bool {
+    let trial: Vec<Ident> = placed.iter().chain([&item]).map(|&i| bindings[i].clone()).collect();
+    let pos = placed.len();
+    let applicable: Vec<(usize, &Expr)> =
+        conjuncts.iter().filter(|(_, c)| conjunct_position(c, &trial) == pos).copied().collect();
+    let FromItem::Table { name, .. } = &stmt.from[item] else {
+        return false;
+    };
+    match plan_item_path(catalog, &trial, pos, &stmt.from[item], &applicable).0 {
+        AccessPath::OidProbe { .. } => true,
+        AccessPath::IndexProbe { index, .. } => {
+            catalog.indexes_on(name).any(|idx| idx.name == index && idx.unique)
+        }
+        AccessPath::HashJoin { .. } | AccessPath::Scan => false,
+    }
 }
 
 /// Cardinality estimate for one FROM item considering only its *local*
@@ -690,13 +893,9 @@ fn local_estimate(
     };
     let mut est = stats.rows;
     for (_, conjunct) in conjuncts {
-        let Some((col, other)) = equality_key(conjunct, bindings, item) else {
+        let Some(col) = constant_key(conjunct, bindings, item) else {
             continue;
         };
-        // Local predicate = constant other side (no FROM references).
-        if side_positions(other, bindings) != Some(Vec::new()) {
-            continue;
-        }
         let unique = catalog
             .indexes_on(name)
             .any(|idx| idx.unique && idx.columns.len() == 1 && &idx.columns[0] == col);
@@ -733,10 +932,50 @@ fn equality_key<'a>(
     as_key(lhs, rhs).or_else(|| as_key(rhs, lhs))
 }
 
+/// The column of `conjunct` when it is `binding.col = constant` (no FROM
+/// reference on the other side) for the FROM item at `item_idx`.
+fn constant_key<'a>(conjunct: &'a Expr, bindings: &[Ident], item_idx: usize) -> Option<&'a Ident> {
+    let (col, other) = equality_key(conjunct, bindings, item_idx)?;
+    side_positions(other, bindings)?.is_empty().then_some(col)
+}
+
+/// If `conjunct` is `REF(binding) = expr` (or mirrored) where `binding` is
+/// the FROM item at `item_idx` and `expr` references only earlier items or
+/// constants, return `expr`: the key of an OID probe.
+fn oid_key<'a>(conjunct: &'a Expr, bindings: &[Ident], item_idx: usize) -> Option<&'a Expr> {
+    let Expr::Binary { op: BinOp::Eq, lhs, rhs } = conjunct else {
+        return None;
+    };
+    let as_key = |side: &'a Expr, other: &'a Expr| -> Option<&'a Expr> {
+        let Expr::RefOf(binding) = side else { return None };
+        let bound = binding == &bindings[item_idx]
+            && side_positions(other, bindings)?.iter().all(|&p| p < item_idx);
+        bound.then_some(other)
+    };
+    as_key(lhs, rhs).or_else(|| as_key(rhs, lhs))
+}
+
+/// The rows one probe of `index` is estimated to return: 1 for a key,
+/// else `rows / ndv` of its most selective column.
+fn index_estimate(stats: &TableStats, index: &IndexDef) -> u64 {
+    if index.unique {
+        return 1;
+    }
+    let ndv = index.columns.iter().map(|c| stats.ndv(c)).max().unwrap_or(1).max(1);
+    (stats.rows / ndv).max(1)
+}
+
 /// Choose the access path for the item at execution position `pos`:
-/// a secondary-index probe when one covers the available equality keys
-/// (cost: `rows/ndv` candidates per probe, always ≤ a scan), else the hash
-/// equi-join, else a scan.
+/// an OID probe when an applicable `REF(binding) = key` has its key bound
+/// (at most one row); else a secondary-index probe when one covers the
+/// available equality keys; else the hash equi-join; else a scan.
+///
+/// Of several covered indexes, with ANALYZE statistics the lowest estimate
+/// wins (a key counts as 1). Without, a key wins, and past the first
+/// position an index keyed by earlier bindings beats one keyed only by
+/// constants: the constant key fetches the same bucket for every
+/// combination. Ties go to the widest index, then to the first in the
+/// inventory, which lists key indexes before declared ones.
 fn plan_item_path<'s>(
     catalog: &Catalog,
     bindings: &[Ident],
@@ -744,41 +983,51 @@ fn plan_item_path<'s>(
     item: &FromItem,
     applicable: &[(usize, &'s Expr)],
 ) -> (AccessPath<'s>, Option<u64>) {
-    let table_name = match item {
-        FromItem::Table { name, .. } if catalog.get_table(name).is_some() => Some(name),
-        _ => None,
+    let table = match item {
+        FromItem::Table { name, .. } => catalog.get_table(name).map(|def| (name, def)),
+        FromItem::CollectionTable { .. } => None,
     };
-    let stats = table_name.and_then(|t| catalog.table_stats(t));
-    let mut est = stats.map(|s| s.rows);
-    if let Some(table) = table_name {
+    let stats = table.and_then(|(name, _)| catalog.table_stats(name));
+    if let Some((name, def)) = table {
+        // Only the rows of an object table have OIDs.
+        if def.of_type().is_some() {
+            if let Some(key) = applicable.iter().find_map(|(_, c)| oid_key(c, bindings, pos)) {
+                return (AccessPath::OidProbe { key }, stats.map(|_| 1));
+            }
+        }
         // The probe-side expression of the first conjunct keying `column`.
         let key_of = |column: &Ident| {
             applicable.iter().find_map(|(_, c)| {
                 equality_key(c, bindings, pos).filter(|(col, _)| *col == column).map(|(_, e)| e)
             })
         };
-        // Widest covered index wins; `>` keeps the first of a tie, and the
-        // inventory lists key indexes before declared ones.
-        let mut best: Option<&IndexDef> = None;
-        for idx in catalog.indexes_on(table) {
-            let covered = idx.columns.iter().all(|ic| key_of(ic).is_some());
-            if covered && best.is_none_or(|b| idx.columns.len() > b.columns.len()) {
-                best = Some(idx);
-            }
-        }
-        if let Some(idx) = best {
-            if let Some(s) = stats {
-                est = Some(if idx.unique {
-                    1
-                } else {
-                    let ndv = idx.columns.iter().map(|c| s.ndv(c)).max().unwrap_or(1).max(1);
-                    (s.rows / ndv).max(1)
-                });
-            }
+        let join_keyed = |idx: &IndexDef| {
+            idx.columns.iter().any(|c| {
+                key_of(c)
+                    .and_then(|e| side_positions(e, bindings))
+                    .is_some_and(|positions| !positions.is_empty())
+            })
+        };
+        let best = catalog
+            .indexes_on(name)
+            .filter(|idx| idx.columns.iter().all(|c| key_of(c).is_some()))
+            .enumerate()
+            .min_by_key(|&(nth, idx)| {
+                let cost = match stats {
+                    Some(s) => index_estimate(s, idx),
+                    None if idx.unique => 0,
+                    None if pos == 0 || join_keyed(idx) => 1,
+                    None => 2,
+                };
+                (cost, !idx.unique, Reverse(idx.columns.len()), nth)
+            });
+        if let Some((_, idx)) = best {
             let keys = idx.columns.iter().filter_map(key_of).collect();
+            let est = stats.map(|s| index_estimate(s, idx));
             return (AccessPath::IndexProbe { index: idx.name.clone(), keys }, est);
         }
     }
+    let est = stats.map(|s| s.rows);
     if pos > 0 {
         if let Some((probe, build)) =
             applicable.first().and_then(|(_, c)| plan_hash_join(c, bindings, pos))
@@ -1005,15 +1254,8 @@ fn expand_table(
         return Ok(data
             .rows
             .iter()
-            .map(|row| {
-                Rc::new(Frame {
-                    binding: binding.clone(),
-                    columns: columns.clone(),
-                    values: Arc::clone(&row.values),
-                    oid: row.oid,
-                    object_type: table.of_type().cloned(),
-                })
-            })
+            .enumerate()
+            .map(|(slot, row)| Rc::new(Frame::of_row(binding, &columns, table, row, slot)))
             .collect());
     }
     // A view? Execute its stored query (no outer env: views are
@@ -1024,13 +1266,15 @@ fn expand_table(
         return Ok(result
             .rows
             .into_iter()
-            .map(|values| {
+            .enumerate()
+            .map(|(slot, values)| {
                 Rc::new(Frame {
                     binding: binding.clone(),
                     columns: columns.clone(),
                     values: Arc::new(values),
                     oid: None,
                     object_type: None,
+                    slot,
                 })
             })
             .collect());
@@ -1102,6 +1346,7 @@ fn expand_collection(
             values,
             oid: None,
             object_type,
+            slot: 0,
         }));
     }
     Ok(())
@@ -1169,6 +1414,118 @@ mod tests {
         let (nulls, values) = desc.split_at(20);
         assert!(nulls.iter().all(Value::is_null), "{desc:?}");
         assert!(numbers(values).is_sorted_by(|a, b| a >= b), "{desc:?}");
+    }
+
+    fn plan_lines(db: &mut Database, sql: &str) -> Vec<String> {
+        let plan = db.query(&format!("EXPLAIN {sql}")).unwrap();
+        plan.rows.iter().map(|r| r[0].as_str().unwrap().trim().to_string()).collect()
+    }
+
+    /// Two indexes cover the second item: one keyed by the join, one by a
+    /// constant. The constant fetches the same half of the table for every
+    /// combination, so the join-keyed one must win — by rule without
+    /// statistics, by estimate with them. Picking the constant made the
+    /// Oracle 8 §4.1 query with a name index 33 × slower.
+    #[test]
+    fn a_join_keyed_index_beats_a_constant_keyed_one() {
+        let mut db = Database::new(DbMode::Oracle9);
+        db.execute_script(
+            "CREATE TABLE C (id NUMBER, name VARCHAR(10));
+             CREATE TABLE P (cid NUMBER, pname VARCHAR(10));",
+        )
+        .unwrap();
+        for c in 0..20 {
+            db.execute(&format!("INSERT INTO C VALUES ({c}, 'c{c}')")).unwrap();
+            for p in 0..5 {
+                let name = if p % 2 == 0 { "Jaeger" } else { "Other" };
+                db.execute(&format!("INSERT INTO P VALUES ({c}, '{name}')")).unwrap();
+            }
+        }
+        let sql = "SELECT c.name FROM C c, P p WHERE p.cid = c.id AND p.pname = 'Jaeger'";
+        let expected = db.query(sql).unwrap();
+        // Declared in name order after the constant-keyed one, so neither
+        // the inventory order nor a tie picks the join-keyed index.
+        db.execute_script(
+            "CREATE INDEX IxPCid ON P (cid);
+             CREATE INDEX IxPAName ON P (pname);",
+        )
+        .unwrap();
+        for analyzed in [false, true] {
+            if analyzed {
+                db.execute_script(
+                    "ANALYZE TABLE C COMPUTE STATISTICS;
+                     ANALYZE TABLE P COMPUTE STATISTICS;",
+                )
+                .unwrap();
+            }
+            let plan = plan_lines(&mut db, sql);
+            let probe = "from[1] p: scan table P — index probe IxPCid (key: c.id)";
+            assert!(plan.iter().any(|l| l == probe), "analyzed={analyzed}: {plan:#?}");
+            let before = db.stats();
+            assert_eq!(db.query(sql).unwrap(), expected);
+            // 20 C rows, then 5 candidates per course: not 20 × 50.
+            assert_eq!(db.stats().since(&before).rows_scanned, 20 + 100, "analyzed={analyzed}");
+        }
+    }
+
+    /// The seed must have the best constant-key access of all items. Here
+    /// `u.ID = 5` is a key lookup and `p.Dept = 'CS'` an unindexed filter:
+    /// seeding at `p` would reach `u` by its key, one row per combination,
+    /// but scan all of P first — so the plan stays in FROM order, starting
+    /// at the key.
+    #[test]
+    fn a_key_lookup_elsewhere_keeps_the_from_order() {
+        let mut db = Database::new(DbMode::Oracle9);
+        db.execute_script(
+            "CREATE TABLE U (ID NUMBER PRIMARY KEY, name VARCHAR(10));
+             CREATE TABLE P (UID NUMBER, Dept VARCHAR(10));",
+        )
+        .unwrap();
+        let sql = "SELECT p.Dept FROM U u, P p WHERE p.UID = u.ID AND u.ID = 5 AND p.Dept = 'CS'";
+        let plan = plan_lines(&mut db, sql);
+        assert!(!plan.iter().any(|l| l.starts_with("join order")), "{plan:#?}");
+        let key = "from[0] u: scan table U — index probe U(ID) PRIMARY KEY (key: 5)";
+        assert!(plan.iter().any(|l| l == key), "{plan:#?}");
+
+        // Without the key lookup the filter is the best seed, and the key
+        // attaches `u` by one-row probes.
+        let sql = "SELECT p.Dept FROM U u, P p WHERE p.UID = u.ID AND p.Dept = 'CS'";
+        let plan = plan_lines(&mut db, sql);
+        let seeded = "join order: seeded at p (p, u) — constant filter, one-row probes";
+        assert!(plan.iter().any(|l| l == seeded), "{plan:#?}");
+    }
+
+    /// `REF(b) = e` finds `b`'s row through the OID directory: a REF into
+    /// another table of the type, a NULL and a dangling REF all find none.
+    #[test]
+    fn an_oid_probe_keeps_only_rows_of_its_own_table() {
+        let mut db = Database::new(DbMode::Oracle8);
+        db.execute_script(
+            "CREATE TYPE T_N AS OBJECT (k NUMBER, up REF T_N);
+             CREATE TABLE A OF T_N;
+             CREATE TABLE B OF T_N;
+             INSERT INTO A VALUES (T_N(1, NULL));
+             INSERT INTO B VALUES (T_N(2, NULL));
+             INSERT INTO A VALUES (T_N(3, NULL));
+             INSERT INTO B VALUES (T_N(10, (SELECT REF(a) FROM A a WHERE a.k = 1)));
+             INSERT INTO B VALUES (T_N(11, (SELECT REF(b) FROM B b WHERE b.k = 2)));
+             INSERT INTO B VALUES (T_N(12, NULL));
+             INSERT INTO B VALUES (T_N(13, (SELECT REF(a) FROM A a WHERE a.k = 3)));
+             DELETE FROM A WHERE k = 3;",
+        )
+        .unwrap();
+        let sql = "SELECT b.k, a.k FROM B b, A a WHERE REF(a) = b.up";
+        let plan = plan_lines(&mut db, sql);
+        let probe = "from[1] a: scan object table A OF T_N — OID probe (key: b.up)";
+        assert!(plan.iter().any(|l| l == probe), "{plan:#?}");
+        let before = db.stats();
+        let rows = db.query(sql).unwrap().rows;
+        assert_eq!(rows, vec![vec![Value::Num(10.0), Value::Num(1.0)]]);
+        let delta = db.stats().since(&before);
+        // Five B rows scanned; of the four REFs, one resolves into A and one
+        // into B, and two do not resolve at all.
+        assert_eq!((delta.oid_index_hits, delta.rows_scanned, delta.join_pairs), (2, 5 + 1, 1));
+        assert_eq!(delta.hash_join_builds, 0);
     }
 
     /// DISTINCT as it was: compare each row with every row kept so far.

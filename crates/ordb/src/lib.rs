@@ -31,7 +31,7 @@
 //!
 //! ## Engine internals & performance counters
 //!
-//! Four fast paths keep the execution substrate from dominating the
+//! Five fast paths keep the execution substrate from dominating the
 //! storage-strategy comparisons (the standing benchmark reports their
 //! counters):
 //!
@@ -64,10 +64,25 @@
 //!   (stored). The planner ([`exec::select`]), `EXPLAIN`, the analyzer's
 //!   shadow catalog and recovery read that list; an equality on all of an
 //!   index's columns is a probe instead of a scan or hash build, costed
-//!   at one row for a key. Buckets are a [`storage::key_hash`] prefilter,
-//!   re-verified like join keys, maintained on every mutation and undo
-//!   path, and refused when they trail the table's version. Counters:
-//!   `index_scans`, `index_maintenance_ops`.
+//!   at one row for a key. Of several covered indexes the planner takes
+//!   the lowest `ANALYZE` estimate, or without statistics a key, then one
+//!   keyed by earlier FROM items over one keyed by constants only.
+//!   Buckets are a [`storage::key_hash`] prefilter, re-verified like join
+//!   keys, maintained on every mutation and undo path, and refused when
+//!   they trail the table's version. Counters: `index_scans`,
+//!   `index_maintenance_ops`.
+//! * **OID probes and seeded join orders** — `REF(b) = e` with `e` bound
+//!   earlier is answered by the OID directory: at most one row, kept only
+//!   if it lives in `b`'s table (counters `oid_index_hits`, `rows_scanned`,
+//!   `join_pairs`). When one FROM item has a constant equality filter and
+//!   every other item attaches by such a one-row probe (an OID probe or a
+//!   key fully keyed by the items placed), the join starts at the filter
+//!   and walks outward — the §4.1 query on Oracle 8 starts at the
+//!   professor's name and walks the back-pointing REFs *up* — unless
+//!   another item has a better constant-key access (a key lookup stays
+//!   first). Chosen from the catalog alone, with or without statistics;
+//!   a reordered plan returns the FROM-order nested loop's rows, in its
+//!   order, by sorting on each frame's heap slot.
 //! * **Plan cache** — [`Database`] parses through a small LRU statement
 //!   cache. Non-INSERT texts hit on the verbatim string; INSERT texts hit
 //!   on a literal-normalized *shape* whose cached template is re-bound with

@@ -16,12 +16,15 @@ pub struct ExecStats {
     pub inserts: u64,
     /// Rows materialized into tables (top-level rows, not nested objects).
     pub rows_inserted: u64,
-    /// Rows scanned while evaluating FROM clauses.
+    /// Rows scanned while evaluating FROM clauses: every row a scan
+    /// expands, every candidate an index probe fetches, and the one row an
+    /// OID probe keeps.
     pub rows_scanned: u64,
     /// Join pairings formed (each row combination beyond a single-table
     /// FROM counts once) — the paper's "join operations" metric. Hash
     /// equi-joins count only the pairings they actually emit, which is the
-    /// point of the measurement.
+    /// point of the measurement; an index probe counts its candidates and
+    /// an OID probe the one row it keeps.
     pub join_pairs: u64,
     /// FROM clauses with more than one item (join queries).
     pub join_queries: u64,
@@ -32,7 +35,9 @@ pub struct ExecStats {
     /// REF dereferences performed during path navigation.
     pub derefs: u64,
     /// OID lookups answered by the OID directory's index (O(1) slot access
-    /// instead of a table scan).
+    /// instead of a table scan): one per REF dereference, and one per REF
+    /// an OID probe (`REF(b) = e` in a join) resolves — whichever table the
+    /// row lives in.
     pub oid_index_hits: u64,
     /// Hash tables built for equi-join FROM items.
     pub hash_join_builds: u64,

@@ -494,6 +494,12 @@ impl Storage {
     /// Find the row object behind an OID — an O(1) directory lookup plus a
     /// direct slot access (no table scan).
     pub fn resolve_oid(&self, oid: Oid) -> Option<(&Ident, &Row)> {
+        self.resolve_oid_slot(oid).map(|(table, _, row)| (table, row))
+    }
+
+    /// [`Storage::resolve_oid`] with the row's heap slot, which the
+    /// executor's OID probe keeps to restore FROM-order enumeration.
+    pub(crate) fn resolve_oid_slot(&self, oid: Oid) -> Option<(&Ident, usize, &Row)> {
         let entry = self.oid_directory.get(&oid)?;
         let data = self.tables.get(&entry.table)?;
         let row = data.rows.get(entry.slot)?;
@@ -501,10 +507,10 @@ impl Storage {
         if row.oid != Some(oid) {
             // Defensive fallback: a caller mutated rows structurally through
             // `table_mut` (forbidden, but cheap to survive) — scan once.
-            let row = data.rows.iter().find(|r| r.oid == Some(oid))?;
-            return Some((&entry.table, row));
+            let slot = data.rows.iter().position(|r| r.oid == Some(oid))?;
+            return Some((&entry.table, slot, &data.rows[slot]));
         }
-        Some((&entry.table, row))
+        Some((&entry.table, entry.slot, row))
     }
 
     /// Remove rows matching `pred`; returns how many were removed. The OID

@@ -321,3 +321,182 @@ fn planned_joins_agree_with_the_reference() {
     assert!(cost_based > 0, "no EXPLAIN showed a cost-based join order");
     assert!(reordered > 0, "no plan was reordered");
 }
+
+/// Three object tables of one self-referencing type. `up` is meant to
+/// point from Z to Y and from Y to X — the back-pointing REFs of the
+/// Oracle 8 mapping — but is sometimes NULL, sometimes aims at a row of
+/// another table of the same type, and sometimes dangles.
+const OBJECT_SCHEMA: &str = "CREATE TYPE T_N AS OBJECT (k NUMBER, s VARCHAR(10), up REF T_N);
+CREATE TABLE X OF T_N (k PRIMARY KEY);
+CREATE TABLE Y OF T_N;
+CREATE TABLE Z OF T_N;";
+
+/// Indexes a case may add: a constant filter on `s` then probes an index,
+/// and Z gets a key of its own.
+const OBJECT_INDEXES: [&str; 3] = [
+    "CREATE INDEX IxYS ON Y (s)",
+    "CREATE INDEX IxZS ON Z (s)",
+    "CREATE UNIQUE INDEX IxZK ON Z (k)",
+];
+
+/// The REF a new row of `table` stores: mostly a row of its parent table,
+/// else NULL, a row of another table of the type, or a row that is
+/// deleted before the queries run.
+fn up_ref(rng: &mut Prng, table: &str, next_k: &[i64; 3]) -> String {
+    let parent = match table {
+        "Y" => "X",
+        _ => "Y",
+    };
+    let target = match rng.gen_range(0u32..10) {
+        0 => return "NULL".into(),
+        1 => *rng.choose(&["X", "Y", "Z"]),
+        _ => parent,
+    };
+    let live = next_k[["X", "Y", "Z"].iter().position(|t| *t == target).unwrap()];
+    // k ≥ 100 rows are the ones deleted later: their REFs dangle.
+    let k = if rng.gen_bool(0.1) { 100 + rng.gen_range(0i64..3) } else { rng.gen_range(0..live.max(1)) };
+    format!("(SELECT REF(p) FROM {target} p WHERE p.k = {k})")
+}
+
+/// X, Y and Z filled top-down, then rows deleted and a savepoint's worth of
+/// deletes and inserts rolled back, so REFs dangle and heap slots have
+/// moved before any query runs.
+fn object_setup(mode: DbMode, rng: &mut Prng) -> Database {
+    let mut db = Database::new(mode);
+    db.execute_script(OBJECT_SCHEMA).unwrap();
+    for index in OBJECT_INDEXES {
+        if rng.gen_bool(0.4) {
+            db.execute(index).unwrap();
+        }
+    }
+    let mut next_k = [0i64; 3];
+    for (t, table) in ["X", "Y", "Z"].into_iter().enumerate() {
+        // The doomed rows first, so deleting them moves every later slot.
+        for k in 100..103 {
+            db.execute(&format!("INSERT INTO {table} VALUES (T_N({k}, 'd', NULL))")).unwrap();
+        }
+        for _ in 0..rng.gen_range(1usize..9) {
+            let up = if table == "X" { "NULL".to_string() } else { up_ref(rng, table, &next_k) };
+            let k = next_k[t];
+            next_k[t] += 1;
+            db.execute(&format!("INSERT INTO {table} VALUES (T_N({k}, {}, {up}))", str_lit(rng)))
+                .unwrap();
+        }
+    }
+    for table in ["X", "Y", "Z"] {
+        db.execute(&format!("DELETE FROM {table} WHERE k >= 100")).unwrap();
+    }
+    db.execute("SAVEPOINT moved").unwrap();
+    for table in ["X", "Y", "Z"] {
+        db.execute(&format!("DELETE FROM {table} WHERE k = {}", rng.gen_range(0i64..4))).unwrap();
+        db.execute(&format!("INSERT INTO {table} VALUES (T_N(50, 'r', NULL))")).unwrap();
+    }
+    db.execute("ROLLBACK TO moved").unwrap();
+    if rng.gen_bool(0.5) {
+        // A committed delete: the survivors keep their new slots.
+        let table = *rng.choose(&["X", "Y", "Z"]);
+        db.execute(&format!("DELETE FROM {table} WHERE k = {}", rng.gen_range(0i64..4))).unwrap();
+    }
+    db
+}
+
+/// A local conjunct on one binding: a constant filter on an indexed or
+/// unindexed column (or a key), a NULL test on the REF, or a filter no
+/// index takes.
+fn object_local(rng: &mut Prng, x: &str) -> String {
+    match rng.gen_range(0u32..6) {
+        0 | 1 => format!("{x}.s = {}", str_lit(rng)),
+        2 => format!("{x}.k = {}", num_lit(rng)),
+        3 => format!("{x}.up IS {}NULL", if rng.gen_bool(0.5) { "NOT " } else { "" }),
+        4 => format!("{x}.s <> {}", str_lit(rng)),
+        _ => format!("{x}.k < {}", num_lit(rng)),
+    }
+}
+
+/// `child.up = REF(parent)`, either side first.
+fn ref_join(rng: &mut Prng, child: &str, parent: &str) -> String {
+    if rng.gen_bool(0.5) {
+        format!("{child}.up = REF({parent})")
+    } else {
+        format!("REF({parent}) = {child}.up")
+    }
+}
+
+/// A join over the REF chain in a random FROM order: z → y → x, one link of
+/// it, or z → x (a REF that must point into X, not into the Y it usually
+/// names), with local filters, projected plainly (REFs included),
+/// `DISTINCT` or as `COUNT(*)`, and sometimes ordered.
+fn object_query(rng: &mut Prng) -> String {
+    let (mut bindings, mut conjuncts) = match rng.gen_range(0u32..4) {
+        0 | 1 => (vec!["x", "y", "z"], vec![ref_join(rng, "z", "y"), ref_join(rng, "y", "x")]),
+        2 => {
+            let (child, parent) = *rng.choose(&[("y", "x"), ("z", "y")]);
+            (vec![child, parent], vec![ref_join(rng, child, parent)])
+        }
+        _ => (vec!["x", "z"], vec![ref_join(rng, "z", "x")]),
+    };
+    shuffle(rng, &mut bindings);
+    for _ in 0..rng.gen_range(0usize..3) {
+        let x = *rng.choose(&bindings);
+        conjuncts.push(object_local(rng, x));
+    }
+    shuffle(rng, &mut conjuncts);
+    let from: Vec<String> =
+        bindings.iter().map(|b| format!("{} {b}", b.to_uppercase())).collect();
+    let column = |rng: &mut Prng| {
+        let b = rng.choose(&bindings);
+        match rng.gen_range(0u32..4) {
+            0 => format!("REF({b})"),
+            1 => format!("{b}.k"),
+            _ => format!("{b}.s"),
+        }
+    };
+    let head = match rng.gen_range(0u32..5) {
+        0 => "COUNT(*)".to_string(),
+        1 => format!("DISTINCT {}", column(rng)),
+        _ => (0..rng.gen_range(1usize..4)).map(|_| column(rng)).collect::<Vec<_>>().join(", "),
+    };
+    let mut sql =
+        format!("SELECT {head} FROM {} WHERE {}", from.join(", "), conjuncts.join(" AND "));
+    if head != "COUNT(*)" && rng.gen_bool(0.3) {
+        let b = rng.choose(&bindings);
+        sql.push_str(&format!(" ORDER BY {b}.s{}", if rng.gen_bool(0.5) { " DESC" } else { "" }));
+    }
+    sql
+}
+
+/// OID probes and seeded join orders against the reference: object tables
+/// wired by REFs in both modes, with NULL, misdirected and dangling REFs,
+/// slots moved by DELETE and ROLLBACK, constant filters on indexed and
+/// unindexed columns, and with or without statistics.
+#[test]
+fn oid_probes_and_seeded_orders_agree_with_the_reference() {
+    let (mut seeded, mut oid_probes, mut oid_hits) = (0u64, 0u64, 0u64);
+    for mode in [DbMode::Oracle8, DbMode::Oracle9] {
+        for case in 0..300u64 {
+            let mut rng = Prng::seed_from_u64(0x01D_0000 + case);
+            let mut db = object_setup(mode, &mut rng);
+            if rng.gen_bool(0.4) {
+                for table in ["X", "Y", "Z"] {
+                    db.execute(&format!("ANALYZE TABLE {table} COMPUTE STATISTICS")).unwrap();
+                }
+            }
+            for _ in 0..6 {
+                let sql = object_query(&mut rng);
+                let ctx = format!("{mode:?} case {case}: {sql}");
+                let before = db.stats();
+                let rows = db.query(&sql).unwrap_or_else(|e| panic!("{ctx}: {e}")).rows;
+                oid_hits += db.stats().since(&before).oid_index_hits;
+                assert_eq!(rows, nested_loop::select(&db, &sql), "{ctx}");
+                for row in db.query(&format!("EXPLAIN {sql}")).unwrap().rows {
+                    let line = row[0].as_str().unwrap();
+                    seeded += u64::from(line.trim_start().starts_with("join order: seeded at "));
+                    oid_probes += u64::from(line.contains(" — OID probe (key: "));
+                }
+            }
+        }
+    }
+    assert!(seeded > 0, "no plan was seeded");
+    assert!(oid_probes > 0, "no plan probed by OID");
+    assert!(oid_hits > 0, "no OID probe found a row");
+}

@@ -12,22 +12,24 @@
 //! one of its access paths is wrong.
 //!
 //! The subset: plain tables (no views, no `TABLE(…)`), `binding.column`
-//! paths, literals, comparisons, `AND` / `OR` / `NOT` and `IS [NOT] NULL`.
-//! Anything else panics rather than being guessed at.
+//! paths, `REF(binding)` (the row's OID), literals, comparisons, `AND` /
+//! `OR` / `NOT` and `IS [NOT] NULL`. Anything else panics rather than being
+//! guessed at.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
 
 use xmlord_ordb::sql::ast::{BinOp, Expr, FromItem, Stmt};
 use xmlord_ordb::sql::parser::parse_statement;
-use xmlord_ordb::{Database, Ident, Value};
+use xmlord_ordb::{Database, Ident, Oid, Value};
 
 /// One FROM item: the name its rows are visible under, its columns in
-/// storage order, and its rows in heap order.
+/// storage order, and its rows in heap order with their OIDs.
 struct Item {
     binding: Ident,
     columns: Vec<Ident>,
     rows: Vec<Arc<Vec<Value>>>,
+    oids: Vec<Option<Oid>>,
 }
 
 /// The rows `sql` returns on `db`'s current state, by nested loop.
@@ -59,10 +61,10 @@ pub fn select(db: &Database, sql: &str) -> Vec<Vec<Value>> {
             .into_iter()
             .zip(columns)
             .map(|((binding, name), columns)| {
-                let rows = storage.table(&name).map_or_else(Vec::new, |data| {
-                    data.rows.iter().map(|row| Arc::clone(&row.values)).collect()
-                });
-                Item { binding, columns, rows }
+                let heap = storage.table(&name).map_or(&[][..], |data| &data.rows[..]);
+                let rows = heap.iter().map(|row| Arc::clone(&row.values)).collect();
+                let oids = heap.iter().map(|row| row.oid).collect();
+                Item { binding, columns, rows, oids }
             })
             .collect()
     };
@@ -139,10 +141,7 @@ fn value(items: &[Item], combo: &[usize], expr: &Expr) -> Value {
             let [binding, column] = parts.as_slice() else {
                 panic!("the reference resolves binding.column only: {expr:?}");
             };
-            let i = items
-                .iter()
-                .position(|item| &item.binding == binding)
-                .unwrap_or_else(|| panic!("no FROM item {binding}"));
+            let i = item_of(items, binding);
             let c = items[i]
                 .columns
                 .iter()
@@ -150,8 +149,21 @@ fn value(items: &[Item], combo: &[usize], expr: &Expr) -> Value {
                 .unwrap_or_else(|| panic!("no column {binding}.{column}"));
             items[i].rows[combo[i]][c].clone()
         }
+        Expr::RefOf(binding) => {
+            let i = item_of(items, binding);
+            let oid = items[i].oids[combo[i]];
+            Value::Ref(oid.unwrap_or_else(|| panic!("REF({binding}): not an object table")))
+        }
         other => panic!("the reference does not evaluate {other:?}"),
     }
+}
+
+/// The FROM position of `binding`.
+fn item_of(items: &[Item], binding: &Ident) -> usize {
+    items
+        .iter()
+        .position(|item| &item.binding == binding)
+        .unwrap_or_else(|| panic!("no FROM item {binding}"))
 }
 
 /// SQL TRUE / FALSE / UNKNOWN as `Some(true)` / `Some(false)` / `None`.

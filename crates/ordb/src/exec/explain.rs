@@ -13,7 +13,8 @@
 
 use crate::catalog::{Catalog, TableDef};
 use crate::error::DbError;
-use crate::exec::select::{plan_select, AccessPath, JoinOrder, QueryResult, SelectPlan};
+use crate::exec::plan::{plan_select, AccessPath, JoinOrder, SelectPlan};
+use crate::exec::select::QueryResult;
 use crate::ident::Ident;
 use crate::mode::DbMode;
 use crate::sql::ast::{Expr, FromItem, SelectStmt, Stmt};

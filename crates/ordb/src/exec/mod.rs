@@ -8,6 +8,7 @@ pub mod ddl;
 pub mod dml;
 pub mod eval;
 pub mod explain;
+pub(crate) mod plan;
 pub mod select;
 
 use std::rc::Rc;
@@ -88,8 +89,9 @@ impl Frame {
 /// Evaluation environment: the current row combination plus (for correlated
 /// subqueries) the enclosing query's environment.
 ///
-/// Frames are reference-counted so join machinery can extend combinations
-/// without deep-copying row payloads.
+/// Frames are reference-counted: the executor refills a position's frame
+/// in place while it alone holds it, and a reordered plan's collected
+/// combinations share frames without copying them.
 #[derive(Debug, Clone, Copy)]
 pub struct Env<'a> {
     pub frames: &'a [Rc<Frame>],

@@ -1,0 +1,588 @@
+//! SELECT planning: WHERE conjuncts split and scheduled, the join order
+//! chosen and one access path per FROM item — from the catalog alone, so
+//! EXPLAIN ([`crate::exec::explain`]) renders exactly the plan the executor
+//! ([`crate::exec::select`]) runs, and an empty store plans like a loaded one.
+
+use crate::catalog::{Catalog, IndexDef, TableStats};
+use crate::ident::Ident;
+use crate::sql::ast::{BinOp, Expr, FromItem, SelectStmt};
+use std::cmp::Reverse;
+
+/// How one FROM item is matched against the accumulated combinations.
+/// Chosen by [`plan_select`] from the catalog alone (indexes + ANALYZE
+/// statistics), so EXPLAIN and execution agree on every plan. Expressions
+/// are borrowed from the statement planned.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum AccessPath<'s> {
+    /// Expand every row; nested-loop against the combinations.
+    Scan,
+    /// Expand every row, hash on `build`, probe once per combination.
+    HashJoin { probe: &'s Expr, build: &'s Expr },
+    /// Skip expansion entirely: per combination, evaluate `keys` (in the
+    /// index's column order), hash, and fetch candidate slots from the
+    /// named secondary index. Candidates are re-verified against the real
+    /// conjuncts — the index is a prefilter, exactly like the hash join.
+    IndexProbe { index: Ident, keys: Vec<&'s Expr> },
+    /// `REF(binding) = key` with `key` bound by earlier items: per
+    /// combination, resolve `key` through the OID directory and keep the
+    /// row if it lives in this item's table — at most one candidate, with
+    /// no expansion, hash table or index.
+    OidProbe { key: &'s Expr },
+}
+
+/// How [`plan_select`] chose the join order — what EXPLAIN's `join order:`
+/// line reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum JoinOrder {
+    /// FROM-clause order (EXPLAIN prints no line).
+    FromClause,
+    /// Greedy by ANALYZE estimates.
+    CostBased,
+    /// Started at the item with the best constant-key access, every later
+    /// item attached by a one-row probe (see [`seeded_order`]).
+    Seeded,
+}
+
+/// The plan for one SELECT: join order, per-item access paths, scheduled
+/// conjuncts — everything both the executor and EXPLAIN need, borrowing
+/// every expression from the statement `'s`.
+pub(crate) struct SelectPlan<'s> {
+    /// Execution order as original FROM indices (`order[pos]` = which
+    /// original item runs at position `pos`).
+    pub order: Vec<usize>,
+    /// The binding of the item at each execution position.
+    pub bindings: Vec<Ident>,
+    /// True when `order` differs from FROM-clause order. The executor then
+    /// restores the original combination enumeration order afterwards, so
+    /// results stay byte-identical to a nested loop in FROM order.
+    pub reordered: bool,
+    /// How `order` was chosen.
+    pub join_order: JoinOrder,
+    /// WHERE conjuncts with the execution position each is scheduled at
+    /// (`usize::MAX` = deferred to the residual filter), sorted by position;
+    /// conjuncts of one position keep their WHERE order.
+    pub scheduled: Vec<(usize, &'s Expr)>,
+    /// Per execution position: the access path, and the rows the item is
+    /// estimated to contribute from ANALYZE statistics (`None` when the
+    /// table was never analyzed).
+    pub paths: Vec<(AccessPath<'s>, Option<u64>)>,
+}
+
+impl<'s> SelectPlan<'s> {
+    /// The conjuncts scheduled at execution position `pos`.
+    pub fn applicable(&self, pos: usize) -> &[(usize, &'s Expr)] {
+        scheduled_at(&self.scheduled, pos)
+    }
+
+    /// The conjuncts deferred past the last of `items` FROM items
+    /// (subqueries, unresolvable references).
+    pub fn residual(&self, items: usize) -> &[(usize, &'s Expr)] {
+        let final_pos = items.saturating_sub(1);
+        &self.scheduled[self.scheduled.partition_point(|(p, _)| *p <= final_pos)..]
+    }
+}
+
+/// Plan a SELECT from the catalog alone — no storage access, so plans are
+/// data-independent (EXPLAIN's contract) and identical between EXPLAIN and
+/// execution.
+pub(crate) fn plan_select<'s>(catalog: &Catalog, stmt: &'s SelectStmt) -> SelectPlan<'s> {
+    let n = stmt.from.len();
+    let orig_bindings: Vec<Ident> = stmt.from.iter().map(FromItem::binding).collect();
+    // The WHERE conjuncts, each with the position it is scheduled at below.
+    let mut scheduled: Vec<(usize, &'s Expr)> = Vec::new();
+    if let Some(pred) = &stmt.where_clause {
+        split_and(pred, &mut scheduled);
+    }
+
+    // Join order. Only a FROM clause of distinct-binding plain tables can
+    // be reordered: step 1b restores FROM-order enumeration by heap slot,
+    // which lateral TABLE(...) items and views do not have. The seeded
+    // order comes first and needs no statistics; a seeded walk that is
+    // FROM order already keeps it. Otherwise, with ANALYZE statistics for
+    // every item, the cost-based greedy order.
+    let mut order: Vec<usize> = (0..n).collect();
+    let mut join_order = JoinOrder::FromClause;
+    if n > 1 && reorderable(catalog, stmt, &orig_bindings) {
+        match seeded_order(catalog, stmt, &orig_bindings, &scheduled) {
+            Some(seeded) if seeded == order => {}
+            Some(seeded) => (order, join_order) = (seeded, JoinOrder::Seeded),
+            None if stmt.from.iter().all(|item| analyzed(catalog, item)) => {
+                order = cost_based_order(catalog, stmt, &orig_bindings, &scheduled);
+                join_order = JoinOrder::CostBased;
+            }
+            None => {}
+        }
+    }
+    let reordered = order.iter().enumerate().any(|(pos, &i)| pos != i);
+    let bindings = if reordered {
+        order.iter().map(|&i| orig_bindings[i].clone()).collect()
+    } else {
+        orig_bindings
+    };
+
+    // Schedule conjuncts at the earliest *execution* position where all
+    // their bindings are bound. A stable sort: one position's conjuncts
+    // stay in WHERE order, the order they are evaluated in.
+    for (pos, conjunct) in &mut scheduled {
+        *pos = conjunct_position(conjunct, &bindings);
+    }
+    scheduled.sort_by_key(|(pos, _)| *pos);
+
+    let paths = order
+        .iter()
+        .enumerate()
+        .map(|(pos, &orig)| {
+            let applicable = scheduled_at(&scheduled, pos);
+            plan_item_path(catalog, &bindings, pos, &stmt.from[orig], applicable)
+        })
+        .collect();
+    SelectPlan { order, bindings, reordered, join_order, scheduled, paths }
+}
+
+/// The run of position-sorted `scheduled` conjuncts at position `pos`.
+fn scheduled_at<'p, 's>(scheduled: &'p [(usize, &'s Expr)], pos: usize) -> &'p [(usize, &'s Expr)] {
+    let start = scheduled.partition_point(|(p, _)| *p < pos);
+    let end = scheduled.partition_point(|(p, _)| *p <= pos);
+    &scheduled[start..end]
+}
+
+/// Can this FROM clause be reordered? Requires cataloged plain tables with
+/// pairwise-distinct bindings (enumeration-order restoration sorts by each
+/// frame's heap slot, which only plain tables have).
+fn reorderable(catalog: &Catalog, stmt: &SelectStmt, bindings: &[Ident]) -> bool {
+    let all_plain = stmt.from.iter().all(
+        |item| matches!(item, FromItem::Table { name, .. } if catalog.get_table(name).is_some()),
+    );
+    let distinct = bindings.iter().all(|b| bindings.iter().filter(|o| *o == b).count() == 1);
+    all_plain && distinct
+}
+
+/// Does this FROM item have ANALYZE statistics?
+fn analyzed(catalog: &Catalog, item: &FromItem) -> bool {
+    matches!(item, FromItem::Table { name, .. } if catalog.table_stats(name).is_some())
+}
+
+/// System-R-style greedy order: ascending local-cardinality estimate, but
+/// never introducing a cross product — after the first item, each pick must
+/// share a join conjunct with the chosen prefix (a disconnected
+/// low-estimate item placed early multiplies every prefix combo by its full
+/// row count).
+fn cost_based_order(
+    catalog: &Catalog,
+    stmt: &SelectStmt,
+    bindings: &[Ident],
+    conjuncts: &[(usize, &Expr)],
+) -> Vec<usize> {
+    let n = stmt.from.len();
+    let est: Vec<u64> =
+        (0..n).map(|i| local_estimate(catalog, stmt, bindings, i, conjuncts)).collect();
+    // Join graph: i ~ j when some conjunct references both bindings.
+    let mut adjacent = vec![vec![false; n]; n];
+    for (_, conjunct) in conjuncts {
+        if let Some(positions) = side_positions(conjunct, bindings) {
+            for &i in &positions {
+                for &j in &positions {
+                    adjacent[i][j] = true;
+                }
+            }
+        }
+    }
+    let mut chosen = vec![false; n];
+    let mut order = Vec::with_capacity(n);
+    while order.len() < n {
+        let connected = |i: usize| order.iter().any(|&j| adjacent[i][j]);
+        let pick = (0..n)
+            .filter(|&i| !chosen[i] && (order.is_empty() || connected(i)))
+            .min_by_key(|&i| (est[i], i))
+            // Disconnected remainder (a genuine cross product in the
+            // query): fall back to the cheapest item.
+            .unwrap_or_else(|| {
+                (0..n).filter(|&i| !chosen[i]).min_by_key(|&i| (est[i], i)).unwrap()
+            });
+        chosen[pick] = true;
+        order.push(pick);
+    }
+    order
+}
+
+/// How well an item can be reached through its constant equality filters
+/// (`col = literal`) alone, best first — the seeded order's rank guard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum ConstantAccess {
+    /// A PRIMARY KEY / UNIQUE index fully keyed by constants.
+    UniqueKey,
+    /// Another index fully keyed by constants.
+    Index,
+    /// A constant filter no index covers.
+    Filter,
+    /// No constant equality at all.
+    None,
+}
+
+/// The seeded join order: when some item has a constant equality filter
+/// and every other item can be attached, one at a time, by a one-row probe
+/// — an OID probe, or a PRIMARY KEY / UNIQUE index fully keyed by the items
+/// already placed — run outward from that item, each step taking the first
+/// attachable item in FROM order. The seed's [`ConstantAccess`] must be at
+/// least as good as every other item's, so a key lookup elsewhere in the
+/// query keeps today's plan; seeds of that best rank are tried in FROM
+/// order. What is one row is known from the catalog, so no statistics are
+/// needed.
+fn seeded_order(
+    catalog: &Catalog,
+    stmt: &SelectStmt,
+    bindings: &[Ident],
+    conjuncts: &[(usize, &Expr)],
+) -> Option<Vec<usize>> {
+    let n = stmt.from.len();
+    let ranks: Vec<ConstantAccess> =
+        (0..n).map(|i| constant_access(catalog, stmt, bindings, i, conjuncts)).collect();
+    let best = *ranks.iter().min()?;
+    if best == ConstantAccess::None {
+        return None;
+    }
+    (0..n).filter(|&seed| ranks[seed] == best).find_map(|seed| {
+        let mut order = vec![seed];
+        while order.len() < n {
+            let next = (0..n).find(|&i| {
+                !order.contains(&i) && one_row_probe(catalog, stmt, bindings, &order, i, conjuncts)
+            })?;
+            order.push(next);
+        }
+        Some(order)
+    })
+}
+
+/// The [`ConstantAccess`] of the FROM item at `item`.
+fn constant_access(
+    catalog: &Catalog,
+    stmt: &SelectStmt,
+    bindings: &[Ident],
+    item: usize,
+    conjuncts: &[(usize, &Expr)],
+) -> ConstantAccess {
+    let FromItem::Table { name, .. } = &stmt.from[item] else {
+        return ConstantAccess::None;
+    };
+    let keyed: Vec<&Ident> =
+        conjuncts.iter().filter_map(|(_, c)| constant_key(c, bindings, item)).collect();
+    if keyed.is_empty() {
+        return ConstantAccess::None;
+    }
+    catalog
+        .indexes_on(name)
+        .filter(|idx| idx.columns.iter().all(|c| keyed.contains(&c)))
+        .map(|idx| if idx.unique { ConstantAccess::UniqueKey } else { ConstantAccess::Index })
+        .min()
+        .unwrap_or(ConstantAccess::Filter)
+}
+
+/// Placed right after the FROM items `placed`, is the item at `item` joined
+/// by at most one row per combination? Decided by planning its access path
+/// exactly as [`plan_select`] will at that position.
+fn one_row_probe(
+    catalog: &Catalog,
+    stmt: &SelectStmt,
+    bindings: &[Ident],
+    placed: &[usize],
+    item: usize,
+    conjuncts: &[(usize, &Expr)],
+) -> bool {
+    let trial: Vec<Ident> = placed.iter().chain([&item]).map(|&i| bindings[i].clone()).collect();
+    let pos = placed.len();
+    let applicable: Vec<(usize, &Expr)> =
+        conjuncts.iter().filter(|(_, c)| conjunct_position(c, &trial) == pos).copied().collect();
+    let FromItem::Table { name, .. } = &stmt.from[item] else {
+        return false;
+    };
+    match plan_item_path(catalog, &trial, pos, &stmt.from[item], &applicable).0 {
+        AccessPath::OidProbe { .. } => true,
+        AccessPath::IndexProbe { index, .. } => {
+            catalog.indexes_on(name).any(|idx| idx.name == index && idx.unique)
+        }
+        AccessPath::HashJoin { .. } | AccessPath::Scan => false,
+    }
+}
+
+/// Cardinality estimate for one FROM item considering only its *local*
+/// predicates (equality against constants): `rows / ndv(col)`, or 1 for a
+/// UNIQUE-indexed key — the ordering key for the greedy join order.
+fn local_estimate(
+    catalog: &Catalog,
+    stmt: &SelectStmt,
+    bindings: &[Ident],
+    item: usize,
+    conjuncts: &[(usize, &Expr)],
+) -> u64 {
+    let FromItem::Table { name, .. } = &stmt.from[item] else {
+        return u64::MAX;
+    };
+    let Some(stats) = catalog.table_stats(name) else {
+        return u64::MAX;
+    };
+    let mut est = stats.rows;
+    for (_, conjunct) in conjuncts {
+        let Some(col) = constant_key(conjunct, bindings, item) else {
+            continue;
+        };
+        let unique = catalog
+            .indexes_on(name)
+            .any(|idx| idx.unique && idx.columns.len() == 1 && &idx.columns[0] == col);
+        let sel = if unique { 1 } else { (stats.rows / stats.ndv(col)).max(1) };
+        est = est.min(sel);
+    }
+    est
+}
+
+/// If `conjunct` is `binding.col = expr` (or mirrored) where `binding` is
+/// the FROM item at `item_idx` and `expr` references only earlier items or
+/// constants, return the column and the probe-side expression.
+fn equality_key<'a>(
+    conjunct: &'a Expr,
+    bindings: &[Ident],
+    item_idx: usize,
+) -> Option<(&'a Ident, &'a Expr)> {
+    let Expr::Binary { op: BinOp::Eq, lhs, rhs } = conjunct else {
+        return None;
+    };
+    let as_key = |side: &'a Expr, other: &'a Expr| -> Option<(&'a Ident, &'a Expr)> {
+        let Expr::Path(parts) = side else { return None };
+        let [binding, col] = parts.as_slice() else { return None };
+        if binding != &bindings[item_idx] {
+            return None;
+        }
+        let other_pos = side_positions(other, bindings)?;
+        if other_pos.iter().all(|&p| p < item_idx) {
+            Some((col, other))
+        } else {
+            None
+        }
+    };
+    as_key(lhs, rhs).or_else(|| as_key(rhs, lhs))
+}
+
+/// The column of `conjunct` when it is `binding.col = constant` (no FROM
+/// reference on the other side) for the FROM item at `item_idx`.
+fn constant_key<'a>(conjunct: &'a Expr, bindings: &[Ident], item_idx: usize) -> Option<&'a Ident> {
+    let (col, other) = equality_key(conjunct, bindings, item_idx)?;
+    side_positions(other, bindings)?.is_empty().then_some(col)
+}
+
+/// If `conjunct` is `REF(binding) = expr` (or mirrored) where `binding` is
+/// the FROM item at `item_idx` and `expr` references only earlier items or
+/// constants, return `expr`: the key of an OID probe.
+fn oid_key<'a>(conjunct: &'a Expr, bindings: &[Ident], item_idx: usize) -> Option<&'a Expr> {
+    let Expr::Binary { op: BinOp::Eq, lhs, rhs } = conjunct else {
+        return None;
+    };
+    let as_key = |side: &'a Expr, other: &'a Expr| -> Option<&'a Expr> {
+        let Expr::RefOf(binding) = side else { return None };
+        let bound = binding == &bindings[item_idx]
+            && side_positions(other, bindings)?.iter().all(|&p| p < item_idx);
+        bound.then_some(other)
+    };
+    as_key(lhs, rhs).or_else(|| as_key(rhs, lhs))
+}
+
+/// The rows one probe of `index` is estimated to return: 1 for a key,
+/// else `rows / ndv` of its most selective column.
+fn index_estimate(stats: &TableStats, index: &IndexDef) -> u64 {
+    if index.unique {
+        return 1;
+    }
+    let ndv = index.columns.iter().map(|c| stats.ndv(c)).max().unwrap_or(1).max(1);
+    (stats.rows / ndv).max(1)
+}
+
+/// Choose the access path for the item at execution position `pos`:
+/// an OID probe when an applicable `REF(binding) = key` has its key bound
+/// (at most one row); else a secondary-index probe when one covers the
+/// available equality keys; else the hash equi-join; else a scan.
+///
+/// Of several covered indexes, with ANALYZE statistics the lowest estimate
+/// wins (a key counts as 1). Without, a key wins, and past the first
+/// position an index keyed by earlier bindings beats one keyed only by
+/// constants: the constant key fetches the same bucket for every
+/// combination. Ties go to the widest index, then to the first in the
+/// inventory, which lists key indexes before declared ones.
+fn plan_item_path<'s>(
+    catalog: &Catalog,
+    bindings: &[Ident],
+    pos: usize,
+    item: &FromItem,
+    applicable: &[(usize, &'s Expr)],
+) -> (AccessPath<'s>, Option<u64>) {
+    let table = match item {
+        FromItem::Table { name, .. } => catalog.get_table(name).map(|def| (name, def)),
+        FromItem::CollectionTable { .. } => None,
+    };
+    let stats = table.and_then(|(name, _)| catalog.table_stats(name));
+    if let Some((name, def)) = table {
+        // Only the rows of an object table have OIDs.
+        if def.of_type().is_some() {
+            if let Some(key) = applicable.iter().find_map(|(_, c)| oid_key(c, bindings, pos)) {
+                return (AccessPath::OidProbe { key }, stats.map(|_| 1));
+            }
+        }
+        // The probe-side expression of the first conjunct keying `column`.
+        let key_of = |column: &Ident| {
+            applicable.iter().find_map(|(_, c)| {
+                equality_key(c, bindings, pos).filter(|(col, _)| *col == column).map(|(_, e)| e)
+            })
+        };
+        let join_keyed = |idx: &IndexDef| {
+            idx.columns.iter().any(|c| {
+                key_of(c)
+                    .and_then(|e| side_positions(e, bindings))
+                    .is_some_and(|positions| !positions.is_empty())
+            })
+        };
+        let best = catalog
+            .indexes_on(name)
+            .filter(|idx| idx.columns.iter().all(|c| key_of(c).is_some()))
+            .enumerate()
+            .min_by_key(|&(nth, idx)| {
+                let cost = match stats {
+                    Some(s) => index_estimate(s, idx),
+                    None if idx.unique => 0,
+                    None if pos == 0 || join_keyed(idx) => 1,
+                    None => 2,
+                };
+                (cost, !idx.unique, Reverse(idx.columns.len()), nth)
+            });
+        if let Some((_, idx)) = best {
+            let keys = idx.columns.iter().filter_map(key_of).collect();
+            let est = stats.map(|s| index_estimate(s, idx));
+            return (AccessPath::IndexProbe { index: idx.name.clone(), keys }, est);
+        }
+    }
+    let est = stats.map(|s| s.rows);
+    if pos > 0 {
+        if let Some((probe, build)) =
+            applicable.first().and_then(|(_, c)| plan_hash_join(c, bindings, pos))
+        {
+            return (AccessPath::HashJoin { probe, build }, est);
+        }
+    }
+    (AccessPath::Scan, est)
+}
+
+/// If `conjunct` is an equality between an expression bound solely by the
+/// FROM item at `item_idx` and an expression bound only by earlier items
+/// (or constant), return `(probe_expr, build_expr)`: probe is evaluated
+/// against each accumulated combination, build against the new item's rows.
+pub(crate) fn plan_hash_join<'a>(
+    conjunct: &'a Expr,
+    bindings: &[Ident],
+    item_idx: usize,
+) -> Option<(&'a Expr, &'a Expr)> {
+    let Expr::Binary { op: BinOp::Eq, lhs, rhs } = conjunct else {
+        return None;
+    };
+    let lhs_pos = side_positions(lhs, bindings)?;
+    let rhs_pos = side_positions(rhs, bindings)?;
+    let is_build = |pos: &[usize]| pos == [item_idx];
+    let is_probe = |pos: &[usize]| pos.iter().all(|&p| p < item_idx);
+    if is_build(&lhs_pos) && is_probe(&rhs_pos) {
+        Some((rhs, lhs))
+    } else if is_build(&rhs_pos) && is_probe(&lhs_pos) {
+        Some((lhs, rhs))
+    } else {
+        None
+    }
+}
+
+/// FROM positions one side of a conjunct references, or `None` when it
+/// references anything not attributable to a binding (unqualified columns,
+/// outer scopes) or contains a subquery.
+fn side_positions(expr: &Expr, bindings: &[Ident]) -> Option<Vec<usize>> {
+    if has_subquery(expr) {
+        return None;
+    }
+    let mut positions: Vec<usize> = Vec::new();
+    let mut unresolved = false;
+    visit_refs(expr, &mut |head| match bindings.iter().position(|b| b == head) {
+        Some(pos) => {
+            if !positions.contains(&pos) {
+                positions.push(pos);
+            }
+        }
+        None => unresolved = true,
+    });
+    if unresolved {
+        None
+    } else {
+        Some(positions)
+    }
+}
+
+/// Flatten nested ANDs into a conjunct list, each at position 0 until
+/// scheduled.
+fn split_and<'s>(expr: &'s Expr, out: &mut Vec<(usize, &'s Expr)>) {
+    match expr {
+        Expr::Binary { op: BinOp::And, lhs, rhs } => {
+            split_and(lhs, out);
+            split_and(rhs, out);
+        }
+        other => out.push((0, other)),
+    }
+}
+
+/// Earliest FROM index after which a conjunct can be evaluated: the maximum
+/// position of any binding it references. Conjuncts referencing anything we
+/// cannot attribute to a binding (unqualified columns, subqueries, outer
+/// scopes) are deferred (`usize::MAX`).
+pub(crate) fn conjunct_position(expr: &Expr, bindings: &[Ident]) -> usize {
+    let mut max_pos = 0usize;
+    let mut deferred = false;
+    visit_refs(expr, &mut |head| {
+        match bindings.iter().position(|b| b == head) {
+            Some(pos) => max_pos = max_pos.max(pos),
+            None => deferred = true,
+        }
+    });
+    if has_subquery(expr) {
+        deferred = true;
+    }
+    if deferred {
+        usize::MAX
+    } else {
+        max_pos
+    }
+}
+
+fn visit_refs(expr: &Expr, visit: &mut impl FnMut(&Ident)) {
+    match expr {
+        Expr::Path(parts) => {
+            if let Some(head) = parts.first() {
+                visit(head);
+            }
+        }
+        Expr::RefOf(alias) => visit(alias),
+        Expr::Call { args, .. } => {
+            for arg in args {
+                visit_refs(arg, visit);
+            }
+        }
+        Expr::Binary { lhs, rhs, .. } => {
+            visit_refs(lhs, visit);
+            visit_refs(rhs, visit);
+        }
+        Expr::Not(inner) | Expr::Deref(inner) => visit_refs(inner, visit),
+        Expr::IsNull { expr, .. } | Expr::Like { expr, .. } => visit_refs(expr, visit),
+        Expr::Literal(_) | Expr::CountStar => {}
+        // Subqueries handled by `has_subquery`.
+        Expr::Subquery(_) | Expr::CastMultiset { .. } | Expr::Exists(_) => {}
+    }
+}
+
+fn has_subquery(expr: &Expr) -> bool {
+    match expr {
+        Expr::Subquery(_) | Expr::CastMultiset { .. } | Expr::Exists(_) => true,
+        Expr::Call { args, .. } => args.iter().any(has_subquery),
+        Expr::Binary { lhs, rhs, .. } => has_subquery(lhs) || has_subquery(rhs),
+        Expr::Not(inner) | Expr::Deref(inner) => has_subquery(inner),
+        Expr::IsNull { expr, .. } | Expr::Like { expr, .. } => has_subquery(expr),
+        _ => false,
+    }
+}

@@ -1,61 +1,68 @@
-//! SELECT execution: FROM evaluation with hash equi-joins and a nested-loop
-//! fallback (with lateral visibility for `TABLE(...)` un-nesting), WHERE
-//! filtering, projection, DISTINCT and ORDER BY. Views — object views
-//! included (§6.3) — expand inline.
+//! SELECT execution: the FROM clause enumerated depth-first over the plan
+//! `exec::plan` chose, WHERE filtering, projection, DISTINCT and ORDER BY.
+//! Views — object views included (§6.3) — expand inline.
 //!
-//! ## Join strategy selection
+//! ## One loop over the plan positions
 //!
-//! Each FROM item beyond the first is joined to the accumulated row
-//! combinations by a probe when the catalog offers one — an **OID probe**
-//! for `REF(item) = …` (one OID-directory lookup per combination) or an
-//! **index probe** on an index covered by equality keys — and otherwise one
-//! of two ways:
+//! Step 1 walks the FROM positions in execution order on an explicit stack
+//! — no recursion, so a FROM clause of thousands of items needs no more
+//! stack than one of two. Each position has a cursor over its candidates
+//! under the current prefix of the combination:
 //!
-//! * **Hash equi-join** — when the first WHERE conjunct scheduled at this
-//!   item is an equality whose one side references only this item's binding
-//!   and whose other side is bound by earlier items (or constant), the
-//!   item's rows are hashed once on the join key ([`Value::join_key`]) and
-//!   each combination probes the table. Because SQL's numeric string
-//!   coercion makes `sql_eq` non-transitive (`'04' = 4` but `'04' <> '4'`),
-//!   the hash is a *prefilter*: every candidate is re-checked with the real
-//!   predicate, so results are identical to the nested loop — the
-//!   edge-table baseline's 7-way self-joins just stop being O(n²) per step.
-//! * **Nested loop** — everything else, including all lateral
-//!   `TABLE(expr)` items (their rows depend on the current combination).
+//! * **scan** — every row of a table or view (a nested loop);
+//! * **hash probe** — the rows whose join key equals the probe value: on
+//!   its first visit the position hashes its rows on the build expression
+//!   ([`key_hash`], as index buckets do), as row numbers chained per key
+//!   rather than as frames, because every build of a plan is live at once.
+//!   SQL's numeric string coercion makes `sql_eq` non-transitive
+//!   (`'04' = 4` but `'04' <> '4'`), so the hash is a *prefilter*: every
+//!   candidate is re-checked with the real predicate, and results are
+//!   identical to the nested loop;
+//! * **index probe** — the slots a secondary index holds for the key;
+//! * **OID probe** — `REF(item) = …`: the one row the OID directory finds;
+//! * **lateral** — the elements of `TABLE(expr)` under the prefix.
 //!
-//! Non-lateral items are expanded exactly once and their frames shared via
-//! `Rc` across all combinations, so a table joined against a thousand
-//! combos no longer clones its rows a thousand times.
+//! A candidate is tried against the conjuncts scheduled at its position in
+//! place: the combination is one buffer of one frame per position, and
+//! advancing a cursor refills that position's frame through `Rc::get_mut`
+//! — a new frame is allocated only when the sink kept the old one. So a
+//! rejected candidate allocates nothing, and a surviving one costs what
+//! the sink makes of it.
 //!
-//! ## What a lateral expansion copies: handles
+//! ## Sinks
 //!
-//! `TABLE(t.coll)` reads the collection where it is stored. The operand is
-//! borrowed from the parent frame's block ([`eval_ref`]), each object
-//! element's frame holds `Arc::clone` of the element's own `attrs` block —
-//! the block the heap holds (see [`crate::value`]) — and the column list of
-//! the element type is built once per FROM item (`UnnestColumns`), not
-//! once per expansion. So `TabUniversity t0, TABLE(t0.attrStudent) t1,
-//! TABLE(t1.attrCourse) t2, …` allocates one frame per element and one
-//! combination per *surviving* element at every level and copies no stored
-//! value, however much hangs below the element. (A scalar element has no
-//! block of its own and is wrapped in a one-value block: the only value an
-//! expansion copies.)
+//! A FROM-order plan hands each complete combination straight to the
+//! residual filter and then to a `COUNT(*)` tally or to projection with its
+//! ORDER BY keys: no combination is stored. A reordered plan collects its
+//! combinations and restores the FROM-order enumeration by sorting them on
+//! their frames' heap slots (step 1b) before the same sink sees them.
 //!
-//! Every join path tries a candidate against the conjuncts scheduled at its
-//! item *in place* — pushed onto the parent combination and popped again
-//! (`extend_combo`) — so a rejected candidate allocates nothing.
+//! ## What a frame holds: handles
+//!
+//! A table row's frame shares the row's block. `TABLE(t.coll)` reads the
+//! collection where it is stored: the operand is borrowed from the parent
+//! frame's block ([`eval_ref`]), the cursor holds a handle on the element
+//! list, an object element's frame holds `Arc::clone` of the element's own
+//! `attrs` block — the block the heap holds (see [`crate::value`]) — and
+//! the column list of the element type is built once per FROM item, not
+//! once per element. So `TabUniversity t0, TABLE(t0.attrStudent) t1,
+//! TABLE(t1.attrCourse) t2, …` copies no stored value, however much hangs
+//! below an element. (A scalar element has no block of its own and is
+//! wrapped in a one-value block: the only value an expansion copies.)
 
-use crate::catalog::{Catalog, IndexDef, TableDef, TableStats};
 use crate::error::DbError;
 use crate::exec::eval::{eval_bool, eval_expr, eval_ref, ExecCtx};
+use crate::exec::plan::{plan_hash_join, plan_select, AccessPath, JoinOrder, SelectPlan};
 use crate::exec::{Env, Frame};
 use crate::ident::Ident;
-use crate::sql::ast::{BinOp, Expr, FromItem, SelectStmt};
+use crate::sql::ast::{Expr, FromItem, SelectStmt};
 use crate::storage::{key_hash, Row};
-use crate::value::{JoinKey, Value};
-use std::cmp::Reverse;
+use crate::value::{Oid, Value};
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hasher};
+use std::ops::Range;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -111,57 +118,38 @@ pub(crate) fn select_rows(
     {
         ctx.stats.planner_plans_costed += 1;
     }
-
-    // 1. FROM: build row combinations in execution order. Later items see
-    //    earlier bindings (needed by TABLE(t.attr) un-nesting), and
-    //    conjuncts filter as soon as their inputs are bound. Every table
-    //    frame carries its heap slot, which step 1b sorts by.
-    let mut combos: Vec<Vec<Rc<Frame>>> = vec![Vec::new()];
     if stmt.from.len() > 1 {
         ctx.stats.join_queries += 1;
     }
-    for (pos, &orig) in plan.order.iter().enumerate() {
-        if combos.is_empty() {
-            // An earlier item produced no combinations; nothing to extend
-            // (and nothing further should be scanned).
-            break;
-        }
-        let binding = &plan.bindings[pos];
-        let applicable = plan.applicable(pos);
-        combos = match &stmt.from[orig] {
-            // Lateral items depend on the current combination and are
-            // re-expanded per combo.
-            FromItem::CollectionTable { expr, .. } => {
-                join_lateral(ctx, expr, binding, combos, applicable, outer, pos)?
-            }
-            FromItem::Table { name, .. } => match &plan.paths[pos].0 {
-                AccessPath::OidProbe { key } => {
-                    probe_oid_item(ctx, name, binding, key, combos, applicable, outer, pos)?
-                }
-                // Index probe: no expansion at all. The freshness check is
-                // the safety valve: a stale index (impossible under eager
-                // maintenance, but never trusted) silently degrades to the
-                // scan/hash path.
-                AccessPath::IndexProbe { index, keys } if ctx.storage.index_is_fresh(index) => {
-                    probe_index_item(
-                        ctx, name, binding, index, keys, combos, applicable, outer, pos,
-                    )?
-                }
-                path => join_expanded(
-                    ctx, name, &plan.bindings, path, combos, applicable, outer, pos,
-                )?,
-            },
-        };
+    let counting = !stmt.star && stmt.items.iter().any(|i| matches!(i.expr, Expr::CountStar));
+    if counting && stmt.items.len() != 1 {
+        return Err(DbError::Execution(
+            "COUNT(*) cannot be combined with other select items".into(),
+        ));
     }
+    let mut out = Output {
+        stmt,
+        // 2. Residual WHERE conjuncts (those deferred to the end).
+        residual: plan.residual(stmt.from.len()),
+        collected: plan.reordered.then(Vec::new),
+        count: counting.then_some(0),
+        rows: Vec::new(),
+        order_keys: Vec::new(),
+        star_names: None,
+    };
+
+    // 1. FROM: every combination, depth-first in execution order. Later
+    //    items see earlier bindings (needed by TABLE(t.attr) un-nesting),
+    //    and conjuncts filter as soon as their inputs are bound.
+    enumerate(ctx, stmt, &plan, outer, &mut out)?;
 
     // 1b. Restore the FROM-order enumeration: a nested loop in FROM order
     //     enumerates combinations in lexicographic heap-slot order — so
     //     after a reorder, un-permuting each combination's frames and
     //     sorting by their slots makes output byte-identical to that
     //     nested loop.
-    if plan.reordered && !combos.is_empty() {
-        let n = stmt.from.len();
-        let mut exec_pos_of = vec![0usize; n];
+    if let Some(mut combos) = out.collected.take() {
+        let mut exec_pos_of = vec![0usize; stmt.from.len()];
         for (pos, &orig) in plan.order.iter().enumerate() {
             exec_pos_of[orig] = pos;
         }
@@ -169,73 +157,36 @@ pub(crate) fn select_rows(
             *combo = exec_pos_of.iter().map(|&pos| combo[pos].clone()).collect();
         }
         combos.sort_by(|a, b| a.iter().map(|f| f.slot).cmp(b.iter().map(|f| f.slot)));
-    }
-
-    // 2. Residual WHERE conjuncts (those deferred to the end).
-    let residual = plan.residual(stmt.from.len());
-    if !residual.is_empty() {
-        let mut surviving = Vec::new();
-        for combo in combos {
-            if passes(ctx, &combo, residual, outer)? {
-                surviving.push(combo);
-            }
+        for combo in &combos {
+            out.take(ctx, combo, outer)?;
         }
-        combos = surviving;
     }
 
     // 3. Aggregate shortcut: COUNT(*) queries.
-    if !stmt.star && stmt.items.iter().any(|i| matches!(i.expr, Expr::CountStar)) {
-        if stmt.items.len() != 1 {
-            return Err(DbError::Execution(
-                "COUNT(*) cannot be combined with other select items".into(),
-            ));
-        }
+    if let Some(count) = out.count {
         if let Some(names) = names {
             let name = stmt.items[0].alias.as_ref().map_or("COUNT(*)", Ident::as_str);
             *names = vec![name.to_string()];
         }
-        return Ok(vec![vec![Value::Num(combos.len() as f64)]]);
+        return Ok(vec![vec![Value::Num(count as f64)]]);
     }
 
-    // 4. Projection.
+    // 4. Projection happened in the sink; name the columns.
     if let Some(names) = names {
-        *names = match combos.first() {
+        *names = match out.star_names {
             _ if !stmt.star => {
                 stmt.items.iter().enumerate().map(|(i, item)| item_column_name(item, i)).collect()
             }
-            Some(combo) => combo
-                .iter()
-                .flat_map(|frame| frame.columns.iter().map(|c| c.as_str().to_string()))
-                .collect(),
+            Some(star) => star,
             // No rows: still report column names.
             None => star_columns(ctx, stmt),
         };
     }
-    let mut rows: Vec<Vec<Value>> = Vec::with_capacity(combos.len());
-    let mut order_keys: Vec<Vec<Value>> = Vec::new();
-    for combo in &combos {
-        let env = make_env(combo, outer);
-        let row = if stmt.star {
-            combo.iter().flat_map(|frame| frame.values.iter().cloned()).collect()
-        } else {
-            let mut row = Vec::with_capacity(stmt.items.len());
-            for item in &stmt.items {
-                row.push(eval_expr(ctx, &env, &item.expr)?);
-            }
-            row
-        };
-        if !stmt.order_by.is_empty() {
-            let mut keys = Vec::with_capacity(stmt.order_by.len());
-            for (expr, _) in &stmt.order_by {
-                keys.push(eval_expr(ctx, &env, expr)?);
-            }
-            order_keys.push(keys);
-        }
-        rows.push(row);
-    }
+    let mut rows = out.rows;
 
     // 5. ORDER BY (stable sort on the precomputed keys).
     if !stmt.order_by.is_empty() {
+        let order_keys = out.order_keys;
         let mut indexed: Vec<usize> = (0..rows.len()).collect();
         indexed.sort_by(|&a, &b| {
             for (k, (_, asc)) in stmt.order_by.iter().enumerate() {
@@ -259,161 +210,540 @@ pub(crate) fn select_rows(
     Ok(rows)
 }
 
-/// Join a lateral `TABLE(expr)` item: re-expanded under every combination
-/// (its rows depend on it), each element frame tried in place.
-fn join_lateral(
-    ctx: &mut ExecCtx,
-    expr: &Expr,
-    binding: &Ident,
-    combos: Vec<Vec<Rc<Frame>>>,
-    applicable: &[(usize, &Expr)],
-    outer: Option<&Env>,
-    pos: usize,
-) -> Result<Vec<Vec<Rc<Frame>>>, DbError> {
-    let mut columns = UnnestColumns::default();
-    // Filled per combination and drained into it: one buffer.
-    let mut frames: Vec<Rc<Frame>> = Vec::new();
-    let mut next: Vec<Vec<Rc<Frame>>> = Vec::new();
-    for mut combo in combos {
-        let env = make_env(&combo, outer);
-        expand_collection(ctx, expr, binding, &env, &mut columns, &mut frames)?;
-        ctx.stats.rows_scanned += frames.len() as u64;
-        if pos > 0 {
-            ctx.stats.join_pairs += frames.len() as u64;
-        }
-        for frame in frames.drain(..) {
-            extend_combo(ctx, &mut combo, frame, applicable, outer, &mut next)?;
-        }
-    }
-    Ok(next)
+/// Where complete combinations go, one at a time: the residual conjuncts,
+/// then a `COUNT(*)` tally or the projected row with its ORDER BY keys —
+/// or, for a reordered plan, a collection to sort first.
+struct Output<'p> {
+    stmt: &'p SelectStmt,
+    residual: &'p [(usize, &'p Expr)],
+    /// A reordered plan's combinations, in execution order.
+    collected: Option<Vec<Vec<Rc<Frame>>>>,
+    /// The tally, for a `COUNT(*)` query.
+    count: Option<u64>,
+    rows: Vec<Vec<Value>>,
+    order_keys: Vec<Vec<Value>>,
+    /// `SELECT *`'s column names, read off the first row's frames.
+    star_names: Option<Vec<String>>,
 }
 
-/// Join a table or view item by expanding it once and sharing its frames
-/// via `Rc` across all combinations: hashed on the join key when `path` (or,
-/// for an index probe whose index went stale, the first applicable
-/// conjunct) is an equi-join, else a nested loop.
-#[allow(clippy::too_many_arguments)]
-fn join_expanded(
-    ctx: &mut ExecCtx,
-    name: &Ident,
-    bindings: &[Ident],
-    path: &AccessPath,
-    combos: Vec<Vec<Rc<Frame>>>,
-    applicable: &[(usize, &Expr)],
-    outer: Option<&Env>,
-    pos: usize,
-) -> Result<Vec<Vec<Rc<Frame>>>, DbError> {
-    if pos == 0 {
-        if let Some(table) = ctx.catalog.get_table(name) {
-            return scan_first_item(ctx, name, table, &bindings[0], applicable, outer);
+impl Output<'_> {
+    fn take(
+        &mut self,
+        ctx: &mut ExecCtx,
+        combo: &[Rc<Frame>],
+        outer: Option<&Env>,
+    ) -> Result<(), DbError> {
+        if let Some(combos) = &mut self.collected {
+            combos.push(combo.to_vec());
+            return Ok(());
         }
-    }
-    let frames = expand_table(ctx, name, &bindings[pos])?;
-    ctx.stats.rows_scanned += frames.len() as u64;
-
-    // Hash path only for the *first* applicable conjunct: the nested loop
-    // evaluates conjuncts in scheduled order, so hashing the first one
-    // preserves which expression gets evaluated against every row.
-    let hash_plan = match path {
-        AccessPath::HashJoin { probe, build } => Some((*probe, *build)),
-        AccessPath::IndexProbe { .. } if pos > 0 => {
-            applicable.first().and_then(|(_, c)| plan_hash_join(c, bindings, pos))
+        if !passes(ctx, combo, self.residual, outer)? {
+            return Ok(());
         }
-        _ => None,
-    };
-
-    let mut next: Vec<Vec<Rc<Frame>>> = Vec::new();
-    if let Some((probe_expr, build_expr)) = hash_plan {
-        // Build: hash the new item's frames on the join key. NULL keys can
-        // never satisfy the equality and are dropped; values without a
-        // hashable key (objects, collections) fall into a linear bucket
-        // probed only by composite probe values.
-        ctx.stats.hash_join_builds += 1;
-        let mut table: HashMap<JoinKey, Vec<usize>> = HashMap::new();
-        let mut composites: Vec<usize> = Vec::new();
-        for (i, frame) in frames.iter().enumerate() {
-            let env = make_env(std::slice::from_ref(frame), outer);
-            let value = eval_expr(ctx, &env, build_expr)?;
-            if value.is_null() {
-                continue;
-            }
-            match value.join_key() {
-                Some(key) => table.entry(key).or_default().push(i),
-                None => composites.push(i),
-            }
+        if let Some(count) = &mut self.count {
+            *count += 1;
+            return Ok(());
         }
-        // Probe: one lookup per combination; candidates re-verified with
-        // the full conjunct list (hash equality is a prefilter).
-        for mut combo in combos {
-            ctx.stats.hash_join_probes += 1;
-            let env = make_env(&combo, outer);
-            let probe = eval_expr(ctx, &env, probe_expr)?;
-            if probe.is_null() {
-                continue;
+        let stmt = self.stmt;
+        let env = make_env(combo, outer);
+        let row = if stmt.star {
+            if self.star_names.is_none() {
+                self.star_names = Some(
+                    combo
+                        .iter()
+                        .flat_map(|frame| frame.columns.iter().map(|c| c.as_str().to_string()))
+                        .collect(),
+                );
             }
-            let candidates: &[usize] = match probe.join_key() {
-                Some(key) => table.get(&key).map(Vec::as_slice).unwrap_or(&[]),
-                // A composite probe value can only equal composite build
-                // values (scalars compare false against them).
-                None => &composites,
-            };
-            ctx.stats.join_pairs += candidates.len() as u64;
-            for &i in candidates {
-                let frame = frames[i].clone();
-                extend_combo(ctx, &mut combo, frame, applicable, outer, &mut next)?;
-            }
-        }
-    } else {
-        for mut combo in combos {
-            if pos > 0 {
-                ctx.stats.join_pairs += frames.len() as u64;
-            }
-            for frame in &frames {
-                extend_combo(ctx, &mut combo, frame.clone(), applicable, outer, &mut next)?;
-            }
-        }
-    }
-    Ok(next)
-}
-
-/// Scan the plain table that runs first: each row is tried as a one-frame
-/// combination as it is read. Nothing else holds a rejected row's frame, so
-/// it is refilled with the next row — a selective filter allocates frames
-/// for the rows it keeps only, as the §4.1 query's seed scan does.
-fn scan_first_item(
-    ctx: &mut ExecCtx,
-    name: &Ident,
-    table: &TableDef,
-    binding: &Ident,
-    applicable: &[(usize, &Expr)],
-    outer: Option<&Env>,
-) -> Result<Vec<Vec<Rc<Frame>>>, DbError> {
-    let (catalog, storage) = (ctx.catalog, ctx.storage);
-    let columns = catalog.column_names(table);
-    let data = storage
-        .table(name)
-        .ok_or_else(|| DbError::UnknownTable(name.as_str().to_string()))?;
-    ctx.stats.rows_scanned += data.rows.len() as u64;
-    let refill = |spare: Option<Rc<Frame>>, row: &Row, slot: usize| {
-        let mut frame = spare?;
-        let reused = Rc::get_mut(&mut frame)?;
-        reused.values = Arc::clone(&row.values);
-        reused.oid = row.oid;
-        reused.slot = slot;
-        Some(frame)
-    };
-    let mut next: Vec<Vec<Rc<Frame>>> = Vec::new();
-    let mut spare = None;
-    for (slot, row) in data.rows.iter().enumerate() {
-        let frame = refill(spare.take(), row, slot)
-            .unwrap_or_else(|| Rc::new(Frame::of_row(binding, &columns, table, row, slot)));
-        if passes(ctx, std::slice::from_ref(&frame), applicable, outer)? {
-            next.push(vec![frame]);
+            combo.iter().flat_map(|frame| frame.values.iter().cloned()).collect()
         } else {
-            spare = Some(frame);
+            let mut row = Vec::with_capacity(stmt.items.len());
+            for item in &stmt.items {
+                row.push(eval_expr(ctx, &env, &item.expr)?);
+            }
+            row
+        };
+        if !stmt.order_by.is_empty() {
+            let mut keys = Vec::with_capacity(stmt.order_by.len());
+            for (expr, _) in &stmt.order_by {
+                keys.push(eval_expr(ctx, &env, expr)?);
+            }
+            self.order_keys.push(keys);
+        }
+        self.rows.push(row);
+        Ok(())
+    }
+}
+
+/// Step 1: hand every combination of FROM rows that passes the conjuncts
+/// scheduled at its positions to `out`, in the order a nested loop over
+/// the plan's positions meets them. One explicit-stack loop: `pos` is the
+/// position whose cursor moves next; an exhausted cursor hands control
+/// back to the position before it, a candidate that passes opens the
+/// cursor after it.
+fn enumerate<'a>(
+    ctx: &mut ExecCtx<'a>,
+    stmt: &SelectStmt,
+    plan: &SelectPlan,
+    outer: Option<&Env>,
+    out: &mut Output,
+) -> Result<(), DbError> {
+    let mut positions: Vec<Position> = plan
+        .order
+        .iter()
+        .enumerate()
+        .map(|(pos, &orig)| Position::new(ctx, stmt, plan, pos, orig))
+        .collect();
+    let Some(last) = positions.len().checked_sub(1) else {
+        // No FROM item: one empty combination.
+        return out.take(ctx, &[], outer);
+    };
+    // One frame per position reached so far; `combo[..=pos]` is the
+    // combination under test.
+    let mut combo: Vec<Rc<Frame>> = Vec::with_capacity(positions.len());
+    let mut pos = 0;
+    positions[0].open(ctx, &mut combo, 0, outer)?;
+    loop {
+        let position = &mut positions[pos];
+        if !position.advance(ctx, &mut combo, pos)? {
+            if pos == 0 {
+                return Ok(());
+            }
+            pos -= 1;
+        } else if passes(ctx, &combo[..=pos], position.applicable, outer)? {
+            if pos == last {
+                out.take(ctx, &combo, outer)?;
+            } else {
+                pos += 1;
+                positions[pos].open(ctx, &mut combo, pos, outer)?;
+            }
         }
     }
-    Ok(next)
+}
+
+/// One FROM position of the running plan: how it finds candidates, the
+/// rows they index, and the candidates still to try under the current
+/// prefix.
+struct Position<'a, 'p> {
+    binding: &'p Ident,
+    /// The table or view the position reads (`None` for `TABLE(…)`).
+    name: Option<&'p Ident>,
+    applicable: &'p [(usize, &'p Expr)],
+    access: Access<'p>,
+    /// A table's or view's rows, read on the position's first visit.
+    source: Option<Source<'a>>,
+    todo: Candidates<'a>,
+}
+
+/// How a position finds its candidates under each prefix — the executor's
+/// side of [`AccessPath`].
+enum Access<'p> {
+    /// Every row.
+    Scan,
+    /// The rows whose `build` value has the `probe` value's join key;
+    /// hashed on the first visit.
+    Hash { probe: &'p Expr, build: &'p Expr, table: HashBuild },
+    /// The slots a fresh secondary index holds for `keys`.
+    Index { index: &'p Ident, keys: &'p [&'p Expr] },
+    /// The row whose OID `key` holds, if it lives in this table.
+    Oid { key: &'p Expr },
+    /// The elements of `TABLE(expr)`, with the shapes of their frames: one
+    /// per object type met (a collection's elements share one) and one for
+    /// scalar elements.
+    Lateral { expr: &'p Expr, object: Option<Shape>, scalar: Option<Shape> },
+}
+
+/// What all frames of one table, view or element type share.
+struct Shape {
+    columns: Arc<[Ident]>,
+    object_type: Option<Ident>,
+}
+
+/// A table's heap (borrowed) or a view's result rows (owned), and the
+/// shape of their frames.
+struct Source<'a> {
+    rows: Cow<'a, [Row]>,
+    shape: Shape,
+}
+
+/// The candidates a position has left under the current prefix.
+enum Candidates<'a> {
+    /// Rows by number: a scan's `0..len`, an OID probe's one slot.
+    Range(Range<usize>),
+    /// An index probe's slots, borrowed from the index.
+    Slots(std::slice::Iter<'a, usize>),
+    /// A hash bucket, from its next row along [`HashBuild::next`]
+    /// ([`END`] when done).
+    Chain(usize),
+    /// A collection's elements from `next` on.
+    Elements { elements: Arc<Vec<Value>>, next: usize },
+}
+
+/// A hash position's table: each join key's rows, in row order, as a chain
+/// of row numbers — a build holds no frame, because every build of a plan
+/// is live at once. NULL keys never satisfy the equality and are left
+/// out; values without a hashable key (objects, collections) chain into
+/// `composites`, which only a composite probe value can equal.
+#[derive(Default)]
+struct HashBuild {
+    buckets: HashMap<u64, Bucket>,
+    composites: Option<Bucket>,
+    /// Per row: the next row of its bucket, or [`END`].
+    next: Vec<usize>,
+}
+
+/// The end of a bucket's chain.
+const END: usize = usize::MAX;
+
+/// One bucket's first and last row and its size.
+#[derive(Clone, Copy)]
+struct Bucket {
+    first: usize,
+    last: usize,
+    len: usize,
+}
+
+impl HashBuild {
+    /// Chain the next row, whose build value is `value`, onto its bucket.
+    fn push(&mut self, value: &Value) {
+        let row = self.next.len();
+        self.next.push(END);
+        let new = Bucket { first: row, last: row, len: 1 };
+        let bucket = match key_hash([value]) {
+            Some(key) => match self.buckets.entry(key) {
+                Entry::Occupied(bucket) => bucket.into_mut(),
+                Entry::Vacant(slot) => {
+                    slot.insert(new);
+                    return;
+                }
+            },
+            None if value.is_null() => return,
+            None => match &mut self.composites {
+                Some(bucket) => bucket,
+                none => {
+                    *none = Some(new);
+                    return;
+                }
+            },
+        };
+        self.next[bucket.last] = row;
+        bucket.last = row;
+        bucket.len += 1;
+    }
+}
+
+impl<'a, 'p> Position<'a, 'p> {
+    /// The position `pos`, running the FROM item at `orig`: its access
+    /// path is the plan's, except that an index gone stale (impossible
+    /// under eager maintenance, but never trusted) degrades to the hash
+    /// join on the first conjunct, or to a scan.
+    fn new(
+        ctx: &ExecCtx<'a>,
+        stmt: &'p SelectStmt,
+        plan: &'p SelectPlan,
+        pos: usize,
+        orig: usize,
+    ) -> Position<'a, 'p> {
+        let applicable = plan.applicable(pos);
+        let (name, access) = match (&stmt.from[orig], &plan.paths[pos].0) {
+            (FromItem::CollectionTable { expr, .. }, _) => {
+                (None, Access::Lateral { expr, object: None, scalar: None })
+            }
+            (FromItem::Table { name, .. }, path) => {
+                let hash = |probe, build| Access::Hash { probe, build, table: HashBuild::default() };
+                let access = match path {
+                    AccessPath::OidProbe { key } => Access::Oid { key },
+                    AccessPath::IndexProbe { index, keys } if ctx.storage.index_is_fresh(index) => {
+                        Access::Index { index, keys }
+                    }
+                    AccessPath::HashJoin { probe, build } => hash(*probe, *build),
+                    AccessPath::IndexProbe { .. } => applicable
+                        .first()
+                        .filter(|_| pos > 0)
+                        .and_then(|(_, c)| plan_hash_join(c, &plan.bindings, pos))
+                        .map_or(Access::Scan, |(probe, build)| hash(probe, build)),
+                    AccessPath::Scan => Access::Scan,
+                };
+                (Some(name), access)
+            }
+        };
+        Position {
+            binding: &plan.bindings[pos],
+            name,
+            applicable,
+            access,
+            source: None,
+            todo: Candidates::Range(0..0),
+        }
+    }
+
+    /// Set the cursor to this position's candidates under the prefix
+    /// `combo[..pos]`, reading the table or view on the first visit.
+    fn open(
+        &mut self,
+        ctx: &mut ExecCtx<'a>,
+        combo: &mut Vec<Rc<Frame>>,
+        pos: usize,
+        outer: Option<&Env>,
+    ) -> Result<(), DbError> {
+        if let (Some(name), None) = (self.name, &self.source) {
+            self.read(ctx, name, combo, pos, outer)?;
+        }
+        let storage = ctx.storage;
+        let env = make_env(&combo[..pos], outer);
+        let count = |ctx: &mut ExecCtx, n: usize| {
+            if pos > 0 {
+                ctx.stats.join_pairs += n as u64;
+            }
+        };
+        self.todo = match &self.access {
+            Access::Scan => {
+                // invariant: `read` set the source of a table or view.
+                let len = self.source.as_ref().map_or(0, |s| s.rows.len());
+                count(ctx, len);
+                Candidates::Range(0..len)
+            }
+            Access::Hash { probe, table, .. } => {
+                ctx.stats.hash_join_probes += 1;
+                let probe = eval_ref(ctx, &env, probe)?;
+                let bucket = match key_hash([probe.as_ref()]) {
+                    Some(key) => table.buckets.get(&key).copied(),
+                    None if probe.is_null() => None,
+                    // A composite probe value can only equal composite
+                    // build values (scalars compare false against them).
+                    None => table.composites,
+                };
+                count(ctx, bucket.map_or(0, |b| b.len));
+                Candidates::Chain(bucket.map_or(END, |b| b.first))
+            }
+            Access::Index { index, keys } => {
+                // A NULL key component can never satisfy the equality; a
+                // composite (object/collection) probe value can never equal
+                // the scalar/REF values an index is allowed to hold.
+                // Either way: no matches.
+                let hash = match keys {
+                    [key] => key_hash([eval_ref(ctx, &env, key)?.as_ref()]),
+                    keys => {
+                        let mut values = Vec::with_capacity(keys.len());
+                        for key in *keys {
+                            values.push(eval_expr(ctx, &env, key)?);
+                        }
+                        key_hash(&values)
+                    }
+                };
+                let slots = match hash {
+                    None => &[][..],
+                    // Freshness was checked when the plan started; storage
+                    // is immutable for the duration of the SELECT.
+                    Some(hash) => storage.index_probe(index, hash).ok_or_else(|| {
+                        DbError::Execution(format!("index '{index}' disappeared mid-statement"))
+                    })?,
+                };
+                ctx.stats.rows_scanned += slots.len() as u64;
+                count(ctx, slots.len());
+                Candidates::Slots(slots.iter())
+            }
+            Access::Oid { key } => {
+                // Only a REF equals a REF: NULL is UNKNOWN, anything else
+                // FALSE. A dangling REF resolves to nothing.
+                let found = match eval_ref(ctx, &env, key)?.as_ref() {
+                    Value::Ref(oid) => storage.resolve_oid_slot(*oid),
+                    _ => None,
+                };
+                let mut slots = 0..0;
+                if let Some((owner, slot, _)) = found {
+                    ctx.stats.oid_index_hits += 1;
+                    if Some(owner) == self.name {
+                        ctx.stats.rows_scanned += 1;
+                        count(ctx, 1);
+                        slots = slot..slot + 1;
+                    }
+                }
+                Candidates::Range(slots)
+            }
+            Access::Lateral { expr, .. } => match eval_ref(ctx, &env, expr)?.as_ref() {
+                Value::Null => Candidates::Range(0..0),
+                Value::Coll { elements, .. } => {
+                    ctx.stats.rows_scanned += elements.len() as u64;
+                    count(ctx, elements.len());
+                    Candidates::Elements { elements: Arc::clone(elements), next: 0 }
+                }
+                other => {
+                    return Err(DbError::TypeMismatch {
+                        expected: "collection".into(),
+                        found: other.to_sql_literal(),
+                    })
+                }
+            },
+        };
+        Ok(())
+    }
+
+    /// The first visit of a table or view position: read its rows (a view
+    /// runs its stored query, with no outer environment: views are
+    /// self-contained), count them, and hash them when the position probes
+    /// a hash table — on `combo[pos]`, the position's one frame.
+    fn read(
+        &mut self,
+        ctx: &mut ExecCtx<'a>,
+        name: &Ident,
+        combo: &mut Vec<Rc<Frame>>,
+        pos: usize,
+        outer: Option<&Env>,
+    ) -> Result<(), DbError> {
+        let (catalog, storage) = (ctx.catalog, ctx.storage);
+        let source = if let Some(table) = catalog.get_table(name) {
+            let data = storage
+                .table(name)
+                .ok_or_else(|| DbError::UnknownTable(name.as_str().to_string()))?;
+            let shape = Shape {
+                columns: catalog.column_names(table),
+                object_type: table.of_type().cloned(),
+            };
+            Source { rows: Cow::Borrowed(&data.rows), shape }
+        } else if let Some(view) = catalog.get_view(name) {
+            let result = execute_select(ctx, &view.query, None)?;
+            let columns = result.columns.iter().map(|c| Ident::internal(c)).collect();
+            let rows =
+                result.rows.into_iter().map(|values| Row { oid: None, values: Arc::new(values) });
+            Source { rows: Cow::Owned(rows.collect()), shape: Shape { columns, object_type: None } }
+        } else {
+            return Err(DbError::UnknownTable(name.as_str().to_string()));
+        };
+        let len = source.rows.len();
+        self.source = Some(source);
+        let build = match &self.access {
+            Access::Scan => {
+                ctx.stats.rows_scanned += len as u64;
+                return Ok(());
+            }
+            Access::Index { .. } => {
+                ctx.stats.index_scans += 1;
+                return Ok(());
+            }
+            Access::Oid { .. } | Access::Lateral { .. } => return Ok(()),
+            Access::Hash { build, .. } => *build,
+        };
+        ctx.stats.rows_scanned += len as u64;
+        ctx.stats.hash_join_builds += 1;
+        let mut table = HashBuild { next: Vec::with_capacity(len), ..HashBuild::default() };
+        for row in 0..len {
+            self.place_row(combo, pos, row);
+            let env = make_env(std::slice::from_ref(&combo[pos]), outer);
+            table.push(eval_ref(ctx, &env, build)?.as_ref());
+        }
+        if let Access::Hash { table: built, .. } = &mut self.access {
+            *built = table;
+        }
+        Ok(())
+    }
+
+    /// Put the next candidate in `combo[pos]`; false when none is left.
+    fn advance(
+        &mut self,
+        ctx: &ExecCtx,
+        combo: &mut Vec<Rc<Frame>>,
+        pos: usize,
+    ) -> Result<bool, DbError> {
+        let row = match (&mut self.todo, &mut self.access) {
+            (Candidates::Range(rows), _) => rows.next(),
+            (Candidates::Slots(slots), _) => slots.next().copied(),
+            (Candidates::Chain(next), Access::Hash { table, .. }) => {
+                let row = *next;
+                (row != END).then(|| {
+                    *next = table.next[row];
+                    row
+                })
+            }
+            (Candidates::Chain(_), _) => None,
+            (Candidates::Elements { elements, next }, Access::Lateral { object, scalar, .. }) => {
+                let Some(element) = elements.get(*next) else {
+                    return Ok(false);
+                };
+                *next += 1;
+                match element {
+                    Value::Obj { type_name, attrs } => {
+                        let shape = match object {
+                            Some(shape) if shape.object_type.as_ref() == Some(type_name) => shape,
+                            object => {
+                                let def = ctx.catalog.get_type(type_name).ok_or_else(|| {
+                                    DbError::UnknownType(type_name.as_str().to_string())
+                                })?;
+                                let columns =
+                                    def.object_attrs().iter().map(|(n, _)| n.clone()).collect();
+                                let object_type = Some(type_name.clone());
+                                object.insert(Shape { columns, object_type })
+                            }
+                        };
+                        place(combo, pos, self.binding, shape, Arc::clone(attrs), None, 0);
+                    }
+                    scalar_value => {
+                        let shape = scalar.get_or_insert_with(|| Shape {
+                            columns: Arc::from([Ident::internal("COLUMN_VALUE")]),
+                            object_type: None,
+                        });
+                        let values = Arc::new(vec![scalar_value.clone()]);
+                        place(combo, pos, self.binding, shape, values, None, 0);
+                    }
+                }
+                return Ok(true);
+            }
+            (Candidates::Elements { .. }, _) => None,
+        };
+        let Some(row) = row else {
+            return Ok(false);
+        };
+        self.place_row(combo, pos, row);
+        Ok(true)
+    }
+
+    /// Put row `row` of the position's table or view in `combo[pos]`.
+    fn place_row(&self, combo: &mut Vec<Rc<Frame>>, pos: usize, row: usize) {
+        // invariant: a table or view position is read before any candidate.
+        let Some(Source { rows, shape }) = &self.source else {
+            unreachable!("a position's rows are read on its first visit")
+        };
+        let Row { oid, values } = &rows[row];
+        place(combo, pos, self.binding, shape, Arc::clone(values), *oid, row);
+    }
+}
+
+/// Make `combo[pos]` the frame of a row: the position's frame refilled in
+/// place when nothing else holds it — the sink did not keep it — else a
+/// new one.
+fn place(
+    combo: &mut Vec<Rc<Frame>>,
+    pos: usize,
+    binding: &Ident,
+    shape: &Shape,
+    values: Arc<Vec<Value>>,
+    oid: Option<Oid>,
+    slot: usize,
+) {
+    if let Some(frame) = combo.get_mut(pos).and_then(Rc::get_mut) {
+        frame.values = values;
+        frame.oid = oid;
+        frame.slot = slot;
+        if !Arc::ptr_eq(&frame.columns, &shape.columns) {
+            frame.columns = Arc::clone(&shape.columns);
+        }
+        if frame.object_type != shape.object_type {
+            frame.object_type = shape.object_type.clone();
+        }
+        return;
+    }
+    let frame = Rc::new(Frame {
+        binding: binding.clone(),
+        columns: Arc::clone(&shape.columns),
+        values,
+        oid,
+        object_type: shape.object_type.clone(),
+        slot,
+    });
+    match combo.get_mut(pos) {
+        Some(kept) => *kept = frame,
+        None => combo.push(frame),
+    }
 }
 
 /// How ORDER BY compares two keys: NULL after every value — so NULLs come
@@ -456,618 +786,6 @@ fn distinct_rows(rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
     kept
 }
 
-/// Join one FROM item to the accumulated combinations through a secondary
-/// index: per combination, evaluate the key expressions, hash, fetch
-/// candidate slots, and materialize frames only for candidates (cached per
-/// slot and shared via `Rc` when more than one combination probes).
-/// Candidates are re-verified against every applicable conjunct in
-/// [`extend_combo`], so a hash collision or SQL's non-transitive
-/// numeric-string equality can never leak a wrong row.
-#[allow(clippy::too_many_arguments)]
-fn probe_index_item(
-    ctx: &mut ExecCtx,
-    name: &Ident,
-    binding: &Ident,
-    index_name: &Ident,
-    key_exprs: &[&Expr],
-    combos: Vec<Vec<Rc<Frame>>>,
-    applicable: &[(usize, &Expr)],
-    outer: Option<&Env>,
-    pos: usize,
-) -> Result<Vec<Vec<Rc<Frame>>>, DbError> {
-    // Copy the shared catalog and storage references out of the context so
-    // the table's shape and the probe results (borrowed from them) stay
-    // usable while `ctx` is mutably borrowed for expression evaluation. The
-    // planner only picks an index probe for a cataloged plain table.
-    let (catalog, storage) = (ctx.catalog, ctx.storage);
-    let table =
-        catalog.get_table(name).ok_or_else(|| DbError::UnknownTable(name.as_str().to_string()))?;
-    let columns = catalog.column_names(table);
-    let data = storage
-        .table(name)
-        .ok_or_else(|| DbError::UnknownTable(name.as_str().to_string()))?;
-    ctx.stats.index_scans += 1;
-    let frame_of =
-        |slot: usize| Rc::new(Frame::of_row(binding, &columns, table, &data.rows[slot], slot));
-
-    let mut cache: Option<HashMap<usize, Rc<Frame>>> = (combos.len() > 1).then(HashMap::new);
-    let mut next: Vec<Vec<Rc<Frame>>> = Vec::new();
-    for mut combo in combos {
-        let env = make_env(&combo, outer);
-        // A NULL key component can never satisfy the equality; a composite
-        // (object/collection) probe value can never equal the scalar/REF
-        // values an index is allowed to hold. Either way: no matches.
-        let hash = match key_exprs {
-            [key] => key_hash([eval_ref(ctx, &env, key)?.as_ref()]),
-            keys => {
-                let mut values = Vec::with_capacity(keys.len());
-                for key in keys {
-                    values.push(eval_expr(ctx, &env, key)?);
-                }
-                key_hash(&values)
-            }
-        };
-        let Some(hash) = hash else {
-            continue;
-        };
-        let Some(slots) = storage.index_probe(index_name, hash) else {
-            // Freshness was checked before entering; storage is immutable
-            // for the duration of the SELECT.
-            return Err(DbError::Execution(format!(
-                "index '{index_name}' disappeared mid-statement"
-            )));
-        };
-        ctx.stats.rows_scanned += slots.len() as u64;
-        if pos > 0 {
-            ctx.stats.join_pairs += slots.len() as u64;
-        }
-        for &slot in slots {
-            let frame = match &mut cache {
-                Some(cache) => cache.entry(slot).or_insert_with(|| frame_of(slot)).clone(),
-                None => frame_of(slot),
-            };
-            extend_combo(ctx, &mut combo, frame, applicable, outer, &mut next)?;
-        }
-    }
-    Ok(next)
-}
-
-/// Join one FROM item to the accumulated combinations by OID: per
-/// combination, evaluate `key` and, when it is a REF, look its row up in the
-/// OID directory — kept only if it lives in `name`, so at most one candidate,
-/// with no scan, hash table or index. The candidate is re-verified against
-/// every applicable conjunct in [`extend_combo`], the `REF(binding) = key`
-/// conjunct the probe came from included.
-#[allow(clippy::too_many_arguments)]
-fn probe_oid_item(
-    ctx: &mut ExecCtx,
-    name: &Ident,
-    binding: &Ident,
-    key: &Expr,
-    combos: Vec<Vec<Rc<Frame>>>,
-    applicable: &[(usize, &Expr)],
-    outer: Option<&Env>,
-    pos: usize,
-) -> Result<Vec<Vec<Rc<Frame>>>, DbError> {
-    let (catalog, storage) = (ctx.catalog, ctx.storage);
-    let table =
-        catalog.get_table(name).ok_or_else(|| DbError::UnknownTable(name.as_str().to_string()))?;
-    let columns = catalog.column_names(table);
-    let mut next: Vec<Vec<Rc<Frame>>> = Vec::new();
-    for mut combo in combos {
-        let env = make_env(&combo, outer);
-        // Only a REF equals a REF: NULL is UNKNOWN, anything else FALSE.
-        let oid = match eval_ref(ctx, &env, key)?.as_ref() {
-            Value::Ref(oid) => *oid,
-            _ => continue,
-        };
-        // A dangling REF resolves to nothing.
-        let Some((owner, slot, row)) = storage.resolve_oid_slot(oid) else {
-            continue;
-        };
-        ctx.stats.oid_index_hits += 1;
-        if owner != name {
-            continue;
-        }
-        ctx.stats.rows_scanned += 1;
-        if pos > 0 {
-            ctx.stats.join_pairs += 1;
-        }
-        let frame = Rc::new(Frame::of_row(binding, &columns, table, row, slot));
-        extend_combo(ctx, &mut combo, frame, applicable, outer, &mut next)?;
-    }
-    Ok(next)
-}
-
-/// How one FROM item is matched against the accumulated combinations.
-/// Chosen by [`plan_select`] from the catalog alone (indexes + ANALYZE
-/// statistics), so EXPLAIN and execution agree on every plan. Expressions
-/// are borrowed from the statement planned.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum AccessPath<'s> {
-    /// Expand every row; nested-loop against the combinations.
-    Scan,
-    /// Expand every row, hash on `build`, probe once per combination.
-    HashJoin { probe: &'s Expr, build: &'s Expr },
-    /// Skip expansion entirely: per combination, evaluate `keys` (in the
-    /// index's column order), hash, and fetch candidate slots from the
-    /// named secondary index. Candidates are re-verified against the real
-    /// conjuncts — the index is a prefilter, exactly like the hash join.
-    IndexProbe { index: Ident, keys: Vec<&'s Expr> },
-    /// `REF(binding) = key` with `key` bound by earlier items: per
-    /// combination, resolve `key` through the OID directory and keep the
-    /// row if it lives in this item's table — at most one candidate, with
-    /// no expansion, hash table or index.
-    OidProbe { key: &'s Expr },
-}
-
-/// How [`plan_select`] chose the join order — what EXPLAIN's `join order:`
-/// line reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum JoinOrder {
-    /// FROM-clause order (EXPLAIN prints no line).
-    FromClause,
-    /// Greedy by ANALYZE estimates.
-    CostBased,
-    /// Started at the item with the best constant-key access, every later
-    /// item attached by a one-row probe (see [`seeded_order`]).
-    Seeded,
-}
-
-/// The plan for one SELECT: join order, per-item access paths, scheduled
-/// conjuncts — everything both the executor and EXPLAIN need, borrowing
-/// every expression from the statement `'s`.
-pub(crate) struct SelectPlan<'s> {
-    /// Execution order as original FROM indices (`order[pos]` = which
-    /// original item runs at position `pos`).
-    pub order: Vec<usize>,
-    /// The binding of the item at each execution position.
-    pub bindings: Vec<Ident>,
-    /// True when `order` differs from FROM-clause order. The executor then
-    /// restores the original combination enumeration order afterwards, so
-    /// results stay byte-identical to a nested loop in FROM order.
-    pub reordered: bool,
-    /// How `order` was chosen.
-    pub join_order: JoinOrder,
-    /// WHERE conjuncts with the execution position each is scheduled at
-    /// (`usize::MAX` = deferred to the residual filter), sorted by position;
-    /// conjuncts of one position keep their WHERE order.
-    pub scheduled: Vec<(usize, &'s Expr)>,
-    /// Per execution position: the access path, and the rows the item is
-    /// estimated to contribute from ANALYZE statistics (`None` when the
-    /// table was never analyzed).
-    pub paths: Vec<(AccessPath<'s>, Option<u64>)>,
-}
-
-impl<'s> SelectPlan<'s> {
-    /// The conjuncts scheduled at execution position `pos`.
-    pub fn applicable(&self, pos: usize) -> &[(usize, &'s Expr)] {
-        scheduled_at(&self.scheduled, pos)
-    }
-
-    /// The conjuncts deferred past the last of `items` FROM items
-    /// (subqueries, unresolvable references).
-    pub fn residual(&self, items: usize) -> &[(usize, &'s Expr)] {
-        let final_pos = items.saturating_sub(1);
-        &self.scheduled[self.scheduled.partition_point(|(p, _)| *p <= final_pos)..]
-    }
-}
-
-/// Plan a SELECT from the catalog alone — no storage access, so plans are
-/// data-independent (EXPLAIN's contract) and identical between EXPLAIN and
-/// execution.
-pub(crate) fn plan_select<'s>(catalog: &Catalog, stmt: &'s SelectStmt) -> SelectPlan<'s> {
-    let n = stmt.from.len();
-    let orig_bindings: Vec<Ident> = stmt.from.iter().map(FromItem::binding).collect();
-    // The WHERE conjuncts, each with the position it is scheduled at below.
-    let mut scheduled: Vec<(usize, &'s Expr)> = Vec::new();
-    if let Some(pred) = &stmt.where_clause {
-        split_and(pred, &mut scheduled);
-    }
-
-    // Join order. Only a FROM clause of distinct-binding plain tables can
-    // be reordered: step 1b restores FROM-order enumeration by heap slot,
-    // which lateral TABLE(...) items and views do not have. The seeded
-    // order comes first and needs no statistics; a seeded walk that is
-    // FROM order already keeps it. Otherwise, with ANALYZE statistics for
-    // every item, the cost-based greedy order.
-    let mut order: Vec<usize> = (0..n).collect();
-    let mut join_order = JoinOrder::FromClause;
-    if n > 1 && reorderable(catalog, stmt, &orig_bindings) {
-        match seeded_order(catalog, stmt, &orig_bindings, &scheduled) {
-            Some(seeded) if seeded == order => {}
-            Some(seeded) => (order, join_order) = (seeded, JoinOrder::Seeded),
-            None if stmt.from.iter().all(|item| analyzed(catalog, item)) => {
-                order = cost_based_order(catalog, stmt, &orig_bindings, &scheduled);
-                join_order = JoinOrder::CostBased;
-            }
-            None => {}
-        }
-    }
-    let reordered = order.iter().enumerate().any(|(pos, &i)| pos != i);
-    let bindings = if reordered {
-        order.iter().map(|&i| orig_bindings[i].clone()).collect()
-    } else {
-        orig_bindings
-    };
-
-    // Schedule conjuncts at the earliest *execution* position where all
-    // their bindings are bound. A stable sort: one position's conjuncts
-    // stay in WHERE order, the order they are evaluated in.
-    for (pos, conjunct) in &mut scheduled {
-        *pos = conjunct_position(conjunct, &bindings);
-    }
-    scheduled.sort_by_key(|(pos, _)| *pos);
-
-    let paths = order
-        .iter()
-        .enumerate()
-        .map(|(pos, &orig)| {
-            let applicable = scheduled_at(&scheduled, pos);
-            plan_item_path(catalog, &bindings, pos, &stmt.from[orig], applicable)
-        })
-        .collect();
-    SelectPlan { order, bindings, reordered, join_order, scheduled, paths }
-}
-
-/// The run of position-sorted `scheduled` conjuncts at position `pos`.
-fn scheduled_at<'p, 's>(scheduled: &'p [(usize, &'s Expr)], pos: usize) -> &'p [(usize, &'s Expr)] {
-    let start = scheduled.partition_point(|(p, _)| *p < pos);
-    let end = scheduled.partition_point(|(p, _)| *p <= pos);
-    &scheduled[start..end]
-}
-
-/// Can this FROM clause be reordered? Requires cataloged plain tables with
-/// pairwise-distinct bindings (enumeration-order restoration sorts by each
-/// frame's heap slot, which only plain tables have).
-fn reorderable(catalog: &Catalog, stmt: &SelectStmt, bindings: &[Ident]) -> bool {
-    let all_plain = stmt.from.iter().all(
-        |item| matches!(item, FromItem::Table { name, .. } if catalog.get_table(name).is_some()),
-    );
-    let distinct = bindings.iter().all(|b| bindings.iter().filter(|o| *o == b).count() == 1);
-    all_plain && distinct
-}
-
-/// Does this FROM item have ANALYZE statistics?
-fn analyzed(catalog: &Catalog, item: &FromItem) -> bool {
-    matches!(item, FromItem::Table { name, .. } if catalog.table_stats(name).is_some())
-}
-
-/// System-R-style greedy order: ascending local-cardinality estimate, but
-/// never introducing a cross product — after the first item, each pick must
-/// share a join conjunct with the chosen prefix (a disconnected
-/// low-estimate item placed early multiplies every prefix combo by its full
-/// row count).
-fn cost_based_order(
-    catalog: &Catalog,
-    stmt: &SelectStmt,
-    bindings: &[Ident],
-    conjuncts: &[(usize, &Expr)],
-) -> Vec<usize> {
-    let n = stmt.from.len();
-    let est: Vec<u64> =
-        (0..n).map(|i| local_estimate(catalog, stmt, bindings, i, conjuncts)).collect();
-    // Join graph: i ~ j when some conjunct references both bindings.
-    let mut adjacent = vec![vec![false; n]; n];
-    for (_, conjunct) in conjuncts {
-        if let Some(positions) = side_positions(conjunct, bindings) {
-            for &i in &positions {
-                for &j in &positions {
-                    adjacent[i][j] = true;
-                }
-            }
-        }
-    }
-    let mut chosen = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-    while order.len() < n {
-        let connected = |i: usize| order.iter().any(|&j| adjacent[i][j]);
-        let pick = (0..n)
-            .filter(|&i| !chosen[i] && (order.is_empty() || connected(i)))
-            .min_by_key(|&i| (est[i], i))
-            // Disconnected remainder (a genuine cross product in the
-            // query): fall back to the cheapest item.
-            .unwrap_or_else(|| {
-                (0..n).filter(|&i| !chosen[i]).min_by_key(|&i| (est[i], i)).unwrap()
-            });
-        chosen[pick] = true;
-        order.push(pick);
-    }
-    order
-}
-
-/// How well an item can be reached through its constant equality filters
-/// (`col = literal`) alone, best first — the seeded order's rank guard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum ConstantAccess {
-    /// A PRIMARY KEY / UNIQUE index fully keyed by constants.
-    UniqueKey,
-    /// Another index fully keyed by constants.
-    Index,
-    /// A constant filter no index covers.
-    Filter,
-    /// No constant equality at all.
-    None,
-}
-
-/// The seeded join order: when some item has a constant equality filter
-/// and every other item can be attached, one at a time, by a one-row probe
-/// — an OID probe, or a PRIMARY KEY / UNIQUE index fully keyed by the items
-/// already placed — run outward from that item, each step taking the first
-/// attachable item in FROM order. The seed's [`ConstantAccess`] must be at
-/// least as good as every other item's, so a key lookup elsewhere in the
-/// query keeps today's plan; seeds of that best rank are tried in FROM
-/// order. What is one row is known from the catalog, so no statistics are
-/// needed.
-fn seeded_order(
-    catalog: &Catalog,
-    stmt: &SelectStmt,
-    bindings: &[Ident],
-    conjuncts: &[(usize, &Expr)],
-) -> Option<Vec<usize>> {
-    let n = stmt.from.len();
-    let ranks: Vec<ConstantAccess> =
-        (0..n).map(|i| constant_access(catalog, stmt, bindings, i, conjuncts)).collect();
-    let best = *ranks.iter().min()?;
-    if best == ConstantAccess::None {
-        return None;
-    }
-    (0..n).filter(|&seed| ranks[seed] == best).find_map(|seed| {
-        let mut order = vec![seed];
-        while order.len() < n {
-            let next = (0..n).find(|&i| {
-                !order.contains(&i) && one_row_probe(catalog, stmt, bindings, &order, i, conjuncts)
-            })?;
-            order.push(next);
-        }
-        Some(order)
-    })
-}
-
-/// The [`ConstantAccess`] of the FROM item at `item`.
-fn constant_access(
-    catalog: &Catalog,
-    stmt: &SelectStmt,
-    bindings: &[Ident],
-    item: usize,
-    conjuncts: &[(usize, &Expr)],
-) -> ConstantAccess {
-    let FromItem::Table { name, .. } = &stmt.from[item] else {
-        return ConstantAccess::None;
-    };
-    let keyed: Vec<&Ident> =
-        conjuncts.iter().filter_map(|(_, c)| constant_key(c, bindings, item)).collect();
-    if keyed.is_empty() {
-        return ConstantAccess::None;
-    }
-    catalog
-        .indexes_on(name)
-        .filter(|idx| idx.columns.iter().all(|c| keyed.contains(&c)))
-        .map(|idx| if idx.unique { ConstantAccess::UniqueKey } else { ConstantAccess::Index })
-        .min()
-        .unwrap_or(ConstantAccess::Filter)
-}
-
-/// Placed right after the FROM items `placed`, is the item at `item` joined
-/// by at most one row per combination? Decided by planning its access path
-/// exactly as [`plan_select`] will at that position.
-fn one_row_probe(
-    catalog: &Catalog,
-    stmt: &SelectStmt,
-    bindings: &[Ident],
-    placed: &[usize],
-    item: usize,
-    conjuncts: &[(usize, &Expr)],
-) -> bool {
-    let trial: Vec<Ident> = placed.iter().chain([&item]).map(|&i| bindings[i].clone()).collect();
-    let pos = placed.len();
-    let applicable: Vec<(usize, &Expr)> =
-        conjuncts.iter().filter(|(_, c)| conjunct_position(c, &trial) == pos).copied().collect();
-    let FromItem::Table { name, .. } = &stmt.from[item] else {
-        return false;
-    };
-    match plan_item_path(catalog, &trial, pos, &stmt.from[item], &applicable).0 {
-        AccessPath::OidProbe { .. } => true,
-        AccessPath::IndexProbe { index, .. } => {
-            catalog.indexes_on(name).any(|idx| idx.name == index && idx.unique)
-        }
-        AccessPath::HashJoin { .. } | AccessPath::Scan => false,
-    }
-}
-
-/// Cardinality estimate for one FROM item considering only its *local*
-/// predicates (equality against constants): `rows / ndv(col)`, or 1 for a
-/// UNIQUE-indexed key — the ordering key for the greedy join order.
-fn local_estimate(
-    catalog: &Catalog,
-    stmt: &SelectStmt,
-    bindings: &[Ident],
-    item: usize,
-    conjuncts: &[(usize, &Expr)],
-) -> u64 {
-    let FromItem::Table { name, .. } = &stmt.from[item] else {
-        return u64::MAX;
-    };
-    let Some(stats) = catalog.table_stats(name) else {
-        return u64::MAX;
-    };
-    let mut est = stats.rows;
-    for (_, conjunct) in conjuncts {
-        let Some(col) = constant_key(conjunct, bindings, item) else {
-            continue;
-        };
-        let unique = catalog
-            .indexes_on(name)
-            .any(|idx| idx.unique && idx.columns.len() == 1 && &idx.columns[0] == col);
-        let sel = if unique { 1 } else { (stats.rows / stats.ndv(col)).max(1) };
-        est = est.min(sel);
-    }
-    est
-}
-
-/// If `conjunct` is `binding.col = expr` (or mirrored) where `binding` is
-/// the FROM item at `item_idx` and `expr` references only earlier items or
-/// constants, return the column and the probe-side expression.
-fn equality_key<'a>(
-    conjunct: &'a Expr,
-    bindings: &[Ident],
-    item_idx: usize,
-) -> Option<(&'a Ident, &'a Expr)> {
-    let Expr::Binary { op: BinOp::Eq, lhs, rhs } = conjunct else {
-        return None;
-    };
-    let as_key = |side: &'a Expr, other: &'a Expr| -> Option<(&'a Ident, &'a Expr)> {
-        let Expr::Path(parts) = side else { return None };
-        let [binding, col] = parts.as_slice() else { return None };
-        if binding != &bindings[item_idx] {
-            return None;
-        }
-        let other_pos = side_positions(other, bindings)?;
-        if other_pos.iter().all(|&p| p < item_idx) {
-            Some((col, other))
-        } else {
-            None
-        }
-    };
-    as_key(lhs, rhs).or_else(|| as_key(rhs, lhs))
-}
-
-/// The column of `conjunct` when it is `binding.col = constant` (no FROM
-/// reference on the other side) for the FROM item at `item_idx`.
-fn constant_key<'a>(conjunct: &'a Expr, bindings: &[Ident], item_idx: usize) -> Option<&'a Ident> {
-    let (col, other) = equality_key(conjunct, bindings, item_idx)?;
-    side_positions(other, bindings)?.is_empty().then_some(col)
-}
-
-/// If `conjunct` is `REF(binding) = expr` (or mirrored) where `binding` is
-/// the FROM item at `item_idx` and `expr` references only earlier items or
-/// constants, return `expr`: the key of an OID probe.
-fn oid_key<'a>(conjunct: &'a Expr, bindings: &[Ident], item_idx: usize) -> Option<&'a Expr> {
-    let Expr::Binary { op: BinOp::Eq, lhs, rhs } = conjunct else {
-        return None;
-    };
-    let as_key = |side: &'a Expr, other: &'a Expr| -> Option<&'a Expr> {
-        let Expr::RefOf(binding) = side else { return None };
-        let bound = binding == &bindings[item_idx]
-            && side_positions(other, bindings)?.iter().all(|&p| p < item_idx);
-        bound.then_some(other)
-    };
-    as_key(lhs, rhs).or_else(|| as_key(rhs, lhs))
-}
-
-/// The rows one probe of `index` is estimated to return: 1 for a key,
-/// else `rows / ndv` of its most selective column.
-fn index_estimate(stats: &TableStats, index: &IndexDef) -> u64 {
-    if index.unique {
-        return 1;
-    }
-    let ndv = index.columns.iter().map(|c| stats.ndv(c)).max().unwrap_or(1).max(1);
-    (stats.rows / ndv).max(1)
-}
-
-/// Choose the access path for the item at execution position `pos`:
-/// an OID probe when an applicable `REF(binding) = key` has its key bound
-/// (at most one row); else a secondary-index probe when one covers the
-/// available equality keys; else the hash equi-join; else a scan.
-///
-/// Of several covered indexes, with ANALYZE statistics the lowest estimate
-/// wins (a key counts as 1). Without, a key wins, and past the first
-/// position an index keyed by earlier bindings beats one keyed only by
-/// constants: the constant key fetches the same bucket for every
-/// combination. Ties go to the widest index, then to the first in the
-/// inventory, which lists key indexes before declared ones.
-fn plan_item_path<'s>(
-    catalog: &Catalog,
-    bindings: &[Ident],
-    pos: usize,
-    item: &FromItem,
-    applicable: &[(usize, &'s Expr)],
-) -> (AccessPath<'s>, Option<u64>) {
-    let table = match item {
-        FromItem::Table { name, .. } => catalog.get_table(name).map(|def| (name, def)),
-        FromItem::CollectionTable { .. } => None,
-    };
-    let stats = table.and_then(|(name, _)| catalog.table_stats(name));
-    if let Some((name, def)) = table {
-        // Only the rows of an object table have OIDs.
-        if def.of_type().is_some() {
-            if let Some(key) = applicable.iter().find_map(|(_, c)| oid_key(c, bindings, pos)) {
-                return (AccessPath::OidProbe { key }, stats.map(|_| 1));
-            }
-        }
-        // The probe-side expression of the first conjunct keying `column`.
-        let key_of = |column: &Ident| {
-            applicable.iter().find_map(|(_, c)| {
-                equality_key(c, bindings, pos).filter(|(col, _)| *col == column).map(|(_, e)| e)
-            })
-        };
-        let join_keyed = |idx: &IndexDef| {
-            idx.columns.iter().any(|c| {
-                key_of(c)
-                    .and_then(|e| side_positions(e, bindings))
-                    .is_some_and(|positions| !positions.is_empty())
-            })
-        };
-        let best = catalog
-            .indexes_on(name)
-            .filter(|idx| idx.columns.iter().all(|c| key_of(c).is_some()))
-            .enumerate()
-            .min_by_key(|&(nth, idx)| {
-                let cost = match stats {
-                    Some(s) => index_estimate(s, idx),
-                    None if idx.unique => 0,
-                    None if pos == 0 || join_keyed(idx) => 1,
-                    None => 2,
-                };
-                (cost, !idx.unique, Reverse(idx.columns.len()), nth)
-            });
-        if let Some((_, idx)) = best {
-            let keys = idx.columns.iter().filter_map(key_of).collect();
-            let est = stats.map(|s| index_estimate(s, idx));
-            return (AccessPath::IndexProbe { index: idx.name.clone(), keys }, est);
-        }
-    }
-    let est = stats.map(|s| s.rows);
-    if pos > 0 {
-        if let Some((probe, build)) =
-            applicable.first().and_then(|(_, c)| plan_hash_join(c, bindings, pos))
-        {
-            return (AccessPath::HashJoin { probe, build }, est);
-        }
-    }
-    (AccessPath::Scan, est)
-}
-
-/// Try `frame` as the next member of `combo` and keep the extended
-/// combination in `next` iff every applicable conjunct evaluates to TRUE.
-/// The candidate is pushed onto `combo` itself for the test and popped
-/// again, so a rejected one allocates nothing and a surviving one is copied
-/// once, at its exact size. Shared by the nested-loop, hash-probe, index
-/// and lateral paths so filtering (and error surfacing) is identical.
-fn extend_combo(
-    ctx: &mut ExecCtx,
-    combo: &mut Vec<Rc<Frame>>,
-    frame: Rc<Frame>,
-    applicable: &[(usize, &Expr)],
-    outer: Option<&Env>,
-    next: &mut Vec<Vec<Rc<Frame>>>,
-) -> Result<(), DbError> {
-    if combo.is_empty() {
-        // The first item's frame starts a combination of its own.
-        if passes(ctx, std::slice::from_ref(&frame), applicable, outer)? {
-            next.push(vec![frame]);
-        }
-        return Ok(());
-    }
-    combo.push(frame);
-    let keep = passes(ctx, combo, applicable, outer);
-    if let Ok(true) = keep {
-        next.push(combo.clone());
-    }
-    combo.pop();
-    keep.map(|_| ())
-}
-
 /// Does every one of `conjuncts` evaluate to TRUE on `combo`?
 fn passes(
     ctx: &mut ExecCtx,
@@ -1082,126 +800,6 @@ fn passes(
         }
     }
     Ok(true)
-}
-
-/// If `conjunct` is an equality between an expression bound solely by the
-/// FROM item at `item_idx` and an expression bound only by earlier items
-/// (or constant), return `(probe_expr, build_expr)`: probe is evaluated
-/// against each accumulated combination, build against the new item's rows.
-pub(crate) fn plan_hash_join<'a>(
-    conjunct: &'a Expr,
-    bindings: &[Ident],
-    item_idx: usize,
-) -> Option<(&'a Expr, &'a Expr)> {
-    let Expr::Binary { op: BinOp::Eq, lhs, rhs } = conjunct else {
-        return None;
-    };
-    let lhs_pos = side_positions(lhs, bindings)?;
-    let rhs_pos = side_positions(rhs, bindings)?;
-    let is_build = |pos: &[usize]| pos == [item_idx];
-    let is_probe = |pos: &[usize]| pos.iter().all(|&p| p < item_idx);
-    if is_build(&lhs_pos) && is_probe(&rhs_pos) {
-        Some((rhs, lhs))
-    } else if is_build(&rhs_pos) && is_probe(&lhs_pos) {
-        Some((lhs, rhs))
-    } else {
-        None
-    }
-}
-
-/// FROM positions one side of a conjunct references, or `None` when it
-/// references anything not attributable to a binding (unqualified columns,
-/// outer scopes) or contains a subquery.
-fn side_positions(expr: &Expr, bindings: &[Ident]) -> Option<Vec<usize>> {
-    if has_subquery(expr) {
-        return None;
-    }
-    let mut positions: Vec<usize> = Vec::new();
-    let mut unresolved = false;
-    visit_refs(expr, &mut |head| match bindings.iter().position(|b| b == head) {
-        Some(pos) => {
-            if !positions.contains(&pos) {
-                positions.push(pos);
-            }
-        }
-        None => unresolved = true,
-    });
-    if unresolved {
-        None
-    } else {
-        Some(positions)
-    }
-}
-
-/// Flatten nested ANDs into a conjunct list, each at position 0 until
-/// scheduled.
-fn split_and<'s>(expr: &'s Expr, out: &mut Vec<(usize, &'s Expr)>) {
-    match expr {
-        Expr::Binary { op: BinOp::And, lhs, rhs } => {
-            split_and(lhs, out);
-            split_and(rhs, out);
-        }
-        other => out.push((0, other)),
-    }
-}
-
-/// Earliest FROM index after which a conjunct can be evaluated: the maximum
-/// position of any binding it references. Conjuncts referencing anything we
-/// cannot attribute to a binding (unqualified columns, subqueries, outer
-/// scopes) are deferred (`usize::MAX`).
-pub(crate) fn conjunct_position(expr: &Expr, bindings: &[Ident]) -> usize {
-    let mut max_pos = 0usize;
-    let mut deferred = false;
-    visit_refs(expr, &mut |head| {
-        match bindings.iter().position(|b| b == head) {
-            Some(pos) => max_pos = max_pos.max(pos),
-            None => deferred = true,
-        }
-    });
-    if has_subquery(expr) {
-        deferred = true;
-    }
-    if deferred {
-        usize::MAX
-    } else {
-        max_pos
-    }
-}
-
-fn visit_refs(expr: &Expr, visit: &mut impl FnMut(&Ident)) {
-    match expr {
-        Expr::Path(parts) => {
-            if let Some(head) = parts.first() {
-                visit(head);
-            }
-        }
-        Expr::RefOf(alias) => visit(alias),
-        Expr::Call { args, .. } => {
-            for arg in args {
-                visit_refs(arg, visit);
-            }
-        }
-        Expr::Binary { lhs, rhs, .. } => {
-            visit_refs(lhs, visit);
-            visit_refs(rhs, visit);
-        }
-        Expr::Not(inner) | Expr::Deref(inner) => visit_refs(inner, visit),
-        Expr::IsNull { expr, .. } | Expr::Like { expr, .. } => visit_refs(expr, visit),
-        Expr::Literal(_) | Expr::CountStar => {}
-        // Subqueries handled by `has_subquery`.
-        Expr::Subquery(_) | Expr::CastMultiset { .. } | Expr::Exists(_) => {}
-    }
-}
-
-fn has_subquery(expr: &Expr) -> bool {
-    match expr {
-        Expr::Subquery(_) | Expr::CastMultiset { .. } | Expr::Exists(_) => true,
-        Expr::Call { args, .. } => args.iter().any(has_subquery),
-        Expr::Binary { lhs, rhs, .. } => has_subquery(lhs) || has_subquery(rhs),
-        Expr::Not(inner) | Expr::Deref(inner) => has_subquery(inner),
-        Expr::IsNull { expr, .. } | Expr::Like { expr, .. } => has_subquery(expr),
-        _ => false,
-    }
 }
 
 fn make_env<'a>(frames: &'a [Rc<Frame>], outer: Option<&'a Env<'a>>) -> Env<'a> {
@@ -1235,121 +833,6 @@ fn star_columns(ctx: &ExecCtx, stmt: &SelectStmt) -> Vec<String> {
         }
     }
     out
-}
-
-/// The frames of a plain table (one per stored row, sharing the row's
-/// block) or of a view (its stored query's result rows).
-fn expand_table(
-    ctx: &mut ExecCtx,
-    name: &Ident,
-    binding: &Ident,
-) -> Result<Vec<Rc<Frame>>, DbError> {
-    // A real table?
-    if let Some(table) = ctx.catalog.get_table(name) {
-        let columns = ctx.catalog.column_names(table);
-        let data = ctx
-            .storage
-            .table(name)
-            .ok_or_else(|| DbError::UnknownTable(name.as_str().to_string()))?;
-        return Ok(data
-            .rows
-            .iter()
-            .enumerate()
-            .map(|(slot, row)| Rc::new(Frame::of_row(binding, &columns, table, row, slot)))
-            .collect());
-    }
-    // A view? Execute its stored query (no outer env: views are
-    // self-contained).
-    if let Some(view) = ctx.catalog.get_view(name).cloned() {
-        let result = execute_select(ctx, &view.query, None)?;
-        let columns: Arc<[Ident]> = result.columns.iter().map(|c| Ident::internal(c)).collect();
-        return Ok(result
-            .rows
-            .into_iter()
-            .enumerate()
-            .map(|(slot, values)| {
-                Rc::new(Frame {
-                    binding: binding.clone(),
-                    columns: columns.clone(),
-                    values: Arc::new(values),
-                    oid: None,
-                    object_type: None,
-                    slot,
-                })
-            })
-            .collect());
-    }
-    Err(DbError::UnknownTable(name.as_str().to_string()))
-}
-
-/// The column lists the frames of one `TABLE(expr)` FROM item share, built
-/// on first need and kept for every expansion of the item: the attribute
-/// names of the element object type (the elements of a collection share a
-/// type, so one entry serves), and Oracle's `COLUMN_VALUE` pseudo-column for
-/// scalar elements.
-#[derive(Default)]
-struct UnnestColumns {
-    object: Option<(Ident, Arc<[Ident]>)>,
-    scalar: Option<Arc<[Ident]>>,
-}
-
-/// Un-nest `TABLE(expr)` under the combination `env` holds: one frame per
-/// element, appended to `frames`. The collection is read where it lives —
-/// an object element's frame shares the element's `attrs` block.
-fn expand_collection(
-    ctx: &mut ExecCtx,
-    expr: &Expr,
-    binding: &Ident,
-    env: &Env,
-    columns: &mut UnnestColumns,
-    frames: &mut Vec<Rc<Frame>>,
-) -> Result<(), DbError> {
-    let value = eval_ref(ctx, env, expr)?;
-    let elements = match value.as_ref() {
-        Value::Null => return Ok(()),
-        Value::Coll { elements, .. } => elements,
-        other => {
-            return Err(DbError::TypeMismatch {
-                expected: "collection".into(),
-                found: other.to_sql_literal(),
-            })
-        }
-    };
-    frames.reserve(elements.len());
-    for element in elements.iter() {
-        let (columns, values, object_type) = match element {
-            Value::Obj { type_name, attrs } => {
-                let columns = match &columns.object {
-                    Some((cached, columns)) if cached == type_name => columns.clone(),
-                    _ => {
-                        let def = ctx.catalog.get_type(type_name).ok_or_else(|| {
-                            DbError::UnknownType(type_name.as_str().to_string())
-                        })?;
-                        let built: Arc<[Ident]> =
-                            def.object_attrs().iter().map(|(n, _)| n.clone()).collect();
-                        columns.object = Some((type_name.clone(), built.clone()));
-                        built
-                    }
-                };
-                (columns, Arc::clone(attrs), Some(type_name.clone()))
-            }
-            scalar => {
-                let columns = columns
-                    .scalar
-                    .get_or_insert_with(|| Arc::from([Ident::internal("COLUMN_VALUE")]));
-                (columns.clone(), Arc::new(vec![scalar.clone()]), None)
-            }
-        };
-        frames.push(Rc::new(Frame {
-            binding: binding.clone(),
-            columns,
-            values,
-            oid: None,
-            object_type,
-            slot: 0,
-        }));
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -31,9 +31,20 @@
 //!
 //! ## Engine internals & performance counters
 //!
-//! Five fast paths keep the execution substrate from dominating the
+//! Six fast paths keep the execution substrate from dominating the
 //! storage-strategy comparisons (the standing benchmark reports their
 //! counters):
+//!
+//! * **Pipelined FROM** — [`exec::select`] enumerates a FROM clause
+//!   depth-first on an explicit stack: each position has a cursor (scan,
+//!   hash probe, index probe, OID probe, view rows or a lateral `TABLE(…)`
+//!   expansion) and one frame, refilled in place for each candidate, and
+//!   each complete combination goes straight to the residual filter and
+//!   projection (or a `COUNT(*)` tally). Nothing is stored per
+//!   combination unless the plan was reordered, and memory is O(FROM
+//!   items) plus the hash builds, which hold row numbers — so the §4.1
+//!   query on Oracle 9, three `TABLE(…)` levels deep, allocates per result
+//!   row, not per un-nested element (`tests/unnest_alloc.rs`).
 //!
 //! * **OID directory** — [`storage::Storage`] maintains a hash index
 //!   `Oid → (table, row slot)` incrementally across inserts, deletes (the
@@ -45,13 +56,14 @@
 //! * **Hash equi-joins** — when a scheduled WHERE conjunct equates columns
 //!   of already-bound FROM items with the item being joined,
 //!   [`exec::select`] builds a hash table over the new item's rows keyed by
-//!   [`Value::join_key`] and probes it once per outer combination;
+//!   [`storage::key_hash`] and probes it once per outer combination;
 //!   non-equi conjuncts and `TABLE(…)` lateral un-nesting keep the nested
-//!   loop. Join keys are a conservative prefilter (SQL equality coerces
+//!   loop. Join hashes are a conservative prefilter (SQL equality coerces
 //!   numeric strings, so candidates are re-verified with the full
 //!   predicate), which makes a hash join return the rows a nested loop
-//!   would, in the same order — `tests/hashjoin_prop.rs` diffs it against
-//!   the plain nested-loop evaluator in `tests/support/nested_loop.rs`.
+//!   would, in the same order — `tests/hashjoin_prop.rs` and, with
+//!   `TABLE(…)` levels, `tests/unnest_prop.rs` diff it against the plain
+//!   nested-loop evaluator in `tests/support/nested_loop.rs`.
 //!   Counters:
 //!   `hash_join_builds`, `hash_join_probes`, and `join_pairs` counts only
 //!   the pairings actually formed.
@@ -61,7 +73,7 @@
 //!   definition as it enters the catalog, never stored; its buckets
 //!   registered by CREATE TABLE under
 //!   [`storage::key_index_name`]) and the ones `CREATE INDEX` declared
-//!   (stored). The planner ([`exec::select`]), `EXPLAIN`, the analyzer's
+//!   (stored). The planner (`exec::plan`), `EXPLAIN`, the analyzer's
 //!   shadow catalog and recovery read that list; an equality on all of an
 //!   index's columns is a probe instead of a scan or hash build, costed
 //!   at one row for a key. Of several covered indexes the planner takes

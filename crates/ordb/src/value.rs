@@ -145,36 +145,20 @@ impl Value {
         }
     }
 
-    /// The bucket this value hashes into for equi-joins, or `None` when
-    /// the value cannot be hashed (NULL never matches anything; objects and
-    /// collections compare structurally and fall back to the nested loop).
+    /// Feed this value's join-key identity into `h` without materializing
+    /// anything (no clone, no allocation); returns `false` when the value
+    /// has no join key (NULL never matches anything; objects and
+    /// collections compare structurally). Hash joins and index buckets key
+    /// on it through [`crate::storage::key_hash`].
     ///
-    /// The key respects [`Value::sql_eq`]'s numeric coercion: any value
-    /// that *parses* as a number buckets by its numeric value, so
-    /// `Num(4)`, `Str("4")` and `Str("04")` land together. `sql_eq` is not
-    /// transitive across those (`'04' = 4` but `'04' <> '4'`), so the hash
-    /// is a prefilter only — probers must re-verify candidates with the
-    /// real predicate. The guarantee this key gives is *no false
-    /// negatives*: `sql_eq(a, b) == Some(true)` implies equal keys.
-    pub fn join_key(&self) -> Option<JoinKey> {
-        match self {
-            Value::Null => None,
-            Value::Num(n) => Some(JoinKey::Num(canonical_num_bits(*n))),
-            Value::Str(s) => match self.as_num() {
-                Some(n) => Some(JoinKey::Num(canonical_num_bits(n))),
-                None => Some(JoinKey::Str(s.clone())),
-            },
-            Value::Date(s) => Some(JoinKey::Date(s.clone())),
-            Value::Ref(oid) => Some(JoinKey::Ref(oid.0)),
-            Value::Obj { .. } | Value::Coll { .. } => None,
-        }
-    }
-
-    /// Feed this value's [`Value::join_key`] identity into `h` without
-    /// materializing the key (no clone, no allocation); returns `false`
-    /// when the value has no join key (NULL / object / collection). Kept
-    /// in sync with `join_key` — equal join keys must produce equal hash
-    /// input, variant by variant.
+    /// The identity respects [`Value::sql_eq`]'s numeric coercion: any
+    /// value that *parses* as a number feeds its numeric value, so
+    /// `Num(4)`, `Str("4")` and `Str("04")` hash together. `sql_eq` is not
+    /// transitive across those (`'04' = 4` but `'04' <> '4'`), and distinct
+    /// identities may share a hash, so a bucket is a prefilter only —
+    /// probers must re-verify candidates with the real predicate. The
+    /// guarantee is *no false negatives*: `sql_eq(a, b) == Some(true)`
+    /// implies equal hashes.
     pub fn hash_join_key<H: std::hash::Hasher>(&self, h: &mut H) -> bool {
         match self {
             Value::Null => false,
@@ -230,15 +214,6 @@ impl Value {
     }
 }
 
-/// Hashable equality bucket for equi-join keys — see [`Value::join_key`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum JoinKey {
-    Num(u64),
-    Str(String),
-    Date(String),
-    Ref(u64),
-}
-
 /// Render an f64 as a SQL numeric literal the lexer reads back to an
 /// `sql_eq`-equal value. The default float formatting would print `inf` /
 /// `NaN`, which lex as identifiers and corrupt re-generated scripts (a
@@ -287,6 +262,7 @@ impl fmt::Display for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::key_hash;
 
     fn id(s: &str) -> Ident {
         Ident::new(s).unwrap()
@@ -343,10 +319,11 @@ mod tests {
         assert_eq!(Value::Null.as_num(), None);
     }
 
-    /// `sql_eq == Some(true)` must imply equal join keys (no false
+    /// `sql_eq == Some(true)` must imply equal join hashes (no false
     /// negatives in the hash-join prefilter).
     #[test]
-    fn join_keys_never_split_sql_equal_values() {
+    fn join_hashes_never_split_sql_equal_values() {
+        let join_hash = |v: &Value| key_hash([v]);
         let equal_pairs = [
             (Value::Num(4.0), Value::str("4")),
             (Value::str("04"), Value::Num(4.0)),
@@ -357,16 +334,16 @@ mod tests {
         ];
         for (a, b) in equal_pairs {
             assert_eq!(a.sql_eq(&b), Some(true), "{a:?} vs {b:?}");
-            assert_eq!(a.join_key(), b.join_key(), "{a:?} vs {b:?}");
+            assert_eq!(join_hash(&a), join_hash(&b), "{a:?} vs {b:?}");
         }
     }
 
     #[test]
-    fn null_and_composites_have_no_join_key() {
-        assert_eq!(Value::Null.join_key(), None);
+    fn null_and_composites_have_no_join_hash() {
+        assert_eq!(key_hash([&Value::Null]), None);
         let obj = Value::Obj { type_name: id("T"), attrs: Arc::default() };
-        assert_eq!(obj.join_key(), None);
+        assert_eq!(key_hash([&obj]), None);
         let coll = Value::Coll { type_name: id("T"), elements: Arc::default() };
-        assert_eq!(coll.join_key(), None);
+        assert_eq!(key_hash([&coll]), None);
     }
 }

@@ -1,35 +1,48 @@
 //! The reference the planner and join differentials diff the engine
 //! against: a plain nested-loop evaluator for the `SELECT` subset
-//! `hashjoin_prop` and `index_prop` generate.
+//! `hashjoin_prop`, `index_prop` and `unnest_prop` generate.
 //!
 //! It shares only the engine's parser, catalog and heap with what it checks.
 //! FROM items are enumerated in FROM order, every row of every table, over
-//! `Storage::table(..).rows`; the WHERE clause is evaluated once per
-//! combination in three-valued logic with `Value::sql_eq` / `sql_cmp`; then
-//! projection or `COUNT(*)`, a stable `ORDER BY`, and `DISTINCT` keeping
-//! first occurrences. No planner, no hash table, no index, no reordering —
-//! so when the engine returns other rows, or the same rows in another order,
-//! one of its access paths is wrong.
+//! `Storage::table(..).rows`; a `TABLE(binding.column)` item enumerates the
+//! elements of that column's collection in the row the combination binds to
+//! `binding`. The WHERE clause is evaluated once per combination in
+//! three-valued logic with `Value::sql_eq` / `sql_cmp`; then projection or
+//! `COUNT(*)`, a stable `ORDER BY`, and `DISTINCT` keeping first
+//! occurrences. No planner, no hash table, no index, no reordering — so when
+//! the engine returns other rows, or the same rows in another order, one of
+//! its access paths is wrong.
 //!
-//! The subset: plain tables (no views, no `TABLE(…)`), `binding.column`
-//! paths, `REF(binding)` (the row's OID), literals, comparisons, `AND` /
-//! `OR` / `NOT` and `IS [NOT] NULL`. Anything else panics rather than being
-//! guessed at.
+//! The subset: plain tables and `TABLE(binding.column)` (no views),
+//! `binding.column` paths — `COLUMN_VALUE` for a scalar element —
+//! `REF(binding)` (the row's OID), literals, comparisons, `AND` / `OR` /
+//! `NOT` and `IS [NOT] NULL`. Anything else panics rather than being guessed
+//! at.
 
 use std::cmp::Ordering;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use xmlord_ordb::sql::ast::{BinOp, Expr, FromItem, Stmt};
 use xmlord_ordb::sql::parser::parse_statement;
 use xmlord_ordb::{Database, Ident, Oid, Value};
 
-/// One FROM item: the name its rows are visible under, its columns in
-/// storage order, and its rows in heap order with their OIDs.
-struct Item {
-    binding: Ident,
-    columns: Vec<Ident>,
-    rows: Vec<Arc<Vec<Value>>>,
-    oids: Vec<Option<Oid>>,
+/// One row bound to a FROM item: its column names, its values and, for a
+/// row of an object table, its OID.
+#[derive(Clone)]
+struct Bound {
+    columns: Rc<Vec<Ident>>,
+    values: Arc<Vec<Value>>,
+    oid: Option<Oid>,
+}
+
+/// Where one FROM item's rows come from.
+enum Source {
+    /// A plain table's rows in heap order.
+    Table(Vec<Bound>),
+    /// `TABLE(binding.column)`: the elements of the collection in
+    /// `column` of the row bound to the FROM item at `item`.
+    Unnest { item: usize, column: Ident },
 }
 
 /// The rows `sql` returns on `db`'s current state, by nested loop.
@@ -37,54 +50,45 @@ pub fn select(db: &Database, sql: &str) -> Vec<Vec<Value>> {
     let Ok(Stmt::Select(stmt)) = parse_statement(sql) else {
         panic!("the reference evaluates one SELECT: {sql}");
     };
-    let tables: Vec<(Ident, Ident)> = stmt
+    let bindings: Vec<Ident> = stmt.from.iter().map(FromItem::binding).collect();
+    let sources: Vec<Source> = stmt
         .from
         .iter()
         .map(|item| match item {
-            FromItem::Table { name, .. } => (item.binding(), name.clone()),
-            FromItem::CollectionTable { .. } => panic!("the reference has no TABLE(…): {sql}"),
+            FromItem::Table { name, .. } => Source::Table(table_rows(db, name)),
+            FromItem::CollectionTable { expr, .. } => match expr {
+                Expr::Path(parts) if parts.len() == 2 => Source::Unnest {
+                    item: item_of(&bindings, &parts[0]),
+                    column: parts[1].clone(),
+                },
+                other => panic!("the reference un-nests binding.column only: {other:?}"),
+            },
         })
         .collect();
-    let columns: Vec<Vec<Ident>> = {
-        let catalog = db.catalog();
-        tables
-            .iter()
-            .map(|(_, name)| {
-                let def = catalog.get_table(name).unwrap_or_else(|| panic!("no table {name}"));
-                catalog.table_columns(def).iter().map(|(column, _)| column.clone()).collect()
-            })
-            .collect()
-    };
-    let items: Vec<Item> = {
-        let storage = db.storage();
-        tables
-            .into_iter()
-            .zip(columns)
-            .map(|((binding, name), columns)| {
-                let heap = storage.table(&name).map_or(&[][..], |data| &data.rows[..]);
-                let rows = heap.iter().map(|row| Arc::clone(&row.values)).collect();
-                let oids = heap.iter().map(|row| row.oid).collect();
-                Item { binding, columns, rows, oids }
-            })
-            .collect()
-    };
 
-    // Every combination, in lexicographic heap-slot order over FROM order.
-    let mut combos: Vec<Vec<usize>> = vec![Vec::new()];
-    for item in &items {
+    // Every combination, in FROM order: lexicographic heap-slot order over
+    // the tables, element order within a collection.
+    let mut combos: Vec<Vec<Bound>> = vec![Vec::new()];
+    for source in &sources {
         combos = combos
             .into_iter()
             .flat_map(|combo| {
-                (0..item.rows.len()).map(move |slot| {
+                let rows = match source {
+                    Source::Table(rows) => rows.clone(),
+                    Source::Unnest { item, column } => unnest(db, &combo[*item], column),
+                };
+                rows.into_iter().map(move |row| {
                     let mut longer = combo.clone();
-                    longer.push(slot);
+                    longer.push(row);
                     longer
                 })
             })
             .collect();
     }
     combos.retain(|combo| {
-        stmt.where_clause.as_ref().is_none_or(|pred| truth(&items, combo, pred) == Some(true))
+        stmt.where_clause
+            .as_ref()
+            .is_none_or(|pred| truth(&bindings, combo, pred) == Some(true))
     });
 
     if stmt.items.iter().any(|item| matches!(item.expr, Expr::CountStar)) {
@@ -94,19 +98,17 @@ pub fn select(db: &Database, sql: &str) -> Vec<Vec<Value>> {
         .iter()
         .map(|combo| {
             if stmt.star {
-                items
-                    .iter()
-                    .zip(combo)
-                    .flat_map(|(item, &slot)| item.rows[slot].iter().cloned())
-                    .collect()
+                combo.iter().flat_map(|row| row.values.iter().cloned()).collect()
             } else {
-                stmt.items.iter().map(|item| value(&items, combo, &item.expr)).collect()
+                stmt.items.iter().map(|item| value(&bindings, combo, &item.expr)).collect()
             }
         })
         .collect();
     let keys: Vec<Vec<Value>> = combos
         .iter()
-        .map(|combo| stmt.order_by.iter().map(|(expr, _)| value(&items, combo, expr)).collect())
+        .map(|combo| {
+            stmt.order_by.iter().map(|(expr, _)| value(&bindings, combo, expr)).collect()
+        })
         .collect();
     // A stable sort of row positions, NULLs last (first `DESC`).
     let mut order: Vec<usize> = (0..projected.len()).collect();
@@ -133,25 +135,68 @@ pub fn select(db: &Database, sql: &str) -> Vec<Vec<Value>> {
     result
 }
 
-/// The value of `expr` in one combination (a row slot per FROM item).
-fn value(items: &[Item], combo: &[usize], expr: &Expr) -> Value {
+/// The rows of table `name`, in heap order.
+fn table_rows(db: &Database, name: &Ident) -> Vec<Bound> {
+    let columns: Rc<Vec<Ident>> = {
+        let catalog = db.catalog();
+        let def = catalog.get_table(name).unwrap_or_else(|| panic!("no table {name}"));
+        Rc::new(catalog.table_columns(def).iter().map(|(column, _)| column.clone()).collect())
+    };
+    let storage = db.storage();
+    let heap = storage.table(name).map_or(&[][..], |data| &data.rows[..]);
+    heap.iter()
+        .map(|row| Bound { columns: columns.clone(), values: Arc::clone(&row.values), oid: row.oid })
+        .collect()
+}
+
+/// The elements of the collection in `column` of `row`: an object element
+/// bound under its type's attribute names, a scalar one as `COLUMN_VALUE`.
+/// NULL has no elements.
+fn unnest(db: &Database, row: &Bound, column: &Ident) -> Vec<Bound> {
+    let elements = match &row.values[column_of(row, column)] {
+        Value::Null => return Vec::new(),
+        Value::Coll { elements, .. } => elements,
+        other => panic!("TABLE({column}) of a non-collection: {other:?}"),
+    };
+    let catalog = db.catalog();
+    elements
+        .iter()
+        .map(|element| match element {
+            Value::Obj { type_name, attrs } => {
+                let def = catalog.get_type(type_name).unwrap_or_else(|| panic!("no type {type_name}"));
+                let names = def.object_attrs().iter().map(|(name, _)| name.clone()).collect();
+                Bound { columns: Rc::new(names), values: Arc::clone(attrs), oid: None }
+            }
+            scalar => Bound {
+                columns: Rc::new(vec![Ident::internal("COLUMN_VALUE")]),
+                values: Arc::new(vec![scalar.clone()]),
+                oid: None,
+            },
+        })
+        .collect()
+}
+
+/// The position of `column` in `row`.
+fn column_of(row: &Bound, column: &Ident) -> usize {
+    row.columns
+        .iter()
+        .position(|name| name == column)
+        .unwrap_or_else(|| panic!("no column {column}"))
+}
+
+/// The value of `expr` in one combination (a bound row per FROM item).
+fn value(bindings: &[Ident], combo: &[Bound], expr: &Expr) -> Value {
     match expr {
         Expr::Literal(value) => value.clone(),
         Expr::Path(parts) => {
             let [binding, column] = parts.as_slice() else {
                 panic!("the reference resolves binding.column only: {expr:?}");
             };
-            let i = item_of(items, binding);
-            let c = items[i]
-                .columns
-                .iter()
-                .position(|name| name == column)
-                .unwrap_or_else(|| panic!("no column {binding}.{column}"));
-            items[i].rows[combo[i]][c].clone()
+            let row = &combo[item_of(bindings, binding)];
+            row.values[column_of(row, column)].clone()
         }
         Expr::RefOf(binding) => {
-            let i = item_of(items, binding);
-            let oid = items[i].oids[combo[i]];
+            let oid = combo[item_of(bindings, binding)].oid;
             Value::Ref(oid.unwrap_or_else(|| panic!("REF({binding}): not an object table")))
         }
         other => panic!("the reference does not evaluate {other:?}"),
@@ -159,34 +204,34 @@ fn value(items: &[Item], combo: &[usize], expr: &Expr) -> Value {
 }
 
 /// The FROM position of `binding`.
-fn item_of(items: &[Item], binding: &Ident) -> usize {
-    items
+fn item_of(bindings: &[Ident], binding: &Ident) -> usize {
+    bindings
         .iter()
-        .position(|item| &item.binding == binding)
+        .position(|b| b == binding)
         .unwrap_or_else(|| panic!("no FROM item {binding}"))
 }
 
 /// SQL TRUE / FALSE / UNKNOWN as `Some(true)` / `Some(false)` / `None`.
-fn truth(items: &[Item], combo: &[usize], expr: &Expr) -> Option<bool> {
+fn truth(bindings: &[Ident], combo: &[Bound], expr: &Expr) -> Option<bool> {
     match expr {
         Expr::Binary { op: BinOp::And, lhs, rhs } => {
-            match (truth(items, combo, lhs), truth(items, combo, rhs)) {
+            match (truth(bindings, combo, lhs), truth(bindings, combo, rhs)) {
                 (Some(false), _) | (_, Some(false)) => Some(false),
                 (Some(true), Some(true)) => Some(true),
                 _ => None,
             }
         }
         Expr::Binary { op: BinOp::Or, lhs, rhs } => {
-            match (truth(items, combo, lhs), truth(items, combo, rhs)) {
+            match (truth(bindings, combo, lhs), truth(bindings, combo, rhs)) {
                 (Some(true), _) | (_, Some(true)) => Some(true),
                 (Some(false), Some(false)) => Some(false),
                 _ => None,
             }
         }
-        Expr::Not(inner) => truth(items, combo, inner).map(|b| !b),
-        Expr::IsNull { expr, negated } => Some(value(items, combo, expr).is_null() != *negated),
+        Expr::Not(inner) => truth(bindings, combo, inner).map(|b| !b),
+        Expr::IsNull { expr, negated } => Some(value(bindings, combo, expr).is_null() != *negated),
         Expr::Binary { op, lhs, rhs } => {
-            let (l, r) = (value(items, combo, lhs), value(items, combo, rhs));
+            let (l, r) = (value(bindings, combo, lhs), value(bindings, combo, rhs));
             match op {
                 BinOp::Eq => l.sql_eq(&r),
                 BinOp::Ne => l.sql_eq(&r).map(|b| !b),

@@ -1,15 +1,18 @@
-//! What the §4.1 shape of query — a table un-nested through three levels of
-//! `TABLE(…)` — allocates, counted by this file's own global allocator: a
-//! lateral expansion hands out handles on the stored blocks, so the query
-//! allocates per row it scans (a frame, a combination if the row survives),
-//! not per value below that row, and its transient memory is a fraction of
-//! the store. Counts, not timings: the same on every machine.
+//! What a query allocates, counted by this file's own global allocator.
+//! The §4.1 shape — a table un-nested through three levels of `TABLE(…)` —
+//! streams: each FROM position refills one frame, a lateral expansion hands
+//! out handles on the stored blocks, and nothing is stored per combination,
+//! so the query allocates per result row, not per row it scans, and its
+//! transient memory is a sliver of the store. An edge-table path — one hash
+//! join per step, every build live at once — holds row numbers, not frames.
+//! Counts, not timings: the same on every machine.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::Mutex;
 
-use xmlord_ordb::{Database, DbMode};
+use xmlord_ordb::{Database, DbMode, ExecStats, QueryResult};
 use xmlord_prng::Prng;
 
 /// Live bytes (every thread), their peak since the last reset, and the
@@ -48,6 +51,28 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
+/// Held by each test: the live-byte peak counts every thread.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Run `query` (once unmeasured first, so that parsing and planning are
+/// behind it) and return its result, the allocations the measured run made,
+/// its peak live bytes above those before it, and its engine counters.
+fn measure(db: &mut Database, query: &str) -> (QueryResult, usize, usize, ExecStats) {
+    let expected = db.query(query).unwrap();
+    let stats_before = db.stats();
+    let live_before_query = LIVE.load(Relaxed);
+    PEAK.store(live_before_query, Relaxed);
+    let allocations_before = ALLOCATIONS.load(Relaxed);
+    COUNTED.with(|c| c.set(true));
+    let result = db.query(query);
+    COUNTED.with(|c| c.set(false));
+    let allocations = ALLOCATIONS.load(Relaxed) - allocations_before;
+    let transient = PEAK.load(Relaxed) - live_before_query;
+    let result = result.unwrap();
+    assert_eq!(result, expected);
+    (result, allocations, transient, db.stats().since(&stats_before))
+}
+
 /// `Type_X('…', …)` text for a university of seeded shape: 20 students, each
 /// with 1–3 courses, each with 1–2 professors, one in five named Jaeger.
 fn university(rng: &mut Prng, doc: usize) -> String {
@@ -80,7 +105,8 @@ fn university(rng: &mut Prng, doc: usize) -> String {
 }
 
 #[test]
-fn a_three_level_unnest_allocates_per_scanned_row_and_keeps_the_store_in_place() {
+fn a_three_level_unnest_allocates_per_result_row_and_keeps_the_store_in_place() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let live_before_store = LIVE.load(Relaxed);
     let mut db = Database::new(DbMode::Oracle9);
     db.execute_script(
@@ -104,30 +130,90 @@ fn a_three_level_unnest_allocates_per_scanned_row_and_keeps_the_store_in_place()
     let query = "SELECT t1.LName FROM TabUniversity t0, TABLE(t0.attrStudent) t1, \
                  TABLE(t1.attrCourse) t2, TABLE(t2.attrProfessor) t3 \
                  WHERE t3.PName = 'Jaeger'";
-    // Once unmeasured, so that parsing and planning are behind us.
-    let expected = db.query(query).unwrap();
-    assert!(expected.rows.len() > 100, "{} rows", expected.rows.len());
-
-    let stats_before = db.stats();
-    let live_before_query = LIVE.load(Relaxed);
-    PEAK.store(live_before_query, Relaxed);
-    let allocations_before = ALLOCATIONS.load(Relaxed);
-    COUNTED.with(|c| c.set(true));
-    let result = db.query(query);
-    COUNTED.with(|c| c.set(false));
-    let allocations = ALLOCATIONS.load(Relaxed) - allocations_before;
-    let transient = PEAK.load(Relaxed) - live_before_query;
-    let rows_scanned = db.stats().since(&stats_before).rows_scanned as usize;
-    assert_eq!(result.unwrap(), expected);
+    let (result, allocations, transient, stats) = measure(&mut db, query);
+    let rows = result.rows.len();
+    let rows_scanned = stats.rows_scanned as usize;
 
     // 40 rows, 800 students, their courses and their courses' professors.
     assert!(rows_scanned > 3_000, "{rows_scanned} rows scanned");
+    assert!(rows > 100, "{rows} rows");
+    // Per result row its `Vec` and its one string; the rest is the plan,
+    // one frame per position and the result's growth — not a frame or a
+    // combination per scanned row, which made 11 008 here.
     assert!(
-        allocations <= 3 * rows_scanned,
-        "{allocations} allocations for {rows_scanned} scanned rows"
+        allocations <= 2 * rows + 64,
+        "{allocations} allocations for {rows} result rows ({rows_scanned} scanned)"
     );
     assert!(
-        transient * 2 <= store,
+        transient * 20 <= store,
         "{transient} transient bytes at the query's peak over a store of {store}"
+    );
+}
+
+/// Florescu & Kossmann's edge table holding a tree ten levels deep: under
+/// the virtual root 0, the root element has 40 children, each node below
+/// one or two children named `n{d+1}` for its level `d`, and every node up
+/// to two leaves of another name. Returns the number of nodes on level 9.
+fn edge_tree(db: &mut Database, rng: &mut Prng) -> usize {
+    db.execute(
+        "CREATE TABLE TabEdge (Source NUMBER, Ordinal NUMBER, Name VARCHAR(250), \
+         Flag VARCHAR(10), Target NUMBER)",
+    )
+    .unwrap();
+    let insert = |db: &mut Database, source: usize, ordinal: usize, name: &str, target| {
+        db.execute(&format!(
+            "INSERT INTO TabEdge VALUES ({source}, {ordinal}, '{name}', 'ref', {target})"
+        ))
+        .unwrap();
+    };
+    insert(db, 0, 0, "n0", 1);
+    let (mut level, mut next) = (vec![1usize], 2usize);
+    for depth in 1..10 {
+        let mut below = Vec::new();
+        for &node in &level {
+            let children = if depth == 1 { 40 } else { rng.gen_range(1usize..3) };
+            let leaves = rng.gen_range(0usize..3);
+            for ordinal in 0..children + leaves {
+                let name = if ordinal < children { format!("n{depth}") } else { "x".into() };
+                insert(db, node, ordinal, &name, next);
+                if ordinal < children {
+                    below.push(next);
+                }
+                next += 1;
+            }
+        }
+        level = below;
+    }
+    db.commit().unwrap();
+    level.len()
+}
+
+/// The edge baseline's path query: one self-join per step, each hashed on
+/// `Source`, so a pipelined plan keeps all nine builds at once. Holding a
+/// frame per build row costs about 1.5 KiB per table row over the nine; a
+/// row number and its share of the buckets about 320 bytes.
+#[test]
+fn nine_live_hash_builds_hold_row_numbers_not_frames() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut db = Database::new(DbMode::Oracle9);
+    let mut rng = Prng::seed_from_u64(7);
+    let leaves = edge_tree(&mut db, &mut rng);
+    let table_rows = db.row_count("TabEdge");
+
+    let from: Vec<String> = (0..10).map(|i| format!("TabEdge e{i}")).collect();
+    let mut conjuncts = vec!["e0.Source = 0".to_string(), "e0.Name = 'n0'".to_string()];
+    for i in 1..10 {
+        conjuncts.push(format!("e{i}.Source = e{}.Target", i - 1));
+        conjuncts.push(format!("e{i}.Name = 'n{i}'"));
+    }
+    let query =
+        format!("SELECT COUNT(*) FROM {} WHERE {}", from.join(", "), conjuncts.join(" AND "));
+    let (result, _, transient, stats) = measure(&mut db, &query);
+    assert_eq!(result.scalar().and_then(|v| v.as_num()), Some(leaves as f64));
+    assert_eq!(stats.hash_join_builds, 9);
+    assert!(table_rows > 2_000, "{table_rows} rows");
+    assert!(
+        transient <= 800 * table_rows,
+        "{transient} transient bytes over nine builds of {table_rows} rows"
     );
 }

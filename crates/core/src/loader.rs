@@ -9,16 +9,22 @@
 //! purpose of simplifying the generation of INSERT operations".
 //!
 //! The loader builds SQL *ASTs* ([`LoadOp`]) as the single source of truth.
-//! [`load_script`] prints them back to the paper-faithful SQL text
-//! ("This script can be executed afterwards without any modification",
-//! §4); [`plan_batches`] groups consecutive same-table ops into
-//! [`InsertBatch`]es for the engine's bulk path — same rows, same order,
-//! same database state, a fraction of the per-statement overhead.
+//! A REF to another row is a [`KeyRef`] — the target table, the key's path
+//! and the key — not a SELECT: the loader knows the parent's key as it
+//! emits the child, the way XML-DBMS's `CandidateKey`/`ForeignKey` maps
+//! hand a child its parent's key, so the engine answers it with one probe
+//! of the key's index instead of planning a query per row.
+//! [`load_script`] prints the operations back to the paper-faithful SQL
+//! text, each key REF as the `(SELECT REF(x) FROM Tab x WHERE x.ID = 'id')`
+//! it means ("This script can be executed afterwards without any
+//! modification", §4); [`plan_batches`] groups consecutive same-table ops
+//! into [`InsertBatch`]es for the engine's bulk path — same rows, same
+//! order, same database state, a fraction of the per-statement overhead.
 
 use std::collections::HashMap;
 
 use xmlord_dtd::ast::{AttType, Dtd};
-use xmlord_ordb::sql::ast::{Expr, FromItem, SelectItem, SelectStmt, Stmt};
+use xmlord_ordb::sql::ast::{Expr, KeyRef, Stmt};
 use xmlord_ordb::sql::printer::print_stmt;
 use xmlord_ordb::{Ident, InsertBatch, Value};
 use xmlord_xml::{Document, NodeId, NodeKind};
@@ -30,10 +36,10 @@ use crate::model::{ElementMapping, FieldKind, FieldMapping, FieldSource, MappedS
 #[derive(Debug, Clone)]
 pub enum LoadOp {
     /// `INSERT INTO table VALUES (values…)`. `ref_tables` lists the tables
-    /// the row's REF subqueries read — the batcher splits on them so every
-    /// subquery still sees its target row already applied.
+    /// the row's key REFs read — the batcher splits on them so every key
+    /// REF still sees its target row already applied.
     Insert { table: Ident, values: Vec<Expr>, ref_tables: Vec<Ident> },
-    /// Post-insert IDREF wiring (`UPDATE … SET … = (SELECT REF(…) …)`),
+    /// Post-insert IDREF wiring (`UPDATE … SET … = <key REF>`),
     /// run after every row exists so forward references resolve.
     Update(Stmt),
 }
@@ -64,7 +70,7 @@ pub enum LoadUnit {
 
 /// Generate the bound operations that store `doc` under `doc_id`.
 ///
-/// Operations are ordered so that every REF subquery finds its target row:
+/// Operations are ordered so that every key REF finds its target row:
 /// ref-held children (recursion, ID targets) are inserted before their
 /// parents; Oracle 8 inverted children after them.
 pub fn load_ops(
@@ -92,7 +98,6 @@ pub fn load_ops(
         pending_updates: Vec::new(),
         ref_frames: Vec::new(),
         next_id: 0,
-        alias: Ident::internal("x"),
         idents: HashMap::new(),
     };
     loader.emit_rooted(root_node, None)?;
@@ -120,7 +125,7 @@ pub fn load_script(
 /// later row across an intervening other-table row) means the batched load
 /// allocates OIDs in exactly the per-statement order — the resulting
 /// database state is byte-identical to the text path. Two things close the
-/// open batch early: a row whose subqueries reference the open batch's own
+/// open batch early: a row whose key REFs reference the open batch's own
 /// table (§6.2 recursion — the target row must be applied first), and an
 /// UPDATE.
 pub fn plan_batches(ops: Vec<LoadOp>) -> Vec<LoadUnit> {
@@ -165,19 +170,10 @@ fn text_lit(doc: &Document, node: NodeId) -> Expr {
     Expr::Literal(Value::Str(direct_text(doc, node)))
 }
 
-/// `(SELECT REF(alias) FROM table alias WHERE alias.<path> = 'value')`.
-fn ref_select(alias: &Ident, table: Ident, path: &[Ident], value: &str) -> Expr {
-    let mut parts = Vec::with_capacity(1 + path.len());
-    parts.push(alias.clone());
-    parts.extend_from_slice(path);
-    Expr::Subquery(Box::new(SelectStmt {
-        distinct: false,
-        items: vec![SelectItem { expr: Expr::RefOf(alias.clone()), alias: None }],
-        star: false,
-        from: vec![FromItem::Table { name: table, alias: Some(alias.clone()) }],
-        where_clause: Some(Expr::eq(Expr::Path(parts), Expr::str_lit(value))),
-        order_by: Vec::new(),
-    }))
+/// The REF of the row of `table` whose `path` holds `key`: printed as
+/// `(SELECT REF(x) FROM table x WHERE x.<path> = 'key')`.
+fn key_ref(table: Ident, path: Vec<Ident>, key: &str) -> Expr {
+    Expr::KeyRef(Box::new(KeyRef { table, path, key: Value::Str(key.to_string()) }))
 }
 
 /// Identity of the row being built, for deferred IDREF updates: names of
@@ -194,15 +190,13 @@ struct Loader<'a> {
     doc: &'a Document,
     doc_id: &'a str,
     ops: Vec<LoadOp>,
-    /// Post-INSERT `UPDATE … SET <idref col> = (SELECT REF(…))` operations.
+    /// Post-INSERT `UPDATE … SET <idref col> = <key REF>` operations.
     pending_updates: Vec<LoadOp>,
     /// Referenced-table accumulators, one frame per in-flight row
     /// ([`LoadOp::Insert::ref_tables`]); nested because ref-held children
     /// are emitted while the parent row's values are still being built.
     ref_frames: Vec<Vec<Ident>>,
     next_id: u64,
-    /// The alias `x` of every REF subquery.
-    alias: Ident,
     /// Table, type and column names of the schema, each built once per
     /// load and handed out as handles ([`Loader::ident`]).
     idents: HashMap<&'a str, Ident>,
@@ -225,7 +219,7 @@ impl<'a> Loader<'a> {
             .ok_or_else(|| MappingError::UndeclaredElement(element.to_string()))
     }
 
-    /// Record that the current row reads `table` through a REF subquery.
+    /// Record that the current row reads `table` through a key REF.
     fn note_ref(&mut self, table: Ident) {
         if let Some(frame) = self.ref_frames.last_mut() {
             if !frame.contains(&table) {
@@ -277,7 +271,7 @@ impl<'a> Loader<'a> {
                 FieldSource::SyntheticId => Expr::str_lit(&my_id),
                 FieldSource::ParentRef(parent_element) => match parent {
                     Some((p_element, p_id)) if p_element == parent_element => {
-                        self.ref_subquery_by_id(parent_element, p_id)?
+                        self.ref_by_id(parent_element, p_id)?
                     }
                     _ => null(),
                 },
@@ -369,9 +363,9 @@ impl<'a> Loader<'a> {
     }
 
     /// The value of the IDREF attribute `element/@attribute`, stored at
-    /// `column` (a path of attribute names below the row): the REF subquery
+    /// `column` (a path of attribute names below the row): the key REF
     /// itself inside an embedded element; inside a table row `NULL`, with an
-    /// `UPDATE … SET column = (subquery)` deferred until every row exists.
+    /// `UPDATE … SET column = <key REF>` deferred until every row exists.
     fn idref_expr(
         &mut self,
         element: &str,
@@ -380,12 +374,12 @@ impl<'a> Loader<'a> {
         row: Option<&RowCtx<'a, '_>>,
         column: &[&'a str],
     ) -> Result<Expr, MappingError> {
-        let subquery = self.idref_subquery(element, attribute, value)?;
-        let Some(row) = row else { return Ok(subquery) };
+        let target = self.idref_ref(element, attribute, value)?;
+        let Some(row) = row else { return Ok(target) };
         let path = column.iter().map(|part| self.ident(part)).collect();
         let update = Stmt::Update {
             table: self.ident(row.table),
-            sets: vec![(path, subquery)],
+            sets: vec![(path, target)],
             where_clause: Some(Expr::eq(
                 Expr::Path(vec![self.ident(row.id_column)]),
                 Expr::str_lit(row.id),
@@ -426,7 +420,7 @@ impl<'a> Loader<'a> {
             FieldKind::Ref(_) => match children.first() {
                 Some(child) => {
                     let child_id = self.emit_rooted(*child, None)?;
-                    self.ref_subquery_by_id(self.doc.name(*child).as_raw(), &child_id)
+                    self.ref_by_id(self.doc.name(*child).as_raw(), &child_id)
                 }
                 None => Ok(null()),
             },
@@ -434,7 +428,7 @@ impl<'a> Loader<'a> {
                 let mut args = Vec::with_capacity(children.len());
                 for child in children {
                     let child_id = self.emit_rooted(*child, None)?;
-                    args.push(self.ref_subquery_by_id(self.doc.name(*child).as_raw(), &child_id)?);
+                    args.push(self.ref_by_id(self.doc.name(*child).as_raw(), &child_id)?);
                 }
                 Ok(self.constructor(collection, args))
             }
@@ -455,8 +449,8 @@ impl<'a> Loader<'a> {
         Ok(self.constructor(type_name, args))
     }
 
-    /// `(SELECT REF(x) FROM Tab x WHERE x.ID… = 'id')` for synthetic ids.
-    fn ref_subquery_by_id(&mut self, element: &str, id: &str) -> Result<Expr, MappingError> {
+    /// The REF of `element`'s row with synthetic id `id`.
+    fn ref_by_id(&mut self, element: &str, id: &str) -> Result<Expr, MappingError> {
         let mapping = self.mapping_of(element)?;
         let table = mapping.table.as_deref().ok_or_else(|| {
             MappingError::Unsupported(format!("<{element}> has no object table for REFs"))
@@ -466,14 +460,13 @@ impl<'a> Loader<'a> {
         })?;
         let table = self.ident(table);
         let id_col = self.ident(id_col);
-        let expr = ref_select(&self.alias, table.clone(), &[id_col], id);
-        self.note_ref(table);
-        Ok(expr)
+        self.note_ref(table.clone());
+        Ok(key_ref(table, vec![id_col], id))
     }
 
-    /// `(SELECT REF(x) FROM TabTarget x WHERE x.<id attr> = 'value')` for
-    /// IDREF attributes (§4.4).
-    fn idref_subquery(
+    /// The REF of the row whose ID attribute is `value`, for the IDREF
+    /// attribute `element/@attribute` (§4.4).
+    fn idref_ref(
         &mut self,
         element: &str,
         attribute: &str,
@@ -557,9 +550,8 @@ impl<'a> Loader<'a> {
         };
         let table = self.ident(table);
         let parts: Vec<Ident> = path_parts.into_iter().map(|part| self.ident(part)).collect();
-        let expr = ref_select(&self.alias, table.clone(), &parts, value);
-        self.note_ref(table);
-        Ok(expr)
+        self.note_ref(table.clone());
+        Ok(key_ref(table, parts, value))
     }
 }
 

@@ -9,10 +9,11 @@
 
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::sync::Arc;
 
 use xmlord_dtd::ast::Dtd;
 use xmlord_dtd::{parse_dtd, validate};
-use xmlord_ordb::{Database, DbMode, ExecStats, Ident, RecoveryPolicy, ResultMode};
+use xmlord_ordb::{Database, DbMode, ExecStats, Ident, RecoveryPolicy, ResultMode, SpanToken};
 use xmlord_xml::serializer::{serialize, SerializeOptions};
 use xmlord_xml::{Document, QName};
 
@@ -45,7 +46,8 @@ pub struct Xml2OrDb {
     options: MappingOptions,
     /// Assign `S1`, `S2`, … schema ids automatically per registered DTD.
     auto_schema_ids: bool,
-    schemas: BTreeMap<String, RegisteredSchema>,
+    /// Shared, so storing a document holds its schema without copying it.
+    schemas: BTreeMap<String, Arc<RegisteredSchema>>,
     /// doc id → schema name.
     documents: BTreeMap<String, String>,
     /// Per-schema document counters (DocIDs are `<schema>-<n>`).
@@ -129,13 +131,13 @@ impl Xml2OrDb {
             };
             self.schemas.insert(
                 row.name.clone(),
-                RegisteredSchema {
+                Arc::new(RegisteredSchema {
                     name: row.name.clone(),
                     dtd,
                     root: row.root.clone(),
                     schema,
                     create_script: script,
-                },
+                }),
             );
         }
         self.schema_counter = self.schema_counter.max(self.schemas.len() as u64);
@@ -188,7 +190,20 @@ impl Xml2OrDb {
     }
 
     pub fn schema(&self, name: &str) -> Option<&RegisteredSchema> {
-        self.schemas.get(name)
+        self.schemas.get(name).map(Arc::as_ref)
+    }
+
+    /// The registered schema `name`, shared.
+    fn registered(&self, name: &str) -> Result<Arc<RegisteredSchema>, MappingError> {
+        self.schemas
+            .get(name)
+            .cloned()
+            .ok_or_else(|| MappingError::Unsupported(format!("schema '{name}' is not registered")))
+    }
+
+    /// Open a trace span, formatting its detail only when tracing is on.
+    fn span(&self, phase: &'static str, detail: impl FnOnce() -> String) -> Option<SpanToken> {
+        self.db.trace_enabled().then(|| self.db.trace_begin(phase, detail())).flatten()
     }
 
     /// Run the mapping-level lints ([`crate::maplint::lint_schema`]) and the
@@ -366,7 +381,7 @@ impl Xml2OrDb {
             schema,
             create_script: script,
         };
-        self.schemas.insert(name.to_string(), registered);
+        self.schemas.insert(name.to_string(), Arc::new(registered));
         Ok(&self.schemas[name])
     }
 
@@ -416,25 +431,19 @@ impl Xml2OrDb {
         doc_name: &str,
         url: &str,
     ) -> Result<String, MappingError> {
-        let registered = self
-            .schemas
-            .get(schema_name)
-            .ok_or_else(|| {
-                MappingError::Unsupported(format!("schema '{schema_name}' is not registered"))
-            })?
-            .clone();
-        let span = self.db.trace_begin("shred", format!("{schema_name}: parse + validate"));
+        let registered = self.registered(schema_name)?;
+        let span = self.span("shred", || format!("{schema_name}: parse + validate"));
         let checked = parse_checked(&registered, xml_text);
         self.db.trace_end(span);
         let doc = checked?;
 
         let doc_id = self.next_doc_ids(schema_name, 1).remove(0);
-        let span = self.db.trace_begin("generate", format!("{doc_id}: INSERT script"));
+        let span = self.span("generate", || format!("{doc_id}: INSERT script"));
         let generated = generate_load(&registered, &doc, &doc_id, doc_name, url);
         self.db.trace_end(span);
         let (load, meta) = generated?;
 
-        let span = self.db.trace_begin("load", doc_id.clone());
+        let span = self.span("load", || doc_id.clone());
         let result = self.load_atomically(schema_name, std::slice::from_ref(&doc_id), |db| {
             apply_load(db, &load, &meta)
         });
@@ -460,19 +469,12 @@ impl Xml2OrDb {
         if docs.is_empty() {
             return Ok(Vec::new());
         }
-        let registered = self
-            .schemas
-            .get(schema_name)
-            .cloned()
-            .ok_or_else(|| {
-                MappingError::Unsupported(format!("schema '{schema_name}' is not registered"))
-            })?;
+        let registered = self.registered(schema_name)?;
         let doc_ids = self.next_doc_ids(schema_name, docs.len());
         let workers = self.load_workers.min(docs.len());
-        let span = self.db.trace_begin(
-            "bulk",
-            format!("{schema_name}: {} documents, {workers} workers", docs.len()),
-        );
+        let span = self.span("bulk", || {
+            format!("{schema_name}: {} documents, {workers} workers", docs.len())
+        });
         let result = self.load_atomically(schema_name, &doc_ids, |db| {
             ordered_fan(
                 docs.len(),
@@ -539,7 +541,7 @@ impl Xml2OrDb {
                 "document '{doc_id}' references schema '{schema_name}' which is no longer registered"
             ))
         })?;
-        let span = self.db.trace_begin("retrieve", doc_id.to_string());
+        let span = self.span("retrieve", || doc_id.to_string());
         let bulk = self.db.bulk_retrieval();
         // One storage guard for metadata row and document rows alike.
         let result = retrieve_from(&self.db.storage(), &registered.schema, doc_id, bulk);
@@ -598,14 +600,13 @@ impl Xml2OrDb {
                          which is no longer registered"
                     ))
                 })?;
-                Ok((doc_id, registered))
+                Ok((doc_id, registered.as_ref()))
             })
             .collect::<Result<_, MappingError>>()?;
 
-        let span = self.db.trace_begin(
-            "bulk-retrieve",
-            format!("{} documents, {workers} workers", doc_ids.len()),
-        );
+        let span = self.span("bulk-retrieve", || {
+            format!("{} documents, {workers} workers", doc_ids.len())
+        });
         let db = &self.db;
         let mut texts = Vec::with_capacity(jobs.len());
         let mut all_stats = Vec::with_capacity(jobs.len());
@@ -1290,6 +1291,85 @@ mod tests {
                 text.database().state_dump(),
                 "{mode:?}: deliveries diverged"
             );
+        }
+    }
+
+    #[test]
+    fn key_refs_load_like_their_script_text() {
+        // The key REFs the university load never makes: ref-held children
+        // of a recursive DTD (inserted before the row that holds them) and
+        // IDREF attributes (wired by deferred UPDATEs, forward references
+        // included). The batched façade and the `load_script` text must
+        // leave byte-identical state.
+        let recursive_dtd = "<!ELEMENT Professor (PName,Dept)> <!ELEMENT Dept (DName,Professor*)>
+            <!ELEMENT PName (#PCDATA)> <!ELEMENT DName (#PCDATA)>";
+        let recursive_docs = [
+            "<Professor><PName>Kudrass</PName><Dept><DName>CS</DName>\
+             <Professor><PName>Jaeger</PName><Dept><DName>CAD</DName></Dept></Professor>\
+             <Professor><PName>Conrad</PName><Dept><DName>DB</DName>\
+             <Professor><PName>Meier</PName><Dept><DName>IS</DName></Dept></Professor>\
+             </Dept></Professor></Dept></Professor>",
+            "<Professor><PName>Ralf</PName><Dept><DName>Math</DName>\
+             <Professor><PName>Anna</PName><Dept><DName>Stats</DName></Dept></Professor>\
+             </Dept></Professor>",
+        ];
+        let idref_dtd = "<!ELEMENT db (person*)> <!ELEMENT person (#PCDATA)>
+            <!ATTLIST person id ID #REQUIRED boss IDREF #IMPLIED>";
+        let idref_docs = [
+            r#"<db><person id="a1" boss="a2">Kudrass</person><person id="a2">Conrad</person><person id="a3" boss="a1">Meier</person></db>"#,
+            r#"<db><person id="b1" boss="b1">Jaeger</person><person id="b2" boss="b1">Ralf</person></db>"#,
+        ];
+        let mut idrefs = IdrefTargets::new();
+        idrefs.insert(("person".into(), "boss".into()), "person".into());
+        let cases = [
+            (recursive_dtd, "Professor", IdrefTargets::new(), &recursive_docs),
+            (idref_dtd, "db", idrefs, &idref_docs),
+        ];
+        for mode in [DbMode::Oracle8, DbMode::Oracle9] {
+            for (dtd, root, targets, documents) in &cases {
+                let mut batched = Xml2OrDb::new(mode);
+                batched.register_dtd_with_idrefs("s", dtd, root, targets).unwrap();
+                for xml in documents.iter() {
+                    batched.store_document("s", xml).unwrap();
+                }
+
+                let mut text = Xml2OrDb::new(mode);
+                let registered = text.register_dtd_with_idrefs("s", dtd, root, targets).unwrap();
+                let registered = registered.clone();
+                for (n, xml) in documents.iter().enumerate() {
+                    let doc_id = format!("s-{}", n + 1);
+                    let doc = parse_checked(&registered, xml).unwrap();
+                    let mut statements = crate::loader::load_script(
+                        &registered.schema,
+                        &registered.dtd,
+                        &doc,
+                        &doc_id,
+                    )
+                    .unwrap();
+                    assert!(
+                        statements.iter().any(|s| s.contains("(SELECT REF(x) FROM ")),
+                        "{mode:?} <{root}>: no key REF in {statements:#?}"
+                    );
+                    statements.push(metadata_insert(
+                        &registered.schema,
+                        &registered.dtd,
+                        &doc,
+                        &doc_id,
+                        "",
+                        "",
+                        "2002-03-25",
+                    ));
+                    for statement in &statements {
+                        text.database().execute(statement).unwrap();
+                    }
+                    text.database().commit().unwrap();
+                }
+                assert_eq!(
+                    batched.database().state_dump(),
+                    text.database().state_dump(),
+                    "{mode:?} <{root}>: deliveries diverged"
+                );
+            }
         }
     }
 

@@ -197,6 +197,11 @@ pub(crate) fn analyze_expr(cx: &mut StmtCx, scopes: &Scopes, eager: bool, expr: 
             crate::analyze::select::analyze_select(cx, Some(scopes), query, eager);
             STy::Unknown
         }
+        Expr::KeyRef(key_ref) => {
+            let query = key_ref.subquery();
+            crate::analyze::select::analyze_select(cx, Some(scopes), &query, eager);
+            STy::Unknown
+        }
         Expr::Exists(query) => {
             crate::analyze::select::analyze_select(cx, Some(scopes), query, eager);
             STy::Unknown

@@ -195,6 +195,7 @@ fn collect_check_paths<'e>(expr: &'e Expr, out: &mut Vec<&'e [Ident]>) {
         | Expr::CountStar
         | Expr::RefOf(_)
         | Expr::Subquery(_)
+        | Expr::KeyRef(_)
         | Expr::CastMultiset { .. }
         | Expr::Exists(_) => {}
     }

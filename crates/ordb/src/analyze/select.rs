@@ -230,6 +230,8 @@ fn walk_heads(expr: &Expr, mark: &mut dyn FnMut(&Ident)) {
             // A correlated subquery may reference any outer binding.
             mark_subquery_frees(q, mark);
         }
+        // Uncorrelated: it names no outer binding.
+        Expr::KeyRef(_) => {}
     }
 }
 

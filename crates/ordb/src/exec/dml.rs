@@ -19,7 +19,7 @@ use crate::exec::eval::{coerce, eval_bool, eval_expr, ExecCtx};
 use crate::exec::{Env, Frame};
 use crate::ident::Ident;
 use crate::mode::DbMode;
-use crate::sql::ast::{Expr, SelectStmt};
+use crate::sql::ast::Expr;
 use crate::stats::ExecStats;
 use crate::storage::{key_hash, Row, Storage};
 use crate::types::SqlType;
@@ -96,13 +96,10 @@ pub struct InsertBatch {
 ///
 /// Semantics vs. running a batch's statements one at a time:
 ///
-/// * Storage is frozen during evaluation, so scalar subqueries see the
-///   *pre-batch* state. Callers must not batch a row together with rows it
-///   reads (the loader's batcher splits batches on such dependencies); in
-///   exchange, identical subqueries within a batch are evaluated once and
-///   memoized (`batch_subquery_hits`). That needs consecutive same-table
-///   rows sharing a subquery: a one-row batch — every batch of the Oracle 8
-///   university load — has no memo at all.
+/// * Storage is frozen during evaluation, so scalar subqueries and key
+///   REFs see the *pre-batch* state, each evaluated once per row. Callers
+///   must not batch a row together with rows it reads (the loader's
+///   batcher splits batches on such dependencies).
 /// * Keys are checked against the stored rows — through the key's index —
 ///   *and* the earlier rows of the same batch, so duplicates inside one
 ///   batch are still rejected.
@@ -128,8 +125,6 @@ pub fn execute_insert_batch(
     {
         let mut ctx = ExecCtx::new(catalog, storage, stats, mode);
         let mut keys = table_keys(&ctx, table, table_columns)?;
-        // A lone row has no neighbour to share a subquery with.
-        let mut memo = (rows.len() > 1).then(Vec::new);
         for value_exprs in rows {
             let (mut row_values, coerced) = match value_exprs.as_slice() {
                 // `VALUES (Type_T(…))` into an object table of `Type_T` (the
@@ -137,7 +132,7 @@ pub fn execute_insert_batch(
                 // block is the row, its values already coerced to the
                 // attribute — that is, the column — types.
                 [only] if columns.is_none() && table.is_object_table() => {
-                    match eval_batch_expr(&mut ctx, only, memo.as_mut())? {
+                    match eval_expr(&mut ctx, &Env::EMPTY, only)? {
                         Value::Obj { type_name, attrs } if Some(&type_name) == table.of_type() => {
                             // One level: nested composites stay handles.
                             (Arc::try_unwrap(attrs).unwrap_or_else(|shared| Vec::clone(&shared)), true)
@@ -149,7 +144,7 @@ pub fn execute_insert_batch(
                     // Exact capacity: these values become the stored row.
                     let mut provided = Vec::with_capacity(exprs.len());
                     for expr in exprs {
-                        provided.push(eval_batch_expr(&mut ctx, expr, memo.as_mut())?);
+                        provided.push(eval_expr(&mut ctx, &Env::EMPTY, expr)?);
                     }
                     (shape_row(table_name, table_columns, columns, provided)?, false)
                 }
@@ -177,80 +172,6 @@ pub fn execute_insert_batch(
     let count = storage.insert_rows(table_name, validated, table.is_object_table())?;
     stats.rows_inserted += count as u64;
     Ok(count)
-}
-
-/// Evaluate one VALUES expression during batch execution. With a `memo` —
-/// a batch of more than one row — scalar subqueries are answered from it
-/// when the identical subquery was already run in this batch (sound because
-/// storage does not change mid-batch).
-fn eval_batch_expr(
-    ctx: &mut ExecCtx,
-    expr: &Expr,
-    memo: Option<&mut Vec<(SelectStmt, Value)>>,
-) -> Result<Value, DbError> {
-    let Some(memo) = memo.filter(|_| contains_subquery(expr)) else {
-        return eval_expr(ctx, &Env::EMPTY, expr);
-    };
-    let resolved = resolve_subqueries(ctx, expr, memo)?;
-    eval_expr(ctx, &Env::EMPTY, &resolved)
-}
-
-/// Does the expression contain a scalar `(SELECT …)` node? (The memo only
-/// targets `Expr::Subquery`; `EXISTS` / `CAST(MULTISET …)` run normally.)
-fn contains_subquery(expr: &Expr) -> bool {
-    match expr {
-        Expr::Subquery(_) => true,
-        Expr::Call { args, .. } => args.iter().any(contains_subquery),
-        Expr::Binary { lhs, rhs, .. } => contains_subquery(lhs) || contains_subquery(rhs),
-        Expr::Not(e) | Expr::Deref(e) => contains_subquery(e),
-        Expr::IsNull { expr, .. } | Expr::Like { expr, .. } => contains_subquery(expr),
-        _ => false,
-    }
-}
-
-/// Clone `expr` with every scalar subquery replaced by its (memoized)
-/// value as a literal.
-fn resolve_subqueries(
-    ctx: &mut ExecCtx,
-    expr: &Expr,
-    memo: &mut Vec<(SelectStmt, Value)>,
-) -> Result<Expr, DbError> {
-    Ok(match expr {
-        Expr::Subquery(query) => {
-            if let Some((_, value)) = memo.iter().find(|(q, _)| q == query.as_ref()) {
-                ctx.stats.batch_subquery_hits += 1;
-                Expr::Literal(value.clone())
-            } else {
-                let value = eval_expr(ctx, &Env::EMPTY, expr)?;
-                memo.push((query.as_ref().clone(), value.clone()));
-                Expr::Literal(value)
-            }
-        }
-        Expr::Call { name, args } => Expr::Call {
-            name: name.clone(),
-            args: args
-                .iter()
-                .map(|a| resolve_subqueries(ctx, a, memo))
-                .collect::<Result<_, _>>()?,
-        },
-        Expr::Binary { op, lhs, rhs } => Expr::Binary {
-            op: *op,
-            lhs: Box::new(resolve_subqueries(ctx, lhs, memo)?),
-            rhs: Box::new(resolve_subqueries(ctx, rhs, memo)?),
-        },
-        Expr::Not(e) => Expr::Not(Box::new(resolve_subqueries(ctx, e, memo)?)),
-        Expr::Deref(e) => Expr::Deref(Box::new(resolve_subqueries(ctx, e, memo)?)),
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(resolve_subqueries(ctx, expr, memo)?),
-            negated: *negated,
-        },
-        Expr::Like { expr, pattern, negated } => Expr::Like {
-            expr: Box::new(resolve_subqueries(ctx, expr, memo)?),
-            pattern: pattern.clone(),
-            negated: *negated,
-        },
-        other => other.clone(),
-    })
 }
 
 /// The values a row holds on a key's columns, with their join hash.

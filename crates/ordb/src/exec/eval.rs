@@ -10,9 +10,9 @@ use crate::exec::select::select_rows;
 use crate::exec::Env;
 use crate::ident::Ident;
 use crate::mode::DbMode;
-use crate::sql::ast::{BinOp, Expr};
+use crate::sql::ast::{BinOp, Expr, KeyRef};
 use crate::stats::ExecStats;
-use crate::storage::Storage;
+use crate::storage::{key_hash, Storage};
 use crate::types::SqlType;
 use crate::value::{Oid, Value};
 
@@ -84,6 +84,7 @@ pub fn eval_expr(ctx: &mut ExecCtx, env: &Env, expr: &Expr) -> Result<Value, DbE
                 }),
             }
         }
+        Expr::KeyRef(key_ref) => eval_key_ref(ctx, env, key_ref),
         Expr::Subquery(query) => {
             let mut rows = select_rows(ctx, query, Some(env), None)?;
             match rows.len() {
@@ -136,6 +137,59 @@ pub fn eval_expr(ctx: &mut ExecCtx, env: &Env, expr: &Expr) -> Result<Value, DbE
                 }
             }
             Ok(Value::Coll { type_name: target.clone(), elements: Arc::new(elements) })
+        }
+    }
+}
+
+/// A [`KeyRef`]: its key's index probed when [`probe_key_ref`] can,
+/// otherwise [`KeyRef::subquery`] evaluated. Kept out of line so the
+/// subquery it may build never sits in the frame of [`eval_expr`], which
+/// every query recurses through.
+#[inline(never)]
+fn eval_key_ref(ctx: &mut ExecCtx, env: &Env, key_ref: &KeyRef) -> Result<Value, DbError> {
+    match probe_key_ref(ctx, key_ref)? {
+        Some(found) => Ok(found),
+        None => eval_expr(ctx, env, &Expr::Subquery(Box::new(key_ref.subquery()))),
+    }
+}
+
+/// The fast case of a [`KeyRef`]: `path` is one column with a one-column
+/// key (PRIMARY KEY / UNIQUE) whose index is fresh — the index the planner
+/// would probe for [`KeyRef::subquery`]. One probe, each candidate
+/// re-checked with `sql_eq`, and the lookup counted as that planned probe
+/// counts it: one `index_scans`, its candidates in `rows_scanned`. `None`
+/// for any other KeyRef, which is then evaluated as its subquery.
+fn probe_key_ref(ctx: &mut ExecCtx, key_ref: &KeyRef) -> Result<Option<Value>, DbError> {
+    let [column] = key_ref.path.as_slice() else { return Ok(None) };
+    let Some(table) = ctx.catalog.get_table(&key_ref.table).filter(|t| t.is_object_table()) else {
+        return Ok(None);
+    };
+    // The first unique index on exactly the column is the planner's pick.
+    let index = ctx
+        .catalog
+        .indexes_on(&key_ref.table)
+        .find(|idx| idx.unique && matches!(idx.columns.as_slice(), [c] if c == column));
+    let (Some(index), Some(data)) = (index, ctx.storage.table(&key_ref.table)) else {
+        return Ok(None);
+    };
+    if !ctx.storage.index_is_fresh(&index.name) {
+        return Ok(None);
+    }
+    let col = crate::exec::dml::col_position(ctx.catalog.table_columns(table), column)?;
+    let slots = match key_hash([&key_ref.key]) {
+        Some(hash) => ctx.storage.index_probe(&index.name, hash).unwrap_or(&[]),
+        None => &[],
+    };
+    ctx.stats.index_scans += 1;
+    ctx.stats.rows_scanned += slots.len() as u64;
+    let mut matches = slots.iter().map(|&slot| &data.rows[slot]).filter(|row| {
+        row.values.get(col).and_then(|v| v.sql_eq(&key_ref.key)) == Some(true)
+    });
+    match (matches.next(), matches.count()) {
+        (None, _) => Ok(Some(Value::Null)),
+        (Some(row), 0) => Ok(Some(row.oid.map_or(Value::Null, Value::Ref))),
+        (Some(_), more) => {
+            Err(DbError::Execution(format!("scalar subquery returned {} rows", more + 1)))
         }
     }
 }

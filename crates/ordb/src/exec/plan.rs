@@ -572,13 +572,13 @@ fn visit_refs(expr: &Expr, visit: &mut impl FnMut(&Ident)) {
         Expr::IsNull { expr, .. } | Expr::Like { expr, .. } => visit_refs(expr, visit),
         Expr::Literal(_) | Expr::CountStar => {}
         // Subqueries handled by `has_subquery`.
-        Expr::Subquery(_) | Expr::CastMultiset { .. } | Expr::Exists(_) => {}
+        Expr::Subquery(_) | Expr::KeyRef(_) | Expr::CastMultiset { .. } | Expr::Exists(_) => {}
     }
 }
 
 fn has_subquery(expr: &Expr) -> bool {
     match expr {
-        Expr::Subquery(_) | Expr::CastMultiset { .. } | Expr::Exists(_) => true,
+        Expr::Subquery(_) | Expr::KeyRef(_) | Expr::CastMultiset { .. } | Expr::Exists(_) => true,
         Expr::Call { args, .. } => args.iter().any(has_subquery),
         Expr::Binary { lhs, rhs, .. } => has_subquery(lhs) || has_subquery(rhs),
         Expr::Not(inner) | Expr::Deref(inner) => has_subquery(inner),

@@ -134,13 +134,16 @@
 //!   OIDs are reserved in one block, rows are appended in a single storage
 //!   call under one undo bracket (all-or-nothing, same semantics as
 //!   `RecoveryPolicy::Atomic`). A single-row INSERT is the one-row case of
-//!   the same function. Counter: `batched_rows`. Within a batch an
-//!   identical scalar subquery is run once (`batch_subquery_hits`), which
-//!   fires only for consecutive same-table rows sharing a subquery — never
-//!   on the Oracle 8 university load, whose batches are one row each (the
-//!   document order alternates tables). There the REF wiring subquery is
-//!   simply cheap: planned without copying the statement, answered by one
-//!   key-index probe.
+//!   the same function. Counter: `batched_rows`. Storage is frozen while
+//!   a batch evaluates, so every subquery in it reads the pre-batch state,
+//!   once per row.
+//! * **Key REFs** — the Oracle 8 REF wiring
+//!   `(SELECT REF(x) FROM TabCourse x WHERE x.IDCourse = 'doc1#4')` reaches
+//!   the engine as [`sql::ast::KeyRef`], the table, key path and key
+//!   rather than a SELECT. On a one-column key with a fresh index it is
+//!   one probe of that index, counted as the planned probe counts it
+//!   (`index_scans`, `rows_scanned`); anything else runs its subquery.
+//!   Printed, logged and analysed it *is* that subquery.
 //! * **Deterministic parallel front end** — the `xml2ordb` pipeline
 //!   shreds documents on a worker pool and feeds the resulting batches to
 //!   a single writer in submission order, so any worker count produces a

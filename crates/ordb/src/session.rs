@@ -668,7 +668,6 @@ impl Database {
             ("undo_records", s.undo_records),
             ("savepoints", s.savepoints),
             ("batched_rows", s.batched_rows),
-            ("batch_subquery_hits", s.batch_subquery_hits),
             ("index_scans", s.index_scans),
             ("index_maintenance_ops", s.index_maintenance_ops),
             ("planner_plans_costed", s.planner_plans_costed),

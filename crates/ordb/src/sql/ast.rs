@@ -43,8 +43,13 @@ pub enum Expr {
     RefOf(Ident),
     /// `DEREF(expr)` — follow a REF to its row object.
     Deref(Box<Expr>),
-    /// Scalar subquery `(SELECT …)` — used by the Oracle 8 REF workaround.
+    /// Scalar subquery `(SELECT …)`.
     Subquery(Box<SelectStmt>),
+    /// The REF of the row with a given key — what the Oracle 8 REF
+    /// workaround's `(SELECT REF(x) FROM Tab x WHERE x.ID = 'key')` asks
+    /// for, built by a loader rather than parsed. [`KeyRef::subquery`] is
+    /// its definition.
+    KeyRef(Box<KeyRef>),
     /// `CAST(MULTISET(SELECT …) AS collection_type)` (§6.3).
     CastMultiset { query: Box<SelectStmt>, target: Ident },
     /// `EXISTS (SELECT …)`.
@@ -62,6 +67,38 @@ impl Expr {
 
     pub fn eq(lhs: Expr, rhs: Expr) -> Expr {
         Expr::Binary { op: BinOp::Eq, lhs: Box::new(lhs), rhs: Box::new(rhs) }
+    }
+}
+
+/// The REF of the row of object table `table` whose `path` equals `key`:
+/// the paper's REF-wiring subquery (§4.2) as data. It means exactly
+/// [`KeyRef::subquery`] — the printer prints that, the WAL logs that, and
+/// the engine evaluates that, except that a one-column key with a fresh
+/// index is answered by one probe of that index.
+#[derive(Debug, Clone, PartialEq)]
+pub struct KeyRef {
+    pub table: Ident,
+    /// Attribute names below the row: `[IDCourse]`, or `[attrList, attrid]`
+    /// for an ID kept in an attribute-list object.
+    pub path: Vec<Ident>,
+    pub key: Value,
+}
+
+impl KeyRef {
+    /// `SELECT REF(x) FROM table x WHERE x.path = key`.
+    pub fn subquery(&self) -> SelectStmt {
+        let alias = Ident::internal("x");
+        let mut parts = Vec::with_capacity(1 + self.path.len());
+        parts.push(alias.clone());
+        parts.extend_from_slice(&self.path);
+        SelectStmt {
+            distinct: false,
+            items: vec![SelectItem { expr: Expr::RefOf(alias.clone()), alias: None }],
+            star: false,
+            from: vec![FromItem::Table { name: self.table.clone(), alias: Some(alias) }],
+            where_clause: Some(Expr::eq(Expr::Path(parts), Expr::Literal(self.key.clone()))),
+            order_by: Vec::new(),
+        }
     }
 }
 

@@ -10,7 +10,7 @@ pub mod parser;
 pub mod printer;
 pub mod span;
 
-pub use ast::{Expr, FromItem, SelectItem, SelectStmt, Stmt};
+pub use ast::{Expr, FromItem, KeyRef, SelectItem, SelectStmt, Stmt};
 pub use parser::{parse_script, parse_script_spanned, parse_statement};
 pub use printer::{print_expr, print_select, print_stmt};
 pub use span::SpannedStmt;

@@ -164,6 +164,8 @@ fn walk_expr(expr: &mut Expr, f: &mut impl FnMut(Slot) -> bool) -> bool {
         // The pattern follows LIKE in the source, after the tested expr.
         Expr::Like { expr, pattern, .. } => walk_expr(expr, f) && f(Slot::Str(pattern)),
         Expr::Subquery(q) | Expr::Exists(q) => walk_select(q, f),
+        // No text spells one: a statement holding one has no template.
+        Expr::KeyRef(_) => false,
         Expr::CastMultiset { query, .. } => walk_select(query, f),
     }
 }

@@ -220,6 +220,7 @@ pub fn print_expr(expr: &Expr) -> String {
         Expr::RefOf(alias) => format!("REF({alias})"),
         Expr::Deref(inner) => format!("DEREF({})", print_expr(inner)),
         Expr::Subquery(query) => format!("({})", print_select(query)),
+        Expr::KeyRef(key_ref) => format!("({})", print_select(&key_ref.subquery())),
         Expr::CastMultiset { query, target } => {
             format!("CAST(MULTISET({}) AS {target})", print_select(query))
         }

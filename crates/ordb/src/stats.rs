@@ -17,8 +17,8 @@ pub struct ExecStats {
     /// Rows materialized into tables (top-level rows, not nested objects).
     pub rows_inserted: u64,
     /// Rows scanned while evaluating FROM clauses: every row a scan
-    /// expands, every candidate an index probe fetches, and the one row an
-    /// OID probe keeps.
+    /// expands, every candidate an index probe fetches — a key REF's probe
+    /// included — and the one row an OID probe keeps.
     pub rows_scanned: u64,
     /// Join pairings formed (each row combination beyond a single-table
     /// FROM counts once) — the paper's "join operations" metric. Hash
@@ -59,18 +59,18 @@ pub struct ExecStats {
     /// Rows inserted through the batched path
     /// ([`crate::Database::execute_batch`]).
     pub batched_rows: u64,
-    /// Scalar-subquery evaluations answered from the within-batch memo
-    /// (storage is frozen during batch evaluation, so identical subqueries
-    /// are executed once and replayed).
-    pub batch_subquery_hits: u64,
     /// FROM items answered by a secondary-index probe instead of a full
-    /// scan (one count per index-driven scan, not per probe).
+    /// scan (one count per index-driven scan, not per probe). A key REF
+    /// answered by its key's index counts one, as the planned probe of its
+    /// subquery would.
     pub index_scans: u64,
     /// Secondary-index maintenance row operations: incremental bucket
     /// updates plus rows visited during stale-index rebuilds.
     pub index_maintenance_ops: u64,
     /// SELECT plans chosen by the cost-based planner using ANALYZE
-    /// statistics (as opposed to the static heuristic order).
+    /// statistics (as opposed to the static heuristic order), or probing
+    /// an index. A key REF answered by its key's index plans nothing and
+    /// counts none.
     pub planner_plans_costed: u64,
     /// `ANALYZE TABLE … COMPUTE STATISTICS` statements executed.
     pub analyze_runs: u64,
@@ -109,7 +109,6 @@ impl ExecStats {
             undo_records: self.undo_records - earlier.undo_records,
             savepoints: self.savepoints - earlier.savepoints,
             batched_rows: self.batched_rows - earlier.batched_rows,
-            batch_subquery_hits: self.batch_subquery_hits - earlier.batch_subquery_hits,
             index_scans: self.index_scans - earlier.index_scans,
             index_maintenance_ops: self.index_maintenance_ops - earlier.index_maintenance_ops,
             planner_plans_costed: self.planner_plans_costed - earlier.planner_plans_costed,

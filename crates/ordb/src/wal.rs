@@ -483,6 +483,12 @@ pub(crate) fn encode_expr(e: &mut Enc, x: &Expr) {
             e.u8(10);
             encode_select(e, q);
         }
+        // Logged as the subquery it means, so the log format is unchanged;
+        // replay evaluates that subquery, which reads what this did.
+        Expr::KeyRef(key_ref) => {
+            e.u8(10);
+            encode_select(e, &key_ref.subquery());
+        }
         Expr::CastMultiset { query, target } => {
             e.u8(11);
             e.ident(target);

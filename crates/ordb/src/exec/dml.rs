@@ -407,7 +407,7 @@ fn enforce_constraints(
                     object_type: table.of_type().cloned(),
                     slot: 0,
                 };
-                let frames = [std::rc::Rc::new(frame)];
+                let frames = [frame];
                 let env = Env::new(&frames);
                 // Oracle semantics: the row is rejected only when the
                 // condition is definitely FALSE (UNKNOWN passes).
@@ -457,7 +457,7 @@ pub fn execute_update(
             .ok_or_else(|| DbError::UnknownTable(table_name.as_str().to_string()))?;
         let mut ctx = ExecCtx::new(catalog, storage, stats, mode);
         for (idx, row) in data.rows.iter().enumerate() {
-            let frames = [std::rc::Rc::new(Frame::of_row(table_name, &columns, table, row, idx))];
+            let frames = [Frame::of_row(table_name, &columns, table, row, idx)];
             let env = Env::new(&frames);
             let hit = match where_clause {
                 None => true,
@@ -595,8 +595,7 @@ pub fn execute_delete(
             let keep = match where_clause {
                 None => false,
                 Some(pred) => {
-                    let frames =
-                        [std::rc::Rc::new(Frame::of_row(table_name, &columns, table, row, idx))];
+                    let frames = [Frame::of_row(table_name, &columns, table, row, idx)];
                     let env = Env::new(&frames);
                     eval_bool(&mut ctx, &env, pred)? != Some(true)
                 }

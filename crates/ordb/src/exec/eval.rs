@@ -263,15 +263,7 @@ pub fn eval_bool(ctx: &mut ExecCtx, env: &Env, expr: &Expr) -> Result<Option<boo
         Expr::Binary { op, lhs, rhs } => {
             let l = eval_ref(ctx, env, lhs)?;
             let r = eval_ref(ctx, env, rhs)?;
-            Ok(match op {
-                BinOp::Eq => l.sql_eq(&r),
-                BinOp::Ne => l.sql_eq(&r).map(|b| !b),
-                BinOp::Lt => l.sql_cmp(&r).map(|o| o == std::cmp::Ordering::Less),
-                BinOp::Le => l.sql_cmp(&r).map(|o| o != std::cmp::Ordering::Greater),
-                BinOp::Gt => l.sql_cmp(&r).map(|o| o == std::cmp::Ordering::Greater),
-                BinOp::Ge => l.sql_cmp(&r).map(|o| o != std::cmp::Ordering::Less),
-                BinOp::And | BinOp::Or | BinOp::Concat => unreachable!("handled above"),
-            })
+            Ok(compare(*op, &l, &r))
         }
         other => {
             // A non-boolean expression in boolean position: NULL → UNKNOWN,
@@ -284,6 +276,22 @@ pub fn eval_bool(ctx: &mut ExecCtx, env: &Env, expr: &Expr) -> Result<Option<boo
                 )),
             }
         }
+    }
+}
+
+/// `l op r` for a comparison operator, three-valued: `sql_eq` for `=` and
+/// `<>`, `sql_cmp` for the orderings, UNKNOWN when either is. The executor's
+/// block filters compare with this too, so a filter tested before its frame
+/// is filled decides exactly as [`eval_bool`] would.
+pub(crate) fn compare(op: BinOp, l: &Value, r: &Value) -> Option<bool> {
+    match op {
+        BinOp::Eq => l.sql_eq(r),
+        BinOp::Ne => l.sql_eq(r).map(|b| !b),
+        BinOp::Lt => l.sql_cmp(r).map(|o| o == std::cmp::Ordering::Less),
+        BinOp::Le => l.sql_cmp(r).map(|o| o != std::cmp::Ordering::Greater),
+        BinOp::Gt => l.sql_cmp(r).map(|o| o == std::cmp::Ordering::Greater),
+        BinOp::Ge => l.sql_cmp(r).map(|o| o != std::cmp::Ordering::Less),
+        BinOp::And | BinOp::Or | BinOp::Concat => unreachable!("not a comparison"),
     }
 }
 

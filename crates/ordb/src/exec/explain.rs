@@ -299,7 +299,7 @@ impl Plan<'_> {
                     .map_or_else(|| index.to_string(), |def| def.label());
                 format!(" — index probe {label} (key: {})", keys.join(", "))
             }
-            AccessPath::OidProbe { key } => format!(" — OID probe (key: {})", print_expr(key)),
+            AccessPath::OidProbe { key, .. } => format!(" — OID probe (key: {})", print_expr(key)),
             AccessPath::HashJoin { probe, build } => format!(
                 " — hash join (build: {}, probe: {})",
                 print_expr(build),

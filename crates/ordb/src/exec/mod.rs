@@ -11,7 +11,6 @@ pub mod explain;
 pub(crate) mod plan;
 pub mod select;
 
-use std::rc::Rc;
 use std::sync::Arc;
 
 use crate::catalog::TableDef;
@@ -55,9 +54,9 @@ pub struct Frame {
     /// an expression then denotes the whole object.
     pub object_type: Option<Ident>,
     /// The row's heap slot for a table row (its position for a view row,
-    /// 0 for a collection element): after a reorder, combinations are
-    /// sorted by their frames' slots in FROM order to restore the nested
-    /// loop's enumeration.
+    /// 0 for a collection element): a reordered plan's sink records each
+    /// result row's slots in FROM order and sorts the rows by them, which
+    /// restores the nested loop's enumeration.
     pub slot: usize,
 }
 
@@ -89,23 +88,22 @@ impl Frame {
 /// Evaluation environment: the current row combination plus (for correlated
 /// subqueries) the enclosing query's environment.
 ///
-/// Frames are reference-counted: the executor refills a position's frame
-/// in place while it alone holds it, and a reordered plan's collected
-/// combinations share frames without copying them.
+/// The executor owns one frame per FROM position and refills it in place;
+/// no sink keeps a frame, so an environment borrows them.
 #[derive(Debug, Clone, Copy)]
 pub struct Env<'a> {
-    pub frames: &'a [Rc<Frame>],
+    pub frames: &'a [Frame],
     pub parent: Option<&'a Env<'a>>,
 }
 
 impl<'a> Env<'a> {
     pub const EMPTY: Env<'static> = Env { frames: &[], parent: None };
 
-    pub fn new(frames: &'a [Rc<Frame>]) -> Env<'a> {
+    pub fn new(frames: &'a [Frame]) -> Env<'a> {
         Env { frames, parent: None }
     }
 
-    pub fn with_parent(frames: &'a [Rc<Frame>], parent: &'a Env<'a>) -> Env<'a> {
+    pub fn with_parent(frames: &'a [Frame], parent: &'a Env<'a>) -> Env<'a> {
         Env { frames, parent: Some(parent) }
     }
 
@@ -114,7 +112,6 @@ impl<'a> Env<'a> {
         self.frames
             .iter()
             .find(|f| &f.binding == binding)
-            .map(Rc::as_ref)
             .or_else(|| self.parent.and_then(|p| p.frame(binding)))
     }
 
@@ -126,7 +123,6 @@ impl<'a> Env<'a> {
         self.frames
             .iter()
             .find(|f| f.columns.iter().any(|c| c == column))
-            .map(Rc::as_ref)
             .or_else(|| self.parent.and_then(|p| p.frame_with_column(column)))
     }
 }
@@ -139,15 +135,15 @@ mod tests {
         Ident::internal(s)
     }
 
-    fn frame(binding: &str, cols: &[(&str, Value)]) -> Rc<Frame> {
-        Rc::new(Frame {
+    fn frame(binding: &str, cols: &[(&str, Value)]) -> Frame {
+        Frame {
             binding: id(binding),
             columns: cols.iter().map(|(c, _)| id(c)).collect(),
             values: Arc::new(cols.iter().map(|(_, v)| v.clone()).collect()),
             oid: None,
             object_type: None,
             slot: 0,
-        })
+        }
     }
 
     #[test]

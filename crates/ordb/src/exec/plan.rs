@@ -26,8 +26,9 @@ pub(crate) enum AccessPath<'s> {
     /// `REF(binding) = key` with `key` bound by earlier items: per
     /// combination, resolve `key` through the OID directory and keep the
     /// row if it lives in this item's table — at most one candidate, with
-    /// no expansion, hash table or index.
-    OidProbe { key: &'s Expr },
+    /// no expansion, hash table or index. `conjunct` is the `REF(binding)
+    /// = key` it was found by, which the row found satisfies.
+    OidProbe { key: &'s Expr, conjunct: &'s Expr },
 }
 
 /// How [`plan_select`] chose the join order — what EXPLAIN's `join order:`
@@ -95,8 +96,8 @@ pub(crate) fn plan_select<'s>(catalog: &Catalog, stmt: &'s SelectStmt) -> Select
     }
 
     // Join order. Only a FROM clause of distinct-binding plain tables can
-    // be reordered: step 1b restores FROM-order enumeration by heap slot,
-    // which lateral TABLE(...) items and views do not have. The seeded
+    // be reordered: the executor restores FROM-order enumeration by heap
+    // slot, which lateral TABLE(...) items and views do not have. The seeded
     // order comes first and needs no statistics; a seeded walk that is
     // FROM order already keeps it. Otherwise, with ANALYZE statistics for
     // every item, the cost-based greedy order.
@@ -420,8 +421,11 @@ fn plan_item_path<'s>(
     if let Some((name, def)) = table {
         // Only the rows of an object table have OIDs.
         if def.of_type().is_some() {
-            if let Some(key) = applicable.iter().find_map(|(_, c)| oid_key(c, bindings, pos)) {
-                return (AccessPath::OidProbe { key }, stats.map(|_| 1));
+            let oid_probe = applicable.iter().find_map(|&(_, conjunct)| {
+                oid_key(conjunct, bindings, pos).map(|key| AccessPath::OidProbe { key, conjunct })
+            });
+            if let Some(path) = oid_probe {
+                return (path, stats.map(|_| 1));
             }
         }
         // The probe-side expression of the first conjunct keying `column`.

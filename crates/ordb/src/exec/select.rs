@@ -16,26 +16,53 @@
 //!   rather than as frames, because every build of a plan is live at once.
 //!   SQL's numeric string coercion makes `sql_eq` non-transitive
 //!   (`'04' = 4` but `'04' <> '4'`), so the hash is a *prefilter*: every
-//!   candidate is re-checked with the real predicate, and results are
-//!   identical to the nested loop;
-//! * **index probe** — the slots a secondary index holds for the key;
-//! * **OID probe** — `REF(item) = …`: the one row the OID directory finds;
+//!   candidate meets the real predicate, and results are identical to the
+//!   nested loop;
+//! * **index probe** — the slots a secondary index holds for the key, a
+//!   prefilter in the same way;
+//! * **OID probe** — `REF(item) = …`: the one row the OID directory finds.
+//!   That row's OID *is* the key, so the conjunct the probe was planned
+//!   from is not run again (when its key reads a column at most, so that
+//!   skipping it skips no dereference a counter would see);
 //! * **lateral** — the elements of `TABLE(expr)` under the prefix.
 //!
-//! A candidate is tried against the conjuncts scheduled at its position in
-//! place: the combination is one buffer of one frame per position, and
-//! advancing a cursor refills that position's frame through `Rc::get_mut`
-//! — a new frame is allocated only when the sink kept the old one. So a
-//! rejected candidate allocates nothing, and a surviving one costs what
-//! the sink makes of it.
+//! ## What a candidate costs
+//!
+//! The combination is one buffer of one [`Frame`] per position, and a
+//! position refills its own frame in place: no sink keeps a frame, so
+//! nothing allocates per candidate. Before that, a candidate meets its
+//! position's *block filters*: each conjunct of the form `item.column op
+//! literal` (either side, `op` a comparison) is compiled once per frame
+//! shape into a column index and tested on the candidate's stored block
+//! with `eval::compare`, the rule `eval_bool` uses — so a rejected scan row
+//! costs one comparison, not a filled frame. Only the leading filters in
+//! WHERE order move onto the block, up to the first conjunct that is not
+//! one; a filter can neither fail nor count, so which rows are rejected,
+//! which error is raised and what every counter reads are as if the
+//! conjuncts ran in order. A filter on a column the shape lacks stays a
+//! conjunct, and fails as it did. A candidate that passes the filters
+//! has its frame filled and meets the rest of its position's conjuncts.
+//! Rows are counted where a cursor opens or reads, not where candidates
+//! are tested, so `rows_scanned` and `join_pairs` are those of the plan.
 //!
 //! ## Sinks
 //!
-//! A FROM-order plan hands each complete combination straight to the
-//! residual filter and then to a `COUNT(*)` tally or to projection with its
-//! ORDER BY keys: no combination is stored. A reordered plan collects its
-//! combinations and restores the FROM-order enumeration by sorting them on
-//! their frames' heap slots (step 1b) before the same sink sees them.
+//! Each complete combination goes, in execution order, to the residual
+//! conjuncts and then to a `COUNT(*)` tally or to projection with its
+//! ORDER BY keys: no combination and no frame is stored. A reordered plan
+//! must return what a nested loop in FROM order returns, in that order;
+//! that loop meets combinations in lexicographic order of their heap slots
+//! in FROM order, so the sink records each kept row's FROM-order slot tuple
+//! in one flat buffer, and one stable sort of a permutation — on the ORDER
+//! BY keys, then the slots — restores it. The sink evaluates a reordered
+//! plan's combination on one copy of its frames in FROM order, refilled
+//! per combination, because an unqualified column names the first FROM
+//! item that has it; `SELECT *` lays the values out from that copy too.
+//! So when several combinations of a reordered plan fail in the residual
+//! or the projection, the error raised is the first failure in execution
+//! order, where a nested loop raises the first in FROM order; failures of
+//! one kind — "scalar subquery returned 2 rows", a dangling REF — raise
+//! the same variant either way.
 //!
 //! ## What a frame holds: handles
 //!
@@ -47,15 +74,16 @@
 //! the column list of the element type is built once per FROM item, not
 //! once per element. So `TabUniversity t0, TABLE(t0.attrStudent) t1,
 //! TABLE(t1.attrCourse) t2, …` copies no stored value, however much hangs
-//! below an element. (A scalar element has no block of its own and is
-//! wrapped in a one-value block: the only value an expansion copies.)
+//! below an element. (A scalar element has no block of its own: its
+//! filters test the value itself, and one that passes is wrapped in a
+//! one-value block — the only value an expansion copies.)
 
 use crate::error::DbError;
-use crate::exec::eval::{eval_bool, eval_expr, eval_ref, ExecCtx};
+use crate::exec::eval::{compare, eval_bool, eval_expr, eval_ref, ExecCtx};
 use crate::exec::plan::{plan_hash_join, plan_select, AccessPath, JoinOrder, SelectPlan};
 use crate::exec::{Env, Frame};
 use crate::ident::Ident;
-use crate::sql::ast::{Expr, FromItem, SelectStmt};
+use crate::sql::ast::{BinOp, Expr, FromItem, SelectStmt};
 use crate::storage::{key_hash, Row};
 use crate::value::{Oid, Value};
 use std::borrow::Cow;
@@ -63,7 +91,6 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hasher};
 use std::ops::Range;
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// A query result: column names and rows.
@@ -131,36 +158,25 @@ pub(crate) fn select_rows(
         stmt,
         // 2. Residual WHERE conjuncts (those deferred to the end).
         residual: plan.residual(stmt.from.len()),
-        collected: plan.reordered.then(Vec::new),
+        from_order: plan.reordered.then(|| {
+            let mut from_order = vec![0; plan.order.len()];
+            for (pos, &orig) in plan.order.iter().enumerate() {
+                from_order[orig] = pos;
+            }
+            from_order
+        }),
         count: counting.then_some(0),
         rows: Vec::new(),
         order_keys: Vec::new(),
+        slots: Vec::new(),
         star_names: None,
+        in_from_order: Vec::new(),
     };
 
     // 1. FROM: every combination, depth-first in execution order. Later
     //    items see earlier bindings (needed by TABLE(t.attr) un-nesting),
     //    and conjuncts filter as soon as their inputs are bound.
     enumerate(ctx, stmt, &plan, outer, &mut out)?;
-
-    // 1b. Restore the FROM-order enumeration: a nested loop in FROM order
-    //     enumerates combinations in lexicographic heap-slot order — so
-    //     after a reorder, un-permuting each combination's frames and
-    //     sorting by their slots makes output byte-identical to that
-    //     nested loop.
-    if let Some(mut combos) = out.collected.take() {
-        let mut exec_pos_of = vec![0usize; stmt.from.len()];
-        for (pos, &orig) in plan.order.iter().enumerate() {
-            exec_pos_of[orig] = pos;
-        }
-        for combo in &mut combos {
-            *combo = exec_pos_of.iter().map(|&pos| combo[pos].clone()).collect();
-        }
-        combos.sort_by(|a, b| a.iter().map(|f| f.slot).cmp(b.iter().map(|f| f.slot)));
-        for combo in &combos {
-            out.take(ctx, combo, outer)?;
-        }
-    }
 
     // 3. Aggregate shortcut: COUNT(*) queries.
     if let Some(count) = out.count {
@@ -184,9 +200,16 @@ pub(crate) fn select_rows(
     }
     let mut rows = out.rows;
 
-    // 5. ORDER BY (stable sort on the precomputed keys).
-    if !stmt.order_by.is_empty() {
-        let order_keys = out.order_keys;
+    // 5. ORDER BY, and the FROM-order enumeration a reordered plan must
+    //    restore: a nested loop in FROM order meets combinations in
+    //    lexicographic heap-slot order, so sorting the rows by their
+    //    FROM-order slot tuples makes the output byte-identical to that
+    //    nested loop. One stable sort of a permutation, on the ORDER BY
+    //    keys first and the slots second.
+    if out.from_order.is_some() || !stmt.order_by.is_empty() {
+        let (order_keys, slots) = (&out.order_keys, &out.slots);
+        let width = stmt.from.len();
+        let slots_of = |row: usize| slots.get(row * width..(row + 1) * width);
         let mut indexed: Vec<usize> = (0..rows.len()).collect();
         indexed.sort_by(|&a, &b| {
             for (k, (_, asc)) in stmt.order_by.iter().enumerate() {
@@ -196,7 +219,7 @@ pub(crate) fn select_rows(
                     return ord;
                 }
             }
-            std::cmp::Ordering::Equal
+            slots_of(a).cmp(&slots_of(b))
         });
         // `indexed` is a permutation, so each row is taken exactly once.
         rows = indexed.into_iter().map(|i| std::mem::take(&mut rows[i])).collect();
@@ -210,34 +233,64 @@ pub(crate) fn select_rows(
     Ok(rows)
 }
 
-/// Where complete combinations go, one at a time: the residual conjuncts,
-/// then a `COUNT(*)` tally or the projected row with its ORDER BY keys —
-/// or, for a reordered plan, a collection to sort first.
+/// Where complete combinations go, one at a time, in execution order: the
+/// residual conjuncts, then a `COUNT(*)` tally or the projected row with
+/// its ORDER BY keys — and, for a reordered plan, the row's FROM-order
+/// slot tuple, by which step 5 restores the nested loop's order. A
+/// reordered plan's combination is evaluated on one copy of its frames in
+/// FROM order, refilled per combination; no combination is kept.
 struct Output<'p> {
     stmt: &'p SelectStmt,
     residual: &'p [(usize, &'p Expr)],
-    /// A reordered plan's combinations, in execution order.
-    collected: Option<Vec<Vec<Rc<Frame>>>>,
+    /// For a reordered plan, each FROM item's execution position.
+    from_order: Option<Vec<usize>>,
     /// The tally, for a `COUNT(*)` query.
     count: Option<u64>,
     rows: Vec<Vec<Value>>,
     order_keys: Vec<Vec<Value>>,
+    /// A reordered plan's rows' heap slots in FROM order, one tuple of
+    /// `from_order.len()` per row.
+    slots: Vec<usize>,
     /// `SELECT *`'s column names, read off the first row's frames.
     star_names: Option<Vec<String>>,
+    /// A reordered plan's combination, refilled in FROM order.
+    in_from_order: Vec<Frame>,
 }
 
 impl Output<'_> {
     fn take(
         &mut self,
         ctx: &mut ExecCtx,
-        combo: &[Rc<Frame>],
+        combo: &[Frame],
         outer: Option<&Env>,
     ) -> Result<(), DbError> {
-        if let Some(combos) = &mut self.collected {
-            combos.push(combo.to_vec());
+        if let (Some(count), []) = (&mut self.count, self.residual) {
+            *count += 1;
             return Ok(());
         }
-        if !passes(ctx, combo, self.residual, outer)? {
+        // Everything the sink evaluates sees the frames in FROM order: an
+        // unqualified column names the first FROM item that has it
+        // ([`Env::frame_with_column`]), whatever order the plan ran them in.
+        let frames = match &self.from_order {
+            Some(from_order) => {
+                for (orig, &pos) in from_order.iter().enumerate() {
+                    let frame = &combo[pos];
+                    // invariant: only plain tables are reordered, and the
+                    // frames of one table differ in their row alone.
+                    match self.in_from_order.get_mut(orig) {
+                        Some(copy) => {
+                            copy.values = Arc::clone(&frame.values);
+                            copy.oid = frame.oid;
+                            copy.slot = frame.slot;
+                        }
+                        None => self.in_from_order.push(frame.clone()),
+                    }
+                }
+                &self.in_from_order[..]
+            }
+            None => combo,
+        };
+        if !passes(ctx, frames, self.residual.iter().map(|(_, c)| *c), outer)? {
             return Ok(());
         }
         if let Some(count) = &mut self.count {
@@ -245,17 +298,17 @@ impl Output<'_> {
             return Ok(());
         }
         let stmt = self.stmt;
-        let env = make_env(combo, outer);
+        let env = make_env(frames, outer);
         let row = if stmt.star {
             if self.star_names.is_none() {
                 self.star_names = Some(
-                    combo
+                    frames
                         .iter()
                         .flat_map(|frame| frame.columns.iter().map(|c| c.as_str().to_string()))
                         .collect(),
                 );
             }
-            combo.iter().flat_map(|frame| frame.values.iter().cloned()).collect()
+            frames.iter().flat_map(|frame| frame.values.iter().cloned()).collect()
         } else {
             let mut row = Vec::with_capacity(stmt.items.len());
             for item in &stmt.items {
@@ -269,6 +322,9 @@ impl Output<'_> {
                 keys.push(eval_expr(ctx, &env, expr)?);
             }
             self.order_keys.push(keys);
+        }
+        if self.from_order.is_some() {
+            self.slots.extend(frames.iter().map(|frame| frame.slot));
         }
         self.rows.push(row);
         Ok(())
@@ -300,38 +356,40 @@ fn enumerate<'a>(
     };
     // One frame per position reached so far; `combo[..=pos]` is the
     // combination under test.
-    let mut combo: Vec<Rc<Frame>> = Vec::with_capacity(positions.len());
+    let mut combo: Vec<Frame> = Vec::with_capacity(positions.len());
     let mut pos = 0;
     positions[0].open(ctx, &mut combo, 0, outer)?;
     loop {
-        let position = &mut positions[pos];
-        if !position.advance(ctx, &mut combo, pos)? {
+        if !positions[pos].advance(ctx, &mut combo, pos, outer)? {
             if pos == 0 {
                 return Ok(());
             }
             pos -= 1;
-        } else if passes(ctx, &combo[..=pos], position.applicable, outer)? {
-            if pos == last {
-                out.take(ctx, &combo, outer)?;
-            } else {
-                pos += 1;
-                positions[pos].open(ctx, &mut combo, pos, outer)?;
-            }
+        } else if pos == last {
+            out.take(ctx, &combo, outer)?;
+        } else {
+            pos += 1;
+            positions[pos].open(ctx, &mut combo, pos, outer)?;
         }
     }
 }
 
-/// One FROM position of the running plan: how it finds candidates, the
-/// rows they index, and the candidates still to try under the current
-/// prefix.
+/// One FROM position of the running plan: how it finds candidates, how it
+/// tests them, the rows they index, and the candidates still to try under
+/// the current prefix.
 struct Position<'a, 'p> {
     binding: &'p Ident,
     /// The table or view the position reads (`None` for `TABLE(…)`).
     name: Option<&'p Ident>,
-    applicable: &'p [(usize, &'p Expr)],
+    /// The conjuncts scheduled here, in WHERE order, that a candidate must
+    /// pass — all but `trusted`.
+    conjuncts: &'p [(usize, &'p Expr)],
+    /// The conjunct an OID probe was planned from, which the row it finds
+    /// satisfies.
+    trusted: Option<&'p Expr>,
     access: Access<'p>,
     /// A table's or view's rows, read on the position's first visit.
-    source: Option<Source<'a>>,
+    source: Option<Source<'a, 'p>>,
     todo: Candidates<'a>,
 }
 
@@ -350,20 +408,94 @@ enum Access<'p> {
     /// The elements of `TABLE(expr)`, with the shapes of their frames: one
     /// per object type met (a collection's elements share one) and one for
     /// scalar elements.
-    Lateral { expr: &'p Expr, object: Option<Shape>, scalar: Option<Shape> },
+    Lateral { expr: &'p Expr, object: Option<Shape<'p>>, scalar: Option<Shape<'p>> },
 }
 
-/// What all frames of one table, view or element type share.
-struct Shape {
+/// What all frames of one table, view or element type share — and how the
+/// position's conjuncts run on them: the leading ones as `filters` on the
+/// candidate's stored block, those from `rest` on, in WHERE order, on the
+/// filled combination.
+struct Shape<'p> {
     columns: Arc<[Ident]>,
     object_type: Option<Ident>,
+    filters: Vec<Filter<'p>>,
+    rest: usize,
+}
+
+/// A conjunct `binding.column op literal` (either way round, `op` a
+/// comparison), compiled against a shape: the column's index in the block.
+struct Filter<'p> {
+    column: usize,
+    op: BinOp,
+    literal: &'p Value,
+    literal_first: bool,
+}
+
+impl<'p> Filter<'p> {
+    /// `conjunct` as a filter on blocks of `columns` bound as `binding`, if
+    /// it is one and the shape has its column.
+    fn compile(conjunct: &'p Expr, binding: &Ident, columns: &[Ident]) -> Option<Filter<'p>> {
+        let Expr::Binary { op, lhs, rhs } = conjunct else { return None };
+        if !matches!(op, BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge) {
+            return None;
+        }
+        let column = |side: &Expr| match side {
+            Expr::Path(parts) => match parts.as_slice() {
+                [head, column] if head == binding => columns.iter().position(|c| c == column),
+                _ => None,
+            },
+            _ => None,
+        };
+        let (column, literal, literal_first) = match (&**lhs, &**rhs) {
+            (side, Expr::Literal(literal)) => (column(side)?, literal, false),
+            (Expr::Literal(literal), side) => (column(side)?, literal, true),
+            _ => return None,
+        };
+        Some(Filter { column, op: *op, literal, literal_first })
+    }
+}
+
+impl<'p> Shape<'p> {
+    /// The shape of frames with `columns` bound as `binding`, running
+    /// `conjuncts` (less `trusted`). The leading conjuncts that are filters
+    /// move onto the block, up to the first that is not: a filter can
+    /// neither fail nor move a counter, so the candidates rejected, the
+    /// errors raised and the counters moved are those of testing the
+    /// conjuncts in WHERE order. A filter on a column the shape lacks stays
+    /// a conjunct, and fails as it did.
+    fn new(
+        columns: Arc<[Ident]>,
+        object_type: Option<Ident>,
+        binding: &Ident,
+        conjuncts: &'p [(usize, &'p Expr)],
+        trusted: Option<&Expr>,
+    ) -> Shape<'p> {
+        let (mut filters, mut rest) = (Vec::new(), 0);
+        for &(_, conjunct) in conjuncts {
+            if !is(trusted, conjunct) {
+                let Some(filter) = Filter::compile(conjunct, binding, &columns) else { break };
+                filters.push(filter);
+            }
+            rest += 1;
+        }
+        Shape { columns, object_type, filters, rest }
+    }
+
+    /// Does `block` pass every filter — TRUE, as `eval_bool` decides?
+    fn admits(&self, block: &[Value]) -> bool {
+        self.filters.iter().all(|f| {
+            let value = &block[f.column];
+            let (l, r) = if f.literal_first { (f.literal, value) } else { (value, f.literal) };
+            compare(f.op, l, r) == Some(true)
+        })
+    }
 }
 
 /// A table's heap (borrowed) or a view's result rows (owned), and the
 /// shape of their frames.
-struct Source<'a> {
+struct Source<'a, 'p> {
     rows: Cow<'a, [Row]>,
-    shape: Shape,
+    shape: Shape<'p>,
 }
 
 /// The candidates a position has left under the current prefix.
@@ -444,7 +576,12 @@ impl<'a, 'p> Position<'a, 'p> {
         pos: usize,
         orig: usize,
     ) -> Position<'a, 'p> {
-        let applicable = plan.applicable(pos);
+        let conjuncts = plan.applicable(pos);
+        let binding = &plan.bindings[pos];
+        // The conjunct an OID probe was found by holds for the row it finds:
+        // that row's OID is the key's. It is not run again when the key is
+        // a literal or reads a column, so that skipping it skips no counter.
+        let mut trusted = None;
         let (name, access) = match (&stmt.from[orig], &plan.paths[pos].0) {
             (FromItem::CollectionTable { expr, .. }, _) => {
                 (None, Access::Lateral { expr, object: None, scalar: None })
@@ -452,12 +589,20 @@ impl<'a, 'p> Position<'a, 'p> {
             (FromItem::Table { name, .. }, path) => {
                 let hash = |probe, build| Access::Hash { probe, build, table: HashBuild::default() };
                 let access = match path {
-                    AccessPath::OidProbe { key } => Access::Oid { key },
+                    AccessPath::OidProbe { key, conjunct } => {
+                        let plain = match key {
+                            Expr::Literal(_) => true,
+                            Expr::Path(parts) => parts.len() <= 2,
+                            _ => false,
+                        };
+                        trusted = plain.then_some(*conjunct);
+                        Access::Oid { key }
+                    }
                     AccessPath::IndexProbe { index, keys } if ctx.storage.index_is_fresh(index) => {
                         Access::Index { index, keys }
                     }
                     AccessPath::HashJoin { probe, build } => hash(*probe, *build),
-                    AccessPath::IndexProbe { .. } => applicable
+                    AccessPath::IndexProbe { .. } => conjuncts
                         .first()
                         .filter(|_| pos > 0)
                         .and_then(|(_, c)| plan_hash_join(c, &plan.bindings, pos))
@@ -468,9 +613,10 @@ impl<'a, 'p> Position<'a, 'p> {
             }
         };
         Position {
-            binding: &plan.bindings[pos],
+            binding,
             name,
-            applicable,
+            conjuncts,
+            trusted,
             access,
             source: None,
             todo: Candidates::Range(0..0),
@@ -482,7 +628,7 @@ impl<'a, 'p> Position<'a, 'p> {
     fn open(
         &mut self,
         ctx: &mut ExecCtx<'a>,
-        combo: &mut Vec<Rc<Frame>>,
+        combo: &mut Vec<Frame>,
         pos: usize,
         outer: Option<&Env>,
     ) -> Result<(), DbError> {
@@ -587,7 +733,7 @@ impl<'a, 'p> Position<'a, 'p> {
         &mut self,
         ctx: &mut ExecCtx<'a>,
         name: &Ident,
-        combo: &mut Vec<Rc<Frame>>,
+        combo: &mut Vec<Frame>,
         pos: usize,
         outer: Option<&Env>,
     ) -> Result<(), DbError> {
@@ -596,74 +742,86 @@ impl<'a, 'p> Position<'a, 'p> {
             let data = storage
                 .table(name)
                 .ok_or_else(|| DbError::UnknownTable(name.as_str().to_string()))?;
-            let shape = Shape {
-                columns: catalog.column_names(table),
-                object_type: table.of_type().cloned(),
-            };
+            let columns = catalog.column_names(table);
+            let object_type = table.of_type().cloned();
+            let shape =
+                Shape::new(columns, object_type, self.binding, self.conjuncts, self.trusted);
             Source { rows: Cow::Borrowed(&data.rows), shape }
         } else if let Some(view) = catalog.get_view(name) {
             let result = execute_select(ctx, &view.query, None)?;
             let columns = result.columns.iter().map(|c| Ident::internal(c)).collect();
             let rows =
                 result.rows.into_iter().map(|values| Row { oid: None, values: Arc::new(values) });
-            Source { rows: Cow::Owned(rows.collect()), shape: Shape { columns, object_type: None } }
+            let shape = Shape::new(columns, None, self.binding, self.conjuncts, self.trusted);
+            Source { rows: Cow::Owned(rows.collect()), shape }
         } else {
             return Err(DbError::UnknownTable(name.as_str().to_string()));
         };
-        let len = source.rows.len();
-        self.source = Some(source);
+        let len = source.rows.len() as u64;
         let build = match &self.access {
             Access::Scan => {
-                ctx.stats.rows_scanned += len as u64;
-                return Ok(());
+                ctx.stats.rows_scanned += len;
+                None
             }
             Access::Index { .. } => {
                 ctx.stats.index_scans += 1;
-                return Ok(());
+                None
             }
-            Access::Oid { .. } | Access::Lateral { .. } => return Ok(()),
-            Access::Hash { build, .. } => *build,
+            Access::Oid { .. } | Access::Lateral { .. } => None,
+            Access::Hash { build, .. } => Some(*build),
         };
-        ctx.stats.rows_scanned += len as u64;
-        ctx.stats.hash_join_builds += 1;
-        let mut table = HashBuild { next: Vec::with_capacity(len), ..HashBuild::default() };
-        for row in 0..len {
-            self.place_row(combo, pos, row);
-            let env = make_env(std::slice::from_ref(&combo[pos]), outer);
-            table.push(eval_ref(ctx, &env, build)?.as_ref());
+        if let Some(build) = build {
+            ctx.stats.rows_scanned += len;
+            ctx.stats.hash_join_builds += 1;
+            let next = Vec::with_capacity(source.rows.len());
+            let mut table = HashBuild { next, ..HashBuild::default() };
+            for (slot, Row { oid, values }) in source.rows.iter().enumerate() {
+                place(combo, pos, self.binding, &source.shape, Arc::clone(values), *oid, slot);
+                let env = make_env(std::slice::from_ref(&combo[pos]), outer);
+                table.push(eval_ref(ctx, &env, build)?.as_ref());
+            }
+            if let Access::Hash { table: built, .. } = &mut self.access {
+                *built = table;
+            }
         }
-        if let Access::Hash { table: built, .. } = &mut self.access {
-            *built = table;
-        }
+        self.source = Some(source);
         Ok(())
     }
 
-    /// Put the next candidate in `combo[pos]`; false when none is left.
+    /// Put the next candidate that passes the position's conjuncts in
+    /// `combo[pos]`; false when none is left. A candidate meets the local
+    /// filters on its stored block first, and only one that passes them
+    /// has its frame filled for the rest.
     fn advance(
         &mut self,
-        ctx: &ExecCtx,
-        combo: &mut Vec<Rc<Frame>>,
+        ctx: &mut ExecCtx,
+        combo: &mut Vec<Frame>,
         pos: usize,
+        outer: Option<&Env>,
     ) -> Result<bool, DbError> {
-        let row = match (&mut self.todo, &mut self.access) {
-            (Candidates::Range(rows), _) => rows.next(),
-            (Candidates::Slots(slots), _) => slots.next().copied(),
-            (Candidates::Chain(next), Access::Hash { table, .. }) => {
-                let row = *next;
-                (row != END).then(|| {
-                    *next = table.next[row];
-                    row
-                })
-            }
-            (Candidates::Chain(_), _) => None,
-            (Candidates::Elements { elements, next }, Access::Lateral { object, scalar, .. }) => {
-                let Some(element) = elements.get(*next) else {
-                    return Ok(false);
-                };
-                *next += 1;
-                match element {
-                    Value::Obj { type_name, attrs } => {
-                        let shape = match object {
+        let (conjuncts, trusted) = (self.conjuncts, self.trusted);
+        loop {
+            let row = match (&mut self.todo, &mut self.access) {
+                (Candidates::Range(rows), _) => rows.next(),
+                (Candidates::Slots(slots), _) => slots.next().copied(),
+                (Candidates::Chain(next), Access::Hash { table, .. }) => {
+                    let row = *next;
+                    (row != END).then(|| {
+                        *next = table.next[row];
+                        row
+                    })
+                }
+                (Candidates::Chain(_), _) => None,
+                (
+                    Candidates::Elements { elements, next },
+                    Access::Lateral { object, scalar, .. },
+                ) => {
+                    let Some(element) = elements.get(*next) else {
+                        return Ok(false);
+                    };
+                    *next += 1;
+                    let shape = match element {
+                        Value::Obj { type_name, .. } => match object {
                             Some(shape) if shape.object_type.as_ref() == Some(type_name) => shape,
                             object => {
                                 let def = ctx.catalog.get_type(type_name).ok_or_else(|| {
@@ -671,48 +829,77 @@ impl<'a, 'p> Position<'a, 'p> {
                                 })?;
                                 let columns =
                                     def.object_attrs().iter().map(|(n, _)| n.clone()).collect();
-                                let object_type = Some(type_name.clone());
-                                object.insert(Shape { columns, object_type })
+                                object.insert(Shape::new(
+                                    columns,
+                                    Some(type_name.clone()),
+                                    self.binding,
+                                    self.conjuncts,
+                                    self.trusted,
+                                ))
                             }
-                        };
-                        place(combo, pos, self.binding, shape, Arc::clone(attrs), None, 0);
+                        },
+                        _ => scalar.get_or_insert_with(|| {
+                            let columns = Arc::from([Ident::internal("COLUMN_VALUE")]);
+                            Shape::new(columns, None, self.binding, self.conjuncts, self.trusted)
+                        }),
+                    };
+                    // An object element's frame holds its own `attrs`; a
+                    // scalar has no block and is wrapped in one — after its
+                    // filters, so a rejected scalar allocates nothing.
+                    let values = match element {
+                        Value::Obj { attrs, .. } if shape.admits(attrs) => Arc::clone(attrs),
+                        Value::Obj { .. } => continue,
+                        scalar if shape.admits(std::slice::from_ref(scalar)) => {
+                            Arc::new(vec![scalar.clone()])
+                        }
+                        _ => continue,
+                    };
+                    place(combo, pos, self.binding, shape, values, None, 0);
+                    if passes(ctx, &combo[..=pos], rest(conjuncts, shape, trusted), outer)? {
+                        return Ok(true);
                     }
-                    scalar_value => {
-                        let shape = scalar.get_or_insert_with(|| Shape {
-                            columns: Arc::from([Ident::internal("COLUMN_VALUE")]),
-                            object_type: None,
-                        });
-                        let values = Arc::new(vec![scalar_value.clone()]);
-                        place(combo, pos, self.binding, shape, values, None, 0);
-                    }
+                    continue;
                 }
-                return Ok(true);
+                (Candidates::Elements { .. }, _) => None,
+            };
+            let Some(row) = row else {
+                return Ok(false);
+            };
+            // invariant: a table or view position is read before any candidate.
+            let Some(Source { rows, shape }) = &self.source else {
+                unreachable!("a position's rows are read on its first visit")
+            };
+            let Row { oid, values } = &rows[row];
+            if shape.admits(values) {
+                place(combo, pos, self.binding, shape, Arc::clone(values), *oid, row);
+                if passes(ctx, &combo[..=pos], rest(conjuncts, shape, trusted), outer)? {
+                    return Ok(true);
+                }
             }
-            (Candidates::Elements { .. }, _) => None,
-        };
-        let Some(row) = row else {
-            return Ok(false);
-        };
-        self.place_row(combo, pos, row);
-        Ok(true)
-    }
-
-    /// Put row `row` of the position's table or view in `combo[pos]`.
-    fn place_row(&self, combo: &mut Vec<Rc<Frame>>, pos: usize, row: usize) {
-        // invariant: a table or view position is read before any candidate.
-        let Some(Source { rows, shape }) = &self.source else {
-            unreachable!("a position's rows are read on its first visit")
-        };
-        let Row { oid, values } = &rows[row];
-        place(combo, pos, self.binding, shape, Arc::clone(values), *oid, row);
+        }
     }
 }
 
-/// Make `combo[pos]` the frame of a row: the position's frame refilled in
-/// place when nothing else holds it — the sink did not keep it — else a
-/// new one.
+/// Is `conjunct` the `trusted` one?
+fn is(trusted: Option<&Expr>, conjunct: &Expr) -> bool {
+    trusted.is_some_and(|t| std::ptr::eq(t, conjunct))
+}
+
+/// The conjuncts a candidate that passed `shape`'s filters still has to
+/// meet, in WHERE order.
+fn rest<'p>(
+    conjuncts: &'p [(usize, &'p Expr)],
+    shape: &Shape,
+    trusted: Option<&'p Expr>,
+) -> impl Iterator<Item = &'p Expr> {
+    conjuncts[shape.rest..].iter().map(|&(_, c)| c).filter(move |&c| !is(trusted, c))
+}
+
+/// Make `combo[pos]` the frame of a row, refilling the frame already
+/// there: no sink keeps a frame, so the position's one frame is always free
+/// to take the next candidate.
 fn place(
-    combo: &mut Vec<Rc<Frame>>,
+    combo: &mut Vec<Frame>,
     pos: usize,
     binding: &Ident,
     shape: &Shape,
@@ -720,29 +907,25 @@ fn place(
     oid: Option<Oid>,
     slot: usize,
 ) {
-    if let Some(frame) = combo.get_mut(pos).and_then(Rc::get_mut) {
-        frame.values = values;
-        frame.oid = oid;
-        frame.slot = slot;
-        if !Arc::ptr_eq(&frame.columns, &shape.columns) {
-            frame.columns = Arc::clone(&shape.columns);
-        }
-        if frame.object_type != shape.object_type {
-            frame.object_type = shape.object_type.clone();
-        }
+    let Some(frame) = combo.get_mut(pos) else {
+        combo.push(Frame {
+            binding: binding.clone(),
+            columns: Arc::clone(&shape.columns),
+            values,
+            oid,
+            object_type: shape.object_type.clone(),
+            slot,
+        });
         return;
+    };
+    frame.values = values;
+    frame.oid = oid;
+    frame.slot = slot;
+    if !Arc::ptr_eq(&frame.columns, &shape.columns) {
+        frame.columns = Arc::clone(&shape.columns);
     }
-    let frame = Rc::new(Frame {
-        binding: binding.clone(),
-        columns: Arc::clone(&shape.columns),
-        values,
-        oid,
-        object_type: shape.object_type.clone(),
-        slot,
-    });
-    match combo.get_mut(pos) {
-        Some(kept) => *kept = frame,
-        None => combo.push(frame),
+    if frame.object_type != shape.object_type {
+        frame.object_type = shape.object_type.clone();
     }
 }
 
@@ -786,15 +969,16 @@ fn distinct_rows(rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
     kept
 }
 
-/// Does every one of `conjuncts` evaluate to TRUE on `combo`?
-fn passes(
+/// Does every one of `conjuncts` evaluate to TRUE on `combo`? Tested in
+/// order, stopping at the first that does not.
+fn passes<'e>(
     ctx: &mut ExecCtx,
-    combo: &[Rc<Frame>],
-    conjuncts: &[(usize, &Expr)],
+    combo: &[Frame],
+    conjuncts: impl IntoIterator<Item = &'e Expr>,
     outer: Option<&Env>,
 ) -> Result<bool, DbError> {
     let env = make_env(combo, outer);
-    for (_, conjunct) in conjuncts {
+    for conjunct in conjuncts {
         if eval_bool(ctx, &env, conjunct)? != Some(true) {
             return Ok(false);
         }
@@ -802,7 +986,7 @@ fn passes(
     Ok(true)
 }
 
-fn make_env<'a>(frames: &'a [Rc<Frame>], outer: Option<&'a Env<'a>>) -> Env<'a> {
+fn make_env<'a>(frames: &'a [Frame], outer: Option<&'a Env<'a>>) -> Env<'a> {
     match outer {
         Some(parent) => Env::with_parent(frames, parent),
         None => Env::new(frames),
@@ -839,7 +1023,7 @@ fn star_columns(ctx: &ExecCtx, stmt: &SelectStmt) -> Vec<String> {
 mod tests {
     use super::*;
     use crate::value::Oid;
-    use crate::{Database, DbMode};
+    use crate::{Database, DbError, DbMode};
     use std::time::{Duration, Instant};
 
     #[test]
@@ -1009,6 +1193,118 @@ mod tests {
         // into B, and two do not resolve at all.
         assert_eq!((delta.oid_index_hits, delta.rows_scanned, delta.join_pairs), (2, 5 + 1, 1));
         assert_eq!(delta.hash_join_builds, 0);
+    }
+
+    /// A local filter is tested on the block ahead of the frame, but never
+    /// ahead of a conjunct before it that can fail or count: conjuncts still
+    /// run in WHERE order, so `b.up.k = 1` meets the dangling REF of the
+    /// first row whichever filter follows it — and a filter written first
+    /// spares it.
+    #[test]
+    fn a_block_filter_never_runs_ahead_of_a_conjunct_that_can_fail() {
+        let mut db = Database::new(DbMode::Oracle8);
+        db.execute_script(
+            "CREATE TYPE T_N AS OBJECT (k NUMBER, up REF T_N);
+             CREATE TABLE A OF T_N;
+             CREATE TABLE B OF T_N;
+             INSERT INTO A VALUES (T_N(1, NULL));
+             INSERT INTO A VALUES (T_N(2, NULL));
+             INSERT INTO B VALUES (T_N(1, (SELECT REF(a) FROM A a WHERE a.k = 2)));
+             INSERT INTO B VALUES (T_N(5, (SELECT REF(a) FROM A a WHERE a.k = 1)));
+             DELETE FROM A WHERE k = 2;",
+        )
+        .unwrap();
+        let failing = db.query("SELECT b.k FROM B b WHERE b.up.k = 1 AND b.k = 5");
+        assert!(matches!(failing, Err(DbError::DanglingRef)), "{failing:?}");
+
+        let before = db.stats();
+        let rows = db.query("SELECT b.k FROM B b WHERE b.k = 5 AND b.up.k = 1").unwrap().rows;
+        assert_eq!(rows, vec![vec![Value::Num(5.0)]]);
+        assert_eq!(db.stats().since(&before).derefs, 1);
+    }
+
+    /// An OID probe's own conjunct is not run again when its key reads one
+    /// column; a key that navigates a REF is, so its dereference counts as
+    /// it did: once to probe and once to re-check.
+    #[test]
+    fn an_oid_probe_skips_its_conjunct_only_when_that_skips_no_counter() {
+        let mut db = Database::new(DbMode::Oracle8);
+        db.execute_script(
+            "CREATE TYPE T_N AS OBJECT (k NUMBER, up REF T_N);
+             CREATE TABLE A OF T_N;
+             CREATE TABLE B OF T_N;
+             CREATE TABLE C OF T_N;
+             INSERT INTO A VALUES (T_N(1, NULL));
+             INSERT INTO B VALUES (T_N(10, (SELECT REF(a) FROM A a WHERE a.k = 1)));
+             INSERT INTO C VALUES (T_N(20, (SELECT REF(b) FROM B b WHERE b.k = 10)));",
+        )
+        .unwrap();
+        for (sql, found, derefs, oid_hits) in [
+            ("SELECT c.k, a.k FROM C c, A a WHERE REF(a) = c.up.up", 1.0, 2, 3),
+            ("SELECT c.k, b.k FROM C c, B b WHERE REF(b) = c.up", 10.0, 0, 1),
+        ] {
+            let plan = plan_lines(&mut db, sql);
+            assert!(plan.iter().any(|l| l.contains(" — OID probe (key: c.up")), "{plan:#?}");
+            let before = db.stats();
+            let rows = db.query(sql).unwrap().rows;
+            let delta = db.stats().since(&before);
+            assert_eq!(rows, vec![vec![Value::Num(20.0), Value::Num(found)]], "{sql}");
+            assert_eq!((delta.derefs, delta.oid_index_hits), (derefs, oid_hits), "{sql}");
+        }
+    }
+
+    /// An unqualified column names the first FROM item that has it, however
+    /// the plan orders the items: seeded at `t3`, the plan runs `t3` first,
+    /// yet `ID` in the residual, the select list and ORDER BY is `t2.ID`.
+    #[test]
+    fn an_unqualified_column_binds_to_the_first_from_item_of_a_reordered_plan() {
+        let mut db = Database::new(DbMode::Oracle8);
+        db.execute_script(
+            "CREATE TYPE Type_Course AS OBJECT (ID NUMBER, Title VARCHAR(10));
+             CREATE TYPE Type_Professor AS OBJECT (ID NUMBER, PName VARCHAR(10),
+                 attrRefCourse REF Type_Course);
+             CREATE TABLE TabCourse OF Type_Course;
+             CREATE TABLE TabProfessor OF Type_Professor;
+             INSERT INTO TabCourse VALUES (Type_Course(1, 'DB'));
+             INSERT INTO TabCourse VALUES (Type_Course(2, 'CAD'));
+             INSERT INTO TabCourse VALUES (Type_Course(3, 'XML'));
+             INSERT INTO TabCourse VALUES (Type_Course(4, 'OS'));",
+        )
+        .unwrap();
+        for (id, name, course) in [
+            (40, "Jaeger", 1),
+            (30, "Jaeger", 2),
+            (20, "Jaeger", 3),
+            (10, "Other", 4),
+            (50, "Jaeger", 4),
+        ] {
+            db.execute(&format!(
+                "INSERT INTO TabProfessor VALUES (Type_Professor({id}, '{name}', \
+                 (SELECT REF(c) FROM TabCourse c WHERE c.ID = {course})))"
+            ))
+            .unwrap();
+        }
+        let from = "FROM TabCourse t2, TabProfessor t3 \
+                    WHERE t3.attrRefCourse = REF(t2) AND t3.PName = 'Jaeger'";
+        let plan = plan_lines(&mut db, &format!("SELECT ID {from}"));
+        let seeded = "join order: seeded at t3 (t3, t2) — constant filter, one-row probes";
+        assert!(plan.iter().any(|l| l == seeded), "{plan:#?}");
+
+        let ids = |db: &mut Database, sql: &str| -> Vec<Value> {
+            db.query(sql).unwrap().rows.into_iter().map(|mut r| r.remove(0)).collect()
+        };
+        let unqualified = ids(&mut db, &format!("SELECT ID {from} AND ID > 1 ORDER BY ID DESC"));
+        let qualified =
+            ids(&mut db, &format!("SELECT t2.ID {from} AND t2.ID > 1 ORDER BY t2.ID DESC"));
+        let expected: Vec<Value> = [4.0, 3.0, 2.0].map(Value::Num).into();
+        assert_eq!((&unqualified, &qualified), (&expected, &expected));
+
+        // `*` lays the columns out in FROM order too.
+        let star = db.query(&format!("SELECT * {from} AND t2.ID = 4")).unwrap();
+        assert_eq!(star.rows.len(), 1);
+        let course_first =
+            [Value::Num(4.0), Value::str("OS"), Value::Num(50.0), Value::str("Jaeger")];
+        assert_eq!(star.rows[0][..4], course_first);
     }
 
     /// DISTINCT as it was: compare each row with every row kept so far.

@@ -38,13 +38,14 @@
 //! * **Pipelined FROM** — [`exec::select`] enumerates a FROM clause
 //!   depth-first on an explicit stack: each position has a cursor (scan,
 //!   hash probe, index probe, OID probe, view rows or a lateral `TABLE(…)`
-//!   expansion) and one frame, refilled in place for each candidate, and
-//!   each complete combination goes straight to the residual filter and
-//!   projection (or a `COUNT(*)` tally). Nothing is stored per
-//!   combination unless the plan was reordered, and memory is O(FROM
-//!   items) plus the hash builds, which hold row numbers — so the §4.1
-//!   query on Oracle 9, three `TABLE(…)` levels deep, allocates per result
-//!   row, not per un-nested element (`tests/unnest_alloc.rs`).
+//!   expansion) and one frame, refilled in place for a candidate that
+//!   passes its `column op literal` filters — tested on the stored block
+//!   first — and each complete combination goes straight to the residual
+//!   filter and projection (or a `COUNT(*)` tally). Nothing is stored per
+//!   combination, and memory is O(FROM items) plus the hash builds, which
+//!   hold row numbers, plus the result — so the §4.1 query allocates per
+//!   result row, not per un-nested element or scanned row, on Oracle 9
+//!   and on Oracle 8 (`tests/unnest_alloc.rs`).
 //!
 //! * **OID directory** — [`storage::Storage`] maintains a hash index
 //!   `Oid → (table, row slot)` incrementally across inserts, deletes (the
@@ -94,7 +95,7 @@
 //!   another item has a better constant-key access (a key lookup stays
 //!   first). Chosen from the catalog alone, with or without statistics;
 //!   a reordered plan returns the FROM-order nested loop's rows, in its
-//!   order, by sorting on each frame's heap slot.
+//!   order, by sorting its result rows on their FROM-order heap slots.
 //! * **Plan cache** — [`Database`] parses through a small LRU statement
 //!   cache. Non-INSERT texts hit on the verbatim string; INSERT texts hit
 //!   on a literal-normalized *shape* whose cached template is re-bound with

@@ -16,7 +16,7 @@
 #[path = "support/nested_loop.rs"]
 mod nested_loop;
 
-use xmlord_ordb::{Database, DbMode};
+use xmlord_ordb::{Database, DbError, DbMode};
 use xmlord_prng::Prng;
 
 /// VARCHAR literal: numeric strings (padded and zero-prefixed variants that
@@ -199,16 +199,28 @@ fn join_conjunct(rng: &mut Prng, x: &str, y: &str) -> String {
     }
 }
 
+/// A comparison operator.
+fn comparison(rng: &mut Prng) -> &'static str {
+    const COMPARISONS: [&str; 6] = ["=", "<>", "<", "<=", ">", ">="];
+    COMPARISONS[rng.gen_range(0..COMPARISONS.len())]
+}
+
 /// A conjunct over one binding or none: the local predicates that feed
-/// index probes and join-order estimates, and the ones that feed neither.
+/// index probes, join-order estimates and the executor's block filters
+/// (`binding.column op literal`, either way round, NULL on either side),
+/// and the ones that feed none of them.
 fn local_conjunct(rng: &mut Prng, x: &str) -> String {
-    match rng.gen_range(0u32..7) {
+    match rng.gen_range(0u32..10) {
         0 | 1 => format!("{x}.{} = {}", col(rng), any_lit(rng)),
         2 => format!("{x}.{} IS NOT NULL", col(rng)),
-        3 => format!("{x}.{} < {}", col(rng), any_lit(rng)),
-        4 => format!("{x}.{} <> {}", col(rng), any_lit(rng)),
+        3 => format!("{x}.{} {} {}", col(rng), comparison(rng), any_lit(rng)),
+        // The literal first: `'04' = a.s`, `3 > a.n`.
+        4 => format!("{} {} {x}.{}", any_lit(rng), comparison(rng), col(rng)),
+        5 if rng.gen_bool(0.5) => format!("NULL {} {x}.{}", comparison(rng), col(rng)),
+        5 => format!("{x}.{} {} NULL", col(rng), comparison(rng)),
+        6 => format!("{x}.{} <> {}", col(rng), any_lit(rng)),
         // Constant-only: TRUE, FALSE or UNKNOWN for every combination.
-        5 => format!("{} = {}", any_lit(rng), any_lit(rng)),
+        7 => format!("{} = {}", any_lit(rng), any_lit(rng)),
         _ => format!("({x}.{} = {} OR {x}.{} IS NULL)", col(rng), any_lit(rng), col(rng)),
     }
 }
@@ -216,8 +228,8 @@ fn local_conjunct(rng: &mut Prng, x: &str) -> String {
 /// Two- and three-way joins over A, B and C in a random FROM order — a
 /// chain or, for three items, a triangle — with local and constant-only
 /// conjuncts in random order, projected plainly, `DISTINCT` or as
-/// `COUNT(*)`, and sometimes ordered. Returns the SQL and its FROM bindings
-/// in FROM order.
+/// `COUNT(*)` or `*`, and sometimes ordered. Returns the SQL and its FROM
+/// bindings in FROM order.
 fn planned_query(rng: &mut Prng) -> (String, Vec<&'static str>) {
     let mut bindings = vec!["a", "b", "c"];
     shuffle(rng, &mut bindings);
@@ -241,11 +253,18 @@ fn planned_query(rng: &mut Prng) -> (String, Vec<&'static str>) {
     }
     shuffle(rng, &mut conjuncts);
 
-    let column = |rng: &mut Prng| format!("{}.{}", rng.choose(&bindings), col(rng));
-    let (head, order_by) = match rng.gen_range(0u32..5) {
+    // Now and then unqualified: every table has `s` and `n`, so the column
+    // is the first FROM item's, whatever order the plan runs the items in.
+    let column = |rng: &mut Prng| match rng.gen_range(0u32..8) {
+        0 => col(rng).to_string(),
+        _ => format!("{}.{}", rng.choose(&bindings), col(rng)),
+    };
+    let (head, order_by) = match rng.gen_range(0u32..6) {
         0 => ("COUNT(*)".to_string(), false),
-        1 => (format!("DISTINCT {}", column(rng)), rng.gen_bool(0.5)),
-        2 => (format!("DISTINCT {}, {}", column(rng), column(rng)), rng.gen_bool(0.5)),
+        // Every column, laid out in FROM order whatever the join order.
+        1 => ("*".to_string(), rng.gen_bool(0.4)),
+        2 => (format!("DISTINCT {}", column(rng)), rng.gen_bool(0.5)),
+        3 => (format!("DISTINCT {}, {}", column(rng), column(rng)), rng.gen_bool(0.5)),
         _ => {
             let items: Vec<String> = (0..rng.gen_range(1usize..4)).map(|_| column(rng)).collect();
             (items.join(", "), rng.gen_bool(0.4))
@@ -272,6 +291,7 @@ fn planned_query(rng: &mut Prng) -> (String, Vec<&'static str>) {
 fn planned_joins_agree_with_the_reference() {
     let (mut builds, mut probes, mut costed, mut cost_based, mut reordered) =
         (0u64, 0u64, 0u64, 0u64, 0u64);
+    let mut reordered_stars = 0u64;
     for mode in [DbMode::Oracle8, DbMode::Oracle9] {
         for indexed in [false, true] {
             for case in 0..300u64 {
@@ -308,6 +328,8 @@ fn planned_joins_agree_with_the_reference() {
                         if line.starts_with("join order: cost-based") {
                             cost_based += 1;
                             reordered += u64::from(line != from_order);
+                            reordered_stars +=
+                                u64::from(line != from_order && sql.starts_with("SELECT * "));
                         }
                     }
                 }
@@ -320,6 +342,7 @@ fn planned_joins_agree_with_the_reference() {
     assert!(costed > 0, "no plan was costed");
     assert!(cost_based > 0, "no EXPLAIN showed a cost-based join order");
     assert!(reordered > 0, "no plan was reordered");
+    assert!(reordered_stars > 0, "no reordered plan selected *");
 }
 
 /// Three object tables of one self-referencing type. `up` is meant to
@@ -401,15 +424,16 @@ fn object_setup(mode: DbMode, rng: &mut Prng) -> Database {
 }
 
 /// A local conjunct on one binding: a constant filter on an indexed or
-/// unindexed column (or a key), a NULL test on the REF, or a filter no
-/// index takes.
+/// unindexed column (or a key), either way round, a NULL test on the REF,
+/// or a filter no index takes.
 fn object_local(rng: &mut Prng, x: &str) -> String {
-    match rng.gen_range(0u32..6) {
+    match rng.gen_range(0u32..7) {
         0 | 1 => format!("{x}.s = {}", str_lit(rng)),
         2 => format!("{x}.k = {}", num_lit(rng)),
         3 => format!("{x}.up IS {}NULL", if rng.gen_bool(0.5) { "NOT " } else { "" }),
         4 => format!("{x}.s <> {}", str_lit(rng)),
-        _ => format!("{x}.k < {}", num_lit(rng)),
+        5 => format!("{} {} {x}.k", num_lit(rng), comparison(rng)),
+        _ => format!("{x}.k {} {}", comparison(rng), num_lit(rng)),
     }
 }
 
@@ -424,7 +448,8 @@ fn ref_join(rng: &mut Prng, child: &str, parent: &str) -> String {
 
 /// A join over the REF chain in a random FROM order: z → y → x, one link of
 /// it, or z → x (a REF that must point into X, not into the Y it usually
-/// names), with local filters, projected plainly (REFs included),
+/// names), with local filters, projected plainly (REFs included, and
+/// attributes read through a REF, which fail on a dangling one), `*`,
 /// `DISTINCT` or as `COUNT(*)`, and sometimes ordered.
 fn object_query(rng: &mut Prng) -> String {
     let (mut bindings, mut conjuncts) = match rng.gen_range(0u32..4) {
@@ -443,24 +468,35 @@ fn object_query(rng: &mut Prng) -> String {
     shuffle(rng, &mut conjuncts);
     let from: Vec<String> =
         bindings.iter().map(|b| format!("{} {b}", b.to_uppercase())).collect();
+    // An unqualified `k`, `s` or `up` is the first FROM item's, whichever
+    // item the plan was seeded at.
+    if rng.gen_bool(0.2) {
+        conjuncts.push(format!("k {} {}", comparison(rng), num_lit(rng)));
+    }
     let column = |rng: &mut Prng| {
         let b = rng.choose(&bindings);
-        match rng.gen_range(0u32..4) {
+        match rng.gen_range(0u32..6) {
             0 => format!("REF({b})"),
             1 => format!("{b}.k"),
+            2 if rng.gen_bool(0.5) => format!("{b}.up.k"),
+            5 => rng.choose(&["k", "s", "up"]).to_string(),
             _ => format!("{b}.s"),
         }
     };
-    let head = match rng.gen_range(0u32..5) {
+    let head = match rng.gen_range(0u32..6) {
         0 => "COUNT(*)".to_string(),
-        1 => format!("DISTINCT {}", column(rng)),
+        1 => "*".to_string(),
+        2 => format!("DISTINCT {}", column(rng)),
         _ => (0..rng.gen_range(1usize..4)).map(|_| column(rng)).collect::<Vec<_>>().join(", "),
     };
     let mut sql =
         format!("SELECT {head} FROM {} WHERE {}", from.join(", "), conjuncts.join(" AND "));
     if head != "COUNT(*)" && rng.gen_bool(0.3) {
-        let b = rng.choose(&bindings);
-        sql.push_str(&format!(" ORDER BY {b}.s{}", if rng.gen_bool(0.5) { " DESC" } else { "" }));
+        let key = match rng.gen_bool(0.2) {
+            true => "k".to_string(),
+            false => format!("{}.s", rng.choose(&bindings)),
+        };
+        sql.push_str(&format!(" ORDER BY {key}{}", if rng.gen_bool(0.5) { " DESC" } else { "" }));
     }
     sql
 }
@@ -471,7 +507,7 @@ fn object_query(rng: &mut Prng) -> String {
 /// unindexed columns, and with or without statistics.
 #[test]
 fn oid_probes_and_seeded_orders_agree_with_the_reference() {
-    let (mut seeded, mut oid_probes, mut oid_hits) = (0u64, 0u64, 0u64);
+    let (mut seeded, mut oid_probes, mut oid_hits, mut failed) = (0u64, 0u64, 0u64, 0u64);
     for mode in [DbMode::Oracle8, DbMode::Oracle9] {
         for case in 0..300u64 {
             let mut rng = Prng::seed_from_u64(0x01D_0000 + case);
@@ -485,9 +521,14 @@ fn oid_probes_and_seeded_orders_agree_with_the_reference() {
                 let sql = object_query(&mut rng);
                 let ctx = format!("{mode:?} case {case}: {sql}");
                 let before = db.stats();
-                let rows = db.query(&sql).unwrap_or_else(|e| panic!("{ctx}: {e}")).rows;
+                let rows = db.query(&sql).map(|result| result.rows);
                 oid_hits += db.stats().since(&before).oid_index_hits;
-                assert_eq!(rows, nested_loop::select(&db, &sql), "{ctx}");
+                // A dangling REF read in the select list fails both alike.
+                match (rows, nested_loop::try_select(&db, &sql)) {
+                    (Ok(rows), Ok(expected)) => assert_eq!(rows, expected, "{ctx}"),
+                    (Err(DbError::DanglingRef), Err(_)) => failed += 1,
+                    (rows, expected) => panic!("{ctx}: {rows:?} against {expected:?}"),
+                }
                 for row in db.query(&format!("EXPLAIN {sql}")).unwrap().rows {
                     let line = row[0].as_str().unwrap();
                     seeded += u64::from(line.trim_start().starts_with("join order: seeded at "));
@@ -499,4 +540,45 @@ fn oid_probes_and_seeded_orders_agree_with_the_reference() {
     assert!(seeded > 0, "no plan was seeded");
     assert!(oid_probes > 0, "no plan probed by OID");
     assert!(oid_hits > 0, "no OID probe found a row");
+    assert!(failed > 0, "no query read through a dangling REF");
+}
+
+/// A reordered plan whose projection fails on more than one combination:
+/// seeded at `z`'s constant filter, `y` attached by OID probe, and `y.up.k`
+/// read through REFs of which two dangle. The engine fails with the first
+/// failure it meets — in execution order, which here is not FROM order —
+/// and the reference fails too; without the failing item both agree.
+#[test]
+fn a_projection_that_fails_fails_a_reordered_plan() {
+    for mode in [DbMode::Oracle8, DbMode::Oracle9] {
+        let mut db = Database::new(mode);
+        db.execute_script(OBJECT_SCHEMA).unwrap();
+        db.execute_script(
+            "INSERT INTO X VALUES (T_N(1, 'x', NULL));
+             INSERT INTO X VALUES (T_N(2, 'x', NULL));
+             INSERT INTO X VALUES (T_N(3, 'x', NULL));
+             INSERT INTO Y VALUES (T_N(10, 'y', (SELECT REF(p) FROM X p WHERE p.k = 1)));
+             INSERT INTO Y VALUES (T_N(11, 'y', (SELECT REF(p) FROM X p WHERE p.k = 2)));
+             INSERT INTO Y VALUES (T_N(12, 'y', (SELECT REF(p) FROM X p WHERE p.k = 3)));
+             INSERT INTO Z VALUES (T_N(20, 'q', (SELECT REF(p) FROM Y p WHERE p.k = 12)));
+             INSERT INTO Z VALUES (T_N(21, 'q', (SELECT REF(p) FROM Y p WHERE p.k = 11)));
+             INSERT INTO Z VALUES (T_N(22, 'q', (SELECT REF(p) FROM Y p WHERE p.k = 10)));
+             DELETE FROM X WHERE k <> 3;",
+        )
+        .unwrap();
+        let from = "FROM Y y, Z z WHERE REF(y) = z.up AND z.s = 'q'";
+        let sql = format!("SELECT z.k, y.up.k {from}");
+        let plan = db.query(&format!("EXPLAIN {sql}")).unwrap().rows;
+        let seeded = "join order: seeded at z (z, y) — constant filter, one-row probes";
+        assert!(plan.iter().any(|r| r[0].as_str().unwrap().trim() == seeded), "{mode:?}: {plan:?}");
+
+        let failed = db.query(&sql);
+        assert!(matches!(failed, Err(DbError::DanglingRef)), "{mode:?}: {failed:?}");
+        assert!(nested_loop::try_select(&db, &sql).is_err(), "{mode:?}");
+
+        let sql = format!("SELECT z.k, y.k {from}");
+        let rows = db.query(&sql).unwrap().rows;
+        assert_eq!(rows.len(), 3, "{mode:?}");
+        assert_eq!(rows, nested_loop::select(&db, &sql), "{mode:?}");
+    }
 }

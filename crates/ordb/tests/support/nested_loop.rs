@@ -14,10 +14,13 @@
 //! its access paths is wrong.
 //!
 //! The subset: plain tables and `TABLE(binding.column)` (no views),
-//! `binding.column` paths — `COLUMN_VALUE` for a scalar element —
-//! `REF(binding)` (the row's OID), literals, comparisons, `AND` / `OR` /
-//! `NOT` and `IS [NOT] NULL`. Anything else panics rather than being guessed
-//! at.
+//! `binding.column` paths — `COLUMN_VALUE` for a scalar element — and
+//! unqualified `column`s, which name the first FROM item that has the
+//! column, `REF(binding)` (the row's OID), literals, comparisons, `AND` / `OR` /
+//! `NOT` and `IS [NOT] NULL`; in the select list and `ORDER BY` also
+//! `binding.column.attribute` through a REF column, which fails on a
+//! dangling REF — [`try_select`] then returns the error. Anything else
+//! panics rather than being guessed at.
 
 use std::cmp::Ordering;
 use std::rc::Rc;
@@ -46,7 +49,14 @@ enum Source {
 }
 
 /// The rows `sql` returns on `db`'s current state, by nested loop.
+#[allow(dead_code)] // each test file compiles this module on its own
 pub fn select(db: &Database, sql: &str) -> Vec<Vec<Value>> {
+    try_select(db, sql).unwrap_or_else(|e| panic!("the reference failed: {e}: {sql}"))
+}
+
+/// [`select`], or the error a select-list or `ORDER BY` expression raised
+/// on one of the combinations that pass the WHERE clause.
+pub fn try_select(db: &Database, sql: &str) -> Result<Vec<Vec<Value>>, String> {
     let Ok(Stmt::Select(stmt)) = parse_statement(sql) else {
         panic!("the reference evaluates one SELECT: {sql}");
     };
@@ -88,28 +98,28 @@ pub fn select(db: &Database, sql: &str) -> Vec<Vec<Value>> {
     combos.retain(|combo| {
         stmt.where_clause
             .as_ref()
-            .is_none_or(|pred| truth(&bindings, combo, pred) == Some(true))
+            .is_none_or(|pred| truth(db, &bindings, combo, pred) == Some(true))
     });
 
     if stmt.items.iter().any(|item| matches!(item.expr, Expr::CountStar)) {
-        return vec![vec![Value::Num(combos.len() as f64)]];
+        return Ok(vec![vec![Value::Num(combos.len() as f64)]]);
     }
     let projected: Vec<Vec<Value>> = combos
         .iter()
         .map(|combo| {
             if stmt.star {
-                combo.iter().flat_map(|row| row.values.iter().cloned()).collect()
+                Ok(combo.iter().flat_map(|row| row.values.iter().cloned()).collect())
             } else {
-                stmt.items.iter().map(|item| value(&bindings, combo, &item.expr)).collect()
+                stmt.items.iter().map(|item| value(db, &bindings, combo, &item.expr)).collect()
             }
         })
-        .collect();
+        .collect::<Result<_, _>>()?;
     let keys: Vec<Vec<Value>> = combos
         .iter()
         .map(|combo| {
-            stmt.order_by.iter().map(|(expr, _)| value(&bindings, combo, expr)).collect()
+            stmt.order_by.iter().map(|(expr, _)| value(db, &bindings, combo, expr)).collect()
         })
-        .collect();
+        .collect::<Result<_, _>>()?;
     // A stable sort of row positions, NULLs last (first `DESC`).
     let mut order: Vec<usize> = (0..projected.len()).collect();
     order.sort_by(|&a, &b| {
@@ -132,16 +142,19 @@ pub fn select(db: &Database, sql: &str) -> Vec<Vec<Value>> {
             result.push(row.clone());
         }
     }
-    result
+    Ok(result)
+}
+
+/// The column names of table `name`.
+fn table_columns(db: &Database, name: &Ident) -> Rc<Vec<Ident>> {
+    let catalog = db.catalog();
+    let def = catalog.get_table(name).unwrap_or_else(|| panic!("no table {name}"));
+    Rc::new(catalog.table_columns(def).iter().map(|(column, _)| column.clone()).collect())
 }
 
 /// The rows of table `name`, in heap order.
 fn table_rows(db: &Database, name: &Ident) -> Vec<Bound> {
-    let columns: Rc<Vec<Ident>> = {
-        let catalog = db.catalog();
-        let def = catalog.get_table(name).unwrap_or_else(|| panic!("no table {name}"));
-        Rc::new(catalog.table_columns(def).iter().map(|(column, _)| column.clone()).collect())
-    };
+    let columns = table_columns(db, name);
     let storage = db.storage();
     let heap = storage.table(name).map_or(&[][..], |data| &data.rows[..]);
     heap.iter()
@@ -185,19 +198,44 @@ fn column_of(row: &Bound, column: &Ident) -> usize {
 }
 
 /// The value of `expr` in one combination (a bound row per FROM item).
-fn value(bindings: &[Ident], combo: &[Bound], expr: &Expr) -> Value {
+fn value(db: &Database, bindings: &[Ident], combo: &[Bound], expr: &Expr) -> Result<Value, String> {
     match expr {
-        Expr::Literal(value) => value.clone(),
+        Expr::Literal(value) => Ok(value.clone()),
+        Expr::Path(parts) if parts.len() == 1 => {
+            let column = &parts[0];
+            let row = combo
+                .iter()
+                .find(|row| row.columns.contains(column))
+                .unwrap_or_else(|| panic!("no FROM item has a column {column}"));
+            Ok(row.values[column_of(row, column)].clone())
+        }
         Expr::Path(parts) => {
-            let [binding, column] = parts.as_slice() else {
-                panic!("the reference resolves binding.column only: {expr:?}");
+            let [binding, column, through @ ..] = parts.as_slice() else {
+                panic!("the reference resolves binding.column[.attribute] only: {expr:?}");
             };
             let row = &combo[item_of(bindings, binding)];
-            row.values[column_of(row, column)].clone()
+            let value = row.values[column_of(row, column)].clone();
+            match (through, value) {
+                ([], value) => Ok(value),
+                ([_], Value::Null) => Ok(Value::Null),
+                ([attribute], Value::Ref(oid)) => {
+                    let storage = db.storage();
+                    let (table, target) = storage.resolve_oid(oid).ok_or("dangling REF")?;
+                    let target = Bound {
+                        columns: table_columns(db, table),
+                        values: Arc::clone(&target.values),
+                        oid: target.oid,
+                    };
+                    Ok(target.values[column_of(&target, attribute)].clone())
+                }
+                (_, other) => {
+                    panic!("the reference navigates one REF step only: {expr:?} at {other:?}")
+                }
+            }
         }
         Expr::RefOf(binding) => {
             let oid = combo[item_of(bindings, binding)].oid;
-            Value::Ref(oid.unwrap_or_else(|| panic!("REF({binding}): not an object table")))
+            Ok(Value::Ref(oid.unwrap_or_else(|| panic!("REF({binding}): not an object table"))))
         }
         other => panic!("the reference does not evaluate {other:?}"),
     }
@@ -212,26 +250,30 @@ fn item_of(bindings: &[Ident], binding: &Ident) -> usize {
 }
 
 /// SQL TRUE / FALSE / UNKNOWN as `Some(true)` / `Some(false)` / `None`.
-fn truth(bindings: &[Ident], combo: &[Bound], expr: &Expr) -> Option<bool> {
+fn truth(db: &Database, bindings: &[Ident], combo: &[Bound], expr: &Expr) -> Option<bool> {
+    let value = |expr| {
+        value(db, bindings, combo, expr)
+            .unwrap_or_else(|e| panic!("the reference's WHERE clause does not fail: {e}"))
+    };
     match expr {
         Expr::Binary { op: BinOp::And, lhs, rhs } => {
-            match (truth(bindings, combo, lhs), truth(bindings, combo, rhs)) {
+            match (truth(db, bindings, combo, lhs), truth(db, bindings, combo, rhs)) {
                 (Some(false), _) | (_, Some(false)) => Some(false),
                 (Some(true), Some(true)) => Some(true),
                 _ => None,
             }
         }
         Expr::Binary { op: BinOp::Or, lhs, rhs } => {
-            match (truth(bindings, combo, lhs), truth(bindings, combo, rhs)) {
+            match (truth(db, bindings, combo, lhs), truth(db, bindings, combo, rhs)) {
                 (Some(true), _) | (_, Some(true)) => Some(true),
                 (Some(false), Some(false)) => Some(false),
                 _ => None,
             }
         }
-        Expr::Not(inner) => truth(bindings, combo, inner).map(|b| !b),
-        Expr::IsNull { expr, negated } => Some(value(bindings, combo, expr).is_null() != *negated),
+        Expr::Not(inner) => truth(db, bindings, combo, inner).map(|b| !b),
+        Expr::IsNull { expr, negated } => Some(value(expr).is_null() != *negated),
         Expr::Binary { op, lhs, rhs } => {
-            let (l, r) = (value(bindings, combo, lhs), value(bindings, combo, rhs));
+            let (l, r) = (value(lhs), value(rhs));
             match op {
                 BinOp::Eq => l.sql_eq(&r),
                 BinOp::Ne => l.sql_eq(&r).map(|b| !b),

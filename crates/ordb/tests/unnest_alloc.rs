@@ -5,14 +5,19 @@
 //! so the query allocates per result row, not per row it scans, and its
 //! transient memory is a sliver of the store. An edge-table path — one hash
 //! join per step, every build live at once — holds row numbers, not frames.
-//! Counts, not timings: the same on every machine.
+//! The Oracle 8 form of the §4.1 query — four object tables wired by
+//! back-pointing REFs, run from the constant filter upward by OID probes —
+//! is reordered, and keeps neither frames nor combinations either: a
+//! candidate is tested on its stored block, and the sink keeps each result
+//! row with its FROM-order slots. Counts, not timings: the same on every
+//! machine.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Mutex;
 
-use xmlord_ordb::{Database, DbMode, ExecStats, QueryResult};
+use xmlord_ordb::{Database, DbMode, ExecStats, QueryResult, Value};
 use xmlord_prng::Prng;
 
 /// Live bytes (every thread), their peak since the last reset, and the
@@ -216,4 +221,92 @@ fn nine_live_hash_builds_hold_row_numbers_not_frames() {
         transient <= 800 * table_rows,
         "{transient} transient bytes over nine builds of {table_rows} rows"
     );
+}
+
+/// The university of [`university`] inverted as Oracle 8 stores it: one
+/// object table per element type, each child holding a REF to its parent,
+/// found through the parent's key.
+fn inverted_university(db: &mut Database, rng: &mut Prng, doc: usize) {
+    let parent =
+        |table: &str, id: &str| format!("(SELECT REF(p) FROM {table} p WHERE p.ID = '{id}')");
+    let university = format!("U{doc}");
+    db.execute(&format!(
+        "INSERT INTO TabUniversity VALUES (Type_University('{university}', 'University {doc}'))"
+    ))
+    .unwrap();
+    for s in 0..20 {
+        let student = format!("{university}-S{s}");
+        db.execute(&format!(
+            "INSERT INTO TabStudent VALUES (Type_Student('{student}', 'Student {doc}-{s}', \
+             'Firstname', {}))",
+            parent("TabUniversity", &university)
+        ))
+        .unwrap();
+        for c in 0..rng.gen_range(1usize..4) {
+            let course = format!("{student}-C{c}");
+            db.execute(&format!(
+                "INSERT INTO TabCourse VALUES (Type_Course('{course}', \
+                 'Course {c} of a rather long title', {}))",
+                parent("TabStudent", &student)
+            ))
+            .unwrap();
+            for p in 0..rng.gen_range(1usize..3) {
+                let name = if rng.gen_bool(0.2) { "Jaeger" } else { "Kudrass" };
+                db.execute(&format!(
+                    "INSERT INTO TabProfessor VALUES (Type_Professor('{course}-P{p}', '{name}', \
+                     'Databases and more databases', {}))",
+                    parent("TabCourse", &course)
+                ))
+                .unwrap();
+            }
+        }
+    }
+}
+
+#[test]
+fn a_reordered_oracle8_join_keeps_rows_not_frames() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut db = Database::new(DbMode::Oracle8);
+    db.execute_script(
+        "CREATE TYPE Type_University AS OBJECT(ID VARCHAR(20), UName VARCHAR(40));
+         CREATE TYPE Type_Student AS OBJECT(ID VARCHAR(20), LName VARCHAR(40),
+             FName VARCHAR(40), attrRefUniversity REF Type_University);
+         CREATE TYPE Type_Course AS OBJECT(ID VARCHAR(20), Title VARCHAR(80),
+             attrRefStudent REF Type_Student);
+         CREATE TYPE Type_Professor AS OBJECT(ID VARCHAR(20), PName VARCHAR(40),
+             Subject VARCHAR(80), attrRefCourse REF Type_Course);
+         CREATE TABLE TabUniversity OF Type_University (ID PRIMARY KEY);
+         CREATE TABLE TabStudent OF Type_Student (ID PRIMARY KEY);
+         CREATE TABLE TabCourse OF Type_Course (ID PRIMARY KEY);
+         CREATE TABLE TabProfessor OF Type_Professor (ID PRIMARY KEY);",
+    )
+    .unwrap();
+    let mut rng = Prng::seed_from_u64(2002);
+    for doc in 0..40 {
+        inverted_university(&mut db, &mut rng, doc);
+    }
+    db.commit().unwrap();
+
+    let from = "FROM TabUniversity t0, TabStudent t1, TabCourse t2, TabProfessor t3 \
+                WHERE t1.attrRefUniversity = REF(t0) AND t2.attrRefStudent = REF(t1) \
+                AND t3.attrRefCourse = REF(t2) AND t3.PName = 'Jaeger'";
+    let plan = db.query(&format!("EXPLAIN SELECT t1.LName {from}")).unwrap();
+    let seeded = "join order: seeded at t3 (t3, t2, t1, t0) — constant filter, one-row probes";
+    let seeded_line = |r: &Vec<Value>| r[0].as_str().is_some_and(|l| l.trim() == seeded);
+    assert!(plan.rows.iter().any(seeded_line), "{plan:?}");
+
+    let (result, allocations, _, stats) = measure(&mut db, &format!("SELECT t1.LName {from}"));
+    let rows = result.rows.len();
+    let professors = db.row_count("TabProfessor");
+    assert!(professors > 2_000, "{professors} professors");
+    assert!(rows > 100, "{rows} rows");
+    assert_eq!(stats.oid_index_hits as usize, 3 * rows);
+    // Per result row its `Vec` and its one string; the rest is the plan, one
+    // frame per position, and the growth of the rows and their slots.
+    assert!(allocations <= 2 * rows + 64, "{allocations} allocations for {rows} result rows");
+
+    // Counting keeps nothing per row.
+    let (result, allocations, _, _) = measure(&mut db, &format!("SELECT COUNT(*) {from}"));
+    assert_eq!(result.scalar().and_then(|v| v.as_num()), Some(rows as f64));
+    assert!(allocations <= 64, "{allocations} allocations to count {rows} rows");
 }

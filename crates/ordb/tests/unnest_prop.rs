@@ -115,15 +115,21 @@ fn column(rng: &mut Prng, bindings: &[&str]) -> String {
     format!("{b}.{}", rng.choose(columns(b)))
 }
 
-/// A conjunct over one binding: the filters each level gets.
+/// A conjunct over one binding: the filters each level gets — most of them
+/// `binding.column op literal`, either way round and NULL on either side,
+/// which the executor tests on an element's block before filling its frame.
 fn local(rng: &mut Prng, b: &str) -> String {
     let col = format!("{b}.{}", rng.choose(columns(b)));
     let lit = if rng.gen_bool(0.5) { str_lit(rng) } else { num_lit(rng) };
-    match rng.gen_range(0u32..6) {
+    let op = rng.choose(&["=", "<>", "<", "<=", ">", ">="]);
+    match rng.gen_range(0u32..9) {
         0 | 1 => format!("{col} = {lit}"),
         2 => format!("{col} IS {}NULL", if rng.gen_bool(0.5) { "NOT " } else { "" }),
-        3 => format!("{col} < {lit}"),
-        4 => format!("{col} <> {lit}"),
+        3 => format!("{col} {op} {lit}"),
+        4 => format!("{lit} {op} {col}"),
+        5 if rng.gen_bool(0.5) => format!("NULL {op} {col}"),
+        5 => format!("{col} {op} NULL"),
+        6 => format!("{col} <> {lit}"),
         _ => format!("({col} = {lit} OR {col} IS NULL)"),
     }
 }

@@ -14,8 +14,9 @@
 //!   query; `EXISTS`/scalar subqueries run their query when evaluated.
 
 use crate::analyze::StmtCx;
-use crate::catalog::{Catalog, TypeDef};
+use crate::catalog::TypeDef;
 use crate::ident::Ident;
+use crate::scope::Scope;
 use crate::sql::ast::{BinOp, Expr};
 use xmlord_diag::Span;
 use crate::types::SqlType;
@@ -36,76 +37,30 @@ pub(crate) enum STy {
     Collection(Ident),
 }
 
-/// One binding visible to path resolution — the static mirror of
-/// `exec::Frame`.
-#[derive(Debug, Clone)]
-pub(crate) struct ScopeFrame {
-    pub binding: Ident,
-    /// `None` = wildcard: the column set is statically unknown (views,
-    /// collections of unknown element type). Wildcard frames suppress all
-    /// resolution claims.
-    pub columns: Option<Vec<(Ident, SqlType)>>,
-    pub object_type: Option<Ident>,
-    /// Rows carry OIDs (object tables), so `REF(alias)` works.
-    pub has_oid: bool,
+/// No FROM item anywhere in the chain — the executor's `Env::EMPTY`
+/// (INSERT VALUES position), where *any* path fails unconditionally.
+fn is_empty_chain(scope: &Scope) -> bool {
+    scope.layouts.is_empty() && scope.parent.is_none_or(is_empty_chain)
 }
 
-impl ScopeFrame {
-    pub fn wildcard(binding: Ident) -> ScopeFrame {
-        ScopeFrame { binding, columns: None, object_type: None, has_oid: true }
-    }
-}
-
-/// A lexical scope chain, innermost frames first — the static mirror of
-/// `exec::Env` (subqueries see their own FROM bindings, then the outer
-/// statement's).
-pub(crate) struct Scopes<'a> {
-    pub frames: &'a [ScopeFrame],
-    pub parent: Option<&'a Scopes<'a>>,
-}
-
-impl<'a> Scopes<'a> {
-    pub const EMPTY: Scopes<'static> = Scopes { frames: &[], parent: None };
-
-    pub fn frame(&self, name: &Ident) -> Option<&ScopeFrame> {
-        self.frames
-            .iter()
-            .find(|f| &f.binding == name)
-            .or_else(|| self.parent.and_then(|p| p.frame(name)))
-    }
-
-    pub fn frame_with_column(&self, col: &Ident) -> Option<&ScopeFrame> {
-        self.frames
-            .iter()
-            .find(|f| f.columns.as_ref().is_some_and(|cs| cs.iter().any(|(c, _)| c == col)))
-            .or_else(|| self.parent.and_then(|p| p.frame_with_column(col)))
-    }
-
-    /// Any wildcard frame anywhere in the chain? (If so, unresolved names
-    /// might still resolve at runtime — make no claims.)
-    pub fn any_wildcard(&self) -> bool {
-        self.frames.iter().any(|f| f.columns.is_none())
-            || self.parent.is_some_and(|p| p.any_wildcard())
-    }
-
-    /// No frames at all in the whole chain — the executor's `Env::EMPTY`
-    /// (INSERT VALUES position), where *any* path fails unconditionally.
-    pub fn is_empty_chain(&self) -> bool {
-        self.frames.is_empty() && self.parent.is_none_or(|p| p.is_empty_chain())
-    }
+/// Any item in the chain that cannot be read (a missing table, a view on
+/// a cycle)? It has no columns, so a name that resolves to nothing might
+/// still have been meant for it — make no claims.
+fn any_unreadable(scope: &Scope) -> bool {
+    scope.layouts.iter().any(|l| l.error.is_some()) || scope.parent.is_some_and(any_unreadable)
 }
 
 /// Analyze one expression, emitting diagnostics, and return its static type.
-pub(crate) fn analyze_expr(cx: &mut StmtCx, scopes: &Scopes, eager: bool, expr: &Expr) -> STy {
+pub(crate) fn analyze_expr(cx: &mut StmtCx, scope: &Scope, eager: bool, expr: &Expr) -> STy {
     match expr {
         Expr::Literal(v) => STy::Lit(v.clone()),
         Expr::Path(parts) => {
-            analyze_path(cx, scopes, eager, parts);
+            analyze_path(cx, scope, eager, parts);
             // Declared-typed values may still be NULL at runtime (and NULL
             // coerces to anything), so paths never support coercion claims.
             STy::Unknown
         }
-        Expr::Call { name, args } => analyze_call(cx, scopes, eager, name, args),
+        Expr::Call { name, args } => analyze_call(cx, scope, eager, name, args),
         Expr::CountStar => {
             cx.report(
                 eager,
@@ -119,26 +74,26 @@ pub(crate) fn analyze_expr(cx: &mut StmtCx, scopes: &Scopes, eager: bool, expr: 
             match op {
                 // Short-circuit: the right operand may never be evaluated.
                 BinOp::And | BinOp::Or => {
-                    analyze_expr(cx, scopes, eager, lhs);
-                    analyze_expr(cx, scopes, false, rhs);
+                    analyze_expr(cx, scope, eager, lhs);
+                    analyze_expr(cx, scope, false, rhs);
                 }
                 _ => {
-                    analyze_expr(cx, scopes, eager, lhs);
-                    analyze_expr(cx, scopes, eager, rhs);
+                    analyze_expr(cx, scope, eager, lhs);
+                    analyze_expr(cx, scope, eager, rhs);
                 }
             }
             STy::Unknown
         }
         Expr::Not(inner) => {
-            analyze_expr(cx, scopes, eager, inner);
+            analyze_expr(cx, scope, eager, inner);
             STy::Unknown
         }
         Expr::IsNull { expr, .. } => {
-            analyze_expr(cx, scopes, eager, expr);
+            analyze_expr(cx, scope, eager, expr);
             STy::Unknown
         }
         Expr::Like { expr, .. } => {
-            let sty = analyze_expr(cx, scopes, eager, expr);
+            let sty = analyze_expr(cx, scope, eager, expr);
             if matches!(sty, STy::Object(_) | STy::Collection(_)) {
                 cx.report(
                     eager,
@@ -150,8 +105,8 @@ pub(crate) fn analyze_expr(cx: &mut StmtCx, scopes: &Scopes, eager: bool, expr: 
             STy::Unknown
         }
         Expr::RefOf(alias) => {
-            if scopes.is_empty_chain() {
-                // Executor: `env.frame(alias)` fails unconditionally.
+            if is_empty_chain(scope) {
+                // Executor: the binding resolves to nothing, unconditionally.
                 cx.report(
                     eager,
                     "unknown-column",
@@ -159,14 +114,14 @@ pub(crate) fn analyze_expr(cx: &mut StmtCx, scopes: &Scopes, eager: bool, expr: 
                     cx.span,
                 );
             } else {
-                match scopes.frame(alias) {
-                    Some(f) if !f.has_oid => cx.warn(
+                match scope.binding(alias).and_then(|(depth, item)| scope.layout(depth, item)) {
+                    Some(l) if l.error.is_none() && !l.has_oid => cx.warn(
                         "ref-non-object",
                         format!("REF({alias}): '{alias}' is not a row of an object table"),
                         cx.span,
                     ),
                     Some(_) => {}
-                    None if scopes.any_wildcard() => {}
+                    None if any_unreadable(scope) => {}
                     None => cx.warn(
                         "unknown-column",
                         format!("REF({alias}): no FROM binding named '{alias}'"),
@@ -177,7 +132,7 @@ pub(crate) fn analyze_expr(cx: &mut StmtCx, scopes: &Scopes, eager: bool, expr: 
             STy::Unknown
         }
         Expr::Deref(inner) => {
-            let sty = analyze_expr(cx, scopes, eager, inner);
+            let sty = analyze_expr(cx, scope, eager, inner);
             let non_ref = match &sty {
                 STy::Lit(v) => !v.is_null(),
                 STy::Object(_) | STy::Collection(_) => true,
@@ -194,16 +149,16 @@ pub(crate) fn analyze_expr(cx: &mut StmtCx, scopes: &Scopes, eager: bool, expr: 
             STy::Unknown
         }
         Expr::Subquery(query) => {
-            crate::analyze::select::analyze_select(cx, Some(scopes), query, eager);
+            crate::analyze::select::analyze_select(cx, Some(scope), query, eager);
             STy::Unknown
         }
         Expr::KeyRef(key_ref) => {
             let query = key_ref.subquery();
-            crate::analyze::select::analyze_select(cx, Some(scopes), &query, eager);
+            crate::analyze::select::analyze_select(cx, Some(scope), &query, eager);
             STy::Unknown
         }
         Expr::Exists(query) => {
-            crate::analyze::select::analyze_select(cx, Some(scopes), query, eager);
+            crate::analyze::select::analyze_select(cx, Some(scope), query, eager);
             STy::Unknown
         }
         Expr::CastMultiset { query, target } => {
@@ -231,7 +186,7 @@ pub(crate) fn analyze_expr(cx: &mut StmtCx, scopes: &Scopes, eager: bool, expr: 
                 }
                 Some(_) => STy::Collection(target.clone()),
             };
-            crate::analyze::select::analyze_select(cx, Some(scopes), query, eager);
+            crate::analyze::select::analyze_select(cx, Some(scope), query, eager);
             result
         }
     }
@@ -242,12 +197,12 @@ pub(crate) fn analyze_expr(cx: &mut StmtCx, scopes: &Scopes, eager: bool, expr: 
 /// built-ins, otherwise an unconditional `UnknownType` error.
 fn analyze_call(
     cx: &mut StmtCx,
-    scopes: &Scopes,
+    scope: &Scope,
     eager: bool,
     name: &Ident,
     args: &[Expr],
 ) -> STy {
-    let stys: Vec<STy> = args.iter().map(|a| analyze_expr(cx, scopes, eager, a)).collect();
+    let stys: Vec<STy> = args.iter().map(|a| analyze_expr(cx, scope, eager, a)).collect();
     let span = cx.anchor_ident(name);
     if let Some(def) = cx.catalog.get_type(name) {
         let def = def.clone();
@@ -374,12 +329,13 @@ fn check_elements(
     }
 }
 
-/// Analyze a dot path for name-resolution problems. All path evaluation is
-/// per-row in the executor — except against the empty environment, where
-/// resolution fails unconditionally.
-pub(crate) fn analyze_path(cx: &mut StmtCx, scopes: &Scopes, eager: bool, parts: &[Ident]) {
+/// Analyze a dot path for name-resolution problems: what the resolver
+/// says it names, then its steps through declared types. All path
+/// evaluation is per-row in the executor — except against the empty
+/// environment, where resolution fails unconditionally.
+pub(crate) fn analyze_path(cx: &mut StmtCx, scope: &Scope, eager: bool, parts: &[Ident]) {
     let full = || parts.iter().map(|p| p.as_str()).collect::<Vec<_>>().join(".");
-    if scopes.is_empty_chain() {
+    if is_empty_chain(scope) {
         cx.report(
             eager,
             "unknown-column",
@@ -389,33 +345,26 @@ pub(crate) fn analyze_path(cx: &mut StmtCx, scopes: &Scopes, eager: bool, parts:
         return;
     }
     let span = cx.anchor_ident(&parts[0]);
-    if let Some(frame) = scopes.frame(&parts[0]) {
-        if parts.len() == 1 {
-            return;
+    if let Some(found) = scope.resolve(parts) {
+        if let Some(ty) = found.ty.filter(|_| found.column.is_some()) {
+            walk_attrs(cx, ty.clone(), found.rest, &full());
         }
-        let Some(columns) = &frame.columns else { return };
-        match columns.iter().find(|(c, _)| c == &parts[1]) {
-            None => cx.warn(
-                "unknown-column",
-                format!("'{}' has no column '{}' (in path '{}')", parts[0], parts[1], full()),
-                span,
-            ),
-            Some((_, col_type)) => {
-                walk_attrs(cx, col_type.clone(), &parts[2..], &full());
+        return;
+    }
+    match scope.binding(&parts[0]) {
+        Some((depth, item)) => {
+            if scope.layout(depth, item).is_some_and(|layout| layout.error.is_none()) {
+                cx.warn(
+                    "unknown-column",
+                    format!("'{}' has no column '{}' (in path '{}')", parts[0], parts[1], full()),
+                    span,
+                );
             }
         }
-        return;
-    }
-    // Unqualified: the first part must be a column of some frame.
-    if let Some(frame) = scopes.frame_with_column(&parts[0]) {
-        let columns = frame.columns.as_ref().expect("frame_with_column implies known columns");
-        let (_, col_type) =
-            columns.iter().find(|(c, _)| c == &parts[0]).expect("frame_with_column found it");
-        walk_attrs(cx, col_type.clone(), &parts[1..], &full());
-        return;
-    }
-    if !scopes.any_wildcard() {
-        cx.warn("unknown-column", format!("column or path '{}' does not exist", full()), span);
+        None if any_unreadable(scope) => {}
+        None => {
+            cx.warn("unknown-column", format!("column or path '{}' does not exist", full()), span)
+        }
     }
 }
 
@@ -462,37 +411,6 @@ pub(crate) fn walk_attrs(cx: &mut StmtCx, start: SqlType, parts: &[Ident], full:
             }
         }
     }
-}
-
-/// Declared leaf type of a path, if it resolves statically (no diagnostics).
-/// Used to derive the element scope of `TABLE(path)` FROM items.
-pub(crate) fn path_declared_type(
-    catalog: &Catalog,
-    scopes: &Scopes,
-    parts: &[Ident],
-) -> Option<SqlType> {
-    let (mut current, rest): (SqlType, &[Ident]) = if let Some(frame) = scopes.frame(&parts[0]) {
-        if parts.len() == 1 {
-            return frame.object_type.clone().map(SqlType::Object);
-        }
-        let columns = frame.columns.as_ref()?;
-        let (_, t) = columns.iter().find(|(c, _)| c == &parts[1])?;
-        (t.clone(), &parts[2..])
-    } else {
-        let frame = scopes.frame_with_column(&parts[0])?;
-        let columns = frame.columns.as_ref()?;
-        let (_, t) = columns.iter().find(|(c, _)| c == &parts[0])?;
-        (t.clone(), &parts[1..])
-    };
-    for part in rest {
-        let name = match &current {
-            SqlType::Object(t) | SqlType::Ref(t) => t.clone(),
-            _ => return None,
-        };
-        let TypeDef::Object { attrs, .. } = catalog.get_type(&name)? else { return None };
-        current = attrs.iter().find(|(n, _)| n == part)?.1.clone();
-    }
-    Some(current)
 }
 
 /// Would `exec::eval::coerce` *definitely* fail coercing a value of static

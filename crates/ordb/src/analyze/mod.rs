@@ -58,8 +58,9 @@ use crate::sql::parser::parse_script_spanned;
 use crate::sql::span::SpannedStmt;
 use crate::value::Value;
 
-use expr::{analyze_expr, static_coerce_error, STy, Scopes};
-use select::{analyze_select, table_scope};
+use crate::scope::{Layout, Scope};
+use expr::{analyze_expr, static_coerce_error, STy};
+use select::analyze_select;
 
 /// Per-statement analysis context: the pre-statement shadow catalog, the
 /// script source (for span anchoring) and the diagnostic sink.
@@ -276,6 +277,7 @@ fn code_for(err: &DbError) -> &'static str {
         DbError::UnknownType(_) => "unknown-type",
         DbError::UnknownTable(_) => "unknown-table",
         DbError::UnknownColumn(_) => "unknown-column",
+        DbError::ViewCycle(_) => "view-cycle",
         DbError::UnknownIndex(_) => "unknown-index",
         DbError::DuplicateName(_) => "duplicate-name",
         DbError::NestedCollectionNotSupported { .. } => "nested-collection",
@@ -336,7 +338,7 @@ fn analyze_insert(cx: &mut StmtCx, table: &Ident, columns: &Option<Vec<Ident>>, 
 
     // VALUES run against the executor's `Env::EMPTY` — every check inside
     // them is as eager as the statement.
-    let stys: Vec<STy> = values.iter().map(|v| analyze_expr(cx, &Scopes::EMPTY, true, v)).collect();
+    let stys: Vec<STy> = values.iter().map(|v| analyze_expr(cx, &Scope::EMPTY, true, v)).collect();
 
     // Object-table carve-out: `INSERT INTO T VALUES (TypeX(…))` with no
     // column list inserts the constructed object's attributes as the row.
@@ -491,10 +493,9 @@ fn analyze_update(
         cx.error("unknown-table", format!("table '{table}' does not exist"), cx.anchor_ident(table));
         return;
     };
-    let table_def = table_def.clone();
-    let table_columns = cx.catalog.table_columns(&table_def);
-    let frames = [table_scope(cx.catalog, &table_def, table.clone())];
-    let scopes = Scopes { frames: &frames, parent: None };
+    let table_columns = cx.catalog.table_columns(table_def);
+    let layouts = [Layout::table(cx.catalog, table.clone(), table_def)];
+    let scope = Scope::new(&layouts, None);
     for (path, rhs) in sets {
         match table_columns.iter().find(|(c, _)| c == &path[0]) {
             None => cx.warn(
@@ -508,10 +509,10 @@ fn analyze_update(
             }
             Some(_) => {}
         }
-        analyze_expr(cx, &scopes, false, rhs);
+        analyze_expr(cx, &scope, false, rhs);
     }
     if let Some(pred) = where_clause {
-        analyze_expr(cx, &scopes, false, pred);
+        analyze_expr(cx, &scope, false, pred);
     }
 }
 
@@ -520,11 +521,9 @@ fn analyze_delete(cx: &mut StmtCx, table: &Ident, where_clause: Option<&Expr>) {
         cx.error("unknown-table", format!("table '{table}' does not exist"), cx.anchor_ident(table));
         return;
     };
-    let table_def = table_def.clone();
-    let frames = [table_scope(cx.catalog, &table_def, table.clone())];
-    let scopes = Scopes { frames: &frames, parent: None };
+    let layouts = [Layout::table(cx.catalog, table.clone(), table_def)];
     if let Some(pred) = where_clause {
-        analyze_expr(cx, &scopes, false, pred);
+        analyze_expr(cx, &Scope::new(&layouts, None), false, pred);
     }
 }
 

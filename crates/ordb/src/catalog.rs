@@ -2,7 +2,6 @@
 //! the dependency bookkeeping behind `DROP TYPE … FORCE` (§6.2).
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use crate::error::DbError;
 use crate::ident::Ident;
@@ -135,12 +134,6 @@ impl TableDef {
         }
     }
 
-    /// Whose column list the rows are laid out by: an object table's type,
-    /// or the relational table itself (types and tables share a namespace).
-    fn layout_owner(&self) -> &Ident {
-        self.of_type().unwrap_or_else(|| self.name())
-    }
-
     /// The PRIMARY KEY / UNIQUE constraints in declaration order: each
     /// one's columns and which of the two it is.
     pub fn key_constraints(&self) -> impl Iterator<Item = (&Vec<Ident>, KeyKind)> {
@@ -246,20 +239,6 @@ enum CatalogUndo {
     SetStats { table: Ident, prev: Option<TableStats> },
 }
 
-/// The column layout of one row owner — an object type, which every object
-/// table of it lays rows out by, or a relational table. Derived state, like
-/// `key_indexes`: built when the owner enters the catalog, gone when it
-/// leaves, in no dump, snapshot, log record or undo entry.
-#[derive(Debug, Clone, Default)]
-struct Layout {
-    /// A relational table's `(name, type)` pairs, built at CREATE; empty for
-    /// an object type, which lends its attribute list instead.
-    columns: Vec<(Ident, SqlType)>,
-    /// The column names alone: the one list every frame over such a row
-    /// shares.
-    names: Arc<[Ident]>,
-}
-
 /// The complete schema catalog.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
@@ -271,8 +250,11 @@ pub struct Catalog {
     /// table's indexes, which every plan does, builds nothing. Derived
     /// state: in no dump, snapshot, log record or undo entry.
     key_indexes: BTreeMap<Ident, Vec<IndexDef>>,
-    /// [`Layout`] by owner name: every object type and relational table.
-    layouts: BTreeMap<Ident, Layout>,
+    /// Each relational table's `(name, type)` pairs, built at CREATE (an
+    /// object table lends its type's attribute list). Derived state, like
+    /// `key_indexes`: gone when the table leaves, in no dump, snapshot, log
+    /// record or undo entry.
+    columns: BTreeMap<Ident, Vec<(Ident, SqlType)>>,
     views: BTreeMap<Ident, ViewDef>,
     /// Declared (`CREATE INDEX`) definitions by index name. Excluded from
     /// [`Catalog::state_dump`]: index presence must never change what a
@@ -480,16 +462,13 @@ impl Catalog {
         }
     }
 
-    /// Enter `def` into the catalog with its [`Layout`]; returns the
-    /// definition it replaced (a forward declaration).
+    /// Enter `def` into the catalog; returns the definition it replaced (a
+    /// forward declaration).
     fn file_type(&mut self, def: TypeDef) -> Option<TypeDef> {
-        let names = def.object_attrs().iter().map(|(name, _)| name.clone()).collect();
-        self.layouts.insert(def.name().clone(), Layout { columns: Vec::new(), names });
         self.types.insert(def.name().clone(), def)
     }
 
     fn unfile_type(&mut self, name: &Ident) -> Option<TypeDef> {
-        self.layouts.remove(name);
         self.types.remove(name)
     }
 
@@ -618,10 +597,8 @@ impl Catalog {
     fn file_table(&mut self, def: TableDef) {
         let table = def.name().clone();
         if let TableDef::Relational { columns, .. } = &def {
-            let columns: Vec<(Ident, SqlType)> =
-                columns.iter().map(|c| (c.name.clone(), c.sql_type.clone())).collect();
-            let names = columns.iter().map(|(name, _)| name.clone()).collect();
-            self.layouts.insert(table.clone(), Layout { columns, names });
+            let columns = columns.iter().map(|c| (c.name.clone(), c.sql_type.clone())).collect();
+            self.columns.insert(table.clone(), columns);
         }
         let columns = self.table_columns(&def);
         let keys: Vec<IndexDef> = def
@@ -644,7 +621,7 @@ impl Catalog {
         self.key_indexes.remove(name);
         let def = self.tables.remove(name)?;
         if !def.is_object_table() {
-            self.layouts.remove(name);
+            self.columns.remove(name);
         }
         Some(def)
     }
@@ -695,18 +672,8 @@ impl Catalog {
             TableDef::Object { of_type, .. } => {
                 self.types.get(of_type).map_or(&[], TypeDef::object_attrs)
             }
-            TableDef::Relational { name, .. } => {
-                self.layouts.get(name).map_or(&[], |layout| &layout.columns)
-            }
+            TableDef::Relational { name, .. } => self.columns.get(name).map_or(&[], Vec::as_slice),
         }
-    }
-
-    /// The names of [`Catalog::table_columns`], as the handle every frame
-    /// over the table's rows shares.
-    pub fn column_names(&self, def: &TableDef) -> Arc<[Ident]> {
-        self.layouts
-            .get(def.layout_owner())
-            .map_or_else(|| Arc::from([]), |layout| Arc::clone(&layout.names))
     }
 
     // -- views ----------------------------------------------------------------
@@ -1059,7 +1026,6 @@ mod tests {
         let cols = cat.table_columns(table);
         assert_eq!(cols.len(), 2);
         assert_eq!(cols[0].0.as_str(), "a");
-        assert_eq!(&*cat.column_names(table), [id("a"), id("b")]);
     }
 
     #[test]

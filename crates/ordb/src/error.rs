@@ -21,6 +21,9 @@ pub enum DbError {
     UnknownType(String),
     UnknownTable(String),
     UnknownColumn(String),
+    /// A view whose query reads, through other views or not, the view
+    /// itself (ORA-01731).
+    ViewCycle(String),
     /// `DROP INDEX` names an index that does not exist.
     UnknownIndex(String),
     /// Name already exists.
@@ -81,6 +84,9 @@ impl fmt::Display for DbError {
             DbError::UnknownType(name) => write!(f, "type '{name}' does not exist"),
             DbError::UnknownTable(name) => write!(f, "table or view '{name}' does not exist"),
             DbError::UnknownColumn(name) => write!(f, "column or path '{name}' does not exist"),
+            DbError::ViewCycle(name) => {
+                write!(f, "view '{name}' is defined in terms of itself (ORA-01731)")
+            }
             DbError::UnknownIndex(name) => write!(f, "index '{name}' does not exist"),
             DbError::DuplicateName(name) => {
                 write!(f, "name '{name}' is already used by an existing object")

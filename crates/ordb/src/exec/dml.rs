@@ -19,6 +19,7 @@ use crate::exec::eval::{coerce, eval_bool, eval_expr, ExecCtx};
 use crate::exec::{Env, Frame};
 use crate::ident::Ident;
 use crate::mode::DbMode;
+use crate::scope::{Layout, Scope};
 use crate::sql::ast::Expr;
 use crate::stats::ExecStats;
 use crate::storage::{key_hash, Row, Storage};
@@ -119,6 +120,8 @@ pub fn execute_insert_batch(
         .get_table(table_name)
         .ok_or_else(|| DbError::UnknownTable(table_name.as_str().to_string()))?;
     let table_columns = catalog.table_columns(table);
+    // CHECK constraints see the candidate row bound as the table.
+    let layout = Layout::table(catalog, table.name().clone(), table);
 
     // Read-only phase: subqueries may scan, nothing is written.
     let mut validated: Vec<Vec<Value>> = Vec::with_capacity(rows.len());
@@ -157,8 +160,8 @@ pub fn execute_insert_batch(
             }
             enforce_constraints(
                 &mut ctx,
+                &layout,
                 table,
-                table_columns,
                 &mut keys,
                 &[],
                 &validated,
@@ -372,11 +375,12 @@ impl TableKey<'_> {
 /// key constraints in that order, then the unique indexes), so the first
 /// one violated is the one reported. `earlier` are the statement's rows
 /// already through the gate; `replaced` the stored slots it overwrites
-/// (ascending; empty for INSERT), which are no collision partners.
+/// (ascending; empty for INSERT), which are no collision partners. `layout`
+/// is the table's, bound as the table: a CHECK evaluates in its scope.
 fn enforce_constraints(
     ctx: &mut ExecCtx,
+    layout: &Layout,
     table: &TableDef,
-    table_columns: &[(Ident, SqlType)],
     keys: &mut [TableKey],
     replaced: &[usize],
     earlier: &[Vec<Value>],
@@ -386,7 +390,10 @@ fn enforce_constraints(
     for constraint in table.constraints() {
         match constraint {
             Constraint::NotNull(col) => {
-                if row_values[col_position(table_columns, col)?].is_null() {
+                let column = layout
+                    .column(col)
+                    .ok_or_else(|| DbError::UnknownColumn(col.as_str().to_string()))?;
+                if row_values[column].is_null() {
                     return Err(DbError::NotNullViolation {
                         column: format!("{}.{}", table.name().as_str(), col.as_str()),
                     });
@@ -399,16 +406,9 @@ fn enforce_constraints(
             Constraint::Check(expr) => {
                 // The candidate row is visible both under the table name and
                 // unqualified (Oracle exposes columns directly in CHECK).
-                let frame = Frame {
-                    binding: table.name().clone(),
-                    columns: ctx.catalog.column_names(table),
-                    values: Arc::new(row_values.to_vec()),
-                    oid: None,
-                    object_type: table.of_type().cloned(),
-                    slot: 0,
-                };
-                let frames = [frame];
-                let env = Env::new(&frames);
+                let frames = [Frame { values: Arc::new(row_values.to_vec()), oid: None, slot: 0 }];
+                let scope = Scope::new(std::slice::from_ref(layout), None);
+                let env = Env { scope: &scope, frames: &frames, positions: &[0], parent: None };
                 // Oracle semantics: the row is rejected only when the
                 // condition is definitely FALSE (UNKNOWN passes).
                 if eval_bool(ctx, &env, expr)? == Some(false) {
@@ -443,7 +443,10 @@ pub fn execute_update(
         .get_table(table_name)
         .ok_or_else(|| DbError::UnknownTable(table_name.as_str().to_string()))?;
     let table_columns = catalog.table_columns(table);
-    let columns = catalog.column_names(table);
+    // WHERE, the SET right-hand sides and CHECK see the row bound as the
+    // table.
+    let layouts = [Layout::table(catalog, table_name.clone(), table)];
+    let scope = Scope::new(&layouts, None);
 
     // Phase 1 (read-only): compute the new values of every affected row.
     // The table is read in place: the evaluation frame shares each row's
@@ -457,8 +460,8 @@ pub fn execute_update(
             .ok_or_else(|| DbError::UnknownTable(table_name.as_str().to_string()))?;
         let mut ctx = ExecCtx::new(catalog, storage, stats, mode);
         for (idx, row) in data.rows.iter().enumerate() {
-            let frames = [Frame::of_row(table_name, &columns, table, row, idx)];
-            let env = Env::new(&frames);
+            let frames = [Frame { values: Arc::clone(&row.values), oid: row.oid, slot: idx }];
+            let env = Env { scope: &scope, frames: &frames, positions: &[0], parent: None };
             let hit = match where_clause {
                 None => true,
                 Some(pred) => eval_bool(&mut ctx, &env, pred)? == Some(true),
@@ -485,8 +488,8 @@ pub fn execute_update(
         for (i, new_values) in new_rows.iter().enumerate() {
             enforce_constraints(
                 &mut ctx,
+                &layouts[0],
                 table,
-                table_columns,
                 &mut keys,
                 &slots,
                 &new_rows[..i],
@@ -582,7 +585,9 @@ pub fn execute_delete(
     let table = catalog
         .get_table(table_name)
         .ok_or_else(|| DbError::UnknownTable(table_name.as_str().to_string()))?;
-    let columns = catalog.column_names(table);
+    // WHERE sees the row bound as the table.
+    let layouts = [Layout::table(catalog, table_name.clone(), table)];
+    let scope = Scope::new(&layouts, None);
 
     // Decide which rows go (read-only phase), then delete by position.
     let mut doomed: Vec<usize> = Vec::new();
@@ -595,8 +600,9 @@ pub fn execute_delete(
             let keep = match where_clause {
                 None => false,
                 Some(pred) => {
-                    let frames = [Frame::of_row(table_name, &columns, table, row, idx)];
-                    let env = Env::new(&frames);
+                    let frames =
+                        [Frame { values: Arc::clone(&row.values), oid: row.oid, slot: idx }];
+                    let env = Env { scope: &scope, frames: &frames, positions: &[0], parent: None };
                     eval_bool(&mut ctx, &env, pred)? != Some(true)
                 }
             };

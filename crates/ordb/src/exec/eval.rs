@@ -7,7 +7,7 @@ use std::sync::Arc;
 use crate::catalog::{Catalog, TableDef, TypeDef};
 use crate::error::DbError;
 use crate::exec::select::select_rows;
-use crate::exec::Env;
+use crate::exec::{cell, Env};
 use crate::ident::Ident;
 use crate::mode::DbMode;
 use crate::sql::ast::{BinOp, Expr, KeyRef};
@@ -63,8 +63,10 @@ pub fn eval_expr(ctx: &mut ExecCtx, env: &Env, expr: &Expr) -> Result<Value, DbE
             Ok(bool_to_value(eval_bool(ctx, env, expr)?))
         }
         Expr::RefOf(alias) => {
-            let frame = env
-                .frame(alias)
+            let (_, frame) = env
+                .scope
+                .binding(alias)
+                .and_then(|(depth, item)| env.item(depth, item))
                 .ok_or_else(|| DbError::UnknownColumn(alias.as_str().to_string()))?;
             match frame.oid {
                 Some(oid) => Ok(Value::Ref(oid)),
@@ -369,47 +371,45 @@ pub fn deref_oid(ctx: &mut ExecCtx, oid: Oid) -> Result<Value, DbError> {
     }
 }
 
-/// Resolve a dot path against the environment. The result borrows from the
+/// The value of a dot path: what [`crate::scope::Scope::resolve`] says it
+/// names, in the environment's current rows. The result borrows from the
 /// frame's block for as long as the path stays inside objects; a whole-row
 /// reference shares the row block itself, and a step through a REF
-/// materialises (a handle when what it reaches is a composite).
+/// materialises (a handle when what it reaches is a composite). A path
+/// that names nothing, or an item not bound yet, is `UnknownColumn` — when
+/// it is evaluated, so over no rows it never fails.
 pub fn resolve_path<'e>(
     ctx: &mut ExecCtx,
-    env: &'e Env,
+    env: &Env<'e>,
     parts: &[Ident],
 ) -> Result<Cow<'e, Value>, DbError> {
-    let full = || parts.iter().map(|p| p.as_str()).collect::<Vec<_>>().join(".");
-    // Qualified: binding.column....
-    if let Some(frame) = env.frame(&parts[0]) {
-        if parts.len() == 1 {
-            return match &frame.object_type {
-                Some(type_name) => Ok(Cow::Owned(Value::Obj {
-                    type_name: type_name.clone(),
-                    attrs: Arc::clone(&frame.values),
-                })),
-                None if frame.columns.len() == 1 => Ok(Cow::Borrowed(&frame.values[0])),
-                None => Err(DbError::Execution(format!(
-                    "'{}' denotes a whole row, not a value",
-                    parts[0]
-                ))),
-            };
-        }
-        let column =
-            frame.column_value(&parts[1]).ok_or_else(|| DbError::UnknownColumn(full()))?;
-        return navigate_all(ctx, column, &parts[2..]);
-    }
-    // Unqualified: column....
-    if let Some(frame) = env.frame_with_column(&parts[0]) {
-        // invariant: frame_with_column only returns frames containing the column.
-        let column = frame.column_value(&parts[0]).unwrap();
-        return navigate_all(ctx, column, &parts[1..]);
-    }
-    Err(DbError::UnknownColumn(full()))
+    let unknown = || {
+        let full = parts.iter().map(|p| p.as_str()).collect::<Vec<_>>().join(".");
+        DbError::UnknownColumn(full)
+    };
+    let found = env.scope.resolve(parts).ok_or_else(unknown)?;
+    let (layout, frame) = env.item(found.depth, found.item).ok_or_else(unknown)?;
+    let Some(column) = found.column else {
+        return match layout.object_type {
+            // A NULL element of an object collection.
+            Some(_) if frame.values.is_empty() => Ok(Cow::Owned(Value::Null)),
+            Some(type_name) => Ok(Cow::Owned(Value::Obj {
+                type_name: type_name.clone(),
+                attrs: Arc::clone(&frame.values),
+            })),
+            None if layout.width() == 1 => Ok(Cow::Borrowed(cell(&frame.values, 0))),
+            None => Err(DbError::Execution(format!(
+                "'{}' denotes a whole row, not a value",
+                parts[0]
+            ))),
+        };
+    };
+    navigate_all(ctx, cell(&frame.values, column), found.rest)
 }
 
 /// Follow `parts` from `value`, one [`navigate`] step each. Once a step has
 /// materialised (it went through a REF), the rest walk the owned value.
-fn navigate_all<'v>(
+pub(crate) fn navigate_all<'v>(
     ctx: &mut ExecCtx,
     value: &'v Value,
     parts: &[Ident],

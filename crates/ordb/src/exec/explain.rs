@@ -17,6 +17,7 @@ use crate::exec::plan::{plan_select, AccessPath, JoinOrder, SelectPlan};
 use crate::exec::select::QueryResult;
 use crate::ident::Ident;
 use crate::mode::DbMode;
+use crate::scope::{layouts, Scope};
 use crate::sql::ast::{Expr, FromItem, SelectStmt, Stmt};
 use crate::sql::printer::print_expr;
 use crate::types::SqlType;
@@ -36,10 +37,6 @@ pub fn explain_stmt(catalog: &Catalog, mode: DbMode, stmt: &Stmt) -> Result<Quer
         rows: plan.lines.into_iter().map(|l| vec![Value::Str(l)]).collect(),
     })
 }
-
-/// A per-binding attribute scope for static path resolution; `None` when
-/// the binding's shape is not statically known (view expansions).
-type Scope = (Ident, Option<Vec<(Ident, SqlType)>>);
 
 struct Plan<'a> {
     catalog: &'a Catalog,
@@ -183,11 +180,15 @@ impl Plan<'_> {
     fn select(&mut self, ind: usize, query: &SelectStmt, depth: usize) -> Result<(), DbError> {
         self.line(ind, if query.distinct { "SELECT DISTINCT" } else { "SELECT" });
 
-        // The exact plan the executor computes: conjunct scheduling, join
-        // order and per-item access paths all come from the shared
-        // `plan_select`, so this rendering can never drift from execution.
-        let plan = plan_select(self.catalog, query);
-        let exec_order = || plan.bindings.iter().map(Ident::as_str).collect::<Vec<_>>().join(", ");
+        // The exact plan the executor computes: the layouts names resolve
+        // in, conjunct scheduling, join order and per-item access paths all
+        // come from the shared `scope::layouts` and `plan_select`, so this
+        // rendering can never drift from execution.
+        let layouts = layouts(self.catalog, query, None);
+        let scope = Scope::new(&layouts, None);
+        let plan = plan_select(self.catalog, &scope, query);
+        let binding = |pos: usize| layouts[plan.order[pos]].binding.as_str();
+        let exec_order = || (0..plan.order.len()).map(binding).collect::<Vec<_>>().join(", ");
         match plan.join_order {
             JoinOrder::FromClause => {}
             JoinOrder::CostBased => self.line(
@@ -198,14 +199,13 @@ impl Plan<'_> {
                 ind + 1,
                 format!(
                     "join order: seeded at {} ({}) — constant filter, one-row probes",
-                    plan.bindings[0],
+                    binding(0),
                     exec_order()
                 ),
             ),
         }
 
         let catalog = self.catalog;
-        let mut scopes: Vec<Scope> = Vec::new();
         for (pos, &idx) in plan.order.iter().enumerate() {
             let item = &query.from[idx];
             let applicable = plan.applicable(pos);
@@ -223,7 +223,6 @@ impl Plan<'_> {
                         self.line(ind + 1, format!("from[{idx}] {binding}: {access}{join}"));
                         self.est_note(ind + 2, &plan, pos);
                         self.filters(ind + 2, applicable);
-                        scopes.push((binding, Some(catalog.table_columns(table).to_vec())));
                     } else if let Some(view) = catalog.get_view(name) {
                         let join = self.access_note(&plan, pos, name);
                         self.line(ind + 1, format!("from[{idx}] {binding}: expand view {name}{join}"));
@@ -233,7 +232,6 @@ impl Plan<'_> {
                             self.line(ind + 2, "… (view nesting truncated)");
                         }
                         self.filters(ind + 2, applicable);
-                        scopes.push((binding, None));
                     } else {
                         return Err(DbError::UnknownTable(name.as_str().to_string()));
                     }
@@ -246,12 +244,11 @@ impl Plan<'_> {
                             print_expr(expr)
                         ),
                     );
-                    for note in self.path_notes(expr, &scopes) {
+                    // The operand sees the items before it.
+                    for note in self.path_notes(expr, &Scope::new(&layouts[..idx], None)) {
                         self.line(ind + 2, note);
                     }
                     self.filters(ind + 2, applicable);
-                    let elem_scope = self.collection_scope(&scopes, expr);
-                    scopes.push((binding, elem_scope));
                 }
             }
         }
@@ -267,7 +264,7 @@ impl Plan<'_> {
         } else {
             for item in &query.items {
                 self.line(ind + 1, format!("project {}", print_expr(&item.expr)));
-                for note in self.path_notes(&item.expr, &scopes) {
+                for note in self.path_notes(&item.expr, &scope) {
                     self.line(ind + 2, note);
                 }
             }
@@ -326,84 +323,39 @@ impl Plan<'_> {
 
     /// REF-deref / embedded-object navigation notes for every dot path
     /// inside `expr`, resolved statically against the catalog.
-    fn path_notes(&self, expr: &Expr, scopes: &[Scope]) -> Vec<String> {
+    fn path_notes(&self, expr: &Expr, scope: &Scope) -> Vec<String> {
         let mut notes = Vec::new();
         collect_note_exprs(expr, &mut |e| match e {
-            Expr::Path(parts) => {
-                let (path_notes, _) = self.walk_path(scopes, parts);
-                notes.extend(path_notes);
-            }
+            Expr::Path(parts) => self.walk_path(scope, parts, &mut notes),
             Expr::Deref(_) => notes.push("DEREF: OID-index lookup".to_string()),
             _ => {}
         });
         notes
     }
 
-    /// Walk a dot path through the scopes, describing each step that
+    /// Walk a dot path from the column it names, describing each step that
     /// crosses a REF (OID-index lookup) or an embedded object (no join).
-    /// Returns the notes and the final attribute type when resolvable.
-    fn walk_path(&self, scopes: &[Scope], parts: &[Ident]) -> (Vec<String>, Option<SqlType>) {
-        let mut notes = Vec::new();
-        let Some((_, Some(attrs))) = scopes.iter().find(|(b, _)| b == &parts[0]) else {
-            return (notes, None);
-        };
-        let mut attrs = attrs.clone();
-        let mut last_ty = None;
-        for (i, seg) in parts[1..].iter().enumerate() {
-            let Some((_, ty)) = attrs.iter().find(|(a, _)| a == seg) else {
-                return (notes, None);
-            };
-            let ty = self.catalog.resolve_sql_type(ty.clone());
-            let is_last = i + 2 == parts.len();
-            match &ty {
+    fn walk_path(&self, scope: &Scope, parts: &[Ident], notes: &mut Vec<String>) {
+        let Some(found) = scope.resolve(parts) else { return };
+        let (Some(_), Some(ty)) = (found.column, found.ty) else { return };
+        let mut step = &parts[parts.len() - found.rest.len() - 1];
+        let mut ty = self.catalog.resolve_sql_type(ty.clone());
+        for next in found.rest {
+            let target = match &ty {
                 SqlType::Ref(target) => {
-                    if !is_last {
-                        notes.push(format!("deref {seg}: REF {target} — OID-index lookup"));
-                        match self.catalog.get_type(target) {
-                            Some(def) => attrs = def.object_attrs().to_vec(),
-                            None => return (notes, None),
-                        }
-                    }
+                    notes.push(format!("deref {step}: REF {target} — OID-index lookup"));
+                    target
                 }
                 SqlType::Object(target) => {
-                    if !is_last {
-                        notes.push(format!("into {seg}: embedded {target} (no join)"));
-                        match self.catalog.get_type(target) {
-                            Some(def) => attrs = def.object_attrs().to_vec(),
-                            None => return (notes, None),
-                        }
-                    }
+                    notes.push(format!("into {step}: embedded {target} (no join)"));
+                    target
                 }
-                _ => {
-                    if !is_last {
-                        return (notes, Some(ty));
-                    }
-                }
-            }
-            last_ty = Some(ty);
-        }
-        (notes, last_ty)
-    }
-
-    /// The attribute scope a `TABLE(expr)` item exposes: the element type's
-    /// attributes for object collections, `COLUMN_VALUE` for scalars.
-    fn collection_scope(
-        &self,
-        scopes: &[Scope],
-        expr: &Expr,
-    ) -> Option<Vec<(Ident, SqlType)>> {
-        let Expr::Path(parts) = expr else { return None };
-        let (_, ty) = self.walk_path(scopes, parts);
-        let name = match ty? {
-            SqlType::Varray(n) | SqlType::NestedTable(n) => n,
-            _ => return None,
-        };
-        let elem = self.catalog.resolve_sql_type(self.catalog.get_type(&name)?.element_type()?.clone());
-        match elem {
-            SqlType::Object(obj) => {
-                self.catalog.get_type(&obj).map(|d| d.object_attrs().to_vec())
-            }
-            scalar => Some(vec![(Ident::internal("COLUMN_VALUE"), scalar)]),
+                _ => return,
+            };
+            let attrs = self.catalog.get_type(target).map_or(&[][..], |def| def.object_attrs());
+            let Some((_, next_ty)) = attrs.iter().find(|(attr, _)| attr == next) else { return };
+            step = next;
+            ty = self.catalog.resolve_sql_type(next_ty.clone());
         }
     }
 }

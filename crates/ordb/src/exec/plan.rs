@@ -2,9 +2,15 @@
 //! chosen and one access path per FROM item — from the catalog alone, so
 //! EXPLAIN ([`crate::exec::explain`]) renders exactly the plan the executor
 //! ([`crate::exec::select`]) runs, and an empty store plans like a loaded one.
+//!
+//! What a conjunct reads is what [`Scope::resolve`] says its paths name: a
+//! conjunct is scheduled at the position of the last FROM item it reads,
+//! qualified or not, and one that reads an outer query or holds a subquery
+//! is deferred to the residual.
 
 use crate::catalog::{Catalog, IndexDef, TableStats};
 use crate::ident::Ident;
+use crate::scope::Scope;
 use crate::sql::ast::{BinOp, Expr, FromItem, SelectStmt};
 use std::cmp::Reverse;
 
@@ -51,8 +57,8 @@ pub(crate) struct SelectPlan<'s> {
     /// Execution order as original FROM indices (`order[pos]` = which
     /// original item runs at position `pos`).
     pub order: Vec<usize>,
-    /// The binding of the item at each execution position.
-    pub bindings: Vec<Ident>,
+    /// The inverse of `order`: each FROM item's execution position.
+    pub positions: Vec<usize>,
     /// True when `order` differs from FROM-clause order. The executor then
     /// restores the original combination enumeration order afterwards, so
     /// results stay byte-identical to a nested loop in FROM order.
@@ -85,10 +91,14 @@ impl<'s> SelectPlan<'s> {
 
 /// Plan a SELECT from the catalog alone — no storage access, so plans are
 /// data-independent (EXPLAIN's contract) and identical between EXPLAIN and
-/// execution.
-pub(crate) fn plan_select<'s>(catalog: &Catalog, stmt: &'s SelectStmt) -> SelectPlan<'s> {
+/// execution. `scope` holds the layouts of `stmt`'s FROM items.
+pub(crate) fn plan_select<'s>(
+    catalog: &Catalog,
+    scope: &Scope,
+    stmt: &'s SelectStmt,
+) -> SelectPlan<'s> {
     let n = stmt.from.len();
-    let orig_bindings: Vec<Ident> = stmt.from.iter().map(FromItem::binding).collect();
+    let from_order: Vec<usize> = (0..n).collect();
     // The WHERE conjuncts, each with the position it is scheduled at below.
     let mut scheduled: Vec<(usize, &'s Expr)> = Vec::new();
     if let Some(pred) = &stmt.where_clause {
@@ -101,31 +111,30 @@ pub(crate) fn plan_select<'s>(catalog: &Catalog, stmt: &'s SelectStmt) -> Select
     // order comes first and needs no statistics; a seeded walk that is
     // FROM order already keeps it. Otherwise, with ANALYZE statistics for
     // every item, the cost-based greedy order.
-    let mut order: Vec<usize> = (0..n).collect();
+    let mut order = from_order.clone();
     let mut join_order = JoinOrder::FromClause;
-    if n > 1 && reorderable(catalog, stmt, &orig_bindings) {
-        match seeded_order(catalog, stmt, &orig_bindings, &scheduled) {
+    if n > 1 && reorderable(catalog, stmt, scope) {
+        match seeded_order(catalog, stmt, scope, &scheduled) {
             Some(seeded) if seeded == order => {}
             Some(seeded) => (order, join_order) = (seeded, JoinOrder::Seeded),
             None if stmt.from.iter().all(|item| analyzed(catalog, item)) => {
-                order = cost_based_order(catalog, stmt, &orig_bindings, &scheduled);
+                order = cost_based_order(catalog, stmt, scope, &scheduled);
                 join_order = JoinOrder::CostBased;
             }
             None => {}
         }
     }
-    let reordered = order.iter().enumerate().any(|(pos, &i)| pos != i);
-    let bindings = if reordered {
-        order.iter().map(|&i| orig_bindings[i].clone()).collect()
-    } else {
-        orig_bindings
-    };
+    let reordered = order != from_order;
+    let mut positions = from_order;
+    for (pos, &orig) in order.iter().enumerate() {
+        positions[orig] = pos;
+    }
 
-    // Schedule conjuncts at the earliest *execution* position where all
-    // their bindings are bound. A stable sort: one position's conjuncts
+    // Schedule conjuncts at the earliest *execution* position where every
+    // item they read is bound. A stable sort: one position's conjuncts
     // stay in WHERE order, the order they are evaluated in.
     for (pos, conjunct) in &mut scheduled {
-        *pos = conjunct_position(conjunct, &bindings);
+        *pos = conjunct_position(scope, &order, conjunct);
     }
     scheduled.sort_by_key(|(pos, _)| *pos);
 
@@ -134,10 +143,10 @@ pub(crate) fn plan_select<'s>(catalog: &Catalog, stmt: &'s SelectStmt) -> Select
         .enumerate()
         .map(|(pos, &orig)| {
             let applicable = scheduled_at(&scheduled, pos);
-            plan_item_path(catalog, &bindings, pos, &stmt.from[orig], applicable)
+            plan_item_path(catalog, scope, &order, pos, &stmt.from[orig], applicable)
         })
         .collect();
-    SelectPlan { order, bindings, reordered, join_order, scheduled, paths }
+    SelectPlan { order, positions, reordered, join_order, scheduled, paths }
 }
 
 /// The run of position-sorted `scheduled` conjuncts at position `pos`.
@@ -150,12 +159,12 @@ fn scheduled_at<'p, 's>(scheduled: &'p [(usize, &'s Expr)], pos: usize) -> &'p [
 /// Can this FROM clause be reordered? Requires cataloged plain tables with
 /// pairwise-distinct bindings (enumeration-order restoration sorts by each
 /// frame's heap slot, which only plain tables have).
-fn reorderable(catalog: &Catalog, stmt: &SelectStmt, bindings: &[Ident]) -> bool {
+fn reorderable(catalog: &Catalog, stmt: &SelectStmt, scope: &Scope) -> bool {
     let all_plain = stmt.from.iter().all(
         |item| matches!(item, FromItem::Table { name, .. } if catalog.get_table(name).is_some()),
     );
-    let distinct = bindings.iter().all(|b| bindings.iter().filter(|o| *o == b).count() == 1);
-    all_plain && distinct
+    let bindings = || scope.layouts.iter().map(|l| &l.binding);
+    all_plain && bindings().all(|b| bindings().filter(|o| *o == b).count() == 1)
 }
 
 /// Does this FROM item have ANALYZE statistics?
@@ -171,18 +180,22 @@ fn analyzed(catalog: &Catalog, item: &FromItem) -> bool {
 fn cost_based_order(
     catalog: &Catalog,
     stmt: &SelectStmt,
-    bindings: &[Ident],
+    scope: &Scope,
     conjuncts: &[(usize, &Expr)],
 ) -> Vec<usize> {
     let n = stmt.from.len();
     let est: Vec<u64> =
-        (0..n).map(|i| local_estimate(catalog, stmt, bindings, i, conjuncts)).collect();
-    // Join graph: i ~ j when some conjunct references both bindings.
+        (0..n).map(|i| local_estimate(catalog, stmt, scope, i, conjuncts)).collect();
+    // Join graph: i ~ j when some conjunct reads both items.
     let mut adjacent = vec![vec![false; n]; n];
     for (_, conjunct) in conjuncts {
-        if let Some(positions) = side_positions(conjunct, bindings) {
-            for &i in &positions {
-                for &j in &positions {
+        let mut items = Vec::new();
+        if scope.reads(conjunct, &mut |item, _| {
+            items.push(item);
+            true
+        }) {
+            for &i in &items {
+                for &j in &items {
                     adjacent[i][j] = true;
                 }
             }
@@ -232,12 +245,12 @@ enum ConstantAccess {
 fn seeded_order(
     catalog: &Catalog,
     stmt: &SelectStmt,
-    bindings: &[Ident],
+    scope: &Scope,
     conjuncts: &[(usize, &Expr)],
 ) -> Option<Vec<usize>> {
     let n = stmt.from.len();
     let ranks: Vec<ConstantAccess> =
-        (0..n).map(|i| constant_access(catalog, stmt, bindings, i, conjuncts)).collect();
+        (0..n).map(|i| constant_access(catalog, stmt, scope, i, conjuncts)).collect();
     let best = *ranks.iter().min()?;
     if best == ConstantAccess::None {
         return None;
@@ -246,7 +259,7 @@ fn seeded_order(
         let mut order = vec![seed];
         while order.len() < n {
             let next = (0..n).find(|&i| {
-                !order.contains(&i) && one_row_probe(catalog, stmt, bindings, &order, i, conjuncts)
+                !order.contains(&i) && one_row_probe(catalog, stmt, scope, &order, i, conjuncts)
             })?;
             order.push(next);
         }
@@ -258,7 +271,7 @@ fn seeded_order(
 fn constant_access(
     catalog: &Catalog,
     stmt: &SelectStmt,
-    bindings: &[Ident],
+    scope: &Scope,
     item: usize,
     conjuncts: &[(usize, &Expr)],
 ) -> ConstantAccess {
@@ -266,7 +279,7 @@ fn constant_access(
         return ConstantAccess::None;
     };
     let keyed: Vec<&Ident> =
-        conjuncts.iter().filter_map(|(_, c)| constant_key(c, bindings, item)).collect();
+        conjuncts.iter().filter_map(|(_, c)| constant_key(scope, item, c)).collect();
     if keyed.is_empty() {
         return ConstantAccess::None;
     }
@@ -284,19 +297,22 @@ fn constant_access(
 fn one_row_probe(
     catalog: &Catalog,
     stmt: &SelectStmt,
-    bindings: &[Ident],
+    scope: &Scope,
     placed: &[usize],
     item: usize,
     conjuncts: &[(usize, &Expr)],
 ) -> bool {
-    let trial: Vec<Ident> = placed.iter().chain([&item]).map(|&i| bindings[i].clone()).collect();
+    let trial: Vec<usize> = placed.iter().copied().chain([item]).collect();
     let pos = placed.len();
-    let applicable: Vec<(usize, &Expr)> =
-        conjuncts.iter().filter(|(_, c)| conjunct_position(c, &trial) == pos).copied().collect();
+    let applicable: Vec<(usize, &Expr)> = conjuncts
+        .iter()
+        .filter(|(_, c)| conjunct_position(scope, &trial, c) == pos)
+        .copied()
+        .collect();
     let FromItem::Table { name, .. } = &stmt.from[item] else {
         return false;
     };
-    match plan_item_path(catalog, &trial, pos, &stmt.from[item], &applicable).0 {
+    match plan_item_path(catalog, scope, &trial, pos, &stmt.from[item], &applicable).0 {
         AccessPath::OidProbe { .. } => true,
         AccessPath::IndexProbe { index, .. } => {
             catalog.indexes_on(name).any(|idx| idx.name == index && idx.unique)
@@ -311,7 +327,7 @@ fn one_row_probe(
 fn local_estimate(
     catalog: &Catalog,
     stmt: &SelectStmt,
-    bindings: &[Ident],
+    scope: &Scope,
     item: usize,
     conjuncts: &[(usize, &Expr)],
 ) -> u64 {
@@ -323,7 +339,7 @@ fn local_estimate(
     };
     let mut est = stats.rows;
     for (_, conjunct) in conjuncts {
-        let Some(col) = constant_key(conjunct, bindings, item) else {
+        let Some(col) = constant_key(scope, item, conjunct) else {
             continue;
         };
         let unique = catalog
@@ -335,51 +351,64 @@ fn local_estimate(
     est
 }
 
-/// If `conjunct` is `binding.col = expr` (or mirrored) where `binding` is
-/// the FROM item at `item_idx` and `expr` references only earlier items or
-/// constants, return the column and the probe-side expression.
+/// If `conjunct` is `column = expr` (or mirrored), where `column` names a
+/// column of the FROM item at execution position `pos` with no further
+/// step and `expr` reads only earlier positions or constants, return the
+/// column and `expr`: a key of that item.
 fn equality_key<'a>(
+    scope: &Scope,
+    order: &[usize],
+    pos: usize,
     conjunct: &'a Expr,
-    bindings: &[Ident],
-    item_idx: usize,
 ) -> Option<(&'a Ident, &'a Expr)> {
     let Expr::Binary { op: BinOp::Eq, lhs, rhs } = conjunct else {
         return None;
     };
     let as_key = |side: &'a Expr, other: &'a Expr| -> Option<(&'a Ident, &'a Expr)> {
-        let Expr::Path(parts) = side else { return None };
-        let [binding, col] = parts.as_slice() else { return None };
-        if binding != &bindings[item_idx] {
-            return None;
-        }
-        let other_pos = side_positions(other, bindings)?;
-        if other_pos.iter().all(|&p| p < item_idx) {
-            Some((col, other))
-        } else {
-            None
-        }
+        let (_, column) = own_column(scope, order[pos], side)?;
+        reads_before(scope, order, pos, other).then_some((column, other))
     };
     as_key(lhs, rhs).or_else(|| as_key(rhs, lhs))
 }
 
-/// The column of `conjunct` when it is `binding.col = constant` (no FROM
-/// reference on the other side) for the FROM item at `item_idx`.
-fn constant_key<'a>(conjunct: &'a Expr, bindings: &[Ident], item_idx: usize) -> Option<&'a Ident> {
-    let (col, other) = equality_key(conjunct, bindings, item_idx)?;
-    side_positions(other, bindings)?.is_empty().then_some(col)
+/// The column `side` names, as its index and name, when it is a path to a
+/// column of the FROM item `item` with no further step: the conjunct sides
+/// a key or a block filter is made of.
+pub(crate) fn own_column<'a>(
+    scope: &Scope,
+    item: usize,
+    side: &'a Expr,
+) -> Option<(usize, &'a Ident)> {
+    let Expr::Path(parts) = side else { return None };
+    let found = scope.resolve(parts)?;
+    let own = found.depth == 0 && found.item == item && found.rest.is_empty();
+    own.then_some((found.column?, &parts[parts.len() - 1]))
+}
+
+/// The column of `conjunct` when it is `column = constant` (no FROM
+/// reference on the other side) for the FROM item `item`.
+fn constant_key<'a>(scope: &Scope, item: usize, conjunct: &'a Expr) -> Option<&'a Ident> {
+    let Expr::Binary { op: BinOp::Eq, lhs, rhs } = conjunct else {
+        return None;
+    };
+    let as_key = |side: &'a Expr, other: &'a Expr| {
+        let (_, column) = own_column(scope, item, side)?;
+        reads_before(scope, &[], 0, other).then_some(column)
+    };
+    as_key(lhs, rhs).or_else(|| as_key(rhs, lhs))
 }
 
 /// If `conjunct` is `REF(binding) = expr` (or mirrored) where `binding` is
-/// the FROM item at `item_idx` and `expr` references only earlier items or
-/// constants, return `expr`: the key of an OID probe.
-fn oid_key<'a>(conjunct: &'a Expr, bindings: &[Ident], item_idx: usize) -> Option<&'a Expr> {
+/// the FROM item at execution position `pos` and `expr` reads only earlier
+/// positions or constants, return `expr`: the key of an OID probe.
+fn oid_key<'a>(scope: &Scope, order: &[usize], pos: usize, conjunct: &'a Expr) -> Option<&'a Expr> {
     let Expr::Binary { op: BinOp::Eq, lhs, rhs } = conjunct else {
         return None;
     };
     let as_key = |side: &'a Expr, other: &'a Expr| -> Option<&'a Expr> {
         let Expr::RefOf(binding) = side else { return None };
-        let bound = binding == &bindings[item_idx]
-            && side_positions(other, bindings)?.iter().all(|&p| p < item_idx);
+        let bound = scope.binding(binding) == Some((0, order[pos]))
+            && reads_before(scope, order, pos, other);
         bound.then_some(other)
     };
     as_key(lhs, rhs).or_else(|| as_key(rhs, lhs))
@@ -408,7 +437,8 @@ fn index_estimate(stats: &TableStats, index: &IndexDef) -> u64 {
 /// inventory, which lists key indexes before declared ones.
 fn plan_item_path<'s>(
     catalog: &Catalog,
-    bindings: &[Ident],
+    scope: &Scope,
+    order: &[usize],
     pos: usize,
     item: &FromItem,
     applicable: &[(usize, &'s Expr)],
@@ -422,7 +452,8 @@ fn plan_item_path<'s>(
         // Only the rows of an object table have OIDs.
         if def.of_type().is_some() {
             let oid_probe = applicable.iter().find_map(|&(_, conjunct)| {
-                oid_key(conjunct, bindings, pos).map(|key| AccessPath::OidProbe { key, conjunct })
+                oid_key(scope, order, pos, conjunct)
+                    .map(|key| AccessPath::OidProbe { key, conjunct })
             });
             if let Some(path) = oid_probe {
                 return (path, stats.map(|_| 1));
@@ -431,15 +462,12 @@ fn plan_item_path<'s>(
         // The probe-side expression of the first conjunct keying `column`.
         let key_of = |column: &Ident| {
             applicable.iter().find_map(|(_, c)| {
-                equality_key(c, bindings, pos).filter(|(col, _)| *col == column).map(|(_, e)| e)
+                equality_key(scope, order, pos, c).filter(|(col, _)| *col == column).map(|(_, e)| e)
             })
         };
+        // A key expression reads only earlier items; one that reads any.
         let join_keyed = |idx: &IndexDef| {
-            idx.columns.iter().any(|c| {
-                key_of(c)
-                    .and_then(|e| side_positions(e, bindings))
-                    .is_some_and(|positions| !positions.is_empty())
-            })
+            idx.columns.iter().any(|c| key_of(c).is_some_and(|e| !reads_before(scope, order, 0, e)))
         };
         let best = catalog
             .indexes_on(name)
@@ -463,7 +491,7 @@ fn plan_item_path<'s>(
     let est = stats.map(|s| s.rows);
     if pos > 0 {
         if let Some((probe, build)) =
-            applicable.first().and_then(|(_, c)| plan_hash_join(c, bindings, pos))
+            applicable.first().and_then(|(_, c)| plan_hash_join(scope, order, pos, c))
         {
             return (AccessPath::HashJoin { probe, build }, est);
         }
@@ -471,53 +499,41 @@ fn plan_item_path<'s>(
     (AccessPath::Scan, est)
 }
 
-/// If `conjunct` is an equality between an expression bound solely by the
-/// FROM item at `item_idx` and an expression bound only by earlier items
-/// (or constant), return `(probe_expr, build_expr)`: probe is evaluated
-/// against each accumulated combination, build against the new item's rows.
+/// If `conjunct` is an equality between an expression that reads only the
+/// FROM item at execution position `pos` and one that reads only earlier
+/// positions (or nothing), return `(probe_expr, build_expr)`: probe is
+/// evaluated against each accumulated combination, build against the new
+/// item's rows.
 pub(crate) fn plan_hash_join<'a>(
+    scope: &Scope,
+    order: &[usize],
+    pos: usize,
     conjunct: &'a Expr,
-    bindings: &[Ident],
-    item_idx: usize,
 ) -> Option<(&'a Expr, &'a Expr)> {
     let Expr::Binary { op: BinOp::Eq, lhs, rhs } = conjunct else {
         return None;
     };
-    let lhs_pos = side_positions(lhs, bindings)?;
-    let rhs_pos = side_positions(rhs, bindings)?;
-    let is_build = |pos: &[usize]| pos == [item_idx];
-    let is_probe = |pos: &[usize]| pos.iter().all(|&p| p < item_idx);
-    if is_build(&lhs_pos) && is_probe(&rhs_pos) {
+    // A side that reads the item at `pos` and nothing else.
+    let builds = |side: &Expr| {
+        let mut here = false;
+        scope.reads(side, &mut |item, _| {
+            here = item == order[pos];
+            here
+        }) && here
+    };
+    if builds(lhs) && reads_before(scope, order, pos, rhs) {
         Some((rhs, lhs))
-    } else if is_build(&rhs_pos) && is_probe(&lhs_pos) {
+    } else if builds(rhs) && reads_before(scope, order, pos, lhs) {
         Some((lhs, rhs))
     } else {
         None
     }
 }
 
-/// FROM positions one side of a conjunct references, or `None` when it
-/// references anything not attributable to a binding (unqualified columns,
-/// outer scopes) or contains a subquery.
-fn side_positions(expr: &Expr, bindings: &[Ident]) -> Option<Vec<usize>> {
-    if has_subquery(expr) {
-        return None;
-    }
-    let mut positions: Vec<usize> = Vec::new();
-    let mut unresolved = false;
-    visit_refs(expr, &mut |head| match bindings.iter().position(|b| b == head) {
-        Some(pos) => {
-            if !positions.contains(&pos) {
-                positions.push(pos);
-            }
-        }
-        None => unresolved = true,
-    });
-    if unresolved {
-        None
-    } else {
-        Some(positions)
-    }
+/// Does `expr` read only FROM items placed at execution positions before
+/// `pos` under `order` (nothing at all for `pos` 0)?
+fn reads_before(scope: &Scope, order: &[usize], pos: usize, expr: &Expr) -> bool {
+    scope.reads(expr, &mut |item, _| order.iter().position(|&o| o == item).is_some_and(|p| p < pos))
 }
 
 /// Flatten nested ANDs into a conjunct list, each at position 0 until
@@ -532,61 +548,22 @@ fn split_and<'s>(expr: &'s Expr, out: &mut Vec<(usize, &'s Expr)>) {
     }
 }
 
-/// Earliest FROM index after which a conjunct can be evaluated: the maximum
-/// position of any binding it references. Conjuncts referencing anything we
-/// cannot attribute to a binding (unqualified columns, subqueries, outer
-/// scopes) are deferred (`usize::MAX`).
-pub(crate) fn conjunct_position(expr: &Expr, bindings: &[Ident]) -> usize {
-    let mut max_pos = 0usize;
-    let mut deferred = false;
-    visit_refs(expr, &mut |head| {
-        match bindings.iter().position(|b| b == head) {
-            Some(pos) => max_pos = max_pos.max(pos),
-            None => deferred = true,
+/// Earliest execution position after which a conjunct can be evaluated:
+/// the last position of any item it reads. A conjunct that reads an item
+/// `order` has not placed, or anything [`Scope::reads`] refuses, is deferred
+/// (`usize::MAX`).
+fn conjunct_position(scope: &Scope, order: &[usize], expr: &Expr) -> usize {
+    let mut last = 0;
+    let placed = scope.reads(expr, &mut |item, _| match order.iter().position(|&o| o == item) {
+        Some(pos) => {
+            last = last.max(pos);
+            true
         }
+        None => false,
     });
-    if has_subquery(expr) {
-        deferred = true;
-    }
-    if deferred {
-        usize::MAX
+    if placed {
+        last
     } else {
-        max_pos
-    }
-}
-
-fn visit_refs(expr: &Expr, visit: &mut impl FnMut(&Ident)) {
-    match expr {
-        Expr::Path(parts) => {
-            if let Some(head) = parts.first() {
-                visit(head);
-            }
-        }
-        Expr::RefOf(alias) => visit(alias),
-        Expr::Call { args, .. } => {
-            for arg in args {
-                visit_refs(arg, visit);
-            }
-        }
-        Expr::Binary { lhs, rhs, .. } => {
-            visit_refs(lhs, visit);
-            visit_refs(rhs, visit);
-        }
-        Expr::Not(inner) | Expr::Deref(inner) => visit_refs(inner, visit),
-        Expr::IsNull { expr, .. } | Expr::Like { expr, .. } => visit_refs(expr, visit),
-        Expr::Literal(_) | Expr::CountStar => {}
-        // Subqueries handled by `has_subquery`.
-        Expr::Subquery(_) | Expr::KeyRef(_) | Expr::CastMultiset { .. } | Expr::Exists(_) => {}
-    }
-}
-
-fn has_subquery(expr: &Expr) -> bool {
-    match expr {
-        Expr::Subquery(_) | Expr::KeyRef(_) | Expr::CastMultiset { .. } | Expr::Exists(_) => true,
-        Expr::Call { args, .. } => args.iter().any(has_subquery),
-        Expr::Binary { lhs, rhs, .. } => has_subquery(lhs) || has_subquery(rhs),
-        Expr::Not(inner) | Expr::Deref(inner) => has_subquery(inner),
-        Expr::IsNull { expr, .. } | Expr::Like { expr, .. } => has_subquery(expr),
-        _ => false,
+        usize::MAX
     }
 }

@@ -31,58 +31,66 @@
 //! The combination is one buffer of one [`Frame`] per position, and a
 //! position refills its own frame in place: no sink keeps a frame, so
 //! nothing allocates per candidate. Before that, a candidate meets its
-//! position's *block filters*: each conjunct of the form `item.column op
-//! literal` (either side, `op` a comparison) is compiled once per frame
-//! shape into a column index and tested on the candidate's stored block
-//! with `eval::compare`, the rule `eval_bool` uses — so a rejected scan row
-//! costs one comparison, not a filled frame. Only the leading filters in
-//! WHERE order move onto the block, up to the first conjunct that is not
-//! one; a filter can neither fail nor count, so which rows are rejected,
-//! which error is raised and what every counter reads are as if the
-//! conjuncts ran in order. A filter on a column the shape lacks stays a
-//! conjunct, and fails as it did. A candidate that passes the filters
-//! has its frame filled and meets the rest of its position's conjuncts.
-//! Rows are counted where a cursor opens or reads, not where candidates
-//! are tested, so `rows_scanned` and `join_pairs` are those of the plan.
+//! position's *block filters*: each conjunct `column op literal` (either
+//! side, `op` a comparison) whose column side resolves to one of this
+//! item's columns with no further step is compiled once per position into
+//! a column index and tested on the candidate's stored block with
+//! `eval::compare`, the rule `eval_bool` uses — so a rejected scan row costs
+//! one comparison, not a filled frame. Only the leading filters in WHERE
+//! order move onto the block, up to the first conjunct that is not one; a
+//! filter can neither fail nor count, so which rows are rejected, which
+//! error is raised and what every counter reads are as if the conjuncts ran
+//! in order. A candidate that passes the filters has its frame filled and
+//! meets the rest of its position's conjuncts. Rows are counted where a
+//! cursor opens or reads, not where candidates are tested, so
+//! `rows_scanned` and `join_pairs` are those of the plan.
 //!
 //! ## Sinks
 //!
 //! Each complete combination goes, in execution order, to the residual
 //! conjuncts and then to a `COUNT(*)` tally or to projection with its
-//! ORDER BY keys: no combination and no frame is stored. A reordered plan
-//! must return what a nested loop in FROM order returns, in that order;
-//! that loop meets combinations in lexicographic order of their heap slots
-//! in FROM order, so the sink records each kept row's FROM-order slot tuple
-//! in one flat buffer, and one stable sort of a permutation — on the ORDER
-//! BY keys, then the slots — restores it. The sink evaluates a reordered
-//! plan's combination on one copy of its frames in FROM order, refilled
-//! per combination, because an unqualified column names the first FROM
-//! item that has it; `SELECT *` lays the values out from that copy too.
-//! So when several combinations of a reordered plan fail in the residual
-//! or the projection, the error raised is the first failure in execution
-//! order, where a nested loop raises the first in FROM order; failures of
-//! one kind — "scalar subquery returned 2 rows", a dangling REF — raise
-//! the same variant either way.
+//! ORDER BY keys: no combination and no frame is stored. Every expression
+//! the sink evaluates resolves its names through the scope, which maps each
+//! FROM item to its position, so an unqualified column names the first
+//! FROM item that has it in any plan, and `SELECT *` lays the items out in
+//! FROM order. A reordered plan must return what a nested loop in FROM
+//! order returns, in that order; that loop meets combinations in
+//! lexicographic order of their heap slots in FROM order, so the sink
+//! records each kept row's FROM-order slot tuple in one flat buffer, and
+//! one stable sort of a permutation — on the ORDER BY keys, then the slots
+//! — restores it. So when several combinations of a reordered plan fail in
+//! the residual or the projection, the error raised is the first failure
+//! in execution order, where a nested loop raises the first in FROM order;
+//! failures of one kind — "scalar subquery returned 2 rows", a dangling REF
+//! — raise the same variant either way. The result's column names come
+//! from the layouts ([`output_names`]), never from rows, so an empty result
+//! is named like a full one.
 //!
-//! ## What a frame holds: handles
+//! ## What a frame holds: a block, an OID and a slot
 //!
-//! A table row's frame shares the row's block. `TABLE(t.coll)` reads the
-//! collection where it is stored: the operand is borrowed from the parent
-//! frame's block ([`eval_ref`]), the cursor holds a handle on the element
-//! list, an object element's frame holds `Arc::clone` of the element's own
-//! `attrs` block — the block the heap holds (see [`crate::value`]) — and
-//! the column list of the element type is built once per FROM item, not
-//! once per element. So `TabUniversity t0, TABLE(t0.attrStudent) t1,
-//! TABLE(t1.attrCourse) t2, …` copies no stored value, however much hangs
-//! below an element. (A scalar element has no block of its own: its
-//! filters test the value itself, and one that passes is wrapped in a
-//! one-value block — the only value an expansion copies.)
+//! A frame is a handle on a block of values, the row's OID and its slot;
+//! what the values are called is the FROM item's [`Layout`], derived from
+//! the catalog once per statement. A table row's frame shares the row's
+//! block. `TABLE(t.coll)` reads the collection where it is stored: the
+//! operand is borrowed from the earlier item's frame, the
+//! cursor holds a handle on the element list, and an object element's
+//! frame holds `Arc::clone` of the element's own `attrs` block — the block
+//! the heap holds (see [`crate::value`]). So `TabUniversity t0,
+//! TABLE(t0.attrStudent) t1, TABLE(t1.attrCourse) t2, …` copies no stored
+//! value, however much hangs below an element. A scalar element has no
+//! block of its own: its filters test the value itself, and one that
+//! passes is wrapped in a one-value block — the only value an expansion
+//! copies. A NULL element of an object collection gets an empty block,
+//! which reads as NULL in every attribute and as NULL whole.
 
 use crate::error::DbError;
 use crate::exec::eval::{compare, eval_bool, eval_expr, eval_ref, ExecCtx};
-use crate::exec::plan::{plan_hash_join, plan_select, AccessPath, JoinOrder, SelectPlan};
-use crate::exec::{Env, Frame};
+use crate::exec::plan::{
+    own_column, plan_hash_join, plan_select, AccessPath, JoinOrder, SelectPlan,
+};
+use crate::exec::{cell, Env, Frame};
 use crate::ident::Ident;
+use crate::scope::{layouts, output_names, Layout, Scope};
 use crate::sql::ast::{BinOp, Expr, FromItem, SelectStmt};
 use crate::storage::{key_hash, Row};
 use crate::value::{Oid, Value};
@@ -136,10 +144,14 @@ pub(crate) fn select_rows(
     outer: Option<&Env>,
     names: Option<&mut Vec<String>>,
 ) -> Result<Vec<Vec<Value>>, DbError> {
-    // 0. Plan: split + schedule WHERE conjuncts, choose the join order and
-    //    one access path per FROM item — from the catalog alone, so the
-    //    plan is exactly what EXPLAIN predicts.
-    let plan = plan_select(ctx.catalog, stmt);
+    // 0. Names and plan: each FROM item's layout, then WHERE conjuncts
+    //    split and scheduled, the join order and one access path per FROM
+    //    item — from the catalog alone, so the plan is exactly what EXPLAIN
+    //    predicts.
+    let parent = outer.map(|env| env.scope);
+    let layouts = layouts(ctx.catalog, stmt, parent);
+    let scope = Scope::new(&layouts, parent);
+    let plan = plan_select(ctx.catalog, &scope, stmt);
     if plan.join_order == JoinOrder::CostBased
         || plan.paths.iter().any(|(p, _)| matches!(p, AccessPath::IndexProbe { .. }))
     {
@@ -158,55 +170,35 @@ pub(crate) fn select_rows(
         stmt,
         // 2. Residual WHERE conjuncts (those deferred to the end).
         residual: plan.residual(stmt.from.len()),
-        from_order: plan.reordered.then(|| {
-            let mut from_order = vec![0; plan.order.len()];
-            for (pos, &orig) in plan.order.iter().enumerate() {
-                from_order[orig] = pos;
-            }
-            from_order
-        }),
+        reordered: plan.reordered,
         count: counting.then_some(0),
         rows: Vec::new(),
         order_keys: Vec::new(),
         slots: Vec::new(),
-        star_names: None,
-        in_from_order: Vec::new(),
     };
 
     // 1. FROM: every combination, depth-first in execution order. Later
     //    items see earlier bindings (needed by TABLE(t.attr) un-nesting),
     //    and conjuncts filter as soon as their inputs are bound.
-    enumerate(ctx, stmt, &plan, outer, &mut out)?;
+    let base = Env { scope: &scope, frames: &[], positions: &plan.positions, parent: outer };
+    enumerate(ctx, stmt, &plan, base, &mut out)?;
 
-    // 3. Aggregate shortcut: COUNT(*) queries.
-    if let Some(count) = out.count {
-        if let Some(names) = names {
-            let name = stmt.items[0].alias.as_ref().map_or("COUNT(*)", Ident::as_str);
-            *names = vec![name.to_string()];
-        }
-        return Ok(vec![vec![Value::Num(count as f64)]]);
-    }
-
-    // 4. Projection happened in the sink; name the columns.
+    // 3. Name the columns, from the layouts; a COUNT(*) query is done.
     if let Some(names) = names {
-        *names = match out.star_names {
-            _ if !stmt.star => {
-                stmt.items.iter().enumerate().map(|(i, item)| item_column_name(item, i)).collect()
-            }
-            Some(star) => star,
-            // No rows: still report column names.
-            None => star_columns(ctx, stmt),
-        };
+        *names = output_names(stmt, &layouts).iter().map(|n| n.as_str().to_string()).collect();
+    }
+    if let Some(count) = out.count {
+        return Ok(vec![vec![Value::Num(count as f64)]]);
     }
     let mut rows = out.rows;
 
-    // 5. ORDER BY, and the FROM-order enumeration a reordered plan must
+    // 4. ORDER BY, and the FROM-order enumeration a reordered plan must
     //    restore: a nested loop in FROM order meets combinations in
     //    lexicographic heap-slot order, so sorting the rows by their
     //    FROM-order slot tuples makes the output byte-identical to that
     //    nested loop. One stable sort of a permutation, on the ORDER BY
     //    keys first and the slots second.
-    if out.from_order.is_some() || !stmt.order_by.is_empty() {
+    if out.reordered || !stmt.order_by.is_empty() {
         let (order_keys, slots) = (&out.order_keys, &out.slots);
         let width = stmt.from.len();
         let slots_of = |row: usize| slots.get(row * width..(row + 1) * width);
@@ -225,7 +217,7 @@ pub(crate) fn select_rows(
         rows = indexed.into_iter().map(|i| std::mem::take(&mut rows[i])).collect();
     }
 
-    // 6. DISTINCT.
+    // 5. DISTINCT.
     if stmt.distinct {
         rows = distinct_rows(rows);
     }
@@ -236,61 +228,28 @@ pub(crate) fn select_rows(
 /// Where complete combinations go, one at a time, in execution order: the
 /// residual conjuncts, then a `COUNT(*)` tally or the projected row with
 /// its ORDER BY keys — and, for a reordered plan, the row's FROM-order
-/// slot tuple, by which step 5 restores the nested loop's order. A
-/// reordered plan's combination is evaluated on one copy of its frames in
-/// FROM order, refilled per combination; no combination is kept.
+/// slot tuple, by which step 4 restores the nested loop's order. No
+/// combination is kept.
 struct Output<'p> {
     stmt: &'p SelectStmt,
     residual: &'p [(usize, &'p Expr)],
-    /// For a reordered plan, each FROM item's execution position.
-    from_order: Option<Vec<usize>>,
+    reordered: bool,
     /// The tally, for a `COUNT(*)` query.
     count: Option<u64>,
     rows: Vec<Vec<Value>>,
     order_keys: Vec<Vec<Value>>,
     /// A reordered plan's rows' heap slots in FROM order, one tuple of
-    /// `from_order.len()` per row.
+    /// `stmt.from.len()` per row.
     slots: Vec<usize>,
-    /// `SELECT *`'s column names, read off the first row's frames.
-    star_names: Option<Vec<String>>,
-    /// A reordered plan's combination, refilled in FROM order.
-    in_from_order: Vec<Frame>,
 }
 
 impl Output<'_> {
-    fn take(
-        &mut self,
-        ctx: &mut ExecCtx,
-        combo: &[Frame],
-        outer: Option<&Env>,
-    ) -> Result<(), DbError> {
+    fn take(&mut self, ctx: &mut ExecCtx, env: &Env) -> Result<(), DbError> {
         if let (Some(count), []) = (&mut self.count, self.residual) {
             *count += 1;
             return Ok(());
         }
-        // Everything the sink evaluates sees the frames in FROM order: an
-        // unqualified column names the first FROM item that has it
-        // ([`Env::frame_with_column`]), whatever order the plan ran them in.
-        let frames = match &self.from_order {
-            Some(from_order) => {
-                for (orig, &pos) in from_order.iter().enumerate() {
-                    let frame = &combo[pos];
-                    // invariant: only plain tables are reordered, and the
-                    // frames of one table differ in their row alone.
-                    match self.in_from_order.get_mut(orig) {
-                        Some(copy) => {
-                            copy.values = Arc::clone(&frame.values);
-                            copy.oid = frame.oid;
-                            copy.slot = frame.slot;
-                        }
-                        None => self.in_from_order.push(frame.clone()),
-                    }
-                }
-                &self.in_from_order[..]
-            }
-            None => combo,
-        };
-        if !passes(ctx, frames, self.residual.iter().map(|(_, c)| *c), outer)? {
+        if !passes(ctx, env, self.residual.iter().map(|(_, c)| *c))? {
             return Ok(());
         }
         if let Some(count) = &mut self.count {
@@ -298,33 +257,31 @@ impl Output<'_> {
             return Ok(());
         }
         let stmt = self.stmt;
-        let env = make_env(frames, outer);
+        // The FROM items' frames, in FROM order.
+        let frames = || env.positions.iter().map(|&pos| &env.frames[pos]);
         let row = if stmt.star {
-            if self.star_names.is_none() {
-                self.star_names = Some(
-                    frames
-                        .iter()
-                        .flat_map(|frame| frame.columns.iter().map(|c| c.as_str().to_string()))
-                        .collect(),
-                );
+            let layouts = env.scope.layouts;
+            let mut row = Vec::with_capacity(layouts.iter().map(Layout::width).sum());
+            for (layout, frame) in layouts.iter().zip(frames()) {
+                row.extend((0..layout.width()).map(|c| cell(&frame.values, c).clone()));
             }
-            frames.iter().flat_map(|frame| frame.values.iter().cloned()).collect()
+            row
         } else {
             let mut row = Vec::with_capacity(stmt.items.len());
             for item in &stmt.items {
-                row.push(eval_expr(ctx, &env, &item.expr)?);
+                row.push(eval_expr(ctx, env, &item.expr)?);
             }
             row
         };
         if !stmt.order_by.is_empty() {
             let mut keys = Vec::with_capacity(stmt.order_by.len());
             for (expr, _) in &stmt.order_by {
-                keys.push(eval_expr(ctx, &env, expr)?);
+                keys.push(eval_expr(ctx, env, expr)?);
             }
             self.order_keys.push(keys);
         }
-        if self.from_order.is_some() {
-            self.slots.extend(frames.iter().map(|frame| frame.slot));
+        if self.reordered {
+            self.slots.extend(frames().map(|frame| frame.slot));
         }
         self.rows.push(row);
         Ok(())
@@ -336,40 +293,41 @@ impl Output<'_> {
 /// the plan's positions meets them. One explicit-stack loop: `pos` is the
 /// position whose cursor moves next; an exhausted cursor hands control
 /// back to the position before it, a candidate that passes opens the
-/// cursor after it.
+/// cursor after it. `base` is the environment of no row: every
+/// combination's environment is `base` with its frames.
 fn enumerate<'a>(
     ctx: &mut ExecCtx<'a>,
     stmt: &SelectStmt,
     plan: &SelectPlan,
-    outer: Option<&Env>,
+    base: Env,
     out: &mut Output,
 ) -> Result<(), DbError> {
     let mut positions: Vec<Position> = plan
         .order
         .iter()
         .enumerate()
-        .map(|(pos, &orig)| Position::new(ctx, stmt, plan, pos, orig))
+        .map(|(pos, &orig)| Position::new(ctx, stmt, base.scope, plan, pos, orig))
         .collect();
     let Some(last) = positions.len().checked_sub(1) else {
         // No FROM item: one empty combination.
-        return out.take(ctx, &[], outer);
+        return out.take(ctx, &base);
     };
     // One frame per position reached so far; `combo[..=pos]` is the
     // combination under test.
     let mut combo: Vec<Frame> = Vec::with_capacity(positions.len());
     let mut pos = 0;
-    positions[0].open(ctx, &mut combo, 0, outer)?;
+    positions[0].open(ctx, base, &mut combo, 0)?;
     loop {
-        if !positions[pos].advance(ctx, &mut combo, pos, outer)? {
+        if !positions[pos].advance(ctx, base, &mut combo, pos)? {
             if pos == 0 {
                 return Ok(());
             }
             pos -= 1;
         } else if pos == last {
-            out.take(ctx, &combo, outer)?;
+            out.take(ctx, &Env { frames: &combo, ..base })?;
         } else {
             pos += 1;
-            positions[pos].open(ctx, &mut combo, pos, outer)?;
+            positions[pos].open(ctx, base, &mut combo, pos)?;
         }
     }
 }
@@ -378,7 +336,8 @@ fn enumerate<'a>(
 /// tests them, the rows they index, and the candidates still to try under
 /// the current prefix.
 struct Position<'a, 'p> {
-    binding: &'p Ident,
+    /// The FROM item the position runs.
+    orig: usize,
     /// The table or view the position reads (`None` for `TABLE(…)`).
     name: Option<&'p Ident>,
     /// The conjuncts scheduled here, in WHERE order, that a candidate must
@@ -387,9 +346,11 @@ struct Position<'a, 'p> {
     /// The conjunct an OID probe was planned from, which the row it finds
     /// satisfies.
     trusted: Option<&'p Expr>,
+    shape: Shape<'p>,
     access: Access<'p>,
-    /// A table's or view's rows, read on the position's first visit.
-    source: Option<Source<'a, 'p>>,
+    /// A table's heap (borrowed) or a view's result rows (owned), read on
+    /// the position's first visit.
+    source: Option<Cow<'a, [Row]>>,
     todo: Candidates<'a>,
 }
 
@@ -405,25 +366,21 @@ enum Access<'p> {
     Index { index: &'p Ident, keys: &'p [&'p Expr] },
     /// The row whose OID `key` holds, if it lives in this table.
     Oid { key: &'p Expr },
-    /// The elements of `TABLE(expr)`, with the shapes of their frames: one
-    /// per object type met (a collection's elements share one) and one for
-    /// scalar elements.
-    Lateral { expr: &'p Expr, object: Option<Shape<'p>>, scalar: Option<Shape<'p>> },
+    /// The elements of `TABLE(expr)`; `object` when the layout is an
+    /// object type's, whose elements are their own blocks.
+    Lateral { expr: &'p Expr, object: bool },
 }
 
-/// What all frames of one table, view or element type share — and how the
-/// position's conjuncts run on them: the leading ones as `filters` on the
-/// candidate's stored block, those from `rest` on, in WHERE order, on the
-/// filled combination.
+/// How the position's conjuncts run on a candidate: the leading ones as
+/// `filters` on its stored block, those from `rest` on, in WHERE order, on
+/// the filled combination.
 struct Shape<'p> {
-    columns: Arc<[Ident]>,
-    object_type: Option<Ident>,
     filters: Vec<Filter<'p>>,
     rest: usize,
 }
 
-/// A conjunct `binding.column op literal` (either way round, `op` a
-/// comparison), compiled against a shape: the column's index in the block.
+/// A conjunct `column op literal` (either way round, `op` a comparison)
+/// on one of the position's own columns: the column's index in the block.
 struct Filter<'p> {
     column: usize,
     op: BinOp,
@@ -432,20 +389,15 @@ struct Filter<'p> {
 }
 
 impl<'p> Filter<'p> {
-    /// `conjunct` as a filter on blocks of `columns` bound as `binding`, if
-    /// it is one and the shape has its column.
-    fn compile(conjunct: &'p Expr, binding: &Ident, columns: &[Ident]) -> Option<Filter<'p>> {
+    /// `conjunct` as a filter on blocks of the FROM item `item`, if it is
+    /// one: a comparison of a literal with what resolves to one of the
+    /// item's columns, with no further step.
+    fn compile(scope: &Scope, item: usize, conjunct: &'p Expr) -> Option<Filter<'p>> {
         let Expr::Binary { op, lhs, rhs } = conjunct else { return None };
         if !matches!(op, BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge) {
             return None;
         }
-        let column = |side: &Expr| match side {
-            Expr::Path(parts) => match parts.as_slice() {
-                [head, column] if head == binding => columns.iter().position(|c| c == column),
-                _ => None,
-            },
-            _ => None,
-        };
+        let column = |side| own_column(scope, item, side).map(|(column, _)| column);
         let (column, literal, literal_first) = match (&**lhs, &**rhs) {
             (side, Expr::Literal(literal)) => (column(side)?, literal, false),
             (Expr::Literal(literal), side) => (column(side)?, literal, true),
@@ -456,46 +408,37 @@ impl<'p> Filter<'p> {
 }
 
 impl<'p> Shape<'p> {
-    /// The shape of frames with `columns` bound as `binding`, running
-    /// `conjuncts` (less `trusted`). The leading conjuncts that are filters
-    /// move onto the block, up to the first that is not: a filter can
-    /// neither fail nor move a counter, so the candidates rejected, the
-    /// errors raised and the counters moved are those of testing the
-    /// conjuncts in WHERE order. A filter on a column the shape lacks stays
-    /// a conjunct, and fails as it did.
+    /// The shape of the FROM item `item`'s candidates, running `conjuncts`
+    /// (less `trusted`). The leading conjuncts that are filters move onto
+    /// the block, up to the first that is not: a filter can neither fail
+    /// nor move a counter, so the candidates rejected, the errors raised
+    /// and the counters moved are those of testing the conjuncts in WHERE
+    /// order.
     fn new(
-        columns: Arc<[Ident]>,
-        object_type: Option<Ident>,
-        binding: &Ident,
+        scope: &Scope,
+        item: usize,
         conjuncts: &'p [(usize, &'p Expr)],
         trusted: Option<&Expr>,
     ) -> Shape<'p> {
         let (mut filters, mut rest) = (Vec::new(), 0);
         for &(_, conjunct) in conjuncts {
             if !is(trusted, conjunct) {
-                let Some(filter) = Filter::compile(conjunct, binding, &columns) else { break };
+                let Some(filter) = Filter::compile(scope, item, conjunct) else { break };
                 filters.push(filter);
             }
             rest += 1;
         }
-        Shape { columns, object_type, filters, rest }
+        Shape { filters, rest }
     }
 
     /// Does `block` pass every filter — TRUE, as `eval_bool` decides?
     fn admits(&self, block: &[Value]) -> bool {
         self.filters.iter().all(|f| {
-            let value = &block[f.column];
+            let value = cell(block, f.column);
             let (l, r) = if f.literal_first { (f.literal, value) } else { (value, f.literal) };
             compare(f.op, l, r) == Some(true)
         })
     }
-}
-
-/// A table's heap (borrowed) or a view's result rows (owned), and the
-/// shape of their frames.
-struct Source<'a, 'p> {
-    rows: Cow<'a, [Row]>,
-    shape: Shape<'p>,
 }
 
 /// The candidates a position has left under the current prefix.
@@ -572,27 +515,31 @@ impl<'a, 'p> Position<'a, 'p> {
     fn new(
         ctx: &ExecCtx<'a>,
         stmt: &'p SelectStmt,
+        scope: &Scope,
         plan: &'p SelectPlan,
         pos: usize,
         orig: usize,
     ) -> Position<'a, 'p> {
         let conjuncts = plan.applicable(pos);
-        let binding = &plan.bindings[pos];
         // The conjunct an OID probe was found by holds for the row it finds:
         // that row's OID is the key's. It is not run again when the key is
         // a literal or reads a column, so that skipping it skips no counter.
         let mut trusted = None;
         let (name, access) = match (&stmt.from[orig], &plan.paths[pos].0) {
             (FromItem::CollectionTable { expr, .. }, _) => {
-                (None, Access::Lateral { expr, object: None, scalar: None })
+                let object = scope.layouts[orig].object_type.is_some();
+                (None, Access::Lateral { expr, object })
             }
             (FromItem::Table { name, .. }, path) => {
-                let hash = |probe, build| Access::Hash { probe, build, table: HashBuild::default() };
+                let hash =
+                    |probe, build| Access::Hash { probe, build, table: HashBuild::default() };
                 let access = match path {
                     AccessPath::OidProbe { key, conjunct } => {
                         let plain = match key {
                             Expr::Literal(_) => true,
-                            Expr::Path(parts) => parts.len() <= 2,
+                            Expr::Path(parts) => {
+                                scope.resolve(parts).is_some_and(|found| found.rest.is_empty())
+                            }
                             _ => false,
                         };
                         trusted = plain.then_some(*conjunct);
@@ -605,7 +552,7 @@ impl<'a, 'p> Position<'a, 'p> {
                     AccessPath::IndexProbe { .. } => conjuncts
                         .first()
                         .filter(|_| pos > 0)
-                        .and_then(|(_, c)| plan_hash_join(c, &plan.bindings, pos))
+                        .and_then(|(_, c)| plan_hash_join(scope, &plan.order, pos, c))
                         .map_or(Access::Scan, |(probe, build)| hash(probe, build)),
                     AccessPath::Scan => Access::Scan,
                 };
@@ -613,10 +560,11 @@ impl<'a, 'p> Position<'a, 'p> {
             }
         };
         Position {
-            binding,
+            orig,
             name,
             conjuncts,
             trusted,
+            shape: Shape::new(scope, orig, conjuncts, trusted),
             access,
             source: None,
             todo: Candidates::Range(0..0),
@@ -628,15 +576,15 @@ impl<'a, 'p> Position<'a, 'p> {
     fn open(
         &mut self,
         ctx: &mut ExecCtx<'a>,
+        base: Env,
         combo: &mut Vec<Frame>,
         pos: usize,
-        outer: Option<&Env>,
     ) -> Result<(), DbError> {
         if let (Some(name), None) = (self.name, &self.source) {
-            self.read(ctx, name, combo, pos, outer)?;
+            self.read(ctx, base, name, combo, pos)?;
         }
         let storage = ctx.storage;
-        let env = make_env(&combo[..pos], outer);
+        let env = Env { frames: &combo[..pos], ..base };
         let count = |ctx: &mut ExecCtx, n: usize| {
             if pos > 0 {
                 ctx.stats.join_pairs += n as u64;
@@ -645,7 +593,7 @@ impl<'a, 'p> Position<'a, 'p> {
         self.todo = match &self.access {
             Access::Scan => {
                 // invariant: `read` set the source of a table or view.
-                let len = self.source.as_ref().map_or(0, |s| s.rows.len());
+                let len = self.source.as_ref().map_or(0, |rows| rows.len());
                 count(ctx, len);
                 Candidates::Range(0..len)
             }
@@ -707,20 +655,27 @@ impl<'a, 'p> Position<'a, 'p> {
                 }
                 Candidates::Range(slots)
             }
-            Access::Lateral { expr, .. } => match eval_ref(ctx, &env, expr)?.as_ref() {
-                Value::Null => Candidates::Range(0..0),
-                Value::Coll { elements, .. } => {
-                    ctx.stats.rows_scanned += elements.len() as u64;
-                    count(ctx, elements.len());
-                    Candidates::Elements { elements: Arc::clone(elements), next: 0 }
+            Access::Lateral { expr, .. } => {
+                // The operand sees the items before this one, as it did
+                // when the layout was derived.
+                let prefix = Scope::new(&base.scope.layouts[..self.orig], base.scope.parent);
+                let env = Env { scope: &prefix, ..env };
+                let operand = eval_ref(ctx, &env, expr)?;
+                match operand.as_ref() {
+                    Value::Null => Candidates::Range(0..0),
+                    Value::Coll { elements, .. } => {
+                        ctx.stats.rows_scanned += elements.len() as u64;
+                        count(ctx, elements.len());
+                        Candidates::Elements { elements: Arc::clone(elements), next: 0 }
+                    }
+                    other => {
+                        return Err(DbError::TypeMismatch {
+                            expected: "collection".into(),
+                            found: other.to_sql_literal(),
+                        })
+                    }
                 }
-                other => {
-                    return Err(DbError::TypeMismatch {
-                        expected: "collection".into(),
-                        found: other.to_sql_literal(),
-                    })
-                }
-            },
+            }
         };
         Ok(())
     }
@@ -728,36 +683,33 @@ impl<'a, 'p> Position<'a, 'p> {
     /// The first visit of a table or view position: read its rows (a view
     /// runs its stored query, with no outer environment: views are
     /// self-contained), count them, and hash them when the position probes
-    /// a hash table — on `combo[pos]`, the position's one frame.
+    /// a hash table — on `combo[pos]`, the position's one frame. An item
+    /// its layout says cannot be read fails here.
     fn read(
         &mut self,
         ctx: &mut ExecCtx<'a>,
+        base: Env,
         name: &Ident,
         combo: &mut Vec<Frame>,
         pos: usize,
-        outer: Option<&Env>,
     ) -> Result<(), DbError> {
+        if let Some(error) = &base.scope.layouts[self.orig].error {
+            return Err(error.clone());
+        }
         let (catalog, storage) = (ctx.catalog, ctx.storage);
-        let source = if let Some(table) = catalog.get_table(name) {
+        let rows = if catalog.get_table(name).is_some() {
             let data = storage
                 .table(name)
                 .ok_or_else(|| DbError::UnknownTable(name.as_str().to_string()))?;
-            let columns = catalog.column_names(table);
-            let object_type = table.of_type().cloned();
-            let shape =
-                Shape::new(columns, object_type, self.binding, self.conjuncts, self.trusted);
-            Source { rows: Cow::Borrowed(&data.rows), shape }
+            Cow::Borrowed(&data.rows[..])
         } else if let Some(view) = catalog.get_view(name) {
-            let result = execute_select(ctx, &view.query, None)?;
-            let columns = result.columns.iter().map(|c| Ident::internal(c)).collect();
-            let rows =
-                result.rows.into_iter().map(|values| Row { oid: None, values: Arc::new(values) });
-            let shape = Shape::new(columns, None, self.binding, self.conjuncts, self.trusted);
-            Source { rows: Cow::Owned(rows.collect()), shape }
+            let rows = select_rows(ctx, &view.query, None, None)?;
+            let rows = rows.into_iter().map(|values| Row { oid: None, values: Arc::new(values) });
+            Cow::Owned(rows.collect())
         } else {
             return Err(DbError::UnknownTable(name.as_str().to_string()));
         };
-        let len = source.rows.len() as u64;
+        let len = rows.len() as u64;
         let build = match &self.access {
             Access::Scan => {
                 ctx.stats.rows_scanned += len;
@@ -773,18 +725,25 @@ impl<'a, 'p> Position<'a, 'p> {
         if let Some(build) = build {
             ctx.stats.rows_scanned += len;
             ctx.stats.hash_join_builds += 1;
-            let next = Vec::with_capacity(source.rows.len());
+            let next = Vec::with_capacity(rows.len());
             let mut table = HashBuild { next, ..HashBuild::default() };
-            for (slot, Row { oid, values }) in source.rows.iter().enumerate() {
-                place(combo, pos, self.binding, &source.shape, Arc::clone(values), *oid, slot);
-                let env = make_env(std::slice::from_ref(&combo[pos]), outer);
-                table.push(eval_ref(ctx, &env, build)?.as_ref());
+            // A key that is one of this item's own columns is read off each
+            // row's block, as a block filter reads it; any other is
+            // evaluated on the row's frame.
+            let own = own_column(base.scope, self.orig, build).map(|(column, _)| column);
+            for (slot, Row { oid, values }) in rows.iter().enumerate() {
+                if let Some(column) = own {
+                    table.push(cell(values, column));
+                    continue;
+                }
+                place(combo, pos, Arc::clone(values), *oid, slot);
+                table.push(eval_ref(ctx, &Env { frames: &combo[..=pos], ..base }, build)?.as_ref());
             }
             if let Access::Hash { table: built, .. } = &mut self.access {
                 *built = table;
             }
         }
-        self.source = Some(source);
+        self.source = Some(rows);
         Ok(())
     }
 
@@ -795,11 +754,11 @@ impl<'a, 'p> Position<'a, 'p> {
     fn advance(
         &mut self,
         ctx: &mut ExecCtx,
+        base: Env,
         combo: &mut Vec<Frame>,
         pos: usize,
-        outer: Option<&Env>,
     ) -> Result<bool, DbError> {
-        let (conjuncts, trusted) = (self.conjuncts, self.trusted);
+        let rest = || rest(self.conjuncts, &self.shape, self.trusted);
         loop {
             let row = match (&mut self.todo, &mut self.access) {
                 (Candidates::Range(rows), _) => rows.next(),
@@ -812,50 +771,33 @@ impl<'a, 'p> Position<'a, 'p> {
                     })
                 }
                 (Candidates::Chain(_), _) => None,
-                (
-                    Candidates::Elements { elements, next },
-                    Access::Lateral { object, scalar, .. },
-                ) => {
+                (Candidates::Elements { elements, next }, Access::Lateral { object, .. }) => {
                     let Some(element) = elements.get(*next) else {
                         return Ok(false);
                     };
                     *next += 1;
-                    let shape = match element {
-                        Value::Obj { type_name, .. } => match object {
-                            Some(shape) if shape.object_type.as_ref() == Some(type_name) => shape,
-                            object => {
-                                let def = ctx.catalog.get_type(type_name).ok_or_else(|| {
-                                    DbError::UnknownType(type_name.as_str().to_string())
-                                })?;
-                                let columns =
-                                    def.object_attrs().iter().map(|(n, _)| n.clone()).collect();
-                                object.insert(Shape::new(
-                                    columns,
-                                    Some(type_name.clone()),
-                                    self.binding,
-                                    self.conjuncts,
-                                    self.trusted,
-                                ))
-                            }
-                        },
-                        _ => scalar.get_or_insert_with(|| {
-                            let columns = Arc::from([Ident::internal("COLUMN_VALUE")]);
-                            Shape::new(columns, None, self.binding, self.conjuncts, self.trusted)
-                        }),
-                    };
-                    // An object element's frame holds its own `attrs`; a
-                    // scalar has no block and is wrapped in one — after its
-                    // filters, so a rejected scalar allocates nothing.
+                    // An object element's frame holds its own `attrs`, a
+                    // NULL one an empty block; a scalar has no block and is
+                    // wrapped in one — after its filters, so a rejected
+                    // scalar allocates nothing.
+                    let shape = &self.shape;
                     let values = match element {
-                        Value::Obj { attrs, .. } if shape.admits(attrs) => Arc::clone(attrs),
-                        Value::Obj { .. } => continue,
-                        scalar if shape.admits(std::slice::from_ref(scalar)) => {
+                        Value::Obj { attrs, .. } if *object && shape.admits(attrs) => {
+                            Arc::clone(attrs)
+                        }
+                        _ if *object
+                            && !matches!(element, Value::Obj { .. })
+                            && shape.admits(&[]) =>
+                        {
+                            Arc::new(Vec::new())
+                        }
+                        scalar if !*object && shape.admits(std::slice::from_ref(scalar)) => {
                             Arc::new(vec![scalar.clone()])
                         }
                         _ => continue,
                     };
-                    place(combo, pos, self.binding, shape, values, None, 0);
-                    if passes(ctx, &combo[..=pos], rest(conjuncts, shape, trusted), outer)? {
+                    place(combo, pos, values, None, 0);
+                    if passes(ctx, &Env { frames: &combo[..=pos], ..base }, rest())? {
                         return Ok(true);
                     }
                     continue;
@@ -866,13 +808,13 @@ impl<'a, 'p> Position<'a, 'p> {
                 return Ok(false);
             };
             // invariant: a table or view position is read before any candidate.
-            let Some(Source { rows, shape }) = &self.source else {
+            let Some(rows) = &self.source else {
                 unreachable!("a position's rows are read on its first visit")
             };
             let Row { oid, values } = &rows[row];
-            if shape.admits(values) {
-                place(combo, pos, self.binding, shape, Arc::clone(values), *oid, row);
-                if passes(ctx, &combo[..=pos], rest(conjuncts, shape, trusted), outer)? {
+            if self.shape.admits(values) {
+                place(combo, pos, Arc::clone(values), *oid, row);
+                if passes(ctx, &Env { frames: &combo[..=pos], ..base }, rest())? {
                     return Ok(true);
                 }
             }
@@ -901,31 +843,14 @@ fn rest<'p>(
 fn place(
     combo: &mut Vec<Frame>,
     pos: usize,
-    binding: &Ident,
-    shape: &Shape,
     values: Arc<Vec<Value>>,
     oid: Option<Oid>,
     slot: usize,
 ) {
-    let Some(frame) = combo.get_mut(pos) else {
-        combo.push(Frame {
-            binding: binding.clone(),
-            columns: Arc::clone(&shape.columns),
-            values,
-            oid,
-            object_type: shape.object_type.clone(),
-            slot,
-        });
-        return;
-    };
-    frame.values = values;
-    frame.oid = oid;
-    frame.slot = slot;
-    if !Arc::ptr_eq(&frame.columns, &shape.columns) {
-        frame.columns = Arc::clone(&shape.columns);
-    }
-    if frame.object_type != shape.object_type {
-        frame.object_type = shape.object_type.clone();
+    let frame = Frame { values, oid, slot };
+    match combo.get_mut(pos) {
+        Some(old) => *old = frame,
+        None => combo.push(frame),
     }
 }
 
@@ -969,54 +894,19 @@ fn distinct_rows(rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
     kept
 }
 
-/// Does every one of `conjuncts` evaluate to TRUE on `combo`? Tested in
+/// Does every one of `conjuncts` evaluate to TRUE in `env`? Tested in
 /// order, stopping at the first that does not.
 fn passes<'e>(
     ctx: &mut ExecCtx,
-    combo: &[Frame],
+    env: &Env,
     conjuncts: impl IntoIterator<Item = &'e Expr>,
-    outer: Option<&Env>,
 ) -> Result<bool, DbError> {
-    let env = make_env(combo, outer);
     for conjunct in conjuncts {
-        if eval_bool(ctx, &env, conjunct)? != Some(true) {
+        if eval_bool(ctx, env, conjunct)? != Some(true) {
             return Ok(false);
         }
     }
     Ok(true)
-}
-
-fn make_env<'a>(frames: &'a [Frame], outer: Option<&'a Env<'a>>) -> Env<'a> {
-    match outer {
-        Some(parent) => Env::with_parent(frames, parent),
-        None => Env::new(frames),
-    }
-}
-
-fn item_column_name(item: &crate::sql::ast::SelectItem, index: usize) -> String {
-    if let Some(alias) = &item.alias {
-        return alias.as_str().to_string();
-    }
-    match &item.expr {
-        // invariant: the parser never produces an empty dot path.
-        Expr::Path(parts) => parts.last().unwrap().as_str().to_string(),
-        _ => format!("COL{}", index + 1),
-    }
-}
-
-/// Column names a `SELECT *` would produce when there are no rows.
-fn star_columns(ctx: &ExecCtx, stmt: &SelectStmt) -> Vec<String> {
-    let mut out = Vec::new();
-    for item in &stmt.from {
-        if let FromItem::Table { name, .. } = item {
-            if let Some(table) = ctx.catalog.get_table(name) {
-                for (col, _) in ctx.catalog.table_columns(table) {
-                    out.push(col.as_str().to_string());
-                }
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1051,6 +941,57 @@ mod tests {
         for (row, element) in unnested.rows.iter().zip(stored.block().iter()) {
             assert!(Arc::ptr_eq(row[0].block(), element.block()));
         }
+    }
+
+    /// `SELECT *`'s names come from the FROM items' layouts, never from a
+    /// row: a view and a `TABLE()` item are named alike empty and filled.
+    #[test]
+    fn select_star_names_do_not_depend_on_data() {
+        let mut db = Database::new(DbMode::Oracle9);
+        db.execute_script(
+            "CREATE TYPE Type_Course AS OBJECT(title VARCHAR(20), credits NUMBER);
+             CREATE TYPE Type_Courses AS TABLE OF Type_Course;
+             CREATE TABLE T (name VARCHAR(20), cs Type_Courses);
+             CREATE VIEW V AS SELECT t.name AS vname FROM T t;",
+        )
+        .unwrap();
+        let queries = ["SELECT * FROM V v", "SELECT * FROM T t, TABLE(t.cs) c"];
+        let empty: Vec<_> = queries.iter().map(|sql| db.query(sql).unwrap()).collect();
+        db.execute("INSERT INTO T VALUES ('Conrad', Type_Courses(Type_Course('DB', 4)))").unwrap();
+        let filled: Vec<_> = queries.iter().map(|sql| db.query(sql).unwrap()).collect();
+        for ((sql, empty), filled) in queries.iter().zip(&empty).zip(&filled) {
+            assert!(empty.rows.is_empty() && filled.rows.len() == 1, "{sql}");
+            assert_eq!(empty.columns, filled.columns, "{sql}");
+        }
+        assert_eq!(filled[0].columns, ["vname"]);
+        assert_eq!(filled[1].columns, ["name", "cs", "title", "credits"]);
+    }
+
+    /// The layout of `TABLE(t.coll)` is the declared element type's, so a
+    /// NULL element of an object collection is a row whose attributes are
+    /// all NULL — filtered, projected and laid out by `*` like any other —
+    /// and which is NULL whole.
+    #[test]
+    fn a_null_element_of_an_object_collection_reads_null_in_every_attribute() {
+        let mut db = Database::new(DbMode::Oracle9);
+        db.execute_script(
+            "CREATE TYPE Type_Course AS OBJECT(title VARCHAR(20), credits NUMBER);
+             CREATE TYPE Type_Courses AS TABLE OF Type_Course;
+             CREATE TABLE T (name VARCHAR(20), coll Type_Courses);
+             INSERT INTO T VALUES ('Conrad', Type_Courses(Type_Course('DB', 4), NULL));",
+        )
+        .unwrap();
+        let rows = |db: &mut Database, sql: &str| db.query(sql).unwrap().rows;
+        let from = "FROM T t, TABLE(t.coll) c";
+        assert_eq!(
+            rows(&mut db, &format!("SELECT c.title, c.credits {from}")),
+            [[Value::str("DB"), Value::Num(4.0)], [Value::Null, Value::Null]]
+        );
+        let nulls = rows(&mut db, &format!("SELECT c.title {from} WHERE c.credits IS NULL"));
+        assert_eq!(nulls, [[Value::Null]]);
+        let star = rows(&mut db, &format!("SELECT * {from}"));
+        assert_eq!(star[1][2..], [Value::Null, Value::Null]);
+        assert!(rows(&mut db, &format!("SELECT c {from}"))[1][0].is_null());
     }
 
     /// NULL keys sort after every value, so the sort sees a total order.
@@ -1305,6 +1246,47 @@ mod tests {
         let course_first =
             [Value::Num(4.0), Value::str("OS"), Value::Num(50.0), Value::str("Jaeger")];
         assert_eq!(star.rows[0][..4], course_first);
+    }
+
+    /// A qualified path whose binding exists but whose column does not is
+    /// scheduled at its binding's item, like any path of that item: it
+    /// fails on that item's first row, before a later item is read, so an
+    /// empty later item does not hide the error and the counters stop
+    /// where they did.
+    #[test]
+    fn a_missing_column_of_a_binding_fails_at_its_item() {
+        let equi = "SELECT * FROM A t, B u WHERE t.a = u.b AND u.nosuch = 1";
+        let cases = [
+            ("SELECT * FROM A t, B u WHERE t.nosuch = 1", 0, Some("t.nosuch"), (2, 0, 0)),
+            ("SELECT * FROM A t, B u WHERE t.nosuch = 1", 3, Some("t.nosuch"), (2, 0, 0)),
+            ("SELECT * FROM A t, B u WHERE u.nosuch = 1", 0, None, (2, 0, 1)),
+            ("SELECT * FROM A t, B u WHERE u.nosuch = 1", 3, Some("u.nosuch"), (5, 0, 1)),
+            (equi, 3, Some("u.nosuch"), (5, 1, 1)),
+            ("SELECT t.a FROM A t, B u WHERE u.b = t.nosuch", 0, Some("t.nosuch"), (2, 0, 1)),
+        ];
+        for (sql, b_rows, error, counters) in cases {
+            let mut db = Database::new(DbMode::Oracle9);
+            db.execute_script(
+                "CREATE TABLE A (a NUMBER);
+                 CREATE TABLE B (b NUMBER);
+                 INSERT INTO A VALUES (1);
+                 INSERT INTO A VALUES (2);",
+            )
+            .unwrap();
+            for b in 0..b_rows {
+                db.execute(&format!("INSERT INTO B VALUES ({b})")).unwrap();
+            }
+            let before = db.stats();
+            let outcome = db.query(sql).map(|result| result.rows);
+            let delta = db.stats().since(&before);
+            let expected = match error {
+                Some(path) => Err(DbError::UnknownColumn(path.into())),
+                None => Ok(Vec::new()),
+            };
+            assert_eq!(outcome, expected, "{sql} over {b_rows} B rows");
+            let read = (delta.rows_scanned, delta.join_pairs, delta.hash_join_builds);
+            assert_eq!(read, counters, "{sql} over {b_rows} B rows");
+        }
     }
 
     /// DISTINCT as it was: compare each row with every row kept so far.

@@ -193,6 +193,7 @@ pub mod exec;
 pub mod ident;
 pub mod mode;
 pub mod mvcc;
+pub mod scope;
 pub mod session;
 pub mod snapshot;
 pub mod sql;

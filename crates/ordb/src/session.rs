@@ -1635,7 +1635,7 @@ mod tests {
     }
 
     #[test]
-    fn select_star_columns() {
+    fn select_star_names_an_empty_table() {
         let mut d = db();
         d.execute("CREATE TABLE T (a NUMBER, b VARCHAR(5))").unwrap();
         let rows = d.query("SELECT * FROM T").unwrap();

@@ -9,7 +9,10 @@
 //! type/table names, deliberately mixing valid DDL/DML with unknown names,
 //! wrong arities, over-long and mistyped literals, NULLs into NOT NULL
 //! columns, nested-collection DDL (legal on Oracle 9, illegal on Oracle 8),
-//! dangling dot paths and misplaced COUNT(*). Both modes run the same
+//! dangling dot paths and misplaced COUNT(*), one view (over a table that
+//! may be missing, naming columns right or wrong) and unqualified column
+//! paths, which the analyzer must resolve as the executor does — a view's
+//! columns included. Both modes run the same
 //! generator; per statement the analyzer gets a fresh shadow catalog cloned
 //! from the live database, so it sees exactly what the executor sees.
 
@@ -62,7 +65,7 @@ fn lits(rng: &mut Prng, n: usize) -> String {
 /// `(x NUMBER NOT NULL, y VARCHAR(5))`, so later statements can be right or
 /// wrong about arity, types and column names in interesting ways.
 fn gen_stmt(rng: &mut Prng) -> String {
-    match rng.gen_range(0u32..16) {
+    match rng.gen_range(0u32..19) {
         0 => {
             let name = obj_type(rng);
             match rng.gen_range(0u32..4) {
@@ -159,8 +162,32 @@ fn gen_stmt(rng: &mut Prng) -> String {
             *rng.choose(&["a", "x", "zz"]),
             lit(rng)
         ),
+        // The one view: its columns right or wrong, its table maybe missing.
+        15 => {
+            let items = *rng.choose(&["t.a AS a, t.b", "t.x AS a, t.y", "t.a, t.zz", "*"]);
+            format!("CREATE VIEW VW AS SELECT {items} FROM {} t", maybe_missing(rng, table))
+        }
+        // Unqualified columns, over the view or a table: the first FROM
+        // item that has the column names it.
+        16 | 17 => {
+            let from = match rng.gen_bool(0.5) {
+                true => "VW v".to_string(),
+                false => format!("{} t", maybe_missing(rng, table)),
+            };
+            let item = *rng.choose(&["a", "b", "x", "y", "zz", "a.b", "v.a", "COUNT(*)"]);
+            let mut sql = format!("SELECT {item} FROM {from}");
+            if rng.gen_bool(0.3) {
+                sql.push_str(&format!(", {} u", maybe_missing(rng, table)));
+            }
+            if rng.gen_bool(0.4) {
+                sql.push_str(&format!(" WHERE {} = {}", rng.choose(&["a", "x", "y", "zz"]), lit(rng)));
+            }
+            sql
+        }
         _ => {
-            if rng.gen_bool(0.5) {
+            if rng.gen_bool(0.2) {
+                "DROP VIEW VW".into()
+            } else if rng.gen_bool(0.5) {
                 let force = if rng.gen_bool(0.5) { " FORCE" } else { "" };
                 format!("DROP TYPE {}{force}", maybe_missing(rng, obj_type))
             } else {

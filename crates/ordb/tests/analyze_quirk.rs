@@ -4,8 +4,11 @@
 //! column is NULL makes the condition UNKNOWN, and UNKNOWN passes, so the
 //! row slips in silently. The static analyzer flags exactly this gap as the
 //! `check-null-object` warning, with a line/column anchored at the CHECK.
+//!
+//! And an unqualified column that a view and a table share, which the
+//! analyzer must resolve as the executor does.
 
-use xmlord_ordb::{Database, DbError, DbMode, Severity};
+use xmlord_ordb::{Database, DbError, DbMode, Severity, Value};
 
 const SCRIPT: &str = "\
 CREATE TYPE Type_Address AS OBJECT (attrStreet VARCHAR(40), attrCity VARCHAR(40));
@@ -70,4 +73,24 @@ fn not_null_on_the_object_column_silences_the_quirk() {
         !diags.iter().any(|d| d.code == "check-null-object"),
         "NOT NULL closes the gap, no warning expected: {diags:?}"
     );
+}
+
+/// `X` is a column of the view `v` (an object) and of the table `t` (a
+/// VARCHAR). The first FROM item that has it names it, for the analyzer as
+/// for the executor: `X.a` navigates `v.X` and yields 'deep', and there is
+/// nothing to report — no `navigate-scalar` on `t.X`.
+#[test]
+fn an_unqualified_column_of_a_view_resolves_as_the_executor_resolves_it() {
+    let script = "CREATE TYPE Type_P AS OBJECT (a VARCHAR(10));
+                  CREATE TABLE S (X Type_P);
+                  CREATE TABLE T (X VARCHAR(10));
+                  CREATE VIEW V AS SELECT s.X AS X FROM S s;
+                  INSERT INTO S VALUES (Type_P('deep'));
+                  INSERT INTO T VALUES ('flat');";
+    let query = "SELECT X.a FROM V v, T t";
+    let mut db = Database::new(DbMode::Oracle9);
+    db.execute_script(script).unwrap();
+    assert_eq!(db.query(query).unwrap().rows, vec![vec![Value::str("deep")]]);
+    let diags = db.check(query).unwrap();
+    assert!(diags.is_empty(), "{diags:#?}");
 }

@@ -12,6 +12,13 @@
 //! `TABLE(p.tags)`); Oracle 8 forbids a collection inside a collection
 //! element, so there the levels are siblings (`TABLE(u.cs)`,
 //! `TABLE(u.tags)`).
+//!
+//! A view family puts views in FROM: a plain view over `U`, and the §6.3
+//! shape — `SELECT T_VX(…) AS o FROM U u` un-nested as `TABLE(v.o.cs)` —
+//! joined to `A`, with unqualified columns the view and `A` share. The
+//! reference evaluates each view's stored query itself and names columns
+//! by its own rule; `SELECT *` names must agree between an empty and a
+//! filled database, and with the reference's.
 
 #[path = "support/nested_loop.rs"]
 mod nested_loop;
@@ -229,4 +236,129 @@ fn unnested_queries_agree_with_the_reference() {
     assert!(builds > 0, "no hash join was built");
     assert!(probes > 0, "no index was probed");
     assert!(scanned > 0, "nothing was scanned");
+}
+
+/// The view family's schema on top of the family's own: an object type
+/// over `U`'s columns, a plain view that shares `s` and `n` with `A`, and
+/// the §6.3 shape, each filtered or not.
+fn views(rng: &mut Prng) -> String {
+    let filter = |rng: &mut Prng| {
+        *rng.choose(&["", " WHERE u.k > 1", " WHERE u.un IS NOT NULL", " WHERE u.k = 2 OR u.un = 's1'"])
+    };
+    format!(
+        "CREATE TYPE T_VX AS OBJECT (s VARCHAR(10), n NUMBER, cs T_Cs);
+         CREATE VIEW VP AS SELECT u.un AS s, u.k AS n, u.cs FROM U u{};
+         CREATE VIEW VO AS SELECT T_VX(u.un, u.k, u.cs) AS o, u.k AS n FROM U u{};",
+        filter(rng),
+        filter(rng)
+    )
+}
+
+/// A query over a view: the plain view, perhaps un-nested, or the §6.3
+/// view un-nested through its object column (twice on Oracle 9), often
+/// with `A` joined to the view's `n` or `s`. Unqualified `n` and `s` name
+/// the first FROM item that has them, view or table.
+fn view_query(rng: &mut Prng, mode: DbMode) -> String {
+    let plain = rng.gen_bool(0.5);
+    let mut from: Vec<(&str, &str)> = if plain {
+        vec![("v", "VP v")]
+    } else {
+        vec![("v", "VO v"), ("c", "TABLE(v.o.cs) c")]
+    };
+    if plain && rng.gen_bool(0.5) {
+        from.push(("c", "TABLE(v.cs) c"));
+    }
+    if !plain && mode == DbMode::Oracle9 && rng.gen_bool(0.4) {
+        from.push(("p", "TABLE(c.ps) p"));
+    }
+    let mut columns: Vec<&str> = match plain {
+        true => vec!["v.s", "v.n", "n", "s"],
+        false => vec!["v.o.s", "v.o.n", "v.n", "o.s", "n"],
+    };
+    let mut conjuncts: Vec<String> = Vec::new();
+    if rng.gen_bool(0.5) {
+        from.insert(rng.gen_range(0usize..from.len() + 1), ("a", "A a"));
+        columns.extend(["a.s", "a.n", "s"]);
+        conjuncts.push(match rng.gen_range(0u32..4) {
+            0 => "a.n < v.n".to_string(),
+            1 if plain => "v.s = a.s".to_string(),
+            _ => "a.n = v.n".to_string(),
+        });
+    }
+    for &(b, _) in &from {
+        if b == "c" || b == "p" {
+            columns.extend(if b == "c" { ["c.cn", "c.k"] } else { ["p.pn", "p.k"] });
+        }
+    }
+    for _ in 0..rng.gen_range(0usize..3) {
+        let column = *rng.choose(&columns);
+        let op = rng.choose(&["=", "<>", "<", ">="]);
+        let lit = if rng.gen_bool(0.5) { str_lit(rng) } else { num_lit(rng) };
+        conjuncts.push(match rng.gen_range(0u32..4) {
+            0 => format!("{column} IS NOT NULL"),
+            1 => format!("{lit} {op} {column}"),
+            _ => format!("{column} {op} {lit}"),
+        });
+    }
+    if from.iter().any(|(b, _)| *b == "c") && rng.gen_bool(0.3) {
+        conjuncts.push(local(rng, "c"));
+    }
+    let head = match rng.gen_range(0u32..6) {
+        0 => "COUNT(*)".to_string(),
+        1 | 2 => "*".to_string(),
+        3 => format!("DISTINCT {}", rng.choose(&columns)),
+        _ => {
+            let picked: Vec<&str> = (0..rng.gen_range(1usize..4)).map(|_| *rng.choose(&columns)).collect();
+            picked.join(", ")
+        }
+    };
+    let items: Vec<&str> = from.iter().map(|(_, item)| *item).collect();
+    let mut sql = format!("SELECT {head} FROM {}", items.join(", "));
+    if !conjuncts.is_empty() {
+        sql.push_str(&format!(" WHERE {}", conjuncts.join(" AND ")));
+    }
+    if head != "COUNT(*)" && rng.gen_bool(0.3) {
+        let desc = if rng.gen_bool(0.5) { " DESC" } else { "" };
+        sql.push_str(&format!(" ORDER BY {}{desc}", rng.choose(&columns)));
+    }
+    sql
+}
+
+#[test]
+fn views_agree_with_the_reference() {
+    let (mut queries, mut nonempty, mut starred, mut builds) = (0u64, 0u64, 0u64, 0);
+    for mode in [DbMode::Oracle8, DbMode::Oracle9] {
+        for case in 0..150u64 {
+            let mut rng = Prng::seed_from_u64(0x0B1E_C700 + case);
+            let views = views(&mut rng);
+            let mut empty = Database::new(mode);
+            let schema = if mode == DbMode::Oracle9 { SCHEMA_ORACLE9 } else { SCHEMA_ORACLE8 };
+            empty.execute_script(schema).unwrap();
+            empty.execute_script(&views).unwrap();
+            let mut db = setup(mode, &mut rng);
+            db.execute_script(&views).unwrap();
+            for _ in 0..6 {
+                let sql = view_query(&mut rng, mode);
+                let ctx = format!("{mode:?} case {case}: {sql}");
+                let before = db.stats();
+                let result = db.query(&sql).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                let delta = db.stats().since(&before);
+                assert_eq!(result.rows, nested_loop::select(&db, &sql), "{ctx}");
+                // Names come from the catalog: an empty database names the
+                // result as a filled one does, and as the reference does.
+                let unfilled = empty.query(&sql).unwrap_or_else(|e| panic!("{ctx} (empty): {e}"));
+                assert_eq!(unfilled.columns, result.columns, "{ctx}");
+                assert_eq!(result.columns, nested_loop::names(&db, &sql), "{ctx}");
+                queries += 1;
+                let counted = sql.starts_with("SELECT COUNT(*)");
+                nonempty += u64::from(!result.rows.is_empty() && !counted);
+                starred += u64::from(!result.rows.is_empty() && sql.starts_with("SELECT *"));
+                builds += delta.hash_join_builds;
+            }
+        }
+    }
+    // The family must have exercised what it claims to check.
+    assert!(nonempty * 4 > queries, "{nonempty} of {queries} queries returned rows");
+    assert!(starred > 0, "no `SELECT *` returned rows");
+    assert!(builds > 0, "no hash join was built");
 }

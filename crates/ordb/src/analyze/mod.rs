@@ -278,6 +278,7 @@ fn code_for(err: &DbError) -> &'static str {
         DbError::UnknownTable(_) => "unknown-table",
         DbError::UnknownColumn(_) => "unknown-column",
         DbError::ViewCycle(_) => "view-cycle",
+        DbError::ViewNesting(_) => "view-nesting",
         DbError::UnknownIndex(_) => "unknown-index",
         DbError::DuplicateName(_) => "duplicate-name",
         DbError::NestedCollectionNotSupported { .. } => "nested-collection",

@@ -50,6 +50,9 @@ pub(crate) fn analyze_select(
                     format!("view '{name}' is defined in terms of itself"),
                     cx.anchor_ident(name),
                 ),
+                Some(error @ DbError::ViewNesting(_)) => {
+                    cx.report(eager_here, "view-nesting", error.to_string(), cx.anchor_ident(name))
+                }
                 Some(_) => cx.report(
                     eager_here,
                     "unknown-table",

@@ -24,6 +24,9 @@ pub enum DbError {
     /// A view whose query reads, through other views or not, the view
     /// itself (ORA-01731).
     ViewCycle(String),
+    /// A view read through more than [`crate::scope::MAX_VIEW_NESTING`]
+    /// views: the one that would go one level deeper.
+    ViewNesting(String),
     /// `DROP INDEX` names an index that does not exist.
     UnknownIndex(String),
     /// Name already exists.
@@ -87,6 +90,11 @@ impl fmt::Display for DbError {
             DbError::ViewCycle(name) => {
                 write!(f, "view '{name}' is defined in terms of itself (ORA-01731)")
             }
+            DbError::ViewNesting(name) => write!(
+                f,
+                "view '{name}' nests views more than {} deep",
+                crate::scope::MAX_VIEW_NESTING
+            ),
             DbError::UnknownIndex(name) => write!(f, "index '{name}' does not exist"),
             DbError::DuplicateName(name) => {
                 write!(f, "name '{name}' is already used by an existing object")

@@ -10,6 +10,7 @@
 //! ([`crate::storage::key_index_name`]), and INSERT, batch and UPDATE all
 //! ask `StoredKey::collides`.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -19,7 +20,7 @@ use crate::exec::eval::{coerce, eval_bool, eval_expr, ExecCtx};
 use crate::exec::{Env, Frame};
 use crate::ident::Ident;
 use crate::mode::DbMode;
-use crate::scope::{Layout, Scope};
+use crate::scope::{Bindings, Layout, Scope};
 use crate::sql::ast::Expr;
 use crate::stats::ExecStats;
 use crate::storage::{key_hash, Row, Storage};
@@ -120,8 +121,12 @@ pub fn execute_insert_batch(
         .get_table(table_name)
         .ok_or_else(|| DbError::UnknownTable(table_name.as_str().to_string()))?;
     let table_columns = catalog.table_columns(table);
-    // CHECK constraints see the candidate row bound as the table.
-    let layout = Layout::table(catalog, table.name().clone(), table);
+    // CHECK constraints see the candidate row bound as the table; the
+    // VALUES name no row, so they bind nothing.
+    let layouts = [Layout::table(catalog, table.name().clone(), table)];
+    let scope = Scope::new(&layouts, None);
+    let checks = Bindings::exprs(catalog, &scope, check_exprs(table));
+    let checks = Env::row(&scope, &checks);
 
     // Read-only phase: subqueries may scan, nothing is written.
     let mut validated: Vec<Vec<Value>> = Vec::with_capacity(rows.len());
@@ -160,7 +165,7 @@ pub fn execute_insert_batch(
             }
             enforce_constraints(
                 &mut ctx,
-                &layout,
+                &checks,
                 table,
                 &mut keys,
                 &[],
@@ -375,11 +380,12 @@ impl TableKey<'_> {
 /// key constraints in that order, then the unique indexes), so the first
 /// one violated is the one reported. `earlier` are the statement's rows
 /// already through the gate; `replaced` the stored slots it overwrites
-/// (ascending; empty for INSERT), which are no collision partners. `layout`
-/// is the table's, bound as the table: a CHECK evaluates in its scope.
+/// (ascending; empty for INSERT), which are no collision partners.
+/// `checks` is where a CHECK evaluates, with no row yet: the table's
+/// layout, bound as the table, and the constraints' names bound in it.
 fn enforce_constraints(
     ctx: &mut ExecCtx,
-    layout: &Layout,
+    checks: &Env,
     table: &TableDef,
     keys: &mut [TableKey],
     replaced: &[usize],
@@ -390,7 +396,7 @@ fn enforce_constraints(
     for constraint in table.constraints() {
         match constraint {
             Constraint::NotNull(col) => {
-                let column = layout
+                let column = checks.scope.layouts[0]
                     .column(col)
                     .ok_or_else(|| DbError::UnknownColumn(col.as_str().to_string()))?;
                 if row_values[column].is_null() {
@@ -406,9 +412,9 @@ fn enforce_constraints(
             Constraint::Check(expr) => {
                 // The candidate row is visible both under the table name and
                 // unqualified (Oracle exposes columns directly in CHECK).
-                let frames = [Frame { values: Arc::new(row_values.to_vec()), oid: None, slot: 0 }];
-                let scope = Scope::new(std::slice::from_ref(layout), None);
-                let env = Env { scope: &scope, frames: &frames, positions: &[0], parent: None };
+                let values = Cow::Owned(Arc::new(row_values.to_vec()));
+                let frames = [Frame { values, oid: None, slot: 0 }];
+                let env = Env { frames: &frames, ..*checks };
                 // Oracle semantics: the row is rejected only when the
                 // condition is definitely FALSE (UNKNOWN passes).
                 if eval_bool(ctx, &env, expr)? == Some(false) {
@@ -423,6 +429,14 @@ fn enforce_constraints(
         key.admit(table.name(), replaced, earlier, row_values)?;
     }
     Ok(())
+}
+
+/// The conditions of `table`'s CHECK constraints.
+fn check_exprs(table: &TableDef) -> impl Iterator<Item = &Expr> {
+    table.constraints().iter().filter_map(|constraint| match constraint {
+        Constraint::Check(expr) => Some(expr),
+        _ => None,
+    })
 }
 
 /// Execute `UPDATE table SET path = expr, … [WHERE pred]`; returns the
@@ -444,9 +458,13 @@ pub fn execute_update(
         .ok_or_else(|| DbError::UnknownTable(table_name.as_str().to_string()))?;
     let table_columns = catalog.table_columns(table);
     // WHERE, the SET right-hand sides and CHECK see the row bound as the
-    // table.
+    // table, and are bound once for every row.
     let layouts = [Layout::table(catalog, table_name.clone(), table)];
     let scope = Scope::new(&layouts, None);
+    let rhs = sets.iter().map(|(_, rhs)| rhs);
+    let bindings =
+        Bindings::exprs(catalog, &scope, where_clause.iter().chain(rhs).chain(check_exprs(table)));
+    let names = Env::row(&scope, &bindings);
 
     // Phase 1 (read-only): compute the new values of every affected row.
     // The table is read in place: the evaluation frame shares each row's
@@ -460,8 +478,8 @@ pub fn execute_update(
             .ok_or_else(|| DbError::UnknownTable(table_name.as_str().to_string()))?;
         let mut ctx = ExecCtx::new(catalog, storage, stats, mode);
         for (idx, row) in data.rows.iter().enumerate() {
-            let frames = [Frame { values: Arc::clone(&row.values), oid: row.oid, slot: idx }];
-            let env = Env { scope: &scope, frames: &frames, positions: &[0], parent: None };
+            let frames = [Frame { values: Cow::Borrowed(&row.values), oid: row.oid, slot: idx }];
+            let env = Env { frames: &frames, ..names };
             let hit = match where_clause {
                 None => true,
                 Some(pred) => eval_bool(&mut ctx, &env, pred)? == Some(true),
@@ -488,7 +506,7 @@ pub fn execute_update(
         for (i, new_values) in new_rows.iter().enumerate() {
             enforce_constraints(
                 &mut ctx,
-                &layouts[0],
+                &names,
                 table,
                 &mut keys,
                 &slots,
@@ -588,6 +606,8 @@ pub fn execute_delete(
     // WHERE sees the row bound as the table.
     let layouts = [Layout::table(catalog, table_name.clone(), table)];
     let scope = Scope::new(&layouts, None);
+    let bindings = Bindings::exprs(catalog, &scope, where_clause);
+    let names = Env::row(&scope, &bindings);
 
     // Decide which rows go (read-only phase), then delete by position.
     let mut doomed: Vec<usize> = Vec::new();
@@ -600,9 +620,9 @@ pub fn execute_delete(
             let keep = match where_clause {
                 None => false,
                 Some(pred) => {
-                    let frames =
-                        [Frame { values: Arc::clone(&row.values), oid: row.oid, slot: idx }];
-                    let env = Env { scope: &scope, frames: &frames, positions: &[0], parent: None };
+                    let values = Cow::Borrowed(&row.values);
+                    let frames = [Frame { values, oid: row.oid, slot: idx }];
+                    let env = Env { frames: &frames, ..names };
                     eval_bool(&mut ctx, &env, pred)? != Some(true)
                 }
             };

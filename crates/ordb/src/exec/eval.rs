@@ -6,10 +6,11 @@ use std::sync::Arc;
 
 use crate::catalog::{Catalog, TableDef, TypeDef};
 use crate::error::DbError;
-use crate::exec::select::select_rows;
+use crate::exec::select::{any_row, select_rows};
 use crate::exec::{cell, Env};
 use crate::ident::Ident;
 use crate::mode::DbMode;
+use crate::scope::Step;
 use crate::sql::ast::{BinOp, Expr, KeyRef};
 use crate::stats::ExecStats;
 use crate::storage::{key_hash, Storage};
@@ -22,6 +23,9 @@ pub struct ExecCtx<'a> {
     pub storage: &'a Storage,
     pub stats: &'a mut ExecStats,
     pub mode: DbMode,
+    /// The views being expanded around the query running now: at most
+    /// [`crate::scope::MAX_VIEW_NESTING`].
+    pub(crate) views: usize,
 }
 
 impl<'a> ExecCtx<'a> {
@@ -33,7 +37,7 @@ impl<'a> ExecCtx<'a> {
         stats: &'a mut ExecStats,
         mode: DbMode,
     ) -> ExecCtx<'a> {
-        ExecCtx { catalog, storage, stats, mode }
+        ExecCtx { catalog, storage, stats, mode, views: 0 }
     }
 }
 
@@ -41,7 +45,7 @@ impl<'a> ExecCtx<'a> {
 pub fn eval_expr(ctx: &mut ExecCtx, env: &Env, expr: &Expr) -> Result<Value, DbError> {
     match expr {
         Expr::Literal(v) => Ok(v.clone()),
-        Expr::Path(parts) => resolve_path(ctx, env, parts).map(Cow::into_owned),
+        Expr::Path(parts) => resolve_path(ctx, env, expr, parts).map(Cow::into_owned),
         Expr::Call { name, args } => eval_call(ctx, env, name, args),
         Expr::CountStar => Err(DbError::Execution(
             "COUNT(*) is only valid as a top-level select item".into(),
@@ -64,9 +68,9 @@ pub fn eval_expr(ctx: &mut ExecCtx, env: &Env, expr: &Expr) -> Result<Value, DbE
         }
         Expr::RefOf(alias) => {
             let (_, frame) = env
-                .scope
-                .binding(alias)
-                .and_then(|(depth, item)| env.item(depth, item))
+                .bindings
+                .get(expr)
+                .and_then(|bound| env.item(bound.depth, bound.item))
                 .ok_or_else(|| DbError::UnknownColumn(alias.as_str().to_string()))?;
             match frame.oid {
                 Some(oid) => Ok(Value::Ref(oid)),
@@ -208,7 +212,7 @@ pub fn eval_ref<'e>(
 ) -> Result<Cow<'e, Value>, DbError> {
     match expr {
         Expr::Literal(v) => Ok(Cow::Borrowed(v)),
-        Expr::Path(parts) => resolve_path(ctx, env, parts),
+        Expr::Path(parts) => resolve_path(ctx, env, expr, parts),
         other => eval_expr(ctx, env, other).map(Cow::Owned),
     }
 }
@@ -261,7 +265,7 @@ pub fn eval_bool(ctx: &mut ExecCtx, env: &Env, expr: &Expr) -> Result<Option<boo
             };
             Ok(Some(if *negated { !matched } else { matched }))
         }
-        Expr::Exists(query) => Ok(Some(!select_rows(ctx, query, Some(env), None)?.is_empty())),
+        Expr::Exists(query) => Ok(Some(any_row(ctx, query, Some(env))?)),
         Expr::Binary { op, lhs, rhs } => {
             let l = eval_ref(ctx, env, lhs)?;
             let r = eval_ref(ctx, env, rhs)?;
@@ -371,25 +375,27 @@ pub fn deref_oid(ctx: &mut ExecCtx, oid: Oid) -> Result<Value, DbError> {
     }
 }
 
-/// The value of a dot path: what [`crate::scope::Scope::resolve`] says it
-/// names, in the environment's current rows. The result borrows from the
-/// frame's block for as long as the path stays inside objects; a whole-row
-/// reference shares the row block itself, and a step through a REF
-/// materialises (a handle when what it reaches is a composite). A path
-/// that names nothing, or an item not bound yet, is `UnknownColumn` — when
-/// it is evaluated, so over no rows it never fails.
+/// The value of the dot path `expr` (whose steps are `parts`): what the
+/// level's [`crate::scope::Bindings`] say it names, in the environment's
+/// current rows. The result borrows from the frame's block for as long as
+/// the path stays inside objects; a whole-row reference shares the row
+/// block itself, and a step through a REF materialises (a handle when what
+/// it reaches is a composite). A path that names nothing, or an item not
+/// bound yet, is `UnknownColumn` — when it is evaluated, so over no rows it
+/// never fails.
 pub fn resolve_path<'e>(
     ctx: &mut ExecCtx,
     env: &Env<'e>,
+    expr: &Expr,
     parts: &[Ident],
 ) -> Result<Cow<'e, Value>, DbError> {
     let unknown = || {
         let full = parts.iter().map(|p| p.as_str()).collect::<Vec<_>>().join(".");
         DbError::UnknownColumn(full)
     };
-    let found = env.scope.resolve(parts).ok_or_else(unknown)?;
-    let (layout, frame) = env.item(found.depth, found.item).ok_or_else(unknown)?;
-    let Some(column) = found.column else {
+    let bound = env.bindings.get(expr).ok_or_else(unknown)?;
+    let (layout, frame) = env.item(bound.depth, bound.item).ok_or_else(unknown)?;
+    let Some(column) = bound.column else {
         return match layout.object_type {
             // A NULL element of an object collection.
             Some(_) if frame.values.is_empty() => Ok(Cow::Owned(Value::Null)),
@@ -404,21 +410,33 @@ pub fn resolve_path<'e>(
             ))),
         };
     };
-    navigate_all(ctx, cell(&frame.values, column), found.rest)
+    walk(ctx, cell(&frame.values, column), &bound.steps)
 }
 
-/// Follow `parts` from `value`, one [`navigate`] step each. Once a step has
-/// materialised (it went through a REF), the rest walk the owned value.
-pub(crate) fn navigate_all<'v>(
+/// Follow bound `steps` from `value`: an attribute step of the value's
+/// declared type reads the attribute in place, any other [`navigate`]s by
+/// name. Once a step has materialised (it went through a REF), the rest
+/// walk the owned value.
+fn walk<'v>(
     ctx: &mut ExecCtx,
     value: &'v Value,
-    parts: &[Ident],
+    steps: &[Step],
 ) -> Result<Cow<'v, Value>, DbError> {
+    fn step_into<'v>(
+        ctx: &mut ExecCtx,
+        v: &'v Value,
+        step: &Step,
+    ) -> Result<Cow<'v, Value>, DbError> {
+        match step.attr(v) {
+            Some(attr) => Ok(Cow::Borrowed(attr)),
+            None => navigate(ctx, v, step.name()),
+        }
+    }
     let mut value = Cow::Borrowed(value);
-    for part in parts {
+    for step in steps {
         value = match value {
-            Cow::Borrowed(v) => navigate(ctx, v, part)?,
-            Cow::Owned(v) => Cow::Owned(navigate(ctx, &v, part)?.into_owned()),
+            Cow::Borrowed(v) => step_into(ctx, v, step)?,
+            Cow::Owned(v) => Cow::Owned(step_into(ctx, &v, step)?.into_owned()),
         };
     }
     Ok(value)

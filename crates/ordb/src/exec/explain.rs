@@ -17,7 +17,7 @@ use crate::exec::plan::{plan_select, AccessPath, JoinOrder, SelectPlan};
 use crate::exec::select::QueryResult;
 use crate::ident::Ident;
 use crate::mode::DbMode;
-use crate::scope::{layouts, Scope};
+use crate::scope::{layouts, Bindings, Scope};
 use crate::sql::ast::{Expr, FromItem, SelectStmt, Stmt};
 use crate::sql::printer::print_expr;
 use crate::types::SqlType;
@@ -186,7 +186,8 @@ impl Plan<'_> {
         // rendering can never drift from execution.
         let layouts = layouts(self.catalog, query, None);
         let scope = Scope::new(&layouts, None);
-        let plan = plan_select(self.catalog, &scope, query);
+        let bindings = Bindings::select(self.catalog, &scope, query);
+        let plan = plan_select(self.catalog, &scope, &bindings, query);
         let binding = |pos: usize| layouts[plan.order[pos]].binding.as_str();
         let exec_order = || (0..plan.order.len()).map(binding).collect::<Vec<_>>().join(", ");
         match plan.join_order {
@@ -224,6 +225,10 @@ impl Plan<'_> {
                         self.est_note(ind + 2, &plan, pos);
                         self.filters(ind + 2, applicable);
                     } else if let Some(view) = catalog.get_view(name) {
+                        // A chain of views too deep to run is too deep to plan.
+                        if let Some(error @ DbError::ViewNesting(_)) = &layouts[idx].error {
+                            return Err(error.clone());
+                        }
                         let join = self.access_note(&plan, pos, name);
                         self.line(ind + 1, format!("from[{idx}] {binding}: expand view {name}{join}"));
                         if depth < MAX_VIEW_DEPTH {

@@ -11,12 +11,13 @@ pub mod explain;
 pub(crate) mod plan;
 pub mod select;
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use crate::error::DbError;
 use crate::exec::eval::ExecCtx;
 use crate::exec::select::{execute_select, QueryResult};
-use crate::scope::{Layout, Scope};
+use crate::scope::{Bindings, Layout, Scope};
 use crate::sql::ast::Stmt;
 use crate::value::{Oid, Value};
 
@@ -36,11 +37,17 @@ pub fn execute_read(ctx: &mut ExecCtx, stmt: &Stmt) -> Result<QueryResult, DbErr
 /// ([`crate::storage::Row::values`]) or, for `TABLE(t.coll)`, the `attrs` of
 /// the collection element it un-nests — its OID for a row of an object
 /// table, so `REF(binding)` works, and its slot. What the block's values
-/// are called is the item's [`Layout`]'s business, so a frame copies one
-/// pointer, never a value.
+/// are called is the item's [`Layout`]'s business, so a frame never copies
+/// a value.
+///
+/// The block is borrowed while it is one the heap holds — a table row read
+/// from storage, an element of a collection read in place — so placing it
+/// costs no reference-count write. It is owned only where nothing lasting
+/// holds it: a view row, a scalar or NULL element's wrapper, and the
+/// elements of a collection a REF step or a call materialised.
 #[derive(Debug, Clone)]
-pub struct Frame {
-    pub values: Arc<Vec<Value>>,
+pub struct Frame<'a> {
+    pub values: Cow<'a, Arc<Vec<Value>>>,
     pub oid: Option<Oid>,
     /// The row's heap slot for a table row (its position for a view row,
     /// 0 for a collection element): a reordered plan's sink records each
@@ -49,9 +56,9 @@ pub struct Frame {
     pub slot: usize,
 }
 
-/// Evaluation environment: the scope names resolve in, the current row of
-/// each of its FROM items and, for a correlated subquery, the enclosing
-/// query's environment.
+/// Evaluation environment: the scope names resolve in, what the level's
+/// names are bound to, the current row of each of its FROM items and, for a
+/// correlated subquery, the enclosing query's environment.
 ///
 /// `frames` are in execution order, one per position bound so far, and
 /// `positions` maps each FROM item to its position. The executor owns one
@@ -60,19 +67,31 @@ pub struct Frame {
 #[derive(Debug, Clone, Copy)]
 pub struct Env<'a> {
     pub scope: &'a Scope<'a>,
-    pub frames: &'a [Frame],
+    pub bindings: &'a Bindings<'a>,
+    pub frames: &'a [Frame<'a>],
     pub positions: &'a [usize],
     pub parent: Option<&'a Env<'a>>,
 }
 
 impl<'a> Env<'a> {
     /// No row at all: where `INSERT … VALUES` evaluates.
-    pub const EMPTY: Env<'static> =
-        Env { scope: &Scope::EMPTY, frames: &[], positions: &[], parent: None };
+    pub const EMPTY: Env<'static> = Env {
+        scope: &Scope::EMPTY,
+        bindings: &Bindings::NONE,
+        frames: &[],
+        positions: &[],
+        parent: None,
+    };
+
+    /// The environment of one FROM item's row — DML's target table, bound
+    /// in `scope` — before the row is placed in it.
+    pub(crate) fn row(scope: &'a Scope<'a>, bindings: &'a Bindings<'a>) -> Env<'a> {
+        Env { scope, bindings, frames: &[], positions: &[0], parent: None }
+    }
 
     /// The FROM item at `item` of the environment `depth` levels out, with
     /// its current row — `None` while its position is not bound yet.
-    pub fn item(&self, depth: usize, item: usize) -> Option<(&'a Layout<'a>, &'a Frame)> {
+    pub fn item(&self, depth: usize, item: usize) -> Option<(&'a Layout<'a>, &'a Frame<'a>)> {
         let mut env = *self;
         for _ in 0..depth {
             env = *env.parent?;

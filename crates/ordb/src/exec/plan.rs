@@ -6,11 +6,12 @@
 //! What a conjunct reads is what [`Scope::resolve`] says its paths name: a
 //! conjunct is scheduled at the position of the last FROM item it reads,
 //! qualified or not, and one that reads an outer query or holds a subquery
-//! is deferred to the residual.
+//! is deferred to the residual. Whether a side is one of an item's own
+//! columns — a key — is asked of its [`Bindings`] entry.
 
 use crate::catalog::{Catalog, IndexDef, TableStats};
 use crate::ident::Ident;
-use crate::scope::Scope;
+use crate::scope::{Bindings, Scope};
 use crate::sql::ast::{BinOp, Expr, FromItem, SelectStmt};
 use std::cmp::Reverse;
 
@@ -91,10 +92,12 @@ impl<'s> SelectPlan<'s> {
 
 /// Plan a SELECT from the catalog alone — no storage access, so plans are
 /// data-independent (EXPLAIN's contract) and identical between EXPLAIN and
-/// execution. `scope` holds the layouts of `stmt`'s FROM items.
+/// execution. `scope` holds the layouts of `stmt`'s FROM items, and
+/// `bindings` what the level's paths name.
 pub(crate) fn plan_select<'s>(
     catalog: &Catalog,
     scope: &Scope,
+    bindings: &Bindings,
     stmt: &'s SelectStmt,
 ) -> SelectPlan<'s> {
     let n = stmt.from.len();
@@ -114,11 +117,11 @@ pub(crate) fn plan_select<'s>(
     let mut order = from_order.clone();
     let mut join_order = JoinOrder::FromClause;
     if n > 1 && reorderable(catalog, stmt, scope) {
-        match seeded_order(catalog, stmt, scope, &scheduled) {
+        match seeded_order(catalog, stmt, scope, bindings, &scheduled) {
             Some(seeded) if seeded == order => {}
             Some(seeded) => (order, join_order) = (seeded, JoinOrder::Seeded),
             None if stmt.from.iter().all(|item| analyzed(catalog, item)) => {
-                order = cost_based_order(catalog, stmt, scope, &scheduled);
+                order = cost_based_order(catalog, stmt, scope, bindings, &scheduled);
                 join_order = JoinOrder::CostBased;
             }
             None => {}
@@ -143,7 +146,7 @@ pub(crate) fn plan_select<'s>(
         .enumerate()
         .map(|(pos, &orig)| {
             let applicable = scheduled_at(&scheduled, pos);
-            plan_item_path(catalog, scope, &order, pos, &stmt.from[orig], applicable)
+            plan_item_path(catalog, scope, bindings, &order, pos, &stmt.from[orig], applicable)
         })
         .collect();
     SelectPlan { order, positions, reordered, join_order, scheduled, paths }
@@ -181,11 +184,12 @@ fn cost_based_order(
     catalog: &Catalog,
     stmt: &SelectStmt,
     scope: &Scope,
+    bindings: &Bindings,
     conjuncts: &[(usize, &Expr)],
 ) -> Vec<usize> {
     let n = stmt.from.len();
     let est: Vec<u64> =
-        (0..n).map(|i| local_estimate(catalog, stmt, scope, i, conjuncts)).collect();
+        (0..n).map(|i| local_estimate(catalog, stmt, scope, bindings, i, conjuncts)).collect();
     // Join graph: i ~ j when some conjunct reads both items.
     let mut adjacent = vec![vec![false; n]; n];
     for (_, conjunct) in conjuncts {
@@ -246,11 +250,12 @@ fn seeded_order(
     catalog: &Catalog,
     stmt: &SelectStmt,
     scope: &Scope,
+    bindings: &Bindings,
     conjuncts: &[(usize, &Expr)],
 ) -> Option<Vec<usize>> {
     let n = stmt.from.len();
     let ranks: Vec<ConstantAccess> =
-        (0..n).map(|i| constant_access(catalog, stmt, scope, i, conjuncts)).collect();
+        (0..n).map(|i| constant_access(catalog, stmt, scope, bindings, i, conjuncts)).collect();
     let best = *ranks.iter().min()?;
     if best == ConstantAccess::None {
         return None;
@@ -259,7 +264,8 @@ fn seeded_order(
         let mut order = vec![seed];
         while order.len() < n {
             let next = (0..n).find(|&i| {
-                !order.contains(&i) && one_row_probe(catalog, stmt, scope, &order, i, conjuncts)
+                !order.contains(&i)
+                    && one_row_probe(catalog, stmt, scope, bindings, &order, i, conjuncts)
             })?;
             order.push(next);
         }
@@ -272,6 +278,7 @@ fn constant_access(
     catalog: &Catalog,
     stmt: &SelectStmt,
     scope: &Scope,
+    bindings: &Bindings,
     item: usize,
     conjuncts: &[(usize, &Expr)],
 ) -> ConstantAccess {
@@ -279,7 +286,7 @@ fn constant_access(
         return ConstantAccess::None;
     };
     let keyed: Vec<&Ident> =
-        conjuncts.iter().filter_map(|(_, c)| constant_key(scope, item, c)).collect();
+        conjuncts.iter().filter_map(|(_, c)| constant_key(scope, bindings, item, c)).collect();
     if keyed.is_empty() {
         return ConstantAccess::None;
     }
@@ -298,6 +305,7 @@ fn one_row_probe(
     catalog: &Catalog,
     stmt: &SelectStmt,
     scope: &Scope,
+    bindings: &Bindings,
     placed: &[usize],
     item: usize,
     conjuncts: &[(usize, &Expr)],
@@ -312,7 +320,7 @@ fn one_row_probe(
     let FromItem::Table { name, .. } = &stmt.from[item] else {
         return false;
     };
-    match plan_item_path(catalog, scope, &trial, pos, &stmt.from[item], &applicable).0 {
+    match plan_item_path(catalog, scope, bindings, &trial, pos, &stmt.from[item], &applicable).0 {
         AccessPath::OidProbe { .. } => true,
         AccessPath::IndexProbe { index, .. } => {
             catalog.indexes_on(name).any(|idx| idx.name == index && idx.unique)
@@ -328,6 +336,7 @@ fn local_estimate(
     catalog: &Catalog,
     stmt: &SelectStmt,
     scope: &Scope,
+    bindings: &Bindings,
     item: usize,
     conjuncts: &[(usize, &Expr)],
 ) -> u64 {
@@ -339,7 +348,7 @@ fn local_estimate(
     };
     let mut est = stats.rows;
     for (_, conjunct) in conjuncts {
-        let Some(col) = constant_key(scope, item, conjunct) else {
+        let Some(col) = constant_key(scope, bindings, item, conjunct) else {
             continue;
         };
         let unique = catalog
@@ -357,6 +366,7 @@ fn local_estimate(
 /// column and `expr`: a key of that item.
 fn equality_key<'a>(
     scope: &Scope,
+    bindings: &Bindings,
     order: &[usize],
     pos: usize,
     conjunct: &'a Expr,
@@ -365,34 +375,33 @@ fn equality_key<'a>(
         return None;
     };
     let as_key = |side: &'a Expr, other: &'a Expr| -> Option<(&'a Ident, &'a Expr)> {
-        let (_, column) = own_column(scope, order[pos], side)?;
+        let column = own_column(bindings, order[pos], side)?;
         reads_before(scope, order, pos, other).then_some((column, other))
     };
     as_key(lhs, rhs).or_else(|| as_key(rhs, lhs))
 }
 
-/// The column `side` names, as its index and name, when it is a path to a
-/// column of the FROM item `item` with no further step: the conjunct sides
-/// a key or a block filter is made of.
-pub(crate) fn own_column<'a>(
-    scope: &Scope,
-    item: usize,
-    side: &'a Expr,
-) -> Option<(usize, &'a Ident)> {
+/// The name of the column `side` is, when it is a path to a column of the
+/// FROM item `item` with no further step ([`crate::scope::Bound::own_column`]).
+fn own_column<'a>(bindings: &Bindings, item: usize, side: &'a Expr) -> Option<&'a Ident> {
     let Expr::Path(parts) = side else { return None };
-    let found = scope.resolve(parts)?;
-    let own = found.depth == 0 && found.item == item && found.rest.is_empty();
-    own.then_some((found.column?, &parts[parts.len() - 1]))
+    bindings.get(side)?.own_column(item)?;
+    parts.last()
 }
 
 /// The column of `conjunct` when it is `column = constant` (no FROM
 /// reference on the other side) for the FROM item `item`.
-fn constant_key<'a>(scope: &Scope, item: usize, conjunct: &'a Expr) -> Option<&'a Ident> {
+fn constant_key<'a>(
+    scope: &Scope,
+    bindings: &Bindings,
+    item: usize,
+    conjunct: &'a Expr,
+) -> Option<&'a Ident> {
     let Expr::Binary { op: BinOp::Eq, lhs, rhs } = conjunct else {
         return None;
     };
     let as_key = |side: &'a Expr, other: &'a Expr| {
-        let (_, column) = own_column(scope, item, side)?;
+        let column = own_column(bindings, item, side)?;
         reads_before(scope, &[], 0, other).then_some(column)
     };
     as_key(lhs, rhs).or_else(|| as_key(rhs, lhs))
@@ -438,6 +447,7 @@ fn index_estimate(stats: &TableStats, index: &IndexDef) -> u64 {
 fn plan_item_path<'s>(
     catalog: &Catalog,
     scope: &Scope,
+    bindings: &Bindings,
     order: &[usize],
     pos: usize,
     item: &FromItem,
@@ -462,7 +472,9 @@ fn plan_item_path<'s>(
         // The probe-side expression of the first conjunct keying `column`.
         let key_of = |column: &Ident| {
             applicable.iter().find_map(|(_, c)| {
-                equality_key(scope, order, pos, c).filter(|(col, _)| *col == column).map(|(_, e)| e)
+                equality_key(scope, bindings, order, pos, c)
+                    .filter(|(col, _)| *col == column)
+                    .map(|(_, e)| e)
             })
         };
         // A key expression reads only earlier items; one that reads any.

@@ -28,11 +28,16 @@
 //!
 //! ## What a candidate costs
 //!
-//! The combination is one buffer of one [`Frame`] per position, and a
-//! position refills its own frame in place: no sink keeps a frame, so
-//! nothing allocates per candidate. Before that, a candidate meets its
+//! Before the first row, the level binds its names once
+//! (`Bindings::select`): every path and `REF()` of the select list, the
+//! `TABLE()` operands, WHERE and ORDER BY is resolved to an item, a column
+//! and attribute steps, and nothing is resolved per row after that. The
+//! combination is one buffer of one [`Frame`] per position, and a position
+//! refills its own frame in place: no sink keeps a frame, so nothing
+//! allocates per candidate, and a frame that borrows a stored block costs
+//! no reference-count write either. Before that, a candidate meets its
 //! position's *block filters*: each conjunct `column op literal` (either
-//! side, `op` a comparison) whose column side resolves to one of this
+//! side, `op` a comparison) whose column side is bound to one of this
 //! item's columns with no further step is compiled once per position into
 //! a column index and tested on the candidate's stored block with
 //! `eval::compare`, the rule `eval_bool` uses — so a rejected scan row costs
@@ -43,15 +48,17 @@
 //! in order. A candidate that passes the filters has its frame filled and
 //! meets the rest of its position's conjuncts. Rows are counted where a
 //! cursor opens or reads, not where candidates are tested, so
-//! `rows_scanned` and `join_pairs` are those of the plan.
+//! `rows_scanned` and `join_pairs` are those of the plan — and `EXISTS`,
+//! which stops at its first row and projects nothing, counts what the
+//! cursors it opened read.
 //!
 //! ## Sinks
 //!
 //! Each complete combination goes, in execution order, to the residual
 //! conjuncts and then to a `COUNT(*)` tally or to projection with its
 //! ORDER BY keys: no combination and no frame is stored. Every expression
-//! the sink evaluates resolves its names through the scope, which maps each
-//! FROM item to its position, so an unqualified column names the first
+//! the sink evaluates reads its names' bound items through the scope, which
+//! maps each FROM item to its position, so an unqualified column names the first
 //! FROM item that has it in any plan, and `SELECT *` lays the items out in
 //! FROM order. A reordered plan must return what a nested loop in FROM
 //! order returns, in that order; that loop meets combinations in
@@ -68,29 +75,33 @@
 //!
 //! ## What a frame holds: a block, an OID and a slot
 //!
-//! A frame is a handle on a block of values, the row's OID and its slot;
-//! what the values are called is the FROM item's [`Layout`], derived from
-//! the catalog once per statement. A table row's frame shares the row's
-//! block. `TABLE(t.coll)` reads the collection where it is stored: the
-//! operand is borrowed from the earlier item's frame, the
-//! cursor holds a handle on the element list, and an object element's
-//! frame holds `Arc::clone` of the element's own `attrs` block — the block
-//! the heap holds (see [`crate::value`]). So `TabUniversity t0,
+//! A frame is a block of values, the row's OID and its slot; what the
+//! values are called is the FROM item's [`Layout`], derived from the catalog
+//! once per statement. The block is borrowed wherever the heap holds it: a
+//! table row's frame borrows the row's block. `TABLE(t.coll)` reads the
+//! collection where it is stored: when the operand is bound to a column of
+//! an earlier item whose frame borrows its block, through attribute steps
+//! of declared object types only, the cursor borrows the element list and
+//! an object element's frame borrows the element's own `attrs` block — the
+//! block the heap holds (see [`crate::value`]). So `TabUniversity t0,
 //! TABLE(t0.attrStudent) t1, TABLE(t1.attrCourse) t2, …` copies no stored
-//! value, however much hangs below an element. A scalar element has no
-//! block of its own: its filters test the value itself, and one that
-//! passes is wrapped in a one-value block — the only value an expansion
-//! copies. A NULL element of an object collection gets an empty block,
-//! which reads as NULL in every attribute and as NULL whole.
+//! value and writes no reference count, however much hangs below an
+//! element. A frame owns its block only where nothing lasting holds it: a
+//! view row (a handle on the view's result); the elements of a collection
+//! the evaluator materialised — through a REF step or a call — whose
+//! cursor holds the list and whose frames a handle on each element; a
+//! scalar element, which has no block of its own — its filters test the
+//! value itself, and one that passes is wrapped in a one-value block, the
+//! only value an expansion copies; and a NULL element of an object
+//! collection, which gets an empty block that reads as NULL in every
+//! attribute and as NULL whole.
 
 use crate::error::DbError;
 use crate::exec::eval::{compare, eval_bool, eval_expr, eval_ref, ExecCtx};
-use crate::exec::plan::{
-    own_column, plan_hash_join, plan_select, AccessPath, JoinOrder, SelectPlan,
-};
+use crate::exec::plan::{plan_hash_join, plan_select, AccessPath, JoinOrder, SelectPlan};
 use crate::exec::{cell, Env, Frame};
 use crate::ident::Ident;
-use crate::scope::{layouts, output_names, Layout, Scope};
+use crate::scope::{layouts, output_names, Bindings, Bound, Layout, Scope, MAX_VIEW_NESTING};
 use crate::sql::ast::{BinOp, Expr, FromItem, SelectStmt};
 use crate::storage::{key_hash, Row};
 use crate::value::{Oid, Value};
@@ -136,22 +147,46 @@ pub fn execute_select(
 }
 
 /// The rows of a SELECT. `names`, when given, receives the result's column
-/// names; a subquery — scalar, `EXISTS`, `MULTISET` — reads the rows alone
-/// and names nothing.
+/// names; a subquery — scalar, `MULTISET` — reads the rows alone and names
+/// nothing.
 pub(crate) fn select_rows(
     ctx: &mut ExecCtx,
     stmt: &SelectStmt,
     outer: Option<&Env>,
     names: Option<&mut Vec<String>>,
 ) -> Result<Vec<Vec<Value>>, DbError> {
-    // 0. Names and plan: each FROM item's layout, then WHERE conjuncts
-    //    split and scheduled, the join order and one access path per FROM
-    //    item — from the catalog alone, so the plan is exactly what EXPLAIN
-    //    predicts.
+    run(ctx, stmt, outer, names, false)
+}
+
+/// Does a SELECT return any row — `EXISTS`? The combinations stop at the
+/// first that passes the residual conjuncts, and no select item is
+/// evaluated: cursors that never open count nothing.
+pub(crate) fn any_row(
+    ctx: &mut ExecCtx,
+    stmt: &SelectStmt,
+    outer: Option<&Env>,
+) -> Result<bool, DbError> {
+    Ok(!run(ctx, stmt, outer, None, true)?.is_empty())
+}
+
+/// [`select_rows`], or with `first` the first row only, unprojected: one
+/// empty row, or none.
+fn run(
+    ctx: &mut ExecCtx,
+    stmt: &SelectStmt,
+    outer: Option<&Env>,
+    names: Option<&mut Vec<String>>,
+    first: bool,
+) -> Result<Vec<Vec<Value>>, DbError> {
+    // 0. Names and plan: each FROM item's layout and what every path of
+    //    the level names, then WHERE conjuncts split and scheduled, the join
+    //    order and one access path per FROM item — from the catalog alone,
+    //    so the plan is exactly what EXPLAIN predicts.
     let parent = outer.map(|env| env.scope);
     let layouts = layouts(ctx.catalog, stmt, parent);
     let scope = Scope::new(&layouts, parent);
-    let plan = plan_select(ctx.catalog, &scope, stmt);
+    let bindings = Bindings::select(ctx.catalog, &scope, stmt);
+    let plan = plan_select(ctx.catalog, &scope, &bindings, stmt);
     if plan.join_order == JoinOrder::CostBased
         || plan.paths.iter().any(|(p, _)| matches!(p, AccessPath::IndexProbe { .. }))
     {
@@ -171,6 +206,8 @@ pub(crate) fn select_rows(
         // 2. Residual WHERE conjuncts (those deferred to the end).
         residual: plan.residual(stmt.from.len()),
         reordered: plan.reordered,
+        // A `COUNT(*)` query has its one row whatever it counts.
+        first: first && !counting,
         count: counting.then_some(0),
         rows: Vec::new(),
         order_keys: Vec::new(),
@@ -180,8 +217,17 @@ pub(crate) fn select_rows(
     // 1. FROM: every combination, depth-first in execution order. Later
     //    items see earlier bindings (needed by TABLE(t.attr) un-nesting),
     //    and conjuncts filter as soon as their inputs are bound.
-    let base = Env { scope: &scope, frames: &[], positions: &plan.positions, parent: outer };
+    let base = Env {
+        scope: &scope,
+        bindings: &bindings,
+        frames: &[],
+        positions: &plan.positions,
+        parent: outer,
+    };
     enumerate(ctx, stmt, &plan, base, &mut out)?;
+    if out.first {
+        return Ok(out.rows);
+    }
 
     // 3. Name the columns, from the layouts; a COUNT(*) query is done.
     if let Some(names) = names {
@@ -234,6 +280,8 @@ struct Output<'p> {
     stmt: &'p SelectStmt,
     residual: &'p [(usize, &'p Expr)],
     reordered: bool,
+    /// Stop at the first combination that passes, keeping an empty row.
+    first: bool,
     /// The tally, for a `COUNT(*)` query.
     count: Option<u64>,
     rows: Vec<Vec<Value>>,
@@ -244,17 +292,22 @@ struct Output<'p> {
 }
 
 impl Output<'_> {
-    fn take(&mut self, ctx: &mut ExecCtx, env: &Env) -> Result<(), DbError> {
+    /// Take one combination; false when no more are wanted.
+    fn take(&mut self, ctx: &mut ExecCtx, env: &Env) -> Result<bool, DbError> {
         if let (Some(count), []) = (&mut self.count, self.residual) {
             *count += 1;
-            return Ok(());
+            return Ok(true);
         }
         if !passes(ctx, env, self.residual.iter().map(|(_, c)| *c))? {
-            return Ok(());
+            return Ok(true);
         }
         if let Some(count) = &mut self.count {
             *count += 1;
-            return Ok(());
+            return Ok(true);
+        }
+        if self.first {
+            self.rows.push(Vec::new());
+            return Ok(false);
         }
         let stmt = self.stmt;
         // The FROM items' frames, in FROM order.
@@ -284,7 +337,7 @@ impl Output<'_> {
             self.slots.extend(frames().map(|frame| frame.slot));
         }
         self.rows.push(row);
-        Ok(())
+        Ok(true)
     }
 }
 
@@ -295,26 +348,26 @@ impl Output<'_> {
 /// back to the position before it, a candidate that passes opens the
 /// cursor after it. `base` is the environment of no row: every
 /// combination's environment is `base` with its frames.
-fn enumerate<'a>(
+fn enumerate<'a, 'p>(
     ctx: &mut ExecCtx<'a>,
-    stmt: &SelectStmt,
-    plan: &SelectPlan,
-    base: Env,
+    stmt: &'p SelectStmt,
+    plan: &'p SelectPlan<'p>,
+    base: Env<'p>,
     out: &mut Output,
 ) -> Result<(), DbError> {
     let mut positions: Vec<Position> = plan
         .order
         .iter()
         .enumerate()
-        .map(|(pos, &orig)| Position::new(ctx, stmt, base.scope, plan, pos, orig))
+        .map(|(pos, &orig)| Position::new(ctx, stmt, &base, plan, pos, orig))
         .collect();
     let Some(last) = positions.len().checked_sub(1) else {
         // No FROM item: one empty combination.
-        return out.take(ctx, &base);
+        return out.take(ctx, &base).map(drop);
     };
     // One frame per position reached so far; `combo[..=pos]` is the
     // combination under test.
-    let mut combo: Vec<Frame> = Vec::with_capacity(positions.len());
+    let mut combo: Vec<Frame<'a>> = Vec::with_capacity(positions.len());
     let mut pos = 0;
     positions[0].open(ctx, base, &mut combo, 0)?;
     loop {
@@ -324,7 +377,9 @@ fn enumerate<'a>(
             }
             pos -= 1;
         } else if pos == last {
-            out.take(ctx, &Env { frames: &combo, ..base })?;
+            if !out.take(ctx, &Env { frames: &combo, ..base })? {
+                return Ok(());
+            }
         } else {
             pos += 1;
             positions[pos].open(ctx, base, &mut combo, pos)?;
@@ -367,8 +422,9 @@ enum Access<'p> {
     /// The row whose OID `key` holds, if it lives in this table.
     Oid { key: &'p Expr },
     /// The elements of `TABLE(expr)`; `object` when the layout is an
-    /// object type's, whose elements are their own blocks.
-    Lateral { expr: &'p Expr, object: bool },
+    /// object type's, whose elements are their own blocks. `bound` is what
+    /// a path operand names.
+    Lateral { expr: &'p Expr, bound: Option<&'p Bound<'p>>, object: bool },
 }
 
 /// How the position's conjuncts run on a candidate: the leading ones as
@@ -390,14 +446,14 @@ struct Filter<'p> {
 
 impl<'p> Filter<'p> {
     /// `conjunct` as a filter on blocks of the FROM item `item`, if it is
-    /// one: a comparison of a literal with what resolves to one of the
+    /// one: a comparison of a literal with what is bound to one of the
     /// item's columns, with no further step.
-    fn compile(scope: &Scope, item: usize, conjunct: &'p Expr) -> Option<Filter<'p>> {
+    fn compile(bindings: &Bindings, item: usize, conjunct: &'p Expr) -> Option<Filter<'p>> {
         let Expr::Binary { op, lhs, rhs } = conjunct else { return None };
         if !matches!(op, BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge) {
             return None;
         }
-        let column = |side| own_column(scope, item, side).map(|(column, _)| column);
+        let column = |side| bindings.get(side)?.own_column(item);
         let (column, literal, literal_first) = match (&**lhs, &**rhs) {
             (side, Expr::Literal(literal)) => (column(side)?, literal, false),
             (Expr::Literal(literal), side) => (column(side)?, literal, true),
@@ -415,7 +471,7 @@ impl<'p> Shape<'p> {
     /// and the counters moved are those of testing the conjuncts in WHERE
     /// order.
     fn new(
-        scope: &Scope,
+        bindings: &Bindings,
         item: usize,
         conjuncts: &'p [(usize, &'p Expr)],
         trusted: Option<&Expr>,
@@ -423,7 +479,7 @@ impl<'p> Shape<'p> {
         let (mut filters, mut rest) = (Vec::new(), 0);
         for &(_, conjunct) in conjuncts {
             if !is(trusted, conjunct) {
-                let Some(filter) = Filter::compile(scope, item, conjunct) else { break };
+                let Some(filter) = Filter::compile(bindings, item, conjunct) else { break };
                 filters.push(filter);
             }
             rest += 1;
@@ -450,8 +506,9 @@ enum Candidates<'a> {
     /// A hash bucket, from its next row along [`HashBuild::next`]
     /// ([`END`] when done).
     Chain(usize),
-    /// A collection's elements from `next` on.
-    Elements { elements: Arc<Vec<Value>>, next: usize },
+    /// A collection's elements from `next` on: borrowed where the
+    /// collection is stored, held when it was materialised.
+    Elements { elements: Cow<'a, Arc<Vec<Value>>>, next: usize },
 }
 
 /// A hash position's table: each join key's rows, in row order, as a chain
@@ -515,11 +572,12 @@ impl<'a, 'p> Position<'a, 'p> {
     fn new(
         ctx: &ExecCtx<'a>,
         stmt: &'p SelectStmt,
-        scope: &Scope,
+        base: &Env<'p>,
         plan: &'p SelectPlan,
         pos: usize,
         orig: usize,
     ) -> Position<'a, 'p> {
+        let (scope, bindings) = (base.scope, base.bindings);
         let conjuncts = plan.applicable(pos);
         // The conjunct an OID probe was found by holds for the row it finds:
         // that row's OID is the key's. It is not run again when the key is
@@ -528,7 +586,7 @@ impl<'a, 'p> Position<'a, 'p> {
         let (name, access) = match (&stmt.from[orig], &plan.paths[pos].0) {
             (FromItem::CollectionTable { expr, .. }, _) => {
                 let object = scope.layouts[orig].object_type.is_some();
-                (None, Access::Lateral { expr, object })
+                (None, Access::Lateral { expr, bound: bindings.get(expr), object })
             }
             (FromItem::Table { name, .. }, path) => {
                 let hash =
@@ -537,9 +595,7 @@ impl<'a, 'p> Position<'a, 'p> {
                     AccessPath::OidProbe { key, conjunct } => {
                         let plain = match key {
                             Expr::Literal(_) => true,
-                            Expr::Path(parts) => {
-                                scope.resolve(parts).is_some_and(|found| found.rest.is_empty())
-                            }
+                            Expr::Path(_) => bindings.get(key).is_some_and(|b| b.steps.is_empty()),
                             _ => false,
                         };
                         trusted = plain.then_some(*conjunct);
@@ -564,7 +620,7 @@ impl<'a, 'p> Position<'a, 'p> {
             name,
             conjuncts,
             trusted,
-            shape: Shape::new(scope, orig, conjuncts, trusted),
+            shape: Shape::new(bindings, orig, conjuncts, trusted),
             access,
             source: None,
             todo: Candidates::Range(0..0),
@@ -577,7 +633,7 @@ impl<'a, 'p> Position<'a, 'p> {
         &mut self,
         ctx: &mut ExecCtx<'a>,
         base: Env,
-        combo: &mut Vec<Frame>,
+        combo: &mut Vec<Frame<'a>>,
         pos: usize,
     ) -> Result<(), DbError> {
         if let (Some(name), None) = (self.name, &self.source) {
@@ -655,24 +711,28 @@ impl<'a, 'p> Position<'a, 'p> {
                 }
                 Candidates::Range(slots)
             }
-            Access::Lateral { expr, .. } => {
-                // The operand sees the items before this one, as it did
-                // when the layout was derived.
-                let prefix = Scope::new(&base.scope.layouts[..self.orig], base.scope.parent);
-                let env = Env { scope: &prefix, ..env };
-                let operand = eval_ref(ctx, &env, expr)?;
-                match operand.as_ref() {
-                    Value::Null => Candidates::Range(0..0),
-                    Value::Coll { elements, .. } => {
+            Access::Lateral { expr, bound, .. } => {
+                // A collection stored in an earlier item's block is read in
+                // place; anything else is evaluated, and the operand sees
+                // the items before this one, as it did when its layout was
+                // derived.
+                let stored = bound.and_then(|bound| stored(&combo[..pos], base.positions, bound));
+                let elements = match stored {
+                    Some(operand) => elements(operand)?.map(Cow::Borrowed),
+                    None => {
+                        let prefix =
+                            Scope::new(&base.scope.layouts[..self.orig], base.scope.parent);
+                        let env = Env { scope: &prefix, ..env };
+                        let operand = eval_ref(ctx, &env, expr)?;
+                        elements(&operand)?.map(|elements| Cow::Owned(Arc::clone(elements)))
+                    }
+                };
+                match elements {
+                    None => Candidates::Range(0..0),
+                    Some(elements) => {
                         ctx.stats.rows_scanned += elements.len() as u64;
                         count(ctx, elements.len());
-                        Candidates::Elements { elements: Arc::clone(elements), next: 0 }
-                    }
-                    other => {
-                        return Err(DbError::TypeMismatch {
-                            expected: "collection".into(),
-                            found: other.to_sql_literal(),
-                        })
+                        Candidates::Elements { elements, next: 0 }
                     }
                 }
             }
@@ -690,7 +750,7 @@ impl<'a, 'p> Position<'a, 'p> {
         ctx: &mut ExecCtx<'a>,
         base: Env,
         name: &Ident,
-        combo: &mut Vec<Frame>,
+        combo: &mut Vec<Frame<'a>>,
         pos: usize,
     ) -> Result<(), DbError> {
         if let Some(error) = &base.scope.layouts[self.orig].error {
@@ -703,8 +763,13 @@ impl<'a, 'p> Position<'a, 'p> {
                 .ok_or_else(|| DbError::UnknownTable(name.as_str().to_string()))?;
             Cow::Borrowed(&data.rows[..])
         } else if let Some(view) = catalog.get_view(name) {
-            let rows = select_rows(ctx, &view.query, None, None)?;
-            let rows = rows.into_iter().map(|values| Row { oid: None, values: Arc::new(values) });
+            if ctx.views == MAX_VIEW_NESTING {
+                return Err(DbError::ViewNesting(name.as_str().to_string()));
+            }
+            ctx.views += 1;
+            let rows = select_rows(ctx, &view.query, None, None);
+            ctx.views -= 1;
+            let rows = rows?.into_iter().map(|values| Row { oid: None, values: Arc::new(values) });
             Cow::Owned(rows.collect())
         } else {
             return Err(DbError::UnknownTable(name.as_str().to_string()));
@@ -730,13 +795,13 @@ impl<'a, 'p> Position<'a, 'p> {
             // A key that is one of this item's own columns is read off each
             // row's block, as a block filter reads it; any other is
             // evaluated on the row's frame.
-            let own = own_column(base.scope, self.orig, build).map(|(column, _)| column);
-            for (slot, Row { oid, values }) in rows.iter().enumerate() {
+            let own = base.bindings.get(build).and_then(|bound| bound.own_column(self.orig));
+            for (slot, row) in rows.iter().enumerate() {
                 if let Some(column) = own {
-                    table.push(cell(values, column));
+                    table.push(cell(&row.values, column));
                     continue;
                 }
-                place(combo, pos, Arc::clone(values), *oid, slot);
+                place(combo, pos, block(&rows, slot), row.oid, slot);
                 table.push(eval_ref(ctx, &Env { frames: &combo[..=pos], ..base }, build)?.as_ref());
             }
             if let Access::Hash { table: built, .. } = &mut self.access {
@@ -755,7 +820,7 @@ impl<'a, 'p> Position<'a, 'p> {
         &mut self,
         ctx: &mut ExecCtx,
         base: Env,
-        combo: &mut Vec<Frame>,
+        combo: &mut Vec<Frame<'a>>,
         pos: usize,
     ) -> Result<bool, DbError> {
         let rest = || rest(self.conjuncts, &self.shape, self.trusted);
@@ -772,27 +837,38 @@ impl<'a, 'p> Position<'a, 'p> {
                 }
                 (Candidates::Chain(_), _) => None,
                 (Candidates::Elements { elements, next }, Access::Lateral { object, .. }) => {
-                    let Some(element) = elements.get(*next) else {
-                        return Ok(false);
+                    // A stored element is borrowed for as long as the heap
+                    // holds it; a materialised one only while the cursor does.
+                    let (element, stored): (&Value, Option<&'a Value>) = match &*elements {
+                        Cow::Borrowed(list) => {
+                            let list: &'a Arc<Vec<Value>> = list;
+                            let Some(element) = list.get(*next) else { return Ok(false) };
+                            (element, Some(element))
+                        }
+                        Cow::Owned(list) => match list.get(*next) {
+                            Some(element) => (element, None),
+                            None => return Ok(false),
+                        },
                     };
                     *next += 1;
-                    // An object element's frame holds its own `attrs`, a
-                    // NULL one an empty block; a scalar has no block and is
+                    // An object element's frame is its own `attrs`, a NULL
+                    // one an empty block; a scalar has no block and is
                     // wrapped in one — after its filters, so a rejected
                     // scalar allocates nothing.
                     let shape = &self.shape;
                     let values = match element {
-                        Value::Obj { attrs, .. } if *object && shape.admits(attrs) => {
-                            Arc::clone(attrs)
-                        }
+                        Value::Obj { attrs, .. } if *object && shape.admits(attrs) => match stored {
+                            Some(Value::Obj { attrs, .. }) => Cow::Borrowed(attrs),
+                            _ => Cow::Owned(Arc::clone(attrs)),
+                        },
                         _ if *object
                             && !matches!(element, Value::Obj { .. })
                             && shape.admits(&[]) =>
                         {
-                            Arc::new(Vec::new())
+                            Cow::Owned(Arc::new(Vec::new()))
                         }
                         scalar if !*object && shape.admits(std::slice::from_ref(scalar)) => {
-                            Arc::new(vec![scalar.clone()])
+                            Cow::Owned(Arc::new(vec![scalar.clone()]))
                         }
                         _ => continue,
                     };
@@ -811,9 +887,8 @@ impl<'a, 'p> Position<'a, 'p> {
             let Some(rows) = &self.source else {
                 unreachable!("a position's rows are read on its first visit")
             };
-            let Row { oid, values } = &rows[row];
-            if self.shape.admits(values) {
-                place(combo, pos, Arc::clone(values), *oid, row);
+            if self.shape.admits(&rows[row].values) {
+                place(combo, pos, block(rows, row), rows[row].oid, row);
                 if passes(ctx, &Env { frames: &combo[..=pos], ..base }, rest())? {
                     return Ok(true);
                 }
@@ -837,13 +912,53 @@ fn rest<'p>(
     conjuncts[shape.rest..].iter().map(|&(_, c)| c).filter(move |&c| !is(trusted, c))
 }
 
+/// Row `row`'s block as a frame holds it: borrowed from a table's heap, a
+/// handle on a view's row.
+fn block<'a>(rows: &Cow<'a, [Row]>, row: usize) -> Cow<'a, Arc<Vec<Value>>> {
+    match rows {
+        Cow::Borrowed(rows) => {
+            let rows: &'a [Row] = rows;
+            Cow::Borrowed(&rows[row].values)
+        }
+        Cow::Owned(rows) => Cow::Owned(Arc::clone(&rows[row].values)),
+    }
+}
+
+/// The value a bound `TABLE()` operand names, read in place from the heap:
+/// a column of an earlier item of this level whose frame borrows a stored
+/// block, through attribute steps only. `None` when it is anything else,
+/// which the evaluator then materialises.
+fn stored<'a>(prefix: &[Frame<'a>], positions: &[usize], bound: &Bound) -> Option<&'a Value> {
+    if bound.depth != 0 {
+        return None;
+    }
+    let Cow::Borrowed(block) = prefix.get(*positions.get(bound.item)?)?.values else {
+        return None;
+    };
+    let value = cell(block, bound.column?);
+    bound.steps.iter().try_fold(value, |value, step| step.attr(value))
+}
+
+/// The elements of a `TABLE()` operand: none for NULL, and an error for
+/// anything that is no collection.
+fn elements(operand: &Value) -> Result<Option<&Arc<Vec<Value>>>, DbError> {
+    match operand {
+        Value::Null => Ok(None),
+        Value::Coll { elements, .. } => Ok(Some(elements)),
+        other => Err(DbError::TypeMismatch {
+            expected: "collection".into(),
+            found: other.to_sql_literal(),
+        }),
+    }
+}
+
 /// Make `combo[pos]` the frame of a row, refilling the frame already
 /// there: no sink keeps a frame, so the position's one frame is always free
 /// to take the next candidate.
-fn place(
-    combo: &mut Vec<Frame>,
+fn place<'a>(
+    combo: &mut Vec<Frame<'a>>,
     pos: usize,
-    values: Arc<Vec<Value>>,
+    values: Cow<'a, Arc<Vec<Value>>>,
     oid: Option<Oid>,
     slot: usize,
 ) {
@@ -916,6 +1031,23 @@ mod tests {
     use crate::{Database, DbError, DbMode};
     use std::time::{Duration, Instant};
 
+    /// Every block the heap holds under `T`: each row's, each collection's
+    /// element list, each element's attributes.
+    fn stored_blocks(db: &Database) -> Vec<Arc<Vec<Value>>> {
+        let storage = db.storage();
+        let mut blocks = Vec::new();
+        for row in &storage.table(&Ident::internal("T")).unwrap().rows {
+            blocks.push(Arc::clone(&row.values));
+            for value in row.values.iter() {
+                if let Value::Coll { elements, .. } = value {
+                    blocks.push(Arc::clone(elements));
+                    blocks.extend(elements.iter().map(|element| Arc::clone(element.block())));
+                }
+            }
+        }
+        blocks
+    }
+
     #[test]
     fn a_query_hands_out_the_stored_blocks() {
         let mut db = Database::new(DbMode::Oracle9);
@@ -941,6 +1073,56 @@ mod tests {
         for (row, element) in unnested.rows.iter().zip(stored.block().iter()) {
             assert!(Arc::ptr_eq(row[0].block(), element.block()));
         }
+
+        // Un-nesting borrows what it reads: a query that hands out no block
+        // leaves every stored block's count where it found it.
+        let counts = |db: &Database| -> Vec<usize> {
+            stored_blocks(db).iter().map(|block| Arc::strong_count(block) - 1).collect()
+        };
+        let before = counts(&db);
+        let titles = db.query("SELECT c.title FROM T t, TABLE(t.coll) c WHERE c.credits > 1");
+        assert_eq!(titles.unwrap().rows.len(), 2);
+        assert_eq!(counts(&db), before);
+    }
+
+    /// Names are bound once per query level: the §4.1 un-nest asks the
+    /// resolver as often over one stored university as over fifty.
+    #[test]
+    fn a_query_resolves_its_names_once_however_many_rows_it_reads() {
+        let resolves_over = |universities: usize| {
+            let mut db = Database::new(DbMode::Oracle9);
+            db.execute_script(
+                "CREATE TYPE Type_Professor AS OBJECT(PName VARCHAR(20));
+                 CREATE TYPE Type_Professors AS TABLE OF Type_Professor;
+                 CREATE TYPE Type_Course AS OBJECT(
+                     Title VARCHAR(20), attrProfessor Type_Professors);
+                 CREATE TYPE Type_Courses AS TABLE OF Type_Course;
+                 CREATE TYPE Type_Student AS OBJECT(LName VARCHAR(20), attrCourse Type_Courses);
+                 CREATE TYPE Type_Students AS TABLE OF Type_Student;
+                 CREATE TABLE TabUniversity (UName VARCHAR(20), attrStudent Type_Students);",
+            )
+            .unwrap();
+            let professors = "Type_Professors(Type_Professor('Jaeger'), Type_Professor('Kudrass'))";
+            let course = format!("Type_Course('DB', {professors})");
+            let student = format!("Type_Student('Conrad', Type_Courses({course}, {course}))");
+            for u in 0..universities {
+                db.execute(&format!(
+                    "INSERT INTO TabUniversity VALUES ('U{u}', Type_Students({student}, {student}))"
+                ))
+                .unwrap();
+            }
+            let query = "SELECT t1.LName FROM TabUniversity t0, TABLE(t0.attrStudent) t1, \
+                         TABLE(t1.attrCourse) t2, TABLE(t2.attrProfessor) t3 \
+                         WHERE t3.PName = 'Jaeger' ORDER BY t1.LName";
+            db.query(query).unwrap();
+            let before = crate::scope::resolves();
+            let rows = db.query(query).unwrap().rows.len();
+            assert_eq!(rows, 4 * universities);
+            crate::scope::resolves() - before
+        };
+        let (one, fifty) = (resolves_over(1), resolves_over(50));
+        assert!(one > 0);
+        assert_eq!(one, fifty);
     }
 
     /// `SELECT *`'s names come from the FROM items' layouts, never from a

@@ -24,7 +24,17 @@
 //!
 //! A statement derives each view once, however many queries of other views
 //! name it: a view's output, once derived with no cycle escaping it, is the
-//! same wherever the view is met again.
+//! same wherever the view is met again. Views nest at most
+//! [`MAX_VIEW_NESTING`] deep: the view that would go one deeper is
+//! [`DbError::ViewNesting`], handed up to the statement's own FROM item, so
+//! a chain of any length is an error where the executor first reads it, not
+//! a recursion as deep as the chain.
+//!
+//! **Bindings.** Each query level resolves its names once per execution:
+//! [`Bindings`] asks the resolver about every path and `REF()` of
+//! the level — select list, `TABLE()` operands, WHERE, ORDER BY — and keeps
+//! what each names as a [`Bound`], looked up by the expression's address.
+//! Evaluation reads the bound entry and never asks the resolver again.
 
 use crate::catalog::{Catalog, TableDef, TypeDef, ViewDef};
 use crate::error::DbError;
@@ -189,6 +199,8 @@ impl<'a> Scope<'a> {
     /// anywhere in scope, else `column.…` of the first FROM item that has
     /// the column, innermost scope first. `None` when it names nothing.
     pub fn resolve<'p>(&self, parts: &'p [Ident]) -> Option<Resolved<'a, 'p>> {
+        #[cfg(test)]
+        RESOLVES.with(|n| n.set(n.get() + 1));
         let (head, tail) = parts.split_first()?;
         if let Some((depth, item)) = self.binding(head) {
             let layout = self.layout(depth, item)?;
@@ -246,6 +258,205 @@ impl<'a> Scope<'a> {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    static RESOLVES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// How many times this thread has called [`Scope::resolve`].
+#[cfg(test)]
+pub(crate) fn resolves() -> usize {
+    RESOLVES.with(std::cell::Cell::get)
+}
+
+/// One step a bound path takes below the column it names.
+#[derive(Debug, Clone, Copy)]
+pub enum Step<'a> {
+    /// Into attribute `index` of an object of the declared type `of`.
+    Attr { index: usize, of: &'a Ident, name: &'a Ident },
+    /// By name: through a REF, or from a value of no declared object type.
+    Name(&'a Ident),
+}
+
+impl Step<'_> {
+    /// The attribute a static step reaches in `value`, read in place: `None`
+    /// unless `value` is an object of the step's declared type, which then
+    /// navigates by name ([`crate::exec::eval::navigate`]).
+    pub(crate) fn attr<'v>(&self, value: &'v Value) -> Option<&'v Value> {
+        match (self, value) {
+            (Step::Attr { index, of, .. }, Value::Obj { type_name, attrs }) if type_name == *of => {
+                Some(crate::exec::cell(attrs, *index))
+            }
+            _ => None,
+        }
+    }
+
+    /// The attribute this step names.
+    pub(crate) fn name(&self) -> &Ident {
+        match self {
+            Step::Attr { name, .. } | Step::Name(name) => name,
+        }
+    }
+}
+
+/// What one path or `REF()` of a query level names, once per execution: the
+/// FROM item at `item` of the scope `depth` levels out, its column (`None`:
+/// the bare binding, the whole row) and the steps below it.
+#[derive(Debug, Clone)]
+pub struct Bound<'a> {
+    pub(crate) depth: usize,
+    pub(crate) item: usize,
+    pub(crate) column: Option<usize>,
+    pub(crate) steps: Vec<Step<'a>>,
+}
+
+impl Bound<'_> {
+    /// The column this names when it is one of the FROM item `item`'s own
+    /// columns with no further step: the side a key, a block filter or a
+    /// hash build reads straight off a stored block.
+    pub(crate) fn own_column(&self, item: usize) -> Option<usize> {
+        let own = self.depth == 0 && self.item == item && self.steps.is_empty();
+        self.column.filter(|_| own)
+    }
+}
+
+/// The bound names of one query level, by the address of the path or
+/// `REF()` expression they were bound for. A name that names nothing has no
+/// entry, and fails when it is evaluated. They live beside the execution
+/// that made them, never in the statement: a cached statement outlives the
+/// catalog it was bound against.
+#[derive(Debug, Default)]
+pub struct Bindings<'a> {
+    bound: Vec<(usize, Bound<'a>)>,
+}
+
+impl<'a> Bindings<'a> {
+    /// No names at all: where `INSERT … VALUES` evaluates.
+    pub(crate) const NONE: Bindings<'static> = Bindings { bound: Vec::new() };
+
+    /// Bind every path and `REF()` of `stmt`'s own level (its subqueries
+    /// bind their own): the select list, WHERE and ORDER BY in `scope`, and
+    /// each `TABLE()` operand in the scope of the items before it.
+    pub(crate) fn select(
+        catalog: &'a Catalog,
+        scope: &Scope,
+        stmt: &'a SelectStmt,
+    ) -> Bindings<'a> {
+        let mut bindings = Bindings::default();
+        for (idx, item) in stmt.from.iter().enumerate() {
+            if let FromItem::CollectionTable { expr, .. } = item {
+                let prefix = Scope::new(&scope.layouts[..idx], scope.parent);
+                bindings.bind(catalog, &prefix, expr);
+            }
+        }
+        let items = stmt.items.iter().map(|item| &item.expr);
+        let rest = items.chain(&stmt.where_clause).chain(stmt.order_by.iter().map(|(e, _)| e));
+        bindings.with(catalog, scope, rest)
+    }
+
+    /// Bind every path and `REF()` of `exprs` in `scope`: a DML statement's
+    /// WHERE and SET, a table's CHECK constraints.
+    pub(crate) fn exprs(
+        catalog: &'a Catalog,
+        scope: &Scope,
+        exprs: impl IntoIterator<Item = &'a Expr>,
+    ) -> Bindings<'a> {
+        Bindings::default().with(catalog, scope, exprs)
+    }
+
+    /// Bind `exprs` as well, then order the entries by address for
+    /// [`Bindings::get`].
+    fn with(
+        mut self,
+        catalog: &'a Catalog,
+        scope: &Scope,
+        exprs: impl IntoIterator<Item = &'a Expr>,
+    ) -> Bindings<'a> {
+        for expr in exprs {
+            self.bind(catalog, scope, expr);
+        }
+        self.bound.sort_unstable_by_key(|(key, _)| *key);
+        self
+    }
+
+    /// What the path or `REF()` `expr` names, if anything.
+    pub(crate) fn get(&self, expr: &Expr) -> Option<&Bound<'a>> {
+        let key = expr as *const Expr as usize;
+        let found = self.bound.binary_search_by_key(&key, |(k, _)| *k).ok()?;
+        Some(&self.bound[found].1)
+    }
+
+    /// Bind the names in `expr`, not inside its subqueries.
+    fn bind(&mut self, catalog: &'a Catalog, scope: &Scope, expr: &'a Expr) {
+        let key = expr as *const Expr as usize;
+        match expr {
+            Expr::Path(parts) => {
+                let Some(found) = scope.resolve(parts) else { return };
+                let mut ty = found.ty.cloned();
+                let steps = found
+                    .rest
+                    .iter()
+                    .map(|name| {
+                        let (step, next) = step(catalog, ty.take(), name);
+                        ty = next;
+                        step
+                    })
+                    .collect();
+                let (depth, item, column) = (found.depth, found.item, found.column);
+                self.bound.push((key, Bound { depth, item, column, steps }));
+            }
+            Expr::RefOf(binding) => {
+                let Some((depth, item)) = scope.binding(binding) else { return };
+                self.bound.push((key, Bound { depth, item, column: None, steps: Vec::new() }));
+            }
+            Expr::Call { args, .. } => args.iter().for_each(|arg| self.bind(catalog, scope, arg)),
+            Expr::Binary { lhs, rhs, .. } => {
+                self.bind(catalog, scope, lhs);
+                self.bind(catalog, scope, rhs);
+            }
+            Expr::Not(inner)
+            | Expr::Deref(inner)
+            | Expr::IsNull { expr: inner, .. }
+            | Expr::Like { expr: inner, .. } => self.bind(catalog, scope, inner),
+            Expr::Literal(_)
+            | Expr::CountStar
+            | Expr::Subquery(_)
+            | Expr::KeyRef(_)
+            | Expr::CastMultiset { .. }
+            | Expr::Exists(_) => {}
+        }
+    }
+}
+
+/// The step `name` from a value of declared type `ty`, and the declared type
+/// of what it reaches: an attribute index through an object type, a name
+/// through a REF (whose target's attributes type the next step) or through
+/// anything undeclared.
+fn step<'a>(
+    catalog: &'a Catalog,
+    ty: Option<SqlType>,
+    name: &'a Ident,
+) -> (Step<'a>, Option<SqlType>) {
+    let attrs = |type_name: &Ident| match catalog.get_type(type_name) {
+        Some(def @ TypeDef::Object { attrs, .. }) => {
+            attrs.iter().position(|(attr, _)| attr == name).map(|index| (def, index, attrs))
+        }
+        _ => None,
+    };
+    match &ty {
+        Some(SqlType::Object(type_name)) => match attrs(type_name) {
+            Some((def, index, attrs)) => {
+                (Step::Attr { index, of: def.name(), name }, Some(attrs[index].1.clone()))
+            }
+            None => (Step::Name(name), None),
+        },
+        Some(SqlType::Ref(type_name)) => {
+            (Step::Name(name), attrs(type_name).map(|(_, index, attrs)| attrs[index].1.clone()))
+        }
+        _ => (Step::Name(name), None),
+    }
+}
+
 /// The layouts of `stmt`'s FROM items, in FROM order, under the enclosing
 /// query's scope `parent`.
 pub fn layouts<'c>(
@@ -256,8 +467,8 @@ pub fn layouts<'c>(
     let mut deriver = Deriver { catalog, views: Vec::new(), done: HashMap::new() };
     match deriver.from(stmt, parent) {
         Ok(layouts) => layouts,
-        // invariant: with no view on the stack, every cycle ends at an item.
-        Err(Cycle(_)) => unreachable!("a cycle escaped the query that found it"),
+        // invariant: with no view on the stack, every escape ends at an item.
+        Err(_) => unreachable!("a cycle or a nesting too deep escaped the query that found it"),
     }
 }
 
@@ -283,10 +494,24 @@ fn item_name(item: &SelectItem, index: usize) -> Ident {
     }
 }
 
-/// A view reached again while its layout was being derived: the index of
-/// its first entry on [`Deriver::views`]. Every view on the stack from
-/// there up is on the cycle.
-struct Cycle(usize);
+/// Views nest at most this deep: a view whose query reads a view, in a
+/// subquery or not, is one level; the view that would be one more is
+/// [`DbError::ViewNesting`]. A fixed bound, so that deriving and running a
+/// chain of views costs a bounded stack — well inside the default 2 MiB
+/// thread in an unoptimized build.
+pub const MAX_VIEW_NESTING: usize = 64;
+
+/// Why a view's layout could not be derived, handed up the views on the
+/// stack to the item that ends it.
+enum Escape {
+    /// A view reached again while its layout was being derived: the index
+    /// of its first entry on [`Deriver::views`]. Every view on the stack
+    /// from there up is on the cycle.
+    Cycle(usize),
+    /// The view that would nest deeper than [`MAX_VIEW_NESTING`]: every view
+    /// on the stack holds it, so it ends at the statement's own item.
+    TooDeep(Ident),
+}
 
 /// Derives layouts, keeping the views whose layouts are being derived and
 /// the output of every view derived so far, so that each view is derived
@@ -308,7 +533,7 @@ impl<'c> Deriver<'c> {
         &mut self,
         stmt: &SelectStmt,
         parent: Option<&Scope>,
-    ) -> Result<Vec<Layout<'c>>, Cycle> {
+    ) -> Result<Vec<Layout<'c>>, Escape> {
         let catalog = self.catalog;
         let mut layouts = Vec::with_capacity(stmt.from.len());
         for item in &stmt.from {
@@ -322,10 +547,17 @@ impl<'c> Deriver<'c> {
                         (Some(def), _) => Layout::table(catalog, binding, def),
                         (None, Some(view)) => match self.view(binding.clone(), name, view) {
                             Ok(layout) => layout,
-                            Err(Cycle(start)) if start < self.views.len() => {
-                                return Err(Cycle(start))
+                            Err(Escape::Cycle(start)) if start < self.views.len() => {
+                                return Err(Escape::Cycle(start))
                             }
-                            Err(_) => unreadable(binding, DbError::ViewCycle),
+                            Err(Escape::Cycle(_)) => unreadable(binding, DbError::ViewCycle),
+                            Err(Escape::TooDeep(view)) if !self.views.is_empty() => {
+                                return Err(Escape::TooDeep(view))
+                            }
+                            Err(Escape::TooDeep(view)) => Layout::unreadable(
+                                binding,
+                                DbError::ViewNesting(view.as_str().to_string()),
+                            ),
                         },
                         (None, None) => unreadable(binding, DbError::UnknownTable),
                     }
@@ -341,12 +573,15 @@ impl<'c> Deriver<'c> {
     }
 
     /// A view's layout: its query's output names and their static types.
-    fn view(&mut self, binding: Ident, name: &Ident, view: &ViewDef) -> Result<Layout<'c>, Cycle> {
+    fn view(&mut self, binding: Ident, name: &Ident, view: &ViewDef) -> Result<Layout<'c>, Escape> {
         if let Some(columns) = self.done.get(name) {
             return Ok(Layout::derived(binding, columns.clone()));
         }
         if let Some(start) = self.views.iter().position(|v| v == name) {
-            return Err(Cycle(start));
+            return Err(Escape::Cycle(start));
+        }
+        if self.views.len() == MAX_VIEW_NESTING {
+            return Err(Escape::TooDeep(name.clone()));
         }
         self.views.push(name.clone());
         let columns = self.output(&view.query);
@@ -358,7 +593,7 @@ impl<'c> Deriver<'c> {
 
     /// A view query's output columns, with every view its subqueries name
     /// derived too: any of them may be on a cycle.
-    fn output(&mut self, query: &SelectStmt) -> Result<Vec<(Ident, Option<SqlType>)>, Cycle> {
+    fn output(&mut self, query: &SelectStmt) -> Result<Vec<(Ident, Option<SqlType>)>, Escape> {
         let layouts = self.from(query, None)?;
         let scope = Scope::new(&layouts, None);
         self.subqueries(query, &scope)?;
@@ -375,7 +610,7 @@ impl<'c> Deriver<'c> {
     }
 
     /// Derive the layouts of every subquery of `query`, at any depth.
-    fn subqueries(&mut self, query: &SelectStmt, scope: &Scope) -> Result<(), Cycle> {
+    fn subqueries(&mut self, query: &SelectStmt, scope: &Scope) -> Result<(), Escape> {
         let operands = query.from.iter().filter_map(|item| match item {
             FromItem::CollectionTable { expr, .. } => Some(expr),
             FromItem::Table { .. } => None,
@@ -400,7 +635,7 @@ impl<'c> Deriver<'c> {
     /// `TABLE()` operands: a literal's, a path's declared type, a
     /// constructor's or `CAST(MULTISET …)`'s type, a scalar subquery's one
     /// item's. `None` for anything else, which is scalar.
-    fn ty(&mut self, scope: &Scope, expr: &Expr) -> Result<Option<SqlType>, Cycle> {
+    fn ty(&mut self, scope: &Scope, expr: &Expr) -> Result<Option<SqlType>, Escape> {
         let catalog = self.catalog;
         Ok(match expr {
             Expr::Literal(Value::Str(s)) => Some(SqlType::Varchar(s.chars().count() as u32)),
@@ -455,17 +690,8 @@ impl<'c> Deriver<'c> {
 
 /// The declared type `rest` leads to from a value of type `ty`, through
 /// object attributes and REFs.
-fn path_type(catalog: &Catalog, mut ty: SqlType, rest: &[Ident]) -> Option<SqlType> {
-    for step in rest {
-        let (SqlType::Object(name) | SqlType::Ref(name)) = &ty else {
-            return None;
-        };
-        let TypeDef::Object { attrs, .. } = catalog.get_type(name)? else {
-            return None;
-        };
-        ty = attrs.iter().find(|(attr, _)| attr == step)?.1.clone();
-    }
-    Some(ty)
+fn path_type(catalog: &Catalog, ty: SqlType, rest: &[Ident]) -> Option<SqlType> {
+    rest.iter().try_fold(ty, |ty, name| step(catalog, Some(ty), name).1)
 }
 
 /// Call `f` on every subquery directly inside `expr` (not inside those).

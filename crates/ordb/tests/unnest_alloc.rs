@@ -17,7 +17,8 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Mutex;
 
-use xmlord_ordb::{Database, DbMode, ExecStats, QueryResult, Value};
+use xmlord_ordb::sql::ast::Expr;
+use xmlord_ordb::{Database, DbMode, ExecStats, Ident, InsertBatch, QueryResult, Value};
 use xmlord_prng::Prng;
 
 /// Live bytes (every thread), their peak since the last reset, and the
@@ -308,4 +309,30 @@ fn a_reordered_oracle8_join_keeps_rows_not_frames() {
     let (result, allocations, _, _) = measure(&mut db, &format!("SELECT COUNT(*) {from}"));
     assert_eq!(result.scalar().and_then(|v| v.as_num()), Some(rows as f64));
     assert!(allocations <= 32, "{allocations} allocations to count {rows} rows");
+}
+
+/// `EXISTS` stops at the first row its subquery finds and projects none: a
+/// 10 000-row table costs a bounded number of allocations (23 here), where
+/// collecting every row first cost two per row (20 033). The table is read as a scan reads it
+/// — every row counted where the cursor opens — so `rows_scanned` is what
+/// it was.
+#[test]
+fn exists_stops_at_its_first_row() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut db = Database::new(DbMode::Oracle9);
+    db.execute_script("CREATE TABLE One (k NUMBER); CREATE TABLE Big (n NUMBER, s VARCHAR(20));")
+        .unwrap();
+    db.execute("INSERT INTO One VALUES (1)").unwrap();
+    let rows = (0..10_000)
+        .map(|n| vec![Expr::Literal(Value::Num(n as f64)), Expr::str_lit("a row of Big")])
+        .collect();
+    db.execute_batch(&InsertBatch { table: Ident::internal("Big"), columns: None, rows })
+        .unwrap();
+    db.commit().unwrap();
+
+    let query = "SELECT o.k FROM One o WHERE EXISTS (SELECT b.s FROM Big b WHERE b.n >= 0)";
+    let (result, allocations, _, stats) = measure(&mut db, query);
+    assert_eq!(result.rows, vec![vec![Value::Num(1.0)]]);
+    assert_eq!(stats.rows_scanned, 1 + 10_000);
+    assert!(allocations <= 32, "{allocations} allocations for EXISTS over 10 000 rows");
 }

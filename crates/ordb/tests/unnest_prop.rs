@@ -19,11 +19,16 @@
 //! reference evaluates each view's stored query itself and names columns
 //! by its own rule; `SELECT *` names must agree between an empty and a
 //! filled database, and with the reference's.
+//!
+//! An operand family un-nests collections that are no stored column:
+//! `TABLE(w.o.cs)` through an object column's attribute and `TABLE(w.up.cs)`
+//! through a REF — NULL, dangling or not — beside the stored `TABLE(w.cs)`.
+//! Rows, order and errors (a dangling REF fails both sides) must agree.
 
 #[path = "support/nested_loop.rs"]
 mod nested_loop;
 
-use xmlord_ordb::{Database, DbMode};
+use xmlord_ordb::{Database, DbError, DbMode};
 use xmlord_prng::Prng;
 
 const SCHEMA_ORACLE9: &str = "CREATE TYPE T_Tags AS VARRAY(4) OF VARCHAR(10);
@@ -361,4 +366,153 @@ fn views_agree_with_the_reference() {
     assert!(nonempty * 4 > queries, "{nonempty} of {queries} queries returned rows");
     assert!(starred > 0, "no `SELECT *` returned rows");
     assert!(builds > 0, "no hash join was built");
+}
+
+/// The operand family's schema: a table `W` whose object column `o` and
+/// REF column `up` each lead to a `cs` collection beside its own stored
+/// `cs`, and the object table `D` the REFs point into.
+const SCHEMA_OPERANDS: &str = "CREATE TYPE T_Tags AS VARRAY(4) OF VARCHAR(10);
+CREATE TYPE T_C AS OBJECT (cn VARCHAR(10), k NUMBER, tags T_Tags);
+CREATE TYPE T_Cs AS TABLE OF T_C;
+CREATE TYPE T_O AS OBJECT (oname VARCHAR(10), cs T_Cs);
+CREATE TYPE T_D AS OBJECT (dk NUMBER, cs T_Cs);
+CREATE TABLE D OF T_D;
+CREATE TABLE W (wk NUMBER, o T_O, up REF T_D, cs T_Cs);
+CREATE TABLE A (s VARCHAR(10), n NUMBER);";
+
+fn courses(rng: &mut Prng) -> String {
+    let course = |rng: &mut Prng| format!("T_C({}, {}, {})", str_lit(rng), num_lit(rng), tags(rng));
+    collection(rng, "T_Cs", 3, course)
+}
+
+/// `D` rows keyed `0..`, `W` rows whose `o` is NULL or holds courses and
+/// whose `up` is NULL or points into `D` — at a row the last step may
+/// delete, leaving the REF dangling.
+fn operands_setup(rng: &mut Prng) -> Database {
+    let mut db = Database::new(DbMode::Oracle9);
+    db.execute_script(SCHEMA_OPERANDS).unwrap();
+    let targets = rng.gen_range(1usize..4);
+    for dk in 0..targets {
+        db.execute(&format!("INSERT INTO D VALUES (T_D({dk}, {}))", courses(rng))).unwrap();
+    }
+    for _ in 0..rng.gen_range(1usize..5) {
+        let o = match rng.gen_bool(0.2) {
+            true => "NULL".to_string(),
+            false => format!("T_O({}, {})", str_lit(rng), courses(rng)),
+        };
+        let up = match rng.gen_range(0u32..5) {
+            0 => "NULL".to_string(),
+            _ => format!("(SELECT REF(d) FROM D d WHERE d.dk = {})", rng.gen_range(0..targets)),
+        };
+        let sql = format!("INSERT INTO W VALUES ({}, {o}, {up}, {})", num_lit(rng), courses(rng));
+        db.execute(&sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    }
+    if rng.gen_bool(0.3) {
+        db.execute(&format!("DELETE FROM D WHERE dk = {}", rng.gen_range(0..targets))).unwrap();
+    }
+    for _ in 0..rng.gen_range(0usize..5) {
+        db.execute(&format!("INSERT INTO A VALUES ({}, {})", str_lit(rng), num_lit(rng))).unwrap();
+    }
+    db
+}
+
+/// `W w` with one to three of `TABLE(w.o.cs)` (a static attribute step),
+/// `TABLE(w.up.cs)` (a REF step, which materialises) and `TABLE(w.cs)` (a
+/// stored column) in random order, perhaps one's tags un-nested below it,
+/// and perhaps `A` first or last, joined to an element. Conjuncts run at the
+/// last item, so every combination of the items before a `TABLE()` reaches
+/// its operand, as the reference's do.
+fn operands_query(rng: &mut Prng) -> String {
+    let mut laterals =
+        vec![("o", "TABLE(w.o.cs) o"), ("r", "TABLE(w.up.cs) r"), ("s", "TABLE(w.cs) s")];
+    let mut from: Vec<(&str, String)> = vec![("w", "W w".into())];
+    for _ in 0..rng.gen_range(1usize..4) {
+        let (b, item) = laterals.remove(rng.gen_range(0..laterals.len()));
+        from.push((b, item.into()));
+    }
+    let elements: Vec<&str> = from[1..].iter().map(|(b, _)| *b).collect();
+    if rng.gen_bool(0.3) {
+        let above = *rng.choose(&elements);
+        from.push(("g", format!("TABLE({above}.tags) g")));
+    }
+    let element_columns = |b: &str| -> Vec<String> {
+        match b {
+            "g" => vec!["g.COLUMN_VALUE".into()],
+            b => vec![format!("{b}.cn"), format!("{b}.k")],
+        }
+    };
+    let mut columns: Vec<String> = from[1..].iter().flat_map(|(b, _)| element_columns(b)).collect();
+    // A conjunct runs where its last item is bound: on the last item, or
+    // on `A` placed last, no combination is dropped before an operand.
+    let last = from[from.len() - 1].0;
+    let mut conjuncts: Vec<String> = Vec::new();
+    if rng.gen_bool(0.4) {
+        let a_last = rng.gen_bool(0.5);
+        let partner = if a_last { *rng.choose(&elements) } else { last };
+        let partner = if partner == "g" { elements[elements.len() - 1] } else { partner };
+        conjuncts.push(format!("a.n = {partner}.k"));
+        from.insert(if a_last { from.len() } else { 0 }, ("a", "A a".into()));
+        columns.extend(["a.s".to_string(), "a.n".to_string()]);
+    }
+    if rng.gen_bool(0.4) {
+        let filter = local(rng, if last == "g" { "g" } else { "c" });
+        conjuncts.push(filter.replace("c.", &format!("{last}.")));
+    }
+    columns.extend(["w.wk", "w.o.oname", "w.up.dk"].map(String::from));
+    let head = match rng.gen_range(0u32..6) {
+        0 => "COUNT(*)".to_string(),
+        1 => "*".to_string(),
+        2 => format!("DISTINCT {}", rng.choose(&columns)),
+        _ => (0..rng.gen_range(1usize..4))
+            .map(|_| rng.choose(&columns).clone())
+            .collect::<Vec<_>>()
+            .join(", "),
+    };
+    let items: Vec<&str> = from.iter().map(|(_, item)| item.as_str()).collect();
+    let mut sql = format!("SELECT {head} FROM {}", items.join(", "));
+    if !conjuncts.is_empty() {
+        sql.push_str(&format!(" WHERE {}", conjuncts.join(" AND ")));
+    }
+    if head != "COUNT(*)" && rng.gen_bool(0.3) {
+        let desc = if rng.gen_bool(0.5) { " DESC" } else { "" };
+        sql.push_str(&format!(" ORDER BY {}{desc}", rng.choose(&columns)));
+    }
+    sql
+}
+
+#[test]
+fn operands_that_are_no_stored_column_agree_with_the_reference() {
+    let (mut queries, mut nonempty, mut failed, mut derefs) = (0u64, 0u64, 0u64, 0);
+    let (mut through_object, mut through_ref) = (0u64, 0u64);
+    for case in 0..250u64 {
+        let mut rng = Prng::seed_from_u64(0x0DE7_A000 + case);
+        let mut db = operands_setup(&mut rng);
+        for _ in 0..6 {
+            let sql = operands_query(&mut rng);
+            let ctx = format!("case {case}: {sql}");
+            let before = db.stats();
+            let outcome = db.query(&sql).map(|result| result.rows);
+            derefs += db.stats().since(&before).derefs;
+            match (outcome, nested_loop::try_select(&db, &sql)) {
+                (Ok(rows), Ok(expected)) => {
+                    assert_eq!(rows, expected, "{ctx}");
+                    let rows = !rows.is_empty() && !sql.starts_with("SELECT COUNT(*)");
+                    nonempty += u64::from(rows);
+                    through_object += u64::from(rows && sql.contains("TABLE(w.o.cs)"));
+                    through_ref += u64::from(rows && sql.contains("TABLE(w.up.cs)"));
+                }
+                (Err(e), Err(_)) => {
+                    assert_eq!(e, DbError::DanglingRef, "{ctx}");
+                    failed += 1;
+                }
+                (outcome, expected) => panic!("{ctx}: {outcome:?} against {expected:?}"),
+            }
+            queries += 1;
+        }
+    }
+    // The family must have exercised what it claims to check.
+    assert!(nonempty * 4 > queries, "{nonempty} of {queries} queries returned rows");
+    assert!(through_object > 0 && through_ref > 0, "{through_object} / {through_ref}");
+    assert!(derefs > 0, "no REF step was taken");
+    assert!(failed > 0 && failed * 4 < queries, "{failed} of {queries} queries failed");
 }

@@ -18,8 +18,8 @@
 //! Every finding is a [`Severity::Warning`]: the statements all *execute* —
 //! the differential guarantee reserves Errors for certain rejections.
 //!
-//! Table references are collected by re-tokenizing each statement slice and
-//! intersecting identifier tokens with the tables known to the script, so
+//! Table references are collected by intersecting the identifier tokens of
+//! each statement's span with the tables known to the script, so
 //! references inside arbitrarily nested subqueries count as reads without a
 //! full AST walk. Use-before-CREATE ordering needs no pass of its own: the
 //! per-statement binder already reports `unknown-table` Errors against the
@@ -31,7 +31,8 @@ use xmlord_diag::{Diagnostic, Severity, Span};
 
 use crate::ident::Ident;
 use crate::sql::ast::Stmt;
-use crate::sql::lexer::{tokenize, Token};
+use crate::analyze::tokens_within;
+use crate::sql::lexer::{SpannedToken, Token};
 use crate::sql::span::SpannedStmt;
 
 /// State of one table as the pass walks the script.
@@ -49,9 +50,13 @@ struct TableState {
     uncommitted_unread_writes: Vec<Span>,
 }
 
-/// Run the dataflow pass over a parsed script. `source` is the script text
-/// the statement spans index into.
-pub(crate) fn dataflow_pass(source: &str, stmts: &[SpannedStmt], diags: &mut Vec<Diagnostic>) {
+/// Run the dataflow pass over a parsed script and the tokens it was parsed
+/// from.
+pub(crate) fn dataflow_pass(
+    tokens: &[SpannedToken],
+    stmts: &[SpannedStmt],
+    diags: &mut Vec<Diagnostic>,
+) {
     let mut tables: BTreeMap<String, TableState> = BTreeMap::new();
     let mut names: BTreeMap<String, String> = BTreeMap::new(); // upper → display
 
@@ -73,7 +78,7 @@ pub(crate) fn dataflow_pass(source: &str, stmts: &[SpannedStmt], diags: &mut Vec
 
         // Reads: every known table mentioned in the statement other than
         // the write target itself.
-        let mentioned = mentioned_idents(source, ss.span);
+        let mentioned = mentioned_idents(tokens_within(tokens, ss.span));
         let mut reads: BTreeSet<String> = mentioned
             .into_iter()
             .filter(|n| tables.contains_key(n))
@@ -201,10 +206,8 @@ pub(crate) fn dataflow_pass(source: &str, stmts: &[SpannedStmt], diags: &mut Vec
     }
 }
 
-/// Upper-cased identifier tokens of the statement slice.
-fn mentioned_idents(source: &str, span: Span) -> BTreeSet<String> {
-    let slice: String = source.chars().skip(span.start).take(span.len()).collect();
-    let Ok(tokens) = tokenize(&slice) else { return BTreeSet::new() };
+/// Upper-cased identifier tokens of a statement.
+fn mentioned_idents(tokens: &[SpannedToken]) -> BTreeSet<String> {
     tokens
         .iter()
         .filter_map(|t| match &t.token {

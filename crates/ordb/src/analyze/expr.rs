@@ -1,40 +1,84 @@
 //! Static expression analysis.
 //!
-//! The central question for every check is *eagerness*: does the executor
-//! run the corresponding check unconditionally when the statement executes
-//! (→ a definite failure may be reported as `Severity::Error`), or only
-//! per-row / behind a short-circuit (→ at most a `Warning`)? The `eager`
-//! flag threaded through [`analyze_expr`] answers it per expression
-//! position, mirroring `exec::eval` exactly:
+//! Two questions per expression. The first is *eagerness*: does the
+//! executor evaluate it unconditionally when the statement executes (→ a
+//! definite failure may be reported as `Severity::Error`), or only per row
+//! or behind a short-circuit (→ at most a `Warning`)? The `eager` flag
+//! threaded through [`analyze_expr`] answers it per expression position, as
+//! `exec::eval` evaluates:
 //!
 //! * `AND`/`OR` short-circuit, so only the left operand inherits eagerness;
-//! * comparison, `CONCAT`, `NOT`, `IS NULL`, `LIKE` always evaluate their
-//!   operands;
+//! * comparison, `||`, `NOT`, `IS NULL`, `LIKE`, `DEREF` and a call always
+//!   evaluate their operands;
 //! * `CAST(MULTISET …)` validates its target type *before* running the
 //!   query; `EXISTS`/scalar subqueries run their query when evaluated.
+//!
+//! The second is the *value*, as far as it is the same whatever the data
+//! ([`Fold`]). A literal folds, and so does a call, comparison, `||`,
+//! `NOT`, `IS NULL` or `LIKE` whose operands all fold. A path, `REF()`,
+//! `DEREF`, a subquery, `EXISTS`, a key REF, `CAST(MULTISET …)` and
+//! `COUNT(*)` read rows or storage and never fold. The analyzer holds no
+//! value rule of its own: a node whose operands folded is evaluated by
+//! `exec::eval::eval_expr`, and a call whose operands did not all fold is
+//! handed to `exec::eval::call` with NULL in place of each operand that did
+//! not. NULL passes every constructor, built-in and coercion, so what the
+//! executor rejects with those stand-ins it rejects with the real operands.
+//! Both run against the shadow catalog and an empty storage, which a folded
+//! node never reads.
 
-use crate::analyze::StmtCx;
+use crate::analyze::{code_for, StmtCx};
 use crate::catalog::TypeDef;
+use crate::error::DbError;
+use crate::exec::eval::{call, deref, eval_expr, multiset_target};
+use crate::exec::Env;
 use crate::ident::Ident;
 use crate::scope::Scope;
 use crate::sql::ast::{BinOp, Expr};
-use xmlord_diag::Span;
 use crate::types::SqlType;
 use crate::value::Value;
 
-/// Static type of an expression — only shapes the analyzer can be *certain*
-/// about. `Lit` carries the literal's concrete value so scalar coercion
-/// outcomes can be replicated exactly; everything data-dependent (paths,
-/// subqueries, built-in results) is `Unknown`, which makes no claims.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum STy {
+/// What the analyzer knows of an expression's value before any row is read.
+#[derive(Debug, Clone)]
+pub(crate) enum Fold {
+    /// Nothing: the value depends on rows or storage, or the executor
+    /// rejects the expression.
     Unknown,
-    Lit(Value),
-    /// Result of a successful object constructor: definitely `Obj` of this
-    /// type (or the statement was already rejected by the constructor).
-    Object(Ident),
-    /// Result of a collection constructor or `CAST(MULTISET …)`.
-    Collection(Ident),
+    /// The value the executor computes, whatever the data.
+    Value(Value),
+    /// An object or collection a constructor built from operands that did
+    /// not all fold: its type is the executor's, and its contents hold a
+    /// stand-in NULL for each operand that was [`Fold::Unknown`].
+    /// `known[i]` says whether operand `i` was anything else.
+    Built(Value, Vec<bool>),
+}
+
+impl Fold {
+    /// What the executor's functions are handed in this operand's place:
+    /// what is known of its value, NULL when nothing is. A composite's type
+    /// does not depend on its contents, so a built value stands for itself.
+    pub(crate) fn stand_in(&self) -> Value {
+        match self {
+            Fold::Unknown => Value::Null,
+            Fold::Value(v) | Fold::Built(v, _) => v.clone(),
+        }
+    }
+
+    /// Is the stand-in more than a placeholder NULL?
+    pub(crate) fn is_known(&self) -> bool {
+        !matches!(self, Fold::Unknown)
+    }
+
+    /// Which of the `n` parts of a known object are known themselves.
+    pub(crate) fn known_parts(&self, n: usize) -> Vec<bool> {
+        match self {
+            Fold::Built(_, known) => known.clone(),
+            Fold::Unknown | Fold::Value(_) => vec![self.is_known(); n],
+        }
+    }
+
+    fn folded(&self) -> bool {
+        matches!(self, Fold::Value(_))
+    }
 }
 
 /// No FROM item anywhere in the chain — the executor's `Env::EMPTY`
@@ -50,59 +94,31 @@ fn any_unreadable(scope: &Scope) -> bool {
     scope.layouts.iter().any(|l| l.error.is_some()) || scope.parent.is_some_and(any_unreadable)
 }
 
-/// Analyze one expression, emitting diagnostics, and return its static type.
-pub(crate) fn analyze_expr(cx: &mut StmtCx, scope: &Scope, eager: bool, expr: &Expr) -> STy {
+/// Analyze one expression, emitting diagnostics, and return what is known
+/// of its value.
+pub(crate) fn analyze_expr(cx: &mut StmtCx, scope: &Scope, eager: bool, expr: &Expr) -> Fold {
     match expr {
-        Expr::Literal(v) => STy::Lit(v.clone()),
+        Expr::Literal(v) => Fold::Value(v.clone()),
         Expr::Path(parts) => {
             analyze_path(cx, scope, eager, parts);
-            // Declared-typed values may still be NULL at runtime (and NULL
-            // coerces to anything), so paths never support coercion claims.
-            STy::Unknown
+            Fold::Unknown
         }
         Expr::Call { name, args } => analyze_call(cx, scope, eager, name, args),
-        Expr::CountStar => {
-            cx.report(
-                eager,
-                "countstar-position",
-                "COUNT(*) is only valid as a top-level select item".into(),
-                cx.span,
-            );
-            STy::Unknown
+        // Rejected wherever it is evaluated: only a select list holds it.
+        Expr::CountStar => fold_node(cx, eager, expr, &[]),
+        Expr::Binary { op: BinOp::And | BinOp::Or, lhs, rhs } => {
+            // Short-circuit: the right operand may never be evaluated.
+            analyze_expr(cx, scope, eager, lhs);
+            analyze_expr(cx, scope, false, rhs);
+            Fold::Unknown
         }
-        Expr::Binary { op, lhs, rhs } => {
-            match op {
-                // Short-circuit: the right operand may never be evaluated.
-                BinOp::And | BinOp::Or => {
-                    analyze_expr(cx, scope, eager, lhs);
-                    analyze_expr(cx, scope, false, rhs);
-                }
-                _ => {
-                    analyze_expr(cx, scope, eager, lhs);
-                    analyze_expr(cx, scope, eager, rhs);
-                }
-            }
-            STy::Unknown
+        Expr::Binary { lhs, rhs, .. } => {
+            let operands = [analyze_expr(cx, scope, eager, lhs), analyze_expr(cx, scope, eager, rhs)];
+            fold_node(cx, eager, expr, &operands)
         }
-        Expr::Not(inner) => {
-            analyze_expr(cx, scope, eager, inner);
-            STy::Unknown
-        }
-        Expr::IsNull { expr, .. } => {
-            analyze_expr(cx, scope, eager, expr);
-            STy::Unknown
-        }
-        Expr::Like { expr, .. } => {
-            let sty = analyze_expr(cx, scope, eager, expr);
-            if matches!(sty, STy::Object(_) | STy::Collection(_)) {
-                cx.report(
-                    eager,
-                    "type-mismatch",
-                    "LIKE requires a string, found an object/collection value".into(),
-                    cx.span,
-                );
-            }
-            STy::Unknown
+        Expr::Not(inner) | Expr::IsNull { expr: inner, .. } | Expr::Like { expr: inner, .. } => {
+            let operand = analyze_expr(cx, scope, eager, inner);
+            fold_node(cx, eager, expr, &[operand])
         }
         Expr::RefOf(alias) => {
             if is_empty_chain(scope) {
@@ -129,203 +145,73 @@ pub(crate) fn analyze_expr(cx: &mut StmtCx, scope: &Scope, eager: bool, expr: &E
                     ),
                 }
             }
-            STy::Unknown
+            Fold::Unknown
         }
         Expr::Deref(inner) => {
-            let sty = analyze_expr(cx, scope, eager, inner);
-            let non_ref = match &sty {
-                STy::Lit(v) => !v.is_null(),
-                STy::Object(_) | STy::Collection(_) => true,
-                STy::Unknown => false,
-            };
-            if non_ref {
-                cx.report(
-                    eager,
-                    "deref-non-ref",
-                    "DEREF applied to an expression that is never a REF".into(),
-                    cx.span,
-                );
+            let operand = analyze_expr(cx, scope, eager, inner).stand_in();
+            // A folded value is never a REF, so the empty storage is not read.
+            if let Err(err) = cx.exec(|ctx| deref(ctx, operand)) {
+                cx.report(eager, "deref-non-ref", err.to_string(), cx.span);
             }
-            STy::Unknown
+            Fold::Unknown
         }
-        Expr::Subquery(query) => {
+        Expr::Subquery(query) | Expr::Exists(query) => {
             crate::analyze::select::analyze_select(cx, Some(scope), query, eager);
-            STy::Unknown
+            Fold::Unknown
         }
         Expr::KeyRef(key_ref) => {
             let query = key_ref.subquery();
             crate::analyze::select::analyze_select(cx, Some(scope), &query, eager);
-            STy::Unknown
-        }
-        Expr::Exists(query) => {
-            crate::analyze::select::analyze_select(cx, Some(scope), query, eager);
-            STy::Unknown
+            Fold::Unknown
         }
         Expr::CastMultiset { query, target } => {
             // The executor validates the target type before running the
             // query — this check is as eager as the expression position.
-            let span = cx.anchor_ident(target);
-            let result = match cx.catalog.get_type(target) {
-                None => {
-                    cx.report(
-                        eager,
-                        "unknown-type",
-                        format!("CAST target type '{target}' does not exist"),
-                        span,
-                    );
-                    STy::Unknown
-                }
-                Some(def) if def.element_type().is_none() => {
-                    cx.report(
-                        eager,
-                        "cast-target-not-collection",
-                        format!("CAST(MULTISET …) target '{target}' is not a collection type"),
-                        span,
-                    );
-                    STy::Unknown
-                }
-                Some(_) => STy::Collection(target.clone()),
-            };
-            crate::analyze::select::analyze_select(cx, Some(scope), query, eager);
-            result
-        }
-    }
-}
-
-/// Analyze a constructor or built-in call, mirroring `eval_call`: a name
-/// that exists in the catalog is a constructor, otherwise one of the five
-/// built-ins, otherwise an unconditional `UnknownType` error.
-fn analyze_call(
-    cx: &mut StmtCx,
-    scope: &Scope,
-    eager: bool,
-    name: &Ident,
-    args: &[Expr],
-) -> STy {
-    let stys: Vec<STy> = args.iter().map(|a| analyze_expr(cx, scope, eager, a)).collect();
-    let span = cx.anchor_ident(name);
-    if let Some(def) = cx.catalog.get_type(name) {
-        let def = def.clone();
-        match def {
-            TypeDef::Object { name, attrs, incomplete } => {
-                if incomplete {
-                    cx.report(
-                        eager,
-                        "incomplete-type",
-                        format!("constructor {name}(…): type is an incomplete forward declaration"),
-                        span,
-                    );
-                    return STy::Object(name);
-                }
-                if stys.len() != attrs.len() {
-                    cx.report(
-                        eager,
-                        "constructor-arity",
-                        format!(
-                            "constructor {name}(…): expected {} arguments, got {}",
-                            attrs.len(),
-                            stys.len()
-                        ),
-                        span,
-                    );
-                    return STy::Object(name);
-                }
-                for (sty, (attr_name, attr_type)) in stys.iter().zip(&attrs) {
-                    if let Some(msg) = static_coerce_error(sty, attr_type) {
-                        cx.report(
-                            eager,
-                            "type-mismatch",
-                            format!("constructor {name}(…), attribute '{attr_name}': {msg}"),
-                            span,
-                        );
-                    }
-                }
-                STy::Object(name)
-            }
-            TypeDef::Varray { name, elem, max } => {
-                if stys.len() > max as usize {
-                    cx.report(
-                        eager,
-                        "varray-limit",
-                        format!(
-                            "VARRAY '{name}' limit exceeded: {} elements, maximum {max}",
-                            stys.len()
-                        ),
-                        span,
-                    );
-                }
-                check_elements(cx, eager, &name, &stys, &elem, span);
-                STy::Collection(name)
-            }
-            TypeDef::NestedTable { name, elem } => {
-                check_elements(cx, eager, &name, &stys, &elem, span);
-                STy::Collection(name)
-            }
-        }
-    } else {
-        match name.key() {
-            "UPPER" | "LOWER" | "LENGTH" | "TO_NUMBER" | "TO_CHAR" => {
-                if args.len() != 1 {
-                    cx.report(
-                        eager,
-                        "call-arity",
-                        format!("{name} takes one argument"),
-                        span,
-                    );
-                    return STy::Unknown;
-                }
-                let definite_mismatch = match name.key() {
-                    "UPPER" | "LOWER" | "LENGTH" => match &stys[0] {
-                        STy::Lit(Value::Str(_)) | STy::Lit(Value::Null) | STy::Unknown => false,
-                        STy::Lit(_) | STy::Object(_) | STy::Collection(_) => true,
-                    },
-                    "TO_NUMBER" => match &stys[0] {
-                        STy::Lit(Value::Null) | STy::Unknown => false,
-                        STy::Lit(v) => v.as_num().is_none(),
-                        STy::Object(_) | STy::Collection(_) => true,
-                    },
-                    _ => false, // TO_CHAR stringifies anything
+            if let Err(err) = multiset_target(cx.catalog, target) {
+                let code = match err {
+                    DbError::TypeMismatch { .. } => "cast-target-not-collection",
+                    _ => code_for(&err),
                 };
-                if definite_mismatch {
-                    cx.report(
-                        eager,
-                        "type-mismatch",
-                        format!("{name}: argument can never have the required type"),
-                        span,
-                    );
-                }
-                STy::Unknown
+                cx.report(eager, code, err.to_string(), cx.anchor_ident(target));
             }
-            _ => {
-                cx.report(
-                    eager,
-                    "unknown-function",
-                    format!("'{name}' is neither a type in the catalog nor a built-in function"),
-                    span,
-                );
-                STy::Unknown
-            }
+            crate::analyze::select::analyze_select(cx, Some(scope), query, eager);
+            Fold::Unknown
         }
     }
 }
 
-fn check_elements(
-    cx: &mut StmtCx,
-    eager: bool,
-    coll_name: &Ident,
-    stys: &[STy],
-    elem: &SqlType,
-    span: Span,
-) {
-    for (i, sty) in stys.iter().enumerate() {
-        if let Some(msg) = static_coerce_error(sty, elem) {
-            cx.report(
-                eager,
-                "type-mismatch",
-                format!("constructor {coll_name}(…), element {}: {msg}", i + 1),
-                span,
-            );
+/// `node` evaluated by the executor in the empty environment once its
+/// `operands` have all folded: its value, or its rejection reported. A node
+/// with an operand that did not fold makes no claim.
+fn fold_node(cx: &mut StmtCx, eager: bool, node: &Expr, operands: &[Fold]) -> Fold {
+    if !operands.iter().all(Fold::folded) {
+        return Fold::Unknown;
+    }
+    match cx.exec(|ctx| eval_expr(ctx, &Env::EMPTY, node)) {
+        Ok(value) => Fold::Value(value),
+        Err(err) => {
+            cx.reject(eager, &err, cx.span);
+            Fold::Unknown
         }
+    }
+}
+
+/// A constructor or built-in call: the executor's [`call`] on what is known
+/// of the arguments. Its value folds when they all did; a composite it
+/// builds from some that did not keeps its type.
+fn analyze_call(cx: &mut StmtCx, scope: &Scope, eager: bool, name: &Ident, args: &[Expr]) -> Fold {
+    let operands: Vec<Fold> = args.iter().map(|a| analyze_expr(cx, scope, eager, a)).collect();
+    let stand_ins = operands.iter().map(Fold::stand_in).collect();
+    match cx.exec(|ctx| call(ctx, name, stand_ins)) {
+        Err(err) => {
+            cx.reject(eager, &err, cx.anchor_ident(name));
+            Fold::Unknown
+        }
+        Ok(value) if operands.iter().all(Fold::folded) => Fold::Value(value),
+        Ok(value @ (Value::Obj { .. } | Value::Coll { .. })) => {
+            Fold::Built(value, operands.iter().map(Fold::is_known).collect())
+        }
+        Ok(_) => Fold::Unknown,
     }
 }
 
@@ -408,63 +294,6 @@ pub(crate) fn walk_attrs(cx: &mut StmtCx, start: SqlType, parts: &[Ident], full:
                     span,
                 );
                 return;
-            }
-        }
-    }
-}
-
-/// Would `exec::eval::coerce` *definitely* fail coercing a value of static
-/// type `sty` to `target`? Returns the failure message, or `None` when the
-/// coercion might succeed (including for `Unknown` and NULL literals —
-/// NULL coerces to anything). Scalar rules replicate `coerce` exactly,
-/// including numeric `Display` via [`Value::Num`].
-pub(crate) fn static_coerce_error(sty: &STy, target: &SqlType) -> Option<String> {
-    let mismatch = |found: &str| Some(format!("expected {target}, found {found}"));
-    match sty {
-        STy::Unknown => None,
-        STy::Object(t) => match target {
-            SqlType::Object(e) if e == t => None,
-            _ => mismatch(&format!("object of type {t}")),
-        },
-        STy::Collection(t) => match target {
-            SqlType::Varray(e) | SqlType::NestedTable(e) if e == t => None,
-            _ => mismatch(&format!("collection of type {t}")),
-        },
-        STy::Lit(v) => {
-            if v.is_null() {
-                return None;
-            }
-            match target {
-                SqlType::Varchar(max) | SqlType::Char(max) => {
-                    let text = match v {
-                        Value::Str(s) => s.clone(),
-                        Value::Num(n) => Value::Num(*n).to_string(),
-                        Value::Date(s) => s.clone(),
-                        _ => return mismatch("non-text value"),
-                    };
-                    let actual = text.chars().count();
-                    if actual > *max as usize {
-                        Some(format!("value of length {actual} exceeds {target}"))
-                    } else {
-                        None
-                    }
-                }
-                SqlType::Clob => match v {
-                    Value::Str(_) | Value::Num(_) => None,
-                    _ => mismatch("non-text value"),
-                },
-                SqlType::Number | SqlType::Integer => match v.as_num() {
-                    Some(_) => None,
-                    None => mismatch("non-numeric value"),
-                },
-                SqlType::Date => match v {
-                    Value::Str(_) | Value::Date(_) => None,
-                    _ => mismatch("non-date value"),
-                },
-                SqlType::Object(_)
-                | SqlType::Varray(_)
-                | SqlType::NestedTable(_)
-                | SqlType::Ref(_) => mismatch("scalar literal"),
             }
         }
     }

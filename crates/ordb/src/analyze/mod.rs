@@ -11,15 +11,25 @@
 //! 1. **Name resolution** — tables, views, types, FROM aliases and
 //!    dot-notation paths (`alias.attr.sub`, §4.1) resolve against the
 //!    shadow catalog and the statement's scope frames.
-//! 2. **Type checking** — constructor arity and argument coercion,
-//!    `CAST(MULTISET …)` targets must be collection types, `DEREF` only on
-//!    possibly-REF expressions, INSERT column/value arity and coercion.
+//! 2. **Values** — every expression whose value does not depend on the data
+//!    is folded by the executor's own functions (`exec::eval::call` for
+//!    constructors and built-ins, `eval_expr` for the other operators,
+//!    `coerce` inside both), and an INSERT's row goes through the executor's
+//!    row path (`exec::dml`: the object-table explode, shaping, column
+//!    coercion, NOT NULL) with NULL standing in for each value that does not
+//!    fold. A rejection on the way is the executor's own error, named by
+//!    `code_for`. `CAST(MULTISET …)` targets and `DEREF` operands are
+//!    checked the same way (see `expr`).
 //! 3. **Mode gating** — nested collection DDL is an [`Severity::Error`]
 //!    under [`DbMode::Oracle8`] and clean under `Oracle9` (§2.2), because
 //!    the shared DDL path enforces it on the shadow catalog.
 //! 4. **Lints** — unscoped REF columns, REF targets with no object table in
 //!    the script (dangling risk), the §4.3 CHECK-on-nullable-object quirk,
 //!    dead and shadowed aliases.
+//!
+//! The script is lexed once: the parser hands back its tokens, and each
+//! statement's diagnostics anchor in the tokens inside its span, found by
+//! binary search on their offsets.
 //!
 //! ## The differential guarantee
 //!
@@ -31,13 +41,17 @@
 //! * the analyzer emitted an `Error` ⇒ the executor **rejects** the
 //!   statement.
 //!
-//! To uphold it, `Error` is reserved for findings that mirror an *eager,
-//! data-independent* executor check (unknown INSERT target, constructor
-//! arity, literal coercion failures, DDL the catalog rejects, …); anything
-//! evaluated per-row, behind a short-circuit, or dependent on stored data
-//! stays a `Warning`. The `eager` flag threaded through the expression
-//! walker tracks exactly which positions the executor evaluates
-//! unconditionally.
+//! To uphold it, `Error` is reserved for rejections of an *eager,
+//! data-independent* executor check (unknown INSERT target, DDL the catalog
+//! rejects, a value the executor rejects before it reads a row, …);
+//! anything evaluated per-row, behind a short-circuit, or dependent on
+//! stored data stays a `Warning`. The `eager` flag threaded through the
+//! expression walker tracks exactly which positions the executor evaluates
+//! unconditionally. Because a value verdict is the executor's own function
+//! applied to what the executor would apply it to, or to NULL, which every
+//! one of those functions accepts, it holds by construction; and for an
+//! INSERT whose values all fold it is complete too: the executor rejecting
+//! it for anything but a CHECK or a key collision ⇒ an `Error`.
 
 mod dataflow;
 mod expr;
@@ -50,23 +64,31 @@ use xmlord_diag::Span;
 use crate::catalog::{Catalog, TableDef};
 use crate::error::DbError;
 use crate::exec::ddl::apply_ddl_catalog;
+use crate::exec::dml::{coerced_row, exploded, may_explode, require_values, shape_row, table_keys};
+use crate::exec::eval::ExecCtx;
 use crate::ident::Ident;
 use crate::mode::DbMode;
 use crate::sql::ast::{Expr, Stmt};
-use crate::sql::lexer::{tokenize, Token};
-use crate::sql::parser::parse_script_spanned;
+use crate::sql::lexer::{SpannedToken, Token};
+use crate::sql::parser::parse_script_tokens;
 use crate::sql::span::SpannedStmt;
-use crate::value::Value;
+use crate::stats::ExecStats;
+use crate::storage::Storage;
 
 use crate::scope::{Layout, Scope};
-use expr::{analyze_expr, static_coerce_error, STy};
+use expr::{analyze_expr, Fold};
 use select::analyze_select;
 
-/// Per-statement analysis context: the pre-statement shadow catalog, the
-/// script source (for span anchoring) and the diagnostic sink.
+/// Per-statement analysis context: the pre-statement shadow catalog, what
+/// the executor's value functions run against, the statement's tokens (for
+/// span anchoring) and the diagnostic sink.
 pub(crate) struct StmtCx<'a> {
     pub catalog: &'a Catalog,
-    pub source: &'a str,
+    /// The analyzer's empty storage. A folded expression never reads it.
+    pub storage: &'a Storage,
+    pub mode: DbMode,
+    /// The statement's tokens, in offset order.
+    pub tokens: &'a [SpannedToken],
     /// Span of the whole statement — the fallback anchor.
     pub span: Span,
     pub diags: &'a mut Vec<Diagnostic>,
@@ -91,28 +113,42 @@ impl StmtCx<'_> {
         self.push(if eager { Severity::Error } else { Severity::Warning }, code, message, span);
     }
 
-    /// Span of the first occurrence of `ident` inside this statement
-    /// (re-tokenizes the statement slice); falls back to the statement span.
+    /// Report the executor's own rejection `err` under the code its variant
+    /// names, as [`report`](Self::report) grades it.
+    pub fn reject(&mut self, eager: bool, err: &DbError, span: Span) {
+        self.report(eager, code_for(err), err.to_string(), span);
+    }
+
+    /// Run one of the executor's functions against the shadow catalog and
+    /// the analyzer's empty storage.
+    pub fn exec<T>(&self, f: impl FnOnce(&mut ExecCtx) -> T) -> T {
+        let mut stats = ExecStats::default();
+        f(&mut ExecCtx::new(self.catalog, self.storage, &mut stats, self.mode))
+    }
+
+    /// Span of the first occurrence of `ident` inside this statement;
+    /// falls back to the statement span.
     pub fn anchor_ident(&self, ident: &Ident) -> Span {
-        find_token(self.source, self.span, |t| matches!(t, Token::Ident(s) if ident.eq_str(s)))
+        find_token(self.tokens, |t| matches!(t, Token::Ident(s) if ident.eq_str(s)))
             .unwrap_or(self.span)
     }
 
     /// Span of the first keyword `kw` inside this statement.
     pub fn anchor_kw(&self, kw: &str) -> Span {
-        find_token(self.source, self.span, |t| t.is_kw(kw)).unwrap_or(self.span)
+        find_token(self.tokens, |t| t.is_kw(kw)).unwrap_or(self.span)
     }
 }
 
-/// Re-tokenize the statement slice and find the first token matching `pred`,
-/// translating its offsets back into whole-script coordinates.
-fn find_token(source: &str, within: Span, pred: impl Fn(&Token) -> bool) -> Option<Span> {
-    let slice: String = source.chars().skip(within.start).take(within.len()).collect();
-    let tokens = tokenize(&slice).ok()?;
-    tokens
-        .iter()
-        .find(|t| pred(&t.token))
-        .map(|t| Span::new(t.offset + within.start, t.end + within.start))
+/// Span of the first of `tokens` matching `pred`.
+fn find_token(tokens: &[SpannedToken], pred: impl Fn(&Token) -> bool) -> Option<Span> {
+    tokens.iter().find(|t| pred(&t.token)).map(SpannedToken::span)
+}
+
+/// The tokens inside `span`, found by binary search on their offsets.
+pub(crate) fn tokens_within(tokens: &[SpannedToken], span: Span) -> &[SpannedToken] {
+    let start = tokens.partition_point(|t| t.offset < span.start);
+    let end = tokens.partition_point(|t| t.offset < span.end);
+    &tokens[start..end.max(start)]
 }
 
 /// The script analyzer. Holds the shadow catalog (evolved by the script's
@@ -120,6 +156,8 @@ fn find_token(source: &str, within: Span, pred: impl Fn(&Token) -> bool) -> Opti
 pub struct Analyzer {
     mode: DbMode,
     catalog: Catalog,
+    /// Empty: what the executor's value functions run against.
+    storage: Storage,
     /// REF target types declared by the script, with the span of the first
     /// declaring column — checked against the final catalog at end of script.
     ref_targets: Vec<(Ident, Span)>,
@@ -142,6 +180,7 @@ impl Analyzer {
         Analyzer {
             mode,
             catalog,
+            storage: Storage::new(),
             ref_targets: Vec::new(),
             savepoints: std::collections::BTreeSet::new(),
         }
@@ -159,17 +198,17 @@ impl Analyzer {
     /// Analyze a whole script. `Err` only on scan/parse failure; all
     /// semantic findings come back as [`Diagnostic`]s in statement order.
     pub fn analyze_script(&mut self, source: &str) -> Result<Vec<Diagnostic>, DbError> {
-        let stmts = parse_script_spanned(source)?;
+        let (stmts, tokens) = parse_script_tokens(source)?;
         let mut diags = Vec::new();
         for ss in &stmts {
-            self.analyze_stmt(source, ss, &mut diags);
+            self.analyze_stmt(tokens_within(&tokens, ss.span), ss, &mut diags);
         }
         self.lint_dangling_refs(&mut diags);
-        dataflow::dataflow_pass(source, &stmts, &mut diags);
+        dataflow::dataflow_pass(&tokens, &stmts, &mut diags);
         Ok(diags)
     }
 
-    fn analyze_stmt(&mut self, source: &str, ss: &SpannedStmt, diags: &mut Vec<Diagnostic>) {
+    fn analyze_stmt(&mut self, tokens: &[SpannedToken], ss: &SpannedStmt, diags: &mut Vec<Diagnostic>) {
         let stmt = &ss.stmt;
         if let Stmt::Explain(inner) = stmt {
             // EXPLAIN never executes its target, so findings that would be
@@ -181,7 +220,7 @@ impl Analyzer {
             sub.savepoints = self.savepoints.clone();
             let sub_ss = SpannedStmt { stmt: (**inner).clone(), span: ss.span };
             let mut sub_diags = Vec::new();
-            sub.analyze_stmt(source, &sub_ss, &mut sub_diags);
+            sub.analyze_stmt(tokens, &sub_ss, &mut sub_diags);
             for mut d in sub_diags {
                 if d.severity == Severity::Error {
                     d.severity = Severity::Warning;
@@ -191,7 +230,14 @@ impl Analyzer {
             return;
         }
         {
-            let mut cx = StmtCx { catalog: &self.catalog, source, span: ss.span, diags };
+            let mut cx = StmtCx {
+                catalog: &self.catalog,
+                storage: &self.storage,
+                mode: self.mode,
+                tokens,
+                span: ss.span,
+                diags,
+            };
             match stmt {
                 Stmt::Insert { table, columns, values } => {
                     analyze_insert(&mut cx, table, columns, values)
@@ -234,7 +280,7 @@ impl Analyzer {
         // A rejected statement leaves the catalog unchanged — exactly like
         // a failed statement in a live session — and analysis continues.
         if let Err(err) = apply_ddl_catalog(&mut self.catalog, self.mode, stmt) {
-            let span = ddl_error_span(source, ss.span, &err);
+            let span = error_span(tokens, ss.span, &err);
             diags.push(Diagnostic {
                 severity: Severity::Error,
                 code: code_for(&err),
@@ -267,9 +313,8 @@ impl Analyzer {
     }
 }
 
-/// Stable diagnostic code for a DDL error surfaced through the shadow
-/// catalog.
-fn code_for(err: &DbError) -> &'static str {
+/// Stable diagnostic code for an executor rejection the analyzer reports.
+pub(crate) fn code_for(err: &DbError) -> &'static str {
     match err {
         DbError::Syntax { .. } => "syntax",
         DbError::Parse { .. } => "parse",
@@ -283,7 +328,12 @@ fn code_for(err: &DbError) -> &'static str {
         DbError::DuplicateName(_) => "duplicate-name",
         DbError::NestedCollectionNotSupported { .. } => "nested-collection",
         DbError::DependentTypeExists { .. } => "dependent-type",
-        DbError::ConstructorMismatch { .. } => "constructor-mismatch",
+        DbError::ConstructorArity { .. } => "constructor-arity",
+        DbError::IncompleteType(_) => "incomplete-type",
+        DbError::UnknownFunction(_) => "unknown-function",
+        DbError::CallArity(_) => "call-arity",
+        DbError::InsertArity { .. } => "insert-arity",
+        DbError::CountStarPosition => "countstar-position",
         DbError::TypeMismatch { .. } => "type-mismatch",
         DbError::ValueTooLarge { .. } => "value-too-large",
         DbError::VarrayLimitExceeded { .. } => "varray-limit",
@@ -299,9 +349,9 @@ fn code_for(err: &DbError) -> &'static str {
     }
 }
 
-/// Best-effort fine anchor for a DDL error: point at the named identifier
-/// if it occurs in the statement, else the whole statement.
-fn ddl_error_span(source: &str, stmt_span: Span, err: &DbError) -> Span {
+/// Best-effort fine anchor for a rejection: the identifier it names if
+/// that occurs in the statement, else the whole statement.
+fn error_span(tokens: &[SpannedToken], stmt_span: Span, err: &DbError) -> Span {
     let name: Option<&str> = match err {
         DbError::UnknownType(n)
         | DbError::UnknownTable(n)
@@ -313,18 +363,20 @@ fn ddl_error_span(source: &str, stmt_span: Span, err: &DbError) -> Span {
         _ => None,
     };
     name.and_then(|n| {
-        find_token(source, stmt_span, |t| matches!(t, Token::Ident(s) if s.eq_ignore_ascii_case(n)))
+        find_token(tokens, |t| matches!(t, Token::Ident(s) if s.eq_ignore_ascii_case(n)))
     })
     .unwrap_or(stmt_span)
 }
 
-/// Static INSERT analysis, mirroring the per-row order of
-/// `exec::dml::execute_insert_batch`: table lookup (eager), VALUES evaluation against the empty environment
-/// (eager), the object-table single-constructor "explode" carve-out, then
-/// arity, per-column coercion and data-independent constraint checks.
+/// Static INSERT analysis, in the order of
+/// `exec::dml::execute_insert_batch`: the table lookup; the VALUES, folded
+/// in the empty environment, where every check is as eager as the
+/// statement; then the executor's own row path over what folded, NULL
+/// standing in for what did not.
 fn analyze_insert(cx: &mut StmtCx, table: &Ident, columns: &Option<Vec<Ident>>, values: &[Expr]) {
-    let Some(table_def) = cx.catalog.get_table(table) else {
-        let code = if cx.catalog.get_view(table).is_some() {
+    let catalog = cx.catalog;
+    let Some(table_def) = catalog.get_table(table) else {
+        let code = if catalog.get_view(table).is_some() {
             // INSERT only targets base tables; a view here fails the same
             // lookup in the executor.
             "insert-into-view"
@@ -334,152 +386,47 @@ fn analyze_insert(cx: &mut StmtCx, table: &Ident, columns: &Option<Vec<Ident>>, 
         cx.error(code, format!("table '{table}' does not exist"), cx.anchor_ident(table));
         return;
     };
-    let table_def = table_def.clone();
-    let table_columns = cx.catalog.table_columns(&table_def);
-
-    // VALUES run against the executor's `Env::EMPTY` — every check inside
-    // them is as eager as the statement.
-    let stys: Vec<STy> = values.iter().map(|v| analyze_expr(cx, &Scope::EMPTY, true, v)).collect();
-
-    // Object-table carve-out: `INSERT INTO T VALUES (TypeX(…))` with no
-    // column list inserts the constructed object's attributes as the row.
-    if columns.is_none() && values.len() == 1 {
-        if let TableDef::Object { of_type, .. } = &table_def {
-            if let Expr::Call { name, args } = &values[0] {
-                if name == of_type && cx.catalog.get_type(name).is_some() {
-                    // The constructor analysis above already checked arity
-                    // and argument coercion against the attribute types;
-                    // only the data-independent constraints remain. Literal
-                    // NULL args stay visibly NULL through coercion.
-                    if args.len() == table_columns.len() {
-                        let row: Vec<STy> = args
-                            .iter()
-                            .map(|a| match a {
-                                Expr::Literal(v) => STy::Lit(v.clone()),
-                                _ => STy::Unknown,
-                            })
-                            .collect();
-                        check_constraints(cx, &table_def, table_columns, &row);
-                    }
-                    return;
-                }
-            }
-            if matches!(stys[0], STy::Unknown) {
-                // A single opaque value may turn out to be an object of
-                // `of_type` at runtime and explode into a full row — no
-                // arity or coercion claims are safe.
-                return;
-            }
-        }
+    let folds: Vec<Fold> = values.iter().map(|v| analyze_expr(cx, &Scope::EMPTY, true, v)).collect();
+    if may_explode(table_def, columns, folds.len()) && !folds[0].is_known() {
+        // A single opaque value may turn out to be an object of the table's
+        // type and explode into a full row: no claim about the row is safe.
+        return;
     }
-
-    let mut row: Vec<STy> = vec![STy::Lit(Value::Null); table_columns.len()];
-    match columns {
-        Some(cols) => {
-            if cols.len() != values.len() {
-                cx.error(
-                    "insert-arity",
-                    format!(
-                        "INSERT lists {} columns but {} values",
-                        cols.len(),
-                        values.len()
-                    ),
-                    cx.span,
-                );
-                return;
-            }
-            for (col, sty) in cols.iter().zip(stys) {
-                match table_columns.iter().position(|(c, _)| c == col) {
-                    Some(idx) => row[idx] = sty,
-                    None => {
-                        cx.error(
-                            "unknown-column",
-                            format!("table '{table}' has no column '{col}'"),
-                            cx.anchor_ident(col),
-                        );
-                        return;
-                    }
-                }
-            }
-        }
-        None => {
-            if values.len() != table_columns.len() {
-                cx.error(
-                    "insert-arity",
-                    format!(
-                        "table '{table}' has {} columns but {} values were supplied",
-                        table_columns.len(),
-                        values.len()
-                    ),
-                    cx.span,
-                );
-                return;
-            }
-            row = stys;
-        }
+    if let Err(err) = cx.exec(|ctx| judge_row(ctx, table_def, columns, &folds)) {
+        cx.reject(true, &err, error_span(cx.tokens, cx.span, &err));
     }
-    for (sty, (col_name, col_type)) in row.iter().zip(table_columns) {
-        if let Some(msg) = static_coerce_error(sty, col_type) {
-            cx.error("type-mismatch", format!("column '{col_name}': {msg}"), cx.span);
-        }
-    }
-    check_constraints(cx, &table_def, table_columns, &row);
 }
 
-/// Data-independent constraint checks: unknown constraint columns are
-/// definite rejections (the executor resolves indices before row checks),
-/// as is a literal NULL heading into a NOT NULL / PRIMARY KEY column.
-/// UNIQUE key comparisons and CHECK predicates depend on stored data and
-/// stay out of scope here (CHECK gets its §4.3 lint at DDL time).
-fn check_constraints(
-    cx: &mut StmtCx,
-    table_def: &TableDef,
-    table_columns: &[(Ident, crate::types::SqlType)],
-    row: &[STy],
-) {
-    let col_index = |col: &Ident| table_columns.iter().position(|(c, _)| c == col);
-    let is_null = |i: usize| matches!(&row[i], STy::Lit(v) if v.is_null());
-    let not_null = |cx: &mut StmtCx, col: &Ident| match col_index(col) {
-        None => cx.error(
-            "unknown-column",
-            format!(
-                "constraint on '{}' references unknown column '{col}'",
-                table_def.name()
-            ),
-            cx.span,
-        ),
-        Some(i) if is_null(i) => cx.error(
-            "not-null",
-            format!("cannot insert NULL into '{}.{col}'", table_def.name()),
-            cx.span,
-        ),
-        Some(_) => {}
+/// What the executor does with one VALUES list before its CHECKs and keys
+/// are tested against data: the keys' columns resolved, the row exploded or
+/// shaped and coerced, NOT NULL. A column holding a stand-in NULL is not
+/// judged NOT NULL.
+fn judge_row(
+    ctx: &mut ExecCtx,
+    table: &TableDef,
+    columns: &Option<Vec<Ident>>,
+    folds: &[Fold],
+) -> Result<(), DbError> {
+    let table_columns = ctx.catalog.table_columns(table);
+    table_keys(ctx, table, table_columns)?;
+    let object = match folds {
+        [only] if may_explode(table, columns, 1) => exploded(table, only.stand_in()).ok(),
+        _ => None,
     };
-    for constraint in table_def.constraints() {
-        match constraint {
-            crate::catalog::Constraint::NotNull(col) => not_null(cx, col),
-            crate::catalog::Constraint::PrimaryKey(cols) => {
-                for col in cols {
-                    not_null(cx, col);
-                }
-            }
-            crate::catalog::Constraint::Unique(cols) => {
-                for col in cols {
-                    if col_index(col).is_none() {
-                        cx.error(
-                            "unknown-column",
-                            format!(
-                                "constraint on '{}' references unknown column '{col}'",
-                                table_def.name()
-                            ),
-                            cx.span,
-                        );
-                    }
-                }
-            }
-            crate::catalog::Constraint::Check(_) => {}
+    let (row, known) = match object {
+        Some(attrs) => (attrs.to_vec(), folds[0].known_parts(attrs.len())),
+        None => {
+            let provided = folds.iter().map(Fold::stand_in).collect();
+            let known = folds.iter().map(Fold::is_known).collect();
+            let known = shape_row(table.name(), table_columns, columns, known, true)?;
+            (coerced_row(ctx, table.name(), table_columns, columns, provided)?, known)
         }
+    };
+    let layout = Layout::table(ctx.catalog, table.name().clone(), table);
+    for constraint in table.constraints() {
+        require_values(table, &layout, constraint, &row, |column| known[column])?;
     }
+    Ok(())
 }
 
 /// UPDATE: the table lookup is eager; SET targets and expressions run
@@ -591,6 +538,32 @@ mod tests {
         let d = run(DbMode::Oracle9, &sql);
         let codes: Vec<&str> = errors(&d).iter().map(|e| e.code).collect();
         assert_eq!(codes, vec!["constructor-arity", "insert-arity", "type-mismatch"], "{d:?}");
+    }
+
+    #[test]
+    fn a_value_that_does_not_fold_leaves_the_other_columns_judged() {
+        let sql = format!(
+            "{SCHEMA}INSERT INTO Professor (PName, Room) \
+             VALUES ((SELECT p.PName FROM Professor p), 'not a number');"
+        );
+        let d = run(DbMode::Oracle9, &sql);
+        let codes: Vec<&str> = errors(&d).iter().map(|e| e.code).collect();
+        assert_eq!(codes, vec!["type-mismatch"], "{d:?}");
+    }
+
+    #[test]
+    fn a_script_is_tokenized_once_however_many_statements_it_has() {
+        // Each round adds an unknown-table error anchored at its name, an
+        // unknown-column warning anchored in a path, and dataflow's reads.
+        let round = "INSERT INTO Nowhere VALUES (1);\nSELECT p.Nope FROM Professor p;\n";
+        for rounds in [1, 200] {
+            let sql = format!("{SCHEMA}{}", round.repeat(rounds));
+            let before = crate::sql::lexer::tokenizes();
+            let d = run(DbMode::Oracle9, &sql);
+            assert_eq!(crate::sql::lexer::tokenizes() - before, 1, "{rounds} rounds");
+            assert_eq!(errors(&d).len(), rounds, "{d:?}");
+            assert_eq!(d.len(), 2 * rounds, "{d:?}");
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@
 use crate::analyze::expr::analyze_expr;
 use crate::analyze::StmtCx;
 use crate::error::DbError;
+use crate::exec::select::is_count;
 use crate::ident::Ident;
 use crate::scope::{layouts, Scope};
 use crate::sql::ast::{Expr, FromItem, SelectStmt};
@@ -72,15 +73,8 @@ pub(crate) fn analyze_select(
 
     // 2. COUNT(*): legal only as the sole select item. The executor
     //    enforces this after FROM expansion, independent of row counts.
-    let top_level_count =
-        !stmt.star && stmt.items.iter().any(|i| matches!(i.expr, Expr::CountStar));
-    if top_level_count && stmt.items.len() != 1 {
-        cx.report(
-            eager,
-            "countstar-position",
-            "COUNT(*) cannot be combined with other select items".into(),
-            cx.anchor_kw("COUNT"),
-        );
+    if let Err(err) = is_count(stmt) {
+        cx.reject(eager, &err, cx.anchor_kw("COUNT"));
     }
 
     // 3. Select items, WHERE, ORDER BY: evaluated per row — lazy.

@@ -35,8 +35,21 @@ pub enum DbError {
     NestedCollectionNotSupported { collection: String, element: String },
     /// A type that other objects depend on cannot be dropped without FORCE.
     DependentTypeExists { dropped: String, dependent: String },
-    /// Constructor arity or typing mismatch.
-    ConstructorMismatch { type_name: String, message: String },
+    /// A constructor called with a number of arguments other than its
+    /// object type's attribute count.
+    ConstructorArity { type_name: String, expected: usize, actual: usize },
+    /// A constructor of a type that is only forward-declared (`CREATE TYPE
+    /// T;` with no body yet).
+    IncompleteType(String),
+    /// A call whose name is neither a catalog type nor a built-in function.
+    UnknownFunction(String),
+    /// A built-in function called with other than its one argument.
+    CallArity(String),
+    /// `INSERT` with a number of values other than its column count — the
+    /// table's, or the explicit column list's.
+    InsertArity { table: String, columns: usize, values: usize },
+    /// `COUNT(*)` anywhere but as the sole item of a select list.
+    CountStarPosition,
     /// Value does not fit the declared column/attribute type.
     TypeMismatch { expected: String, found: String },
     /// String longer than its VARCHAR(n) bound (ORA-12899).
@@ -108,8 +121,22 @@ impl fmt::Display for DbError {
                 f,
                 "cannot drop type '{dropped}': '{dependent}' depends on it (use DROP TYPE … FORCE)"
             ),
-            DbError::ConstructorMismatch { type_name, message } => {
-                write!(f, "constructor {type_name}(…): {message}")
+            DbError::ConstructorArity { type_name, expected, actual } => {
+                write!(f, "constructor {type_name}(…): expected {expected} arguments, got {actual}")
+            }
+            DbError::IncompleteType(name) => write!(
+                f,
+                "constructor {name}(…): type is an incomplete forward declaration"
+            ),
+            DbError::UnknownFunction(name) => {
+                write!(f, "'{name}' is neither a type in the catalog nor a built-in function")
+            }
+            DbError::CallArity(name) => write!(f, "{name} takes one argument"),
+            DbError::InsertArity { table, columns, values } => {
+                write!(f, "INSERT INTO {table}: {values} values for {columns} columns")
+            }
+            DbError::CountStarPosition => {
+                write!(f, "COUNT(*) is only valid as the sole item of a select list")
             }
             DbError::TypeMismatch { expected, found } => {
                 write!(f, "type mismatch: expected {expected}, found {found}")

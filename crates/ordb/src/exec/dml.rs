@@ -14,7 +14,7 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::catalog::{Catalog, Constraint, KeyKind, TableDef};
+use crate::catalog::{Catalog, Constraint, TableDef};
 use crate::error::DbError;
 use crate::exec::eval::{coerce, eval_bool, eval_expr, ExecCtx};
 use crate::exec::{Env, Frame};
@@ -38,41 +38,94 @@ pub(crate) fn col_position(
         .ok_or_else(|| DbError::UnknownColumn(name.as_str().to_string()))
 }
 
-/// Map the evaluated VALUES onto the table's full column list: matched
-/// positionally or through the explicit column list.
-fn shape_row(
+/// Map what one VALUES list provides onto the table's full column list:
+/// positionally or through the explicit column list, `fill` where no value
+/// is given. The executor shapes values; the analyzer shapes what it knows
+/// of them the same way.
+pub(crate) fn shape_row<T: Clone>(
+    table_name: &Ident,
+    table_columns: &[(Ident, SqlType)],
+    columns: &Option<Vec<Ident>>,
+    provided: Vec<T>,
+    fill: T,
+) -> Result<Vec<T>, DbError> {
+    let names = columns.as_ref().map_or(table_columns.len(), Vec::len);
+    if names != provided.len() {
+        return Err(DbError::InsertArity {
+            table: table_name.as_str().to_string(),
+            columns: names,
+            values: provided.len(),
+        });
+    }
+    let Some(cols) = columns else { return Ok(provided) };
+    let mut row = vec![fill; table_columns.len()];
+    for (col, value) in cols.iter().zip(provided) {
+        row[col_position(table_columns, col)?] = value;
+    }
+    Ok(row)
+}
+
+/// Could the one value of a VALUES list be `table`'s whole row? Only with
+/// no column list, into an object table — §2.1's `VALUES (Type_T(…))`.
+pub(crate) fn may_explode(table: &TableDef, columns: &Option<Vec<Ident>>, values: usize) -> bool {
+    columns.is_none() && values == 1 && table.is_object_table()
+}
+
+/// The row the one value of such a list makes when it is an object of the
+/// object table's type: the object's attribute block, its values already
+/// coerced to the attribute — that is, the column — types. Any other value
+/// comes back to be shaped as a one-value row.
+pub(crate) fn exploded(table: &TableDef, value: Value) -> Result<Arc<Vec<Value>>, Value> {
+    match value {
+        Value::Obj { type_name, attrs } if Some(&type_name) == table.of_type() => Ok(attrs),
+        other => Err(other),
+    }
+}
+
+/// The row any other VALUES list makes: shaped onto the columns, then each
+/// value coerced to its column's type.
+pub(crate) fn coerced_row(
+    ctx: &mut ExecCtx,
     table_name: &Ident,
     table_columns: &[(Ident, SqlType)],
     columns: &Option<Vec<Ident>>,
     provided: Vec<Value>,
 ) -> Result<Vec<Value>, DbError> {
-    let mut row_values: Vec<Value> = vec![Value::Null; table_columns.len()];
-    match columns {
-        Some(cols) => {
-            if cols.len() != provided.len() {
-                return Err(DbError::Execution(format!(
-                    "INSERT column list has {} names but {} values",
-                    cols.len(),
-                    provided.len()
-                )));
-            }
-            for (col, value) in cols.iter().zip(provided) {
-                row_values[col_position(table_columns, col)?] = value;
-            }
-        }
-        None => {
-            if provided.len() != table_columns.len() {
-                return Err(DbError::Execution(format!(
-                    "table {} has {} columns but {} values were supplied",
-                    table_name.as_str(),
-                    table_columns.len(),
-                    provided.len()
-                )));
-            }
-            row_values = provided;
+    let mut row = shape_row(table_name, table_columns, columns, provided, Value::Null)?;
+    for (value, (col_name, col_type)) in row.iter_mut().zip(table_columns) {
+        let taken = std::mem::replace(value, Value::Null);
+        *value = coerce(ctx, taken, col_type, col_name.as_str())?;
+    }
+    Ok(row)
+}
+
+/// NOT NULL's rule for one constraint over a candidate row: the column a
+/// NOT NULL constraint names, and every column of a PRIMARY KEY, must hold a
+/// value. A column the table lacks fails whatever the row. Only the columns
+/// `judged` admits are looked at: every one when a row is written, those
+/// whose value the analyzer knows when it checks a script.
+pub(crate) fn require_values(
+    table: &TableDef,
+    layout: &Layout,
+    constraint: &Constraint,
+    row: &[Value],
+    judged: impl Fn(usize) -> bool,
+) -> Result<(), DbError> {
+    let columns = match constraint {
+        Constraint::NotNull(col) => std::slice::from_ref(col),
+        Constraint::PrimaryKey(cols) => cols.as_slice(),
+        Constraint::Unique(_) | Constraint::Check(_) => &[],
+    };
+    for col in columns {
+        let column =
+            layout.column(col).ok_or_else(|| DbError::UnknownColumn(col.as_str().to_string()))?;
+        if judged(column) && row[column].is_null() {
+            return Err(DbError::NotNullViolation {
+                column: format!("{}.{}", table.name().as_str(), col.as_str()),
+            });
         }
     }
-    Ok(row_values)
+    Ok(())
 }
 
 /// A batch of bound single-row INSERTs targeting one table: the per-row
@@ -134,18 +187,14 @@ pub fn execute_insert_batch(
         let mut ctx = ExecCtx::new(catalog, storage, stats, mode);
         let mut keys = table_keys(&ctx, table, table_columns)?;
         for value_exprs in rows {
-            let (mut row_values, coerced) = match value_exprs.as_slice() {
-                // `VALUES (Type_T(…))` into an object table of `Type_T` (the
-                // form §2.1's examples use): the constructor's attribute
-                // block is the row, its values already coerced to the
-                // attribute — that is, the column — types.
-                [only] if columns.is_none() && table.is_object_table() => {
-                    match eval_expr(&mut ctx, &Env::EMPTY, only)? {
-                        Value::Obj { type_name, attrs } if Some(&type_name) == table.of_type() => {
-                            // One level: nested composites stay handles.
-                            (Arc::try_unwrap(attrs).unwrap_or_else(|shared| Vec::clone(&shared)), true)
+            let row_values = match value_exprs.as_slice() {
+                [only] if may_explode(table, columns, 1) => {
+                    match exploded(table, eval_expr(&mut ctx, &Env::EMPTY, only)?) {
+                        // One level: nested composites stay handles.
+                        Ok(attrs) => Arc::try_unwrap(attrs).unwrap_or_else(|shared| Vec::clone(&shared)),
+                        Err(other) => {
+                            coerced_row(&mut ctx, table_name, table_columns, columns, vec![other])?
                         }
-                        other => (shape_row(table_name, table_columns, columns, vec![other])?, false),
                     }
                 }
                 exprs => {
@@ -154,15 +203,9 @@ pub fn execute_insert_batch(
                     for expr in exprs {
                         provided.push(eval_expr(&mut ctx, &Env::EMPTY, expr)?);
                     }
-                    (shape_row(table_name, table_columns, columns, provided)?, false)
+                    coerced_row(&mut ctx, table_name, table_columns, columns, provided)?
                 }
             };
-            if !coerced {
-                for (value, (col_name, col_type)) in row_values.iter_mut().zip(table_columns) {
-                    let taken = std::mem::replace(value, Value::Null);
-                    *value = coerce(&mut ctx, taken, col_type, col_name.as_str())?;
-                }
-            }
             enforce_constraints(
                 &mut ctx,
                 &checks,
@@ -262,12 +305,10 @@ impl<'a> StoredKey<'a> {
 /// One uniqueness key of the table a statement writes, resolved once per
 /// statement: the stored side plus the keys of the statement's own rows
 /// validated so far.
-struct TableKey<'a> {
+pub(crate) struct TableKey<'a> {
     stored: StoredKey<'a>,
     /// The key's columns as its constraint or index spells them.
     columns: &'a [Ident],
-    /// PRIMARY KEY: the columns are NOT NULL as well.
-    primary: bool,
     /// The unique index a violation names; `None` for a declared
     /// constraint, which is named `T(columns)`.
     unique_index: Option<&'a Ident>,
@@ -285,22 +326,20 @@ struct TableKey<'a> {
 
 /// The keys of `table`: its PRIMARY KEY / UNIQUE constraints in declaration
 /// order, then its unique indexes.
-fn table_keys<'a>(
+pub(crate) fn table_keys<'a>(
     ctx: &ExecCtx<'a>,
     table: &'a TableDef,
     table_columns: &[(Ident, SqlType)],
 ) -> Result<Vec<TableKey<'a>>, DbError> {
-    let constraints = table
-        .key_constraints()
-        .map(|(cols, kind)| (cols, kind == KeyKind::PrimaryKey, None));
+    let constraints = table.key_constraints().map(|(cols, _)| (cols, None));
     let unique_indexes = ctx
         .catalog
         .declared_indexes_on(table.name())
         .filter(|index| index.unique)
-        .map(|index| (&index.columns, false, Some(&index.name)));
+        .map(|index| (&index.columns, Some(&index.name)));
     constraints
         .chain(unique_indexes)
-        .map(|(columns, primary, unique_index)| {
+        .map(|(columns, unique_index)| {
             let cols = columns
                 .iter()
                 .map(|c| col_position(table_columns, c))
@@ -308,7 +347,6 @@ fn table_keys<'a>(
             Ok(TableKey {
                 stored: StoredKey::open(ctx.storage, table.name(), cols),
                 columns,
-                primary,
                 unique_index,
                 active: true,
                 hashed: HashMap::new(),
@@ -320,9 +358,8 @@ fn table_keys<'a>(
 }
 
 impl TableKey<'_> {
-    /// Admit `row` under this key or say which rule it breaks: PRIMARY KEY
-    /// columns are NOT NULL, and no stored row outside `replaced` and no
-    /// row of `earlier` may hold the same key.
+    /// Admit `row` under this key or say that it collides: no stored row
+    /// outside `replaced` and no row of `earlier` may hold the same key.
     fn admit(
         &mut self,
         table: &Ident,
@@ -334,12 +371,6 @@ impl TableKey<'_> {
             return Ok(());
         }
         let cols = &self.stored.cols;
-        if self.primary {
-            let null = cols.iter().zip(self.columns).find(|(&c, _)| row[c].is_null());
-            if let Some((_, column)) = null {
-                return Err(DbError::NotNullViolation { column: format!("{table}.{column}") });
-            }
-        }
         let Some(key) = KeyValue::of(cols, row) else { return Ok(()) };
         for (i, other) in earlier.iter().enumerate().skip(self.filed) {
             match KeyValue::of(cols, other).map(|other| other.hash) {
@@ -394,17 +425,9 @@ fn enforce_constraints(
 ) -> Result<(), DbError> {
     let mut next_key = 0;
     for constraint in table.constraints() {
+        require_values(table, &checks.scope.layouts[0], constraint, row_values, |_| true)?;
         match constraint {
-            Constraint::NotNull(col) => {
-                let column = checks.scope.layouts[0]
-                    .column(col)
-                    .ok_or_else(|| DbError::UnknownColumn(col.as_str().to_string()))?;
-                if row_values[column].is_null() {
-                    return Err(DbError::NotNullViolation {
-                        column: format!("{}.{}", table.name().as_str(), col.as_str()),
-                    });
-                }
-            }
+            Constraint::NotNull(_) => {}
             Constraint::PrimaryKey(_) | Constraint::Unique(_) => {
                 keys[next_key].admit(table.name(), replaced, earlier, row_values)?;
                 next_key += 1;

@@ -47,9 +47,7 @@ pub fn eval_expr(ctx: &mut ExecCtx, env: &Env, expr: &Expr) -> Result<Value, DbE
         Expr::Literal(v) => Ok(v.clone()),
         Expr::Path(parts) => resolve_path(ctx, env, expr, parts).map(Cow::into_owned),
         Expr::Call { name, args } => eval_call(ctx, env, name, args),
-        Expr::CountStar => Err(DbError::Execution(
-            "COUNT(*) is only valid as a top-level select item".into(),
-        )),
+        Expr::CountStar => Err(DbError::CountStarPosition),
         Expr::Binary { op, lhs, rhs } => match op {
             BinOp::And | BinOp::Or => Ok(bool_to_value(eval_bool(ctx, env, expr)?)),
             BinOp::Concat => {
@@ -81,14 +79,7 @@ pub fn eval_expr(ctx: &mut ExecCtx, env: &Env, expr: &Expr) -> Result<Value, DbE
         }
         Expr::Deref(inner) => {
             let v = eval_expr(ctx, env, inner)?;
-            match v {
-                Value::Null => Ok(Value::Null),
-                Value::Ref(oid) => deref_oid(ctx, oid),
-                other => Err(DbError::TypeMismatch {
-                    expected: "REF".into(),
-                    found: other.to_sql_literal(),
-                }),
-            }
+            deref(ctx, v)
         }
         Expr::KeyRef(key_ref) => eval_key_ref(ctx, env, key_ref),
         Expr::Subquery(query) => {
@@ -107,21 +98,7 @@ pub fn eval_expr(ctx: &mut ExecCtx, env: &Env, expr: &Expr) -> Result<Value, DbE
             }
         }
         Expr::CastMultiset { query, target } => {
-            let def = ctx
-                .catalog
-                .get_type(target)
-                .ok_or_else(|| DbError::UnknownType(target.as_str().to_string()))?;
-            let elem_type = def
-                .element_type()
-                .ok_or_else(|| DbError::TypeMismatch {
-                    expected: "collection type".into(),
-                    found: target.as_str().to_string(),
-                })?
-                .clone();
-            let max = match def {
-                TypeDef::Varray { max, .. } => Some(*max),
-                _ => None,
-            };
+            let (elem_type, max) = multiset_target(ctx.catalog, target)?;
             let rows = select_rows(ctx, query, Some(env), None)?;
             let mut elements = Vec::with_capacity(rows.len());
             for row in rows {
@@ -131,7 +108,7 @@ pub fn eval_expr(ctx: &mut ExecCtx, env: &Env, expr: &Expr) -> Result<Value, DbE
                     ));
                 }
                 // invariant: row.len() == 1 was just checked above.
-                elements.push(coerce(ctx, row.into_iter().next().unwrap(), &elem_type, "MULTISET")?);
+                elements.push(coerce(ctx, row.into_iter().next().unwrap(), elem_type, "MULTISET")?);
             }
             if let Some(max) = max {
                 if elements.len() > max as usize {
@@ -145,6 +122,36 @@ pub fn eval_expr(ctx: &mut ExecCtx, env: &Env, expr: &Expr) -> Result<Value, DbE
             Ok(Value::Coll { type_name: target.clone(), elements: Arc::new(elements) })
         }
     }
+}
+
+/// `DEREF` of an evaluated operand: NULL stays NULL, a REF is followed to
+/// its row object, anything else is a type error.
+pub(crate) fn deref(ctx: &mut ExecCtx, v: Value) -> Result<Value, DbError> {
+    match v {
+        Value::Null => Ok(Value::Null),
+        Value::Ref(oid) => deref_oid(ctx, oid),
+        other => Err(DbError::TypeMismatch { expected: "REF".into(), found: other.to_sql_literal() }),
+    }
+}
+
+/// The collection `CAST(MULTISET … AS target)` builds: its element type
+/// and, for a VARRAY, its limit. Checked before the query runs.
+pub(crate) fn multiset_target<'c>(
+    catalog: &'c Catalog,
+    target: &Ident,
+) -> Result<(&'c SqlType, Option<u32>), DbError> {
+    let def = catalog
+        .get_type(target)
+        .ok_or_else(|| DbError::UnknownType(target.as_str().to_string()))?;
+    let elem_type = def.element_type().ok_or_else(|| DbError::TypeMismatch {
+        expected: "collection type".into(),
+        found: target.as_str().to_string(),
+    })?;
+    let max = match def {
+        TypeDef::Varray { max, .. } => Some(*max),
+        _ => None,
+    };
+    Ok((elem_type, max))
 }
 
 /// A [`KeyRef`]: its key's index probed when [`probe_key_ref`] can,
@@ -479,64 +486,47 @@ pub fn navigate<'v>(
     }
 }
 
-/// Evaluate a call: a type constructor if the name is a catalog type,
-/// otherwise a built-in function.
+/// Evaluate a call: its arguments, then [`call`] on their values.
 fn eval_call(
     ctx: &mut ExecCtx,
     env: &Env,
     name: &Ident,
     args: &[Expr],
 ) -> Result<Value, DbError> {
-    if ctx.catalog.get_type(name).is_some() {
-        let mut values = Vec::with_capacity(args.len());
-        for arg in args {
-            values.push(eval_expr(ctx, env, arg)?);
-        }
-        return construct(ctx, name, values);
+    let mut values = Vec::with_capacity(args.len());
+    for arg in args {
+        values.push(eval_expr(ctx, env, arg)?);
     }
-    match name.key() {
-        "UPPER" | "LOWER" | "LENGTH" => {
-            if args.len() != 1 {
-                return Err(DbError::Execution(format!("{name} takes one argument")));
-            }
-            let v = eval_expr(ctx, env, &args[0])?;
-            match v {
-                Value::Null => Ok(Value::Null),
-                Value::Str(s) => Ok(match name.key() {
-                    "UPPER" => Value::Str(s.to_uppercase()),
-                    "LOWER" => Value::Str(s.to_lowercase()),
-                    _ => Value::Num(s.chars().count() as f64),
-                }),
-                other => Err(DbError::TypeMismatch {
-                    expected: "string".into(),
-                    found: other.to_sql_literal(),
-                }),
-            }
-        }
-        "TO_NUMBER" => {
-            if args.len() != 1 {
-                return Err(DbError::Execution("TO_NUMBER takes one argument".into()));
-            }
-            let v = eval_expr(ctx, env, &args[0])?;
-            match v {
-                Value::Null => Ok(Value::Null),
-                other => other.as_num().map(Value::Num).ok_or(DbError::TypeMismatch {
-                    expected: "number".into(),
-                    found: "non-numeric string".into(),
-                }),
-            }
-        }
-        "TO_CHAR" => {
-            if args.len() != 1 {
-                return Err(DbError::Execution("TO_CHAR takes one argument".into()));
-            }
-            let v = eval_expr(ctx, env, &args[0])?;
-            Ok(match v {
-                Value::Null => Value::Null,
-                other => Value::Str(other.to_string()),
-            })
-        }
-        _ => Err(DbError::UnknownType(name.as_str().to_string())),
+    call(ctx, name, values)
+}
+
+/// Apply `name` to evaluated arguments: a type constructor if the name is a
+/// catalog type, otherwise a built-in function. NULL passes every one of
+/// them, so whatever rejects a NULL argument rejects any value in its place.
+pub(crate) fn call(ctx: &mut ExecCtx, name: &Ident, args: Vec<Value>) -> Result<Value, DbError> {
+    if ctx.catalog.get_type(name).is_some() {
+        return construct(ctx, name, args);
+    }
+    if !matches!(name.key(), "UPPER" | "LOWER" | "LENGTH" | "TO_NUMBER" | "TO_CHAR") {
+        return Err(DbError::UnknownFunction(name.as_str().to_string()));
+    }
+    let Ok([arg]) = <[Value; 1]>::try_from(args) else {
+        return Err(DbError::CallArity(name.as_str().to_string()));
+    };
+    match (name.key(), arg) {
+        (_, Value::Null) => Ok(Value::Null),
+        ("UPPER", Value::Str(s)) => Ok(Value::Str(s.to_uppercase())),
+        ("LOWER", Value::Str(s)) => Ok(Value::Str(s.to_lowercase())),
+        ("LENGTH", Value::Str(s)) => Ok(Value::Num(s.chars().count() as f64)),
+        ("TO_NUMBER", other) => other.as_num().map(Value::Num).ok_or(DbError::TypeMismatch {
+            expected: "number".into(),
+            found: "non-numeric string".into(),
+        }),
+        ("TO_CHAR", other) => Ok(Value::Str(other.to_string())),
+        (_, other) => Err(DbError::TypeMismatch {
+            expected: "string".into(),
+            found: other.to_sql_literal(),
+        }),
     }
 }
 
@@ -557,15 +547,13 @@ pub fn construct(
     match def {
         TypeDef::Object { attrs, incomplete, .. } => {
             if *incomplete {
-                return Err(DbError::ConstructorMismatch {
-                    type_name: name.as_str().to_string(),
-                    message: "type is an incomplete forward declaration".into(),
-                });
+                return Err(DbError::IncompleteType(name.as_str().to_string()));
             }
             if args.len() != attrs.len() {
-                return Err(DbError::ConstructorMismatch {
+                return Err(DbError::ConstructorArity {
                     type_name: name.as_str().to_string(),
-                    message: format!("expected {} arguments, got {}", attrs.len(), args.len()),
+                    expected: attrs.len(),
+                    actual: args.len(),
                 });
             }
             for (value, (attr_name, attr_type)) in args.iter_mut().zip(attrs) {

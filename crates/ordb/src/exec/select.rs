@@ -195,12 +195,7 @@ fn run(
     if stmt.from.len() > 1 {
         ctx.stats.join_queries += 1;
     }
-    let counting = !stmt.star && stmt.items.iter().any(|i| matches!(i.expr, Expr::CountStar));
-    if counting && stmt.items.len() != 1 {
-        return Err(DbError::Execution(
-            "COUNT(*) cannot be combined with other select items".into(),
-        ));
-    }
+    let counting = is_count(stmt)?;
     let mut out = Output {
         stmt,
         // 2. Residual WHERE conjuncts (those deferred to the end).
@@ -1022,6 +1017,16 @@ fn passes<'e>(
         }
     }
     Ok(true)
+}
+
+/// Is `stmt` a `COUNT(*)` query? `COUNT(*)` must be its select list's only
+/// item: beside others it is rejected, whatever the rows.
+pub(crate) fn is_count(stmt: &SelectStmt) -> Result<bool, DbError> {
+    let counting = !stmt.star && stmt.items.iter().any(|i| matches!(i.expr, Expr::CountStar));
+    if counting && stmt.items.len() != 1 {
+        return Err(DbError::CountStarPosition);
+    }
+    Ok(counting)
 }
 
 #[cfg(test)]

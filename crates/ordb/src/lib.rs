@@ -163,10 +163,12 @@
 //!
 //! [`analyze`] checks a generated script *before* execution: it binds every
 //! statement against a shadow catalog (evolved by the script's own DDL
-//! through the executor's code path), resolves names and dot paths, type
-//! checks constructors and INSERTs, gates nested-collection DDL by
-//! [`DbMode`], and lints for unscoped REFs, REF types with no target table,
-//! the §4.3 CHECK quirk and dead/shadowed aliases. Diagnostics carry
+//! through the executor's code path), resolves names and dot paths, judges
+//! every value that does not depend on the data with the executor's own
+//! constructors, built-ins, coercions and INSERT row path, gates
+//! nested-collection DDL by [`DbMode`], and lints for unscoped REFs, REF
+//! types with no target table, the §4.3 CHECK quirk and dead/shadowed
+//! aliases. Diagnostics carry
 //! character spans and render rustc-style ([`analyze::Diagnostic::render`]).
 //! [`Severity::Error`](analyze::Severity) findings are guaranteed to match
 //! an executor rejection (see the module docs for the differential

@@ -39,10 +39,9 @@ use std::io::{Read, Write};
 use std::path::Path;
 
 use crate::catalog::{
-    Catalog, ColumnDef, Constraint, IndexDef, TableDef, TableStats, TypeDef, ViewDef,
+    Catalog, ColumnDef, IndexDef, TableDef, TableStats, TypeDef, ViewDef,
 };
 use crate::error::DbError;
-use crate::ident::Ident;
 use crate::mode::DbMode;
 use crate::storage::{Row, Storage, TableData};
 use crate::value::Oid;
@@ -118,68 +117,13 @@ fn decode_type_def(d: &mut wal::Dec) -> Result<TypeDef, DbError> {
     }
 }
 
-fn encode_constraints(e: &mut wal::Enc, cs: &[Constraint]) {
-    e.u32(cs.len() as u32);
-    for c in cs {
-        match c {
-            Constraint::PrimaryKey(cols) => {
-                e.u8(0);
-                encode_ident_list(e, cols);
-            }
-            Constraint::NotNull(col) => {
-                e.u8(1);
-                e.ident(col);
-            }
-            Constraint::Check(x) => {
-                e.u8(2);
-                wal::encode_expr(e, x);
-            }
-            Constraint::Unique(cols) => {
-                e.u8(3);
-                encode_ident_list(e, cols);
-            }
-        }
-    }
-}
-
-fn decode_constraints(d: &mut wal::Dec) -> Result<Vec<Constraint>, DbError> {
-    let n = d.len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(match d.u8()? {
-            0 => Constraint::PrimaryKey(decode_ident_list(d)?),
-            1 => Constraint::NotNull(d.ident()?),
-            2 => Constraint::Check(wal::decode_expr(d, 0)?),
-            3 => Constraint::Unique(decode_ident_list(d)?),
-            t => return Err(corrupt(format!("invalid Constraint tag {t}"))),
-        });
-    }
-    Ok(out)
-}
-
-fn encode_ident_list(e: &mut wal::Enc, ids: &[Ident]) {
-    e.u32(ids.len() as u32);
-    for id in ids {
-        e.ident(id);
-    }
-}
-
-fn decode_ident_list(d: &mut wal::Dec) -> Result<Vec<Ident>, DbError> {
-    let n = d.len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(d.ident()?);
-    }
-    Ok(out)
-}
-
 fn encode_table_def(e: &mut wal::Enc, def: &TableDef) {
     match def {
         TableDef::Object { name, of_type, constraints } => {
             e.u8(0);
             e.ident(name);
             e.ident(of_type);
-            encode_constraints(e, constraints);
+            wal::encode_constraints(e, constraints);
         }
         TableDef::Relational { name, columns, constraints, nested_table_stores } => {
             e.u8(1);
@@ -189,7 +133,7 @@ fn encode_table_def(e: &mut wal::Enc, def: &TableDef) {
                 e.ident(&c.name);
                 wal::encode_sql_type(e, &c.sql_type);
             }
-            encode_constraints(e, constraints);
+            wal::encode_constraints(e, constraints);
             e.u32(nested_table_stores.len() as u32);
             for (col, store) in nested_table_stores {
                 e.ident(col);
@@ -204,7 +148,7 @@ fn decode_table_def(d: &mut wal::Dec) -> Result<TableDef, DbError> {
         0 => {
             let name = d.ident()?;
             let of_type = d.ident()?;
-            let constraints = decode_constraints(d)?;
+            let constraints = wal::decode_constraints(d, 0)?;
             Ok(TableDef::Object { name, of_type, constraints })
         }
         1 => {
@@ -216,7 +160,7 @@ fn decode_table_def(d: &mut wal::Dec) -> Result<TableDef, DbError> {
                 let sql_type = wal::decode_sql_type(d)?;
                 columns.push(ColumnDef { name: cname, sql_type });
             }
-            let constraints = decode_constraints(d)?;
+            let constraints = wal::decode_constraints(d, 0)?;
             let n = d.len()?;
             let mut nested_table_stores = Vec::with_capacity(n);
             for _ in 0..n {
@@ -279,7 +223,7 @@ pub fn encode_snapshot(
     for def in indexes.values() {
         e.ident(&def.name);
         e.ident(&def.table);
-        encode_ident_list(&mut e, &def.columns);
+        wal::encode_idents(&mut e, &def.columns);
         e.bool(def.unique);
     }
     e.u32(stats.len() as u32);
@@ -365,7 +309,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotData, DbError> {
     for _ in 0..d.len()? {
         let name = d.ident()?;
         let table = d.ident()?;
-        let columns = decode_ident_list(&mut d)?;
+        let columns = wal::decode_idents(&mut d)?;
         let unique = d.bool()?;
         indexes.insert(name.clone(), IndexDef { name, table, columns, unique, key: None });
     }
@@ -457,6 +401,8 @@ pub fn read_snapshot_file(path: &Path) -> Result<Option<Vec<u8>>, DbError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::Constraint;
+    use crate::ident::Ident;
     use crate::value::Value;
 
     fn id(s: &str) -> Ident {

@@ -55,8 +55,21 @@ impl SpannedToken {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    static TOKENIZES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// How many times this thread has called [`tokenize`].
+#[cfg(test)]
+pub(crate) fn tokenizes() -> usize {
+    TOKENIZES.with(std::cell::Cell::get)
+}
+
 /// Tokenize a complete SQL text (possibly multiple statements).
 pub fn tokenize(input: &str) -> Result<Vec<SpannedToken>, DbError> {
+    #[cfg(test)]
+    TOKENIZES.with(|n| n.set(n.get() + 1));
     let bytes: Vec<char> = input.chars().collect();
     let mut out = Vec::new();
     let mut i = 0usize;

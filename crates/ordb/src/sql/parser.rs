@@ -22,9 +22,17 @@ pub fn parse_script(input: &str) -> Result<Vec<Stmt>, DbError> {
     Ok(parse_script_spanned(input)?.into_iter().map(|s| s.stmt).collect())
 }
 
-/// Parse a script, keeping the character span of every statement — the
-/// entry point for [`crate::analyze`] diagnostics.
+/// Parse a script, keeping the character span of every statement.
 pub fn parse_script_spanned(input: &str) -> Result<Vec<SpannedStmt>, DbError> {
+    Ok(parse_script_tokens(input)?.0)
+}
+
+/// Parse a script, keeping the character span of every statement and the
+/// tokens they were parsed from, in offset order — the entry point for
+/// [`crate::analyze`], which anchors its diagnostics in those tokens.
+pub(crate) fn parse_script_tokens(
+    input: &str,
+) -> Result<(Vec<SpannedStmt>, Vec<SpannedToken>), DbError> {
     let tokens = tokenize(input)?;
     let mut parser = Parser { tokens, pos: 0 };
     let mut stmts = Vec::new();
@@ -37,7 +45,7 @@ pub fn parse_script_spanned(input: &str) -> Result<Vec<SpannedStmt>, DbError> {
         let stmt = parser.statement()?;
         stmts.push(SpannedStmt { stmt, span: Span::new(start, parser.prev_end()) });
     }
-    Ok(stmts)
+    Ok((stmts, parser.tokens))
 }
 
 /// Parse exactly one statement (trailing `;` allowed).

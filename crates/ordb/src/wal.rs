@@ -397,14 +397,14 @@ fn decode_binop(d: &mut Dec) -> Result<BinOp, DbError> {
     }
 }
 
-fn encode_idents(e: &mut Enc, ids: &[Ident]) {
+pub(crate) fn encode_idents(e: &mut Enc, ids: &[Ident]) {
     e.u32(ids.len() as u32);
     for id in ids {
         e.ident(id);
     }
 }
 
-fn decode_idents(d: &mut Dec) -> Result<Vec<Ident>, DbError> {
+pub(crate) fn decode_idents(d: &mut Dec) -> Result<Vec<Ident>, DbError> {
     let n = d.len()?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
@@ -666,14 +666,14 @@ fn decode_constraint(d: &mut Dec, depth: u32) -> Result<Constraint, DbError> {
     }
 }
 
-fn encode_constraints(e: &mut Enc, cs: &[Constraint]) {
+pub(crate) fn encode_constraints(e: &mut Enc, cs: &[Constraint]) {
     e.u32(cs.len() as u32);
     for c in cs {
         encode_constraint(e, c);
     }
 }
 
-fn decode_constraints(d: &mut Dec, depth: u32) -> Result<Vec<Constraint>, DbError> {
+pub(crate) fn decode_constraints(d: &mut Dec, depth: u32) -> Result<Vec<Constraint>, DbError> {
     let n = d.len()?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {

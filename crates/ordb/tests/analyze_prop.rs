@@ -15,9 +15,23 @@
 //! columns included. Both modes run the same
 //! generator; per statement the analyzer gets a fresh shadow catalog cloned
 //! from the live database, so it sees exactly what the executor sees.
+//!
+//! A second PRNG stream adds INSERTs whose values come from built-ins, `||`
+//! and constructors nested in constructors — of the wrong arity, past a
+//! VARRAY's limit, with wrongly typed elements — some of whose rows hold a
+//! scalar subquery among folded values. They aim at tables the catalog
+//! holds (creating one while there is none). For an INSERT whose every
+//! value folds (a literal, or a call,
+//! comparison, `||`, `NOT`, `IS NULL` or `LIKE` over folding operands) the
+//! contract is complete as well: the executor rejects it for anything but a
+//! CHECK or a key collision ⇒ the analyzer reported an `Error`.
 
 use std::collections::BTreeSet;
-use xmlord_ordb::{Analyzer, Database, DbMode, Severity};
+use xmlord_ordb::sql::ast::BinOp;
+use xmlord_ordb::sql::{parse_statement, Expr, Stmt};
+use xmlord_ordb::{
+    Analyzer, Catalog, Database, DbError, DbMode, Ident, Severity, SqlType, TableDef, TypeDef,
+};
 use xmlord_prng::Prng;
 
 fn obj_type(rng: &mut Prng) -> String {
@@ -58,6 +72,24 @@ fn lit(rng: &mut Prng) -> String {
 
 fn lits(rng: &mut Prng, n: usize) -> String {
     (0..n).map(|_| lit(rng)).collect::<Vec<_>>().join(", ")
+}
+
+/// A value that folds but is no literal: a built-in's result, a
+/// concatenation (some too long for VARCHAR(5)), or a literal.
+fn computed(rng: &mut Prng) -> String {
+    match rng.gen_range(0u32..6) {
+        0 => format!("{}({})", rng.choose(&["UPPER", "LOWER", "LENGTH", "TO_NUMBER"]), lit(rng)),
+        1 => format!("TO_CHAR({})", rng.choose(&["7", "123456", "'abc'", "NULL"])),
+        2 => format!("{} || {}", lit(rng), lit(rng)),
+        3 => format!("UPPER({}, {})", lit(rng), lit(rng)),
+        _ => lit(rng),
+    }
+}
+
+/// A scalar subquery: folds never, and may find no row, one or several.
+fn subquery(rng: &mut Prng) -> String {
+    let item = *rng.choose(&["t.a", "t.x", "COUNT(*)"]);
+    format!("(SELECT {item} FROM {} t)", maybe_missing(rng, table))
 }
 
 /// One random statement. Object types are always created with the shape
@@ -197,12 +229,108 @@ fn gen_stmt(rng: &mut Prng) -> String {
     }
 }
 
+/// An INSERT whose values are computed: built-ins, concatenations and
+/// constructors nested in constructors, all folding — or a row that mixes
+/// a scalar subquery in. Aimed at a table the catalog holds, mostly with
+/// its own row type's constructor, so it gets past the table lookup; with
+/// no table yet, the CREATE TABLE of one.
+fn gen_folding_insert(rng: &mut Prng, catalog: &Catalog) -> String {
+    let tables: Vec<String> = catalog.table_names().map(|t| t.to_string()).collect();
+    if tables.is_empty() {
+        // Something to aim at: a table of an object type the catalog
+        // holds, or else a relational one.
+        let types: Vec<String> = catalog
+            .type_names()
+            .filter(|ty| matches!(catalog.get_type(ty), Some(TypeDef::Object { .. })))
+            .map(|ty| ty.to_string())
+            .collect();
+        return match types.is_empty() {
+            true => format!("CREATE TABLE {} (x NUMBER NOT NULL, y VARCHAR(5))", table(rng)),
+            false => format!("CREATE TABLE {} OF {}", table(rng), rng.choose(&types)),
+        };
+    }
+    let t = rng.choose(&tables).clone();
+    let row_type = catalog
+        .get_table(&Ident::new(&t).unwrap())
+        .and_then(TableDef::of_type)
+        .filter(|_| rng.gen_bool(0.8))
+        .map(|ty| ty.to_string());
+    let ctor = row_type.unwrap_or_else(|| maybe_missing(rng, obj_type));
+    // The type of the constructor's third attribute, when it has one.
+    let third = match catalog.get_type(&Ident::new(&ctor).unwrap()) {
+        Some(TypeDef::Object { attrs, .. }) => match attrs.get(2) {
+            Some((_, SqlType::Varray(c) | SqlType::NestedTable(c))) => Some(c.to_string()),
+            _ => None,
+        },
+        _ => None,
+    };
+    match rng.gen_range(0u32..4) {
+        // Computed values: a built-in's result or a concatenation headed
+        // into a typed column, positionally or through a constructor.
+        0 => match rng.gen_bool(0.5) {
+            true => format!("INSERT INTO {t} VALUES ({}, {})", computed(rng), computed(rng)),
+            false => format!("INSERT INTO {t} VALUES ({ctor}({}, {}))", computed(rng), computed(rng)),
+        },
+        // A collection constructor in a constructor's third argument: of
+        // objects (whose constructors may have the wrong arity) or of
+        // literals (too many for the VARRAY, or of the wrong type).
+        1 | 2 => {
+            let coll = third.unwrap_or_else(|| coll_type(rng));
+            let n = rng.gen_range(0usize..5);
+            let elements: Vec<String> = (0..n)
+                .map(|_| match rng.gen_bool(0.5) {
+                    true => {
+                        let arity = rng.gen_range(1usize..4);
+                        format!("{}({})", obj_type(rng), lits(rng, arity))
+                    }
+                    false => computed(rng),
+                })
+                .collect();
+            format!(
+                "INSERT INTO {t} VALUES ({ctor}({}, {}, {coll}({})))",
+                lit(rng),
+                lit(rng),
+                elements.join(", ")
+            )
+        }
+        // A row mixing a scalar subquery, which does not fold, with values
+        // that do.
+        _ => match rng.gen_range(0u32..3) {
+            0 => format!("INSERT INTO {t} VALUES ({}, {})", subquery(rng), computed(rng)),
+            1 => format!("INSERT INTO {t} VALUES ({ctor}({}, {}))", subquery(rng), computed(rng)),
+            _ => format!("INSERT INTO {t} (x, y) VALUES ({}, {})", computed(rng), subquery(rng)),
+        },
+    }
+}
+
 struct Tally {
     statements: u64,
     accepted: u64,
     rejected: u64,
     analyzer_errors: u64,
     error_codes: BTreeSet<&'static str>,
+    /// Rejected INSERTs whose every value folds, CHECK and key collisions
+    /// aside: each must carry an analyzer `Error`.
+    folded_rejections: u64,
+}
+
+/// Does `expr`'s value fold — is it the same whatever the data?
+fn folds(expr: &Expr) -> bool {
+    match expr {
+        Expr::Literal(_) => true,
+        Expr::Call { args, .. } => args.iter().all(folds),
+        Expr::Binary { op: BinOp::And | BinOp::Or, .. } => false,
+        Expr::Binary { lhs, rhs, .. } => folds(lhs) && folds(rhs),
+        Expr::Not(inner) | Expr::IsNull { expr: inner, .. } | Expr::Like { expr: inner, .. } => {
+            folds(inner)
+        }
+        _ => false,
+    }
+}
+
+/// An INSERT whose every VALUES expression folds.
+fn folded_insert(sql: &str) -> bool {
+    matches!(parse_statement(sql), Ok(Stmt::Insert { values, .. }) if values.iter().all(folds))
 }
 
 fn run_mode(mode: DbMode) -> Tally {
@@ -212,51 +340,73 @@ fn run_mode(mode: DbMode) -> Tally {
         rejected: 0,
         analyzer_errors: 0,
         error_codes: BTreeSet::new(),
+        folded_rejections: 0,
     };
     for case in 0..60u64 {
         let mut rng = Prng::seed_from_u64(0xA11A + case);
+        // The computed INSERTs draw from a stream of their own, so the
+        // statements `gen_stmt` makes, DDL included, are those it made
+        // before they were added.
+        let mut computed_rng = Prng::seed_from_u64(0xF01D + case);
         let mut db = Database::new(mode);
         for _ in 0..12 {
-            let sql = gen_stmt(&mut rng);
-            tally.statements += 1;
-
-            // Fresh analyzer per statement, shadow catalog = live catalog.
-            let analysis =
-                Analyzer::with_catalog(db.catalog().clone(), mode).analyze_script(&sql);
-            let outcome = db.execute(&sql);
-
-            let errors: Vec<_> = match &analysis {
-                Ok(diags) => {
-                    diags.iter().filter(|d| d.severity == Severity::Error).collect()
-                }
-                Err(_) => {
-                    // Parse failure: the executor must fail on the same text.
-                    assert!(outcome.is_err(), "parse disagreement on: {sql}");
-                    tally.rejected += 1;
-                    continue;
-                }
-            };
-            for e in &errors {
-                tally.error_codes.insert(e.code);
+            let mut sqls = vec![gen_stmt(&mut rng)];
+            if computed_rng.gen_bool(0.4) {
+                sqls.push(gen_folding_insert(&mut computed_rng, &db.catalog()));
             }
-            tally.analyzer_errors += errors.len() as u64;
+            for sql in sqls {
+                tally.statements += 1;
 
-            match outcome {
-                Ok(_) => {
-                    tally.accepted += 1;
-                    assert!(
-                        errors.is_empty(),
-                        "FALSE POSITIVE ({mode:?}): executor accepted but analyzer \
-                         errored on: {sql}\n{errors:#?}"
-                    );
+                // Fresh analyzer per statement, shadow catalog = live catalog.
+                let analysis =
+                    Analyzer::with_catalog(db.catalog().clone(), mode).analyze_script(&sql);
+                let outcome = db.execute(&sql);
+
+                let errors: Vec<_> = match &analysis {
+                    Ok(diags) => {
+                        diags.iter().filter(|d| d.severity == Severity::Error).collect()
+                    }
+                    Err(_) => {
+                        // Parse failure: the executor must fail on the same text.
+                        assert!(outcome.is_err(), "parse disagreement on: {sql}");
+                        tally.rejected += 1;
+                        continue;
+                    }
+                };
+                for e in &errors {
+                    tally.error_codes.insert(e.code);
                 }
-                Err(err) => {
-                    tally.rejected += 1;
-                    // One-directional: an executor rejection without an
-                    // analyzer error is fine (data-dependent failures), but
-                    // an analyzer error must always mean rejection — which
-                    // this branch is.
-                    let _ = err;
+                tally.analyzer_errors += errors.len() as u64;
+
+                match outcome {
+                    Ok(_) => {
+                        tally.accepted += 1;
+                        assert!(
+                            errors.is_empty(),
+                            "FALSE POSITIVE ({mode:?}): executor accepted but analyzer \
+                             errored on: {sql}\n{errors:#?}"
+                        );
+                    }
+                    Err(err) => {
+                        tally.rejected += 1;
+                        // An analyzer error must always mean rejection —
+                        // which this branch is. A rejection without one is
+                        // fine where it depends on data, but not for an
+                        // INSERT whose values all fold.
+                        let data_dependent = matches!(
+                            err,
+                            DbError::CheckViolation { .. } | DbError::UniqueViolation { .. }
+                        );
+                        if folded_insert(&sql) && !data_dependent {
+                            tally.folded_rejections += 1;
+                            assert!(
+                                !errors.is_empty(),
+                                "MISSED ({mode:?}): every value folds and the executor \
+                                 rejected with {err:?}, but the analyzer reported no \
+                                 error on: {sql}"
+                            );
+                        }
+                    }
                 }
             }
         }
@@ -268,6 +418,16 @@ fn run_mode(mode: DbMode) -> Tally {
 fn analyzer_errors_and_executor_rejections_agree() {
     for mode in [DbMode::Oracle8, DbMode::Oracle9] {
         let tally = run_mode(mode);
+        eprintln!(
+            "{mode:?}: {} statements, {} accepted, {} rejected ({} folded INSERTs), \
+             {} analyzer errors, codes {:?}",
+            tally.statements,
+            tally.accepted,
+            tally.rejected,
+            tally.folded_rejections,
+            tally.analyzer_errors,
+            tally.error_codes
+        );
         assert!(tally.statements >= 500, "{mode:?}: only {} statements", tally.statements);
         // The generator must exercise both sides of the contract.
         assert!(tally.accepted > 100, "{mode:?}: only {} accepted", tally.accepted);
@@ -282,6 +442,12 @@ fn analyzer_errors_and_executor_rejections_agree() {
             tally.error_codes.len() >= 5,
             "{mode:?}: too few distinct error codes: {:?}",
             tally.error_codes
+        );
+        // The completeness half ran on a spread of rejected folded INSERTs.
+        assert!(
+            tally.folded_rejections > 50,
+            "{mode:?}: only {} folded INSERTs rejected",
+            tally.folded_rejections
         );
         // Mode gating: nested-collection DDL errors exist on Oracle 8 only.
         assert_eq!(

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use xmlord_dtd::ast::Dtd;
 use xmlord_dtd::{parse_dtd, validate};
 use xmlord_ordb::{Database, DbMode, ExecStats, Ident, RecoveryPolicy, ResultMode, SpanToken};
-use xmlord_xml::serializer::{serialize, SerializeOptions};
+use xmlord_xml::serializer::SerializeOptions;
 use xmlord_xml::{Document, QName};
 
 use crate::ddlgen::create_script;
@@ -26,7 +26,7 @@ use crate::metadata::{
     DocMetadata, SchemaRegistryRow,
 };
 use crate::model::{MappedSchema, MappingOptions};
-use crate::retriever::{retrieve_from, retrieve_snapshot};
+use crate::retriever::{retrieve_from, write_document, write_snapshot};
 use crate::schemagen::{generate_schema, IdrefTargets};
 
 /// One registered document type (DTD + generated schema).
@@ -529,18 +529,22 @@ impl Xml2OrDb {
         Ok(())
     }
 
-    /// Reconstruct a stored document as a DOM.
-    pub fn retrieve_dom(&mut self, doc_id: &str) -> Result<(Document, DocMetadata), MappingError> {
+    /// The registered schema document `doc_id` is stored under.
+    fn schema_of(&self, doc_id: &str) -> Result<Arc<RegisteredSchema>, MappingError> {
         let schema_name = self
             .documents
             .get(doc_id)
-            .cloned()
             .ok_or_else(|| MappingError::NoSuchDocument(doc_id.to_string()))?;
-        let registered = self.schemas.get(&schema_name).ok_or_else(|| {
+        self.schemas.get(schema_name).cloned().ok_or_else(|| {
             MappingError::InconsistentMapping(format!(
                 "document '{doc_id}' references schema '{schema_name}' which is no longer registered"
             ))
-        })?;
+        })
+    }
+
+    /// Reconstruct a stored document as a DOM.
+    pub fn retrieve_dom(&mut self, doc_id: &str) -> Result<(Document, DocMetadata), MappingError> {
+        let registered = self.schema_of(doc_id)?;
         let span = self.span("retrieve", || doc_id.to_string());
         let bulk = self.db.bulk_retrieval();
         // One storage guard for metadata row and document rows alike.
@@ -552,23 +556,33 @@ impl Xml2OrDb {
     }
 
     /// Reconstruct a stored document as XML text, re-substituting the
-    /// original entity references from the meta-data (§6.1).
+    /// original entity references from the meta-data (§6.1). The walk
+    /// writes the text itself ([`crate::retriever::write_document`]): no
+    /// `Document` is built, and the bytes are those of serializing
+    /// [`Self::retrieve_dom`]'s tree with [`retrieval_serialize_options`].
     pub fn retrieve_document(&mut self, doc_id: &str) -> Result<String, MappingError> {
-        let (doc, meta) = self.retrieve_dom(doc_id)?;
-        Ok(serialize(&doc, &retrieval_serialize_options(&meta)))
+        let registered = self.schema_of(doc_id)?;
+        let span = self.span("retrieve", || doc_id.to_string());
+        let bulk = self.db.bulk_retrieval();
+        let mut text = String::new();
+        let result =
+            write_document(&self.db.storage(), &registered.schema, doc_id, bulk, &mut text);
+        self.db.trace_end(span);
+        let stats = result?;
+        self.db.record_retrieval(stats.table_scans, stats.index_probes, bulk);
+        Ok(text)
     }
 
-    /// Reconstruct a stored document as XML text, streaming the bytes into
-    /// `out` instead of materializing a `String` ([`MappingError::Io`]
-    /// surfaces writer failures).
+    /// [`Self::retrieve_document`] written to `out` in one `write_all`: a
+    /// walk that fails writes nothing ([`MappingError::Io`] surfaces writer
+    /// failures).
     pub fn export_to_writer<W: std::io::Write>(
         &mut self,
         doc_id: &str,
         out: &mut W,
     ) -> Result<(), MappingError> {
-        let (doc, meta) = self.retrieve_dom(doc_id)?;
-        let opts = retrieval_serialize_options(&meta);
-        xmlord_xml::serializer::serialize_to(&doc, &opts, out)?;
+        let text = self.retrieve_document(doc_id)?;
+        out.write_all(text.as_bytes())?;
         Ok(())
     }
 
@@ -587,21 +601,9 @@ impl Xml2OrDb {
         }
         // Resolve every document's schema up front: unknown ids fail before
         // any worker starts, exactly as the serial loop's first failure.
-        let jobs: Vec<(&str, &RegisteredSchema)> = doc_ids
+        let jobs: Vec<(&str, Arc<RegisteredSchema>)> = doc_ids
             .iter()
-            .map(|&doc_id| {
-                let schema_name = self
-                    .documents
-                    .get(doc_id)
-                    .ok_or_else(|| MappingError::NoSuchDocument(doc_id.to_string()))?;
-                let registered = self.schemas.get(schema_name).ok_or_else(|| {
-                    MappingError::InconsistentMapping(format!(
-                        "document '{doc_id}' references schema '{schema_name}' \
-                         which is no longer registered"
-                    ))
-                })?;
-                Ok((doc_id, registered.as_ref()))
-            })
+            .map(|&doc_id| Ok((doc_id, self.schema_of(doc_id)?)))
             .collect::<Result<_, MappingError>>()?;
 
         let span = self.span("bulk-retrieve", || {
@@ -620,10 +622,11 @@ impl Xml2OrDb {
                 let mut session = db.read_session();
                 let jobs = &jobs;
                 move |i: usize| {
-                    let (doc_id, registered) = jobs[i];
-                    let (doc, meta, stats) =
-                        retrieve_snapshot(&mut session, &registered.schema, doc_id)?;
-                    Ok((serialize(&doc, &retrieval_serialize_options(&meta)), stats))
+                    let (doc_id, registered) = &jobs[i];
+                    let mut text = String::new();
+                    let schema = &registered.schema;
+                    let stats = write_snapshot(&mut session, schema, doc_id, &mut text)?;
+                    Ok((text, stats))
                 }
             },
             |(text, stats)| {
@@ -715,20 +718,7 @@ impl Xml2OrDb {
 
     /// Compare a stored document against its reconstruction (experiment E9).
     pub fn fidelity(&mut self, doc_id: &str, original_xml: &str) -> Result<crate::roundtrip::FidelityReport, MappingError> {
-        let schema_name = self
-            .documents
-            .get(doc_id)
-            .cloned()
-            .ok_or_else(|| MappingError::NoSuchDocument(doc_id.to_string()))?;
-        let registered = self
-            .schemas
-            .get(&schema_name)
-            .ok_or_else(|| {
-                MappingError::InconsistentMapping(format!(
-                    "document '{doc_id}' references schema '{schema_name}' which is no longer registered"
-                ))
-            })?
-            .clone();
+        let registered = self.schema_of(doc_id)?;
         let original =
             xmlord_xml::parse_with_catalog(original_xml, registered.dtd.entity_catalog())
                 .map_err(MappingError::Xml)?;

@@ -1,20 +1,45 @@
 //! Document retrieval: database → XML document.
 //!
-//! Walks the stored object values guided by the [`MappedSchema`] (which
+//! One walk over the stored rows, guided by the [`MappedSchema`] (which
 //! knows, per §5's meta-data, whether each database attribute came from an
-//! element or an attribute) and rebuilds the DOM. The paper's known losses
-//! are reproduced faithfully: comments, processing instructions and the
-//! interleaving of mixed content do not come back (§7 "loss of document
-//! information"), and where REFs are involved the original sibling order is
-//! only preserved per relationship (§7 "usage of references does not
-//! preserve the order of elements").
+//! element or an attribute), reports the document as element events to an
+//! [`xmlord_xml::ContentSink`] ([`reconstruct_into`]). Two sinks take them:
+//!
+//! - a [`TextWriter`] — the text path ([`write_document`], and through it
+//!   the façade's `retrieve_document`, its worker fan and the wire
+//!   server's `.get`): escaped, §6.1-re-substituted XML appended to a
+//!   `String`, no `Document` built;
+//! - a [`DomBuilder`] — for callers that want a `Document`
+//!   ([`reconstruct`], [`retrieve_with_stats`], [`retrieve_snapshot`], …).
+//!
+//! Both see the same events, so serializing the built tree writes the
+//! writer's bytes. The paper's known losses are reproduced faithfully:
+//! comments, processing instructions and the interleaving of mixed content
+//! do not come back (§7 "loss of document information"), and where REFs
+//! are involved the original sibling order is only preserved per
+//! relationship (§7 "usage of references does not preserve the order of
+//! elements").
+//!
+//! # The walk
+//!
+//! An element's attributes come first, in field order: `XmlAttribute`
+//! fields, the attribute-list object, IDREF targets' ID values — a repeated
+//! name replaces the earlier value in place, as `Document::set_attribute`
+//! does, which is also how the root's `xmlns` from the meta-table lands.
+//! Its content follows: text fields, child fields, then the Oracle 8
+//! inverted children. Where any inverted child exists, the content is put
+//! in content-model order *before* anything is written
+//! (`content_model_order`): per element, not per mapping, because the
+//! rule moves only known names. Scalar values are written from the stored
+//! block — strings and dates borrowed, other types through one scratch
+//! buffer.
 //!
 //! # Set-oriented reconstruction
 //!
-//! One DOM assembly runs over [`KeyedReader`] lookups — the root row by
-//! document id, each Oracle 8 inverted relationship by ParentRef — and the
-//! `bulk` flag ([`xmlord_ordb::Database::set_bulk_retrieval`]) only picks
-//! how the reader answers them:
+//! The walk runs over [`KeyedReader`] lookups — the root row by document
+//! id, each Oracle 8 inverted relationship by ParentRef — and the `bulk`
+//! flag ([`xmlord_ordb::Database::set_bulk_retrieval`]) only picks how the
+//! reader answers them:
 //!
 //! - **Naive walker** (the differential baseline): every lookup scans the
 //!   table, so an inverted relationship costs O(parents × child_rows).
@@ -29,10 +54,12 @@
 //! `retrieve_prop` pins.
 
 use std::collections::hash_map::{Entry, HashMap};
+use std::fmt::Write as _;
+use std::ops::Range;
 
 use xmlord_ordb::storage::{KeyedReader, Storage};
 use xmlord_ordb::{Database, Oid, Value};
-use xmlord_xml::{Document, NodeId, QName};
+use xmlord_xml::{ContentSink, Document, DomBuilder, QName, TextWriter, XmlDeclaration};
 
 use crate::error::MappingError;
 use crate::metadata::{metadata_row, DocMetadata};
@@ -49,6 +76,17 @@ pub struct RetrievalStats {
     pub table_scans: u64,
     /// Secondary-index probes that replaced a scan.
     pub index_probes: u64,
+}
+
+impl std::ops::Add for RetrievalStats {
+    type Output = RetrievalStats;
+
+    fn add(self, other: RetrievalStats) -> RetrievalStats {
+        RetrievalStats {
+            table_scans: self.table_scans + other.table_scans,
+            index_probes: self.index_probes + other.index_probes,
+        }
+    }
 }
 
 /// Reconstruct the document stored under `meta.doc_id`, using the
@@ -68,40 +106,48 @@ pub fn retrieve_with_stats(
     meta: &DocMetadata,
 ) -> Result<(Document, RetrievalStats), MappingError> {
     // One storage guard for the whole walk: the guard holds the shared
-    // engine lock, and taking it once up front keeps the recursive
-    // builders from re-locking per REF chase.
+    // engine lock, and taking it once up front keeps the walk from
+    // re-locking per REF chase.
     let storage = db.storage();
     reconstruct(&storage, schema, meta, db.bulk_retrieval())
 }
 
-/// Reconstruct a document from a storage snapshot — the entry point shared
-/// by the writer handle ([`retrieve_document`]) and MVCC read sessions
-/// (which pass `ReadSession::snapshot()`'s storage).
+/// Reconstruct a document as a DOM from a storage snapshot — the entry
+/// point shared by the writer handle ([`retrieve_document`]) and MVCC read
+/// sessions (which pass `ReadSession::snapshot()`'s storage).
 pub fn reconstruct(
     storage: &Storage,
     schema: &MappedSchema,
     meta: &DocMetadata,
     bulk: bool,
 ) -> Result<(Document, RetrievalStats), MappingError> {
-    let mut ctx = Retriever::new(storage, schema, bulk);
-    let (row_values, row_oid) = ctx.find_root_row(meta)?;
+    let mut builder = DomBuilder::new();
+    let stats = reconstruct_into(storage, schema, meta, bulk, &mut builder)?;
+    Ok((builder.finish(), stats))
+}
 
-    let mut doc = Document::new();
+/// The one reconstruction walk: report the document stored under
+/// `meta.doc_id` to `sink` — the declaration restored from the meta-table,
+/// then the root element with the meta-table's namespace (§5). On an
+/// error the sink has seen a prefix of the document.
+pub fn reconstruct_into(
+    storage: &Storage,
+    schema: &MappedSchema,
+    meta: &DocMetadata,
+    bulk: bool,
+    sink: &mut impl ContentSink,
+) -> Result<RetrievalStats, MappingError> {
+    let mut walk = Retriever::new(storage, schema, bulk);
+    let (values, oid) = walk.find_root_row(meta)?;
     if meta.xml_version.is_some() || meta.character_set.is_some() || meta.standalone.is_some() {
-        doc.declaration = Some(xmlord_xml::XmlDeclaration {
+        sink.declaration(&XmlDeclaration {
             version: meta.xml_version.clone().unwrap_or_else(|| "1.0".to_string()),
             encoding: meta.character_set.clone(),
             standalone: meta.standalone,
         });
     }
-    let root_element = schema.root_element.clone();
-    let root_node = ctx.build_element(&mut doc, &root_element, row_values, row_oid)?;
-    // Restore the root's default namespace from the meta-table (§5).
-    if let Some(ns) = &meta.namespace {
-        doc.set_attribute(root_node, QName::local("xmlns"), ns);
-    }
-    doc.set_root(root_node);
-    Ok((doc, ctx.stats()))
+    walk.element(sink, &schema.root_element, values, oid, meta.namespace.as_deref())?;
+    Ok(walk.stats())
 }
 
 /// Retrieve document `doc_id` from one storage snapshot: its §5 meta-table
@@ -115,11 +161,31 @@ pub fn retrieve_from(
 ) -> Result<(Document, DocMetadata, RetrievalStats), MappingError> {
     let (meta, lookup) = metadata_row(storage, doc_id, bulk)?;
     let (doc, walk) = reconstruct(storage, schema, &meta, bulk)?;
-    let stats = RetrievalStats {
-        table_scans: lookup.table_scans + walk.table_scans,
-        index_probes: lookup.index_probes + walk.index_probes,
-    };
-    Ok((doc, meta, stats))
+    Ok((doc, meta, lookup + walk))
+}
+
+/// [`retrieve_from`] as XML text appended to `out`: the declaration, the
+/// root element and everything below it, §6.1 entity references
+/// re-substituted — what serializing the DOM with
+/// `pipeline::retrieval_serialize_options` writes, without the DOM. All or
+/// nothing: a walk that fails leaves `out` as it found it.
+pub fn write_document(
+    storage: &Storage,
+    schema: &MappedSchema,
+    doc_id: &str,
+    bulk: bool,
+    out: &mut String,
+) -> Result<RetrievalStats, MappingError> {
+    let (meta, lookup) = metadata_row(storage, doc_id, bulk)?;
+    let start = out.len();
+    let mut writer = TextWriter::new(out, &meta.entity_catalog());
+    match reconstruct_into(storage, schema, &meta, bulk, &mut writer) {
+        Ok(walk) => Ok(lookup + walk),
+        Err(e) => {
+            out.truncate(start);
+            Err(e)
+        }
+    }
 }
 
 /// [`retrieve_from`] on an MVCC read session's committed snapshot, pinned
@@ -135,8 +201,21 @@ pub fn retrieve_snapshot(
     retrieve_from(storage, schema, doc_id, bulk)
 }
 
+/// [`write_document`] on an MVCC read session's committed snapshot, like
+/// [`retrieve_snapshot`]: the stats are returned, not recorded.
+pub fn write_snapshot(
+    session: &mut xmlord_ordb::ReadSession,
+    schema: &MappedSchema,
+    doc_id: &str,
+    out: &mut String,
+) -> Result<RetrievalStats, MappingError> {
+    let bulk = session.bulk_retrieval();
+    let (_, storage) = session.snapshot();
+    write_document(storage, schema, doc_id, bulk, out)
+}
+
 /// [`retrieve_snapshot`] folding the access stats into the session's own
-/// counters — what the wire server's per-connection reader uses.
+/// counters.
 pub fn retrieve_via_session(
     session: &mut xmlord_ordb::ReadSession,
     schema: &MappedSchema,
@@ -148,6 +227,51 @@ pub fn retrieve_via_session(
     Ok((doc, meta))
 }
 
+/// [`write_snapshot`] folding the access stats into the session's own
+/// counters — what the wire server's per-connection reader uses.
+pub fn write_via_session(
+    session: &mut xmlord_ordb::ReadSession,
+    schema: &MappedSchema,
+    doc_id: &str,
+    out: &mut String,
+) -> Result<(), MappingError> {
+    let bulk = session.bulk_retrieval();
+    let stats = write_snapshot(session, schema, doc_id, out)?;
+    session.record_retrieval(stats.table_scans, stats.index_probes, bulk);
+    Ok(())
+}
+
+/// One attribute of the element being written: a stored value, or a
+/// string the walk found elsewhere (an IDREF target's ID, the namespace).
+#[derive(Clone, Copy)]
+enum AttrValue<'a> {
+    Stored(&'a Value),
+    Text(&'a str),
+}
+
+/// One child node of the element being written, in document order.
+#[derive(Clone, Copy)]
+struct Item<'a> {
+    /// The child element's raw name; unused for text.
+    element: &'a str,
+    /// Its position in the parent's content model — computed only where
+    /// inverted children may need [`content_model_order`]; `None` for text
+    /// and names the model does not list.
+    order: Option<usize>,
+    content: Content<'a>,
+}
+
+#[derive(Clone, Copy)]
+enum Content<'a> {
+    /// The element's own text.
+    Text(&'a Value),
+    /// A simple child element (`NULL` in a scalar collection: empty).
+    Scalar(&'a Value),
+    /// A complex child: an object inside the parent's block (no OID), or a
+    /// row of its own — a REF field's target, an Oracle 8 inverted child.
+    Element(&'a [Value], Option<Oid>),
+}
+
 struct Retriever<'a> {
     storage: &'a Storage,
     schema: &'a MappedSchema,
@@ -155,13 +279,13 @@ struct Retriever<'a> {
     /// Accesses of readers already closed (the root lookup); the child
     /// readers carry their own until [`Retriever::stats`] sums them.
     stats: RetrievalStats,
-    /// Per parent element: the child mappings stored inverted under it
+    /// Every inverted relationship: the child mapping stored under a parent
     /// (child table holds a ParentRef and the parent has no field for the
-    /// child), with the ParentRef field position. Precomputed once per
-    /// reconstruction instead of re-scanning `schema.elements` per node;
-    /// kept in the schema's BTreeMap order so attachment order matches the
-    /// old walker exactly.
-    inverted: HashMap<&'a str, Vec<(&'a ElementMapping, usize)>>,
+    /// child), with the ParentRef field position — in the schema's
+    /// BTreeMap order, grouped by parent.
+    relationships: Vec<(&'a ElementMapping, usize)>,
+    /// Parent element → its run of `relationships`.
+    inverted: HashMap<&'a str, Range<usize>>,
     /// Table → the element mapping it stores (for IDREF target resolution).
     table_elements: HashMap<Ident, &'a ElementMapping>,
     /// Raw element/child name → sanitized element QName, built on first
@@ -172,12 +296,21 @@ struct Retriever<'a> {
     child_readers: HashMap<Ident, KeyedReader<'a>>,
     /// Bulk: memoized document-ID values per target row (IDREF batches
     /// resolve each target once, however many attributes point at it).
-    id_memo: HashMap<Oid, Option<String>>,
+    id_memo: HashMap<Oid, Option<&'a str>>,
+    /// The attributes of the element being written.
+    attrs: Vec<(&'a str, AttrValue<'a>)>,
+    /// Child lists no element is filling: each element borrows one while
+    /// it writes its content, so a walk allocates one per depth.
+    spare_items: Vec<Vec<Item<'a>>>,
+    /// A non-string scalar's text.
+    scratch: String,
+    /// The items [`content_model_order`] moves.
+    moved: Vec<Item<'a>>,
 }
 
 impl<'a> Retriever<'a> {
     fn new(storage: &'a Storage, schema: &'a MappedSchema, bulk: bool) -> Retriever<'a> {
-        let mut inverted: HashMap<&'a str, Vec<(&'a ElementMapping, usize)>> = HashMap::new();
+        let mut by_parent: Vec<(&'a str, &'a ElementMapping, usize)> = Vec::new();
         let mut table_elements = HashMap::new();
         for mapping in schema.elements.values() {
             if let Some(table) = &mapping.table {
@@ -199,19 +332,30 @@ impl<'a> Retriever<'a> {
                 .mapping(parent)
                 .is_some_and(|m| m.field_for_child(&mapping.element).is_some());
             if !parent_holds_field {
-                inverted.entry(parent.as_str()).or_default().push((mapping, ref_idx));
+                by_parent.push((parent.as_str(), mapping, ref_idx));
             }
+        }
+        // Stable: each parent's relationships keep the schema's order.
+        by_parent.sort_by_key(|&(parent, _, _)| parent);
+        let mut inverted: HashMap<&'a str, Range<usize>> = HashMap::new();
+        for (i, &(parent, _, _)) in by_parent.iter().enumerate() {
+            inverted.entry(parent).or_insert(i..i).end = i + 1;
         }
         Retriever {
             storage,
             schema,
             bulk,
             stats: RetrievalStats::default(),
+            relationships: by_parent.into_iter().map(|(_, m, idx)| (m, idx)).collect(),
             inverted,
             table_elements,
             qnames: HashMap::new(),
             child_readers: HashMap::new(),
             id_memo: HashMap::new(),
+            attrs: Vec::new(),
+            spare_items: Vec::new(),
+            scratch: String::new(),
+            moved: Vec::new(),
         }
     }
 
@@ -231,9 +375,11 @@ impl<'a> Retriever<'a> {
 
     /// Every access the reconstruction made so far.
     fn stats(&self) -> RetrievalStats {
-        self.child_readers.values().fold(self.stats, |sum, reader| RetrievalStats {
-            table_scans: sum.table_scans + reader.table_scans,
-            index_probes: sum.index_probes + reader.index_probes,
+        self.child_readers.values().fold(self.stats, |sum, reader| {
+            sum + RetrievalStats {
+                table_scans: reader.table_scans,
+                index_probes: reader.index_probes,
+            }
         })
     }
 
@@ -268,234 +414,191 @@ impl<'a> Retriever<'a> {
         row.map(|r| (r.values.as_slice(), r.oid)).ok_or_else(no_such_document)
     }
 
-    /// Build the DOM subtree for one element instance from its attribute
-    /// values (`values` parallels `mapping.fields`).
-    fn build_element(
+    /// Write one element instance from its attribute values (`values`
+    /// parallels `mapping.fields`): start, attributes, content, end.
+    /// `namespace` is the root's `xmlns` from the meta-table.
+    fn element(
         &mut self,
-        doc: &mut Document,
+        sink: &mut impl ContentSink,
         element: &'a str,
-        values: &[Value],
+        values: &'a [Value],
         oid: Option<Oid>,
-    ) -> Result<NodeId, MappingError> {
+        namespace: Option<&'a str>,
+    ) -> Result<(), MappingError> {
         let mapping = self.mapping_of(element)?;
-        let node = doc.create_element(self.element_qname(element));
+        let name = self.element_qname(element);
+        sink.start_element(&name);
+        self.attributes(sink, mapping, values, namespace)?;
+
+        let mut items = self.spare_items.pop().unwrap_or_default();
+        let inverted = oid.and_then(|oid| Some((oid, self.inverted.get(element)?.clone())));
+        let ordered = inverted.is_some();
         for (field, value) in mapping.fields.iter().zip(values) {
             match &field.source {
-                FieldSource::SyntheticId | FieldSource::ParentRef(_) => {}
+                FieldSource::Text if !renders_empty(value) => {
+                    items.push(Item { element: "", order: None, content: Content::Text(value) });
+                }
+                FieldSource::ChildElement(child) => {
+                    let order = ordered.then(|| self.order_of(mapping, child)).flatten();
+                    child_items(&mut items, child, order, field, value, self.storage)?;
+                }
+                _ => {}
+            }
+        }
+        // Oracle 8 inverted children: the rows of each child table whose
+        // ParentRef points at this row, then content-model order.
+        if let Some((my_oid, run)) = inverted {
+            let fielded = items.len();
+            for i in run {
+                let (child_mapping, ref_idx) = self.relationships[i];
+                let Some(child_table) = &child_mapping.table else { continue };
+                let child = child_mapping.element.as_str();
+                let order = self.order_of(mapping, child);
+                let table = Ident::internal(child_table);
+                let reader = match self.child_readers.entry(table) {
+                    Entry::Occupied(open) => open.into_mut(),
+                    Entry::Vacant(slot) => {
+                        let Some(reader) =
+                            self.storage.keyed_reader(slot.key(), ref_idx, self.bulk)
+                        else {
+                            continue;
+                        };
+                        slot.insert(reader)
+                    }
+                };
+                let rows = reader.rows();
+                let key = Value::Ref(my_oid);
+                for slot in reader.each_slot(&key) {
+                    let row = &rows[slot];
+                    let content = Content::Element(&row.values, row.oid);
+                    items.push(Item { element: child, order, content });
+                }
+            }
+            if items.len() > fielded {
+                content_model_order(&mut items, &mut self.moved, |item| item.order);
+            }
+        }
+
+        let written = self.content(sink, &items);
+        items.clear();
+        self.spare_items.push(items);
+        written?;
+        sink.end_element(&name);
+        Ok(())
+    }
+
+    /// An element's attributes, gathered in field order with the DOM's
+    /// replace-on-same-name rule, then written.
+    fn attributes(
+        &mut self,
+        sink: &mut impl ContentSink,
+        mapping: &'a ElementMapping,
+        values: &'a [Value],
+        namespace: Option<&'a str>,
+    ) -> Result<(), MappingError> {
+        let mut attrs = std::mem::take(&mut self.attrs);
+        for (field, value) in mapping.fields.iter().zip(values) {
+            match &field.source {
                 FieldSource::XmlAttribute(attr) => match (&field.kind, value) {
                     (_, Value::Null) => {}
                     (FieldKind::Ref(_), Value::Ref(target_oid)) => {
                         // An IDREF attribute: restore the target's ID value.
-                        if let Some(id_value) = self.id_value_of(*target_oid)? {
-                            doc.set_attribute(node, QName::local(attr), &id_value);
+                        if let Some(id_value) = self.id_value_of(*target_oid) {
+                            set_attribute(&mut attrs, attr, AttrValue::Text(id_value));
                         }
                     }
-                    (_, other) => {
-                        if let Some(text) = scalar_text(other) {
-                            doc.set_attribute(node, QName::local(attr), &text);
-                        }
-                    }
+                    (_, other) => set_attribute(&mut attrs, attr, AttrValue::Stored(other)),
                 },
                 FieldSource::AttrList => {
-                    if let Value::Obj { attrs, .. } = value {
+                    if let Value::Obj { attrs: list, .. } = value {
                         let Some(attr_list) = mapping.attr_list.as_ref() else {
                             return Err(MappingError::InconsistentMapping(format!(
-                                "<{element}> row carries an attribute-list object but the \
-                                 mapping declares no attribute list"
+                                "<{}> row carries an attribute-list object but the \
+                                 mapping declares no attribute list",
+                                mapping.element
                             )));
                         };
-                        for (f, v) in attr_list.fields.iter().zip(attrs.iter()) {
-                            match v {
-                                Value::Null => {}
-                                Value::Ref(target_oid) => {
-                                    if let Some(id_value) = self.id_value_of(*target_oid)? {
-                                        doc.set_attribute(
-                                            node,
-                                            QName::local(&f.xml_attribute),
-                                            &id_value,
-                                        );
-                                    }
-                                }
-                                other => {
-                                    if let Some(text) = scalar_text(other) {
-                                        doc.set_attribute(
-                                            node,
-                                            QName::local(&f.xml_attribute),
-                                            &text,
-                                        );
-                                    }
-                                }
-                            }
+                        for (f, v) in attr_list.fields.iter().zip(list.iter()) {
+                            let value = match v {
+                                Value::Null => continue,
+                                Value::Ref(target_oid) => match self.id_value_of(*target_oid) {
+                                    Some(id_value) => AttrValue::Text(id_value),
+                                    None => continue,
+                                },
+                                other => AttrValue::Stored(other),
+                            };
+                            set_attribute(&mut attrs, &f.xml_attribute, value);
                         }
                     }
                 }
-                FieldSource::Text => {
-                    if let Some(text) = scalar_text(value) {
-                        if !text.is_empty() {
-                            let t = doc.create_text(&text);
-                            doc.append_child(node, t);
-                        }
-                    }
-                }
-                FieldSource::ChildElement(child_name) => {
-                    self.build_child_field(doc, node, child_name, field, value)?;
-                }
+                _ => {}
             }
         }
-        // Oracle 8 inverted children: collect rows of the child table whose
-        // ParentRef points at this row, then restore content-model order.
-        if let Some(my_oid) = oid {
-            if self.attach_inverted_children(doc, node, element, my_oid)? {
-                let mapping = self.mapping_of(element)?;
-                reorder_children(doc, node, &mapping.child_order);
-            }
+        // Restore the root's default namespace from the meta-table (§5).
+        if let Some(ns) = namespace {
+            set_attribute(&mut attrs, "xmlns", AttrValue::Text(ns));
         }
-        Ok(node)
+        for &(name, value) in &attrs {
+            let text = match value {
+                AttrValue::Stored(stored) => scalar_text(&mut self.scratch, stored),
+                AttrValue::Text(text) => text,
+            };
+            sink.attribute(name, text);
+        }
+        attrs.clear();
+        self.attrs = attrs;
+        Ok(())
     }
 
-    fn build_child_field(
+    /// Write an element's child nodes.
+    fn content(
         &mut self,
-        doc: &mut Document,
-        parent: NodeId,
-        child_name: &'a str,
-        field: &crate::model::FieldMapping,
-        value: &Value,
+        sink: &mut impl ContentSink,
+        items: &[Item<'a>],
     ) -> Result<(), MappingError> {
-        match (&field.kind, value) {
-            (_, Value::Null) => Ok(()),
-            (FieldKind::Scalar(_), v) => {
-                let child = doc.create_element(self.element_qname(child_name));
-                if let Some(text) = scalar_text(v) {
-                    if !text.is_empty() {
-                        let t = doc.create_text(&text);
-                        doc.append_child(child, t);
+        for item in items {
+            match item.content {
+                Content::Text(value) => sink.text(scalar_text(&mut self.scratch, value)),
+                Content::Scalar(value) => {
+                    let name = self.element_qname(item.element);
+                    sink.start_element(&name);
+                    if !renders_empty(value) {
+                        sink.text(scalar_text(&mut self.scratch, value));
                     }
+                    sink.end_element(&name);
                 }
-                doc.append_child(parent, child);
-                Ok(())
-            }
-            (FieldKind::Object(_), Value::Obj { attrs, .. }) => {
-                let child = self.build_element(doc, child_name, attrs, None)?;
-                doc.append_child(parent, child);
-                Ok(())
-            }
-            (FieldKind::ScalarCollection(_), Value::Coll { elements, .. }) => {
-                for element in elements.iter() {
-                    let child = doc.create_element(self.element_qname(child_name));
-                    if let Some(text) = scalar_text(element) {
-                        if !text.is_empty() {
-                            let t = doc.create_text(&text);
-                            doc.append_child(child, t);
-                        }
-                    }
-                    doc.append_child(parent, child);
+                Content::Element(values, oid) => {
+                    self.element(sink, item.element, values, oid, None)?
                 }
-                Ok(())
-            }
-            (FieldKind::ObjectCollection { .. }, Value::Coll { elements, .. }) => {
-                for element in elements.iter() {
-                    if let Value::Obj { attrs, .. } = element {
-                        let child = self.build_element(doc, child_name, attrs, None)?;
-                        doc.append_child(parent, child);
-                    }
-                }
-                Ok(())
-            }
-            (FieldKind::Ref(_), Value::Ref(oid)) => {
-                let child = self.build_ref_child(doc, child_name, *oid)?;
-                doc.append_child(parent, child);
-                Ok(())
-            }
-            (FieldKind::RefCollection { .. }, Value::Coll { elements, .. }) => {
-                for element in elements.iter() {
-                    if let Value::Ref(oid) = element {
-                        let child = self.build_ref_child(doc, child_name, *oid)?;
-                        doc.append_child(parent, child);
-                    }
-                }
-                Ok(())
-            }
-            (kind, other) => Err(MappingError::Unsupported(format!(
-                "stored value {} does not match mapped kind {kind:?} for <{child_name}>",
-                other.to_sql_literal()
-            ))),
-        }
-    }
-
-    fn build_ref_child(
-        &mut self,
-        doc: &mut Document,
-        child_name: &'a str,
-        oid: Oid,
-    ) -> Result<NodeId, MappingError> {
-        let (_, row) = self
-            .storage
-            .resolve_oid(oid)
-            .ok_or(MappingError::Db(xmlord_ordb::DbError::DanglingRef))?;
-        // The row borrow comes from the storage snapshot (`'a`), not from
-        // `self`, so the values pass straight down without a clone.
-        let values: &'a [Value] = &row.values;
-        self.build_element(doc, child_name, values, Some(oid))
-    }
-
-    /// Returns `true` if any inverted child was attached.
-    fn attach_inverted_children(
-        &mut self,
-        doc: &mut Document,
-        node: NodeId,
-        element: &str,
-        my_oid: Oid,
-    ) -> Result<bool, MappingError> {
-        let relationships: Vec<(&'a ElementMapping, usize)> =
-            match self.inverted.get(element) {
-                Some(v) => v.clone(),
-                None => return Ok(false),
-            };
-        let mut attached = false;
-        for (child_mapping, ref_idx) in relationships {
-            let Some(child_table) = &child_mapping.table else { continue };
-            let table = Ident::internal(child_table);
-            let reader = match self.child_readers.entry(table) {
-                Entry::Occupied(open) => open.into_mut(),
-                Entry::Vacant(slot) => {
-                    let Some(reader) = self.storage.keyed_reader(slot.key(), ref_idx, self.bulk)
-                    else {
-                        continue;
-                    };
-                    slot.insert(reader)
-                }
-            };
-            let rows = reader.rows();
-            for slot in reader.slots(&Value::Ref(my_oid)) {
-                let row = &rows[slot];
-                let values: &'a [Value] = &row.values;
-                let child =
-                    self.build_element(doc, &child_mapping.element, values, row.oid)?;
-                doc.append_child(node, child);
-                attached = true;
             }
         }
-        Ok(attached)
+        Ok(())
+    }
+
+    /// `child`'s position in `parent`'s content model, by its sanitized
+    /// name — the name the written element carries.
+    fn order_of(&mut self, parent: &ElementMapping, child: &'a str) -> Option<usize> {
+        let name = self.element_qname(child);
+        parent.child_order.iter().position(|n| n == name.local_part())
     }
 
     /// The document-level ID attribute value of a row object (for restoring
     /// IDREF attributes). Resolves through the OID directory and the
     /// precomputed table → mapping plan; the bulk path memoizes per target
     /// so shared IDREF targets resolve once.
-    fn id_value_of(&mut self, oid: Oid) -> Result<Option<String>, MappingError> {
-        if self.bulk {
-            if let Some(cached) = self.id_memo.get(&oid) {
-                return Ok(cached.clone());
-            }
+    fn id_value_of(&mut self, oid: Oid) -> Option<&'a str> {
+        if !self.bulk {
+            return self.resolve_id_value(oid);
+        }
+        if let Some(&cached) = self.id_memo.get(&oid) {
+            return cached;
         }
         let resolved = self.resolve_id_value(oid);
-        if self.bulk {
-            self.id_memo.insert(oid, resolved.clone());
-        }
-        Ok(resolved)
+        self.id_memo.insert(oid, resolved);
+        resolved
     }
 
-    fn resolve_id_value(&self, oid: Oid) -> Option<String> {
+    fn resolve_id_value(&self, oid: Oid) -> Option<&'a str> {
         let (table, row) = self.storage.resolve_oid(oid)?;
         // Which element does this table store?
         let mapping = *self.table_elements.get(table)?;
@@ -509,7 +612,7 @@ impl<'a> Retriever<'a> {
                     for (f, v) in attr_list.fields.iter().zip(attrs.iter()) {
                         if f.idref_target.is_none() {
                             if let Some(s) = v.as_str() {
-                                return Some(s.to_string());
+                                return Some(s);
                             }
                         }
                     }
@@ -521,7 +624,7 @@ impl<'a> Retriever<'a> {
                 && matches!(field.kind, FieldKind::Scalar(_))
             {
                 if let Some(s) = row.values.get(idx).and_then(|v| v.as_str()) {
-                    return Some(s.to_string());
+                    return Some(s);
                 }
             }
         }
@@ -529,39 +632,102 @@ impl<'a> Retriever<'a> {
     }
 }
 
-/// Restore content-model order among an element's children: only element
-/// children whose name appears in `child_order` are sorted (stably, by
-/// their position in the content model), and they are written back into the
-/// slots those same children occupied — text nodes and elements with
-/// unknown names keep their exact document positions instead of being
-/// clustered together.
-pub(crate) fn reorder_children(doc: &mut Document, node: NodeId, child_order: &[String]) {
-    let mut children: Vec<NodeId> = doc.children(node).to_vec();
-    let order_of = |doc: &Document, c: NodeId| match doc.kind(c) {
-        xmlord_xml::NodeKind::Element(el) => {
-            child_order.iter().position(|n| n == el.name.local_part())
-        }
-        _ => None,
+/// The child items one `ChildElement` field holds, in stored order.
+fn child_items<'a>(
+    items: &mut Vec<Item<'a>>,
+    child: &'a str,
+    order: Option<usize>,
+    field: &crate::model::FieldMapping,
+    value: &'a Value,
+    storage: &'a Storage,
+) -> Result<(), MappingError> {
+    let mut push = |content| items.push(Item { element: child, order, content });
+    let row = |oid: Oid| -> Result<Content<'a>, MappingError> {
+        let (_, row) = storage
+            .resolve_oid(oid)
+            .ok_or(MappingError::Db(xmlord_ordb::DbError::DanglingRef))?;
+        Ok(Content::Element(&row.values, Some(oid)))
     };
-    let slots: Vec<usize> = (0..children.len())
-        .filter(|&i| order_of(doc, children[i]).is_some())
-        .collect();
-    let mut ordered: Vec<NodeId> = slots.iter().map(|&i| children[i]).collect();
-    // Stable sort: equal content-model positions keep document order.
-    ordered.sort_by_key(|&c| order_of(doc, c));
-    for (&slot, &child) in slots.iter().zip(&ordered) {
-        children[slot] = child;
+    match (&field.kind, value) {
+        (_, Value::Null) => {}
+        (FieldKind::Scalar(_), v) => push(Content::Scalar(v)),
+        (FieldKind::Object(_), Value::Obj { attrs, .. }) => push(Content::Element(attrs, None)),
+        (FieldKind::ScalarCollection(_), Value::Coll { elements, .. }) => {
+            elements.iter().for_each(|e| push(Content::Scalar(e)));
+        }
+        (FieldKind::ObjectCollection { .. }, Value::Coll { elements, .. }) => {
+            for element in elements.iter() {
+                if let Value::Obj { attrs, .. } = element {
+                    push(Content::Element(attrs, None));
+                }
+            }
+        }
+        (FieldKind::Ref(_), Value::Ref(oid)) => push(row(*oid)?),
+        (FieldKind::RefCollection { .. }, Value::Coll { elements, .. }) => {
+            for element in elements.iter() {
+                if let Value::Ref(oid) = element {
+                    push(row(*oid)?);
+                }
+            }
+        }
+        (kind, other) => {
+            return Err(MappingError::Unsupported(format!(
+                "stored value {} does not match mapped kind {kind:?} for <{child}>",
+                other.to_sql_literal()
+            )))
+        }
     }
-    doc.replace_children(node, children);
+    Ok(())
 }
 
-/// Text rendering of a stored scalar value (typed columns render through
-/// SQL Display: NUMBER 4 → "4", DATE → its ISO string).
-fn scalar_text(v: &Value) -> Option<String> {
-    match v {
-        Value::Null => None,
-        other => Some(other.to_string()),
+/// Set `name` to `value`: an attribute already present keeps its place and
+/// takes the new value (`Document::set_attribute`'s rule), a new one goes
+/// last.
+fn set_attribute<'a>(attrs: &mut Vec<(&'a str, AttrValue<'a>)>, name: &'a str, value: AttrValue<'a>) {
+    match attrs.iter_mut().find(|(n, _)| *n == name) {
+        Some(slot) => slot.1 = value,
+        None => attrs.push((name, value)),
     }
+}
+
+/// Content-model order, the rule Oracle 8 reconstruction (and `rel`'s)
+/// restores among an element's children: items with a position are sorted
+/// stably by it into the slots such items occupy, and the others — text,
+/// names the model does not list — keep their exact index instead of being
+/// clustered together. `moved` is scratch space, left empty.
+pub(crate) fn content_model_order<T: Copy>(
+    items: &mut [T],
+    moved: &mut Vec<T>,
+    order: impl Fn(&T) -> Option<usize>,
+) {
+    moved.extend(items.iter().filter(|i| order(i).is_some()));
+    // Stable sort: equal content-model positions keep document order.
+    moved.sort_by_key(|i| order(i));
+    let mut sorted = moved.drain(..);
+    for item in items.iter_mut().filter(|i| order(i).is_some()) {
+        if let Some(next) = sorted.next() {
+            *item = next;
+        }
+    }
+}
+
+/// Text of a stored scalar as SQL Display renders it (NUMBER 4 → "4", DATE
+/// → its ISO string): strings and dates borrowed, anything else written
+/// into `scratch`. Never called on `NULL`.
+fn scalar_text<'s>(scratch: &'s mut String, value: &'s Value) -> &'s str {
+    match value {
+        Value::Str(s) | Value::Date(s) => s,
+        other => {
+            scratch.clear();
+            write!(scratch, "{other}").expect("writing to a String cannot fail");
+            scratch
+        }
+    }
+}
+
+/// Does a stored value write no text — `NULL`, or an empty string or date?
+fn renders_empty(value: &Value) -> bool {
+    matches!(value, Value::Null) || matches!(value, Value::Str(s) | Value::Date(s) if s.is_empty())
 }
 
 fn field_index(mapping: &ElementMapping, db_name: &str) -> Option<usize> {
@@ -860,34 +1026,6 @@ mod tests {
             matches!(err, MappingError::InconsistentMapping(_)),
             "expected InconsistentMapping, got {err:?}"
         );
-    }
-
-    /// Regression: children whose element name is absent from the content
-    /// model (and non-element children) must keep their document positions;
-    /// the old implementation clustered them all at the front.
-    #[test]
-    fn reorder_preserves_slots_of_unknown_and_text_children() {
-        let mut doc = Document::new();
-        let root = doc.create_element(QName::local("r"));
-        let tx = doc.create_text("x");
-        let b = doc.create_element(QName::local("b"));
-        let a = doc.create_element(QName::local("a"));
-        let ty = doc.create_text("y");
-        let c = doc.create_element(QName::local("c")); // not in the model
-        for n in [tx, b, a, ty, c] {
-            doc.append_child(root, n);
-        }
-        reorder_children(&mut doc, root, &["a".to_string(), "b".to_string()]);
-        let rendered: Vec<String> = doc
-            .children(root)
-            .iter()
-            .map(|&n| match doc.kind(n) {
-                xmlord_xml::NodeKind::Element(el) => format!("<{}>", el.name.local_part()),
-                _ => "text".to_string(),
-            })
-            .collect();
-        // a and b swap into each other's slots; x, y and <c> stay put.
-        assert_eq!(rendered, vec!["text", "<a>", "<b>", "text", "<c>"]);
     }
 
     /// Oracle 8 stores repeated complex children inverted (child table with

@@ -30,6 +30,7 @@ use xmlord_xml::{Document, NodeId, QName};
 
 use crate::error::MappingError;
 use crate::model::{FieldKind, FieldSource, MappedSchema};
+use crate::retriever::content_model_order;
 
 /// Where a relational column's value comes from.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -644,9 +645,23 @@ impl<'a> RelRetriever<'a> {
                 }
             }
         }
-        crate::retriever::reorder_children(doc, node, &mapping.child_order);
+        reorder_children(doc, node, &mapping.child_order);
         Ok(node)
     }
+}
+
+/// Restore content-model order among an element's children
+/// ([`content_model_order`]: element children the model names move, text
+/// and unknown names keep their slots).
+fn reorder_children(doc: &mut Document, node: NodeId, child_order: &[String]) {
+    let mut children: Vec<NodeId> = doc.children(node).to_vec();
+    content_model_order(&mut children, &mut Vec::new(), |&c| match doc.kind(c) {
+        xmlord_xml::NodeKind::Element(el) => {
+            child_order.iter().position(|n| n == el.name.local_part())
+        }
+        _ => None,
+    });
+    doc.replace_children(node, children);
 }
 
 #[cfg(test)]
@@ -820,5 +835,33 @@ mod tests {
             object_view_script(&schema, &rel),
             Err(MappingError::Unsupported(_))
         ));
+    }
+
+    /// Regression: children whose element name is absent from the content
+    /// model (and non-element children) must keep their document positions;
+    /// the old implementation clustered them all at the front.
+    #[test]
+    fn reorder_preserves_slots_of_unknown_and_text_children() {
+        let mut doc = Document::new();
+        let root = doc.create_element(QName::local("r"));
+        let tx = doc.create_text("x");
+        let b = doc.create_element(QName::local("b"));
+        let a = doc.create_element(QName::local("a"));
+        let ty = doc.create_text("y");
+        let c = doc.create_element(QName::local("c")); // not in the model
+        for n in [tx, b, a, ty, c] {
+            doc.append_child(root, n);
+        }
+        reorder_children(&mut doc, root, &["a".to_string(), "b".to_string()]);
+        let rendered: Vec<String> = doc
+            .children(root)
+            .iter()
+            .map(|&n| match doc.kind(n) {
+                xmlord_xml::NodeKind::Element(el) => format!("<{}>", el.name.local_part()),
+                _ => "text".to_string(),
+            })
+            .collect();
+        // a and b swap into each other's slots; x, y and <c> stay put.
+        assert_eq!(rendered, vec!["text", "<a>", "<b>", "text", "<c>"]);
     }
 }

@@ -18,7 +18,6 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 use xml2ordb::loader::{load_ops, plan_batches, LoadUnit};
 use xml2ordb::pipeline::apply_attribute_defaults;
@@ -30,20 +29,20 @@ use xmlord_workload::university::{university_dtd, university_xml, UniversityConf
 /// Counts the allocations (and reallocations) of the thread that asked.
 struct Counting;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
     static COUNTED: Cell<bool> = const { Cell::new(false) };
+    /// Per thread, so tests running side by side do not count each other.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
 }
 
 // SAFETY: every request is passed to `System` unchanged; the bookkeeping
-// touches only an atomic and a const-initialised thread-local without a
-// destructor, neither of which allocates. `realloc` is the default one, which
-// calls `alloc`, so a growing buffer counts each time it moves.
+// touches only const-initialised thread-locals without a destructor, which
+// do not allocate. `realloc` is the default one, which calls `alloc`, so a
+// growing buffer counts each time it moves.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if COUNTED.with(Cell::get) {
-            ALLOCATIONS.fetch_add(1, Relaxed);
+            ALLOCATIONS.with(|n| n.set(n.get() + 1));
         }
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
@@ -60,11 +59,11 @@ static ALLOCATOR: Counting = Counting;
 
 /// Run `stage` and return its result with the allocations it made.
 fn counted<T>(stage: impl FnOnce() -> T) -> (T, usize) {
-    let before = ALLOCATIONS.load(Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     COUNTED.with(|c| c.set(true));
     let result = stage();
     COUNTED.with(|c| c.set(false));
-    (result, ALLOCATIONS.load(Relaxed) - before)
+    (result, ALLOCATIONS.with(Cell::get) - before)
 }
 
 #[test]
@@ -132,5 +131,36 @@ fn storing_a_document_allocates_for_values_not_for_bookkeeping() {
             per_element(load),
             per_element(execute),
         );
+    }
+}
+
+/// What retrieving one document allocates, counted the same way: the walk
+/// writes the text from the stored blocks — no DOM, no `String` per value,
+/// the §6.1 re-substitution prepared once — so what it allocates is per
+/// document (the metadata row, the readers, the name cache, the growth of
+/// the output) and per inverted parent, not per element. Through a DOM,
+/// serialized and dropped, one `retrieve_document` of this document made
+/// 6.6 (Oracle 9) and 7.9 (Oracle 8) allocations per element; now 0.14 and
+/// 0.35 (Oracle 8 builds a multimap per inverted child table).
+#[test]
+fn retrieving_a_document_allocates_per_document_not_per_element() {
+    let config = UniversityConfig { students: 50, ..Default::default() };
+    let xml = university_xml(&config);
+    let elements = config.element_count();
+    assert_eq!(elements, 952);
+    let per_element = |allocations: usize| allocations as f64 / elements as f64;
+
+    for (mode, bound) in [(DbMode::Oracle9, 0.2), (DbMode::Oracle8, 0.45)] {
+        let mut sys = Xml2OrDb::new(mode);
+        sys.register_dtd("uni", university_dtd(), "University").unwrap();
+        let id = sys.store_document("uni", &xml).unwrap();
+        let first = sys.retrieve_document(&id).unwrap();
+        let (text, retrieve) = counted(|| sys.retrieve_document(&id));
+        assert_eq!(text.unwrap(), first);
+        assert!(
+            per_element(retrieve) <= bound,
+            "{mode:?}: retrieve_document made {retrieve} allocations for {elements} elements"
+        );
+        eprintln!("{mode:?}: retrieve {:.2} allocations per element", per_element(retrieve));
     }
 }

@@ -326,6 +326,7 @@ pub(crate) fn code_for(err: &DbError) -> &'static str {
         DbError::ViewNesting(_) => "view-nesting",
         DbError::UnknownIndex(_) => "unknown-index",
         DbError::DuplicateName(_) => "duplicate-name",
+        DbError::SelfContainingCollection(_) => "self-containing-collection",
         DbError::NestedCollectionNotSupported { .. } => "nested-collection",
         DbError::DependentTypeExists { .. } => "dependent-type",
         DbError::ConstructorArity { .. } => "constructor-arity",
@@ -357,6 +358,7 @@ fn error_span(tokens: &[SpannedToken], stmt_span: Span, err: &DbError) -> Span {
         | DbError::UnknownTable(n)
         | DbError::UnknownColumn(n)
         | DbError::DuplicateName(n)
+        | DbError::SelfContainingCollection(n)
         | DbError::IdentifierTooLong(n) => Some(n),
         DbError::NestedCollectionNotSupported { element, .. } => Some(element),
         DbError::DependentTypeExists { dropped, .. } => Some(dropped),
@@ -501,6 +503,32 @@ mod tests {
 
         let d9 = run(DbMode::Oracle9, NESTED);
         assert!(errors(&d9).is_empty(), "{d9:?}");
+    }
+
+    /// The executor refuses a collection type that is its own element in
+    /// either mode, so the analyzer does, through the same DDL path; a
+    /// constructor of the name afterwards is unknown.
+    #[test]
+    fn a_self_containing_collection_is_an_error_in_both_modes() {
+        let sql = "CREATE TYPE TV1 AS TABLE OF TV1;\n\
+                   CREATE TYPE TV2 AS VARRAY(3) OF TV2;\n\
+                   SELECT TV1() FROM DUAL;";
+        for mode in [DbMode::Oracle8, DbMode::Oracle9] {
+            let d = run(mode, sql);
+            let codes: Vec<&str> = errors(&d).iter().map(|e| e.code).collect();
+            assert_eq!(
+                codes[..2],
+                ["self-containing-collection", "self-containing-collection"],
+                "{mode:?}: {d:?}"
+            );
+            let mut db = crate::Database::new(mode);
+            for stmt in ["CREATE TYPE TV1 AS TABLE OF TV1", "CREATE TYPE TV2 AS VARRAY(3) OF TV2"] {
+                assert!(
+                    matches!(db.execute(stmt), Err(DbError::SelfContainingCollection(_))),
+                    "{mode:?}: {stmt}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -291,6 +291,13 @@ impl Catalog {
         } else if self.tables.contains_key(&name) || self.views.contains_key(&name) {
             return Err(DbError::DuplicateName(name.as_str().to_string()));
         }
+        // A collection whose element is the collection itself has no value
+        // any constructor could build (`TV1(TV1())` is a type mismatch at
+        // every depth). Only object types may name themselves, through a
+        // REF attribute.
+        if def.element_type().and_then(SqlType::named_type) == Some(&name) {
+            return Err(DbError::SelfContainingCollection(name.as_str().to_string()));
+        }
         // Oracle 8: no collection-of-collection, no collection-of-LOB. The
         // restriction is transitive — an object type that (anywhere inside)
         // contains a collection or LOB attribute cannot be a collection
@@ -878,6 +885,34 @@ mod tests {
         .unwrap();
         let t = cat.get_type(&id("type_professor")).unwrap();
         assert_eq!(t.object_attrs().len(), 1);
+    }
+
+    /// `CREATE TYPE TV1 AS TABLE OF TV1` (or `VARRAY(n) OF TV1`, or of `REF
+    /// TV1`) is refused in both modes, and leaves the catalog as it was.
+    #[test]
+    fn a_collection_type_may_not_be_its_own_element() {
+        for mode in [DbMode::Oracle8, DbMode::Oracle9] {
+            let mut cat = Catalog::new();
+            cat.create_type(obj("T", &[]), mode).unwrap();
+            let before = (cat.types.clone(), cat.undo_len());
+            for elem in [SqlType::Object(id("TV1")), SqlType::Ref(id("TV1"))] {
+                let table = TypeDef::NestedTable { name: id("TV1"), elem: elem.clone() };
+                let varray = TypeDef::Varray { name: id("TV1"), elem, max: 3 };
+                for def in [table, varray] {
+                    assert_eq!(
+                        cat.create_type(def, mode),
+                        Err(DbError::SelfContainingCollection("TV1".into())),
+                        "{mode:?}"
+                    );
+                    assert_eq!((cat.types.clone(), cat.undo_len()), before, "{mode:?}");
+                }
+            }
+            // A collection of another type, and an object naming itself
+            // through a REF, are still fine.
+            let of_t = TypeDef::NestedTable { name: id("TV1"), elem: SqlType::Object(id("T")) };
+            cat.create_type(of_t, mode).unwrap();
+            cat.create_type(obj("Node", &[("next", SqlType::Ref(id("Node")))]), mode).unwrap();
+        }
     }
 
     #[test]

@@ -31,6 +31,8 @@ pub enum DbError {
     UnknownIndex(String),
     /// Name already exists.
     DuplicateName(String),
+    /// A VARRAY or nested-table type whose element type is itself.
+    SelfContainingCollection(String),
     /// Oracle 8 mode: collection element type is a collection or LOB (§2.2).
     NestedCollectionNotSupported { collection: String, element: String },
     /// A type that other objects depend on cannot be dropped without FORCE.
@@ -50,8 +52,9 @@ pub enum DbError {
     InsertArity { table: String, columns: usize, values: usize },
     /// `COUNT(*)` anywhere but as the sole item of a select list.
     CountStarPosition,
-    /// Value does not fit the declared column/attribute type.
-    TypeMismatch { expected: String, found: String },
+    /// Value does not fit the declared column/attribute type. Boxed, so a
+    /// rare error does not widen every `Result` the engine returns.
+    TypeMismatch(Box<TypeMismatch>),
     /// String longer than its VARCHAR(n) bound (ORA-12899).
     ValueTooLarge { column: String, max: u32, actual: usize },
     /// VARRAY has more elements than its declared maximum.
@@ -85,6 +88,31 @@ pub enum DbError {
     Io(String),
 }
 
+/// What [`DbError::TypeMismatch`] reports.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TypeMismatch {
+    /// Where, when a declared column, attribute or collection element was
+    /// being filled.
+    pub column: Option<String>,
+    pub expected: String,
+    pub found: String,
+}
+
+impl DbError {
+    /// A [`DbError::TypeMismatch`]; `column` names where, if anywhere.
+    pub fn type_mismatch(
+        column: Option<&str>,
+        expected: impl Into<String>,
+        found: impl Into<String>,
+    ) -> DbError {
+        DbError::TypeMismatch(Box::new(TypeMismatch {
+            column: column.map(str::to_string),
+            expected: expected.into(),
+            found: found.into(),
+        }))
+    }
+}
+
 impl fmt::Display for DbError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -112,6 +140,9 @@ impl fmt::Display for DbError {
             DbError::DuplicateName(name) => {
                 write!(f, "name '{name}' is already used by an existing object")
             }
+            DbError::SelfContainingCollection(name) => {
+                write!(f, "collection type '{name}' cannot have itself as its element type")
+            }
             DbError::NestedCollectionNotSupported { collection, element } => write!(
                 f,
                 "Oracle 8 mode: collection type '{collection}' cannot have element type \
@@ -138,9 +169,14 @@ impl fmt::Display for DbError {
             DbError::CountStarPosition => {
                 write!(f, "COUNT(*) is only valid as the sole item of a select list")
             }
-            DbError::TypeMismatch { expected, found } => {
-                write!(f, "type mismatch: expected {expected}, found {found}")
-            }
+            DbError::TypeMismatch(m) => match &m.column {
+                Some(column) => write!(
+                    f,
+                    "type mismatch for '{column}': expected {}, found {}",
+                    m.expected, m.found
+                ),
+                None => write!(f, "type mismatch: expected {}, found {}", m.expected, m.found),
+            },
             DbError::ValueTooLarge { column, max, actual } => write!(
                 f,
                 "value too large for column '{column}' (actual: {actual}, maximum: {max}) (ORA-12899)"

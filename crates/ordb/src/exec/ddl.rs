@@ -252,10 +252,11 @@ fn validate_nested_table_stores(
             _ => false,
         };
         if !is_nested {
-            return Err(DbError::TypeMismatch {
-                expected: "nested table column".into(),
-                found: format!("{} ({})", col.as_str(), def.sql_type),
-            });
+            return Err(DbError::type_mismatch(
+                None,
+                "nested table column",
+                format!("{} ({})", col.as_str(), def.sql_type),
+            ));
         }
     }
     Ok(())

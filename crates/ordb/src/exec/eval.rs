@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use crate::catalog::{Catalog, TableDef, TypeDef};
 use crate::error::DbError;
-use crate::exec::select::{any_row, select_rows};
+use crate::exec::select::{any_row, scalar_rows, select_rows};
 use crate::exec::{cell, Env};
 use crate::ident::Ident;
 use crate::mode::DbMode;
@@ -83,7 +83,7 @@ pub fn eval_expr(ctx: &mut ExecCtx, env: &Env, expr: &Expr) -> Result<Value, DbE
         }
         Expr::KeyRef(key_ref) => eval_key_ref(ctx, env, key_ref),
         Expr::Subquery(query) => {
-            let mut rows = select_rows(ctx, query, Some(env), None)?;
+            let mut rows = scalar_rows(ctx, query, Some(env))?;
             match rows.len() {
                 0 => Ok(Value::Null),
                 1 => match rows.pop().as_deref_mut() {
@@ -92,9 +92,7 @@ pub fn eval_expr(ctx: &mut ExecCtx, env: &Env, expr: &Expr) -> Result<Value, DbE
                         "scalar subquery must select exactly one column".into(),
                     )),
                 },
-                n => Err(DbError::Execution(format!(
-                    "scalar subquery returned {n} rows"
-                ))),
+                _ => Err(more_than_one_row()),
             }
         }
         Expr::CastMultiset { query, target } => {
@@ -130,7 +128,7 @@ pub(crate) fn deref(ctx: &mut ExecCtx, v: Value) -> Result<Value, DbError> {
     match v {
         Value::Null => Ok(Value::Null),
         Value::Ref(oid) => deref_oid(ctx, oid),
-        other => Err(DbError::TypeMismatch { expected: "REF".into(), found: other.to_sql_literal() }),
+        other => Err(DbError::type_mismatch(None, "REF", other.to_sql_literal())),
     }
 }
 
@@ -143,10 +141,11 @@ pub(crate) fn multiset_target<'c>(
     let def = catalog
         .get_type(target)
         .ok_or_else(|| DbError::UnknownType(target.as_str().to_string()))?;
-    let elem_type = def.element_type().ok_or_else(|| DbError::TypeMismatch {
-        expected: "collection type".into(),
-        found: target.as_str().to_string(),
-    })?;
+    let elem_type = def.element_type().ok_or_else(|| DbError::type_mismatch(
+        None,
+        "collection type",
+        target.as_str(),
+    ))?;
     let max = match def {
         TypeDef::Varray { max, .. } => Some(*max),
         _ => None,
@@ -198,13 +197,16 @@ fn probe_key_ref(ctx: &mut ExecCtx, key_ref: &KeyRef) -> Result<Option<Value>, D
     let mut matches = slots.iter().map(|&slot| &data.rows[slot]).filter(|row| {
         row.values.get(col).and_then(|v| v.sql_eq(&key_ref.key)) == Some(true)
     });
-    match (matches.next(), matches.count()) {
+    match (matches.next(), matches.next()) {
         (None, _) => Ok(Some(Value::Null)),
-        (Some(row), 0) => Ok(Some(row.oid.map_or(Value::Null, Value::Ref))),
-        (Some(_), more) => {
-            Err(DbError::Execution(format!("scalar subquery returned {} rows", more + 1)))
-        }
+        (Some(row), None) => Ok(Some(row.oid.map_or(Value::Null, Value::Ref))),
+        (Some(_), Some(_)) => Err(more_than_one_row()),
     }
+}
+
+/// A scalar subquery's second row — its own, or a [`KeyRef`] probe's.
+fn more_than_one_row() -> DbError {
+    DbError::Execution("scalar subquery returned 2 rows or more".into())
 }
 
 /// Evaluate an operand that is only looked at — compared, tested for NULL,
@@ -264,10 +266,7 @@ pub fn eval_bool(ctx: &mut ExecCtx, env: &Env, expr: &Expr) -> Result<Option<boo
                 Value::Str(s) | Value::Date(s) => like_match(pattern, s),
                 num @ Value::Num(_) => like_match(pattern, &num.to_string()),
                 _ => {
-                    return Err(DbError::TypeMismatch {
-                        expected: "string".into(),
-                        found: "object/collection".into(),
-                    })
+                    return Err(DbError::type_mismatch(None, "string", "object/collection"))
                 }
             };
             Ok(Some(if *negated { !matched } else { matched }))
@@ -518,15 +517,11 @@ pub(crate) fn call(ctx: &mut ExecCtx, name: &Ident, args: Vec<Value>) -> Result<
         ("UPPER", Value::Str(s)) => Ok(Value::Str(s.to_uppercase())),
         ("LOWER", Value::Str(s)) => Ok(Value::Str(s.to_lowercase())),
         ("LENGTH", Value::Str(s)) => Ok(Value::Num(s.chars().count() as f64)),
-        ("TO_NUMBER", other) => other.as_num().map(Value::Num).ok_or(DbError::TypeMismatch {
-            expected: "number".into(),
-            found: "non-numeric string".into(),
+        ("TO_NUMBER", other) => other.as_num().map(Value::Num).ok_or_else(|| {
+            DbError::type_mismatch(None, "number", "non-numeric string")
         }),
         ("TO_CHAR", other) => Ok(Value::Str(other.to_string())),
-        (_, other) => Err(DbError::TypeMismatch {
-            expected: "string".into(),
-            found: other.to_sql_literal(),
-        }),
+        (_, other) => Err(DbError::type_mismatch(None, "string", other.to_sql_literal())),
     }
 }
 
@@ -609,10 +604,11 @@ pub fn coerce(
                 Value::Num(n) => Value::Num(n).to_string(),
                 Value::Date(s) => s,
                 other => {
-                    return Err(DbError::TypeMismatch {
-                        expected: target.to_string(),
-                        found: other.to_sql_literal(),
-                    })
+                    return Err(DbError::type_mismatch(
+                        Some(context),
+                        target.to_string(),
+                        other.to_sql_literal(),
+                    ))
                 }
             };
             if text.chars().count() > *max as usize {
@@ -627,10 +623,7 @@ pub fn coerce(
         SqlType::Clob => match value {
             Value::Str(s) => Ok(Value::Str(s)),
             Value::Num(n) => Ok(Value::Str(Value::Num(n).to_string())),
-            other => Err(DbError::TypeMismatch {
-                expected: "CLOB".into(),
-                found: other.to_sql_literal(),
-            }),
+            other => Err(DbError::type_mismatch(Some(context), "CLOB", other.to_sql_literal())),
         },
         SqlType::Number | SqlType::Integer => match value.as_num() {
             Some(n) => Ok(Value::Num(if matches!(target, SqlType::Integer) {
@@ -638,31 +631,31 @@ pub fn coerce(
             } else {
                 n
             })),
-            None => Err(DbError::TypeMismatch {
-                expected: target.to_string(),
-                found: value.to_sql_literal(),
-            }),
+            None => Err(DbError::type_mismatch(
+                Some(context),
+                target.to_string(),
+                value.to_sql_literal(),
+            )),
         },
         SqlType::Date => match value {
             Value::Date(s) | Value::Str(s) => Ok(Value::Date(s)),
-            other => Err(DbError::TypeMismatch {
-                expected: "DATE".into(),
-                found: other.to_sql_literal(),
-            }),
+            other => Err(DbError::type_mismatch(Some(context), "DATE", other.to_sql_literal())),
         },
         SqlType::Object(expected) => match value {
             Value::Obj { ref type_name, .. } if type_name == expected => Ok(value),
-            other => Err(DbError::TypeMismatch {
-                expected: expected.as_str().to_string(),
-                found: other.to_sql_literal(),
-            }),
+            other => Err(DbError::type_mismatch(
+                Some(context),
+                expected.as_str(),
+                other.to_sql_literal(),
+            )),
         },
         SqlType::Varray(expected) | SqlType::NestedTable(expected) => match value {
             Value::Coll { ref type_name, .. } if type_name == expected => Ok(value),
-            other => Err(DbError::TypeMismatch {
-                expected: expected.as_str().to_string(),
-                found: other.to_sql_literal(),
-            }),
+            other => Err(DbError::type_mismatch(
+                Some(context),
+                expected.as_str(),
+                other.to_sql_literal(),
+            )),
         },
         SqlType::Ref(expected) => match value {
             Value::Ref(oid) => {
@@ -672,19 +665,21 @@ pub fn coerce(
                         ctx.catalog.get_table(table_name)
                     {
                         if of_type != expected {
-                            return Err(DbError::TypeMismatch {
-                                expected: format!("REF {expected}"),
-                                found: format!("REF {of_type}"),
-                            });
+                            return Err(DbError::type_mismatch(
+                                Some(context),
+                                format!("REF {expected}"),
+                                format!("REF {of_type}"),
+                            ));
                         }
                     }
                 }
                 Ok(Value::Ref(oid))
             }
-            other => Err(DbError::TypeMismatch {
-                expected: format!("REF {expected}"),
-                found: other.to_sql_literal(),
-            }),
+            other => Err(DbError::type_mismatch(
+                Some(context),
+                format!("REF {expected}"),
+                other.to_sql_literal(),
+            )),
         },
     }
 }
@@ -692,6 +687,37 @@ pub fn coerce(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Database, DbMode};
+
+    /// A value that does not fit its column or attribute says which one —
+    /// in the executor's error and in the analyzer's diagnostic, which is
+    /// that error.
+    #[test]
+    fn a_coercion_mismatch_names_its_column_or_attribute() {
+        let mut db = Database::new(DbMode::Oracle9);
+        db.execute_script(
+            "CREATE TYPE Type_P AS OBJECT (PName VARCHAR(20), Room NUMBER);\n\
+             CREATE TABLE TabP OF Type_P;\n\
+             CREATE TABLE TabN (n NUMBER, s VARCHAR(5));",
+        )
+        .unwrap();
+        let mismatch = |column: &str, found: &str| DbError::type_mismatch(
+            Some(column),
+            "NUMBER",
+            found,
+        );
+        let insert = "INSERT INTO TabN VALUES ('s3', 'x')";
+        assert_eq!(db.execute(insert).unwrap_err(), mismatch("n", "'s3'"));
+        let constructor = "INSERT INTO TabP VALUES (Type_P('Kudrass', 'four'))";
+        assert_eq!(db.execute(constructor).unwrap_err(), mismatch("Room", "'four'"));
+        for (sql, column) in [(insert, "'n'"), (constructor, "'Room'")] {
+            let diags = db.check(sql).unwrap();
+            assert!(
+                diags.iter().any(|d| d.code == "type-mismatch" && d.message.contains(column)),
+                "{sql}: {diags:?}"
+            );
+        }
+    }
 
     #[test]
     fn like_patterns() {

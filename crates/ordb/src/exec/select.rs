@@ -68,8 +68,8 @@
 //! — restores it. So when several combinations of a reordered plan fail in
 //! the residual or the projection, the error raised is the first failure
 //! in execution order, where a nested loop raises the first in FROM order;
-//! failures of one kind — "scalar subquery returned 2 rows", a dangling REF
-//! — raise the same variant either way. The result's column names come
+//! failures of one kind — "scalar subquery returned 2 rows or more", a
+//! dangling REF — raise the same variant either way. The result's column names come
 //! from the layouts ([`output_names`]), never from rows, so an empty result
 //! is named like a full one.
 //!
@@ -155,7 +155,19 @@ pub(crate) fn select_rows(
     outer: Option<&Env>,
     names: Option<&mut Vec<String>>,
 ) -> Result<Vec<Vec<Value>>, DbError> {
-    run(ctx, stmt, outer, names, false)
+    run(ctx, stmt, outer, names, Want::All)
+}
+
+/// The rows of a scalar subquery, up to the second: one more than a scalar
+/// may have is enough to reject it, so the rest are never read. A
+/// `DISTINCT` subquery is read whole — its rows collapse only at the end.
+pub(crate) fn scalar_rows(
+    ctx: &mut ExecCtx,
+    stmt: &SelectStmt,
+    outer: Option<&Env>,
+) -> Result<Vec<Vec<Value>>, DbError> {
+    let want = if stmt.distinct { Want::All } else { Want::Two };
+    run(ctx, stmt, outer, None, want)
 }
 
 /// Does a SELECT return any row — `EXISTS`? The combinations stop at the
@@ -166,17 +178,27 @@ pub(crate) fn any_row(
     stmt: &SelectStmt,
     outer: Option<&Env>,
 ) -> Result<bool, DbError> {
-    Ok(!run(ctx, stmt, outer, None, true)?.is_empty())
+    Ok(!run(ctx, stmt, outer, None, Want::First)?.is_empty())
 }
 
-/// [`select_rows`], or with `first` the first row only, unprojected: one
-/// empty row, or none.
+/// How many of a SELECT's rows its caller reads.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Want {
+    All,
+    /// The first row only, unprojected: one empty row, or none.
+    First,
+    /// The first two rows.
+    Two,
+}
+
+/// [`select_rows`], [`any_row`] and [`scalar_rows`]: the rows `want` asks
+/// for.
 fn run(
     ctx: &mut ExecCtx,
     stmt: &SelectStmt,
     outer: Option<&Env>,
     names: Option<&mut Vec<String>>,
-    first: bool,
+    want: Want,
 ) -> Result<Vec<Vec<Value>>, DbError> {
     // 0. Names and plan: each FROM item's layout and what every path of
     //    the level names, then WHERE conjuncts split and scheduled, the join
@@ -202,7 +224,8 @@ fn run(
         residual: plan.residual(stmt.from.len()),
         reordered: plan.reordered,
         // A `COUNT(*)` query has its one row whatever it counts.
-        first: first && !counting,
+        first: want == Want::First && !counting,
+        limit: if want == Want::Two { 2 } else { usize::MAX },
         count: counting.then_some(0),
         rows: Vec::new(),
         order_keys: Vec::new(),
@@ -277,6 +300,8 @@ struct Output<'p> {
     reordered: bool,
     /// Stop at the first combination that passes, keeping an empty row.
     first: bool,
+    /// Stop once this many rows are projected.
+    limit: usize,
     /// The tally, for a `COUNT(*)` query.
     count: Option<u64>,
     rows: Vec<Vec<Value>>,
@@ -332,7 +357,7 @@ impl Output<'_> {
             self.slots.extend(frames().map(|frame| frame.slot));
         }
         self.rows.push(row);
-        Ok(true)
+        Ok(self.rows.len() < self.limit)
     }
 }
 
@@ -940,10 +965,7 @@ fn elements(operand: &Value) -> Result<Option<&Arc<Vec<Value>>>, DbError> {
     match operand {
         Value::Null => Ok(None),
         Value::Coll { elements, .. } => Ok(Some(elements)),
-        other => Err(DbError::TypeMismatch {
-            expected: "collection".into(),
-            found: other.to_sql_literal(),
-        }),
+        other => Err(DbError::type_mismatch(None, "collection", other.to_sql_literal())),
     }
 }
 

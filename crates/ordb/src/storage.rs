@@ -201,7 +201,12 @@ impl<'a> KeyedReader<'a> {
 
     /// Slots of the rows whose key column equals `key`, in heap order.
     pub fn slots(&mut self, key: &Value) -> Vec<usize> {
-        self.matching(key, true).collect()
+        self.each_slot(key).collect()
+    }
+
+    /// [`KeyedReader::slots`], one at a time instead of collected.
+    pub fn each_slot<'k>(&'k mut self, key: &'k Value) -> impl Iterator<Item = usize> + 'k {
+        self.matching(key, true)
     }
 
     /// The first of [`KeyedReader::slots`] — for a reader opened to answer

@@ -222,18 +222,25 @@ impl Value {
 /// digit literal that parses straight back to the same infinity; NaN — not
 /// producible by the lexer at all — degrades to `NULL`.
 fn num_sql_literal(n: f64) -> String {
+    let mut out = String::new();
+    write_num(&mut out, n).expect("writing to a String cannot fail");
+    out
+}
+
+/// [`num_sql_literal`] written into `out` without a `String` of its own.
+fn write_num(out: &mut impl fmt::Write, n: f64) -> fmt::Result {
     if n.is_nan() {
-        return "NULL".to_string();
+        return out.write_str("NULL");
     }
     if n.is_infinite() {
         // 1 followed by 309 zeros overflows f64 (max ~1.8e308).
-        let digits = format!("1{}", "0".repeat(309));
-        return if n < 0.0 { format!("-{digits}") } else { digits };
+        let sign = if n < 0.0 { "-" } else { "" };
+        return write!(out, "{sign}1{}", "0".repeat(309));
     }
     if n.fract() == 0.0 && n.abs() < 1e15 {
-        format!("{}", n as i64)
+        write!(out, "{}", n as i64)
     } else {
-        format!("{n}")
+        write!(out, "{n}")
     }
 }
 
@@ -253,6 +260,9 @@ impl fmt::Display for Value {
         match self {
             Value::Null => f.pad("NULL"),
             Value::Str(s) | Value::Date(s) => f.pad(s),
+            // Without a width or precision to pad to, the digits go straight
+            // out.
+            Value::Num(n) if f.width().is_none() && f.precision().is_none() => write_num(f, *n),
             Value::Num(n) => f.pad(&num_sql_literal(*n)),
             other => f.pad(&other.to_sql_literal()),
         }

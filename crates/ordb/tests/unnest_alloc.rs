@@ -336,3 +336,39 @@ fn exists_stops_at_its_first_row() {
     assert_eq!(stats.rows_scanned, 1 + 10_000);
     assert!(allocations <= 32, "{allocations} allocations for EXISTS over 10 000 rows");
 }
+
+/// A scalar subquery stops at its second row: one more than a scalar may
+/// have is enough to reject it, so over the same 10 000 qualifying rows it
+/// projects two and costs a bounded number of allocations (21 here), where
+/// collecting every row first cost one per row (10 031). Its cursor opens
+/// as a scan opens, so `rows_scanned` is what it was.
+#[test]
+fn a_scalar_subquery_stops_at_its_second_row() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut db = Database::new(DbMode::Oracle9);
+    db.execute_script("CREATE TABLE One (k NUMBER); CREATE TABLE Big (n NUMBER, s VARCHAR(20));")
+        .unwrap();
+    db.execute("INSERT INTO One VALUES (1)").unwrap();
+    let rows = (0..10_000)
+        .map(|n| vec![Expr::Literal(Value::Num(n as f64)), Expr::str_lit("a row of Big")])
+        .collect();
+    db.execute_batch(&InsertBatch { table: Ident::internal("Big"), columns: None, rows })
+        .unwrap();
+    db.commit().unwrap();
+
+    let query = "SELECT o.k FROM One o WHERE o.k = (SELECT b.n FROM Big b WHERE b.n >= 0)";
+    // Once to plan it, as `measure` does.
+    assert!(db.query(query).is_err());
+    let before = db.stats();
+    let allocations_before = ALLOCATIONS.load(Relaxed);
+    COUNTED.with(|c| c.set(true));
+    let result = db.query(query);
+    COUNTED.with(|c| c.set(false));
+    let allocations = ALLOCATIONS.load(Relaxed) - allocations_before;
+    assert_eq!(
+        result.unwrap_err(),
+        xmlord_ordb::DbError::Execution("scalar subquery returned 2 rows or more".into())
+    );
+    assert_eq!(db.stats().since(&before).rows_scanned, 1 + 10_000);
+    assert!(allocations <= 32, "{allocations} allocations for a scalar over 10 000 rows");
+}

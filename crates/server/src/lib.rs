@@ -52,12 +52,11 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 
-use xml2ordb::pipeline::{retrieval_serialize_options, schema_via_session};
-use xml2ordb::retriever::retrieve_via_session;
+use xml2ordb::pipeline::schema_via_session;
+use xml2ordb::retriever::write_via_session;
 use xml2ordb::{MappedSchema, MappingOptions};
 use xmlord_ordb::mvcc::ReadSession;
 use xmlord_ordb::{Database, QueryResult};
-use xmlord_xml::serializer::serialize_to;
 
 /// The shared writer handle: every connection's write path funnels
 /// through this mutex; read paths never take it (they refresh against the
@@ -154,6 +153,8 @@ pub fn serve_connection(
     // rebuilt from the registry rows in this reader's snapshot on first
     // use, then reused for the connection's lifetime.
     let mut schemas: HashMap<String, MappedSchema> = HashMap::new();
+    // Per-connection `.get` reply buffer, reused by every document.
+    let mut document = String::new();
     writeln!(out, "# xmlord server ready (statements end with ';', .help for commands)")?;
     out.flush()?;
 
@@ -162,7 +163,14 @@ pub fn serve_connection(
         let line = line?;
         let trimmed = line.trim();
         if pending.is_empty() && trimmed.starts_with('.') {
-            let flow = run_dot_command(trimmed, &mut out, &mut reader, &writer, &mut schemas)?;
+            let flow = run_dot_command(
+                trimmed,
+                &mut out,
+                &mut reader,
+                &writer,
+                &mut schemas,
+                &mut document,
+            )?;
             out.flush()?;
             match flow {
                 ControlFlow::Continue => continue,
@@ -200,6 +208,7 @@ fn run_dot_command(
     reader: &mut ReadSession,
     writer: &SharedWriter,
     schemas: &mut HashMap<String, MappedSchema>,
+    document: &mut String,
 ) -> io::Result<ControlFlow> {
     // `.get` alone or followed by whitespace; `.getfoo` is not `.get foo`.
     let get_arg = cmd
@@ -210,7 +219,7 @@ fn run_dot_command(
         if doc_id.is_empty() {
             writeln!(out, "ERR usage: .get <doc-id>")?;
         } else {
-            get_document(doc_id, out, reader, schemas)?;
+            get_document(doc_id, out, reader, schemas, document)?;
         }
         return Ok(ControlFlow::Continue);
     }
@@ -254,15 +263,18 @@ fn run_dot_command(
 }
 
 /// `.get <doc-id>`: reconstruct a stored XML document on this
-/// connection's snapshot reader and serialize it straight into the reply
-/// buffer — the set-oriented bulk walker feeding [`serialize_to`], no
-/// intermediate `String` and no writer lock. The reader refreshes first,
-/// so the response reflects the latest *committed* state, like any SELECT.
+/// connection's snapshot reader, the walk writing its text straight into
+/// `document` (the connection's reusable buffer, no DOM built and no
+/// writer lock), then send it with its `OK 1` in one write. All or
+/// nothing: a walk that fails — a dangling REF, say — replies `ERR` alone,
+/// with no byte of the document before it. The reader refreshes first, so
+/// the response reflects the latest *committed* state, like any SELECT.
 fn get_document(
     doc_id: &str,
     out: &mut impl Write,
     reader: &mut ReadSession,
     schemas: &mut HashMap<String, MappedSchema>,
+    document: &mut String,
 ) -> io::Result<()> {
     // DocIDs are `<schema>-<n>` (`Xml2OrDb::store_document`).
     let Some((schema_name, _)) = doc_id.rsplit_once('-') else {
@@ -277,11 +289,11 @@ fn get_document(
         }
     }
     let schema = &schemas[schema_name];
-    match retrieve_via_session(reader, schema, doc_id) {
-        Ok((doc, meta)) => {
-            serialize_to(&doc, &retrieval_serialize_options(&meta), out)?;
-            writeln!(out)?;
-            writeln!(out, "OK 1")
+    document.clear();
+    match write_via_session(reader, schema, doc_id, document) {
+        Ok(()) => {
+            document.push_str("\nOK 1\n");
+            out.write_all(document.as_bytes())
         }
         Err(e) => write_err(out, &e.to_string()),
     }
@@ -540,5 +552,40 @@ OK 0
         assert_eq!(responses[1], "ERR unknown command .getuni-1 (try .help)\n");
         assert!(responses[2].ends_with("</University>\nOK 1\n"), "{:?}", responses[2]);
         assert_eq!(responses[3], "ERR usage: .get <doc-id>\n");
+    }
+
+    /// A `.get` whose walk fails partway — here on a REF to a professor
+    /// deleted after the document was stored — replies `ERR` alone: the
+    /// document is rendered whole before any of it is sent, so no prefix of
+    /// it precedes the error line.
+    #[test]
+    fn a_get_whose_walk_fails_sends_no_document_bytes() {
+        let mut sys = Xml2OrDb::new(DbMode::Oracle9);
+        sys.register_dtd(
+            "prof",
+            "<!ELEMENT Professor (PName,Dept)>\n\
+             <!ELEMENT Dept (DName,Professor*)>\n\
+             <!ELEMENT PName (#PCDATA)> <!ELEMENT DName (#PCDATA)>",
+            "Professor",
+        )
+        .unwrap();
+        let doc_id = sys
+            .store_document(
+                "prof",
+                "<Professor><PName>Kudrass</PName><Dept><DName>CS</DName>\
+                 <Professor><PName>Jaeger</PName><Dept><DName>CAD</DName></Dept></Professor>\
+                 </Dept></Professor>",
+            )
+            .unwrap();
+        let script = format!(
+            ".get {doc_id}\n\
+             DELETE FROM TabProfessor WHERE attrPName = 'Jaeger';\n\
+             COMMIT;\n\
+             .get {doc_id}\n"
+        );
+        let responses = serve(sys.into_database(), &script);
+        assert!(responses[1].starts_with("<Professor><PName>Kudrass</PName>"), "{responses:?}");
+        assert_eq!(responses[2..4], ["OK 0\n", "OK 0\n"], "{responses:?}");
+        assert_eq!(responses[4], "ERR database error: REF does not point to a live row object\n");
     }
 }

@@ -8,9 +8,10 @@
 //! it during expansion and the `xml2ordb` metadata module persists it.
 
 use std::collections::BTreeMap;
+use std::io;
 
 use crate::error::{XmlError, XmlErrorKind};
-use crate::escape::predefined_entity;
+use crate::escape::{self, predefined_entity, Sink};
 use crate::{cursor::Cursor, escape::decode_char_ref};
 
 /// Declared general entities: name → replacement text.
@@ -176,21 +177,81 @@ impl EntityCatalog {
     /// original entity references that can be found in the meta-table".
     ///
     /// Longer replacement texts are substituted first so overlapping
-    /// definitions behave deterministically. Only non-empty replacement texts
-    /// are considered.
+    /// definitions behave deterministically. Only non-empty replacement
+    /// texts are considered. The serializer and the retrieval writer
+    /// prepare this rule once per document (`Resubstitution`), not per
+    /// text node.
     pub fn resubstitute(&self, text: &str) -> String {
-        let mut pairs: Vec<(&str, &str)> = self
+        let mut prepared = Resubstitution::new(self);
+        prepared.text.push_str(text);
+        prepared.apply();
+        prepared.text
+    }
+}
+
+/// The §6.1 re-substitution of one catalog, prepared once per document and
+/// applied to every text node of it.
+///
+/// Longer replacement texts are substituted first so overlapping
+/// definitions behave deterministically (ties by entity name); only
+/// non-empty replacement texts are considered. The pairs are applied one
+/// after another over the *escaped* text, each replacing every
+/// non-overlapping occurrence left to right. An empty catalog writes
+/// escaped text straight through.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Resubstitution {
+    /// (replacement text, `&name;`), in application order.
+    pairs: Vec<(String, String)>,
+    /// The text node being re-substituted, and the buffer each pair
+    /// rewrites it into — both reused across the document's text nodes.
+    text: String,
+    spare: String,
+}
+
+impl Resubstitution {
+    pub(crate) fn new(catalog: &EntityCatalog) -> Resubstitution {
+        let mut pairs: Vec<(&str, &str)> = catalog
             .entities
             .iter()
             .filter(|(_, repl)| !repl.is_empty())
             .map(|(name, repl)| (name.as_str(), repl.as_str()))
             .collect();
         pairs.sort_by(|a, b| b.1.len().cmp(&a.1.len()).then(a.0.cmp(b.0)));
-        let mut out = text.to_string();
-        for (name, repl) in pairs {
-            out = out.replace(repl, &format!("&{name};"));
+        let pairs = pairs
+            .into_iter()
+            .map(|(name, repl)| (repl.to_string(), format!("&{name};")))
+            .collect();
+        Resubstitution { pairs, ..Resubstitution::default() }
+    }
+
+    /// Write character data: escaped ([`crate::escape::escape_text`]'s
+    /// rule), then re-substituted.
+    pub(crate) fn write_text<S: Sink>(&mut self, text: &str, out: &mut S) -> io::Result<()> {
+        if self.pairs.is_empty() {
+            return escape::write_text(text, out);
         }
-        out
+        self.text.clear();
+        escape::infallible(escape::write_text(text, &mut self.text));
+        self.apply();
+        out.put_str(&self.text)
+    }
+
+    /// Apply every pair, in order, to `self.text`.
+    fn apply(&mut self) {
+        for (replacement, reference) in &self.pairs {
+            if !self.text.contains(replacement.as_str()) {
+                continue;
+            }
+            self.spare.clear();
+            let mut run = 0;
+            for (at, _) in self.text.match_indices(replacement.as_str()) {
+                self.spare.push_str(&self.text[run..at]);
+                self.spare.push_str(reference);
+                run = at + replacement.len();
+            }
+            self.spare.push_str(&self.text[run..]);
+            std::mem::swap(&mut self.text, &mut self.spare);
+        }
     }
 }
 

@@ -6,37 +6,105 @@
 //! literals that are stored in the database", and on retrieval the
 //! serializer must re-escape them. These helpers implement both directions.
 
+use std::io;
+
+/// Output target of the way back to text: a `String` (infallible) or any
+/// [`io::Write`] through [`IoSink`]. The escaping rules below, the DOM
+/// serializer and the retrieval writer all write through it, so one rule
+/// produces the same bytes for every caller.
+pub(crate) trait Sink {
+    fn put_str(&mut self, s: &str) -> io::Result<()>;
+}
+
+impl Sink for String {
+    fn put_str(&mut self, s: &str) -> io::Result<()> {
+        self.push_str(s);
+        Ok(())
+    }
+}
+
+/// Adapter turning an [`io::Write`] into a [`Sink`]. Callers wanting
+/// buffering wrap their writer in a [`io::BufWriter`].
+pub(crate) struct IoSink<'a, W: io::Write>(pub(crate) &'a mut W);
+
+impl<W: io::Write> Sink for IoSink<'_, W> {
+    fn put_str(&mut self, s: &str) -> io::Result<()> {
+        self.0.write_all(s.as_bytes())
+    }
+}
+
+/// The character-data rule: `&`, `<` and `>` (the latter for safety with
+/// `]]>` sequences).
+fn text_reference(byte: u8) -> Option<&'static str> {
+    match byte {
+        b'&' => Some("&amp;"),
+        b'<' => Some("&lt;"),
+        b'>' => Some("&gt;"),
+        _ => None,
+    }
+}
+
+/// The attribute-value rule, for values inside double quotes: the text
+/// rule plus the quote and the three whitespace controls a parser would
+/// normalise.
+fn attr_reference(byte: u8) -> Option<&'static str> {
+    match byte {
+        b'"' => Some("&quot;"),
+        b'\n' => Some("&#10;"),
+        b'\t' => Some("&#9;"),
+        b'\r' => Some("&#13;"),
+        other => text_reference(other),
+    }
+}
+
+/// Write `s` with every byte `rule` names replaced: the unescaped runs go
+/// out as slices of `s`, so text that needs no escaping costs one write
+/// and no allocation. Every replaced byte is ASCII, so each run ends on a
+/// character boundary.
+fn write_escaped<S: Sink>(
+    s: &str,
+    rule: fn(u8) -> Option<&'static str>,
+    out: &mut S,
+) -> io::Result<()> {
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        if let Some(reference) = rule(byte) {
+            out.put_str(&s[run..i])?;
+            out.put_str(reference)?;
+            run = i + 1;
+        }
+    }
+    out.put_str(&s[run..])
+}
+
+/// Write character data, escaped by the text rule.
+pub(crate) fn write_text<S: Sink>(s: &str, out: &mut S) -> io::Result<()> {
+    write_escaped(s, text_reference, out)
+}
+
+/// Write an attribute value, escaped by the attribute rule.
+pub(crate) fn write_attr<S: Sink>(s: &str, out: &mut S) -> io::Result<()> {
+    write_escaped(s, attr_reference, out)
+}
+
 /// Escape character data content: `&`, `<` and `>` (the latter for safety
 /// with `]]>` sequences).
 pub fn escape_text(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            _ => out.push(ch),
-        }
-    }
+    infallible(write_text(s, &mut out));
     out
 }
 
 /// Escape an attribute value for emission inside double quotes.
 pub fn escape_attr(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\n' => out.push_str("&#10;"),
-            '\t' => out.push_str("&#9;"),
-            '\r' => out.push_str("&#13;"),
-            _ => out.push(ch),
-        }
-    }
+    infallible(write_attr(s, &mut out));
     out
+}
+
+/// Unwrap the result of a write into a `String`, which cannot fail.
+pub(crate) fn infallible(written: io::Result<()>) {
+    written.expect("String sink is infallible");
 }
 
 /// The replacement text of a predefined entity, if `name` is one of the five.

@@ -38,7 +38,12 @@
 //! * [`dom`], [`name`] — the arena tree and its shared, interned [`QName`]s.
 //! * [`entities`] — the §6.1 entity catalog, budgeted expansion, and the
 //!   re-substitution used on retrieval.
-//! * [`serializer`], [`escape`], [`prolog`] — the way back to text.
+//! * [`serializer`], [`escape`], [`prolog`] — the way back to text: one
+//!   set of escaping and markup rules, and the §6.1 re-substitution
+//!   prepared once per document.
+//! * [`sink`] — the way back without a tree: a producer's element events
+//!   written straight to text ([`sink::TextWriter`]) or built into a
+//!   [`Document`] ([`sink::DomBuilder`]), byte-identical by construction.
 //!
 //! ## Quick example
 //!
@@ -63,6 +68,7 @@ pub mod name;
 pub mod parser;
 pub mod prolog;
 pub mod serializer;
+pub mod sink;
 
 /// The deepest element nesting the reader accepts; a start tag that would
 /// open one more is [`XmlErrorKind::DepthLimitExceeded`]. A constant, not a
@@ -81,3 +87,4 @@ pub use error::{Position, XmlError, XmlErrorKind};
 pub use name::QName;
 pub use parser::{parse, parse_with_catalog};
 pub use prolog::{DoctypeDecl, XmlDeclaration};
+pub use sink::{ContentSink, DomBuilder, TextWriter};

@@ -6,6 +6,9 @@
 //! (DTD) identifier — so these types carry everything the metadata module
 //! needs to persist and restore it.
 
+use crate::escape::infallible;
+use crate::serializer::write_declaration;
+
 /// The `<?xml version=... encoding=... standalone=...?>` declaration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct XmlDeclaration {
@@ -23,14 +26,8 @@ impl Default for XmlDeclaration {
 impl XmlDeclaration {
     /// Render back to `<?xml ...?>` form.
     pub fn to_xml(&self) -> String {
-        let mut out = format!("<?xml version=\"{}\"", self.version);
-        if let Some(enc) = &self.encoding {
-            out.push_str(&format!(" encoding=\"{enc}\""));
-        }
-        if let Some(sd) = self.standalone {
-            out.push_str(&format!(" standalone=\"{}\"", if sd { "yes" } else { "no" }));
-        }
-        out.push_str("?>");
+        let mut out = String::new();
+        infallible(write_declaration(self, &mut out));
         out
     }
 }

@@ -4,49 +4,19 @@
 //! is reconstructed from the database, it must be rendered back to XML. The
 //! [`SerializeOptions::entity_catalog`] hook implements §6.1's proposal of
 //! re-substituting the original entity references recorded in the meta-table.
+//!
+//! The markup rules — a start tag and its attributes, the empty-element
+//! `/>` rule, the declaration line — are functions here that the retrieval
+//! writer ([`crate::sink::TextWriter`]) calls too, and character data goes
+//! through the same `Resubstitution`, so the two agree byte for byte by
+//! construction.
 
 use std::io;
 
 use crate::dom::{Document, NodeId, NodeKind};
-use crate::entities::EntityCatalog;
-use crate::escape::{escape_attr, escape_text};
-
-/// Output target shared by [`serialize`] (a `String`, infallible) and
-/// [`serialize_to`] (any [`io::Write`]). One generic writer drives both,
-/// so the streaming path is byte-identical to the in-memory path by
-/// construction rather than by parallel maintenance.
-trait Sink {
-    fn put_str(&mut self, s: &str) -> io::Result<()>;
-    fn put_char(&mut self, c: char) -> io::Result<()>;
-}
-
-impl Sink for String {
-    fn put_str(&mut self, s: &str) -> io::Result<()> {
-        self.push_str(s);
-        Ok(())
-    }
-
-    fn put_char(&mut self, c: char) -> io::Result<()> {
-        self.push(c);
-        Ok(())
-    }
-}
-
-/// Adapter turning an [`io::Write`] into a [`Sink`]. Callers wanting
-/// buffering wrap their writer in a [`io::BufWriter`]; the serializer
-/// itself emits naturally chunky `put_str` calls.
-struct IoSink<'a, W: io::Write>(&'a mut W);
-
-impl<W: io::Write> Sink for IoSink<'_, W> {
-    fn put_str(&mut self, s: &str) -> io::Result<()> {
-        self.0.write_all(s.as_bytes())
-    }
-
-    fn put_char(&mut self, c: char) -> io::Result<()> {
-        let mut buf = [0u8; 4];
-        self.0.write_all(c.encode_utf8(&mut buf).as_bytes())
-    }
-}
+use crate::entities::{EntityCatalog, Resubstitution};
+use crate::escape::{infallible, write_attr, IoSink, Sink};
+use crate::prolog::XmlDeclaration;
 
 /// Controls for [`serialize`].
 #[derive(Debug, Clone, Default)]
@@ -86,7 +56,7 @@ impl SerializeOptions {
 /// Serialize a whole document.
 pub fn serialize(doc: &Document, opts: &SerializeOptions) -> String {
     let mut out = String::new();
-    serialize_sink(doc, opts, &mut out).expect("String sink is infallible");
+    infallible(serialize_sink(doc, opts, &mut out));
     out
 }
 
@@ -105,39 +75,83 @@ pub fn serialize_to<W: io::Write>(
 fn serialize_sink<S: Sink>(doc: &Document, opts: &SerializeOptions, out: &mut S) -> io::Result<()> {
     if opts.include_declaration {
         if let Some(decl) = &doc.declaration {
-            out.put_str(&decl.to_xml())?;
-            out.put_char('\n')?;
+            write_declaration(decl, out)?;
+            out.put_str("\n")?;
         }
     }
     if opts.include_doctype {
         if let Some(dt) = &doc.doctype {
             out.put_str(&dt.to_xml())?;
-            out.put_char('\n')?;
+            out.put_str("\n")?;
         }
     }
+    // Prepared once for the whole document, not per text node.
+    let mut text = opts.entity_catalog.as_ref().map(Resubstitution::new).unwrap_or_default();
     for misc in &doc.prolog_misc {
-        write_node(doc, *misc, opts, 0, out)?;
+        write_node(doc, *misc, opts, &mut text, 0, out)?;
         if opts.indent.is_some() {
-            out.put_char('\n')?;
+            out.put_str("\n")?;
         }
     }
     if let Some(root) = doc.root_element() {
-        write_node(doc, root, opts, 0, out)?;
+        write_node(doc, root, opts, &mut text, 0, out)?;
     }
     for misc in &doc.epilog_misc {
         if opts.indent.is_some() {
-            out.put_char('\n')?;
+            out.put_str("\n")?;
         }
-        write_node(doc, *misc, opts, 0, out)?;
+        write_node(doc, *misc, opts, &mut text, 0, out)?;
     }
     Ok(())
+}
+
+/// The declaration: `<?xml version="…" encoding="…" standalone="…"?>`.
+pub(crate) fn write_declaration<S: Sink>(decl: &XmlDeclaration, out: &mut S) -> io::Result<()> {
+    out.put_str("<?xml version=\"")?;
+    out.put_str(&decl.version)?;
+    out.put_str("\"")?;
+    if let Some(encoding) = &decl.encoding {
+        out.put_str(" encoding=\"")?;
+        out.put_str(encoding)?;
+        out.put_str("\"")?;
+    }
+    if let Some(standalone) = decl.standalone {
+        out.put_str(if standalone { " standalone=\"yes\"" } else { " standalone=\"no\"" })?;
+    }
+    out.put_str("?>")
+}
+
+/// `<name`: a start tag, left open for its attributes.
+pub(crate) fn write_start<S: Sink>(name: &str, out: &mut S) -> io::Result<()> {
+    out.put_str("<")?;
+    out.put_str(name)
+}
+
+/// ` name="value"` inside an open start tag, the value escaped.
+pub(crate) fn write_attribute<S: Sink>(name: &str, value: &str, out: &mut S) -> io::Result<()> {
+    out.put_str(" ")?;
+    out.put_str(name)?;
+    out.put_str("=\"")?;
+    write_attr(value, out)?;
+    out.put_str("\"")
+}
+
+/// Close an element: an element with no child node is `<name/>` — the open
+/// start tag ends in `/>` — and any other ends in `</name>`.
+pub(crate) fn write_close<S: Sink>(name: &str, empty: bool, out: &mut S) -> io::Result<()> {
+    if empty {
+        return out.put_str("/>");
+    }
+    out.put_str("</")?;
+    out.put_str(name)?;
+    out.put_str(">")
 }
 
 /// Serialize a single subtree compactly (no prolog).
 pub fn serialize_node(doc: &Document, id: NodeId) -> String {
     let mut out = String::new();
-    write_node(doc, id, &SerializeOptions::compact(), 0, &mut out)
-        .expect("String sink is infallible");
+    let mut text = Resubstitution::default();
+    infallible(write_node(doc, id, &SerializeOptions::compact(), &mut text, 0, &mut out));
     out
 }
 
@@ -145,25 +159,20 @@ fn write_node<S: Sink>(
     doc: &Document,
     id: NodeId,
     opts: &SerializeOptions,
+    text: &mut Resubstitution,
     depth: usize,
     out: &mut S,
 ) -> io::Result<()> {
     match doc.kind(id) {
         NodeKind::Element(el) => {
-            out.put_char('<')?;
-            out.put_str(el.name.as_raw())?;
+            write_start(el.name.as_raw(), out)?;
             for attr in &el.attributes {
-                out.put_char(' ')?;
-                out.put_str(attr.name.as_raw())?;
-                out.put_str("=\"")?;
-                out.put_str(&escape_attr(&attr.value))?;
-                out.put_char('"')?;
+                write_attribute(attr.name.as_raw(), &attr.value, out)?;
             }
             if el.children.is_empty() {
-                out.put_str("/>")?;
-                return Ok(());
+                return write_close(el.name.as_raw(), true, out);
             }
-            out.put_char('>')?;
+            out.put_str(">")?;
             // Indent only around element children; any text child forces
             // mixed-content mode, which must not introduce whitespace.
             let element_only = opts.indent.is_some()
@@ -177,26 +186,18 @@ fn write_node<S: Sink>(
                 });
             for child in &el.children {
                 if element_only {
-                    out.put_char('\n')?;
+                    out.put_str("\n")?;
                     push_indent(opts, depth + 1, out)?;
                 }
-                write_node(doc, *child, opts, depth + 1, out)?;
+                write_node(doc, *child, opts, text, depth + 1, out)?;
             }
             if element_only {
-                out.put_char('\n')?;
+                out.put_str("\n")?;
                 push_indent(opts, depth, out)?;
             }
-            out.put_str("</")?;
-            out.put_str(el.name.as_raw())?;
-            out.put_char('>')?;
+            write_close(el.name.as_raw(), false, out)?;
         }
-        NodeKind::Text(text) => {
-            let escaped = escape_text(text);
-            match &opts.entity_catalog {
-                Some(cat) => out.put_str(&cat.resubstitute(&escaped))?,
-                None => out.put_str(&escaped)?,
-            }
-        }
+        NodeKind::Text(data) => text.write_text(data, out)?,
         NodeKind::CData(text) => {
             // A CDATA section cannot contain its own terminator. Split the
             // content into adjacent sections at every `]]>`: the first
@@ -215,7 +216,7 @@ fn write_node<S: Sink>(
             out.put_str("<?")?;
             out.put_str(target)?;
             if !data.is_empty() {
-                out.put_char(' ')?;
+                out.put_str(" ")?;
                 // PI data cannot contain the `?>` terminator; break the
                 // pair with a space so the PI still parses.
                 out.put_str(&data.replace("?>", "? >"))?;
@@ -248,7 +249,7 @@ fn escape_comment(text: &str) -> String {
 fn push_indent<S: Sink>(opts: &SerializeOptions, depth: usize, out: &mut S) -> io::Result<()> {
     if let Some(width) = opts.indent {
         for _ in 0..depth * width {
-            out.put_char(' ')?;
+            out.put_str(" ")?;
         }
     }
     Ok(())

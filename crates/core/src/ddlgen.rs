@@ -199,9 +199,10 @@ fn push_table(out: &mut String, mapping: &ElementMapping) -> Result<(), MappingE
     })?;
     let mut constraints: Vec<String> = Vec::new();
     // §4.3: mandatory, non-set-valued content → NOT NULL — expressible here
-    // because this is a table.
+    // because this is a table, except for an IDREF the loader sets after
+    // the INSERT.
     for field in &mapping.fields {
-        if !field.optional && !field.set_valued {
+        if !field.optional && !field.set_valued && !field.wired_after_insert() {
             constraints.push(format!("    {} NOT NULL", field.db_name));
         }
     }

@@ -438,6 +438,35 @@ mod tests {
         assert!(db.execute_script(&script).is_err());
     }
 
+    /// A `#REQUIRED` IDREF with a resolved target is a REF column the
+    /// loader sets by a deferred UPDATE: the DDL leaves it nullable, and
+    /// maplint reports the NOT NULL as unenforced instead.
+    #[test]
+    fn a_required_idref_column_is_nullable_and_reported_unenforced() {
+        let dtd = parse_dtd(
+            r#"<!ELEMENT db (team*, person*)> <!ELEMENT team (#PCDATA)>
+               <!ATTLIST team lead IDREF #REQUIRED>
+               <!ELEMENT person (#PCDATA)> <!ATTLIST person id ID #REQUIRED>"#,
+        )
+        .unwrap();
+        let mut targets = IdrefTargets::new();
+        targets.insert(("team".into(), "lead".into()), "person".into());
+        for mode in [DbMode::Oracle9, DbMode::Oracle8] {
+            let options = MappingOptions { map_idrefs: true, ..Default::default() };
+            let s = generate_schema(&dtd, "db", mode, options, &targets).unwrap();
+            let script = create_script(&s).unwrap();
+            assert!(script.contains("REF Type_person"), "{mode:?}: {script}");
+            assert!(!script.contains("attrlead NOT NULL"), "{mode:?}: {script}");
+            let report = lint_schema(&s).unwrap();
+            assert!(
+                report.diagnostics.iter().any(|d| d.code == "MAP030" && d.message.contains("attrlead")),
+                "{mode:?}: {}",
+                report.render("s.sql")
+            );
+            assert_eq!(report.error_count(), 0, "{}", report.render("s.sql"));
+        }
+    }
+
     #[test]
     fn unenforced_not_null_surfaces_as_warning() {
         let dtd = parse_dtd(

@@ -124,6 +124,16 @@ pub struct FieldMapping {
     pub optional: bool,
 }
 
+impl FieldMapping {
+    /// Is this an IDREF attribute stored as a REF? In a table row the
+    /// loader inserts it NULL and sets it by an `UPDATE` once every row
+    /// exists (so forward references resolve), which is why its column is
+    /// never NOT NULL.
+    pub fn wired_after_insert(&self) -> bool {
+        matches!(self.source, FieldSource::XmlAttribute(_)) && matches!(self.kind, FieldKind::Ref(_))
+    }
+}
+
 /// Mapping of one XML attribute inside an attribute-list object (§4.4).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttrFieldMapping {

@@ -288,8 +288,8 @@ struct Retriever<'a> {
     inverted: HashMap<&'a str, Range<usize>>,
     /// Table → the element mapping it stores (for IDREF target resolution).
     table_elements: HashMap<Ident, &'a ElementMapping>,
-    /// Raw element/child name → sanitized element QName, built on first
-    /// use — one `sanitize` + parse per distinct name instead of per node.
+    /// XML element/child name → its QName, built on first use — one parse
+    /// per distinct name instead of per node.
     qnames: HashMap<&'a str, QName>,
     /// Per inverted child table: its rows keyed on the ParentRef column,
     /// opened on the first parent that needs the relationship.
@@ -359,12 +359,9 @@ impl<'a> Retriever<'a> {
         }
     }
 
-    /// Sanitized element QName for a raw XML name, cached per name.
+    /// The QName of an XML element name, cached per name.
     fn element_qname(&mut self, raw: &'a str) -> QName {
-        self.qnames
-            .entry(raw)
-            .or_insert_with(|| QName::local(&crate::naming::sanitize(raw)))
-            .clone()
+        self.qnames.entry(raw).or_insert_with(|| element_qname(raw)).clone()
     }
 
     fn mapping_of(&self, element: &str) -> Result<&'a ElementMapping, MappingError> {
@@ -575,11 +572,9 @@ impl<'a> Retriever<'a> {
         Ok(())
     }
 
-    /// `child`'s position in `parent`'s content model, by its sanitized
-    /// name — the name the written element carries.
-    fn order_of(&mut self, parent: &ElementMapping, child: &'a str) -> Option<usize> {
-        let name = self.element_qname(child);
-        parent.child_order.iter().position(|n| n == name.local_part())
+    /// `child`'s position in `parent`'s content model.
+    fn order_of(&self, parent: &ElementMapping, child: &str) -> Option<usize> {
+        parent.child_order.iter().position(|n| n == child)
     }
 
     /// The document-level ID attribute value of a row object (for restoring
@@ -678,6 +673,12 @@ fn child_items<'a>(
         }
     }
     Ok(())
+}
+
+/// The name a retrieved element carries: the mapping's XML name. One a
+/// QName cannot spell (two colons) falls back to its SQL identifier form.
+pub(crate) fn element_qname(raw: &str) -> QName {
+    QName::parse(raw).unwrap_or_else(|| QName::local(&crate::naming::sanitize(raw)))
 }
 
 /// Set `name` to `value`: an attribute already present keeps its place and
@@ -789,6 +790,20 @@ mod tests {
         let meta = DocMetadata { doc_id: "doc1".into(), ..Default::default() };
         let restored = retrieve_document(&db, &schema, &meta).unwrap();
         serialize(&restored, &SerializeOptions::compact())
+    }
+
+    /// Children whose element name is absent from the content model (and
+    /// non-element children) keep their positions while the listed names
+    /// sort into the slots listed names hold; an older reorder pass
+    /// clustered them all at the front.
+    #[test]
+    fn content_model_order_keeps_the_slots_of_unknown_names_and_text() {
+        let child_order = ["a", "b"];
+        let mut items = ["text x", "b", "a", "text y", "c"];
+        let order = |item: &&str| child_order.iter().position(|n| n == item);
+        content_model_order(&mut items, &mut Vec::new(), order);
+        // a and b swap into each other's slots; the texts and <c> stay put.
+        assert_eq!(items, ["text x", "a", "b", "text y", "c"]);
     }
 
     #[test]

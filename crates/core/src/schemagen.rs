@@ -216,6 +216,20 @@ pub fn generate_schema(
                 }
             }
         }
+        if let (Some(_), Some(type_name)) = (&mapping.table, &mapping.object_type) {
+            for field in &mapping.fields {
+                if !field.optional && field.wired_after_insert() {
+                    unenforced.push(UnenforcedNotNull {
+                        type_name: type_name.clone(),
+                        field: field.db_name.clone(),
+                        reason: "a #REQUIRED IDREF is stored NULL and set to its target's \
+                                 REF by an UPDATE once every row exists (forward \
+                                 references); DTD validation still enforces it"
+                            .to_string(),
+                    });
+                }
+            }
+        }
         for field in &mapping.fields {
             if field.set_valued && !field.optional {
                 unenforced.push(UnenforcedNotNull {

@@ -8,7 +8,7 @@
 //! physical tables." Set-valued simple elements are folded in with
 //! `CAST(MULTISET(…))`, exactly as the paper's closing example shows.
 //!
-//! The module therefore contains four pieces:
+//! The module therefore contains five pieces:
 //! 1. [`relational_schema`] — the referenced "known mapping algorithm": a
 //!    key-based relational shredding (one table per complex element, with
 //!    `ID…` primary keys and an `IDParent` foreign key, §6.3's
@@ -19,18 +19,22 @@
 //! 3. [`relational_path_query`] — path queries over it, one join per table
 //!    step,
 //! 4. [`object_view_script`] — the `CREATE VIEW OView_… AS SELECT Type_…(…)`
-//!    statement with nested constructors and `CAST(MULTISET(…))`.
+//!    statement with nested constructors and `CAST(MULTISET(…))`,
+//! 5. [`reconstruct_relational`] — the document back from the tables: one
+//!    walk reporting `ContentSink` events over an explicit stack, with each
+//!    element's table, columns and child tables resolved once per call and
+//!    one keyed lookup per child table and row.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 use xmlord_ordb::ident::Ident;
 use xmlord_ordb::storage::{KeyedReader, Storage};
 use xmlord_ordb::Value;
-use xmlord_xml::{Document, NodeId, QName};
+use xmlord_xml::{ContentSink, Document, DomBuilder, NodeId, QName};
 
 use crate::error::MappingError;
 use crate::model::{FieldKind, FieldSource, MappedSchema};
-use crate::retriever::content_model_order;
+use crate::retriever::{content_model_order, element_qname};
 
 /// Where a relational column's value comes from.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -490,178 +494,267 @@ impl<'a> ViewGen<'a> {
 
 /// Rebuild the document stored by [`relational_load_script`]. Like the
 /// object-relational retriever and the `xmlord-shred` reconstructors, one
-/// assembly runs over [`KeyedReader`] lookups (`IDParent = parent`), and
-/// `bulk` only picks how the reader answers them. The loader assigns row IDs
-/// in a pre-order walk, so ascending ID within one parent is document order;
-/// content-model order across different child names is restored with the
-/// retriever's reorder pass.
+/// walk reports the document as [`ContentSink`] events over an explicit
+/// stack (built into a DOM here with a [`DomBuilder`]), reading child rows
+/// through [`KeyedReader`] lookups (`IDParent = parent`); `bulk` only picks
+/// how the reader answers them. The table, columns and child tables of
+/// every element the mapping reaches from the root are resolved once per
+/// call, and values are borrowed from the stored blocks. The loader
+/// assigns row IDs in a pre-order walk, so ascending ID within one parent
+/// is document order; each element's children are put in content-model
+/// order before they are written.
 pub fn reconstruct_relational(
     schema: &MappedSchema,
     rel: &RelationalSchema,
     storage: &Storage,
     bulk: bool,
 ) -> Result<Document, MappingError> {
-    let root_table = rel.table_for(&schema.root_element).ok_or_else(|| {
-        MappingError::Unsupported("no relational table for the root".into())
-    })?;
-    let mut ctx = RelRetriever { schema, rel, storage, bulk, readers: BTreeMap::new() };
-    let root_row: &[Value] = {
-        let reader = ctx.reader(root_table)?;
-        let row = reader
-            .rows()
-            .first()
-            .ok_or_else(|| MappingError::NoSuchDocument(schema.root_element.clone()))?;
-        &row.values
-    };
-    let mut doc = Document::new();
-    let node = ctx.build(&mut doc, &schema.root_element, root_row)?;
-    doc.set_root(node);
-    Ok(doc)
+    let mut builder = DomBuilder::new();
+    relational_walk(schema, rel, storage, bulk, &mut builder)?;
+    Ok(builder.finish())
 }
 
 const REL_ID: usize = 0;
 const REL_PARENT: usize = 1;
 
-struct RelRetriever<'a> {
-    schema: &'a MappedSchema,
-    rel: &'a RelationalSchema,
-    storage: &'a Storage,
-    bulk: bool,
+/// The walk's plan: one shape per element the mapping reaches from the
+/// root (the root's first), and the names and readers the shapes share.
+#[derive(Default)]
+struct RelPlan<'a> {
+    names: Vec<QName>,
+    name_ids: HashMap<&'a str, usize>,
+    shapes: Vec<RelShape<'a>>,
     /// Per `Rel*` table: its rows keyed on `IDParent`. Heap order within
     /// one parent is ascending ID, the loader's pre-order.
-    readers: BTreeMap<String, KeyedReader<'a>>,
+    readers: Vec<KeyedReader<'a>>,
+    reader_ids: HashMap<&'a str, usize>,
 }
 
-impl<'a> RelRetriever<'a> {
-    fn reader(&mut self, table: &RelTable) -> Result<&mut KeyedReader<'a>, MappingError> {
-        if !self.readers.contains_key(&table.name) {
-            let reader = self
-                .storage
-                .keyed_reader(&Ident::internal(&table.name), REL_PARENT, self.bulk)
-                .ok_or_else(|| {
-                    MappingError::InconsistentMapping(format!(
-                        "relational table {} is missing",
-                        table.name
-                    ))
-                })?;
-            self.readers.insert(table.name.clone(), reader);
+/// An element's table.
+struct RelShape<'a> {
+    name: usize,
+    table: &'a str,
+    /// The inlined columns (text, attributes, scalar children), by row
+    /// position.
+    columns: Vec<(usize, RelColumn<'a>)>,
+    /// Complex and set-valued children, which live in their own tables.
+    children: Vec<RelChild>,
+}
+
+#[derive(Clone, Copy)]
+enum RelColumn<'a> {
+    Text,
+    Attribute(&'a str),
+    /// A scalar child element: its name and content-model position.
+    Simple(usize, Option<usize>),
+}
+
+/// A child table, read through `reader`.
+struct RelChild {
+    reader: usize,
+    /// The child's content-model position.
+    order: Option<usize>,
+    kind: RelChildKind,
+}
+
+#[derive(Clone, Copy)]
+enum RelChildKind {
+    /// A list table row per set-valued simple child, of this name.
+    List(usize),
+    /// A row per complex child, of this shape.
+    Rows(usize),
+}
+
+impl<'a> RelPlan<'a> {
+    fn new(
+        schema: &'a MappedSchema,
+        rel: &'a RelationalSchema,
+        storage: &'a Storage,
+        bulk: bool,
+    ) -> Result<RelPlan<'a>, MappingError> {
+        let mut plan = RelPlan::default();
+        // Elements in the order their shapes are built: a shape's index is
+        // its element's position here.
+        let mut elements: Vec<&'a str> = vec![&schema.root_element];
+        let mut shape_ids: HashMap<&'a str, usize> = HashMap::new();
+        shape_ids.insert(&schema.root_element, 0);
+        while let Some(&element) = elements.get(plan.shapes.len()) {
+            let mapping = schema
+                .mapping(element)
+                .ok_or_else(|| MappingError::UndeclaredElement(element.to_string()))?;
+            let table = rel.table_for(element).ok_or_else(|| {
+                MappingError::Unsupported(format!("no relational table for <{element}>"))
+            })?;
+            let order = |child: &str| mapping.child_order.iter().position(|n| n == child);
+            let base = 1 + usize::from(table.parent_column.is_some());
+            let mut columns = Vec::with_capacity(table.columns.len());
+            for (i, (_, source)) in table.columns.iter().enumerate() {
+                let column = match source {
+                    RelColumnSource::Text => RelColumn::Text,
+                    RelColumnSource::Attribute(a) => RelColumn::Attribute(a),
+                    RelColumnSource::SimpleChild(c) => RelColumn::Simple(plan.name(c), order(c)),
+                };
+                columns.push((base + i, column));
+            }
+            let mut children = Vec::new();
+            for field in &mapping.fields {
+                let FieldSource::ChildElement(child) = &field.source else { continue };
+                let (child_table, kind) = match &field.kind {
+                    FieldKind::Scalar(_) => continue, // an inlined column
+                    FieldKind::ScalarCollection(_) => {
+                        let list = rel.leaf_list_for(child).ok_or_else(|| {
+                            MappingError::Unsupported(format!("no list table for <{child}>"))
+                        })?;
+                        (list, RelChildKind::List(plan.name(child)))
+                    }
+                    _ => {
+                        // Object, ObjectCollection, Ref, RefCollection: the
+                        // loader shreds them all as rows keyed by IDParent.
+                        let rows = rel.table_for(child).ok_or_else(|| {
+                            MappingError::Unsupported(format!("no relational table for <{child}>"))
+                        })?;
+                        let next = elements.len();
+                        let shape = *shape_ids.entry(child).or_insert_with(|| {
+                            elements.push(child);
+                            next
+                        });
+                        (rows, RelChildKind::Rows(shape))
+                    }
+                };
+                let reader = plan.reader(storage, child_table, bulk)?;
+                children.push(RelChild { reader, order: order(child), kind });
+            }
+            let name = plan.name(element);
+            plan.shapes.push(RelShape { name, table: &table.name, columns, children });
         }
-        Ok(self.readers.get_mut(&table.name).expect("just inserted"))
+        Ok(plan)
     }
 
-    /// Rebuild one table row as an element subtree: inlined columns first
-    /// (text, attributes, scalar children in field order), then complex and
-    /// list children from their own tables, then the reorder pass.
-    fn build(
+    fn name(&mut self, element: &'a str) -> usize {
+        *self.name_ids.entry(element).or_insert_with(|| {
+            self.names.push(element_qname(element));
+            self.names.len() - 1
+        })
+    }
+
+    fn reader(
         &mut self,
-        doc: &mut Document,
-        element: &str,
-        row: &'a [Value],
-    ) -> Result<NodeId, MappingError> {
-        let mapping = self
-            .schema
-            .mapping(element)
-            .ok_or_else(|| MappingError::UndeclaredElement(element.to_string()))?;
-        let table = self.rel.table_for(element).ok_or_else(|| {
-            MappingError::Unsupported(format!("no relational table for <{element}>"))
-        })?;
-        let my_key = row.get(REL_ID).and_then(Value::as_num).map(Value::Num).ok_or_else(|| {
-            MappingError::InconsistentMapping(format!("{} row without an ID", table.name))
-        })?;
-        let node = doc.create_element(QName::local(&crate::naming::sanitize(element)));
-        let base = 1 + usize::from(table.parent_column.is_some());
-        for (i, (_, source)) in table.columns.iter().enumerate() {
-            let value = row.get(base + i).and_then(|v| v.as_str());
-            match (source, value) {
-                (_, None) => {}
-                (RelColumnSource::Text, Some(text)) => {
-                    if !text.is_empty() {
-                        let t = doc.create_text(text);
-                        doc.append_child(node, t);
-                    }
-                }
-                (RelColumnSource::Attribute(a), Some(v)) => {
-                    doc.set_attribute(node, QName::local(a), v);
-                }
-                (RelColumnSource::SimpleChild(c), Some(text)) => {
-                    let child =
-                        doc.create_element(QName::local(&crate::naming::sanitize(c)));
-                    if !text.is_empty() {
-                        let t = doc.create_text(text);
-                        doc.append_child(child, t);
-                    }
-                    doc.append_child(node, child);
-                }
-            }
+        storage: &'a Storage,
+        table: &'a RelTable,
+        bulk: bool,
+    ) -> Result<usize, MappingError> {
+        if let Some(&reader) = self.reader_ids.get(table.name.as_str()) {
+            return Ok(reader);
         }
-        // Complex and set-valued children live in their own tables.
-        for field in &mapping.fields {
-            let FieldSource::ChildElement(child_name) = &field.source else { continue };
-            match &field.kind {
-                FieldKind::Scalar(_) => {} // inlined column, handled above
-                FieldKind::ScalarCollection(_) => {
-                    let list = self.rel.leaf_list_for(child_name).ok_or_else(|| {
-                        MappingError::Unsupported(format!("no list table for <{child_name}>"))
-                    })?;
-                    let list = list.clone();
-                    let (slots, rows) = {
-                        let reader = self.reader(&list)?;
-                        (reader.slots(&my_key), reader.rows())
-                    };
-                    for slot in slots {
-                        let text =
-                            rows[slot].values.get(REL_PARENT + 1).and_then(|v| v.as_str());
-                        let child = doc.create_element(QName::local(
-                            &crate::naming::sanitize(child_name),
-                        ));
-                        if let Some(text) = text {
-                            if !text.is_empty() {
-                                let t = doc.create_text(text);
-                                doc.append_child(child, t);
-                            }
-                        }
-                        doc.append_child(node, child);
-                    }
-                }
-                _ => {
-                    // Object, ObjectCollection, Ref, RefCollection: the
-                    // loader shreds them all as rows keyed by IDParent.
-                    let child_table = self.rel.table_for(child_name).ok_or_else(|| {
-                        MappingError::Unsupported(format!(
-                            "no relational table for <{child_name}>"
-                        ))
-                    })?;
-                    let child_table = child_table.clone();
-                    let (slots, rows) = {
-                        let reader = self.reader(&child_table)?;
-                        (reader.slots(&my_key), reader.rows())
-                    };
-                    let child_name = child_name.clone();
-                    for slot in slots {
-                        let values: &'a [Value] = &rows[slot].values;
-                        let child = self.build(doc, &child_name, values)?;
-                        doc.append_child(node, child);
-                    }
-                }
-            }
-        }
-        reorder_children(doc, node, &mapping.child_order);
-        Ok(node)
+        let reader = storage
+            .keyed_reader(&Ident::internal(&table.name), REL_PARENT, bulk)
+            .ok_or_else(|| missing_table(table))?;
+        self.readers.push(reader);
+        self.reader_ids.insert(&table.name, self.readers.len() - 1);
+        Ok(self.readers.len() - 1)
     }
 }
 
-/// Restore content-model order among an element's children
-/// ([`content_model_order`]: element children the model names move, text
-/// and unknown names keep their slots).
-fn reorder_children(doc: &mut Document, node: NodeId, child_order: &[String]) {
-    let mut children: Vec<NodeId> = doc.children(node).to_vec();
-    content_model_order(&mut children, &mut Vec::new(), |&c| match doc.kind(c) {
-        xmlord_xml::NodeKind::Element(el) => {
-            child_order.iter().position(|n| n == el.name.local_part())
+fn missing_table(table: &RelTable) -> MappingError {
+    MappingError::InconsistentMapping(format!("relational table {} is missing", table.name))
+}
+
+#[derive(Clone, Copy)]
+enum RelTask<'a> {
+    /// A table row of the element with this shape.
+    Row(usize, &'a [Value]),
+    /// A simple child element with the name of this index, and its text.
+    Simple(usize, &'a str),
+    Text(&'a str),
+    End(usize),
+}
+
+/// One child of the element being written, with its content-model
+/// position (`None` for text).
+#[derive(Clone, Copy)]
+struct RelItem<'a> {
+    order: Option<usize>,
+    task: RelTask<'a>,
+}
+
+fn relational_walk(
+    schema: &MappedSchema,
+    rel: &RelationalSchema,
+    storage: &Storage,
+    bulk: bool,
+    sink: &mut impl ContentSink,
+) -> Result<(), MappingError> {
+    let root_table = rel.table_for(&schema.root_element).ok_or_else(|| {
+        MappingError::Unsupported("no relational table for the root".into())
+    })?;
+    let root_rows = storage
+        .table(&Ident::internal(&root_table.name))
+        .ok_or_else(|| missing_table(root_table))?;
+    let root_row = root_rows
+        .rows
+        .first()
+        .ok_or_else(|| MappingError::NoSuchDocument(schema.root_element.clone()))?;
+    let RelPlan { names, shapes, mut readers, .. } = RelPlan::new(schema, rel, storage, bulk)?;
+    let mut stack = vec![RelTask::Row(0, &root_row.values)];
+    let mut items: Vec<RelItem> = Vec::new();
+    let mut moved = Vec::new();
+    while let Some(task) = stack.pop() {
+        let (shape, row) = match task {
+            RelTask::Row(shape, row) => (&shapes[shape], row),
+            RelTask::Simple(name, text) => {
+                sink.start_element(&names[name]);
+                if !text.is_empty() {
+                    sink.text(text);
+                }
+                sink.end_element(&names[name]);
+                continue;
+            }
+            RelTask::Text(text) => {
+                sink.text(text);
+                continue;
+            }
+            RelTask::End(name) => {
+                sink.end_element(&names[name]);
+                continue;
+            }
+        };
+        let my_key = row.get(REL_ID).and_then(Value::as_num).map(Value::Num).ok_or_else(|| {
+            MappingError::InconsistentMapping(format!("{} row without an ID", shape.table))
+        })?;
+        sink.start_element(&names[shape.name]);
+        // Inlined columns: attributes are written at once, text and scalar
+        // children become items.
+        for &(col, column) in &shape.columns {
+            let Some(value) = row.get(col).and_then(Value::as_str) else { continue };
+            match column {
+                RelColumn::Text if value.is_empty() => {}
+                RelColumn::Text => items.push(RelItem { order: None, task: RelTask::Text(value) }),
+                RelColumn::Attribute(attr) => sink.attribute(attr, value),
+                RelColumn::Simple(name, order) => {
+                    items.push(RelItem { order, task: RelTask::Simple(name, value) })
+                }
+            }
         }
-        _ => None,
-    });
-    doc.replace_children(node, children);
+        for child in &shape.children {
+            let reader = &mut readers[child.reader];
+            let rows = reader.rows();
+            for slot in reader.each_slot(&my_key) {
+                let values = rows[slot].values.as_slice();
+                let task = match child.kind {
+                    RelChildKind::List(name) => {
+                        let text = values.get(REL_PARENT + 1).and_then(Value::as_str);
+                        RelTask::Simple(name, text.unwrap_or_default())
+                    }
+                    RelChildKind::Rows(shape) => RelTask::Row(shape, values),
+                };
+                items.push(RelItem { order: child.order, task });
+            }
+        }
+        content_model_order(&mut items, &mut moved, |item| item.order);
+        stack.push(RelTask::End(shape.name));
+        stack.extend(items.drain(..).rev().map(|item| item.task));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -835,33 +928,5 @@ mod tests {
             object_view_script(&schema, &rel),
             Err(MappingError::Unsupported(_))
         ));
-    }
-
-    /// Regression: children whose element name is absent from the content
-    /// model (and non-element children) must keep their document positions;
-    /// the old implementation clustered them all at the front.
-    #[test]
-    fn reorder_preserves_slots_of_unknown_and_text_children() {
-        let mut doc = Document::new();
-        let root = doc.create_element(QName::local("r"));
-        let tx = doc.create_text("x");
-        let b = doc.create_element(QName::local("b"));
-        let a = doc.create_element(QName::local("a"));
-        let ty = doc.create_text("y");
-        let c = doc.create_element(QName::local("c")); // not in the model
-        for n in [tx, b, a, ty, c] {
-            doc.append_child(root, n);
-        }
-        reorder_children(&mut doc, root, &["a".to_string(), "b".to_string()]);
-        let rendered: Vec<String> = doc
-            .children(root)
-            .iter()
-            .map(|&n| match doc.kind(n) {
-                xmlord_xml::NodeKind::Element(el) => format!("<{}>", el.name.local_part()),
-                _ => "text".to_string(),
-            })
-            .collect();
-        // a and b swap into each other's slots; x, y and <c> stay put.
-        assert_eq!(rendered, vec!["text", "<a>", "<b>", "text", "<c>"]);
     }
 }

@@ -140,8 +140,10 @@ fn storing_a_document_allocates_for_values_not_for_bookkeeping() {
 /// document (the metadata row, the readers, the name cache, the growth of
 /// the output) and per inverted parent, not per element. Through a DOM,
 /// serialized and dropped, one `retrieve_document` of this document made
-/// 6.6 (Oracle 9) and 7.9 (Oracle 8) allocations per element; now 0.14 and
-/// 0.35 (Oracle 8 builds a multimap per inverted child table).
+/// 6.6 (Oracle 9) and 7.9 (Oracle 8) allocations per element; then 0.14
+/// and 0.35 (Oracle 8 builds a multimap per inverted child table); now
+/// 0.13 and 0.20, the multimap chaining its slots instead of holding a
+/// `Vec` per key.
 #[test]
 fn retrieving_a_document_allocates_per_document_not_per_element() {
     let config = UniversityConfig { students: 50, ..Default::default() };
@@ -162,5 +164,53 @@ fn retrieving_a_document_allocates_per_document_not_per_element() {
             "{mode:?}: retrieve_document made {retrieve} allocations for {elements} elements"
         );
         eprintln!("{mode:?}: retrieve {:.2} allocations per element", per_element(retrieve));
+    }
+}
+
+/// What rebuilding the same document from each baseline mapping allocates
+/// (`Handle::reconstruct`, which builds a DOM): the nodes, attribute values
+/// and texts of the tree, plus per call the plan, the readers and their
+/// multimaps — not a name, a copied value, a slot list or a cloned table
+/// description per node or per lookup. Walking per node with those made
+/// 7.96 / 8.47 / 7.74 / 5.58 allocations per element (rel / edge / attr /
+/// inline); through one plan per call and the shared event walk, 2.01 /
+/// 1.99 / 2.18 / 2.05.
+#[test]
+fn reconstructing_a_baseline_allocates_for_its_nodes_not_per_lookup() {
+    use xml2ordb::model::MappingOptions;
+    use xml2ordb::strategy::setup;
+    use xmlord_dtd::{parse_dtd, MappingStrategy};
+    use xmlord_xml::serializer::{serialize, SerializeOptions};
+
+    let config = UniversityConfig { students: 50, ..Default::default() };
+    let xml = university_xml(&config);
+    let elements = config.element_count();
+    assert_eq!(elements, 952);
+    let per_element = |allocations: usize| allocations as f64 / elements as f64;
+    let dtd = parse_dtd(university_dtd()).unwrap();
+    let doc = xmlord_xml::parse_with_catalog(&xml, dtd.entity_catalog()).unwrap();
+    let expect = serialize(&doc, &SerializeOptions::compact());
+
+    for (strategy, bound) in [
+        (MappingStrategy::Relational, 3.0),
+        (MappingStrategy::Edge, 3.0),
+        (MappingStrategy::AttributeTables, 3.0),
+        (MappingStrategy::Inline, 3.0),
+    ] {
+        let mut handle =
+            setup(strategy, &dtd, "University", &MappingOptions::default()).unwrap();
+        handle.load(&doc).unwrap();
+        let (restored, reconstruct) = counted(|| handle.reconstruct(true));
+        assert_eq!(serialize(&restored.unwrap(), &SerializeOptions::compact()), expect);
+        eprintln!(
+            "{}: reconstruct {:.2} allocations per element",
+            strategy.label(),
+            per_element(reconstruct)
+        );
+        assert!(
+            per_element(reconstruct) <= bound,
+            "{}: reconstruct made {reconstruct} allocations for {elements} elements",
+            strategy.label()
+        );
     }
 }

@@ -287,12 +287,12 @@ fn writer_matches_serialized_dom_with_idrefs() {
 
 /// Mixed content and markup characters. On Oracle 8 the `sec-tion` and
 /// `para` children are stored inverted, so the walk restores content-model
-/// order before it writes: `sec-tion` comes back as `sec_tion`, a name the
-/// content model does not list, which keeps its slot while the listed
-/// names around it move. The element's own text cannot sit between its
-/// inverted children: the mapping stores it in one text field, which the
-/// walk meets before every child field and inverted row, and text has no
-/// content-model position — so it keeps the first slot on every path.
+/// order before it writes: `sec-tion` comes back under its XML name, which
+/// the content model lists, so it moves with `para` and `fig`. The
+/// element's own text cannot sit between its inverted children: the
+/// mapping stores it in one text field, which the walk meets before every
+/// child field and inverted row, and text has no content-model position —
+/// so it keeps the first slot on every path.
 #[test]
 fn writer_matches_serialized_dom_with_mixed_content_and_escapes() {
     let dtd = r#"<!ELEMENT article (#PCDATA|sec-tion|para|fig)*>
@@ -308,6 +308,50 @@ fn writer_matches_serialized_dom_with_mixed_content_and_escapes() {
     for text in &texts {
         assert!(text.contains("label=\"a&amp;b &lt;c&gt; &quot;d&quot;\""), "{text}");
         assert!(text.contains("1 &lt; 2 &amp;&amp; 3 &gt; 2"), "{text}");
-        assert!(text.contains("<sec_tion"), "{text}");
+        assert!(text.contains("<sec-tion"), "{text}");
+    }
+}
+
+/// A name that is not an SQL identifier (`sec-tion`) comes back under its
+/// XML name, not its sanitized table or type name, on or9, or8 and rel.
+#[test]
+fn element_names_that_are_not_sql_identifiers_round_trip() {
+    let dtd = "<!ELEMENT r (sec-tion*)>\n<!ELEMENT sec-tion (para*)>\n<!ELEMENT para (#PCDATA)>";
+    let xml = "<r><sec-tion><para>s1</para></sec-tion></r>";
+    for text in check_both_modes("sec-tion", dtd, "r", xml, &IdrefTargets::new()) {
+        assert_eq!(canonical(&text), canonical(xml), "{text}");
+    }
+    let parsed = parse_dtd(dtd).unwrap();
+    let mut handle =
+        setup(MappingStrategy::Relational, &parsed, "r", &MappingOptions::default()).unwrap();
+    handle.load(&xmlord_xml::parse(xml).unwrap()).unwrap();
+    for bulk in [false, true] {
+        let restored = handle.reconstruct(bulk).unwrap();
+        assert_eq!(serialize(&restored, &SerializeOptions::compact()), canonical(xml), "rel bulk={bulk}");
+    }
+}
+
+/// A `#REQUIRED` IDREF whose target is resolved is stored as a REF that the
+/// loader sets after every row exists, so a team may name a person the
+/// document declares later; its column is nullable, and DTD validation is
+/// what still rejects a team without a lead.
+#[test]
+fn a_required_idref_stores_and_round_trips_with_a_forward_reference() {
+    let dtd = r#"<!ELEMENT db (team*, person*)>
+<!ELEMENT team (#PCDATA)>
+<!ATTLIST team lead IDREF #REQUIRED>
+<!ELEMENT person (#PCDATA)>
+<!ATTLIST person id ID #REQUIRED>"#;
+    let xml = r#"<db><team lead="p2">DB</team><team lead="p1">OS</team><person id="p1">Kudrass</person><person id="p2">Conrad</person></db>"#;
+    let mut targets = IdrefTargets::new();
+    targets.insert(("team".into(), "lead".into()), "person".into());
+    for text in check_both_modes("required idref", dtd, "db", xml, &targets) {
+        assert_eq!(canonical(&text), canonical(xml), "{text}");
+    }
+    for mode in [DbMode::Oracle9, DbMode::Oracle8] {
+        let mut sys = Xml2OrDb::new(mode);
+        sys.register_dtd_with_idrefs("t", dtd, "db", &targets).unwrap();
+        let missing = sys.store_document("t", "<db><team>DB</team></db>");
+        assert!(missing.is_err(), "{mode:?}: a team without a lead was stored");
     }
 }

@@ -1,5 +1,6 @@
 //! In-memory row storage with an indexed OID directory for row objects.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
@@ -156,112 +157,220 @@ pub fn key_index_name(table: &Ident, ordinal: usize) -> Ident {
     Ident::internal(&format!("\"{}\"#{ordinal}", table.key()))
 }
 
-/// One table opened for equality lookups on one key column — the access
-/// path every document reconstructor runs on ([`Storage::keyed_reader`]).
+/// Tables opened for equality lookups on one key column — the access path
+/// every document reconstructor runs on ([`Storage::keyed_reader`] for one
+/// table, [`Storage::keyed_reader_over`] for several that share the key
+/// column's position). A lookup ([`KeyedReader::lookup`]) yields `(table,
+/// slot)` pairs in table order, then heap order.
 ///
-/// How [`KeyedReader::slots`] answers is decided once, at open (the storage
-/// borrow pins the table, so the decision cannot go stale):
+/// How a lookup is answered is decided once, at open (the storage borrow
+/// pins the tables, so the decision cannot go stale):
 ///
-/// 1. a fresh [`SecondaryIndex`] on exactly the key column is probed;
-/// 2. otherwise one pass over the heap, on the first lookup, builds a
-///    key-hash → slots multimap that serves every later lookup;
-/// 3. with `bulk == false` every lookup scans the heap — the quadratic
+/// 1. when every table has a fresh [`SecondaryIndex`] on exactly the key
+///    column, each table's index is probed;
+/// 2. otherwise one pass over each heap, on the first lookup, builds one
+///    key-hash → `(table, slot)` multimap that serves every later lookup;
+/// 3. with `bulk == false` every lookup scans every heap — the quadratic
 ///    reference the differential suites diff the other two against.
 ///
-/// All three enumerate slots ascending. Index buckets and the multimap are
+/// All three enumerate the same order. Index buckets and the multimap are
 /// [`key_hash`] prefilters, so every candidate is re-verified with
 /// [`Value::sql_eq`]; a NULL key (stored or asked for) never matches.
-/// [`KeyedReader::first_slot`] is the same lookup for a reader that will
-/// ask once: it never builds the multimap.
+/// [`KeyedReader::first_slot`] is the same lookup for a one-table reader
+/// that will ask once: it never builds the multimap.
 #[derive(Debug)]
 pub struct KeyedReader<'a> {
-    rows: &'a [Row],
+    tables: Vec<&'a [Row]>,
     key_col: usize,
     access: KeyedAccess<'a>,
-    /// Full passes over the heap: one per lookup when scanning, one for
-    /// the multimap build.
+    /// Full passes over a heap: one per table and lookup when scanning,
+    /// one per table for the multimap build.
     pub table_scans: u64,
-    /// Lookups answered by the secondary index.
+    /// Index probes: one per table and lookup.
     pub index_probes: u64,
 }
 
 #[derive(Debug)]
 enum KeyedAccess<'a> {
-    Index(&'a SecondaryIndex),
-    Multimap(Option<SlotBuckets>),
+    /// One fresh index per table, in table order.
+    Index(Vec<&'a SecondaryIndex>),
+    Multimap(Option<Multimap>),
     Scan,
 }
 
+/// [`key_hash`] → a chain of `(table, slot)` links in table order, then
+/// heap order: no allocation per key.
+#[derive(Debug, Default)]
+struct Multimap {
+    /// First and last link of each key's chain.
+    chains: HashMap<u64, (u32, u32), BuildHasherDefault<KeyHashPassThrough>>,
+    links: Vec<Link>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    table: u32,
+    slot: u32,
+    /// The next link of the same key; [`Link::END`] ends the chain.
+    next: u32,
+}
+
+impl Link {
+    const END: u32 = u32::MAX;
+}
+
+impl Multimap {
+    /// One pass per table; links arrive in table order, then ascending
+    /// slot, so appending to each chain keeps the lookup order.
+    fn build(tables: &[&[Row]], key_col: usize) -> Multimap {
+        let mut map = Multimap::default();
+        for (table, rows) in tables.iter().enumerate() {
+            for (slot, row) in rows.iter().enumerate() {
+                let Some(h) = row.values.get(key_col).and_then(|v| key_hash([v])) else {
+                    continue;
+                };
+                let at = u32::try_from(map.links.len()).expect("under 2^32 keyed rows");
+                let link = Link {
+                    table: u32::try_from(table).expect("under 2^32 tables"),
+                    slot: u32::try_from(slot).expect("under 2^32 rows per table"),
+                    next: Link::END,
+                };
+                map.links.push(link);
+                match map.chains.entry(h) {
+                    Entry::Occupied(mut chain) => {
+                        let (_, last) = chain.get_mut();
+                        map.links[*last as usize].next = at;
+                        *last = at;
+                    }
+                    Entry::Vacant(chain) => {
+                        chain.insert((at, at));
+                    }
+                }
+            }
+        }
+        map
+    }
+
+    fn chain(&self, hash: Option<u64>) -> Chain<'_> {
+        let at = hash.and_then(|h| self.chains.get(&h)).map_or(Link::END, |&(first, _)| first);
+        Chain { links: &self.links, at }
+    }
+}
+
+/// One key's links, followed from the first.
+struct Chain<'m> {
+    links: &'m [Link],
+    at: u32,
+}
+
+impl Iterator for Chain<'_> {
+    type Item = (usize, usize);
+
+    fn next(&mut self) -> Option<(usize, usize)> {
+        let link = self.links.get(self.at as usize)?;
+        self.at = link.next;
+        Some((link.table as usize, link.slot as usize))
+    }
+}
+
+/// The candidates of one lookup, before the [`Value::sql_eq`] re-check.
+enum Candidates<B, C, H> {
+    Buckets(B),
+    Chain(C),
+    Heaps(H),
+}
+
+impl<B, C, H> Iterator for Candidates<B, C, H>
+where
+    B: Iterator<Item = (usize, usize)>,
+    C: Iterator<Item = (usize, usize)>,
+    H: Iterator<Item = (usize, usize)>,
+{
+    type Item = (usize, usize);
+
+    fn next(&mut self) -> Option<(usize, usize)> {
+        match self {
+            Candidates::Buckets(it) => it.next(),
+            Candidates::Chain(it) => it.next(),
+            Candidates::Heaps(it) => it.next(),
+        }
+    }
+}
+
 impl<'a> KeyedReader<'a> {
-    /// The table's rows; the slots [`KeyedReader::slots`] returns index
-    /// into this.
+    /// The rows of a one-table reader; the slots
+    /// [`KeyedReader::each_slot`] yields index into this.
     pub fn rows(&self) -> &'a [Row] {
-        self.rows
+        self.table_rows(0)
     }
 
-    /// Slots of the rows whose key column equals `key`, in heap order.
-    pub fn slots(&mut self, key: &Value) -> Vec<usize> {
-        self.each_slot(key).collect()
+    /// The rows of the `table`-th table the reader was opened over.
+    pub fn table_rows(&self, table: usize) -> &'a [Row] {
+        self.tables[table]
     }
 
-    /// [`KeyedReader::slots`], one at a time instead of collected.
-    pub fn each_slot<'k>(&'k mut self, key: &'k Value) -> impl Iterator<Item = usize> + 'k {
+    /// `(table, slot)` of the rows whose key column equals `key`: table
+    /// order, then heap order.
+    pub fn lookup<'k>(&'k mut self, key: &'k Value) -> impl Iterator<Item = (usize, usize)> + 'k {
         self.matching(key, true)
     }
 
-    /// The first of [`KeyedReader::slots`] — for a reader opened to answer
-    /// one lookup (a document's root row, its metadata row). Without an
-    /// index or an already-built multimap this is one pass that stops at
-    /// the first match, instead of a multimap built for a single probe.
+    /// The slots of [`KeyedReader::lookup`] on a one-table reader.
+    pub fn each_slot<'k>(&'k mut self, key: &'k Value) -> impl Iterator<Item = usize> + 'k {
+        debug_assert_eq!(self.tables.len(), 1, "each_slot on a multi-table reader");
+        self.matching(key, true).map(|(_, slot)| slot)
+    }
+
+    /// The first of [`KeyedReader::each_slot`] — for a one-table reader
+    /// opened to answer one lookup (a document's root row, its metadata
+    /// row). Without an index or an already-built multimap this is one pass
+    /// that stops at the first match, instead of a multimap built for a
+    /// single probe.
     pub fn first_slot(&mut self, key: &Value) -> Option<usize> {
-        self.matching(key, false).next()
+        debug_assert_eq!(self.tables.len(), 1, "first_slot on a multi-table reader");
+        self.matching(key, false).next().map(|(_, slot)| slot)
     }
 
-    /// The matching slots, lazily and ascending: the candidates — one
-    /// bucket of the prefilter, or without one the whole heap — re-verified
-    /// with [`Value::sql_eq`].
-    fn matching<'k>(&'k mut self, key: &'k Value, build: bool) -> impl Iterator<Item = usize> + 'k {
-        let (rows, key_col) = (self.rows, self.key_col);
-        let (heap, bucket): (_, &[usize]) = match self.buckets(build) {
-            None => (0..rows.len(), &[]),
-            Some(buckets) => {
-                (0..0, key_hash([key]).and_then(|h| buckets.get(&h)).map_or(&[], Vec::as_slice))
-            }
-        };
-        heap.chain(bucket.iter().copied()).filter(move |&slot| {
-            rows[slot].values.get(key_col).and_then(|v| v.sql_eq(key)) == Some(true)
-        })
-    }
-
-    /// The prefilter a lookup goes through, counting the access: the
-    /// index's buckets, or the multimap — built on first use when `build`.
-    /// `None` means the caller passes over the heap itself.
-    fn buckets(&mut self, build: bool) -> Option<&SlotBuckets> {
-        let (rows, key_col) = (self.rows, self.key_col);
-        match &mut self.access {
-            KeyedAccess::Index(index) => {
-                self.index_probes += 1;
-                Some(&index.buckets)
-            }
-            KeyedAccess::Multimap(map) if build || map.is_some() => {
-                Some(&*map.get_or_insert_with(|| {
-                    self.table_scans += 1;
-                    let mut map = SlotBuckets::default();
-                    for (slot, row) in rows.iter().enumerate() {
-                        if let Some(h) = row.values.get(key_col).and_then(|v| key_hash([v])) {
-                            // Slots arrive ascending, so plain pushes keep each
-                            // bucket in heap order — same enumeration as a scan.
-                            map.entry(h).or_default().push(slot);
-                        }
-                    }
-                    map
+    /// The matching `(table, slot)` pairs, lazily and in lookup order: the
+    /// candidates — index buckets, the multimap's chain, or without either
+    /// every heap — re-verified with [`Value::sql_eq`]. Counts the access;
+    /// the multimap is built on first use when `build`.
+    fn matching<'k>(
+        &'k mut self,
+        key: &'k Value,
+        build: bool,
+    ) -> impl Iterator<Item = (usize, usize)> + 'k {
+        let KeyedReader { tables, key_col, access, table_scans, index_probes } = self;
+        let (tables, key_col) = (tables.as_slice(), *key_col);
+        let hash = key_hash([key]);
+        let candidates = match access {
+            KeyedAccess::Index(indexes) => {
+                *index_probes += indexes.len() as u64;
+                Candidates::Buckets(indexes.iter().enumerate().flat_map(move |(table, index)| {
+                    let bucket = hash.and_then(|h| index.buckets.get(&h));
+                    bucket.map_or(&[][..], Vec::as_slice).iter().map(move |&slot| (table, slot))
                 }))
             }
-            KeyedAccess::Multimap(_) | KeyedAccess::Scan => {
-                self.table_scans += 1;
-                None
+            KeyedAccess::Multimap(map) if build || map.is_some() => {
+                let map = map.get_or_insert_with(|| {
+                    *table_scans += tables.len() as u64;
+                    Multimap::build(tables, key_col)
+                });
+                Candidates::Chain(map.chain(hash))
             }
-        }
+            KeyedAccess::Multimap(_) | KeyedAccess::Scan => {
+                *table_scans += tables.len() as u64;
+                Candidates::Heaps(
+                    tables
+                        .iter()
+                        .enumerate()
+                        .flat_map(|(table, rows)| (0..rows.len()).map(move |slot| (table, slot))),
+                )
+            }
+        };
+        candidates.filter(move |&(table, slot)| {
+            tables[table][slot].values.get(key_col).and_then(|v| v.sql_eq(key)) == Some(true)
+        })
     }
 }
 
@@ -1113,17 +1222,37 @@ impl Storage {
     /// see [`KeyedReader`] for how lookups are answered. `None` when the
     /// table does not exist.
     pub fn keyed_reader(&self, table: &Ident, key_col: usize, bulk: bool) -> Option<KeyedReader<'_>> {
-        let data = self.tables.get(table)?;
-        let access = if !bulk {
-            KeyedAccess::Scan
-        } else {
-            let fresh = self.find_fresh_index(table, &[key_col]);
-            match fresh.and_then(|name| self.indexes.get(name)) {
-                Some(index) => KeyedAccess::Index(index),
-                None => KeyedAccess::Multimap(None),
-            }
+        self.keyed_reader_over(std::slice::from_ref(table), key_col, bulk)
+    }
+
+    /// Open `tables`, in this order, for equality lookups on column position
+    /// `key_col` of each — one reader whose lookup spans them all. `None`
+    /// when a table does not exist.
+    pub fn keyed_reader_over(
+        &self,
+        tables: &[Ident],
+        key_col: usize,
+        bulk: bool,
+    ) -> Option<KeyedReader<'_>> {
+        let heaps = tables
+            .iter()
+            .map(|table| Some(self.tables.get(table)?.rows.as_slice()))
+            .collect::<Option<Vec<_>>>()?;
+        let indexes = bulk.then(|| {
+            tables
+                .iter()
+                .map(|table| {
+                    let name = self.find_fresh_index(table, &[key_col])?;
+                    self.indexes.get(name)
+                })
+                .collect::<Option<Vec<_>>>()
+        });
+        let access = match indexes {
+            None => KeyedAccess::Scan,
+            Some(Some(indexes)) => KeyedAccess::Index(indexes),
+            Some(None) => KeyedAccess::Multimap(None),
         };
-        Some(KeyedReader { rows: &data.rows, key_col, access, table_scans: 0, index_probes: 0 })
+        Some(KeyedReader { tables: heaps, key_col, access, table_scans: 0, index_probes: 0 })
     }
 
     /// Drain the maintenance-operation counter (key insertions/removals and

@@ -141,23 +141,6 @@ impl Document {
         }
     }
 
-    /// Replace an element's child list with a permutation of itself —
-    /// used by consumers that must restore a canonical child order.
-    /// Panics if `new_children` is not a permutation of the current list.
-    pub fn replace_children(&mut self, parent: NodeId, new_children: Vec<NodeId>) {
-        match &mut self.nodes[parent.index()].kind {
-            NodeKind::Element(el) => {
-                let mut a = el.children.clone();
-                let mut b = new_children.clone();
-                a.sort();
-                b.sort();
-                assert_eq!(a, b, "replace_children requires a permutation");
-                el.children = new_children;
-            }
-            other => panic!("cannot replace children of a non-element node: {other:?}"),
-        }
-    }
-
     /// Set (or replace) an attribute on an element node.
     pub fn set_attribute(&mut self, element: NodeId, name: QName, value: &str) {
         match &mut self.nodes[element.index()].kind {

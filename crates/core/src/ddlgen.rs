@@ -8,6 +8,7 @@
 
 use crate::error::MappingError;
 use crate::model::{CollectionStyle, ElementMapping, MappedSchema};
+use crate::naming::{NameGenerator, NameKind};
 
 /// Render the complete CREATE script: forward declarations first (§6.2),
 /// then attribute-list types, object types and collection types bottom-up,
@@ -123,7 +124,9 @@ fn push_attr_list_type(
                     .elements
                     .get(target)
                     .and_then(|m| m.object_type.clone())
-                    .unwrap_or_else(|| format!("Type_{target}"));
+                    .unwrap_or_else(|| {
+                        NameGenerator::new().conventional(NameKind::ObjectType, target, false)
+                    });
                 format!("REF {target_type}")
             }
             None => field.scalar_type.sql_text(),

@@ -52,7 +52,6 @@ pub mod loader;
 pub mod maplint;
 pub mod metadata;
 pub mod model;
-pub mod naming;
 pub mod pathquery;
 pub mod pipeline;
 pub mod retriever;
@@ -60,6 +59,9 @@ pub mod roundtrip;
 pub mod schemagen;
 pub mod strategy;
 pub mod views;
+
+/// The Table 1 naming rules, shared with the relational baselines.
+pub use xmlord_shred::naming;
 
 pub use error::MappingError;
 pub use loader::{load_ops, load_script, plan_batches, LoadOp, LoadUnit};

@@ -353,7 +353,7 @@ impl<'a> Loader<'a> {
                 Ok(self.constructor(&attr_list.type_name, args))
             }
             FieldSource::ChildElement(child_name) => {
-                let children = doc.child_elements_named(node, child_name);
+                let children = doc.child_elements_tagged(node, child_name);
                 self.child_field_expr(&children, field)
             }
             FieldSource::SyntheticId | FieldSource::ParentRef(_) => {

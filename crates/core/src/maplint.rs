@@ -86,13 +86,13 @@ fn is_ident_char(c: char) -> bool {
 /// |------|---------|----------|
 /// | `MAP010 duplicate-global-name` | two generated global names collide (case-insensitive) | Error |
 /// | `MAP011 illegal-identifier` | a generated name is reserved/over-long/illegal | Error |
-/// | `MAP012 duplicate-field-name` | duplicate attribute inside one object type | Warning |
+/// | `MAP012 duplicate-field-name` | duplicate attribute inside one object type | Error |
 /// | `MAP020 attrlist-mismatch` | attrList field without mapping (Error: unknown type in DDL) or mapping without field (Warning: attributes silently dropped) | Error/Warning |
 /// | `MAP021 ref-unknown-target` | REF column targets a type no element provides | Error |
 /// | `MAP030 unenforced-not-null` | §4.3: NOT NULL inexpressible for inner attributes | Warning |
 /// | `MAP031 varchar-capacity` | hinted VARCHAR narrower than the default — loads can overflow | Warning |
 /// | `MAP032 order-loss` | nested-table collections do not preserve document order | Warning |
-/// | `MAP033 name-mangled` | XML name sanitized: distinct XML names can collide | Warning |
+/// | `MAP033 name-mangled` | XML name sanitized: generated names differ from it | Warning |
 pub fn lint_schema(schema: &MappedSchema) -> Result<MapLintReport, MappingError> {
     let script = create_script(schema)?;
     let mut diags: Vec<Diagnostic> = Vec::new();
@@ -154,9 +154,9 @@ pub fn lint_schema(schema: &MappedSchema) -> Result<MapLintReport, MappingError>
         for f in &m.fields {
             if let Some(other) = seen.insert(f.db_name.to_uppercase(), f.db_name.clone()) {
                 diags.push(Diagnostic {
-                    severity: Severity::Warning,
+                    severity: Severity::Error,
                     code: "MAP012",
-                    message: format!("object type of <{element}> declares attribute '{}' twice (also as '{other}'): the engine accepts the DDL but lookups resolve to one of them arbitrarily", f.db_name),
+                    message: format!("object type of <{element}> declares attribute '{}' twice (also as '{other}'): the engine rejects the DDL with DuplicateColumn", f.db_name),
                     span: anchor(&script, &f.db_name),
                 });
             }
@@ -243,7 +243,7 @@ pub fn lint_schema(schema: &MappedSchema) -> Result<MapLintReport, MappingError>
             }
         }
 
-        // ---- MAP033: sanitized names can collide across XML names.
+        // ---- MAP033: generated names of a sanitized XML name differ from it.
         if naming::sanitize(element) != *element {
             let display = m
                 .object_type
@@ -253,7 +253,7 @@ pub fn lint_schema(schema: &MappedSchema) -> Result<MapLintReport, MappingError>
             diags.push(Diagnostic {
                 severity: Severity::Warning,
                 code: "MAP033",
-                message: format!("XML name '{element}' contains characters illegal in SQL identifiers; it is sanitized to '{}' in generated names — distinct XML names can sanitize to the same identifier (uniqueness is restored by numeric suffixes)", naming::sanitize(element)),
+                message: format!("XML name '{element}' contains characters illegal in SQL identifiers; it is sanitized to '{}' in generated names, which stay unique — a numeric suffix under or9/or8/rel/inline, a hash of the XML name under attr — so a name need not read as its XML name", naming::sanitize(element)),
                 span: anchor(&script, display),
             });
         }
@@ -436,6 +436,24 @@ mod tests {
         let script = create_script(&s).unwrap();
         let mut db = Database::new(DbMode::Oracle9);
         assert!(db.execute_script(&script).is_err());
+    }
+
+    #[test]
+    fn duplicate_field_name_is_an_error_and_the_ddl_fails() {
+        let mut s = schema();
+        let m = s.elements.get_mut("Student").unwrap();
+        let mut twin = m.fields[0].clone();
+        twin.db_name = twin.db_name.to_uppercase();
+        m.fields.push(twin);
+        let report = lint_schema(&s).unwrap();
+        let map012 = report.diagnostics.iter().find(|d| d.code == "MAP012");
+        assert_eq!(map012.map(|d| d.severity), Some(Severity::Error), "{}", report.render("s.sql"));
+        let script = create_script(&s).unwrap();
+        let mut db = Database::new(DbMode::Oracle9);
+        assert!(matches!(
+            db.execute_script(&script),
+            Err(xmlord_ordb::DbError::DuplicateColumn { .. })
+        ));
     }
 
     /// A `#REQUIRED` IDREF with a resolved target is a REF column the

@@ -25,7 +25,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use xmlord_dtd::ast::{ContentParticle, ContentSpec, Dtd};
+use xmlord_dtd::ast::{ChildCardinality, ContentSpec, Dtd};
 use xmlord_dtd::graph::ElementGraph;
 use xmlord_ordb::DbMode;
 
@@ -42,13 +42,6 @@ use crate::naming::{NameGenerator, NameKind};
 /// captured from the DTD, rather from the XML document").
 pub type IdrefTargets = BTreeMap<(String, String), String>;
 
-/// Aggregated occurrence of a child name within one content model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChildCardinality {
-    pub set_valued: bool,
-    pub optional: bool,
-}
-
 /// Generate the object-relational schema for `dtd` rooted at `root`.
 pub fn generate_schema(
     dtd: &Dtd,
@@ -63,7 +56,7 @@ pub fn generate_schema(
     let graph = ElementGraph::build(dtd);
 
     // Reachable elements (we only map what the document type can contain).
-    let reachable = reachable_from(&graph, root);
+    let reachable = graph.reachable_from(root);
     for element in &reachable {
         if dtd.element(element).is_none() {
             return Err(MappingError::UndeclaredElement(element.clone()));
@@ -74,7 +67,7 @@ pub fn generate_schema(
     let mut cardinalities: BTreeMap<(String, String), ChildCardinality> = BTreeMap::new();
     for parent in &reachable {
         let decl = dtd.element(parent).unwrap();
-        for (child, card) in child_cardinalities(&decl.content) {
+        for (child, card) in decl.content.child_cardinalities() {
             cardinalities.insert((parent.clone(), child), card);
         }
     }
@@ -277,80 +270,6 @@ fn element_has_object_type(
     decl.content.is_complex() || !dtd.attributes_of(element).is_empty()
 }
 
-fn reachable_from(graph: &ElementGraph, root: &str) -> BTreeSet<String> {
-    let mut seen: BTreeSet<String> = BTreeSet::new();
-    let mut stack = vec![root.to_string()];
-    while let Some(cur) = stack.pop() {
-        if seen.insert(cur.clone()) {
-            for child in graph.children_of(&cur) {
-                stack.push(child.clone());
-            }
-        }
-    }
-    seen
-}
-
-/// Merge every mention of each child name in a content model into one
-/// aggregated cardinality: a name mentioned twice (or under `*`/`+`) is
-/// set-valued; a name is optional only if *every* way the model can be
-/// satisfied may omit… conservatively: if all its mentions are optional.
-pub fn child_cardinalities(content: &ContentSpec) -> Vec<(String, ChildCardinality)> {
-    let mut mentions: Vec<(String, ChildCardinality)> = Vec::new();
-    match content {
-        ContentSpec::Children(cp) => collect_mentions(cp, false, false, &mut mentions),
-        ContentSpec::Mixed(names) => {
-            for name in names {
-                mentions
-                    .push((name.clone(), ChildCardinality { set_valued: true, optional: true }));
-            }
-        }
-        _ => {}
-    }
-    let mut merged: Vec<(String, ChildCardinality)> = Vec::new();
-    for (name, card) in mentions {
-        match merged.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, existing)) => {
-                // Second mention ⇒ can occur more than once.
-                existing.set_valued = true;
-                existing.optional = existing.optional && card.optional;
-            }
-            None => merged.push((name, card)),
-        }
-    }
-    merged
-}
-
-fn collect_mentions(
-    cp: &ContentParticle,
-    outer_set: bool,
-    outer_opt: bool,
-    out: &mut Vec<(String, ChildCardinality)>,
-) {
-    match cp {
-        ContentParticle::Name(name, occ) => out.push((
-            name.clone(),
-            ChildCardinality {
-                set_valued: outer_set || occ.is_set_valued(),
-                optional: outer_opt || occ.is_optional(),
-            },
-        )),
-        ContentParticle::Seq(children, occ) => {
-            let set = outer_set || occ.is_set_valued();
-            let opt = outer_opt || occ.is_optional();
-            for child in children {
-                collect_mentions(child, set, opt, out);
-            }
-        }
-        ContentParticle::Choice(children, occ) => {
-            let set = outer_set || occ.is_set_valued();
-            // Members of a choice are individually optional.
-            for child in children {
-                collect_mentions(child, set, true, out);
-            }
-        }
-    }
-}
-
 /// Scalar type of an element's text: XML Schema hint, else the configured
 /// default. In Oracle 8 mode CLOB never lands inside a collection ("the
 /// element type must not be … a large object type", §2.2), so collection
@@ -428,7 +347,7 @@ fn build_element_mapping(
         let db_name = names.scoped(NameKind::AttrFromAttribute, &def.name, &mut scope);
         let idref_target = resolve_idref_target(options, idref_targets, element, &def.name);
         let kind = match &idref_target {
-            Some(target) => FieldKind::Ref(type_name_of(assigned, target)),
+            Some(target) => FieldKind::Ref(type_name_of(assigned, names, target)),
             None => FieldKind::Scalar(scalar_for_attribute(options, element, &def.name)),
         };
         fields.push(FieldMapping {
@@ -549,7 +468,7 @@ fn build_element_mapping(
         fields.push(FieldMapping {
             db_name,
             source: FieldSource::ParentRef(parent.clone()),
-            kind: FieldKind::Ref(type_name_of(assigned, parent)),
+            kind: FieldKind::Ref(type_name_of(assigned, names, parent)),
             set_valued: false,
             optional: true,
         });
@@ -601,11 +520,18 @@ fn build_element_mapping(
     })
 }
 
-fn type_name_of(assigned: &BTreeMap<String, AssignedNames>, element: &str) -> String {
+/// The object type of `element`; for an element that has none (an IDREF
+/// target outside the mapping) its conventional name, which the catalog
+/// then reports as an unknown type.
+fn type_name_of(
+    assigned: &BTreeMap<String, AssignedNames>,
+    names: &NameGenerator,
+    element: &str,
+) -> String {
     assigned
         .get(element)
         .and_then(|a| a.object_type.clone())
-        .unwrap_or_else(|| format!("Type_{element}"))
+        .unwrap_or_else(|| names.conventional(NameKind::ObjectType, element, true))
 }
 
 fn resolve_idref_target(
@@ -809,7 +735,7 @@ mod tests {
     fn cardinality_merging_rules() {
         let dtd =
             parse_dtd("<!ELEMENT r (a,b?,a)><!ELEMENT a (#PCDATA)><!ELEMENT b (#PCDATA)>").unwrap();
-        let cards = child_cardinalities(&dtd.element("r").unwrap().content);
+        let cards = dtd.element("r").unwrap().content.child_cardinalities();
         let a = cards.iter().find(|(n, _)| n == "a").unwrap().1;
         assert!(a.set_valued, "mentioned twice ⇒ can repeat");
         assert!(!a.optional, "both mentions mandatory");
@@ -821,7 +747,7 @@ mod tests {
     fn choice_members_are_optional() {
         let dtd =
             parse_dtd("<!ELEMENT r (a|b)><!ELEMENT a (#PCDATA)><!ELEMENT b (#PCDATA)>").unwrap();
-        let cards = child_cardinalities(&dtd.element("r").unwrap().content);
+        let cards = dtd.element("r").unwrap().content.child_cardinalities();
         assert!(cards.iter().all(|(_, c)| c.optional && !c.set_valued));
     }
 

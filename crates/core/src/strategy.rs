@@ -160,7 +160,7 @@ impl Handle {
                 };
                 translate(schema, &query)?.sql
             }
-            Schema::Relational(_, rel) => views::relational_path_query(rel, steps, predicate),
+            Schema::Relational(_, rel) => views::relational_path_query(rel, steps, predicate)?,
             Schema::Edge => edge::path_query(&self.root, steps, predicate),
             Schema::AttributeTables => attrtab::path_query(&self.root, steps, predicate),
             Schema::Inline(schema) => schema.path_query(steps, predicate)?,

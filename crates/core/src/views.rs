@@ -34,7 +34,11 @@ use xmlord_xml::{ContentSink, Document, DomBuilder, NodeId, QName};
 
 use crate::error::MappingError;
 use crate::model::{FieldKind, FieldSource, MappedSchema};
+use crate::naming::{scope_with, NameGenerator, NameKind};
 use crate::retriever::{content_model_order, element_qname};
+
+/// The parent key column of every table but the root's.
+const ID_PARENT: &str = "IDParent";
 
 /// Where a relational column's value comes from.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,6 +71,18 @@ pub struct RelationalSchema {
     pub root: String,
     /// Tables in parent-before-child order.
     pub tables: Vec<RelTable>,
+    /// The `OView_…` name of the object view over the tables.
+    pub view: String,
+}
+
+impl RelTable {
+    /// The column holding the value `source` names.
+    fn column(&self, source: &RelColumnSource) -> Result<&str, MappingError> {
+        let found = self.columns.iter().find(|(_, s)| s == source);
+        found.map(|(name, _)| name.as_str()).ok_or_else(|| {
+            MappingError::Unsupported(format!("relational table {} stores no {source:?}", self.name))
+        })
+    }
 }
 
 impl RelationalSchema {
@@ -81,8 +97,11 @@ impl RelationalSchema {
 
 /// Derive the relational shredding from the same [`MappedSchema`] the
 /// object view's types come from (ensuring field order matches the
-/// constructors).
+/// constructors). Names come from one [`NameGenerator`]: table names are
+/// unique across the schema, and each table's key and columns unique
+/// within it, next to its `IDParent`.
 pub fn relational_schema(schema: &MappedSchema) -> RelationalSchema {
+    let mut names = NameGenerator::new();
     let mut tables = Vec::new();
     // Parent-first order: reverse of the bottom-up creation order.
     for element in schema.creation_order.iter().rev() {
@@ -93,9 +112,9 @@ pub fn relational_schema(schema: &MappedSchema) -> RelationalSchema {
         let mut columns = Vec::new();
         for field in &mapping.fields {
             match (&field.source, &field.kind) {
-                (FieldSource::Text, _) => columns.push((field.db_name.clone(), RelColumnSource::Text)),
+                (FieldSource::Text, _) => columns.push(RelColumnSource::Text),
                 (FieldSource::XmlAttribute(a), _) => {
-                    columns.push((field.db_name.clone(), RelColumnSource::Attribute(a.clone())))
+                    columns.push(RelColumnSource::Attribute(a.clone()))
                 }
                 (FieldSource::AttrList, _) => {
                     // Infallible by construction: schemagen only emits an
@@ -104,52 +123,64 @@ pub fn relational_schema(schema: &MappedSchema) -> RelationalSchema {
                     // hand-built schemas.
                     let Some(attr_list) = mapping.attr_list.as_ref() else { continue };
                     for f in &attr_list.fields {
-                        columns.push((
-                            f.db_name.clone(),
-                            RelColumnSource::Attribute(f.xml_attribute.clone()),
-                        ));
+                        columns.push(RelColumnSource::Attribute(f.xml_attribute.clone()));
                     }
                 }
                 (FieldSource::ChildElement(c), FieldKind::Scalar(_)) => {
-                    columns.push((field.db_name.clone(), RelColumnSource::SimpleChild(c.clone())))
+                    columns.push(RelColumnSource::SimpleChild(c.clone()))
                 }
                 _ => {} // complex / set-valued children live in their own tables
             }
         }
-        tables.push(RelTable {
-            element: element.clone(),
-            name: format!("Rel{}", crate::naming::sanitize(element)),
-            id_column: format!("ID{}", crate::naming::sanitize(element)),
-            parent_column: if element == &schema.root_element {
-                None
-            } else {
-                Some("IDParent".to_string())
-            },
-            columns,
-            is_leaf_list: false,
-        });
+        let is_root = element == &schema.root_element;
+        tables.push(rel_table(&mut names, element, is_root, columns, false));
         // Set-valued simple children get list tables.
         for field in &mapping.fields {
             if let (FieldSource::ChildElement(c), FieldKind::ScalarCollection(_)) =
                 (&field.source, &field.kind)
             {
                 if !tables.iter().any(|t: &RelTable| t.element == *c && t.is_leaf_list) {
-                    tables.push(RelTable {
-                        element: c.clone(),
-                        name: format!("Rel{}", crate::naming::sanitize(c)),
-                        id_column: format!("ID{}", crate::naming::sanitize(c)),
-                        parent_column: Some("IDParent".to_string()),
-                        columns: vec![(
-                            format!("attr{}", crate::naming::sanitize(c)),
-                            RelColumnSource::Text,
-                        )],
-                        is_leaf_list: true,
-                    });
+                    tables.push(rel_table(&mut names, c, false, vec![RelColumnSource::Text], true));
                 }
             }
         }
     }
-    RelationalSchema { root: schema.root_element.clone(), tables }
+    let view = names.global(NameKind::ObjectView, &schema.root_element);
+    RelationalSchema { root: schema.root_element.clone(), tables, view }
+}
+
+/// One table of [`relational_schema`], its columns named after their
+/// sources: the element's text `attr<element>`, an attribute
+/// `attr<attribute>`, a simple child `attr<child>`.
+fn rel_table(
+    names: &mut NameGenerator,
+    element: &str,
+    is_root: bool,
+    sources: Vec<RelColumnSource>,
+    is_leaf_list: bool,
+) -> RelTable {
+    let parent_column = (!is_root).then(|| ID_PARENT.to_string());
+    let mut scope = scope_with(if is_root { &[] } else { &[ID_PARENT] });
+    let id_column = names.scoped(NameKind::IdAttr, element, &mut scope);
+    let columns = sources
+        .into_iter()
+        .map(|source| {
+            let (kind, xml_name) = match &source {
+                RelColumnSource::Text => (NameKind::AttrFromElement, element),
+                RelColumnSource::Attribute(a) => (NameKind::AttrFromAttribute, a.as_str()),
+                RelColumnSource::SimpleChild(c) => (NameKind::AttrFromElement, c.as_str()),
+            };
+            (names.scoped(kind, xml_name, &mut scope), source)
+        })
+        .collect();
+    RelTable {
+        element: element.to_string(),
+        name: names.global(NameKind::RelTable, element),
+        id_column,
+        parent_column,
+        columns,
+        is_leaf_list,
+    }
 }
 
 /// DDL for the relational schema.
@@ -215,7 +246,7 @@ fn shred(
                 RelColumnSource::Text => Some(crate::loader::direct_text(doc, node)),
                 RelColumnSource::Attribute(a) => doc.attribute(node, a).map(str::to_string),
                 RelColumnSource::SimpleChild(c) => doc
-                    .first_child_named(node, c)
+                    .first_child_tagged(node, c)
                     .map(|child| crate::loader::direct_text(doc, child)),
             };
             values.push(value.map(|v| q(&v)).unwrap_or_else(|| "NULL".into()));
@@ -267,11 +298,11 @@ pub fn relational_path_query(
     rel: &RelationalSchema,
     steps: &[&str],
     predicate: Option<(&[&str], &str)>,
-) -> String {
+) -> Result<String, MappingError> {
     let mut b = RelQueryBuilder { rel, from: Vec::new(), wheres: Vec::new(), next: 0 };
     let root_cursor = (b.join(&rel.root, None), rel.root.clone());
     let expr = match predicate {
-        None => b.descend(root_cursor, steps),
+        None => b.descend(root_cursor, steps)?,
         Some((path, value)) => {
             let shared = steps
                 .iter()
@@ -284,8 +315,8 @@ pub fn relational_path_query(
             for step in &steps[..shared] {
                 cursor = b.advance(cursor, step);
             }
-            let expr = b.descend(cursor.clone(), &steps[shared..]);
-            let pred_expr = b.descend(cursor, &path[shared..]);
+            let expr = b.descend(cursor.clone(), &steps[shared..])?;
+            let pred_expr = b.descend(cursor, &path[shared..])?;
             b.wheres.push(format!("{pred_expr} = '{}'", value.replace('\'', "''")));
             expr
         }
@@ -295,7 +326,7 @@ pub fn relational_path_query(
         sql.push_str(" WHERE ");
         sql.push_str(&b.wheres.join(" AND "));
     }
-    sql
+    Ok(sql)
 }
 
 /// FROM items and join conditions of one [`relational_path_query`]; a
@@ -327,7 +358,18 @@ impl RelQueryBuilder<'_> {
 
     fn join_parent(&mut self, alias: &str, (parent_alias, parent_element): &(String, String)) {
         let parent_table = self.rel.table_for(parent_element).expect("cursor has a table");
-        self.wheres.push(format!("{alias}.IDParent = {parent_alias}.{}", parent_table.id_column));
+        self.wheres.push(format!("{alias}.{ID_PARENT} = {parent_alias}.{}", parent_table.id_column));
+    }
+
+    /// `alias.column` for the column of the table under `cursor` holding
+    /// `source`.
+    fn column(
+        &self,
+        (alias, element): &(String, String),
+        source: RelColumnSource,
+    ) -> Result<String, MappingError> {
+        let table = self.rel.table_for(element).expect("cursor has a table");
+        Ok(format!("{alias}.{}", table.column(&source)?))
     }
 
     /// Advance one element step: a table step joins, an inlined step stays
@@ -340,10 +382,14 @@ impl RelQueryBuilder<'_> {
         }
     }
 
-    fn descend(&mut self, mut cursor: (String, String), steps: &[&str]) -> String {
+    fn descend(
+        &mut self,
+        mut cursor: (String, String),
+        steps: &[&str],
+    ) -> Result<String, MappingError> {
         for step in steps {
             if let Some(attr) = step.strip_prefix('@') {
-                return format!("{}.attr{attr}", cursor.0);
+                return self.column(&cursor, RelColumnSource::Attribute(attr.to_string()));
             }
             if self.rel.table_for(step).is_some() {
                 cursor = self.advance(cursor, step);
@@ -351,13 +397,13 @@ impl RelQueryBuilder<'_> {
                 let (table, column) = (list.name.clone(), list.columns[0].0.clone());
                 let alias = self.alias(&table);
                 self.join_parent(&alias, &cursor);
-                return format!("{alias}.{column}");
+                return Ok(format!("{alias}.{column}"));
             } else {
                 // Inlined simple child: a column on the current table.
-                return format!("{}.attr{step}", cursor.0);
+                return self.column(&cursor, RelColumnSource::SimpleChild(step.to_string()));
             }
         }
-        cursor.0
+        Ok(cursor.0)
     }
 }
 
@@ -373,9 +419,9 @@ pub fn object_view_script(
     })?;
     let alias = gen.fresh();
     let expr = gen.constructor(&schema.root_element, &alias)?;
-    let view_name = format!("OView_{}", crate::naming::sanitize(&schema.root_element));
     Ok(format!(
-        "CREATE VIEW {view_name} AS SELECT {expr} AS {} FROM {} {alias}",
+        "CREATE VIEW {} AS SELECT {expr} AS {} FROM {} {alias}",
+        rel.view,
         crate::naming::sanitize(&schema.root_element),
         root_table.name,
     ))
@@ -411,8 +457,12 @@ impl<'a> ViewGen<'a> {
         for field in &mapping.fields {
             match (&field.source, &field.kind) {
                 (FieldSource::SyntheticId, _) => args.push(format!("{alias}.{}", table.id_column)),
-                (FieldSource::Text, _) | (FieldSource::XmlAttribute(_), _) => {
-                    args.push(format!("{alias}.{}", field.db_name))
+                (FieldSource::Text, _) => {
+                    args.push(format!("{alias}.{}", table.column(&RelColumnSource::Text)?))
+                }
+                (FieldSource::XmlAttribute(a), _) => {
+                    let column = table.column(&RelColumnSource::Attribute(a.clone()))?;
+                    args.push(format!("{alias}.{column}"))
                 }
                 (FieldSource::AttrList, FieldKind::Object(attr_list_type)) => {
                     let attr_list = mapping.attr_list.as_ref().ok_or_else(|| {
@@ -421,15 +471,16 @@ impl<'a> ViewGen<'a> {
                             mapping.element
                         ))
                     })?;
-                    let inner: Vec<String> = attr_list
-                        .fields
-                        .iter()
-                        .map(|f| format!("{alias}.{}", f.db_name))
-                        .collect();
+                    let mut inner = Vec::new();
+                    for f in &attr_list.fields {
+                        let source = RelColumnSource::Attribute(f.xml_attribute.clone());
+                        inner.push(format!("{alias}.{}", table.column(&source)?));
+                    }
                     args.push(format!("{attr_list_type}({})", inner.join(", ")));
                 }
-                (FieldSource::ChildElement(_), FieldKind::Scalar(_)) => {
-                    args.push(format!("{alias}.{}", field.db_name))
+                (FieldSource::ChildElement(c), FieldKind::Scalar(_)) => {
+                    let column = table.column(&RelColumnSource::SimpleChild(c.clone()))?;
+                    args.push(format!("{alias}.{column}"))
                 }
                 (FieldSource::ChildElement(c), FieldKind::ScalarCollection(collection)) => {
                     // §6.3's closing example: CAST(MULTISET(SELECT …)).
@@ -440,7 +491,7 @@ impl<'a> ViewGen<'a> {
                     let text_col = &list.columns[0].0;
                     args.push(format!(
                         "CAST(MULTISET(SELECT {inner_alias}.{text_col} FROM {} {inner_alias} \
-                         WHERE {alias}.{} = {inner_alias}.IDParent) AS {collection})",
+                         WHERE {alias}.{} = {inner_alias}.{ID_PARENT}) AS {collection})",
                         list.name, table.id_column,
                     ));
                 }
@@ -454,7 +505,7 @@ impl<'a> ViewGen<'a> {
                     let inner_expr = self.constructor(c, &inner_alias)?;
                     args.push(format!(
                         "(SELECT {inner_expr} FROM {} {inner_alias} \
-                         WHERE {inner_alias}.IDParent = {alias}.{})",
+                         WHERE {inner_alias}.{ID_PARENT} = {alias}.{})",
                         child_table.name, table.id_column,
                     ));
                 }
@@ -469,7 +520,7 @@ impl<'a> ViewGen<'a> {
                     let inner_expr = self.constructor(c, &inner_alias)?;
                     args.push(format!(
                         "CAST(MULTISET(SELECT {inner_expr} FROM {} {inner_alias} \
-                         WHERE {inner_alias}.IDParent = {alias}.{}) AS {collection})",
+                         WHERE {inner_alias}.{ID_PARENT} = {alias}.{}) AS {collection})",
                         child_table.name, table.id_column,
                     ));
                 }

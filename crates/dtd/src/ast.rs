@@ -64,25 +64,6 @@ impl ContentParticle {
             | ContentParticle::Choice(_, occ) => *occ,
         }
     }
-
-    /// All element names mentioned anywhere in the particle, left to right,
-    /// with duplicates retained.
-    pub fn names(&self) -> Vec<&str> {
-        let mut out = Vec::new();
-        self.collect_names(&mut out);
-        out
-    }
-
-    fn collect_names<'a>(&'a self, out: &mut Vec<&'a str>) {
-        match self {
-            ContentParticle::Name(name, _) => out.push(name),
-            ContentParticle::Seq(children, _) | ContentParticle::Choice(children, _) => {
-                for child in children {
-                    child.collect_names(out);
-                }
-            }
-        }
-    }
 }
 
 impl fmt::Display for ContentParticle {
@@ -108,6 +89,67 @@ impl fmt::Display for ContentParticle {
                     write!(f, "{c}")?;
                 }
                 write!(f, "){}", occ.symbol())
+            }
+        }
+    }
+}
+
+/// How often a child name may occur: per mention of it in a content model
+/// ([`ContentSpec::mentions`]), or over all its mentions
+/// ([`ContentSpec::child_cardinalities`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChildCardinality {
+    /// May occur more than once (§4.2).
+    pub set_valued: bool,
+    /// May be absent (§4.3).
+    pub optional: bool,
+}
+
+impl ChildCardinality {
+    /// The root's: exactly once.
+    pub const ROOT: ChildCardinality = ChildCardinality { set_valued: false, optional: false };
+
+    /// §4.3: mandatory elements map to NOT NULL columns.
+    pub fn is_mandatory(self) -> bool {
+        !self.optional
+    }
+}
+
+impl fmt::Display for ChildCardinality {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match (self.set_valued, self.optional) {
+            (false, false) => write!(f, "1"),
+            (false, true) => write!(f, "?"),
+            (true, false) => write!(f, "+"),
+            (true, true) => write!(f, "*"),
+        }
+    }
+}
+
+/// Walk a particle, reporting each name with the cardinality its own
+/// operator and its enclosing groups give it; members of a choice are
+/// individually optional.
+fn collect_mentions<'a>(
+    cp: &'a ContentParticle,
+    outer: ChildCardinality,
+    out: &mut Vec<(&'a str, ChildCardinality)>,
+) {
+    let occ = cp.occurrence();
+    let here = ChildCardinality {
+        set_valued: outer.set_valued || occ.is_set_valued(),
+        optional: outer.optional || occ.is_optional(),
+    };
+    match cp {
+        ContentParticle::Name(name, _) => out.push((name, here)),
+        ContentParticle::Seq(children, _) => {
+            for child in children {
+                collect_mentions(child, here, out);
+            }
+        }
+        ContentParticle::Choice(children, _) => {
+            let member = ChildCardinality { optional: true, ..here };
+            for child in children {
+                collect_mentions(child, member, out);
             }
         }
     }
@@ -143,20 +185,42 @@ impl ContentSpec {
         matches!(self, ContentSpec::Mixed(names) if !names.is_empty())
     }
 
-    /// Distinct child element names, in first-appearance order.
-    pub fn child_names(&self) -> Vec<String> {
-        let mut seen = Vec::new();
-        let raw: Vec<&str> = match self {
-            ContentSpec::Children(cp) => cp.names(),
-            ContentSpec::Mixed(names) => names.iter().map(String::as_str).collect(),
-            _ => Vec::new(),
-        };
-        for name in raw {
-            if !seen.iter().any(|s: &String| s == name) {
-                seen.push(name.to_string());
+    /// Every mention of a child name, left to right, with the cardinality
+    /// the model gives that mention: set-valued under `*`/`+` on the name
+    /// or an enclosing group, optional under `?`/`*` or inside a choice.
+    /// The names of mixed content are set-valued and optional.
+    pub fn mentions(&self) -> Vec<(&str, ChildCardinality)> {
+        let mut out = Vec::new();
+        match self {
+            ContentSpec::Children(cp) => collect_mentions(cp, ChildCardinality::ROOT, &mut out),
+            ContentSpec::Mixed(names) => out.extend(names.iter().map(|name| {
+                (name.as_str(), ChildCardinality { set_valued: true, optional: true })
+            })),
+            _ => {}
+        }
+        out
+    }
+
+    /// [`Self::mentions`] merged per name, in first-mention order: a name
+    /// mentioned twice can occur more than once, and is optional only if
+    /// every mention is.
+    pub fn child_cardinalities(&self) -> Vec<(String, ChildCardinality)> {
+        let mut merged: Vec<(String, ChildCardinality)> = Vec::new();
+        for (name, card) in self.mentions() {
+            match merged.iter_mut().find(|(n, _)| n == name) {
+                Some((_, existing)) => {
+                    existing.set_valued = true;
+                    existing.optional = existing.optional && card.optional;
+                }
+                None => merged.push((name.to_string(), card)),
             }
         }
-        seen
+        merged
+    }
+
+    /// Distinct child element names, in first-appearance order.
+    pub fn child_names(&self) -> Vec<String> {
+        self.child_cardinalities().into_iter().map(|(name, _)| name).collect()
     }
 }
 
@@ -378,6 +442,37 @@ mod tests {
         );
         let spec = ContentSpec::Children(cp);
         assert_eq!(spec.child_names(), vec!["x".to_string(), "y".to_string()]);
+    }
+
+    #[test]
+    fn mentions_keep_each_occurrence_and_merging_folds_them() {
+        let card = |set_valued, optional| ChildCardinality { set_valued, optional };
+        let n = |name: &str, occ| ContentParticle::Name(name.into(), occ);
+        // (a, (b | c*)+, a?)
+        let spec = ContentSpec::Children(ContentParticle::Seq(
+            vec![
+                n("a", Occurrence::One),
+                ContentParticle::Choice(
+                    vec![n("b", Occurrence::One), n("c", Occurrence::ZeroOrMore)],
+                    Occurrence::OneOrMore,
+                ),
+                n("a", Occurrence::Optional),
+            ],
+            Occurrence::One,
+        ));
+        let each = [
+            ("a", card(false, false)),
+            ("b", card(true, true)),
+            ("c", card(true, true)),
+            ("a", card(false, true)),
+        ];
+        assert_eq!(spec.mentions(), each);
+        let merged = spec.child_cardinalities();
+        let expected = [("a", card(true, false)), ("b", card(true, true)), ("c", card(true, true))];
+        assert_eq!(merged, expected.map(|(name, c)| (name.to_string(), c)));
+        let mixed = ContentSpec::Mixed(vec!["m".into()]);
+        assert_eq!(mixed.mentions(), [("m", card(true, true))]);
+        assert!(ContentSpec::PcData.mentions().is_empty());
     }
 
     #[test]

@@ -85,6 +85,20 @@ impl ElementGraph {
             .collect()
     }
 
+    /// `root` and every element it can (transitively) contain — the
+    /// elements a mapping rooted there derives structure for. `root` is in
+    /// the set even when nothing declares it.
+    pub fn reachable_from(&self, root: &str) -> BTreeSet<String> {
+        let mut reachable = BTreeSet::new();
+        let mut stack = vec![root];
+        while let Some(cur) = stack.pop() {
+            if reachable.insert(cur.to_string()) {
+                stack.extend(self.children_of(cur).iter().map(String::as_str));
+            }
+        }
+        reachable
+    }
+
     /// True if `name` can (transitively) contain itself.
     pub fn is_recursive(&self, name: &str) -> bool {
         let mut stack: Vec<&str> = self.children_of(name).iter().map(String::as_str).collect();
@@ -237,6 +251,10 @@ mod tests {
         assert_eq!(g.root_candidates(), vec!["University"]);
         assert!(g.multi_parent_elements().is_empty());
         assert!(g.recursive_elements().is_empty());
+        let below_course: Vec<String> = g.reachable_from("Course").into_iter().collect();
+        let expected = ["Course", "CreditPts", "Dept", "Name", "PName", "Professor", "Subject"];
+        assert_eq!(below_course, expected);
+        assert_eq!(g.reachable_from("Undeclared").len(), 1);
         assert!(g.back_edges().is_empty());
     }
 

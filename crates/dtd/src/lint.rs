@@ -16,12 +16,12 @@
 //! (schema generation rejects the DTD), **Warning** for lossy or
 //! data-dependent constructs.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use xmlord_diag::{Diagnostic, Severity, Span};
 use xmlord_xml::error::XmlError;
 
-use crate::ast::{AttType, ContentParticle, ContentSpec, DefaultDecl, Dtd, EntityDecl};
+use crate::ast::{AttType, ContentSpec, DefaultDecl, Dtd, EntityDecl};
 use crate::graph::ElementGraph;
 use crate::validator::{ValidationErrorKind, ValidationReport};
 
@@ -258,9 +258,10 @@ impl StrategyVerdict {
 /// | `DTD007 attribute-default` | defaults/#FIXED materialized only via validation | Warning for all |
 /// | `DTD008 notation` | `<!NOTATION>`/NOTATION-typed attrs dropped | Warning for all |
 /// | `DTD009 external-entity` | external entity content unavailable | Warning for all |
+/// | `DTD010 attr-name-case-fold` | two element (or two attribute) names equal after case-folding | Error for attr |
 pub fn lint_dtd(dtd: &Dtd, src: &DtdSource, root: &str) -> Vec<StrategyVerdict> {
     let graph = ElementGraph::build(dtd);
-    let reachable = reachable_from(&graph, root);
+    let reachable = graph.reachable_from(root);
     let mut verdicts: Vec<StrategyVerdict> = MappingStrategy::ALL
         .iter()
         .map(|&strategy| StrategyVerdict { strategy, diagnostics: Vec::new() })
@@ -349,8 +350,14 @@ pub fn lint_dtd(dtd: &Dtd, src: &DtdSource, root: &str) -> Vec<StrategyVerdict> 
         }
 
         // DTD006: unbounded repetition vs. bounded VARRAY capacity.
-        if let ContentSpec::Children(cp) = &decl.content {
-            for child in unbounded_children(cp) {
+        if matches!(decl.content, ContentSpec::Children(_)) {
+            let mut unbounded: Vec<&str> = Vec::new();
+            for (child, card) in decl.content.mentions() {
+                if card.set_valued && !unbounded.contains(&child) {
+                    unbounded.push(child);
+                }
+            }
+            for child in unbounded {
                 for s in MappingStrategy::ALL {
                     if !s.uses_varrays() {
                         continue;
@@ -380,6 +387,28 @@ pub fn lint_dtd(dtd: &Dtd, src: &DtdSource, root: &str) -> Vec<StrategyVerdict> 
         }
     }
 
+    // DTD010: the attribute-table mapping names a table per element and per
+    // attribute name by a per-name rule, which cannot separate names equal
+    // after case-folding; its DDL then fails with DuplicateName.
+    let mut attributes: BTreeMap<&str, &str> = BTreeMap::new();
+    for element in &reachable {
+        for def in dtd.attributes_of(element) {
+            attributes.entry(&def.name).or_insert(element);
+        }
+    }
+    let elements = reachable.iter().map(|e| (e.as_str(), src.element_span(e), "element"));
+    let attribute_names =
+        attributes.iter().map(|(&a, &owner)| (a, src.attlist_span(owner), "attribute"));
+    let mut folded: BTreeMap<(&str, String), &str> = BTreeMap::new();
+    for (name, span, what) in elements.chain(attribute_names) {
+        if !attr_table_keeps(what, name) {
+            continue;
+        }
+        if let Some(other) = folded.insert((what, name.to_uppercase()), name) {
+            push(MappingStrategy::AttributeTables, Severity::Error, "DTD010", format!("{what} names '{other}' and '{name}' are equal after case-folding: the attribute-table mapping derives one table name for both, and its DDL fails with DuplicateName"), span);
+        }
+    }
+
     // DTD008 (declaration side): the parser drops <!NOTATION> entirely.
     for (name, span) in src.notations() {
         for s in MappingStrategy::ALL {
@@ -405,40 +434,18 @@ pub fn lint_dtd(dtd: &Dtd, src: &DtdSource, root: &str) -> Vec<StrategyVerdict> 
     verdicts
 }
 
-fn reachable_from(graph: &ElementGraph, root: &str) -> BTreeSet<String> {
-    let mut reachable = BTreeSet::new();
-    let mut stack = vec![root.to_string()];
-    while let Some(cur) = stack.pop() {
-        if reachable.insert(cur.clone()) {
-            for child in graph.children_of(&cur) {
-                stack.push(child.clone());
-            }
-        }
-    }
-    reachable
-}
-
-/// Child names occurring under a `*` or `+` operator (directly or via an
-/// enclosing group), deduplicated.
-fn unbounded_children(cp: &ContentParticle) -> Vec<String> {
-    fn walk(cp: &ContentParticle, outer_unbounded: bool, out: &mut Vec<String>) {
-        let unbounded = outer_unbounded || cp.occurrence().is_set_valued();
-        match cp {
-            ContentParticle::Name(name, _) => {
-                if unbounded && !out.iter().any(|n| n == name) {
-                    out.push(name.clone());
-                }
-            }
-            ContentParticle::Seq(children, _) | ContentParticle::Choice(children, _) => {
-                for child in children {
-                    walk(child, unbounded, out);
-                }
-            }
-        }
-    }
-    let mut out = Vec::new();
-    walk(cp, false, &mut out);
-    out
+/// Whether the attribute-table mapping keeps an element or attribute name
+/// as it is behind its table prefix (`Att`, `AttA_`) — alphanumerics and
+/// `_` only, 30 bytes with the prefix, and an element not starting `A_` —
+/// rather than appending a hash of it. This restates the guarantee of
+/// `xmlord_shred::naming::stateless` (whose tests hold the two equal):
+/// two names share a table exactly when both are kept and equal after
+/// case-folding.
+fn attr_table_keeps(what: &str, name: &str) -> bool {
+    let prefix = if what == "element" { "Att" } else { "AttA_" };
+    name.chars().all(|c| c.is_alphanumeric() || c == '_')
+        && prefix.len() + name.len() <= 30
+        && !(what == "element" && name.to_uppercase().starts_with("A_"))
 }
 
 impl ValidationReport {
@@ -535,6 +542,25 @@ mod tests {
         let err = or9.diagnostics.iter().find(|d| d.code == "DTD002").unwrap();
         let (line, col) = err.span.line_col(src.text());
         assert_eq!((line, col), (1, 11)); // the name token of <!ELEMENT A …>
+    }
+
+    #[test]
+    fn case_fold_twins_are_an_error_for_attr_only() {
+        let text = "<!ELEMENT r (A, a, a-b, a_b)>\n<!ELEMENT A (#PCDATA)>\n<!ELEMENT a (#PCDATA)>\n\
+                    <!ELEMENT a-b (#PCDATA)>\n<!ELEMENT a_b (#PCDATA)>\n\
+                    <!ATTLIST r k CDATA #IMPLIED K CDATA #IMPLIED>\n";
+        let (dtd, src) = parse_dtd_spanned(text).unwrap();
+        let verdicts = lint_dtd(&dtd, &src, "r");
+        for verdict in &verdicts {
+            let codes: Vec<&str> = verdict.diagnostics.iter().map(|d| d.code).collect();
+            if verdict.strategy == MappingStrategy::AttributeTables {
+                // <A>/<a> and @K/@k; `a-b` is hashed apart from `a_b`.
+                assert_eq!(codes, ["DTD010", "DTD010"], "{:?}", verdict.diagnostics);
+                assert_eq!(verdict.error_count(), 2);
+            } else {
+                assert!(!codes.contains(&"DTD010"), "{}", verdict.strategy.label());
+            }
+        }
     }
 
     #[test]

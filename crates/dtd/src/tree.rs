@@ -14,54 +14,14 @@
 //! layer consults the [`crate::graph::ElementGraph`] and breaks such edges
 //! with `REF` attributes.
 
-use std::fmt;
+use crate::ast::{AttDef, ChildCardinality, ContentSpec, Dtd};
 
-use crate::ast::{AttDef, ContentParticle, ContentSpec, Dtd, Occurrence};
-
-/// Occurrence and optionality of a node below its parent.
-///
-/// Aggregates the operators on the path from the parent's content model root
-/// down to the child name: nested groups can make an element both
+/// Occurrence and optionality of a node below its parent: the
+/// cardinality its mention has in the parent's content model
+/// ([`ContentSpec::mentions`]). Nested groups can make an element both
 /// "set-valued" and "optional" even if the name itself carries no operator
 /// (e.g. `(a,b)*` makes `b` set-valued and optional).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodeCardinality {
-    /// May occur more than once (paper: "set-valued element", §4.2).
-    pub set_valued: bool,
-    /// May be absent (paper: nullable, §4.3).
-    pub optional: bool,
-}
-
-impl NodeCardinality {
-    pub const ROOT: NodeCardinality = NodeCardinality { set_valued: false, optional: false };
-
-    fn from_occurrence(occ: Occurrence) -> Self {
-        NodeCardinality { set_valued: occ.is_set_valued(), optional: occ.is_optional() }
-    }
-
-    fn under(self, outer: Occurrence) -> Self {
-        NodeCardinality {
-            set_valued: self.set_valued || outer.is_set_valued(),
-            optional: self.optional || outer.is_optional(),
-        }
-    }
-
-    /// §4.3: mandatory elements map to NOT NULL columns.
-    pub fn is_mandatory(self) -> bool {
-        !self.optional
-    }
-}
-
-impl fmt::Display for NodeCardinality {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match (self.set_valued, self.optional) {
-            (false, false) => write!(f, "1"),
-            (false, true) => write!(f, "?"),
-            (true, false) => write!(f, "+"),
-            (true, true) => write!(f, "*"),
-        }
-    }
-}
+pub type NodeCardinality = ChildCardinality;
 
 /// One node of the DTD tree: an element type in a specific parent context.
 #[derive(Debug, Clone)]
@@ -189,22 +149,9 @@ fn build_node(
     path.push(name.to_string());
     let mut children = Vec::new();
     if !undeclared {
-        match &content {
-            ContentSpec::Children(cp) => {
-                collect_children(dtd, cp, Occurrence::One, path, &mut children);
-            }
-            ContentSpec::Mixed(names) => {
-                // Mixed-content children are inherently set-valued & optional.
-                for child_name in names {
-                    children.push(build_node(
-                        dtd,
-                        child_name,
-                        NodeCardinality { set_valued: true, optional: true },
-                        path,
-                    ));
-                }
-            }
-            _ => {}
+        // One node per mention; the mapping layer deduplicates by name.
+        for (child, card) in content.mentions() {
+            children.push(build_node(dtd, child, card, path));
         }
     }
     path.pop();
@@ -216,58 +163,6 @@ fn build_node(
         children,
         recursion_cut: false,
         undeclared,
-    }
-}
-
-/// Walk a content particle, accumulating outer-group occurrence into each
-/// name's cardinality. Duplicate names inside one model produce one node per
-/// mention position; the mapping layer deduplicates by name.
-fn collect_children(
-    dtd: &Dtd,
-    cp: &ContentParticle,
-    outer: Occurrence,
-    path: &mut Vec<String>,
-    out: &mut Vec<DtdTreeNode>,
-) {
-    match cp {
-        ContentParticle::Name(name, occ) => {
-            let card = NodeCardinality::from_occurrence(*occ).under(outer);
-            out.push(build_node(dtd, name, card, path));
-        }
-        ContentParticle::Seq(children, occ) => {
-            let combined = combine(outer, *occ);
-            for child in children {
-                collect_children(dtd, child, combined, path, out);
-            }
-        }
-        ContentParticle::Choice(children, occ) => {
-            // Members of a choice are individually optional: a valid document
-            // may pick any single alternative.
-            let combined = combine_choice(combine(outer, *occ));
-            for child in children {
-                collect_children(dtd, child, combined, path, out);
-            }
-        }
-    }
-}
-
-/// Combine two nesting occurrence levels into the stronger one.
-fn combine(outer: Occurrence, inner: Occurrence) -> Occurrence {
-    let set = outer.is_set_valued() || inner.is_set_valued();
-    let opt = outer.is_optional() || inner.is_optional();
-    match (set, opt) {
-        (false, false) => Occurrence::One,
-        (false, true) => Occurrence::Optional,
-        (true, false) => Occurrence::OneOrMore,
-        (true, true) => Occurrence::ZeroOrMore,
-    }
-}
-
-/// A choice makes each member optional (the other branch may be taken).
-fn combine_choice(occ: Occurrence) -> Occurrence {
-    match occ {
-        Occurrence::One | Occurrence::Optional => Occurrence::Optional,
-        Occurrence::OneOrMore | Occurrence::ZeroOrMore => Occurrence::ZeroOrMore,
     }
 }
 

@@ -307,15 +307,7 @@ impl<'a> Analyzer<'a> {
             Some((group_node, is_seq)) => {
                 let particle = self.group_particle(group_node, is_seq)?;
                 if mixed {
-                    let names: Vec<String> =
-                        particle.names().into_iter().map(str::to_string).collect();
-                    let mut dedup = Vec::new();
-                    for n in names {
-                        if !dedup.contains(&n) {
-                            dedup.push(n);
-                        }
-                    }
-                    ContentSpec::Mixed(dedup)
+                    ContentSpec::Mixed(ContentSpec::Children(particle).child_names())
                 } else {
                     ContentSpec::Children(particle)
                 }

@@ -327,6 +327,7 @@ pub(crate) fn code_for(err: &DbError) -> &'static str {
         DbError::UnknownIndex(_) => "unknown-index",
         DbError::DuplicateName(_) => "duplicate-name",
         DbError::SelfContainingCollection(_) => "self-containing-collection",
+        DbError::DuplicateColumn { .. } => "duplicate-column",
         DbError::NestedCollectionNotSupported { .. } => "nested-collection",
         DbError::DependentTypeExists { .. } => "dependent-type",
         DbError::ConstructorArity { .. } => "constructor-arity",
@@ -351,7 +352,8 @@ pub(crate) fn code_for(err: &DbError) -> &'static str {
 }
 
 /// Best-effort fine anchor for a rejection: the identifier it names if
-/// that occurs in the statement, else the whole statement.
+/// that occurs in the statement (a repeated column at its repetition),
+/// else the whole statement.
 fn error_span(tokens: &[SpannedToken], stmt_span: Span, err: &DbError) -> Span {
     let name: Option<&str> = match err {
         DbError::UnknownType(n)
@@ -361,11 +363,16 @@ fn error_span(tokens: &[SpannedToken], stmt_span: Span, err: &DbError) -> Span {
         | DbError::SelfContainingCollection(n)
         | DbError::IdentifierTooLong(n) => Some(n),
         DbError::NestedCollectionNotSupported { element, .. } => Some(element),
+        DbError::DuplicateColumn { column, .. } => Some(column),
         DbError::DependentTypeExists { dropped, .. } => Some(dropped),
         _ => None,
     };
+    let repetition = usize::from(matches!(err, DbError::DuplicateColumn { .. }));
     name.and_then(|n| {
-        find_token(tokens, |t| matches!(t, Token::Ident(s) if s.eq_ignore_ascii_case(n)))
+        let mut named = tokens
+            .iter()
+            .filter(|t| matches!(&t.token, Token::Ident(s) if s.eq_ignore_ascii_case(n)));
+        named.nth(repetition).map(SpannedToken::span)
     })
     .unwrap_or(stmt_span)
 }
@@ -528,6 +535,24 @@ mod tests {
                     "{mode:?}: {stmt}"
                 );
             }
+        }
+    }
+
+    /// The executor refuses a repeated column or attribute name, so the
+    /// analyzer does, anchored at the repetition; the table is then unknown
+    /// to later statements.
+    #[test]
+    fn a_repeated_column_name_is_an_error_in_both_modes() {
+        let sql = "CREATE TABLE T (a NUMBER, A VARCHAR(5));\n\
+                   CREATE TYPE Ty AS OBJECT (x NUMBER, X NUMBER);\n\
+                   INSERT INTO T VALUES (1, 'x');";
+        for mode in [DbMode::Oracle8, DbMode::Oracle9] {
+            let d = run(mode, sql);
+            let errs = errors(&d);
+            let codes: Vec<&str> = errs.iter().map(|e| e.code).collect();
+            assert_eq!(codes, ["duplicate-column", "duplicate-column", "unknown-table"], "{d:?}");
+            assert_eq!(errs[0].line_col(sql), (1, 27), "{mode:?}");
+            assert_eq!(errs[1].line_col(sql), (2, 37), "{mode:?}");
         }
     }
 

@@ -1,7 +1,7 @@
 //! The schema catalog: user-defined types, tables, views, constraints and
 //! the dependency bookkeeping behind `DROP TYPE … FORCE` (§6.2).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::error::DbError;
 use crate::ident::Ident;
@@ -271,6 +271,24 @@ pub struct Catalog {
     committed_epoch: u64,
 }
 
+/// `DuplicateColumn` for the first name in `names` that repeats an
+/// earlier one (identifiers compare case-insensitively).
+fn reject_repeated<'a>(
+    owner: &Ident,
+    names: impl Iterator<Item = &'a Ident>,
+) -> Result<(), DbError> {
+    let mut seen = BTreeSet::new();
+    for name in names {
+        if !seen.insert(name) {
+            return Err(DbError::DuplicateColumn {
+                owner: owner.as_str().to_string(),
+                column: name.as_str().to_string(),
+            });
+        }
+    }
+    Ok(())
+}
+
 impl Catalog {
     pub fn new() -> Self {
         Self::default()
@@ -298,6 +316,7 @@ impl Catalog {
         if def.element_type().and_then(SqlType::named_type) == Some(&name) {
             return Err(DbError::SelfContainingCollection(name.as_str().to_string()));
         }
+        reject_repeated(&name, def.object_attrs().iter().map(|(attr, _)| attr))?;
         // Oracle 8: no collection-of-collection, no collection-of-LOB. The
         // restriction is transitive — an object type that (anywhere inside)
         // contains a collection or LOB attribute cannot be a collection
@@ -563,6 +582,7 @@ impl Catalog {
                 }
             }
             TableDef::Relational { columns, .. } => {
+                reject_repeated(&name, columns.iter().map(|c| &c.name))?;
                 for col in columns {
                     if let Some(n) = col.sql_type.named_type() {
                         if !self.types.contains_key(n) {
@@ -912,6 +932,31 @@ mod tests {
             let of_t = TypeDef::NestedTable { name: id("TV1"), elem: SqlType::Object(id("T")) };
             cat.create_type(of_t, mode).unwrap();
             cat.create_type(obj("Node", &[("next", SqlType::Ref(id("Node")))]), mode).unwrap();
+        }
+    }
+
+    /// A table or object type naming one column twice, in any case, is
+    /// refused in both modes before anything is filed; `SELECT a` could
+    /// otherwise only read one of them.
+    #[test]
+    fn a_repeated_column_or_attribute_name_is_refused() {
+        for mode in [DbMode::Oracle8, DbMode::Oracle9] {
+            let mut db = crate::Database::new(mode);
+            for (sql, owner) in [
+                ("CREATE TABLE T (a NUMBER, A VARCHAR(5))", "T"),
+                ("CREATE TYPE Ty AS OBJECT (a NUMBER, b NUMBER, A NUMBER)", "Ty"),
+            ] {
+                let before = db.catalog().state_dump();
+                assert_eq!(
+                    db.execute(sql).map(drop),
+                    Err(DbError::DuplicateColumn { owner: owner.into(), column: "A".into() }),
+                    "{mode:?}: {sql}"
+                );
+                assert_eq!(db.catalog().state_dump(), before, "{mode:?}: {sql}");
+            }
+            // Distinct names, and the same name in two owners, are fine.
+            db.execute("CREATE TABLE T (a NUMBER, b VARCHAR(5))").unwrap();
+            db.execute("CREATE TYPE Ty AS OBJECT (a NUMBER, b NUMBER)").unwrap();
         }
     }
 

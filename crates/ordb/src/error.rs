@@ -33,6 +33,9 @@ pub enum DbError {
     DuplicateName(String),
     /// A VARRAY or nested-table type whose element type is itself.
     SelfContainingCollection(String),
+    /// `CREATE TABLE` or `CREATE TYPE … AS OBJECT` naming one column or
+    /// attribute twice, ignoring case (ORA-00957).
+    DuplicateColumn { owner: String, column: String },
     /// Oracle 8 mode: collection element type is a collection or LOB (§2.2).
     NestedCollectionNotSupported { collection: String, element: String },
     /// A type that other objects depend on cannot be dropped without FORCE.
@@ -142,6 +145,9 @@ impl fmt::Display for DbError {
             }
             DbError::SelfContainingCollection(name) => {
                 write!(f, "collection type '{name}' cannot have itself as its element type")
+            }
+            DbError::DuplicateColumn { owner, column } => {
+                write!(f, "'{owner}' declares column or attribute '{column}' twice (ORA-00957)")
             }
             DbError::NestedCollectionNotSupported { collection, element } => write!(
                 f,

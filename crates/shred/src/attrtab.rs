@@ -10,7 +10,9 @@
 //! Element rows carry `Target` (the child node id) and a NULL `Val`; the
 //! text content of a node is stored in the element's own table as a row
 //! with NULL `Target`. Attribute values live in `Att…` tables named after
-//! the attribute with an `A_` name prefix. Queries join the per-name tables
+//! the attribute with an `A_` name prefix. Both names come from
+//! [`crate::naming::stateless`]: the loader and the path queries see one
+//! name at a time, never the DTD. Queries join the per-name tables
 //! — fewer rows per table than the edge approach, but still one join per
 //! path step.
 
@@ -20,42 +22,22 @@ use xmlord_dtd::ast::Dtd;
 use xmlord_dtd::graph::ElementGraph;
 use xmlord_xml::{Document, NodeId, NodeKind};
 
+use crate::naming::{stateless, NameKind};
+
 /// Table name for an element name.
 pub fn element_table(name: &str) -> String {
-    format!("Att{}", sanitize(name))
+    stateless(NameKind::ElementTable, name)
 }
 
 /// Table name for an attribute name.
 pub fn attribute_table(name: &str) -> String {
-    format!("AttA_{}", sanitize(name))
-}
-
-fn sanitize(name: &str) -> String {
-    name.chars()
-        .map(|c| if c.is_alphanumeric() || c == '_' { c } else { '_' })
-        .collect()
-}
-
-/// Elements reachable from `root` in the DTD's element graph — the set the
-/// DDL creates tables for and [`crate::retrieve`] reads back.
-pub fn reachable_elements(dtd: &Dtd, root: &str) -> BTreeSet<String> {
-    let graph = ElementGraph::build(dtd);
-    let mut reachable: BTreeSet<String> = BTreeSet::new();
-    let mut stack = vec![root.to_string()];
-    while let Some(cur) = stack.pop() {
-        if reachable.insert(cur.clone()) {
-            for child in graph.children_of(&cur) {
-                stack.push(child.clone());
-            }
-        }
-    }
-    reachable
+    stateless(NameKind::AttributeTable, name)
 }
 
 /// DDL: one table per element reachable from `root` plus one per declared
-/// attribute name.
+/// attribute name (the tables [`crate::retrieve`] reads back).
 pub fn ddl(dtd: &Dtd, root: &str) -> String {
-    let reachable = reachable_elements(dtd, root);
+    let reachable = ElementGraph::build(dtd).reachable_from(root);
     let mut out = String::new();
     for element in &reachable {
         out.push_str(&format!(
@@ -273,5 +255,46 @@ mod tests {
         assert_eq!(rows.rows, vec![vec![Value::str("n2")]], "{filtered}");
         let attr = path_query("a", &["p", "@kind"], None);
         assert_eq!(db.query_scalar(&attr).unwrap(), Value::str("x"));
+    }
+
+    /// DTD010 restates the naming rule's one blind spot: for every pair of
+    /// element names and every pair of attribute names, the lint fires
+    /// exactly when the two tables coincide ignoring case, and an element
+    /// table never coincides with an attribute table.
+    #[test]
+    fn dtd010_fires_exactly_where_table_names_coincide() {
+        let long = "Averylongelementnamepastthelimit";
+        let short =
+            ["a", "A", "b", "a-b", "A-B", "a_b", "A_B", "a.b", "A_x", "a_x", "x", "ß", "SS", "é", "É"];
+        let long = [format!("{long}a"), format!("{long}A"), long.to_string(), long.to_uppercase()];
+        let pool: Vec<String> = short.iter().map(|s| s.to_string()).chain(long).collect();
+        let fold = |name: String| name.to_uppercase();
+        let lint_fires = |dtd_text: &str| {
+            let (dtd, src) = xmlord_dtd::parse_dtd_spanned(dtd_text).unwrap();
+            let verdicts = xmlord_dtd::lint_dtd(&dtd, &src, "r");
+            let attr = verdicts
+                .iter()
+                .find(|v| v.strategy == xmlord_dtd::MappingStrategy::AttributeTables)
+                .unwrap();
+            let ddl_fails = Database::new(DbMode::Oracle9).execute_script(&ddl(&dtd, "r")).is_err();
+            (attr.diagnostics.iter().any(|d| d.code == "DTD010"), ddl_fails)
+        };
+        for first in &pool {
+            for second in pool.iter().filter(|n| *n != first) {
+                let (e1, e2) = (fold(element_table(first)), fold(element_table(second)));
+                let (a1, a2) = (fold(attribute_table(first)), fold(attribute_table(second)));
+                assert_ne!(e1, a2, "<{first}> and @{second}");
+                let element_clash = e1 == e2 || [&e1, &e2].contains(&&fold(element_table("r")));
+                let elements = format!(
+                    "<!ELEMENT r ({first}, {second})>\
+                     <!ELEMENT {first} (#PCDATA)><!ELEMENT {second} (#PCDATA)>"
+                );
+                assert_eq!(lint_fires(&elements), (element_clash, element_clash), "{elements}");
+                let attributes = format!(
+                    "<!ELEMENT r EMPTY><!ATTLIST r {first} CDATA #IMPLIED {second} CDATA #IMPLIED>"
+                );
+                assert_eq!(lint_fires(&attributes), (a1 == a2, a1 == a2), "{attributes}");
+            }
+        }
     }
 }

@@ -11,10 +11,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use xmlord_dtd::ast::{ContentParticle, ContentSpec, Dtd};
+use xmlord_dtd::ast::{ContentSpec, Dtd};
 use xmlord_dtd::graph::ElementGraph;
 use xmlord_ordb::DbError;
 use xmlord_xml::{Document, NodeId};
+
+use crate::naming::{scope_with, NameGenerator, NameKind};
 
 /// One column of an inlined relation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,15 +48,7 @@ impl InlineSchema {
     /// set-valued under any parent, and for recursive elements.
     pub fn build(dtd: &Dtd, root: &str) -> InlineSchema {
         let graph = ElementGraph::build(dtd);
-        let mut reachable: BTreeSet<String> = BTreeSet::new();
-        let mut stack = vec![root.to_string()];
-        while let Some(cur) = stack.pop() {
-            if reachable.insert(cur.clone()) {
-                for child in graph.children_of(&cur) {
-                    stack.push(child.clone());
-                }
-            }
-        }
+        let reachable = graph.reachable_from(root);
         let mut relation_elements: BTreeSet<String> = BTreeSet::new();
         relation_elements.insert(root.to_string());
         for element in &reachable {
@@ -62,34 +56,33 @@ impl InlineSchema {
                 relation_elements.insert(element.clone());
             }
             if let Some(decl) = dtd.element(element) {
-                for (child, set_valued) in child_multiplicity(&decl.content) {
-                    if set_valued && reachable.contains(&child) {
+                for (child, card) in decl.content.child_cardinalities() {
+                    if card.set_valued && reachable.contains(&child) {
                         relation_elements.insert(child);
                     }
                 }
             }
         }
 
+        let mut names = NameGenerator::new();
         let mut relations = BTreeMap::new();
-        for element in &relation_elements {
-            if !reachable.contains(element) {
-                continue;
-            }
+        for element in relation_elements.intersection(&reachable) {
             let mut columns = Vec::new();
-            let mut seen = BTreeSet::new();
+            let mut scope = scope_with(&["ID", "ParentID", "txt"]);
             collect_columns(
                 dtd,
                 element,
                 &relation_elements,
                 &mut Vec::new(),
                 &mut columns,
-                &mut seen,
+                &names,
+                &mut scope,
             );
             relations.insert(
                 element.clone(),
                 InlineRelation {
                     element: element.clone(),
-                    table: shorten(&format!("Inl{}", sanitize(element))),
+                    table: names.global(NameKind::InlineRelation, element),
                     columns,
                 },
             );
@@ -305,14 +298,15 @@ impl<'a> QueryBuilder<'a> {
 
 /// Collect the columns of a relation element: its own text and attributes,
 /// then (recursively) every inlined descendant's text and attributes,
-/// stopping at relation boundaries.
+/// stopping at relation boundaries. Column names are unique in `scope`.
 fn collect_columns(
     dtd: &Dtd,
     element: &str,
     relations: &BTreeSet<String>,
     path: &mut Vec<String>,
     out: &mut Vec<InlineColumn>,
-    seen: &mut BTreeSet<String>,
+    names: &NameGenerator,
+    scope: &mut BTreeSet<String>,
 ) {
     let Some(decl) = dtd.element(element) else { return };
     // Own text.
@@ -321,21 +315,22 @@ fn collect_columns(
         ContentSpec::PcData | ContentSpec::Mixed(_) | ContentSpec::Any
     );
     if has_text {
-        let name = text_column_name(path);
-        if seen.insert(name.to_uppercase()) {
-            out.push(InlineColumn { name, path: path.clone(), attr: None });
-        }
+        let name = if path.is_empty() {
+            "txt".to_string()
+        } else {
+            names.scoped(NameKind::InlineText, &path.join("_"), scope)
+        };
+        out.push(InlineColumn { name, path: path.clone(), attr: None });
     }
     // Own attributes.
     for def in dtd.attributes_of(element) {
-        let name = attr_column_name(path, &def.name);
-        if seen.insert(name.to_uppercase()) {
-            out.push(InlineColumn {
-                name,
-                path: path.clone(),
-                attr: Some(def.name.clone()),
-            });
-        }
+        let below: Vec<&str> =
+            path.iter().map(String::as_str).chain([def.name.as_str()]).collect();
+        out.push(InlineColumn {
+            name: names.scoped(NameKind::InlineAttribute, &below.join("_"), scope),
+            path: path.clone(),
+            attr: Some(def.name.clone()),
+        });
     }
     // Inlined children.
     for child in decl.content.child_names() {
@@ -343,51 +338,16 @@ fn collect_columns(
             continue; // relation boundary
         }
         path.push(child.clone());
-        collect_columns(dtd, &child, relations, path, out, seen);
+        collect_columns(dtd, &child, relations, path, out, names, scope);
         path.pop();
     }
-}
-
-fn child_multiplicity(content: &ContentSpec) -> Vec<(String, bool)> {
-    let mut mentions: Vec<(String, bool)> = Vec::new();
-    fn walk(cp: &ContentParticle, outer_set: bool, out: &mut Vec<(String, bool)>) {
-        match cp {
-            ContentParticle::Name(name, occ) => {
-                out.push((name.clone(), outer_set || occ.is_set_valued()))
-            }
-            ContentParticle::Seq(children, occ) | ContentParticle::Choice(children, occ) => {
-                let set = outer_set || occ.is_set_valued();
-                for child in children {
-                    walk(child, set, out);
-                }
-            }
-        }
-    }
-    match content {
-        ContentSpec::Children(cp) => walk(cp, false, &mut mentions),
-        ContentSpec::Mixed(names) => {
-            for name in names {
-                mentions.push((name.clone(), true));
-            }
-        }
-        _ => {}
-    }
-    // A second mention of the same name also means "can repeat".
-    let mut merged: Vec<(String, bool)> = Vec::new();
-    for (name, set) in mentions {
-        match merged.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, existing)) => *existing = true,
-            None => merged.push((name, set)),
-        }
-    }
-    merged
 }
 
 fn resolve_column(doc: &Document, node: NodeId, column: &InlineColumn) -> Option<String> {
     // Walk the inline path (first occurrence at each step).
     let mut cur = node;
     for step in &column.path {
-        cur = doc.first_child_named(cur, step)?;
+        cur = doc.first_child_tagged(cur, step)?;
     }
     match &column.attr {
         Some(attr) => doc.attribute(cur, attr).map(str::to_string),
@@ -404,40 +364,6 @@ fn resolve_column(doc: &Document, node: NodeId, column: &InlineColumn) -> Option
             Some(text)
         }
     }
-}
-
-fn text_column_name(path: &[String]) -> String {
-    if path.is_empty() {
-        "txt".to_string()
-    } else {
-        shorten(&format!("c_{}", path.iter().map(|p| sanitize(p)).collect::<Vec<_>>().join("_")))
-    }
-}
-
-fn attr_column_name(path: &[String], attr: &str) -> String {
-    let mut parts: Vec<String> = path.iter().map(|p| sanitize(p)).collect();
-    parts.push(sanitize(attr));
-    shorten(&format!("a_{}", parts.join("_")))
-}
-
-fn sanitize(name: &str) -> String {
-    name.chars()
-        .map(|c| if c.is_alphanumeric() || c == '_' { c } else { '_' })
-        .collect()
-}
-
-/// Keep identifiers under Oracle's 30-character limit, deterministically:
-/// long names get a truncated prefix plus an FNV-1a hash suffix.
-fn shorten(name: &str) -> String {
-    if name.len() <= 30 {
-        return name.to_string();
-    }
-    let mut hash: u64 = 0xcbf29ce484222325;
-    for byte in name.bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    format!("{}_{:07x}", &name[..22], hash & 0xFFF_FFFF)
 }
 
 fn sql_str(s: &str) -> String {
@@ -547,13 +473,16 @@ mod tests {
     }
 
     #[test]
-    fn long_column_names_are_shortened_deterministically() {
-        let long = "c_".to_string() + &"VeryLongElementName_".repeat(4);
-        let a = shorten(&long);
-        let b = shorten(&long);
-        assert_eq!(a, b);
-        assert!(a.len() <= 30);
-        let other = shorten(&(long.clone() + "X"));
-        assert_ne!(a, other);
+    fn long_names_get_bounded_distinct_columns_deterministically() {
+        let long = "VeryLongElementName_".repeat(2);
+        let dtd = parse_dtd(&format!(
+            "<!ELEMENT r ({long}A, {long}B)>\
+             <!ELEMENT {long}A (#PCDATA)><!ELEMENT {long}B (#PCDATA)>"
+        ))
+        .unwrap();
+        let schema = InlineSchema::build(&dtd, "r");
+        let cols: Vec<&str> = schema.relations["r"].columns.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(cols, ["c_VeryLongElementName_VeryLong", "c_VeryLongElementName_VeryLon2"]);
+        assert_eq!(schema.ddl(), InlineSchema::build(&dtd, "r").ddl());
     }
 }

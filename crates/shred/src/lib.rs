@@ -22,9 +22,14 @@
 //! rebuilds their documents, so the comparison is apples-to-apples. The
 //! core crate's `xml2ordb::strategy` handle drives them beside the
 //! object-relational strategies.
+//!
+//! [`naming`] is where every mapping — these three, the §6.3 relational
+//! schema and the object-relational one (`xml2ordb::naming` re-exports it)
+//! — turns XML names into identifiers.
 
 pub mod attrtab;
 pub mod edge;
 pub mod inline;
 pub mod intern;
+pub mod naming;
 pub mod retrieve;

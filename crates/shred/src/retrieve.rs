@@ -34,6 +34,7 @@
 use std::collections::{BTreeSet, HashMap};
 
 use xmlord_dtd::ast::Dtd;
+use xmlord_dtd::graph::ElementGraph;
 use xmlord_ordb::ident::Ident;
 use xmlord_ordb::storage::{KeyedReader, Storage};
 use xmlord_ordb::{DbError, Value};
@@ -201,7 +202,7 @@ fn attrtab_walk(
 ) -> Result<(), DbError> {
     // Table order is name order, so a lookup's rows come back grouped by
     // element (or attribute) name, as the per-name loops they replace did.
-    let elements: Vec<String> = crate::attrtab::reachable_elements(dtd, root).into_iter().collect();
+    let elements: Vec<String> = ElementGraph::build(dtd).reachable_from(root).into_iter().collect();
     let attributes: Vec<&str> = elements
         .iter()
         .flat_map(|element| dtd.attributes_of(element))

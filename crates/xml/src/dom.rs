@@ -192,22 +192,34 @@ impl Document {
 
     /// Child elements with the given (unprefixed) local name.
     pub fn child_elements_named(&self, id: NodeId, local: &str) -> Vec<NodeId> {
-        self.children_named(id, local).collect()
+        self.children_where(id, move |name| name.local_part() == local).collect()
     }
 
     /// First child element with the given local name.
     pub fn first_child_named(&self, id: NodeId, local: &str) -> Option<NodeId> {
-        self.children_named(id, local).next()
+        self.children_where(id, move |name| name.local_part() == local).next()
     }
 
-    fn children_named<'d>(
+    /// Child elements whose tag name, prefix included, is `raw` — the name
+    /// a DTD declares (`ns:a` is not `a`).
+    pub fn child_elements_tagged(&self, id: NodeId, raw: &str) -> Vec<NodeId> {
+        self.children_where(id, move |name| name.as_raw() == raw).collect()
+    }
+
+    /// First child element whose tag name, prefix included, is `raw`.
+    pub fn first_child_tagged(&self, id: NodeId, raw: &str) -> Option<NodeId> {
+        self.children_where(id, move |name| name.as_raw() == raw).next()
+    }
+
+    fn children_where<'d>(
         &'d self,
         id: NodeId,
-        local: &'d str,
+        matches: impl Fn(&QName) -> bool + 'd,
     ) -> impl Iterator<Item = NodeId> + 'd {
-        self.children(id).iter().copied().filter(move |c| {
-            self.element(*c).is_some_and(|el| el.name.local_part() == local)
-        })
+        self.children(id)
+            .iter()
+            .copied()
+            .filter(move |c| self.element(*c).is_some_and(|el| matches(&el.name)))
     }
 
     /// Attribute value by raw name (`prefix:local` or plain local name).
@@ -340,6 +352,20 @@ mod tests {
         assert_eq!(doc.child_elements(root), vec![b]);
         assert_eq!(doc.child_elements_named(root, "b"), vec![b]);
         assert_eq!(doc.first_child_named(root, "zzz"), None);
+    }
+
+    #[test]
+    fn tagged_lookups_match_the_prefix_too() {
+        let mut doc = Document::new();
+        let root = doc.create_root(q("r"));
+        let prefixed = doc.create_element(QName::parse("ns:a").unwrap());
+        doc.append_child(root, prefixed);
+        let plain = doc.create_element(q("a"));
+        doc.append_child(root, plain);
+        assert_eq!(doc.child_elements_named(root, "a"), vec![prefixed, plain]);
+        assert_eq!(doc.child_elements_tagged(root, "a"), vec![plain]);
+        assert_eq!(doc.first_child_tagged(root, "ns:a"), Some(prefixed));
+        assert_eq!(doc.first_child_tagged(root, "ns"), None);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use xml2ordb::pipeline::Xml2OrDb;
 use xml2ordb::roundtrip::{compare, Loss};
 use xml2ordb::schemagen::{generate_schema, IdrefTargets};
 use xml2ordb::strategy::{Handle, LoadCounts};
-use xmlord_bench::{paper_query, university, university_doc};
+use xmlord_bench::{e6_load, e6_table, paper_query, university, university_doc, E6_STUDENTS};
 use xmlord_dtd::{parse_dtd, MappingStrategy};
 use xmlord_ordb::{Analyzer, DbMode, Severity};
 use xmlord_workload::catalog::{catalog_xml, CatalogConfig, CATALOG_DTD};
@@ -213,26 +213,7 @@ fn run_query(handle: &mut Handle, sql: &str) -> (usize, u64) {
 /// E6 — §1/§4.1 claim: statement counts per strategy.
 fn load() {
     heading("E6 — Document load: INSERT statements and rows per strategy");
-    println!(
-        "{:<8} {:>9} {:>12} {:>10} {:>10}",
-        "strategy", "students", "elements", "INSERTs", "rows"
-    );
-    for students in [10, 100, 1000] {
-        let (xml, doc) = university_doc(students);
-        let elements = xml.matches("</").count();
-        for strategy in MappingStrategy::ALL {
-            let (_, m) = loaded(strategy, &doc);
-            println!(
-                "{:<8} {:>9} {:>12} {:>10} {:>10}",
-                strategy.label(),
-                students,
-                elements,
-                m.statements,
-                m.rows
-            );
-        }
-        println!();
-    }
+    print!("{}", e6_table(&e6_load(&E6_STUDENTS)));
     println!("Paper claim (§4.1): the OR mapping needs a single INSERT per document,");
     println!("while shredding 'turns the upload of a document into a large number of");
     println!("relational insert operations'.");

@@ -18,6 +18,8 @@
 //! | `attr` | attribute tables | Florescu/Kossmann \[5\] |
 //! | `inline` | hybrid inlining | Shanmugasundaram et al. \[9\] |
 
+use std::fmt::Write as _;
+
 use xml2ordb::model::MappingOptions;
 use xml2ordb::strategy::{self, Handle};
 use xmlord_dtd::ast::Dtd;
@@ -97,4 +99,69 @@ pub fn ref_chain_db(n: usize) -> Database {
         .unwrap();
     }
     db
+}
+
+/// The document sizes (students) E6 loads.
+pub const E6_STUDENTS: [usize; 3] = [10, 100, 1000];
+
+/// What loading one university document sent to the engine under one
+/// strategy (E6).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LoadRow {
+    pub strategy: MappingStrategy,
+    pub students: usize,
+    /// Elements in the document.
+    pub elements: usize,
+    /// INSERT statements the strategy issued.
+    pub statements: usize,
+    pub rows: usize,
+}
+
+/// E6 — the §1/§4.1 claim: load a university document of each size in
+/// `students` into a fresh instance of every strategy and count the INSERT
+/// statements and rows it takes, sizes outer, strategies in
+/// [`MappingStrategy::ALL`] order.
+pub fn e6_load(students: &[usize]) -> Vec<LoadRow> {
+    let mut table = Vec::new();
+    for &students in students {
+        let (xml, doc) = university_doc(students);
+        let elements = xml.matches("</").count();
+        for strategy in MappingStrategy::ALL {
+            let counts = university(strategy)
+                .load(&doc)
+                .unwrap_or_else(|e| panic!("{}: {e}", strategy.label()));
+            table.push(LoadRow {
+                strategy,
+                students,
+                elements,
+                statements: counts.statements,
+                rows: counts.rows,
+            });
+        }
+    }
+    table
+}
+
+/// [`e6_load`]'s rows as the text table `experiments load` prints, a blank
+/// line after each size.
+pub fn e6_table(rows: &[LoadRow]) -> String {
+    let mut out = format!(
+        "{:<8} {:>9} {:>12} {:>10} {:>10}\n",
+        "strategy", "students", "elements", "INSERTs", "rows"
+    );
+    for (n, row) in rows.iter().enumerate() {
+        let _ = writeln!(
+            out,
+            "{:<8} {:>9} {:>12} {:>10} {:>10}",
+            row.strategy.label(),
+            row.students,
+            row.elements,
+            row.statements,
+            row.rows
+        );
+        if rows.get(n + 1).is_none_or(|next| next.students != row.students) {
+            out.push('\n');
+        }
+    }
+    out
 }

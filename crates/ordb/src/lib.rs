@@ -99,8 +99,10 @@
 //! * **Plan cache** — [`Database`] parses through a small LRU statement
 //!   cache. Non-INSERT texts hit on the verbatim string; INSERT texts hit
 //!   on a literal-normalized *shape* whose cached template is re-bound with
-//!   each text's own literals ([`sql::param`]), so a generated load
-//!   script's thousands of near-identical INSERTs pay the parser once.
+//!   each text's own literals ([`sql::param`]) — in place, while no caller
+//!   still holds an earlier hit's statements — so a generated load
+//!   script's thousands of near-identical INSERTs pay the parser once and
+//!   each one after costs a byte scan of its text.
 //!   Parsing is context-free (constructors resolve at execution time), so
 //!   entries survive DDL. Counters: `plan_cache_hits`, `plan_cache_misses`.
 //!

@@ -14,7 +14,7 @@ use crate::ident::Ident;
 use crate::mode::DbMode;
 use crate::sql::ast::Stmt;
 use crate::snapshot;
-use crate::sql::param::{parameterize, rebind, slots_match};
+use crate::sql::param::{parameterize_into, rebind, slots_match, Lit};
 use crate::sql::parser::{parse_script, parse_statement};
 use crate::stats::ExecStats;
 use crate::storage::Storage;
@@ -43,6 +43,10 @@ const PLAN_CACHE_CAPACITY: usize = 256;
 pub(crate) struct PlanCache {
     entries: HashMap<String, CacheEntry>,
     tick: u64,
+    /// The shape key and literals of the text being looked up: buffers
+    /// reused by every lookup, so a hit allocates no key.
+    key: String,
+    lits: Vec<Lit>,
 }
 
 #[derive(Debug, Clone)]
@@ -57,7 +61,8 @@ enum Plan {
     /// plan — and the session holding it — can cross threads).
     Exact(Arc<Vec<Stmt>>),
     /// Literal-parameterized INSERT shape → template whose literal slots
-    /// are rebound with each text's own literals.
+    /// are rebound with each text's own literals: in place while the cache
+    /// holds its only handle, else on a copy that replaces it.
     Template(Arc<Vec<Stmt>>),
     /// Shape that failed slot verification (e.g. folded negative literals)
     /// — recorded so it is never re-verified, and cached verbatim instead.
@@ -1193,21 +1198,29 @@ pub(crate) fn cached_parse_with(
 ) -> Result<Arc<Vec<Stmt>>, DbError> {
     plan_cache.tick += 1;
     let tick = plan_cache.tick;
-    let param = parameterize(sql);
-    if let Some((key, lits)) = &param {
-        if let Some(entry) = plan_cache.entries.get_mut(key) {
+    let PlanCache { entries, key, lits, .. } = plan_cache;
+    let shaped = parameterize_into(sql, key, lits);
+    if shaped {
+        if let Some(entry) = entries.get_mut(key.as_str()) {
             entry.last_used = tick;
-            if let Plan::Template(template) = &entry.plan {
-                let mut stmts: Vec<Stmt> = (**template).clone();
-                if rebind(&mut stmts, lits) {
+            if let Plan::Template(template) = &mut entry.plan {
+                // In place while the cache holds the template's only
+                // handle; while a caller still holds an earlier hit's
+                // statements, `make_mut` rebinds a copy that replaces it.
+                if rebind(Arc::make_mut(template).as_mut_slice(), lits.drain(..)) {
                     stats.plan_cache_hits += 1;
-                    return Ok(Arc::new(stmts));
+                    return Ok(template.clone());
                 }
+                // Only a template that was never verified fails to rebind,
+                // and it may be half-bound now: drop it and look the text
+                // up afresh, which parses it in full.
+                entries.remove(key.as_str());
+                return cached_parse_with(plan_cache, stats, sql);
             }
             // Opaque shape: fall through to the verbatim path.
         }
     }
-    if let Some(entry) = plan_cache.entries.get_mut(sql) {
+    if let Some(entry) = entries.get_mut(sql) {
         if let Plan::Exact(stmts) = &entry.plan {
             let stmts = stmts.clone();
             entry.last_used = tick;
@@ -1217,24 +1230,19 @@ pub(crate) fn cached_parse_with(
     }
     stats.plan_cache_misses += 1;
     let mut parsed = parse_script(sql)?;
-    match param {
-        Some((key, lits)) if slots_match(&mut parsed, &lits) => {
+    if shaped {
+        if slots_match(&mut parsed, lits) {
             let stmts = Arc::new(parsed);
+            let key = key.clone();
             plan_cache.insert(key, Plan::Template(stmts.clone()), tick);
-            Ok(stmts)
+            return Ok(stmts);
         }
-        Some((key, _)) => {
-            plan_cache.insert(key, Plan::Opaque, tick);
-            let stmts = Arc::new(parsed);
-            plan_cache.insert(sql.to_string(), Plan::Exact(stmts.clone()), tick);
-            Ok(stmts)
-        }
-        None => {
-            let stmts = Arc::new(parsed);
-            plan_cache.insert(sql.to_string(), Plan::Exact(stmts.clone()), tick);
-            Ok(stmts)
-        }
+        let key = key.clone();
+        plan_cache.insert(key, Plan::Opaque, tick);
     }
+    let stmts = Arc::new(parsed);
+    plan_cache.insert(sql.to_string(), Plan::Exact(stmts.clone()), tick);
+    Ok(stmts)
 }
 
 /// Render nanoseconds with a unit that keeps the mantissa short.
@@ -1850,6 +1858,96 @@ mod tests {
         assert!(d.execute("SELEKT nonsense").is_err());
         assert_eq!(d.stats().plan_cache_hits, 0);
         assert_eq!(d.stats().plan_cache_misses, 2);
+    }
+
+    #[test]
+    fn plan_cache_hit_leaves_held_statements_alone() {
+        let mut cache = PlanCache::default();
+        let mut stats = ExecStats::default();
+        let text = |i: u32| format!("INSERT INTO T VALUES ({i}, 'v{i}')");
+        let mut parse = |i: u32| cached_parse_with(&mut cache, &mut stats, &text(i)).unwrap();
+        // A miss, then two hits while the caller still holds the earlier
+        // statements: each hit rebinds a copy, never what is held.
+        let first = parse(1);
+        let second = parse(2);
+        let third = parse(3);
+        for (held, i) in [(&first, 1), (&second, 2), (&third, 3)] {
+            assert_eq!(**held, parse_script(&text(i)).unwrap());
+        }
+        assert!(!Arc::ptr_eq(&first, &second) && !Arc::ptr_eq(&second, &third));
+        // Once nothing else holds it, the cached copy is rebound in place.
+        drop((first, second, third));
+        let fourth = parse(4);
+        assert_eq!(*fourth, parse_script(&text(4)).unwrap());
+        let Some(Plan::Template(template)) = cache.entries.values().map(|e| &e.plan).next() else {
+            panic!("the shape is not templated: {:?}", cache.entries);
+        };
+        assert!(Arc::ptr_eq(template, &fourth));
+        assert_eq!((stats.plan_cache_hits, stats.plan_cache_misses), (3, 1));
+    }
+
+    #[test]
+    fn plan_cache_evicts_a_template_that_fails_to_rebind() {
+        let mut d = db();
+        d.execute("CREATE TABLE T (a NUMBER, b VARCHAR(10))").unwrap();
+        let sql = "INSERT INTO T VALUES (7, 'b')";
+        // Under this text's shape, a template with a slot too many — one
+        // that was never verified. Rebinding fills two of its three slots.
+        let (key, _) = crate::sql::param::parameterize(sql).unwrap();
+        let wrong = parse_script("INSERT INTO T VALUES (1, 'a', 2)").unwrap();
+        d.plan_cache.insert(key.clone(), Plan::Template(Arc::new(wrong)), 0);
+        let before = d.stats();
+        d.execute(sql).unwrap();
+        let delta = d.stats().since(&before);
+        assert_eq!((delta.plan_cache_hits, delta.plan_cache_misses), (0, 1));
+        // The half-bound template is gone; the text parsed in full and
+        // templated its own shape.
+        match &d.plan_cache.entries[&key].plan {
+            Plan::Template(template) => assert_eq!(**template, parse_script(sql).unwrap()),
+            other => panic!("{other:?}"),
+        }
+        d.execute("INSERT INTO T VALUES (8, 'c')").unwrap();
+        assert_eq!(d.stats().since(&before).plan_cache_hits, 1);
+        let rows = d.query("SELECT t.a, t.b FROM T t ORDER BY t.a").unwrap().rows;
+        assert_eq!(rows, vec![
+            vec![Value::Num(7.0), Value::str("b")],
+            vec![Value::Num(8.0), Value::str("c")]
+        ]);
+    }
+
+    #[test]
+    fn plan_cache_counts_hits_and_misses_per_text() {
+        let mut d = db();
+        // (text, hit?) — two INSERT shapes, a shape the `-` fold makes
+        // opaque (cached by verbatim text only), DDL and a SELECT.
+        let steps = [
+            ("CREATE TABLE T (a NUMBER, b VARCHAR(10))", false),
+            ("CREATE TABLE U (a NUMBER)", false),
+            ("INSERT INTO T VALUES (1, 'a')", false),
+            ("INSERT INTO T VALUES (2, 'b')", true),
+            ("INSERT INTO U VALUES (3)", false),
+            ("INSERT INTO U VALUES (4)", true),
+            ("INSERT INTO U VALUES (-5)", false),
+            ("INSERT INTO U VALUES (-6)", false),
+            ("INSERT INTO U VALUES (-6)", true),
+            ("SELECT COUNT(*) FROM U", false),
+            ("SELECT COUNT(*) FROM U", true),
+            ("INSERT INTO T VALUES (5, 'e')", true),
+            ("INSERT INTO U VALUES (-5)", true),
+            ("INSERT INTO U VALUES (6)", true),
+        ];
+        for (sql, hit) in steps {
+            let before = d.stats();
+            d.execute(sql).unwrap();
+            let delta = d.stats().since(&before);
+            assert_eq!((delta.plan_cache_hits, delta.plan_cache_misses), (hit as u64, !hit as u64), "{sql}");
+        }
+        assert_eq!(d.query("SELECT t.a FROM T t ORDER BY t.a").unwrap().rows, vec![
+            vec![Value::Num(1.0)],
+            vec![Value::Num(2.0)],
+            vec![Value::Num(5.0)]
+        ]);
+        assert_eq!(d.query_scalar("SELECT COUNT(*) FROM U").unwrap(), Value::Num(7.0));
     }
 
     #[test]

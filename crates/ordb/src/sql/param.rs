@@ -5,9 +5,14 @@
 //! verbatim text would miss every one of them, so the plan cache instead
 //! normalizes INSERT texts into a *shape key* — the token stream with every
 //! string/number literal replaced by a placeholder — and caches one parsed
-//! template per shape. A hit clones the template and rebinds the literal
-//! slots with the new text's literals (Oracle's `CURSOR_SHARING=FORCE`
-//! auto-binding, in miniature).
+//! template per shape. A hit rebinds the template's literal slots with the
+//! new text's literals (Oracle's `CURSOR_SHARING=FORCE` auto-binding, in
+//! miniature): in place, moving the literals in, when the cache holds the
+//! template's only handle; on a copy, which then becomes the cached
+//! template, when a caller still holds the statements of an earlier hit.
+//! Finding the shape costs one [`scan`] of the text's bytes into a key
+//! buffer the cache reuses, so a lookup allocates only the text's string
+//! literals.
 //!
 //! Soundness: the shape key preserves every non-literal token, and the
 //! parser's behaviour depends only on token kinds, so two texts with the
@@ -20,7 +25,7 @@
 //! entries for them.
 
 use super::ast::{Expr, FromItem, SelectStmt, Stmt};
-use super::lexer::{tokenize, Token};
+use super::lexer::{scan, Lexeme, Token};
 use crate::value::Value;
 
 /// A literal extracted from a SQL text, in lexical order.
@@ -40,35 +45,43 @@ enum Slot<'a> {
 /// non-INSERT texts and texts that do not lex — those take the verbatim
 /// cache path (and the parser reports lex errors with full context).
 pub fn parameterize(sql: &str) -> Option<(String, Vec<Lit>)> {
-    let trimmed = sql.trim_start();
-    if !trimmed.get(..6)?.eq_ignore_ascii_case("INSERT") {
-        return None;
-    }
-    let tokens = tokenize(sql).ok()?;
-    let mut key = String::with_capacity(sql.len());
+    let mut key = String::new();
     let mut lits = Vec::new();
-    for spanned in &tokens {
-        match &spanned.token {
-            Token::StringLit(s) => {
-                lits.push(Lit::Str(s.clone()));
+    parameterize_into(sql, &mut key, &mut lits).then_some((key, lits))
+}
+
+/// [`parameterize`] into buffers the caller keeps, cleared first, so that
+/// a lookup reuses the key's allocation. Returns `false` where
+/// `parameterize` returns `None`; the buffers then mean nothing.
+pub fn parameterize_into(sql: &str, key: &mut String, lits: &mut Vec<Lit>) -> bool {
+    let trimmed = sql.trim_start();
+    if !trimmed.get(..6).is_some_and(|head| head.eq_ignore_ascii_case("INSERT")) {
+        return false;
+    }
+    key.clear();
+    lits.clear();
+    scan(sql, |lexeme, _, _| {
+        match lexeme {
+            Lexeme::StringLit(s) => {
+                lits.push(Lit::Str(s.into_owned()));
                 key.push_str("?s");
             }
-            Token::NumberLit(n) => {
-                lits.push(Lit::Num(*n));
+            Lexeme::NumberLit(n) => {
+                lits.push(Lit::Num(n));
                 key.push_str("?n");
             }
             // Quoting identifiers keeps the key unambiguous: `"a b"` (one
             // identifier) and `a b` (two) must not normalize alike.
-            Token::Ident(name) => {
+            Lexeme::Ident(name) => {
                 key.push('"');
                 key.push_str(name);
                 key.push('"');
             }
-            other => key.push_str(symbol(other)),
+            Lexeme::Symbol(token) => key.push_str(symbol(&token)),
         }
         key.push(' ');
-    }
-    Some((key, lits))
+    })
+    .is_ok()
 }
 
 fn symbol(token: &Token) -> &'static str {
@@ -115,29 +128,26 @@ pub fn slots_match(stmts: &mut [Stmt], lits: &[Lit]) -> bool {
     ok && next == lits.len()
 }
 
-/// Replace the literal slots of a cloned template with a new text's
-/// literals. Returns `false` on any arity or kind mismatch (callers then
-/// re-parse; with a verified template this does not happen).
-pub fn rebind(stmts: &mut [Stmt], lits: &[Lit]) -> bool {
-    let mut next = 0usize;
+/// Move a new text's literals into a template's literal slots, in order.
+/// Returns `false` on any arity or kind mismatch; the slots are then
+/// partly rebound, so the caller must drop the template and parse the text
+/// (with a verified template this does not happen).
+pub fn rebind(stmts: &mut [Stmt], lits: impl IntoIterator<Item = Lit>) -> bool {
+    let mut lits = lits.into_iter();
     let ok = stmts.iter_mut().all(|stmt| {
-        walk_stmt(stmt, &mut |slot| {
-            let lit = lits.get(next);
-            next += 1;
-            match (slot, lit) {
-                (Slot::Str(s), Some(Lit::Str(v))) => {
-                    *s = v.clone();
-                    true
-                }
-                (Slot::Num(n), Some(Lit::Num(v))) => {
-                    *n = *v;
-                    true
-                }
-                _ => false,
+        walk_stmt(stmt, &mut |slot| match (slot, lits.next()) {
+            (Slot::Str(s), Some(Lit::Str(v))) => {
+                *s = v;
+                true
             }
+            (Slot::Num(n), Some(Lit::Num(v))) => {
+                *n = v;
+                true
+            }
+            _ => false,
         })
     });
-    ok && next == lits.len()
+    ok && lits.next().is_none()
 }
 
 /// Walk one statement's literal slots in source order. Only INSERT is
@@ -220,7 +230,7 @@ mod tests {
 
         let second = "INSERT INTO T VALUES (Ty('x', 9), 'y')";
         let (_, new_lits) = parameterize(second).unwrap();
-        assert!(rebind(&mut template, &new_lits));
+        assert!(rebind(&mut template, new_lits));
         assert_eq!(template, parse_script(second).unwrap());
     }
 
@@ -243,7 +253,7 @@ mod tests {
 
         let second = "INSERT INTO C VALUES (Ty('cad', (SELECT REF(p) FROM P p WHERE p.name = 'Jaeger')))";
         let (_, new_lits) = parameterize(second).unwrap();
-        assert!(rebind(&mut template, &new_lits));
+        assert!(rebind(&mut template, new_lits));
         assert_eq!(template, parse_script(second).unwrap());
     }
 

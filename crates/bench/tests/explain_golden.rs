@@ -11,6 +11,7 @@
 use xmlord_bench::{paper_query, ref_chain_db, university, university_doc};
 use xmlord_dtd::MappingStrategy;
 use xmlord_ordb::{Database, DbMode};
+use xmlord_testkit::TempDir;
 
 /// Render `EXPLAIN <sql>` to one newline-joined string.
 fn plan_text(db: &mut Database, sql: &str) -> String {
@@ -236,8 +237,7 @@ fn key_probe_plan_oracle9() {
 /// database that wrote it, and its keys still answer.
 #[test]
 fn key_probe_plan_survives_snapshot_and_reopen() {
-    let dir = std::env::temp_dir().join(format!("xmlord-explain-golden-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("explain-golden");
     let fixture = university(MappingStrategy::Or8);
     let (_, doc) = university_doc(3);
     let mut db = Database::open(&dir, DbMode::Oracle8).unwrap();
@@ -257,5 +257,4 @@ fn key_probe_plan_survives_snapshot_and_reopen() {
     assert_eq!(reopened.query(OR8_WIRING_QUERY).unwrap(), rows);
     assert_eq!(reopened.stats().since(&stats).index_scans, 1);
     reopened.storage().check_indexes().unwrap();
-    std::fs::remove_dir_all(&dir).unwrap();
 }

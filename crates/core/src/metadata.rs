@@ -15,6 +15,7 @@
 
 use xmlord_dtd::ast::{Dtd, EntityDecl};
 use xmlord_ordb::ident::Ident;
+use xmlord_ordb::sql::printer::quote_literal;
 use xmlord_ordb::storage::Storage;
 use xmlord_ordb::{Database, DbError, QueryResult, ReadSession, Value};
 use xmlord_xml::{Document, EntityCatalog};
@@ -185,7 +186,6 @@ pub fn metadata_insert(
     url: &str,
     date: &str,
 ) -> String {
-    let q = |s: &str| format!("'{}'", s.replace('\'', "''"));
     let decl = doc.declaration.as_ref();
     let xml_version = decl.map(|d| d.version.clone()).unwrap_or_default();
     let charset = decl.and_then(|d| d.encoding.clone()).unwrap_or_default();
@@ -197,13 +197,19 @@ pub fn metadata_insert(
     let namespace = doc
         .root_element()
         .and_then(|root| doc.attribute(root, "xmlns"))
-        .map(&q)
+        .map(quote_literal)
         .unwrap_or_else(|| "NULL".to_string());
 
     let doc_data: Vec<String> = doc_data_entries(schema)
         .into_iter()
         .map(|(t, x, d, ty)| {
-            format!("Type_DocData({}, {}, {}, {}, NULL)", q(&t), q(&x), q(&d), q(&ty))
+            format!(
+                "Type_DocData({}, {}, {}, {}, NULL)",
+                quote_literal(&t),
+                quote_literal(&x),
+                quote_literal(&d),
+                quote_literal(&ty)
+            )
         })
         .collect();
     let entities: Vec<String> = dtd
@@ -211,7 +217,8 @@ pub fn metadata_insert(
         .iter()
         .filter_map(|e| match e {
             EntityDecl::InternalGeneral { name, replacement } => {
-                Some(format!("Type_Entity({}, {})", q(name), q(replacement)))
+                let (name, replacement) = (quote_literal(name), quote_literal(replacement));
+                Some(format!("Type_Entity({name}, {replacement})"))
             }
             _ => None,
         })
@@ -220,17 +227,17 @@ pub fn metadata_insert(
     format!(
         "INSERT INTO TabMetadata VALUES ({}, {}, {}, {}, {}, {}, {}, {}, \
          TypeVA_DocData({}), TypeVA_Entity({}), {})",
-        q(doc_id),
-        q(doc_name),
-        q(url),
-        q(schema.options.schema_id.as_deref().unwrap_or("")),
+        quote_literal(doc_id),
+        quote_literal(doc_name),
+        quote_literal(url),
+        quote_literal(schema.options.schema_id.as_deref().unwrap_or("")),
         namespace,
-        q(&xml_version),
-        q(&charset),
+        quote_literal(&xml_version),
+        quote_literal(&charset),
         standalone,
         doc_data.join(", "),
         entities.join(", "),
-        q(date),
+        quote_literal(date),
     )
 }
 
@@ -358,15 +365,14 @@ fn decode_idref_targets(text: &str) -> Vec<(String, String, String)> {
 
 /// The INSERT statement registering one schema in `TabSchemas`.
 pub fn schema_registry_insert(row: &SchemaRegistryRow) -> String {
-    let q = |s: &str| format!("'{}'", s.replace('\'', "''"));
     format!(
         "INSERT INTO TabSchemas VALUES ({}, {}, {}, {}, {}, {})",
-        q(&row.name),
-        q(&row.root),
-        q(&row.kind),
-        q(&row.source),
-        q(&row.schema_id),
-        q(&encode_idref_targets(&row.idref_targets)),
+        quote_literal(&row.name),
+        quote_literal(&row.root),
+        quote_literal(&row.kind),
+        quote_literal(&row.source),
+        quote_literal(&row.schema_id),
+        quote_literal(&encode_idref_targets(&row.idref_targets)),
     )
 }
 

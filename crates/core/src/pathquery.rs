@@ -12,6 +12,8 @@
 //! * Oracle 8 inverted steps → a join with the child's table on its
 //!   back-pointing REF attribute.
 
+use xmlord_ordb::sql::printer::quote_literal;
+
 use crate::error::MappingError;
 use crate::model::{FieldKind, FieldSource, MappedSchema};
 use crate::naming::{NameGenerator, NameKind};
@@ -96,7 +98,7 @@ pub fn translate(schema: &MappedSchema, query: &PathQuery) -> Result<TranslatedQ
             let pred_expr = builder.walk(cursor, &pred_path[shared..])?;
             builder
                 .where_clauses
-                .push(format!("{pred_expr} = '{}'", value.replace('\'', "''")));
+                .push(format!("{pred_expr} = {}", quote_literal(value)));
             select_expr
         }
     };

@@ -972,6 +972,7 @@ pub fn apply_attribute_defaults(doc: &mut Document, dtd: &Dtd) {
 mod tests {
     use super::*;
     use xmlord_ordb::Value;
+    use xmlord_testkit::TempDir;
 
     const UNIVERSITY_DTD: &str = r#"
 <!ELEMENT University (StudyCourse,Student*)>
@@ -1186,7 +1187,7 @@ mod tests {
         // reopened after the failure and one that lived through it must
         // hand out the same next DocID.
         let next_after_failure = |reopen: bool| {
-            let dir = temp_store_dir("docid");
+            let dir = TempDir::new("pipeline-docid");
             let mut sys = Xml2OrDb::open(&dir, DbMode::Oracle9).unwrap();
             sys.register_dtd("uni", UNIVERSITY_DTD, "University").unwrap();
             sys.store_document("uni", UNIVERSITY_XML).unwrap();
@@ -1195,9 +1196,7 @@ mod tests {
                 drop(sys);
                 sys = Xml2OrDb::open(&dir, DbMode::Oracle9).unwrap();
             }
-            let next = sys.store_document("uni", UNIVERSITY_XML).unwrap();
-            std::fs::remove_dir_all(&dir).ok();
-            next
+            sys.store_document("uni", UNIVERSITY_XML).unwrap()
         };
         assert_eq!(next_after_failure(false), "uni-2");
         assert_eq!(next_after_failure(true), "uni-2");
@@ -1430,19 +1429,9 @@ mod tests {
         assert!(restored.contains("&cs;"));
     }
 
-    fn temp_store_dir(tag: &str) -> std::path::PathBuf {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static N: AtomicU64 = AtomicU64::new(0);
-        std::env::temp_dir().join(format!(
-            "xmlord-pipeline-{tag}-{}-{}",
-            std::process::id(),
-            N.fetch_add(1, Ordering::Relaxed)
-        ))
-    }
-
     #[test]
     fn durable_store_survives_reopen() {
-        let dir = temp_store_dir("reopen");
+        let dir = TempDir::new("pipeline-reopen");
         let dumps = {
             let mut sys = Xml2OrDb::open(&dir, DbMode::Oracle9).unwrap().with_auto_schema_ids();
             sys.register_dtd("uni", UNIVERSITY_DTD, "University").unwrap();
@@ -1473,13 +1462,12 @@ mod tests {
         let mut sys = Xml2OrDb::open(&dir, DbMode::Oracle9).unwrap();
         assert!(sys.retrieve_document("uni-2").unwrap().contains("Conrad"));
         assert!(sys.schema("note").is_some());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn durable_failed_store_survives_reopen_clean() {
         // A failed (rolled-back) store must leave nothing on disk either.
-        let dir = temp_store_dir("rollback");
+        let dir = TempDir::new("pipeline-rollback");
         let before = {
             let mut sys = Xml2OrDb::open(&dir, DbMode::Oracle9).unwrap();
             sys.register_dtd("uni", UNIVERSITY_DTD, "University").unwrap();
@@ -1490,7 +1478,6 @@ mod tests {
         };
         let mut sys = Xml2OrDb::open(&dir, DbMode::Oracle9).unwrap();
         assert_eq!(sys.database().state_dump(), before, "rolled-back load leaked to disk");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     fn loaded_corpus(mode: DbMode) -> (Xml2OrDb, Vec<String>) {

@@ -28,6 +28,7 @@
 use std::collections::HashMap;
 
 use xmlord_ordb::ident::Ident;
+use xmlord_ordb::sql::printer::quote_literal;
 use xmlord_ordb::storage::{KeyedReader, Storage};
 use xmlord_ordb::Value;
 use xmlord_xml::{ContentSink, Document, DomBuilder, NodeId, QName};
@@ -229,7 +230,6 @@ fn shred(
     let mapping = schema
         .mapping(element)
         .ok_or_else(|| MappingError::UndeclaredElement(element.to_string()))?;
-    let q = |s: &str| format!("'{}'", s.replace('\'', "''"));
 
     if mapping.object_type.is_some() {
         let table = rel.table_for(element).ok_or_else(|| {
@@ -249,7 +249,7 @@ fn shred(
                     .first_child_tagged(node, c)
                     .map(|child| crate::loader::direct_text(doc, child)),
             };
-            values.push(value.map(|v| q(&v)).unwrap_or_else(|| "NULL".into()));
+            values.push(value.map(|v| quote_literal(&v)).unwrap_or_else(|| "NULL".into()));
         }
         out.push(format!("INSERT INTO {} VALUES ({})", table.name, values.join(", ")));
         // Recurse into complex and set-valued children.
@@ -278,7 +278,7 @@ fn shred(
                     list.name,
                     *next_id,
                     my_id,
-                    q(&crate::loader::direct_text(doc, child)),
+                    quote_literal(&crate::loader::direct_text(doc, child)),
                 ));
             }
         }
@@ -317,7 +317,7 @@ pub fn relational_path_query(
             }
             let expr = b.descend(cursor.clone(), &steps[shared..])?;
             let pred_expr = b.descend(cursor, &path[shared..])?;
-            b.wheres.push(format!("{pred_expr} = '{}'", value.replace('\'', "''")));
+            b.wheres.push(format!("{pred_expr} = {}", quote_literal(value)));
             expr
         }
     };

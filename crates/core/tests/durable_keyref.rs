@@ -6,12 +6,12 @@
 
 use xml2ordb::Xml2OrDb;
 use xmlord_ordb::DbMode;
+use xmlord_testkit::TempDir;
 use xmlord_workload::university::{university_dtd, university_xml, UniversityConfig};
 
 #[test]
 fn an_oracle8_store_reopens_from_a_log_of_key_refs() {
-    let dir = std::env::temp_dir().join(format!("xmlord-durable-keyref-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("durable-keyref");
     let documents: Vec<String> = (1..=6u64)
         .map(|seed| university_xml(&UniversityConfig { students: 3, seed, ..Default::default() }))
         .collect();
@@ -56,6 +56,4 @@ fn an_oracle8_store_reopens_from_a_log_of_key_refs() {
     assert_eq!(doc_id, memory.store_document("uni", &next).unwrap());
     assert_eq!(reopened.database().state_dump(), memory.database().state_dump());
     reopened.database().storage().check_indexes().unwrap();
-    drop(reopened);
-    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,5 +1,5 @@
-//! What storing one document allocates, stage by stage, counted by this
-//! file's own global allocator: the parser allocates for the nodes and values
+//! What storing one document allocates, stage by stage, counted by the
+//! test kit's `CountingAlloc`: the parser allocates for the nodes and values
 //! it builds (a name once per document, a text run once), the validator for
 //! nothing a valid document does not report, the attribute defaults for
 //! nothing when the DTD declares none, the loader for the expressions it
@@ -16,55 +16,16 @@
 //! probe instead of a planned subquery, now 1.85 / 3.16), so a per-element
 //! copy that creeps back fails here.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use xml2ordb::loader::{load_ops, plan_batches, LoadUnit};
 use xml2ordb::pipeline::apply_attribute_defaults;
 use xml2ordb::Xml2OrDb;
 use xmlord_dtd::validate;
 use xmlord_ordb::DbMode;
+use xmlord_testkit::{counted, CountingAlloc};
 use xmlord_workload::university::{university_dtd, university_xml, UniversityConfig};
 
-/// Counts the allocations (and reallocations) of the thread that asked.
-struct Counting;
-
-thread_local! {
-    static COUNTED: Cell<bool> = const { Cell::new(false) };
-    /// Per thread, so tests running side by side do not count each other.
-    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
-}
-
-// SAFETY: every request is passed to `System` unchanged; the bookkeeping
-// touches only const-initialised thread-locals without a destructor, which
-// do not allocate. `realloc` is the default one, which calls `alloc`, so a
-// growing buffer counts each time it moves.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTED.with(Cell::get) {
-            ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        }
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// Run `stage` and return its result with the allocations it made.
-fn counted<T>(stage: impl FnOnce() -> T) -> (T, usize) {
-    let before = ALLOCATIONS.with(Cell::get);
-    COUNTED.with(|c| c.set(true));
-    let result = stage();
-    COUNTED.with(|c| c.set(false));
-    (result, ALLOCATIONS.with(Cell::get) - before)
-}
+static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 #[test]
 fn storing_a_document_allocates_for_values_not_for_bookkeeping() {

@@ -14,6 +14,7 @@ use std::path::PathBuf;
 
 use xml2ordb::Xml2OrDb;
 use xmlord_ordb::{DbMode, Ident};
+use xmlord_testkit::TempDir;
 use xmlord_workload::university::{university_dtd, university_xml, UniversityConfig};
 
 fn fixture() -> PathBuf {
@@ -22,9 +23,7 @@ fn fixture() -> PathBuf {
 
 #[test]
 fn a_store_written_by_the_parent_commit_opens_plans_and_retrieves() {
-    let dir = std::env::temp_dir().join(format!("xmlord-parent-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("parent-store");
     for file in ["snapshot.db", "wal.log"] {
         std::fs::copy(fixture().join(file), dir.join(file)).unwrap();
     }
@@ -81,5 +80,4 @@ fn a_store_written_by_the_parent_commit_opens_plans_and_retrieves() {
     assert_eq!(id, fresh.store_document("uni", &document(4)).unwrap());
     assert_eq!(sys.retrieve_document(&id).unwrap(), fresh.retrieve_document(&id).unwrap());
     sys.database().storage().check_indexes().unwrap();
-    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -108,11 +108,6 @@ pub struct ChildCardinality {
 impl ChildCardinality {
     /// The root's: exactly once.
     pub const ROOT: ChildCardinality = ChildCardinality { set_valued: false, optional: false };
-
-    /// §4.3: mandatory elements map to NOT NULL columns.
-    pub fn is_mandatory(self) -> bool {
-        !self.optional
-    }
 }
 
 impl fmt::Display for ChildCardinality {
@@ -361,10 +356,6 @@ pub struct Dtd {
 impl Dtd {
     pub fn element(&self, name: &str) -> Option<&ElementDecl> {
         self.elements.get(name)
-    }
-
-    pub fn attlist(&self, element: &str) -> Option<&AttlistDecl> {
-        self.attlists.get(element)
     }
 
     /// Attribute definitions for an element, or an empty slice.

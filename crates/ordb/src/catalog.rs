@@ -48,10 +48,6 @@ impl TypeDef {
         }
     }
 
-    pub fn is_collection(&self) -> bool {
-        matches!(self, TypeDef::Varray { .. } | TypeDef::NestedTable { .. })
-    }
-
     pub fn is_incomplete(&self) -> bool {
         matches!(self, TypeDef::Object { incomplete: true, .. })
     }
@@ -730,10 +726,6 @@ impl Catalog {
             }
             None => Err(DbError::UnknownTable(name.as_str().to_string())),
         }
-    }
-
-    pub fn view_count(&self) -> usize {
-        self.views.len()
     }
 
     // -- secondary indexes ----------------------------------------------------

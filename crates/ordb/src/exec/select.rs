@@ -120,11 +120,6 @@ pub struct QueryResult {
 }
 
 impl QueryResult {
-    /// Index of a column by (case-insensitive) name.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c.eq_ignore_ascii_case(name))
-    }
-
     /// Single-value convenience accessor.
     pub fn scalar(&self) -> Option<&Value> {
         match (self.rows.len(), self.rows.first()) {

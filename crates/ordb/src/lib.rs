@@ -64,7 +64,7 @@
 //!   predicate), which makes a hash join return the rows a nested loop
 //!   would, in the same order — `tests/hashjoin_prop.rs` and, with
 //!   `TABLE(…)` levels, `tests/unnest_prop.rs` diff it against the plain
-//!   nested-loop evaluator in `tests/support/nested_loop.rs`.
+//!   nested-loop evaluator in the test kit, `xmlord_testkit::nested_loop`.
 //!   Counters:
 //!   `hash_join_builds`, `hash_join_probes`, and `join_pairs` counts only
 //!   the pairings actually formed.

@@ -274,15 +274,6 @@ impl ReadSession {
         }
     }
 
-    /// The pinned committed version of one table (0 if absent/unpinned).
-    pub fn pinned_version(&self, table: &str) -> u64 {
-        let ident = Ident::internal(table);
-        self.cache
-            .as_ref()
-            .and_then(|c| c.pinned.get(&ident).copied())
-            .unwrap_or(0)
-    }
-
     /// The dialect mode the owning database was created with.
     pub fn mode(&self) -> crate::DbMode {
         self.mode

@@ -510,11 +510,6 @@ impl Database {
         self.recovery.as_ref()
     }
 
-    /// True when this database persists to a directory.
-    pub fn is_durable(&self) -> bool {
-        self.durability.is_some()
-    }
-
     /// Install (or remove) a trace sink. While one is installed, every
     /// parse / analyze / execute phase emits a [`crate::trace::TraceEvent`]
     /// carrying wall time and the counter delta, and per-statement wall

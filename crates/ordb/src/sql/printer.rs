@@ -28,6 +28,23 @@ pub fn check_round_trip(stmt: &Stmt) -> Result<(), DbError> {
     Ok(())
 }
 
+/// `s` as a SQL string literal: in single quotes, each `'` doubled. The
+/// printer, `Value::to_sql_literal` and the mapping generators all quote
+/// through here.
+pub fn quote_literal(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('\'');
+    let mut rest = s;
+    while let Some(at) = rest.find('\'') {
+        out.push_str(&rest[..=at]);
+        out.push('\'');
+        rest = &rest[at + 1..];
+    }
+    out.push_str(rest);
+    out.push('\'');
+    out
+}
+
 /// Render a statement as SQL text (no trailing semicolon).
 pub fn print_stmt(stmt: &Stmt) -> String {
     match stmt {
@@ -212,10 +229,10 @@ pub fn print_expr(expr: &Expr) -> String {
             if *negated { "NOT " } else { "" }
         ),
         Expr::Like { expr, pattern, negated } => format!(
-            "({} {}LIKE '{}')",
+            "({} {}LIKE {})",
             print_expr(expr),
             if *negated { "NOT " } else { "" },
-            pattern.replace('\'', "''")
+            quote_literal(pattern)
         ),
         Expr::RefOf(alias) => format!("REF({alias})"),
         Expr::Deref(inner) => format!("DEREF({})", print_expr(inner)),
@@ -270,6 +287,19 @@ mod tests {
     fn round_trip(text: &str) {
         let ast = parse_statement(text).unwrap();
         check_round_trip(&ast).unwrap_or_else(|e| panic!("{text}: {e}"));
+    }
+
+    #[test]
+    fn a_quoted_literal_doubles_its_quotes_and_lexes_back() {
+        for s in ["", "Jaeger", "O'Hara", "'", "''x'", "é'😀"] {
+            let quoted = quote_literal(s);
+            assert_eq!(quoted, format!("'{}'", s.replace('\'', "''")));
+            assert_eq!(Value::str(s).to_sql_literal(), quoted);
+            let tokens = crate::sql::lexer::tokenize(&quoted).unwrap();
+            assert_eq!(tokens.len(), 1, "{quoted}");
+            assert_eq!(tokens[0].token, crate::sql::lexer::Token::StringLit(s.to_string()));
+        }
+        round_trip("SELECT t.a FROM T t WHERE t.a LIKE 'O''Hara%'");
     }
 
     #[test]

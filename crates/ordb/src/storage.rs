@@ -44,13 +44,11 @@ struct OidEntry {
 /// pre-mutation state (rollback is byte-identical, not merely equivalent).
 #[derive(Debug, Clone)]
 enum StorageUndo {
-    /// Inverse of [`Storage::insert_row`]: pop the appended row and restore
-    /// the OID allocator position.
-    Inserted { table: Ident, prev_next_oid: u64 },
-    /// Inverse of [`Storage::insert_rows`]: pop the appended block of rows
-    /// and restore the OID allocator position. One record brackets the
-    /// whole batch, so a batched load writes O(1) undo instead of O(rows).
-    BulkInserted { table: Ident, count: usize, prev_next_oid: u64 },
+    /// Inverse of [`Storage::insert_rows`] (and so of
+    /// [`Storage::insert_row`]): pop the appended block of rows and restore
+    /// the OID allocator position. One record brackets the whole batch, so
+    /// a batched load writes O(1) undo instead of O(rows).
+    Appended { table: Ident, count: usize, prev_next_oid: u64 },
     /// Inverse of [`Storage::delete_rows`]: re-insert the removed rows at
     /// their original slots (ascending order), then re-slot the directory.
     Deleted { table: Ident, removed: Vec<(usize, Row)> },
@@ -507,34 +505,16 @@ impl Storage {
         self.tables.get_mut(name)
     }
 
-    /// Append a row; if `with_oid`, allocate a fresh OID for it.
+    /// Append a row; if `with_oid`, allocate a fresh OID for it. One
+    /// [`Storage::insert_rows`] call of one row.
     pub fn insert_row(
         &mut self,
         table: &Ident,
         values: Vec<Value>,
         with_oid: bool,
     ) -> Result<Option<Oid>, DbError> {
-        let data = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| DbError::UnknownTable(table.as_str().to_string()))?;
-        let prev_next_oid = self.next_oid;
-        let oid = if with_oid {
-            self.next_oid += 1;
-            let oid = Oid(self.next_oid);
-            self.oid_directory
-                .insert(oid, OidEntry { table: table.clone(), slot: data.rows.len() });
-            Some(oid)
-        } else {
-            None
-        };
-        let base_slot = data.rows.len();
-        data.rows.push(Row { oid, values: Arc::new(values) });
-        let prev_version = self.table_version(table);
-        self.touch_appended(table);
-        self.undo.push(StorageUndo::Inserted { table: table.clone(), prev_next_oid });
-        self.index_appended(table, base_slot, prev_version);
-        Ok(oid)
+        self.insert_rows(table, vec![values], with_oid)?;
+        Ok(with_oid.then_some(Oid(self.next_oid)))
     }
 
     /// Append a block of rows in one call; if `with_oid`, reserve an OID
@@ -572,7 +552,7 @@ impl Storage {
         }
         let prev_version = self.table_version(table);
         self.touch_appended(table);
-        self.undo.push(StorageUndo::BulkInserted {
+        self.undo.push(StorageUndo::Appended {
             table: table.clone(),
             count,
             prev_next_oid,
@@ -682,8 +662,7 @@ impl Storage {
         let mut affected: std::collections::BTreeSet<&Ident> = std::collections::BTreeSet::new();
         for op in &self.undo {
             match op {
-                StorageUndo::Inserted { table, .. }
-                | StorageUndo::BulkInserted { table, .. }
+                StorageUndo::Appended { table, .. }
                 | StorageUndo::Deleted { table, .. }
                 | StorageUndo::Wrote { table, .. }
                 | StorageUndo::Created { table }
@@ -713,17 +692,12 @@ impl Storage {
         self.committed_epoch
     }
 
-    /// The table version as of `table`'s most recent committed change
-    /// (0 for tables never touched by a commit since this storage was
-    /// built).
-    pub fn committed_version(&self, table: &Ident) -> u64 {
-        self.committed_versions.get(table).copied().unwrap_or(0)
-    }
-
     /// Tables that exist in the *committed* state, with their committed
     /// versions — the live table set corrected by the uncommitted undo
     /// tail (an uncommitted CREATE is not yet visible; an uncommitted DROP
-    /// still is).
+    /// still is). A table's committed version is its version as of its
+    /// most recent committed change (0 for tables never touched by a
+    /// commit since this storage was built).
     pub fn committed_tables(&self) -> Vec<(Ident, u64)> {
         let mut names: std::collections::BTreeSet<Ident> = self.tables.keys().cloned().collect();
         for op in self.undo.iter().rev() {
@@ -737,7 +711,13 @@ impl Storage {
                 _ => {}
             }
         }
-        names.into_iter().map(|t| { let v = self.committed_version(&t); (t, v) }).collect()
+        names
+            .into_iter()
+            .map(|t| {
+                let v = self.committed_versions.get(&t).copied().unwrap_or(0);
+                (t, v)
+            })
+            .collect()
     }
 
     /// Reconstruct one table's heap as of the last commit by applying the
@@ -750,12 +730,7 @@ impl Storage {
         let mut heap = self.tables.get(table).cloned();
         for op in self.undo.iter().rev() {
             match op {
-                StorageUndo::Inserted { table: t, .. } if t == table => {
-                    if let Some(data) = heap.as_mut() {
-                        data.rows.pop();
-                    }
-                }
-                StorageUndo::BulkInserted { table: t, count, .. } if t == table => {
+                StorageUndo::Appended { table: t, count, .. } if t == table => {
                     if let Some(data) = heap.as_mut() {
                         data.rows.truncate(data.rows.len().saturating_sub(*count));
                     }
@@ -800,8 +775,7 @@ impl Storage {
             .undo
             .iter()
             .map(|op| match op {
-                StorageUndo::Inserted { table: t, .. } if t == table => 1,
-                StorageUndo::BulkInserted { table: t, count, .. } if t == table => *count,
+                StorageUndo::Appended { table: t, count, .. } if t == table => *count,
                 _ => 0,
             })
             .sum();
@@ -813,14 +787,13 @@ impl Storage {
     /// uncommitted insert's pre-image, or the live position when nothing
     /// uncommitted allocated.
     pub fn committed_next_oid(&self) -> u64 {
-        for op in &self.undo {
-            match op {
-                StorageUndo::Inserted { prev_next_oid, .. }
-                | StorageUndo::BulkInserted { prev_next_oid, .. } => return *prev_next_oid,
-                _ => {}
-            }
-        }
-        self.next_oid
+        self.undo
+            .iter()
+            .find_map(|op| match op {
+                StorageUndo::Appended { prev_next_oid, .. } => Some(*prev_next_oid),
+                _ => None,
+            })
+            .unwrap_or(self.next_oid)
     }
 
     /// Replace one table of a *reader cache* storage with a reconstructed
@@ -892,8 +865,7 @@ impl Storage {
                 break;
             };
             match &op {
-                StorageUndo::Inserted { table, .. }
-                | StorageUndo::BulkInserted { table, .. }
+                StorageUndo::Appended { table, .. }
                 | StorageUndo::Deleted { table, .. }
                 | StorageUndo::Wrote { table, .. }
                 | StorageUndo::Created { table }
@@ -912,8 +884,7 @@ impl Storage {
 
     fn apply_undo(&mut self, op: StorageUndo) {
         match &op {
-            StorageUndo::Inserted { table, .. }
-            | StorageUndo::BulkInserted { table, .. }
+            StorageUndo::Appended { table, .. }
             | StorageUndo::Deleted { table, .. }
             | StorageUndo::Wrote { table, .. }
             | StorageUndo::Created { table }
@@ -924,17 +895,7 @@ impl Storage {
             StorageUndo::CreatedIndex { .. } | StorageUndo::DroppedIndex { .. } => {}
         }
         match op {
-            StorageUndo::Inserted { table, prev_next_oid } => {
-                if let Some(data) = self.tables.get_mut(&table) {
-                    if let Some(row) = data.rows.pop() {
-                        if let Some(oid) = row.oid {
-                            self.oid_directory.remove(&oid);
-                        }
-                    }
-                }
-                self.next_oid = prev_next_oid;
-            }
-            StorageUndo::BulkInserted { table, count, prev_next_oid } => {
+            StorageUndo::Appended { table, count, prev_next_oid } => {
                 if let Some(data) = self.tables.get_mut(&table) {
                     for _ in 0..count {
                         if let Some(row) = data.rows.pop() {

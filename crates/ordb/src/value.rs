@@ -86,20 +86,6 @@ impl Value {
         }
     }
 
-    pub fn as_obj(&self) -> Option<(&Ident, &[Value])> {
-        match self {
-            Value::Obj { type_name, attrs } => Some((type_name, attrs)),
-            _ => None,
-        }
-    }
-
-    pub fn as_coll(&self) -> Option<(&Ident, &[Value])> {
-        match self {
-            Value::Coll { type_name, elements } => Some((type_name, elements)),
-            _ => None,
-        }
-    }
-
     /// The shared block of a composite value, for tests that compare
     /// blocks by pointer.
     #[cfg(test)]
@@ -198,7 +184,7 @@ impl Value {
     pub fn to_sql_literal(&self) -> String {
         match self {
             Value::Null => "NULL".to_string(),
-            Value::Str(s) => format!("'{}'", s.replace('\'', "''")),
+            Value::Str(s) => crate::sql::printer::quote_literal(s),
             Value::Num(n) => num_sql_literal(*n),
             Value::Date(s) => format!("DATE '{s}'"),
             Value::Obj { type_name, attrs } => {

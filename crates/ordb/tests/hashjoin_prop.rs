@@ -1,7 +1,7 @@
 //! Differential property tests for the join paths: every randomized join
 //! query must return exactly the rows, in exactly the order, that a plain
 //! nested loop in FROM order returns — the reference in
-//! `tests/support/nested_loop.rs`, which shares no code with the planner.
+//! `xmlord_testkit::nested_loop`, which shares no code with the planner.
 //!
 //! The value pool is built to stress the prefilter's weak spot — SQL's
 //! numeric string coercion. `'04' = 4` is TRUE but `'04' = '4'` is FALSE,
@@ -13,11 +13,9 @@
 //! tables, with and without secondary indexes, so hash joins, index probes
 //! and cost-based reordering meet in one plan.
 
-#[path = "support/nested_loop.rs"]
-mod nested_loop;
-
 use xmlord_ordb::{Database, DbError, DbMode};
 use xmlord_prng::Prng;
+use xmlord_testkit::nested_loop;
 
 /// VARCHAR literal: numeric strings (padded and zero-prefixed variants that
 /// collide with numbers under coercion), plain text, or NULL.

@@ -11,7 +11,7 @@
 //!
 //! * every SELECT (point lookups and an equi-join) returns, on both
 //!   databases, exactly the rows in exactly the order that the plain
-//!   nested-loop reference (`tests/support/nested_loop.rs`) computes from
+//!   nested-loop reference (`xmlord_testkit::nested_loop`) computes from
 //!   `indexed`'s heap — index probes and join reordering are pure
 //!   access-path changes;
 //! * after every ROLLBACK / ROLLBACK TO SAVEPOINT, `state_dump()` is
@@ -30,11 +30,9 @@
 //! the reference, the planner probing the keys, and
 //! `Storage::check_indexes` clean.
 
-#[path = "support/nested_loop.rs"]
-mod nested_loop;
-
 use xmlord_ordb::{Database, DbMode};
 use xmlord_prng::Prng;
+use xmlord_testkit::nested_loop;
 
 const SCHEMA: &str = "CREATE TABLE Tab (k NUMBER, grp NUMBER, v VARCHAR(20));
 CREATE TABLE Lnk (k NUMBER, tag VARCHAR(10));";

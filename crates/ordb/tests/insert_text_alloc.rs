@@ -1,45 +1,15 @@
 //! What a repeated INSERT text allocates on its way through the plan cache,
-//! counted by this file's own global allocator. A loader's one-row INSERTs
+//! counted by the test kit's `CountingAlloc`. A loader's one-row INSERTs
 //! differ only in their literals, so after the first one every text is a
 //! template hit: one scan of its bytes into the cache's reused key buffer,
 //! its string literals moved into the cached template's slots, and the row
 //! it inserts. Counts, not timings: the same on every machine.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-
 use xmlord_ordb::{Database, DbMode};
-
-/// Allocations made by the thread that asked to be counted.
-struct Counting;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    static COUNTED: Cell<bool> = const { Cell::new(false) };
-}
-
-// SAFETY: every request is passed to `System` unchanged; the bookkeeping
-// touches only an atomic and a const-initialised thread-local without a
-// destructor, neither of which allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTED.with(Cell::get) {
-            ALLOCATIONS.fetch_add(1, Relaxed);
-        }
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use xmlord_testkit::{counted, CountingAlloc};
 
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
+static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// 10 000 one-row edge-table INSERT texts through `Database::execute` on a
 /// warm plan cache make 7 allocations each, plus the occasional growth of
@@ -68,13 +38,11 @@ fn a_template_hit_insert_text_allocates_a_bounded_few_times() {
     let texts: Vec<String> = (0..TEXTS).map(text).collect();
     let before = db.stats();
 
-    let allocations_before = ALLOCATIONS.load(Relaxed);
-    COUNTED.with(|c| c.set(true));
-    for sql in &texts {
-        db.execute(sql).unwrap();
-    }
-    COUNTED.with(|c| c.set(false));
-    let allocations = ALLOCATIONS.load(Relaxed) - allocations_before;
+    let ((), allocations) = counted(|| {
+        for sql in &texts {
+            db.execute(sql).unwrap();
+        }
+    });
 
     let stats = db.stats().since(&before);
     assert_eq!(

@@ -16,12 +16,12 @@
 //! the WAL alone and from a snapshot plus the log's tail: the recovered
 //! database must hold the model's rows and still reject a duplicate.
 
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use xmlord_ordb::sql::{parse_statement, Stmt};
 use xmlord_ordb::{Database, DbError, DbMode, Ident, InsertBatch, Value};
 use xmlord_prng::Prng;
+use xmlord_testkit::TempDir;
 
 const CREATE_P: &str = "CREATE TABLE P (A VARCHAR(20) PRIMARY KEY, B VARCHAR(20), \
                         C NUMBER, D NUMBER, UNIQUE (B, C))";
@@ -340,18 +340,6 @@ fn engine_matches_the_model_step_by_step_in_memory() {
     }
 }
 
-fn temp_dir(tag: &str) -> PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static N: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "xmlord-keyprop-{tag}-{}-{}",
-        std::process::id(),
-        N.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 #[test]
 fn recovered_databases_still_enforce_their_keys() {
     for mode in [DbMode::Oracle8, DbMode::Oracle9] {
@@ -365,7 +353,7 @@ fn recovered_databases_still_enforce_their_keys() {
             // Reopen from the WAL alone, and from a mid-stream snapshot plus
             // the log's tail.
             for with_snapshot in [false, true] {
-                let dir = temp_dir(if with_snapshot { "snap" } else { "wal" });
+                let dir = TempDir::new(if with_snapshot { "keyprop-snap" } else { "keyprop-wal" });
                 let mut db = Database::open(&dir, mode).unwrap();
                 db.set_snapshot_every(0);
                 db.execute(CREATE_P).unwrap();
@@ -393,8 +381,6 @@ fn recovered_databases_still_enforce_their_keys() {
                 assert_eq!(reopened.state_dump(), dump, "seed {seed:#x}: recovery diverged");
                 check_state(&mut reopened, &model, &format!("seed {seed:#x} reopened"));
                 assert_duplicates_rejected(&mut reopened, &model.rows);
-                drop(reopened);
-                std::fs::remove_dir_all(&dir).unwrap();
             }
         }
     }

@@ -1,6 +1,6 @@
 //! Lexer differential: the byte-scanning `sql::lexer::tokenize` against the
 //! char-vector lexer it replaced, kept as the reference in
-//! `tests/support/char_lexer.rs`. Over hand-picked edge texts, seeded
+//! `xmlord_testkit::char_lexer`. Over hand-picked edge texts, seeded
 //! INSERT, SELECT and DDL texts and seeded byte-level mutations of them,
 //! both must return the same tokens with the same `offset` and `end` (char
 //! indices), or the same error message at the same `position`; and
@@ -9,23 +9,11 @@
 //! seeds its own `Prng` with the case number, which a failure names, so it
 //! replays alone.
 
-#[path = "support/char_lexer.rs"]
-mod char_lexer;
-
 use xmlord_ordb::sql::lexer::tokenize;
 use xmlord_ordb::sql::param::parameterize;
 use xmlord_ordb::DbError;
 use xmlord_prng::Prng;
-
-/// Cases per seeded loop: `base` under tier-1's debug build, eight times
-/// that under the CI step's release build.
-fn cases(base: u64) -> u64 {
-    if cfg!(debug_assertions) {
-        base
-    } else {
-        base * 8
-    }
-}
+use xmlord_testkit::{cases, char_lexer, pick, Mutator};
 
 /// The two lexers, and the two `parameterize`s, agree on `input`. Returns
 /// the error message, if `tokenize` failed, for the coverage counts.
@@ -177,10 +165,6 @@ const SPACES: &[&str] = &[
 
 const OPERATORS: &[&str] = &["=", "<>", "!=", "<", "<=", ">", ">=", "||", "%"];
 
-fn pick(rng: &mut Prng, items: &[&'static str]) -> &'static str {
-    items[rng.gen_range(0..items.len())]
-}
-
 /// A literal, a path, NULL, a constructor call or a subquery.
 fn value(rng: &mut Prng, depth: u32) -> String {
     match rng.gen_range(0u32..if depth > 1 { 3 } else { 6 }) {
@@ -264,40 +248,9 @@ const PIECES: &[&str] = &[
     "€", ".", "5", ".5", "$", "#", "@", "\u{85}", "<", ">", "=",
 ];
 
-/// A random char boundary of `s`.
-fn boundary(rng: &mut Prng, s: &str) -> usize {
-    let mut at = rng.gen_range(0usize..s.len() + 1);
-    while !s.is_char_boundary(at) {
-        at -= 1;
-    }
-    at
-}
-
-/// One to three seeded edits of `text` at byte positions (moved back to a
-/// char boundary, so the result stays a `str`): delete a range, insert a
-/// piece, overwrite a char with one, duplicate a range, truncate.
-fn mutate(rng: &mut Prng, text: &str) -> String {
-    let mut s = text.to_string();
-    for _ in 0..rng.gen_range(1usize..4) {
-        let a = boundary(rng, &s);
-        let b = boundary(rng, &s);
-        let (lo, hi) = (a.min(b), a.max(b));
-        match rng.gen_range(0u32..6) {
-            0 => s.replace_range(lo..hi, ""),
-            1 | 2 => s.insert_str(a, pick(rng, PIECES)),
-            3 => {
-                let end = s[lo..].chars().next().map_or(lo, |c| lo + c.len_utf8());
-                s.replace_range(lo..end, pick(rng, PIECES));
-            }
-            4 => {
-                let piece = s[lo..hi].to_string();
-                s.insert_str(a, &piece);
-            }
-            _ => s.truncate(a),
-        }
-    }
-    s
-}
+/// One to three seeded edits of a text: delete a range, insert a piece,
+/// overwrite a char with one, duplicate a range, truncate.
+const MUTATOR: Mutator = Mutator { pieces: PIECES, max_delete: None, max_duplicate: None };
 
 #[test]
 fn seeded_texts_lex_as_the_char_lexer_lexed_them() {
@@ -320,7 +273,7 @@ fn mutated_texts_lex_as_the_char_lexer_lexed_them() {
     for case in 0..cases(3000) {
         let mut rng = Prng::seed_from_u64(0xB17E + case);
         let original = text(&mut rng);
-        let input = mutate(&mut rng, &original);
+        let input = MUTATOR.mutate(&mut rng, &original);
         match assert_agrees(&input, &format!("case {case}")) {
             Some(message) => {
                 errors.insert(message);

@@ -1,4 +1,4 @@
-//! What a query allocates, counted by this file's own global allocator.
+//! What a query allocates, counted by the test kit's `CountingAlloc`.
 //! The §4.1 shape — a table un-nested through three levels of `TABLE(…)` —
 //! streams: each FROM position refills one frame, a lateral expansion hands
 //! out handles on the stored blocks, and nothing is stored per combination,
@@ -12,50 +12,15 @@
 //! row with its FROM-order slots. Counts, not timings: the same on every
 //! machine.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Mutex;
 
 use xmlord_ordb::sql::ast::Expr;
 use xmlord_ordb::{Database, DbMode, ExecStats, Ident, InsertBatch, QueryResult, Value};
 use xmlord_prng::Prng;
-
-/// Live bytes (every thread), their peak since the last reset, and the
-/// allocations made by the thread that asked to be counted.
-struct Counting;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    static COUNTED: Cell<bool> = const { Cell::new(false) };
-}
-
-// SAFETY: every request is passed to `System` unchanged; the bookkeeping
-// touches only atomics and a const-initialised thread-local without a
-// destructor, neither of which allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let live = LIVE.fetch_add(layout.size(), Relaxed) + layout.size();
-        PEAK.fetch_max(live, Relaxed);
-        if COUNTED.with(Cell::get) {
-            ALLOCATIONS.fetch_add(1, Relaxed);
-        }
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Relaxed);
-        // SAFETY: `ptr` came from `System.alloc` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use xmlord_testkit::{counted, live_bytes, peak_above, CountingAlloc};
 
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
+static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// Held by each test: the live-byte peak counts every thread.
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -66,14 +31,7 @@ static SERIAL: Mutex<()> = Mutex::new(());
 fn measure(db: &mut Database, query: &str) -> (QueryResult, usize, usize, ExecStats) {
     let expected = db.query(query).unwrap();
     let stats_before = db.stats();
-    let live_before_query = LIVE.load(Relaxed);
-    PEAK.store(live_before_query, Relaxed);
-    let allocations_before = ALLOCATIONS.load(Relaxed);
-    COUNTED.with(|c| c.set(true));
-    let result = db.query(query);
-    COUNTED.with(|c| c.set(false));
-    let allocations = ALLOCATIONS.load(Relaxed) - allocations_before;
-    let transient = PEAK.load(Relaxed) - live_before_query;
+    let ((result, allocations), transient) = peak_above(|| counted(|| db.query(query)));
     let result = result.unwrap();
     assert_eq!(result, expected);
     (result, allocations, transient, db.stats().since(&stats_before))
@@ -113,7 +71,7 @@ fn university(rng: &mut Prng, doc: usize) -> String {
 #[test]
 fn a_three_level_unnest_allocates_per_result_row_and_keeps_the_store_in_place() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let live_before_store = LIVE.load(Relaxed);
+    let live_before_store = live_bytes();
     let mut db = Database::new(DbMode::Oracle9);
     db.execute_script(
         "CREATE TYPE Type_Professor AS OBJECT(PName VARCHAR(40), Subject VARCHAR(80));
@@ -131,7 +89,7 @@ fn a_three_level_unnest_allocates_per_result_row_and_keeps_the_store_in_place() 
         db.execute(&university(&mut rng, doc)).unwrap();
     }
     db.commit().unwrap();
-    let store = LIVE.load(Relaxed) - live_before_store;
+    let store = live_bytes() - live_before_store;
 
     let query = "SELECT t1.LName FROM TabUniversity t0, TABLE(t0.attrStudent) t1, \
                  TABLE(t1.attrCourse) t2, TABLE(t2.attrProfessor) t3 \
@@ -360,11 +318,7 @@ fn a_scalar_subquery_stops_at_its_second_row() {
     // Once to plan it, as `measure` does.
     assert!(db.query(query).is_err());
     let before = db.stats();
-    let allocations_before = ALLOCATIONS.load(Relaxed);
-    COUNTED.with(|c| c.set(true));
-    let result = db.query(query);
-    COUNTED.with(|c| c.set(false));
-    let allocations = ALLOCATIONS.load(Relaxed) - allocations_before;
+    let (result, allocations) = counted(|| db.query(query));
     assert_eq!(
         result.unwrap_err(),
         xmlord_ordb::DbError::Execution("scalar subquery returned 2 rows or more".into())

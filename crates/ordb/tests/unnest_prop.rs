@@ -1,7 +1,7 @@
 //! Differential property tests for `TABLE(…)` un-nesting: every randomized
 //! query over plain tables and one to three un-nesting levels must return
 //! exactly the rows, in exactly the order, that a plain nested loop in FROM
-//! order returns — the reference in `tests/support/nested_loop.rs`.
+//! order returns — the reference in `xmlord_testkit::nested_loop`.
 //!
 //! Collections are NULL, empty or filled; object elements carry NULL
 //! attributes and scalar elements NULLs of their own. Filters sit at every
@@ -25,11 +25,9 @@
 //! through a REF — NULL, dangling or not — beside the stored `TABLE(w.cs)`.
 //! Rows, order and errors (a dangling REF fails both sides) must agree.
 
-#[path = "support/nested_loop.rs"]
-mod nested_loop;
-
 use xmlord_ordb::{Database, DbError, DbMode};
 use xmlord_prng::Prng;
+use xmlord_testkit::nested_loop;
 
 const SCHEMA_ORACLE9: &str = "CREATE TYPE T_Tags AS VARRAY(4) OF VARCHAR(10);
 CREATE TYPE T_P AS OBJECT (pn VARCHAR(10), k NUMBER, tags T_Tags);

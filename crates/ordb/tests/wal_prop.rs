@@ -25,24 +25,13 @@
 //! * **Determinism** — two runs of the same seeded workload produce
 //!   byte-identical log files, snapshot files and recovered states.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use xmlord_ordb::sql::{parse_statement, Stmt};
 use xmlord_ordb::wal::HEADER_LEN;
 use xmlord_ordb::{Database, DbError, DbMode, InsertBatch};
 use xmlord_prng::Prng;
-
-fn temp_dir(tag: &str) -> PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static N: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "xmlord-walprop-{tag}-{}-{}",
-        std::process::id(),
-        N.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+use xmlord_testkit::TempDir;
 
 /// One workload step. `Batch` delivers rows through
 /// [`Database::execute_batch`] (its own WAL record kind); everything else
@@ -224,8 +213,8 @@ fn frame_ends(wal: &[u8]) -> Vec<u64> {
 }
 
 /// Write a truncated/mutated copy of a log into a fresh store directory.
-fn plant_wal(bytes: &[u8], tag: &str) -> PathBuf {
-    let dir = temp_dir(tag);
+fn plant_wal(bytes: &[u8], tag: &str) -> TempDir {
+    let dir = TempDir::new(&format!("walprop-{tag}"));
     std::fs::write(dir.join("wal.log"), bytes).unwrap();
     dir
 }
@@ -234,7 +223,7 @@ fn plant_wal(bytes: &[u8], tag: &str) -> PathBuf {
 fn truncation_at_any_byte_recovers_longest_commit_prefix() {
     for seed in [0xC4A5u64, 0x2002, 0xD00D] {
         let acts = gen_workload(seed);
-        let dir = temp_dir("matrix");
+        let dir = TempDir::new("walprop-matrix");
         let goldens = run_durable(&dir, &acts);
         let wal = std::fs::read(dir.join("wal.log")).unwrap();
         let ends = frame_ends(&wal);
@@ -252,9 +241,7 @@ fn truncation_at_any_byte_recovers_longest_commit_prefix() {
             .chain(ends.iter().map(|&e| {
                 let d = plant_wal(&wal[..e as usize], "oracle");
                 let db = Database::open(&d, DbMode::Oracle9).unwrap();
-                let dump = db.state_dump();
-                std::fs::remove_dir_all(&d).ok();
-                dump
+                db.state_dump()
             }))
             .collect();
         assert_eq!(
@@ -301,16 +288,14 @@ fn truncation_at_any_byte_recovers_longest_commit_prefix() {
                 oracle[complete],
                 "seed {seed:#x} cut {cut}: second recovery diverged"
             );
-            std::fs::remove_dir_all(&d).ok();
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
 #[test]
 fn hostile_bytes_never_panic() {
     let acts = gen_workload(0xBAD5EED);
-    let dir = temp_dir("hostile");
+    let dir = TempDir::new("walprop-hostile");
     let goldens = run_durable(&dir, &acts);
     // Snapshot too, so both files face the fuzz.
     {
@@ -320,14 +305,14 @@ fn hostile_bytes_never_panic() {
     }
     let wal = std::fs::read(dir.join("wal.log")).unwrap();
     let snap = std::fs::read(dir.join("snapshot.db")).unwrap();
-    std::fs::remove_dir_all(&dir).ok();
+    drop(dir);
 
     let mut rng = Prng::seed_from_u64(0xF1A6);
     for (name, clean) in [("wal.log", &wal), ("snapshot.db", &snap)] {
         for i in (0..clean.len()).step_by(3) {
             let mut bytes = clean.clone();
             bytes[i] ^= 1u8 << (rng.gen_range(0i64..8) as u32);
-            let d = temp_dir("flip");
+            let d = TempDir::new("walprop-flip");
             std::fs::write(d.join(name), &bytes).unwrap();
             // Recovery must classify the damage: Ok (a prefix survives or
             // the damaged snapshot/WAL is rejected wholesale via its CRC)
@@ -339,7 +324,6 @@ fn hostile_bytes_never_panic() {
                 Err(DbError::CorruptDurableState(_)) | Err(DbError::Io(_)) => {}
                 Err(e) => panic!("{name} flip at {i}: unexpected error kind {e:?}"),
             }
-            std::fs::remove_dir_all(&d).ok();
         }
     }
 }
@@ -350,11 +334,11 @@ fn snapshot_plus_tail_equals_pure_wal_replay() {
         let acts = gen_workload(seed);
 
         // Pure WAL: default cadence never triggers in a short workload.
-        let wal_dir = temp_dir("pure");
+        let wal_dir = TempDir::new("walprop-pure");
         let wal_goldens = run_durable(&wal_dir, &acts);
 
         // Aggressive snapshots: every two commits, plus a final manual one.
-        let snap_dir = temp_dir("snappy");
+        let snap_dir = TempDir::new("walprop-snappy");
         let mut db = Database::open(&snap_dir, DbMode::Oracle9).unwrap();
         db.set_snapshot_every(2);
         for act in &acts {
@@ -381,14 +365,12 @@ fn snapshot_plus_tail_equals_pure_wal_replay() {
             recovered_snap.recovery_report().unwrap().snapshot_loaded,
             "seed {seed:#x}: snapshot was not actually used"
         );
-        std::fs::remove_dir_all(&wal_dir).ok();
-        std::fs::remove_dir_all(&snap_dir).ok();
     }
 }
 
 #[test]
 fn uncommitted_work_is_not_durable() {
-    let dir = temp_dir("uncommitted");
+    let dir = TempDir::new("walprop-uncommitted");
     let mut db = Database::open(&dir, DbMode::Oracle9).unwrap();
     db.execute("CREATE TYPE T_U AS OBJECT (k NUMBER, v VARCHAR(10))").unwrap();
     db.execute("CREATE TABLE TabU OF T_U").unwrap();
@@ -406,12 +388,11 @@ fn uncommitted_work_is_not_durable() {
     db.execute("INSERT INTO TabU VALUES (T_U(3, 'new'))").unwrap();
     db.commit().unwrap();
     assert_eq!(db.query("SELECT u.k FROM TabU u").unwrap().rows.len(), 2);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn explicit_rollback_discards_the_pending_wal_entry() {
-    let dir = temp_dir("rollback");
+    let dir = TempDir::new("walprop-rollback");
     let mut db = Database::open(&dir, DbMode::Oracle9).unwrap();
     db.execute("CREATE TYPE T_R AS OBJECT (k NUMBER)").unwrap();
     db.execute("CREATE TABLE TabR OF T_R").unwrap();
@@ -427,12 +408,11 @@ fn explicit_rollback_discards_the_pending_wal_entry() {
     assert_eq!(db.state_dump(), live);
     let rows = db.query("SELECT r.k FROM TabR r").unwrap();
     assert_eq!(rows.rows.len(), 1, "rolled-back insert replayed from the WAL");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn recovered_indexes_serve_queries_identically() {
-    let dir = temp_dir("index");
+    let dir = TempDir::new("walprop-index");
     let mut db = Database::open(&dir, DbMode::Oracle9).unwrap();
     db.execute("CREATE TABLE Tab (k NUMBER, grp VARCHAR(5))").unwrap();
     for k in 0..200 {
@@ -450,13 +430,12 @@ fn recovered_indexes_serve_queries_identically() {
     assert_eq!(rows.rows.len(), 1);
     // The rebuilt secondary index actually serves the probe.
     assert!(db.stats().index_scans > 0, "recovered index unused by the planner");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn same_seed_produces_byte_identical_stores() {
     let acts = gen_workload(0x5EED);
-    let (d1, d2) = (temp_dir("det1"), temp_dir("det2"));
+    let (d1, d2) = (TempDir::new("walprop-det1"), TempDir::new("walprop-det2"));
     let g1 = run_durable(&d1, &acts);
     let g2 = run_durable(&d2, &acts);
     assert_eq!(g1, g2, "state dumps diverged between identical runs");
@@ -474,13 +453,11 @@ fn same_seed_produces_byte_identical_stores() {
         std::fs::read(d2.join("snapshot.db")).unwrap(),
         "snapshot encoding is not canonical"
     );
-    std::fs::remove_dir_all(&d1).ok();
-    std::fs::remove_dir_all(&d2).ok();
 }
 
 #[test]
 fn mode_mismatch_is_a_typed_error() {
-    let dir = temp_dir("mode");
+    let dir = TempDir::new("walprop-mode");
     {
         let mut db = Database::open(&dir, DbMode::Oracle9).unwrap();
         db.execute("CREATE TYPE T_M AS OBJECT (k NUMBER)").unwrap();
@@ -491,5 +468,4 @@ fn mode_mismatch_is_a_typed_error() {
         matches!(err, DbError::CorruptDurableState(_)),
         "opening with the wrong mode must be rejected, got {err:?}"
     );
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -20,6 +20,7 @@ use std::collections::BTreeSet;
 
 use xmlord_dtd::ast::Dtd;
 use xmlord_dtd::graph::ElementGraph;
+use xmlord_ordb::sql::printer::quote_literal;
 use xmlord_xml::{Document, NodeId, NodeKind};
 
 use crate::naming::{stateless, NameKind};
@@ -99,7 +100,7 @@ fn shred(
         out.push(format!(
             "INSERT INTO {} VALUES ({my_id}, 0, NULL, {})",
             crate::intern::element_table(name),
-            sql_str(&text)
+            quote_literal(&text)
         ));
     }
     // Attributes.
@@ -107,7 +108,7 @@ fn shred(
         out.push(format!(
             "INSERT INTO {} VALUES ({my_id}, {i}, {})",
             crate::intern::attribute_table(attr.name.as_raw()),
-            sql_str(&attr.value)
+            quote_literal(&attr.value)
         ));
     }
     // Child elements.
@@ -140,7 +141,7 @@ pub fn path_query(root: &str, steps: &[&str], predicate: Option<(&[&str], &str)>
             }
             let expr = b.descend(&prev, &steps[shared..]);
             let pred_expr = b.descend(&prev, &pred_steps[shared..]);
-            b.wheres.push(format!("{pred_expr} = {}", sql_str(value)));
+            b.wheres.push(format!("{pred_expr} = {}", quote_literal(value)));
             b.render(&expr)
         }
     }
@@ -194,10 +195,6 @@ impl Builder {
             self.wheres.join(" AND ")
         )
     }
-}
-
-fn sql_str(s: &str) -> String {
-    format!("'{}'", s.replace('\'', "''"))
 }
 
 #[cfg(test)]

@@ -16,6 +16,7 @@
 //! Path queries become chains of self-joins over `TabEdge` — one join per
 //! step — plus a final join to `TabValue`.
 
+use xmlord_ordb::sql::printer::quote_literal;
 use xmlord_xml::{Document, NodeId, NodeKind};
 
 /// The generic schema (identical for every document type).
@@ -70,8 +71,8 @@ impl<'a> EdgeLoader<'a> {
                 "INSERT INTO TabEdge VALUES ({my_id}, {i}, {}, 'val', {vid})",
                 crate::intern::name_literal(&format!("@{}", attr.name.as_raw()))
             ));
-            self.out
-                .push(format!("INSERT INTO TabValue VALUES ({vid}, {})", sql_str(&attr.value)));
+            let value = quote_literal(&attr.value);
+            self.out.push(format!("INSERT INTO TabValue VALUES ({vid}, {value})"));
         }
         // Children: elements recurse; text becomes value edges.
         let mut ordinal = 0usize;
@@ -89,7 +90,7 @@ impl<'a> EdgeLoader<'a> {
                         ));
                         self.out.push(format!(
                             "INSERT INTO TabValue VALUES ({vid}, {})",
-                            sql_str(t)
+                            quote_literal(t)
                         ));
                         ordinal += 1;
                     }
@@ -129,7 +130,7 @@ pub fn path_query(root: &str, steps: &[&str], predicate: Option<(&[&str], &str)>
             }
             let expr = b.descend_all(&prev, &steps[shared..]);
             let pred_expr = b.descend_all(&prev, &pred_steps[shared..]);
-            b.wheres.push(format!("{pred_expr} = {}", sql_str(value)));
+            b.wheres.push(format!("{pred_expr} = {}", quote_literal(value)));
             b.render(&expr)
         }
     }
@@ -161,7 +162,7 @@ impl ChainBuilder {
     fn root(&mut self, root: &str) -> String {
         let a = self.edge_alias();
         self.wheres.push(format!("{a}.Source = 0"));
-        self.wheres.push(format!("{a}.Name = {}", sql_str(root)));
+        self.wheres.push(format!("{a}.Name = {}", quote_literal(root)));
         a
     }
 
@@ -169,7 +170,7 @@ impl ChainBuilder {
     fn element_step(&mut self, prev: &str, step: &str) -> String {
         let a = self.edge_alias();
         self.wheres.push(format!("{a}.Source = {prev}.Target"));
-        self.wheres.push(format!("{a}.Name = {}", sql_str(step)));
+        self.wheres.push(format!("{a}.Name = {}", quote_literal(step)));
         a
     }
 
@@ -199,10 +200,6 @@ impl ChainBuilder {
             self.wheres.join(" AND ")
         )
     }
-}
-
-fn sql_str(s: &str) -> String {
-    format!("'{}'", s.replace('\'', "''"))
 }
 
 #[cfg(test)]

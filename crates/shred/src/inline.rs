@@ -14,6 +14,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use xmlord_dtd::ast::{ContentSpec, Dtd};
 use xmlord_dtd::graph::ElementGraph;
 use xmlord_ordb::DbError;
+use xmlord_ordb::sql::printer::quote_literal;
 use xmlord_xml::{Document, NodeId};
 
 use crate::naming::{scope_with, NameGenerator, NameKind};
@@ -143,7 +144,7 @@ impl InlineSchema {
         ];
         for column in &relation.columns {
             let value = resolve_column(doc, node, column);
-            values.push(value.map(|v| sql_str(&v)).unwrap_or_else(|| "NULL".into()));
+            values.push(value.map(|v| quote_literal(&v)).unwrap_or_else(|| "NULL".into()));
         }
         out.push(format!("INSERT INTO {} VALUES ({})", relation.table, values.join(", ")));
         // Recurse into nested relation elements (at any inlined depth).
@@ -198,15 +199,10 @@ impl InlineSchema {
                 }
                 let expr = b.descend(cursor.clone(), &steps[shared..])?;
                 let pred_expr = b.descend(cursor, &pred_steps[shared..])?;
-                b.wheres.push(format!("{pred_expr} = {}", sql_str(value)));
+                b.wheres.push(format!("{pred_expr} = {}", quote_literal(value)));
                 Ok(b.render(&expr))
             }
         }
-    }
-
-    /// Relational joins a query over `steps` needs (relation boundaries).
-    pub fn join_count(&self, steps: &[&str]) -> usize {
-        steps.iter().filter(|s| self.relations.contains_key(**s)).count()
     }
 }
 
@@ -364,10 +360,6 @@ fn resolve_column(doc: &Document, node: NodeId, column: &InlineColumn) -> Option
             Some(text)
         }
     }
-}
-
-fn sql_str(s: &str) -> String {
-    format!("'{}'", s.replace('\'', "''"))
 }
 
 #[cfg(test)]

@@ -14,6 +14,8 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use xmlord_ordb::sql::printer::quote_literal;
+
 /// Entries kept per derivation kind; a DTD has few distinct names, so a
 /// full cache only happens on adversarial input — new names then skip the
 /// cache (they still work, they just allocate).
@@ -55,7 +57,7 @@ fn cached(
 
 /// The quoted SQL string literal for a node name (`'name'`, quote-doubled).
 pub fn name_literal(name: &str) -> Arc<str> {
-    cached(|c| &mut c.literals, name, |s| format!("'{}'", s.replace('\'', "''")))
+    cached(|c| &mut c.literals, name, quote_literal)
 }
 
 /// The attribute-table baseline's per-element table name.

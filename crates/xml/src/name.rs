@@ -156,11 +156,6 @@ pub fn is_valid_ncname(s: &str) -> bool {
     }
 }
 
-/// Validate a full name as it may appear in a document (at most one colon).
-pub fn is_valid_qname(s: &str) -> bool {
-    QName::parse(s).is_some()
-}
-
 /// Validate an `Nmtoken` (any name characters, colon allowed per XML spec).
 pub fn is_valid_nmtoken(s: &str) -> bool {
     !s.is_empty() && s.chars().all(|c| is_name_char(c) || c == ':')

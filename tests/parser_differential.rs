@@ -1,6 +1,6 @@
 //! The pull reader against the parser it replaced, and against hostile input.
 //!
-//! **Differential.** `tests/support/recursive_parser.rs` is the recursive
+//! **Differential.** `xmlord_testkit::recursive_parser` is the recursive
 //! parser `xmlord-xml` shipped before `xml::events`, kept verbatim as the
 //! oracle. Over seeded documents — random trees, hand-rolled documents using
 //! every construct, the university and `dtdgen` corpora, Appendix A with its
@@ -13,7 +13,7 @@
 //!
 //! **Hostile input.** The three inputs the oracle crashes on, balloons on or
 //! silently stores each return their typed error here, quickly and in
-//! bounded memory (this file's own counting allocator), and a document at
+//! bounded memory (the test kit's `CountingAlloc`), and a document at
 //! the depth limit stores and retrieves byte-identically in both engine
 //! modes on a thread with the default stack — which is what shows the limit
 //! protects the recursive walkers behind the parser.
@@ -21,11 +21,6 @@
 //! A release build (the CI step) runs eight times the cases of a debug one
 //! (tier-1).
 
-#[path = "support/recursive_parser.rs"]
-mod recursive_parser;
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::time::{Duration, Instant};
 
 use xml_ordb::mapping::Xml2OrDb;
@@ -33,46 +28,14 @@ use xml_ordb::ordb::DbMode;
 use xml_ordb::workload::dtdgen::{generate_dtd, DtdConfig};
 use xml_ordb::workload::university::{university_xml, UniversityConfig};
 use xmlord_prng::Prng;
+use xmlord_testkit::{cases, peak_above, pick, recursive_parser, CountingAlloc, Mutator};
 use xmlord_xml::escape::{escape_attr, escape_text, is_xml_char};
 use xmlord_xml::events::{Event, Reader};
 use xmlord_xml::serializer::{serialize, SerializeOptions};
 use xmlord_xml::{parse, XmlErrorKind, MAX_ELEMENT_DEPTH, MAX_ENTITY_EXPANSION_BYTES};
 
-/// Live bytes (every thread) and their peak since the last reset.
-struct Counting;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: every request is passed to `System` unchanged; the bookkeeping
-// touches only atomics, which do not allocate.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let live = LIVE.fetch_add(layout.size(), Relaxed) + layout.size();
-        PEAK.fetch_max(live, Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Relaxed);
-        // SAFETY: `ptr` came from `System.alloc` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// Cases per seeded loop: `base` under tier-1's debug build, eight times
-/// that under the CI step's release build.
-fn cases(base: u64) -> u64 {
-    if cfg!(debug_assertions) {
-        base
-    } else {
-        base * 8
-    }
-}
+static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 // ---------------------------------------------------------------------------
 // The corpus
@@ -132,10 +95,6 @@ there'>&uni;<s>&city;&city;</s><![CDATA[<raw> & ]] stuff]]>&amp;&apos;&quot;<e/>
 
 const NCNAME_FIRST: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_";
 const NCNAME_REST: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.-";
-
-fn pick(rng: &mut Prng, items: &[&'static str]) -> &'static str {
-    items[rng.gen_range(0..items.len())]
-}
 
 fn ncname(rng: &mut Prng) -> String {
     let mut s = String::new();
@@ -265,49 +224,10 @@ const TOKENS: &[&str] = &[
     "\u{FFFF}", "\u{FFFD}", "é", "\u{FEFF}",
 ];
 
-/// A random char boundary of `s`.
-fn boundary(rng: &mut Prng, s: &str) -> usize {
-    let mut at = rng.gen_range(0usize..s.len() + 1);
-    while !s.is_char_boundary(at) {
-        at -= 1;
-    }
-    at
-}
-
-/// The end of the range of `s` that starts at `lo`, stops at `hi` and is at
-/// most `max` bytes long.
-fn clip(s: &str, lo: usize, hi: usize, max: usize) -> usize {
-    let mut end = hi.min(lo + max);
-    while !s.is_char_boundary(end) {
-        end -= 1;
-    }
-    end
-}
-
-/// One to three seeded edits of `doc`: delete a range, insert a token,
-/// overwrite with a token, duplicate a range, truncate.
-fn mutate(rng: &mut Prng, doc: &str) -> String {
-    let mut s = doc.to_string();
-    for _ in 0..rng.gen_range(1usize..4) {
-        let a = boundary(rng, &s);
-        let b = boundary(rng, &s);
-        let (lo, hi) = (a.min(b), a.max(b));
-        match rng.gen_range(0u32..6) {
-            0 => s.replace_range(lo..clip(&s, lo, hi, 12), ""),
-            1 | 2 => s.insert_str(a, pick(rng, TOKENS)),
-            3 => {
-                let end = (lo..=s.len()).find(|i| *i > lo && s.is_char_boundary(*i)).unwrap_or(lo);
-                s.replace_range(lo..end, pick(rng, TOKENS));
-            }
-            4 => {
-                let piece = s[lo..clip(&s, lo, hi, 40)].to_string();
-                s.insert_str(a, &piece);
-            }
-            _ => s.truncate(a),
-        }
-    }
-    s
-}
+/// One to three seeded edits of a document: delete a range of at most 12
+/// bytes, insert a token, overwrite with a token, duplicate a range of at
+/// most 40 bytes, truncate.
+const MUTATOR: Mutator = Mutator { pieces: TOKENS, max_delete: Some(12), max_duplicate: Some(40) };
 
 // ---------------------------------------------------------------------------
 // The differential
@@ -371,7 +291,7 @@ fn mutated_documents_fail_as_the_recursive_parser_failed() {
     for case in 0..cases(1500) {
         let mut rng = Prng::seed_from_u64(0x3A7A + case);
         let doc = document(&mut rng);
-        let mutant = mutate(&mut rng, &doc);
+        let mutant = MUTATOR.mutate(&mut rng, &doc);
         assert_agrees(&mutant, &format!("case {case}"));
         match parse(&mutant) {
             Err(e) if matches!(e.kind, XmlErrorKind::InvalidChar(_)) => forbidden += 1,
@@ -525,12 +445,9 @@ fn entity_chain() -> String {
 fn an_entity_chain_is_refused_within_its_budget() {
     let doc = entity_chain();
     assert!(doc.len() < 500);
-    let live = LIVE.load(Relaxed);
-    PEAK.store(live, Relaxed);
     let started = Instant::now();
-    let err = parse(&doc).unwrap_err();
+    let (err, transient) = peak_above(|| parse(&doc).unwrap_err());
     let took = started.elapsed();
-    let transient = PEAK.load(Relaxed).saturating_sub(live);
     assert_eq!(err.kind, XmlErrorKind::EntityExpansionLimit);
     // The error stands at the reference in the document.
     assert_eq!(err.position.offset, doc.find("&e7;</r>").unwrap());

@@ -14,14 +14,25 @@
 //! emits the child, the way XML-DBMS's `CandidateKey`/`ForeignKey` maps
 //! hand a child its parent's key, so the engine answers it with one probe
 //! of the key's index instead of planning a query per row.
+//!
+//! A document's rows come out grouped by table, one document pass into
+//! per-table row sets (Atay et al.'s DOM-based shredding): the groups
+//! follow the schema's load order ([`ElementMapping::load_group`], computed
+//! once when the schema is generated), in which every table a key REF names
+//! comes before the tables whose rows hold it — Oracle 8's University,
+//! Student, Course, Professor. Within a table the rows keep document
+//! order, which is all retrieval reads; order across tables carries no
+//! information.
+//!
 //! [`load_script`] prints the operations back to the paper-faithful SQL
 //! text, each key REF as the `(SELECT REF(x) FROM Tab x WHERE x.ID = 'id')`
 //! it means ("This script can be executed afterwards without any
 //! modification", §4); [`plan_batches`] groups consecutive same-table ops
-//! into [`InsertBatch`]es for the engine's bulk path — same rows, same
-//! order, same database state, a fraction of the per-statement overhead.
+//! into [`InsertBatch`]es for the engine's bulk path — so an Oracle 8
+//! document reaches the engine as one batch per table, with the same rows
+//! in the same order and the same database state as its script.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use xmlord_dtd::ast::{AttType, Dtd};
 use xmlord_ordb::sql::ast::{Expr, KeyRef, Stmt};
@@ -70,9 +81,14 @@ pub enum LoadUnit {
 
 /// Generate the bound operations that store `doc` under `doc_id`.
 ///
-/// Operations are ordered so that every key REF finds its target row:
-/// ref-held children (recursion, ID targets) are inserted before their
-/// parents; Oracle 8 inverted children after them.
+/// The INSERTs come grouped by table, the groups in the schema's load
+/// order (each table-rooted element's [`ElementMapping::load_group`]), so
+/// every key REF finds its target row already inserted. The tables of one
+/// key-REF cycle (§6.2 recursion) share a group, in which rows keep
+/// document order: ref-held children (recursion, ID targets) before the
+/// row that holds them, Oracle 8 inverted children after their parent.
+/// Within a table the rows are always in document order. The deferred
+/// IDREF `UPDATE`s come last.
 pub fn load_ops(
     schema: &MappedSchema,
     dtd: &Dtd,
@@ -94,7 +110,7 @@ pub fn load_ops(
         dtd,
         doc,
         doc_id,
-        ops: Vec::new(),
+        groups: Vec::new(),
         pending_updates: Vec::new(),
         ref_frames: Vec::new(),
         next_id: 0,
@@ -104,7 +120,11 @@ pub fn load_ops(
     // IDREF wiring runs after every row exists, so forward references
     // (an IDREF pointing at an ID that appears later in the document)
     // resolve correctly.
-    let mut ops = loader.ops;
+    let rows: usize = loader.groups.iter().map(Vec::len).sum();
+    let mut ops = Vec::with_capacity(rows + loader.pending_updates.len());
+    for group in loader.groups {
+        ops.extend(group);
+    }
     ops.extend(loader.pending_updates);
     Ok(ops)
 }
@@ -124,7 +144,9 @@ pub fn load_script(
 /// INSERTs. Keeping the global statement order (a batch never absorbs a
 /// later row across an intervening other-table row) means the batched load
 /// allocates OIDs in exactly the per-statement order — the resulting
-/// database state is byte-identical to the text path. Two things close the
+/// database state is byte-identical to the text path. Since [`load_ops`]
+/// emits a document's rows grouped by table, a run is a whole table's rows
+/// (one batch per table for an Oracle 8 document). Two things close the
 /// open batch early: a row whose key REFs reference the open batch's own
 /// table (§6.2 recursion — the target row must be applied first), and an
 /// UPDATE.
@@ -159,6 +181,104 @@ pub fn plan_batches(ops: Vec<LoadOp>) -> Vec<LoadUnit> {
     units
 }
 
+/// Give every table-rooted element of a schema its
+/// [`ElementMapping::load_group`]: a topological order of the key-REF
+/// graph, whose edges run from a table to each table its rows' INSERTs
+/// name through a key REF — the parent a `ParentRef` points at, the
+/// ref-held children of `Ref`/`RefCollection` fields, and the IDREF
+/// targets of embedded elements. (An IDREF of the row itself is inserted
+/// NULL and set by a deferred `UPDATE`, so it adds no edge.) Target tables
+/// come first; the tables of a cycle share one group.
+///
+/// The graph has one node per table, so a transitive closure is cheap: a
+/// table reaches the tables it reads directly or through others, the
+/// tables that reach each other form one group, and a table that reads
+/// another reaches strictly more tables than that one does unless both
+/// are in one group. Ordering by that count, then by the group's first
+/// element name, is therefore a topological order with every group
+/// contiguous.
+pub(crate) fn assign_load_groups(elements: &mut BTreeMap<String, ElementMapping>) {
+    let tables: Vec<String> =
+        elements.values().filter(|m| m.table.is_some()).map(|m| m.element.clone()).collect();
+    let n = tables.len();
+    let mut reach = vec![vec![false; n]; n];
+    for (i, element) in tables.iter().enumerate() {
+        for target in key_ref_targets(elements, element) {
+            if let Ok(j) = tables.binary_search_by(|t| t.as_str().cmp(target)) {
+                reach[i][j] = true;
+            }
+        }
+    }
+    for k in 0..n {
+        let through_k = reach[k].clone();
+        for row in reach.iter_mut().filter(|row| row[k]) {
+            row.iter_mut().zip(&through_k).for_each(|(to, &via)| *to |= via);
+        }
+    }
+    let keys: Vec<(usize, usize)> = (0..n)
+        .map(|i| {
+            let reached = (0..n).filter(|&j| j == i || reach[i][j]).count();
+            let first = (0..n).find(|&j| j == i || (reach[i][j] && reach[j][i]));
+            (reached, first.expect("a table is in its own group"))
+        })
+        .collect();
+    let mut groups = keys.clone();
+    groups.sort_unstable();
+    groups.dedup();
+    for (element, key) in tables.iter().zip(&keys) {
+        let group = groups.binary_search(key).expect("every key is ranked");
+        elements.get_mut(element).expect("a table-rooted element").load_group = Some(group);
+    }
+}
+
+/// The table-rooted elements whose rows a row of `element`'s table names
+/// through a key REF in its INSERT (the edges of [`assign_load_groups`]).
+fn key_ref_targets<'e>(
+    elements: &'e BTreeMap<String, ElementMapping>,
+    element: &str,
+) -> BTreeSet<&'e str> {
+    let mut targets = BTreeSet::new();
+    let Some(row) = elements.get(element) else { return targets };
+    // The row's own value, then the embedded elements inside it; only the
+    // row itself can wire its IDREFs by UPDATEs instead.
+    let mut pending = vec![(row, row.idref_update_key().is_some())];
+    let mut seen = BTreeSet::new();
+    while let Some((mapping, deferred)) = pending.pop() {
+        if !seen.insert(mapping.element.as_str()) {
+            continue;
+        }
+        for field in &mapping.fields {
+            match (&field.source, &field.kind) {
+                (FieldSource::ParentRef(parent), _) => {
+                    targets.insert(parent.as_str());
+                }
+                (FieldSource::ChildElement(child), FieldKind::Ref(_))
+                | (FieldSource::ChildElement(child), FieldKind::RefCollection { .. }) => {
+                    targets.insert(child.as_str());
+                }
+                (FieldSource::ChildElement(child), FieldKind::Object(_))
+                | (FieldSource::ChildElement(child), FieldKind::ObjectCollection { .. }) => {
+                    pending.extend(elements.get(child).map(|m| (m, false)));
+                }
+                (FieldSource::XmlAttribute(attribute), _)
+                    if field.wired_after_insert() && !deferred =>
+                {
+                    targets.extend(idref_target(elements, mapping, attribute));
+                }
+                (FieldSource::AttrList, _) if !deferred => {
+                    let idrefs = mapping.attr_list.iter().flat_map(|list| &list.fields);
+                    let idrefs = idrefs.filter(|f| f.idref_target.is_some());
+                    targets.extend(
+                        idrefs.filter_map(|f| idref_target(elements, mapping, &f.xml_attribute)),
+                    );
+                }
+                _ => {}
+            }
+        }
+    }
+    targets
+}
+
 /// `NULL` as an expression.
 fn null() -> Expr {
     Expr::Literal(Value::Null)
@@ -189,7 +309,9 @@ struct Loader<'a> {
     dtd: &'a Dtd,
     doc: &'a Document,
     doc_id: &'a str,
-    ops: Vec<LoadOp>,
+    /// The INSERTs emitted so far, one list per load group
+    /// ([`ElementMapping::load_group`]), each in document order.
+    groups: Vec<Vec<LoadOp>>,
     /// Post-INSERT `UPDATE … SET <idref col> = <key REF>` operations.
     pending_updates: Vec<LoadOp>,
     /// Referenced-table accumulators, one frame per in-flight row
@@ -258,7 +380,7 @@ impl<'a> Loader<'a> {
             ))
         })?;
         let my_id = if mapping.synthetic_id.is_some() { self.fresh_id(node) } else { String::new() };
-        let row_ctx = mapping.synthetic_id.as_deref().map(|id_column| RowCtx {
+        let row_ctx = mapping.idref_update_key().map(|id_column| RowCtx {
             table,
             id_column,
             id: &my_id,
@@ -280,9 +402,17 @@ impl<'a> Loader<'a> {
             args.push(arg);
         }
         let ref_tables = self.ref_frames.pop().expect("frame pushed above");
+        let group = mapping.load_group.ok_or_else(|| {
+            MappingError::MalformedMapping(format!(
+                "<{element}> is table-rooted ({table}) but has no load group"
+            ))
+        })?;
         let table = self.ident(table);
         let row = self.constructor(type_name, args);
-        self.ops.push(LoadOp::Insert { table, values: vec![row], ref_tables });
+        if self.groups.len() <= group {
+            self.groups.resize_with(group + 1, Vec::new);
+        }
+        self.groups[group].push(LoadOp::Insert { table, values: vec![row], ref_tables });
 
         // Oracle 8 inverted children: their rows point back at us and are
         // inserted after us.
@@ -317,7 +447,7 @@ impl<'a> Loader<'a> {
         match &field.source {
             FieldSource::Text => Ok(text_lit(doc, node)),
             FieldSource::XmlAttribute(attr) => match doc.attribute(node, attr) {
-                Some(value) if matches!(field.kind, FieldKind::Ref(_)) => {
+                Some(value) if field.wired_after_insert() => {
                     self.idref_expr(element, attr, value, row, &[&field.db_name])
                 }
                 Some(value) => Ok(Expr::str_lit(value)),
@@ -375,11 +505,15 @@ impl<'a> Loader<'a> {
         column: &[&'a str],
     ) -> Result<Expr, MappingError> {
         let target = self.idref_ref(element, attribute, value)?;
-        let Some(row) = row else { return Ok(target) };
+        let Some(row) = row else {
+            // Only here is the key REF part of the row's INSERT.
+            self.note_ref(target.table.clone());
+            return Ok(Expr::KeyRef(Box::new(target)));
+        };
         let path = column.iter().map(|part| self.ident(part)).collect();
         let update = Stmt::Update {
             table: self.ident(row.table),
-            sets: vec![(path, target)],
+            sets: vec![(path, Expr::KeyRef(Box::new(target)))],
             where_clause: Some(Expr::eq(
                 Expr::Path(vec![self.ident(row.id_column)]),
                 Expr::str_lit(row.id),
@@ -464,48 +598,24 @@ impl<'a> Loader<'a> {
         Ok(key_ref(table, vec![id_col], id))
     }
 
-    /// The REF of the row whose ID attribute is `value`, for the IDREF
+    /// The key of the row whose ID attribute is `value`, for the IDREF
     /// attribute `element/@attribute` (§4.4).
     fn idref_ref(
         &mut self,
         element: &str,
         attribute: &str,
         value: &str,
-    ) -> Result<Expr, MappingError> {
-        // Find the target element of this IDREF from the mapping.
+    ) -> Result<KeyRef, MappingError> {
         let mapping = self.mapping_of(element)?;
-        let target = mapping
-            .attr_list
-            .as_ref()
-            .and_then(|al| {
-                al.fields
-                    .iter()
-                    .find(|f| f.xml_attribute == attribute)
-                    .and_then(|f| f.idref_target.clone())
-            })
-            .or_else(|| {
-                mapping.field_for_attribute(attribute).and_then(|f| match &f.kind {
-                    FieldKind::Ref(_) => {
-                        // Single inlined attribute: the target is recorded in
-                        // the schema via the REF type; resolve by scanning.
-                        self.schema
-                            .elements
-                            .values()
-                            .find(|m| m.object_type.as_deref() == ref_target_name(&f.kind))
-                            .map(|m| m.element.clone())
-                    }
-                    _ => None,
-                })
-            })
-            .ok_or_else(|| {
-                MappingError::Unsupported(format!(
-                    "attribute {element}/@{attribute} is not an IDREF mapping"
-                ))
-            })?;
+        let target = idref_target(&self.schema.elements, mapping, attribute).ok_or_else(|| {
+            MappingError::Unsupported(format!(
+                "attribute {element}/@{attribute} is not an IDREF mapping"
+            ))
+        })?;
         // The ID attribute of the target element (from the DTD).
         let id_attr = self
             .dtd
-            .attributes_of(&target)
+            .attributes_of(target)
             .iter()
             .find(|a| a.att_type == AttType::Id)
             .map(|a| a.name.clone())
@@ -513,7 +623,7 @@ impl<'a> Loader<'a> {
                 MappingError::Unsupported(format!("<{target}> has no ID attribute"))
             })?;
         let (table, path_parts): (&'a str, Vec<&'a str>) = {
-            let target_mapping = self.mapping_of(&target)?;
+            let target_mapping = self.mapping_of(target)?;
             let table = target_mapping.table.as_deref().ok_or_else(|| {
                 MappingError::Unsupported(format!("IDREF target <{target}> has no object table"))
             })?;
@@ -549,17 +659,29 @@ impl<'a> Loader<'a> {
             (table, path_parts)
         };
         let table = self.ident(table);
-        let parts: Vec<Ident> = path_parts.into_iter().map(|part| self.ident(part)).collect();
-        self.note_ref(table.clone());
-        Ok(key_ref(table, parts, value))
+        let path = path_parts.into_iter().map(|part| self.ident(part)).collect();
+        Ok(KeyRef { table, path, key: Value::Str(value.to_string()) })
     }
 }
 
-fn ref_target_name(kind: &FieldKind) -> Option<&str> {
-    match kind {
-        FieldKind::Ref(t) => Some(t.as_str()),
-        _ => None,
-    }
+/// The element the IDREF attribute `@attribute` of `mapping`'s element
+/// points at (§4.4): recorded on its attribute-list field, or, for a single
+/// inlined attribute, the element whose object type its REF names.
+fn idref_target<'e>(
+    elements: &'e BTreeMap<String, ElementMapping>,
+    mapping: &'e ElementMapping,
+    attribute: &str,
+) -> Option<&'e str> {
+    let listed = mapping.attr_list.as_ref().and_then(|list| {
+        let field = list.fields.iter().find(|f| f.xml_attribute == attribute)?;
+        field.idref_target.as_deref()
+    });
+    listed.or_else(|| {
+        let field = mapping.field_for_attribute(attribute)?;
+        let FieldKind::Ref(type_name) = &field.kind else { return None };
+        let target = elements.values().find(|m| m.object_type.as_deref() == Some(type_name));
+        target.map(|m| m.element.as_str())
+    })
 }
 
 /// Concatenated *direct* text of an element (not descending into child
@@ -687,6 +809,55 @@ mod tests {
             )
             .unwrap();
         assert_eq!(rows.rows.len(), 2);
+    }
+
+    #[test]
+    fn oracle8_load_is_one_batch_per_table_in_key_ref_order() {
+        let dtd = parse_dtd(UNIVERSITY_DTD).unwrap();
+        let doc = xmlord_xml::parse(UNIVERSITY_XML).unwrap();
+        let schema = generate_schema(
+            &dtd,
+            "University",
+            DbMode::Oracle8,
+            MappingOptions::default(),
+            &IdrefTargets::new(),
+        )
+        .unwrap();
+        let units = plan_batches(load_ops(&schema, &dtd, &doc, "doc1").unwrap());
+        let batches: Vec<(String, usize)> = units
+            .iter()
+            .map(|unit| match unit {
+                LoadUnit::Batch(batch) => (batch.table.to_string(), batch.rows.len()),
+                LoadUnit::Stmt(stmt) => panic!("no UPDATE expected: {stmt:?}"),
+            })
+            .collect();
+        let expected =
+            [("TabUniversity", 1), ("TabStudent", 2), ("TabCourse", 2), ("TabProfessor", 2)];
+        assert_eq!(batches, expected.map(|(t, n)| (t.to_string(), n)));
+    }
+
+    #[test]
+    fn key_ref_targets_load_first_and_a_cycle_is_one_group() {
+        let groups = |dtd_text: &str, root: &str| {
+            let dtd = parse_dtd(dtd_text).unwrap();
+            let options = MappingOptions::default();
+            let schema =
+                generate_schema(&dtd, root, DbMode::Oracle8, options, &IdrefTargets::new())
+                    .unwrap();
+            let tables = schema.table_rooted();
+            tables.map(|m| (m.element.clone(), m.load_group.unwrap())).collect::<Vec<_>>()
+        };
+        let named = |pairs: &[(&str, usize)]| {
+            pairs.iter().map(|(e, g)| (e.to_string(), *g)).collect::<Vec<_>>()
+        };
+        // A professor's row names its own department and the one it is
+        // listed under; a department names no row.
+        let recursive = "<!ELEMENT Professor (PName,Dept)> <!ELEMENT Dept (DName,Professor*)>
+            <!ELEMENT PName (#PCDATA)> <!ELEMENT DName (#PCDATA)>";
+        assert_eq!(groups(recursive, "Professor"), named(&[("Dept", 0), ("Professor", 1)]));
+        // Inverted both ways: each table's rows point at the other's.
+        let mutual = "<!ELEMENT a (n,b*)> <!ELEMENT b (n,a*)> <!ELEMENT n (#PCDATA)>";
+        assert_eq!(groups(mutual, "a"), named(&[("a", 0), ("b", 0)]));
     }
 
     #[test]
@@ -820,6 +991,39 @@ mod tests {
             )
             .unwrap();
         assert_eq!(rows.rows, vec![vec![Value::str("Kudrass")]]);
+    }
+
+    #[test]
+    fn deferred_idrefs_leave_a_table_one_batch() {
+        // A row's own IDREF is inserted NULL and wired by an UPDATE, so it
+        // reads no table at INSERT time and closes no batch.
+        let dtd = parse_dtd(
+            "<!ELEMENT db (person*)> <!ELEMENT person (#PCDATA)>
+             <!ATTLIST person id ID #REQUIRED boss IDREF #IMPLIED>",
+        )
+        .unwrap();
+        let doc = xmlord_xml::parse(
+            r#"<db><person id="p1" boss="p2">Kudrass</person><person id="p2">Conrad</person><person id="p3" boss="p1">Meier</person></db>"#,
+        )
+        .unwrap();
+        let mut targets = IdrefTargets::new();
+        targets.insert(("person".into(), "boss".into()), "person".into());
+        let options = MappingOptions { map_idrefs: true, ..Default::default() };
+        for (mode, expected) in [
+            (DbMode::Oracle9, ["Tabperson 3", "Tabdb 1", "UPDATE", "UPDATE"]),
+            (DbMode::Oracle8, ["Tabdb 1", "Tabperson 3", "UPDATE", "UPDATE"]),
+        ] {
+            let schema = generate_schema(&dtd, "db", mode, options.clone(), &targets).unwrap();
+            let units = plan_batches(load_ops(&schema, &dtd, &doc, "d1").unwrap());
+            let shape: Vec<String> = units
+                .iter()
+                .map(|unit| match unit {
+                    LoadUnit::Batch(batch) => format!("{} {}", batch.table, batch.rows.len()),
+                    LoadUnit::Stmt(_) => "UPDATE".to_string(),
+                })
+                .collect();
+            assert_eq!(shape, expected, "{mode:?}");
+        }
     }
 
     #[test]

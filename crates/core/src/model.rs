@@ -180,6 +180,11 @@ pub struct ElementMapping {
     pub table_rooted: Option<TableRootReason>,
     /// Synthetic unique id field name (`ID…`) when table-rooted.
     pub synthetic_id: Option<String>,
+    /// When table-rooted: the position of this element's table in the
+    /// schema's load order, a topological order of its key-REF graph
+    /// (tables that other rows' key REFs name come first; the tables of
+    /// one cycle share a position). See [`crate::loader::load_ops`].
+    pub load_group: Option<usize>,
     /// Scalar type of this element's own text (simple elements; defaults to
     /// `VARCHAR(varchar_len)`).
     pub scalar_type: ScalarType,
@@ -210,6 +215,15 @@ impl ElementMapping {
 
     pub fn text_field(&self) -> Option<&FieldMapping> {
         self.fields.iter().find(|f| f.source == FieldSource::Text)
+    }
+
+    /// The key column named by the `UPDATE`s that wire this element's own
+    /// IDREF attributes after its INSERT, when it has one: a table row with
+    /// a synthetic id inserts its IDREFs NULL (see
+    /// [`FieldMapping::wired_after_insert`]). Anywhere else an IDREF is a
+    /// key REF inside the INSERT.
+    pub fn idref_update_key(&self) -> Option<&str> {
+        self.table.as_ref().and(self.synthetic_id.as_deref())
     }
 }
 
@@ -388,6 +402,7 @@ mod tests {
             table: None,
             table_rooted: None,
             synthetic_id: None,
+            load_group: None,
             scalar_type: ScalarType::Varchar(4000),
             attr_list: None,
             child_order: vec!["LName".into()],

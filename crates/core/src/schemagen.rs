@@ -35,6 +35,7 @@ use crate::model::{
     FieldSource, MappedSchema, MappingOptions, ScalarType, TableRootReason, TextStorage,
     UnenforcedNotNull,
 };
+use crate::loader::assign_load_groups;
 use crate::naming::{NameGenerator, NameKind};
 
 /// Map of `(referencing element, attribute name)` → target element name,
@@ -190,6 +191,7 @@ pub fn generate_schema(
         )?;
         elements.insert(element.clone(), mapping);
     }
+    assign_load_groups(&mut elements);
 
     // §4.3 drawback bookkeeping: mandatory fields of *embedded* object types
     // cannot carry NOT NULL.
@@ -513,6 +515,7 @@ fn build_element_mapping(
         table: own.table.clone(),
         table_rooted: rooted,
         synthetic_id,
+        load_group: None,
         scalar_type: collection_scalar_for_element(options, mode, element),
         attr_list,
         child_order: decl.content.child_names(),

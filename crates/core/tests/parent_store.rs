@@ -9,6 +9,13 @@
 //! load-index definitions (a second index on every synthetic-id column)
 //! this commit no longer creates. The `uni-<n>.xml` beside it are that
 //! commit's own retrievals.
+//!
+//! `load.sql` beside them is the same three documents' `load_script` +
+//! `metadata_insert` text as printed before the loader grouped a
+//! document's rows by table: document order, which is the order the
+//! fixture's OIDs were allocated in. The loader's grouped order numbers
+//! OIDs differently by design, so the fresh store compared with the
+//! fixture executes that text rather than storing the documents again.
 
 use std::path::PathBuf;
 
@@ -61,16 +68,21 @@ fn a_store_written_by_the_parent_commit_opens_plans_and_retrieves() {
     }
 
     // The same set-up at this commit leaves the same state: index
-    // definitions, declared or derived, appear in no dump.
-    let mut fresh = Xml2OrDb::new(DbMode::Oracle8);
+    // definitions, declared or derived, appear in no dump. The documents
+    // go in as `load.sql`'s document-order text; reopening the fresh store
+    // counts them, so it assigns the next DocID as `sys` does.
+    let fresh_dir = TempDir::new("parent-store-fresh");
+    let mut fresh = Xml2OrDb::open(&fresh_dir, DbMode::Oracle8).unwrap();
     fresh.register_dtd("uni", university_dtd(), "University").unwrap();
     fresh.create_load_indexes("uni").unwrap();
     fresh.create_retrieval_indexes("uni").unwrap();
+    let load = std::fs::read_to_string(fixture().join("load.sql")).unwrap();
+    fresh.database().execute_script(&load).unwrap();
+    fresh.database().commit().unwrap();
+    drop(fresh);
+    let mut fresh = Xml2OrDb::open(&fresh_dir, DbMode::Oracle8).unwrap();
     let document =
         |seed| university_xml(&UniversityConfig { students: 3, seed, ..Default::default() });
-    for seed in 1..=3 {
-        fresh.store_document("uni", &document(seed)).unwrap();
-    }
     assert_eq!(sys.database().state_dump(), fresh.database().state_dump());
 
     // And the reopened store keeps working: it stores, probes and checks out.
